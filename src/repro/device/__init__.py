@@ -1,18 +1,12 @@
 """Storage device: the SATA-level front-end over an FTL."""
 
 from repro.device.commands import CommandKind, DeviceCounters
-from repro.device.emmc import EmmcDevice
 from repro.device.queue import CommandQueue
 from repro.device.ssd import StorageDevice
-from repro.device.tracing import DeviceTrace, TraceEvent, TracingDevice
 
 __all__ = [
     "CommandKind",
     "CommandQueue",
     "DeviceCounters",
     "StorageDevice",
-    "EmmcDevice",
-    "TracingDevice",
-    "DeviceTrace",
-    "TraceEvent",
 ]

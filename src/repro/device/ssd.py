@@ -401,16 +401,7 @@ class StorageDevice:
 
     def commit(self, tid: int) -> None:
         """commit(t), carried over the trim command's parameter set (§5.2)."""
-        self._check_on()
-        ftl = self._require_tx()
-        self.counters.commits += 1
-        self._obs_commits.inc()
-        start_us = self.clock.now_us
-        with self.obs.tracer.span("commit", "dev", tid=tid):
-            self._charge()
-            self._barrier_point()
-            ftl.commit(tid)
-        self._obs_commit_us.observe(self.clock.now_us - start_us)
+        self._commit_members([tid])
 
     def commit_group(self, tids: list[int]) -> None:
         """Vectored commit: one drain barrier serves a whole commit group.
@@ -420,18 +411,23 @@ class StorageDevice:
         queue barrier and the FTL's X-L2P flush are scoped to the group
         as a whole rather than to each transaction.
         """
+        self._commit_members(list(dict.fromkeys(tids)))
+
+    def _commit_members(self, tids: list[int]) -> None:
+        """The commit body; a single commit is the one-member group."""
         self._check_on()
         ftl = self._require_tx()
-        tids = list(dict.fromkeys(tids))
         if not tids:
-            return
-        if len(tids) == 1:
-            self.commit(tids[0])
             return
         self.counters.commits += len(tids)
         self._obs_commits.inc(len(tids))
+        tracer = self.obs.tracer
+        if len(tids) == 1:
+            span = tracer.span("commit", "dev", tid=tids[0])
+        else:
+            span = tracer.span("commit_group", "dev")
         start_us = self.clock.now_us
-        with self.obs.tracer.span("commit_group", "dev"):
+        with span:
             for _ in tids:
                 self._charge()
             self._barrier_point()

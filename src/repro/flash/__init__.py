@@ -8,7 +8,7 @@ from repro.flash.state import (
     PAGE_TORN,
     BlockStateView,
 )
-from repro.flash.chip import FlashChip, OverlapRegion, PageState
+from repro.flash.chip import FlashChip, OverlapRegion
 from repro.flash.array import FlashArray, FlashDie
 from repro.flash.stats import FlashStats
 
@@ -23,6 +23,5 @@ __all__ = [
     "FlashArray",
     "FlashDie",
     "OverlapRegion",
-    "PageState",
     "FlashStats",
 ]

@@ -18,10 +18,7 @@ which models the non-atomic sector write SQLite worries about (§2.1).
 
 Page/block state lives in the chip's :class:`~repro.flash.state.BlockStateView`
 (``chip.state``) — flat bytearray/array state maps shared with the FTL's
-validity bookkeeping.  The legacy per-page accessors (``state_of``,
-``is_torn``, ``block_write_point``, ``block_is_full``, the ``erase_counts``
-list) spent one release as DeprecationWarning shims and are now removed;
-touching them raises with a pointer at ``chip.state``.
+validity bookkeeping.
 
 The chip also carries the device's :class:`~repro.tenancy.TenantRegistry`
 (``chip.tenants``), inert until a tenant registers — the same
@@ -30,7 +27,6 @@ ride-on-the-chip placement as the clock, crash plan and obs handle.
 
 from __future__ import annotations
 
-import enum
 from typing import Any
 
 from repro.errors import CorruptionError, FlashError, PowerFailure
@@ -64,26 +60,6 @@ CP_PROGRAM_AFTER = register_crash_point(
 CP_ERASE_BEFORE = register_crash_point(
     "flash.erase.before", "flash.chip", "before a block erase"
 )
-
-
-class PageState(enum.Enum):
-    """Lifecycle of one physical page (legacy enum view of ``PAGE_*``)."""
-
-    ERASED = "erased"
-    PROGRAMMED = "programmed"
-    TORN = "torn"
-
-
-#: Pre-BlockStateView accessors, removed after their DeprecationWarning
-#: release (same lifecycle as the deleted ``repro.bench.runner`` module).
-#: ``FlashChip.__getattr__`` turns them into errors with a pointer.
-_REMOVED_STATE_ACCESSORS = {
-    "state_of": "chip.state.page_states[ppn]",
-    "is_torn": "chip.state.is_torn(ppn)",
-    "block_write_point": "chip.state.write_points[block]",
-    "block_is_full": "chip.state.block_is_full(block)",
-    "erase_counts": "chip.state.erase_counts",
-}
 
 
 class OverlapRegion:
@@ -326,24 +302,6 @@ class FlashChip:
                 self._charge_flash(self.profile.block_erase_us, block)
         else:
             self._charge_flash(self.profile.block_erase_us, block)
-
-    # --------------------------------------------- removed state accessors
-    #
-    # The pre-BlockStateView per-page API spent one release as
-    # DeprecationWarning shims; it is now gone for good (the bench.runner
-    # precedent).  __getattr__ only runs for *missing* attributes, so the
-    # tombstone costs nothing on the hot path.
-
-    def __getattr__(self, name: str):
-        replacement = _REMOVED_STATE_ACCESSORS.get(name)
-        if replacement is not None:
-            raise AttributeError(
-                f"FlashChip.{name} was removed; query chip.state "
-                f"(BlockStateView) instead: {replacement}"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # ---------------------------------------------------------- inspection
 

@@ -1,8 +1,8 @@
 """Flash translation layers.
 
 - :class:`~repro.ftl.pagemap.PageMappingFTL` — the baseline page-mapped FTL
-  of the OpenSSD board: L2P table, greedy garbage collection, mapping-table
-  persistence on write barriers.
+  of the OpenSSD board: L2P table, mapping-table persistence on write
+  barriers.
 - :class:`~repro.ftl.xftl.XFTL` — the paper's contribution: a transactional
   FTL layering an X-L2P table over the page-mapped FTL (tagged reads/writes,
   commit/abort commands, GC pinning, cheap crash recovery).
@@ -10,9 +10,12 @@
   multi-page write (related-work baseline, §3.3).
 - :class:`~repro.ftl.txflash.TxFlashFTL` — TxFlash-style cyclic-commit
   per-call atomic group writes (related-work baseline, §3.3).
-- :class:`~repro.ftl.gc.BackgroundGC` — background garbage collection
-  (``FtlConfig.gc_mode="background"``): paced copyback jobs on channel idle
-  windows, watermark state machine, hot/cold write streams, wear leveling.
+- :class:`~repro.ftl.gc.Collector` — the space manager every page-mapped
+  FTL owns (free pools, active blocks, victim selection, copyback, erase).
+  ``FtlConfig.gc_mode`` picks its schedule: ``"inline"`` reclaims
+  synchronously under the host write that runs short, ``"background"`` adds
+  the watermark state machine, paced jobs on channel idle windows, hot/cold
+  write streams and wear leveling.
 """
 
 from repro.ftl.base import Ftl, FtlConfig
@@ -21,7 +24,7 @@ from repro.ftl.xftl import XFTL
 from repro.ftl.xl2p import TxStatus, XL2PEntry, XL2PTable
 from repro.ftl.atomic import AtomicWriteFTL
 from repro.ftl.txflash import TxFlashFTL
-from repro.ftl.gc import BackgroundGC, GcJob, GcState
+from repro.ftl.gc import Collector, GcJob, GcState
 
 __all__ = [
     "Ftl",
@@ -33,7 +36,7 @@ __all__ = [
     "XL2PTable",
     "AtomicWriteFTL",
     "TxFlashFTL",
-    "BackgroundGC",
+    "Collector",
     "GcJob",
     "GcState",
 ]

@@ -47,12 +47,17 @@ class FtlConfig:
             greedy pick rather than stalling.  Every fallback increments
             the ``ftl.gc.fifo_fallbacks`` obs counter so results produced
             under fallback are never silently mislabeled as pure FIFO.
-        gc_mode: ``"inline"`` (default) runs the stop-the-world collector
-            synchronously inside the host write path — the seed model, bit
-            for bit.  ``"background"`` hands space management to
-            :class:`repro.ftl.gc.BackgroundGC`: paced copyback jobs on
-            channel idle windows, a watermark state machine, hot/cold
-            write streams and wear leveling.
+        gc_mode: The *schedule* of the FTL's one space manager
+            (:class:`repro.ftl.gc.Collector`); victim pickers, the copyback
+            loop and block allocation are the same code under both.
+            ``"inline"`` (default; the stock firmware and every paper
+            table) reclaims synchronously inside the host write that finds
+            a channel at its headroom floor or short of
+            ``gc_free_block_threshold + 1`` free blocks.  ``"background"``
+            adds the watermark state machine, copyback jobs paced into
+            channel idle windows, hot/cold write streams and wear leveling
+            (the ``gc_background_watermark`` ... ``gc_wear_check_interval``
+            knobs below apply to it alone).
         gc_background_watermark: Background collection engages when a
             channel's free-block pool drops to this size (urgent/foreground
             collection still triggers at the page-granular headroom floor).

@@ -1,65 +1,76 @@
-"""Background garbage collection: watermarks, hot/cold streams, wear leveling.
+"""Space management: one collector, two schedules.
 
-The seed model garbage-collects *inline*: when a channel's free pool runs
-low, the host write that noticed it performs the whole stop-the-world pass —
-every copyback read/program and the erase — before its own program starts.
-That is faithful to the stock OpenSSD firmware but it puts a multi-
-millisecond pause under an unlucky foreground write, which distorts the
-latency side of the paper's figures at high space utilization.
+:class:`Collector` owns everything about *where* pages go and how space
+comes back — the per-channel free pools and allocation-age order, the cold /
+hot / translation active blocks, victim selection, the copyback job,
+erase-and-return-to-pool, and the power-fail reset / remount rebuild of that
+state.  :class:`~repro.ftl.pagemap.PageMappingFTL` always constructs one and
+keeps mapping, page ownership, map persistence and recovery; it talks to the
+collector through five calls (:meth:`Collector.host_program`,
+:meth:`~Collector.program_copyback`, :meth:`~Collector.reset`,
+:meth:`~Collector.rebuild`, :meth:`~Collector.check_invariants`).
 
-:class:`BackgroundGC` replaces that pass (``FtlConfig.gc_mode =
-"background"``) with the scheduling structure Dayan & Bonnet describe for
-flash-resident page-mapping FTLs:
+GC is channel-local: victim and copyback target share a channel, so a
+relocation's read -> program dependency sits on one channel timeline, and
+with one channel everything degenerates to the stock firmware's single free
+pool and single active block.  A victim is only collected when the channel's
+headroom (erased pages in its free pool plus its cold active block) covers
+the victim's valid pages — erasing is how GC *gains* space, so it must never
+erase itself into a corner.
 
-Paced per-block copyback jobs
-    Reclaiming a victim is a :class:`GcJob` — a cursor over the victim's
-    programmed pages.  Each background *step* relocates at most
-    ``gc_copyback_pages_per_step`` pages and then yields, so foreground
-    writes preempt a collection in flight.  Steps run inside a
-    ``chip.overlap()`` region: their flash time is reserved on the owning
-    channel's :class:`~repro.sim.events.ResourceTimeline` without blocking
-    the clock, and a step is only taken when the channel's reserved backlog
-    is within ``gc_idle_backlog_us`` — i.e. collections are scheduled into
-    the channel's idle windows.
+``FtlConfig.gc_mode`` picks *when* the one mechanism runs (Dayan & Bonnet
+describe inline and background collection as two schedules over one victim
+selection / copyback mechanism):
 
-Watermark state machine
-    Per channel: ``idle → background → urgent``.  Background collection
-    engages when the free pool drops to ``gc_background_watermark`` blocks;
-    the *urgent* state triggers at the page-granular headroom floor (one
-    block's worth of erased pages — the same floor the inline collector
-    maintains) and collects synchronously until the floor is restored,
-    observing the stall into the ``ftl.gc.pause_us`` histogram.
+``"inline"`` — the stock OpenSSD firmware and every paper table
+    The host program that finds the channel at the headroom floor (one
+    block's worth of erased pages), or that needs a block while the free
+    pool is at ``gc_free_block_threshold``, reclaims synchronously —
+    victims run to completion — until the pool holds
+    ``gc_free_block_threshold + 1`` blocks and the floor is restored.  No
+    heat map, no hot stream, no pacing, no wear leveling; freed blocks are
+    reused LIFO.
 
-Hot/cold write streams
-    Each channel keeps two active blocks.  The FTL's own active block
-    (which copybacks also append into) is the *cold* stream; data writes
-    whose LPN has accumulated ``gc_hot_write_threshold`` writes — plus all
-    map/meta/X-L2P table pages, which are rewritten on every flush — go to
-    a *hot* active block.  Segregation concentrates invalidations, so
-    victims carry fewer valid pages.
+``"background"``
+    *Watermark state machine*, per channel ``idle -> background -> urgent``:
+    paced collection engages when the free pool drops to
+    ``gc_background_watermark`` blocks; the urgent state triggers at the
+    same headroom floor and collects synchronously until it is restored,
+    observing the stall into ``ftl.gc.pause_us``.
+    *Paced jobs*: each step relocates at most ``gc_copyback_pages_per_step``
+    pages inside a ``chip.overlap()`` region and only when the channel's
+    reserved backlog is within ``gc_idle_backlog_us``, so foreground writes
+    preempt a collection in flight.
+    *Hot/cold streams*: data writes whose LPN has accumulated
+    ``gc_hot_write_threshold`` writes — plus all map/meta/X-L2P table pages —
+    go to a second, *hot* active block; copybacks and everything else append
+    to the cold one.
+    *Wear leveling*: every ``gc_wear_check_interval`` steps the erase-count
+    spread is sampled; beyond ``gc_wear_spread_threshold`` the least-worn
+    written block is migrated into the cold stream and erased, and the free
+    pool is kept sorted so the least-worn free block is handed out first.
 
-Wear leveling
-    Every ``gc_wear_check_interval`` steps the erase-count spread is
-    sampled; beyond ``gc_wear_spread_threshold`` the least-worn written
-    block (cold data sits still exactly there) is migrated into the cold
-    stream and erased, cycling it back into the allocation pool.
+Under either schedule, with a demand-paged map (``cmt_pages``) translation
+pages get their own active block per channel (Dayan & Bonnet's translation
+blocks), opportunistically: it degrades to the cold block under pressure.
 
 Safety: the job cursor only ever relocates pages through the owning FTL's
 ``_gc_oob`` / ``_apply_relocation`` hooks, so the X-L2P live-union
 invariant (pages referenced by L2P *or any* X-L2P entry are never
 reclaimed) holds at every preemption point — uncommitted transactional
-copies keep their tid and their X-L2P entry is repointed, exactly as in
-the inline pass.  With ``retain_versions > 1`` the live union also covers
-version-chain entries (``OWNER_VERSION`` pages): copyback repoints the
-chain entry in place, preserving chain order, and the relocated page keeps
-its original OOB sequence number so replay never resurrects it as the
-current copy.  The ``gc.*`` crash points below are swept by the ``ftl.gc``
-verify layer; the version-chain edges by ``ftl.mvcc``.
+copies keep their tid and their X-L2P entry is repointed.  With
+``retain_versions > 1`` the live union also covers version-chain entries
+(``OWNER_VERSION`` pages): copyback repoints the chain entry in place and
+the relocated page keeps its original OOB sequence number so replay never
+resurrects it as the current copy.  The ``gc.*`` crash points below are
+swept by the ``ftl.gc`` (background) and ``ftl.gc.inline`` verify layers;
+the version-chain edges by ``ftl.mvcc``.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -69,7 +80,7 @@ from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
 CP_GC_VICTIM = register_crash_point(
-    "gc.victim.selected", "ftl.gc", "background GC victim chosen, no copyback started"
+    "gc.victim.selected", "ftl.gc", "GC victim chosen, no copyback started"
 )
 CP_GC_COPYBACK = register_crash_point(
     "gc.copyback.page", "ftl.gc", "between page copybacks of a GC job"
@@ -81,11 +92,16 @@ CP_GC_WEAR = register_crash_point(
     "gc.wear.migrate", "ftl.gc", "between page migrations of a wear-leveling job"
 )
 
-GC_POLICIES = ("greedy", "fifo", "cost-benefit")
+#: Victim policies each schedule supports.  Cost-benefit ages blocks in
+#: allocation ticks, which only the background schedule advances.
+GC_POLICIES = {
+    "inline": ("greedy", "fifo"),
+    "background": ("greedy", "fifo", "cost-benefit"),
+}
 
 
 class GcState(enum.Enum):
-    """Per-channel watermark state."""
+    """Per-channel watermark state (always ``IDLE`` under the inline schedule)."""
 
     IDLE = "idle"
     BACKGROUND = "background"
@@ -94,7 +110,7 @@ class GcState(enum.Enum):
 
 @dataclass
 class GcJob:
-    """One victim block being reclaimed incrementally.
+    """One victim block being reclaimed.
 
     ``cursor`` walks the victim's programmed pages; between steps the block
     is half-relocated but fully consistent — every still-owned page is
@@ -108,22 +124,50 @@ class GcJob:
     wear: bool = False  # wear-leveling migration (vs. space reclamation)
 
 
-class BackgroundGC:
-    """Background collector bound to one :class:`PageMappingFTL` (or XFTL).
+class Collector:
+    """The space manager of one :class:`PageMappingFTL` (see module docstring).
 
-    Owns no mapping state of its own: space bookkeeping (free pools, valid
-    counts, owners) stays in the FTL; this class decides *when* and *what*
-    to collect and drives the FTL's relocation primitives.
+    Owns no mapping state: owners, L2P and valid counts stay in the FTL and
+    are only touched through its relocation hooks.
     """
 
     def __init__(self, ftl) -> None:
-        self.ftl = ftl
         config = ftl.config
-        if config.gc_policy not in GC_POLICIES:
+        policies = GC_POLICIES.get(config.gc_mode)
+        if policies is None:
             raise FtlError(
-                f"unknown gc_policy {config.gc_policy!r}; expected one of {GC_POLICIES}"
+                f"unknown gc_mode {config.gc_mode!r}; expected one of {tuple(GC_POLICIES)}"
             )
-        geo = ftl.chip.geometry
+        if config.gc_policy not in policies:
+            raise FtlError(
+                f"gc_policy {config.gc_policy!r} is not available with "
+                f"gc_mode={config.gc_mode!r}; expected one of {policies}"
+            )
+        # Weak: the FTL owns the collector, and a strong back-reference would
+        # turn every FTL into cyclic garbage — crash-plan subscriber lists
+        # and peak memory both rely on refcounting freeing a dropped stack.
+        self.ftl = weakref.proxy(ftl)
+        self.schedule = config.gc_mode
+        self._inline = config.gc_mode == "inline"
+        self._policy = config.gc_policy
+        chip = self._chip = ftl.chip
+        self._stats = ftl.stats
+        geo = self._geo = chip.geometry
+        self._channels = geo.channels
+        self._per = geo.pages_per_block
+        # Block state lives on the chip's BlockStateView; the arrays are
+        # mutated in place, so aliasing them is safe across power cycles.
+        self._write_points = chip.state.write_points
+        self._valid_counts = chip.state.valid_counts
+        self._erase_counts = chip.state.erase_counts
+        # Translation pages get a stream of their own only under a
+        # demand-paged map.
+        self._trans_stream = ftl._cmt is not None
+        # A stream that needs a block reclaims first when the free pool is
+        # below this: the inline schedule keeps threshold + 1 blocks in
+        # hand, the background one (whose watermark machine runs ahead of
+        # need) only insists on the block it is about to take.
+        self._alloc_target = config.gc_free_block_threshold + 1 if self._inline else 1
         # Config scalars cached for the per-program scheduling path (the
         # config object never mutates after construction).
         self._hot_threshold = config.gc_hot_write_threshold
@@ -132,28 +176,24 @@ class BackgroundGC:
         self._pages_per_step = config.gc_copyback_pages_per_step
         self._wear_spread_threshold = config.gc_wear_spread_threshold
         self._wear_check_interval = config.gc_wear_check_interval
-        self._states: list[GcState] = [GcState.IDLE] * geo.channels
-        self._jobs: list[GcJob | None] = [None] * geo.channels
-        self._hot_active: list[int | None] = [None] * geo.channels
-        self._heat: dict[int, int] = {}  # lpn -> cumulative write count
-        self._alloc_tick: dict[int, int] = {}  # block -> tick it left the pool
-        self._tick = 0
-        # Per channel: a global counter would lock wear checks onto one
-        # channel's parity (host programs round-robin the channels, so any
-        # interval sharing a factor with the channel count samples the same
-        # channel forever).
-        self._steps_since_wear_check = [0] * geo.channels
-        obs = ftl.chip.obs
+        self._tick = 0  # host programs seen (background): cost-benefit's clock
+        # Victim valid-ratio running aggregate (bounded state: per-victim
+        # samples live in the ftl.gc.victim_valid_pages histogram).
+        self._valid_ratio_sum = 0.0
+        self.victims_collected = 0
+        self.rebuild()  # a fresh chip: every block free
+        obs = chip.obs
+        self._obs_invocations = ftl._obs_gc_invocations
+        self._obs_reads = ftl._obs_gc_reads
+        self._obs_writes = ftl._obs_gc_writes
+        self._obs_fifo_fallbacks = ftl._obs_gc_fifo_fallbacks
+        self._obs_victim_valid = obs.histogram("ftl.gc.victim_valid_pages", DEFAULT_SIZE_BOUNDS)
+        self._obs_trans = obs.counter("ftl.gc.translation_collections")
         self._obs_pause_us = obs.histogram("ftl.gc.pause_us")
-        self._obs_copyback_pages = obs.histogram(
-            "ftl.gc.copyback_pages", DEFAULT_SIZE_BOUNDS
-        )
-        self._obs_erase_spread = obs.histogram(
-            "ftl.gc.erase_spread", DEFAULT_SIZE_BOUNDS
-        )
+        self._obs_copyback_pages = obs.histogram("ftl.gc.copyback_pages", DEFAULT_SIZE_BOUNDS)
+        self._obs_erase_spread = obs.histogram("ftl.gc.erase_spread", DEFAULT_SIZE_BOUNDS)
         self._obs_transitions = {
-            state: obs.counter(f"ftl.gc.transitions_to_{state.value}")
-            for state in GcState
+            state: obs.counter(f"ftl.gc.transitions_to_{state.value}") for state in GcState
         }
         self._obs_background = obs.counter("ftl.gc.background_collections")
         self._obs_urgent = obs.counter("ftl.gc.urgent_collections")
@@ -162,20 +202,77 @@ class BackgroundGC:
         self._obs_cold_writes = obs.counter("ftl.gc.cold_stream_writes")
         self._obs_trans_writes = obs.counter("ftl.gc.trans_stream_writes")
 
-    # ------------------------------------------------------------ host path
+    # ------------------------------------------------------------- power
 
-    def host_program(self, data: Any, oob: tuple, channel: int) -> int:
-        """Append one host-originated page; runs the GC machinery first."""
-        ftl = self.ftl
-        chip = ftl.chip
-        self._tick += 1
-        trans = ftl._cmt is not None and oob[0] == OOB_MAP
-        # _classify, inlined (heat-map update on the data path).
+    def reset(self) -> None:
+        """Drop all volatile space state (power loss): nothing is allocatable."""
+        channels = self._channels
+        # Striped per channel: each has its own free pool, active blocks and
+        # allocation-age order, so appends on different channels never contend.
+        self._free_by_channel: list[list[int]] = [[] for _ in range(channels)]
+        self._alloc_order: list[list[int]] = [[] for _ in range(channels)]
+        self._active_blocks: list[int | None] = [None] * channels  # cold stream
+        self._hot_active: list[int | None] = [None] * channels
+        self._trans_active: list[int | None] = [None] * channels
+        self._trans_blocks: set[int] = set()
+        self._write_channel = 0  # round-robin cursor for host appends
+        self._states: list[GcState] = [GcState.IDLE] * channels
+        self._jobs: list[GcJob | None] = [None] * channels
+        self._heat: dict[int, int] = {}  # lpn -> cumulative write count
+        self._alloc_tick: dict[int, int] = {}  # block -> tick it left the pool
+        # Per channel: a global counter would lock wear checks onto one
+        # channel's parity (host programs round-robin the channels, so any
+        # interval sharing a factor with the channel count samples the same
+        # channel forever).
+        self._steps_since_wear_check = [0] * channels
+
+    def rebuild(self) -> None:
+        """Re-derive the space state from block write points (remount).
+
+        Allocation age and stream identity are volatile: age is approximated
+        by block number, old hot/translation blocks become ordinary aged
+        blocks, and each channel resumes appending into its fullest
+        partially-written block.
+        """
+        self.reset()
+        geo = self._geo
+        write_points = self._write_points
+        for channel in range(geo.channels):
+            blocks = geo.channel_blocks(channel)
+            self._free_by_channel[channel] = [b for b in blocks if write_points[b] == 0]
+            self._alloc_order[channel] = [b for b in blocks if write_points[b] > 0]
+            partials = [b for b in blocks if 0 < write_points[b] < self._per]
+            if partials:
+                self._active_blocks[channel] = max(partials, key=write_points.__getitem__)
+
+    # ------------------------------------------------------------ programs
+
+    def host_program(self, data: Any, oob: tuple) -> int:
+        """Append one host-originated page on the next round-robin channel.
+
+        Runs this schedule's reclamation first.  Both keep at least one
+        block's worth of erased pages per channel at all times: any victim
+        has at most ``pages_per_block - 1`` valid pages, so with a full
+        block of headroom *before* each host program GC can always relocate
+        a victim and make progress (waiting for an empty pool would let the
+        host eat the copyback headroom page by page and wedge an
+        in-capacity workload).
+        """
+        channel = self._write_channel
+        self._write_channel = (channel + 1) % self._channels
+        per = self._per
+        trans = self._trans_stream and oob[0] == OOB_MAP
         hot = False
-        if not trans:
+        if self._inline:
+            if self.headroom_pages(channel) <= per:
+                self._reclaim(channel, 0)
+        else:
+            self._tick += 1
             threshold = self._hot_threshold
-            if threshold > 0:
+            if threshold > 0 and not trans:
                 if oob[0] != OOB_DATA:
+                    # Map/meta/X-L2P table pages are rewritten on every
+                    # flush: the hottest data on the device by construction.
                     hot = True
                 else:
                     heat = self._heat
@@ -183,115 +280,115 @@ class BackgroundGC:
                     count = heat.get(lpn, 0) + 1
                     heat[lpn] = count
                     hot = count >= threshold
-        self._step(channel)
+            self._step(channel)
         if trans:
-            block = self._ensure_trans_stream_block(channel)
+            store = self._trans_active
         else:
-            block = self._ensure_stream_block(channel, hot)
-        per = ftl._pages_per_block
-        write_points = ftl._write_points
+            store = self._hot_active if hot else self._active_blocks
+        block = self._stream_block(channel, store)
+        write_points = self._write_points
         ppn = block * per + write_points[block]
-        chip.program(ppn, data, oob)
-        if trans:
-            self._obs_trans_writes.inc()
-        else:
-            (self._obs_hot_writes if hot else self._obs_cold_writes).inc()
-            tenants = chip.tenants
-            if tenants.enabled:
-                tenants.note_stream_write(hot)
+        self._chip.program(ppn, data, oob)
+        if not self._inline:
+            if trans:
+                self._obs_trans_writes.inc()
+            else:
+                (self._obs_hot_writes if hot else self._obs_cold_writes).inc()
+                tenants = self._chip.tenants
+                if tenants.enabled:
+                    tenants.note_stream_write(hot)
         if write_points[block] >= per:
             # A hot or translation write may have degraded onto the cold
             # block, so clear whichever stream(s) hold the filled block.
-            if self._hot_active[channel] == block:
-                self._hot_active[channel] = None
-            if ftl._trans_active[channel] == block:
-                ftl._trans_active[channel] = None
-            if ftl._active_blocks[channel] == block:
-                ftl._active_blocks[channel] = None
+            for filled in (self._active_blocks, self._hot_active, self._trans_active):
+                if filled[channel] == block:
+                    filled[channel] = None
         return ppn
 
-    def _classify(self, oob: tuple) -> bool:
-        """Hot-stream decision for this program (updates the heat map)."""
-        threshold = self.ftl.config.gc_hot_write_threshold
-        if threshold <= 0:
-            return False
-        kind = oob[0]
-        if kind != OOB_DATA:
-            # Map/meta/X-L2P table pages are rewritten on every flush: the
-            # hottest data on the device by construction.
-            return True
-        lpn = oob[1]
-        count = self._heat.get(lpn, 0) + 1
-        self._heat[lpn] = count
-        return count >= threshold
+    def program_copyback(self, data: Any, oob: tuple, channel: int) -> int:
+        """Append one relocated page to the channel's cold stream.
 
-    def _ensure_stream_block(self, channel: int, hot: bool) -> int:
-        """Open (or reuse) the channel's hot or cold active block."""
-        ftl = self.ftl
-        per = ftl._pages_per_block
-        write_points = ftl._write_points
-        store = self._hot_active if hot else ftl._active_blocks
-        active = store[channel]
-        if active is not None and write_points[active] < per:
-            return active
-        if hot and ftl._gc_headroom_pages(channel) <= 2 * per:
-            # Opening a hot block takes a free block out of GC headroom
-            # (copybacks only ever target the cold stream), so the second
-            # stream is strictly opportunistic: without two blocks of slack
-            # beyond the urgent floor, degrade to the cold stream rather
-            # than eroding the margin that keeps collection live.
-            store[channel] = None
-            return self._ensure_stream_block(channel, hot=False)
-        free = ftl._free_by_channel[channel]
-        if not free:
-            self._collect_until_floor(channel, need_free_block=True)
-        if not free:
-            cold = ftl._active_blocks[channel]
-            if hot and cold is not None and write_points[cold] < per:
-                # Degraded: no block for a second stream — share the cold one.
-                return cold
-            raise OutOfSpaceError(f"no free blocks on channel {channel} after GC")
-        block = free.pop()
-        store[channel] = block
-        ftl._alloc_order[channel].append(block)
-        self._alloc_tick[block] = self._tick
-        return block
-
-    def _ensure_trans_stream_block(self, channel: int) -> int:
-        """Open (or reuse) the channel's translation-block stream.
-
-        Like the hot stream, strictly opportunistic: translation pages fall
-        back to the cold stream rather than eroding GC headroom below two
-        blocks of slack.
+        Draws directly on the free pool, never reclaiming: the caller
+        checked the victim against the headroom before opening the job.
         """
-        ftl = self.ftl
-        per = ftl._pages_per_block
-        write_points = ftl._write_points
-        active = ftl._trans_active[channel]
-        if active is not None and write_points[active] < per:
+        per = self._per
+        write_points = self._write_points
+        active = self._active_blocks[channel]
+        if active is None or write_points[active] >= per:
+            if not self._free_by_channel[channel]:
+                raise OutOfSpaceError("GC ran out of headroom blocks")
+            active = self._open_block(channel, self._active_blocks)
+        ppn = active * per + write_points[active]
+        self._chip.program(ppn, data, oob)
+        if write_points[active] >= per:
+            self._active_blocks[channel] = None
+        return ppn
+
+    def headroom_pages(self, channel: int) -> int:
+        """Erased pages GC may program into on ``channel`` (free pool + cold block)."""
+        per = self._per
+        pages = len(self._free_by_channel[channel]) * per
+        active = self._active_blocks[channel]
+        if active is not None:
+            pages += per - self._write_points[active]
+        return pages
+
+    def _stream_block(self, channel: int, store: list[int | None]) -> int:
+        """The open block of one stream (``store``), allocating if needed.
+
+        A second stream takes a free block out of GC headroom (copybacks
+        only ever target the cold stream), so the hot and translation
+        streams are strictly opportunistic: without two blocks of slack
+        beyond the floor they degrade to the cold block rather than eroding
+        the margin that keeps collection live.
+        """
+        per = self._per
+        active = store[channel]
+        if active is not None and self._write_points[active] < per:
             return active
-        if ftl._gc_headroom_pages(channel) <= 2 * per:
-            ftl._trans_active[channel] = None
-            return self._ensure_stream_block(channel, hot=False)
-        free = ftl._free_by_channel[channel]
-        if not free:
-            self._collect_until_floor(channel, need_free_block=True)
-        if not free:
-            cold = ftl._active_blocks[channel]
-            if cold is not None and write_points[cold] < per:
-                return cold
+        cold = self._active_blocks
+        free = self._free_by_channel[channel]
+        # Background's second streams never reclaim for themselves: the
+        # slack check below sends them to the cold stream first.
+        if (store is cold or self._inline) and len(free) < self._alloc_target:
+            self._reclaim(channel, self._alloc_target)
+        if store is not cold:
+            if self.headroom_pages(channel) <= 2 * per:
+                return self._stream_block(channel, cold)
+        elif not free:
             raise OutOfSpaceError(f"no free blocks on channel {channel} after GC")
-        block = free.pop()
-        ftl._trans_active[channel] = block
-        ftl._alloc_order[channel].append(block)
-        ftl._trans_blocks.add(block)
+        block = self._open_block(channel, store)
         self._alloc_tick[block] = self._tick
+        if store is self._trans_active:
+            self._trans_blocks.add(block)
         return block
+
+    def _open_block(self, channel: int, store: list[int | None]) -> int:
+        """Take the channel's next free block as ``store``'s active block."""
+        block = self._free_by_channel[channel].pop()
+        store[channel] = block
+        self._alloc_order[channel].append(block)
+        return block
+
+    def _release_trans_block(self, channel: int) -> bool:
+        """Fold the translation stream back into the shared pool.
+
+        Called when GC is starved: the trans active block is excluded from
+        victim selection and its erased tail does not count as copyback
+        headroom, so under pressure holding onto it can wedge an otherwise
+        sustainable workload.  Releasing it makes the block an ordinary
+        victim candidate — and, when the cold slot is open, the new cold
+        block, which returns its erased pages to the headroom pool.
+        """
+        block = self._trans_active[channel]
+        if block is None:
+            return False
+        self._trans_active[channel] = None
+        if self._active_blocks[channel] is None and self._write_points[block] < self._per:
+            self._active_blocks[channel] = block
+        return True
 
     # --------------------------------------------------- watermark machine
-
-    def state_of(self, channel: int) -> GcState:
-        return self._states[channel]
 
     def _set_state(self, channel: int, state: GcState) -> None:
         if self._states[channel] is state:
@@ -300,59 +397,117 @@ class BackgroundGC:
         self._obs_transitions[state].inc()
 
     def _step(self, channel: int) -> None:
-        """One GC scheduling decision, taken before every host program."""
-        ftl = self.ftl
-        floor = ftl._pages_per_block
+        """One background scheduling decision, taken before every host program."""
+        floor = self._per
         watermark = self._background_watermark
         jobs = self._jobs
-        free = ftl._free_by_channel[channel]
-        if ftl._gc_headroom_pages(channel) <= floor:
+        free = self._free_by_channel[channel]
+        if self.headroom_pages(channel) <= floor:
             self._set_state(channel, GcState.URGENT)
-            self._collect_until_floor(channel)
+            self._reclaim(channel, 0)
         elif jobs[channel] is not None or len(free) <= watermark:
             self._set_state(channel, GcState.BACKGROUND)
-            if ftl.chip.channel_backlog_us(channel) <= self._idle_backlog_us:
+            if self._chip.channel_backlog_us(channel) <= self._idle_backlog_us:
                 self._background_step(channel)
         else:
             self._set_state(channel, GcState.IDLE)
         self._maybe_wear_level(channel)
         # Settle the post-work state so observers see where the channel is.
-        if ftl._gc_headroom_pages(channel) > floor:
+        if self.headroom_pages(channel) > floor:
             if jobs[channel] is None and len(free) > watermark:
                 self._set_state(channel, GcState.IDLE)
             else:
                 self._set_state(channel, GcState.BACKGROUND)
 
-    def _idle_window(self, channel: int) -> bool:
-        return self.ftl.chip.channel_backlog_us(channel) <= self._idle_backlog_us
+    def _background_step(self, channel: int) -> None:
+        """Run one paced slice of collection during an idle window."""
+        job = self._jobs[channel]
+        if job is None:
+            victim = self.pick_victim(channel)
+            if victim is None:
+                return
+            # Opening a job is only safe when its whole copyback fits in the
+            # current headroom minus the urgent floor: host writes that
+            # interleave with the paced job shrink headroom one page per
+            # program, and the urgent path (which fires at the floor) must
+            # always be able to finish the job synchronously.
+            if self._valid_counts[victim] > self.headroom_pages(channel) - self._per:
+                return
+            job = self._open_job(channel, victim)
+        with self._chip.overlap():
+            done = self._run_job(channel, job, max_pages=self._pages_per_step)
+        if done:
+            self._obs_background.inc()
+
+    def _reclaim(self, channel: int, target_blocks: int) -> None:
+        """Synchronous collection: the inline pass and background's urgent path.
+
+        Collects — finishing the channel's open job first — while the free
+        pool is below ``target_blocks`` or the page-granular headroom floor
+        is breached (tight geometries may never stabilise the pool above
+        one block, yet stay sustainable by cycling the cold block's spare
+        pages; ``target_blocks=0`` is the floor-only pass).  Bails out when
+        nothing is reclaimable but some headroom remains, and raises
+        :class:`OutOfSpaceError` only when truly wedged.  Under the
+        background schedule the stall is the foreground GC pause.
+        """
+        geo = self._geo
+        free = self._free_by_channel[channel]
+        floor = self._per
+        start_us = self._chip.clock.now_us
+        collected = False
+        guard = geo.total_pages + geo.num_blocks
+        while len(free) < target_blocks or self.headroom_pages(channel) <= floor:
+            guard -= 1
+            if guard < 0:
+                raise OutOfSpaceError("garbage collection cannot make progress")
+            job = self._jobs[channel]
+            if job is None:
+                victim = self.pick_victim(channel)
+                if victim is None or self._valid_counts[victim] > self.headroom_pages(channel):
+                    if self._release_trans_block(channel):
+                        continue  # the freed stream block may be reclaimable
+                    if free or self.headroom_pages(channel) > 0:
+                        break  # nothing reclaimable; live with what we have
+                    raise OutOfSpaceError("no GC victim and no free blocks")
+                job = self._open_job(channel, victim)
+            with self._chip.obs.tracer.span("gc_collect", "ftl"):
+                self._run_job(channel, job)
+            if not self._inline:
+                collected = True
+                self._obs_urgent.inc()
+                self._stats.gc_urgent_collections += 1
+        if collected:
+            self._obs_pause_us.observe(self._chip.clock.now_us - start_us)
 
     # ------------------------------------------------------------- jobs
 
     def _open_job(self, channel: int, victim: int, wear: bool = False) -> GcJob:
-        ftl = self.ftl
-        geo = ftl.chip.geometry
-        used = ftl._write_points[victim]
-        start = victim * geo.pages_per_block
-        job = GcJob(victim=victim, cursor=start, end=start + used, wear=wear)
+        per = self._per
+        start = victim * per
+        job = GcJob(victim=victim, cursor=start, end=start + self._write_points[victim], wear=wear)
         self._jobs[channel] = job
-        ftl.stats.gc_invocations += 1
-        ftl._obs_gc_invocations.inc()
-        if victim in ftl._trans_blocks:
-            ftl.stats.gc_translation_collections += 1
-            ftl._obs_gc_trans.inc()
-        ftl._note_victim_valid(ftl._valid_count[victim], geo.pages_per_block)
-        tenants = ftl.chip.tenants
+        self._stats.gc_invocations += 1
+        self._obs_invocations.inc()
+        if victim in self._trans_blocks:
+            self._stats.gc_translation_collections += 1
+            self._obs_trans.inc()
+        valid = self._valid_counts[victim]
+        self._valid_ratio_sum += valid / per
+        self.victims_collected += 1
+        self._obs_victim_valid.observe(float(valid))
+        tenants = self._chip.tenants
         if tenants.enabled:
             # Cross-tenant collision accounting: a victim whose valid
             # pages belong to several tenants makes each pay copyback for
             # the others' heat.
-            owners = ftl._owner
+            owners = self.ftl._owner
             tenants.note_gc_victim(
                 tenants.owner_of(owner[1])
                 for owner in map(owners.get, range(job.cursor, job.end))
                 if owner is not None and owner[0] == OWNER_L2P
             )
-        ftl.chip.crash_plan.hit(CP_GC_VICTIM)
+        self._chip.crash_plan.hit(CP_GC_VICTIM)
         return job
 
     def _run_job(self, channel: int, job: GcJob, max_pages: int | None = None) -> bool:
@@ -360,10 +515,11 @@ class BackgroundGC:
 
         With ``max_pages`` the job yields after that many copybacks — the
         preemption point where foreground writes interleave.  Without it
-        the job runs to completion (the urgent path).
+        the job runs to completion (every inline collection, and
+        background's urgent path).
         """
         ftl = self.ftl
-        chip = ftl.chip
+        chip = self._chip
         crash_plan = chip.crash_plan
         crash_point = CP_GC_WEAR if job.wear else CP_GC_COPYBACK
         owners = ftl._owner
@@ -371,8 +527,8 @@ class BackgroundGC:
         l2p = ftl._l2p
         dirty_segments = ftl._dirty_segments
         valid_bitmap = ftl._valid_bitmap
-        valid_counts = ftl._valid_count
-        per = ftl._pages_per_block
+        valid_counts = self._valid_counts
+        per = self._per
         entries_per_page = ftl._map_entries_per_page
         program_for_gc = ftl._program_for_gc
         tenants = chip.tenants
@@ -404,9 +560,7 @@ class BackgroundGC:
                     # path below stays authoritative for every other owner.
                     lpn = owner[1]
                     ftl._seq += 1
-                    new_ppn = program_for_gc(
-                        data, (OOB_DATA, lpn, ftl._seq, None), channel
-                    )
+                    new_ppn = program_for_gc(data, (OOB_DATA, lpn, ftl._seq, None), channel)
                     writes += 1
                     if tenants_enabled:
                         tenants.note_copyback(lpn)
@@ -432,25 +586,27 @@ class BackgroundGC:
                 moved_this_step += 1
         finally:
             if reads:
-                ftl.stats.gc_copyback_reads += reads
-                ftl._obs_gc_reads.inc(reads)
+                self._stats.gc_copyback_reads += reads
+                self._obs_reads.inc(reads)
             if writes:
-                ftl.stats.gc_copyback_writes += writes
-                ftl._obs_gc_writes.inc(writes)
+                self._stats.gc_copyback_writes += writes
+                self._obs_writes.inc(writes)
         if crash_plan._points:
             crash_plan.hit(CP_GC_ERASE)
         chip.erase(job.victim)
-        ftl._trans_blocks.discard(job.victim)
-        ftl._free_by_channel[channel].append(job.victim)
-        # Wear-aware allocation: keep the pool sorted most-worn-first, so
-        # ``pop()`` (how both streams and copybacks draw blocks) always
-        # hands out the least-worn free block.  Without this, LIFO reuse
-        # parks cold blocks in the pool forever and leveling cannot narrow
-        # the erase-count spread.
-        counts = chip.state.erase_counts
-        ftl._free_by_channel[channel].sort(key=lambda block: -counts[block])
+        self._trans_blocks.discard(job.victim)
+        free = self._free_by_channel[channel]
+        free.append(job.victim)
+        if not self._inline:
+            # Wear-aware allocation: keep the pool sorted most-worn-first,
+            # so ``pop()`` (how every stream and copybacks draw blocks)
+            # hands out the least-worn free block.  Without this, LIFO
+            # reuse parks cold blocks in the pool forever and leveling
+            # cannot narrow the erase-count spread.
+            counts = self._erase_counts
+            free.sort(key=lambda block: -counts[block])
         try:
-            ftl._alloc_order[channel].remove(job.victim)
+            self._alloc_order[channel].remove(job.victim)
         except ValueError:
             pass
         self._alloc_tick.pop(job.victim, None)
@@ -458,131 +614,70 @@ class BackgroundGC:
         self._obs_copyback_pages.observe(float(job.moved))
         return True
 
-    def _background_step(self, channel: int) -> None:
-        """Run one paced slice of collection during an idle window."""
-        ftl = self.ftl
-        job = self._jobs[channel]
-        if job is None:
-            victim = self._pick_victim(channel)
-            if victim is None:
-                return
-            # Opening a job is only safe when its whole copyback fits in the
-            # current headroom minus the urgent floor: host writes that
-            # interleave with the paced job shrink headroom one page per
-            # program, and the urgent path (which fires at the floor) must
-            # always be able to finish the job synchronously.
-            if ftl._valid_count[victim] > ftl._gc_headroom_pages(channel) - ftl._pages_per_block:
-                return
-            job = self._open_job(channel, victim)
-        with ftl.chip.overlap():
-            done = self._run_job(channel, job, max_pages=self._pages_per_step)
-        if done:
-            self._obs_background.inc()
-
-    def _collect_until_floor(self, channel: int, need_free_block: bool = False) -> None:
-        """Urgent/foreground collection: restore the page-granular floor.
-
-        Mirrors the inline collector's termination semantics: collect while
-        the headroom floor is breached (or, with ``need_free_block``, while
-        the free pool is empty), bail out when nothing is reclaimable but
-        some headroom remains, and raise :class:`OutOfSpaceError` only when
-        truly wedged.  Runs synchronously — the stall is the foreground GC
-        pause, observed into ``ftl.gc.pause_us``.
-        """
-        ftl = self.ftl
-        geo = ftl.chip.geometry
-        floor = geo.pages_per_block
-        start_us = ftl.chip.clock.now_us
-        collected = False
-        guard = geo.total_pages + geo.num_blocks
-        while (
-            ftl._gc_headroom_pages(channel) <= floor
-            or (need_free_block and not ftl._free_by_channel[channel])
-        ):
-            guard -= 1
-            if guard < 0:
-                raise OutOfSpaceError("garbage collection cannot make progress")
-            job = self._jobs[channel]
-            if job is None:
-                victim = self._pick_victim(channel)
-                if (
-                    victim is None
-                    or ftl._valid_count[victim] > ftl._gc_headroom_pages(channel)
-                ):
-                    if ftl._release_trans_block(channel):
-                        continue  # the freed stream block may be reclaimable
-                    if ftl._free_by_channel[channel] or ftl._gc_headroom_pages(channel) > 0:
-                        break  # nothing reclaimable; live with what we have
-                    raise OutOfSpaceError("no GC victim and no free blocks")
-                job = self._open_job(channel, victim)
-            self._run_job(channel, job)
-            collected = True
-            self._obs_urgent.inc()
-            ftl.stats.gc_urgent_collections += 1
-        if collected:
-            self._obs_pause_us.observe(ftl.chip.clock.now_us - start_us)
-
     # --------------------------------------------------- victim selection
 
     def _excluded(self, channel: int) -> set[int | None]:
         job = self._jobs[channel]
         return {
-            self.ftl._active_blocks[channel],
+            self._active_blocks[channel],
             self._hot_active[channel],
-            self.ftl._trans_active[channel],
+            self._trans_active[channel],
             job.victim if job is not None else None,
         }
 
-    def _pick_victim(self, channel: int) -> int | None:
-        policy = self.ftl.config.gc_policy
-        if policy == "cost-benefit":
+    def pick_victim(self, channel: int) -> int | None:
+        """The block ``gc_policy`` would reclaim next on ``channel``, if any.
+
+        A candidate is a written block outside the open streams and the
+        open job whose collection gains at least one page: fully-valid
+        blocks and partially-written blocks with nothing invalid never
+        qualify.
+        """
+        if self._policy == "cost-benefit":
             return self._pick_cost_benefit(channel)
-        if policy == "fifo":
+        if self._policy == "fifo":
             victim = self._pick_fifo(channel)
             if victim is not None:
                 return victim
-            # Explicit, counted fallback (see FtlConfig.gc_policy): FIFO
-            # found nothing reclaimable in allocation-age order.
-            self.ftl._obs_gc_fifo_fallbacks.inc()
+            # Explicit fallback (see FtlConfig.gc_policy): FIFO found no
+            # reclaimable block in allocation-age order, so the greedy pick
+            # keeps GC live.  Counted so aged-state results produced under
+            # fallback are never silently mislabeled as pure FIFO.
+            self._obs_fifo_fallbacks.inc()
         return self._pick_greedy(channel)
 
-    def _reclaimable(self, block: int) -> bool:
-        """Whether collecting ``block`` can gain at least one page."""
-        ftl = self.ftl
-        per = ftl._pages_per_block
-        used = ftl._write_points[block]
-        if used == 0:
-            return False  # free or erased
-        valid = ftl._valid_count[block]
-        if valid >= used and used < per:
-            return False  # partially-written block with nothing reclaimable
-        return valid < per
-
     def _pick_greedy(self, channel: int) -> int | None:
-        ftl = self.ftl
-        per = ftl._pages_per_block
-        write_points = ftl._write_points
-        valid_counts = ftl._valid_count
+        """Fewest valid pages wins."""
+        per = self._per
+        write_points = self._write_points
+        valid_counts = self._valid_counts
         excluded = self._excluded(channel)
         best, best_valid = None, None
-        for block in ftl.chip.geometry.channel_blocks(channel):
+        for block in self._geo.channel_blocks(channel):
             if block in excluded:
                 continue
-            # _reclaimable, inlined: this scan runs per victim selection.
             used = write_points[block]
             if used == 0:
-                continue
+                continue  # free or erased
             valid = valid_counts[block]
             if (valid >= used and used < per) or valid >= per:
-                continue
+                continue  # nothing reclaimable
             if best_valid is None or valid < best_valid:
                 best, best_valid = block, valid
         return best
 
     def _pick_fifo(self, channel: int) -> int | None:
+        """Oldest reclaimable block in the channel's allocation order."""
+        per = self._per
+        write_points = self._write_points
+        valid_counts = self._valid_counts
         excluded = self._excluded(channel)
-        for block in self.ftl._alloc_order[channel]:
-            if block not in excluded and self._reclaimable(block):
+        for block in self._alloc_order[channel]:
+            if block in excluded:
+                continue
+            used = write_points[block]
+            valid = valid_counts[block]
+            if used and valid < per and (valid < used or used == per):
                 return block
         return None
 
@@ -595,18 +690,16 @@ class BackgroundGC:
         so long-invalidated blocks beat freshly-written ones even at equal
         utilization.
         """
-        ftl = self.ftl
-        per = ftl._pages_per_block
-        write_points = ftl._write_points
-        valid_counts = ftl._valid_count
+        per = self._per
+        write_points = self._write_points
+        valid_counts = self._valid_counts
         alloc_tick_get = self._alloc_tick.get
         tick = self._tick
         excluded = self._excluded(channel)
         best, best_score = None, None
-        for block in ftl.chip.geometry.channel_blocks(channel):
+        for block in self._geo.channel_blocks(channel):
             if block in excluded:
                 continue
-            # _reclaimable, inlined: this scan runs per victim selection.
             used = write_points[block]
             if used == 0:
                 continue
@@ -635,8 +728,7 @@ class BackgroundGC:
             checks[channel] = count
             return
         checks[channel] = 0
-        ftl = self.ftl
-        counts = ftl.chip.state.erase_counts
+        counts = self._erase_counts
         spread = max(counts) - min(counts)
         self._obs_erase_spread.observe(float(spread))
         if spread < threshold:
@@ -648,12 +740,12 @@ class BackgroundGC:
             return
         # Wear victims may be fully valid: require a whole extra block of
         # slack beyond the urgent floor before taking one on.
-        if ftl._valid_count[victim] > ftl._gc_headroom_pages(channel) - 2 * ftl._pages_per_block:
+        if self._valid_counts[victim] > self.headroom_pages(channel) - 2 * self._per:
             return
         job = self._open_job(channel, victim, wear=True)
-        ftl.stats.gc_wear_migrations += 1
+        self._stats.gc_wear_migrations += 1
         self._obs_wear.inc()
-        with ftl.chip.overlap():
+        with self._chip.overlap():
             self._run_job(channel, job, max_pages=self._pages_per_step)
 
     def _pick_wear_victim(self, channel: int, global_min: int) -> int | None:
@@ -663,12 +755,11 @@ class BackgroundGC:
         qualify: migrating an averagely-worn block would churn pages
         without narrowing the spread.
         """
-        ftl = self.ftl
         excluded = self._excluded(channel)
-        counts = ftl.chip.state.erase_counts
-        write_points = ftl._write_points
+        counts = self._erase_counts
+        write_points = self._write_points
         best, best_count = None, None
-        for block in ftl.chip.geometry.channel_blocks(channel):
+        for block in self._geo.channel_blocks(channel):
             if block in excluded:
                 continue
             if write_points[block] == 0:
@@ -679,50 +770,66 @@ class BackgroundGC:
                 best, best_count = block, counts[block]
         return best
 
-    # ------------------------------------------------------------- power
-
-    def reset(self) -> None:
-        """Drop all volatile GC state (power loss / remount)."""
-        geo = self.ftl.chip.geometry
-        self._states = [GcState.IDLE] * geo.channels
-        self._jobs = [None] * geo.channels
-        self._hot_active = [None] * geo.channels
-        self._heat = {}
-        self._alloc_tick = {}
-        self._steps_since_wear_check = [0] * geo.channels
-
     # --------------------------------------------------------- inspection
 
-    def hot_active_blocks(self) -> list[int | None]:
-        return list(self._hot_active)
+    def state_of(self, channel: int) -> GcState:
+        return self._states[channel]
 
     def job_of(self, channel: int) -> GcJob | None:
         return self._jobs[channel]
 
+    def active_blocks(self) -> list[int | None]:
+        """Each channel's cold-stream block (host appends and copybacks)."""
+        return list(self._active_blocks)
+
+    def hot_active_blocks(self) -> list[int | None]:
+        return list(self._hot_active)
+
+    def free_block_counts(self) -> list[int]:
+        return [len(free) for free in self._free_by_channel]
+
+    def mean_valid_ratio(self) -> float:
+        """Average fraction of valid pages carried over per victim."""
+        if not self.victims_collected:
+            return 0.0
+        return self._valid_ratio_sum / self.victims_collected
+
     def check_invariants(self) -> None:
-        """GC-side consistency checks, called from the FTL's own."""
-        ftl = self.ftl
-        geo = ftl.chip.geometry
+        """Space-state consistency checks, called from the FTL's own."""
+        geo = self._geo
+        owners = self.ftl._owner
         for channel in range(geo.channels):
-            hot = self._hot_active[channel]
-            if hot is not None:
-                if geo.channel_of_block(hot) != channel:
-                    raise FtlError(f"hot active block {hot} not on channel {channel}")
-                if hot == ftl._active_blocks[channel]:
-                    raise FtlError(f"hot and cold streams share block {hot}")
-                if hot in ftl._free_by_channel[channel]:
-                    raise FtlError(f"hot active block {hot} also in the free pool")
+            free = self._free_by_channel[channel]
+            for block in free:
+                if geo.channel_of_block(block) != channel:
+                    raise FtlError(f"free block {block} on wrong channel list {channel}")
+                if self._write_points[block] != 0:
+                    raise FtlError(f"free block {block} is not erased")
             job = self._jobs[channel]
+            streams = {
+                "active": self._active_blocks[channel],
+                "hot active": self._hot_active[channel],
+                "trans": self._trans_active[channel],
+            }
+            for name, block in streams.items():
+                if block is None:
+                    continue
+                if geo.channel_of_block(block) != channel:
+                    raise FtlError(f"{name} block {block} not on channel {channel}")
+                if block in free:
+                    raise FtlError(f"{name} block {block} still in the free pool")
+                if name != "active" and block == streams["active"]:
+                    raise FtlError(f"{name} block {block} doubles as the active block")
+                if job is not None and block == job.victim:
+                    raise FtlError(f"GC job victim {job.victim} is an active block")
             if job is not None:
                 if geo.channel_of_block(job.victim) != channel:
                     raise FtlError(f"GC job victim {job.victim} not on channel {channel}")
-                if job.victim in ftl._free_by_channel[channel]:
+                if job.victim in free:
                     raise FtlError(f"GC job victim {job.victim} already in the free pool")
-                if job.victim in (hot, ftl._active_blocks[channel], ftl._trans_active[channel]):
-                    raise FtlError(f"GC job victim {job.victim} is an active block")
                 # Pages behind the cursor must have been relocated already.
                 for ppn in range(job.victim * geo.pages_per_block, job.cursor):
-                    if ppn in ftl._owner:
+                    if ppn in owners:
                         raise FtlError(
                             f"GC job on block {job.victim} left owned page {ppn} "
                             f"behind its cursor"

@@ -5,16 +5,12 @@ This models the OpenSSD board's stock firmware (§5.3, §6.1):
 - a page-granularity L2P mapping table held in controller DRAM;
 - host writes are appended copy-on-write into an *active* block; the old
   physical copy of the logical page becomes invalid;
-- when the free-block pool runs low, a greedy garbage collector picks the
-  block with the fewest valid pages, copies its valid pages into the active
-  block and erases it;
-- on a multi-channel chip (:class:`~repro.flash.array.FlashArray`) the FTL
-  keeps one active block, free pool and garbage collector *per channel*:
-  host writes round-robin across channels so consecutive appends land on
-  different channels and overlap, and GC is channel-local (victim and
-  copyback target share a channel), so its read->program data dependencies
-  serialize naturally on the channel's own timeline.  With one channel all
-  of this degenerates to exactly the single-pool behaviour;
+- space management — free pools, active blocks, victim selection, copyback
+  and erase — belongs to the FTL's :class:`~repro.ftl.gc.Collector`: when a
+  channel's free pool runs low it picks a victim block, copies its valid
+  pages into the active block and erases it.  On a multi-channel chip
+  (:class:`~repro.flash.array.FlashArray`) host writes round-robin across
+  channels so consecutive appends land on different channels and overlap;
 - a *write barrier* (the device-level effect of a host fsync / FUA) persists
   all dirty mapping-table chunks plus a fixed set of firmware metadata pages
   to flash.  This is the hidden cost that makes fsync-heavy hosts slow on
@@ -36,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.errors import CorruptionError, FlashError, FtlError, OutOfSpaceError
+from repro.errors import CorruptionError, FlashError, FtlError
 from repro.flash.chip import FlashChip
 from repro.flash.state import PAGE_PROGRAMMED
 from repro.ftl.base import Ftl, FtlConfig
 from repro.ftl.cmt import CachedMappingTable
-from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
 CP_BARRIER_MID = register_crash_point(
@@ -204,18 +199,7 @@ class PageMappingFTL(Ftl):
         self._page_states = state_view.page_states
         self._write_points = state_view.write_points
         self._pages_per_block = geo.pages_per_block
-        self._num_channels = geo.channels
         self._map_entries_per_page = self.config.map_entries_per_page
-        # Space management is striped per channel: each channel has its own
-        # free pool, active block and allocation-age order, so appends on
-        # different channels never contend.  With channels == 1 this is the
-        # single free pool / single active block of the stock firmware.
-        self._free_by_channel: list[list[int]] = [
-            list(geo.channel_blocks(channel)) for channel in range(geo.channels)
-        ]
-        self._alloc_order: list[list[int]] = [[] for _ in range(geo.channels)]
-        self._active_blocks: list[int | None] = [None] * geo.channels
-        self._write_channel = 0  # round-robin cursor for host/map appends
         self._seq = 0
         self._dirty_segments: set[int] = set()
         self._map_dir: dict[int, int] = {}
@@ -223,16 +207,7 @@ class PageMappingFTL(Ftl):
         # Durable root (atomic meta block).
         self._root = RootRecord()
         self._pending_retired: set[int] = set()
-        # Victim valid-ratio running aggregate (bounded state: the per-victim
-        # samples live in the ftl.gc.victim_valid_pages histogram, not in an
-        # ever-growing list).
-        self._gc_valid_ratio_sum = 0.0
-        self._gc_valid_ratio_count = 0
-        self._obs_gc_victim_valid = chip.obs.histogram(
-            "ftl.gc.victim_valid_pages", DEFAULT_SIZE_BOUNDS
-        )
         self._obs_barrier_us = chip.obs.histogram("ftl.barrier.latency_us")
-        self._obs_gc_trans = chip.obs.counter("ftl.gc.translation_collections")
         # Demand-paged mapping (DFTL-style CMT, repro.ftl.cmt).  A capacity
         # of zero — or one covering every translation page of the exported
         # space — degenerates to the all-in-DRAM map: the cache can never
@@ -248,29 +223,11 @@ class PageMappingFTL(Ftl):
             )
         else:
             self._cmt = None
-        # Translation-block stream: with the CMT active, translation pages
-        # get their own active block per channel so map and data pages do
-        # not interleave (Dayan & Bonnet's translation blocks).
-        self._trans_active: list[int | None] = [None] * geo.channels
-        self._trans_blocks: set[int] = set()
-        # Background GC (FtlConfig.gc_mode="background") owns space
-        # management through repro.ftl.gc; the default "inline" mode keeps
-        # the seed's stop-the-world collector on this class, bit for bit.
-        if self.config.gc_mode == "background":
-            from repro.ftl.gc import BackgroundGC  # deferred: gc imports pagemap
+        # Space management (free pools, active blocks, garbage collection)
+        # under the schedule FtlConfig.gc_mode names.
+        from repro.ftl.gc import Collector  # deferred: gc imports this module
 
-            self._gc: "BackgroundGC | None" = BackgroundGC(self)
-        elif self.config.gc_mode == "inline":
-            if self.config.gc_policy not in ("greedy", "fifo"):
-                raise FtlError(
-                    f"gc_policy {self.config.gc_policy!r} requires gc_mode='background'; "
-                    f"inline GC supports 'greedy' and 'fifo'"
-                )
-            self._gc = None
-        else:
-            raise FtlError(
-                f"unknown gc_mode {self.config.gc_mode!r}; expected 'inline' or 'background'"
-            )
+        self.gc = Collector(self)
 
     # ------------------------------------------------------------ interface
 
@@ -376,26 +333,18 @@ class PageMappingFTL(Ftl):
 
     def power_fail(self) -> None:
         """Drop all DRAM state.  The chip (and the root record) persist."""
-        geo = self.chip.geometry
         self._powered = False
         self._l2p = SegmentedL2P(self.config.map_entries_per_page)
         self._owner = {}
         self.chip.state.clear_validity()
-        self._free_by_channel = [[] for _ in range(geo.channels)]
-        self._alloc_order = [[] for _ in range(geo.channels)]
-        self._active_blocks = [None] * geo.channels
-        self._write_channel = 0
         self._dirty_segments = set()
         self._map_dir = {}
         self._meta_dir = {}
         self._pending_retired = set()
         self._seq = 0
-        self._trans_active = [None] * geo.channels
-        self._trans_blocks = set()
         if self._cmt is not None:
             self._cmt.reset()
-        if self._gc is not None:
-            self._gc.reset()
+        self.gc.reset()
 
     def remount(self) -> None:
         """Rebuild DRAM state from the root record plus an OOB scan."""
@@ -535,298 +484,15 @@ class PageMappingFTL(Ftl):
     def _invalidate(self, ppn: int) -> None:
         self._drop_owner(ppn)
 
-    # -------- space management ----------------------------------------
+    # -------- space management (see repro.ftl.gc) ----------------------
 
-    def _pick_channel(self) -> int:
-        """Round-robin channel for the next append (always 0 when serial)."""
-        channel = self._write_channel
-        self._write_channel = (channel + 1) % self.chip.geometry.channels
-        return channel
-
-    def _program(self, data: Any, oob: tuple, channel: int | None = None) -> int:
-        """Append one page into a channel's active block, GCing if needed."""
-        if channel is None:
-            # _pick_channel, inlined (round-robin cursor).
-            channel = self._write_channel
-            self._write_channel = (channel + 1) % self._num_channels
-        if self._gc is not None:
-            # Background mode: the collector owns watermarks, hot/cold
-            # stream selection and (paced or urgent) collection.
-            return self._gc.host_program(data, oob, channel)
-        # Keep at least one block's worth of erased pages per channel at all
-        # times: any GC victim has at most pages_per_block - 1 valid pages,
-        # so as long as a full block of headroom exists *before* each host
-        # program, GC can always relocate a victim and make progress.
-        # Waiting until the free pool is empty (the old behaviour) let the
-        # host consume the copyback headroom page by page and wedge an
-        # in-capacity workload.
-        if self._gc_headroom_pages(channel) <= self._pages_per_block:
-            self._garbage_collect(channel, target_blocks=0)
-        if self._trans_stream_wanted(oob):
-            block = self._ensure_trans_block(channel)
-        else:
-            block = self._ensure_active_block(channel)
-        per = self._pages_per_block
-        write_points = self._write_points
-        ppn = block * per + write_points[block]
-        self.chip.program(ppn, data, oob)
-        if write_points[block] >= per:
-            # The trans stream may have degraded to the shared active
-            # block, so clear whichever store(s) pointed here.
-            if block == self._trans_active[channel]:
-                self._trans_active[channel] = None
-            if block == self._active_blocks[channel]:
-                self._active_blocks[channel] = None
-        return ppn
-
-    def _trans_stream_wanted(self, oob: tuple) -> bool:
-        """Whether this program belongs in the translation-block stream."""
-        return self._cmt is not None and oob[0] == OOB_MAP
-
-    def _ensure_trans_block(self, channel: int) -> int:
-        """Active translation block for ``channel``, allocating if needed.
-
-        Dedicating a block to translation pages costs the data stream one
-        free block, so under space pressure the stream degrades to the
-        shared active block (the same opportunism as the background hot
-        stream) rather than starving GC of headroom.
-        """
-        active = self._trans_active[channel]
-        if active is not None and self._write_points[active] < self._pages_per_block:
-            return active
-        if len(self._free_by_channel[channel]) <= self.config.gc_free_block_threshold:
-            self._garbage_collect(channel)
-        free = self._free_by_channel[channel]
-        if not free or self._gc_headroom_pages(channel) <= 2 * self._pages_per_block:
-            return self._ensure_active_block(channel)
-        block = free.pop()
-        self._trans_active[channel] = block
-        self._alloc_order[channel].append(block)
-        self._trans_blocks.add(block)
-        return block
-
-    def _release_trans_block(self, channel: int) -> bool:
-        """Fold the translation stream back into the shared pool.
-
-        Called when GC is starved: the trans active block is excluded from
-        victim selection and its erased tail does not count as copyback
-        headroom, so under pressure holding onto it can wedge an otherwise
-        sustainable workload.  Releasing it makes the block an ordinary
-        victim candidate — and, when the cold slot is open, the new active
-        block, which returns its erased pages to the headroom pool.
-        """
-        block = self._trans_active[channel]
-        if block is None:
-            return False
-        self._trans_active[channel] = None
-        if (
-            self._active_blocks[channel] is None
-            and self._write_points[block] < self._pages_per_block
-        ):
-            self._active_blocks[channel] = block
-        return True
-
-    def _ensure_active_block(self, channel: int) -> int:
-        active = self._active_blocks[channel]
-        if active is not None and self._write_points[active] < self._pages_per_block:
-            return active
-        if len(self._free_by_channel[channel]) <= self.config.gc_free_block_threshold:
-            self._garbage_collect(channel)
-        free = self._free_by_channel[channel]
-        if not free:
-            raise OutOfSpaceError(f"no free blocks on channel {channel} after GC")
-        block = free.pop()
-        self._active_blocks[channel] = block
-        self._alloc_order[channel].append(block)
-        return block
-
-    def _gc_headroom_pages(self, channel: int) -> int:
-        """Erased pages GC may program into on ``channel`` (free pool + active)."""
-        per = self._pages_per_block
-        pages = len(self._free_by_channel[channel]) * per
-        active = self._active_blocks[channel]
-        if active is not None:
-            pages += per - self._write_points[active]
-        return pages
-
-    def _garbage_collect(self, channel: int, target_blocks: int | None = None) -> None:
-        """Greedy channel-local GC: reclaim until the pool is above threshold.
-
-        GC never crosses channels: the victim and the copyback target share
-        a channel, so relocation's read->program dependency chains sit on
-        one channel timeline and need no cross-channel synchronisation (and
-        the striped layout keeps every channel's share of invalid pages
-        statistically equal).  A victim is only collected when the current
-        headroom (erased pages in the channel's free pool plus its active
-        block) covers its valid-page copyback — erasing is how GC *gains*
-        space, so it must never erase itself into a corner.  Independent of
-        the block target, collection continues until the page-granular
-        headroom floor (one block's worth of erased pages) is restored:
-        tight geometries may never stabilise the free pool above one block,
-        yet stay perfectly sustainable by cycling the active block's spare
-        pages.  ``target_blocks=0`` runs a floor-only pass (used before
-        each program).
-        """
-        geo = self.chip.geometry
-        if target_blocks is None:
-            target_blocks = self.config.gc_free_block_threshold + 1
-        floor_pages = geo.pages_per_block
-        guard = geo.total_pages + geo.num_blocks
-        while (
-            len(self._free_by_channel[channel]) < target_blocks
-            or self._gc_headroom_pages(channel) <= floor_pages
-        ):
-            guard -= 1
-            if guard < 0:
-                raise OutOfSpaceError("garbage collection cannot make progress")
-            victim = self._pick_victim(channel)
-            if victim is None or self._valid_count[victim] > self._gc_headroom_pages(channel):
-                if self._release_trans_block(channel):
-                    continue  # the freed stream block may be reclaimable
-                if self._free_by_channel[channel] or self._gc_headroom_pages(channel) > 0:
-                    return  # nothing reclaimable; live with what we have
-                raise OutOfSpaceError("no GC victim and no free blocks")
-            self._collect_block(victim)
-
-    def _pick_victim(self, channel: int) -> int | None:
-        if self.config.gc_policy == "fifo":
-            victim = self._pick_victim_fifo(channel)
-            if victim is not None:
-                return victim
-            # Explicit fallback (see FtlConfig.gc_policy): FIFO found no
-            # reclaimable block in allocation-age order, so the greedy pick
-            # keeps GC live.  Counted so aged-state results produced under
-            # fallback are never silently mislabeled as pure FIFO.
-            self._obs_gc_fifo_fallbacks.inc()
-        return self._pick_victim_greedy(channel)
-
-    def _pick_victim_fifo(self, channel: int) -> int | None:
-        """Oldest reclaimable block in the channel's allocation order."""
-        per = self._pages_per_block
-        write_points = self._write_points
-        valid_counts = self._valid_count
-        active = self._active_blocks[channel]
-        trans = self._trans_active[channel]
-        for block in self._alloc_order[channel]:
-            if block == active or block == trans:
-                continue
-            used = write_points[block]
-            if used == 0:
-                continue
-            valid = valid_counts[block]
-            if valid < used or used == per:
-                if valid < per:
-                    return block
-        return None
-
-    def _pick_victim_greedy(self, channel: int) -> int | None:
-        """Channel block with the fewest valid pages among written, non-active."""
-        per = self._pages_per_block
-        write_points = self._write_points
-        valid_counts = self._valid_count
-        active = self._active_blocks[channel]
-        trans = self._trans_active[channel]
-        best = None
-        best_valid = None
-        for block in self.chip.geometry.channel_blocks(channel):
-            if block == active or block == trans:
-                continue
-            used = write_points[block]
-            if used == 0:
-                continue  # free or erased
-            valid = valid_counts[block]
-            if valid >= used and used < per:
-                continue  # partially-written block with nothing reclaimable
-            if best_valid is None or valid < best_valid:
-                best, best_valid = block, valid
-        if best is not None and best_valid == per:
-            return None  # all blocks fully valid: nothing to reclaim
-        return best
-
-    def _collect_block(self, victim: int) -> None:
-        geo = self.chip.geometry
-        channel = geo.channel_of_block(victim)
-        used = self._write_points[victim]
-        valid_before = self._valid_count[victim]
-        self.stats.gc_invocations += 1
-        self._obs_gc_invocations.inc()
-        if victim in self._trans_blocks:
-            self.stats.gc_translation_collections += 1
-            self._obs_gc_trans.inc()
-        self._note_victim_valid(valid_before, geo.pages_per_block)
-
-        # Copyback counters batch per victim instead of per page; the
-        # try/finally keeps them exact when a crash point fires mid-loop
-        # (a read that happened before the failure is still counted).
-        reads = 0
-        writes = 0
-        owners = self._owner
-        chip_read = self.chip.read
-        tenants = self.chip.tenants
-        if tenants.enabled:
-            # Cross-tenant collision accounting: a victim holding live
-            # data from several tenants makes each pay for the others'
-            # heat.  Copybacks attribute to the page's owning tenant.
-            start = victim * geo.pages_per_block
-            tenants.note_gc_victim(
-                tenants.owner_of(owner[1])
-                for owner in map(owners.get, range(start, start + used))
-                if owner is not None and owner[0] == OWNER_L2P
-            )
-        try:
-            with self.obs.tracer.span("gc_collect", "ftl"):
-                start = victim * geo.pages_per_block
-                for ppn in range(start, start + used):
-                    owner = owners.get(ppn)
-                    if owner is None:
-                        continue
-                    data = chip_read(ppn)
-                    reads += 1
-                    new_ppn = self._program_for_gc(data, self._gc_oob(owner, ppn), channel)
-                    writes += 1
-                    if tenants.enabled and owner[0] == OWNER_L2P:
-                        tenants.note_copyback(owner[1])
-                    self._drop_owner(ppn)
-                    self._set_owner_raw(new_ppn, owner)
-                    self._apply_relocation(owner, ppn, new_ppn)
-                self.chip.erase(victim)
-        finally:
-            if reads:
-                self.stats.gc_copyback_reads += reads
-                self._obs_gc_reads.inc(reads)
-            if writes:
-                self.stats.gc_copyback_writes += writes
-                self._obs_gc_writes.inc(writes)
-        self._trans_blocks.discard(victim)
-        self._free_by_channel[channel].append(victim)
-        try:
-            self._alloc_order[channel].remove(victim)
-        except ValueError:
-            pass
-
-    def _note_victim_valid(self, valid_pages: int, pages_per_block: int) -> None:
-        """Record one GC victim's valid-page count (running mean + histogram)."""
-        self._gc_valid_ratio_sum += valid_pages / pages_per_block
-        self._gc_valid_ratio_count += 1
-        self._obs_gc_victim_valid.observe(float(valid_pages))
+    def _program(self, data: Any, oob: tuple) -> int:
+        """Append one host-originated page; the collector reclaims if needed."""
+        return self.gc.host_program(data, oob)
 
     def _program_for_gc(self, data: Any, oob: tuple, channel: int) -> int:
         """Program during GC, drawing directly on the channel's free pool."""
-        per = self._pages_per_block
-        write_points = self._write_points
-        active = self._active_blocks[channel]
-        if active is None or write_points[active] >= per:
-            free = self._free_by_channel[channel]
-            if not free:
-                raise OutOfSpaceError("GC ran out of headroom blocks")
-            active = free.pop()
-            self._active_blocks[channel] = active
-            self._alloc_order[channel].append(active)
-        ppn = active * per + write_points[active]
-        self.chip.program(ppn, data, oob)
-        if write_points[active] >= per:
-            self._active_blocks[channel] = None
-        return ppn
+        return self.gc.program_copyback(data, oob, channel)
 
     def _gc_oob(self, owner: tuple, old_ppn: int) -> tuple:
         """OOB metadata for a GC-relocated page."""
@@ -1019,34 +685,8 @@ class PageMappingFTL(Ftl):
                 yield (seq, kind, lpn, tid, ppn)
 
     def _rebuild_space_state(self) -> None:
-        geo = self.chip.geometry
         self.chip.state.rebuild_validity(self._owner)
-        write_points = self._write_points
-        self._free_by_channel = [
-            [b for b in geo.channel_blocks(ch) if write_points[b] == 0]
-            for ch in range(geo.channels)
-        ]
-        # Allocation-age order is volatile; approximate by block number.
-        self._alloc_order = [
-            [b for b in geo.channel_blocks(ch) if write_points[b] > 0]
-            for ch in range(geo.channels)
-        ]
-        self._active_blocks = [None] * geo.channels
-        self._write_channel = 0
-        # Translation-block identity is volatile: after a crash the stream
-        # restarts with fresh allocations and old translation blocks are
-        # treated as ordinary aged blocks.
-        self._trans_active = [None] * geo.channels
-        self._trans_blocks = set()
-        # Resume appending into each channel's fullest partially-written block.
-        for channel in range(geo.channels):
-            partials = [
-                block
-                for block in geo.channel_blocks(channel)
-                if 0 < write_points[block] < geo.pages_per_block
-            ]
-            if partials:
-                self._active_blocks[channel] = max(partials, key=write_points.__getitem__)
+        self.gc.rebuild()
 
     # -------- inspection --------------------------------------------------
 
@@ -1055,10 +695,10 @@ class PageMappingFTL(Ftl):
         return self._l2p.get(lpn)
 
     def free_block_count(self) -> int:
-        return sum(len(free) for free in self._free_by_channel)
+        return sum(self.gc.free_block_counts())
 
     def free_block_count_by_channel(self) -> list[int]:
-        return [len(free) for free in self._free_by_channel]
+        return self.gc.free_block_counts()
 
     def utilization(self) -> float:
         """Fraction of raw flash pages currently holding valid data."""
@@ -1081,9 +721,7 @@ class PageMappingFTL(Ftl):
 
     def gc_mean_valid_ratio(self) -> float:
         """Average fraction of valid pages carried over per GC (Fig. 5/6 knob)."""
-        if not self._gc_valid_ratio_count:
-            return 0.0
-        return self._gc_valid_ratio_sum / self._gc_valid_ratio_count
+        return self.gc.mean_valid_ratio()
 
     def check_invariants(self) -> None:
         """Internal consistency checks used by tests (not by benchmarks)."""
@@ -1112,24 +750,6 @@ class PageMappingFTL(Ftl):
                     raise FtlError(f"l2p segment bucket {segment} out of sync at {lpn}")
         if sum(len(b) for b in self._l2p.segments.values()) != len(self._l2p):
             raise FtlError("l2p segment buckets out of sync with mapping")
-        for channel in range(geo.channels):
-            active = self._active_blocks[channel]
-            if active is not None and geo.channel_of_block(active) != channel:
-                raise FtlError(f"active block {active} not on channel {channel}")
-            trans = self._trans_active[channel]
-            if trans is not None:
-                if geo.channel_of_block(trans) != channel:
-                    raise FtlError(f"trans block {trans} not on channel {channel}")
-                if trans == active:
-                    raise FtlError(f"trans block {trans} doubles as the active block")
-                if trans in self._free_by_channel[channel]:
-                    raise FtlError(f"trans block {trans} still in the free pool")
-            for block in self._free_by_channel[channel]:
-                if geo.channel_of_block(block) != channel:
-                    raise FtlError(f"free block {block} on wrong channel list {channel}")
-                if state_view.write_points[block] != 0:
-                    raise FtlError(f"free block {block} is not erased")
         if self._cmt is not None:
             self._cmt.check_invariants()
-        if self._gc is not None:
-            self._gc.check_invariants()
+        self.gc.check_invariants()

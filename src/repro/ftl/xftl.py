@@ -282,65 +282,7 @@ class XFTL(PageMappingFTL):
 
     def commit(self, tid: int) -> None:
         """Durably commit ``tid`` (Figure 4). Cheap: flushes only the X-L2P."""
-        self._check_power()
-        entries = self.xl2p.entries_of(tid)
-        if not entries:
-            # A tid with nothing to commit: either a stale handle (already
-            # committed/aborted — a host protocol error) or a transaction
-            # that never wrote (an empty fsync), which has nothing to make
-            # durable and must not pay for an X-L2P flush.
-            if tid in self._committed_tids:
-                raise TransactionError(f"tid {tid} is already committed")
-            if tid in self._aborted_tids:
-                raise TransactionError(f"tid {tid} was aborted; cannot commit")
-            self._release_write_locks(tid)
-            self._started_tids.discard(tid)
-            self.stats.commits += 1  # the host command succeeded; just free
-            self._obs_commits.inc()
-            return
-        start_us = self.chip.clock.now_us
-        with self.obs.tracer.span("xftl_commit", "ftl", tid=tid):
-            # Step 1: status active -> committed (DRAM).
-            self.xl2p.set_status(tid, TxStatus.COMMITTED)
-            self.chip.crash_plan.hit(CP_COMMIT_BEFORE_FLUSH)
-            # Step 2+3: CoW-flush the X-L2P table, atomically repoint the root.
-            # In demand-paged (CMT) mode the flush also pins the
-            # transaction's translation pages under the same drain barrier.
-            self._committed_tids.add(tid)
-            if self._versions is not None:
-                # Tick before the flush so the published root carries the
-                # post-commit counter (a post-crash snapshot must never pin
-                # a sequence below a durably committed transaction's).
-                self._commit_counter += 1
-            commit_seq = self._commit_counter
-            self._flush_xl2p(pin_entries=entries if self._cmt is not None else None)
-            self.chip.crash_plan.hit(CP_COMMIT_AFTER_FLUSH)
-            # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent).
-            # Multi-version mode publishes the superseded committed copy
-            # into the lpn's version chain instead of invalidating it.
-            for entry in entries:
-                old = self._l2p.get(entry.lpn)
-                if old is not None:
-                    if self._versions is not None:
-                        self._version_publish(entry.lpn, old, commit_seq)
-                    else:
-                        self._invalidate(old)
-                self._drop_owner(entry.new_ppn)
-                self._l2p[entry.lpn] = entry.new_ppn
-                self._set_owner(entry.new_ppn, (OWNER_L2P, entry.lpn))
-                self._mark_dirty(entry.lpn)
-            self.xl2p.remove_tid(tid)
-            if self._cmt is not None:
-                per = self.config.map_entries_per_page
-                self._settle_commit_segments({e.lpn // per for e in entries})
-        self._release_write_locks(tid)
-        self._started_tids.discard(tid)
-        self.stats.commits += 1
-        self._obs_commits.inc()
-        self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
-        self._commits_since_checkpoint += 1
-        if self._commits_since_checkpoint >= self.config.map_checkpoint_interval:
-            self._checkpoint_map()
+        self._commit_members([tid])
 
     def commit_group(self, tids: Iterable[int]) -> None:
         """Durably commit several transactions under ONE X-L2P flush.
@@ -358,53 +300,70 @@ class XFTL(PageMappingFTL):
         callers' transactions are conflict-free, so the order is
         unobservable unless conflict detection is disabled).
         """
+        self._commit_members(list(dict.fromkeys(tids)))
+
+    def _commit_members(self, tids: list[int]) -> None:
+        """The commit body; a single commit is the one-member group.
+
+        The member count picks only the crash-point pair
+        (``xftl.commit.*`` vs ``xftl.group.*``), the span name and the
+        group-commit accounting.
+        """
         self._check_power()
-        tids = list(dict.fromkeys(tids))
         live: list[int] = []
         for tid in tids:
             if self.xl2p.entries_of(tid):
                 live.append(tid)
                 continue
-            # Same semantics as commit() for an empty tid: stale handles
-            # are host protocol errors, never-wrote transactions are freed
-            # without paying for a flush.
+            # A tid with nothing to commit: either a stale handle (already
+            # committed/aborted — a host protocol error) or a transaction
+            # that never wrote (an empty fsync), which has nothing to make
+            # durable and must not pay for an X-L2P flush.
             if tid in self._committed_tids:
                 raise TransactionError(f"tid {tid} is already committed")
             if tid in self._aborted_tids:
                 raise TransactionError(f"tid {tid} was aborted; cannot commit")
             self._release_write_locks(tid)
             self._started_tids.discard(tid)
-            self.stats.commits += 1
+            self.stats.commits += 1  # the host command succeeded; just free
             self._obs_commits.inc()
         if not live:
             return
+        tracer = self.obs.tracer
         if len(live) == 1:
-            # Degenerate group: the plain commit path, bit for bit.
-            self.commit(live[0])
-            return
+            cp_before, cp_after = CP_COMMIT_BEFORE_FLUSH, CP_COMMIT_AFTER_FLUSH
+            span = tracer.span("xftl_commit", "ftl", tid=live[0])
+        else:
+            cp_before, cp_after = CP_GROUP_FLUSH, CP_GROUP_PUBLISH
+            span = tracer.span("xftl_commit_group", "ftl")
         start_us = self.chip.clock.now_us
-        with self.obs.tracer.span("xftl_commit_group", "ftl"):
+        with span:
+            # Step 1: status active -> committed (DRAM).
             for tid in live:
                 self.xl2p.set_status(tid, TxStatus.COMMITTED)
-            self.chip.crash_plan.hit(CP_GROUP_FLUSH)
+            self.chip.crash_plan.hit(cp_before)
             self._committed_tids.update(live)
             # One commit sequence per member, assigned in fold order and
-            # ticked before the flush so the root publishes the post-batch
-            # counter atomically with the batch's committed-tid set.
+            # ticked before the flush so the published root carries the
+            # post-commit counter atomically with the committed-tid set (a
+            # post-crash snapshot must never pin a sequence below a durably
+            # committed transaction's).
             commit_seqs: dict[int, int] = {}
             if self._versions is not None:
                 for tid in live:
                     self._commit_counter += 1
                     commit_seqs[tid] = self._commit_counter
-            # Pin the whole batch's translation pages (CMT mode): later
-            # members' folds overlay earlier ones, matching the fold order.
-            group_entries = (
-                [e for tid in live for e in self.xl2p.entries_of(tid)]
-                if self._cmt is not None
-                else None
-            )
-            self._flush_xl2p(pin_entries=group_entries)
-            self.chip.crash_plan.hit(CP_GROUP_PUBLISH)
+            # Step 2+3: CoW-flush the X-L2P table, atomically repoint the
+            # root.  In demand-paged (CMT) mode the flush also pins the
+            # members' translation pages under the same drain barrier:
+            # later members' folds overlay earlier ones, matching the fold
+            # order.
+            entries = [e for tid in live for e in self.xl2p.entries_of(tid)]
+            self._flush_xl2p(pin_entries=entries if self._cmt is not None else None)
+            self.chip.crash_plan.hit(cp_after)
+            # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent).
+            # Multi-version mode publishes the superseded committed copy
+            # into the lpn's version chain instead of invalidating it.
             for tid in live:
                 for entry in self.xl2p.entries_of(tid):
                     old = self._l2p.get(entry.lpn)
@@ -418,17 +377,18 @@ class XFTL(PageMappingFTL):
                     self._set_owner(entry.new_ppn, (OWNER_L2P, entry.lpn))
                     self._mark_dirty(entry.lpn)
                 self.xl2p.remove_tid(tid)
-            if group_entries is not None:
+            if self._cmt is not None:
                 per = self.config.map_entries_per_page
-                self._settle_commit_segments({e.lpn // per for e in group_entries})
+                self._settle_commit_segments({e.lpn // per for e in entries})
         for tid in live:
             self._release_write_locks(tid)
             self._started_tids.discard(tid)
         self.stats.commits += len(live)
-        self.stats.group_commits += 1
         self._obs_commits.inc(len(live))
-        self._obs_group_commits.inc()
-        self._obs_group_size.observe(float(len(live)))
+        if len(live) > 1:
+            self.stats.group_commits += 1
+            self._obs_group_commits.inc()
+            self._obs_group_size.observe(float(len(live)))
         self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
         self._commits_since_checkpoint += len(live)
         if self._commits_since_checkpoint >= self.config.map_checkpoint_interval:

@@ -1,10 +1,9 @@
 """Cross-layer span tracing on the simulated clock.
 
-Generalizes :class:`~repro.device.tracing.TracingDevice` (which sees only
-the device command stream) into spans that nest across layers: one SQLite
-``COMMIT`` span contains the pager's page writes, the ext4 fsync, the
-device commands it issued, and the NAND programs those turned into — all
-correlated by span id and timestamped on the shared :class:`SimClock`.
+Spans nest across layers: one SQLite ``COMMIT`` span contains the pager's
+page writes, the ext4 fsync, the device commands it issued, and the NAND
+programs those turned into — all correlated by span id and timestamped on
+the shared :class:`SimClock`.
 
 The simulation is single-threaded, so span context is a simple stack: a
 span opened while another is active becomes its child.  A disabled tracer

@@ -30,10 +30,10 @@ Registered points (one per persistent-state transition):
   after the batch X-L2P flush (no member durable yet) and after the root
   republish (every member durable, DRAM fold pending)
 - ``gc.victim.selected`` / ``gc.copyback.page`` / ``gc.erase.before`` /
-  ``gc.wear.migrate`` — the preemption points of a background GC job
-  (victim chosen, between page copybacks, erase pending, between
-  wear-leveling migrations); only reachable with
-  ``FtlConfig.gc_mode="background"``
+  ``gc.wear.migrate`` — inside a GC job (victim chosen, between page
+  copybacks, erase pending, between wear-leveling migrations): preemption
+  points under ``FtlConfig.gc_mode="background"``, mid-collection under
+  ``"inline"`` (which never wear-levels)
 - ``dev.queue.dispatch`` / ``dev.queue.barrier`` — around the NCQ-style
   command queue's dispatch and drain-barrier transitions
 - ``fs.fsync.mid`` — between an fsync's data writes and its commit record

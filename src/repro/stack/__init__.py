@@ -17,7 +17,6 @@ the observability layer (:mod:`repro.obs`) hooks in at assembly time.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -137,24 +136,6 @@ class StackConfig:
     barrier_mode: "str | bool | None" = None
     profile: LatencyProfile = OPENSSD_PROFILE
     ftl: FtlConfig = field(default_factory=FtlConfig)
-    # Garbage-collection knobs, plumbed into ``ftl`` at build time when set
-    # (so callers can flip GC behaviour without constructing an FtlConfig):
-    # ``gc_mode`` is "inline" (seed-identical) or "background"; the
-    # remaining knobs mirror the FtlConfig fields of the same name.
-    gc_mode: str | None = None
-    gc_policy: str | None = None
-    gc_hot_write_threshold: int | None = None
-    gc_wear_spread_threshold: int | None = None
-    # Demand-paged mapping knobs (DFTL-style CMT), plumbed the same way:
-    # ``cmt_pages`` caps resident translation pages (0 / None-at-default
-    # keeps the whole map in DRAM, seed-identical) and ``cmt_dirty_batch``
-    # sets the eviction dirty-batching width.
-    cmt_pages: int | None = None
-    cmt_dirty_batch: int | None = None
-    # Multi-version X-L2P: committed versions retained per lpn (1 =
-    # seed-identical single-version mapping; N > 1 enables snapshot /
-    # AS-OF reads through the retained chains).  XFTL mode only.
-    retain_versions: int | None = None
     journal_pages: int = 256
     fs_cache_pages: int = 8192
     max_inodes: int = 128
@@ -276,22 +257,6 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         config = StackConfig(**overrides)
     elif overrides:
         raise ValueError("pass either a StackConfig or keyword overrides, not both")
-
-    gc_overrides = {
-        name: value
-        for name, value in (
-            ("gc_mode", config.gc_mode),
-            ("gc_policy", config.gc_policy),
-            ("gc_hot_write_threshold", config.gc_hot_write_threshold),
-            ("gc_wear_spread_threshold", config.gc_wear_spread_threshold),
-            ("cmt_pages", config.cmt_pages),
-            ("cmt_dirty_batch", config.cmt_dirty_batch),
-            ("retain_versions", config.retain_versions),
-        )
-        if value is not None
-    }
-    if gc_overrides:
-        config.ftl = dataclasses.replace(config.ftl, **gc_overrides)
 
     clock = SimClock()
     crash_plan = CrashPlan()

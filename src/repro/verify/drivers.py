@@ -18,6 +18,9 @@ Layers (bottom to top):
 - ``ftl.gc``      — transactions (plain, grouped, aborted) on X-FTL with
   background garbage collection: crashes at every ``gc.*`` preemption
   point of the paced copyback/wear-leveling jobs;
+- ``ftl.gc.inline`` — the same driver under the inline FIFO schedule (the
+  paper tables' collector): crashes after victim selection, between the
+  copybacks and before the erase of a run-to-completion collection;
 - ``ftl.cmt``     — transactions on X-FTL with a demand-paged mapping
   whose cache is far smaller than the map: crashes during CMT evictions,
   dirty writebacks, and the commit-time translation-page pinning;
@@ -52,7 +55,7 @@ Layers (bottom to top):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.stack import Mode, StackConfig, build_stack
@@ -330,20 +333,30 @@ _GC_CONFIG = FtlConfig(
     gc_wear_spread_threshold=2,
     gc_wear_check_interval=4,
 )
+# The same collector on the schedule every paper table runs.  Holding five
+# of a channel's twelve blocks free makes FIFO compact partially-valid
+# victims inside the ops budget, so the armed window crosses real copybacks
+# (at the default threshold every inline victim here is fully invalid).
+_GC_INLINE_CONFIG = replace(
+    _GC_CONFIG, gc_mode="inline", gc_policy="fifo", gc_free_block_threshold=5
+)
 
 
-def _run_gc(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """Transactions (plain, grouped, aborted) against live background GC.
+def _run_gc(
+    config: FtlConfig, point, after, tear, seed, ops_limit
+) -> tuple[bool, int, list[str]]:
+    """Transactions (plain, grouped, aborted) against live garbage collection.
 
-    Every ``gc.*`` crash point is a preemption point of a copyback or
-    wear-leveling job; the oracle holds recovery to the same all-or-nothing
+    Every ``gc.*`` crash point sits inside a copyback or wear-leveling job
+    (a preemption point under the background schedule, mid-collection under
+    the inline one); the oracle holds recovery to the same all-or-nothing
     contract as the plain X-FTL layer, which is exactly the X-L2P
     live-union invariant: a crash mid-job must never surface an uncommitted
     write or lose a committed one, no matter how many pages the job had
     already relocated.
     """
     plan = CrashPlan()
-    ftl = XFTL(FlashArray(_GC_GEOMETRY, crash_plan=plan), _GC_CONFIG)
+    ftl = XFTL(FlashArray(_GC_GEOMETRY, crash_plan=plan), config)
     rng = make_rng(seed, "verify.ftl.gc")
     # Hot lpns are overwritten by the armed workload; the static tail is
     # written once and then only ever moved by GC copybacks and wear
@@ -1104,7 +1117,12 @@ LAYERS: dict[str, Layer] = {
         Layer(
             "ftl.gc",
             ("flash", "ftl.pagemap", "ftl.xftl", "ftl.gc"),
-            _run_gc,
+            lambda *a: _run_gc(_GC_CONFIG, *a),
+        ),
+        Layer(
+            "ftl.gc.inline",
+            ("flash", "ftl.pagemap", "ftl.xftl", "ftl.gc"),
+            lambda *a: _run_gc(_GC_INLINE_CONFIG, *a),
         ),
         Layer("ftl.cmt", ("ftl.cmt",), _run_cmt),
         Layer(

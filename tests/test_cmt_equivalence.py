@@ -61,7 +61,7 @@ def _capture(stack) -> dict:
 
 def _run_fio(mode: Mode, cmt_pages: int) -> dict:
     stack = build_stack(
-        StackConfig(mode=Mode.coerce(mode), cmt_pages=cmt_pages, **_FIO_STACK)
+        StackConfig(mode=Mode.coerce(mode), ftl=FtlConfig(cmt_pages=cmt_pages), **_FIO_STACK)
     )
     fio = FioBenchmark(stack, file_pages=256, seed=7)
     fio.run(runtime_s=3600.0, fsync_interval=5, threads=1, max_writes=400)
@@ -70,7 +70,7 @@ def _run_fio(mode: Mode, cmt_pages: int) -> dict:
 
 def _run_synthetic(mode: Mode, cmt_pages: int) -> dict:
     stack = build_stack(
-        StackConfig(mode=Mode.coerce(mode), cmt_pages=cmt_pages, **_SQLITE_STACK)
+        StackConfig(mode=Mode.coerce(mode), ftl=FtlConfig(cmt_pages=cmt_pages), **_SQLITE_STACK)
     )
     db = stack.open_database("test.db")
     workload = SyntheticWorkload(db, rows=400)

@@ -201,32 +201,10 @@ class TestFlashProperties:
 
 
 class TestRemovedStateShims:
-    """The pre-BlockStateView accessors are hard errors now.
-
-    They spent one release as DeprecationWarning shims (kept honest by a
-    suite-wide ``error::DeprecationWarning`` filter, since dropped); this
-    release removes them outright, matching the bench.runner precedent of
-    shim -> warning -> gone.  The tombstone keeps a pointer to the
-    replacement in the error message.
-    """
-
-    REMOVED = (
-        "state_of",
-        "is_torn",
-        "block_write_point",
-        "block_is_full",
-        "erase_counts",
-    )
-
-    @pytest.mark.parametrize("name", REMOVED)
-    def test_accessor_is_gone_with_pointer(self, name):
-        chip = make_chip()
-        with pytest.raises(AttributeError, match="chip.state"):
-            getattr(chip, name)
-        assert not hasattr(chip, name)
+    """The pre-BlockStateView per-page accessors are gone; ``chip.state``
+    (the BlockStateView) answers what they used to."""
 
     def test_unknown_attributes_raise_plainly(self):
-        # The tombstone __getattr__ must not swallow ordinary typos.
         chip = make_chip()
         with pytest.raises(AttributeError, match="no_such_attr"):
             chip.no_such_attr

@@ -1,4 +1,4 @@
-"""Tests for the background garbage collector (``repro.ftl.gc``).
+"""Tests for the space manager (``repro.ftl.gc``) and its two schedules.
 
 Covers the watermark state machine, hot/cold stream separation, victim
 policies (including the explicit counted FIFO fallback), wear leveling,
@@ -11,7 +11,7 @@ import pytest
 from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashGeometry
 from repro.flash.array import FlashArray
-from repro.ftl import BackgroundGC, FtlConfig, GcState, PageMappingFTL, XFTL
+from repro.ftl import Collector, FtlConfig, GcState, PageMappingFTL, XFTL
 from repro.obs import Observability
 from repro.sim import CrashPlan
 
@@ -84,20 +84,23 @@ class TestConfigValidation:
             make_bg_ftl(gc_policy="mystery")
 
     def test_default_mode_is_inline_with_no_collector(self):
+        # One collector either way: gc_mode only names its schedule.
         assert FtlConfig().gc_mode == "inline"
         ftl = make_bg_ftl(gc_mode="inline", gc_policy="greedy")
-        assert ftl._gc is None
+        assert isinstance(ftl.gc, Collector)
+        assert ftl.gc.schedule == "inline"
 
     def test_background_mode_attaches_collector(self):
         ftl = make_bg_ftl()
-        assert isinstance(ftl._gc, BackgroundGC)
+        assert isinstance(ftl.gc, Collector)
+        assert ftl.gc.schedule == "background"
 
 
 class TestWatermarkStateMachine:
     def test_fresh_device_is_idle(self):
         ftl = make_bg_ftl()
         for channel in range(ftl.chip.geometry.channels):
-            assert ftl._gc.state_of(channel) is GcState.IDLE
+            assert ftl.gc.state_of(channel) is GcState.IDLE
 
     def test_churn_drives_collection_and_stays_readable(self):
         obs = Observability(enabled=True)
@@ -146,11 +149,11 @@ class TestHotColdStreams:
         cold_writes = obs.registry.counter("ftl.gc.cold_stream_writes")
         assert hot_writes.value > 0
         assert cold_writes.value > 0  # the first writes land cold
-        hot_blocks = ftl._gc.hot_active_blocks()
+        hot_blocks = ftl.gc.hot_active_blocks()
         assert any(block is not None for block in hot_blocks)
-        for channel, block in enumerate(hot_blocks):
-            if block is not None:
-                assert block != ftl._active_blocks[channel]
+        for hot, cold in zip(hot_blocks, ftl.gc.active_blocks()):
+            if hot is not None:
+                assert hot != cold
 
     def test_threshold_zero_disables_hot_stream(self):
         obs = Observability(enabled=True)
@@ -158,7 +161,7 @@ class TestHotColdStreams:
         for round_num in range(6):
             ftl.write(0, ("hot", round_num))
         assert obs.registry.counter("ftl.gc.hot_stream_writes").value == 0
-        assert all(block is None for block in ftl._gc.hot_active_blocks())
+        assert all(block is None for block in ftl.gc.hot_active_blocks())
 
     def test_hot_stream_degrades_under_pressure_instead_of_wedging(self):
         # Tiny free margin: the hot stream must fall back to the cold block
@@ -181,7 +184,7 @@ class TestVictimPolicies:
             ftl.write(lpn, ("a", lpn))
         for lpn in range(geo.pages_per_block):
             ftl.write(lpn, ("b", lpn))  # first block now fully invalid
-        victim = ftl._gc._pick_cost_benefit(0)
+        victim = ftl.gc.pick_victim(0)
         assert victim is not None
         assert ftl._valid_count[victim] == 0
 
@@ -189,13 +192,13 @@ class TestVictimPolicies:
         obs = Observability(enabled=True)
         ftl = make_bg_ftl(obs=obs, gc_policy="fifo")
         # Nothing written: FIFO finds no reclaimable block and falls back.
-        assert ftl._gc._pick_victim(0) is None
+        assert ftl.gc.pick_victim(0) is None
         assert obs.registry.counter("ftl.gc.fifo_fallbacks").value == 1
 
     def test_fifo_fallback_is_counted_inline(self):
         obs = Observability(enabled=True)
         ftl = make_bg_ftl(obs=obs, gc_mode="inline", gc_policy="fifo")
-        assert ftl._pick_victim(0) is None
+        assert ftl.gc.pick_victim(0) is None
         assert obs.registry.counter("ftl.gc.fifo_fallbacks").value == 1
 
     def test_fifo_policy_collects_under_churn(self):
@@ -207,6 +210,68 @@ class TestVictimPolicies:
             assert ftl.read(lpn) == ("r", 5, lpn)
 
 
+# Hand-built block states for the picker table: block -> (pages written,
+# pages valid) on one channel of 4-page blocks.  Block 0 is fully valid,
+# block 1 partially written with nothing invalid, block 4 erased: none may
+# ever be chosen.  Allocation order is block order; ALLOC_TICKS (with the
+# collector's tick at 100) make cost-benefit disagree with both others.
+PICKER_BLOCKS = {0: (4, 4), 1: (2, 2), 2: (4, 3), 3: (4, 1), 4: (0, 0), 5: (4, 2)}
+ALLOC_TICKS = {2: 0, 3: 90, 5: 40}
+PICKER_SCHEDULES = [
+    ("inline", "greedy"),
+    ("inline", "fifo"),
+    ("background", "greedy"),
+    ("background", "fifo"),
+    ("background", "cost-benefit"),
+]
+# policy -> blocks in the order the policy gives them up as each earlier
+# choice is excluded (fewest valid / oldest / best age*(1-u)/2u first).
+PICK_ORDER = {"greedy": [3, 5, 2], "fifo": [2, 3, 5], "cost-benefit": [5, 2, 3]}
+
+
+@pytest.mark.parametrize("schedule,policy", PICKER_SCHEDULES)
+class TestVictimPickerTable:
+    def _collector(self, schedule, policy, blocks, obs=None):
+        ftl = make_bg_ftl(
+            num_blocks=8, pages_per_block=4, channels=1, obs=obs,
+            gc_mode=schedule, gc_policy=policy,
+        )
+        gc = ftl.gc
+        for block, (used, valid) in blocks.items():
+            ftl.chip.state.write_points[block] = used
+            ftl.chip.state.valid_counts[block] = valid
+        gc._alloc_order[0] = [block for block, (used, _) in blocks.items() if used]
+        gc._alloc_tick = dict(ALLOC_TICKS)
+        gc._tick = 100
+        return gc
+
+    def test_policy_choice_and_exclusions(self, schedule, policy):
+        from repro.ftl.gc import GcJob
+
+        gc = self._collector(schedule, policy, PICKER_BLOCKS)
+        first, second, third = PICK_ORDER[policy]
+        assert gc.pick_victim(0) == first
+        # Every open stream and the open job's victim are off limits.
+        for store in (gc._active_blocks, gc._hot_active, gc._trans_active):
+            store[0] = first
+            assert gc.pick_victim(0) == second
+            store[0] = None
+        gc._jobs[0] = GcJob(victim=first, cursor=first * 4, end=first * 4 + 4)
+        assert gc.pick_victim(0) == second
+        gc._hot_active[0] = second
+        assert gc.pick_victim(0) == third
+        gc._trans_active[0] = third
+        assert gc.pick_victim(0) is None  # blocks 0, 1 and 4 never qualify
+
+    def test_fifo_fallback_counted(self, schedule, policy):
+        obs = Observability(enabled=True)
+        gc = self._collector(schedule, policy, PICKER_BLOCKS, obs=obs)
+        gc._alloc_order[0] = [0, 1]  # age order lost track of every reclaimable block
+        fallbacks = obs.registry.counter("ftl.gc.fifo_fallbacks")
+        assert gc.pick_victim(0) == PICK_ORDER["greedy" if policy == "fifo" else policy][0]
+        assert fallbacks.value == (1 if policy == "fifo" else 0)
+
+
 class TestBoundedValidRatioState:
     def test_no_unbounded_ratio_list(self):
         ftl = make_bg_ftl(gc_mode="inline", gc_policy="greedy", channels=1)
@@ -216,7 +281,7 @@ class TestBoundedValidRatioState:
         ftl = make_bg_ftl(gc_mode="inline", gc_policy="greedy", channels=1)
         churn(ftl, range(min(ftl.exported_pages, 100)), rounds=10)
         assert ftl.stats.gc_invocations > 0
-        assert ftl._gc_valid_ratio_count == ftl.stats.gc_invocations
+        assert ftl.gc.victims_collected == ftl.stats.gc_invocations
         assert 0.0 <= ftl.gc_mean_valid_ratio() <= 1.0
 
     def test_wear_stats_keys_stable(self):
@@ -297,6 +362,29 @@ class TestXl2pSurvivesCollection:
         ftl.check_invariants()
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="OOB replay orders by write sequence, not commit order: a committed "
+        "copy relocated while a transaction on the same lpn is open outranks that "
+        "transaction's page after a crash (found by the ftl.gc.inline sweep, "
+        "seeds 1-3; see ROADMAP item 4)",
+    )
+    def test_commit_survives_crash_after_old_copy_was_relocated(self):
+        ftl = make_bg_xftl(
+            num_blocks=24, pages_per_block=8, channels=1, gc_mode="inline", gc_policy="greedy"
+        )
+        for lpn in range(8):  # fills one block, so it is no longer the active block
+            ftl.write(lpn, ("committed", lpn))
+        ftl.barrier()
+        ftl.write_tx(7, 3, ("tx", 3))
+        victim = ftl.mapped_ppn(3) // 8
+        ftl.gc._run_job(0, ftl.gc._open_job(0, victim))  # relocates the old copy of lpn 3
+        ftl.commit(7)
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.read(3) == ("tx", 3)
+
+
 GC_POINTS = (
     "gc.victim.selected",
     "gc.copyback.page",
@@ -367,25 +455,23 @@ class TestStackPlumbing:
     def test_stack_config_gc_overrides_reach_ftl(self):
         from repro.stack import StackConfig, build_stack
 
-        stack = build_stack(
-            StackConfig(
-                num_blocks=64,
-                pages_per_block=16,
+        config = StackConfig(
+            num_blocks=64,
+            pages_per_block=16,
+            ftl=FtlConfig(
                 gc_mode="background",
                 gc_policy="cost-benefit",
                 gc_hot_write_threshold=2,
                 gc_wear_spread_threshold=6,
-            )
+            ),
         )
-        assert stack.ftl.config.gc_mode == "background"
-        assert stack.ftl.config.gc_policy == "cost-benefit"
-        assert stack.ftl.config.gc_hot_write_threshold == 2
-        assert stack.ftl.config.gc_wear_spread_threshold == 6
-        assert isinstance(stack.ftl._gc, BackgroundGC)
+        stack = build_stack(config)
+        assert stack.ftl.config is config.ftl  # build_stack never rewrites its input
+        assert stack.ftl.gc.schedule == "background"
 
     def test_stack_default_stays_inline(self):
         from repro.stack import StackConfig, build_stack
 
         stack = build_stack(StackConfig(num_blocks=64, pages_per_block=16))
         assert stack.ftl.config.gc_mode == "inline"
-        assert stack.ftl._gc is None
+        assert stack.ftl.gc.schedule == "inline"

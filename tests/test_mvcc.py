@@ -200,7 +200,7 @@ def _capture(stack) -> dict:
     }
 
 
-def _run_sqlite_workload(retain_versions: int | None) -> dict:
+def _run_sqlite_workload(ftl: FtlConfig) -> dict:
     stack = build_stack(
         StackConfig(
             mode=Mode.XFTL,
@@ -208,7 +208,7 @@ def _run_sqlite_workload(retain_versions: int | None) -> dict:
             pages_per_block=32,
             page_size=4096,
             journal_pages=64,
-            retain_versions=retain_versions,
+            ftl=ftl,
         )
     )
     db = stack.open_database("t.db")
@@ -229,7 +229,7 @@ def _run_sqlite_workload(retain_versions: int | None) -> dict:
 class TestRetainOneBitIdentity:
     def test_default_equals_explicit_retain_one(self):
         """The refactor's off switch: retain=1 changes nothing anywhere."""
-        assert _run_sqlite_workload(None) == _run_sqlite_workload(1)
+        assert _run_sqlite_workload(FtlConfig()) == _run_sqlite_workload(FtlConfig(retain_versions=1))
 
     def test_retain_one_publishes_no_epochs(self):
         ftl = make_xftl()  # retain_versions defaults to 1
@@ -271,7 +271,7 @@ def _stack(retain: int = 4):
             mode=Mode.XFTL,
             num_blocks=256,
             pages_per_block=64,
-            retain_versions=retain,
+            ftl=FtlConfig(retain_versions=retain),
         )
     )
 
