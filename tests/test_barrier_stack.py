@@ -10,6 +10,8 @@ counter and microsecond for microsecond.
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -22,9 +24,12 @@ from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
 from repro.stack import Mode, StackConfig, build_stack
+from repro.workloads.fio import FioBenchmark
 from repro.workloads.synthetic import SyntheticWorkload
 
-from tests.test_channel_equivalence import state_digest
+from tests.test_channel_equivalence import _FIO_STACK, _SQLITE_STACK, _capture, state_digest
+
+BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "barrier_baseline.json"
 
 FTL_CONFIG = FtlConfig(
     overprovision=0.25, map_entries_per_page=32, barrier_meta_pages=1, xl2p_capacity=64
@@ -376,3 +381,91 @@ class TestBarrierOffPin:
         default = self._run(mode, None, channels, queue_depth)
         for off in ("off", "drain", False):
             assert self._run(mode, off, channels, queue_depth) == default, off
+
+
+# ------------------------------------------------------- barrier-on baseline
+
+
+def _capture_barrier(stack) -> dict:
+    """The channel-baseline capture plus the order-path accounting."""
+    captured = _capture(stack)
+    captured["fs_stats"] = vars(stack.fs.stats).copy()
+    captured["stalls_avoided"] = stack.device.stalls_avoided
+    captured["stall_avoided_us"] = stack.device.stall_avoided_us
+    return captured
+
+
+def _run_barrier_synthetic(mode: Mode, channels: int, queue_depth: int) -> dict:
+    stack = build_stack(
+        StackConfig(
+            mode=mode,
+            barrier_mode=True,
+            channels=channels,
+            queue_depth=queue_depth,
+            **_SQLITE_STACK,
+        )
+    )
+    db = stack.open_database("test.db")
+    workload = SyntheticWorkload(db, rows=400)
+    workload.load()
+    workload.run(transactions=15, updates_per_txn=5)
+    return _capture_barrier(stack)
+
+
+def _run_barrier_fio(mode: Mode, channels: int, queue_depth: int) -> dict:
+    stack = build_stack(
+        StackConfig(
+            mode=mode,
+            barrier_mode=True,
+            channels=channels,
+            queue_depth=queue_depth,
+            **_FIO_STACK,
+        )
+    )
+    fio = FioBenchmark(stack, file_pages=256, seed=7)
+    fio.run(runtime_s=3600.0, fsync_interval=5, threads=1, max_writes=400)
+    return _capture_barrier(stack)
+
+
+_BARRIER_LEGS = {
+    "synthetic.rbj": (_run_barrier_synthetic, Mode.RBJ),
+    "synthetic.wal": (_run_barrier_synthetic, Mode.WAL),
+    "synthetic.xftl": (_run_barrier_synthetic, Mode.XFTL),
+    "fio.fs_full": (_run_barrier_fio, Mode.FS_FULL),
+}
+_BARRIER_SHAPES = {"serial": (1, 1), "ncq": (2, 4)}
+
+BARRIER_SCENARIOS = {
+    f"{leg}.{shape}": (run, mode, channels, queue_depth)
+    for leg, (run, mode) in _BARRIER_LEGS.items()
+    for shape, (channels, queue_depth) in _BARRIER_SHAPES.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARRIER_SCENARIOS))
+def test_barrier_stack_matches_recorded_baseline(name: str) -> None:
+    """What a barrier stack *does*, pinned: every counter, the exact
+    simulated time and the final flash state of RBJ / WAL / X-FTL and one
+    full-journal FIO leg with ``barrier_mode`` on, serial and NCQ.
+
+    ``tests/data/barrier_baseline.json`` was recorded at the commit before
+    the ordering mechanism moved into the device; re-record only with a
+    deliberate, explained bump::
+
+        PYTHONPATH=src:. python tests/test_barrier_stack.py --record
+    """
+    run, mode, channels, queue_depth = BARRIER_SCENARIOS[name]
+    assert run(mode, channels, queue_depth) == json.loads(BASELINE_PATH.read_text())[name]
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--record" not in sys.argv:
+        sys.exit("usage: PYTHONPATH=src:. python tests/test_barrier_stack.py --record")
+    recorded = {
+        name: run(mode, channels, queue_depth)
+        for name, (run, mode, channels, queue_depth) in BARRIER_SCENARIOS.items()
+    }
+    BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} barrier baselines to {BASELINE_PATH}")
