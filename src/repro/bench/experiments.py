@@ -65,15 +65,24 @@ def _tenants() -> int:
     return int(os.environ.get("REPRO_TENANTS", "4"))
 
 
-def _barrier_mode() -> str:
-    """Durability-point style for every stack (``--barrier-mode``).
+_BARRIER_MODES = {"drain": False, "barrier": True}
+
+
+def _barrier_mode() -> bool:
+    """Whether every stack gets a barrier-enabled device (``--barrier-mode``).
 
     ``drain`` (the default) keeps the classic flush-and-wait device; the
-    ``barrier`` setting re-runs any experiment on the barrier-enabled IO
-    stack (order-only epoch barriers, fbarrier/fdatabarrier, commit pages
-    on BARRIER_WRITE).  :func:`barrier_comparison` sweeps both explicitly.
+    ``barrier`` setting re-runs any experiment on a device whose ordering
+    commands are order-only epoch barriers (commit pages on BARRIER_WRITE).
+    :func:`barrier_comparison` sweeps both explicitly.  The name is outside
+    input: it is checked and mapped to ``StackConfig.barrier_mode`` here.
     """
-    return os.environ.get("REPRO_BARRIER_MODE", "drain")
+    name = os.environ.get("REPRO_BARRIER_MODE", "drain")
+    if name not in _BARRIER_MODES:
+        raise ValueError(
+            f"REPRO_BARRIER_MODE={name!r}: expected one of {sorted(_BARRIER_MODES)}"
+        )
+    return _BARRIER_MODES[name]
 
 
 @dataclass
@@ -926,9 +935,10 @@ def mapping_locality(
 # -------------------------------------------------------- hot-path throughput
 
 
-#: Default output path for the committed throughput baseline (repo root when
-#: run from a checkout; override with ``REPRO_BENCH_JSON``).
-BENCH_JSON_DEFAULT = "BENCH_throughput.json"
+#: Default output path: a git-ignored scratch file, so a local run never
+#: dirties the committed baseline.  Re-record that one on purpose with
+#: ``REPRO_BENCH_JSON=BENCH_throughput.json python -m repro.bench throughput``.
+BENCH_JSON_DEFAULT = ".bench_build/BENCH_throughput.json"
 
 
 def throughput(
@@ -944,9 +954,12 @@ def throughput(
 
     Not a paper figure — it is the simulator's own speedometer, committed as
     ``BENCH_throughput.json`` so every PR is measured against the last one
-    (the bench-smoke CI step fails on >30% regression).  The workload is the
-    write/GC hot path at its most demanding, shaped like the paper's SQLite
-    use case: the device is aged to ``fill_fraction`` of its exported space,
+    (the bench-smoke CI step fails on >30% regression).  A run writes to
+    ``json_path``, else ``$REPRO_BENCH_JSON``, else a git-ignored scratch
+    file; only an explicit path overwrites the committed baseline.  The
+    workload is the write/GC hot path at its most demanding, shaped like
+    the paper's SQLite use case: the device is aged to ``fill_fraction`` of
+    its exported space,
     then a skewed 80/20 overwrite stream runs with a barrier (the FTL-level
     fsync) every ``barrier_interval`` writes — the commit cadence of small
     transactions — on ``channels`` channels with background cost-benefit GC
@@ -1050,6 +1063,7 @@ def throughput(
             previous = {}
         if isinstance(previous, dict) and "baseline" in previous:
             report["baseline"] = previous["baseline"]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2) + "\n")
     waf = stats.page_programs / max(stats.host_page_writes, 1)
     result_rows = [
@@ -1478,10 +1492,10 @@ def barrier_comparison(
     (ROADMAP open item 3) head to head against the drain-based stack.
     Every SQLite journaling mode executes the identical commit-heavy
     synthetic workload twice on a parallel device (channels>=4 behind an
-    NCQ queue): once with classic drain-and-wait durability points
-    (``barrier_mode=drain``) and once order-only (``barrier_mode=
-    barrier``), where fsync on the commit path becomes fbarrier and
-    journal commit pages ride BARRIER_WRITE commands.
+    NCQ queue): once on a drain device, where each ordering point on the
+    commit path (``fbarrier``, the journal's ordered commit page) costs
+    flushes, and once on a barrier-enabled device, where the same calls
+    cost order-only epoch closes and BARRIER_WRITE commands.
 
     The drain runs count the commit-path stalls they actually waited out
     (``barrier_stalls``/``barrier_stall_us``: queue still busy when the
@@ -1497,7 +1511,7 @@ def barrier_comparison(
     transactions = transactions or int(50 * _scale())
     rows = rows or int(2_000 * _scale())
 
-    def _run(mode: Mode, barrier_mode: str) -> dict[str, Any]:
+    def _run(mode: Mode, barrier_mode: bool) -> dict[str, Any]:
         stack = build_stack(
             StackConfig(
                 mode=mode,
@@ -1537,13 +1551,13 @@ def barrier_comparison(
     stall_notes = []
     for mode in SQLITE_MODES:
         runs = {}
-        for barrier_mode in ("drain", "barrier"):
-            run = runs[barrier_mode] = _run(mode, barrier_mode)
-            extras["runs"][f"{mode.value}/{barrier_mode}"] = run
+        for durability, barrier_mode in _BARRIER_MODES.items():
+            run = runs[durability] = _run(mode, barrier_mode)
+            extras["runs"][f"{mode.value}/{durability}"] = run
             result_rows.append(
                 [
                     mode.value,
-                    barrier_mode,
+                    durability,
                     round(run["elapsed_s"], 2),
                     run["flushes"],
                     run["barriers"] + run["barrier_writes"],

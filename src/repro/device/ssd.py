@@ -11,14 +11,17 @@
   seed's fully synchronous device, bit for bit;
 - the extended command set when the FTL is an :class:`~repro.ftl.XFTL`
   (tagged reads/writes, commit/abort — carried over trim in the prototype);
-- an optional **barrier-enabled** mode ("Barrier Enabled IO Stack for
-  Flash Storage"): ordering points become order-only *epoch closes* on the
-  queue plus a dispatch-floor barrier on the chip, instead of
-  drain-and-wait.  ``write_barrier`` dispatches an order-guaranteed write
-  and ``barrier`` is an order-only durability point; flush/commit/abort
-  keep their durability meaning but stop stalling the host on in-flight
-  commands.  With ``barrier_mode=False`` (the default) every code path is
-  bit-identical to the drain-based device;
+- three ordering commands, each stating an *intent* the layers above never
+  have to translate: ``flush`` (durable), ``barrier`` (order only) and
+  ``write_barrier`` (one ordered write).  What order costs is decided
+  here and nowhere else.  On a drain device (``barrier_mode=False``, the
+  default) the only ordering primitive is a flush, so ``barrier`` is one
+  flush and ``write_barrier`` is flush - write - flush.  On a
+  **barrier-enabled** device ("Barrier Enabled IO Stack for Flash
+  Storage") ordering points are order-only *epoch closes* on the queue
+  plus a dispatch-floor barrier on the chip: nothing drains, and
+  flush/commit/abort keep their durability meaning but stop stalling the
+  host on in-flight commands;
 - power-off / power-on with FTL recovery, used by crash experiments.
 """
 
@@ -58,10 +61,13 @@ class StorageDevice:
                 "(FlashArray); the serial FlashChip cannot overlap commands"
             )
         self.queue_depth = queue_depth
+        if not isinstance(barrier_mode, bool):
+            # A string such as "drain" is truthy; refuse it rather than guess.
+            raise DeviceError(f"barrier_mode must be a bool, got {barrier_mode!r}")
         # Barrier-enabled IO stack: ordering points are order-only (epoch
         # closes + dispatch-floor barriers) instead of drain-and-wait, and
         # FTL-internal drains degrade to order barriers via the chip flag.
-        self.barrier_mode = bool(barrier_mode)
+        self.barrier_mode = barrier_mode
         if self.barrier_mode:
             self.chip.order_only_drains = True
         # Tenant attribution rides the chip's registry (inert without
@@ -113,15 +119,15 @@ class StorageDevice:
         # When an armed crash point fires the whole machine loses power:
         # mark the device off so recovery is a plain power_on() and any
         # further command raises DeviceError instead of touching dead state.
-        self.chip.crash_plan.subscribe(self._crash_power_loss)
+        self.chip.crash_plan.subscribe(self._lose_power)
 
-    def _crash_power_loss(self) -> None:
+    def _lose_power(self) -> None:
+        """Device DRAM dies: the in-flight queue and the ordering state."""
         self._on = False
         if self.queue is not None:
             self.queue.reset()
-        # Ordering state is device DRAM too: the dispatch floor dies with
-        # the power (per-channel busy horizons persist, so per-channel
-        # serialization still holds through recovery).
+        # The dispatch floor is DRAM too (per-channel busy horizons persist,
+        # so per-channel serialization still holds through recovery).
         self.chip.dispatch_floor_us = 0.0
 
     # --------------------------------------------------------------- state
@@ -156,10 +162,7 @@ class StorageDevice:
         """Cut power: all device DRAM state is lost (in-flight queue included)."""
         if self._on:
             self.ftl.power_fail()
-            self._on = False
-            if self.queue is not None:
-                self.queue.reset()
-            self.chip.dispatch_floor_us = 0.0
+            self._lose_power()
 
     def power_on(self) -> None:
         """Restore power and run FTL mount-time recovery."""
@@ -254,6 +257,9 @@ class StorageDevice:
 
     def write(self, lpn: int, data: Any) -> None:
         self._check_on()
+        self._write(lpn, data)
+
+    def _write(self, lpn: int, data: Any) -> None:
         self.counters.writes += 1
         self._obs_writes.inc()
         self._mutated_since_flush = True
@@ -277,6 +283,9 @@ class StorageDevice:
     def flush(self) -> None:
         """Write barrier: all acknowledged writes + mapping state durable."""
         self._check_on()
+        self._flush()
+
+    def _flush(self) -> None:
         self.counters.flushes += 1
         self._obs_flushes.inc()
         if self.tenants.enabled:
@@ -296,13 +305,12 @@ class StorageDevice:
         — on every channel — but the host does not wait and the FTL does
         not publish a new root.  Durability of the ordered writes follows
         from the device's crash recovery (OOB replay), exactly like
-        acknowledged-but-unflushed writes always have.  On a drain-mode
-        device the only ordering primitive is a full flush, so it degrades
-        to one.
+        acknowledged-but-unflushed writes always have.  On a drain device
+        the only ordering primitive is a full flush, so order costs one.
         """
         self._check_on()
         if not self.barrier_mode:
-            self.flush()
+            self._flush()
             return
         self.counters.barriers += 1
         self._obs_barriers.inc()
@@ -313,20 +321,21 @@ class StorageDevice:
             self._order_barrier()
 
     def write_barrier(self, lpn: int, data: Any) -> None:
-        """BARRIER_WRITE: an order-guaranteed write, no drain (barrier mode).
+        """BARRIER_WRITE: one ordered write — every earlier write completes
+        before this page and every later write after it.
 
-        The queue closes the current epoch, the write dispatches into an
-        epoch of its own, and that epoch is closed too: every earlier write
-        completes before this page and every later write after it, with no
-        host stall.  This is what lets the journal drop both of its
-        commit-page barriers — the commit page *is* the barrier.
+        Barrier-enabled: the queue closes the current epoch, the write
+        dispatches into an epoch of its own, and that epoch is closed too,
+        with no host stall — a journal commit page *is* its own barrier.
+        Drain device: the same order costs flush - write - flush, the two
+        barriers per ordered-journal commit of §6.3.4.
         """
         self._check_on()
         if not self.barrier_mode:
-            raise DeviceError(
-                "barrier-write requires a barrier-enabled device "
-                "(StorageDevice(..., barrier_mode=True))"
-            )
+            self._flush()
+            self._write(lpn, data)
+            self._flush()
+            return
         self.counters.barrier_writes += 1
         self._obs_barrier_writes.inc()
         self._mutated_since_flush = True

@@ -8,8 +8,10 @@ Implements the parts of ext4 that the paper's experiments exercise:
 - three durability modes (:class:`JournalMode`):
 
   ``ORDERED``
-      metadata journaling with data-before-metadata ordering — two write
-      barriers per fsync (data, then journal frame + commit page);
+      metadata journaling with data-before-metadata ordering — data and
+      the journal frame, then the commit page as an ordered write (two
+      write barriers per fsync on a drain device, none on a
+      barrier-enabled one);
   ``FULL``
       data journaling — every data page goes through the journal and is
       later checkpointed home, i.e. written twice;
@@ -20,6 +22,11 @@ Implements the parts of ext4 that the paper's experiments exercise:
       rolls back stolen ones inside the device (§5.2);
   ``NONE``
       no journaling, no transactions — fast and unsafe (ablation only).
+
+Every sync entry point (``fsync``, ``fbarrier``, ``fdatabarrier``,
+``fsync_group``, ``stage_tx``, ``sync_metadata``) states an intent — durable
+or order-only — and runs through one body, :meth:`Ext4._sync`; whether order
+costs a drain is decided by the device, never tested here.
 
 Metadata pages are written with self-describing images so a crashed file
 system can be remounted from the device alone.
@@ -37,6 +44,7 @@ from repro.errors import (
     FileExistsFsError,
     FileNotFoundFsError,
     FsError,
+    TransactionError,
 )
 from repro.fs.journal import Jbd2Journal
 from repro.fs.pagecache import PageCache
@@ -214,22 +222,14 @@ class Ext4:
         return fs
 
     def _make_journal(self) -> Jbd2Journal:
-        # On a barrier-enabled device the journal writes its commit pages
-        # and superblocks through BARRIER_WRITE: the ordering the two flush
-        # barriers used to buy comes from the write itself, with no drain.
         return Jbd2Journal(
             region_start=self.journal_start,
             region_pages=self.journal_pages,
             write_page=self._device_write_journal,
             read_page=self.device.read,
-            barrier=self.device.flush,
+            write_ordered=self._device_write_journal_ordered,
             write_home=self._journal_write_home,
             obs=self.obs,
-            write_barrier_page=(
-                self._device_write_journal_barrier
-                if self.device.barrier_mode
-                else None
-            ),
         )
 
     # ---------------------------------------------------------- namespaces
@@ -360,107 +360,53 @@ class Ext4:
         self._next_tid += 1
         return tid
 
-    def begin_tx(self) -> int:
-        """Allocate a raw transaction id (tids are managed by the fs, §5.2).
+    @staticmethod
+    def _check_txn(txn) -> None:
+        """Reject a raw integer tid at the front door.
 
-        Legacy entry point for callers that thread integer tids by hand;
-        session-aware callers mint a full context via
-        ``fs.txn_manager.begin()`` instead.  Both draw from the same
-        persistent sequence.
+        Transactions are :class:`TransactionContext` objects minted by
+        ``fs.txn_manager.begin()``; an int would only fail later, as an
+        ``AttributeError`` somewhere below the page cache.
         """
-        return self._allocate_tid()
-
-    def _coerce_txn(self, txn):
-        """Normalize ``txn`` to a TransactionContext (or None).
-
-        Raw integer tids — legacy callers, hand-crafted test tids — are
-        adopted into the manager so cache tagging and lifecycle tracking
-        see one object per tid.
-        """
-        if txn is None:
-            return None
         if isinstance(txn, int):
-            return self.txn_manager.adopt(txn)
-        return txn
+            raise TransactionError(
+                f"txn={txn!r}: pass the TransactionContext from "
+                "fs.txn_manager.begin(), not a raw integer tid"
+            )
+
+    # The sync entry points.  Each states an intent — which files, which
+    # transaction, durable or order-only — and hands it to :meth:`_sync`;
+    # none calls another.  What order costs is the device's decision
+    # (``flush`` / ``barrier`` / ``write_barrier``), never tested here.
 
     def fsync(self, handle: "FileHandle", txn=None) -> None:
         """Force the file's dirty data (and all dirty metadata) durable.
 
         In XFTL mode this ends with a ``commit(tid)`` on the device —
         making every page the transaction wrote (whether force-written now
-        or stolen earlier) atomically durable.  ``txn`` may be a
-        :class:`TransactionContext` or a raw int tid (legacy callers).
+        or stolen earlier) atomically durable.
         """
-        txn = self._coerce_txn(txn)
-        self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
-        start_us = self._clock.now_us
-        with self.obs.tracer.span("fsync", "fs", tid=None if txn is None else txn.tid):
-            self._clock.advance(self._profile.host_fsync_us)
-            dirty = self._drain_dirty_data(handle.inode.ino)
-            if self.mode is JournalMode.ORDERED:
-                self._fsync_ordered(dirty)
-            elif self.mode is JournalMode.FULL:
-                self._fsync_full(dirty)
-            elif self.mode is JournalMode.XFTL:
-                self._fsync_xftl(dirty, txn)
-            else:
-                self._fsync_none(dirty)
-        self._obs_fsync_us.observe(self._clock.now_us - start_us)
+        self._sync("fsync", [handle], txn)
 
     def fbarrier(self, handle: "FileHandle", txn=None) -> None:
         """Order-only fsync (the barrier-enabled stack's ``fbarrier``).
 
-        Issues the same writes in the same order as :meth:`fsync` — data,
-        then the journal frame or ``commit(t)`` — but every durability
-        point is order-only: the call returns without waiting for the
-        writes to reach flash, and no mapping root is force-published.
-        Epoch ordering guarantees a crash can never surface the commit
-        record without the writes it covers.  On a drain-mode device the
-        only ordering primitive is a full flush, so this degrades to
-        :meth:`fsync`.
+        The same writes in the same order as :meth:`fsync` — data, then
+        the journal frame or ``commit(t)`` — but the caller only needs
+        them *ordered* before whatever it writes next, not durable on
+        return.  A barrier-enabled device pays no drain for that; a drain
+        device pays the same flushes as an fsync.
         """
-        if not self.device.barrier_mode:
-            self.fsync(handle, txn=txn)
-            return
-        txn = self._coerce_txn(txn)
-        self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
-        start_us = self._clock.now_us
-        with self.obs.tracer.span(
-            "fbarrier", "fs", tid=None if txn is None else txn.tid
-        ):
-            self._clock.advance(self._profile.host_fsync_us)
-            dirty = self._drain_dirty_data(handle.inode.ino)
-            if self.mode is JournalMode.ORDERED:
-                self._fsync_ordered(dirty, order_only=True)
-            elif self.mode is JournalMode.FULL:
-                self._fsync_full(dirty)
-            elif self.mode is JournalMode.XFTL:
-                # commit(t) is already order-only on a barrier device; the
-                # X-L2P root update stays the atomicity anchor.
-                self._fsync_xftl(dirty, txn)
-            else:
-                self._fsync_none(dirty)
-        self._obs_fsync_us.observe(self._clock.now_us - start_us)
+        self._sync("fbarrier", [handle], txn, order_only=True)
 
     def fdatabarrier(self, handle: "FileHandle") -> None:
         """Order-only data barrier (``fdatabarrier``): no metadata, no wait.
 
-        Pushes the file's dirty data pages down to the device and issues an
-        order-only barrier — everything written before this call is ordered
-        before everything written after it.  On a drain-mode device the
-        barrier degrades to a flush (the device's fallback).
+        Pushes the file's dirty data pages down to the device and issues
+        one order-only barrier — everything written before this call is
+        ordered before everything written after it.
         """
-        self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
-        start_us = self._clock.now_us
-        with self.obs.tracer.span("fdatabarrier", "fs", tid=None):
-            self._clock.advance(self._profile.host_fsync_us)
-            for lpn, data in self._drain_dirty_data(handle.inode.ino):
-                self._device_write_data(lpn, data)
-            self.device.barrier()
-        self._obs_fsync_us.observe(self._clock.now_us - start_us)
+        self._sync("fdatabarrier", [handle], None, data_only=True)
 
     def fsync_group(self, handles: list["FileHandle"], txn) -> None:
         """Atomically force several files' dirty data under one transaction.
@@ -472,19 +418,7 @@ class Ext4:
         """
         if self.mode is not JournalMode.XFTL:
             raise FsError("fsync_group requires XFTL mode")
-        txn = self._coerce_txn(txn)
-        self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
-        start_us = self._clock.now_us
-        with self.obs.tracer.span(
-            "fsync_group", "fs", tid=None if txn is None else txn.tid
-        ):
-            self._clock.advance(self._profile.host_fsync_us)
-            dirty: list[tuple[int, Any]] = []
-            for handle in handles:
-                dirty.extend(self._drain_dirty_data(handle.inode.ino))
-            self._fsync_xftl(dirty, txn)
-        self._obs_fsync_us.observe(self._clock.now_us - start_us)
+        self._sync("fsync_group", handles, txn)
 
     def stage_tx(self, handle: "FileHandle", txn) -> None:
         """Group commit, phase 1: fsync minus the device commit.
@@ -497,33 +431,71 @@ class Ext4:
         """
         if self.mode is not JournalMode.XFTL:
             raise FsError("stage_tx requires XFTL mode")
-        txn = self._coerce_txn(txn)
         if txn is None:
             raise FsError("stage_tx requires a transaction")
+        self._sync("stage_tx", [handle], txn, commit=False)
+
+    def sync_metadata(self, txn=None, order_only: bool = False) -> None:
+        """Directory-style fsync: flush only metadata (after create/unlink).
+
+        ``order_only=True`` is the ``fbarrier`` of directory syncs: the
+        caller needs the metadata ordered, not durable on return.
+        """
+        self._sync("sync_metadata", [], txn, order_only=order_only)
+
+    def _sync(
+        self,
+        name: str,
+        handles: list["FileHandle"],
+        txn,
+        order_only: bool = False,
+        data_only: bool = False,
+        commit: bool = True,
+    ) -> None:
+        """The one sync body behind every entry point above.
+
+        Drains the dirty data of ``handles`` and makes it, together with
+        all dirty metadata, durable — or just ordered, when ``order_only``
+        — by the journal mode's protocol.  ``data_only`` skips the
+        metadata and the protocol for one order-only barrier
+        (``fdatabarrier``); ``commit=False`` stops an XFTL sync short of
+        ``commit(t)`` (``stage_tx``).
+        """
+        self._check_txn(txn)
         self.stats.fsync_calls += 1
         self._obs_fsyncs.inc()
         start_us = self._clock.now_us
-        with self.obs.tracer.span("stage_tx", "fs", tid=txn.tid):
+        with self.obs.tracer.span(name, "fs", tid=None if txn is None else txn.tid):
             self._clock.advance(self._profile.host_fsync_us)
-            dirty = self._drain_dirty_data(handle.inode.ino, staged=True)
-            txn.begin_commit()
-            try:
-                for lpn, data in dirty:
-                    self._device_write_data(lpn, data, tid=txn.tid)
-                for lpn, image in self._render_dirty_meta():
-                    self._device_write_meta_raw(lpn, image, tid=txn.tid)
-            except BaseException:
-                for lpn, _data in dirty:
-                    self.cache.drop(lpn)
-                raise
-            # The staged copies live on the device uncommitted, exactly like
-            # stolen pages: route plain readers to the committed copy and
-            # tagged self-reads to the transaction's version even if the
-            # cached page gets evicted before the commit sweep.
-            for lpn, _data in dirty:
-                self._stolen[lpn] = txn.tid
-            self._dirty_meta.clear()
-            self.device.chip.crash_plan.hit(CP_FSYNC_MID)
+            dirty: list[tuple[int, Any]] = []
+            for handle in handles:
+                dirty.extend(self._drain_dirty_data(handle.inode.ino, staged=not commit))
+            if data_only:
+                self._write_data_home(dirty)
+                self.device.barrier()
+            elif self.mode is JournalMode.XFTL:
+                self._sync_xftl(dirty, txn, commit)
+            elif self.mode is JournalMode.NONE:
+                self._write_data_home(dirty)
+                for lpn in sorted(self._dirty_meta):
+                    self._write_meta_home(lpn)
+                self._dirty_meta.clear()
+                self.device.flush()
+            else:
+                # ORDERED sends data home ahead of the metadata frame —
+                # the commit page, an ordered write, orders both before it
+                # (two barriers per fsync on a drain device, §6.3.4, and no
+                # separate data barrier); FULL journals the data as well,
+                # so it is written twice overall.
+                records: list[tuple[int, Any]] = []
+                if self.mode is JournalMode.ORDERED:
+                    self._write_data_home(dirty)
+                else:
+                    records.extend(dirty)
+                if handles:  # a directory sync has no data phase to crash after
+                    self.device.chip.crash_plan.hit(CP_FSYNC_MID)
+                records.extend(self._render_dirty_meta())
+                self._journal(records, order_only)
         self._obs_fsync_us.observe(self._clock.now_us - start_us)
 
     def commit_tx_group(self, txns) -> None:
@@ -535,42 +507,20 @@ class Ext4:
         """
         if self.mode is not JournalMode.XFTL:
             raise FsError("commit_tx_group requires XFTL mode")
-        txns = [self._coerce_txn(txn) for txn in txns if txn is not None]
+        txns = [txn for txn in txns if txn is not None]
         if not txns:
             return
+        for txn in txns:
+            self._check_txn(txn)
         self.device.commit_group([txn.tid for txn in txns])
         for txn in txns:
             # The staged cache pages' data is the committed copy now: untag
             # them so foreign readers resolve to the fresh data instead of
             # re-reading the (now superseded) committed copy off the device.
             self.cache.clear_txn_tag(txn)
-            for lpn in [
-                lpn for lpn, owner in self._stolen.items() if owner == txn.tid
-            ]:
-                del self._stolen[lpn]
+            self._forget_stolen(txn.tid)
             txn.mark_committed()
             self.txn_manager.release(txn)
-
-    def sync_metadata(self, txn=None, order_only: bool = False) -> None:
-        """Directory-style fsync: flush only metadata (after create/unlink).
-
-        ``order_only=True`` is the fdatabarrier-style variant: on a
-        barrier-enabled device the durability point becomes order-only
-        (no drain); elsewhere it has no effect.
-        """
-        txn = self._coerce_txn(txn)
-        self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
-        self._clock.advance(self._profile.host_fsync_us)
-        if self.mode is JournalMode.ORDERED or self.mode is JournalMode.FULL:
-            self._journal_metadata(order_only)
-        elif self.mode is JournalMode.XFTL:
-            self._fsync_xftl([], txn)
-        else:
-            for lpn in sorted(self._dirty_meta):
-                self._write_meta_home(lpn)
-            self._dirty_meta.clear()
-            self.device.flush()
 
     def ioctl_abort(self, txn) -> None:
         """Abort a transaction (the new ioctl request type, §5.1).
@@ -578,62 +528,30 @@ class Ext4:
         Cached dirty pages of the transaction are dropped; changes already
         stolen to the device are rolled back by the device's abort command.
         """
-        txn = self._coerce_txn(txn)
         if txn is None:
             raise FsError("ioctl_abort requires a transaction")
+        self._check_txn(txn)
         self._charge_syscall()
         for lpn in self.cache.drop_txn(txn):
             self._dirty_data.pop(lpn, None)
         if self.mode is JournalMode.XFTL:
             self.device.abort(txn.tid)
-        for lpn in [lpn for lpn, owner in self._stolen.items() if owner == txn.tid]:
-            del self._stolen[lpn]
+        self._forget_stolen(txn.tid)
         txn.mark_aborted()
         self.txn_manager.release(txn)
 
-    # ----------------------------------------------------- fsync mode paths
+    # ------------------------------------------------------- sync protocols
 
-    def _durability_point(self, order_only: bool = False) -> None:
-        """One durability point: a drain flush, or an order-only barrier.
+    def _forget_stolen(self, tid: int) -> None:
+        """The device settled ``tid``: none of its pages is stolen any more."""
+        for lpn in [lpn for lpn, owner in self._stolen.items() if owner == tid]:
+            del self._stolen[lpn]
 
-        ``order_only`` is the ``fbarrier`` contract — callers that only
-        need ordering (not wait-for-durable) pass True and the device pays
-        no drain stall.  On a drain-mode device ``device.barrier()`` falls
-        back to a flush, so this is always at least as strong as ordering.
-        """
-        if order_only:
-            self.device.barrier()
-        else:
-            self.device.flush()
-
-    def _fsync_ordered(self, dirty: list[tuple[int, Any]], order_only: bool = False) -> None:
-        """Data home first, then the metadata journal frame.
-
-        The journal's pre-commit-record barrier orders the data writes and
-        the frame body before the commit page, so ordered mode costs exactly
-        two barriers per fsync (§6.3.4) — no separate data barrier.
-        """
+    def _write_data_home(self, dirty: list[tuple[int, Any]]) -> None:
         for lpn, data in dirty:
             self._device_write_data(lpn, data)
-        self.device.chip.crash_plan.hit(CP_FSYNC_MID)
-        if dirty and not self._dirty_meta:
-            # No metadata to journal: the data itself still needs a barrier.
-            self._durability_point(order_only)
-            return
-        self._journal_metadata(order_only)
 
-    def _fsync_full(self, dirty: list[tuple[int, Any]]) -> None:
-        """Everything through the journal: data is written twice overall."""
-        records = [(lpn, data) for lpn, data in dirty]
-        records.extend(self._render_dirty_meta())
-        self.device.chip.crash_plan.hit(CP_FSYNC_MID)
-        if records:
-            assert self.journal is not None
-            self.journal.commit(records)
-            self.stats.journal_page_writes += len(records) + 2
-        self._dirty_meta.clear()
-
-    def _fsync_xftl(self, dirty: list[tuple[int, Any]], txn) -> None:
+    def _sync_xftl(self, dirty: list[tuple[int, Any]], txn, commit: bool) -> None:
         """Tagged writes + commit(t): one barrier-equivalent per fsync.
 
         If any tagged write fails (e.g. the device's X-L2P table is full),
@@ -654,34 +572,35 @@ class Ext4:
             raise
         self._dirty_meta.clear()
         self.device.chip.crash_plan.hit(CP_FSYNC_MID)
-        self.device.commit(txn.tid)
-        for lpn in [lpn for lpn, owner in self._stolen.items() if owner == txn.tid]:
-            del self._stolen[lpn]
-        txn.mark_committed()
-        self.txn_manager.release(txn)
+        if commit:
+            self.device.commit(txn.tid)
+            self._forget_stolen(txn.tid)
+            txn.mark_committed()
+            self.txn_manager.release(txn)
+            return
+        # Staged copies live on the device uncommitted, exactly like stolen
+        # pages: route plain readers to the committed copy and tagged
+        # self-reads to the transaction's version even if the cached page
+        # gets evicted before the commit sweep.
+        for lpn, _data in dirty:
+            self._stolen[lpn] = txn.tid
 
-    def _fsync_none(self, dirty: list[tuple[int, Any]]) -> None:
-        for lpn, data in dirty:
-            self._device_write_data(lpn, data)
-        for lpn in sorted(self._dirty_meta):
-            self._write_meta_home(lpn)
-        self._dirty_meta.clear()
-        self.device.flush()
-
-    def _journal_metadata(self, order_only: bool = False) -> None:
-        records = self._render_dirty_meta()
+    def _journal(self, records: list[tuple[int, Any]], order_only: bool) -> None:
+        """One metadata-journal frame, or the durability point it implies."""
         if records:
             assert self.journal is not None
             self.journal.commit(records)
             self.stats.journal_page_writes += len(records) + 2
         elif self.device.dirty_since_flush:
-            # Nothing to journal, but writes landed since the last flush:
-            # this is still a durability point for them.
-            self._durability_point(order_only)
-        # else: the device is clean since its last flush — the durability
-        # point is already satisfied, a second flush would be pure stall
-        # (it showed up as inflated flushes/commit in the pager's
-        # journal-sync path).
+            # Nothing to journal, but writes landed since the last flush
+            # (data sent home just now, say): still a durability point for
+            # them — order-only if that is all the caller asked for.  On a
+            # device clean since its last flush the point is already
+            # satisfied and a second flush would be pure stall.
+            if order_only:
+                self.device.barrier()
+            else:
+                self.device.flush()
         self._dirty_meta.clear()
 
     def _drain_dirty_data(self, ino: int, staged: bool = False) -> list[tuple[int, Any]]:
@@ -728,8 +647,8 @@ class Ext4:
         self._obs_journal_writes.inc()
         self.device.write(lpn, image)
 
-    def _device_write_journal_barrier(self, lpn: int, image: Any) -> None:
-        """Journal commit page / superblock as an order-guaranteed write."""
+    def _device_write_journal_ordered(self, lpn: int, image: Any) -> None:
+        """Journal commit page / superblock: one ordered write."""
         self.stats.journal_page_writes += 1
         self._obs_journal_writes.inc()
         self.device.write_barrier(lpn, image)
@@ -905,7 +824,7 @@ class Ext4:
         pages; untagged dirty pages (non-XFTL modes, plain writes) are
         shared as before.
         """
-        txn = self._coerce_txn(txn)
+        self._check_txn(txn)
         page = self.cache.get(lpn)
         if page is not None:
             owner = page.txn
@@ -941,8 +860,9 @@ class Ext4:
 
     def write_lpn(self, lpn: int, data: Any, ino: int, txn) -> None:
         """Buffer one file data page write in the cache (dirty, txn-tagged)."""
+        self._check_txn(txn)
         self._charge_syscall()
-        self.cache.put(lpn, data, dirty=True, txn=self._coerce_txn(txn))
+        self.cache.put(lpn, data, dirty=True, txn=txn)
         self._dirty_data[lpn] = ino
 
     def _evict_writeback(self, lpn: int, data: Any, txn) -> None:
@@ -1013,7 +933,7 @@ class FileHandle:
         must keep seeing the committed copy.
         """
         fs = self.fs
-        txn = fs._coerce_txn(txn)
+        fs._check_txn(txn)
         lpn = fs._lookup_block(self.inode, index)
         if lpn is None:
             return None

@@ -6,14 +6,17 @@ transaction is framed as::
     [descriptor page] [block image page]* [commit page]
 
 A transaction is only valid at replay if both its descriptor and its commit
-page are present — the commit page is written after a write barrier, which
-is what makes the frame atomic (§3.2, §6.3.4: ordered journaling costs two
-barriers per fsync).
+page are present — the commit page is an *ordered write* (frame body before
+it, everything later after it), which is what makes the frame atomic.  The
+journal states that intent and nothing more; what the order costs is the
+device's business: two flush barriers on a drain device (§3.2, §6.3.4:
+ordered journaling costs two barriers per fsync), none on a barrier-enabled
+one, where the commit page rides a BARRIER_WRITE.
 
 Checkpointing writes the journaled images to their home locations and
-retires the transactions; the retire point is recorded in a ping-pong pair
-of journal-superblock pages so that a torn journal-superblock write can
-never lose both copies.
+retires the transactions; the retire point is recorded, again as an ordered
+write, in a ping-pong pair of journal-superblock pages so that a torn
+journal-superblock write can never lose both copies.
 """
 
 from __future__ import annotations
@@ -30,15 +33,12 @@ JSB_SLOTS = 2  # ping-pong journal superblocks at region offsets 0 and 1
 class Jbd2Journal:
     """Circular page journal over a device lpn range.
 
-    ``write_page(lpn, image)`` and ``barrier()`` are injected so the journal
-    charges I/O through the file system's accounting.
-
-    ``write_barrier_page`` (optional) is the barrier-enabled stack's
-    order-guaranteed write: when present, commit pages and journal
-    superblocks are written through it and the surrounding flush barriers
-    are dropped — the barrier write *is* the ordering point ("Barrier
-    Enabled IO Stack for Flash Storage"), so a commit frame costs zero
-    drains instead of two.
+    ``write_page(lpn, image)`` and ``write_ordered(lpn, image)`` are
+    injected so the journal charges I/O through the file system's
+    accounting.  ``write_ordered`` must order every earlier write before
+    the page and every later write after it
+    (:meth:`StorageDevice.write_barrier <repro.device.ssd.StorageDevice.write_barrier>`);
+    commit pages and journal superblocks go through it.
     """
 
     def __init__(
@@ -47,10 +47,9 @@ class Jbd2Journal:
         region_pages: int,
         write_page: Callable[[int, Any], None],
         read_page: Callable[[int], Any],
-        barrier: Callable[[], None],
+        write_ordered: Callable[[int, Any], None],
         write_home: Callable[[int, Any], None],
         obs: Observability = NULL_OBS,
-        write_barrier_page: Callable[[int, Any], None] | None = None,
     ) -> None:
         if region_pages < JSB_SLOTS + 4:
             raise FsError(f"journal region too small: {region_pages} pages")
@@ -58,9 +57,8 @@ class Jbd2Journal:
         self.region_pages = region_pages
         self._write_page = write_page
         self._read_page = read_page
-        self._barrier = barrier
+        self._write_ordered = write_ordered
         self._write_home = write_home
-        self._write_barrier_page = write_barrier_page
         self._obs = obs
         self._obs_commits = obs.counter("fs.journal.commits")
         self._obs_checkpoints = obs.counter("fs.journal.checkpoints")
@@ -91,7 +89,7 @@ class Jbd2Journal:
         return self._log_pages - self._head
 
     def commit(self, records: list[tuple[int, Any]]) -> int:
-        """Journal one transaction: descriptor, images, barrier, commit page.
+        """Journal one transaction: descriptor, images, ordered commit page.
 
         ``records`` is a list of ``(home_lpn, image)``.  Returns the txid.
         Triggers a checkpoint first if the log lacks room for the frame.
@@ -106,20 +104,10 @@ class Jbd2Journal:
         self._next_txid += 1
         with self._obs.tracer.span("journal_commit", "fs", tid=txid):
             targets = tuple(lpn for lpn, _image in records)
-            self._append(("jdesc", txid, targets))
+            self._append(self._write_page, ("jdesc", txid, targets))
             for lpn, image in records:
-                self._append(("jblock", txid, lpn, image))
-            if self._write_barrier_page is None:
-                # Barrier orders the frame body before the commit page, then
-                # the commit page itself is forced (second barrier).
-                self._barrier()
-                self._append(("jcommit", txid))
-                self._barrier()
-            else:
-                # Barrier-enabled: the commit page is an order-guaranteed
-                # write — body before it, everything later after it — so
-                # both flush barriers disappear.
-                self._append(("jcommit", txid), barrier=True)
+                self._append(self._write_page, ("jblock", txid, lpn, image))
+            self._append(self._write_ordered, ("jcommit", txid))
         for lpn, image in records:
             self._pending.pop(lpn, None)
             self._pending[lpn] = image
@@ -130,14 +118,9 @@ class Jbd2Journal:
 
     def checkpoint(self) -> None:
         """Write pending images home, retire all transactions, reset the log."""
-        if self._pending:
-            for lpn, image in self._pending.items():
-                self._write_home(lpn, image)
-            self._pending.clear()
-            if self._write_barrier_page is None:
-                self._barrier()
-            # Barrier-enabled: the jsb barrier write below orders the home
-            # writes before the retire record — no flush needed here.
+        for lpn, image in self._pending.items():
+            self._write_home(lpn, image)
+        self._pending.clear()
         self._retired_txid = self._next_txid - 1
         self._head = 0
         self._write_jsb()
@@ -151,27 +134,22 @@ class Jbd2Journal:
 
     # ------------------------------------------------------------ internals
 
-    def _append(self, image: Any, barrier: bool = False) -> None:
+    def _append(self, write: Callable[[int, Any], None], image: Any) -> None:
         if self._head >= self._log_pages:
             raise FsError("journal log overflow")
-        lpn = self._log_start + self._head
-        if barrier:
-            assert self._write_barrier_page is not None
-            self._write_barrier_page(lpn, image)
-        else:
-            self._write_page(lpn, image)
+        write(self._log_start + self._head, image)
         self._head += 1
 
     def _write_jsb(self) -> None:
-        """Ping-pong journal superblock: a torn write can't lose both."""
+        """Ping-pong journal superblock: a torn write can't lose both.
+
+        Ordered: the home writes land before the retire record, and the
+        record before anything that reuses the log.
+        """
         self._jsb_version += 1
         slot = self._jsb_version % JSB_SLOTS
         image = ("jsb", self._jsb_version, self._retired_txid)
-        if self._write_barrier_page is not None:
-            self._write_barrier_page(self.region_start + slot, image)
-        else:
-            self._write_page(self.region_start + slot, image)
-            self._barrier()
+        self._write_ordered(self.region_start + slot, image)
 
     # ------------------------------------------------------------- recovery
 

@@ -92,17 +92,6 @@ class Connection:
     # ------------------------------------------------------------- txn API
 
     @property
-    def barrier_mode(self) -> bool:
-        """Whether this connection sits on a barrier-enabled IO stack.
-
-        When True, the pager's commit protocols use order-only durability
-        points (``fbarrier``/``fdatabarrier`` down to epoch barriers on the
-        device) instead of drain-and-wait fsyncs — same write ordering,
-        no commit-path stalls.
-        """
-        return self.fs.device.barrier_mode
-
-    @property
     def in_transaction(self) -> bool:
         """Whether an explicit BEGIN is open."""
         return self._explicit_txn

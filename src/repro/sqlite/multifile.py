@@ -49,11 +49,6 @@ class MultiFileTransaction:
         """Whether the shared transaction is currently open."""
         return self._active
 
-    @property
-    def tid(self) -> int | None:
-        """The shared transaction id (compat accessor for the context)."""
-        return self.txn.tid if self.txn is not None else None
-
     def begin(self) -> None:
         """Open the shared transaction on every participating database."""
         if self._active:

@@ -83,7 +83,16 @@ class DbHeader:
 
 
 class Pager:
-    """Buffer pool + journal machinery over one database file."""
+    """Buffer pool + journal machinery over one database file.
+
+    Every ordering point in the commit protocols (journal before db writes
+    before journal delete, WAL frames before the index update) only needs
+    *order*, so the commit paths call ``fs.fbarrier`` and
+    ``fs.sync_metadata(order_only=True)``; what order costs — a drain or
+    an epoch close — is the device's business.  Recovery paths call
+    ``fs.fsync``: after replaying a journal the restored state must
+    actually be on flash.
+    """
 
     def __init__(
         self,
@@ -199,7 +208,7 @@ class Pager:
         self._txn_wrote = False
         if self.mode is SqliteJournalMode.OFF:
             if txn is not None:
-                self._txn = self.fs._coerce_txn(txn)
+                self._txn = txn
             else:
                 self._txn = self.fs.txn_manager.begin(session=self.session)
         # ROLLBACK mode creates its journal file lazily, on the first page
@@ -412,24 +421,6 @@ class Pager:
             return DbHeader()
         return DbHeader.from_image(image)
 
-    # --------------------------------------------------------- sync helpers
-
-    def _sync_file(self, handle: FileHandle) -> None:
-        """One durability point on ``handle``: fbarrier when the device is
-        barrier-enabled, a full fsync otherwise.
-
-        Every ordering point in the commit protocols (journal before db
-        writes before journal delete, WAL frames before the index update)
-        only needs *order*, which the barrier-enabled stack provides
-        without draining; on a drain device this is a plain fsync bit for
-        bit.  Recovery paths call ``fs.fsync`` directly — after replaying
-        a journal the restored state must actually be on flash.
-        """
-        if self.fs.device.barrier_mode:
-            self.fs.fbarrier(handle)
-        else:
-            self.fs.fsync(handle)
-
     # ------------------------------------------------------- steal eviction
 
     def _enforce_capacity(self) -> None:
@@ -503,7 +494,7 @@ class Pager:
 
     def _sync_journal(self) -> None:
         assert self._journal is not None
-        self._sync_file(self._journal)
+        self.fs.fbarrier(self._journal)
 
     def _commit_rollback(self, dirty: list[tuple[int, _Entry]]) -> None:
         if self._journal is None:
@@ -512,23 +503,23 @@ class Pager:
             if dirty:
                 for pno, entry in dirty:
                     self.file.write_page(pno, entry.page.to_image())
-                self._sync_file(self.file)
+                self.fs.fbarrier(self.file)
             return
         # 1. Journal data pages durable (ordered before the header).
-        self._sync_file(self._journal)
+        self.fs.fbarrier(self._journal)
         # 2. Journal header (page 0 of the journal) + separate fsync: the
         #    header is what marks the journal "hot" (valid for rollback).
         count = len([v for v in self._journaled.values() if v is not None])
         self._txn_counter += 1
         self._journal.write_page(0, ("jhdr", count, self._txn_counter))
-        self._sync_file(self._journal)
+        self.fs.fbarrier(self._journal)
         # The journal is now "hot": a crash from here until the journal is
         # deleted must roll the database back from it.
         self.fs.device.chip.crash_plan.hit(CP_COMMIT_MID)
         # 3. Force dirty pages into the database file, one more fsync.
         for pno, entry in dirty:
             self.file.write_page(pno, entry.page.to_image())
-        self._sync_file(self.file)
+        self.fs.fbarrier(self.file)
         # 4. Transaction complete: delete the journal (atomic, §2.1).
         self.fs.unlink(self.journal_name)
         self.fs.sync_metadata(order_only=True)
@@ -616,7 +607,7 @@ class Pager:
             frame = self._wal.read_page(self._txn_frames[-1][1])
             slots[pno] = self._append_wal_frame(pno, frame[2], self.header.page_count)
         assert self._wal is not None
-        self._sync_file(self._wal)
+        self.fs.fbarrier(self._wal)
         self._wal_index.update(slots)
         self._wal_committed_frames = self._wal_frames
         if self._wal_committed_frames >= self.checkpoint_interval:
@@ -631,7 +622,7 @@ class Pager:
         for pno, slot in sorted(self._wal_index.items()):
             frame = self._wal.read_page(slot)
             self.file.write_page(pno, frame[2])
-        self._sync_file(self.file)
+        self.fs.fbarrier(self.file)
         assert self._wal is not None
         self._wal.truncate(0)
         self.fs.sync_metadata(order_only=True)

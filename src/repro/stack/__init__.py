@@ -129,11 +129,11 @@ class StackConfig:
     channels: int = 1
     dies_per_channel: int = 1
     queue_depth: int = 1
-    # Barrier-enabled IO stack ("Barrier Enabled IO Stack for Flash
-    # Storage"): "barrier"/"on"/True turns ordering points into order-only
-    # epoch barriers end to end (device, ext4, SQLite pager); None/"off"/
-    # "drain"/False keeps the drain-based stack, bit for bit.
-    barrier_mode: "str | bool | None" = None
+    # Barrier-enabled device ("Barrier Enabled IO Stack for Flash
+    # Storage"): True makes the device's ordering commands order-only
+    # epoch barriers; False (drain) makes each of them cost a flush.  The
+    # device is the only reader — nothing above it branches on this.
+    barrier_mode: bool = False
     profile: LatencyProfile = OPENSSD_PROFILE
     ftl: FtlConfig = field(default_factory=FtlConfig)
     journal_pages: int = 256
@@ -147,22 +147,6 @@ class StackConfig:
     metrics: bool = False
     trace: bool = False
     obs: Observability | None = None
-
-    def barrier_enabled(self) -> bool:
-        """Coerce the ``barrier_mode`` knob to a bool (strings accepted)."""
-        mode = self.barrier_mode
-        if mode is None or mode is False:
-            return False
-        if mode is True:
-            return True
-        text = str(mode).strip().lower()
-        if text in ("", "off", "drain", "0", "false", "no"):
-            return False
-        if text in ("barrier", "on", "1", "true", "yes"):
-            return True
-        raise ValueError(
-            f"unknown barrier_mode {mode!r}; expected 'barrier'/'on' or 'off'/'drain'"
-        )
 
 
 @dataclass
@@ -282,9 +266,7 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
     else:
         ftl = PageMappingFTL(chip, config.ftl)
     device = StorageDevice(
-        ftl,
-        queue_depth=config.queue_depth,
-        barrier_mode=config.barrier_enabled(),
+        ftl, queue_depth=config.queue_depth, barrier_mode=config.barrier_mode
     )
     fs = Ext4.mkfs(
         device,

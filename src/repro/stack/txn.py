@@ -124,9 +124,8 @@ class TxnManager:
 
     There is exactly one manager per mounted :class:`~repro.fs.ext4.Ext4`
     (reachable via its lazy ``txn_manager`` property); tid allocation
-    delegates to the file system's persistent counter so raw-int callers
-    (``fs.begin_tx()``) and context callers draw from the same sequence
-    and recovery's mount-gap logic applies to both.
+    delegates to the file system's persistent counter so recovery's
+    mount-gap logic applies to every context.
     """
 
     def __init__(self, fs: "Ext4") -> None:
@@ -155,22 +154,6 @@ class TxnManager:
         self._live[tid] = ctx
         self._obs_begins.inc()
         self.obs.tracer.event("txn.begin", "stack", tid=tid)
-        return ctx
-
-    def adopt(self, tid: int, session: "Session | None" = None) -> TransactionContext:
-        """Get-or-create a context for a raw integer tid.
-
-        Bridges legacy callers that allocated via ``fs.begin_tx()`` (or
-        crafted tids by hand in OFF-mode tests) into the context world
-        without double-tracking: repeated adoption of the same live tid
-        returns the same object.
-        """
-        ctx = self._live.get(tid)
-        if ctx is None:
-            ctx = TransactionContext(
-                tid, session=session, manager=self, start_us=self._now_us()
-            )
-            self._live[tid] = ctx
         return ctx
 
     def get(self, tid: int) -> TransactionContext | None:

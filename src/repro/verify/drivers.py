@@ -791,7 +791,7 @@ _FS_BARRIER_STACK = dict(
     _FS_STACK,
     channels=2,
     queue_depth=_QUEUE_DEPTH,
-    barrier_mode="barrier",
+    barrier_mode=True,
 )
 
 

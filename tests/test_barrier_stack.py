@@ -1,11 +1,12 @@
 """Barrier-enabled IO stack: epoch ordering, order-only durability, rival pins.
 
-Covers the barrier device command set (BARRIER_WRITE, the ``barrier``
-command, the drain fallback), the epoch scheduler's order-preservation
-property under randomized interleavings, the file-system fbarrier /
-flush-dedupe paths, the StackConfig knob, and the bit-identity pin:
-``barrier_mode=off`` must produce exactly the drain stack, counter for
-counter and microsecond for microsecond.
+Covers the device's ordering commands (``flush``, ``barrier``,
+BARRIER_WRITE) on a barrier-enabled device and what each degrades to on a
+drain device, the epoch scheduler's order-preservation property under
+randomized interleavings, the file-system fbarrier / fdatabarrier /
+flush-dedupe paths, the StackConfig knob, and the recorded baseline of
+what a barrier stack does (``tests/data/barrier_baseline.json``; the drain
+stack's is ``channel_baseline.json``).
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
 from repro.stack import Mode, StackConfig, build_stack
-from repro.workloads.fio import FioBenchmark
 from repro.workloads.synthetic import SyntheticWorkload
 
-from tests.test_channel_equivalence import _FIO_STACK, _SQLITE_STACK, _capture, state_digest
+from tests.test_channel_equivalence import _capture, _run_fio, _run_synthetic
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "barrier_baseline.json"
 
@@ -48,10 +48,18 @@ def make_device(
 
 
 class TestBarrierDevice:
-    def test_write_barrier_requires_barrier_mode(self):
+    def test_write_barrier_degrades_to_flush_write_flush_on_drain_device(self):
         device = make_device(barrier_mode=False)
-        with pytest.raises(DeviceError):
-            device.write_barrier(0, ("v", 0))
+        device.write(0, ("v", 0))
+        before = device.counters.snapshot()
+        device.write_barrier(1, ("commit", 1))
+        spent = device.counters.delta(before).as_dict()
+        # Order costs a drain on either side of the page (§6.3.4's two
+        # barriers per ordered-journal commit) and nothing else.
+        assert {name: n for name, n in spent.items() if n} == {"flushes": 2, "writes": 1}
+        assert device.queue.in_flight == 0
+        assert not device.dirty_since_flush
+        assert device.read(1) == ("commit", 1)
 
     def test_barrier_falls_back_to_flush_on_drain_device(self):
         device = make_device(barrier_mode=False)
@@ -264,32 +272,102 @@ class TestFlushDedupe:
         fs.fsync(handle)  # nothing dirty anywhere: must be flush-free
         assert stack.device.counters.flushes == flushes
 
+    @pytest.mark.parametrize("mode", (Mode.FS_ORDERED, Mode.FS_FULL))
+    def test_clean_fsync_after_ordered_commits_is_one_real_flush(self, mode):
+        """On a barrier device a journal commit is only *ordered* (its
+        commit page is a BARRIER_WRITE), so the device stays dirty: an
+        fsync that finds nothing to journal is still a durability point,
+        in either journaling mode — once."""
+        stack = build_stack(
+            StackConfig(
+                mode=mode, barrier_mode=True, channels=2, queue_depth=4, **self._STACK
+            )
+        )
+        fs = stack.fs
+        handle = fs.create("app.db")
+        handle.write_page(0, b"x" * 64)
+        fs.fsync(handle)
+        assert stack.device.dirty_since_flush
+        flushes = stack.device.counters.flushes
+        fs.fsync(handle)
+        assert stack.device.counters.flushes == flushes + 1
+        fs.fsync(handle)
+        assert stack.device.counters.flushes == flushes + 1
+
+
+class TestFdatabarrier:
+    """``Ext4.fdatabarrier``: this file's data down, one order point, no more."""
+
+    def _dirty_two_files(self, barrier_mode: bool):
+        stack = build_stack(
+            StackConfig(
+                mode=Mode.FS_ORDERED,
+                barrier_mode=barrier_mode,
+                channels=2,
+                queue_depth=4,
+                **TestFlushDedupe._STACK,
+            )
+        )
+        fs = stack.fs
+        mine, other = fs.create("mine.db"), fs.create("other.db")
+        for handle in (mine, other):
+            handle.write_page(0, b"old" * 8)
+            fs.fsync(handle)
+        mine.write_page(0, b"new" * 8)
+        other.write_page(0, b"new" * 8)
+        return stack, mine, other
+
+    @pytest.mark.parametrize("barrier_mode", (True, False))
+    def test_one_ordering_command_and_only_this_files_data(self, barrier_mode):
+        stack, mine, other = self._dirty_two_files(barrier_mode)
+        fs, device = stack.fs, stack.device
+        other_lpn = fs._lookup_block(other.inode, 0)
+        before = device.counters.snapshot()
+        meta_writes = fs.stats.meta_page_writes
+        journal_writes = fs.stats.journal_page_writes
+        fs.fdatabarrier(mine)
+        spent = {name: n for name, n in device.counters.delta(before).as_dict().items() if n}
+        # One data page down, then order: an epoch barrier and no flush on a
+        # barrier device, exactly one flush on a drain device.
+        assert spent == {"writes": 1, "barriers" if barrier_mode else "flushes": 1}
+        # No metadata, no journal frame, and the other file stays dirty in
+        # the page cache — its old copy is still what the device holds.
+        assert fs.stats.meta_page_writes == meta_writes
+        assert fs.stats.journal_page_writes == journal_writes
+        assert other_lpn in fs._dirty_data
+        assert fs.cache.peek(other_lpn).dirty
+        assert device.read(other_lpn) == b"old" * 8
+        assert device.read(fs._lookup_block(mine.inode, 0)) == b"new" * 8
+
 
 class TestStackKnob:
-    def test_barrier_enabled_coercions(self):
-        for off in (None, False, "off", "drain", "0", "false", "no", ""):
-            assert StackConfig(barrier_mode=off).barrier_enabled() is False, off
-        for on in (True, "barrier", "on", "1", "true", "yes"):
-            assert StackConfig(barrier_mode=on).barrier_enabled() is True, on
-        with pytest.raises(ValueError):
-            StackConfig(barrier_mode="sometimes").barrier_enabled()
+    def test_string_spellings_are_rejected_not_truthy(self):
+        # barrier_mode is a bool; "drain" would otherwise read as True.
+        for spelling in ("drain", "barrier", None, 1):
+            with pytest.raises(DeviceError, match="barrier_mode must be a bool"):
+                build_stack(StackConfig(barrier_mode=spelling, **TestFlushDedupe._STACK))
 
     def test_build_stack_wires_the_device_and_connection(self):
         stack = build_stack(
             StackConfig(
                 mode=Mode.RBJ,
-                barrier_mode="barrier",
+                barrier_mode=True,
                 channels=2,
                 queue_depth=4,
                 **TestFlushDedupe._STACK,
             )
         )
         assert stack.device.barrier_mode
-        db = stack.open_database("test.db")
-        assert db.barrier_mode
+        assert stack.device.queue.epochs_enabled
+        assert stack.chip.order_only_drains
         drain = build_stack(StackConfig(mode=Mode.RBJ, **TestFlushDedupe._STACK))
         assert not drain.device.barrier_mode
-        assert not drain.open_database("test.db").barrier_mode
+        assert not drain.chip.order_only_drains
+        # The knob stops at the device: the same connection code runs on both.
+        for built in (stack, drain):
+            db = built.open_database("test.db")
+            db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
+            assert db.execute("SELECT COUNT(*) FROM t") == [(0,)]
 
 
 class TestBarrierSqlite:
@@ -318,8 +396,8 @@ class TestBarrierSqlite:
 
     @pytest.mark.parametrize("mode", (Mode.RBJ, Mode.WAL, Mode.XFTL))
     def test_commits_survive_and_stall_less(self, mode):
-        drain_stack, drain_db = self._run(mode, "drain")
-        barrier_stack, barrier_db = self._run(mode, "barrier")
+        drain_stack, drain_db = self._run(mode, False)
+        barrier_stack, barrier_db = self._run(mode, True)
         # Same data committed either way.
         query = (
             "SELECT ps_id, ps_availqty, ps_supplycost FROM partsupply ORDER BY ps_id"
@@ -330,57 +408,6 @@ class TestBarrierSqlite:
         assert barrier_stack.device.stalls_avoided > 0
         assert drain_stack.device.stalls_avoided == 0
         assert barrier_stack.clock.now_us <= drain_stack.clock.now_us
-
-
-class TestBarrierOffPin:
-    """Satellite: ``barrier_mode=off`` is bit-identical to the drain stack.
-
-    Same-run A/B (the tenant-equivalence idiom): build the default stack
-    and the explicit-off stack in one process, run the identical workload,
-    and require every counter, the exact simulated time, and the final
-    flash-state digest to match.  Pinned on both the serial seed shape
-    (channels=1, depth=1) and an NCQ shape (channels=2, depth=4).
-    """
-
-    _STACK = dict(
-        num_blocks=160,
-        pages_per_block=32,
-        page_size=4096,
-        journal_pages=64,
-        fs_cache_pages=256,
-        max_inodes=16,
-    )
-
-    def _capture(self, stack) -> dict:
-        return {
-            "flash_stats": stack.chip.stats.as_dict(),
-            "device_counters": stack.device.counters.as_dict(),
-            "elapsed_us": stack.clock.now_us,
-            "state_digest": state_digest(stack.chip),
-        }
-
-    def _run(self, mode: Mode, barrier_mode, channels: int, queue_depth: int) -> dict:
-        stack = build_stack(
-            StackConfig(
-                mode=mode,
-                barrier_mode=barrier_mode,
-                channels=channels,
-                queue_depth=queue_depth,
-                **self._STACK,
-            )
-        )
-        db = stack.open_database("test.db")
-        workload = SyntheticWorkload(db, rows=150)
-        workload.load()
-        workload.run(transactions=8, updates_per_txn=3)
-        return self._capture(stack)
-
-    @pytest.mark.parametrize("mode", (Mode.RBJ, Mode.XFTL))
-    @pytest.mark.parametrize("channels,queue_depth", ((1, 1), (2, 4)))
-    def test_off_is_bit_identical_to_default(self, mode, channels, queue_depth):
-        default = self._run(mode, None, channels, queue_depth)
-        for off in ("off", "drain", False):
-            assert self._run(mode, off, channels, queue_depth) == default, off
 
 
 # ------------------------------------------------------- barrier-on baseline
@@ -395,51 +422,26 @@ def _capture_barrier(stack) -> dict:
     return captured
 
 
-def _run_barrier_synthetic(mode: Mode, channels: int, queue_depth: int) -> dict:
-    stack = build_stack(
-        StackConfig(
-            mode=mode,
-            barrier_mode=True,
-            channels=channels,
-            queue_depth=queue_depth,
-            **_SQLITE_STACK,
-        )
-    )
-    db = stack.open_database("test.db")
-    workload = SyntheticWorkload(db, rows=400)
-    workload.load()
-    workload.run(transactions=15, updates_per_txn=5)
-    return _capture_barrier(stack)
-
-
-def _run_barrier_fio(mode: Mode, channels: int, queue_depth: int) -> dict:
-    stack = build_stack(
-        StackConfig(
-            mode=mode,
-            barrier_mode=True,
-            channels=channels,
-            queue_depth=queue_depth,
-            **_FIO_STACK,
-        )
-    )
-    fio = FioBenchmark(stack, file_pages=256, seed=7)
-    fio.run(runtime_s=3600.0, fsync_interval=5, threads=1, max_writes=400)
-    return _capture_barrier(stack)
-
-
+# The channel baseline's legs, on a barrier device, serial and NCQ.
 _BARRIER_LEGS = {
-    "synthetic.rbj": (_run_barrier_synthetic, Mode.RBJ),
-    "synthetic.wal": (_run_barrier_synthetic, Mode.WAL),
-    "synthetic.xftl": (_run_barrier_synthetic, Mode.XFTL),
-    "fio.fs_full": (_run_barrier_fio, Mode.FS_FULL),
+    "synthetic.rbj": (_run_synthetic, Mode.RBJ),
+    "synthetic.wal": (_run_synthetic, Mode.WAL),
+    "synthetic.xftl": (_run_synthetic, Mode.XFTL),
+    "fio.fs_full": (_run_fio, Mode.FS_FULL),
 }
-_BARRIER_SHAPES = {"serial": (1, 1), "ncq": (2, 4)}
+_BARRIER_SHAPES = {
+    "serial": dict(channels=1, queue_depth=1),
+    "ncq": dict(channels=2, queue_depth=4),
+}
 
-BARRIER_SCENARIOS = {
-    f"{leg}.{shape}": (run, mode, channels, queue_depth)
-    for leg, (run, mode) in _BARRIER_LEGS.items()
-    for shape, (channels, queue_depth) in _BARRIER_SHAPES.items()
-}
+
+def _run_barrier_scenario(name: str) -> dict:
+    leg, _, shape = name.rpartition(".")
+    run, mode = _BARRIER_LEGS[leg]
+    return run(mode, capture=_capture_barrier, barrier_mode=True, **_BARRIER_SHAPES[shape])
+
+
+BARRIER_SCENARIOS = [f"{leg}.{shape}" for leg in _BARRIER_LEGS for shape in _BARRIER_SHAPES]
 
 
 @pytest.mark.parametrize("name", sorted(BARRIER_SCENARIOS))
@@ -454,8 +456,7 @@ def test_barrier_stack_matches_recorded_baseline(name: str) -> None:
 
         PYTHONPATH=src:. python tests/test_barrier_stack.py --record
     """
-    run, mode, channels, queue_depth = BARRIER_SCENARIOS[name]
-    assert run(mode, channels, queue_depth) == json.loads(BASELINE_PATH.read_text())[name]
+    assert _run_barrier_scenario(name) == json.loads(BASELINE_PATH.read_text())[name]
 
 
 if __name__ == "__main__":
@@ -463,9 +464,6 @@ if __name__ == "__main__":
 
     if "--record" not in sys.argv:
         sys.exit("usage: PYTHONPATH=src:. python tests/test_barrier_stack.py --record")
-    recorded = {
-        name: run(mode, channels, queue_depth)
-        for name, (run, mode, channels, queue_depth) in BARRIER_SCENARIOS.items()
-    }
+    recorded = {name: _run_barrier_scenario(name) for name in BARRIER_SCENARIOS}
     BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} barrier baselines to {BASELINE_PATH}")

@@ -87,20 +87,22 @@ def _capture(stack) -> dict:
     }
 
 
-def _run_fio(mode: Mode) -> dict:
-    stack = build_stack(StackConfig(mode=Mode.coerce(mode), **_FIO_STACK))
+def _run_fio(mode: Mode, capture=_capture, **device_shape) -> dict:
+    """``device_shape`` / ``capture``: the barrier baseline
+    (``tests/test_barrier_stack.py``) runs the same legs on other devices."""
+    stack = build_stack(StackConfig(mode=Mode.coerce(mode), **_FIO_STACK, **device_shape))
     fio = FioBenchmark(stack, file_pages=256, seed=7)
     fio.run(runtime_s=3600.0, fsync_interval=5, threads=1, max_writes=400)
-    return _capture(stack)
+    return capture(stack)
 
 
-def _run_synthetic(mode: Mode) -> dict:
-    stack = build_stack(StackConfig(mode=Mode.coerce(mode), **_SQLITE_STACK))
+def _run_synthetic(mode: Mode, capture=_capture, **device_shape) -> dict:
+    stack = build_stack(StackConfig(mode=Mode.coerce(mode), **_SQLITE_STACK, **device_shape))
     db = stack.open_database("test.db")
     workload = SyntheticWorkload(db, rows=400)
     workload.load()
     workload.run(transactions=15, updates_per_txn=5)
-    return _capture(stack)
+    return capture(stack)
 
 
 SCENARIOS = {

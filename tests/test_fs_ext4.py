@@ -3,7 +3,13 @@
 import pytest
 
 from repro.device import StorageDevice
-from repro.errors import FileExistsFsError, FileNotFoundFsError, FsError, PowerFailure
+from repro.errors import (
+    FileExistsFsError,
+    FileNotFoundFsError,
+    FsError,
+    PowerFailure,
+    TransactionError,
+)
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
 from repro.ftl import FtlConfig, XFTL
@@ -144,9 +150,9 @@ class TestFsyncAccounting:
     def test_xftl_mode_uses_tagged_writes_and_commit(self):
         device, fs = make_fs(JournalMode.XFTL)
         handle = fs.create("a")
-        tid = fs.begin_tx()
-        handle.write_page(0, ("x",), txn=tid)
-        fs.fsync(handle, txn=tid)
+        txn = fs.txn_manager.begin()
+        handle.write_page(0, ("x",), txn=txn)
+        fs.fsync(handle, txn=txn)
         assert device.counters.tagged_writes > 0
         assert device.counters.commits == 1
         assert fs.stats.journal_page_writes == 0
@@ -164,50 +170,75 @@ class TestAbort:
     def test_abort_drops_cached_writes(self):
         _dev, fs = make_fs(JournalMode.XFTL)
         handle = fs.create("a")
-        tid0 = fs.begin_tx()
-        handle.write_page(0, ("committed",), txn=tid0)
-        fs.fsync(handle, txn=tid0)
-        tid = fs.begin_tx()
-        handle.write_page(0, ("doomed",), txn=tid)
-        fs.ioctl_abort(tid)
+        base = fs.txn_manager.begin()
+        handle.write_page(0, ("committed",), txn=base)
+        fs.fsync(handle, txn=base)
+        txn = fs.txn_manager.begin()
+        handle.write_page(0, ("doomed",), txn=txn)
+        fs.ioctl_abort(txn)
         assert handle.read_page(0) == ("committed",)
 
     def test_abort_rolls_back_stolen_writes(self):
         """Dirty pages evicted to the device pre-commit must roll back."""
         device, fs = make_fs(JournalMode.XFTL, cache_capacity=4)
         handle = fs.create("a")
-        tid0 = fs.begin_tx()
+        base = fs.txn_manager.begin()
         for index in range(10):
-            handle.write_page(index, ("base", index), txn=tid0)
-        fs.fsync(handle, txn=tid0)
-        tid = fs.begin_tx()
+            handle.write_page(index, ("base", index), txn=base)
+        fs.fsync(handle, txn=base)
+        txn = fs.txn_manager.begin()
         for index in range(10):  # overflows the 4-page cache: steals happen
-            handle.write_page(index, ("doomed", index), txn=tid)
+            handle.write_page(index, ("doomed", index), txn=txn)
         assert device.counters.tagged_writes > 10  # some stolen pre-commit
-        fs.ioctl_abort(tid)
+        fs.ioctl_abort(txn)
         for index in range(10):
             assert handle.read_page(index) == ("base", index)
 
     def test_transaction_reads_own_stolen_writes(self):
         _dev, fs = make_fs(JournalMode.XFTL, cache_capacity=4)
         handle = fs.create("a")
-        tid = fs.begin_tx()
+        txn = fs.txn_manager.begin()
         for index in range(10):
-            handle.write_page(index, ("mine", index), txn=tid)
-        assert handle.read_page_tx(0, tid) == ("mine", 0)
+            handle.write_page(index, ("mine", index), txn=txn)
+        assert handle.read_page_tx(0, txn) == ("mine", 0)
 
     def test_other_readers_see_committed_during_steal(self):
         _dev, fs = make_fs(JournalMode.XFTL, cache_capacity=4)
         handle = fs.create("a")
-        tid0 = fs.begin_tx()
+        base = fs.txn_manager.begin()
         for index in range(10):
-            handle.write_page(index, ("base", index), txn=tid0)
-        fs.fsync(handle, txn=tid0)
-        tid = fs.begin_tx()
+            handle.write_page(index, ("base", index), txn=base)
+        fs.fsync(handle, txn=base)
+        txn = fs.txn_manager.begin()
         for index in range(10):
-            handle.write_page(index, ("pending", index), txn=tid)
+            handle.write_page(index, ("pending", index), txn=txn)
         # Pages 0.. were stolen to the device; a plain read sees committed.
         assert handle.read_page(0) == ("base", 0)
+
+
+class TestRawTidRejected:
+    def test_raw_int_tid_raises_at_the_entry_point(self):
+        """A raw integer tid is a typed error at every ``txn=`` front door,
+        not an AttributeError somewhere below the page cache."""
+        _dev, fs = make_fs(JournalMode.XFTL)
+        handle = fs.create("a")
+        calls = [
+            lambda: handle.write_page(0, ("x",), txn=7),
+            lambda: handle.read_page(0, txn=7),
+            lambda: handle.read_page_tx(0, 7),
+            lambda: fs.fsync(handle, txn=7),
+            lambda: fs.fbarrier(handle, txn=7),
+            lambda: fs.fsync_group([handle], 7),
+            lambda: fs.stage_tx(handle, 7),
+            lambda: fs.commit_tx_group([7]),
+            lambda: fs.sync_metadata(txn=7),
+            lambda: fs.ioctl_abort(7),
+        ]
+        for call in calls:
+            with pytest.raises(TransactionError, match="raw integer tid"):
+                call()
+        assert fs.stats.fsync_calls == 0
+        assert fs.txn_manager.live_count == 0
 
 
 class TestGroupCommitStaging:
@@ -247,7 +278,7 @@ class TestGroupCommitStaging:
 
     def test_abort_after_stage_drops_staged_pages(self):
         fs, handle, txn = self._staged()
-        fs.ioctl_abort(txn.tid)
+        fs.ioctl_abort(txn)
         assert handle.read_page(0) == ("committed",)
 
 
@@ -256,10 +287,10 @@ class TestMountAndRecovery:
     def test_remount_preserves_synced_files(self, mode):
         device, fs = make_fs(mode)
         handle = fs.create("a")
-        tid = fs.begin_tx() if mode is JournalMode.XFTL else None
+        txn = fs.txn_manager.begin() if mode is JournalMode.XFTL else None
         for index in range(20):
-            handle.write_page(index, ("v", index), txn=tid)
-        fs.fsync(handle, txn=tid)
+            handle.write_page(index, ("v", index), txn=txn)
+        fs.fsync(handle, txn=txn)
         device.power_off()
         device.power_on()
         fs2 = Ext4.mount(device, mode, journal_pages=64)
@@ -315,9 +346,9 @@ class TestMountAndRecovery:
     def test_xftl_mode_crash_drops_uncommitted_metadata(self):
         device, fs = make_fs(JournalMode.XFTL)
         handle = fs.create("a")
-        tid = fs.begin_tx()
-        handle.write_page(0, ("v",), txn=tid)
-        fs.fsync(handle, txn=tid)
+        txn = fs.txn_manager.begin()
+        handle.write_page(0, ("v",), txn=txn)
+        fs.fsync(handle, txn=txn)
         fs.create("b")  # metadata dirty but never committed
         device.power_off()
         device.power_on()

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.device import StorageDevice
 from repro.errors import CorruptionError, FsError
+from repro.flash import FlashChip, FlashGeometry
 from repro.fs.journal import Jbd2Journal
+from repro.ftl import PageMappingFTL
 
 
 class FakeStore:
@@ -12,7 +15,6 @@ class FakeStore:
     def __init__(self):
         self.pages = {}
         self.home = {}
-        self.barriers = 0
         self.journal_writes = 0
         self.torn = set()
 
@@ -25,9 +27,6 @@ class FakeStore:
             raise CorruptionError(f"torn {lpn}")
         return self.pages.get(lpn)
 
-    def barrier(self):
-        self.barriers += 1
-
     def write_home(self, lpn, image):
         self.home[lpn] = image
 
@@ -39,7 +38,7 @@ def make_journal(store=None, region_pages=32):
         region_pages=region_pages,
         write_page=store.write_page,
         read_page=store.read_page,
-        barrier=store.barrier,
+        write_ordered=store.write_page,
         write_home=store.write_home,
     )
     return journal, store
@@ -54,9 +53,22 @@ class TestCommit:
         assert journal.transactions_committed == 1
 
     def test_commit_uses_two_barriers(self):
-        journal, store = make_journal()
-        journal.commit([(5, "a")])
-        assert store.barriers == 2
+        """§6.3.4 end to end: on a real drain device the ordered commit
+        page costs a flush on either side of it — two per journal commit."""
+        geometry = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=32)
+        device = StorageDevice(PageMappingFTL(FlashChip(geometry)))
+        journal = Jbd2Journal(
+            region_start=0,
+            region_pages=32,
+            write_page=device.write,
+            read_page=device.read,
+            write_ordered=device.write_barrier,
+            write_home=device.write,
+        )
+        journal.commit([(40, "a")])
+        assert device.counters.flushes == 2
+        assert device.counters.writes == 3  # descriptor, block image, commit page
+        assert device.counters.barrier_writes == 0
 
     def test_pending_image_visible_until_checkpoint(self):
         journal, store = make_journal()

@@ -126,3 +126,24 @@ class TestDeterminismAndCrossCheck:
         db.execute("UPDATE t SET v = 'rolled-back' WHERE id = 1")
         db.execute("ROLLBACK")
         assert stack.obs.verify_flash_stats() == []
+
+
+class TestSyncPrologue:
+    def test_every_sync_entry_point_is_counted_timed_and_spanned(self):
+        """RBJ journal create/delete are directory syncs (``sync_metadata``):
+        they count as fsyncs, so they are in the latency histogram and the
+        span tree too — count, histogram and spans must agree."""
+        stack = build_stack(
+            StackConfig(
+                mode=Mode.RBJ, num_blocks=128, pages_per_block=64, metrics=True, trace=True
+            )
+        )
+        _run_commit(stack)
+        registry = stack.obs.registry
+        fsyncs = registry.counters()["fs.fsync_calls"]
+        assert fsyncs == stack.fs.stats.fsync_calls > 0
+        assert registry.histograms()["fs.fsync.latency_us"].count == fsyncs
+        sync_names = {"fsync", "fbarrier", "fdatabarrier", "fsync_group", "stage_tx", "sync_metadata"}
+        spans = [s for s in stack.obs.tracer.spans if s.layer == "fs" and s.name in sync_names]
+        assert len(spans) == fsyncs
+        assert {"fbarrier", "sync_metadata"} <= {s.name for s in spans}

@@ -182,7 +182,6 @@ class TestConcurrentSessions:
         a_x.execute("UPDATE t SET v = 'doomed' WHERE id = 1")
         txn.rollback()
         assert txn.txn is None
-        assert txn.tid is None  # legacy accessor mirrors the context
         assert stack.fs.txn_manager.live_count == live0
         # Both connections are reusable after the coordinator abort.
         txn2 = MultiFileTransaction(a_x, a_y)

@@ -40,14 +40,6 @@ class TestTransactionContext:
         assert stack.fs.txn_manager.get(txn.tid) is txn
         assert stack.fs.txn_manager.live_count == 1
 
-    def test_adopt_is_identity_stable(self):
-        stack = _xftl_stack()
-        manager = stack.fs.txn_manager
-        a = manager.adopt(12345)
-        b = manager.adopt(12345)
-        assert a is b
-        assert a.tid == 12345
-
     def test_commit_transitions(self):
         stack = _xftl_stack()
         txn = stack.fs.txn_manager.begin()
@@ -81,13 +73,15 @@ class TestTransactionContext:
         assert manager.live_count == 0
         assert manager.get(txn.tid) is None
 
-    def test_minting_uses_the_legacy_tid_counter(self):
-        # Context ids and raw begin_tx() ids come from one sequence, so
-        # mixing old and new callers can never collide.
+    def test_minting_uses_the_fs_tid_sequence(self):
+        # Contexts draw from the file system's persistent tid sequence (the
+        # one the superblock records and a remount resumes past).
         stack = _xftl_stack()
-        raw = stack.fs.begin_tx()
-        ctx = stack.fs.txn_manager.begin()
-        assert ctx.tid == raw + 1
+        manager = stack.fs.txn_manager
+        first = manager.begin()
+        second = manager.begin()
+        assert second.tid == first.tid + 1
+        assert stack.fs._next_tid == second.tid + 1
 
 
 # ------------------------------------------------------- pager error paths
