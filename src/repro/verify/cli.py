@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-points",
         action="store_true",
-        help="print the registered crash-point surface and exit",
+        help="print each layer's description and crash-point surface, then exit",
     )
     parser.add_argument(
         "--metrics",
@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_points(layers: list[str]) -> None:
     for layer in layers:
         print(f"{layer}:")
+        print(f"    {LAYERS[layer].doc}")
         for spec in applicable_points(layer):
             tear = " [tearable]" if spec.tearable else ""
             print(f"  {spec.name}{tear} — {spec.doc}")

@@ -1,64 +1,33 @@
-"""Stack drivers: one crash-verification harness per stack layer.
+"""Crash scenarios: one frame, and a table of the layers it runs on.
 
-Each driver builds a fresh machine, runs a deterministic seeded setup
-phase, arms the requested crash point, then replays a deterministic
-workload while recording every acknowledged operation in an oracle.  If
-the armed point fires, the machine powers itself down (the crash plan
-notifies every layer); the driver then remounts and diffs what recovery
-exposes against the oracle.  If the point never fires the scenario is
-reported ``fired=False`` so the enumerator stops growing the occurrence
-count for that point.
+Every layer of the stack promises the same thing — after power loss a
+transaction's page set is there entirely or not at all, and whatever was
+acknowledged durable stays — so every layer is verified by the same
+experiment, written once in :func:`run_scenario`:
 
-Layers (bottom to top):
+    build machine → seed a durable baseline and the oracle → arm the crash
+    point → drive the workload → (power fails, or the run completes and
+    power is cut anyway) → power on / remount → the FTL's invariant check →
+    ``oracle.check(read)`` plus the row's extra checks
 
-- ``ftl.pagemap``  — plain writes + barriers on the stock FTL;
-- ``ftl.xftl``     — write_tx/commit/abort transactions on X-FTL;
-- ``ftl.xftl.group`` — commit_group batches on X-FTL: crashes during the
-  group's single X-L2P flush and publish step;
-- ``ftl.gc``      — transactions (plain, grouped, aborted) on X-FTL with
-  background garbage collection: crashes at every ``gc.*`` preemption
-  point of the paced copyback/wear-leveling jobs;
-- ``ftl.gc.inline`` — the same driver under the inline FIFO schedule (the
-  paper tables' collector): crashes after victim selection, between the
-  copybacks and before the erase of a run-to-completion collection;
-- ``ftl.cmt``     — transactions on X-FTL with a demand-paged mapping
-  whose cache is far smaller than the map: crashes during CMT evictions,
-  dirty writebacks, and the commit-time translation-page pinning;
-- ``device.queue`` — plain writes through a queued (NCQ) device over a
-  two-channel flash array: crashes land with commands in flight;
-- ``device.queue.xftl`` — the transactional command set through the same
-  queued device, exercising commit barriers against a non-empty queue;
-- ``dev.queue.epoch`` — the same queued device in **barrier mode**:
-  ordering points are order-only epoch closes (no drain), barrier writes
-  interleave with plain ones, and crashes land on ``dev.queue.epoch``
-  with commands in flight; the driver additionally samples the per-epoch
-  completion envelopes for the no-reorder-across-epochs invariant;
-- ``fs.barrier`` — ordered-journal ext4 driven by ``fbarrier`` over a
-  queued barrier-mode device (journal commit pages ride BARRIER_WRITE):
-  only explicit flushes raise the durable floor, everything else is
-  order-only, and recovery must still expose floor-or-later values;
-- ``fs.ext4``      — file page writes + fsync on ordered-journal ext4
-  over the stock FTL;
-- ``sqlite.xftl``  — SQL transactions on the full paper stack (SQLite
-  OFF mode on ext4-XFTL on X-FTL);
-- ``sqlite.rbj``   — the same SQL workload on the unmodified stack
-  (rollback journal on ordered ext4 on the stock FTL), which is the
-  only layer where ``sqlite.commit.mid`` is reachable;
-- ``sqlite.concurrent`` — two sessions, each with its own OFF-mode
-  database, interleaved through the SessionScheduler with deferred
-  commits coalescing into group commits on one X-FTL device;
-- ``ftl.mvcc``    — multi-version X-L2P retention: four writer lanes
-  group-committing over background GC while a pinned AS-OF reader holds
-  its snapshot; crashes land between version publish and release, which
-  must never orphan or double-free a retained version page.
+A :class:`Layer` row of :data:`LAYERS` names the pieces: a machine builder,
+a seeding step, one of three workload bodies (plain writes with durability
+points, transactions on a block target, SQL transactions) and the read-back
+the oracle judges.  Runs are deterministic in ``(seed, ops_limit)``; a run
+in which the armed point never fires is reported ``fired=False`` so the
+enumerator stops growing that point's occurrence count.
+``python -m repro.verify --list-points`` prints each row's description and
+the crash points it reaches.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import partial
+from typing import Any, Callable, Hashable, NamedTuple
 
-from repro.stack import Mode, StackConfig, build_stack
+from repro.stack import Mode, SessionScheduler, StackConfig, TenantScheduler, build_stack
 from repro.device.ssd import StorageDevice
 from repro.errors import PowerFailure, ReproError
 from repro.flash.array import FlashArray
@@ -89,242 +58,28 @@ class ScenarioResult:
         return not self.violations
 
 
-# --------------------------------------------------------------------- ftl
+# ---------------------------------------------------------------- geometries
 
 _FTL_GEOMETRY = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24)
+# Two channels so queued commands and GC jobs genuinely overlap; small enough
+# that GC and the queue crash points interleave within the ops budget.
+_ARRAY_GEOMETRY = replace(_FTL_GEOMETRY, channels=2)
+_QUEUE_DEPTH = 4
+
 _FTL_CONFIG = FtlConfig(
     overprovision=0.25, map_entries_per_page=32, barrier_meta_pages=1, xl2p_capacity=64
 )
-
-
-def _run_pagemap(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    plan = CrashPlan()
-    ftl = PageMappingFTL(FlashChip(_FTL_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    rng = make_rng(seed, "verify.pagemap")
-    oracle = PlainWriteOracle()
-    hot = min(ftl.exported_pages, 24)
-
-    # Deterministic setup: a committed baseline, before the point is armed.
-    for lpn in range(hot):
-        ftl.write(lpn, ("base", lpn))
-        oracle.note_write(lpn, ("base", lpn))
-    ftl.barrier()
-    oracle.note_durable()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    try:
-        for op in range(1, ops_limit + 1):
-            lpn = rng.randrange(hot)
-            value = ("v", op)
-            oracle.note_write(lpn, value)  # attempted: may survive the crash
-            ftl.write(lpn, value)
-            if op % 7 == 0:
-                ftl.barrier()
-                oracle.note_durable()
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        ftl.power_fail()  # crash-free control run: power-cycle anyway
-
-    ftl.remount()
-    ftl.check_invariants()
-    violations = oracle.check(ftl.read)
-    # Never-written pages must still read as unwritten.
-    for lpn in range(hot, min(hot + 4, ftl.exported_pages)):
-        if ftl.read(lpn) is not None:
-            violations.append(f"lpn {lpn}: never written but reads {ftl.read(lpn)!r}")
-    return fired, op, violations
-
-
-def _run_xftl(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    plan = CrashPlan()
-    ftl = XFTL(FlashChip(_FTL_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    rng = make_rng(seed, "verify.xftl")
-    hot = min(ftl.exported_pages, 24)
-
-    oracle = TransactionOracle()
-    for lpn in range(hot):
-        ftl.write(lpn, ("base", lpn))
-        oracle.note_baseline(lpn, ("base", lpn))
-    ftl.barrier()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    tid = 0
-    try:
-        while op < ops_limit:
-            tid += 1
-            n_writes = rng.randrange(1, 4)
-            for _ in range(n_writes):
-                op += 1
-                lpn = rng.randrange(hot)
-                value = ("t", tid, op)
-                oracle.note_tx_write(tid, lpn, value)
-                ftl.write_tx(tid, lpn, value)
-            if rng.random() < 0.2:
-                ftl.abort(tid)
-                oracle.note_aborted(tid)
-            else:
-                oracle.note_commit_started(tid)
-                ftl.commit(tid)
-                oracle.note_committed(tid)
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        ftl.power_fail()
-
-    ftl.remount()
-    ftl.check_invariants()
-    return fired, op, oracle.check(ftl.read)
-
-
-def _run_xftl_group(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """Group commit on X-FTL: batches of transactions, one commit sweep.
-
-    Reaches the ``xftl.group.flush`` / ``xftl.group.publish`` points that
-    single-transaction commits never hit, and checks the all-or-nothing
-    contract *per batch*: a crash during the group flush must leave every
-    member undone; after the publish, every member durable.
-    """
-    plan = CrashPlan()
-    ftl = XFTL(FlashChip(_FTL_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    rng = make_rng(seed, "verify.xftl.group")
-    hot = min(ftl.exported_pages, 24)
-
-    oracle = TransactionOracle()
-    for lpn in range(hot):
-        ftl.write(lpn, ("base", lpn))
-        oracle.note_baseline(lpn, ("base", lpn))
-    ftl.barrier()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    tid = 0
-    try:
-        while op < ops_limit:
-            group: list[int] = []
-            for _ in range(rng.randrange(2, 4)):  # 2-3 transactions per batch
-                tid += 1
-                for _ in range(rng.randrange(1, 4)):
-                    op += 1
-                    lpn = rng.randrange(hot)
-                    value = ("t", tid, op)
-                    oracle.note_tx_write(tid, lpn, value)
-                    ftl.write_tx(tid, lpn, value)
-                if rng.random() < 0.2:
-                    ftl.abort(tid)
-                    oracle.note_aborted(tid)
-                else:
-                    group.append(tid)
-            for member in group:
-                oracle.note_commit_started(member)
-            ftl.commit_group(group)
-            for member in group:
-                oracle.note_committed(member)
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        ftl.power_fail()
-
-    ftl.remount()
-    ftl.check_invariants()
-    return fired, op, oracle.check(ftl.read)
-
-
-# --------------------------------------------------------------- cmt
-
-# Same tiny device as the plain FTL layers, but with a demand-paged map:
-# 16 entries per translation page gives several times more segments than
-# the two cache slots, so every phase of the workload evicts and fetches.
-_CMT_CONFIG = FtlConfig(
-    overprovision=0.25,
-    map_entries_per_page=16,
-    barrier_meta_pages=1,
-    xl2p_capacity=64,
-    cmt_pages=2,
-    cmt_dirty_batch=1,
+# A demand-paged map on the same tiny device: 16 entries per translation page
+# gives several times more segments than the two cache slots, so every phase
+# of the workload evicts and fetches.
+_CMT_CONFIG = replace(
+    _FTL_CONFIG, map_entries_per_page=16, cmt_pages=2, cmt_dirty_batch=1
 )
-
-
-def _run_cmt(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """Transactions on X-FTL with a demand-paged mapping (small CMT).
-
-    The working set spans six translation segments against two cache
-    slots, so misses fetch translation pages from flash, evictions write
-    dirty ones back, and each commit pins the transaction's translation
-    pages inside the publish drain — the ``ftl.cmt.*`` points land
-    crashes in every one of those windows, and recovery must still hold
-    the all-or-nothing contract (data and translation pages publish
-    atomically per commit).
-    """
-    plan = CrashPlan()
-    ftl = XFTL(FlashChip(_FTL_GEOMETRY, crash_plan=plan), _CMT_CONFIG)
-    rng = make_rng(seed, "verify.ftl.cmt")
-    hot = min(ftl.exported_pages, 96)
-
-    oracle = TransactionOracle()
-    for lpn in range(hot):
-        ftl.write(lpn, ("base", lpn))
-        oracle.note_baseline(lpn, ("base", lpn))
-    ftl.barrier()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    tid = 0
-    try:
-        while op < ops_limit:
-            tid += 1
-            for _ in range(rng.randrange(1, 4)):
-                op += 1
-                lpn = rng.randrange(hot)
-                value = ("t", tid, op)
-                oracle.note_tx_write(tid, lpn, value)
-                ftl.write_tx(tid, lpn, value)
-            if rng.random() < 0.2:
-                ftl.abort(tid)
-                oracle.note_aborted(tid)
-            else:
-                oracle.note_commit_started(tid)
-                ftl.commit(tid)
-                oracle.note_committed(tid)
-            # Reads churn the cache between transactions, so dirty
-            # writebacks also happen outside any commit window; the
-            # occasional barrier then runs the flush against a cold cache.
-            for _ in range(rng.randrange(0, 3)):
-                ftl.read(rng.randrange(hot))
-            if rng.random() < 0.15:
-                ftl.barrier()
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        ftl.power_fail()
-
-    ftl.remount()
-    ftl.check_invariants()
-    return fired, op, oracle.check(ftl.read)
-
-
-# -------------------------------------------------------------- background gc
-
-# Two channels, tight space, aggressive GC knobs: the setup churn parks the
-# free pools at the background watermark so paced copyback jobs, urgent
-# floor collections and wear migrations all interleave with the armed
-# workload inside the ops budget.
-_GC_GEOMETRY = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24, channels=2)
-_GC_CONFIG = FtlConfig(
-    overprovision=0.25,
-    map_entries_per_page=32,
-    barrier_meta_pages=1,
-    xl2p_capacity=64,
+# Tight space, aggressive GC knobs: the seeding churn parks the free pools at
+# the background watermark so paced copyback jobs, urgent floor collections
+# and wear migrations all interleave with the armed workload.
+_GC_CONFIG = replace(
+    _FTL_CONFIG,
     gc_mode="background",
     gc_policy="cost-benefit",
     gc_background_watermark=3,
@@ -340,390 +95,9 @@ _GC_CONFIG = FtlConfig(
 _GC_INLINE_CONFIG = replace(
     _GC_CONFIG, gc_mode="inline", gc_policy="fifo", gc_free_block_threshold=5
 )
-
-
-def _run_gc(
-    config: FtlConfig, point, after, tear, seed, ops_limit
-) -> tuple[bool, int, list[str]]:
-    """Transactions (plain, grouped, aborted) against live garbage collection.
-
-    Every ``gc.*`` crash point sits inside a copyback or wear-leveling job
-    (a preemption point under the background schedule, mid-collection under
-    the inline one); the oracle holds recovery to the same all-or-nothing
-    contract as the plain X-FTL layer, which is exactly the X-L2P
-    live-union invariant: a crash mid-job must never surface an uncommitted
-    write or lose a committed one, no matter how many pages the job had
-    already relocated.
-    """
-    plan = CrashPlan()
-    ftl = XFTL(FlashArray(_GC_GEOMETRY, crash_plan=plan), config)
-    rng = make_rng(seed, "verify.ftl.gc")
-    # Hot lpns are overwritten by the armed workload; the static tail is
-    # written once and then only ever moved by GC copybacks and wear
-    # migrations — the pages whose survival the gc.* points endanger.
-    hot = min(ftl.exported_pages // 2, 24)
-    static = min(ftl.exported_pages, 2 * hot)
-
-    oracle = TransactionOracle()
-    committed = {}
-    for lpn in range(static):
-        value = ("base", lpn)
-        ftl.write(lpn, value)
-        committed[lpn] = value
-    ftl.barrier()
-    # Churn the space down to the GC watermarks before arming: repeated
-    # overwrites drain the free pools and age the erase counts, so the
-    # armed window runs against a collector that is actually working —
-    # on victims that interleave churned (invalid) and static (valid)
-    # pages.
-    for round_ in range(6):
-        for lpn in range(hot):
-            value = ("churn", round_, lpn)
-            ftl.write(lpn, value)
-            committed[lpn] = value
-    ftl.barrier()
-    for lpn, value in committed.items():
-        oracle.note_baseline(lpn, value)
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    tid = 0
-    try:
-        while op < ops_limit:
-            if rng.random() < 0.5:
-                # A batch committed as a group: gc.* points firing inside a
-                # member's writes land mid-copyback with the rest of the
-                # group still pending.
-                group: list[int] = []
-                for _ in range(rng.randrange(2, 4)):
-                    tid += 1
-                    for _ in range(rng.randrange(1, 3)):
-                        op += 1
-                        lpn = rng.randrange(hot)
-                        value = ("t", tid, op)
-                        oracle.note_tx_write(tid, lpn, value)
-                        ftl.write_tx(tid, lpn, value)
-                    if rng.random() < 0.2:
-                        ftl.abort(tid)
-                        oracle.note_aborted(tid)
-                    else:
-                        group.append(tid)
-                for member in group:
-                    oracle.note_commit_started(member)
-                ftl.commit_group(group)
-                for member in group:
-                    oracle.note_committed(member)
-            else:
-                tid += 1
-                for _ in range(rng.randrange(1, 4)):
-                    op += 1
-                    lpn = rng.randrange(hot)
-                    value = ("t", tid, op)
-                    oracle.note_tx_write(tid, lpn, value)
-                    ftl.write_tx(tid, lpn, value)
-                if rng.random() < 0.25:
-                    ftl.abort(tid)
-                    oracle.note_aborted(tid)
-                else:
-                    oracle.note_commit_started(tid)
-                    ftl.commit(tid)
-                    oracle.note_committed(tid)
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        ftl.power_fail()
-
-    ftl.remount()
-    ftl.check_invariants()
-    return fired, op, oracle.check(ftl.read)
-
-
-# ----------------------------------------------------------------- mvcc
-
-# Background GC over the same tight two-channel device, plus multi-version
-# retention: superseded committed copies stay live under version chains, a
-# pinned snapshot holds its floor across the armed window, and the
-# ``ftl.mvcc`` points land power loss between a version's publish (chain
-# push pending) and its release (deferred invalidation pending).
-_MVCC_CONFIG = FtlConfig(
-    overprovision=0.25,
-    map_entries_per_page=32,
-    barrier_meta_pages=1,
-    xl2p_capacity=64,
-    gc_mode="background",
-    gc_policy="cost-benefit",
-    gc_background_watermark=3,
-    gc_copyback_pages_per_step=2,
-    gc_hot_write_threshold=2,
-    gc_wear_spread_threshold=2,
-    gc_wear_check_interval=4,
-    retain_versions=3,
-)
-
-
-def _run_mvcc(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """A pinned AS-OF reader against grouped writers and background GC.
-
-    Four writer lanes group-commit per round while a snapshot pinned
-    before the armed window keeps reading its frozen view — which must
-    not move no matter how many commits land on top of it or how far GC
-    relocates its retained version pages.  Crashes at the ``ftl.mvcc``
-    points (and every lower layer's) must never orphan a version page
-    (owned but absent from every chain) or double-free one (released yet
-    still chained): ``check_invariants`` cross-checks owner records
-    against chain membership one-for-one after remount, and the
-    transaction oracle holds the current state to the usual
-    all-or-nothing contract.  A crash may shrink retention depth (the
-    floor is host DRAM state), but never snapshot integrity.
-    """
-    plan = CrashPlan()
-    ftl = XFTL(FlashArray(_GC_GEOMETRY, crash_plan=plan), _MVCC_CONFIG)
-    rng = make_rng(seed, "verify.ftl.mvcc")
-    hot = min(ftl.exported_pages // 2, 24)
-
-    oracle = TransactionOracle()
-    committed: dict = {}
-    tid = 0
-    for lpn in range(hot):
-        value = ("base", lpn)
-        ftl.write(lpn, value)
-        committed[lpn] = value
-    ftl.barrier()
-    # Warm-up group commits grow version chains before the point arms, so
-    # GC already has retained versions to relocate in the armed window.
-    for round_ in range(2):
-        group: list[int] = []
-        for _ in range(4):
-            tid += 1
-            lpn = rng.randrange(hot)
-            value = ("warm", round_, tid)
-            ftl.write_tx(tid, lpn, value)
-            committed[lpn] = value
-            group.append(tid)
-        ftl.commit_group(group)
-    ftl.barrier()
-    for lpn, value in committed.items():
-        oracle.note_baseline(lpn, value)
-
-    # The AS-OF reader: pin the pre-window epoch and freeze its view.
-    snap = ftl.snapshot_seq()
-    frozen = dict(committed)
-    ftl.set_snapshot_floor(snap)
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    stale: list[str] = []
-    try:
-        while op < ops_limit:
-            group = []
-            for _ in range(4):  # >= 4 concurrent writer lanes per group
-                tid += 1
-                for _ in range(rng.randrange(1, 3)):
-                    op += 1
-                    lpn = rng.randrange(hot)
-                    value = ("t", tid, op)
-                    oracle.note_tx_write(tid, lpn, value)
-                    ftl.write_tx(tid, lpn, value)
-                if rng.random() < 0.15:
-                    ftl.abort(tid)
-                    oracle.note_aborted(tid)
-                else:
-                    group.append(tid)
-            for member in group:
-                oracle.note_commit_started(member)
-            ftl.commit_group(group)
-            for member in group:
-                oracle.note_committed(member)
-            for _ in range(2):
-                lpn = rng.randrange(hot)
-                seen = ftl.read_as_of(lpn, snap)
-                if seen != frozen.get(lpn):
-                    stale.append(
-                        f"snapshot {snap} moved: lpn {lpn} read {seen!r}, "
-                        f"pinned {frozen.get(lpn)!r}"
-                    )
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        ftl.power_fail()
-
-    ftl.remount()
-    ftl.check_invariants()
-    return fired, op, stale + oracle.check(ftl.read)
-
-
-# ------------------------------------------------------------ device queue
-
-# Two channels so queued commands genuinely overlap; small enough that GC
-# and the queue crash points interleave within the ops budget.
-_QUEUE_GEOMETRY = FlashGeometry(
-    page_size=512, pages_per_block=8, num_blocks=24, channels=2
-)
-_QUEUE_DEPTH = 4
-
-
-def _run_device_queue(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """Plain writes through an NCQ device: crash with commands in flight."""
-    plan = CrashPlan()
-    ftl = PageMappingFTL(FlashArray(_QUEUE_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    device = StorageDevice(ftl, queue_depth=_QUEUE_DEPTH)
-    rng = make_rng(seed, "verify.device.queue")
-    oracle = PlainWriteOracle()
-    hot = min(ftl.exported_pages, 24)
-
-    for lpn in range(hot):
-        device.write(lpn, ("base", lpn))
-        oracle.note_write(lpn, ("base", lpn))
-    device.flush()
-    oracle.note_durable()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    try:
-        for op in range(1, ops_limit + 1):
-            lpn = rng.randrange(hot)
-            value = ("v", op)
-            oracle.note_write(lpn, value)  # attempted: may survive the crash
-            device.write(lpn, value)
-            if op % 7 == 0:
-                device.flush()
-                oracle.note_durable()
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        device.power_off()
-
-    device.power_on()
-    ftl.check_invariants()
-    violations = oracle.check(ftl.read)
-    for lpn in range(hot, min(hot + 4, ftl.exported_pages)):
-        if ftl.read(lpn) is not None:
-            violations.append(f"lpn {lpn}: never written but reads {ftl.read(lpn)!r}")
-    return fired, op, violations
-
-
-def _run_device_queue_epoch(
-    point, after, tear, seed, ops_limit
-) -> tuple[bool, int, list[str]]:
-    """Barrier-enabled NCQ device: order-only barriers with commands in flight.
-
-    Plain writes, barrier writes and order-only barriers interleave so the
-    ``dev.queue.epoch`` point fires against a live queue; only the explicit
-    flushes raise the oracle's durable floor (everything in between is
-    acknowledged-but-unflushed, exactly like the drain-mode contract).  The
-    per-epoch completion envelopes are sampled along the way: a command of
-    epoch N completing before the end of epoch N-1 would be the reordering
-    the dispatch floor exists to prevent.
-    """
-    plan = CrashPlan()
-    ftl = PageMappingFTL(FlashArray(_QUEUE_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    device = StorageDevice(ftl, queue_depth=_QUEUE_DEPTH, barrier_mode=True)
-    rng = make_rng(seed, "verify.device.queue.epoch")
-    oracle = PlainWriteOracle()
-    hot = min(ftl.exported_pages, 24)
-    violations: list[str] = []
-
-    def check_epoch_order() -> None:
-        bounds = device.queue.epoch_bounds()
-        for (e1, _lo1, hi1), (e2, lo2, _hi2) in zip(bounds, bounds[1:]):
-            if lo2 < hi1:
-                violations.append(
-                    f"epoch order violated: epoch {e2} completes at {lo2} "
-                    f"before epoch {e1} ends at {hi1}"
-                )
-
-    for lpn in range(hot):
-        device.write(lpn, ("base", lpn))
-        oracle.note_write(lpn, ("base", lpn))
-    device.flush()
-    oracle.note_durable()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    try:
-        for op in range(1, ops_limit + 1):
-            lpn = rng.randrange(hot)
-            value = ("v", op)
-            oracle.note_write(lpn, value)  # attempted: may survive the crash
-            if op % 5 == 0:
-                device.write_barrier(lpn, value)  # ordered, no drain
-            else:
-                device.write(lpn, value)
-            if op % 3 == 0:
-                device.barrier()  # order-only: the floor does NOT move
-            if op % 11 == 0:
-                check_epoch_order()
-                device.flush()  # the layer's only real durability points
-                oracle.note_durable()
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        check_epoch_order()
-        device.power_off()
-
-    device.power_on()
-    ftl.check_invariants()
-    violations.extend(oracle.check(ftl.read))
-    for lpn in range(hot, min(hot + 4, ftl.exported_pages)):
-        if ftl.read(lpn) is not None:
-            violations.append(f"lpn {lpn}: never written but reads {ftl.read(lpn)!r}")
-    return fired, op, violations
-
-
-def _run_xftl_queue(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """Transactions through an NCQ device: commit barriers vs. a live queue."""
-    plan = CrashPlan()
-    ftl = XFTL(FlashArray(_QUEUE_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    device = StorageDevice(ftl, queue_depth=_QUEUE_DEPTH)
-    rng = make_rng(seed, "verify.device.queue.xftl")
-    hot = min(ftl.exported_pages, 24)
-
-    oracle = TransactionOracle()
-    for lpn in range(hot):
-        device.write(lpn, ("base", lpn))
-        oracle.note_baseline(lpn, ("base", lpn))
-    device.flush()
-
-    plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    tid = 0
-    try:
-        while op < ops_limit:
-            tid += 1
-            for _ in range(rng.randrange(1, 4)):
-                op += 1
-                lpn = rng.randrange(hot)
-                value = ("t", tid, op)
-                oracle.note_tx_write(tid, lpn, value)
-                device.write_tx(tid, lpn, value)
-            if rng.random() < 0.2:
-                device.abort(tid)
-                oracle.note_aborted(tid)
-            else:
-                oracle.note_commit_started(tid)
-                device.commit(tid)
-                oracle.note_committed(tid)
-    except PowerFailure:
-        fired = True
-    else:
-        plan.disarm_all()
-        device.power_off()
-
-    device.power_on()
-    ftl.check_invariants()
-    return fired, op, oracle.check(ftl.read)
-
-
-# ---------------------------------------------------------------------- fs
+# Background GC plus multi-version retention: superseded committed copies
+# stay live under version chains for GC to relocate.
+_MVCC_CONFIG = replace(_GC_CONFIG, retain_versions=3)
 
 _FS_STACK = dict(
     num_blocks=96,
@@ -734,124 +108,11 @@ _FS_STACK = dict(
     max_inodes=8,
     ftl=FtlConfig(overprovision=0.2, map_entries_per_page=64, barrier_meta_pages=1),
 )
-
-
-def _run_ext4(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    stack = build_stack(StackConfig(mode=Mode.FS_ORDERED, **_FS_STACK))
-    rng = make_rng(seed, "verify.ext4")
-    oracle = PlainWriteOracle()
-    n_pages = 12
-
-    handle = stack.fs.create("data.bin")
-    for index in range(n_pages):
-        handle.write_page(index, ("base", index))
-        oracle.note_write(index, ("base", index))
-    stack.fs.fsync(handle)
-    oracle.note_durable()
-
-    stack.crash_plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    try:
-        for op in range(1, ops_limit + 1):
-            index = rng.randrange(n_pages)
-            value = ("v", op)
-            oracle.note_write(index, value)  # attempted: may survive the crash
-            handle.write_page(index, value)
-            if op % 5 == 0:
-                stack.fs.fsync(handle)
-                oracle.note_durable()
-    except PowerFailure:
-        fired = True
-    else:
-        stack.crash_plan.disarm_all()
-        stack.device.power_off()
-
-    stack.remount_after_crash()
-    stack.ftl.check_invariants()
-    violations: list[str] = []
-    if not stack.fs.exists("data.bin"):
-        violations.append("data.bin vanished: fsynced file lost by recovery")
-        return fired, op, violations
-    recovered = stack.fs.open("data.bin")
-
-    def read(index):
-        page = recovered.read_page(index)
-        # Strip the baseline/overwrite payload as written.
-        return page
-
-    violations.extend(oracle.check(read))
-    return fired, op, violations
-
-
-# Same file-system stack, but barrier-enabled over a queued two-channel
-# device: ordering points become order-only epoch closes and the journal's
-# commit pages ride BARRIER_WRITE.
+# Barrier-enabled over a queued two-channel device: ordering points become
+# order-only epoch closes and the journal's commit pages ride BARRIER_WRITE.
 _FS_BARRIER_STACK = dict(
-    _FS_STACK,
-    channels=2,
-    queue_depth=_QUEUE_DEPTH,
-    barrier_mode=True,
+    _FS_STACK, channels=2, queue_depth=_QUEUE_DEPTH, barrier_mode=True
 )
-
-
-def _run_ext4_barrier(point, after, tear, seed, ops_limit) -> tuple[bool, int, list[str]]:
-    """fbarrier-driven ext4 on a barrier-mode device: order-only fsyncs.
-
-    Data and journal frames are only *ordered* (epoch closes, barrier
-    writes) — nothing waits — so the durable floor moves only at the
-    explicit device flushes.  A crash anywhere (``dev.queue.epoch``,
-    ``fs.fsync.mid``, every flash point) must remount to floor-or-later
-    values: the commit page being order-guaranteed after its frame body is
-    exactly what keeps the journal replayable without the two drains.
-    """
-    stack = build_stack(StackConfig(mode=Mode.FS_ORDERED, **_FS_BARRIER_STACK))
-    rng = make_rng(seed, "verify.ext4.barrier")
-    oracle = PlainWriteOracle()
-    n_pages = 12
-
-    handle = stack.fs.create("data.bin")
-    for index in range(n_pages):
-        handle.write_page(index, ("base", index))
-        oracle.note_write(index, ("base", index))
-    stack.fs.fsync(handle)
-    stack.device.flush()  # the fsync above is order-only; force a floor
-    oracle.note_durable()
-
-    stack.crash_plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    try:
-        for op in range(1, ops_limit + 1):
-            index = rng.randrange(n_pages)
-            value = ("v", op)
-            oracle.note_write(index, value)  # attempted: may survive the crash
-            handle.write_page(index, value)
-            if op % 4 == 0:
-                stack.fs.fbarrier(handle)  # order-only: floor unchanged
-            if op % 9 == 0:
-                stack.fs.fsync(handle)
-                stack.device.flush()
-                oracle.note_durable()
-    except PowerFailure:
-        fired = True
-    else:
-        stack.crash_plan.disarm_all()
-        stack.device.power_off()
-
-    stack.remount_after_crash()
-    stack.ftl.check_invariants()
-    violations: list[str] = []
-    if not stack.fs.exists("data.bin"):
-        violations.append("data.bin vanished: flushed file lost by recovery")
-        return fired, op, violations
-    recovered = stack.fs.open("data.bin")
-    violations.extend(oracle.check(recovered.read_page))
-    return fired, op, violations
-
-
-# ------------------------------------------------------------------ sqlite
-
 _SQLITE_STACK = dict(
     num_blocks=160,
     pages_per_block=32,
@@ -864,312 +125,664 @@ _SQLITE_STACK = dict(
 _N_ROWS = 10
 
 
-def _run_sqlite(mode: Mode, point, after, tear, seed, ops_limit):
-    stack = build_stack(StackConfig(mode=mode, **_SQLITE_STACK))
-    rng = make_rng(seed, f"verify.sqlite.{mode.value}")
+# ------------------------------------------------------------------ machines
 
-    db = stack.open_database("verify.db")
+
+@dataclass
+class Machine:
+    """A built stack, as far as the frame and the workload bodies know it.
+
+    The rows differ in which object receives the calls and in a handful of
+    plain callables; those are bound here once, by the builders below.
+    """
+
+    plan: CrashPlan
+    ftl: PageMappingFTL  # invariants are checked (and block rows read back) here
+    target: Any  # what transactions drive: an FTL, a StorageDevice or a stack
+    write: Callable[[Hashable, Any], None]  # one plain write
+    sync: Callable[[], None]  # durability point: raises the oracle's floor
+    power_off: Callable[[], None]
+    power_on: Callable[[], None]
+    order: Callable[[], None] | None = None  # order-only point: floor unchanged
+    write_ordered: Callable[[Hashable, Any], None] | None = None
+    probe: Callable[[], list[str]] | None = None  # extra check while running
+
+
+def _bare(
+    ftl_cls, chip_cls=FlashChip, geometry=_FTL_GEOMETRY, config=_FTL_CONFIG
+) -> Machine:
+    """An FTL driven directly: ``barrier`` is the durability point."""
+    plan = CrashPlan()
+    ftl = ftl_cls(chip_cls(geometry, crash_plan=plan), config)
+    return Machine(plan, ftl, ftl, ftl.write, ftl.barrier, ftl.power_fail, ftl.remount)
+
+
+def _queued(ftl_cls, barrier_mode: bool = False) -> Machine:
+    """The same FTL behind an NCQ device over a two-channel array."""
+    plan = CrashPlan()
+    ftl = ftl_cls(FlashArray(_ARRAY_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
+    device = StorageDevice(ftl, queue_depth=_QUEUE_DEPTH, barrier_mode=barrier_mode)
+
+    def epoch_order() -> list[str]:
+        # A command of epoch N completing before the end of epoch N-1 is the
+        # reordering the dispatch floor exists to prevent.
+        bounds = device.queue.epoch_bounds()
+        return [
+            f"epoch order violated: epoch {e2} completes at {lo2} "
+            f"before epoch {e1} ends at {hi1}"
+            for (e1, _lo1, hi1), (e2, lo2, _hi2) in zip(bounds, bounds[1:])
+            if lo2 < hi1
+        ]
+
+    return Machine(
+        plan,
+        ftl,
+        device,
+        device.write,
+        device.flush,
+        device.power_off,
+        device.power_on,
+        order=device.barrier,
+        write_ordered=device.write_barrier,
+        probe=epoch_order if barrier_mode else None,
+    )
+
+
+def _stack_machine(stack, write=None, sync=None, order=None) -> Machine:
+    return Machine(
+        stack.crash_plan,
+        stack.ftl,
+        stack,
+        write,
+        sync,
+        stack.device.power_off,
+        stack.remount_after_crash,
+        order=order,
+    )
+
+
+def _file_stack(barrier: bool = False) -> Machine:
+    """Ordered-journal ext4 with one open file; keys are its page indexes."""
+    stack = build_stack(
+        StackConfig(mode=Mode.FS_ORDERED, **(_FS_BARRIER_STACK if barrier else _FS_STACK))
+    )
+    handle = stack.fs.create("data.bin")
+
+    def sync() -> None:
+        stack.fs.fsync(handle)
+        if barrier:
+            stack.device.flush()  # that fsync was order-only; force a floor
+
+    return _stack_machine(
+        stack, handle.write_page, sync, order=lambda: stack.fs.fbarrier(handle)
+    )
+
+
+def _sqlite_stack(mode: Mode) -> Machine:
+    return _stack_machine(build_stack(StackConfig(mode=mode, **_SQLITE_STACK)))
+
+
+# ----------------------------------------------------------------- scenario
+
+
+@dataclass
+class Run:
+    """One scenario's moving parts, handed to each of the row's pieces."""
+
+    row: Layer
+    seed: int
+    ops_limit: int
+    rng: random.Random
+    machine: Machine = None
+    baseline: dict = None  # durable contents when the point is armed
+    oracle: PlainWriteOracle | TransactionOracle = None
+    ops: int = 0
+    tid: int = 0
+    violations: list[str] = field(default_factory=list)
+    snapshot: int = None  # ftl.mvcc: the commit sequence the AS-OF reader pinned
+    sql: SqlLanes = None  # SQL rows: the open connections and their scheduler
+
+
+def _durable_floor(baseline: dict) -> PlainWriteOracle:
+    oracle = PlainWriteOracle()
+    for key, value in baseline.items():
+        oracle.note_write(key, value)
+    oracle.note_durable()
+    return oracle
+
+
+# ------------------------------------------------------------------ seeding
+
+
+def _seed_pages(run: Run, extent: int | None = None, churn: int = 0) -> dict:
+    """Write keys ``0..extent`` once, sync, then ``churn`` rounds over the hot set.
+
+    The churn (GC rows) drains the free pools and ages the erase counts, so
+    the armed window runs against a collector that is actually working — on
+    victims that interleave churned (invalid) pages with the static tail
+    beyond the hot set, which only GC copybacks and wear migrations move.
+    """
+    m, hot = run.machine, run.row.hot
+    committed = {key: ("base", key) for key in range(extent or hot)}
+    for key, value in committed.items():
+        m.write(key, value)
+    m.sync()
+    if churn:
+        for round_ in range(churn):
+            for key in range(hot):
+                committed[key] = ("churn", round_, key)
+                m.write(key, committed[key])
+        m.sync()
+    return committed
+
+
+def _seed_versions(run: Run) -> dict:
+    """Grow version chains with warm-up group commits, then pin a snapshot."""
+    committed = _seed_pages(run)
+    ftl = run.machine.target
+    for round_ in range(2):
+        group = []
+        for _ in range(4):
+            run.tid += 1
+            lpn = run.rng.randrange(run.row.hot)
+            committed[lpn] = ("warm", round_, run.tid)
+            ftl.write_tx(run.tid, lpn, committed[lpn])
+            group.append(run.tid)
+        ftl.commit_group(group)
+    ftl.barrier()
+    # The AS-OF reader: pin the pre-window epoch; its view is the baseline.
+    run.snapshot = ftl.snapshot_seq()
+    ftl.set_snapshot_floor(run.snapshot)
+    return committed
+
+
+class Lane(NamedTuple):
+    index: int | None  # None: the row's only connection, keyed by row id alone
+    label: str
+    path: str  # where recovery reopens the database
+    db: Any
+
+    def key(self, row: int) -> Hashable:
+        return row if self.index is None else (self.index, row)
+
+
+class SqlLanes(NamedTuple):
+    lanes: list[Lane]
+    drive: Callable[[list], None]  # runs the lanes' session generators
+    commit_token: Callable[[Any], Any]
+
+
+def _new_table(db):
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
     db.execute("BEGIN")
     for row in range(1, _N_ROWS + 1):
         db.execute("INSERT INTO t VALUES (?, 0)", (row,))
     db.execute("COMMIT")
-    oracle = TransactionOracle({row: 0 for row in range(1, _N_ROWS + 1)})
-
-    stack.crash_plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    op = 0
-    tid = 0
-    try:
-        while op < ops_limit:
-            tid += 1
-            db.execute("BEGIN")
-            for _ in range(rng.randrange(1, 4)):
-                op += 1
-                row = rng.randrange(1, _N_ROWS + 1)
-                value = tid * 1000 + op
-                oracle.note_tx_write(tid, row, value)
-                db.execute("UPDATE t SET v = ? WHERE id = ?", (value, row))
-            if rng.random() < 0.2:
-                db.execute("ROLLBACK")
-                oracle.note_aborted(tid)
-            else:
-                oracle.note_commit_started(tid)
-                db.execute("COMMIT")
-                oracle.note_committed(tid)
-    except PowerFailure:
-        fired = True
-    else:
-        stack.crash_plan.disarm_all()
-        stack.device.power_off()
-
-    stack.remount_after_crash()
-    stack.ftl.check_invariants()
-    violations: list[str] = []
-    db2 = stack.open_database("verify.db")
-    rows = dict(db2.execute("SELECT id, v FROM t"))
-    if set(rows) != set(range(1, _N_ROWS + 1)):
-        violations.append(f"row set changed: recovered ids {sorted(rows)!r}")
-    violations.extend(oracle.check(lambda row: rows.get(row)))
-    return fired, op, violations
+    return db
 
 
-def _run_sqlite_concurrent(point, after, tear, seed, ops_limit):
-    """Two sessions interleave SQL transactions over one X-FTL device.
+def _drain(sessions: list) -> None:
+    for session in sessions:
+        for _ in session:
+            pass
 
-    Each session owns its own database (SQLite locks per file); their
-    COMMITs defer and coalesce through the SessionScheduler's group
-    commit, so crashes land between staged transactions, during the
-    group's X-L2P flush, and at the publish point — with the oracle
-    holding both databases to the all-or-nothing contract at once.
-    """
-    from repro.stack import SessionScheduler
 
-    stack = build_stack(StackConfig(mode=Mode.XFTL, **_SQLITE_STACK))
-    n_dbs = 2
+def _one_connection(stack) -> SqlLanes:
+    db = _new_table(stack.open_database("verify.db"))
+    return SqlLanes([Lane(None, "", "verify.db", db)], _drain, lambda db: None)
+
+
+def _two_sessions(stack) -> SqlLanes:
+    """Each session owns its own database (SQLite locks per file)."""
     scheduler = SessionScheduler(stack)
-    dbs = []
-    baseline: dict = {}
-    for index in range(n_dbs):
+    lanes = []
+    for index in range(2):
         session = stack.open_session(name=f"verify{index}")
-        db = session.open_database(f"verify_{index}.db")
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        db.execute("BEGIN")
-        for row in range(1, _N_ROWS + 1):
-            db.execute("INSERT INTO t VALUES (?, 0)", (row,))
-        db.execute("COMMIT")
-        for row in range(1, _N_ROWS + 1):
-            baseline[(index, row)] = 0
-        dbs.append(db)
-    oracle = TransactionOracle(baseline)
-    for db in dbs:
-        scheduler.prepare(db)
-
-    stack.crash_plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    ops = [0]  # shared across tasks: the limit bounds total work
-    next_tid = [0]
-
-    def terminal(index: int, db):
-        rng = make_rng(seed, "verify.sqlite.concurrent", index)
-        while ops[0] < ops_limit:
-            next_tid[0] += 1
-            tid = next_tid[0]
-            db.execute("BEGIN")
-            for _ in range(rng.randrange(1, 4)):
-                ops[0] += 1
-                row = rng.randrange(1, _N_ROWS + 1)
-                value = tid * 1000 + ops[0]
-                oracle.note_tx_write(tid, (index, row), value)
-                db.execute("UPDATE t SET v = ? WHERE id = ?", (value, row))
-            if rng.random() < 0.2:
-                db.execute("ROLLBACK")
-                oracle.note_aborted(tid)
-            else:
-                oracle.note_commit_started(tid)
-                db.execute("COMMIT")  # stages (deferred); parks until the group
-                yield scheduler.commit_token(db)
-                oracle.note_committed(tid)
-            yield None
-
-    try:
-        scheduler.run(terminal(index, db) for index, db in enumerate(dbs))
-    except PowerFailure:
-        fired = True
-    else:
-        stack.crash_plan.disarm_all()
-        stack.device.power_off()
-
-    stack.remount_after_crash()
-    stack.ftl.check_invariants()
-    violations: list[str] = []
-    recovered: dict = {}
-    for index in range(n_dbs):
-        db2 = stack.open_database(f"verify_{index}.db")
-        rows = dict(db2.execute("SELECT id, v FROM t"))
-        if set(rows) != set(range(1, _N_ROWS + 1)):
-            violations.append(f"db {index}: row set changed: ids {sorted(rows)!r}")
-        for row, value in rows.items():
-            recovered[(index, row)] = value
-    violations.extend(oracle.check(lambda key: recovered.get(key)))
-    return fired, ops[0], violations
+        path = f"verify_{index}.db"
+        db = _new_table(session.open_database(path))
+        lanes.append(Lane(index, f"db {index}: ", path, db))
+    for lane in lanes:
+        scheduler.prepare(lane.db)
+    return SqlLanes(lanes, scheduler.run, scheduler.commit_token)
 
 
-def _run_tenant_stack(point, after, tear, seed, ops_limit):
-    """Two tenants share one X-FTL device through the tenant scheduler.
+def _two_tenants(stack) -> SqlLanes:
+    """Deficit fairness, so the DRR path itself runs under power failure.
 
-    The multi-tenant edge the single-stack sweep cannot reach: a crash
-    landing mid-commit of tenant A's transaction must leave tenant B's
-    namespace transactionally intact (and vice versa — the oracle holds
-    both to the all-or-nothing contract at once).  Runs under the deficit
-    fairness policy so the DRR scheduling path itself is exercised under
-    power failure; tenant A gets two sessions (weight 2) so crashes also
-    land inside cross-tenant group commits.
+    Tenant alpha gets two sessions so crashes also land inside cross-tenant
+    group commits.
     """
-    from repro.stack import TenantScheduler
-
-    stack = build_stack(StackConfig(mode=Mode.XFTL, **_SQLITE_STACK))
     scheduler = TenantScheduler(stack, fairness="deficit")
-    alpha = stack.open_tenant("alpha", weight=2)
-    beta = stack.open_tenant("beta", weight=1)
-
-    baseline: dict = {}
-    dbs: list = []  # (lane index, tenant, db)
-    lanes = ((alpha, 2), (beta, 1))
-    lane_index = 0
-    for tenant, n_sessions in lanes:
+    tenants = (stack.open_tenant("alpha", weight=2), stack.open_tenant("beta", weight=1))
+    lanes, owners = [], []
+    for tenant, n_sessions in zip(tenants, (2, 1)):
         for _ in range(n_sessions):
-            session = tenant.open_session()
-            db = tenant.open_database(f"verify_{lane_index}.db", session=session)
-            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-            db.execute("BEGIN")
-            for row in range(1, _N_ROWS + 1):
-                db.execute("INSERT INTO t VALUES (?, 0)", (row,))
-            db.execute("COMMIT")
-            for row in range(1, _N_ROWS + 1):
-                baseline[(lane_index, row)] = 0
-            dbs.append((lane_index, tenant, db))
-            lane_index += 1
-    oracle = TransactionOracle(baseline)
-    for _, _, db in dbs:
-        scheduler.prepare(db)
+            index = len(lanes)
+            name = f"verify_{index}.db"
+            db = _new_table(tenant.open_database(name, session=tenant.open_session()))
+            label = f"tenant {tenant.name} db {index}: "
+            lanes.append(Lane(index, label, tenant.path(name), db))
+            owners.append(tenant)
+    for lane in lanes:
+        scheduler.prepare(lane.db)
 
-    stack.crash_plan.arm(point, after=after, tear_page=tear)
-    fired = False
-    ops = [0]
-    next_tid = [0]
+    def drive(sessions: list) -> None:
+        for tenant in tenants:
+            scheduler.add(
+                tenant, [s for s, owner in zip(sessions, owners) if owner is tenant]
+            )
+        scheduler.run()
 
-    def terminal(index: int, db):
-        rng = make_rng(seed, "verify.stack.tenant", index)
-        while ops[0] < ops_limit:
-            next_tid[0] += 1
-            tid = next_tid[0]
-            db.execute("BEGIN")
-            for _ in range(rng.randrange(1, 4)):
-                ops[0] += 1
-                row = rng.randrange(1, _N_ROWS + 1)
-                value = tid * 1000 + ops[0]
-                oracle.note_tx_write(tid, (index, row), value)
-                db.execute("UPDATE t SET v = ? WHERE id = ?", (value, row))
-            if rng.random() < 0.2:
-                db.execute("ROLLBACK")
+    return SqlLanes(lanes, drive, scheduler.commit_token)
+
+
+def _seed_tables(run: Run, open_lanes: Callable[[Any], SqlLanes]) -> dict:
+    run.sql = open_lanes(run.machine.target)
+    return {
+        lane.key(row): 0 for lane in run.sql.lanes for row in range(1, _N_ROWS + 1)
+    }
+
+
+# ---------------------------------------------------------------- workloads
+
+
+def _plain_writes(
+    run: Run, durable_every: int, order_every: int = 0, ordered_write_every: int = 0
+) -> None:
+    """Overwrite random hot keys with a durability point every n-th op.
+
+    Everything between two durability points is acknowledged but unflushed.
+    The order-only calls of the barrier rows (every ``order_every``-th op an
+    order point, every ``ordered_write_every``-th write an ordered one) wait
+    for nothing and do not move the oracle's floor.
+    """
+    m, oracle = run.machine, run.oracle
+    for op in range(1, run.ops_limit + 1):
+        run.ops = op
+        key = run.rng.randrange(run.row.hot)
+        value = ("v", op)
+        oracle.note_write(key, value)  # attempted: may survive the crash
+        if ordered_write_every and op % ordered_write_every == 0:
+            m.write_ordered(key, value)
+        else:
+            m.write(key, value)
+        if order_every and op % order_every == 0:
+            m.order()
+        if op % durable_every == 0:
+            if m.probe:
+                run.violations += m.probe()
+            m.sync()
+            oracle.note_durable()
+    if m.probe:
+        run.violations += m.probe()
+
+
+@dataclass(frozen=True)
+class Commit:
+    """Shape of one commit: who rides it and what each transaction does.
+
+    Ranges are inclusive; a one-value range draws nothing from the RNG.
+    """
+
+    group: tuple[int, int] | None  # transactions per commit_group; None: commit(t)
+    writes: tuple[int, int] = (1, 3)
+    abort_p: float = 0.2
+
+
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    return lo if lo == hi else rng.randrange(lo, hi + 1)
+
+
+def _block_txns(
+    run: Run, shapes: tuple[Commit, ...], between: Callable[[Run], None] | None = None
+) -> None:
+    """write_tx / abort / commit / commit_group against ``machine.target``.
+
+    ``XFTL`` and ``StorageDevice`` share that command set, so the FTL-level
+    and device-level rows run this one body.  With two ``shapes`` each
+    commit is a coin flip between them.  All-or-nothing is judged per
+    commit: a crash during a group's single X-L2P flush must leave every
+    member undone; after the publish, every member durable.
+    """
+    target, rng, oracle = run.machine.target, run.rng, run.oracle
+    while run.ops < run.ops_limit:
+        shape = shapes[0] if len(shapes) == 1 or rng.random() < 0.5 else shapes[1]
+        members: list[int] = []
+        for _ in range(_draw(rng, *(shape.group or (1, 1)))):
+            run.tid += 1
+            tid = run.tid
+            for _ in range(_draw(rng, *shape.writes)):
+                run.ops += 1
+                lpn = rng.randrange(run.row.hot)
+                value = ("t", tid, run.ops)
+                oracle.note_tx_write(tid, lpn, value)
+                target.write_tx(tid, lpn, value)
+            if rng.random() < shape.abort_p:
+                target.abort(tid)
                 oracle.note_aborted(tid)
             else:
-                oracle.note_commit_started(tid)
-                db.execute("COMMIT")  # stages (deferred); parks until the group
-                yield scheduler.commit_token(db)
-                oracle.note_committed(tid)
-            yield None
+                members.append(tid)
+        for tid in members:
+            oracle.note_commit_started(tid)
+        if shape.group:
+            target.commit_group(members)
+        elif members:
+            target.commit(members[0])
+        for tid in members:
+            oracle.note_committed(tid)
+        if between:
+            between(run)
 
-    for tenant, _ in lanes:
-        scheduler.add(
-            tenant,
-            [terminal(index, db) for index, owner, db in dbs if owner is tenant],
-        )
-    try:
-        scheduler.run()
-    except PowerFailure:
-        fired = True
-    else:
-        stack.crash_plan.disarm_all()
-        stack.device.power_off()
 
-    stack.remount_after_crash()
-    stack.ftl.check_invariants()
-    violations: list[str] = []
+_SINGLE = (Commit(group=None),)
+
+
+def _cache_churn(run: Run) -> None:
+    """Reads churn the CMT between transactions, so dirty writebacks also
+    happen outside any commit window; the occasional barrier then runs the
+    map flush against a cold cache."""
+    for _ in range(run.rng.randrange(0, 3)):
+        run.machine.target.read(run.rng.randrange(run.row.hot))
+    if run.rng.random() < 0.15:
+        run.machine.sync()
+
+
+def _asof_reads(run: Run) -> None:
+    """The pinned reader's view must not move, however many commits land on
+    top of it or however far GC relocates its retained version pages."""
+    for _ in range(2):
+        lpn = run.rng.randrange(run.row.hot)
+        seen = run.machine.target.read_as_of(lpn, run.snapshot)
+        if seen != run.baseline.get(lpn):
+            run.violations.append(
+                f"snapshot {run.snapshot} moved: lpn {lpn} read {seen!r}, "
+                f"pinned {run.baseline.get(lpn)!r}"
+            )
+
+
+def _sql_session(run: Run, lane: Lane):
+    """BEGIN / 1-3 UPDATEs / ROLLBACK-or-COMMIT, as a scheduler task.
+
+    Lanes share the op budget and the tid counter.  Under a scheduler COMMIT
+    only stages (deferred) and the task parks on its commit token until the
+    group commits; a lone connection commits inline and its token is None.
+    """
+    labels = () if lane.index is None else (lane.index,)
+    rng, oracle, db = make_rng(run.seed, run.row.stream, *labels), run.oracle, lane.db
+    while run.ops < run.ops_limit:
+        run.tid += 1
+        tid = run.tid
+        db.execute("BEGIN")
+        for _ in range(rng.randrange(1, 4)):
+            run.ops += 1
+            row = rng.randrange(1, _N_ROWS + 1)
+            value = tid * 1000 + run.ops
+            oracle.note_tx_write(tid, lane.key(row), value)
+            db.execute("UPDATE t SET v = ? WHERE id = ?", (value, row))
+        if rng.random() < 0.2:
+            db.execute("ROLLBACK")
+            oracle.note_aborted(tid)
+        else:
+            oracle.note_commit_started(tid)
+            db.execute("COMMIT")
+            yield run.sql.commit_token(db)
+            oracle.note_committed(tid)
+        yield None
+
+
+def _sql_txns(run: Run) -> None:
+    run.sql.drive([_sql_session(run, lane) for lane in run.sql.lanes])
+
+
+# ---------------------------------------------------------------- read-back
+
+
+def _read_pages(run: Run):
+    return run.machine.ftl.read
+
+
+def _read_file(run: Run):
+    fs = run.machine.target.fs
+    if not fs.exists("data.bin"):
+        run.violations.append("data.bin vanished: durable file lost by recovery")
+        return None
+    return fs.open("data.bin").read_page
+
+
+def _read_tables(run: Run):
     recovered: dict = {}
-    for index, tenant, _ in dbs:
-        db2 = stack.open_database(tenant.path(f"verify_{index}.db"))
-        rows = dict(db2.execute("SELECT id, v FROM t"))
+    for lane in run.sql.lanes:
+        db = run.machine.target.open_database(lane.path)
+        rows = dict(db.execute("SELECT id, v FROM t"))
         if set(rows) != set(range(1, _N_ROWS + 1)):
-            violations.append(
-                f"tenant {tenant.name} db {index}: row set changed: "
-                f"ids {sorted(rows)!r}"
+            run.violations.append(
+                f"{lane.label}row set changed: recovered ids {sorted(rows)!r}"
             )
         for row, value in rows.items():
-            recovered[(index, row)] = value
-    violations.extend(oracle.check(lambda key: recovered.get(key)))
-    return fired, ops[0], violations
+            recovered[lane.key(row)] = value
+    return recovered.get
 
 
-# ------------------------------------------------------------------ layers
+# ------------------------------------------------------------------- layers
 
 
 @dataclass(frozen=True)
 class Layer:
-    """A verifiable stack configuration and the crash points it can reach."""
+    """A verifiable stack configuration: machine × workload × oracle."""
 
     name: str
-    components: tuple[str, ...]
-    run: Callable  # (point, after, tear, seed, ops_limit) -> (fired, ops, violations)
+    components: tuple[str, ...]  # prefixes of the crash points it can reach
+    doc: str
+    stream: str  # make_rng label of the workload's draws
+    build: Callable[[], Machine]
+    workload: Callable[[Run], None]
+    seed: Callable[[Run], dict] = _seed_pages  # -> the durable baseline
+    oracle: Callable[[dict], Any] = TransactionOracle
+    reader: Callable[[Run], Callable | None] = _read_pages
+    hot: int = 24  # keys the workload overwrites
+    unwritten: range = range(0)  # keys nothing writes: must still read None
 
+
+_XFTL_STACK = ("flash", "ftl.pagemap", "ftl.xftl")
+_GC_MIX = (Commit(group=(2, 3), writes=(1, 2)), Commit(group=None, abort_p=0.25))
 
 LAYERS: dict[str, Layer] = {
     layer.name: layer
     for layer in (
-        Layer("ftl.pagemap", ("flash", "ftl.pagemap"), _run_pagemap),
-        Layer("ftl.xftl", ("flash", "ftl.pagemap", "ftl.xftl"), _run_xftl),
+        Layer(
+            "ftl.pagemap",
+            ("flash", "ftl.pagemap"),
+            "plain writes + barriers on the stock FTL",
+            stream="verify.pagemap",
+            build=partial(_bare, PageMappingFTL),
+            workload=partial(_plain_writes, durable_every=7),
+            oracle=_durable_floor,
+            unwritten=range(24, 28),
+        ),
+        Layer(
+            "ftl.xftl",
+            _XFTL_STACK,
+            "write_tx / commit / abort transactions on X-FTL",
+            stream="verify.xftl",
+            build=partial(_bare, XFTL),
+            workload=partial(_block_txns, shapes=_SINGLE),
+        ),
         Layer(
             "ftl.xftl.group",
-            ("flash", "ftl.pagemap", "ftl.xftl"),
-            _run_xftl_group,
+            _XFTL_STACK,
+            "commit_group batches of 2-3 transactions on X-FTL: crashes during"
+            " the group's single X-L2P flush and publish step, which"
+            " single-transaction commits never reach",
+            stream="verify.xftl.group",
+            build=partial(_bare, XFTL),
+            workload=partial(_block_txns, shapes=(Commit(group=(2, 3)),)),
         ),
         Layer(
             "ftl.gc",
-            ("flash", "ftl.pagemap", "ftl.xftl", "ftl.gc"),
-            lambda *a: _run_gc(_GC_CONFIG, *a),
+            _XFTL_STACK + ("ftl.gc",),
+            "transactions (plain, grouped, aborted) on X-FTL with background"
+            " garbage collection: crashes at every gc.* preemption point of the"
+            " paced copyback / wear-leveling jobs must never surface an"
+            " uncommitted write or lose a committed one (the X-L2P live-union"
+            " invariant), however many pages the job had already relocated",
+            stream="verify.ftl.gc",
+            build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _GC_CONFIG),
+            workload=partial(_block_txns, shapes=_GC_MIX),
+            seed=partial(_seed_pages, extent=48, churn=6),
         ),
         Layer(
             "ftl.gc.inline",
-            ("flash", "ftl.pagemap", "ftl.xftl", "ftl.gc"),
-            lambda *a: _run_gc(_GC_INLINE_CONFIG, *a),
+            _XFTL_STACK + ("ftl.gc",),
+            "the ftl.gc row under the inline FIFO schedule (the paper tables'"
+            " collector): crashes after victim selection, between the copybacks"
+            " and before the erase of a run-to-completion collection",
+            stream="verify.ftl.gc",
+            build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _GC_INLINE_CONFIG),
+            workload=partial(_block_txns, shapes=_GC_MIX),
+            seed=partial(_seed_pages, extent=48, churn=6),
         ),
-        Layer("ftl.cmt", ("ftl.cmt",), _run_cmt),
+        Layer(
+            "ftl.cmt",
+            ("ftl.cmt",),
+            "transactions on X-FTL with a demand-paged mapping whose working"
+            " set spans six translation segments against two cache slots:"
+            " crashes during CMT fetches, evictions, dirty writebacks and the"
+            " commit-time translation-page pinning (data and translation pages"
+            " must publish atomically per commit)",
+            stream="verify.ftl.cmt",
+            build=partial(_bare, XFTL, config=_CMT_CONFIG),
+            workload=partial(_block_txns, shapes=_SINGLE, between=_cache_churn),
+            hot=96,
+        ),
         Layer(
             "device.queue",
             ("flash", "ftl.pagemap", "device.queue"),
-            _run_device_queue,
+            "plain writes through a queued (NCQ) device over a two-channel"
+            " flash array: crashes land with commands in flight",
+            stream="verify.device.queue",
+            build=partial(_queued, PageMappingFTL),
+            workload=partial(_plain_writes, durable_every=7),
+            oracle=_durable_floor,
+            unwritten=range(24, 28),
         ),
         Layer(
             "device.queue.xftl",
-            ("flash", "ftl.pagemap", "ftl.xftl", "device.queue"),
-            _run_xftl_queue,
+            _XFTL_STACK + ("device.queue",),
+            "the transactional command set through the same queued device:"
+            " commit barriers against a non-empty queue",
+            stream="verify.device.queue.xftl",
+            build=partial(_queued, XFTL),
+            workload=partial(_block_txns, shapes=_SINGLE),
         ),
         Layer(
             "dev.queue.epoch",
             ("flash", "ftl.pagemap", "device.queue"),
-            _run_device_queue_epoch,
+            "the queued device in barrier mode: plain writes, barrier writes"
+            " and order-only epoch closes (no drain) interleave so"
+            " dev.queue.epoch fires against a live queue; only the explicit"
+            " flushes raise the durable floor, and the per-epoch completion"
+            " envelopes are sampled for the no-reorder-across-epochs invariant",
+            stream="verify.device.queue.epoch",
+            build=partial(_queued, PageMappingFTL, barrier_mode=True),
+            workload=partial(
+                _plain_writes, durable_every=11, order_every=3, ordered_write_every=5
+            ),
+            oracle=_durable_floor,
+            unwritten=range(24, 28),
         ),
-        Layer("fs.ext4", ("flash", "ftl.pagemap", "fs.ext4"), _run_ext4),
+        Layer(
+            "fs.ext4",
+            ("flash", "ftl.pagemap", "fs.ext4"),
+            "file page writes + fsync on ordered-journal ext4 over the stock FTL",
+            stream="verify.ext4",
+            build=_file_stack,
+            workload=partial(_plain_writes, durable_every=5),
+            oracle=_durable_floor,
+            reader=_read_file,
+            hot=12,
+        ),
         Layer(
             "fs.barrier",
             ("flash", "ftl.pagemap", "device.queue", "fs.ext4"),
-            _run_ext4_barrier,
+            "the same ext4 driven by fbarrier over a queued barrier-mode device:"
+            " data and journal frames are only ordered (the commit page being"
+            " order-guaranteed after its frame body is what keeps the journal"
+            " replayable without the two drains), the floor moves only at"
+            " explicit device flushes, and recovery must expose floor-or-later",
+            stream="verify.ext4.barrier",
+            build=partial(_file_stack, barrier=True),
+            workload=partial(_plain_writes, durable_every=9, order_every=4),
+            oracle=_durable_floor,
+            reader=_read_file,
+            hot=12,
         ),
         Layer(
             "sqlite.xftl",
-            ("flash", "ftl.pagemap", "ftl.xftl", "fs.ext4"),
-            lambda *a: _run_sqlite(Mode.XFTL, *a),
+            _XFTL_STACK + ("fs.ext4",),
+            "SQL transactions on the full paper stack (SQLite OFF mode on"
+            " ext4-XFTL on X-FTL)",
+            stream="verify.sqlite.X-FTL",
+            build=partial(_sqlite_stack, Mode.XFTL),
+            workload=_sql_txns,
+            seed=partial(_seed_tables, open_lanes=_one_connection),
+            reader=_read_tables,
         ),
         Layer(
             "sqlite.rbj",
             ("flash", "ftl.pagemap", "fs.ext4", "sqlite.pager"),
-            lambda *a: _run_sqlite(Mode.RBJ, *a),
+            "the same SQL workload on the unmodified stack (rollback journal on"
+            " ordered ext4 on the stock FTL), the only row where"
+            " sqlite.commit.mid is reachable",
+            stream="verify.sqlite.RBJ",
+            build=partial(_sqlite_stack, Mode.RBJ),
+            workload=_sql_txns,
+            seed=partial(_seed_tables, open_lanes=_one_connection),
+            reader=_read_tables,
         ),
         Layer(
             "sqlite.concurrent",
-            ("flash", "ftl.pagemap", "ftl.xftl", "fs.ext4"),
-            _run_sqlite_concurrent,
+            _XFTL_STACK + ("fs.ext4",),
+            "two sessions, each with its own OFF-mode database, interleaved"
+            " through the SessionScheduler: deferred COMMITs coalesce into group"
+            " commits on one X-FTL device, so crashes land between staged"
+            " transactions, during the group's X-L2P flush and at the publish"
+            " point, with both databases held to all-or-nothing at once",
+            stream="verify.sqlite.concurrent",
+            build=partial(_sqlite_stack, Mode.XFTL),
+            workload=_sql_txns,
+            seed=partial(_seed_tables, open_lanes=_two_sessions),
+            reader=_read_tables,
         ),
         Layer(
             "stack.tenant",
-            ("flash", "ftl.pagemap", "ftl.xftl", "fs.ext4"),
-            _run_tenant_stack,
+            _XFTL_STACK + ("fs.ext4",),
+            "two tenants (three sessions) share one X-FTL device through the"
+            " TenantScheduler: a crash landing mid-commit of tenant A's"
+            " transaction must leave tenant B's namespace transactionally"
+            " intact, and vice versa",
+            stream="verify.stack.tenant",
+            build=partial(_sqlite_stack, Mode.XFTL),
+            workload=_sql_txns,
+            seed=partial(_seed_tables, open_lanes=_two_tenants),
+            reader=_read_tables,
         ),
         Layer(
             "ftl.mvcc",
-            ("flash", "ftl.pagemap", "ftl.xftl", "ftl.gc", "ftl.mvcc"),
-            _run_mvcc,
+            _XFTL_STACK + ("ftl.gc", "ftl.mvcc"),
+            "multi-version X-L2P retention: four writer lanes group-commit over"
+            " background GC while a pinned AS-OF reader holds its snapshot;"
+            " crashes between a version's publish and its release must never"
+            " orphan a version page or double-free one (check_invariants"
+            " matches owner records against chain membership) — a crash may"
+            " shrink retention depth, never snapshot integrity",
+            stream="verify.ftl.mvcc",
+            build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _MVCC_CONFIG),
+            workload=partial(
+                _block_txns,
+                shapes=(Commit(group=(4, 4), writes=(1, 2), abort_p=0.15),),
+                between=_asof_reads,
+            ),
+            seed=_seed_versions,
         ),
     )
 }
@@ -1183,22 +796,40 @@ def run_scenario(
     seed: int = 0,
     ops_limit: int = 40,
 ) -> ScenarioResult:
-    """Run one armed scenario end to end and judge its recovery."""
-    driver = LAYERS[layer]
+    """Run one armed scenario end to end and judge its recovery.
+
+    A ``PowerFailure`` is legal only inside the workload window; anywhere
+    else it propagates.  Any other stack error is a finding, labelled with
+    the phase that raised it.
+    """
+    row = LAYERS[layer]
+    run = Run(row, seed, ops_limit, make_rng(seed, row.stream))
+    fired = False
+    phase = "setup"
     try:
-        fired, ops_run, violations = driver.run(point, after, tear, seed, ops_limit)
-    except PowerFailure:
-        raise  # never legal outside the workload window
+        machine = run.machine = row.build()
+        run.baseline = row.seed(run)
+        run.oracle = row.oracle(run.baseline)
+        machine.plan.arm(point, after=after, tear_page=tear)
+        phase = "workload"
+        try:
+            row.workload(run)
+        except PowerFailure:
+            fired = True
+        else:
+            machine.plan.disarm_all()
+            machine.power_off()  # crash-free control run: power-cycle anyway
+        phase = "recovery"
+        machine.power_on()
+        machine.ftl.check_invariants()
+        read = row.reader(run)
+        if read is not None:
+            run.violations += run.oracle.check(read)
+            run.violations += [
+                f"lpn {key}: never written but reads {read(key)!r}"
+                for key in row.unwritten
+                if read(key) is not None
+            ]
     except ReproError as exc:
-        # A crash-induced error escaping the recovery path is itself a bug.
-        fired, ops_run = True, 0
-        violations = [f"recovery raised {type(exc).__name__}: {exc}"]
-    return ScenarioResult(
-        layer=layer,
-        point=point,
-        after=after,
-        tear=tear,
-        fired=fired,
-        ops_run=ops_run,
-        violations=violations,
-    )
+        run.violations.append(f"{phase} raised {type(exc).__name__}: {exc}")
+    return ScenarioResult(layer, point, after, tear, fired, run.ops, run.violations)

@@ -8,6 +8,10 @@ no lost durable data, no torn transactions.
 
 import pytest
 
+from repro.errors import FtlError
+from repro.ftl.pagemap import PageMappingFTL
+from repro.ftl.xftl import XFTL
+from repro.sim.crash import CrashPlan
 from repro.verify import LAYERS, Scenario, run_scenario, shrink, sweep
 from repro.verify.runner import applicable_points
 from repro.verify.cli import main
@@ -45,16 +49,101 @@ class TestSweepBothFtls:
 
 
 class TestUpperLayersSmoke:
-    @pytest.mark.parametrize("layer", ["fs.ext4", "sqlite.xftl", "sqlite.rbj", "ftl.cmt"])
-    def test_layer_smoke(self, layer):
-        report = sweep(layers=[layer], budget=12, seed=0)
-        assert report.scenarios_run == 12
-        assert report.ok, report.summary()
+    # Every layer's sweep is pinned row for row by tests/test_verify_baseline.py.
 
     def test_sqlite_commit_mid_reachable_on_rbj(self):
         result = run_scenario("sqlite.rbj", "sqlite.commit.mid", after=1, ops_limit=20)
         assert result.fired
         assert result.ok, result.violations
+
+
+def _never_fires(layer):
+    """A crash-free control run: an occurrence count no workload reaches."""
+    return dict(layer=layer, point=applicable_points(layer)[0].name, after=10**6)
+
+
+def _amnesiac_remount(monkeypatch):
+    """Recovery comes back with an empty (but self-consistent) map."""
+    remount = PageMappingFTL.remount
+
+    def amnesiac(self):
+        remount(self)
+        for lpn in range(self.exported_pages):
+            self.trim(lpn)
+
+    monkeypatch.setattr(PageMappingFTL, "remount", amnesiac)
+
+
+def _dropped_writes(monkeypatch):
+    """From the arming instant on, the FTL acknowledges writes and drops them."""
+    armed = []
+    monkeypatch.setattr(CrashPlan, "arm", lambda self, *a, **kw: armed.append(self))
+
+    def dropping(real):
+        return lambda self, *a, **kw: None if armed else real(self, *a, **kw)
+
+    for cls, name in ((PageMappingFTL, "write"), (XFTL, "write"), (XFTL, "write_tx")):
+        monkeypatch.setattr(cls, name, dropping(cls.__dict__[name]))
+
+
+class TestHarnessBites:
+    """Lose acknowledged-durable data and every row must turn red.
+
+    A row that forgets to judge, or judges the wrong reader, stays green
+    here.  Under the amnesiac remount the file-system and SQLite rows fail
+    to mount at all (a ``recovery raised`` finding); under dropped writes
+    every stack still mounts, so the verdict has to come from the row's own
+    oracle and read-back.
+    """
+
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    @pytest.mark.parametrize("sabotage", [_amnesiac_remount, _dropped_writes])
+    def test_lost_durable_data_turns_the_row_red(self, layer, sabotage, monkeypatch):
+        assert run_scenario(**_never_fires(layer)).ok
+        sabotage(monkeypatch)
+        result = run_scenario(**_never_fires(layer))
+        assert not result.fired
+        assert result.violations
+        if sabotage is _dropped_writes:
+            assert not any(" raised " in v for v in result.violations)
+
+
+class TestPhaseLabels:
+    """A stack error is a finding labelled with the phase that raised it."""
+
+    POINT = "flash.program.after"
+
+    def test_setup(self, monkeypatch):
+        def write(self, lpn, data):
+            raise FtlError("no writes today")
+
+        monkeypatch.setattr(PageMappingFTL, "write", write)
+        result = run_scenario("ftl.pagemap", self.POINT)
+        assert (result.fired, result.ops_run) == (False, 0)
+        assert result.violations == ["setup raised FtlError: no writes today"]
+
+    def test_workload(self, monkeypatch):
+        real_write, calls = PageMappingFTL.write, []
+
+        def write(self, lpn, data):
+            calls.append(lpn)
+            if len(calls) == 24 + 6:  # the 24 seeding writes, then the sixth op
+                raise FtlError("worn out")
+            real_write(self, lpn, data)
+
+        monkeypatch.setattr(PageMappingFTL, "write", write)
+        result = run_scenario("ftl.pagemap", self.POINT, after=10**6)
+        assert (result.fired, result.ops_run) == (False, 6)
+        assert result.violations == ["workload raised FtlError: worn out"]
+
+    def test_recovery(self, monkeypatch):
+        def remount(self):
+            raise FtlError("root record unreadable")
+
+        monkeypatch.setattr(PageMappingFTL, "remount", remount)
+        result = run_scenario("ftl.pagemap", self.POINT, after=30)
+        assert result.fired and result.ops_run > 0
+        assert result.violations == ["recovery raised FtlError: root record unreadable"]
 
 
 class TestEnumerator:
