@@ -643,7 +643,7 @@ LAYERS: dict[str, Layer] = {
         ),
         Layer(
             "ftl.cmt",
-            ("ftl.cmt",),
+            _XFTL_STACK + ("ftl.cmt",),
             "transactions on X-FTL with a demand-paged mapping whose working"
             " set spans six translation segments against two cache slots:"
             " crashes during CMT fetches, evictions, dirty writebacks and the"
