@@ -233,14 +233,14 @@ class Run:
     seed: int
     ops_limit: int
     rng: random.Random
-    machine: Machine = None
-    baseline: dict = None  # durable contents when the point is armed
-    oracle: PlainWriteOracle | TransactionOracle = None
+    machine: Machine | None = None
+    baseline: dict | None = None  # durable contents when the point is armed
+    oracle: PlainWriteOracle | TransactionOracle | None = None
     ops: int = 0
     tid: int = 0
     violations: list[str] = field(default_factory=list)
-    snapshot: int = None  # ftl.mvcc: the commit sequence the AS-OF reader pinned
-    sql: SqlLanes = None  # SQL rows: the open connections and their scheduler
+    snapshot: int | None = None  # ftl.mvcc: the commit sequence the AS-OF reader pinned
+    sql: SqlLanes | None = None  # SQL rows: the open connections and their scheduler
 
 
 def _durable_floor(baseline: dict) -> PlainWriteOracle:
@@ -584,6 +584,9 @@ class Layer:
 
 
 _XFTL_STACK = ("flash", "ftl.pagemap", "ftl.xftl")
+# The GC rows: a static tail beyond the hot set, six churn rounds, then a
+# coin flip per commit between a group of 2-3 and a single transaction.
+_GC_SEED = partial(_seed_pages, extent=48, churn=6)
 _GC_MIX = (Commit(group=(2, 3), writes=(1, 2)), Commit(group=None, abort_p=0.25))
 
 LAYERS: dict[str, Layer] = {
@@ -628,7 +631,7 @@ LAYERS: dict[str, Layer] = {
             stream="verify.ftl.gc",
             build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _GC_CONFIG),
             workload=partial(_block_txns, shapes=_GC_MIX),
-            seed=partial(_seed_pages, extent=48, churn=6),
+            seed=_GC_SEED,
         ),
         Layer(
             "ftl.gc.inline",
@@ -639,7 +642,7 @@ LAYERS: dict[str, Layer] = {
             stream="verify.ftl.gc",
             build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _GC_INLINE_CONFIG),
             workload=partial(_block_txns, shapes=_GC_MIX),
-            seed=partial(_seed_pages, extent=48, churn=6),
+            seed=_GC_SEED,
         ),
         Layer(
             "ftl.cmt",

@@ -1,9 +1,11 @@
 """Bounded crash-consistency sweep: the tier-1 face of repro.verify.
 
-Runs the scenario enumerator over both FTL layers (and a smaller smoke
-budget over the file-system and SQLite layers) and asserts that recovery
+Runs the scenario enumerator over both FTL layers and asserts that recovery
 never violates an oracle: no invariant failures, no never-written reads,
-no lost durable data, no torn transactions.
+no lost durable data, no torn transactions; shows that a stack which *does*
+lose durable data turns every layer red; and covers the enumerator, the
+shrinker and the CLI.  Every layer's sweep is pinned scenario for scenario
+by ``tests/test_verify_baseline.py``.
 """
 
 import pytest
@@ -49,8 +51,6 @@ class TestSweepBothFtls:
 
 
 class TestUpperLayersSmoke:
-    # Every layer's sweep is pinned row for row by tests/test_verify_baseline.py.
-
     def test_sqlite_commit_mid_reachable_on_rbj(self):
         result = run_scenario("sqlite.rbj", "sqlite.commit.mid", after=1, ops_limit=20)
         assert result.fired
