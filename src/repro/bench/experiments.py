@@ -965,8 +965,8 @@ def throughput(
     transactions — on ``channels`` channels with background cost-benefit GC
     and wear leveling on.  Every layer of the redesigned state API is on
     this path: ``BlockStateView`` bitmaps under FTL/GC bookkeeping, batched
-    stats counters, cached channel timelines, and per-segment translation
-    flushes.
+    stats counters, cached channel timelines, and translation flushes
+    that persist one slice of the flat L2P list per dirty segment.
 
     Wall seconds are machine-dependent; the simulated counters are not.
     The JSON therefore records both: ``wall.ops_per_sec`` for the smoke

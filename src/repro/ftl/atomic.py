@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from repro.errors import FtlError
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import OOB_DATA, OWNER_L2P, PageMappingFTL
+from repro.ftl.pagemap import OOB_DATA, PageMappingFTL
 
 OOB_COMMIT_RECORD = "commit-record"
 OWNER_COMMIT_RECORD = "commit-record"
@@ -61,13 +61,7 @@ class AtomicWriteFTL(PageMappingFTL):
         self._live_commit_records[group] = record_ppn
         self.stats.map_page_writes += 1
         # Publish mappings now that the record is durable.
-        for lpn, ppn in staged:
-            old = self._l2p.get(lpn)
-            if old is not None:
-                self._invalidate(old)
-            self._l2p[lpn] = ppn
-            self._set_owner(ppn, (OWNER_L2P, lpn))
-            self._mark_dirty(lpn)
+        self._publish_mappings(staged)
 
     def barrier(self) -> None:
         """Checkpoint the map, after which old commit records are prunable.

@@ -22,16 +22,15 @@ class FtlConfig:
         map_entries_per_page: L2P entries stored per on-flash mapping page.
             OpenSSD-class firmware persists the map in small per-bank chunks,
             so the effective chunk is far below the 2048 8-byte entries that
-            would fit in an 8 KB page.
+            would fit in an 8 KB page.  A persisted image is always the
+            full-range slice of the L2P table, however sparse the segment;
+            simulated time is unaffected because a page program costs the
+            same regardless of payload.
         barrier_meta_pages: Fixed number of firmware metadata pages (misc
             block: write points, erase counts, ...) persisted on every write
             barrier, on top of dirty map pages.  This fixed cost is why host
             fsyncs are expensive on the unmodified FTL.
         xl2p_capacity: Maximum entries in the X-L2P table (paper: 500-1000).
-        xl2p_entry_bytes: Size of one X-L2P entry (paper: 16 bytes).
-        map_checkpoint_interval: In X-FTL, the L2P map is checkpointed
-            lazily after this many committed transactions (the commit itself
-            flushes only the tiny X-L2P table).
         gc_policy: Victim selection. ``"greedy"`` picks the block with the
             fewest valid pages; ``"fifo"`` rotates through blocks in
             allocation-age order (wear-leveling-style), which makes the
@@ -128,8 +127,6 @@ class FtlConfig:
     map_entries_per_page: int = 256
     barrier_meta_pages: int = 2
     xl2p_capacity: int = 1000
-    xl2p_entry_bytes: int = 16
-    map_checkpoint_interval: int = 64
     cmt_pages: int = 0
     cmt_dirty_batch: int = 2
     retain_versions: int = 1

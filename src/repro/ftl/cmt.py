@@ -187,15 +187,14 @@ class CachedMappingTable:
         # any L2P mutation is obliged to re-dirty its segment, so a clean
         # flash copy is by definition current.  chip.peek reads without
         # latency or statistics.
-        # ``_segment_image``/``_translation_images_match`` keep this
-        # comparison valid for the multi-version XFTL, whose images carry
-        # (lpn, ppn, chain) triples.
+        # Images are canonical (pagemap's format: lpn-ordered slice plus
+        # lpn-ordered chains), so equality is the whole comparison.
         for segment, ppn in ftl._map_dir.items():
             if segment in ftl._dirty_segments:
                 continue
             flushed = ftl.chip.peek(ppn)
             live = ftl._segment_image(segment)
-            if not ftl._translation_images_match(flushed, live):
+            if flushed != live:
                 raise FtlError(
                     f"clean translation page for segment {segment} is stale: "
                     f"flash has {flushed}, map has {live}"

@@ -25,12 +25,19 @@ the sequence number as of the last barrier.  Remounting after power loss
 loads the map pages from the root, then scans block OOB areas and replays
 committed writes with newer sequence numbers.  Torn pages (power cut mid
 program) are detected and skipped.
+
+The L2P table is one flat list indexed by lpn (``None`` = unmapped), and a
+translation (map) page image is ``(ppns, chains)``: ``ppns`` is the slice of
+that list covering the segment's whole lpn range, ``chains`` the retained
+version chains of the same range (empty unless the multi-version XFTL adds
+them).  The format is decided here alone — :meth:`PageMappingFTL._segment_image`
+builds an image and :meth:`PageMappingFTL._load_segment_image` loads one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import CorruptionError, FlashError, FtlError
 from repro.flash.chip import FlashChip
@@ -96,79 +103,6 @@ class RootRecord:
         )
 
 
-class SegmentedL2P(dict):
-    """L2P mapping dict with per-translation-segment key buckets.
-
-    ``_segment_entries`` used to filter the *whole* mapping per translation
-    page (``for lpn, ppn in self._l2p.items() if lo <= lpn < hi``) — an
-    O(L2P) scan per map flush that dominated barrier cost on aged devices.
-    This subclass maintains, transparently at every mutation, an ordered
-    key bucket per segment so a segment's entries enumerate in O(segment).
-
-    Bucket order replicates plain-dict semantics exactly: a bucket holds
-    its segment's entries in first-insertion order (re-assigning an
-    existing lpn keeps its position; pop + re-insert moves it to the end),
-    which is precisely the subsequence of ``dict.items()`` order the old
-    filter produced — so persisted translation-page images stay
-    bit-identical.  Buckets mirror the ppn values too, so a segment's
-    image is just ``tuple(bucket.items())`` (one C-level call).
-
-    Only the mutation paths the FTLs use are supported (``d[k] = v``,
-    ``pop``, ``del``); the bulk mutators would silently desynchronize the
-    buckets and are explicitly disabled.
-    """
-
-    __slots__ = ("entries_per_page", "segments")
-
-    def __init__(self, entries_per_page: int) -> None:
-        super().__init__()
-        self.entries_per_page = entries_per_page
-        self.segments: dict[int, dict[int, int]] = {}
-
-    def __setitem__(self, lpn: int, ppn: int) -> None:
-        segment = lpn // self.entries_per_page
-        bucket = self.segments.get(segment)
-        if bucket is None:
-            bucket = self.segments[segment] = {}
-        bucket[lpn] = ppn
-        dict.__setitem__(self, lpn, ppn)
-
-    def __delitem__(self, lpn: int) -> None:
-        dict.__delitem__(self, lpn)
-        segment = lpn // self.entries_per_page
-        bucket = self.segments[segment]
-        del bucket[lpn]
-        if not bucket:
-            del self.segments[segment]
-
-    def pop(self, lpn, *default):
-        if lpn in self:
-            segment = lpn // self.entries_per_page
-            bucket = self.segments[segment]
-            del bucket[lpn]
-            if not bucket:
-                del self.segments[segment]
-        return dict.pop(self, lpn, *default)
-
-    def segment_items(self, segment: int) -> tuple:
-        """This segment's ``(lpn, ppn)`` entries, in insertion order."""
-        bucket = self.segments.get(segment)
-        if not bucket:
-            return ()
-        return tuple(bucket.items())
-
-    def _unsupported(self, *args, **kwargs):
-        raise NotImplementedError(
-            "bulk mutation would desynchronize SegmentedL2P's segment buckets"
-        )
-
-    update = _unsupported
-    setdefault = _unsupported
-    clear = _unsupported
-    popitem = _unsupported
-    __ior__ = _unsupported
-
-
 class PageMappingFTL(Ftl):
     """Stock page-mapped FTL (see module docstring)."""
 
@@ -184,9 +118,9 @@ class PageMappingFTL(Ftl):
         chip.crash_plan.subscribe(self.power_fail)
 
         self._powered = True
-        # Volatile (DRAM) state.  The L2P map keeps per-segment key buckets
-        # so translation-page flushes never scan the whole mapping.
-        self._l2p: SegmentedL2P = SegmentedL2P(self.config.map_entries_per_page)
+        # Volatile (DRAM) state.  The L2P table: one entry per exported
+        # logical page, None while unmapped.
+        self._l2p: list[int | None] = [None] * self._exported_pages
         self._owner: dict[int, tuple] = {}
         # Page/block state lives on the chip's BlockStateView; the FTL
         # aliases the arrays directly (their identity is stable — the view
@@ -215,9 +149,12 @@ class PageMappingFTL(Ftl):
         # stays bit-identical (tests/test_cmt_equivalence.py).
         if self.config.cmt_pages < 0:
             raise FtlError(f"cmt_pages must be >= 0, got {self.config.cmt_pages}")
-        per_page = self.config.map_entries_per_page
-        total_segments = -(-self._exported_pages // per_page)
-        if 0 < self.config.cmt_pages < total_segments:
+        if self._map_entries_per_page < 1:
+            raise FtlError(
+                f"map_entries_per_page must be >= 1, got {self._map_entries_per_page}"
+            )
+        self._total_segments = -(-self._exported_pages // self._map_entries_per_page)
+        if 0 < self.config.cmt_pages < self._total_segments:
             self._cmt: CachedMappingTable | None = CachedMappingTable(
                 self, self.config.cmt_pages, self.config.cmt_dirty_batch
             )
@@ -244,7 +181,7 @@ class PageMappingFTL(Ftl):
         self._check_lpn(lpn)
         if self._cmt is not None:
             self._cmt.access(lpn // self.config.map_entries_per_page)
-        ppn = self._l2p.get(lpn)
+        ppn = self._l2p[lpn]
         if ppn is None:
             return None  # unwritten logical page reads as zeros
         self.stats.host_page_reads += 1
@@ -267,7 +204,7 @@ class PageMappingFTL(Ftl):
         ppn = self._program(data, (OOB_DATA, lpn, self._seq, None))
         owners = self._owner
         per = self._pages_per_block
-        old = self._l2p.get(lpn)
+        old = self._l2p[lpn]
         if old is not None and owners.pop(old, None) is not None:
             self._valid_bitmap[old] = 0
             self._valid_count[old // per] -= 1
@@ -286,8 +223,9 @@ class PageMappingFTL(Ftl):
         self._check_lpn(lpn)
         if self._cmt is not None:
             self._cmt.access(lpn // self.config.map_entries_per_page)
-        old = self._l2p.pop(lpn, None)
+        old = self._l2p[lpn]
         if old is not None:
+            self._l2p[lpn] = None
             self._invalidate(old)
             self._mark_dirty(lpn)
 
@@ -334,7 +272,7 @@ class PageMappingFTL(Ftl):
     def power_fail(self) -> None:
         """Drop all DRAM state.  The chip (and the root record) persist."""
         self._powered = False
-        self._l2p = SegmentedL2P(self.config.map_entries_per_page)
+        self._l2p = [None] * self._exported_pages
         self._owner = {}
         self.chip.state.clear_validity()
         self._dirty_segments = set()
@@ -356,22 +294,22 @@ class PageMappingFTL(Ftl):
         self._meta_dir = dict(root.meta_dir)
         self._seq = root.seq
 
-        # 1. Load the persisted map pages.
-        self._l2p = SegmentedL2P(self.config.map_entries_per_page)
+        # 1. Load the persisted map pages.  Their chain parts are handed to
+        # _finish_remount, which runs after OOB replay settles the current
+        # mapping.
+        self._l2p = [None] * self._exported_pages
         self._owner = {}
+        chains: list = []
         for segment, ppn in self._map_dir.items():
-            entries = self.chip.read(ppn)
+            image = self.chip.read(ppn)
             self._set_owner_raw(ppn, (OWNER_MAP, segment))
-            # Entries are (lpn, ppn) pairs; the multi-version XFTL persists
-            # (lpn, ppn, chain) triples — the chain tail is restored by the
-            # subclass in _finish_remount, after OOB replay settles the
-            # current mapping.
-            for entry in entries:
-                self._l2p[entry[0]] = entry[1]
+            chains.extend(self._load_segment_image(segment, image))
         for slot, ppn in self._meta_dir.items():
             self._set_owner_raw(ppn, (OWNER_META, slot))
         stale: list[int] = []
-        for lpn, ppn in self._l2p.items():
+        for lpn, ppn in enumerate(self._l2p):
+            if ppn is None:
+                continue
             # A persisted mapping can be stale: its physical page may have
             # been invalidated, erased and reused — possibly for one of the
             # very map/meta pages claimed above (their programs carry
@@ -397,7 +335,7 @@ class PageMappingFTL(Ftl):
                     continue
             stale.append(lpn)
         for lpn in stale:
-            self._l2p.pop(lpn, None)
+            self._l2p[lpn] = None
             self._mark_dirty(lpn)
 
         # 2. Replay newer writes found in OOB areas, in sequence order.
@@ -418,7 +356,7 @@ class PageMappingFTL(Ftl):
                 continue
             self._remap_for_recovery(lpn, ppn)
 
-        self._finish_remount()
+        self._finish_remount(chains)
 
         # 3. Rebuild validity counts and the free pool from ownership.
         self._rebuild_space_state()
@@ -431,7 +369,7 @@ class PageMappingFTL(Ftl):
         logical page — so its owner is only dropped when it really belongs
         to this lpn.
         """
-        old = self._l2p.get(lpn)
+        old = self._l2p[lpn]
         if old is not None and old != ppn and self._owner.get(old) == (OWNER_L2P, lpn):
             self._drop_owner(old)
         self._l2p[lpn] = ppn
@@ -448,8 +386,11 @@ class PageMappingFTL(Ftl):
         """
         return tid is None
 
-    def _finish_remount(self) -> None:
-        """Hook for subclasses (XFTL reloads the X-L2P table here)."""
+    def _finish_remount(self, chains: list) -> None:
+        """Hook for subclasses (XFTL reloads the X-L2P table here).
+
+        ``chains`` is the chain part of every loaded map page.
+        """
 
     # ------------------------------------------------------------ internals
 
@@ -463,6 +404,17 @@ class PageMappingFTL(Ftl):
 
     def _mark_dirty(self, lpn: int) -> None:
         self._dirty_segments.add(lpn // self.config.map_entries_per_page)
+
+    def _publish_mappings(self, staged: Iterable[tuple[int, int]]) -> None:
+        """Point each ``(lpn, ppn)`` at its new copy; the old copy dies."""
+        l2p = self._l2p
+        for lpn, ppn in staged:
+            old = l2p[lpn]
+            if old is not None:
+                self._invalidate(old)
+            l2p[lpn] = ppn
+            self._set_owner(ppn, (OWNER_L2P, lpn))
+            self._mark_dirty(lpn)
 
     def _set_owner(self, ppn: int, owner: tuple) -> None:
         if ppn in self._owner:
@@ -566,25 +518,38 @@ class PageMappingFTL(Ftl):
 
     # -------- map persistence ------------------------------------------
 
-    def _segment_entries(self, segment: int) -> tuple:
-        return self._l2p.segment_items(segment)
-
-    def _segment_image(self, segment: int) -> tuple:
+    def _segment_image(self, segment: int, overlay: dict[int, int] | None = None) -> tuple:
         """The image a translation-page flush of ``segment`` would program.
 
-        The stock FTL programs the raw ``(lpn, ppn)`` entries; the
-        multi-version XFTL overrides this to append version chains.
+        ``overlay`` maps lpns of the segment to ppns that replace the live
+        entries in the image only (the commit path programs post-fold
+        content before folding).
         """
-        return self._segment_entries(segment)
+        lo = segment * self._map_entries_per_page
+        hi = lo + self._map_entries_per_page
+        ppns = self._l2p[lo:hi]
+        if overlay:
+            for lpn, ppn in overlay.items():
+                ppns[lpn - lo] = ppn
+        return (tuple(ppns), self._segment_chains(lo, hi))
 
-    @staticmethod
-    def _translation_images_match(flushed, live) -> bool:
-        """Order-insensitive comparison of two translation-page images.
+    def _segment_chains(self, lo: int, hi: int) -> tuple:
+        """Chain part of the image covering lpns ``lo..hi-1`` (XFTL overrides)."""
+        return ()
 
-        Images hold ``(lpn, ppn)`` pairs — or ``(lpn, ppn, chain)`` triples
-        under the multi-version XFTL — keyed by lpn.
-        """
-        return {e[0]: e[1:] for e in flushed} == {e[0]: e[1:] for e in live}
+    def _load_segment_image(self, segment: int, image: tuple) -> tuple:
+        """Install a persisted image into the L2P; returns its chain part."""
+        if not 0 <= segment < self._total_segments:
+            raise CorruptionError(f"map page for segment {segment} outside exported space")
+        lo = segment * self._map_entries_per_page
+        hi = min(lo + self._map_entries_per_page, self._exported_pages)
+        ppns, chains = image
+        if len(ppns) != hi - lo:
+            raise CorruptionError(
+                f"map page for segment {segment} holds {len(ppns)} entries, expected {hi - lo}"
+            )
+        self._l2p[lo:hi] = ppns
+        return chains
 
     def _retire(self, ppn: int, kind: str, key: object) -> None:
         """Keep a superseded root-referenced page valid until root publish."""
@@ -592,17 +557,15 @@ class PageMappingFTL(Ftl):
         self._set_owner_raw(ppn, (OWNER_RETIRED, kind, key))
         self._pending_retired.add(ppn)
 
-    def _write_translation_page(self, segment: int, entries: tuple | None = None) -> int:
+    def _write_translation_page(self, segment: int, overlay: dict[int, int] | None = None) -> int:
         """Program one translation (map) page and repoint the directory.
 
         Shared by the barrier flush, CMT dirty evictions and the commit
-        pinning path; ``entries`` overrides the live segment content (the
-        commit path programs an overlaid post-fold image).
+        pinning path (the only one passing ``overlay``, see _segment_image).
         """
-        if entries is None:
-            entries = self._segment_entries(segment)
+        image = self._segment_image(segment, overlay)
         self._seq += 1
-        ppn = self._program(entries, (OOB_MAP, segment, self._seq, None))
+        ppn = self._program(image, (OOB_MAP, segment, self._seq, None))
         old = self._map_dir.get(segment)
         if old is not None and old in self._owner:
             if self._root.map_dir.get(segment) == old:
@@ -692,7 +655,8 @@ class PageMappingFTL(Ftl):
 
     def mapped_ppn(self, lpn: int) -> int | None:
         """Current physical page of ``lpn`` in the committed L2P view."""
-        return self._l2p.get(lpn)
+        self._check_lpn(lpn)
+        return self._l2p[lpn]
 
     def free_block_count(self) -> int:
         return sum(self.gc.free_block_counts())
@@ -740,16 +704,9 @@ class PageMappingFTL(Ftl):
             raise FtlError("valid bitmap popcount disagrees with owner map")
         if list(state_view.valid_count_per_block()) != state_view.valid_counts:
             raise FtlError("per-block valid counts disagree with valid bitmap")
-        for lpn, ppn in self._l2p.items():
-            if self._owner.get(ppn) != (OWNER_L2P, lpn):
+        for lpn, ppn in enumerate(self._l2p):
+            if ppn is not None and self._owner.get(ppn) != (OWNER_L2P, lpn):
                 raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p")
-        for segment, bucket in self._l2p.segments.items():
-            per = self._l2p.entries_per_page
-            for lpn in bucket:
-                if lpn // per != segment or lpn not in self._l2p:
-                    raise FtlError(f"l2p segment bucket {segment} out of sync at {lpn}")
-        if sum(len(b) for b in self._l2p.segments.values()) != len(self._l2p):
-            raise FtlError("l2p segment buckets out of sync with mapping")
         if self._cmt is not None:
             self._cmt.check_invariants()
         self.gc.check_invariants()

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 from repro.errors import TransactionError
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import OWNER_L2P, PageMappingFTL
+from repro.ftl.pagemap import PageMappingFTL
 
 OOB_SCC = "scc"
 
@@ -64,13 +64,7 @@ class TxFlashFTL(PageMappingFTL):
                 staged.append((lpn, ppn))
                 self.stats.host_page_writes += 1
             # Cycle is complete on flash: publish the mappings.
-            for lpn, ppn in staged:
-                old = self._l2p.get(lpn)
-                if old is not None:
-                    self._invalidate(old)
-                self._l2p[lpn] = ppn
-                self._set_owner(ppn, (OWNER_L2P, lpn))
-                self._mark_dirty(lpn)
+            self._publish_mappings(staged)
         finally:
             self._inflight_lpns.difference_update(lpns)
 

@@ -81,16 +81,17 @@ CP_VERSION_RELEASE = register_crash_point(
     "version released from its chain, deferred invalidation pending",
 )
 
+# The L2P map is checkpointed lazily after this many committed transactions
+# (the commit itself flushes only the tiny X-L2P table).
+MAP_CHECKPOINT_INTERVAL = 64
+
 
 class XFTL(PageMappingFTL):
     """Transactional FTL over a page-mapped base (see module docstring)."""
 
     def __init__(self, chip: FlashChip, config: FtlConfig | None = None) -> None:
         super().__init__(chip, config)
-        self.xl2p = XL2PTable(
-            capacity=self.config.xl2p_capacity,
-            entry_bytes=self.config.xl2p_entry_bytes,
-        )
+        self.xl2p = self._new_xl2p()
         self._xl2p_page_ppns: list[int] = []
         self._commits_since_checkpoint = 0
         self._committed_tids: set[int] = set()
@@ -179,7 +180,7 @@ class XFTL(PageMappingFTL):
             self._cmt.access(lpn // self._map_entries_per_page)
         self._seq += 1
         ppn = self._program(data, (OOB_DATA, lpn, self._seq, None))
-        old = self._l2p.get(lpn)
+        old = self._l2p[lpn]
         if old is not None:
             if self._owner.get(old) == (OWNER_L2P, lpn):
                 # A plain overwrite is its own one-page commit: it ticks
@@ -366,7 +367,7 @@ class XFTL(PageMappingFTL):
             # into the lpn's version chain instead of invalidating it.
             for tid in live:
                 for entry in self.xl2p.entries_of(tid):
-                    old = self._l2p.get(entry.lpn)
+                    old = self._l2p[entry.lpn]
                     if old is not None:
                         if self._versions is not None:
                             self._version_publish(entry.lpn, old, commit_seqs[tid])
@@ -391,7 +392,7 @@ class XFTL(PageMappingFTL):
             self._obs_group_size.observe(float(len(live)))
         self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
         self._commits_since_checkpoint += len(live)
-        if self._commits_since_checkpoint >= self.config.map_checkpoint_interval:
+        if self._commits_since_checkpoint >= MAP_CHECKPOINT_INTERVAL:
             self._checkpoint_map()
 
     def abort(self, tid: int) -> None:
@@ -419,6 +420,9 @@ class XFTL(PageMappingFTL):
         self._obs_aborts.inc()
 
     # ------------------------------------------------------------ internals
+
+    def _new_xl2p(self) -> XL2PTable:
+        return XL2PTable(capacity=self.config.xl2p_capacity)
 
     def _release_write_locks(self, tid: int) -> None:
         """Forget conflict-detection holds of a finished transaction."""
@@ -496,11 +500,9 @@ class XFTL(PageMappingFTL):
             folds.setdefault(entry.lpn // per, {})[entry.lpn] = entry.new_ppn
         for segment in sorted(folds):
             self._cmt.insert_resident(segment)
-            merged = dict(self._segment_entries(segment))
-            merged.update(folds[segment])
             self.chip.crash_plan.hit(CP_CMT_COMMIT_FLUSH)
             self._dirty_segments.discard(segment)
-            self._write_translation_page(segment, tuple(sorted(merged.items())))
+            self._write_translation_page(segment, folds[segment])
             self._cmt.note_writeback()
 
     def _settle_commit_segments(self, segments: set[int]) -> None:
@@ -516,9 +518,7 @@ class XFTL(PageMappingFTL):
             ppn = self._map_dir.get(segment)
             if ppn is None:
                 continue
-            if self._translation_images_match(
-                self.chip.peek(ppn), self._segment_image(segment)
-            ):
+            if self.chip.peek(ppn) == self._segment_image(segment):
                 self._dirty_segments.discard(segment)
 
     def _checkpoint_map(self) -> None:
@@ -528,23 +528,14 @@ class XFTL(PageMappingFTL):
         self._root.committed_tids = frozenset()
         self._commits_since_checkpoint = 0
 
-    def _segment_image(self, segment: int) -> tuple:
-        entries = self._segment_entries(segment)
-        if self._versions is not None:
-            entries = self._versions.augment(entries)
-        return entries
-
-    def _write_translation_page(self, segment: int, entries: tuple | None = None) -> int:
-        # Multi-version mode persists (lpn, ppn, chain) triples so retained
-        # versions survive power loss; chain durability rides the existing
-        # flush points (barriers, CMT writebacks, commit pinning) — a crash
-        # can cost retention depth, never integrity (recovery validates
-        # every restored entry against its page's OOB identity).
-        if self._versions is not None:
-            if entries is None:
-                entries = self._segment_entries(segment)
-            entries = self._versions.augment(entries)
-        return super()._write_translation_page(segment, entries)
+    def _segment_chains(self, lo: int, hi: int) -> tuple:
+        # Multi-version mode persists each segment's version chains beside
+        # its mappings so retained versions survive power loss; chain
+        # durability rides the existing flush points (barriers, CMT
+        # writebacks, commit pinning) — a crash can cost retention depth,
+        # never integrity (recovery validates every restored entry against
+        # its page's OOB identity).
+        return self._versions.chains_in(lo, hi) if self._versions is not None else ()
 
     # ------------------------------------------------- GC integration hooks
 
@@ -608,10 +599,7 @@ class XFTL(PageMappingFTL):
 
     def power_fail(self) -> None:
         super().power_fail()
-        self.xl2p = XL2PTable(
-            capacity=self.config.xl2p_capacity,
-            entry_bytes=self.config.xl2p_entry_bytes,
-        )
+        self.xl2p = self._new_xl2p()
         self._xl2p_page_ppns = []
         self._committed_tids = set()
         self._aborted_tids = set()
@@ -622,7 +610,7 @@ class XFTL(PageMappingFTL):
         if self._versions is not None:
             self._versions.clear()
 
-    def _finish_remount(self) -> None:
+    def _finish_remount(self, chains: list) -> None:
         """Load the persisted X-L2P and reflect committed entries (§5.4).
 
         The measured duration is recorded in :attr:`last_xl2p_recovery_us`
@@ -636,30 +624,24 @@ class XFTL(PageMappingFTL):
             self._set_owner_raw(ppn, (OWNER_XL2P_TABLE, index))
         self._xl2p_page_ppns = list(self._root.xl2p_ppns)
         if images:
-            durable = XL2PTable.deserialize(
-                images,
-                capacity=self.config.xl2p_capacity,
-                entry_bytes=self.config.xl2p_entry_bytes,
+            self._reflect_committed(
+                XL2PTable.deserialize(images, capacity=self.config.xl2p_capacity)
             )
-            self._reflect_committed(durable)
         # Active/aborted entries are discarded: that *is* the rollback.
-        self.xl2p = XL2PTable(
-            capacity=self.config.xl2p_capacity,
-            entry_bytes=self.config.xl2p_entry_bytes,
-        )
+        self.xl2p = self._new_xl2p()
         # Snapshots pinned before the crash are gone; the counter resumes
         # from the durable root so new snapshots sit above every durably
         # committed transaction.
         self._commit_counter = self._root.commit_seq
         if self._versions is not None:
-            self._restore_version_chains()
+            self._restore_version_chains(chains)
         self.last_xl2p_recovery_us = self.chip.clock.now_us - t0
 
     def _commit_seq_for_root(self) -> int:
         return self._commit_counter
 
-    def _restore_version_chains(self) -> None:
-        """Re-validate and re-own persisted version chains (recovery).
+    def _restore_version_chains(self, chains: list) -> None:
+        """Re-validate and re-own the map pages' version chains (recovery).
 
         Runs after OOB replay and the committed X-L2P reflect, so every
         *current* page is already owned.  A persisted chain entry can be
@@ -676,30 +658,23 @@ class XFTL(PageMappingFTL):
         versions.clear()
         page_states = self.chip.state.page_states
         owners = self._owner
-        for segment in sorted(self._map_dir):
-            # The map pages were already read (and charged) by the base
-            # remount; peek re-decodes the persisted image for free.
-            image = self.chip.peek(self._map_dir[segment])
-            for entry in image:
-                if len(entry) < 3:
+        for lpn, chain in sorted(chains):
+            restored = []
+            for ppn, sup_seq, oob_seq in chain:
+                if page_states[ppn] != PAGE_PROGRAMMED:
                     continue
-                lpn, chain = entry[0], entry[2]
-                restored = []
-                for ppn, sup_seq, oob_seq in chain:
-                    if page_states[ppn] != PAGE_PROGRAMMED:
-                        continue
-                    oob = self.chip.read_oob(ppn)
-                    if not oob or oob[0] != OOB_DATA or oob[1] != lpn or oob[2] != oob_seq:
-                        continue
-                    if ppn in owners:
-                        continue
-                    restored.append((ppn, sup_seq, oob_seq))
-                    self._set_owner_raw(ppn, (OWNER_VERSION, lpn))
-                if restored:
-                    versions.restore(lpn, restored)
-                    if len(restored) != len(chain):
-                        # The durable chain shrank: persist the repair.
-                        self._mark_dirty(lpn)
+                oob = self.chip.read_oob(ppn)
+                if not oob or oob[0] != OOB_DATA or oob[1] != lpn or oob[2] != oob_seq:
+                    continue
+                if ppn in owners:
+                    continue
+                restored.append((ppn, sup_seq, oob_seq))
+                self._set_owner_raw(ppn, (OWNER_VERSION, lpn))
+            if restored:
+                versions.restore(lpn, restored)
+                if len(restored) != len(chain):
+                    # The durable chain shrank: persist the repair.
+                    self._mark_dirty(lpn)
         # Snapshot pins died with the power; re-trim chains a floor had
         # held past the retention bound.
         for lpn, ppns in versions.set_floor(None).items():
@@ -717,7 +692,7 @@ class XFTL(PageMappingFTL):
                 oob = self.chip.read_oob(entry.new_ppn)
                 if not oob or oob[0] != OOB_DATA or oob[1] != entry.lpn:
                     continue  # physical page reused for something else
-                current = self._l2p.get(entry.lpn)
+                current = self._l2p[entry.lpn]
                 if current == entry.new_ppn:
                     continue  # already reflected (idempotent)
                 current_seq = self._oob_seq(current)
@@ -774,7 +749,7 @@ class XFTL(PageMappingFTL):
                     f"version chain for lpn {lpn} exceeds bound with no snapshot "
                     f"floor: {len(chain)} > {versions.bound}"
                 )
-            current = self._l2p.get(lpn)
+            current = self._l2p[lpn]
             prev_seq = None
             for ppn, sup_seq, _oob_seq in chain:
                 chained += 1

@@ -27,6 +27,9 @@ from dataclasses import dataclass
 
 from repro.errors import TransactionError
 
+# Size of one X-L2P entry (paper: 16 bytes).
+XL2P_ENTRY_BYTES = 16
+
 
 class TxStatus(enum.Enum):
     """Status of an updater transaction, as tracked by the X-L2P table."""
@@ -64,7 +67,7 @@ class XL2PTable:
     configured entry size and capacity.
     """
 
-    def __init__(self, capacity: int = 1000, entry_bytes: int = 16) -> None:
+    def __init__(self, capacity: int = 1000, entry_bytes: int = XL2P_ENTRY_BYTES) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -146,7 +149,7 @@ class XL2PTable:
 
     @classmethod
     def deserialize(
-        cls, images: list[tuple], capacity: int, entry_bytes: int
+        cls, images: list[tuple], capacity: int, entry_bytes: int = XL2P_ENTRY_BYTES
     ) -> "XL2PTable":
         """Rebuild a table from flushed page images (recovery path)."""
         table = cls(capacity=capacity, entry_bytes=entry_bytes)
@@ -280,23 +283,12 @@ class VersionedL2P:
         if entries:
             self._chains[lpn] = [tuple(entry) for entry in entries]
 
-    def augment(self, entries) -> tuple:
-        """Extend ``(lpn, ppn)`` translation entries with their chains.
-
-        Entries whose lpn has no retained versions stay 2-tuples, so the
-        persisted image only grows where chains exist.
-        """
+    def chains_in(self, lo: int, hi: int) -> tuple:
+        """``(lpn, chain)`` for every lpn in ``lo..hi-1`` with retained versions."""
         chains = self._chains
         if not chains:
-            return tuple(entries)
-        out = []
-        for entry in entries:
-            chain = chains.get(entry[0])
-            if chain:
-                out.append((entry[0], entry[1], tuple(chain)))
-            else:
-                out.append(entry)
-        return tuple(out)
+            return ()
+        return tuple((lpn, tuple(chains[lpn])) for lpn in range(lo, hi) if lpn in chains)
 
     def clear(self) -> None:
         """Forget everything (power loss: chains are rebuilt from flash)."""

@@ -161,7 +161,8 @@ class TestWriteback:
         for seg in range(3):
             ftl.write(seg * SEG, b"x")
         ppn = ftl._map_dir[0]
-        assert dict(ftl.chip.peek(ppn)) == dict(ftl._segment_entries(0))
+        assert ftl.chip.peek(ppn) == ftl._segment_image(0)
+        assert ftl.chip.peek(ppn)[0] == (ftl.mapped_ppn(0),) + (None,) * (SEG - 1)
         ftl.check_invariants()
 
 
@@ -214,6 +215,6 @@ class TestUnderPressure:
             ftl.write(seg * SEG, b"x")
         # Corrupt the live map behind the CMT's back without re-dirtying:
         # the flushed page for segment 0 is now stale and must be caught.
-        ftl._l2p.pop(0)
-        with pytest.raises(FtlError):
+        ftl._l2p[0] = None
+        with pytest.raises(FtlError, match="clean translation page .* is stale"):
             ftl._cmt.check_invariants()

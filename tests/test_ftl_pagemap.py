@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FtlError, OutOfSpaceError
+from repro.errors import CorruptionError, FtlError, OutOfSpaceError
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFTL
+from repro.sim.rng import make_rng
 
 
 def make_ftl(num_blocks=32, pages_per_block=8, **cfg) -> PageMappingFTL:
@@ -48,6 +49,18 @@ class TestBasicMapping:
             ftl.write(ftl.exported_pages, b"x")
         with pytest.raises(FtlError):
             ftl.read(-1)
+
+    def test_mapped_ppn_checks_bounds(self):
+        """A list index would wrap -1 to the last lpn; the check must not."""
+        ftl = make_ftl()
+        ftl.write(ftl.exported_pages - 1, b"last")
+        for lpn in (-1, ftl.exported_pages):
+            with pytest.raises(FtlError):
+                ftl.mapped_ppn(lpn)
+
+    def test_map_entries_per_page_must_be_positive(self):
+        with pytest.raises(FtlError):
+            make_ftl(map_entries_per_page=0)
 
     def test_trim_unmaps(self):
         ftl = make_ftl()
@@ -229,6 +242,96 @@ class TestPowerCycle:
         assert ftl.read(1) == b"a"
         assert ftl.read(2) == b"b"
         ftl.check_invariants()
+
+
+class TestTranslationPageImages:
+    """The persisted map-page format: ``(slice of the L2P table, chains)``."""
+
+    def test_short_last_segment_round_trips(self):
+        ftl = make_ftl(map_entries_per_page=10)
+        assert ftl.exported_pages % 10 != 0
+        last = ftl.exported_pages - 1
+        ftl.write(last, b"tail")
+        ftl.write(last - 1, b"tail-1")
+        ftl.barrier()
+        ppns, chains = ftl.chip.peek(ftl._map_dir[last // 10])
+        assert len(ppns) == ftl.exported_pages % 10
+        assert ppns[-2:] == (ftl.mapped_ppn(last - 1), ftl.mapped_ppn(last))
+        assert chains == ()
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.read(last) == b"tail"
+        assert ftl.read(last - 1) == b"tail-1"
+        assert ftl.mapped_ppn(last - 2) is None
+        ftl.check_invariants()
+
+    def test_trimmed_lpn_in_dense_segment_stays_unmapped(self):
+        ftl = make_ftl()
+        for lpn in range(16):
+            ftl.write(lpn, b"v%d" % lpn)
+        ftl.barrier()
+        ftl.trim(7)
+        ftl.barrier()
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.mapped_ppn(7) is None
+        assert ftl.read(7) is None
+        for lpn in (6, 8):
+            assert ftl.read(lpn) == b"v%d" % lpn
+        ftl.check_invariants()
+
+    def _persisted(self):
+        ftl = make_ftl()
+        ftl.write(0, b"seg0")
+        ftl.write(16, b"seg1")
+        ftl.barrier()
+        ftl.power_fail()
+        return ftl
+
+    def test_overlong_image_is_corruption_not_neighbour_overwrite(self):
+        ftl = self._persisted()
+        ppn = ftl._root.map_dir[0]
+        ppns, chains = ftl.chip.peek(ppn)
+        ftl.chip._data[ppn] = (ppns + (ppns[0],), chains)
+        with pytest.raises(CorruptionError):
+            ftl.remount()
+
+    def test_map_dir_segment_past_exported_space_is_corruption(self):
+        ftl = self._persisted()
+        segments = -(-ftl.exported_pages // 16)
+        ftl._root.map_dir[segments] = ftl._root.map_dir.pop(1)
+        with pytest.raises(CorruptionError):
+            ftl.remount()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(),
+            dict(cmt_pages=2, cmt_dirty_batch=1),
+            dict(gc_mode="background", gc_background_watermark=3),
+        ],
+        ids=["stock", "cmt", "background-gc"],
+    )
+    def test_clean_segments_match_flash_under_any_interleaving(self, cfg):
+        """Every L2P mutation re-dirties its segment, so a clean segment's
+        flash page equals the image a flush would program right now."""
+        for seed in range(4):
+            ftl = make_ftl(num_blocks=24, **cfg)
+            rng = make_rng(seed, "test.ftl.pagemap", "images")
+            hot = ftl.exported_pages // 2  # overwrite-heavy: forces GC
+            for _ in range(500):
+                draw = rng.random()
+                if draw < 0.80:
+                    ftl.write(rng.randrange(hot), b"x")
+                elif draw < 0.90:
+                    ftl.trim(rng.randrange(hot))
+                else:
+                    ftl.barrier()
+                for segment, ppn in ftl._map_dir.items():
+                    if segment not in ftl._dirty_segments:
+                        assert ftl.chip.peek(ppn) == ftl._segment_image(segment)
+            assert ftl.stats.gc_invocations > 0
+            ftl.check_invariants()
 
 
 class TestPagemapProperties:

@@ -103,11 +103,13 @@ class TestVersionedL2P:
         with pytest.raises(TransactionError):
             chains.relocate(4, 100, 300)  # old ppn no longer in the chain
 
-    def test_augment_only_grows_entries_with_chains(self):
+    def test_chains_in_covers_exactly_the_lpn_range(self):
         chains = VersionedL2P(3)
+        assert chains.chains_in(0, 16) == ()
         chains.push(1, 100, sup_seq=1, oob_seq=10)
-        image = chains.augment(((0, 40), (1, 41)))
-        assert image == ((0, 40), (1, 41, ((100, 1, 10),)))
+        chains.push(16, 101, sup_seq=2, oob_seq=11)
+        assert chains.chains_in(0, 16) == ((1, ((100, 1, 10),)),)
+        assert chains.chains_in(16, 32) == ((16, ((101, 2, 11),)),)
 
 
 # ----------------------------------------------------------- FTL-level AS-OF
@@ -186,6 +188,28 @@ class TestReadAsOf:
         assert ftl.read_as_of(0, 1) == "v1"
         assert ftl.read_as_of(0, 2) == "v2"
         assert ftl.read(0) == "v3"
+
+    def test_segment_image_carries_exactly_its_own_chains(self):
+        ftl = make_xftl(retain_versions=3)
+        tid = 0
+        for lpn in (0, 5, 16):  # segments 0, 0, 1 (16 entries per map page)
+            for value in ("v1", "v2", "v3"):
+                tid += 1
+                self._commit(ftl, tid, lpn, value)
+        ftl.barrier()
+        before = {lpn: ftl.version_chain(lpn) for lpn in (0, 5, 16)}
+        assert all(len(chain) == 2 for chain in before.values())
+        images = {seg: ftl.chip.peek(ftl._map_dir[seg]) for seg in (0, 1)}
+        assert images[0][1] == ((0, before[0]), (5, before[5]))
+        assert images[1][1] == ((16, before[16]),)
+        assert images[0][0][:6] == tuple(ftl.mapped_ppn(lpn) for lpn in range(6))
+        ftl.power_fail()
+        ftl.remount()
+        ftl.check_invariants()
+        assert {lpn: ftl.version_chain(lpn) for lpn in (0, 5, 16)} == before
+        # lpn 5 was committed at sequences 4, 5 and 6.
+        assert ftl.read_as_of(5, 4) == "v1"
+        assert ftl.read_as_of(5, 5) == "v2"
 
 
 # --------------------------------------------------------- retain=1 identity
