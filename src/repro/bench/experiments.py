@@ -964,8 +964,8 @@ def throughput(
     fsync) every ``barrier_interval`` writes — the commit cadence of small
     transactions — on ``channels`` channels with background cost-benefit GC
     and wear leveling on.  Every layer of the redesigned state API is on
-    this path: ``BlockStateView`` bitmaps under FTL/GC bookkeeping, batched
-    stats counters, cached channel timelines, and translation flushes
+    this path: ``BlockStateView`` arrays and the flat owner table under
+    FTL/GC bookkeeping, batched stats counters, cached channel timelines, and translation flushes
     that persist one slice of the flat L2P list per dirty segment.
 
     Wall seconds are machine-dependent; the simulated counters are not.

@@ -17,8 +17,8 @@ erase — optionally leaving the in-flight page *torn* (detectable garbage),
 which models the non-atomic sector write SQLite worries about (§2.1).
 
 Page/block state lives in the chip's :class:`~repro.flash.state.BlockStateView`
-(``chip.state``) — flat bytearray/array state maps shared with the FTL's
-validity bookkeeping.
+(``chip.state``) — flat arrays of page lifecycle, write points and erase
+counts that the FTL and its collector read directly.
 
 The chip also carries the device's :class:`~repro.tenancy.TenantRegistry`
 (``chip.tenants``), inert until a tenant registers — the same
@@ -101,9 +101,8 @@ class FlashChip:
 
     Content is stored per physical page as ``bytes`` (or any immutable
     object; FTL metadata pages store tuples).  The chip knows nothing about
-    logical addresses, validity or mapping — that is the FTL's job (though
-    the FTL's liveness bitmap rides on ``chip.state`` so all per-page state
-    shares one representation).
+    logical addresses, liveness or mapping — that is the FTL's job, and its
+    state (the L2P and the ppn-indexed owner table).
     """
 
     def __init__(

@@ -1,43 +1,25 @@
-"""Bitmap-backed flash state: the one queryable view of page/block state.
+"""Flat-array flash state: what the chip mutates and power loss preserves.
 
-Historically every layer poked at per-page state through ad-hoc accessors on
-:class:`~repro.flash.chip.FlashChip` (``state_of``, ``block_write_point``,
-``block_is_full``, the raw ``erase_counts`` list) while the FTL kept its own
-parallel ``_valid_count`` list maintained by owner-dict bookkeeping.  That
-scattered representation made the pure-python write/GC hot path the
-simulator's bottleneck: a single host write performed dozens of bound-method
-calls and enum comparisons just to ask "is this page erased" and "where is
-this block's write point".
-
-:class:`BlockStateView` centralizes all of it in flat arrays, the idiom of
-wiscsee-style simulators and the representation DFTL-class designs assume
-for victim selection at scale:
+:class:`BlockStateView` (``chip.state``) holds the per-page and per-block
+state of one chip in flat arrays, the idiom of wiscsee-style simulators:
 
 - ``page_states`` — one byte per physical page (``PAGE_ERASED`` /
-  ``PAGE_PROGRAMMED`` / ``PAGE_TORN``), the chip's lifecycle bitmap;
-- ``valid`` — one byte per page, the FTL's liveness bitmap (a page is valid
-  iff some mapping structure owns it);
-- ``valid_counts`` — per-block valid-page counts, maintained incrementally
-  by the FTL's owner bookkeeping (never recounted on the hot path);
+  ``PAGE_PROGRAMMED`` / ``PAGE_TORN``), the chip's lifecycle map;
 - ``write_points`` — next programmable page index per block (the MLC
   sequential-program rule);
 - ``erase_counts`` — per-block erase (wear) counters.
 
-The arrays themselves are the hot-path API: FTL and GC inner loops bind
-them to locals and index directly (`C`-speed per-element access, no method
-dispatch).  The methods on this class are the *convenience* API for
-non-hot-path callers — tests, invariant checks, recovery scans — plus
-numpy-backed bulk queries (popcounts, free-block scans) for analysis code.
+The arrays themselves are the hot-path API: the chip, the FTL and the
+collector bind them to locals and index directly (no method dispatch, no
+enum compares), and the chip mutates them in place, so their identity is
+stable across power cycles.  The methods are conveniences for tests.
 
-The view is owned by the chip (``chip.state``); the legacy per-page
-accessors on :class:`~repro.flash.chip.FlashChip` survive as
-``DeprecationWarning`` shims over this view and will be promoted to errors
-in a later PR.
+Liveness — which structure keeps a programmed page alive — is not chip
+state: it is volatile FTL state and lives in the ppn-indexed owner table
+of :class:`~repro.ftl.pagemap.PageMappingFTL`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.flash.geometry import FlashGeometry
 
@@ -53,45 +35,19 @@ PAGE_STATE_NAMES = ("erased", "programmed", "torn")
 
 
 class BlockStateView:
-    """Flat-array view of all per-page and per-block flash state.
+    """Flat-array view of one chip's page lifecycle, write points and wear.
 
-    One instance per chip; the chip mutates the lifecycle arrays inside
-    ``program``/``erase``, the FTL mutates the validity arrays inside its
-    owner bookkeeping.  Everything else reads.
+    One instance per chip; the chip mutates the arrays inside ``program`` /
+    ``erase``.  Everything else reads.
     """
 
-    __slots__ = (
-        "geometry",
-        "page_states",
-        "valid",
-        "valid_counts",
-        "write_points",
-        "erase_counts",
-    )
+    __slots__ = ("geometry", "page_states", "write_points", "erase_counts")
 
     def __init__(self, geometry: FlashGeometry) -> None:
         self.geometry = geometry
-        total = geometry.total_pages
-        blocks = geometry.num_blocks
-        self.page_states = bytearray(total)
-        self.valid = bytearray(total)
-        self.valid_counts: list[int] = [0] * blocks
-        self.write_points: list[int] = [0] * blocks
-        self.erase_counts: list[int] = [0] * blocks
-
-    # ------------------------------------------------- chip-side mutations
-
-    def program_page(self, ppn: int) -> None:
-        """Record one page program (state + write point)."""
-        self.page_states[ppn] = PAGE_PROGRAMMED
-        block = ppn // self.geometry.pages_per_block
-        self.write_points[block] = ppn - block * self.geometry.pages_per_block + 1
-
-    def tear_page(self, ppn: int) -> None:
-        """Record a program interrupted by power loss (page left torn)."""
-        self.page_states[ppn] = PAGE_TORN
-        block = ppn // self.geometry.pages_per_block
-        self.write_points[block] = ppn - block * self.geometry.pages_per_block + 1
+        self.page_states = bytearray(geometry.total_pages)
+        self.write_points: list[int] = [0] * geometry.num_blocks
+        self.erase_counts: list[int] = [0] * geometry.num_blocks
 
     def erase_block(self, block: int) -> None:
         """Record one block erase: reset its pages, bump its wear counter."""
@@ -101,127 +57,20 @@ class BlockStateView:
         self.write_points[block] = 0
         self.erase_counts[block] += 1
 
-    # -------------------------------------------------- FTL-side validity
-
-    def mark_valid(self, ppn: int) -> None:
-        """A mapping structure took ownership of ``ppn``."""
-        self.valid[ppn] = 1
-        self.valid_counts[ppn // self.geometry.pages_per_block] += 1
-
-    def clear_valid(self, ppn: int) -> None:
-        """The last mapping reference to ``ppn`` was dropped."""
-        self.valid[ppn] = 0
-        self.valid_counts[ppn // self.geometry.pages_per_block] -= 1
-
-    def clear_validity(self) -> None:
-        """Drop all liveness state (FTL power loss; lifecycle state persists).
-
-        Mutates in place: callers (the FTL's owner bookkeeping, GC's victim
-        scan) hold direct references to these arrays, so their identity
-        must survive power cycles.
-        """
-        self.valid[:] = bytes(len(self.valid))
-        self.valid_counts[:] = [0] * self.geometry.num_blocks
-
-    def rebuild_validity(self, live_ppns) -> None:
-        """Recompute the liveness bitmap from an owner set (recovery)."""
-        self.clear_validity()
-        valid = self.valid
-        counts = self.valid_counts
-        per = self.geometry.pages_per_block
-        for ppn in live_ppns:
-            valid[ppn] = 1
-            counts[ppn // per] += 1
-
-    # ------------------------------------------------------- point queries
-
-    def state_of(self, ppn: int) -> int:
-        """Lifecycle state of one page (``PAGE_*`` constant)."""
-        return self.page_states[ppn]
-
-    def is_erased(self, ppn: int) -> bool:
-        return self.page_states[ppn] == PAGE_ERASED
-
     def is_programmed(self, ppn: int) -> bool:
         return self.page_states[ppn] == PAGE_PROGRAMMED
 
     def is_torn(self, ppn: int) -> bool:
         return self.page_states[ppn] == PAGE_TORN
 
-    def is_valid(self, ppn: int) -> bool:
-        return bool(self.valid[ppn])
-
-    def write_point(self, block: int) -> int:
-        """Next programmable page index in ``block`` (sequential rule)."""
-        return self.write_points[block]
-
     def block_is_full(self, block: int) -> bool:
         return self.write_points[block] >= self.geometry.pages_per_block
-
-    def valid_count(self, block: int) -> int:
-        return self.valid_counts[block]
-
-    def erase_count(self, block: int) -> int:
-        return self.erase_counts[block]
-
-    def valid_ratio(self, block: int) -> float:
-        """Valid fraction of ``block``'s pages (GC cost model input)."""
-        return self.valid_counts[block] / self.geometry.pages_per_block
-
-    # ------------------------------------------------------- bulk queries
-    #
-    # numpy wraps the bytearrays zero-copy (``np.frombuffer``); these are
-    # for analysis/verify code that wants whole-device aggregates, not for
-    # the per-op hot path.
-
-    def _states_array(self) -> np.ndarray:
-        return np.frombuffer(self.page_states, dtype=np.uint8)
-
-    def _valid_array(self) -> np.ndarray:
-        return np.frombuffer(self.valid, dtype=np.uint8)
-
-    def programmed_page_count(self) -> int:
-        """Device-wide popcount of programmed pages."""
-        return int(np.count_nonzero(self._states_array() == PAGE_PROGRAMMED))
-
-    def erased_page_count(self) -> int:
-        return int(np.count_nonzero(self._states_array() == PAGE_ERASED))
-
-    def torn_page_count(self) -> int:
-        return int(np.count_nonzero(self._states_array() == PAGE_TORN))
-
-    def valid_page_count(self) -> int:
-        """Device-wide popcount of the liveness bitmap."""
-        return int(np.count_nonzero(self._valid_array()))
-
-    def valid_count_per_block(self) -> np.ndarray:
-        """Per-block liveness popcounts recomputed from the bitmap.
-
-        Invariant checks compare this against the incrementally-maintained
-        ``valid_counts``; they must always agree.
-        """
-        per = self.geometry.pages_per_block
-        return self._valid_array().reshape(self.geometry.num_blocks, per).sum(axis=1)
 
     def free_blocks(self) -> list[int]:
         """Blocks with nothing programmed (write point at zero)."""
         return [block for block, wp in enumerate(self.write_points) if wp == 0]
 
-    def written_blocks(self) -> list[int]:
-        return [block for block, wp in enumerate(self.write_points) if wp > 0]
-
-    def utilization(self) -> float:
-        """Fraction of all physical pages currently valid."""
-        return self.valid_page_count() / self.geometry.total_pages
-
     def wear_spread(self) -> int:
         """Max minus min erase count across blocks (wear-leveling signal)."""
         counts = self.erase_counts
         return max(counts) - min(counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockStateView(programmed={self.programmed_page_count()}, "
-            f"valid={self.valid_page_count()}, "
-            f"free_blocks={len(self.free_blocks())})"
-        )

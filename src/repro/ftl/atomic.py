@@ -57,7 +57,7 @@ class AtomicWriteFTL(PageMappingFTL):
         record_ppn = self._program(
             ("commit-record", group, lpns), (OOB_COMMIT_RECORD, group, self._seq, None)
         )
-        self._set_owner(record_ppn, (OWNER_COMMIT_RECORD, group))
+        self._own(record_ppn, (OWNER_COMMIT_RECORD, group))
         self._live_commit_records[group] = record_ppn
         self.stats.map_page_writes += 1
         # Publish mappings now that the record is durable.
@@ -72,8 +72,7 @@ class AtomicWriteFTL(PageMappingFTL):
         """
         super().barrier()
         for group, ppn in list(self._live_commit_records.items()):
-            if ppn in self._owner:
-                self._invalidate(ppn)
+            self._disown(ppn)
             del self._live_commit_records[group]
 
     # ------------------------------------------------- GC/recovery plumbing
@@ -109,11 +108,11 @@ class AtomicWriteFTL(PageMappingFTL):
         for group in sorted(committed):
             for seq, lpn, ppn in sorted(staged.get(group, [])):
                 self._remap_for_recovery(lpn, ppn)
-            self._set_owner_raw(committed[group], (OWNER_COMMIT_RECORD, group))
+            self._own_for_recovery(committed[group], (OWNER_COMMIT_RECORD, group))
             self._live_commit_records[group] = committed[group]
             if group > self._group_seq:
                 self._group_seq = group
-        self._rebuild_space_state()
+        self.gc.rebuild()
 
     def _replay_applies(self, tid) -> bool:
         # Group-tagged writes are handled in remount(); untagged ones apply.

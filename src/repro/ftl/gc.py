@@ -8,7 +8,10 @@ state.  :class:`~repro.ftl.pagemap.PageMappingFTL` always constructs one and
 keeps mapping, page ownership, map persistence and recovery; it talks to the
 collector through five calls (:meth:`Collector.host_program`,
 :meth:`~Collector.program_copyback`, :meth:`~Collector.reset`,
-:meth:`~Collector.rebuild`, :meth:`~Collector.check_invariants`).
+:meth:`~Collector.rebuild`, :meth:`~Collector.check_invariants`).  The
+collector reads the FTL's reverse map — the ppn-indexed owner table says
+which pages of a victim are live and what kind of page each is, its
+per-block population ranks the victims — and writes neither.
 
 GC is channel-local: victim and copyback target share a channel, so a
 relocation's read -> program dependency sits on one channel timeline, and
@@ -54,8 +57,8 @@ Under either schedule, with a demand-paged map (``cmt_pages``) translation
 pages get their own active block per channel (Dayan & Bonnet's translation
 blocks), opportunistically: it degrades to the cold block under pressure.
 
-Safety: the job cursor only ever relocates pages through the owning FTL's
-``_gc_oob`` / ``_apply_relocation`` hooks, so the X-L2P live-union
+Safety: the job cursor relocates every page, whatever its owner, through the
+owning FTL's ``_gc_oob`` / ``_apply_relocation`` hooks, so the X-L2P live-union
 invariant (pages referenced by L2P *or any* X-L2P entry are never
 reclaimed) holds at every preemption point — uncommitted transactional
 copies keep their tid and their X-L2P entry is repointed.  With
@@ -127,8 +130,9 @@ class GcJob:
 class Collector:
     """The space manager of one :class:`PageMappingFTL` (see module docstring).
 
-    Owns no mapping state: owners, L2P and valid counts stay in the FTL and
-    are only touched through its relocation hooks.
+    Owns no mapping state: the owner table, its per-block counts and the
+    L2P stay in the FTL; the collector reads the first two and changes all
+    three only through the FTL's relocation hooks.
     """
 
     def __init__(self, ftl) -> None:
@@ -155,10 +159,11 @@ class Collector:
         geo = self._geo = chip.geometry
         self._channels = geo.channels
         self._per = geo.pages_per_block
-        # Block state lives on the chip's BlockStateView; the arrays are
-        # mutated in place, so aliasing them is safe across power cycles.
+        # Block state lives on the chip's BlockStateView and live-page
+        # counts beside the FTL's owner table; all are mutated in place, so
+        # aliasing them is safe across power cycles.
         self._write_points = chip.state.write_points
-        self._valid_counts = chip.state.valid_counts
+        self._valid_counts = ftl._valid_count
         self._erase_counts = chip.state.erase_counts
         # Translation pages get a stream of their own only under a
         # demand-paged map.
@@ -501,10 +506,9 @@ class Collector:
             # Cross-tenant collision accounting: a victim whose valid
             # pages belong to several tenants makes each pay copyback for
             # the others' heat.
-            owners = self.ftl._owner
             tenants.note_gc_victim(
                 tenants.owner_of(owner[1])
-                for owner in map(owners.get, range(job.cursor, job.end))
+                for owner in self.ftl._owner[job.cursor : job.end]
                 if owner is not None and owner[0] == OWNER_L2P
             )
         self._chip.crash_plan.hit(CP_GC_VICTIM)
@@ -523,14 +527,6 @@ class Collector:
         crash_plan = chip.crash_plan
         crash_point = CP_GC_WEAR if job.wear else CP_GC_COPYBACK
         owners = ftl._owner
-        chip_read = chip.read
-        l2p = ftl._l2p
-        dirty_segments = ftl._dirty_segments
-        valid_bitmap = ftl._valid_bitmap
-        valid_counts = self._valid_counts
-        per = self._per
-        entries_per_page = ftl._map_entries_per_page
-        program_for_gc = ftl._program_for_gc
         tenants = chip.tenants
         tenants_enabled = tenants.enabled
         moved_this_step = 0
@@ -542,7 +538,7 @@ class Collector:
         try:
             while job.cursor < job.end:
                 ppn = job.cursor
-                owner = owners.get(ppn)
+                owner = owners[ppn]
                 if owner is None:
                     job.cursor += 1
                     continue
@@ -550,37 +546,13 @@ class Collector:
                     return False
                 if crash_plan._points:
                     crash_plan.hit(crash_point)
-                data = chip_read(ppn)
+                data = chip.read(ppn)
                 reads += 1
-                if owner[0] == OWNER_L2P:
-                    # The dominant copyback case (committed host data),
-                    # with _gc_oob / _drop_owner / _set_owner_raw /
-                    # _apply_relocation inlined.  None of these hooks is
-                    # overridden in-tree for OWNER_L2P pages; the generic
-                    # path below stays authoritative for every other owner.
-                    lpn = owner[1]
-                    ftl._seq += 1
-                    new_ppn = program_for_gc(data, (OOB_DATA, lpn, ftl._seq, None), channel)
-                    writes += 1
-                    if tenants_enabled:
-                        tenants.note_copyback(lpn)
-                    del owners[ppn]
-                    valid_bitmap[ppn] = 0
-                    valid_counts[ppn // per] -= 1
-                    if new_ppn not in owners:
-                        valid_bitmap[new_ppn] = 1
-                        valid_counts[new_ppn // per] += 1
-                    owners[new_ppn] = owner
-                    l2p[lpn] = new_ppn
-                    # The relocated mapping must reach flash at the next
-                    # flush (see _apply_relocation for the rationale).
-                    dirty_segments.add(lpn // entries_per_page)
-                else:
-                    new_ppn = program_for_gc(data, ftl._gc_oob(owner, ppn), channel)
-                    writes += 1
-                    ftl._drop_owner(ppn)
-                    ftl._set_owner_raw(new_ppn, owner)
-                    ftl._apply_relocation(owner, ppn, new_ppn)
+                new_ppn = self.program_copyback(data, ftl._gc_oob(owner, ppn), channel)
+                writes += 1
+                if tenants_enabled and owner[0] == OWNER_L2P:
+                    tenants.note_copyback(owner[1])
+                ftl._apply_relocation(owner, ppn, new_ppn)
                 job.cursor += 1
                 job.moved += 1
                 moved_this_step += 1
@@ -829,7 +801,7 @@ class Collector:
                     raise FtlError(f"GC job victim {job.victim} already in the free pool")
                 # Pages behind the cursor must have been relocated already.
                 for ppn in range(job.victim * geo.pages_per_block, job.cursor):
-                    if ppn in owners:
+                    if owners[ppn] is not None:
                         raise FtlError(
                             f"GC job on block {job.victim} left owned page {ppn} "
                             f"behind its cursor"

@@ -32,6 +32,23 @@ that list covering the segment's whole lpn range, ``chains`` the retained
 version chains of the same range (empty unless the multi-version XFTL adds
 them).  The format is decided here alone — :meth:`PageMappingFTL._segment_image`
 builds an image and :meth:`PageMappingFTL._load_segment_image` loads one.
+
+Ownership
+---------
+The reverse map mirrors the L2P: ``_owner`` is one flat list indexed by ppn
+holding the tuple naming the structure that keeps that page alive (``None``
+= dead), and it is the only liveness state — ``_valid_count`` is its
+per-block population, kept in step by the three verbs that are the only
+writers of either: :meth:`PageMappingFTL._own` (checked: an owned page may
+never be claimed twice), :meth:`~PageMappingFTL._own_for_recovery` (remount
+may overwrite a stale claim) and :meth:`~PageMappingFTL._disown`.  "This
+lpn now lives at that ppn" is :meth:`~PageMappingFTL._map` and nothing
+else: it hands the old copy to the ``_supersede`` hook (here: disown; the
+multi-version XFTL pushes it onto the lpn's version chain), points the L2P
+at the new one, owns it and dirties its translation segment.  A live page
+is exactly one the L2P or any other mapping structure references (§5), so
+the collector moves what the table says is owned and dispatches the
+relocation on the owner's kind.
 """
 
 from __future__ import annotations
@@ -121,17 +138,14 @@ class PageMappingFTL(Ftl):
         # Volatile (DRAM) state.  The L2P table: one entry per exported
         # logical page, None while unmapped.
         self._l2p: list[int | None] = [None] * self._exported_pages
-        self._owner: dict[int, tuple] = {}
-        # Page/block state lives on the chip's BlockStateView; the FTL
-        # aliases the arrays directly (their identity is stable — the view
-        # mutates them in place) so hot loops index without dispatch.
-        # ``_valid_count`` *is* ``chip.state.valid_counts``: owner
-        # bookkeeping maintains it incrementally, GC reads it.
-        state_view = chip.state
-        self._valid_count: list[int] = state_view.valid_counts
-        self._valid_bitmap = state_view.valid
-        self._page_states = state_view.page_states
-        self._write_points = state_view.write_points
+        # The reverse map: one entry per physical page, the owner tuple of
+        # a live page and None for a dead one, with its per-block population
+        # beside it (reset in place — the collector aliases the list).
+        self._owner: list[tuple | None] = [None] * geo.total_pages
+        self._valid_count: list[int] = [0] * geo.num_blocks
+        # Page lifecycle state lives on the chip's BlockStateView, which
+        # mutates it in place, so the alias survives power cycles.
+        self._page_states = chip.state.page_states
         self._pages_per_block = geo.pages_per_block
         self._map_entries_per_page = self.config.map_entries_per_page
         self._seq = 0
@@ -189,9 +203,6 @@ class PageMappingFTL(Ftl):
         return self.chip.read(ppn)
 
     def write(self, lpn: int, data: Any) -> None:
-        # The hottest host-facing path: power/lpn checks, owner bookkeeping
-        # and dirty marking are inlined (see _set_owner/_invalidate for the
-        # reference semantics — none of these hooks is overridden in-tree).
         if not self._powered:
             raise FtlError("FTL is powered off")
         if not 0 <= lpn < self._exported_pages:
@@ -202,19 +213,7 @@ class PageMappingFTL(Ftl):
             self._cmt.access(lpn // self._map_entries_per_page)
         self._seq += 1
         ppn = self._program(data, (OOB_DATA, lpn, self._seq, None))
-        owners = self._owner
-        per = self._pages_per_block
-        old = self._l2p[lpn]
-        if old is not None and owners.pop(old, None) is not None:
-            self._valid_bitmap[old] = 0
-            self._valid_count[old // per] -= 1
-        self._l2p[lpn] = ppn
-        if ppn in owners:
-            raise FtlError(f"ppn {ppn} already owned by {owners[ppn]}")
-        self._valid_bitmap[ppn] = 1
-        self._valid_count[ppn // per] += 1
-        owners[ppn] = (OWNER_L2P, lpn)
-        self._dirty_segments.add(lpn // self._map_entries_per_page)
+        self._map(lpn, ppn)
         self.stats.host_page_writes += 1
         self._obs_host_writes.inc()
 
@@ -226,7 +225,7 @@ class PageMappingFTL(Ftl):
         old = self._l2p[lpn]
         if old is not None:
             self._l2p[lpn] = None
-            self._invalidate(old)
+            self._disown(old)
             self._mark_dirty(lpn)
 
     def barrier(self) -> None:
@@ -262,9 +261,7 @@ class PageMappingFTL(Ftl):
                 self._flush_meta()
             self.chip.drain()
             self._publish_root(seq_snapshot)
-            for ppn in list(self._pending_retired):
-                self._invalidate(ppn)
-            self._pending_retired.clear()
+            self._release_retired()
         self._obs_barrier_us.observe(self.chip.clock.now_us - start_us)
 
     # ------------------------------------------------------------- power
@@ -273,8 +270,7 @@ class PageMappingFTL(Ftl):
         """Drop all DRAM state.  The chip (and the root record) persist."""
         self._powered = False
         self._l2p = [None] * self._exported_pages
-        self._owner = {}
-        self.chip.state.clear_validity()
+        self._reset_ownership()
         self._dirty_segments = set()
         self._map_dir = {}
         self._meta_dir = {}
@@ -298,14 +294,14 @@ class PageMappingFTL(Ftl):
         # _finish_remount, which runs after OOB replay settles the current
         # mapping.
         self._l2p = [None] * self._exported_pages
-        self._owner = {}
+        self._reset_ownership()
         chains: list = []
         for segment, ppn in self._map_dir.items():
             image = self.chip.read(ppn)
-            self._set_owner_raw(ppn, (OWNER_MAP, segment))
+            self._own_for_recovery(ppn, (OWNER_MAP, segment))
             chains.extend(self._load_segment_image(segment, image))
         for slot, ppn in self._meta_dir.items():
-            self._set_owner_raw(ppn, (OWNER_META, slot))
+            self._own_for_recovery(ppn, (OWNER_META, slot))
         stale: list[int] = []
         for lpn, ppn in enumerate(self._l2p):
             if ppn is None:
@@ -322,7 +318,7 @@ class PageMappingFTL(Ftl):
             # before claiming — a mapping whose page is erased (or reused
             # under a different identity) is dropped, restoring the
             # trimmed read-as-zeros state instead of claiming dead flash.
-            if ppn in self._owner:
+            if self._owner[ppn] is not None:
                 continue
             if self._page_states[ppn] == PAGE_PROGRAMMED:
                 # Kind-agnostic identity check: every data OOB layout in the
@@ -331,7 +327,7 @@ class PageMappingFTL(Ftl):
                 # genuine copy of it.
                 oob = self.chip.read_oob(ppn)
                 if oob is not None and len(oob) >= 2 and oob[1] == lpn:
-                    self._set_owner_raw(ppn, (OWNER_L2P, lpn))
+                    self._own_for_recovery(ppn, (OWNER_L2P, lpn))
                     continue
             stale.append(lpn)
         for lpn in stale:
@@ -358,8 +354,8 @@ class PageMappingFTL(Ftl):
 
         self._finish_remount(chains)
 
-        # 3. Rebuild validity counts and the free pool from ownership.
-        self._rebuild_space_state()
+        # 3. Rebuild the free pools and active blocks from the write points.
+        self.gc.rebuild()
 
     def _remap_for_recovery(self, lpn: int, ppn: int) -> None:
         """Point ``lpn`` at ``ppn`` during recovery.
@@ -370,10 +366,10 @@ class PageMappingFTL(Ftl):
         to this lpn.
         """
         old = self._l2p[lpn]
-        if old is not None and old != ppn and self._owner.get(old) == (OWNER_L2P, lpn):
-            self._drop_owner(old)
+        if old is not None and old != ppn and self._owner[old] == (OWNER_L2P, lpn):
+            self._disown(old)
         self._l2p[lpn] = ppn
-        self._set_owner_raw(ppn, (OWNER_L2P, lpn))
+        self._own_for_recovery(ppn, (OWNER_L2P, lpn))
         # The recovered mapping exists only in OOB + DRAM; dirty it so the
         # next barrier persists it (see remount step 2).
         self._mark_dirty(lpn)
@@ -407,44 +403,63 @@ class PageMappingFTL(Ftl):
 
     def _publish_mappings(self, staged: Iterable[tuple[int, int]]) -> None:
         """Point each ``(lpn, ppn)`` at its new copy; the old copy dies."""
-        l2p = self._l2p
         for lpn, ppn in staged:
-            old = l2p[lpn]
-            if old is not None:
-                self._invalidate(old)
-            l2p[lpn] = ppn
-            self._set_owner(ppn, (OWNER_L2P, lpn))
-            self._mark_dirty(lpn)
+            self._map(lpn, ppn)
 
-    def _set_owner(self, ppn: int, owner: tuple) -> None:
-        if ppn in self._owner:
+    # -------- ownership (see the module docstring) ----------------------
+
+    def _reset_ownership(self) -> None:
+        """Every page dead (power loss, and the blank slate remount fills)."""
+        self._owner = [None] * len(self._owner)
+        self._valid_count[:] = [0] * len(self._valid_count)
+
+    def _own(self, ppn: int, owner: tuple) -> None:
+        """``owner`` takes the dead page ``ppn``; claiming a live one is a bug."""
+        if self._owner[ppn] is not None:
             raise FtlError(f"ppn {ppn} already owned by {self._owner[ppn]}")
-        self._set_owner_raw(ppn, owner)
+        self._owner[ppn] = owner
+        self._valid_count[ppn // self._pages_per_block] += 1
 
-    def _set_owner_raw(self, ppn: int, owner: tuple) -> None:
-        owners = self._owner
-        if ppn not in owners:
-            self._valid_bitmap[ppn] = 1
+    def _own_for_recovery(self, ppn: int, owner: tuple) -> None:
+        """Remount's claim: the newest claim wins over a stale one."""
+        if self._owner[ppn] is None:
             self._valid_count[ppn // self._pages_per_block] += 1
-        owners[ppn] = owner
+        self._owner[ppn] = owner
 
-    def _drop_owner(self, ppn: int) -> None:
-        if self._owner.pop(ppn, None) is not None:
-            self._valid_bitmap[ppn] = 0
+    def _disown(self, ppn: int) -> None:
+        """Nothing references ``ppn`` any more (a no-op on a dead page)."""
+        if self._owner[ppn] is not None:
+            self._owner[ppn] = None
             self._valid_count[ppn // self._pages_per_block] -= 1
 
-    def _invalidate(self, ppn: int) -> None:
-        self._drop_owner(ppn)
+    def _map(self, lpn: int, ppn: int, commit_seq: int | None = None) -> None:
+        """``lpn`` now lives at the freshly programmed ``ppn``.
+
+        ``commit_seq`` is the commit superseding the old copy, for the
+        version chains of the multi-version XFTL (``None``: a plain write).
+        """
+        old = self._l2p[lpn]
+        if old is not None:
+            self._supersede(lpn, old, commit_seq)
+        self._l2p[lpn] = ppn
+        self._own(ppn, (OWNER_L2P, lpn))
+        self._dirty_segments.add(lpn // self._map_entries_per_page)
+
+    def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
+        """The committed copy of ``lpn`` at ``old_ppn`` was just replaced."""
+        self._disown(old_ppn)
+
+    def _release_retired(self) -> None:
+        """The root was republished: pages only the old root pinned die."""
+        for ppn in self._pending_retired:
+            self._disown(ppn)
+        self._pending_retired.clear()
 
     # -------- space management (see repro.ftl.gc) ----------------------
 
     def _program(self, data: Any, oob: tuple) -> int:
         """Append one host-originated page; the collector reclaims if needed."""
         return self.gc.host_program(data, oob)
-
-    def _program_for_gc(self, data: Any, oob: tuple, channel: int) -> int:
-        """Program during GC, drawing directly on the channel's free pool."""
-        return self.gc.program_copyback(data, oob, channel)
 
     def _gc_oob(self, owner: tuple, old_ppn: int) -> tuple:
         """OOB metadata for a GC-relocated page."""
@@ -476,7 +491,9 @@ class PageMappingFTL(Ftl):
         raise FtlError(f"unknown page owner {owner!r}")
 
     def _apply_relocation(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
-        """Point the owning structure(s) at the relocated physical page."""
+        """Ownership follows a GC-relocated page, then its owning structure."""
+        self._disown(old_ppn)
+        self._own(new_ppn, owner)
         kind = owner[0]
         if kind == OWNER_L2P:
             self._l2p[owner[1]] = new_ppn
@@ -553,8 +570,8 @@ class PageMappingFTL(Ftl):
 
     def _retire(self, ppn: int, kind: str, key: object) -> None:
         """Keep a superseded root-referenced page valid until root publish."""
-        self._drop_owner(ppn)
-        self._set_owner_raw(ppn, (OWNER_RETIRED, kind, key))
+        self._disown(ppn)
+        self._own(ppn, (OWNER_RETIRED, kind, key))
         self._pending_retired.add(ppn)
 
     def _write_translation_page(self, segment: int, overlay: dict[int, int] | None = None) -> int:
@@ -567,7 +584,7 @@ class PageMappingFTL(Ftl):
         self._seq += 1
         ppn = self._program(image, (OOB_MAP, segment, self._seq, None))
         old = self._map_dir.get(segment)
-        if old is not None and old in self._owner:
+        if old is not None and self._owner[old] is not None:
             if self._root.map_dir.get(segment) == old:
                 # The durable root still references the superseded page:
                 # pin it until the next publish (the seed barrier path —
@@ -579,9 +596,9 @@ class PageMappingFTL(Ftl):
                 # superseded copy is not root-referenced and pinning it
                 # would let retired pages pile up unboundedly between
                 # publishes.
-                self._invalidate(old)
+                self._disown(old)
         self._map_dir[segment] = ppn
-        self._set_owner(ppn, (OWNER_MAP, segment))
+        self._own(ppn, (OWNER_MAP, segment))
         self.stats.map_page_writes += 1
         self._obs_map_writes.inc()
         return ppn
@@ -604,10 +621,10 @@ class PageMappingFTL(Ftl):
             self._seq += 1
             ppn = self._program(("meta", slot), (OOB_META, slot, self._seq, None))
             old = self._meta_dir.get(slot)
-            if old is not None and old in self._owner:
+            if old is not None and self._owner[old] is not None:
                 self._retire(old, OWNER_META, slot)
             self._meta_dir[slot] = ppn
-            self._set_owner(ppn, (OWNER_META, slot))
+            self._own(ppn, (OWNER_META, slot))
             self.stats.map_page_writes += 1
             self._obs_map_writes.inc()
 
@@ -647,10 +664,6 @@ class PageMappingFTL(Ftl):
             if seq >= min_seq:
                 yield (seq, kind, lpn, tid, ppn)
 
-    def _rebuild_space_state(self) -> None:
-        self.chip.state.rebuild_validity(self._owner)
-        self.gc.rebuild()
-
     # -------- inspection --------------------------------------------------
 
     def mapped_ppn(self, lpn: int) -> int | None:
@@ -666,7 +679,7 @@ class PageMappingFTL(Ftl):
 
     def utilization(self) -> float:
         """Fraction of raw flash pages currently holding valid data."""
-        return len(self._owner) / self.chip.geometry.total_pages
+        return sum(self._valid_count) / self.chip.geometry.total_pages
 
     def wear_stats(self) -> dict[str, float]:
         """Erase-count distribution across blocks (wear levelling view)."""
@@ -687,25 +700,31 @@ class PageMappingFTL(Ftl):
         """Average fraction of valid pages carried over per GC (Fig. 5/6 knob)."""
         return self.gc.mean_valid_ratio()
 
+    def _check_owner_referenced(self, ppn: int, owner: tuple) -> None:
+        """The converse of "referenced implies owned" (XFTL adds the X-L2P's).
+
+        A stale L2P-owned page would be relocated by GC over the current
+        mapping.
+        """
+        if owner[0] == OWNER_L2P and self._l2p[owner[1]] != ppn:
+            raise FtlError(
+                f"ppn {ppn} owned by l2p[{owner[1]}], which maps to {self._l2p[owner[1]]}"
+            )
+
     def check_invariants(self) -> None:
         """Internal consistency checks used by tests (not by benchmarks)."""
-        geo = self.chip.geometry
-        state_view = self.chip.state
-        counts = [0] * geo.num_blocks
-        for ppn, owner in self._owner.items():
-            counts[ppn // geo.pages_per_block] += 1
-            if state_view.page_states[ppn] != PAGE_PROGRAMMED:
+        counts = [0] * self.chip.geometry.num_blocks
+        for ppn, owner in enumerate(self._owner):
+            if owner is None:
+                continue
+            counts[ppn // self._pages_per_block] += 1
+            if self._page_states[ppn] != PAGE_PROGRAMMED:
                 raise FlashError(f"owned page {ppn} ({owner}) is not programmed")
-            if not state_view.valid[ppn]:
-                raise FtlError(f"owned page {ppn} ({owner}) not set in valid bitmap")
+            self._check_owner_referenced(ppn, owner)
         if counts != self._valid_count:
             raise FtlError("valid-count accounting out of sync")
-        if state_view.valid_page_count() != len(self._owner):
-            raise FtlError("valid bitmap popcount disagrees with owner map")
-        if list(state_view.valid_count_per_block()) != state_view.valid_counts:
-            raise FtlError("per-block valid counts disagree with valid bitmap")
         for lpn, ppn in enumerate(self._l2p):
-            if ppn is not None and self._owner.get(ppn) != (OWNER_L2P, lpn):
+            if ppn is not None and self._owner[ppn] != (OWNER_L2P, lpn):
                 raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p")
         if self._cmt is not None:
             self._cmt.check_invariants()

@@ -94,7 +94,7 @@ class TxFlashFTL(PageMappingFTL):
                 self._remap_for_recovery(lpn, ppn)
             if group > self._group_seq:
                 self._group_seq = group
-        self._rebuild_space_state()
+        self.gc.rebuild()
 
     def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
         return super()._gc_oob_extra(owner, old_ppn)

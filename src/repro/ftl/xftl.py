@@ -43,7 +43,6 @@ from repro.ftl.cmt import CP_CMT_COMMIT_FLUSH, CP_CMT_COMMIT_PUBLISH
 from repro.ftl.pagemap import (
     OOB_DATA,
     OOB_XL2P_TABLE,
-    OWNER_L2P,
     OWNER_VERSION,
     OWNER_XL2P_DATA,
     OWNER_XL2P_TABLE,
@@ -151,8 +150,8 @@ class XFTL(PageMappingFTL):
         previous = self.xl2p.put(tid, lpn, ppn)
         if previous is not None:
             # The transaction rewrote its own uncommitted copy.
-            self._invalidate(previous.new_ppn)
-        self._set_owner(ppn, (OWNER_XL2P_DATA, tid, lpn))
+            self._disown(previous.new_ppn)
+        self._own(ppn, (OWNER_XL2P_DATA, tid, lpn))
         self.stats.host_page_writes += 1
         self._obs_host_writes.inc()
 
@@ -169,34 +168,20 @@ class XFTL(PageMappingFTL):
 
     # ------------------------------------------------- multi-version X-L2P
 
-    def write(self, lpn: int, data: Any) -> None:
-        """Non-transactional write; retains the superseded committed copy."""
+    def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
+        """Retain the superseded committed copy on the lpn's version chain."""
         if self._versions is None:
-            super().write(lpn, data)
+            self._disown(old_ppn)
             return
-        self._check_power()
-        self._check_lpn(lpn)
-        if self._cmt is not None:
-            self._cmt.access(lpn // self._map_entries_per_page)
-        self._seq += 1
-        ppn = self._program(data, (OOB_DATA, lpn, self._seq, None))
-        old = self._l2p[lpn]
-        if old is not None:
-            if self._owner.get(old) == (OWNER_L2P, lpn):
-                # A plain overwrite is its own one-page commit: it ticks
-                # the commit counter so snapshots order it against both
-                # transactional commits and other plain overwrites (two
-                # overwrites sharing a sequence would make a snapshot
-                # between them resolve to the older copy).
-                self._commit_counter += 1
-                self._version_publish(lpn, old, self._commit_counter)
-            else:
-                self._invalidate(old)
-        self._l2p[lpn] = ppn
-        self._set_owner(ppn, (OWNER_L2P, lpn))
-        self._mark_dirty(lpn)
-        self.stats.host_page_writes += 1
-        self._obs_host_writes.inc()
+        if commit_seq is None:
+            # A plain overwrite is its own one-page commit: it ticks the
+            # commit counter so snapshots order it against both
+            # transactional commits and other plain overwrites (two
+            # overwrites sharing a sequence would make a snapshot between
+            # them resolve to the older copy).
+            self._commit_counter += 1
+            commit_seq = self._commit_counter
+        self._version_publish(lpn, old_ppn, commit_seq)
 
     def trim(self, lpn: int) -> None:
         super().trim(lpn)
@@ -264,8 +249,8 @@ class XFTL(PageMappingFTL):
         """
         oob = self.chip.read_oob(old_ppn)
         oob_seq = oob[2] if oob else 0
-        self._drop_owner(old_ppn)
-        self._set_owner_raw(old_ppn, (OWNER_VERSION, lpn))
+        self._disown(old_ppn)
+        self._own(old_ppn, (OWNER_VERSION, lpn))
         self.chip.crash_plan.hit(CP_VERSION_PUBLISH)
         self._obs_version_publishes.inc()
         for released in self._versions.push(lpn, old_ppn, sup_seq, oob_seq):
@@ -362,21 +347,12 @@ class XFTL(PageMappingFTL):
             entries = [e for tid in live for e in self.xl2p.entries_of(tid)]
             self._flush_xl2p(pin_entries=entries if self._cmt is not None else None)
             self.chip.crash_plan.hit(cp_after)
-            # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent).
-            # Multi-version mode publishes the superseded committed copy
-            # into the lpn's version chain instead of invalidating it.
+            # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent):
+            # each page passes from its X-L2P entry to the L2P.
             for tid in live:
                 for entry in self.xl2p.entries_of(tid):
-                    old = self._l2p[entry.lpn]
-                    if old is not None:
-                        if self._versions is not None:
-                            self._version_publish(entry.lpn, old, commit_seqs[tid])
-                        else:
-                            self._invalidate(old)
-                    self._drop_owner(entry.new_ppn)
-                    self._l2p[entry.lpn] = entry.new_ppn
-                    self._set_owner(entry.new_ppn, (OWNER_L2P, entry.lpn))
-                    self._mark_dirty(entry.lpn)
+                    self._disown(entry.new_ppn)
+                    self._map(entry.lpn, entry.new_ppn, commit_seqs.get(tid))
                 self.xl2p.remove_tid(tid)
             if self._cmt is not None:
                 per = self.config.map_entries_per_page
@@ -414,7 +390,7 @@ class XFTL(PageMappingFTL):
         self._aborted_tids.add(tid)
         self._started_tids.discard(tid)
         for entry in self.xl2p.remove_tid(tid):
-            self._invalidate(entry.new_ppn)
+            self._disown(entry.new_ppn)
         self._release_write_locks(tid)
         self.stats.aborts += 1
         self._obs_aborts.inc()
@@ -451,7 +427,7 @@ class XFTL(PageMappingFTL):
             for index, image in enumerate(images):
                 self._seq += 1
                 ppn = self._program(image, (OOB_XL2P_TABLE, index, self._seq, None))
-                self._set_owner(ppn, (OWNER_XL2P_TABLE, index))
+                self._own(ppn, (OWNER_XL2P_TABLE, index))
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1
                 self._obs_xl2p_writes.inc()
@@ -464,7 +440,7 @@ class XFTL(PageMappingFTL):
         self._obs_xl2p_flushes.inc()
         self._obs_xl2p_flush_pages.observe(float(len(images)))
         for index, old in enumerate(self._xl2p_page_ppns):
-            if old in self._owner:
+            if self._owner[old] is not None:
                 # Retire with the real page index so a GC relocation keeps
                 # the page labelled OOB_XL2P_TABLE (not misfiled as meta).
                 self._retire(old, OWNER_XL2P_TABLE, index)
@@ -480,9 +456,7 @@ class XFTL(PageMappingFTL):
             # collectable below, so the root must follow the directory in
             # the same atomic update.
             self._root.map_dir = dict(self._map_dir)
-        for ppn in list(self._pending_retired):
-            self._invalidate(ppn)
-        self._pending_retired.clear()
+        self._release_retired()
 
     def _pin_translation_pages(self, entries: list) -> None:
         """Write the committing transaction(s)' translation pages (CMT mode).
@@ -621,7 +595,7 @@ class XFTL(PageMappingFTL):
         images = []
         for index, ppn in enumerate(self._root.xl2p_ppns):
             images.append(self.chip.read(ppn))
-            self._set_owner_raw(ppn, (OWNER_XL2P_TABLE, index))
+            self._own_for_recovery(ppn, (OWNER_XL2P_TABLE, index))
         self._xl2p_page_ppns = list(self._root.xl2p_ppns)
         if images:
             self._reflect_committed(
@@ -666,10 +640,10 @@ class XFTL(PageMappingFTL):
                 oob = self.chip.read_oob(ppn)
                 if not oob or oob[0] != OOB_DATA or oob[1] != lpn or oob[2] != oob_seq:
                     continue
-                if ppn in owners:
+                if owners[ppn] is not None:
                     continue
                 restored.append((ppn, sup_seq, oob_seq))
-                self._set_owner_raw(ppn, (OWNER_VERSION, lpn))
+                self._own_for_recovery(ppn, (OWNER_VERSION, lpn))
             if restored:
                 versions.restore(lpn, restored)
                 if len(restored) != len(chain):
@@ -708,6 +682,17 @@ class XFTL(PageMappingFTL):
 
     # ----------------------------------------------------------- invariants
 
+    def _check_owner_referenced(self, ppn: int, owner: tuple) -> None:
+        super()._check_owner_referenced(ppn, owner)
+        if owner[0] == OWNER_XL2P_DATA:
+            _, tid, lpn = owner
+            entry = self.xl2p.get(tid, lpn)
+            if entry is None or entry.new_ppn != ppn:
+                raise TransactionError(
+                    f"ppn {ppn} owned by X-L2P entry (tid={tid}, lpn={lpn}), which "
+                    f"{'is gone' if entry is None else f'points at {entry.new_ppn}'}"
+                )
+
     def check_invariants(self) -> None:
         """X-L2P live-union invariant on top of the base FTL checks.
 
@@ -722,7 +707,7 @@ class XFTL(PageMappingFTL):
         super().check_invariants()
         for tid in self.xl2p.active_tids():
             for entry in self.xl2p.entries_of(tid):
-                owner = self._owner.get(entry.new_ppn)
+                owner = self._owner[entry.new_ppn]
                 if owner != (OWNER_XL2P_DATA, tid, entry.lpn):
                     raise TransactionError(
                         f"X-L2P entry (tid={tid}, lpn={entry.lpn}) points at ppn "
@@ -753,7 +738,7 @@ class XFTL(PageMappingFTL):
             prev_seq = None
             for ppn, sup_seq, _oob_seq in chain:
                 chained += 1
-                owner = self._owner.get(ppn)
+                owner = self._owner[ppn]
                 if owner != (OWNER_VERSION, lpn):
                     raise TransactionError(
                         f"version chain entry (lpn={lpn}, ppn={ppn}) owned by "
@@ -773,7 +758,9 @@ class XFTL(PageMappingFTL):
                         f"version chain for lpn {lpn} lost commit order"
                     )
                 prev_seq = sup_seq
-        owned = sum(1 for owner in self._owner.values() if owner[0] == OWNER_VERSION)
+        owned = sum(
+            1 for owner in self._owner if owner is not None and owner[0] == OWNER_VERSION
+        )
         if owned != chained:
             raise TransactionError(
                 f"{owned} pages owned as versions but {chained} chain entries"

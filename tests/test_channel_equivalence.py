@@ -48,19 +48,22 @@ _SQLITE_STACK = dict(
 )
 
 
-def state_digest(chip) -> str:
-    """Consistency-check the BlockStateView, then fold it into the pin.
+def state_digest(ftl) -> str:
+    """Consistency-check the flash state arrays, then fold them into the pin.
 
-    The incrementally maintained per-block aggregates must agree with a
-    recount from the raw arrays, and the arrays themselves are hashed so a
-    bitmap-path divergence (a wrong validity bit, a stale write point)
-    fails the lock even when every counter happens to still match.
+    The incrementally maintained per-block live counts must agree with a
+    recount from the FTL's owner table, and the arrays themselves are hashed
+    (liveness as one byte per page, derived from the owner table) so a
+    divergence — a page wrongly live, a stale write point — fails the lock
+    even when every counter happens to still match.
     """
+    chip = ftl.chip
     view = chip.state
     geo = chip.geometry
     per = geo.pages_per_block
     states = view.page_states
-    assert list(view.valid_count_per_block()) == view.valid_counts
+    live = bytes(owner is not None for owner in ftl._owner)
+    assert [sum(live[b * per : (b + 1) * per]) for b in range(geo.num_blocks)] == ftl._valid_count
     for block in range(geo.num_blocks):
         base = block * per
         point = view.write_points[block]
@@ -68,9 +71,9 @@ def state_digest(chip) -> str:
         assert all(states[base + i] != PAGE_ERASED for i in range(point))
         assert all(states[base + i] == PAGE_ERASED for i in range(point, per))
     for ppn in range(geo.total_pages):
-        if view.valid[ppn]:
+        if live[ppn]:
             assert states[ppn] == PAGE_PROGRAMMED
-    packed = bytes(states) + bytes(view.valid)
+    packed = bytes(states) + live
     packed += b"".join(c.to_bytes(4, "little") for c in view.erase_counts)
     packed += b"".join(w.to_bytes(4, "little") for w in view.write_points)
     return hashlib.sha256(packed).hexdigest()
@@ -83,7 +86,7 @@ def _capture(stack) -> dict:
         "flash_stats": stack.chip.stats.as_dict(),
         "device_counters": stack.device.counters.as_dict(),
         "elapsed_us": stack.clock.now_us,
-        "state_digest": state_digest(stack.chip),
+        "state_digest": state_digest(stack.ftl),
     }
 
 

@@ -55,7 +55,7 @@ def _capture(stack) -> dict:
         "flash_stats": stack.chip.stats.as_dict(),
         "device_counters": stack.device.counters.as_dict(),
         "elapsed_us": stack.clock.now_us,
-        "state_digest": state_digest(stack.chip),
+        "state_digest": state_digest(stack.ftl),
     }
 
 
@@ -109,7 +109,7 @@ def test_exact_fit_cache_also_degenerates() -> None:
             if (i + 1) % 50 == 0:
                 ftl.barrier()
         ftl.barrier()
-        return ftl.stats.as_dict(), state_digest(ftl.chip)
+        return ftl.stats.as_dict(), state_digest(ftl)
 
     assert run(segments) == run(0)
 

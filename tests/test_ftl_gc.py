@@ -239,7 +239,7 @@ class TestVictimPickerTable:
         gc = ftl.gc
         for block, (used, valid) in blocks.items():
             ftl.chip.state.write_points[block] = used
-            ftl.chip.state.valid_counts[block] = valid
+            ftl._valid_count[block] = valid
         gc._alloc_order[0] = [block for block, (used, _) in blocks.items() if used]
         gc._alloc_tick = dict(ALLOC_TICKS)
         gc._tick = 100
@@ -367,7 +367,7 @@ class TestXl2pSurvivesCollection:
         reason="OOB replay orders by write sequence, not commit order: a committed "
         "copy relocated while a transaction on the same lpn is open outranks that "
         "transaction's page after a crash (found by the ftl.gc.inline sweep, "
-        "seeds 1-3; see ROADMAP item 4)",
+        "seeds 1-3; see ROADMAP item 1)",
     )
     def test_commit_survives_crash_after_old_copy_was_relocated(self):
         ftl = make_bg_xftl(

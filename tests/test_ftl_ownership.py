@@ -1,0 +1,167 @@
+"""The reverse map: ``PageMappingFTL._owner`` and its per-block counts.
+
+The ppn-indexed owner table is the FTL's only liveness state (a page is
+live iff the L2P or another mapping structure references it), so it is
+checked here the way the L2P is: a randomized property over every FTL kind
+and collection schedule, direct tests of the three verbs' contracts, and
+one sabotage per direction of the "referenced <=> owned" invariant.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.errors import FtlError, TransactionError
+from repro.ftl import XFTL
+from repro.ftl.pagemap import OWNER_L2P, OWNER_VERSION, OWNER_XL2P_DATA
+from repro.sim.rng import make_rng
+
+from tests.test_ftl_gc import make_bg_ftl, make_bg_xftl
+
+# 24 blocks x 8 pages on two channels with most of the space live — mapped
+# lpns, or a third as many lpns plus two retained versions of each — so
+# every schedule collects within the first few dozen overwrites.
+KINDS = {
+    "pagemap": (0.85, lambda **cfg: make_bg_ftl(num_blocks=24, **cfg)),
+    "xftl": (0.85, lambda **cfg: make_bg_xftl(num_blocks=24, **cfg)),
+    "xftl-retain3": (
+        0.3, lambda **cfg: make_bg_xftl(num_blocks=24, retain_versions=3, **cfg)
+    ),
+}
+SCHEDULES = {
+    "inline": dict(gc_mode="inline", gc_policy="greedy"),
+    "background": dict(gc_mode="background", gc_policy="cost-benefit"),
+}
+
+
+def check_reverse_map(ftl) -> None:
+    ftl.check_invariants()
+    per = ftl.chip.geometry.pages_per_block
+    owners = ftl._owner
+    assert type(owners) is list and len(owners) == ftl.chip.geometry.total_pages
+    live = [owner is not None for owner in owners]
+    for block, count in enumerate(ftl._valid_count):
+        assert count == sum(live[block * per : (block + 1) * per]), f"block {block}"
+    assert ftl.utilization() == sum(live) / len(live)
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_owner_table_tracks_every_mapping_change(kind, schedule):
+    fill, build = KINDS[kind]
+    ftl = build(**SCHEDULES[schedule])
+    transactional = isinstance(ftl, XFTL)
+    rng = make_rng(0, "test.ftl_ownership", kind, schedule)
+    span = int(ftl.exported_pages * fill)
+    for lpn in range(span):
+        ftl.write(lpn, ("fill", lpn))
+    check_reverse_map(ftl)
+    open_tids: dict[int, set[int]] = {}
+    next_tid = 1
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.40 or (roll < 0.86 and not transactional):
+            ftl.write(rng.randrange(span), ("w", step))
+        elif roll < 0.46:
+            ftl.trim(rng.randrange(span))
+        elif roll < 0.70:
+            if open_tids and (len(open_tids) == 2 or rng.random() < 0.7):
+                tid = rng.choice(sorted(open_tids))
+            else:
+                tid, next_tid = next_tid, next_tid + 1
+                open_tids[tid] = set()
+            if len(open_tids[tid]) < 4:
+                lpn = rng.randrange(span)
+                ftl.write_tx(tid, lpn, ("tx", tid, step))
+                open_tids[tid].add(lpn)
+        elif roll < 0.80:
+            if open_tids:
+                ftl.commit(open_tids.popitem()[0])
+        elif roll < 0.86:
+            if open_tids:
+                ftl.abort(open_tids.popitem()[0])
+        elif roll < 0.95:
+            ftl.barrier()
+        else:
+            ftl.power_fail()
+            assert ftl._owner == [None] * len(ftl._owner) and not any(ftl._valid_count)
+            ftl.remount()
+            open_tids.clear()
+        check_reverse_map(ftl)
+    assert ftl.stats.gc_copyback_writes > 0  # the collector moved owned pages
+
+
+class TestVerbs:
+    def test_owning_an_owned_page_raises(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"x")
+        ppn = ftl.mapped_ppn(0)
+        with pytest.raises(FtlError, match=f"ppn {ppn} already owned"):
+            ftl._own(ppn, (OWNER_L2P, 1))
+        assert ftl._owner[ppn] == (OWNER_L2P, 0)
+        ftl.check_invariants()
+
+    def test_recovery_claim_overwrites_without_double_counting(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"x")
+        ppn = ftl.mapped_ppn(0)
+        before = list(ftl._valid_count)
+        ftl._own_for_recovery(ppn, (OWNER_L2P, 0))
+        assert ftl._valid_count == before
+
+    def test_disown_is_idempotent(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"x")
+        ppn = ftl.mapped_ppn(0)
+        ftl._disown(ppn)
+        ftl._disown(ppn)
+        assert ftl._owner[ppn] is None and sum(ftl._valid_count) == 0
+
+    def test_plain_write_on_a_versioned_xftl_is_its_own_commit(self):
+        """XFTL defines no write(): the inherited one reaches the version
+        chain through the _supersede hook."""
+        assert "write" not in vars(XFTL)
+        ftl = make_bg_xftl(retain_versions=3)
+        ftl.write(5, b"v0")
+        first = ftl.mapped_ppn(5)
+        assert ftl.snapshot_seq() == 0 and ftl.version_chain(5) == ()
+        ftl.write(5, b"v1")
+        assert ftl.snapshot_seq() == 1  # the overwrite ticked the commit counter
+        assert [entry[:2] for entry in ftl.version_chain(5)] == [(first, 1)]
+        assert ftl._owner[first] == (OWNER_VERSION, 5)
+        second = ftl.mapped_ppn(5)
+        ftl.write(5, b"v2")
+        assert ftl.snapshot_seq() == 2
+        assert [entry[:2] for entry in ftl.version_chain(5)] == [(first, 1), (second, 2)]
+        assert ftl.read(5) == b"v2" and ftl.read_as_of(5, 0) == b"v0"
+        assert ftl.stats.host_page_writes == 3
+        ftl.check_invariants()
+
+
+class TestConverseInvariant:
+    """owner[p] names a structure  =>  that structure references p."""
+
+    def test_stale_l2p_owner_detected(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"old")
+        stale = ftl.mapped_ppn(0)
+        ftl.write(0, b"new")
+        # Resurrect the superseded copy's owner behind the FTL's back: GC
+        # relocating it would overwrite l2p[0] with the old data.
+        ftl._own(stale, (OWNER_L2P, 0))
+        with pytest.raises(FtlError, match=rf"ppn {stale} owned by l2p\[0\], which maps to"):
+            ftl.check_invariants()
+
+    def test_stale_xl2p_owner_detected(self):
+        ftl = make_bg_xftl()
+        ftl.write_tx(7, 0, b"first")
+        stale = ftl.xl2p.get(7, 0).new_ppn
+        ftl.write_tx(7, 0, b"second")
+        ftl._own(stale, (OWNER_XL2P_DATA, 7, 0))
+        with pytest.raises(TransactionError, match=f"ppn {stale} owned by X-L2P entry"):
+            ftl.check_invariants()
+        ftl._disown(stale)
+        ftl.abort(7)
+        ftl._own(stale, (OWNER_XL2P_DATA, 7, 0))
+        with pytest.raises(TransactionError, match="which is gone"):
+            ftl.check_invariants()

@@ -47,7 +47,7 @@ def _capture(stack) -> dict:
         "flash_stats": stack.chip.stats.as_dict(),
         "device_counters": stack.device.counters.as_dict(),
         "elapsed_us": stack.clock.now_us,
-        "state_digest": state_digest(stack.chip),
+        "state_digest": state_digest(stack.ftl),
     }
 
 

@@ -273,7 +273,7 @@ class TestAndroidTenants:
         capture = {
             "flash_stats": stack.chip.stats.as_dict(),
             "elapsed_us": stack.clock.now_us,
-            "state_digest": state_digest(stack.chip),
+            "state_digest": state_digest(stack.ftl),
             "registry": stack.chip.tenants.as_dict(),
         }
         return stack, tenants, capture
