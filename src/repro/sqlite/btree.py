@@ -13,7 +13,27 @@ number stable, so the catalog never needs updating when a tree grows.
 Range scans re-descend from the root to cross leaf boundaries instead of
 maintaining sibling links; this keeps deletion simple (empty pages are
 unlinked, no rebalancing — a documented simplification) at O(log n) per
-leaf transition.
+leaf transition.  A delete leaves the separators above its leaf alone, so a
+separator bounds its leaf's keys without having to be one of them.
+
+Byte accounting.  What a page uses of its budget is a sum over its entries —
+leaf: ``key_size_bytes(key) + len(local payload) + CELL_OVERHEAD`` per cell;
+interior: ``key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD`` per separator —
+and it decides when the page splits, hence how many pages a transaction
+dirties.  Each leaf and interior page carries that sum as a running count
+(``used_bytes()``) instead of re-encoding every key on every insert.  The
+count changes in exactly eight places, all in this module: leaf insert (the
+new cell), leaf replace (the *local* length delta: ``_make_cell`` may move a
+payload across ``max_local``), leaf delete, the leaf split and the interior
+split (one half is measured, the other gets the rest), the separator a split
+pushes into the parent, the separator of a new root, and the separator
+``_remove_empty`` drops.  A root collapse re-homes the child object, count
+included.  The page image does not carry the count: images are what is stored
+on flash and what the recorded baselines hash, and the count is derivable, so
+a decoded page is measured on first demand — a page that is only read, or
+only replaced into or deleted from, never is — and an adjustment to a page
+not measured yet is a no-op.  Rollback drops dirty page objects from the
+pager cache, so a count cannot outlive the change it counted.
 """
 
 from __future__ import annotations
@@ -30,12 +50,52 @@ CELL_OVERHEAD = 16
 INTERIOR_ENTRY_OVERHEAD = 12
 
 
-class LeafPage:
+def _cell_bytes(key: tuple, cell: tuple[bytes, int | None, int]) -> int:
+    """What one leaf cell takes of its page's byte budget."""
+    return key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
+
+
+def _separator_bytes(key: tuple) -> int:
+    """What one interior separator takes of its page's byte budget."""
+    return key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD
+
+
+class _AccountedPage:
+    """The running byte count of a keyed page (see "Byte accounting" above)."""
+
+    def __init__(self) -> None:
+        self._used: int | None = 0  # None: decoded or freshly split, not measured yet
+
+    def used_bytes(self) -> int:
+        """Bytes of the page's budget in use; measures on first demand only."""
+        if self._used is None:
+            self._used = self._measure()
+        return self._used
+
+    def adjust(self, delta: int) -> None:
+        """Keep the count in step with a key or cell that came or went."""
+        if self._used is not None:
+            self._used += delta
+
+    def share_out(
+        self, left: "_AccountedPage", right: "_AccountedPage", promoted: int = 0
+    ) -> None:
+        """Split the count over the two halves: measure one, the other gets the
+        rest (less ``promoted``, the separator an interior split moves up)."""
+        left._used = None
+        right._used = self.used_bytes() - promoted - left.used_bytes()
+
+    def _measure(self) -> int:
+        raise NotImplementedError
+
+
+class LeafPage(_AccountedPage):
     """Leaf: sorted cells of (key, local payload, overflow pointer, size)."""
 
     TAG = "leaf"
 
     def __init__(self) -> None:
+        super().__init__()
         self.keys: list[tuple] = []
         self.sort_keys: list[tuple] = []
         self.cells: list[tuple[bytes, int | None, int]] = []  # (local, ovfl, total)
@@ -49,21 +109,20 @@ class LeafPage:
         page.keys = list(image[1])
         page.sort_keys = [key_sort_tuple(k) for k in page.keys]
         page.cells = list(image[2])
+        page._used = None
         return page
 
-    def used_bytes(self) -> int:
-        return sum(
-            key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
-            for key, cell in zip(self.keys, self.cells)
-        )
+    def _measure(self) -> int:
+        return sum(map(_cell_bytes, self.keys, self.cells))
 
 
-class InteriorPage:
+class InteriorPage(_AccountedPage):
     """Interior: separator keys and child page numbers (len+1 children)."""
 
     TAG = "interior"
 
     def __init__(self) -> None:
+        super().__init__()
         self.keys: list[tuple] = []
         self.sort_keys: list[tuple] = []
         self.children: list[int] = []
@@ -77,10 +136,11 @@ class InteriorPage:
         page.keys = list(image[1])
         page.sort_keys = [key_sort_tuple(k) for k in page.keys]
         page.children = list(image[2])
+        page._used = None
         return page
 
-    def used_bytes(self) -> int:
-        return sum(key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD for key in self.keys)
+    def _measure(self) -> int:
+        return sum(map(_separator_bytes, self.keys))
 
 
 class OverflowPage:
@@ -134,16 +194,18 @@ class BTree:
 
     def get(self, key: tuple) -> bytes | None:
         """Payload for ``key`` or None."""
-        leaf, _path = self._descend(key_sort_tuple(key))
-        index = self._find_in_leaf(leaf, key_sort_tuple(key))
+        sort_key = key_sort_tuple(key)
+        leaf, _path = self._descend(sort_key)
+        index = self._find_in_leaf(leaf, sort_key)
         if index is None:
             return None
         return self._load_payload(leaf.cells[index])
 
     def contains(self, key: tuple) -> bool:
         """Whether ``key`` exists in the tree."""
-        leaf, _path = self._descend(key_sort_tuple(key))
-        return self._find_in_leaf(leaf, key_sort_tuple(key)) is not None
+        sort_key = key_sort_tuple(key)
+        leaf, _path = self._descend(sort_key)
+        return self._find_in_leaf(leaf, sort_key) is not None
 
     def scan(
         self,
@@ -162,7 +224,7 @@ class BTree:
         cursor_open = lo_open
         hi_sort = key_sort_tuple(hi) if hi is not None else None
         while True:
-            leaf, _path = self._descend(cursor or (), after=cursor_open)
+            leaf, path = self._descend(cursor or (), after=cursor_open)
             if cursor is None:
                 start = 0
             else:
@@ -183,10 +245,16 @@ class BTree:
                 emitted = True
             if not leaf.keys:
                 return
-            last = leaf.sort_keys[-1]
-            if not emitted and cursor is not None and last <= cursor:
-                return  # no keys beyond the cursor anywhere to the right
-            cursor = last
+            if emitted:
+                cursor = leaf.sort_keys[-1]
+            else:
+                # Nothing beyond the cursor in the leaf the descent chose.
+                # Deletes leave separators in place, so a leaf's separator
+                # may exceed its largest key and the gap can hold the cursor:
+                # go on after the separator.  The rightmost leaf has none.
+                cursor = self._upper_bound(path)
+                if cursor is None:
+                    return
             cursor_open = True  # continue strictly after this leaf
 
     def last_key(self) -> tuple | None:
@@ -212,14 +280,18 @@ class BTree:
         if index is not None:
             if not replace:
                 raise DatabaseError(f"duplicate key {key!r}")
+            old_local = leaf.cells[index][0]
             self._free_overflow(leaf.cells[index][1])
-            leaf.cells[index] = self._make_cell(payload)
+            cell = leaf.cells[index] = self._make_cell(payload)
+            leaf.adjust(len(cell[0]) - len(old_local))
             self._dirty(path[-1][0] if path else self.root_pno, leaf)
             return
         position = bisect.bisect_left(leaf.sort_keys, sort_key)
         leaf.keys.insert(position, key)
         leaf.sort_keys.insert(position, sort_key)
-        leaf.cells.insert(position, self._make_cell(payload))
+        cell = self._make_cell(payload)
+        leaf.cells.insert(position, cell)
+        leaf.adjust(_cell_bytes(key, cell))
         leaf_pno = path[-1][0] if path else self.root_pno
         self._dirty(leaf_pno, leaf)
         if leaf.used_bytes() > self.capacity:
@@ -233,6 +305,7 @@ class BTree:
         if index is None:
             return False
         self._free_overflow(leaf.cells[index][1])
+        leaf.adjust(-_cell_bytes(leaf.keys[index], leaf.cells[index]))
         del leaf.keys[index]
         del leaf.sort_keys[index]
         del leaf.cells[index]
@@ -282,6 +355,14 @@ class BTree:
             page = self.pager.get(pno)
         path.append((pno, page, 0))
         return page, path
+
+    @staticmethod
+    def _upper_bound(path: list[tuple[int, Any, int]]) -> tuple | None:
+        """Sort key of the separator bounding ``path``'s leaf from above, if any."""
+        for _pno, page, child_index in reversed(path[:-1]):
+            if child_index < len(page.sort_keys):
+                return page.sort_keys[child_index]
+        return None
 
     @staticmethod
     def _find_in_leaf(leaf: LeafPage, sort_key: tuple) -> int | None:
@@ -361,6 +442,7 @@ class BTree:
             new_root.keys = [separator]
             new_root.sort_keys = [key_sort_tuple(separator)]
             new_root.children = [left_pno, right_pno]
+            new_root.adjust(_separator_bytes(separator))
             self.pager.mark_dirty(pno, new_root)
             return
 
@@ -372,6 +454,7 @@ class BTree:
         parent.keys.insert(child_index, separator)
         parent.sort_keys.insert(child_index, sort_sep)
         parent.children.insert(child_index + 1, right_pno)
+        parent.adjust(_separator_bytes(separator))
         self.pager.mark_dirty(parent_pno, parent)
         if parent.used_bytes() > self.capacity:
             self._split(parents)
@@ -385,6 +468,7 @@ class BTree:
         left.keys, right.keys = page.keys[:middle], page.keys[middle:]
         left.sort_keys, right.sort_keys = page.sort_keys[:middle], page.sort_keys[middle:]
         left.cells, right.cells = page.cells[:middle], page.cells[middle:]
+        page.share_out(left, right)
         return left, right, left.keys[-1]
 
     @staticmethod
@@ -398,6 +482,7 @@ class BTree:
         right.keys = page.keys[middle + 1 :]
         right.sort_keys = page.sort_keys[middle + 1 :]
         right.children = page.children[middle + 1 :]
+        page.share_out(left, right, _separator_bytes(separator))
         return left, right, separator
 
     def _remove_empty(self, path: list[tuple[int, Any, int]]) -> None:
@@ -411,6 +496,7 @@ class BTree:
         if parent.keys:
             # The separator between children[i-1] and children[i] is keys[i-1].
             drop = child_index - 1 if child_index > 0 else 0
+            parent.adjust(-_separator_bytes(parent.keys[drop]))
             del parent.keys[drop]
             del parent.sort_keys[drop]
         self.pager.free(pno)

@@ -6,6 +6,12 @@ varint length per value — close in spirit to SQLite's record format, which
 is what gives tuples their on-page byte footprint (and therefore drives
 page splits and pages-touched-per-transaction, the quantity the paper's
 workload tables report).
+
+For that reason the encoding is pinned byte for byte: a value that encoded one
+byte longer would move splits, and with them every recorded sim counter and
+state digest.  The codec may get faster; its output, and the error it raises
+for each malformed input, may not change (``tests/test_sqlite_records.py``
+holds golden bytes and a truncation at every value).
 """
 
 from __future__ import annotations

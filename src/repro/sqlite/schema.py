@@ -55,26 +55,31 @@ class Table:
     root_pno: int
     sql: str = ""
     indexes: list[Index] = field(default_factory=list)
+    #: Index of an INTEGER PRIMARY KEY column (aliases the rowid), or None.
+    rowid_alias: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column in table {self.name!r}")
+        # Columns never change after construction (there is no ALTER), so
+        # both per-row lookups are resolved here, once.
+        self._positions = {name: position for position, name in enumerate(names)}
+        self.rowid_alias = next(
+            (
+                position
+                for position, column in enumerate(self.columns)
+                if column.primary_key and column.type == "INTEGER"
+            ),
+            None,
+        )
 
     def column_index(self, name: str) -> int:
         """Position of column ``name``; raises SchemaError if absent."""
-        for position, column in enumerate(self.columns):
-            if column.name == name:
-                return position
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
-
-    @property
-    def rowid_alias(self) -> int | None:
-        """Index of an INTEGER PRIMARY KEY column (aliases the rowid)."""
-        for position, column in enumerate(self.columns):
-            if column.primary_key and column.type == "INTEGER":
-                return position
-        return None
+        position = self._positions.get(name)
+        if position is None:
+            raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        return position
 
     @property
     def explicit_pk(self) -> int | None:

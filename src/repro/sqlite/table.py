@@ -24,6 +24,12 @@ class TableStore:
         self.table = table
         self.pager = pager
         self.tree = BTree(pager, table.root_pno)
+        # A store lives for one statement: resolve each index's column
+        # positions here, not once per row.
+        self._index_positions = {
+            index.name: [table.column_index(c) for c in index.columns]
+            for index in table.indexes
+        }
 
     def _index_tree(self, index: Index) -> BTree:
         return BTree(self.pager, index.root_pno)
@@ -142,14 +148,13 @@ class TableStore:
     # ----------------------------------------------------------- internals
 
     def _index_key(self, index: Index, values: tuple[SqlValue, ...], rowid: int) -> tuple:
-        parts = tuple(values[self.table.column_index(c)] for c in index.columns)
-        return parts + (rowid,)
+        return tuple(values[p] for p in self._index_positions[index.name]) + (rowid,)
 
     def _check_unique(self, values: tuple[SqlValue, ...], rowid: int) -> None:
         for index in self.table.indexes:
             if not index.unique:
                 continue
-            prefix = tuple(values[self.table.column_index(c)] for c in index.columns)
+            prefix = tuple(values[p] for p in self._index_positions[index.name])
             for other_rowid in self.index_rowids(index, prefix, prefix):
                 if other_rowid != rowid:
                     raise IntegrityError(

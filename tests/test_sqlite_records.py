@@ -60,6 +60,24 @@ class TestRecordCodec:
     def test_empty_record(self):
         assert decode_record(encode_record(())) == ()
 
+    def test_encoding_is_pinned_byte_for_byte(self):
+        """Encoded sizes drive B-tree splits, so the bytes are part of the model.
+        Covers every tag, bool-as-int, and a length on each side of the
+        one-byte varint (127 / 128)."""
+        row = (None, 0, -1, 2**40, True, 3.5, "", "h\u00e9llo", b"\x00\xff", "x" * 127, b"y" * 128)
+        assert encode_record(row) == (
+            b"\x0b\x00\x01\x01\x00\x01\x01\xff\x01\x06\x01\x00\x00\x00\x00\x00\x01\x01\x01"
+            b"\x02@\x0c\x00\x00\x00\x00\x00\x00\x03\x00\x03\x06h\xc3\xa9llo\x04\x02\x00\xff"
+            b"\x03\x7f" + b"x" * 127 + b"\x04\x80\x01" + b"y" * 128
+        )
+        assert decode_record(encode_record(row)) == row
+
+    @pytest.mark.parametrize("cut", range(1, 12))
+    def test_truncated_record_detected_at_every_value(self, cut):
+        encoded = encode_record((7, "text", 2.5, b"blob", None))
+        with pytest.raises(CorruptionError):
+            decode_record(encoded[:-cut])
+
     def test_trailing_bytes_detected(self):
         encoded = encode_record((1,)) + b"\x00"
         with pytest.raises(CorruptionError):
