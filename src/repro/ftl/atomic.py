@@ -3,7 +3,8 @@
 Supports atomic propagation of the pages named in a *single* write call,
 ``write_atomic([(lpn, data), ...])``: all pages are programmed copy-on-write,
 then a commit record naming the group is programmed; only then are the
-mappings published.  Recovery discards groups without a commit record.
+mappings published.  In recovery a group's pages take effect at the sequence
+of its commit record; a group without one never does.
 
 Limitation reproduced on purpose: atomicity is per call.  Pages stolen from
 the buffer pool at different times (SQLite's steal policy) land in different
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import FtlError
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import OOB_DATA, PageMappingFTL
@@ -46,17 +46,13 @@ class AtomicWriteFTL(PageMappingFTL):
         lpns = tuple(lpn for lpn, _data in pages)
         for lpn, data in pages:
             self._check_lpn(lpn)
-            self._seq += 1
             # Tag with the group id in the tid slot: recovery treats a group
             # as committed only if its commit record exists.
-            ppn = self._program(data, (OOB_DATA, lpn, self._seq, ("group", group)))
+            ppn = self._program(data, OOB_DATA, lpn, ("group", group))
             staged.append((lpn, ppn))
             self.stats.host_page_writes += 1
         # Commit record makes the group durable/atomic.
-        self._seq += 1
-        record_ppn = self._program(
-            ("commit-record", group, lpns), (OOB_COMMIT_RECORD, group, self._seq, None)
-        )
+        record_ppn = self._program(("commit-record", group, lpns), OOB_COMMIT_RECORD, group)
         self._own(record_ppn, (OWNER_COMMIT_RECORD, group))
         self._live_commit_records[group] = record_ppn
         self.stats.map_page_writes += 1
@@ -79,7 +75,9 @@ class AtomicWriteFTL(PageMappingFTL):
 
     def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
         if owner[0] == OWNER_COMMIT_RECORD:
-            return (OOB_COMMIT_RECORD, owner[1], self._seq, None)
+            # The record's sequence is when its group took effect, wherever
+            # the record now sits: a relocated record keeps it.
+            return (OOB_COMMIT_RECORD, owner[1], self.chip.read_oob(old_ppn)[2], None)
         return super()._gc_oob_extra(owner, old_ppn)
 
     def _apply_relocation_extra(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
@@ -94,30 +92,27 @@ class AtomicWriteFTL(PageMappingFTL):
         super().power_fail()
         self._live_commit_records = {}
 
-    def remount(self) -> None:
-        """Standard recovery, then apply groups whose commit record survived."""
-        super().remount()
-        # Find surviving commit records and replay their groups in order.
-        committed: dict[int, int] = {}
-        staged: dict[int, list[tuple[int, int, int]]] = {}
-        for seq, kind, key, tid, ppn in self._scan_oob(min_seq=self._root.seq + 1):
+    def _effect_sequences(self, scanned):
+        """A group's pages took effect at the sequence of its commit record.
+
+        Records at or below ``root.seq`` guard mappings the checkpoint
+        already holds and were pruned by that barrier; the ones above it
+        are live again.
+        """
+        records: dict[int, tuple[int, int]] = {}  # group -> (seq, ppn) of its record
+        grouped: list[tuple[int, int, int, int]] = []
+        for seq, kind, key, tag, ppn in scanned:
             if kind == OOB_COMMIT_RECORD:
-                committed[key] = ppn
-            elif kind == OOB_DATA and isinstance(tid, tuple) and tid[0] == "group":
-                staged.setdefault(tid[1], []).append((seq, key, ppn))
-        for group in sorted(committed):
-            for seq, lpn, ppn in sorted(staged.get(group, [])):
-                self._remap_for_recovery(lpn, ppn)
-            self._own_for_recovery(committed[group], (OWNER_COMMIT_RECORD, group))
-            self._live_commit_records[group] = committed[group]
-            if group > self._group_seq:
-                self._group_seq = group
-        self.gc.rebuild()
-
-    def _replay_applies(self, tid) -> bool:
-        # Group-tagged writes are handled in remount(); untagged ones apply.
-        return tid is None
-
-
-class FtlMisuseError(FtlError):
-    """Raised when the per-call API is used where group semantics are needed."""
+                records[key] = (seq, ppn)
+            elif kind == OOB_DATA and tag is None:
+                yield seq, seq, key, ppn
+            elif kind == OOB_DATA:
+                grouped.append((tag[1], seq, key, ppn))
+        for group, seq, lpn, ppn in grouped:
+            if group in records:
+                yield records[group][0], seq, lpn, ppn
+        for group, (seq, ppn) in records.items():
+            if seq > self._root.seq:
+                self._own_for_recovery(ppn, (OWNER_COMMIT_RECORD, group))
+                self._live_commit_records[group] = ppn
+                self._group_seq = max(self._group_seq, group)

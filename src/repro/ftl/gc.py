@@ -64,10 +64,10 @@ reclaimed) holds at every preemption point — uncommitted transactional
 copies keep their tid and their X-L2P entry is repointed.  With
 ``retain_versions > 1`` the live union also covers version-chain entries
 (``OWNER_VERSION`` pages): copyback repoints the chain entry in place and
-the relocated page keeps its original OOB sequence number so replay never
-resurrects it as the current copy.  The ``gc.*`` crash points below are
-swept by the ``ftl.gc`` (background) and ``ftl.gc.inline`` verify layers;
-the version-chain edges by ``ftl.mvcc``.
+the relocated page keeps its original OOB sequence number under a tid that
+is never committed, so replay never applies it.  The ``gc.*`` crash points
+below are swept by the ``ftl.gc`` (background) and ``ftl.gc.inline`` verify
+layers; the version-chain edges by ``ftl.mvcc``.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ class Collector:
 
     # ------------------------------------------------------------ programs
 
-    def host_program(self, data: Any, oob: tuple) -> int:
+    def host_program(self, data: Any, kind: str, key: int, tag: Any) -> int:
         """Append one host-originated page on the next round-robin channel.
 
         Runs this schedule's reclamation first.  Both keep at least one
@@ -262,11 +262,15 @@ class Collector:
         a victim and make progress (waiting for an empty pool would let the
         host eat the copyback headroom page by page and wedge an
         in-capacity workload).
+
+        The page's OOB is ``(kind, key, seq, tag)``; ``seq`` is drawn here,
+        once reclamation is over and the block is picked, so a host page
+        outranks every copyback its own program caused.
         """
         channel = self._write_channel
         self._write_channel = (channel + 1) % self._channels
         per = self._per
-        trans = self._trans_stream and oob[0] == OOB_MAP
+        trans = self._trans_stream and kind == OOB_MAP
         hot = False
         if self._inline:
             if self.headroom_pages(channel) <= per:
@@ -275,15 +279,14 @@ class Collector:
             self._tick += 1
             threshold = self._hot_threshold
             if threshold > 0 and not trans:
-                if oob[0] != OOB_DATA:
+                if kind != OOB_DATA:
                     # Map/meta/X-L2P table pages are rewritten on every
                     # flush: the hottest data on the device by construction.
                     hot = True
                 else:
                     heat = self._heat
-                    lpn = oob[1]
-                    count = heat.get(lpn, 0) + 1
-                    heat[lpn] = count
+                    count = heat.get(key, 0) + 1
+                    heat[key] = count
                     hot = count >= threshold
             self._step(channel)
         if trans:
@@ -293,7 +296,9 @@ class Collector:
         block = self._stream_block(channel, store)
         write_points = self._write_points
         ppn = block * per + write_points[block]
-        self._chip.program(ppn, data, oob)
+        ftl = self.ftl
+        ftl._seq += 1
+        self._chip.program(ppn, data, (kind, key, ftl._seq, tag))
         if not self._inline:
             if trans:
                 self._obs_trans_writes.inc()

@@ -22,9 +22,31 @@ Each programmed page carries OOB metadata ``(kind, lpn, seq, tid)``.  A tiny
 *root record* — modelling the FTL's reserved meta block, which the paper
 assumes is updated atomically — points at the persisted map pages and stores
 the sequence number as of the last barrier.  Remounting after power loss
-loads the map pages from the root, then scans block OOB areas and replays
-committed writes with newer sequence numbers.  Torn pages (power cut mid
-program) are detected and skipped.
+loads the map pages from the root, then scans block OOB areas once and
+replays the data pages that took effect after that sequence number.  Torn
+pages (power cut mid program) are detected and skipped.
+
+One decision orders everything found on flash, taken in this module alone:
+*sequence order is effect order*.
+
+- *A page draws its sequence when it is programmed.*  Host-originated pages
+  go through :meth:`PageMappingFTL._program`: the collector draws the number
+  after reclaiming and picking the block, immediately before
+  ``chip.program`` (a copyback draws its own in ``_gc_oob``).  So a host
+  page always outranks the copybacks its own program caused.
+- *Recovery applies every page at the sequence where it took effect*
+  (``remount`` step 2: the window above ``root.seq``, ordered by effect then
+  write sequence).  An untagged write took effect at its own sequence; a
+  tagged page when its commit became durable, the one question a subclass
+  answers (:meth:`PageMappingFTL._effect_sequences`): X-FTL's root maps each
+  committed tid to ``_seq`` as of the publish that committed it, the
+  atomic-write baseline uses its commit record's sequence, TxFlash the
+  highest sequence of a complete cycle.  A page whose commit is not on flash
+  has no effect sequence and is never applied: that is the rollback.
+- *The commit stamp is taken at the publish, not before the flush*: the
+  programs of the commit's own X-L2P flush can make the collector relocate
+  the old committed copy of a page the transaction rewrote, and a stamp
+  drawn earlier would rank below that relocation.
 
 The L2P table is one flat list indexed by lpn (``None`` = unmapped), and a
 translation (map) page image is ``(ppns, chains)``: ``ppns`` is the slice of
@@ -77,9 +99,9 @@ OWNER_RETIRED = "retired"  # superseded page still pinned by the durable root
 OWNER_VERSION = "version"  # superseded committed page retained in a version chain
 
 # OOB tid sentinel for GC-relocated retained versions: a relocated version
-# keeps its *original* sequence number (so OOB replay never resurrects it as
-# the current copy) and carries this tid, which by construction is never in
-# any committed-tid set — recovery identifies version pages only through the
+# keeps its *original* sequence number (the identity its chain entry stores)
+# and carries this tid, which by construction is never a committed tid, so it
+# has no effect sequence — recovery identifies version pages only through the
 # persisted chains, never through replay.
 VERSION_TID = -1
 
@@ -101,23 +123,14 @@ class RootRecord:
     map_dir: dict[int, int] = field(default_factory=dict)  # segment -> ppn
     meta_dir: dict[int, int] = field(default_factory=dict)  # meta slot -> ppn
     seq: int = 0
-    # Used by XFTL: physical pages of the persisted X-L2P table, and the set
-    # of tids committed since the last full map checkpoint.
+    # Used by XFTL: physical pages of the persisted X-L2P table, and each tid
+    # committed since the last full map checkpoint -> the sequence its commit
+    # took effect at (where recovery applies the transaction's pages).
     xl2p_ppns: tuple[int, ...] = ()
-    committed_tids: frozenset[int] = frozenset()
+    committed_tids: dict[int, int] = field(default_factory=dict)
     # Multi-version X-L2P: the commit sequence counter as of the last root
     # publish.  Stays 0 on the single-version stack (retain_versions=1).
     commit_seq: int = 0
-
-    def clone(self) -> "RootRecord":
-        return RootRecord(
-            map_dir=dict(self.map_dir),
-            meta_dir=dict(self.meta_dir),
-            seq=self.seq,
-            xl2p_ppns=tuple(self.xl2p_ppns),
-            committed_tids=frozenset(self.committed_tids),
-            commit_seq=self.commit_seq,
-        )
 
 
 class PageMappingFTL(Ftl):
@@ -211,9 +224,7 @@ class PageMappingFTL(Ftl):
             # Updating the mapping is a read-modify of its translation
             # page, so residency comes first (may evict/write back).
             self._cmt.access(lpn // self._map_entries_per_page)
-        self._seq += 1
-        ppn = self._program(data, (OOB_DATA, lpn, self._seq, None))
-        self._map(lpn, ppn)
+        self._map(lpn, self._program(data, OOB_DATA, lpn))
         self.stats.host_page_writes += 1
         self._obs_host_writes.inc()
 
@@ -334,22 +345,18 @@ class PageMappingFTL(Ftl):
             self._l2p[lpn] = None
             self._mark_dirty(lpn)
 
-        # 2. Replay newer writes found in OOB areas, in sequence order.
-        # Dirty tracking restarts here, *before* the replay: each replayed
-        # mapping re-dirties its segment so the next barrier persists it.
-        # (Clearing after the replay — the old behaviour — left recovered
-        # mappings clean, so a barrier advanced root.seq past their
-        # sequence numbers without flushing them and a second crash lost
-        # them.)
+        # 2. One OOB scan: replay the data pages that took effect after the
+        # root's sequence, in effect order (write order breaks the tie
+        # between pages of one commit).  Nothing else rebuilds the L2P.
+        # Dirty tracking restarts *before* the replay: each replayed mapping
+        # re-dirties its segment, so the barrier that advances root.seq past
+        # the replayed pages also persists them.
         self._dirty_segments = set()
-        replay = sorted(self._scan_oob(min_seq=root.seq + 1), key=lambda e: e[0])
-        for seq, kind, lpn, tid, ppn in replay:
-            if seq > self._seq:
-                self._seq = seq  # never reuse sequence numbers after a crash
-            if kind != OOB_DATA:
-                continue
-            if not self._replay_applies(tid):
-                continue
+        horizon = root.seq
+        replay = sorted(
+            page for page in self._effect_sequences(self._scan_oob()) if page[0] > horizon
+        )
+        for _effect, _seq, lpn, ppn in replay:
             self._remap_for_recovery(lpn, ppn)
 
         self._finish_remount(chains)
@@ -374,13 +381,16 @@ class PageMappingFTL(Ftl):
         # next barrier persists it (see remount step 2).
         self._mark_dirty(lpn)
 
-    def _replay_applies(self, tid: int | None) -> bool:
-        """Whether an OOB data entry with this tid survives recovery.
+    def _effect_sequences(self, scanned: Iterable[tuple]) -> Iterator[tuple[int, int, int, int]]:
+        """``(effect seq, write seq, lpn, ppn)`` of each scanned page that took effect.
 
-        The stock FTL has no transactions: only untagged writes exist.
-        XFTL overrides this to consult the durable committed-tid set.
+        The stock FTL writes untagged data pages only, which take effect as
+        written.  Subclasses add their tagged pages at their commit's
+        sequence; a page whose commit is not on flash is not yielded.
         """
-        return tid is None
+        for seq, kind, lpn, tag, ppn in scanned:
+            if kind == OOB_DATA and tag is None:
+                yield seq, seq, lpn, ppn
 
     def _finish_remount(self, chains: list) -> None:
         """Hook for subclasses (XFTL reloads the X-L2P table here).
@@ -457,9 +467,10 @@ class PageMappingFTL(Ftl):
 
     # -------- space management (see repro.ftl.gc) ----------------------
 
-    def _program(self, data: Any, oob: tuple) -> int:
-        """Append one host-originated page; the collector reclaims if needed."""
-        return self.gc.host_program(data, oob)
+    def _program(self, data: Any, kind: str, key: int, tag: Any = None) -> int:
+        """Append one host-originated page with OOB ``(kind, key, seq, tag)``;
+        the collector reclaims if needed, then draws ``seq``."""
+        return self.gc.host_program(data, kind, key, tag)
 
     def _gc_oob(self, owner: tuple, old_ppn: int) -> tuple:
         """OOB metadata for a GC-relocated page."""
@@ -580,9 +591,7 @@ class PageMappingFTL(Ftl):
         Shared by the barrier flush, CMT dirty evictions and the commit
         pinning path (the only one passing ``overlay``, see _segment_image).
         """
-        image = self._segment_image(segment, overlay)
-        self._seq += 1
-        ppn = self._program(image, (OOB_MAP, segment, self._seq, None))
+        ppn = self._program(self._segment_image(segment, overlay), OOB_MAP, segment)
         old = self._map_dir.get(segment)
         if old is not None and self._owner[old] is not None:
             if self._root.map_dir.get(segment) == old:
@@ -618,8 +627,7 @@ class PageMappingFTL(Ftl):
     def _flush_meta(self) -> None:
         """Firmware misc metadata (write points, erase counts, ...)."""
         for slot in range(self.config.barrier_meta_pages):
-            self._seq += 1
-            ppn = self._program(("meta", slot), (OOB_META, slot, self._seq, None))
+            ppn = self._program(("meta", slot), OOB_META, slot)
             old = self._meta_dir.get(slot)
             if old is not None and self._owner[old] is not None:
                 self._retire(old, OWNER_META, slot)
@@ -650,19 +658,23 @@ class PageMappingFTL(Ftl):
 
     # -------- recovery helpers ------------------------------------------
 
-    def _scan_oob(self, min_seq: int) -> Iterator[tuple[int, str, int, int | None, int]]:
-        """Yield ``(seq, kind, lpn, tid, ppn)`` for programmed pages with seq >= min_seq."""
-        geo = self.chip.geometry
-        page_states = self._page_states
-        for ppn in range(geo.total_pages):
-            if page_states[ppn] != PAGE_PROGRAMMED:
+    def _scan_oob(self) -> Iterator[tuple[int, str, int, Any, int]]:
+        """Yield ``(seq, kind, key, tag, ppn)`` for every programmed page.
+
+        ``_seq`` resumes above the highest sequence seen: a sequence number
+        is never reused after a crash.
+        """
+        read_oob = self.chip.read_oob
+        for ppn, state in enumerate(self._page_states):
+            if state != PAGE_PROGRAMMED:
                 continue
-            oob = self.chip.read_oob(ppn)
+            oob = read_oob(ppn)
             if not oob:
                 continue
-            kind, lpn, seq, tid = oob
-            if seq >= min_seq:
-                yield (seq, kind, lpn, tid, ppn)
+            kind, key, seq, tag = oob
+            if seq > self._seq:
+                self._seq = seq
+            yield seq, kind, key, tag, ppn
 
     # -------- inspection --------------------------------------------------
 

@@ -3,7 +3,9 @@
 TxFlash supports atomic multi-page writes *without* a separate commit
 record: the pages of a group are linked into a cycle through their OOB
 areas (Simple Cyclic Commit, SCC).  At recovery, a group is committed iff
-its cycle is complete — every member page is present and points to the next.
+its cycle is complete — every member page is present and points to the next
+— and its pages take effect at the highest sequence of the cycle, the program
+that closed it.
 
 As with :class:`~repro.ftl.atomic.AtomicWriteFTL`, atomicity is per call:
 the group must be presented in one ``write_group`` invocation, which is the
@@ -19,7 +21,7 @@ from typing import Any, Sequence
 from repro.errors import TransactionError
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import PageMappingFTL
+from repro.ftl.pagemap import OOB_DATA, PageMappingFTL
 
 OOB_SCC = "scc"
 
@@ -58,9 +60,7 @@ class TxFlashFTL(PageMappingFTL):
             for position, (lpn, data) in enumerate(pages):
                 self._check_lpn(lpn)
                 next_lpn = lpns[(position + 1) % size]
-                self._seq += 1
-                scc = (group, position, size, next_lpn)
-                ppn = self._program(data, (OOB_SCC, lpn, self._seq, scc))
+                ppn = self._program(data, OOB_SCC, lpn, (group, position, size, next_lpn))
                 staged.append((lpn, ppn))
                 self.stats.host_page_writes += 1
             # Cycle is complete on flash: publish the mappings.
@@ -74,27 +74,19 @@ class TxFlashFTL(PageMappingFTL):
         super().power_fail()
         self._inflight_lpns = set()
 
-    def remount(self) -> None:
-        """Standard recovery, then apply groups whose SCC cycle is complete."""
-        super().remount()
-        groups: dict[int, list[tuple[int, int, int, int]]] = {}
-        sizes: dict[int, int] = {}
-        for seq, kind, lpn, extra, ppn in self._scan_oob(min_seq=self._root.seq + 1):
-            if kind != OOB_SCC:
-                continue
-            group, position, size, _next_lpn = extra
-            groups.setdefault(group, []).append((position, seq, lpn, ppn))
-            sizes[group] = size
-        for group in sorted(groups):
-            members = groups[group]
-            positions = {m[0] for m in members}
-            if positions != set(range(sizes[group])):
+    def _effect_sequences(self, scanned):
+        """A complete cycle's pages took effect when its last member was programmed."""
+        cycles: dict[tuple[int, int], dict[int, tuple[int, int, int]]] = {}
+        for seq, kind, lpn, scc, ppn in scanned:
+            if kind == OOB_SCC:
+                group, position, size, _next_lpn = scc
+                cycles.setdefault((group, size), {})[position] = (seq, lpn, ppn)
+            elif kind == OOB_DATA:
+                yield seq, seq, lpn, ppn
+        for (group, size), members in cycles.items():
+            if members.keys() != set(range(size)):
                 continue  # incomplete cycle: group never committed
-            for _position, seq, lpn, ppn in sorted(members, key=lambda m: m[1]):
-                self._remap_for_recovery(lpn, ppn)
-            if group > self._group_seq:
-                self._group_seq = group
-        self.gc.rebuild()
-
-    def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
-        return super()._gc_oob_extra(owner, old_ppn)
+            closed = max(seq for seq, _lpn, _ppn in members.values())
+            for seq, lpn, ppn in members.values():
+                yield closed, seq, lpn, ppn
+            self._group_seq = max(self._group_seq, group)

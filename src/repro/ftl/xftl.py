@@ -24,11 +24,13 @@ Extends the stock page-mapped FTL with the paper's four extra commands:
     recovery discards any transaction that is not durably committed.
 
 Recovery (§5.4): on remount, the inherited FTL recovery restores L2P from
-the last checkpoint plus the OOB replay — where a tid-tagged data write is
-applied only if its tid is in the durable committed set.  Then the persisted
-X-L2P table is loaded and its committed entries are reflected into L2P,
-which is idempotent.  Active (uncommitted) entries are simply discarded,
-which *is* the rollback.
+the last checkpoint plus the OOB replay, which reflects every committed
+write idempotently: the durable root maps each tid committed since that
+checkpoint to the sequence its commit took effect at, and a tid-tagged data
+page is applied at that sequence — commit order, not the order the pages
+happened to be written or relocated in.  A page whose tid the root does not
+name is never applied, which *is* the rollback.  The persisted X-L2P table
+pages are then read back, validated and re-owned.
 """
 
 from __future__ import annotations
@@ -144,8 +146,7 @@ class XFTL(PageMappingFTL):
                     f"write-write conflict on lpn {lpn}: held by tid {holder}"
                 )
             self._writers_by_lpn[lpn] = tid
-        self._seq += 1
-        ppn = self._program(data, (OOB_DATA, lpn, self._seq, tid))
+        ppn = self._program(data, OOB_DATA, lpn, tid)
         self._started_tids.add(tid)
         previous = self.xl2p.put(tid, lpn, ppn)
         if previous is not None:
@@ -345,7 +346,7 @@ class XFTL(PageMappingFTL):
             # later members' folds overlay earlier ones, matching the fold
             # order.
             entries = [e for tid in live for e in self.xl2p.entries_of(tid)]
-            self._flush_xl2p(pin_entries=entries if self._cmt is not None else None)
+            self._flush_xl2p(live, pin_entries=entries if self._cmt is not None else None)
             self.chip.crash_plan.hit(cp_after)
             # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent):
             # each page passes from its X-L2P entry to the L2P.
@@ -406,8 +407,11 @@ class XFTL(PageMappingFTL):
             for lpn in [l for l, t in self._writers_by_lpn.items() if t == tid]:
                 del self._writers_by_lpn[lpn]
 
-    def _flush_xl2p(self, pin_entries: list | None = None) -> None:
+    def _flush_xl2p(self, members: list[int], pin_entries: list | None = None) -> None:
         """Write the whole X-L2P table copy-on-write and republish the root.
+
+        The republish is what commits ``members``: it stamps each with the
+        sequence its pages take effect at in recovery.
 
         On a multi-channel array the table pages (DRAM-sourced) round-robin
         across channels and overlap inside one region; ``chip.drain()`` is
@@ -425,8 +429,7 @@ class XFTL(PageMappingFTL):
         new_ppns: list[int] = []
         with self.chip.overlap():
             for index, image in enumerate(images):
-                self._seq += 1
-                ppn = self._program(image, (OOB_XL2P_TABLE, index, self._seq, None))
+                ppn = self._program(image, OOB_XL2P_TABLE, index)
                 self._own(ppn, (OWNER_XL2P_TABLE, index))
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1
@@ -445,10 +448,13 @@ class XFTL(PageMappingFTL):
                 # the page labelled OOB_XL2P_TABLE (not misfiled as meta).
                 self._retire(old, OWNER_XL2P_TABLE, index)
         self._xl2p_page_ppns = new_ppns
-        # Atomic meta-block update: new X-L2P location + committed tid set
-        # (+ the commit sequence counter; constant 0 when retain_versions=1).
+        # Atomic meta-block update: new X-L2P location + the members'
+        # commit stamp (+ the commit sequence counter; constant 0 when
+        # retain_versions=1).  The stamp is _seq as of *now*, not before the
+        # flush: its programs may have made GC relocate the old committed
+        # copy of a page a member rewrote, which the member must outrank.
         self._root.xl2p_ppns = tuple(new_ppns)
-        self._root.committed_tids = frozenset(self._committed_tids)
+        self._root.committed_tids.update(dict.fromkeys(members, self._seq))
         self._root.commit_seq = self._commit_counter
         if self._cmt is not None:
             # Demand-paged mode repoints translation pages outside barriers
@@ -499,7 +505,7 @@ class XFTL(PageMappingFTL):
         """Lazy L2P checkpoint: bounds OOB replay and prunes committed tids."""
         self.barrier()
         self._committed_tids.clear()
-        self._root.committed_tids = frozenset()
+        self._root.committed_tids = {}
         self._commits_since_checkpoint = 0
 
     def _segment_chains(self, lo: int, hi: int) -> tuple:
@@ -523,10 +529,9 @@ class XFTL(PageMappingFTL):
             return (OOB_XL2P_TABLE, owner[1], self._seq, None)
         if kind == OWNER_VERSION:
             # A relocated retained version keeps its *original* sequence
-            # number — the chain entry's stored identity — so OOB replay
-            # never resurrects it as the current copy, and recovery can
-            # still match it against the persisted chain.  VERSION_TID
-            # marks it untouchable for replay even above the root horizon.
+            # number — the chain entry's stored identity — so recovery can
+            # still match it against the persisted chain, and VERSION_TID,
+            # which is never committed, so replay never applies it.
             lpn = owner[1]
             oob_seq = self._versions.oob_seq_of(lpn, old_ppn)
             if oob_seq is None:
@@ -561,15 +566,15 @@ class XFTL(PageMappingFTL):
 
     # ------------------------------------------------------------- recovery
 
-    def _replay_applies(self, tid: int | None) -> bool:
-        """OOB replay rule: untagged writes and durably committed tids apply.
-
-        ``VERSION_TID`` marks GC-relocated retained versions: never current,
-        never replayed (belt-and-braces — it can also never be committed).
-        """
-        if tid == VERSION_TID:
-            return False
-        return tid is None or tid in self._root.committed_tids
+    def _effect_sequences(self, scanned):
+        """A tagged page took effect at the sequence the root stamped its tid with."""
+        committed = self._root.committed_tids
+        for seq, kind, lpn, tid, ppn in scanned:
+            if kind != OOB_DATA:
+                continue
+            effect = seq if tid is None else committed.get(tid)
+            if effect is not None:
+                yield effect, seq, lpn, ppn
 
     def power_fail(self) -> None:
         super().power_fail()
@@ -585,10 +590,11 @@ class XFTL(PageMappingFTL):
             self._versions.clear()
 
     def _finish_remount(self, chains: list) -> None:
-        """Load the persisted X-L2P and reflect committed entries (§5.4).
+        """Read, validate and re-own the persisted X-L2P table pages (§5.4).
 
-        The measured duration is recorded in :attr:`last_xl2p_recovery_us`
-        — this is the "X-FTL mode restart time" of Table 5.
+        The replay has already applied their committed entries.  The
+        measured duration is recorded in :attr:`last_xl2p_recovery_us` —
+        this is the "X-FTL mode restart time" of Table 5.
         """
         t0 = self.chip.clock.now_us
         self._committed_tids = set(self._root.committed_tids)
@@ -597,10 +603,7 @@ class XFTL(PageMappingFTL):
             images.append(self.chip.read(ppn))
             self._own_for_recovery(ppn, (OWNER_XL2P_TABLE, index))
         self._xl2p_page_ppns = list(self._root.xl2p_ppns)
-        if images:
-            self._reflect_committed(
-                XL2PTable.deserialize(images, capacity=self.config.xl2p_capacity)
-            )
+        XL2PTable.deserialize(images, capacity=self.config.xl2p_capacity)
         # Active/aborted entries are discarded: that *is* the rollback.
         self.xl2p = self._new_xl2p()
         # Snapshots pinned before the crash are gone; the counter resumes
@@ -617,16 +620,16 @@ class XFTL(PageMappingFTL):
     def _restore_version_chains(self, chains: list) -> None:
         """Re-validate and re-own the map pages' version chains (recovery).
 
-        Runs after OOB replay and the committed X-L2P reflect, so every
-        *current* page is already owned.  A persisted chain entry can be
-        stale — released and reclaimed, its block erased or reused since
-        the map page flushed — so each entry is validated against the
-        physical page's OOB identity (programmed, data kind, same lpn,
-        same sequence number) and against the owner map (an entry may
-        never claim a page something else keeps alive).  Failures are
-        dropped: an unowned page is simply reclaimed by the space-state
-        rebuild, so a crash anywhere between version publish and release
-        can lose retention depth but never orphan or double-free a page.
+        Runs after OOB replay, so every *current* page is already owned.
+        A persisted chain entry can be stale — released and reclaimed, its
+        block erased or reused since the map page flushed — so each entry
+        is validated against the physical page's OOB identity (programmed,
+        data kind, same lpn, same sequence number) and against the owner
+        map (an entry may never claim a page something else keeps alive).
+        Failures are dropped: an unowned page is simply reclaimed by the
+        space-state rebuild, so a crash anywhere between version publish and
+        release can lose retention depth but never orphan or double-free a
+        page.
         """
         versions = self._versions
         versions.clear()
@@ -654,31 +657,6 @@ class XFTL(PageMappingFTL):
         for lpn, ppns in versions.set_floor(None).items():
             for ppn in ppns:
                 self._release_version_page(lpn, ppn)
-
-    def _reflect_committed(self, durable: XL2PTable) -> None:
-        """Idempotently fold durably-committed X-L2P entries into L2P."""
-        for tid in durable.active_tids():
-            for entry in durable.entries_of(tid):
-                if entry.status is not TxStatus.COMMITTED:
-                    continue
-                if self.chip.state.page_states[entry.new_ppn] != PAGE_PROGRAMMED:
-                    continue  # stale entry: page was since relocated/erased
-                oob = self.chip.read_oob(entry.new_ppn)
-                if not oob or oob[0] != OOB_DATA or oob[1] != entry.lpn:
-                    continue  # physical page reused for something else
-                current = self._l2p[entry.lpn]
-                if current == entry.new_ppn:
-                    continue  # already reflected (idempotent)
-                current_seq = self._oob_seq(current)
-                if current_seq is not None and current_seq >= oob[2]:
-                    continue  # a newer write superseded this entry
-                self._remap_for_recovery(entry.lpn, entry.new_ppn)
-
-    def _oob_seq(self, ppn: int | None) -> int | None:
-        if ppn is None:
-            return None
-        oob = self.chip.read_oob(ppn)
-        return oob[2] if oob else None
 
     # ----------------------------------------------------------- invariants
 

@@ -10,12 +10,15 @@ import pytest
 
 from repro.errors import PowerFailure, TransactionError
 from repro.flash import FlashChip, FlashGeometry
+from repro.flash.array import FlashArray
 from repro.ftl import AtomicWriteFTL, FtlConfig, TxFlashFTL
 from repro.sim import CrashPlan
 
+PER = 8  # pages per block
+
 
 def make_ftl(cls, crash_plan=None, num_blocks=32):
-    geometry = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=num_blocks)
+    geometry = FlashGeometry(page_size=512, pages_per_block=PER, num_blocks=num_blocks)
     chip = FlashChip(geometry, crash_plan=crash_plan)
     return cls(chip, FtlConfig(overprovision=0.25, map_entries_per_page=16))
 
@@ -84,6 +87,26 @@ class TestAtomicWriteFTL:
         assert ftl.read(5) == b"plain"
         assert ftl.read(6) == b"grouped"
 
+    def test_relocated_commit_record_keeps_its_groups_place_in_the_order(self):
+        """Two durable groups on lpn 5; GC moves only the first one's record.
+        A fresh sequence on the relocated record would rank g1 above g2."""
+        ftl = make_ftl(AtomicWriteFTL)
+        for pad in range(PER - 1):
+            ftl.write(100 + pad, b"pad")
+        ftl.write_atomic([(5, b"g1")])  # data page ends a block, record opens the next
+        record_block = ftl._live_commit_records[1] // PER
+        assert ftl.mapped_ppn(5) // PER != record_block
+        for pad in range(PER - 1):  # fill the record's block: no longer active
+            ftl.write(110 + pad, b"pad")
+        ftl.write_atomic([(5, b"g2")])
+        assert ftl.mapped_ppn(5) // PER != record_block
+        ftl.gc._run_job(0, ftl.gc._open_job(0, record_block))
+        assert ftl._live_commit_records[1] // PER != record_block
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.read(5) == b"g2"
+        ftl.check_invariants()
+
 
 class TestTxFlashFTL:
     def test_group_visible_after_call(self):
@@ -142,6 +165,46 @@ class TestTxFlashFTL:
         ftl.power_fail()
         ftl.remount()
         assert ftl.read(7) == b"solo"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known model limit (ROADMAP 'Known model limits'): SCC has no relocation "
+        "story — once GC has moved one member and erased its cycle page the cycle is "
+        "incomplete, so recovery drops the members that were not moved",
+    )
+    def test_group_survives_relocation_of_one_member(self):
+        geometry = FlashGeometry(page_size=512, pages_per_block=PER, num_blocks=24, channels=2)
+        ftl = TxFlashFTL(
+            FlashArray(geometry), FtlConfig(overprovision=0.25, map_entries_per_page=16)
+        )
+        for lpn in range(8):
+            ftl.write(lpn, b"base")
+        ftl.barrier()
+        ftl.write_group([(5, b"g5"), (6, b"g6")])  # the members land on different channels
+        for pad in range(16):
+            ftl.write(20 + pad, b"pad")
+        block = ftl.mapped_ppn(5) // PER
+        channel = geometry.channel_of_block(block)
+        ftl.gc._run_job(channel, ftl.gc._open_job(channel, block))
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.read(5) == b"g5"
+        assert ftl.read(6) == b"g6"
+
+
+@pytest.mark.parametrize(
+    "cls,write_group", [(AtomicWriteFTL, "write_atomic"), (TxFlashFTL, "write_group")]
+)
+def test_plain_write_after_a_group_outranks_it(cls, write_group):
+    """Both pages are on flash after the power cycle; the sequences they
+    carry decide, not which recovery pass finds them."""
+    ftl = make_ftl(cls)
+    getattr(ftl, write_group)([(5, b"group")])
+    ftl.write(5, b"newest")
+    ftl.power_fail()
+    ftl.remount()
+    assert ftl.read(5) == b"newest"
+    ftl.check_invariants()
 
 
 class TestPerCallLimitation:

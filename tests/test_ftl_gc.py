@@ -361,15 +361,9 @@ class TestXl2pSurvivesCollection:
         assert ftl.read(3) == ("uncommitted", 3)
         ftl.check_invariants()
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="OOB replay orders by write sequence, not commit order: a committed "
-        "copy relocated while a transaction on the same lpn is open outranks that "
-        "transaction's page after a crash (found by the ftl.gc.inline sweep, "
-        "seeds 1-3; see ROADMAP item 1)",
-    )
     def test_commit_survives_crash_after_old_copy_was_relocated(self):
+        """Replay orders by commit, not by write: the relocated old copy of
+        lpn 3 carries a higher sequence than the transaction's page."""
         ftl = make_bg_xftl(
             num_blocks=24, pages_per_block=8, channels=1, gc_mode="inline", gc_policy="greedy"
         )

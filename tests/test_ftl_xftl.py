@@ -326,6 +326,25 @@ class TestCrashRecovery:
         assert ftl.read(2) == b"base-2"
         assert ftl.read(3) == b"base-3"
 
+    def test_commit_of_a_page_written_before_the_last_barrier_survives(self):
+        """A page takes effect at its commit, not where it was written: T1's
+        page sits below root.seq and T2's X-L2P flush dropped T1's entry, so
+        only the root's tid -> commit sequence still says it is committed."""
+        ftl = make_xftl()
+        ftl.write(5, b"old5")
+        ftl.write(6, b"old6")
+        ftl.barrier()
+        ftl.write_tx(1, 5, b"t1")
+        ftl.barrier()
+        ftl.commit(1)
+        ftl.write_tx(2, 6, b"t2")
+        ftl.commit(2)
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.read(5) == b"t1"
+        assert ftl.read(6) == b"t2"
+        ftl.check_invariants()
+
     def test_xl2p_recovery_time_recorded(self):
         ftl = make_xftl()
         ftl.write_tx(1, 0, b"v")

@@ -7,10 +7,11 @@ how many fire, how many fail, and a digest over the ordered
 device-level rows are swept exhaustively; the file-system, SQLite and tenant
 rows (whole-stack machines, ~10x slower per scenario) at a budget of 150.
 
-Seed 1 is in on purpose for the three rows that are red there (the lost
-update of ROADMAP item 4(d)): the pin shows that the harness still *finds*
-those violations, not only that green stays green.  The PR that fixes 4(d)
-re-records and its diff shows the failure counts going to 0.
+Seed 1 is in as well for the three rows that were red there until PR 18
+(X-FTL recovery replayed pages in write order instead of commit order; 15 /
+165 / 257 failures): a second seed keeps the collector and demand-paged-map
+rows honest where seed 0 alone was green all along.  That the harness can
+still see red is ``tests/test_verify_sweep.py::TestHarnessBites``' job.
 
 Recorded at the commit before ``verify/drivers.py`` became table-driven;
 re-record only with a deliberate, explained bump (all rows, or only the
@@ -34,9 +35,9 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "verify_baseline.json"
 _EXHAUSTIVE = 100_000  # above any row's surface: the streams dry up first
 _STACK_BUDGET = 150
 _STACK_PREFIXES = ("fs.", "sqlite.", "stack.")
-_RED_AT_SEED_1 = ("ftl.gc", "ftl.gc.inline", "ftl.cmt")
+_ALSO_AT_SEED_1 = ("ftl.gc", "ftl.gc.inline", "ftl.cmt")
 
-PINNED = [(layer, 0) for layer in LAYERS] + [(layer, 1) for layer in _RED_AT_SEED_1]
+PINNED = [(layer, 0) for layer in LAYERS] + [(layer, 1) for layer in _ALSO_AT_SEED_1]
 
 
 def _key(layer: str, seed: int) -> str:
