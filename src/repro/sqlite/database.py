@@ -5,11 +5,40 @@ therefore the journal mode), the schema catalog, and statement execution.
 Statements run in autocommit mode unless BEGIN opened an explicit
 transaction — exactly SQLite's model, which is what makes the per-statement
 fsync patterns of the paper's Figure 1 appear.
+
+Statement lifecycle.  Every statement goes prepare -> bind -> run, and there
+is no other path.  *Prepare* turns SQL text into a plan: the parsed statement
+plus everything that depends only on the text and the schema — the resolved
+tables, a ``TableStore`` per table with its index trees and index column
+positions, the access path and leftover filters of every nested-loop level,
+and one compiled closure per expression (filters, SET assignments, select
+list, ORDER BY, aggregate arguments, LIMIT / OFFSET, VALUES).  A connection
+keeps its plans in one map keyed by the SQL text, at most
+``PREPARED_STATEMENTS`` of them, least recently used out first; a text that
+misses is prepared and then runs through the same code as one that hits.
+*Bind* checks the argument count against the plan's arity and puts the
+arguments in the plan's parameter cell, which the closures read when they
+run.  It comes before any effect, so a statement given too few arguments
+raises with no row touched, and a statement that fails to prepare or bind is
+not cached.  *Run* executes the closures; it never parses, resolves a name
+or compiles.
+
+A plan is valid for exactly the catalog it was built against: it holds
+``Table`` objects and tree roots.  So every plan is dropped whenever the
+in-memory catalog is rebuilt or changed — ``_load_schema`` (open and every
+rollback path, explicit or autocommit) and every DDL statement; the rule
+lives in ``Connection._drop_plans`` and nowhere else.  Preparing touches no
+page (stores and trees are handles: a root page number and the page size),
+because the order in which pages enter the pager cache decides what it evicts
+and spills, which is simulated state: a plan that is warm and a plan that was
+just rebuilt must leave every counter identical.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import OrderedDict
+from functools import partial
+from typing import Callable, Sequence
 
 from repro.errors import DatabaseError, PowerFailure, SchemaError, SqlError
 from repro.fs.ext4 import Ext4
@@ -22,6 +51,7 @@ from repro.sqlite.sql.engine import (
     AccessPath,
     Env,
     ExprCompiler,
+    Parameters,
     choose_access_path,
     expr_references_bindings,
     iterate_access_path,
@@ -31,6 +61,43 @@ from repro.sqlite.sql.engine import (
 from repro.sqlite.table import TableStore
 
 Row = tuple[SqlValue, ...]
+
+#: How many prepared statements a connection keeps (least recently used out).
+PREPARED_STATEMENTS = 512
+
+_NO_ROW: Env = {}  # what an expression over no table (VALUES, LIMIT) is evaluated against
+
+
+class _Scan:
+    """One nested-loop level: a binding, how to reach its rows, which to keep."""
+
+    __slots__ = ("binding", "store", "path", "filters")
+
+    def __init__(
+        self, binding: str, store: TableStore, path: AccessPath, filters: list[Callable]
+    ) -> None:
+        self.binding = binding
+        self.store = store
+        self.path = path
+        self.filters = filters
+
+
+class _Plan:
+    """A prepared statement (module docstring, "Statement lifecycle")."""
+
+    __slots__ = ("run", "params", "writes", "scans")
+
+    def __init__(
+        self,
+        run: Callable[[], list[Row] | None],  # rows for SELECT and transaction control
+        params: Parameters | None = None,
+        writes: bool = False,
+        scans: Sequence[_Scan] = (),
+    ) -> None:
+        self.run = run
+        self.params = Parameters() if params is None else params
+        self.writes = writes  # runs inside the explicit or an autocommit transaction
+        self.scans = scans  # the nested-loop levels, outermost first
 
 
 class Connection:
@@ -71,7 +138,7 @@ class Connection:
         self._staged_txn = None
         self._commit_started_us = 0.0
         self.statements_executed = 0
-        self._parse_cache: dict[str, object] = {}
+        self._prepared: OrderedDict[str, _Plan] = OrderedDict()
         self._profile = fs.device.profile
         self._clock = fs.device.clock
         if existed:
@@ -223,48 +290,25 @@ class Connection:
 
     def execute(self, sql: str, params: Sequence[SqlValue] = ()) -> list[Row]:
         """Execute one statement; SELECT returns rows, DML returns []."""
-        statement = self._parse_cache.get(sql)
-        if statement is None:
-            statement = parse(sql)
-            if len(self._parse_cache) < 512:
-                self._parse_cache[sql] = statement
+        prepared = self._prepared
+        plan = prepared.get(sql)
+        if plan is None:
+            plan = self._prepare(sql)  # raises with nothing cached and nothing done
         self.statements_executed += 1
         self._obs_statements.inc()
         self._clock.advance(self._profile.host_cpu_statement_us)
-        if isinstance(statement, ast.Begin):
-            if statement.snapshot:
-                self.begin_snapshot()
-            else:
-                self.begin()
-            return []
-        if isinstance(statement, ast.Commit):
-            self.commit()
-            return []
-        if isinstance(statement, ast.Rollback):
-            self.rollback()
-            return []
-        if isinstance(statement, ast.Select):
-            return self._run_select(statement, params)
+        plan.params.bind(params)
+        prepared[sql] = plan
+        prepared.move_to_end(sql)
+        if len(prepared) > PREPARED_STATEMENTS:
+            prepared.popitem(last=False)
+        if not plan.writes:
+            return plan.run()
 
         # Writes: run inside the explicit txn or an autocommit txn.
         self._begin_internal()
         try:
-            if isinstance(statement, ast.Insert):
-                self._run_insert(statement, params)
-            elif isinstance(statement, ast.Update):
-                self._run_update(statement, params)
-            elif isinstance(statement, ast.Delete):
-                self._run_delete(statement, params)
-            elif isinstance(statement, ast.CreateTable):
-                self._run_create_table(statement)
-            elif isinstance(statement, ast.CreateIndex):
-                self._run_create_index(statement)
-            elif isinstance(statement, ast.DropTable):
-                self._run_drop_table(statement)
-            elif isinstance(statement, ast.DropIndex):
-                self._run_drop_index(statement)
-            else:
-                raise SqlError(f"unsupported statement type {type(statement).__name__}")
+            plan.run()
         except PowerFailure:
             raise  # machine is down: no in-process rollback is possible
         except BaseException:
@@ -287,7 +331,12 @@ class Connection:
 
     # ------------------------------------------------------------- schema
 
+    def _drop_plans(self) -> None:
+        """The invalidation rule: a plan does not outlive the catalog it was built against."""
+        self._prepared.clear()
+
     def _load_schema(self) -> None:
+        self._drop_plans()
         self.catalog.tables = {}
         index_rows = []
         for kind, name, tbl_name, root, sql in self.catalog.entries():
@@ -401,89 +450,150 @@ class Connection:
         BTree(self.pager, index.root_pno).drop()
         self.catalog.remove_entries({statement.name})
 
+    # ------------------------------------------------------------- prepare
+
+    def _prepare(self, sql: str) -> _Plan:
+        """Parse ``sql`` and plan it against the current catalog; touches no page."""
+        statement = parse(sql)
+        if isinstance(statement, ast.Select):
+            return self._plan_select(statement)
+        if isinstance(statement, ast.Insert):
+            return self._plan_insert(statement)
+        if isinstance(statement, ast.Update):
+            return self._plan_update(statement)
+        if isinstance(statement, ast.Delete):
+            return self._plan_delete(statement)
+        if isinstance(statement, ast.Begin):
+            return self._plan_txn(self.begin_snapshot if statement.snapshot else self.begin)
+        if isinstance(statement, ast.Commit):
+            return self._plan_txn(self.commit)
+        if isinstance(statement, ast.Rollback):
+            return self._plan_txn(self.rollback)
+        for node, runner in (
+            (ast.CreateTable, self._run_create_table),
+            (ast.CreateIndex, self._run_create_index),
+            (ast.DropTable, self._run_drop_table),
+            (ast.DropIndex, self._run_drop_index),
+        ):
+            if isinstance(statement, node):
+                return _Plan(partial(self._run_ddl, runner, statement), writes=True)
+        raise SqlError(f"unsupported statement type {type(statement).__name__}")
+
+    @staticmethod
+    def _plan_txn(action: Callable[[], object]) -> _Plan:
+        def run() -> list[Row]:
+            action()
+            return []
+
+        return _Plan(run)
+
+    def _run_ddl(self, runner: Callable[[ast.Statement], None], statement: ast.Statement) -> None:
+        self._drop_plans()
+        runner(statement)
+
+    def _plan_scan(
+        self,
+        binding: str,
+        table: Table,
+        conjuncts: list[ast.Expr],
+        outer: set[str],
+        compiler: ExprCompiler,
+    ) -> _Scan:
+        path, leftovers = choose_access_path(binding, table, conjuncts, outer, compiler)
+        filters = [compiler.compile(c) for c in leftovers]
+        return _Scan(binding, TableStore(table, self.pager), path, filters)
+
     # ---------------------------------------------------------------- DML
 
-    def _store(self, table_name: str) -> TableStore:
-        return TableStore(self.catalog.get_table(table_name), self.pager)
-
-    def _run_insert(self, statement: ast.Insert, params: Sequence[SqlValue]) -> None:
+    def _plan_insert(self, statement: ast.Insert) -> _Plan:
         table = self.catalog.get_table(statement.table)
+        params = Parameters()
         compiler = ExprCompiler([], params)
-        store = self._store(statement.table)
-        width = len(table.columns)
         if statement.columns is not None:
             positions = [table.column_index(c) for c in statement.columns]
         else:
-            positions = list(range(width))
+            positions = list(range(len(table.columns)))
+        rows = []
         for row_exprs in statement.rows:
             if len(row_exprs) != len(positions):
                 raise SqlError(
                     f"{len(positions)} columns but {len(row_exprs)} values supplied"
                 )
+            rows.append(
+                [(position, compiler.compile(expr)) for position, expr in zip(positions, row_exprs)]
+            )
+        store = TableStore(table, self.pager)
+        run = partial(self._run_insert, store, len(table.columns), rows)
+        return _Plan(run, params, writes=True)
+
+    @staticmethod
+    def _run_insert(store: TableStore, width: int, rows: list[list[tuple[int, Callable]]]) -> None:
+        for row in rows:
             values: list[SqlValue] = [None] * width
-            for position, expr in zip(positions, row_exprs):
-                values[position] = compiler.compile(expr)({})
+            for position, compute in row:
+                values[position] = compute(_NO_ROW)
             store.insert_row(tuple(values))
 
-    def _run_update(self, statement: ast.Update, params: Sequence[SqlValue]) -> None:
-        table = self.catalog.get_table(statement.table)
-        store = self._store(statement.table)
-        compiler = ExprCompiler([(statement.table, table)], params)
-        matches = self._match_rows(statement.table, table, statement.where, compiler, store)
+    def _plan_match(
+        self, table_name: str, where: ast.Expr | None
+    ) -> tuple[Table, ExprCompiler, _Scan]:
+        """The one scan of an UPDATE / DELETE, its binding the table's own name."""
+        table = self.catalog.get_table(table_name)
+        compiler = ExprCompiler([(table_name, table)], Parameters())
+        scan = self._plan_scan(table_name, table, split_conjuncts(where), set(), compiler)
+        return table, compiler, scan
+
+    def _plan_update(self, statement: ast.Update) -> _Plan:
+        table, compiler, scan = self._plan_match(statement.table, statement.where)
         assignments = [
             (table.column_index(column), compiler.compile(expr))
             for column, expr in statement.assignments
         ]
-        for rowid, values in matches:
-            env: Env = {statement.table: (rowid, values)}
+        run = partial(self._run_update, scan, assignments)
+        return _Plan(run, compiler.params, writes=True, scans=[scan])
+
+    def _run_update(self, scan: _Scan, assignments: list[tuple[int, Callable]]) -> None:
+        store, binding = scan.store, scan.binding
+        for rowid, values in self._match_rows(scan):
+            env: Env = {binding: (rowid, values)}
             new_values = list(values)
             for position, compute in assignments:
                 new_values[position] = compute(env)
-            store.update_row(rowid, tuple(new_values))
+            store.update_row(rowid, values, tuple(new_values))
 
-    def _run_delete(self, statement: ast.Delete, params: Sequence[SqlValue]) -> None:
-        table = self.catalog.get_table(statement.table)
-        store = self._store(statement.table)
-        compiler = ExprCompiler([(statement.table, table)], params)
-        matches = self._match_rows(statement.table, table, statement.where, compiler, store)
-        for rowid, _values in matches:
-            store.delete_row(rowid)
+    def _plan_delete(self, statement: ast.Delete) -> _Plan:
+        _table, compiler, scan = self._plan_match(statement.table, statement.where)
+        return _Plan(partial(self._run_delete, scan), compiler.params, writes=True, scans=[scan])
 
-    def _match_rows(
-        self,
-        binding: str,
-        table: Table,
-        where: ast.Expr | None,
-        compiler: ExprCompiler,
-        store: TableStore,
-    ) -> list[tuple[int, Row]]:
+    def _run_delete(self, scan: _Scan) -> None:
+        store = scan.store
+        for rowid, values in self._match_rows(scan):
+            store.delete_row(rowid, values)
+
+    def _match_rows(self, scan: _Scan) -> list[tuple[int, Row]]:
         """Materialize (rowid, values) matching WHERE (safe to mutate after)."""
-        conjuncts = split_conjuncts(where)
-        path, leftovers = choose_access_path(binding, table, conjuncts, set(), compiler)
-        predicates = [compiler.compile(c) for c in leftovers]
+        binding, filters = scan.binding, scan.filters
         matches = []
         row_cpu_us = self._profile.host_cpu_row_us
-        for rowid, values in iterate_access_path(path, store, {}):
+        for rowid, values in iterate_access_path(scan.path, scan.store, _NO_ROW):
             self._clock.advance(row_cpu_us)
             env: Env = {binding: (rowid, values)}
-            if all(sql_truth(p(env)) for p in predicates):
+            if all(sql_truth(keep(env)) for keep in filters):
                 matches.append((rowid, values))
         return matches
 
     # -------------------------------------------------------------- SELECT
 
-    def _run_select(self, statement: ast.Select, params: Sequence[SqlValue]) -> list[Row]:
+    def _plan_select(self, statement: ast.Select) -> _Plan:
+        params = Parameters()
         if statement.source is None:
             # Expression-only SELECT (e.g. SELECT 1+1).
             compiler = ExprCompiler([], params)
-            row = tuple(
-                compiler.compile(item.expr)({}) for item in statement.items if item.expr
-            )
-            return [row]
+            items = [compiler.compile(item.expr) for item in statement.items if item.expr]
+            return _Plan(lambda: [tuple(item(_NO_ROW) for item in items)], params)
 
         refs = [statement.source] + [join.table for join in statement.joins]
         bindings = [(ref.binding, self.catalog.get_table(ref.name)) for ref in refs]
-        stores = {ref.binding: self._store(ref.name) for ref in refs}
         compiler = ExprCompiler(bindings, params)
 
         # Collect all conjuncts (WHERE + ON) and assign each to the first
@@ -492,63 +602,80 @@ class Connection:
         for join in statement.joins:
             conjuncts.extend(split_conjuncts(join.on))
 
-        levels: list[dict] = []
+        scans: list[_Scan] = []
         remaining = list(conjuncts)
+        every = {binding for binding, _table in bindings}
         outer: set[str] = set()
-        for ref in refs:
-            binding = ref.binding
-            table = self.catalog.get_table(ref.name)
+        for binding, table in bindings:
             available = outer | {binding}
             here = [
                 c
                 for c in remaining
-                if not expr_references_bindings(
-                    c, _all_bindings(bindings) - available, compiler
-                )
+                if not expr_references_bindings(c, every - available, compiler)
             ]
             remaining = [c for c in remaining if c not in here]
-            path, leftovers = choose_access_path(binding, table, here, outer, compiler)
-            levels.append(
-                {
-                    "binding": binding,
-                    "store": stores[binding],
-                    "path": path,
-                    "filters": [compiler.compile(c) for c in leftovers],
-                }
-            )
+            scans.append(self._plan_scan(binding, table, here, outer, compiler))
             outer = available
         if remaining:
             raise SqlError("could not place WHERE condition in join plan")
 
-        env_rows = self._nested_loop(levels, 0, {})
-
         # Projection / aggregates.
-        has_aggregate = any(
+        aggregates = projectors = None
+        order_by: list[tuple[Callable, bool]] = []
+        if any(
             item.expr is not None and _contains_aggregate(item.expr)
             for item in statement.items
-        )
-        if has_aggregate:
-            rows = [self._run_aggregates(statement.items, compiler, list(env_rows))]
+        ):
+            aggregates = [_compile_aggregate(item.expr, compiler) for item in statement.items]
         else:
             projectors = self._build_projectors(statement.items, bindings, compiler)
-            rows = []
-            order_keys = []
-            order_compiled = [
+            order_by = [
                 (compiler.compile(item.expr), item.descending) for item in statement.order_by
             ]
-            for env in env_rows:
+        constants = ExprCompiler([], params)  # LIMIT / OFFSET see no column
+        offset = constants.compile(statement.offset) if statement.offset else None
+        limit = constants.compile(statement.limit) if statement.limit else None
+        run = partial(
+            self._run_select,
+            scans,
+            aggregates,
+            projectors,
+            order_by,
+            statement.distinct,
+            offset,
+            limit,
+        )
+        return _Plan(run, params, scans=scans)
+
+    def _run_select(
+        self,
+        scans: list[_Scan],
+        aggregates: list[Callable] | None,
+        projectors: list[Callable] | None,
+        order_by: list[tuple[Callable, bool]],
+        distinct: bool,
+        offset: Callable | None,
+        limit: Callable | None,
+    ) -> list[Row]:
+        envs = self._nested_loop(scans, 0, {})
+        if aggregates is not None:
+            rows = [tuple(fold(envs) for fold in aggregates)]
+        else:
+            rows = []
+            order_keys = []
+            for env in envs:
                 rows.append(tuple(project(env) for project in projectors))
-                if order_compiled:
+                if order_by:
                     order_keys.append(
                         tuple(
                             _order_key(compute(env), descending)
-                            for compute, descending in order_compiled
+                            for compute, descending in order_by
                         )
                     )
-            if order_compiled:
+            if order_by:
                 paired = sorted(zip(order_keys, range(len(rows))), key=lambda p: p[0])
                 rows = [rows[i] for _key, i in paired]
-        if statement.distinct:
+        if distinct:
             seen = set()
             unique_rows = []
             for row in rows:
@@ -556,27 +683,28 @@ class Connection:
                     seen.add(row)
                     unique_rows.append(row)
             rows = unique_rows
-        offset = self._eval_const(statement.offset, params) if statement.offset else 0
-        limit = self._eval_const(statement.limit, params) if statement.limit else None
-        if offset:
-            rows = rows[offset:]
-        if limit is not None:
-            rows = rows[:limit]
+        skip = _row_count(offset) if offset else 0
+        keep = _row_count(limit) if limit else None
+        if skip:
+            rows = rows[skip:]
+        if keep is not None:
+            rows = rows[:keep]
         return rows
 
-    def _nested_loop(self, levels: list[dict], depth: int, env: Env) -> list[Env]:
+    def _nested_loop(self, scans: list[_Scan], depth: int, env: Env) -> list[Env]:
         """Inner-most-last nested-loop join; returns completed environments."""
-        if depth == len(levels):
+        if depth == len(scans):
             return [dict(env)]
-        level = levels[depth]
+        scan = scans[depth]
+        binding, filters = scan.binding, scan.filters
         out: list[Env] = []
         row_cpu_us = self._profile.host_cpu_row_us
-        for rowid, values in iterate_access_path(level["path"], level["store"], env):
+        for rowid, values in iterate_access_path(scan.path, scan.store, env):
             self._clock.advance(row_cpu_us)
-            env[level["binding"]] = (rowid, values)
-            if all(sql_truth(f(env)) for f in level["filters"]):
-                out.extend(self._nested_loop(levels, depth + 1, env))
-            del env[level["binding"]]
+            env[binding] = (rowid, values)
+            if all(sql_truth(keep(env)) for keep in filters):
+                out.extend(self._nested_loop(scans, depth + 1, env))
+            del env[binding]
         return out
 
     def _build_projectors(self, items, bindings, compiler):
@@ -599,55 +727,58 @@ class Connection:
                 projectors.append(compiler.compile(item.expr))
         return projectors
 
-    def _run_aggregates(self, items, compiler: ExprCompiler, envs: list[Env]) -> Row:
-        out = []
-        for item in items:
-            if item.expr is None:
-                raise SqlError("cannot mix '*' with aggregates")
-            out.append(self._eval_aggregate(item.expr, compiler, envs))
-        return tuple(out)
 
-    def _eval_aggregate(self, expr: ast.Expr, compiler: ExprCompiler, envs: list[Env]):
-        if isinstance(expr, ast.Aggregate):
-            if expr.argument is None:
-                if expr.func != "COUNT":
-                    raise SqlError(f"{expr.func}(*) is not valid")
-                return len(envs)
-            compute = compiler.compile(expr.argument)
+def _compile_aggregate(
+    expr: ast.Expr | None, compiler: ExprCompiler
+) -> Callable[[list[Env]], SqlValue]:
+    """Compile one item of an aggregate SELECT into a fold over the joined rows."""
+    if expr is None:
+        raise SqlError("cannot mix '*' with aggregates")
+    if isinstance(expr, ast.Aggregate):
+        func, distinct = expr.func, expr.distinct
+        if expr.argument is None:
+            if func != "COUNT":
+                raise SqlError(f"{func}(*) is not valid")
+            return len
+        compute = compiler.compile(expr.argument)
+
+        def fold(envs: list[Env]) -> SqlValue:
             values = [compute(env) for env in envs]
             values = [v for v in values if v is not None]
-            if expr.distinct:
+            if distinct:
                 values = list(dict.fromkeys(values))
-            if expr.func == "COUNT":
+            if func == "COUNT":
                 return len(values)
             if not values:
                 return None
-            if expr.func == "SUM":
+            if func == "SUM":
                 return sum(values)
-            if expr.func == "MIN":
+            if func == "MIN":
                 return min(values, key=lambda v: key_sort_tuple((v,)))
-            if expr.func == "MAX":
+            if func == "MAX":
                 return max(values, key=lambda v: key_sort_tuple((v,)))
-            if expr.func == "AVG":
+            if func == "AVG":
                 return sum(values) / len(values)
-            raise SqlError(f"unknown aggregate {expr.func}")
-        if isinstance(expr, ast.Binary):
-            left = self._eval_aggregate(expr.left, compiler, envs)
-            right = self._eval_aggregate(expr.right, compiler, envs)
-            probe = ExprCompiler([], []).compile(
-                ast.Binary(expr.op, ast.Literal(left), ast.Literal(right))
-            )
-            return probe({})
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        raise SqlError("non-aggregate expression in aggregate SELECT")
+            raise SqlError(f"unknown aggregate {func}")
 
-    @staticmethod
-    def _eval_const(expr: ast.Expr, params: Sequence[SqlValue]) -> int:
-        value = ExprCompiler([], params).compile(expr)({})
-        if not isinstance(value, int):
-            raise SqlError("LIMIT/OFFSET must be integers")
-        return value
+        return fold
+    if isinstance(expr, ast.Binary):
+        return ExprCompiler.binary(
+            expr.op,
+            _compile_aggregate(expr.left, compiler),
+            _compile_aggregate(expr.right, compiler),
+        )
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda envs: value
+    raise SqlError("non-aggregate expression in aggregate SELECT")
+
+
+def _row_count(compute: Callable[[Env], SqlValue]) -> int:
+    value = compute(_NO_ROW)
+    if not isinstance(value, int):
+        raise SqlError("LIMIT/OFFSET must be integers")
+    return value
 
 
 class _AsOfRead:
@@ -670,10 +801,6 @@ class _AsOfRead:
             else:
                 self.conn.rollback()
         return False
-
-
-def _all_bindings(bindings: list[tuple[str, Table]]) -> set[str]:
-    return {binding for binding, _table in bindings}
 
 
 def _contains_aggregate(expr: ast.Expr) -> bool:

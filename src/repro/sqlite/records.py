@@ -11,7 +11,11 @@ For that reason the encoding is pinned byte for byte: a value that encoded one
 byte longer would move splits, and with them every recorded sim counter and
 state digest.  The codec may get faster; its output, and the error it raises
 for each malformed input, may not change (``tests/test_sqlite_records.py``
-holds golden bytes and a truncation at every value).
+holds golden bytes, a truncation at every value, and the one-value-at-a-time
+codec this one replaced as the reference it must match on random and damaged
+records).  Speed comes from taking the common case first — exact ``int`` /
+``str`` / ``float`` before the ``isinstance`` ladder, a one-byte length, a
+whole payload — and leaving everything else to the general path.
 """
 
 from __future__ import annotations
@@ -59,23 +63,40 @@ def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
+_BYTE = [bytes((i,)) for i in range(256)]
+_NULL, _INT, _FLOAT, _TEXT, _BLOB = (_BYTE[tag] for tag in range(5))
+_pack_double = struct.Struct(">d").pack
+
+
+def _tagged(tag: bytes, payload: bytes) -> bytes:
+    """tag + varint(len(payload)) + payload; lengths under 128 are one byte."""
+    length = len(payload)
+    if length < 0x80:
+        return tag + _BYTE[length] + payload
+    return tag + _encode_varint(length) + payload
+
+
 def encode_value(value: SqlValue) -> bytes:
     """Encode one SQL value as tag + payload."""
+    kind = type(value)  # exact types first; subclasses (bool, enums) below
+    if kind is int:
+        return _tagged(_INT, value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True))
+    if kind is str:
+        return _tagged(_TEXT, value.encode("utf-8"))
+    if kind is float:
+        return _FLOAT + _pack_double(value)
     if value is None:
-        return bytes([_TAG_NULL])
-    if isinstance(value, bool):
-        # SQLite stores booleans as integers.
+        return _NULL
+    if kind is bytes:
+        return _tagged(_BLOB, value)
+    if isinstance(value, int):  # SQLite stores booleans as integers
         return encode_value(int(value))
-    if isinstance(value, int):
-        payload = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        return bytes([_TAG_INT]) + _encode_varint(len(payload)) + payload
     if isinstance(value, float):
-        return bytes([_TAG_FLOAT]) + struct.pack(">d", value)
+        return _FLOAT + _pack_double(value)
     if isinstance(value, str):
-        payload = value.encode("utf-8")
-        return bytes([_TAG_TEXT]) + _encode_varint(len(payload)) + payload
+        return _tagged(_TEXT, value.encode("utf-8"))
     if isinstance(value, bytes):
-        return bytes([_TAG_BLOB]) + _encode_varint(len(value)) + value
+        return _tagged(_BLOB, value)
     raise DatabaseError(f"unsupported SQL value type: {type(value).__name__}")
 
 
@@ -114,20 +135,39 @@ def decode_value(data: bytes, offset: int) -> tuple[SqlValue, int]:
 
 def encode_record(values: Sequence[SqlValue]) -> bytes:
     """Encode a row: value count, then each value."""
-    out = bytearray(_encode_varint(len(values)))
-    for value in values:
-        out.extend(encode_value(value))
-    return bytes(out)
+    return _encode_varint(len(values)) + b"".join(map(encode_value, values))
 
 
 def decode_record(data: bytes) -> tuple[SqlValue, ...]:
-    """Decode a row produced by :func:`encode_record`."""
+    """Decode a row produced by :func:`encode_record`.
+
+    One pass: an INT or TEXT whose length fits one byte and whose payload is
+    all there (nearly every value of every row) is decoded in the loop; any
+    other value, and every malformed input, goes through :func:`decode_value`,
+    so each damaged record raises what it always raised.
+    """
     count, offset = _decode_varint(data, 0)
+    end = len(data)
     values = []
+    append = values.append
+    from_bytes = int.from_bytes
     for _ in range(count):
+        if offset + 1 < end:
+            length = data[offset + 1]
+            stop = offset + 2 + length
+            if length < 0x80 and stop <= end:
+                tag = data[offset]
+                if tag == _TAG_INT:
+                    append(from_bytes(data[offset + 2 : stop], "big", signed=True))
+                    offset = stop
+                    continue
+                if tag == _TAG_TEXT:
+                    append(data[offset + 2 : stop].decode("utf-8"))
+                    offset = stop
+                    continue
         value, offset = decode_value(data, offset)
-        values.append(value)
-    if offset != len(data):
+        append(value)
+    if offset != end:
         raise CorruptionError("trailing bytes after record")
     return tuple(values)
 

@@ -65,16 +65,41 @@ def _like_to_regex(pattern: str) -> "re.Pattern[str]":
 # -------------------------------------------------------- expression compiler
 
 
+class Parameters:
+    """The parameter cell of one prepared statement.
+
+    A compiled ``?`` reads ``values`` when it runs, not when it is compiled, so
+    one set of closures serves every execution of the SQL text.  Compiling
+    raises ``arity`` to the highest ``?`` index + 1; :meth:`bind` checks it, so
+    a statement given too few arguments fails before it has touched a row.
+    """
+
+    __slots__ = ("values", "arity")
+
+    def __init__(self) -> None:
+        self.values: Sequence[SqlValue] = ()
+        self.arity = 0
+
+    def bind(self, values: Sequence[SqlValue]) -> None:
+        """Set the arguments of the next run; surplus ones are ignored."""
+        if len(values) < self.arity:
+            raise SqlError(
+                f"statement requires at least {self.arity} parameters, got {len(values)}"
+            )
+        self.values = values
+
+
 class ExprCompiler:
     """Compiles AST expressions into closures over an Env.
 
     Column references are resolved once at compile time against the list of
     visible table bindings; ``rowid`` (or an INTEGER PRIMARY KEY alias) maps
-    to the row's rowid.
+    to the row's rowid.  Nothing a closure captures depends on the arguments
+    of one execution, so closures live as long as the plan that holds them.
     """
 
-    def __init__(self, bindings: list[tuple[str, Table]], params: Sequence[SqlValue]):
-        """``bindings`` are the visible (alias, table) pairs; ``params`` bind '?'."""
+    def __init__(self, bindings: list[tuple[str, Table]], params: Parameters):
+        """``bindings`` are the visible (alias, table) pairs; '?' reads ``params``."""
         self.bindings = bindings
         self.params = params
 
@@ -107,13 +132,9 @@ class ExprCompiler:
             value = expr.value
             return lambda env: value
         if isinstance(expr, ast.Parameter):
-            if expr.index >= len(self.params):
-                raise SqlError(
-                    f"statement requires at least {expr.index + 1} parameters, "
-                    f"got {len(self.params)}"
-                )
-            value = self.params[expr.index]
-            return lambda env: value
+            params, index = self.params, expr.index
+            params.arity = max(params.arity, index + 1)
+            return lambda env: params.values[index]
         if isinstance(expr, ast.ColumnRef):
             binding, position = self.resolve_column(expr)
             if position is None:
@@ -129,7 +150,7 @@ class ExprCompiler:
                 )
             raise SqlError(f"unknown unary operator {expr.op}")
         if isinstance(expr, ast.Binary):
-            return self._compile_binary(expr)
+            return self.binary(expr.op, self.compile(expr.left), self.compile(expr.right))
         if isinstance(expr, ast.IsNull):
             operand = self.compile(expr.operand)
             if expr.negated:
@@ -168,10 +189,16 @@ class ExprCompiler:
             raise SqlError("aggregate used outside of a SELECT list")
         raise SqlError(f"cannot compile expression {expr!r}")
 
-    def _compile_binary(self, expr: ast.Binary) -> Callable[[Env], SqlValue]:
-        op = expr.op
-        left = self.compile(expr.left)
-        right = self.compile(expr.right)
+    @staticmethod
+    def binary(
+        op: str, left: Callable[[Any], SqlValue], right: Callable[[Any], SqlValue]
+    ) -> Callable[[Any], SqlValue]:
+        """``left op right`` over two compiled operands.
+
+        The operands are only ever called with what the result is called with,
+        so the same operator serves row expressions (an Env) and the arithmetic
+        between aggregates (the list of Envs they fold).
+        """
         if op == "AND":
             return lambda env: int(sql_truth(left(env)) and sql_truth(right(env)))
         if op == "OR":

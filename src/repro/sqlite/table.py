@@ -18,21 +18,24 @@ class TableStore:
     ``(value, ..., rowid)`` to an empty payload.  An INTEGER PRIMARY KEY
     column aliases the rowid (SQLite semantics); other primary keys are
     enforced through a unique index created with the table.
+
+    A store is part of a statement's plan and lives as long as the plan does:
+    it holds handles (tree roots, index column positions) and no page, so
+    building one reads nothing, and it is dropped with the plan whenever the
+    catalog changes (:mod:`repro.sqlite.database`, "Statement lifecycle").
     """
 
     def __init__(self, table: Table, pager: Pager) -> None:
         self.table = table
         self.pager = pager
         self.tree = BTree(pager, table.root_pno)
-        # A store lives for one statement: resolve each index's column
-        # positions here, not once per row.
+        self._index_trees = {
+            index.name: BTree(pager, index.root_pno) for index in table.indexes
+        }
         self._index_positions = {
             index.name: [table.column_index(c) for c in index.columns]
             for index in table.indexes
         }
-
-    def _index_tree(self, index: Index) -> BTree:
-        return BTree(self.pager, index.root_pno)
 
     # ------------------------------------------------------------- writes
 
@@ -60,26 +63,19 @@ class TableStore:
         self._check_unique(values, rowid)
         self.tree.insert((rowid,), encode_record(values))
         for index in self.table.indexes:
-            self._index_tree(index).insert(self._index_key(index, values, rowid), b"")
+            self._index_trees[index.name].insert(self._index_key(index, values, rowid), b"")
         return rowid
 
-    def delete_row(self, rowid: int) -> bool:
-        """Delete a row and its index entries; returns whether it existed."""
-        payload = self.tree.get((rowid,))
-        if payload is None:
-            return False
-        values = decode_record(payload)
+    def delete_row(self, rowid: int, values: tuple[SqlValue, ...]) -> None:
+        """Delete the row the caller matched as ``values``, and its index entries."""
         for index in self.table.indexes:
-            self._index_tree(index).delete(self._index_key(index, values, rowid))
+            self._index_trees[index.name].delete(self._index_key(index, values, rowid))
         self.tree.delete((rowid,))
-        return True
 
-    def update_row(self, rowid: int, new_values: tuple[SqlValue, ...]) -> None:
-        """Replace a row in place, keeping every index in sync."""
-        payload = self.tree.get((rowid,))
-        if payload is None:
-            raise IntegrityError(f"no row {rowid} in {self.table.name!r}")
-        old_values = decode_record(payload)
+    def update_row(
+        self, rowid: int, old_values: tuple[SqlValue, ...], new_values: tuple[SqlValue, ...]
+    ) -> None:
+        """Replace the row the caller matched as ``old_values``, keeping every index in sync."""
         alias = self.table.rowid_alias
         if alias is not None and new_values[alias] != rowid:
             raise IntegrityError("updating an INTEGER PRIMARY KEY is not supported")
@@ -88,7 +84,7 @@ class TableStore:
             old_key = self._index_key(index, old_values, rowid)
             new_key = self._index_key(index, new_values, rowid)
             if old_key != new_key:
-                tree = self._index_tree(index)
+                tree = self._index_trees[index.name]
                 tree.delete(old_key)
                 tree.insert(new_key, b"")
         self.tree.insert((rowid,), encode_record(new_values), replace=True)
@@ -138,7 +134,7 @@ class TableStore:
             hi_key = None
         else:
             hi_key = hi + (_MIN_ROWID,) if hi_open else hi + (_MAX_ROWID,)
-        for key, _payload in self._index_tree(index).scan(lo_key, hi_key):
+        for key, _payload in self._index_trees[index.name].scan(lo_key, hi_key):
             yield key[-1]
 
     def count(self) -> int:

@@ -7,6 +7,7 @@ from repro.errors import SqlError
 from repro.sqlite.sql import ast, parse
 from repro.sqlite.sql.engine import (
     ExprCompiler,
+    Parameters,
     choose_access_path,
     split_conjuncts,
     sql_compare,
@@ -27,7 +28,7 @@ def make_db():
 def path_for(db, where_sql):
     statement = parse(f"SELECT id FROM t WHERE {where_sql}")
     table = db.catalog.get_table("t")
-    compiler = ExprCompiler([("t", table)], params=(5,) * 5)
+    compiler = ExprCompiler([("t", table)], Parameters())
     conjuncts = split_conjuncts(statement.where)
     path, leftovers = choose_access_path("t", table, conjuncts, set(), compiler)
     return path, leftovers

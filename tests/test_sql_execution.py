@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.stack import Mode, StackConfig, build_stack
 from repro.errors import IntegrityError, SchemaError, SqlError
+from repro.sqlite import database
 
 
 def make_db(mode=Mode.XFTL, num_blocks=256):
@@ -275,6 +276,50 @@ class TestTransactions:
         with pytest.raises(IntegrityError):
             users.execute("INSERT INTO users VALUES (10, 'x', 1), (1, 'dup', 1)")
         assert users.execute("SELECT COUNT(*) FROM users WHERE id = 10") == [(0,)]
+
+
+class TestPreparedStatements:
+    def test_too_few_parameters_raise_before_any_row_is_touched(self, db):
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT)")
+        insert = "INSERT INTO t (id, a) VALUES (?, ?), (?, ?)"
+        db.execute("BEGIN")
+        with pytest.raises(SqlError, match="statement requires at least 4 parameters, got 3"):
+            db.execute(insert, (1, 10, 2))
+        db.execute("COMMIT")
+        # The first row's arguments were all there; it must not have gone in.
+        assert db.execute("SELECT * FROM t") == []
+        # The same (now warm) statement, enough arguments, then a surplus one.
+        db.execute(insert, (1, 10, 2, 20))
+        db.execute(insert, (3, 30, 4, 40, "ignored"))
+        assert db.execute("SELECT id, a FROM t") == [(1, 10), (2, 20), (3, 30), (4, 40)]
+        with pytest.raises(SqlError, match="statement requires at least 4 parameters, got 0"):
+            db.execute(insert)
+
+    def test_statement_map_evicts_the_least_recently_used_text(self, users, monkeypatch):
+        parsed = []
+        parse = database.parse
+
+        def counting_parse(sql):
+            parsed.append(sql)
+            return parse(sql)
+
+        monkeypatch.setattr(database, "parse", counting_parse)
+        early = "SELECT name FROM users WHERE id = ?"
+        late = "SELECT age FROM users WHERE id = ?"
+        assert users.execute(early, (1,)) == [("alice",)]
+        for n in range(600):  # more one-shot texts than the map holds
+            assert users.execute(f"SELECT {n}") == [(n,)]
+            assert users.execute(early, (2,)) == [("bob",)]
+        # A text first seen after the map filled up is admitted like any other,
+        # and one in use throughout was never the least recently used.
+        for _ in range(10):
+            assert users.execute(late, (3,)) == [(35,)]
+        assert parsed.count(late) == 1
+        assert parsed.count(early) == 1
+        for n in range(600, 1200):
+            users.execute(f"SELECT {n}")
+            assert len(users._prepared) <= database.PREPARED_STATEMENTS
+        assert len(users._prepared) == database.PREPARED_STATEMENTS
 
 
 class TestSqlProperties:
