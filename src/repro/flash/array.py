@@ -151,6 +151,50 @@ class FlashArray(FlashChip):
             if clock._events:
                 clock._fire_due()
 
+    def _charge_run(self, src_block: int, dst_block: int, count: int) -> None:
+        """:meth:`_charge_flash` for each read and program of a plain run.
+
+        A GC relocation stays on one channel, and inside an overlap region
+        (or with no completion event pending) nothing runs between its
+        operations, so the timeline and the clock are carried in locals;
+        any other run is charged op by op.
+        """
+        channels = self._num_channels
+        channel = dst_block % channels
+        clock = self.clock
+        regions = self._regions
+        if src_block % channels != channel or (clock._events and not regions):
+            self._charge_run_by_op(src_block, dst_block, count)
+            return
+        timeline = self._channel_timelines[channel]
+        now = clock._now_us
+        floor = self.dispatch_floor_us
+        busy = timeline.busy_until_us
+        busy_us = timeline.busy_us
+        observe = self._obs_channel_busy[channel].observe if self.obs.enabled else None
+        for duration_us in (self.profile.page_read_us, self.profile.page_program_us) * count:
+            start = busy if busy > now else now
+            if floor > start:
+                start = floor
+            busy = start + duration_us
+            busy_us += duration_us
+            if observe is not None:
+                observe(duration_us)
+            if busy > now:
+                # A synchronous host joins each completion.  (Inside a
+                # region the clock stands still, but there ``now`` only
+                # feeds the next start, which ``busy`` already dominates.)
+                now = busy
+        timeline.busy_until_us = busy
+        timeline.busy_us = busy_us
+        timeline.reservations += 2 * count
+        if regions:
+            for region in regions:
+                if busy > region.end_us:
+                    region.end_us = busy
+        else:
+            clock._now_us = now
+
     def overlap(self) -> OverlapRegion:
         """Open a region whose flash operations overlap across channels."""
         return OverlapRegion(self)

@@ -45,6 +45,8 @@ from repro.sim.crash import NO_CRASH, CrashPlan, register_crash_point
 from repro.sim.latency import OPENSSD_PROFILE, LatencyProfile
 from repro.tenancy import TenantRegistry
 
+_PROGRAMMED_PAGE = bytes((PAGE_PROGRAMMED,))
+
 CP_PROGRAM_BEFORE = register_crash_point(
     "flash.program.before", "flash.chip", "before a NAND page program starts"
 )
@@ -170,6 +172,33 @@ class FlashChip:
         """Charge one flash-array operation's time.  Serial: advance the clock."""
         self.clock.advance(duration_us)
 
+    def _charge_run(self, src_block: int, dst_block: int, count: int) -> None:
+        """Charge a plain copyback run: per page, a read then a program.
+
+        Must leave every clock and timeline exactly where ``count`` pairs
+        of :meth:`_charge_flash` calls would (:meth:`_charge_run_by_op`).
+        """
+        clock = self.clock
+        if clock._events:
+            # Completion events fire as the clock passes them.
+            self._charge_run_by_op(src_block, dst_block, count)
+            return
+        read_us = self.profile.page_read_us
+        program_us = self.profile.page_program_us
+        now = clock._now_us
+        for _ in range(count):
+            now += read_us
+            now += program_us
+        clock._now_us = now
+
+    def _charge_run_by_op(self, src_block: int, dst_block: int, count: int) -> None:
+        """What :meth:`_charge_run` must equal: the charges one at a time."""
+        read_us = self.profile.page_read_us
+        program_us = self.profile.page_program_us
+        for _ in range(count):
+            self._charge_flash(read_us, src_block)
+            self._charge_flash(program_us, dst_block)
+
     def overlap(self) -> "OverlapRegion":
         """Context manager for a region whose flash ops may overlap.
 
@@ -272,6 +301,67 @@ class FlashChip:
         self._obs_reads.inc()
         self._charge_flash(self.profile.page_read_us, ppn // self._pages_per_block)
         return self._data[ppn]
+
+    def copyback_run(self, srcs: list[int], dst: int, oobs: list[Any]) -> None:
+        """Copy a run of pages: ``program(dst + i, read(srcs[i]), oobs[i])`` for each ``i``.
+
+        That loop is the definition, and what runs whenever the run is not
+        *plain* (:meth:`_is_plain_run`).  A plain run can raise nothing and
+        fire nothing between its pages, so its data effects are
+        slice-assigned, its counters batched, and its time charged by
+        :meth:`_charge_run` with the same arithmetic in the same order.
+        """
+        count = len(srcs)
+        if len(oobs) != count or not self._is_plain_run(srcs, dst, count):
+            for index, src in enumerate(srcs):
+                self.program(dst + index, self.read(src), oobs[index])
+            return
+        end = dst + count
+        per = self._pages_per_block
+        block = dst // per
+        st = self.state
+        data = self._data
+        data[dst:end] = [data[src] for src in srcs]
+        self._oob[dst:end] = oobs
+        st.page_states[dst:end] = _PROGRAMMED_PAGE * count
+        st.write_points[block] += count
+        stats = self.stats
+        stats.page_reads += count
+        stats.page_programs += count
+        self._obs_reads.inc(count)
+        self._obs_programs.inc(count)
+        self._charge_run(srcs[0] // per, block, count)
+
+    def _is_plain_run(self, srcs: list[int], dst: int, count: int) -> bool:
+        """Whether no page of the run can fail, tear, or be traced.
+
+        No crash point armed, tracer off, every source a programmed page of
+        one block, and the destination the next ``count`` erased pages at
+        one block's write point.
+        """
+        if self.crash_plan._points or self._tracer.enabled or not count:
+            return False
+        if not 0 <= dst <= self._total_pages - count:
+            return False
+        per = self._pages_per_block
+        st = self.state
+        page_states = st.page_states
+        block = dst // per
+        index = dst - block * per
+        if (
+            index + count > per
+            or st.write_points[block] != index
+            or page_states[dst : dst + count] != bytes(count)
+        ):
+            return False
+        first = srcs[0] // per * per
+        if not 0 <= first < self._total_pages:
+            return False
+        last = first + per
+        for src in srcs:
+            if not first <= src < last or page_states[src] != PAGE_PROGRAMMED:
+                return False
+        return True
 
     def read_oob(self, ppn: int) -> Any:
         """Read one page's out-of-band area (no extra latency: piggybacked)."""

@@ -80,13 +80,13 @@ class AtomicWriteFTL(PageMappingFTL):
             return (OOB_COMMIT_RECORD, owner[1], self.chip.read_oob(old_ppn)[2], None)
         return super()._gc_oob_extra(owner, old_ppn)
 
-    def _apply_relocation_extra(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
+    def _repoint_owner(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
         if owner[0] == OWNER_COMMIT_RECORD:
             group = owner[1]
             if self._live_commit_records.get(group) == old_ppn:
                 self._live_commit_records[group] = new_ppn
             return
-        super()._apply_relocation_extra(owner, old_ppn, new_ppn)
+        super()._repoint_owner(owner, old_ppn, new_ppn)
 
     def power_fail(self) -> None:
         super().power_fail()

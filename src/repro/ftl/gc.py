@@ -6,9 +6,9 @@ hot / translation active blocks, victim selection, the copyback job,
 erase-and-return-to-pool, and the power-fail reset / remount rebuild of that
 state.  :class:`~repro.ftl.pagemap.PageMappingFTL` always constructs one and
 keeps mapping, page ownership, map persistence and recovery; it talks to the
-collector through five calls (:meth:`Collector.host_program`,
-:meth:`~Collector.program_copyback`, :meth:`~Collector.reset`,
-:meth:`~Collector.rebuild`, :meth:`~Collector.check_invariants`).  The
+collector through four calls (:meth:`Collector.host_program`,
+:meth:`~Collector.reset`, :meth:`~Collector.rebuild`,
+:meth:`~Collector.check_invariants`).  The
 collector reads the FTL's reverse map — the ppn-indexed owner table says
 which pages of a victim are live and what kind of page each is, its
 per-block population ranks the victims — and writes neither.
@@ -58,7 +58,7 @@ pages get their own active block per channel (Dayan & Bonnet's translation
 blocks), opportunistically: it degrades to the cold block under pressure.
 
 Safety: the job cursor relocates every page, whatever its owner, through the
-owning FTL's ``_gc_oob`` / ``_apply_relocation`` hooks, so the X-L2P live-union
+owning FTL's ``_gc_oobs`` / ``_apply_relocations`` hooks, so the X-L2P live-union
 invariant (pages referenced by L2P *or any* X-L2P entry are never
 reclaimed) holds at every preemption point — uncommitted transactional
 copies keep their tid and their X-L2P entry is repointed.  With
@@ -315,25 +315,6 @@ class Collector:
                     filled[channel] = None
         return ppn
 
-    def program_copyback(self, data: Any, oob: tuple, channel: int) -> int:
-        """Append one relocated page to the channel's cold stream.
-
-        Draws directly on the free pool, never reclaiming: the caller
-        checked the victim against the headroom before opening the job.
-        """
-        per = self._per
-        write_points = self._write_points
-        active = self._active_blocks[channel]
-        if active is None or write_points[active] >= per:
-            if not self._free_by_channel[channel]:
-                raise OutOfSpaceError("GC ran out of headroom blocks")
-            active = self._open_block(channel, self._active_blocks)
-        ppn = active * per + write_points[active]
-        self._chip.program(ppn, data, oob)
-        if write_points[active] >= per:
-            self._active_blocks[channel] = None
-        return ppn
-
     def headroom_pages(self, channel: int) -> int:
         """Erased pages GC may program into on ``channel`` (free pool + cold block)."""
         per = self._per
@@ -433,15 +414,18 @@ class Collector:
         """Run one paced slice of collection during an idle window."""
         job = self._jobs[channel]
         if job is None:
-            victim = self.pick_victim(channel)
-            if victim is None:
-                return
             # Opening a job is only safe when its whole copyback fits in the
             # current headroom minus the urgent floor: host writes that
             # interleave with the paced job shrink headroom one page per
             # program, and the urgent path (which fires at the floor) must
             # always be able to finish the job synchronously.
-            if self._valid_counts[victim] > self.headroom_pages(channel) - self._per:
+            affordable = self.headroom_pages(channel) - self._per
+            # Whatever the policy prefers would be declined below, so do not
+            # score.  FIFO's pick counts its fallbacks, so it always runs.
+            if self._policy != "fifo" and not self._has_block_within(channel, affordable):
+                return
+            victim = self.pick_victim(channel)
+            if victim is None or self._valid_counts[victim] > affordable:
                 return
             job = self._open_job(channel, victim)
         with self._chip.overlap():
@@ -522,6 +506,15 @@ class Collector:
     def _run_job(self, channel: int, job: GcJob, max_pages: int | None = None) -> bool:
         """Advance ``job``; returns True when the victim has been erased.
 
+        The unit of work is a *run*: the victim's live pages from the
+        cursor, as many as ``max_pages`` allows and the channel's cold block
+        has room for, moved by one ``chip.copyback_run`` and followed by one
+        ``ftl._apply_relocations``.  With a crash point armed a run is one
+        page long, so every ``gc.*`` and ``flash.*`` point fires between
+        the same two pages it always did.  Runs draw directly on the free
+        pool, never reclaiming: the caller checked the victim against the
+        headroom before opening the job.
+
         With ``max_pages`` the job yields after that many copybacks — the
         preemption point where foreground writes interleave.  Without it
         the job runs to completion (every inline collection, and
@@ -533,41 +526,62 @@ class Collector:
         crash_point = CP_GC_WEAR if job.wear else CP_GC_COPYBACK
         owners = ftl._owner
         tenants = chip.tenants
-        tenants_enabled = tenants.enabled
-        moved_this_step = 0
+        per = self._per
+        write_points = self._write_points
+        cold = self._active_blocks
+        # Nothing but this call's own relocations changes who owns the
+        # victim's pages, so what is live now is what there is to move.
+        live = [
+            ppn
+            for ppn, owner in enumerate(owners[job.cursor : job.end], job.cursor)
+            if owner is not None
+        ]
+        preempted = max_pages is not None and len(live) > max_pages
+        if preempted:
+            del live[max_pages:]
+        stats = self._stats
         # Copyback counters batch across the slice; the try/finally keeps
         # them exact when a crash point fires mid-copyback (a read that
-        # happened before the failure is still counted).
-        reads = 0
-        writes = 0
+        # happened before the failure is still counted: every flash read
+        # between here and the erase is a copyback's).
+        reads_before = stats.page_reads
+        moved = 0
         try:
-            while job.cursor < job.end:
-                ppn = job.cursor
-                owner = owners[ppn]
-                if owner is None:
-                    job.cursor += 1
-                    continue
-                if max_pages is not None and moved_this_step >= max_pages:
-                    return False
+            while moved < len(live):
+                length = len(live) - moved
                 if crash_plan._points:
                     crash_plan.hit(crash_point)
-                data = chip.read(ppn)
-                reads += 1
-                new_ppn = self.program_copyback(data, ftl._gc_oob(owner, ppn), channel)
-                writes += 1
-                if tenants_enabled and owner[0] == OWNER_L2P:
-                    tenants.note_copyback(owner[1])
-                ftl._apply_relocation(owner, ppn, new_ppn)
-                job.cursor += 1
-                job.moved += 1
-                moved_this_step += 1
+                    length = 1
+                active = cold[channel]
+                if active is None or write_points[active] >= per:
+                    if not self._free_by_channel[channel]:
+                        raise OutOfSpaceError("GC ran out of headroom blocks")
+                    active = self._open_block(channel, cold)
+                used = write_points[active]
+                srcs = live[moved : moved + min(length, per - used)]
+                run_owners = [owners[ppn] for ppn in srcs]
+                dst = active * per + used
+                chip.copyback_run(srcs, dst, ftl._gc_oobs(run_owners, srcs))
+                if write_points[active] >= per:
+                    cold[channel] = None
+                if tenants.enabled:
+                    for owner in run_owners:
+                        if owner[0] == OWNER_L2P:
+                            tenants.note_copyback(owner[1])
+                ftl._apply_relocations(run_owners, srcs, dst)
+                moved += len(srcs)
+                job.cursor = srcs[-1] + 1
         finally:
+            job.moved += moved
+            reads = stats.page_reads - reads_before
             if reads:
-                self._stats.gc_copyback_reads += reads
+                stats.gc_copyback_reads += reads
                 self._obs_reads.inc(reads)
-            if writes:
-                self._stats.gc_copyback_writes += writes
-                self._obs_writes.inc(writes)
+            if moved:
+                stats.gc_copyback_writes += moved
+                self._obs_writes.inc(moved)
+        if preempted:
+            return False
         if crash_plan._points:
             crash_plan.hit(CP_GC_ERASE)
         chip.erase(job.victim)
@@ -601,6 +615,19 @@ class Collector:
             self._trans_active[channel],
             job.victim if job is not None else None,
         }
+
+    def _has_block_within(self, channel: int, pages: int) -> bool:
+        """Whether a written block outside the streams and the job holds at
+        most ``pages`` valid pages (a superset of every policy's candidates)."""
+        if pages < 0:
+            return False
+        write_points = self._write_points
+        valid_counts = self._valid_counts
+        excluded = self._excluded(channel)
+        for block in self._geo.channel_blocks(channel):
+            if valid_counts[block] <= pages and write_points[block] and block not in excluded:
+                return True
+        return False
 
     def pick_victim(self, channel: int) -> int | None:
         """The block ``gc_policy`` would reclaim next on ``channel``, if any.

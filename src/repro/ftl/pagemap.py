@@ -32,7 +32,7 @@ One decision orders everything found on flash, taken in this module alone:
 - *A page draws its sequence when it is programmed.*  Host-originated pages
   go through :meth:`PageMappingFTL._program`: the collector draws the number
   after reclaiming and picking the block, immediately before
-  ``chip.program`` (a copyback draws its own in ``_gc_oob``).  So a host
+  ``chip.program`` (a copyback draws its own in ``_gc_oobs``).  So a host
   page always outranks the copybacks its own program caused.
 - *Recovery applies every page at the sequence where it took effect*
   (``remount`` step 2: the window above ``root.seq``, ordered by effect then
@@ -63,7 +63,10 @@ holding the tuple naming the structure that keeps that page alive (``None``
 per-block population, kept in step by the three verbs that are the only
 writers of either: :meth:`PageMappingFTL._own` (checked: an owned page may
 never be claimed twice), :meth:`~PageMappingFTL._own_for_recovery` (remount
-may overwrite a stale claim) and :meth:`~PageMappingFTL._disown`.  "This
+may overwrite a stale claim) and :meth:`~PageMappingFTL._disown` — plus
+:meth:`~PageMappingFTL._apply_relocations`, the collector's pass over a
+relocated run, which is ``_disown`` + ``_own`` per page with the two blocks'
+counts settled once.  "This
 lpn now lives at that ppn" is :meth:`~PageMappingFTL._map` and nothing
 else: it hands the old copy to the ``_supersede`` hook (here: disown; the
 multi-version XFTL pushes it onto the lpn's version chain), points the L2P
@@ -165,8 +168,12 @@ class PageMappingFTL(Ftl):
         self._dirty_segments: set[int] = set()
         self._map_dir: dict[int, int] = {}
         self._meta_dir: dict[int, int] = {}
-        # Durable root (atomic meta block).
+        # Durable root (atomic meta block), and the segments whose _map_dir
+        # entry it does not name yet: a publish applies those and no more.
+        # An insertion-ordered set, so the root's directory lists segments
+        # in the live one's order (remount reads map pages in that order).
         self._root = RootRecord()
+        self._unpublished_segments: dict[int, None] = {}
         self._pending_retired: set[int] = set()
         self._obs_barrier_us = chip.obs.histogram("ftl.barrier.latency_us")
         # Demand-paged mapping (DFTL-style CMT, repro.ftl.cmt).  A capacity
@@ -207,7 +214,7 @@ class PageMappingFTL(Ftl):
         self._check_power()
         self._check_lpn(lpn)
         if self._cmt is not None:
-            self._cmt.access(lpn // self.config.map_entries_per_page)
+            self._cmt.access(lpn // self._map_entries_per_page)
         ppn = self._l2p[lpn]
         if ppn is None:
             return None  # unwritten logical page reads as zeros
@@ -232,7 +239,7 @@ class PageMappingFTL(Ftl):
         self._check_power()
         self._check_lpn(lpn)
         if self._cmt is not None:
-            self._cmt.access(lpn // self.config.map_entries_per_page)
+            self._cmt.access(lpn // self._map_entries_per_page)
         old = self._l2p[lpn]
         if old is not None:
             self._l2p[lpn] = None
@@ -285,6 +292,7 @@ class PageMappingFTL(Ftl):
         self._dirty_segments = set()
         self._map_dir = {}
         self._meta_dir = {}
+        self._unpublished_segments = {}
         self._pending_retired = set()
         self._seq = 0
         if self._cmt is not None:
@@ -409,7 +417,7 @@ class PageMappingFTL(Ftl):
             raise FtlError(f"lpn {lpn} outside exported space (0..{self._exported_pages - 1})")
 
     def _mark_dirty(self, lpn: int) -> None:
-        self._dirty_segments.add(lpn // self.config.map_entries_per_page)
+        self._dirty_segments.add(lpn // self._map_entries_per_page)
 
     def _publish_mappings(self, staged: Iterable[tuple[int, int]]) -> None:
         """Point each ``(lpn, ppn)`` at its new copy; the old copy dies."""
@@ -472,13 +480,24 @@ class PageMappingFTL(Ftl):
         the collector reclaims if needed, then draws ``seq``."""
         return self.gc.host_program(data, kind, key, tag)
 
+    def _gc_oobs(self, owners: list[tuple], srcs: list[int]) -> list[tuple]:
+        """OOB metadata for a GC-relocated run: page ``i`` is ``srcs[i]``,
+        owned by ``owners[i]``.  One sequence draw per page, in page order."""
+        oobs = []
+        for owner, old_ppn in zip(owners, srcs):
+            if owner[0] == OWNER_L2P:
+                # Committed data: replayable by anyone (tid=None).
+                self._seq += 1
+                oobs.append((OOB_DATA, owner[1], self._seq, None))
+            else:
+                oobs.append(self._gc_oob(owner, old_ppn))
+        return oobs
+
     def _gc_oob(self, owner: tuple, old_ppn: int) -> tuple:
-        """OOB metadata for a GC-relocated page."""
+        """OOB metadata for a GC-relocated page of any owner but the L2P
+        (whose case is inline in :meth:`_gc_oobs`)."""
         kind = owner[0]
         self._seq += 1
-        if kind == OWNER_L2P:
-            # Committed data: replayable by anyone (tid=None).
-            return (OOB_DATA, owner[1], self._seq, None)
         if kind == OWNER_MAP:
             return (OOB_MAP, owner[1], self._seq, None)
         if kind == OWNER_META:
@@ -501,19 +520,43 @@ class PageMappingFTL(Ftl):
     def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
         raise FtlError(f"unknown page owner {owner!r}")
 
-    def _apply_relocation(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
-        """Ownership follows a GC-relocated page, then its owning structure."""
-        self._disown(old_ppn)
-        self._own(new_ppn, owner)
+    def _apply_relocations(self, owners: list[tuple], srcs: list[int], dst: int) -> None:
+        """Ownership follows a GC-relocated run, then each owning structure.
+
+        Page ``i`` of the run, owned by ``owners[i]``, moved from
+        ``srcs[i]`` to ``dst + i``; the sources share one block and so do
+        the destinations.
+        """
+        owner_table = self._owner
+        l2p = self._l2p
+        dirty = self._dirty_segments
+        entries = self._map_entries_per_page
+        new_ppn = dst
+        for owner, old_ppn in zip(owners, srcs):
+            if owner_table[new_ppn] is not None:
+                raise FtlError(f"ppn {new_ppn} already owned by {owner_table[new_ppn]}")
+            owner_table[old_ppn] = None
+            owner_table[new_ppn] = owner
+            if owner[0] == OWNER_L2P:
+                l2p[owner[1]] = new_ppn
+                # The relocated mapping must reach flash at the next flush:
+                # the published root.seq will cover the relocation's sequence
+                # number, so OOB replay would skip it — without the dirty
+                # marker a crash after the next barrier reads the stale
+                # flushed mapping.
+                dirty.add(owner[1] // entries)
+            else:
+                self._repoint_owner(owner, old_ppn, new_ppn)
+            new_ppn += 1
+        per = self._pages_per_block
+        self._valid_count[srcs[0] // per] -= len(srcs)
+        self._valid_count[dst // per] += len(srcs)
+
+    def _repoint_owner(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
+        """The structure owning a relocated page follows it (subclasses add
+        their owner kinds; the L2P's is inline in :meth:`_apply_relocations`)."""
         kind = owner[0]
-        if kind == OWNER_L2P:
-            self._l2p[owner[1]] = new_ppn
-            # The relocated mapping must reach flash at the next flush: the
-            # published root.seq will cover the relocation's sequence number,
-            # so OOB replay would skip it — without the dirty marker a crash
-            # after the next barrier reads the stale flushed mapping.
-            self._mark_dirty(owner[1])
-        elif kind == OWNER_MAP:
+        if kind == OWNER_MAP:
             self._map_dir[owner[1]] = new_ppn
             if self._root.map_dir.get(owner[1]) == old_ppn:
                 self._root.map_dir[owner[1]] = new_ppn  # atomic meta update
@@ -526,7 +569,7 @@ class PageMappingFTL(Ftl):
             self._pending_retired.add(new_ppn)
             self._relocate_root_reference(owner[1], owner[2], old_ppn, new_ppn)
         else:
-            self._apply_relocation_extra(owner, old_ppn, new_ppn)
+            raise FtlError(f"unknown page owner {owner!r}")
 
     def _relocate_root_reference(
         self, kind: str, key: object, old_ppn: int, new_ppn: int
@@ -540,9 +583,6 @@ class PageMappingFTL(Ftl):
             self._root.xl2p_ppns = tuple(
                 new_ppn if p == old_ppn else p for p in self._root.xl2p_ppns
             )
-
-    def _apply_relocation_extra(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
-        raise FtlError(f"unknown page owner {owner!r}")
 
     # -------- map persistence ------------------------------------------
 
@@ -607,6 +647,7 @@ class PageMappingFTL(Ftl):
                 # publishes.
                 self._disown(old)
         self._map_dir[segment] = ppn
+        self._unpublished_segments[segment] = None
         self._own(ppn, (OWNER_MAP, segment))
         self.stats.map_page_writes += 1
         self._obs_map_writes.inc()
@@ -643,14 +684,25 @@ class PageMappingFTL(Ftl):
         remount.  The barrier passes its pre-flush snapshot so relocations
         performed *during* the flush stay replayable.
         """
-        self._root = RootRecord(
-            map_dir=dict(self._map_dir),
-            meta_dir=dict(self._meta_dir),
-            seq=seq,
-            xl2p_ppns=self._root.xl2p_ppns,
-            committed_tids=self._root.committed_tids,
-            commit_seq=self._commit_seq_for_root(),
-        )
+        root = self._root
+        self._publish_map_dir()
+        # Every barrier rewrites every meta slot: all of them changed.
+        root.meta_dir.update(self._meta_dir)
+        root.seq = seq
+        root.commit_seq = self._commit_seq_for_root()
+
+    def _publish_map_dir(self) -> None:
+        """The root's map directory catches up with the live one.
+
+        Only translation-page writes leave the two apart (a relocation
+        edits both in place), so the segments written since the last
+        publish are all there is to copy.
+        """
+        map_dir = self._map_dir
+        root_dir = self._root.map_dir
+        for segment in self._unpublished_segments:
+            root_dir[segment] = map_dir[segment]
+        self._unpublished_segments.clear()
 
     def _commit_seq_for_root(self) -> int:
         """Commit sequence counter published with the root (XFTL overrides)."""
@@ -738,6 +790,20 @@ class PageMappingFTL(Ftl):
         for lpn, ppn in enumerate(self._l2p):
             if ppn is not None and self._owner[ppn] != (OWNER_L2P, lpn):
                 raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p")
+        if self._powered:
+            root = self._root
+            if root.meta_dir != self._meta_dir:
+                raise FtlError("root meta directory differs from the live one outside a barrier")
+            behind = {
+                segment
+                for segment in root.map_dir.keys() | self._map_dir.keys()
+                if root.map_dir.get(segment) != self._map_dir.get(segment)
+            }
+            if not behind <= self._unpublished_segments.keys():
+                raise FtlError(
+                    f"root map directory is behind on segments "
+                    f"{sorted(behind - self._unpublished_segments.keys())} no publish would apply"
+                )
         if self._cmt is not None:
             self._cmt.check_invariants()
         self.gc.check_invariants()

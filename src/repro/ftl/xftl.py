@@ -356,7 +356,7 @@ class XFTL(PageMappingFTL):
                     self._map(entry.lpn, entry.new_ppn, commit_seqs.get(tid))
                 self.xl2p.remove_tid(tid)
             if self._cmt is not None:
-                per = self.config.map_entries_per_page
+                per = self._map_entries_per_page
                 self._settle_commit_segments({e.lpn // per for e in entries})
         for tid in live:
             self._release_write_locks(tid)
@@ -461,7 +461,7 @@ class XFTL(PageMappingFTL):
             # (CMT writebacks, commit pinning); retired old copies become
             # collectable below, so the root must follow the directory in
             # the same atomic update.
-            self._root.map_dir = dict(self._map_dir)
+            self._publish_map_dir()
         self._release_retired()
 
     def _pin_translation_pages(self, entries: list) -> None:
@@ -474,7 +474,7 @@ class XFTL(PageMappingFTL):
         the *post-fold content overlaid* — the fold into DRAM happens after
         the root publish, exactly as before.
         """
-        per = self.config.map_entries_per_page
+        per = self._map_entries_per_page
         folds: dict[int, dict[int, int]] = {}
         for entry in entries:
             folds.setdefault(entry.lpn // per, {})[entry.lpn] = entry.new_ppn
@@ -541,7 +541,7 @@ class XFTL(PageMappingFTL):
             return (OOB_DATA, lpn, oob_seq, VERSION_TID)
         return super()._gc_oob_extra(owner, old_ppn)
 
-    def _apply_relocation_extra(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
+    def _repoint_owner(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
         kind = owner[0]
         if kind == OWNER_XL2P_DATA:
             _, tid, lpn = owner
@@ -562,7 +562,7 @@ class XFTL(PageMappingFTL):
                     new_ppn if p == old_ppn else p for p in self._root.xl2p_ppns
                 )
             return
-        super()._apply_relocation_extra(owner, old_ppn, new_ppn)
+        super()._repoint_owner(owner, old_ppn, new_ppn)
 
     # ------------------------------------------------------------- recovery
 

@@ -184,6 +184,36 @@ class TestBarrier:
         ftl.barrier()  # nothing dirty now
         assert ftl.stats.map_page_writes == first
 
+    def test_publish_copies_only_the_segments_written_since_the_last_one(self):
+        class CountingDict(dict):
+            sets = 0
+
+            def __setitem__(self, key, value):
+                self.sets += 1
+                super().__setitem__(key, value)
+
+        ftl = make_ftl()
+        for lpn in (40, 0, 16, 100):  # four segments, not in segment order
+            ftl.write(lpn, b"x")
+        ftl.barrier()
+        root = ftl._root
+        assert list(root.map_dir.items()) == list(ftl._map_dir.items())  # order too
+        assert root.meta_dir == ftl._meta_dir and not ftl._unpublished_segments
+        root.map_dir = CountingDict(root.map_dir)
+        ftl.write(17, b"y")  # segment 1 only
+        ftl.barrier()
+        assert root is ftl._root and root.map_dir.sets == 1
+        assert root.map_dir == ftl._map_dir
+        ftl.check_invariants()
+
+    def test_a_root_that_lags_the_directory_is_caught(self):
+        ftl = make_ftl()
+        ftl.write(0, b"x")
+        ftl.barrier()
+        ftl._root.map_dir[0] += 1
+        with pytest.raises(FtlError, match="root map directory"):
+            ftl.check_invariants()
+
 
 class TestPowerCycle:
     def test_barriered_data_survives(self):

@@ -37,23 +37,33 @@ def _build(crash_plan: CrashPlan | None = None):
 
 def _workload(ftl, writes: int, crash_plan: CrashPlan | None = None) -> bool:
     """Skewed overwrites; returns True if a PowerFailure cut the run short."""
-    fill = int(ftl.exported_pages * 0.9)
-    hot = max(1, fill // 5)
     rng = make_rng(0xBA7C, "test.stats_batching", "stream")
     try:
-        for lpn in range(fill):
+        for lpn in range(_fill(ftl)):
             ftl.write(lpn, ("fill", lpn))
-        for seq in range(writes):
-            lpn = rng.randrange(hot) if rng.random() < 0.8 else rng.randrange(fill)
-            ftl.write(lpn, ("steady", seq))
-            if (seq + 1) % 64 == 0:
-                ftl.barrier()
+        _overwrite(ftl, rng, writes)
     except PowerFailure:
         return True
     return False
 
 
-def _assert_ledger_balances(chip, ftl) -> None:
+def _fill(ftl) -> int:
+    return int(ftl.exported_pages * 0.9)
+
+
+def _overwrite(ftl, rng, writes: int) -> None:
+    fill = _fill(ftl)
+    hot = max(1, fill // 5)
+    for seq in range(writes):
+        lpn = rng.randrange(hot) if rng.random() < 0.8 else rng.randrange(fill)
+        ftl.write(lpn, ("steady", seq))
+        if (seq + 1) % 64 == 0:
+            ftl.barrier()
+
+
+def _assert_ledger_balances(chip, ftl, unattributed: int = 0) -> None:
+    """``unattributed``: programs the chip counted whose caller never returned
+    to count them (a power failure after, or tearing, the in-flight page)."""
     stats = ftl.stats
     # Every read the chip performed was a GC copyback read (no host reads,
     # no CMT, no recovery scan in this workload) — so the batched FTL
@@ -62,7 +72,7 @@ def _assert_ledger_balances(chip, ftl) -> None:
     # Every program is attributable: host data, map/meta page (``_flush_meta``
     # counts its firmware-meta programs under ``map_page_writes``), or GC
     # copyback.  Nothing else programs the chip in this workload.
-    assert chip.stats.page_programs == (
+    assert chip.stats.page_programs - unattributed == (
         stats.host_page_writes + stats.map_page_writes + stats.gc_copyback_writes
     )
     # ...and the map counter really does fold the per-barrier meta pages in.
@@ -112,3 +122,44 @@ def test_crash_points_cover_the_unbalanced_finally_path():
         if ftl.stats.gc_copyback_reads == ftl.stats.gc_copyback_writes + 1:
             unbalanced += 1
     assert unbalanced > 0
+
+
+@pytest.mark.parametrize(
+    "point,tear,unattributed",
+    [
+        ("flash.program.mid", True, 1),
+        ("flash.program.after", False, 1),
+        ("gc.copyback.page", False, 0),
+    ],
+)
+def test_ledger_stays_exact_when_power_fails_after_whole_runs(point, tear, unattributed):
+    """Unarmed, a slice of a job is one ``copyback_run``; armed, one page.
+
+    The plan is armed only once collection is steady, so the ledger spans
+    both: whole runs counted in one step each, then single pages, then a
+    failure that tears a relocated page, follows its program, or precedes
+    its read.  A read whose program never completed is still counted.
+    """
+    between_read_and_program = 0
+    for after in (40, 95, 150, 205, 260):
+        plan = CrashPlan()
+        chip, ftl = _build(crash_plan=plan)
+        run_lengths = []
+        copyback_run = chip.copyback_run
+
+        def counted(srcs, dst, oobs):
+            run_lengths.append(len(srcs))
+            copyback_run(srcs, dst, oobs)
+
+        chip.copyback_run = counted
+        assert not _workload(ftl, writes=1500)
+        assert max(run_lengths) > 1 and sum(run_lengths) == ftl.stats.gc_copyback_writes
+        plan.arm(point, after=after, tear_page=tear)
+        del run_lengths[:]
+        with pytest.raises(PowerFailure):
+            _overwrite(ftl, make_rng(0xBA7C, "test.stats_batching", "armed"), 3000)
+        assert set(run_lengths) <= {1}
+        _assert_ledger_balances(chip, ftl, unattributed)
+        if ftl.stats.gc_copyback_reads == ftl.stats.gc_copyback_writes + 1:
+            between_read_and_program += 1
+    assert between_read_and_program > 0 or point == "gc.copyback.page"
