@@ -48,11 +48,12 @@ class AtomicWriteFTL(PageMappingFTL):
             self._check_lpn(lpn)
             # Tag with the group id in the tid slot: recovery treats a group
             # as committed only if its commit record exists.
-            ppn = self._program(data, OOB_DATA, lpn, ("group", group))
+            ppn = self.gc.host_program(data, OOB_DATA, lpn, ("group", group))
             staged.append((lpn, ppn))
             self.stats.host_page_writes += 1
         # Commit record makes the group durable/atomic.
-        record_ppn = self._program(("commit-record", group, lpns), OOB_COMMIT_RECORD, group)
+        record = ("commit-record", group, lpns)
+        record_ppn = self.gc.host_program(record, OOB_COMMIT_RECORD, group, None)
         self._own(record_ppn, (OWNER_COMMIT_RECORD, group))
         self._live_commit_records[group] = record_ppn
         self.stats.map_page_writes += 1

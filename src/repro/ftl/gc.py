@@ -52,6 +52,10 @@ selection / copyback mechanism):
     spread is sampled; beyond ``gc_wear_spread_threshold`` the least-worn
     written block is migrated into the cold stream and erased, and the free
     pool is kept sorted so the least-worn free block is handed out first.
+    *One decision per host page*: the step takes the headroom
+    ``host_program`` computed, writes the state only when it changes, enters
+    a paced slice only with a job open or a block affordable, and re-settles
+    only after work — a step that did none changed nothing the state reads.
 
 Under either schedule, with a demand-paged map (``cmt_pages``) translation
 pages get their own active block per channel (Dayan & Bonnet's translation
@@ -272,8 +276,12 @@ class Collector:
         per = self._per
         trans = self._trans_stream and kind == OOB_MAP
         hot = False
+        write_points = self._write_points
+        active = self._active_blocks[channel]  # headroom_pages(channel), inline
+        headroom = len(self._free_by_channel[channel]) * per
+        headroom += 0 if active is None else per - write_points[active]
         if self._inline:
-            if self.headroom_pages(channel) <= per:
+            if headroom <= per:
                 self._reclaim(channel, 0)
         else:
             self._tick += 1
@@ -288,13 +296,12 @@ class Collector:
                     count = heat.get(key, 0) + 1
                     heat[key] = count
                     hot = count >= threshold
-            self._step(channel)
+            self._step(channel, headroom)
         if trans:
             store = self._trans_active
         else:
             store = self._hot_active if hot else self._active_blocks
         block = self._stream_block(channel, store)
-        write_points = self._write_points
         ppn = block * per + write_points[block]
         ftl = self.ftl
         ftl._seq += 1
@@ -334,20 +341,28 @@ class Collector:
         the margin that keeps collection live.
         """
         per = self._per
+        write_points = self._write_points
         active = store[channel]
-        if active is not None and self._write_points[active] < per:
+        if active is not None and write_points[active] < per:
             return active
         cold = self._active_blocks
         free = self._free_by_channel[channel]
-        # Background's second streams never reclaim for themselves: the
-        # slack check below sends them to the cold stream first.
-        if (store is cold or self._inline) and len(free) < self._alloc_target:
-            self._reclaim(channel, self._alloc_target)
         if store is not cold:
-            if self.headroom_pages(channel) <= 2 * per:
-                return self._stream_block(channel, cold)
-        elif not free:
-            raise OutOfSpaceError(f"no free blocks on channel {channel} after GC")
+            # Background's second streams never reclaim for themselves: the
+            # slack check sends them to the cold stream first.
+            if self._inline and len(free) < self._alloc_target:
+                self._reclaim(channel, self._alloc_target)
+            active = cold[channel]  # headroom_pages(channel), inline
+            headroom = len(free) * per + (0 if active is None else per - write_points[active])
+            if headroom <= 2 * per:
+                if active is not None and write_points[active] < per:
+                    return active
+                store = cold
+        if store is cold:
+            if len(free) < self._alloc_target:
+                self._reclaim(channel, self._alloc_target)
+            if not free:
+                raise OutOfSpaceError(f"no free blocks on channel {channel} after GC")
         block = self._open_block(channel, store)
         self._alloc_tick[block] = self._tick
         if store is self._trans_active:
@@ -382,56 +397,74 @@ class Collector:
     # --------------------------------------------------- watermark machine
 
     def _set_state(self, channel: int, state: GcState) -> None:
-        if self._states[channel] is state:
-            return
         self._states[channel] = state
         self._obs_transitions[state].inc()
 
-    def _step(self, channel: int) -> None:
-        """One background scheduling decision, taken before every host program."""
+    def _step(self, channel: int, headroom: int) -> None:
+        """One decision per host page, taken before every background host program.
+
+        ``headroom`` is the channel's, computed once by the caller.  The
+        state is written only when it changes, and re-settled only after
+        work (a reclaim, a paced slice, a wear job): a step that did none
+        left headroom, free pool and job as they were, so its branch already
+        set the state a settle would compute.
+        """
         floor = self._per
         watermark = self._background_watermark
         jobs = self._jobs
         free = self._free_by_channel[channel]
-        if self.headroom_pages(channel) <= floor:
-            self._set_state(channel, GcState.URGENT)
-            self._reclaim(channel, 0)
+        if headroom <= floor:
+            state = GcState.URGENT
         elif jobs[channel] is not None or len(free) <= watermark:
-            self._set_state(channel, GcState.BACKGROUND)
-            if self._chip.channel_backlog_us(channel) <= self._idle_backlog_us:
-                self._background_step(channel)
+            state = GcState.BACKGROUND
         else:
-            self._set_state(channel, GcState.IDLE)
-        self._maybe_wear_level(channel)
+            state = GcState.IDLE
+        if self._states[channel] is not state:
+            self._set_state(channel, state)
+        worked = state is GcState.URGENT
+        if worked:
+            self._reclaim(channel, 0)
+        elif state is GcState.BACKGROUND:
+            # A job opens only if its whole copyback fits in the headroom
+            # minus the urgent floor: interleaved host writes shrink headroom
+            # a page per program, and the urgent path (at the floor) must be
+            # able to finish the job.  With no block that cheap every pick
+            # would be declined, so none is scored — except FIFO's, which
+            # counts its fallbacks.
+            affordable = headroom - floor
+            if self._chip.channel_backlog_us(channel) <= self._idle_backlog_us and (
+                jobs[channel] is not None
+                or self._policy == "fifo"
+                or self._has_block_within(channel, affordable)
+            ):
+                worked = self._background_step(channel, affordable)
+        if self._wear_spread_threshold > 0:
+            checks = self._steps_since_wear_check
+            checks[channel] += 1
+            if checks[channel] >= self._wear_check_interval:
+                checks[channel] = 0
+                worked = self._maybe_wear_level(channel) or worked
         # Settle the post-work state so observers see where the channel is.
-        if self.headroom_pages(channel) > floor:
-            if jobs[channel] is None and len(free) > watermark:
-                self._set_state(channel, GcState.IDLE)
-            else:
-                self._set_state(channel, GcState.BACKGROUND)
+        if worked and self.headroom_pages(channel) > floor:
+            idle = jobs[channel] is None and len(free) > watermark
+            state = GcState.IDLE if idle else GcState.BACKGROUND
+            if self._states[channel] is not state:
+                self._set_state(channel, state)
 
-    def _background_step(self, channel: int) -> None:
-        """Run one paced slice of collection during an idle window."""
+    def _background_step(self, channel: int, affordable: int) -> bool:
+        """Run one paced slice of collection during an idle window (False:
+        no job was open and the policy's victim costs over ``affordable``)."""
         job = self._jobs[channel]
         if job is None:
-            # Opening a job is only safe when its whole copyback fits in the
-            # current headroom minus the urgent floor: host writes that
-            # interleave with the paced job shrink headroom one page per
-            # program, and the urgent path (which fires at the floor) must
-            # always be able to finish the job synchronously.
-            affordable = self.headroom_pages(channel) - self._per
-            # Whatever the policy prefers would be declined below, so do not
-            # score.  FIFO's pick counts its fallbacks, so it always runs.
-            if self._policy != "fifo" and not self._has_block_within(channel, affordable):
-                return
             victim = self.pick_victim(channel)
             if victim is None or self._valid_counts[victim] > affordable:
-                return
+                return False
             job = self._open_job(channel, victim)
         with self._chip.overlap():
             done = self._run_job(channel, job, max_pages=self._pages_per_step)
         if done:
             self._obs_background.inc()
+        return True
 
     def _reclaim(self, channel: int, target_blocks: int) -> None:
         """Synchronous collection: the inline pass and background's urgent path.
@@ -623,10 +656,13 @@ class Collector:
             return False
         write_points = self._write_points
         valid_counts = self._valid_counts
-        excluded = self._excluded(channel)
+        excluded = None  # built only once some block passes the count test
         for block in self._geo.channel_blocks(channel):
-            if valid_counts[block] <= pages and write_points[block] and block not in excluded:
-                return True
+            if valid_counts[block] <= pages and write_points[block]:
+                if excluded is None:
+                    excluded = self._excluded(channel)
+                if block not in excluded:
+                    return True
         return False
 
     def pick_victim(self, channel: int) -> int | None:
@@ -722,35 +758,28 @@ class Collector:
 
     # ------------------------------------------------------ wear leveling
 
-    def _maybe_wear_level(self, channel: int) -> None:
-        threshold = self._wear_spread_threshold
-        if threshold <= 0:
-            return
-        checks = self._steps_since_wear_check
-        count = checks[channel] + 1
-        if count < self._wear_check_interval:
-            checks[channel] = count
-            return
-        checks[channel] = 0
+    def _maybe_wear_level(self, channel: int) -> bool:
+        """Sample the erase-count spread; True when it ran a wear job."""
         counts = self._erase_counts
         spread = max(counts) - min(counts)
         self._obs_erase_spread.observe(float(spread))
-        if spread < threshold:
-            return
+        if spread < self._wear_spread_threshold:
+            return False
         if self._jobs[channel] is not None:
-            return  # one job at a time per channel
+            return False  # one job at a time per channel
         victim = self._pick_wear_victim(channel, min(counts))
         if victim is None:
-            return
+            return False
         # Wear victims may be fully valid: require a whole extra block of
         # slack beyond the urgent floor before taking one on.
         if self._valid_counts[victim] > self.headroom_pages(channel) - 2 * self._per:
-            return
+            return False
         job = self._open_job(channel, victim, wear=True)
         self._stats.gc_wear_migrations += 1
         self._obs_wear.inc()
         with self._chip.overlap():
             self._run_job(channel, job, max_pages=self._pages_per_step)
+        return True
 
     def _pick_wear_victim(self, channel: int, global_min: int) -> int | None:
         """Least-worn written block on ``channel`` — where cold data sits.

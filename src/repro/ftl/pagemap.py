@@ -30,9 +30,9 @@ One decision orders everything found on flash, taken in this module alone:
 *sequence order is effect order*.
 
 - *A page draws its sequence when it is programmed.*  Host-originated pages
-  go through :meth:`PageMappingFTL._program`: the collector draws the number
-  after reclaiming and picking the block, immediately before
-  ``chip.program`` (a copyback draws its own in ``_gc_oobs``).  So a host
+  go through :meth:`Collector.host_program <repro.ftl.gc.Collector.host_program>`,
+  which draws the number after reclaiming and picking the block, immediately
+  before ``chip.program`` (a copyback draws its own in ``_gc_oobs``).  So a host
   page always outranks the copybacks its own program caused.
 - *Recovery applies every page at the sequence where it took effect*
   (``remount`` step 2: the window above ``root.seq``, ordered by effect then
@@ -64,9 +64,9 @@ per-block population, kept in step by the three verbs that are the only
 writers of either: :meth:`PageMappingFTL._own` (checked: an owned page may
 never be claimed twice), :meth:`~PageMappingFTL._own_for_recovery` (remount
 may overwrite a stale claim) and :meth:`~PageMappingFTL._disown` — plus
-:meth:`~PageMappingFTL._apply_relocations`, the collector's pass over a
-relocated run, which is ``_disown`` + ``_own`` per page with the two blocks'
-counts settled once.  "This
+their inline forms on per-page paths: the claims of ``_map``, ``_write_translation_page``
+and ``_flush_meta`` (check included), ``_retire`` (one write) and the collector's
+run pass :meth:`~PageMappingFTL._apply_relocations` (block counts settled once).  "This
 lpn now lives at that ppn" is :meth:`~PageMappingFTL._map` and nothing
 else: it hands the old copy to the ``_supersede`` hook (here: disown; the
 multi-version XFTL pushes it onto the lpn's version chain), points the L2P
@@ -231,7 +231,7 @@ class PageMappingFTL(Ftl):
             # Updating the mapping is a read-modify of its translation
             # page, so residency comes first (may evict/write back).
             self._cmt.access(lpn // self._map_entries_per_page)
-        self._map(lpn, self._program(data, OOB_DATA, lpn))
+        self._map(lpn, self.gc.host_program(data, OOB_DATA, lpn, None))
         self.stats.host_page_writes += 1
         self._obs_host_writes.inc()
 
@@ -460,7 +460,11 @@ class PageMappingFTL(Ftl):
         if old is not None:
             self._supersede(lpn, old, commit_seq)
         self._l2p[lpn] = ppn
-        self._own(ppn, (OWNER_L2P, lpn))
+        owner = self._owner  # _own, inline: the per-host-page path
+        if owner[ppn] is not None:
+            raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
+        owner[ppn] = (OWNER_L2P, lpn)
+        self._valid_count[ppn // self._pages_per_block] += 1
         self._dirty_segments.add(lpn // self._map_entries_per_page)
 
     def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
@@ -474,11 +478,6 @@ class PageMappingFTL(Ftl):
         self._pending_retired.clear()
 
     # -------- space management (see repro.ftl.gc) ----------------------
-
-    def _program(self, data: Any, kind: str, key: int, tag: Any = None) -> int:
-        """Append one host-originated page with OOB ``(kind, key, seq, tag)``;
-        the collector reclaims if needed, then draws ``seq``."""
-        return self.gc.host_program(data, kind, key, tag)
 
     def _gc_oobs(self, owners: list[tuple], srcs: list[int]) -> list[tuple]:
         """OOB metadata for a GC-relocated run: page ``i`` is ``srcs[i]``,
@@ -620,9 +619,10 @@ class PageMappingFTL(Ftl):
         return chains
 
     def _retire(self, ppn: int, kind: str, key: object) -> None:
-        """Keep a superseded root-referenced page valid until root publish."""
-        self._disown(ppn)
-        self._own(ppn, (OWNER_RETIRED, kind, key))
+        """Keep a superseded root-referenced page valid until root publish (one write)."""
+        if self._owner[ppn] is None:
+            self._valid_count[ppn // self._pages_per_block] += 1
+        self._owner[ppn] = (OWNER_RETIRED, kind, key)
         self._pending_retired.add(ppn)
 
     def _write_translation_page(self, segment: int, overlay: dict[int, int] | None = None) -> int:
@@ -631,7 +631,7 @@ class PageMappingFTL(Ftl):
         Shared by the barrier flush, CMT dirty evictions and the commit
         pinning path (the only one passing ``overlay``, see _segment_image).
         """
-        ppn = self._program(self._segment_image(segment, overlay), OOB_MAP, segment)
+        ppn = self.gc.host_program(self._segment_image(segment, overlay), OOB_MAP, segment, None)
         old = self._map_dir.get(segment)
         if old is not None and self._owner[old] is not None:
             if self._root.map_dir.get(segment) == old:
@@ -648,7 +648,11 @@ class PageMappingFTL(Ftl):
                 self._disown(old)
         self._map_dir[segment] = ppn
         self._unpublished_segments[segment] = None
-        self._own(ppn, (OWNER_MAP, segment))
+        owner = self._owner
+        if owner[ppn] is not None:
+            raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
+        owner[ppn] = (OWNER_MAP, segment)
+        self._valid_count[ppn // self._pages_per_block] += 1
         self.stats.map_page_writes += 1
         self._obs_map_writes.inc()
         return ppn
@@ -660,20 +664,26 @@ class PageMappingFTL(Ftl):
         # relocation's fresh sequence number sits above the snapshot
         # root.seq the enclosing barrier publishes, so OOB replay covers
         # the gap until the segment is rewritten.
+        crash_plan = self.chip.crash_plan
         for segment in sorted(self._dirty_segments):
-            self.chip.crash_plan.hit(CP_BARRIER_MID)
+            if crash_plan._points:
+                crash_plan.hit(CP_BARRIER_MID)
             self._dirty_segments.discard(segment)
             self._write_translation_page(segment)
 
     def _flush_meta(self) -> None:
         """Firmware misc metadata (write points, erase counts, ...)."""
         for slot in range(self.config.barrier_meta_pages):
-            ppn = self._program(("meta", slot), OOB_META, slot)
+            ppn = self.gc.host_program(("meta", slot), OOB_META, slot, None)
+            owner = self._owner
             old = self._meta_dir.get(slot)
-            if old is not None and self._owner[old] is not None:
+            if old is not None and owner[old] is not None:
                 self._retire(old, OWNER_META, slot)
             self._meta_dir[slot] = ppn
-            self._own(ppn, (OWNER_META, slot))
+            if owner[ppn] is not None:
+                raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
+            owner[ppn] = (OWNER_META, slot)
+            self._valid_count[ppn // self._pages_per_block] += 1
             self.stats.map_page_writes += 1
             self._obs_map_writes.inc()
 

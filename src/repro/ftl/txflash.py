@@ -60,7 +60,7 @@ class TxFlashFTL(PageMappingFTL):
             for position, (lpn, data) in enumerate(pages):
                 self._check_lpn(lpn)
                 next_lpn = lpns[(position + 1) % size]
-                ppn = self._program(data, OOB_SCC, lpn, (group, position, size, next_lpn))
+                ppn = self.gc.host_program(data, OOB_SCC, lpn, (group, position, size, next_lpn))
                 staged.append((lpn, ppn))
                 self.stats.host_page_writes += 1
             # Cycle is complete on flash: publish the mappings.

@@ -146,7 +146,7 @@ class XFTL(PageMappingFTL):
                     f"write-write conflict on lpn {lpn}: held by tid {holder}"
                 )
             self._writers_by_lpn[lpn] = tid
-        ppn = self._program(data, OOB_DATA, lpn, tid)
+        ppn = self.gc.host_program(data, OOB_DATA, lpn, tid)
         self._started_tids.add(tid)
         previous = self.xl2p.put(tid, lpn, ppn)
         if previous is not None:
@@ -429,7 +429,7 @@ class XFTL(PageMappingFTL):
         new_ppns: list[int] = []
         with self.chip.overlap():
             for index, image in enumerate(images):
-                ppn = self._program(image, OOB_XL2P_TABLE, index)
+                ppn = self.gc.host_program(image, OOB_XL2P_TABLE, index, None)
                 self._own(ppn, (OWNER_XL2P_TABLE, index))
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1

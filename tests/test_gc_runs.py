@@ -10,7 +10,8 @@ Three kinds of check:
   no block is affordable, and FIFO's pick counts its fallbacks, so the counter
   is pinned to the values the parent commit produced;
 - *count guards*: host work per flash operation on an ``ftl_gc``-shaped device
-  is exact, so it is asserted as counts (``sys.setprofile``), not timed.
+  is exact, so it is asserted as counts (``sys.setprofile``), not timed —
+  including the collector's one decision per host page.
 """
 
 from __future__ import annotations
@@ -165,10 +166,13 @@ class TestCountGuards:
     """``ftl_gc`` in small: 8 channels, queue depth 8, 85 % full, 80/20 skew,
     background cost-benefit collection with wear levelling."""
 
-    #: Python-level calls per flash operation.  6.09 when recorded (CPython
-    #: 3.11; 12.20 at the parent, with per-page copyback and scored-then-
-    #: declined picks).
-    CALLS_PER_FLASH_OP_CEILING = 7.0
+    #: Python-level calls per flash operation.  4.79 when recorded (CPython
+    #: 3.11; 5.94 with three headroom computations and up to two state
+    #: writes per background step, 12.20 before copyback moved as runs).
+    CALLS_PER_FLASH_OP_CEILING = 5.2
+    #: ``headroom_pages`` + ``_set_state`` calls per host program: 1.07 when
+    #: recorded, 6.27 before the step computed headroom once.
+    DECISION_CALLS_PER_HOST_PROGRAM_CEILING = 1.2
 
     def test_host_work_per_flash_op(self):
         chip = FlashArray(
@@ -194,6 +198,7 @@ class TestCountGuards:
 
         calls: collections.Counter[str] = collections.Counter()
         picked: list[int | None] = []
+        background_slices: list[bool] = []
 
         def profile(frame, event, arg):
             name = frame.f_code.co_name
@@ -203,6 +208,8 @@ class TestCountGuards:
                     calls["destination blocks opened"] += 1
             elif event == "return" and name == "pick_victim":
                 picked.append(arg)
+            elif event == "return" and name == "_background_step":
+                background_slices.append(arg)
 
         before = chip.stats.snapshot()
         sys.setprofile(profile)
@@ -223,3 +230,14 @@ class TestCountGuards:
         # (c) A slice of a job is one run, plus one per destination block it fills.
         assert 0 < calls["copyback_run"] <= calls["_run_job"] + opened
         assert calls["read"] == 0 and calls["program"] == used.page_programs - used.gc_copyback_writes
+        # (d) One decision per host page: headroom computed once, the state
+        # written only when it changes.
+        decisions = (calls["headroom_pages"] + calls["_set_state"]) / calls["host_program"]
+        assert decisions <= self.DECISION_CALLS_PER_HOST_PROGRAM_CEILING
+        # (e) The background gate never builds the exclusion set: only the
+        # victim pickers do (1,430 + 248 when recorded).
+        assert calls["_excluded"] == calls["pick_victim"] + calls["_pick_wear_victim"]
+        # (f) A paced slice is entered only to open or advance a job (at 85 %
+        # fill the gate declines every one: 6,448 calls that all declined
+        # before the gate moved into the step, 0 now).
+        assert all(background_slices) and len(background_slices) == calls["_background_step"]
