@@ -16,14 +16,20 @@ Mechanics:
 
 - :meth:`admit` applies backpressure: when the queue is full the host
   blocks (``clock.wait_until``) until the earliest in-flight command
-  completes.  Completions are retired by clock events
-  (:meth:`~repro.sim.clock.SimClock.schedule_at`), not polling.
+  completes.
 - :meth:`push` records a dispatched command's completion time.
 - :meth:`drain` is the barrier used by flush/commit/abort: the clock joins
   the latest in-flight completion and the queue empties.
 - :meth:`reset` forgets all in-flight commands on power loss (their chip
   state effects stand or fall with the crash oracle's rules, exactly like
   acknowledged-but-unflushed writes always have).
+
+A command's completion time is known exactly when it is dispatched, so
+the queue needs no completion events: it keeps one min-heap of the
+commands not yet retired and *polls* it — every point that reads or
+changes the in-flight count first retires the entries the clock has
+passed.  At each of those points the depth gauge reads what an event per
+completion would have left in it.
 
 Three crash points make power loss with a non-empty queue reachable from
 the verification sweep: ``dev.queue.dispatch`` (a new command about to
@@ -92,13 +98,12 @@ class CommandQueue:
         self.clock = clock
         self.depth = depth
         self.tenants = tenants  # TenantRegistry or None
-        # Min-heap of (end_us, command id); ids make retire-by-event exact
-        # even when two commands share a completion time.
-        self._in_flight: list[tuple[float, int]] = []
-        self._live_ids: set[int] = set()
+        # Min-heap of (end_us, command id, tenant id or None): exactly the
+        # commands not yet retired.  Ids are unique, so two commands sharing
+        # a completion time never compare their tenants.
+        self._in_flight: list[tuple[float, int, int | None]] = []
         self._next_id = 0
         self._shares: dict[int, int] | None = None
-        self._tenant_of: dict[int, int] = {}  # command id -> tenant id
         self._live_by_tenant: dict[int, int] = {}
         self.share_stalls = 0  # plain counter; obs may be disabled
         # Epoch bookkeeping (barrier-enabled devices only): every dispatched
@@ -108,7 +113,6 @@ class CommandQueue:
         # this records it for introspection and the crash sweep.
         self.epochs_enabled = epochs
         self._epoch = 0
-        self._epoch_of: dict[int, int] = {}  # command id -> epoch
         self._epoch_bounds: dict[int, tuple[float, float]] = {}  # epoch -> (min, max) end
         self.epochs_closed = 0  # plain counter; obs may be disabled
         self._obs_depth = obs.gauge("dev.queue.depth")
@@ -133,7 +137,7 @@ class CommandQueue:
     def in_flight(self) -> int:
         """Commands dispatched but not yet completed (at current sim time)."""
         self._retire_due()
-        return len(self._live_ids)
+        return len(self._in_flight)
 
     @property
     def current_epoch(self) -> int:
@@ -153,48 +157,47 @@ class CommandQueue:
 
     # ------------------------------------------------------------ lifecycle
 
-    def admit(self) -> None:
-        """Backpressure: block until a queue slot (and tenant share) is free."""
+    def admit(self) -> int:
+        """Backpressure: block until a queue slot (and tenant share) is free.
+
+        Returns the number of commands still in flight once admitted.
+        """
         self._retire_due()
-        if len(self._live_ids) >= self.depth:
+        heap = self._in_flight
+        if len(heap) >= self.depth:
             self._obs_admit_stalls.inc()
-            while self._in_flight and len(self._live_ids) >= self.depth:
-                end_us, _ = self._in_flight[0]
-                self.clock.wait_until(end_us)
+            while len(heap) >= self.depth:
+                self.clock.wait_until(heap[0][0])
                 self._retire_due()
         shares = self._shares
         if shares is not None:
             tenant_id = self.tenants.current
             cap = shares.get(tenant_id)
-            if cap is not None and self._live_by_tenant.get(tenant_id, 0) >= cap:
+            live = self._live_by_tenant
+            if cap is not None and live.get(tenant_id, 0) >= cap:
                 # One stall per capped admit, however many completions it
                 # takes to free a slot (the loop must not re-count).
                 self.share_stalls += 1
                 self._obs_share_stalls.inc()
-                live = self._live_by_tenant
                 while live.get(tenant_id, 0) >= cap:
                     # Wait on the stalled tenant's *own* earliest in-flight
                     # completion: a foreign command finishing can never
                     # lower this tenant's live count, so waiting on the
                     # global head would drain other tenants' work for
-                    # nothing (and spin forever on a stale count with an
-                    # empty share).  No own command in flight means the
-                    # count cannot drop by waiting — bail out rather than
-                    # wedge (cap of 0, or bookkeeping gone stale).
+                    # nothing.  No own command in flight means the count
+                    # cannot drop by waiting — bail out rather than wedge
+                    # (a cap of 0).
                     own_earliest = min(
-                        (
-                            end_us
-                            for end_us, command_id in self._in_flight
-                            if command_id in self._live_ids
-                            and self._tenant_of.get(command_id) == tenant_id
-                        ),
+                        (end_us for end_us, _, owner in heap if owner == tenant_id),
                         default=None,
                     )
                     if own_earliest is None:
                         break
                     self.clock.wait_until(own_earliest)
                     self._retire_due()
-        self._obs_dispatch_depth.observe(float(len(self._live_ids)))
+        in_flight = len(heap)
+        self._obs_dispatch_depth.observe(float(in_flight))
+        return in_flight
 
     def push(self, end_us: float) -> None:
         """Record a dispatched command completing at ``end_us``.
@@ -212,23 +215,18 @@ class CommandQueue:
             else:
                 lo, hi = bounds
                 self._epoch_bounds[self._epoch] = (min(lo, end_us), max(hi, end_us))
+        # Retire first: the gauge's high-water mark counts live commands only.
+        self._retire_due()
         if end_us <= self.clock.now_us:
             return
-        self._next_id += 1
-        command_id = self._next_id
-        heapq.heappush(self._in_flight, (end_us, command_id))
-        self._live_ids.add(command_id)
-        if self.epochs_enabled:
-            self._epoch_of[command_id] = self._epoch
+        tenant_id = None
         tenants = self.tenants
         if tenants is not None and tenants.enabled:
             tenant_id = tenants.current
-            self._tenant_of[command_id] = tenant_id
-            self._live_by_tenant[tenant_id] = (
-                self._live_by_tenant.get(tenant_id, 0) + 1
-            )
-        self._obs_depth.set(float(len(self._live_ids)))
-        self.clock.schedule_at(end_us, lambda: self._complete(command_id))
+            self._live_by_tenant[tenant_id] = self._live_by_tenant.get(tenant_id, 0) + 1
+        self._next_id += 1
+        heapq.heappush(self._in_flight, (end_us, self._next_id, tenant_id))
+        self._obs_depth.set(float(len(self._in_flight)))
 
     def close_epoch(self) -> None:
         """Seal the current epoch: later dispatches are ordered after it.
@@ -248,51 +246,35 @@ class CommandQueue:
 
     def drain(self) -> None:
         """Barrier: the host waits for every in-flight command to complete."""
-        while self._in_flight:
-            latest = max(end for end, _ in self._in_flight)
-            self.clock.wait_until(latest)
+        if self._in_flight:
+            self.clock.wait_until(max(self._in_flight)[0])
             self._retire_due()
-        self._obs_depth.set(0.0)
 
     def reset(self) -> None:
         """Power loss: forget all in-flight commands without waiting.
 
-        Everything keyed by command id must go in one step — the in-flight
-        heap, the live set, the per-tenant live counts (a stale count would
-        wedge share-capped dispatch forever) and the epoch tags.  Only
-        ``_next_id`` survives, so stale completion events can never collide
-        with post-recovery commands.
+        The in-flight heap and the per-tenant live counts go in one step (a
+        stale count would wedge share-capped dispatch forever), and so do
+        the epoch tags.  Nothing is left behind to fire later: a forgotten
+        command is simply no longer in the heap the queue polls.
         """
         self._in_flight.clear()
-        self._live_ids.clear()
-        self._tenant_of.clear()
         self._live_by_tenant.clear()
         self._epoch = 0
-        self._epoch_of.clear()
         self._epoch_bounds.clear()
         self._obs_depth.set(0.0)
 
     # ------------------------------------------------------------ internals
 
-    def _forget(self, command_id: int) -> None:
-        """Drop a command from the live set exactly once (tenant count too)."""
-        if command_id in self._live_ids:
-            self._live_ids.remove(command_id)
-            self._epoch_of.pop(command_id, None)
-            tenant_id = self._tenant_of.pop(command_id, None)
-            if tenant_id is not None:
-                self._live_by_tenant[tenant_id] -= 1
-
-    def _complete(self, command_id: int) -> None:
-        """Clock-event completion; stale events (post-reset) are no-ops."""
-        self._forget(command_id)
-        self._retire_due()
-        self._obs_depth.set(float(len(self._live_ids)))
-
     def _retire_due(self) -> None:
-        now = self.clock.now_us
-        while self._in_flight and (
-            self._in_flight[0][0] <= now or self._in_flight[0][1] not in self._live_ids
-        ):
-            _, command_id = heapq.heappop(self._in_flight)
-            self._forget(command_id)
+        """Retire every command the clock has passed; keep the gauge current."""
+        heap = self._in_flight
+        now = self.clock._now_us  # per-command hot path: skip the property
+        if not heap or heap[0][0] > now:
+            return
+        live = self._live_by_tenant
+        while heap and heap[0][0] <= now:
+            tenant_id = heapq.heappop(heap)[2]
+            if tenant_id is not None:
+                live[tenant_id] -= 1
+        self._obs_depth.set(float(len(heap)))

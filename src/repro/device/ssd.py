@@ -190,8 +190,7 @@ class StorageDevice:
         queue.
         """
         queue = self.queue
-        queue.admit()
-        if queue.in_flight:
+        if queue.admit():
             self.chip.crash_plan.hit(CP_QUEUE_DISPATCH)
         with self.chip.overlap() as region:
             result = op()

@@ -148,24 +148,21 @@ class FlashArray(FlashChip):
             # clock.wait_until(end), inlined.
             if end > now:
                 clock._now_us = end
-            if clock._events:
-                clock._fire_due()
 
     def _charge_run(self, src_block: int, dst_block: int, count: int) -> None:
         """:meth:`_charge_flash` for each read and program of a plain run.
 
-        A GC relocation stays on one channel, and inside an overlap region
-        (or with no completion event pending) nothing runs between its
-        operations, so the timeline and the clock are carried in locals;
-        any other run is charged op by op.
+        A GC relocation stays on one channel and nothing runs between its
+        operations, so the timeline and the clock are carried in locals; a
+        run across channels is charged op by op.
         """
         channels = self._num_channels
         channel = dst_block % channels
-        clock = self.clock
-        regions = self._regions
-        if src_block % channels != channel or (clock._events and not regions):
+        if src_block % channels != channel:
             self._charge_run_by_op(src_block, dst_block, count)
             return
+        clock = self.clock
+        regions = self._regions
         timeline = self._channel_timelines[channel]
         now = clock._now_us
         floor = self.dispatch_floor_us

@@ -179,10 +179,6 @@ class FlashChip:
         of :meth:`_charge_flash` calls would (:meth:`_charge_run_by_op`).
         """
         clock = self.clock
-        if clock._events:
-            # Completion events fire as the clock passes them.
-            self._charge_run_by_op(src_block, dst_block, count)
-            return
         read_us = self.profile.page_read_us
         program_us = self.profile.page_program_us
         now = clock._now_us

@@ -309,6 +309,12 @@ class PageMappingFTL(Ftl):
         self._meta_dir = dict(root.meta_dir)
         self._seq = root.seq
 
+        # Dirty tracking restarts before anything is loaded: the stale
+        # entries step 1 drops and every mapping step 2 replays exist only
+        # in DRAM, so each dirties its segment and the barrier that advances
+        # root.seq persists it.
+        self._dirty_segments = set()
+
         # 1. Load the persisted map pages.  Their chain parts are handed to
         # _finish_remount, which runs after OOB replay settles the current
         # mapping.
@@ -329,17 +335,14 @@ class PageMappingFTL(Ftl):
             # been invalidated, erased and reused — possibly for one of the
             # very map/meta pages claimed above (their programs carry
             # sequence numbers past the published root.seq, so they can
-            # postdate the stale mapping's correction).  Never let a stale
-            # claim displace an established owner; for an overwritten lpn
-            # the OOB replay below is guaranteed to carry the fresher
-            # mapping.  A *trimmed* lpn has no fresher copy to correct it,
-            # so an unowned target is verified against the page itself
-            # before claiming — a mapping whose page is erased (or reused
-            # under a different identity) is dropped, restoring the
-            # trimmed read-as-zeros state instead of claiming dead flash.
-            if self._owner[ppn] is not None:
-                continue
-            if self._page_states[ppn] == PAGE_PROGRAMMED:
+            # postdate the stale mapping's correction), or for another lpn
+            # whose entry claimed it first.  A page another owner holds is
+            # never this lpn's, and neither is one that is erased or
+            # reused under a different identity: such an entry is dropped
+            # (and dirtied, so the drop is persisted).  For an overwritten
+            # lpn the OOB replay below carries the fresher mapping; a
+            # *trimmed* lpn has none, and reads as zeros again.
+            if self._owner[ppn] is None and self._page_states[ppn] == PAGE_PROGRAMMED:
                 # Kind-agnostic identity check: every data OOB layout in the
                 # FTL family (OOB_DATA, SCC, WAL, ...) carries the lpn in
                 # slot 1, so a programmed page whose OOB names this lpn is a
@@ -356,10 +359,6 @@ class PageMappingFTL(Ftl):
         # 2. One OOB scan: replay the data pages that took effect after the
         # root's sequence, in effect order (write order breaks the tie
         # between pages of one commit).  Nothing else rebuilds the L2P.
-        # Dirty tracking restarts *before* the replay: each replayed mapping
-        # re-dirties its segment, so the barrier that advances root.seq past
-        # the replayed pages also persists them.
-        self._dirty_segments = set()
         horizon = root.seq
         replay = sorted(
             page for page in self._effect_sequences(self._scan_oob()) if page[0] > horizon
@@ -386,7 +385,7 @@ class PageMappingFTL(Ftl):
         self._l2p[lpn] = ppn
         self._own_for_recovery(ppn, (OWNER_L2P, lpn))
         # The recovered mapping exists only in OOB + DRAM; dirty it so the
-        # next barrier persists it (see remount step 2).
+        # next barrier persists it (see remount).
         self._mark_dirty(lpn)
 
     def _effect_sequences(self, scanned: Iterable[tuple]) -> Iterator[tuple[int, int, int, int]]:

@@ -9,16 +9,13 @@ simulation.
 Times are kept in *microseconds* as floats (flash latencies are naturally
 expressed in microseconds; experiments report seconds or milliseconds).
 
-The clock is also the event spine of the discrete-event scheduler in
-:mod:`repro.sim.events`: completion callbacks registered with
-:meth:`SimClock.schedule_at` fire as simulated time passes them, which is
-how the device command queue retires in-flight commands without polling.
+The clock is a number and nothing else: it fires no callbacks.  Overlap
+is modelled by :mod:`repro.sim.events`' resource timelines, and the device
+command queue retires its in-flight commands by comparing their known
+completion times against ``now_us``.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Callable
 
 
 class SimClock:
@@ -28,17 +25,11 @@ class SimClock:
     the latency of the operation they just performed, or :meth:`wait_until`
     to join a completion time computed on a resource timeline.  ``busy_us``
     breakdowns can be tracked by callers; the clock itself only knows total
-    time plus the pending completion events.
+    time.
     """
 
     def __init__(self, start_us: float = 0.0) -> None:
         self._now_us = float(start_us)
-        # Completion-event heap: (when_us, sequence, callback).  The
-        # sequence number makes heap ordering total (callbacks are not
-        # comparable) and keeps same-time events in registration order.
-        self._events: list[tuple[float, int, Callable[[], None]]] = []
-        self._event_seq = 0
-        self._firing = False
 
     @property
     def now_us(self) -> float:
@@ -63,8 +54,6 @@ class SimClock:
         if delta_us < 0:
             raise ValueError(f"cannot advance clock by negative time: {delta_us}")
         self._now_us += delta_us
-        if self._events:
-            self._fire_due()
         return self._now_us
 
     def advance_to(self, when_us: float) -> float:
@@ -94,75 +83,7 @@ class SimClock:
         """
         if when_us > self._now_us:
             self._now_us = when_us
-        if self._events:
-            self._fire_due()
         return self._now_us
-
-    def schedule_at(self, when_us: float, callback: Callable[[], None]) -> None:
-        """Register a completion event fired when time reaches ``when_us``.
-
-        Events in the past fire on the next time movement (or immediately
-        if one is due now and the clock is not already firing).  Callbacks
-        must not assume any particular clock position beyond ``now_us >=
-        when_us``.
-        """
-        self._event_seq += 1
-        heapq.heappush(self._events, (float(when_us), self._event_seq, callback))
-        if not self._firing:
-            self._fire_due()
-
-    def schedule_many(
-        self, events: "list[tuple[float, Callable[[], None]]]"
-    ) -> None:
-        """Register a batch of completion events in one call.
-
-        Semantically identical to calling :meth:`schedule_at` once per
-        ``(when_us, callback)`` pair, in order — same sequence numbering,
-        so same-time events still fire in registration order — but due
-        events fire once at the end instead of per insertion, and when the
-        heap is empty and the batch is already sorted (the common case:
-        a run of same-timestamp completions) the heap is built by plain
-        append, skipping per-item sift-up entirely.
-        """
-        if not events:
-            return
-        heap = self._events
-        sorted_batch = True
-        last = float("-inf")
-        for when_us, _ in events:
-            if when_us < last:
-                sorted_batch = False
-                break
-            last = when_us
-        if not heap and sorted_batch:
-            # A sorted list is a valid binary min-heap; sequence numbers
-            # rise monotonically so ties stay in registration order.
-            for when_us, callback in events:
-                self._event_seq += 1
-                heap.append((float(when_us), self._event_seq, callback))
-        else:
-            for when_us, callback in events:
-                self._event_seq += 1
-                heapq.heappush(heap, (float(when_us), self._event_seq, callback))
-        if not self._firing:
-            self._fire_due()
-
-    @property
-    def pending_events(self) -> int:
-        """Completion events not yet fired (due or future)."""
-        return len(self._events)
-
-    def _fire_due(self) -> None:
-        """Fire every event with ``when_us <= now``; reentrancy-safe."""
-        if self._firing:
-            return  # the outer loop will drain anything a callback added
-        self._firing = True
-        try:
-            while self._events and self._events[0][0] <= self._now_us:
-                _, _, callback = heapq.heappop(self._events)
-                callback()
-        finally:
-            self._firing = False
 
     def elapsed_since(self, t0_us: float) -> float:
         """Microseconds elapsed since an earlier reading of this clock."""

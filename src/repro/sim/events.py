@@ -18,25 +18,13 @@ reservation end immediately (``clock.wait_until(end)``), performs the same
 float arithmetic as the seed's ``clock.advance(duration)`` — which is what
 the ``channels=1, queue_depth=1`` equivalence regression pins down.
 
-Completion *events* (callbacks at a future simulated time) live on the
-clock itself (:meth:`~repro.sim.clock.SimClock.schedule_at`); the device
-command queue uses them to retire in-flight commands as time passes.
-
-Migration note (state-API redesign PR): the scheduler now fronts the
-clock's event spine too, with a consistent naming scheme —
-:meth:`EventScheduler.schedule_at` / :meth:`EventScheduler.post_many` to
-register one/many completion events, and :meth:`EventScheduler.wait_until`
-to join an absolute time.  Previously callers mixed direct
-``clock.schedule_at``/``clock.wait_until`` calls with scheduler
-``barrier()``s; new code should go through the scheduler so one object
-owns the simulation's ordering vocabulary.  The clock methods remain the
-implementation and stay public for clock-only code.  The public surface of
-this module is exactly ``__all__`` below.
+There are no completion *events*: the clock is a plain number, and the
+device command queue retires in-flight commands by polling their known
+completion times.  The public surface of this module is exactly
+``__all__`` below.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.sim.clock import SimClock
 
@@ -142,29 +130,6 @@ class EventScheduler:
         serial case.
         """
         return self.clock.wait_until(self.horizon_us())
-
-    # ------------------------------------------------------ event spine
-    #
-    # Thin, consistently-named delegates over the clock's completion-event
-    # heap (see the migration note in the module docstring).
-
-    def schedule_at(self, when_us: float, callback: Callable[[], None]) -> None:
-        """Register one completion event at absolute time ``when_us``."""
-        self.clock.schedule_at(when_us, callback)
-
-    def post_many(self, events: "list[tuple[float, Callable[[], None]]]") -> None:
-        """Register a batch of ``(when_us, callback)`` completion events.
-
-        Equivalent to ``schedule_at`` per pair, in order, but fires due
-        events once at the end, and a sorted batch landing on an empty
-        heap skips the heap machinery entirely (plain appends) — the fast
-        path for runs of same-timestamp completions.
-        """
-        self.clock.schedule_many(events)
-
-    def wait_until(self, when_us: float) -> float:
-        """Join an absolute completion time (advance only if in the future)."""
-        return self.clock.wait_until(when_us)
 
     def utilization(self, elapsed_us: float | None = None) -> dict[str, float]:
         """Busy fraction per resource over ``elapsed_us`` (default: now)."""

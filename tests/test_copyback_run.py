@@ -3,9 +3,9 @@
 ``chip.copyback_run(srcs, dst, oobs)`` must be *exactly*
 ``program(dst + i, read(srcs[i]), oobs[i])`` for each ``i`` — the same page
 content, OOB, page states, write points, counters, clock, channel timelines
-(floats compared with ``==``), overlap-region horizons, completion events
-and, when a page fails, the same exception at the same page with the earlier
-pages done.  Twin chips are built by one deterministic set-up; one is driven
+(floats compared with ``==``), overlap-region horizons and, when a page
+fails, the same exception at the same page with the earlier pages done.
+Twin chips are built by one deterministic set-up; one is driven
 through ``copyback_run``, the other through the loop that defines it.
 """
 
@@ -110,13 +110,12 @@ def run_cases(draw):
         "crash": crash,
         "regions": draw(st.integers(0, 2)),
         "floor_us": draw(st.sampled_from([0.0, 0.0, 1234.5, 1e7])),
-        "events_us": draw(st.lists(st.floats(0.0, 40_000.0), max_size=4)),
         "metrics": draw(st.booleans()),
     }
 
 
 def _build(kind: str, case: dict):
-    """A chip in the case's starting state, and the log its clock events write."""
+    """A chip in the case's starting state."""
     cls, channels = KINDS[kind]
     geometry = FlashGeometry(
         page_size=64, pages_per_block=PER, num_blocks=BLOCKS, channels=channels
@@ -133,15 +132,10 @@ def _build(kind: str, case: dict):
     if case["torn"] is not None:
         chip.state.page_states[case["torn"]] = PAGE_TORN
     chip.dispatch_floor_us = case["floor_us"]
-    fired: list[tuple[float, float]] = []
-    for when_us in case["events_us"]:
-        chip.clock.schedule_at(
-            when_us, lambda when_us=when_us: fired.append((when_us, chip.clock.now_us))
-        )
     if case["crash"] is not None:
         name, after, tear = case["crash"]
         plan.arm(name, after=after, tear_page=tear)
-    return chip, fired
+    return chip
 
 
 def _drive(chip, case: dict, copy) -> dict:
@@ -161,7 +155,6 @@ def _drive(chip, case: dict, copy) -> dict:
         "write_points": list(chip.state.write_points),
         "stats": chip.stats.as_dict(),
         "now_us": chip.clock.now_us,
-        "pending_events": chip.clock.pending_events,
         "region_end_us": [region.end_us for region in regions],
         "obs": chip.obs.registry.as_dict(),
     }
@@ -186,12 +179,9 @@ def _page_by_page(chip, srcs, dst, oobs) -> None:
 @settings(max_examples=150, deadline=None)
 @given(case=run_cases())
 def test_a_run_is_the_page_by_page_loop(kind: str, case: dict) -> None:
-    run_chip, run_fired = _build(kind, case)
-    loop_chip, loop_fired = _build(kind, case)
-    as_a_run = _drive(run_chip, case, _as_a_run)
-    page_by_page = _drive(loop_chip, case, _page_by_page)
+    as_a_run = _drive(_build(kind, case), case, _as_a_run)
+    page_by_page = _drive(_build(kind, case), case, _page_by_page)
     assert as_a_run == page_by_page
-    assert run_fired == loop_fired
 
 
 PLAIN = {
@@ -207,7 +197,6 @@ PLAIN = {
     "crash": None,
     "regions": 1,
     "floor_us": 0.0,
-    "events_us": [5_000.0],
     "metrics": False,
 }
 
@@ -215,7 +204,7 @@ PLAIN = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_plain_run_takes_neither_read_nor_program(kind: str, monkeypatch) -> None:
     """The property above would also hold if the fast path were never taken."""
-    chip, _fired = _build(kind, PLAIN)
+    chip = _build(kind, PLAIN)
 
     def unreachable(*_args, **_kwargs):
         raise AssertionError("a plain run went page by page")
@@ -243,7 +232,7 @@ def test_a_plain_run_takes_neither_read_nor_program(kind: str, monkeypatch) -> N
 def test_anything_else_goes_page_by_page(kind: str, change: dict, monkeypatch) -> None:
     case = {**PLAIN, **change}
     case["oobs"] = case["oobs"][: len(case["srcs"])]
-    chip, _fired = _build(kind, case)
+    chip = _build(kind, case)
     programs = []
     program = chip.program
     monkeypatch.setattr(

@@ -1,14 +1,20 @@
 """Tests for the NCQ-style device command queue.
 
-Covers the queue mechanics (admission backpressure, event-driven retire,
-barrier drain, power-loss reset), the device wiring (async dispatch for
+Covers the queue mechanics (admission backpressure, polled retire, barrier
+drain, power-loss reset, and a property pinning polling to the per-completion
+events it replaced), the device wiring (async dispatch for
 reads/writes, flush/commit as drain barriers, depth-1 passthrough), and
 crash injection with commands still in flight — the new ``dev.queue.*``
 crash points.
 """
 
-import pytest
+import heapq
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.device.queue import CommandQueue
 from repro.device.ssd import StorageDevice
 from repro.errors import DeviceError, PowerFailure
 from repro.flash.array import FlashArray
@@ -20,6 +26,7 @@ from repro.ftl.xftl import XFTL
 from repro.obs import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import CrashPlan
+from repro.tenancy import TenantRegistry
 
 GEOMETRY = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24, channels=2)
 FTL_CONFIG = FtlConfig(
@@ -28,8 +35,6 @@ FTL_CONFIG = FtlConfig(
 
 
 def make_queue(depth=4, obs=NULL_OBS):
-    from repro.device.queue import CommandQueue
-
     clock = SimClock()
     return clock, CommandQueue(clock, depth, obs)
 
@@ -37,18 +42,16 @@ def make_queue(depth=4, obs=NULL_OBS):
 class TestCommandQueue:
     def test_depth_must_be_positive(self):
         clock = SimClock()
-        from repro.device.queue import CommandQueue
-
         with pytest.raises(ValueError):
             CommandQueue(clock, 0, NULL_OBS)
 
-    def test_push_and_event_driven_retire(self):
+    def test_push_and_polled_retire(self):
         clock, queue = make_queue()
         queue.push(100.0)
         queue.push(200.0)
         assert queue.in_flight == 2
-        clock.advance(150.0)  # completion event at 100 fires during advance
-        assert queue.in_flight == 1
+        clock.advance(150.0)  # the clock is a number: nothing fires here
+        assert queue.in_flight == 1  # the read retires the command due at 100
         clock.advance(100.0)
         assert queue.in_flight == 0
 
@@ -90,7 +93,7 @@ class TestCommandQueue:
         queue.reset()
         assert queue.in_flight == 0
         assert clock.now_us == 0.0
-        # Stale completion events must be harmless after the reset.
+        # Time passing the forgotten completions must not count them.
         clock.advance(500.0)
         assert queue.in_flight == 0
 
@@ -286,8 +289,8 @@ class TestInFlightBatchPowerLoss:
     Audit regression (ISSUE 6 satellite): a crash while a multi-command
     batch is partially dispatched must drop every queued-but-undispatched
     command in one step, and none of the drain-barrier bookkeeping
-    (in-flight heap, live ids, pending completion events) may leak into
-    the next power cycle.
+    (in-flight heap, per-tenant live counts) may leak into the next power
+    cycle.
     """
 
     def _crash_stack(self):
@@ -330,8 +333,8 @@ class TestInFlightBatchPowerLoss:
         device.power_on()
 
         # A full new batch must admit, complete and drain on its own
-        # terms — stale completion events from the dropped batch must not
-        # retire (or wedge) any of the new commands.
+        # terms — the dropped batch's completion times must not retire (or
+        # wedge) any of the new commands.
         for lpn in range(12):
             device.write(lpn, ("new", lpn))
         device.flush()
@@ -346,7 +349,7 @@ class TestInFlightBatchPowerLoss:
         queue.push(200.0)
         queue.reset()
         # New command finishing *between* the two forgotten completions:
-        # the stale events at 100/200 must not touch it.
+        # the forgotten times 100/200 must not touch it.
         queue.push(150.0)
         clock.advance(120.0)
         assert queue.in_flight == 1
@@ -364,3 +367,118 @@ class TestInFlightBatchPowerLoss:
         assert clock.now_us == 0.0
         assert obs.registry.counter_value("dev.queue.admit_stalls") == stalls_before
         assert obs.gauge("dev.queue.depth").value == 0.0
+
+
+class EventDrivenQueue:
+    """The mechanism polling replaced: one completion event per command.
+
+    Every clock movement fires the events it passes (retiring their
+    commands and setting the depth gauge) before anything reads the queue.
+    """
+
+    def __init__(self, depth, shares):
+        self.depth, self.shares = depth, shares
+        self.now = 0.0
+        self.heap = []  # (end_us, id, tenant)
+        self.next_id = self.admit_stalls = self.share_stalls = 0
+        self.gauge = self.gauge_max = 0.0
+
+    def set_gauge(self):
+        self.gauge = float(len(self.heap))
+        self.gauge_max = max(self.gauge_max, self.gauge)
+
+    def wait_until(self, when_us):
+        self.now = max(self.now, when_us)
+        while self.heap and self.heap[0][0] <= self.now:
+            heapq.heappop(self.heap)
+        self.set_gauge()
+
+    def push(self, end_us, tenant):
+        if end_us > self.now:
+            self.next_id += 1
+            heapq.heappush(self.heap, (end_us, self.next_id, tenant))
+            self.set_gauge()
+
+    def own(self, tenant):
+        return [end_us for end_us, _, owner in self.heap if owner == tenant]
+
+    def admit(self, tenant):
+        if len(self.heap) >= self.depth:
+            self.admit_stalls += 1
+            while len(self.heap) >= self.depth:
+                self.wait_until(self.heap[0][0])
+        cap = self.shares.get(tenant) if self.shares else None
+        if cap is not None and len(self.own(tenant)) >= cap:
+            self.share_stalls += 1
+            while len(self.own(tenant)) >= cap:  # shares are >= 1
+                self.wait_until(min(self.own(tenant)))
+
+    def drain(self):
+        if self.heap:
+            self.wait_until(max(self.heap)[0])
+
+    def reset(self):
+        self.heap.clear()
+        self.set_gauge()
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("push"), st.integers(0, 2), st.integers(-50, 400)),
+            st.tuples(st.just("advance"), st.integers(0, 300)),
+            st.tuples(st.just("admit"), st.integers(0, 2)),
+            st.tuples(st.just("drain")),
+            st.tuples(st.just("reset")),
+        ),
+        st.booleans(),  # whether a reader looks at the count after the step
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(depth=st.integers(1, 5), tenancy=st.sampled_from(["none", "tagged", "shares"]), steps=STEPS)
+def test_polling_reads_what_per_completion_events_read(depth, tenancy, steps):
+    """After every step the polled queue and the event-driven one agree.
+
+    The clock, both stall counts and the gauge's high-water mark agree
+    after every step, before anything polls.  The in-flight count and the
+    gauge's value agree whenever a reader looks, and nobody has to look
+    for the others to hold.
+    """
+    obs = Observability(enabled=True, label="queue-property")
+    clock = SimClock()
+    registry = None if tenancy == "none" else TenantRegistry()
+    if registry is not None:
+        registry.register("a", weight=1)
+        registry.register("b", weight=2)
+    queue = CommandQueue(clock, depth, obs, tenants=registry)
+    shares = registry.queue_shares(depth) if tenancy == "shares" else None
+    queue.set_shares(shares)
+    reference = EventDrivenQueue(depth, shares)
+    gauge = obs.gauge("dev.queue.depth")
+    for step, read in steps:
+        if step[0] in ("push", "admit") and registry is not None:
+            registry.current = step[1]
+        tenant = None if registry is None else registry.current
+        if step[0] == "push":
+            queue.push(clock.now_us + step[2])
+            reference.push(reference.now + step[2], tenant)
+        elif step[0] == "advance":
+            clock.advance(step[1])
+            reference.wait_until(reference.now + step[1])
+        elif step[0] == "admit":
+            queue.admit()
+            reference.admit(tenant)
+        else:
+            getattr(queue, step[0])()
+            getattr(reference, step[0])()
+        assert clock.now_us == reference.now
+        assert obs.registry.counter_value("dev.queue.admit_stalls") == reference.admit_stalls
+        assert queue.share_stalls == reference.share_stalls
+        assert gauge.max_value == reference.gauge_max
+        if read:
+            assert queue.in_flight == len(reference.heap)
+            assert gauge.value == reference.gauge

@@ -12,8 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import FtlError, TransactionError
+from repro.flash.array import FlashArray
+from repro.flash.geometry import FlashGeometry
 from repro.ftl import XFTL
-from repro.ftl.pagemap import OWNER_L2P, OWNER_VERSION, OWNER_XL2P_DATA
+from repro.ftl.base import FtlConfig
+from repro.ftl.pagemap import OWNER_L2P, OWNER_VERSION, OWNER_XL2P_DATA, PageMappingFTL
 from repro.sim.rng import make_rng
 
 from tests.test_ftl_gc import make_bg_ftl, make_bg_xftl
@@ -150,6 +153,54 @@ class TestVerbs:
         assert ftl.read(5) == b"v2" and ftl.read_as_of(5, 0) == b"v0"
         assert ftl.stats.host_page_writes == 3
         ftl.check_invariants()
+
+
+#: A shrunk random stream (``w`` write, ``t`` trim, ``b`` barrier, ``p``
+#: power cycle) after which remount mapped trimmed lpn 164 to another lpn's
+#: page: the first remount dropped 164's stale entry but then reset the dirty
+#: set, so the drop was never persisted; once a barrier had persisted the
+#: page's new owner, the next remount kept the stale entry because "another
+#: owner holds the page" was read as "keep it" instead of "it is stale".
+TRIMMED_LPN_STREAM = """
+w39 w11 w19 w5 w33 b t188 t106 b w86 t70 w164 w45 b w3 w3 w186 w116 w134 w39 w142 b
+w106 w32 w15 w158 w45 w146 w25 w82 w37 w4 w19 w45 w74 w17 w45 w41 w30 w50 w130 w152
+w86 w174 w6 p b t31 w33 w58 b w17 b w1 w66 w136 w20 w29 p w35 t164 w112 w23 p b p
+"""
+
+
+@pytest.mark.parametrize("variant", ["pagemap", "xftl-retain2", "cmt"])
+def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
+    chip = FlashArray(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=40, channels=2))
+    config = dict(
+        overprovision=0.25,
+        map_entries_per_page=16,
+        barrier_meta_pages=1,
+        gc_mode="inline",
+        gc_policy="greedy",
+    )
+    if variant == "xftl-retain2":
+        ftl = XFTL(chip, FtlConfig(**config, retain_versions=2))
+    else:
+        ftl = PageMappingFTL(chip, FtlConfig(**config, cmt_pages=2 if variant == "cmt" else 0))
+    for lpn in range(int(ftl.exported_pages * 0.8)):
+        ftl.write(lpn, ("fill", lpn))
+    for step, op in enumerate(TRIMMED_LPN_STREAM.split()):
+        if op[0] == "w":
+            ftl.write(int(op[1:]), ("w", int(op[1:]), step))
+        elif op[0] == "t":
+            ftl.trim(int(op[1:]))
+        elif op == "b":
+            ftl.barrier()
+        else:
+            ftl.power_fail()
+            ftl.remount()
+        ftl.check_invariants()
+    assert ftl.stats.gc_invocations > 0  # GC reused trimmed pages
+    # An unpersisted trim may be undone by a power cut; nothing may read
+    # another lpn's data.
+    for lpn in range(ftl.exported_pages):
+        data = ftl.read(lpn)
+        assert data is None or data[1] == lpn, f"lpn {lpn} reads {data}"
 
 
 class TestConverseInvariant:

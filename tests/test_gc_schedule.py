@@ -246,10 +246,6 @@ def test_gate_is_its_definition_and_every_step_is_settled(schedule, channels, cm
         elif op == "barrier":
             ftl.barrier()
         else:
-            # A clean power cycle: a trim the root does not know of yet can
-            # leave remount an L2P entry whose page another owner holds,
-            # a recovery defect this property is not about.
-            ftl.barrier()
             ftl.power_fail()
             ftl.remount()
     ftl.check_invariants()

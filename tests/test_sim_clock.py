@@ -1,4 +1,4 @@
-"""Unit tests for the virtual clock and the discrete-event scheduler."""
+"""Unit tests for the virtual clock and the per-resource timelines."""
 
 import pytest
 
@@ -66,142 +66,6 @@ class TestSimClock:
         t0 = clock.now_us
         clock.advance(7.0)
         assert clock.elapsed_since(t0) == pytest.approx(7.0)
-
-
-class TestClockEvents:
-    def test_event_fires_when_time_passes(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule_at(25.0, lambda: fired.append(clock.now_us))
-        clock.advance(10.0)
-        assert fired == []
-        clock.advance(20.0)
-        assert fired == [pytest.approx(30.0)]
-        assert clock.pending_events == 0
-
-    def test_past_event_fires_immediately(self):
-        clock = SimClock()
-        clock.advance(100.0)
-        fired = []
-        clock.schedule_at(40.0, lambda: fired.append(True))
-        assert fired == [True]
-
-    def test_same_time_events_fire_in_registration_order(self):
-        clock = SimClock()
-        order = []
-        clock.schedule_at(10.0, lambda: order.append("a"))
-        clock.schedule_at(10.0, lambda: order.append("b"))
-        clock.wait_until(10.0)
-        assert order == ["a", "b"]
-
-    def test_callback_may_schedule_more_events(self):
-        clock = SimClock()
-        order = []
-
-        def first():
-            order.append("first")
-            clock.schedule_at(clock.now_us, lambda: order.append("second"))
-
-        clock.schedule_at(5.0, first)
-        clock.advance(5.0)
-        assert order == ["first", "second"]
-
-
-class TestScheduleMany:
-    """Batch event registration: same semantics as schedule_at per pair."""
-
-    @staticmethod
-    def _fire_order(clock, batches):
-        """Register batches, run time out, return callback firing order."""
-        order = []
-        for batch in batches:
-            clock.schedule_many([(t, (lambda tag=tag: order.append(tag))) for t, tag in batch])
-        clock.advance(1_000.0)
-        return order
-
-    def test_empty_batch_is_a_noop(self):
-        clock = SimClock()
-        clock.schedule_many([])
-        assert clock.pending_events == 0
-
-    def test_sorted_batch_on_empty_heap_fires_in_order(self):
-        # The fast path: sorted list appended as-is (a valid min-heap).
-        clock = SimClock()
-        order = self._fire_order(clock, [[(10.0, "a"), (20.0, "b"), (30.0, "c")]])
-        assert order == ["a", "b", "c"]
-        assert clock.pending_events == 0
-
-    def test_same_time_batch_keeps_registration_order(self):
-        clock = SimClock()
-        order = self._fire_order(
-            clock, [[(10.0, "a"), (10.0, "b"), (10.0, "c")]]
-        )
-        assert order == ["a", "b", "c"]
-
-    def test_unsorted_batch_falls_back_to_heap_pushes(self):
-        clock = SimClock()
-        order = self._fire_order(clock, [[(30.0, "c"), (10.0, "a"), (20.0, "b")]])
-        assert order == ["a", "b", "c"]
-
-    def test_batch_onto_nonempty_heap_interleaves_correctly(self):
-        # Fast path requires an *empty* heap; with events already pending
-        # the batch must merge by time, not append.
-        clock = SimClock()
-        fired = []
-        clock.schedule_at(15.0, lambda: fired.append("mid"))
-        clock.schedule_many([(10.0, lambda: fired.append("early")),
-                             (20.0, lambda: fired.append("late"))])
-        clock.advance(100.0)
-        assert fired == ["early", "mid", "late"]
-
-    def test_heap_stays_valid_after_fast_path_appends(self):
-        # A later schedule_at push must still order against the appended run.
-        clock = SimClock()
-        fired = []
-        clock.schedule_many([(10.0, lambda: fired.append("a")),
-                             (30.0, lambda: fired.append("c"))])
-        clock.schedule_at(20.0, lambda: fired.append("b"))
-        clock.advance(100.0)
-        assert fired == ["a", "b", "c"]
-
-    def test_due_events_fire_once_at_end_of_call(self):
-        # Unlike per-item schedule_at, a batch containing already-due times
-        # drains the heap once, after every pair is registered.
-        clock = SimClock()
-        clock.advance(50.0)
-        fired = []
-        clock.schedule_many([(10.0, lambda: fired.append("a")),
-                             (40.0, lambda: fired.append("b"))])
-        assert fired == ["a", "b"]
-        assert clock.pending_events == 0
-
-    def test_matches_per_item_schedule_at(self):
-        times = [5.0, 5.0, 3.0, 12.0, 3.0, 9.0]
-        batched = SimClock()
-        batched_order = []
-        batched.schedule_many(
-            [(t, (lambda i=i: batched_order.append(i))) for i, t in enumerate(times)]
-        )
-        serial = SimClock()
-        serial_order = []
-        for i, t in enumerate(times):
-            serial.schedule_at(t, lambda i=i: serial_order.append(i))
-        batched.advance(20.0)
-        serial.advance(20.0)
-        assert batched_order == serial_order
-
-    def test_scheduler_delegates_front_the_clock(self):
-        clock = SimClock()
-        sched = EventScheduler(clock)
-        fired = []
-        sched.schedule_at(10.0, lambda: fired.append("one"))
-        sched.post_many([(20.0, lambda: fired.append("two")),
-                         (30.0, lambda: fired.append("three"))])
-        assert sched.wait_until(25.0) == pytest.approx(25.0)
-        assert fired == ["one", "two"]
-        assert clock.pending_events == 1
-        sched.wait_until(30.0)
-        assert fired == ["one", "two", "three"]
 
 
 class TestResourceTimeline:

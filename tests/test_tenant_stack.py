@@ -241,7 +241,6 @@ class TestQueueShares:
             queue.push(end)
         queue.reset()
         assert queue._live_by_tenant == {}
-        assert queue._tenant_of == {}
         assert queue.in_flight == 0
         queue.admit()  # share is free again: no wait, no stall
         assert clock.now_us == 0.0
