@@ -20,13 +20,14 @@ Byte accounting.  What a page uses of its budget is a sum over its entries —
 leaf: ``key_size_bytes(key) + len(local payload) + CELL_OVERHEAD`` per cell;
 interior: ``key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD`` per separator —
 and it decides when the page splits, hence how many pages a transaction
-dirties.  Each leaf and interior page carries that sum as a running count
-(``used_bytes()``) instead of re-encoding every key on every insert.  The
-count changes in exactly eight places, all in this module: leaf insert (the
-new cell), leaf replace (the *local* length delta: ``_make_cell`` may move a
-payload across ``max_local``), leaf delete, the leaf split and the interior
-split (one half is measured, the other gets the rest), the separator a split
-pushes into the parent, the separator of a new root, and the separator
+dirties.  A key is sized without being encoded: ``key_size_bytes`` is the
+record length by arithmetic.  Each leaf and interior page carries that sum as
+a running count (``used_bytes()``) instead of re-sizing every key on every
+insert.  The count changes in exactly eight places, all in this module: leaf
+insert (the new cell), leaf replace (the *local* length delta: ``_make_cell``
+may move a payload across ``max_local``), leaf delete, the leaf split and the
+interior split (one half is measured, the other gets the rest), the separator
+a split pushes into the parent, the separator of a new root, and the separator
 ``_remove_empty`` drops.  A root collapse re-homes the child object, count
 included.  The page image does not carry the count: images are what is stored
 on flash and what the recorded baselines hash, and the count is derivable, so

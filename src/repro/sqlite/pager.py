@@ -133,6 +133,7 @@ class Pager:
         self._stage_start_us = 0.0  # commit latency anchor for staged commits
         self._journal: FileHandle | None = None
         self._journaled: dict[int, tuple | None] = {}  # pno -> original image
+        self._journal_pages_written = 0  # originals in the open journal (slots 1..n)
         self._txn_counter = 0
         self._txn_wrote = False
 
@@ -489,8 +490,8 @@ class Pager:
         self._journaled[pno] = original
         if original is None:
             return  # brand-new page: nothing to restore on rollback
-        slot = len([v for v in self._journaled.values() if v is not None])
-        self._journal.write_page(slot, ("jorig", pno, original))
+        self._journal_pages_written += 1
+        self._journal.write_page(self._journal_pages_written, ("jorig", pno, original))
 
     def _sync_journal(self) -> None:
         assert self._journal is not None
@@ -509,9 +510,8 @@ class Pager:
         self.fs.fbarrier(self._journal)
         # 2. Journal header (page 0 of the journal) + separate fsync: the
         #    header is what marks the journal "hot" (valid for rollback).
-        count = len([v for v in self._journaled.values() if v is not None])
         self._txn_counter += 1
-        self._journal.write_page(0, ("jhdr", count, self._txn_counter))
+        self._journal.write_page(0, ("jhdr", self._journal_pages_written, self._txn_counter))
         self.fs.fbarrier(self._journal)
         # The journal is now "hot": a crash from here until the journal is
         # deleted must roll the database back from it.

@@ -16,6 +16,22 @@ codec this one replaced as the reference it must match on random and damaged
 records).  Speed comes from taking the common case first — exact ``int`` /
 ``str`` / ``float`` before the ``isinstance`` ladder, a one-byte length, a
 whole payload — and leaving everything else to the general path.
+
+Each row version is decoded once.  :func:`decode_record` looks a payload up
+in one memo that maps payload bytes to the decoded row, and fills it on every
+real decode.  :func:`encode_record` fills it too, when its argument is a
+``tuple`` whose every value has an exact SQL type (``int``, ``str``,
+``float``, ``None``, ``bytes``): decoding those bytes gives back an equal
+tuple of the same types, so the tuple itself is stored.  A ``bool``, an enum
+or a ``str`` subclass never fills it, because it would not decode to itself.
+A hit cannot change a result — decoding is a pure function of the bytes, the
+row is an immutable tuple of immutable values, and a damaged payload raises
+before it is stored, so it raises again on every call.  The memo holds at
+most ``ROW_MEMO_ENTRIES`` rows and is emptied all at once when full; what it
+costs in memory is that many payloads and rows.
+
+Key sizes, the B-tree's byte budget, are computed by arithmetic
+(:func:`key_size_bytes`), without encoding the key.
 """
 
 from __future__ import annotations
@@ -65,7 +81,14 @@ def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
 
 _BYTE = [bytes((i,)) for i in range(256)]
 _NULL, _INT, _FLOAT, _TEXT, _BLOB = (_BYTE[tag] for tag in range(5))
+_INT_HEAD = [_INT + _BYTE[length] for length in range(0x80)]  # tag + one-byte length
+_TEXT_HEAD = [_TEXT + _BYTE[length] for length in range(0x80)]
 _pack_double = struct.Struct(">d").pack
+
+ROW_MEMO_ENTRIES = 16_384
+"""Most rows the payload -> row memo holds before it is emptied."""
+
+_rows: dict[bytes, tuple] = {}  # the memo (module docstring)
 
 
 def _tagged(tag: bytes, payload: bytes) -> bytes:
@@ -134,12 +157,64 @@ def decode_value(data: bytes, offset: int) -> tuple[SqlValue, int]:
 
 
 def encode_record(values: Sequence[SqlValue]) -> bytes:
-    """Encode a row: value count, then each value."""
-    return _encode_varint(len(values)) + b"".join(map(encode_value, values))
+    """Encode a row: value count, then each value.
+
+    One pass: an exact ``int`` whose length fits one byte, an exact ``str``,
+    a ``float`` and ``None`` are encoded in the loop; any other value goes
+    through :func:`encode_value`.  A tuple of exact SQL types seeds the row
+    memo (module docstring).
+    """
+    count = len(values)
+    parts = [_BYTE[count] if count < 0x80 else _encode_varint(count)]
+    append = parts.append
+    seeds = type(values) is tuple
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            size = (value.bit_length() + 8) >> 3
+            if size < 0x80:
+                append(_INT_HEAD[size])
+                append(value.to_bytes(size, "big", signed=True))
+                continue
+        elif kind is str:
+            payload = value.encode("utf-8")
+            length = len(payload)
+            append(_TEXT_HEAD[length] if length < 0x80 else _TEXT + _encode_varint(length))
+            append(payload)
+            continue
+        elif kind is float:
+            append(_FLOAT)
+            append(_pack_double(value))
+            continue
+        elif value is None:
+            append(_NULL)
+            continue
+        elif kind is not bytes:
+            seeds = False
+        append(encode_value(value))
+    record = b"".join(parts)
+    if seeds:
+        _remember(record, values)
+    return record
 
 
 def decode_record(data: bytes) -> tuple[SqlValue, ...]:
-    """Decode a row produced by :func:`encode_record`.
+    """Decode a row produced by :func:`encode_record`, through the row memo."""
+    row = _rows.get(data)
+    if row is None:
+        row = _decode_uncached(data)
+        _remember(data, row)
+    return row
+
+
+def _remember(payload: bytes, row: tuple) -> None:
+    if len(_rows) >= ROW_MEMO_ENTRIES:
+        _rows.clear()
+    _rows[payload] = row
+
+
+def _decode_uncached(data: bytes) -> tuple[SqlValue, ...]:
+    """Decode a row without the memo.
 
     One pass: an INT or TEXT whose length fits one byte and whose payload is
     all there (nearly every value of every row) is decoded in the loop; any
@@ -197,5 +272,23 @@ def key_sort_tuple(key: tuple) -> tuple:
 
 
 def key_size_bytes(key: tuple) -> int:
-    """Encoded size of a key tuple (used for page byte budgets)."""
-    return len(encode_record(key))
+    """Encoded size of a key tuple (used for page byte budgets).
+
+    Equal to the length of ``encode_record(key)``, computed without building
+    it: an exact ``int`` is sized from its ``bit_length``, ASCII text by its
+    ``len``, both with a one-byte length; anything else by :func:`encode_value`.
+    """
+    count = len(key)
+    size = 1 if count < 0x80 else len(_encode_varint(count))
+    for value in key:
+        kind = type(value)
+        if kind is int:
+            length = (value.bit_length() + 8) >> 3
+            if length < 0x80:
+                size += 2 + length
+                continue
+        elif kind is str and len(value) < 0x80 and value.isascii():
+            size += 2 + len(value)
+            continue
+        size += len(encode_value(value))
+    return size

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, DatabaseError
+from repro.sqlite import records
 from repro.sqlite.records import (
+    ROW_MEMO_ENTRIES,
     _decode_varint,
     _encode_varint,
     decode_record,
@@ -138,9 +140,11 @@ def reference_decode_record(data):
 
 def outcome(function, argument):
     try:
-        return repr(function(argument))  # repr: NaN equals itself, 1 is not 1.0
+        result = function(argument)
     except Exception as error:
         return type(error).__name__, str(error)
+    # repr: NaN equals itself, 1 is not 1.0; types: repr does not tell _Text from str.
+    return repr(result), [type(value) for value in result]
 
 
 class _Level(enum.IntEnum):
@@ -172,13 +176,38 @@ class TestSinglePassCodecMatchesReference:
     def test_same_bytes(self, values):
         encoded = encode_record(values)
         assert encoded == reference_encode_record(values)
-        assert outcome(decode_record, encoded) == outcome(reference_decode_record, encoded)
+        assert key_size_bytes(tuple(values)) == len(encoded)
+        expected = outcome(reference_decode_record, encoded)
+        # Memo hit: a tuple of exact SQL types seeds the memo as it is encoded;
+        # a bool, an enum or a str subclass must not.
+        records._rows.clear()
+        assert encode_record(tuple(values)) == encoded
+        exact = all(type(value) in (int, str, float, bytes, type(None)) for value in values)
+        assert (encoded in records._rows) == exact
+        assert outcome(decode_record, encoded) == expected
+        # Memo miss: a real decode, then the hit it leaves behind.
+        records._rows.clear()
+        assert outcome(decode_record, encoded) == expected
+        assert outcome(decode_record, encoded) == expected
 
     def test_wide_record_and_unsupported_value(self):
         wide = tuple(range(200))  # a two-byte value count
         assert encode_record(wide) == reference_encode_record(wide)
         assert decode_record(encode_record(wide)) == wide
         assert outcome(encode_record, (object(),)) == outcome(reference_encode_record, (object(),))
+        assert key_size_bytes(wide) == len(reference_encode_record(wide))
+
+    def test_memo_stays_bounded_and_never_keeps_a_damaged_payload(self):
+        records._rows.clear()
+        for i in range(ROW_MEMO_ENTRIES + 100):
+            payload = reference_encode_record((i, "row"))
+            assert decode_record(payload) == (i, "row")
+            assert len(records._rows) <= ROW_MEMO_ENTRIES
+        damaged = reference_encode_record((1, "text"))[:-1]
+        expected = outcome(reference_decode_record, damaged)
+        assert expected[0] == "CorruptionError"
+        assert outcome(decode_record, damaged) == expected
+        assert outcome(decode_record, damaged) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_edge_values, min_size=1, max_size=6), st.data())
