@@ -17,10 +17,9 @@ from typing import Any, Sequence
 
 from repro.flash.chip import FlashChip
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import OOB_DATA, PageMappingFTL
+from repro.ftl.pagemap import OOB_DATA, OWNER_COMMIT_RECORD, PageMappingFTL
 
 OOB_COMMIT_RECORD = "commit-record"
-OWNER_COMMIT_RECORD = "commit-record"
 
 
 class AtomicWriteFTL(PageMappingFTL):
@@ -54,7 +53,7 @@ class AtomicWriteFTL(PageMappingFTL):
         # Commit record makes the group durable/atomic.
         record = ("commit-record", group, lpns)
         record_ppn = self.gc.host_program(record, OOB_COMMIT_RECORD, group, None)
-        self._own(record_ppn, (OWNER_COMMIT_RECORD, group))
+        self._own(record_ppn, OWNER_COMMIT_RECORD, group)
         self._live_commit_records[group] = record_ppn
         self.stats.map_page_writes += 1
         # Publish mappings now that the record is durable.
@@ -74,20 +73,18 @@ class AtomicWriteFTL(PageMappingFTL):
 
     # ------------------------------------------------- GC/recovery plumbing
 
-    def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
-        if owner[0] == OWNER_COMMIT_RECORD:
+    def _gc_oob(self, owner: int, detail, old_ppn: int, seq: int) -> tuple:
+        if owner == OWNER_COMMIT_RECORD:
             # The record's sequence is when its group took effect, wherever
             # the record now sits: a relocated record keeps it.
-            return (OOB_COMMIT_RECORD, owner[1], self.chip.read_oob(old_ppn)[2], None)
-        return super()._gc_oob_extra(owner, old_ppn)
+            return (OOB_COMMIT_RECORD, detail, self.chip.read_oob(old_ppn)[2], None)
+        return super()._gc_oob(owner, detail, old_ppn, seq)
 
-    def _repoint_owner(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
-        if owner[0] == OWNER_COMMIT_RECORD:
-            group = owner[1]
-            if self._live_commit_records.get(group) == old_ppn:
-                self._live_commit_records[group] = new_ppn
-            return
-        super()._repoint_owner(owner, old_ppn, new_ppn)
+    def _repoint_owner(self, owner: int, detail, old_ppn: int, new_ppn: int) -> None:
+        if owner != OWNER_COMMIT_RECORD:
+            super()._repoint_owner(owner, detail, old_ppn, new_ppn)
+        elif self._live_commit_records.get(detail) == old_ppn:
+            self._live_commit_records[detail] = new_ppn
 
     def power_fail(self) -> None:
         super().power_fail()
@@ -114,6 +111,6 @@ class AtomicWriteFTL(PageMappingFTL):
                 yield records[group][0], seq, lpn, ppn
         for group, (seq, ppn) in records.items():
             if seq > self._root.seq:
-                self._own_for_recovery(ppn, (OWNER_COMMIT_RECORD, group))
+                self._own_for_recovery(ppn, OWNER_COMMIT_RECORD, group)
                 self._live_commit_records[group] = ppn
                 self._group_seq = max(self._group_seq, group)

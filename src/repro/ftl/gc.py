@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import FtlError, OutOfSpaceError
-from repro.ftl.pagemap import OOB_DATA, OOB_MAP, OWNER_L2P
+from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP
 from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
@@ -529,9 +529,7 @@ class Collector:
             # pages belong to several tenants makes each pay copyback for
             # the others' heat.
             tenants.note_gc_victim(
-                tenants.owner_of(owner[1])
-                for owner in self.ftl._owner[job.cursor : job.end]
-                if owner is not None and owner[0] == OWNER_L2P
+                tenants.owner_of(lpn) for lpn in self.ftl._owner[job.cursor : job.end] if lpn >= 0
             )
         self._chip.crash_plan.hit(CP_GC_VICTIM)
         return job
@@ -567,7 +565,7 @@ class Collector:
         live = [
             ppn
             for ppn, owner in enumerate(owners[job.cursor : job.end], job.cursor)
-            if owner is not None
+            if owner != DEAD
         ]
         preempted = max_pages is not None and len(live) > max_pages
         if preempted:
@@ -598,9 +596,9 @@ class Collector:
                 if write_points[active] >= per:
                     cold[channel] = None
                 if tenants.enabled:
-                    for owner in run_owners:
-                        if owner[0] == OWNER_L2P:
-                            tenants.note_copyback(owner[1])
+                    for lpn in run_owners:
+                        if lpn >= 0:
+                            tenants.note_copyback(lpn)
                 ftl._apply_relocations(run_owners, srcs, dst)
                 moved += len(srcs)
                 job.cursor = srcs[-1] + 1
@@ -862,7 +860,7 @@ class Collector:
                     raise FtlError(f"GC job victim {job.victim} already in the free pool")
                 # Pages behind the cursor must have been relocated already.
                 for ppn in range(job.victim * geo.pages_per_block, job.cursor):
-                    if owners[ppn] is not None:
+                    if owners[ppn] != DEAD:
                         raise FtlError(
                             f"GC job on block {job.victim} left owned page {ppn} "
                             f"behind its cursor"

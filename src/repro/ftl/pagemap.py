@@ -48,18 +48,27 @@ One decision orders everything found on flash, taken in this module alone:
   the old committed copy of a page the transaction rewrote, and a stamp
   drawn earlier would rank below that relocation.
 
-The L2P table is one flat list indexed by lpn (``None`` = unmapped), and a
-translation (map) page image is ``(ppns, chains)``: ``ppns`` is the slice of
-that list covering the segment's whole lpn range, ``chains`` the retained
-version chains of the same range (empty unless the multi-version XFTL adds
-them).  The format is decided here alone — :meth:`PageMappingFTL._segment_image`
-builds an image and :meth:`PageMappingFTL._load_segment_image` loads one.
+The L2P table is one flat ``array('q')`` of physical page numbers indexed
+by lpn (``UNMAPPED`` = -1; :meth:`~PageMappingFTL.mapped_ppn` still answers
+``None``), the controller-DRAM table of §5.3.  A translation (map) page image
+is ``(ppns, chains)``: ``ppns`` is the array slice covering the segment's
+whole lpn range (one copy when built, one buffer freed when its block is
+erased), ``chains`` the retained version chains of the same range (empty
+unless the multi-version XFTL adds them).  The format is decided here alone —
+:meth:`PageMappingFTL._segment_image` builds an image and
+:meth:`PageMappingFTL._load_segment_image` loads one.
 
 Ownership
 ---------
-The reverse map mirrors the L2P: ``_owner`` is one flat list indexed by ppn
-holding the tuple naming the structure that keeps that page alive (``None``
-= dead), and it is the only liveness state — ``_valid_count`` is its
+The reverse map mirrors the L2P: ``_owner`` is one flat list indexed by ppn,
+one integer per physical page naming the structure that keeps the page
+alive (a list, not an array: CPython reads and writes list items about
+twice as fast, and this table is touched page by page on every path).  A
+page the L2P maps holds its lpn (>= 0), a dead page holds ``DEAD``, and
+every other page holds one of the negative ``OWNER_*`` codes below; only
+those pages have an entry in the one side table
+``_owner_detail`` (ppn -> the code's key: a segment, a slot, a ``(tid,
+lpn)``...).  The table is the only liveness state — ``_valid_count`` is its
 per-block population, kept in step by the three verbs that are the only
 writers of either: :meth:`PageMappingFTL._own` (checked: an owned page may
 never be claimed twice), :meth:`~PageMappingFTL._own_for_recovery` (remount
@@ -72,13 +81,18 @@ else: it hands the old copy to the ``_supersede`` hook (here: disown; the
 multi-version XFTL pushes it onto the lpn's version chain), points the L2P
 at the new one, owns it and dirties its translation segment.  A live page
 is exactly one the L2P or any other mapping structure references (§5), so
-the collector moves what the table says is owned and dispatches the
-relocation on the owner's kind.
+the collector moves what the table says is owned, a run at a time: one slice
+assignment hands the destinations their owners and one update dirties the
+run's translation segments.  An all-L2P run, the common case, also draws its
+OOBs in one pass over its sequence range; a page of any other owner
+dispatches on its code (``_gc_oob``, ``_repoint_owner``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable, Iterator
 
 from repro.errors import CorruptionError, FlashError, FtlError
@@ -92,14 +106,18 @@ CP_BARRIER_MID = register_crash_point(
     "ftl.barrier.mid", "ftl.pagemap", "between mapping pages of a barrier flush"
 )
 
-# Owner kinds for physical pages (what structure keeps this page alive).
-OWNER_L2P = "l2p"
-OWNER_MAP = "map"
-OWNER_META = "meta"
-OWNER_XL2P_DATA = "xl2p"  # uncommitted transactional data (used by XFTL)
-OWNER_XL2P_TABLE = "xl2p-table"  # persisted X-L2P table page (used by XFTL)
-OWNER_RETIRED = "retired"  # superseded page still pinned by the durable root
-OWNER_VERSION = "version"  # superseded committed page retained in a version chain
+UNMAPPED = -1  # an L2P entry naming no physical page
+DEAD = -1  # an owner-table entry naming no owner
+
+# Owner codes of the pages the L2P does not map (an L2P-owned page holds its
+# lpn), each with the key ``_owner_detail`` keeps for the page.
+OWNER_MAP = -2  # translation page; key: segment
+OWNER_META = -3  # firmware metadata page; key: slot
+OWNER_RETIRED = -4  # superseded page still pinned by the durable root; key: (code, key)
+OWNER_XL2P_DATA = -5  # uncommitted transactional data (XFTL); key: (tid, lpn)
+OWNER_XL2P_TABLE = -6  # persisted X-L2P table page (XFTL); key: page index
+OWNER_VERSION = -7  # committed page retained in a version chain (XFTL); key: lpn
+OWNER_COMMIT_RECORD = -8  # commit record (AtomicWriteFTL); key: group
 
 # OOB tid sentinel for GC-relocated retained versions: a relocated version
 # keeps its *original* sequence number (the identity its chain entry stores)
@@ -113,6 +131,7 @@ OOB_DATA = "data"
 OOB_MAP = "map"
 OOB_META = "meta"
 OOB_XL2P_TABLE = "xl2p-table"
+_OOB_KINDS = {OWNER_MAP: OOB_MAP, OWNER_META: OOB_META, OWNER_XL2P_TABLE: OOB_XL2P_TABLE}
 
 
 @dataclass
@@ -151,13 +170,12 @@ class PageMappingFTL(Ftl):
         chip.crash_plan.subscribe(self.power_fail)
 
         self._powered = True
-        # Volatile (DRAM) state.  The L2P table: one entry per exported
-        # logical page, None while unmapped.
-        self._l2p: list[int | None] = [None] * self._exported_pages
-        # The reverse map: one entry per physical page, the owner tuple of
-        # a live page and None for a dead one, with its per-block population
-        # beside it (reset in place — the collector aliases the list).
-        self._owner: list[tuple | None] = [None] * geo.total_pages
+        # Volatile (DRAM) state: the L2P and its reverse map (module
+        # docstring), with the owner table's per-block population beside it
+        # (reset in place — the collector aliases the list).
+        self._l2p = array("q", [UNMAPPED]) * self._exported_pages
+        self._owner = [DEAD] * geo.total_pages
+        self._owner_detail: dict[int, Any] = {}
         self._valid_count: list[int] = [0] * geo.num_blocks
         # Page lifecycle state lives on the chip's BlockStateView, which
         # mutates it in place, so the alias survives power cycles.
@@ -216,7 +234,7 @@ class PageMappingFTL(Ftl):
         if self._cmt is not None:
             self._cmt.access(lpn // self._map_entries_per_page)
         ppn = self._l2p[lpn]
-        if ppn is None:
+        if ppn == UNMAPPED:
             return None  # unwritten logical page reads as zeros
         self.stats.host_page_reads += 1
         self._obs_host_reads.inc()
@@ -241,8 +259,8 @@ class PageMappingFTL(Ftl):
         if self._cmt is not None:
             self._cmt.access(lpn // self._map_entries_per_page)
         old = self._l2p[lpn]
-        if old is not None:
-            self._l2p[lpn] = None
+        if old != UNMAPPED:
+            self._l2p[lpn] = UNMAPPED
             self._disown(old)
             self._mark_dirty(lpn)
 
@@ -287,7 +305,7 @@ class PageMappingFTL(Ftl):
     def power_fail(self) -> None:
         """Drop all DRAM state.  The chip (and the root record) persist."""
         self._powered = False
-        self._l2p = [None] * self._exported_pages
+        self._l2p = array("q", [UNMAPPED]) * self._exported_pages
         self._reset_ownership()
         self._dirty_segments = set()
         self._map_dir = {}
@@ -318,18 +336,18 @@ class PageMappingFTL(Ftl):
         # 1. Load the persisted map pages.  Their chain parts are handed to
         # _finish_remount, which runs after OOB replay settles the current
         # mapping.
-        self._l2p = [None] * self._exported_pages
+        self._l2p = array("q", [UNMAPPED]) * self._exported_pages
         self._reset_ownership()
         chains: list = []
         for segment, ppn in self._map_dir.items():
             image = self.chip.read(ppn)
-            self._own_for_recovery(ppn, (OWNER_MAP, segment))
+            self._own_for_recovery(ppn, OWNER_MAP, segment)
             chains.extend(self._load_segment_image(segment, image))
         for slot, ppn in self._meta_dir.items():
-            self._own_for_recovery(ppn, (OWNER_META, slot))
+            self._own_for_recovery(ppn, OWNER_META, slot)
         stale: list[int] = []
         for lpn, ppn in enumerate(self._l2p):
-            if ppn is None:
+            if ppn == UNMAPPED:
                 continue
             # A persisted mapping can be stale: its physical page may have
             # been invalidated, erased and reused — possibly for one of the
@@ -342,18 +360,18 @@ class PageMappingFTL(Ftl):
             # (and dirtied, so the drop is persisted).  For an overwritten
             # lpn the OOB replay below carries the fresher mapping; a
             # *trimmed* lpn has none, and reads as zeros again.
-            if self._owner[ppn] is None and self._page_states[ppn] == PAGE_PROGRAMMED:
+            if self._owner[ppn] == DEAD and self._page_states[ppn] == PAGE_PROGRAMMED:
                 # Kind-agnostic identity check: every data OOB layout in the
                 # FTL family (OOB_DATA, SCC, WAL, ...) carries the lpn in
                 # slot 1, so a programmed page whose OOB names this lpn is a
                 # genuine copy of it.
                 oob = self.chip.read_oob(ppn)
                 if oob is not None and len(oob) >= 2 and oob[1] == lpn:
-                    self._own_for_recovery(ppn, (OWNER_L2P, lpn))
+                    self._own_for_recovery(ppn, lpn)
                     continue
             stale.append(lpn)
         for lpn in stale:
-            self._l2p[lpn] = None
+            self._l2p[lpn] = UNMAPPED
             self._mark_dirty(lpn)
 
         # 2. One OOB scan: replay the data pages that took effect after the
@@ -380,10 +398,10 @@ class PageMappingFTL(Ftl):
         to this lpn.
         """
         old = self._l2p[lpn]
-        if old is not None and old != ppn and self._owner[old] == (OWNER_L2P, lpn):
+        if old != UNMAPPED and old != ppn and self._owner[old] == lpn:
             self._disown(old)
         self._l2p[lpn] = ppn
-        self._own_for_recovery(ppn, (OWNER_L2P, lpn))
+        self._own_for_recovery(ppn, lpn)
         # The recovered mapping exists only in OOB + DRAM; dirty it so the
         # next barrier persists it (see remount).
         self._mark_dirty(lpn)
@@ -427,26 +445,32 @@ class PageMappingFTL(Ftl):
 
     def _reset_ownership(self) -> None:
         """Every page dead (power loss, and the blank slate remount fills)."""
-        self._owner = [None] * len(self._owner)
+        self._owner = [DEAD] * len(self._owner)
+        self._owner_detail = {}
         self._valid_count[:] = [0] * len(self._valid_count)
 
-    def _own(self, ppn: int, owner: tuple) -> None:
-        """``owner`` takes the dead page ``ppn``; claiming a live one is a bug."""
-        if self._owner[ppn] is not None:
+    def _own(self, ppn: int, owner: int, detail: Any = None) -> None:
+        """``owner`` (an lpn, or a code with its ``detail``) takes the dead
+        page ``ppn``; claiming a live one is a bug."""
+        if self._owner[ppn] != DEAD:
             raise FtlError(f"ppn {ppn} already owned by {self._owner[ppn]}")
         self._owner[ppn] = owner
+        if owner < DEAD:
+            self._owner_detail[ppn] = detail
         self._valid_count[ppn // self._pages_per_block] += 1
 
-    def _own_for_recovery(self, ppn: int, owner: tuple) -> None:
+    def _own_for_recovery(self, ppn: int, owner: int, detail: Any = None) -> None:
         """Remount's claim: the newest claim wins over a stale one."""
-        if self._owner[ppn] is None:
-            self._valid_count[ppn // self._pages_per_block] += 1
-        self._owner[ppn] = owner
+        self._disown(ppn)
+        self._own(ppn, owner, detail)
 
     def _disown(self, ppn: int) -> None:
         """Nothing references ``ppn`` any more (a no-op on a dead page)."""
-        if self._owner[ppn] is not None:
-            self._owner[ppn] = None
+        owner = self._owner[ppn]
+        if owner != DEAD:
+            if owner < DEAD:
+                del self._owner_detail[ppn]
+            self._owner[ppn] = DEAD
             self._valid_count[ppn // self._pages_per_block] -= 1
 
     def _map(self, lpn: int, ppn: int, commit_seq: int | None = None) -> None:
@@ -456,13 +480,13 @@ class PageMappingFTL(Ftl):
         version chains of the multi-version XFTL (``None``: a plain write).
         """
         old = self._l2p[lpn]
-        if old is not None:
+        if old != UNMAPPED:
             self._supersede(lpn, old, commit_seq)
         self._l2p[lpn] = ppn
         owner = self._owner  # _own, inline: the per-host-page path
-        if owner[ppn] is not None:
+        if owner[ppn] != DEAD:
             raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
-        owner[ppn] = (OWNER_L2P, lpn)
+        owner[ppn] = lpn
         self._valid_count[ppn // self._pages_per_block] += 1
         self._dirty_segments.add(lpn // self._map_entries_per_page)
 
@@ -478,47 +502,35 @@ class PageMappingFTL(Ftl):
 
     # -------- space management (see repro.ftl.gc) ----------------------
 
-    def _gc_oobs(self, owners: list[tuple], srcs: list[int]) -> list[tuple]:
+    def _gc_oobs(self, owners: list[int], srcs: list[int]) -> list[tuple]:
         """OOB metadata for a GC-relocated run: page ``i`` is ``srcs[i]``,
         owned by ``owners[i]``.  One sequence draw per page, in page order."""
-        oobs = []
-        for owner, old_ppn in zip(owners, srcs):
-            if owner[0] == OWNER_L2P:
-                # Committed data: replayable by anyone (tid=None).
-                self._seq += 1
-                oobs.append((OOB_DATA, owner[1], self._seq, None))
-            else:
-                oobs.append(self._gc_oob(owner, old_ppn))
-        return oobs
+        seqs = range(self._seq + 1, self._seq + len(owners) + 1)
+        self._seq += len(owners)
+        if min(owners) >= 0:  # all committed data, replayable by anyone (tid=None)
+            return list(zip(repeat(OOB_DATA), owners, seqs, repeat(None)))
+        detail = self._owner_detail
+        return [
+            self._gc_oob(owner, detail.get(ppn), ppn, seq)
+            for owner, ppn, seq in zip(owners, srcs, seqs)
+        ]
 
-    def _gc_oob(self, owner: tuple, old_ppn: int) -> tuple:
-        """OOB metadata for a GC-relocated page of any owner but the L2P
-        (whose case is inline in :meth:`_gc_oobs`)."""
-        kind = owner[0]
-        self._seq += 1
-        if kind == OWNER_MAP:
-            return (OOB_MAP, owner[1], self._seq, None)
-        if kind == OWNER_META:
-            return (OOB_META, owner[1], self._seq, None)
-        if kind == OWNER_RETIRED:
+    def _gc_oob(self, owner: int, detail: Any, old_ppn: int, seq: int) -> tuple:
+        """OOB metadata for one GC-relocated page, drawing sequence ``seq``."""
+        if owner >= 0:
+            return (OOB_DATA, owner, seq, None)
+        if owner == OWNER_RETIRED:
             # Keep the retired page's real identity: a relocated retired
             # X-L2P table page must stay recognisable as OOB_XL2P_TABLE (and
             # keep its page index) or recovery misclassifies it as firmware
             # metadata.
-            retired_kind = owner[1]
-            oob_kind = {
-                OWNER_MAP: OOB_MAP,
-                OWNER_META: OOB_META,
-                OWNER_XL2P_TABLE: OOB_XL2P_TABLE,
-            }.get(retired_kind, OOB_META)
-            return (oob_kind, owner[2] if isinstance(owner[2], int) else 0, self._seq, None)
-        # Subclass owners (X-L2P) are handled by _gc_oob_extra.
-        return self._gc_oob_extra(owner, old_ppn)
+            kind, key = detail
+            return (_OOB_KINDS.get(kind, OOB_META), key if isinstance(key, int) else 0, seq, None)
+        if owner in _OOB_KINDS:
+            return (_OOB_KINDS[owner], detail, seq, None)
+        raise FtlError(f"unknown page owner {owner} ({detail!r})")
 
-    def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
-        raise FtlError(f"unknown page owner {owner!r}")
-
-    def _apply_relocations(self, owners: list[tuple], srcs: list[int], dst: int) -> None:
+    def _apply_relocations(self, owners: list[int], srcs: list[int], dst: int) -> None:
         """Ownership follows a GC-relocated run, then each owning structure.
 
         Page ``i`` of the run, owned by ``owners[i]``, moved from
@@ -527,60 +539,49 @@ class PageMappingFTL(Ftl):
         """
         owner_table = self._owner
         l2p = self._l2p
-        dirty = self._dirty_segments
-        entries = self._map_entries_per_page
-        new_ppn = dst
-        for owner, old_ppn in zip(owners, srcs):
-            if owner_table[new_ppn] is not None:
-                raise FtlError(f"ppn {new_ppn} already owned by {owner_table[new_ppn]}")
-            owner_table[old_ppn] = None
-            owner_table[new_ppn] = owner
-            if owner[0] == OWNER_L2P:
-                l2p[owner[1]] = new_ppn
-                # The relocated mapping must reach flash at the next flush:
-                # the published root.seq will cover the relocation's sequence
-                # number, so OOB replay would skip it — without the dirty
-                # marker a crash after the next barrier reads the stale
-                # flushed mapping.
-                dirty.add(owner[1] // entries)
+        detail = self._owner_detail
+        n = len(srcs)
+        if owner_table[dst : dst + n].count(DEAD) != n:
+            raise FtlError(f"ppns {dst}..{dst + n - 1} already owned")
+        owner_table[dst : dst + n] = owners
+        for owner, old_ppn, new_ppn in zip(owners, srcs, range(dst, dst + n)):
+            owner_table[old_ppn] = DEAD
+            if owner >= 0:
+                l2p[owner] = new_ppn
             else:
-                self._repoint_owner(owner, old_ppn, new_ppn)
-            new_ppn += 1
+                key = detail[new_ppn] = detail.pop(old_ppn)
+                self._repoint_owner(owner, key, old_ppn, new_ppn)
+        # The relocated mappings must reach flash at the next flush: the
+        # published root.seq will cover the relocations' sequence numbers,
+        # so OOB replay would skip them — without the dirty markers a crash
+        # after the next barrier reads the stale flushed mappings.
+        entries = self._map_entries_per_page
+        self._dirty_segments.update([lpn // entries for lpn in owners if lpn >= 0])
         per = self._pages_per_block
-        self._valid_count[srcs[0] // per] -= len(srcs)
-        self._valid_count[dst // per] += len(srcs)
+        self._valid_count[srcs[0] // per] -= n
+        self._valid_count[dst // per] += n
 
-    def _repoint_owner(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
-        """The structure owning a relocated page follows it (subclasses add
-        their owner kinds; the L2P's is inline in :meth:`_apply_relocations`)."""
-        kind = owner[0]
-        if kind == OWNER_MAP:
-            self._map_dir[owner[1]] = new_ppn
-            if self._root.map_dir.get(owner[1]) == old_ppn:
-                self._root.map_dir[owner[1]] = new_ppn  # atomic meta update
-        elif kind == OWNER_META:
-            self._meta_dir[owner[1]] = new_ppn
-            if self._root.meta_dir.get(owner[1]) == old_ppn:
-                self._root.meta_dir[owner[1]] = new_ppn
-        elif kind == OWNER_RETIRED:
+    def _repoint_owner(self, owner: int, detail: Any, old_ppn: int, new_ppn: int) -> None:
+        """The structures naming a relocated page follow it: its owner's
+        (subclasses add their codes; the L2P's is in :meth:`_apply_relocations`)
+        and the durable root's, which may name a live or a retired page."""
+        if owner == OWNER_RETIRED:
             self._pending_retired.discard(old_ppn)
             self._pending_retired.add(new_ppn)
-            self._relocate_root_reference(owner[1], owner[2], old_ppn, new_ppn)
-        else:
-            raise FtlError(f"unknown page owner {owner!r}")
-
-    def _relocate_root_reference(
-        self, kind: str, key: object, old_ppn: int, new_ppn: int
-    ) -> None:
-        """Keep the durable root pointing at a relocated retired page."""
-        if kind == OWNER_MAP and self._root.map_dir.get(key) == old_ppn:
-            self._root.map_dir[key] = new_ppn
-        elif kind == OWNER_META and self._root.meta_dir.get(key) == old_ppn:
-            self._root.meta_dir[key] = new_ppn
-        elif kind == OWNER_XL2P_TABLE and old_ppn in self._root.xl2p_ppns:
-            self._root.xl2p_ppns = tuple(
-                new_ppn if p == old_ppn else p for p in self._root.xl2p_ppns
-            )
+            owner, detail = detail
+        elif owner == OWNER_MAP:
+            self._map_dir[detail] = new_ppn
+        elif owner == OWNER_META:
+            self._meta_dir[detail] = new_ppn
+        elif owner != OWNER_XL2P_TABLE:
+            raise FtlError(f"unknown page owner {owner} ({detail!r})")
+        root = self._root  # each update below is an atomic meta update
+        if owner == OWNER_MAP and root.map_dir.get(detail) == old_ppn:
+            root.map_dir[detail] = new_ppn
+        elif owner == OWNER_META and root.meta_dir.get(detail) == old_ppn:
+            root.meta_dir[detail] = new_ppn
+        elif owner == OWNER_XL2P_TABLE and old_ppn in root.xl2p_ppns:
+            root.xl2p_ppns = tuple(new_ppn if p == old_ppn else p for p in root.xl2p_ppns)
 
     # -------- map persistence ------------------------------------------
 
@@ -597,7 +598,7 @@ class PageMappingFTL(Ftl):
         if overlay:
             for lpn, ppn in overlay.items():
                 ppns[lpn - lo] = ppn
-        return (tuple(ppns), self._segment_chains(lo, hi))
+        return (ppns, self._segment_chains(lo, hi))
 
     def _segment_chains(self, lo: int, hi: int) -> tuple:
         """Chain part of the image covering lpns ``lo..hi-1`` (XFTL overrides)."""
@@ -617,11 +618,12 @@ class PageMappingFTL(Ftl):
         self._l2p[lo:hi] = ppns
         return chains
 
-    def _retire(self, ppn: int, kind: str, key: object) -> None:
+    def _retire(self, ppn: int, kind: int, key: object) -> None:
         """Keep a superseded root-referenced page valid until root publish (one write)."""
-        if self._owner[ppn] is None:
+        if self._owner[ppn] == DEAD:
             self._valid_count[ppn // self._pages_per_block] += 1
-        self._owner[ppn] = (OWNER_RETIRED, kind, key)
+        self._owner[ppn] = OWNER_RETIRED
+        self._owner_detail[ppn] = (kind, key)
         self._pending_retired.add(ppn)
 
     def _write_translation_page(self, segment: int, overlay: dict[int, int] | None = None) -> int:
@@ -632,7 +634,7 @@ class PageMappingFTL(Ftl):
         """
         ppn = self.gc.host_program(self._segment_image(segment, overlay), OOB_MAP, segment, None)
         old = self._map_dir.get(segment)
-        if old is not None and self._owner[old] is not None:
+        if old is not None and self._owner[old] != DEAD:
             if self._root.map_dir.get(segment) == old:
                 # The durable root still references the superseded page:
                 # pin it until the next publish (the seed barrier path —
@@ -648,9 +650,10 @@ class PageMappingFTL(Ftl):
         self._map_dir[segment] = ppn
         self._unpublished_segments[segment] = None
         owner = self._owner
-        if owner[ppn] is not None:
+        if owner[ppn] != DEAD:
             raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
-        owner[ppn] = (OWNER_MAP, segment)
+        owner[ppn] = OWNER_MAP
+        self._owner_detail[ppn] = segment
         self._valid_count[ppn // self._pages_per_block] += 1
         self.stats.map_page_writes += 1
         self._obs_map_writes.inc()
@@ -676,12 +679,13 @@ class PageMappingFTL(Ftl):
             ppn = self.gc.host_program(("meta", slot), OOB_META, slot, None)
             owner = self._owner
             old = self._meta_dir.get(slot)
-            if old is not None and owner[old] is not None:
+            if old is not None and owner[old] != DEAD:
                 self._retire(old, OWNER_META, slot)
             self._meta_dir[slot] = ppn
-            if owner[ppn] is not None:
+            if owner[ppn] != DEAD:
                 raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
-            owner[ppn] = (OWNER_META, slot)
+            owner[ppn] = OWNER_META
+            self._owner_detail[ppn] = slot
             self._valid_count[ppn // self._pages_per_block] += 1
             self.stats.map_page_writes += 1
             self._obs_map_writes.inc()
@@ -742,7 +746,8 @@ class PageMappingFTL(Ftl):
     def mapped_ppn(self, lpn: int) -> int | None:
         """Current physical page of ``lpn`` in the committed L2P view."""
         self._check_lpn(lpn)
-        return self._l2p[lpn]
+        ppn = self._l2p[lpn]
+        return None if ppn == UNMAPPED else ppn
 
     def free_block_count(self) -> int:
         return sum(self.gc.free_block_counts())
@@ -773,22 +778,20 @@ class PageMappingFTL(Ftl):
         """Average fraction of valid pages carried over per GC (Fig. 5/6 knob)."""
         return self.gc.mean_valid_ratio()
 
-    def _check_owner_referenced(self, ppn: int, owner: tuple) -> None:
+    def _check_owner_referenced(self, ppn: int, owner: int) -> None:
         """The converse of "referenced implies owned" (XFTL adds the X-L2P's).
 
         A stale L2P-owned page would be relocated by GC over the current
         mapping.
         """
-        if owner[0] == OWNER_L2P and self._l2p[owner[1]] != ppn:
-            raise FtlError(
-                f"ppn {ppn} owned by l2p[{owner[1]}], which maps to {self._l2p[owner[1]]}"
-            )
+        if owner >= 0 and self._l2p[owner] != ppn:
+            raise FtlError(f"ppn {ppn} owned by l2p[{owner}], which maps to {self._l2p[owner]}")
 
     def check_invariants(self) -> None:
         """Internal consistency checks used by tests (not by benchmarks)."""
         counts = [0] * self.chip.geometry.num_blocks
         for ppn, owner in enumerate(self._owner):
-            if owner is None:
+            if owner == DEAD:
                 continue
             counts[ppn // self._pages_per_block] += 1
             if self._page_states[ppn] != PAGE_PROGRAMMED:
@@ -796,8 +799,11 @@ class PageMappingFTL(Ftl):
             self._check_owner_referenced(ppn, owner)
         if counts != self._valid_count:
             raise FtlError("valid-count accounting out of sync")
+        coded = {ppn for ppn, owner in enumerate(self._owner) if owner < DEAD}
+        if coded != self._owner_detail.keys():
+            raise FtlError("owner details out of sync with the owner codes")
         for lpn, ppn in enumerate(self._l2p):
-            if ppn is not None and self._owner[ppn] != (OWNER_L2P, lpn):
+            if ppn != UNMAPPED and self._owner[ppn] != lpn:
                 raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p")
         if self._powered:
             root = self._root

@@ -43,6 +43,7 @@ from repro.flash.state import PAGE_PROGRAMMED
 from repro.ftl.base import FtlConfig
 from repro.ftl.cmt import CP_CMT_COMMIT_FLUSH, CP_CMT_COMMIT_PUBLISH
 from repro.ftl.pagemap import (
+    DEAD,
     OOB_DATA,
     OOB_XL2P_TABLE,
     OWNER_VERSION,
@@ -152,7 +153,7 @@ class XFTL(PageMappingFTL):
         if previous is not None:
             # The transaction rewrote its own uncommitted copy.
             self._disown(previous.new_ppn)
-        self._own(ppn, (OWNER_XL2P_DATA, tid, lpn))
+        self._own(ppn, OWNER_XL2P_DATA, (tid, lpn))
         self.stats.host_page_writes += 1
         self._obs_host_writes.inc()
 
@@ -243,15 +244,15 @@ class XFTL(PageMappingFTL):
     def _version_publish(self, lpn: int, old_ppn: int, sup_seq: int) -> None:
         """Push a superseded committed copy onto the lpn's version chain.
 
-        The page stays valid (GC-live) under an ``(OWNER_VERSION, lpn)``
-        owner; its OOB sequence number is recorded as its stable identity
+        The page stays valid (GC-live), owned as ``OWNER_VERSION`` keyed by
+        the lpn; its OOB sequence number is recorded as its stable identity
         for GC relocation and recovery validation.  Entries that fall off
         the bounded chain are released with deferred invalidation.
         """
         oob = self.chip.read_oob(old_ppn)
         oob_seq = oob[2] if oob else 0
         self._disown(old_ppn)
-        self._own(old_ppn, (OWNER_VERSION, lpn))
+        self._own(old_ppn, OWNER_VERSION, lpn)
         self.chip.crash_plan.hit(CP_VERSION_PUBLISH)
         self._obs_version_publishes.inc()
         for released in self._versions.push(lpn, old_ppn, sup_seq, oob_seq):
@@ -430,7 +431,7 @@ class XFTL(PageMappingFTL):
         with self.chip.overlap():
             for index, image in enumerate(images):
                 ppn = self.gc.host_program(image, OOB_XL2P_TABLE, index, None)
-                self._own(ppn, (OWNER_XL2P_TABLE, index))
+                self._own(ppn, OWNER_XL2P_TABLE, index)
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1
                 self._obs_xl2p_writes.inc()
@@ -443,7 +444,7 @@ class XFTL(PageMappingFTL):
         self._obs_xl2p_flushes.inc()
         self._obs_xl2p_flush_pages.observe(float(len(images)))
         for index, old in enumerate(self._xl2p_page_ppns):
-            if self._owner[old] is not None:
+            if self._owner[old] != DEAD:
                 # Retire with the real page index so a GC relocation keeps
                 # the page labelled OOB_XL2P_TABLE (not misfiled as meta).
                 self._retire(old, OWNER_XL2P_TABLE, index)
@@ -519,50 +520,36 @@ class XFTL(PageMappingFTL):
 
     # ------------------------------------------------- GC integration hooks
 
-    def _gc_oob_extra(self, owner: tuple, old_ppn: int) -> tuple:
-        kind = owner[0]
-        if kind == OWNER_XL2P_DATA:
+    def _gc_oob(self, owner: int, detail, old_ppn: int, seq: int) -> tuple:
+        if owner == OWNER_XL2P_DATA:
             # Uncommitted data keeps its tid so recovery can judge it.
-            _, tid, lpn = owner
-            return (OOB_DATA, lpn, self._seq, tid)
-        if kind == OWNER_XL2P_TABLE:
-            return (OOB_XL2P_TABLE, owner[1], self._seq, None)
-        if kind == OWNER_VERSION:
+            tid, lpn = detail
+            return (OOB_DATA, lpn, seq, tid)
+        if owner == OWNER_VERSION:
             # A relocated retained version keeps its *original* sequence
             # number — the chain entry's stored identity — so recovery can
             # still match it against the persisted chain, and VERSION_TID,
             # which is never committed, so replay never applies it.
-            lpn = owner[1]
-            oob_seq = self._versions.oob_seq_of(lpn, old_ppn)
+            oob_seq = self._versions.oob_seq_of(detail, old_ppn)
             if oob_seq is None:
                 raise TransactionError(
-                    f"version-owned ppn {old_ppn} missing from lpn {lpn}'s chain"
+                    f"version-owned ppn {old_ppn} missing from lpn {detail}'s chain"
                 )
-            return (OOB_DATA, lpn, oob_seq, VERSION_TID)
-        return super()._gc_oob_extra(owner, old_ppn)
+            return (OOB_DATA, detail, oob_seq, VERSION_TID)
+        return super()._gc_oob(owner, detail, old_ppn, seq)
 
-    def _repoint_owner(self, owner: tuple, old_ppn: int, new_ppn: int) -> None:
-        kind = owner[0]
-        if kind == OWNER_XL2P_DATA:
-            _, tid, lpn = owner
-            self.xl2p.update_ppn(tid, lpn, new_ppn)
-            return
-        if kind == OWNER_VERSION:
-            lpn = owner[1]
-            self._versions.relocate(lpn, old_ppn, new_ppn)
+    def _repoint_owner(self, owner: int, detail, old_ppn: int, new_ppn: int) -> None:
+        if owner == OWNER_XL2P_DATA:
+            self.xl2p.update_ppn(*detail, new_ppn)
+        elif owner == OWNER_VERSION:
+            self._versions.relocate(detail, old_ppn, new_ppn)
             # The chain's durable image now names a stale ppn; re-flush it.
-            self._mark_dirty(lpn)
-            return
-        if kind == OWNER_XL2P_TABLE:
-            index = owner[1]
-            if index < len(self._xl2p_page_ppns) and self._xl2p_page_ppns[index] == old_ppn:
-                self._xl2p_page_ppns[index] = new_ppn
-            if old_ppn in self._root.xl2p_ppns:
-                self._root.xl2p_ppns = tuple(
-                    new_ppn if p == old_ppn else p for p in self._root.xl2p_ppns
-                )
-            return
-        super()._repoint_owner(owner, old_ppn, new_ppn)
+            self._mark_dirty(detail)
+        else:
+            table = self._xl2p_page_ppns
+            if owner == OWNER_XL2P_TABLE and detail < len(table) and table[detail] == old_ppn:
+                table[detail] = new_ppn
+            super()._repoint_owner(owner, detail, old_ppn, new_ppn)
 
     # ------------------------------------------------------------- recovery
 
@@ -601,7 +588,7 @@ class XFTL(PageMappingFTL):
         images = []
         for index, ppn in enumerate(self._root.xl2p_ppns):
             images.append(self.chip.read(ppn))
-            self._own_for_recovery(ppn, (OWNER_XL2P_TABLE, index))
+            self._own_for_recovery(ppn, OWNER_XL2P_TABLE, index)
         self._xl2p_page_ppns = list(self._root.xl2p_ppns)
         XL2PTable.deserialize(images, capacity=self.config.xl2p_capacity)
         # Active/aborted entries are discarded: that *is* the rollback.
@@ -643,10 +630,10 @@ class XFTL(PageMappingFTL):
                 oob = self.chip.read_oob(ppn)
                 if not oob or oob[0] != OOB_DATA or oob[1] != lpn or oob[2] != oob_seq:
                     continue
-                if owners[ppn] is not None:
+                if owners[ppn] != DEAD:
                     continue
                 restored.append((ppn, sup_seq, oob_seq))
-                self._own_for_recovery(ppn, (OWNER_VERSION, lpn))
+                self._own_for_recovery(ppn, OWNER_VERSION, lpn)
             if restored:
                 versions.restore(lpn, restored)
                 if len(restored) != len(chain):
@@ -660,10 +647,10 @@ class XFTL(PageMappingFTL):
 
     # ----------------------------------------------------------- invariants
 
-    def _check_owner_referenced(self, ppn: int, owner: tuple) -> None:
+    def _check_owner_referenced(self, ppn: int, owner: int) -> None:
         super()._check_owner_referenced(ppn, owner)
-        if owner[0] == OWNER_XL2P_DATA:
-            _, tid, lpn = owner
+        if owner == OWNER_XL2P_DATA:
+            tid, lpn = self._owner_detail[ppn]
             entry = self.xl2p.get(tid, lpn)
             if entry is None or entry.new_ppn != ppn:
                 raise TransactionError(
@@ -683,13 +670,15 @@ class XFTL(PageMappingFTL):
         physical page).
         """
         super().check_invariants()
+        detail = self._owner_detail
         for tid in self.xl2p.active_tids():
             for entry in self.xl2p.entries_of(tid):
-                owner = self._owner[entry.new_ppn]
-                if owner != (OWNER_XL2P_DATA, tid, entry.lpn):
+                ppn = entry.new_ppn
+                if self._owner[ppn] != OWNER_XL2P_DATA or detail[ppn] != (tid, entry.lpn):
                     raise TransactionError(
                         f"X-L2P entry (tid={tid}, lpn={entry.lpn}) points at ppn "
-                        f"{entry.new_ppn} owned by {owner!r}; live-union broken"
+                        f"{ppn} owned by {self._owner[ppn]} ({detail.get(ppn)!r}); "
+                        f"live-union broken"
                     )
                 if self.chip.state.page_states[entry.new_ppn] != PAGE_PROGRAMMED:
                     raise TransactionError(
@@ -702,7 +691,7 @@ class XFTL(PageMappingFTL):
         # Version-chain invariants: every chain entry is a programmed page
         # owned as this lpn's retained version (the live-union GC preserves
         # now includes chains), chains never alias the current copy, commit
-        # order is monotone, and no OWNER_VERSION owner is orphaned.
+        # order is monotone, and no OWNER_VERSION page is orphaned.
         chained = 0
         for lpn, chain in versions.chains():
             if not chain:
@@ -716,11 +705,10 @@ class XFTL(PageMappingFTL):
             prev_seq = None
             for ppn, sup_seq, _oob_seq in chain:
                 chained += 1
-                owner = self._owner[ppn]
-                if owner != (OWNER_VERSION, lpn):
+                if self._owner[ppn] != OWNER_VERSION or detail[ppn] != lpn:
                     raise TransactionError(
                         f"version chain entry (lpn={lpn}, ppn={ppn}) owned by "
-                        f"{owner!r}; live-union broken"
+                        f"{self._owner[ppn]} ({detail.get(ppn)!r}); live-union broken"
                     )
                 if self.chip.state.page_states[ppn] != PAGE_PROGRAMMED:
                     raise TransactionError(
@@ -736,9 +724,7 @@ class XFTL(PageMappingFTL):
                         f"version chain for lpn {lpn} lost commit order"
                     )
                 prev_seq = sup_seq
-        owned = sum(
-            1 for owner in self._owner if owner is not None and owner[0] == OWNER_VERSION
-        )
+        owned = self._owner.count(OWNER_VERSION)
         if owned != chained:
             raise TransactionError(
                 f"{owned} pages owned as versions but {chained} chain entries"

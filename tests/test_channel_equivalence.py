@@ -23,6 +23,7 @@ import pathlib
 import pytest
 
 from repro.flash.state import PAGE_ERASED, PAGE_PROGRAMMED
+from repro.ftl.pagemap import DEAD
 from repro.stack import Mode, StackConfig, build_stack
 from repro.workloads.fio import FioBenchmark
 from repro.workloads.synthetic import SyntheticWorkload
@@ -62,7 +63,7 @@ def state_digest(ftl) -> str:
     geo = chip.geometry
     per = geo.pages_per_block
     states = view.page_states
-    live = bytes(owner is not None for owner in ftl._owner)
+    live = bytes(owner != DEAD for owner in ftl._owner)
     assert [sum(live[b * per : (b + 1) * per]) for b in range(geo.num_blocks)] == ftl._valid_count
     for block in range(geo.num_blocks):
         base = block * per

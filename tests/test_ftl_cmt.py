@@ -6,6 +6,7 @@ from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFTL
 from repro.ftl.cmt import CachedMappingTable
+from repro.ftl.pagemap import UNMAPPED
 from repro.sim.crash import CrashPlan
 from repro.sim.rng import make_rng
 
@@ -162,7 +163,7 @@ class TestWriteback:
             ftl.write(seg * SEG, b"x")
         ppn = ftl._map_dir[0]
         assert ftl.chip.peek(ppn) == ftl._segment_image(0)
-        assert ftl.chip.peek(ppn)[0] == (ftl.mapped_ppn(0),) + (None,) * (SEG - 1)
+        assert list(ftl.chip.peek(ppn)[0]) == [ftl.mapped_ppn(0)] + [UNMAPPED] * (SEG - 1)
         ftl.check_invariants()
 
 
@@ -215,6 +216,6 @@ class TestUnderPressure:
             ftl.write(seg * SEG, b"x")
         # Corrupt the live map behind the CMT's back without re-dirtying:
         # the flushed page for segment 0 is now stale and must be caught.
-        ftl._l2p[0] = None
+        ftl._l2p[0] = UNMAPPED
         with pytest.raises(FtlError, match="clean translation page .* is stale"):
             ftl._cmt.check_invariants()

@@ -1,10 +1,12 @@
 """The reverse map: ``PageMappingFTL._owner`` and its per-block counts.
 
-The ppn-indexed owner table is the FTL's only liveness state (a page is
-live iff the L2P or another mapping structure references it), so it is
-checked here the way the L2P is: a randomized property over every FTL kind
-and collection schedule, direct tests of the three verbs' contracts, and
-one sabotage per direction of the "referenced <=> owned" invariant.
+The ppn-indexed owner table (one integer per page: an lpn, ``DEAD``, or a
+negative code whose key sits in ``_owner_detail``) is the FTL's only
+liveness state (a page is live iff the L2P or another mapping structure
+references it), so it is checked here the way the L2P is: a randomized
+property over every FTL kind and collection schedule, direct tests of the
+three verbs' contracts, and one sabotage per direction of the "referenced
+<=> owned" invariant.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.flash.array import FlashArray
 from repro.flash.geometry import FlashGeometry
 from repro.ftl import XFTL
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import OWNER_L2P, OWNER_VERSION, OWNER_XL2P_DATA, PageMappingFTL
+from repro.ftl.pagemap import DEAD, OWNER_VERSION, OWNER_XL2P_DATA, PageMappingFTL
 from repro.sim.rng import make_rng
 
 from tests.test_ftl_gc import make_bg_ftl, make_bg_xftl
@@ -41,8 +43,9 @@ def check_reverse_map(ftl) -> None:
     ftl.check_invariants()
     per = ftl.chip.geometry.pages_per_block
     owners = ftl._owner
-    assert type(owners) is list and len(owners) == ftl.chip.geometry.total_pages
-    live = [owner is not None for owner in owners]
+    assert type(owners) is list and all(type(owner) is int for owner in owners)
+    assert len(owners) == ftl.chip.geometry.total_pages
+    live = [owner != DEAD for owner in owners]
     for block, count in enumerate(ftl._valid_count):
         assert count == sum(live[block * per : (block + 1) * per]), f"block {block}"
     assert ftl.utilization() == sum(live) / len(live)
@@ -93,7 +96,8 @@ def test_owner_table_tracks_every_mapping_change(kind, schedule):
         else:
             before = [ftl.read(lpn) for lpn in range(span)]
             ftl.power_fail()
-            assert ftl._owner == [None] * len(ftl._owner) and not any(ftl._valid_count)
+            assert ftl._owner.count(DEAD) == len(ftl._owner) and not ftl._owner_detail
+            assert not any(ftl._valid_count)
             ftl.remount()
             open_tids.clear()
             # Nothing was in flight, so the power cycle changes no read.
@@ -114,8 +118,8 @@ class TestVerbs:
         ftl.write(0, b"x")
         ppn = ftl.mapped_ppn(0)
         with pytest.raises(FtlError, match=f"ppn {ppn} already owned"):
-            ftl._own(ppn, (OWNER_L2P, 1))
-        assert ftl._owner[ppn] == (OWNER_L2P, 0)
+            ftl._own(ppn, 1)
+        assert ftl._owner[ppn] == 0
         ftl.check_invariants()
 
     def test_recovery_claim_overwrites_without_double_counting(self):
@@ -123,7 +127,7 @@ class TestVerbs:
         ftl.write(0, b"x")
         ppn = ftl.mapped_ppn(0)
         before = list(ftl._valid_count)
-        ftl._own_for_recovery(ppn, (OWNER_L2P, 0))
+        ftl._own_for_recovery(ppn, 0)
         assert ftl._valid_count == before
 
     def test_disown_is_idempotent(self):
@@ -132,7 +136,7 @@ class TestVerbs:
         ppn = ftl.mapped_ppn(0)
         ftl._disown(ppn)
         ftl._disown(ppn)
-        assert ftl._owner[ppn] is None and sum(ftl._valid_count) == 0
+        assert ftl._owner[ppn] == DEAD and sum(ftl._valid_count) == 0
 
     def test_plain_write_on_a_versioned_xftl_is_its_own_commit(self):
         """XFTL defines no write(): the inherited one reaches the version
@@ -145,7 +149,7 @@ class TestVerbs:
         ftl.write(5, b"v1")
         assert ftl.snapshot_seq() == 1  # the overwrite ticked the commit counter
         assert [entry[:2] for entry in ftl.version_chain(5)] == [(first, 1)]
-        assert ftl._owner[first] == (OWNER_VERSION, 5)
+        assert ftl._owner[first] == OWNER_VERSION and ftl._owner_detail[first] == 5
         second = ftl.mapped_ppn(5)
         ftl.write(5, b"v2")
         assert ftl.snapshot_seq() == 2
@@ -168,8 +172,11 @@ w86 w174 w6 p b t31 w33 w58 b w17 b w1 w66 w136 w20 w29 p w35 t164 w112 w23 p b 
 """
 
 
-@pytest.mark.parametrize("variant", ["pagemap", "xftl-retain2", "cmt"])
-def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
+TRIM_VARIANTS = ["pagemap", "xftl-retain2", "cmt"]
+
+
+def _trim_ftl(variant: str) -> PageMappingFTL:
+    """Inline greedy GC on 2 channels x 20 blocks x 8 pages, 80 % filled."""
     chip = FlashArray(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=40, channels=2))
     config = dict(
         overprovision=0.25,
@@ -184,6 +191,12 @@ def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
         ftl = PageMappingFTL(chip, FtlConfig(**config, cmt_pages=2 if variant == "cmt" else 0))
     for lpn in range(int(ftl.exported_pages * 0.8)):
         ftl.write(lpn, ("fill", lpn))
+    return ftl
+
+
+@pytest.mark.parametrize("variant", TRIM_VARIANTS)
+def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
+    ftl = _trim_ftl(variant)
     for step, op in enumerate(TRIMMED_LPN_STREAM.split()):
         if op[0] == "w":
             ftl.write(int(op[1:]), ("w", int(op[1:]), step))
@@ -203,6 +216,36 @@ def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
         assert data is None or data[1] == lpn, f"lpn {lpn} reads {data}"
 
 
+@pytest.mark.parametrize("barrier_after_trim", [True, False], ids=["trim-barrier", "trim"])
+@pytest.mark.parametrize("variant", TRIM_VARIANTS)
+def test_trimmed_page_reused_by_another_lpn_then_power_cycle(variant, barrier_after_trim):
+    """Trim an lpn (then barrier, or not), let GC erase its block and hand
+    its page to another lpn, then power-cycle: the trimmed lpn reads nothing
+    and the page belongs to its new lpn alone."""
+    ftl = _trim_ftl(variant)
+    fill = int(ftl.exported_pages * 0.8)
+    ftl.barrier()  # the root names the page the trim is about to free
+    trimmed, page = 0, ftl.mapped_ppn(0)
+    ftl.trim(trimmed)
+    if barrier_after_trim:
+        ftl.barrier()
+    rng = make_rng(1, "test.ftl_ownership", "trim_reuse", variant)
+    for step in range(4000):
+        if ftl._owner[page] >= 0:
+            break
+        lpn = rng.randrange(1, fill)
+        ftl.write(lpn, ("w", lpn, step))
+    else:
+        pytest.fail("GC never handed the trimmed lpn's page to another lpn")
+    reused_by = ftl._owner[page]
+    assert reused_by != trimmed and ftl.chip.read_oob(page)[1] == reused_by
+    ftl.power_fail()
+    ftl.remount()
+    ftl.check_invariants()
+    assert ftl.mapped_ppn(trimmed) is None and ftl.read(trimmed) is None
+    assert ftl.mapped_ppn(reused_by) == page and ftl.read(reused_by)[1] == reused_by
+
+
 class TestConverseInvariant:
     """owner[p] names a structure  =>  that structure references p."""
 
@@ -213,7 +256,7 @@ class TestConverseInvariant:
         ftl.write(0, b"new")
         # Resurrect the superseded copy's owner behind the FTL's back: GC
         # relocating it would overwrite l2p[0] with the old data.
-        ftl._own(stale, (OWNER_L2P, 0))
+        ftl._own(stale, 0)
         with pytest.raises(FtlError, match=rf"ppn {stale} owned by l2p\[0\], which maps to"):
             ftl.check_invariants()
 
@@ -222,11 +265,18 @@ class TestConverseInvariant:
         ftl.write_tx(7, 0, b"first")
         stale = ftl.xl2p.get(7, 0).new_ppn
         ftl.write_tx(7, 0, b"second")
-        ftl._own(stale, (OWNER_XL2P_DATA, 7, 0))
+        ftl._own(stale, OWNER_XL2P_DATA, (7, 0))
         with pytest.raises(TransactionError, match=f"ppn {stale} owned by X-L2P entry"):
             ftl.check_invariants()
         ftl._disown(stale)
         ftl.abort(7)
-        ftl._own(stale, (OWNER_XL2P_DATA, 7, 0))
+        ftl._own(stale, OWNER_XL2P_DATA, (7, 0))
         with pytest.raises(TransactionError, match="which is gone"):
+            ftl.check_invariants()
+
+    def test_detail_without_a_code_detected(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"x")
+        ftl._owner_detail[ftl.mapped_ppn(0)] = 0  # an L2P-owned page has no detail
+        with pytest.raises(FtlError, match="owner details out of sync"):
             ftl.check_invariants()

@@ -1,5 +1,7 @@
 """Unit and property tests for the page-mapped FTL."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import CorruptionError, FtlError, OutOfSpaceError
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFTL
+from repro.ftl.pagemap import UNMAPPED
 from repro.sim.rng import make_rng
 
 
@@ -275,7 +278,7 @@ class TestPowerCycle:
 
 
 class TestTranslationPageImages:
-    """The persisted map-page format: ``(slice of the L2P table, chains)``."""
+    """The persisted map-page format: ``(slice of the L2P array, chains)``."""
 
     def test_short_last_segment_round_trips(self):
         ftl = make_ftl(map_entries_per_page=10)
@@ -285,8 +288,9 @@ class TestTranslationPageImages:
         ftl.write(last - 1, b"tail-1")
         ftl.barrier()
         ppns, chains = ftl.chip.peek(ftl._map_dir[last // 10])
+        assert isinstance(ppns, array) and ppns.typecode == "q"
         assert len(ppns) == ftl.exported_pages % 10
-        assert ppns[-2:] == (ftl.mapped_ppn(last - 1), ftl.mapped_ppn(last))
+        assert list(ppns[-2:]) == [ftl.mapped_ppn(last - 1), ftl.mapped_ppn(last)]
         assert chains == ()
         ftl.power_fail()
         ftl.remount()
@@ -302,6 +306,7 @@ class TestTranslationPageImages:
         ftl.barrier()
         ftl.trim(7)
         ftl.barrier()
+        assert ftl.chip.peek(ftl._map_dir[0])[0][7] == UNMAPPED
         ftl.power_fail()
         ftl.remount()
         assert ftl.mapped_ppn(7) is None
@@ -322,7 +327,7 @@ class TestTranslationPageImages:
         ftl = self._persisted()
         ppn = ftl._root.map_dir[0]
         ppns, chains = ftl.chip.peek(ppn)
-        ftl.chip._data[ppn] = (ppns + (ppns[0],), chains)
+        ftl.chip._data[ppn] = (ppns + ppns[:1], chains)
         with pytest.raises(CorruptionError):
             ftl.remount()
 

@@ -1,11 +1,15 @@
 """The collector relocates a victim run by run, and declines without scoring.
 
-Three kinds of check:
+Four kinds of check:
 
 - *whole-FTL equivalence*: an armed crash point that never fires forces runs
   of one page through ``chip.read`` / ``chip.program`` — the per-page loop —
   so the same workload with and without it must leave the device, the FTL and
   every clock and counter identical;
+- *slice path = per-page path*: a run holding any non-L2P owner draws its
+  OOBs page by page, and the same run cut where the owner kind changes sends
+  its L2P parts through the all-L2P slice path — both leave the same owner
+  table, side table, L2P, dirty segments, valid counts, OOBs and ``_seq``;
 - *the FIFO trap*: background collection returns before ``pick_victim`` when
   no block is affordable, and FIFO's pick counts its fallbacks, so the counter
   is pinned to the values the parent commit produced;
@@ -20,11 +24,14 @@ import collections
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.device import StorageDevice
-from repro.flash import FlashGeometry
+from repro.flash import FlashChip, FlashGeometry
 from repro.flash.array import FlashArray
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
+from repro.ftl.pagemap import DEAD
 from repro.obs import Observability
 from repro.sim import CrashPlan
 from repro.sim.rng import make_rng
@@ -62,6 +69,7 @@ def _everything(ftl) -> dict:
         ],
         "l2p": list(ftl._l2p),
         "owner": list(ftl._owner),
+        "owner_detail": sorted(ftl._owner_detail.items()),
         "valid_count": list(ftl._valid_count),
         "seq": ftl._seq,
         "dirty": sorted(ftl._dirty_segments),
@@ -118,6 +126,92 @@ def test_runs_leave_what_the_per_page_loop_leaves(cls, schedule: str) -> None:
     assert _everything(by_run) == _everything(by_page)
 
 
+def _owners_everywhere(seed: int) -> XFTL:
+    """A small X-FTL whose blocks mix every kind of owner: L2P data, map and
+    meta pages, open X-L2P data and table pages, versions, retired pages."""
+    chip = FlashChip(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=32))
+    ftl = XFTL(
+        chip,
+        FtlConfig(
+            overprovision=0.25,
+            map_entries_per_page=16,
+            barrier_meta_pages=1,
+            xl2p_capacity=64,
+            retain_versions=2,
+        ),
+    )
+    rng = make_rng(seed, "test.gc_runs", "owners_everywhere")
+    for step in range(60):
+        roll, lpn = rng.random(), rng.randrange(40)
+        if roll < 0.5:
+            ftl.write(lpn, ("w", step))
+        elif roll < 0.7:
+            ftl.write_tx(step, lpn, ("tx", step))
+            if rng.random() < 0.6:
+                ftl.commit(step)
+        elif roll < 0.8:
+            ftl.trim(lpn)
+        else:
+            ftl.barrier()
+    return ftl
+
+
+def _relocate(ftl, srcs: list[int], dst: int) -> None:
+    """What the collector's ``_run_job`` does with one run."""
+    owners = [ftl._owner[ppn] for ppn in srcs]
+    ftl.chip.copyback_run(srcs, dst, ftl._gc_oobs(owners, srcs))
+    ftl._apply_relocations(owners, srcs, dst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_the_all_l2p_slice_path_leaves_what_the_per_page_path_leaves(seed, data) -> None:
+    """A run that holds any non-L2P owner goes page by page; the same run cut
+    where the owner kind changes sends its L2P parts through the slice path.
+    Both must leave the same state."""
+    twins = [_owners_everywhere(seed) for _ in range(2)]
+    ftl = twins[0]
+    per = ftl.chip.geometry.pages_per_block
+    mixed = {}
+    for block in range(ftl.chip.geometry.num_blocks):
+        live = [ppn for ppn in range(block * per, (block + 1) * per) if ftl._owner[ppn] != DEAD]
+        owners = [ftl._owner[ppn] for ppn in live]
+        if owners and min(owners) < 0 <= max(owners):
+            mixed[block] = live
+    assume(mixed)
+    live = mixed[data.draw(st.sampled_from(sorted(mixed)))]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live)))
+    srcs = [ppn for ppn, kept in zip(live, keep) if kept]
+    kinds = {ftl._owner[ppn] >= 0 for ppn in srcs}
+    assume(kinds == {True, False})
+    seen = []
+    for index, twin in enumerate(twins):
+        dst = twin.gc._free_by_channel[0].pop() * per
+        if index == 0:
+            _relocate(twin, srcs, dst)  # one mixed run: page by page
+        else:
+            start = 0
+            for end in range(1, len(srcs) + 1):
+                if end == len(srcs) or (twin._owner[srcs[end]] >= 0) != (
+                    twin._owner[srcs[start]] >= 0
+                ):
+                    _relocate(twin, srcs[start:end], dst + start)
+                    start = end
+        twin.check_invariants()
+        seen.append(
+            {
+                "owner": list(twin._owner),
+                "owner_detail": sorted(twin._owner_detail.items()),
+                "l2p": list(twin._l2p),
+                "dirty": sorted(twin._dirty_segments),
+                "valid_count": list(twin._valid_count),
+                "oob": list(twin.chip._oob),
+                "seq": twin._seq,
+            }
+        )
+    assert seen[0] == seen[1]
+
+
 class TestFifoFallbackTrap:
     """Values below were read off the parent commit (per-page copyback, no
     early return) running exactly this scenario."""
@@ -166,12 +260,14 @@ class TestCountGuards:
     """``ftl_gc`` in small: 8 channels, queue depth 8, 85 % full, 80/20 skew,
     background cost-benefit collection with wear levelling."""
 
-    #: Python-level calls per flash operation.  4.11 when recorded (CPython
-    #: 3.11; 4.79 while every queued command also registered a clock
-    #: completion event, 5.94 with three headroom computations and up to
-    #: two state writes per background step, 12.20 before copyback moved as
-    #: runs).
-    CALLS_PER_FLASH_OP_CEILING = 4.5
+    #: Python-level calls per flash operation.  4.126 when recorded (CPython
+    #: 3.11; an all-L2P run adds one comprehension frame for its dirty
+    #: segments and moves in bulk otherwise; 4.11 while runs were relocated
+    #: page by page over tuple owners, 4.79 while every queued command also
+    #: registered a clock completion event, 5.94 with three headroom
+    #: computations and up to two state writes per background step, 12.20
+    #: before copyback moved as runs).
+    CALLS_PER_FLASH_OP_CEILING = 4.13
     #: ``headroom_pages`` + ``_set_state`` calls per host program: 1.07 when
     #: recorded, 6.27 before the step computed headroom once.
     DECISION_CALLS_PER_HOST_PROGRAM_CEILING = 1.2

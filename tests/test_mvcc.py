@@ -19,6 +19,7 @@ import pytest
 from repro.errors import DatabaseError, TransactionError
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFTL, XFTL
+from repro.ftl.pagemap import UNMAPPED
 from repro.ftl.xl2p import VersionedL2P
 from repro.stack import Mode, SessionScheduler, StackConfig, build_stack
 
@@ -198,7 +199,8 @@ class TestReadAsOf:
         images = {seg: ftl.chip.peek(ftl._map_dir[seg]) for seg in (0, 1)}
         assert images[0][1] == ((0, before[0]), (5, before[5]))
         assert images[1][1] == ((16, before[16]),)
-        assert images[0][0][:6] == tuple(ftl.mapped_ppn(lpn) for lpn in range(6))
+        mapped = [ftl.mapped_ppn(0)] + [UNMAPPED] * 4 + [ftl.mapped_ppn(5)]
+        assert list(images[0][0][:6]) == mapped
         ftl.power_fail()
         ftl.remount()
         ftl.check_invariants()
