@@ -179,8 +179,8 @@ class StorageDevice:
             self.profile.command_overhead_us + transfers * self.profile.bus_transfer_us
         )
 
-    def _dispatch(self, op: Callable[[], Any]) -> Any:
-        """Issue one queued command: admit, run with deferred flash time.
+    def _dispatch(self, op: Callable[..., Any], *args: Any) -> Any:
+        """Issue one queued command, ``op(*args)``: admit, run with deferred flash time.
 
         The FTL/chip state mutates now (program order); the flash durations
         accumulate on the channel timelines inside the overlap region, and
@@ -193,7 +193,7 @@ class StorageDevice:
         if queue.admit():
             self.chip.crash_plan.hit(CP_QUEUE_DISPATCH)
         with self.chip.overlap() as region:
-            result = op()
+            result = op(*args)
         queue.push(region.end_us)
         return result
 
@@ -252,7 +252,7 @@ class StorageDevice:
         self._charge(transfers=1)
         if self.queue is None:
             return self.ftl.read(lpn)
-        return self._dispatch(lambda: self.ftl.read(lpn))
+        return self._dispatch(self.ftl.read, lpn)
 
     def write(self, lpn: int, data: Any) -> None:
         self._check_on()
@@ -269,7 +269,7 @@ class StorageDevice:
             if self.queue is None:
                 self.ftl.write(lpn, data)
             else:
-                self._dispatch(lambda: self.ftl.write(lpn, data))
+                self._dispatch(self.ftl.write, lpn, data)
 
     def trim(self, lpn: int) -> None:
         self._check_on()
@@ -347,7 +347,7 @@ class StorageDevice:
                 self.chip.order_barrier()
             else:
                 self._order_barrier()
-                self._dispatch(lambda: self.ftl.write(lpn, data))
+                self._dispatch(self.ftl.write, lpn, data)
                 self._order_barrier()
 
     # ---------------------------------------------------- extended commands
@@ -365,7 +365,7 @@ class StorageDevice:
         self._charge(transfers=1)
         if self.queue is None:
             return ftl.read_tx(tid, lpn)
-        return self._dispatch(lambda: ftl.read_tx(tid, lpn))
+        return self._dispatch(ftl.read_tx, tid, lpn)
 
     def read_as_of(self, lpn: int, snapshot_seq: int) -> Any:
         """AS-OF read: the copy of ``lpn`` a snapshot pinned at
@@ -379,7 +379,7 @@ class StorageDevice:
         self._charge(transfers=1)
         if self.queue is None:
             return ftl.read_as_of(lpn, snapshot_seq)
-        return self._dispatch(lambda: ftl.read_as_of(lpn, snapshot_seq))
+        return self._dispatch(ftl.read_as_of, lpn, snapshot_seq)
 
     def snapshot_seq(self) -> int:
         """Current commit sequence number — the pin for a new snapshot."""
@@ -405,7 +405,7 @@ class StorageDevice:
             if self.queue is None:
                 ftl.write_tx(tid, lpn, data)
             else:
-                self._dispatch(lambda: ftl.write_tx(tid, lpn, data))
+                self._dispatch(ftl.write_tx, tid, lpn, data)
 
     def commit(self, tid: int) -> None:
         """commit(t), carried over the trim command's parameter set (§5.2)."""

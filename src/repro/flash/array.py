@@ -196,18 +196,6 @@ class FlashArray(FlashChip):
         """Open a region whose flash operations overlap across channels."""
         return OverlapRegion(self)
 
-    def _enter_region(self, region: OverlapRegion) -> None:
-        region.end_us = self.clock.now_us
-        self._regions.append(region)
-
-    def _exit_region(self, region: OverlapRegion) -> None:
-        # Regions unwind strictly LIFO (context managers), but a crash mid
-        # region may skip inner exits if a PowerFailure propagates — pop
-        # down to this region to stay consistent.
-        while self._regions:
-            if self._regions.pop() is region:
-                break
-
     def drain(self) -> None:
         """Cross-channel barrier: the clock joins every channel's horizon.
 
@@ -246,14 +234,6 @@ class FlashArray(FlashChip):
     def channel_backlog_us(self, channel: int = 0) -> float:
         """Reserved-but-unelapsed work on ``channel`` (0.0 = idle window)."""
         return self._channel_timelines[channel].backlog_us()
-
-    def idle_channels(self, within_us: float = 0.0) -> list[int]:
-        """Channels whose backlog is at most ``within_us`` right now."""
-        return [
-            channel
-            for channel, timeline in enumerate(self._channel_timelines)
-            if timeline.backlog_us() <= within_us
-        ]
 
     def channel_utilization(self, elapsed_us: float | None = None) -> list[float]:
         """Busy fraction per channel over ``elapsed_us`` (default: now)."""

@@ -82,20 +82,24 @@ class OverlapRegion:
         self._array = array
         self.end_us = 0.0
 
-    def note(self, end_us: float) -> None:
-        if end_us > self.end_us:
-            self.end_us = end_us
-
     def __enter__(self) -> "OverlapRegion":
-        if self._array is not None:
-            self._array._enter_region(self)
+        array = self._array
+        if array is not None:
+            self.end_us = array.clock._now_us
+            array._regions.append(self)
         else:
             self.end_us = 0.0
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._array is not None:
-            self._array._exit_region(self)
+        array = self._array
+        if array is not None:
+            # Regions unwind LIFO, but a PowerFailure may skip inner exits:
+            # pop down to this region.
+            regions = array._regions
+            while regions:
+                if regions.pop() is self:
+                    break
 
 
 class FlashChip:
@@ -214,14 +218,8 @@ class FlashChip:
         """
 
     def channel_backlog_us(self, channel: int = 0) -> float:
-        """Reserved-but-unelapsed work on ``channel``.
-
-        The serial chip charges every operation to the clock immediately, so
-        it never accumulates backlog; :class:`~repro.flash.array.FlashArray`
-        overrides this with the owning timeline's true backlog.  Background
-        GC treats a channel with backlog at most
-        ``FtlConfig.gc_idle_backlog_us`` as an idle window.
-        """
+        """Reserved-but-unelapsed work on ``channel``: none on the serial chip,
+        which charges every operation to the clock immediately."""
         return 0.0
 
     # ------------------------------------------------------------------ ops

@@ -14,7 +14,7 @@ the CMT models is the *I/O* of residency:
   real ``chip.read`` (latency + ``page_reads``), evicting the LRU resident
   page to make room;
 - evicting a *dirty* page (its segment has unflushed mapping updates)
-  writes it back through :meth:`PageMappingFTL._write_translation_page`,
+  writes it back through :meth:`PageMappingFTL._flush_pages` (one segment),
   batching up to ``cmt_dirty_batch`` additional LRU-most dirty residents
   into the same overlap region (they stay resident, now clean);
 - correctness never depends on cache contents: recovery rebuilds the map
@@ -156,14 +156,12 @@ class CachedMappingTable:
     def writeback(self, segment: int) -> None:
         """Persist ``segment``'s translation page and mark it clean.
 
-        The dirty marker is cleared *before* the program: a GC pass
+        The flush clears the dirty marker *before* the program: a GC pass
         triggered by the program itself may relocate one of the segment's
         data pages and legitimately re-dirty it (the written image would
         then be stale), and that re-dirtying must survive this writeback.
         """
-        ftl = self.ftl
-        ftl._dirty_segments.discard(segment)
-        ftl._write_translation_page(segment)
+        self.ftl._flush_pages((segment,))
         self.note_writeback()
 
     def note_writeback(self) -> None:

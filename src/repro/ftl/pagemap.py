@@ -13,8 +13,9 @@ This models the OpenSSD board's stock firmware (§5.3, §6.1):
   channels so consecutive appends land on different channels and overlap;
 - a *write barrier* (the device-level effect of a host fsync / FUA) persists
   all dirty mapping-table chunks plus a fixed set of firmware metadata pages
-  to flash.  This is the hidden cost that makes fsync-heavy hosts slow on
-  the stock FTL, and the cost that X-FTL's commit command avoids.
+  to flash, in one pass (:meth:`PageMappingFTL._flush_pages`).  This is the
+  hidden cost that makes fsync-heavy hosts slow on the stock FTL, and the
+  cost that X-FTL's commit command avoids.
 
 Durability model
 ----------------
@@ -73,9 +74,10 @@ per-block population, kept in step by the three verbs that are the only
 writers of either: :meth:`PageMappingFTL._own` (checked: an owned page may
 never be claimed twice), :meth:`~PageMappingFTL._own_for_recovery` (remount
 may overwrite a stale claim) and :meth:`~PageMappingFTL._disown` — plus
-their inline forms on per-page paths: the claims of ``_map``, ``_write_translation_page``
-and ``_flush_meta`` (check included), ``_retire`` (one write) and the collector's
-run pass :meth:`~PageMappingFTL._apply_relocations` (block counts settled once).  "This
+their inline forms on per-page paths: the claims of ``_map`` and of the one
+flush loop :meth:`~PageMappingFTL._flush_pages` (check included; it also
+retires inline), ``_retire`` (one write) and the collector's run pass
+:meth:`~PageMappingFTL._apply_relocations` (block counts settled once).  "This
 lpn now lives at that ppn" is :meth:`~PageMappingFTL._map` and nothing
 else: it hands the old copy to the ``_supersede`` hook (here: disown; the
 multi-version XFTL pushes it onto the lpn's version chain), points the L2P
@@ -281,9 +283,10 @@ class PageMappingFTL(Ftl):
         self._check_power()
         self.stats.barriers += 1
         self._obs_barriers.inc()
-        start_us = self.chip.clock.now_us
+        clock = self.chip.clock
+        start_us = clock._now_us
         with self.obs.tracer.span("barrier", "ftl"):
-            self.chip.clock.advance(self.chip.profile.barrier_overhead_us)
+            clock.advance(self.chip.profile.barrier_overhead_us)
             # Publish the sequence number as of *before* the flush programs:
             # a GC pass triggered by one of them may relocate data pages,
             # and relocations carry fresh sequence numbers, so a snapshot
@@ -293,12 +296,17 @@ class PageMappingFTL(Ftl):
             # flush/GC feedback loop on small, GC-pressured devices.)
             seq_snapshot = self._seq
             with self.chip.overlap():
-                self._flush_map()
-                self._flush_meta()
+                # The segments dirty *now*.  A GC pass inside one of these
+                # programs can re-dirty a segment; such markers survive into
+                # the next barrier — the relocation's sequence sits above the
+                # snapshot root.seq, so OOB replay covers the gap meanwhile.
+                self._flush_pages(
+                    sorted(self._dirty_segments), self.config.barrier_meta_pages, CP_BARRIER_MID
+                )
             self.chip.drain()
             self._publish_root(seq_snapshot)
             self._release_retired()
-        self._obs_barrier_us.observe(self.chip.clock.now_us - start_us)
+        self._obs_barrier_us.observe(clock._now_us - start_us)
 
     # ------------------------------------------------------------- power
 
@@ -495,9 +503,12 @@ class PageMappingFTL(Ftl):
         self._disown(old_ppn)
 
     def _release_retired(self) -> None:
-        """The root was republished: pages only the old root pinned die."""
+        """The root was republished: pages only the old root pinned die
+        (``_disown``, inline: a pending page is always ``OWNER_RETIRED``)."""
         for ppn in self._pending_retired:
-            self._disown(ppn)
+            self._owner[ppn] = DEAD
+            del self._owner_detail[ppn]
+            self._valid_count[ppn // self._pages_per_block] -= 1
         self._pending_retired.clear()
 
     # -------- space management (see repro.ftl.gc) ----------------------
@@ -626,69 +637,70 @@ class PageMappingFTL(Ftl):
         self._owner_detail[ppn] = (kind, key)
         self._pending_retired.add(ppn)
 
-    def _write_translation_page(self, segment: int, overlay: dict[int, int] | None = None) -> int:
-        """Program one translation (map) page and repoint the directory.
+    def _flush_pages(
+        self,
+        segments: Iterable[int],
+        meta_slots: int = 0,
+        mid_point: str | None = None,
+        overlay: dict[int, int] | None = None,
+    ) -> None:
+        """Program the translation page of each of ``segments``, then
+        ``meta_slots`` firmware metadata pages (write points, erase counts...).
 
-        Shared by the barrier flush, CMT dirty evictions and the commit
-        pinning path (the only one passing ``overlay``, see _segment_image).
+        A barrier is one call; a CMT writeback and commit pinning (the only
+        caller with an ``overlay``, see _segment_image) flush one segment.
+        Per page: drop the dirty marker (a GC pass inside the program may
+        re-dirty it, and that must survive), build the image, program it,
+        retire the old copy, claim the new one.  ``mid_point`` is hit before
+        each translation page.
         """
-        ppn = self.gc.host_program(self._segment_image(segment, overlay), OOB_MAP, segment, None)
-        old = self._map_dir.get(segment)
-        if old is not None and self._owner[old] != DEAD:
-            if self._root.map_dir.get(segment) == old:
-                # The durable root still references the superseded page:
-                # pin it until the next publish (the seed barrier path —
-                # map_dir and root.map_dir are always in sync there).
-                self._retire(old, OWNER_MAP, segment)
-            else:
-                # Only demand-paged writebacks get here: the same segment
-                # was already rewritten since the last publish, so the
-                # superseded copy is not root-referenced and pinning it
-                # would let retired pages pile up unboundedly between
-                # publishes.
-                self._disown(old)
-        self._map_dir[segment] = ppn
-        self._unpublished_segments[segment] = None
-        owner = self._owner
-        if owner[ppn] != DEAD:
-            raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
-        owner[ppn] = OWNER_MAP
-        self._owner_detail[ppn] = segment
-        self._valid_count[ppn // self._pages_per_block] += 1
-        self.stats.map_page_writes += 1
-        self._obs_map_writes.inc()
-        return ppn
-
-    def _flush_map(self) -> None:
-        # One pass over the segments dirty *now*.  A GC pass inside one of
-        # these programs can relocate a data page and re-dirty its segment;
-        # such markers deliberately survive into the next barrier — the
-        # relocation's fresh sequence number sits above the snapshot
-        # root.seq the enclosing barrier publishes, so OOB replay covers
-        # the gap until the segment is rewritten.
+        host_program = self.gc.host_program
         crash_plan = self.chip.crash_plan
-        for segment in sorted(self._dirty_segments):
-            if crash_plan._points:
-                crash_plan.hit(CP_BARRIER_MID)
-            self._dirty_segments.discard(segment)
-            self._write_translation_page(segment)
-
-    def _flush_meta(self) -> None:
-        """Firmware misc metadata (write points, erase counts, ...)."""
-        for slot in range(self.config.barrier_meta_pages):
-            ppn = self.gc.host_program(("meta", slot), OOB_META, slot, None)
-            owner = self._owner
-            old = self._meta_dir.get(slot)
-            if old is not None and owner[old] != DEAD:
-                self._retire(old, OWNER_META, slot)
-            self._meta_dir[slot] = ppn
-            if owner[ppn] != DEAD:
-                raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
-            owner[ppn] = OWNER_META
-            self._owner_detail[ppn] = slot
-            self._valid_count[ppn // self._pages_per_block] += 1
-            self.stats.map_page_writes += 1
-            self._obs_map_writes.inc()
+        dirty = self._dirty_segments
+        unpublished = self._unpublished_segments
+        owner = self._owner
+        detail = self._owner_detail
+        valid = self._valid_count
+        per = self._pages_per_block
+        pending = self._pending_retired
+        written = 0
+        try:
+            for code, keys, live_dir, root_dir in (
+                (OWNER_MAP, segments, self._map_dir, self._root.map_dir),
+                (OWNER_META, range(meta_slots), self._meta_dir, self._root.meta_dir),
+            ):
+                for key in keys:
+                    if code == OWNER_MAP:
+                        if mid_point is not None and crash_plan._points:
+                            crash_plan.hit(mid_point)
+                        dirty.discard(key)
+                        ppn = host_program(self._segment_image(key, overlay), OOB_MAP, key, None)
+                        unpublished[key] = None
+                    else:
+                        ppn = host_program(("meta", key), OOB_META, key, None)
+                    old = live_dir.get(key)
+                    if old is not None and owner[old] != DEAD:
+                        if root_dir.get(key) == old:
+                            # The durable root names it: pin it until the
+                            # next publish (_retire, inline; it is owned).
+                            owner[old] = OWNER_RETIRED
+                            detail[old] = (code, key)
+                            pending.add(old)
+                        else:
+                            # A CMT segment rewritten since the last publish:
+                            # pinning would pile retired pages up until then.
+                            self._disown(old)
+                    live_dir[key] = ppn
+                    if owner[ppn] != DEAD:
+                        raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
+                    owner[ppn] = code
+                    detail[ppn] = key
+                    valid[ppn // per] += 1
+                    written += 1
+        finally:
+            if written:
+                self.stats.map_page_writes += written
+                self._obs_map_writes.inc(written)
 
     def _publish_root(self, seq: int) -> None:
         """Atomically update the meta block (assumed atomic, §5.3).
@@ -802,6 +814,8 @@ class PageMappingFTL(Ftl):
         coded = {ppn for ppn, owner in enumerate(self._owner) if owner < DEAD}
         if coded != self._owner_detail.keys():
             raise FtlError("owner details out of sync with the owner codes")
+        if any(self._owner[ppn] != OWNER_RETIRED for ppn in self._pending_retired):
+            raise FtlError("a page pending release is not owned as retired")
         for lpn, ppn in enumerate(self._l2p):
             if ppn != UNMAPPED and self._owner[ppn] != lpn:
                 raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p")

@@ -63,6 +63,7 @@ class TxFlashFTL(PageMappingFTL):
                 ppn = self.gc.host_program(data, OOB_SCC, lpn, (group, position, size, next_lpn))
                 staged.append((lpn, ppn))
                 self.stats.host_page_writes += 1
+                self._obs_host_writes.inc()
             # Cycle is complete on flash: publish the mappings.
             self._publish_mappings(staged)
         finally:

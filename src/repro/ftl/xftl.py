@@ -482,8 +482,7 @@ class XFTL(PageMappingFTL):
         for segment in sorted(folds):
             self._cmt.insert_resident(segment)
             self.chip.crash_plan.hit(CP_CMT_COMMIT_FLUSH)
-            self._dirty_segments.discard(segment)
-            self._write_translation_page(segment, folds[segment])
+            self._flush_pages((segment,), overlay=folds[segment])
             self._cmt.note_writeback()
 
     def _settle_commit_segments(self, segments: set[int]) -> None:

@@ -70,17 +70,10 @@ class ResourceTimeline:
         self.reservations += 1
         return start, end
 
-    def wait_idle(self) -> float:
-        """Block the clock until this resource has drained."""
-        return self.clock.wait_until(self.busy_until_us)
-
     def backlog_us(self) -> float:
-        """Reserved-but-unelapsed work: how far ``busy_until`` leads ``now``.
-
-        Zero when idle.  This is the *idle-window query* background GC uses
-        to decide whether a channel can absorb a copyback step without
-        delaying foreground work already queued behind it.
-        """
+        """Reserved-but-unelapsed work: how far ``busy_until`` leads ``now``
+        (zero when idle) — the idle window background GC gates paced
+        copyback on (``Collector._step`` reads it off ``busy_until_us``)."""
         backlog = self.busy_until_us - self.clock.now_us
         return backlog if backlog > 0.0 else 0.0
 

@@ -182,14 +182,15 @@ class TestRetiredXl2pRelocation:
             ftl.barrier()
             old, owner, oob_kind, key = root.map_dir[0], OWNER_MAP, OOB_MAP, 0
             ftl.write(0, expected := b"b")
-            ftl._flush_map()  # the barrier's flush, its publish still pending
+            # The barrier's flush, its publish still pending.
+            ftl._flush_pages(sorted(ftl._dirty_segments))
 
             def root_ref():
                 return root.map_dir[0]
         elif kind == "meta":
             ftl.barrier()
             old, owner, oob_kind, key = root.meta_dir[0], OWNER_META, OOB_META, 0
-            ftl._flush_meta()
+            ftl._flush_pages((), ftl.config.barrier_meta_pages)
             expected = None
 
             def root_ref():

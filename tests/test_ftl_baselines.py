@@ -12,6 +12,7 @@ from repro.errors import PowerFailure, TransactionError
 from repro.flash import FlashChip, FlashGeometry
 from repro.flash.array import FlashArray
 from repro.ftl import AtomicWriteFTL, FtlConfig, TxFlashFTL
+from repro.obs import Observability
 from repro.sim import CrashPlan
 
 PER = 8  # pages per block
@@ -205,6 +206,23 @@ def test_plain_write_after_a_group_outranks_it(cls, write_group):
     ftl.remount()
     assert ftl.read(5) == b"newest"
     ftl.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "cls,write_group", [(AtomicWriteFTL, "write_atomic"), (TxFlashFTL, "write_group")]
+)
+def test_group_writes_keep_obs_counters_in_step_with_flash_stats(cls, write_group):
+    """A group's data pages (and the atomic-write commit record) are counted
+    by the obs counters at the same sites as by ``FlashStats``."""
+    obs = Observability(enabled=True)
+    geometry = FlashGeometry(page_size=512, pages_per_block=PER, num_blocks=32)
+    chip = FlashChip(geometry, obs=obs)
+    obs.flash_stats = chip.stats
+    ftl = cls(chip, FtlConfig(overprovision=0.25, map_entries_per_page=16))
+    getattr(ftl, write_group)([(0, b"a"), (1, b"b")])
+    ftl.barrier()
+    assert ftl.stats.host_page_writes == 2
+    assert obs.verify_flash_stats() == []
 
 
 class TestPerCallLimitation:

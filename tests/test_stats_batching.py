@@ -69,7 +69,7 @@ def _assert_ledger_balances(chip, ftl, unattributed: int = 0) -> None:
     # no CMT, no recovery scan in this workload) — so the batched FTL
     # counter must equal the chip's per-op counter exactly.
     assert stats.gc_copyback_reads == chip.stats.page_reads
-    # Every program is attributable: host data, map/meta page (``_flush_meta``
+    # Every program is attributable: host data, map/meta page (``_flush_pages``
     # counts its firmware-meta programs under ``map_page_writes``), or GC
     # copyback.  Nothing else programs the chip in this workload.
     assert chip.stats.page_programs - unattributed == (
