@@ -278,25 +278,38 @@ class BTree:
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
         index = self._find_in_leaf(leaf, sort_key)
-        if index is not None:
-            if not replace:
-                raise DatabaseError(f"duplicate key {key!r}")
-            old_local = leaf.cells[index][0]
-            self._free_overflow(leaf.cells[index][1])
-            cell = leaf.cells[index] = self._make_cell(payload)
-            leaf.adjust(len(cell[0]) - len(old_local))
-            self._dirty(path[-1][0] if path else self.root_pno, leaf)
+        if index is None:
+            self._add_cell(key, sort_key, payload, leaf, path)
             return
-        position = bisect.bisect_left(leaf.sort_keys, sort_key)
-        leaf.keys.insert(position, key)
-        leaf.sort_keys.insert(position, sort_key)
-        cell = self._make_cell(payload)
-        leaf.cells.insert(position, cell)
-        leaf.adjust(_cell_bytes(key, cell))
-        leaf_pno = path[-1][0] if path else self.root_pno
-        self._dirty(leaf_pno, leaf)
-        if leaf.used_bytes() > self.capacity:
-            self._split(path)
+        if not replace:
+            raise DatabaseError(f"duplicate key {key!r}")
+        old_local = leaf.cells[index][0]
+        self._free_overflow(leaf.cells[index][1])
+        cell = leaf.cells[index] = self._make_cell(payload)
+        leaf.adjust(len(cell[0]) - len(old_local))
+        self.pager.mark_dirty(path[-1][0], leaf)
+
+    def insert_absent(self, key: tuple, payload: bytes) -> bool:
+        """``contains(key)``, then ``insert(key, payload)`` if it was absent, in one
+        descent; returns whether it inserted.
+
+        The pager sees what it saw of the two calls.  The second descent of
+        that pair touches the pages the first just touched, in the same
+        order, which changes nothing it keeps -- unless loading one of them
+        evicted an earlier one (a cache full of dirty pages); then the pages
+        are fetched again, as the pair fetched them.
+        """
+        sort_key = key_sort_tuple(key)
+        leaf, path = self._descend(sort_key)
+        if self._find_in_leaf(leaf, sort_key) is not None:
+            return False
+        held = self.pager.holds
+        for pno, _page, _child in path:
+            if not held(pno):
+                leaf, path = self._descend(sort_key)
+                break
+        self._add_cell(key, sort_key, payload, leaf, path)
+        return True
 
     def delete(self, key: tuple) -> bool:
         """Remove ``key``; returns whether it existed."""
@@ -310,9 +323,8 @@ class BTree:
         del leaf.keys[index]
         del leaf.sort_keys[index]
         del leaf.cells[index]
-        leaf_pno = path[-1][0] if path else self.root_pno
-        self._dirty(leaf_pno, leaf)
-        if not leaf.keys and path:
+        self.pager.mark_dirty(path[-1][0], leaf)
+        if not leaf.keys:
             self._remove_empty(path)
         return True
 
@@ -372,9 +384,24 @@ class BTree:
             return index
         return None
 
-    def _dirty(self, pno_or_path_entry, page: Any) -> None:
-        pno = pno_or_path_entry if isinstance(pno_or_path_entry, int) else pno_or_path_entry[0]
-        self.pager.mark_dirty(pno, page)
+    def _add_cell(
+        self,
+        key: tuple,
+        sort_key: tuple,
+        payload: bytes,
+        leaf: LeafPage,
+        path: list[tuple[int, Any, int]],
+    ) -> None:
+        """Put a new cell into the leaf ``path`` ends at, splitting it if it overflows."""
+        position = bisect.bisect_left(leaf.sort_keys, sort_key)
+        leaf.keys.insert(position, key)
+        leaf.sort_keys.insert(position, sort_key)
+        cell = self._make_cell(payload)
+        leaf.cells.insert(position, cell)
+        leaf.adjust(_cell_bytes(key, cell))
+        self.pager.mark_dirty(path[-1][0], leaf)
+        if leaf.used_bytes() > self.capacity:
+            self._split(path)
 
     # -------- cell / overflow handling ----------------------------------
 

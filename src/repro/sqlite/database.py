@@ -12,7 +12,10 @@ plus everything that depends only on the text and the schema — the resolved
 tables, a ``TableStore`` per table with its index trees and index column
 positions, the access path and leftover filters of every nested-loop level,
 and one compiled closure per expression (filters, SET assignments, select
-list, ORDER BY, aggregate arguments, LIMIT / OFFSET, VALUES).  A connection
+list, ORDER BY, aggregate arguments, LIMIT / OFFSET, VALUES).  A plan binds
+one row function per access path: the nested loop and the UPDATE / DELETE
+match call ``path.rows(env)`` and nothing decides, per call, what kind of
+path it is (``repro.sqlite.sql.engine.AccessPath``).  A connection
 keeps its plans in one map keyed by the SQL text, at most
 ``PREPARED_STATEMENTS`` of them, least recently used out first; a text that
 misses is prepared and then runs through the same code as one that hits.
@@ -31,7 +34,10 @@ lives in ``Connection._drop_plans`` and nowhere else.  Preparing touches no
 page (stores and trees are handles: a root page number and the page size),
 because the order in which pages enter the pager cache decides what it evicts
 and spills, which is simulated state: a plan that is warm and a plan that was
-just rebuilt must leave every counter identical.
+just rebuilt must leave every counter identical.  For the same reason running
+a plan may drop a page access only where the same pages were just accessed in
+the same order with nothing in between (``repro.sqlite.table``);
+``tests/test_sql_access_order.py`` pins that order on a cache that evicts.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from repro.sqlite.sql.engine import (
     Parameters,
     choose_access_path,
     expr_references_bindings,
-    iterate_access_path,
     split_conjuncts,
     sql_truth,
 )
@@ -499,9 +504,10 @@ class Connection:
         outer: set[str],
         compiler: ExprCompiler,
     ) -> _Scan:
-        path, leftovers = choose_access_path(binding, table, conjuncts, outer, compiler)
+        store = TableStore(table, self.pager)
+        path, leftovers = choose_access_path(binding, store, conjuncts, outer, compiler)
         filters = [compiler.compile(c) for c in leftovers]
-        return _Scan(binding, TableStore(table, self.pager), path, filters)
+        return _Scan(binding, store, path, filters)
 
     # ---------------------------------------------------------------- DML
 
@@ -573,13 +579,19 @@ class Connection:
     def _match_rows(self, scan: _Scan) -> list[tuple[int, Row]]:
         """Materialize (rowid, values) matching WHERE (safe to mutate after)."""
         binding, filters = scan.binding, scan.filters
+        advance, row_cpu_us = self._clock.advance, self._profile.host_cpu_row_us
         matches = []
-        row_cpu_us = self._profile.host_cpu_row_us
-        for rowid, values in iterate_access_path(scan.path, scan.store, _NO_ROW):
-            self._clock.advance(row_cpu_us)
-            env: Env = {binding: (rowid, values)}
-            if all(sql_truth(keep(env)) for keep in filters):
-                matches.append((rowid, values))
+        for row in scan.path.rows(_NO_ROW):
+            advance(row_cpu_us)
+            if filters:
+                env: Env = {binding: row}
+                for keep in filters:
+                    if not sql_truth(keep(env)):
+                        break
+                else:
+                    matches.append(row)
+            else:
+                matches.append(row)
         return matches
 
     # -------------------------------------------------------------- SELECT
@@ -657,20 +669,18 @@ class Connection:
         offset: Callable | None,
         limit: Callable | None,
     ) -> list[Row]:
-        envs = self._nested_loop(scans, 0, {})
+        envs: list[Env] = []
+        self._nested_loop(scans, 0, {}, envs)
         if aggregates is not None:
-            rows = [tuple(fold(envs) for fold in aggregates)]
+            rows = [tuple([fold(envs) for fold in aggregates])]
         else:
             rows = []
             order_keys = []
             for env in envs:
-                rows.append(tuple(project(env) for project in projectors))
+                rows.append(tuple([project(env) for project in projectors]))
                 if order_by:
                     order_keys.append(
-                        tuple(
-                            _order_key(compute(env), descending)
-                            for compute, descending in order_by
-                        )
+                        tuple([_order_key(compute(env), desc) for compute, desc in order_by])
                     )
             if order_by:
                 paired = sorted(zip(order_keys, range(len(rows))), key=lambda p: p[0])
@@ -683,29 +693,37 @@ class Connection:
                     seen.add(row)
                     unique_rows.append(row)
             rows = unique_rows
+        # SQLite: a negative OFFSET skips nothing, a negative LIMIT keeps everything.
         skip = _row_count(offset) if offset else 0
-        keep = _row_count(limit) if limit else None
-        if skip:
+        keep = _row_count(limit) if limit else -1
+        if skip > 0:
             rows = rows[skip:]
-        if keep is not None:
+        if keep >= 0:
             rows = rows[:keep]
         return rows
 
-    def _nested_loop(self, scans: list[_Scan], depth: int, env: Env) -> list[Env]:
-        """Inner-most-last nested-loop join; returns completed environments."""
-        if depth == len(scans):
-            return [dict(env)]
+    def _nested_loop(self, scans: list[_Scan], depth: int, env: Env, out: list[Env]) -> None:
+        """Inner-most-last nested-loop join; appends completed environments to ``out``.
+
+        The innermost level appends a copy of ``env`` per kept row itself, so
+        there is one frame per level and outer row, not one per result.
+        """
         scan = scans[depth]
         binding, filters = scan.binding, scan.filters
-        out: list[Env] = []
-        row_cpu_us = self._profile.host_cpu_row_us
-        for rowid, values in iterate_access_path(scan.path, scan.store, env):
-            self._clock.advance(row_cpu_us)
-            env[binding] = (rowid, values)
-            if all(sql_truth(keep(env)) for keep in filters):
-                out.extend(self._nested_loop(scans, depth + 1, env))
-            del env[binding]
-        return out
+        advance, row_cpu_us = self._clock.advance, self._profile.host_cpu_row_us
+        innermost = depth == len(scans) - 1
+        for row in scan.path.rows(env):
+            advance(row_cpu_us)
+            env[binding] = row
+            for keep in filters:
+                if not sql_truth(keep(env)):
+                    break
+            else:
+                if innermost:
+                    out.append(dict(env))
+                else:
+                    self._nested_loop(scans, depth + 1, env, out)
+        env.pop(binding, None)
 
     def _build_projectors(self, items, bindings, compiler):
         projectors = []

@@ -107,6 +107,9 @@ class Pager:
         self.fs = fs
         self.name = name
         self.mode = mode
+        # Per-page paths test this flag, not an enum member (a lookup through
+        # the enum class costs about ten times a bool attribute).
+        self._journals_originals = mode is SqliteJournalMode.ROLLBACK
         self._decode = page_decoder
         self.cache_pages = cache_pages
         self.checkpoint_interval = checkpoint_interval
@@ -337,6 +340,10 @@ class Pager:
         self._enforce_capacity()
         return page
 
+    def holds(self, pno: int) -> bool:
+        """Whether page ``pno`` is in the cache (touches nothing)."""
+        return pno in self._cache
+
     def put_new(self, pno: int, page: Any) -> None:
         """Install a freshly allocated page object."""
         self._cache[pno] = _Entry(page=page, dirty=False)
@@ -348,7 +355,7 @@ class Pager:
             raise DatabaseError("page modified outside a transaction")
         if self._snapshot_seq is not None:
             raise DatabaseError("snapshot transactions are read-only")
-        if self.mode is SqliteJournalMode.ROLLBACK and pno not in self._journaled:
+        if self._journals_originals and pno not in self._journaled:
             self._journal_original(pno)
         entry = self._cache.get(pno)
         if entry is None:
@@ -367,7 +374,7 @@ class Pager:
             return self.header.freelist.pop()
         pno = self.header.page_count
         self.header.page_count += 1
-        if self.mode is SqliteJournalMode.ROLLBACK and pno not in self._journaled:
+        if self._journals_originals and pno not in self._journaled:
             self._journaled[pno] = None  # new page: nothing to restore
         return pno
 
@@ -383,7 +390,7 @@ class Pager:
             raise DatabaseError("page modified outside a transaction")
         if self._snapshot_seq is not None:
             raise DatabaseError("snapshot transactions are read-only")
-        if self.mode is SqliteJournalMode.ROLLBACK and 0 not in self._journaled:
+        if self._journals_originals and 0 not in self._journaled:
             self._journal_original(0)
         entry = self._cache.get(0)
         if entry is None:

@@ -11,18 +11,21 @@ the Android traces.
 
 from __future__ import annotations
 
+import math
 import re
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import SqlError
 from repro.sqlite.records import SqlValue, key_sort_tuple
-from repro.sqlite.schema import Table
+from repro.sqlite.schema import Index, Table
 from repro.sqlite.sql import ast
 from repro.sqlite.table import TableStore
 
 Row = tuple[SqlValue, ...]
 # An evaluation environment: binding name -> (rowid, row values).
 Env = dict[str, tuple[int, Row]]
+# An access path's row function: (rowid, values) pairs under the outer Env.
+RowFunction = Callable[[Env], Iterable[tuple[int, Row]]]
 
 
 # ----------------------------------------------------------- value semantics
@@ -311,39 +314,56 @@ def expr_references_bindings(
 
 
 class AccessPath:
-    """How one table binding will be scanned, given already-bound outer rows.
+    """How one table binding reaches its rows, given already-bound outer rows.
 
-    kind is one of:
+    ``rows(env)`` is the path's row function, bound at plan time by
+    :func:`choose_access_path`: it returns the ``(rowid, values)`` pairs the
+    path's conjuncts select, given the outer bindings in ``env``, and is
+    called once per outer row with nothing to dispatch on.  It selects
+    exactly what the same conjuncts would select as filters: an integral
+    float bound is that integer, a fractional one rounds inward, a NULL (or
+    NaN) bound selects nothing, every integer sorts below a text or blob
+    bound, and a range over an index never selects a NULL key.  ``kind``
+    names the path (the row function does not read it):
+
       - "full": full table scan
-      - "rowid-eq": single row by rowid (value expr evaluated against env)
-      - "rowid-range": rowid range scan (lo/hi exprs, openness flags)
+      - "rowid-eq": single row by rowid; a tuple of at most one row
+      - "rowid-range": rowid range scan (``lo_open`` / ``hi_open`` as written)
       - "index-eq": index equality on the leading column
       - "index-range": index range on the leading column
     """
 
-    def __init__(self, kind: str, **kwargs: Any) -> None:
+    __slots__ = ("kind", "rows", "index", "lo_open", "hi_open")
+
+    def __init__(
+        self,
+        kind: str,
+        rows: RowFunction,
+        index: Index | None = None,
+        lo_open: bool = False,
+        hi_open: bool = False,
+    ) -> None:
         self.kind = kind
-        self.index = kwargs.get("index")
-        self.eq = kwargs.get("eq")
-        self.lo = kwargs.get("lo")
-        self.hi = kwargs.get("hi")
-        self.lo_open = kwargs.get("lo_open", False)
-        self.hi_open = kwargs.get("hi_open", False)
+        self.rows = rows
+        self.index = index
+        self.lo_open = lo_open
+        self.hi_open = hi_open
 
 
 def choose_access_path(
     binding: str,
-    table: Table,
+    store: TableStore,
     conjuncts: list[ast.Expr],
     outer_bindings: set[str],
     compiler: ExprCompiler,
 ) -> tuple[AccessPath, list[ast.Expr]]:
-    """Pick an access path for ``binding``; returns (path, leftover filters).
+    """Pick an access path for ``binding`` over ``store``; returns (path, leftover filters).
 
     A conjunct qualifies if one side is a column of this binding and the
     other side only references *outer* bindings (already bound in the nested
     loop) or constants.
     """
+    table = store.table
 
     def column_of(expr: ast.Expr) -> tuple[str, int | None] | None:
         if not isinstance(expr, ast.ColumnRef):
@@ -403,82 +423,152 @@ def choose_access_path(
         if not handled:
             leftovers.append(conjunct)
 
+    def compiled(expr: ast.Expr | None) -> Callable[[Env], SqlValue] | None:
+        return None if expr is None else compiler.compile(expr)
+
     if rowid_eq is not None:
-        return AccessPath("rowid-eq", eq=compiler.compile(rowid_eq)), leftovers
+        return AccessPath("rowid-eq", _rowid_eq_rows(store, compiled(rowid_eq))), leftovers
     for slot in index_candidates.values():
         if "eq" in slot:
-            return (
-                AccessPath("index-eq", index=slot["index"], eq=compiler.compile(slot["eq"])),
-                leftovers,
-            )
+            index, eq = slot["index"], compiled(slot["eq"])
+            return AccessPath("index-eq", _index_eq_rows(store, index, eq), index), leftovers
     if rowid_lo is not None or rowid_hi is not None:
-        return (
-            AccessPath(
-                "rowid-range",
-                lo=compiler.compile(rowid_lo) if rowid_lo is not None else None,
-                hi=compiler.compile(rowid_hi) if rowid_hi is not None else None,
-                lo_open=rowid_lo_open,
-                hi_open=rowid_hi_open,
-            ),
-            leftovers,
+        rows = _rowid_range_rows(
+            store, compiled(rowid_lo), compiled(rowid_hi), rowid_lo_open, rowid_hi_open
         )
+        return AccessPath("rowid-range", rows, None, rowid_lo_open, rowid_hi_open), leftovers
     for slot in index_candidates.values():
         if "lo" in slot or "hi" in slot:
-            return (
-                AccessPath(
-                    "index-range",
-                    index=slot["index"],
-                    lo=compiler.compile(slot["lo"]) if "lo" in slot else None,
-                    hi=compiler.compile(slot["hi"]) if "hi" in slot else None,
-                    lo_open=slot.get("lo_open", False),
-                    hi_open=slot.get("hi_open", False),
-                ),
-                leftovers,
+            index = slot["index"]
+            lo_open, hi_open = slot.get("lo_open", False), slot.get("hi_open", False)
+            rows = _index_range_rows(
+                store, index, compiled(slot.get("lo")), compiled(slot.get("hi")), lo_open, hi_open
             )
-    return AccessPath("full"), leftovers
+            return AccessPath("index-range", rows, index, lo_open, hi_open), leftovers
+    scan_rows = store.scan_rows
+    return AccessPath("full", lambda env: scan_rows()), leftovers
 
 
 def _flip(op: str) -> str:
     return {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
 
-def iterate_access_path(
-    path: AccessPath, store: TableStore, env: Env
-) -> Iterator[tuple[int, Row]]:
-    """Yield (rowid, values) for one binding under the current outer env."""
-    if path.kind == "rowid-eq":
-        rowid = path.eq(env)
-        if isinstance(rowid, int):
-            row = store.get_row(rowid)
-            if row is not None:
-                yield rowid, row
-        return
-    if path.kind == "rowid-range":
-        lo = path.lo(env) if path.lo is not None else None
-        hi = path.hi(env) if path.hi is not None else None
-        if (lo is not None and not isinstance(lo, int)) or (
-            hi is not None and not isinstance(hi, int)
-        ):
-            return
-        yield from store.scan_rows(lo, hi, path.lo_open, path.hi_open)
-        return
-    if path.kind == "index-eq":
-        value = path.eq(env)
-        if value is None:
-            return  # NULL never matches an equality
-        for rowid in store.index_rowids(path.index, (value,), (value,)):
-            row = store.get_row(rowid)
-            if row is not None:
-                yield rowid, row
-        return
-    if path.kind == "index-range":
-        lo = (path.lo(env),) if path.lo is not None else None
-        hi = (path.hi(env),) if path.hi is not None else None
-        if (lo is not None and lo[0] is None) or (hi is not None and hi[0] is None):
-            return
-        for rowid in store.index_rowids(path.index, lo, hi, path.lo_open, path.hi_open):
-            row = store.get_row(rowid)
-            if row is not None:
-                yield rowid, row
-        return
-    yield from store.scan_rows()
+# ------------------------------------------------------------- row functions
+#
+# One builder per path kind.  A bound is evaluated when the row function is
+# called, once per outer row; an ``int`` bound (every bound the workloads
+# bind) goes straight to the tree, anything else through the rules in the
+# ``AccessPath`` docstring.
+
+_NOTHING: tuple = ()  # what a path whose conjuncts select no row returns
+
+
+def _rowid_eq_rows(store: TableStore, eq: Callable[[Env], SqlValue]) -> RowFunction:
+    get_row = store.get_row
+
+    def rows(env: Env) -> tuple[tuple[int, Row], ...]:
+        rowid = eq(env)
+        if type(rowid) is not int:
+            if isinstance(rowid, int):  # bool
+                rowid = int(rowid)
+            elif isinstance(rowid, float) and rowid.is_integer():
+                rowid = int(rowid)
+            else:
+                return _NOTHING
+        row = get_row(rowid)
+        return _NOTHING if row is None else ((rowid, row),)
+
+    return rows
+
+
+def _rowid_bound(value: SqlValue, is_open: bool, upper: bool) -> tuple[int | None, bool] | None:
+    """``(bound, open)`` for a rowid range, selecting what ``rowid op value``
+    does as a filter; ``(None, False)`` when it keeps every rowid, None when it
+    keeps none."""
+    if isinstance(value, int):
+        return int(value), is_open
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value), is_open
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return (None, False) if (value > 0) == upper else None
+        return (math.floor(value) if upper else math.ceil(value)), False
+    if isinstance(value, (str, bytes)):
+        return (None, False) if upper else None  # every integer sorts below text and blobs
+    return None  # NULL
+
+
+def _rowid_range_rows(
+    store: TableStore,
+    lo: Callable[[Env], SqlValue] | None,
+    hi: Callable[[Env], SqlValue] | None,
+    lo_open: bool,
+    hi_open: bool,
+) -> RowFunction:
+    scan_rows = store.scan_rows
+
+    def rows(env: Env) -> Iterable[tuple[int, Row]]:
+        low = high = None
+        low_open, high_open = lo_open, hi_open
+        if lo is not None:
+            low = lo(env)
+            if type(low) is not int:
+                bound = _rowid_bound(low, lo_open, upper=False)
+                if bound is None:
+                    return _NOTHING
+                low, low_open = bound
+        if hi is not None:
+            high = hi(env)
+            if type(high) is not int:
+                bound = _rowid_bound(high, hi_open, upper=True)
+                if bound is None:
+                    return _NOTHING
+                high, high_open = bound
+        return scan_rows(low, high, low_open, high_open)
+
+    return rows
+
+
+def _index_eq_rows(store: TableStore, index: Index, eq: Callable[[Env], SqlValue]) -> RowFunction:
+    index_rows = store.index_rows
+
+    def rows(env: Env) -> Iterable[tuple[int, Row]]:
+        value = eq(env)
+        if value is None or value != value:  # NULL (or NaN) never matches an equality
+            return _NOTHING
+        return index_rows(index, (value,), (value,))
+
+    return rows
+
+
+_ABOVE_NULLS = (None,)  # with an open bound: past every NULL key of an index
+
+
+def _index_range_rows(
+    store: TableStore,
+    index: Index,
+    lo: Callable[[Env], SqlValue] | None,
+    hi: Callable[[Env], SqlValue] | None,
+    lo_open: bool,
+    hi_open: bool,
+) -> RowFunction:
+    index_rows = store.index_rows
+
+    def rows(env: Env) -> Iterable[tuple[int, Row]]:
+        low, low_open = _ABOVE_NULLS, True  # no lower bound still excludes NULL
+        high = None
+        if lo is not None:
+            value = lo(env)
+            if value is None or value != value:
+                return _NOTHING
+            low, low_open = (value,), lo_open
+        if hi is not None:
+            value = hi(env)
+            if value is None or value != value:
+                return _NOTHING
+            high = (value,)
+        return index_rows(index, low, high, low_open, hi_open)
+
+    return rows

@@ -1,4 +1,15 @@
-"""Row storage over B-trees: tables keyed by rowid, indexes by value+rowid."""
+"""Row storage over B-trees: tables keyed by rowid, indexes by value+rowid.
+
+Which pages a row write touches, and in what order, is simulated state: the
+order decides what the pager cache evicts and spills (``repro.sqlite.database``,
+"Statement lifecycle").  A page access may be dropped only where the same pages
+were just accessed in the same order with nothing in between, so that the
+repeat changes nothing the pager keeps.  One INSERT into a table with no unique
+index is one descent of the table tree plus one per index: the rowid probe and
+the insert share their descent (:meth:`BTree.insert_absent`).  With a unique
+index the order stays probe, unique check, insert, because the unique check
+runs between the two descents.
+"""
 
 from __future__ import annotations
 
@@ -32,10 +43,17 @@ class TableStore:
         self._index_trees = {
             index.name: BTree(pager, index.root_pno) for index in table.indexes
         }
-        self._index_positions = {
-            index.name: [table.column_index(c) for c in index.columns]
+        # (tree, column positions) per index, in catalog order: the order in
+        # which every row write keeps them in step.
+        self._indexes = [
+            (self._index_trees[index.name], [table.column_index(c) for c in index.columns])
             for index in table.indexes
-        }
+        ]
+        self._unique = [
+            (tree, positions, index)
+            for (tree, positions), index in zip(self._indexes, table.indexes)
+            if index.unique
+        ]
 
     # ------------------------------------------------------------- writes
 
@@ -58,18 +76,22 @@ class TableStore:
                 rowid = self.next_rowid()
         if alias is not None:
             values = values[:alias] + (rowid,) + values[alias + 1 :]
-        if self.tree.contains((rowid,)):
-            raise IntegrityError(f"duplicate rowid {rowid} in {self.table.name!r}")
-        self._check_unique(values, rowid)
-        self.tree.insert((rowid,), encode_record(values))
-        for index in self.table.indexes:
-            self._index_trees[index.name].insert(self._index_key(index, values, rowid), b"")
+        key = (rowid,)
+        if self._unique:
+            if self.tree.contains(key):
+                raise self._duplicate(rowid)
+            self._check_unique(values, rowid)
+            self.tree.insert(key, encode_record(values))
+        elif not self.tree.insert_absent(key, encode_record(values)):
+            raise self._duplicate(rowid)
+        for tree, positions in self._indexes:
+            tree.insert(tuple([values[p] for p in positions]) + key, b"")
         return rowid
 
     def delete_row(self, rowid: int, values: tuple[SqlValue, ...]) -> None:
         """Delete the row the caller matched as ``values``, and its index entries."""
-        for index in self.table.indexes:
-            self._index_trees[index.name].delete(self._index_key(index, values, rowid))
+        for tree, positions in self._indexes:
+            tree.delete(tuple([values[p] for p in positions]) + (rowid,))
         self.tree.delete((rowid,))
 
     def update_row(
@@ -79,14 +101,14 @@ class TableStore:
         alias = self.table.rowid_alias
         if alias is not None and new_values[alias] != rowid:
             raise IntegrityError("updating an INTEGER PRIMARY KEY is not supported")
-        self._check_unique(new_values, rowid)
-        for index in self.table.indexes:
-            old_key = self._index_key(index, old_values, rowid)
-            new_key = self._index_key(index, new_values, rowid)
-            if old_key != new_key:
-                tree = self._index_trees[index.name]
-                tree.delete(old_key)
-                tree.insert(new_key, b"")
+        if self._unique:
+            self._check_unique(new_values, rowid)
+        for tree, positions in self._indexes:
+            old = tuple([old_values[p] for p in positions])
+            new = tuple([new_values[p] for p in positions])
+            if old != new:
+                tree.delete(old + (rowid,))
+                tree.insert(new + (rowid,), b"")
         self.tree.insert((rowid,), encode_record(new_values), replace=True)
 
     # ------------------------------------------------------------- reads
@@ -111,9 +133,31 @@ class TableStore:
         for key, payload in self.tree.scan(lo_key, hi_key, lo_open, hi_open):
             yield key[0], decode_record(payload)
 
-    def index_rowids(
+    def index_rows(
         self,
         index: Index,
+        lo: tuple | None,
+        hi: tuple | None,
+        lo_open: bool = False,
+        hi_open: bool = False,
+    ) -> Iterator[tuple[int, tuple[SqlValue, ...]]]:
+        """Yield (rowid, values) of the rows whose index key falls in the range,
+        in index order, each row fetched as its index entry is reached."""
+        get_row = self.get_row
+        for rowid in self._index_rowids(self._index_trees[index.name], lo, hi, lo_open, hi_open):
+            row = get_row(rowid)
+            if row is not None:
+                yield rowid, row
+
+    def count(self) -> int:
+        """Number of rows in the table (full scan)."""
+        return self.tree.count()
+
+    # ----------------------------------------------------------- internals
+
+    @staticmethod
+    def _index_rowids(
+        tree: BTree,
         lo: tuple | None,
         hi: tuple | None,
         lo_open: bool = False,
@@ -122,41 +166,35 @@ class TableStore:
         """Rowids whose index key falls in the range, in index order.
 
         Bounds are *value prefixes* (without the trailing rowid).  Open and
-        closed bounds are both expressed by padding the prefix with a rowid
-        sentinel below/above every real rowid, so the underlying B-tree scan
-        is always inclusive.
+        closed bounds are both expressed by padding the prefix with a value
+        that sorts below / above every rowid, so the underlying B-tree scan is
+        always inclusive.
         """
         if lo is None:
             lo_key = None
         else:
-            lo_key = lo + (_MAX_ROWID,) if lo_open else lo + (_MIN_ROWID,)
+            lo_key = lo + (_ABOVE_ROWIDS,) if lo_open else lo + (_BELOW_ROWIDS,)
         if hi is None:
             hi_key = None
         else:
-            hi_key = hi + (_MIN_ROWID,) if hi_open else hi + (_MAX_ROWID,)
-        for key, _payload in self._index_trees[index.name].scan(lo_key, hi_key):
+            hi_key = hi + (_BELOW_ROWIDS,) if hi_open else hi + (_ABOVE_ROWIDS,)
+        for key, _payload in tree.scan(lo_key, hi_key):
             yield key[-1]
 
-    def count(self) -> int:
-        """Number of rows in the table (full scan)."""
-        return self.tree.count()
-
-    # ----------------------------------------------------------- internals
-
-    def _index_key(self, index: Index, values: tuple[SqlValue, ...], rowid: int) -> tuple:
-        return tuple(values[p] for p in self._index_positions[index.name]) + (rowid,)
-
     def _check_unique(self, values: tuple[SqlValue, ...], rowid: int) -> None:
-        for index in self.table.indexes:
-            if not index.unique:
-                continue
-            prefix = tuple(values[p] for p in self._index_positions[index.name])
-            for other_rowid in self.index_rowids(index, prefix, prefix):
+        for tree, positions, index in self._unique:
+            prefix = tuple([values[p] for p in positions])
+            for other_rowid in self._index_rowids(tree, prefix, prefix):
                 if other_rowid != rowid:
                     raise IntegrityError(
                         f"UNIQUE constraint failed: {index.table_name}.{index.columns}"
                     )
 
+    def _duplicate(self, rowid: int) -> IntegrityError:
+        return IntegrityError(f"duplicate rowid {rowid} in {self.table.name!r}")
 
-_MIN_ROWID = -(2**62)
-_MAX_ROWID = 2**62
+
+# Index keys end in an integer rowid; NULL sorts below every integer and a
+# blob above, so these pad a value prefix past all of that prefix's rowids.
+_BELOW_ROWIDS = None
+_ABOVE_ROWIDS = b""

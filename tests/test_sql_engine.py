@@ -13,6 +13,7 @@ from repro.sqlite.sql.engine import (
     sql_compare,
     sql_truth,
 )
+from repro.sqlite.table import TableStore
 
 
 def make_db():
@@ -30,7 +31,8 @@ def path_for(db, where_sql):
     table = db.catalog.get_table("t")
     compiler = ExprCompiler([("t", table)], Parameters())
     conjuncts = split_conjuncts(statement.where)
-    path, leftovers = choose_access_path("t", table, conjuncts, set(), compiler)
+    store = TableStore(table, db.pager)
+    path, leftovers = choose_access_path("t", store, conjuncts, set(), compiler)
     return path, leftovers
 
 
