@@ -12,20 +12,25 @@ without one.  After every statement the test folds into one digest the
 statement's outcome, the pager cache in LRU order with each page's dirty flag,
 ``sqlite.spilled_pages``, the device's command counters and the simulated
 clock.  An engine change that leaves every page access in place passes it
-unchanged.
+unchanged.  The three modes must also agree with each other on every
+statement's outcome: a mode that loses data shows up by name and statement
+number, not only as a changed digest.
 
 The stream binds integers and text only, with no NULL in an indexed column,
 so its results do not depend on how an access path treats a NULL, float or
 text bound.
 
-Recorded at the commit before access paths were bound at plan time;
-re-record only with a deliberate, explained bump::
+Recorded at the commit before access paths were bound at plan time; the
+``wal`` row alone was re-recorded when a WAL transaction began reading back
+its own spilled frames (84 errors → 53, as ``rbj`` and ``off`` record).
+Re-record only with a deliberate, explained bump::
 
     PYTHONPATH=src python tests/test_sql_access_order.py --record
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -105,7 +110,9 @@ def _stream(rng: random.Random):
         yield "COMMIT", ()
 
 
-def _run(name: str) -> dict:
+@functools.cache
+def _run(name: str) -> tuple[dict, list]:
+    """The pinned row of one mode, and each statement's outcome in order."""
     stack = build_stack(
         StackConfig(
             mode=MODES[name],
@@ -121,6 +128,7 @@ def _run(name: str) -> dict:
         db.execute(sql)
     digest = hashlib.sha256()
     statements = errors = 0
+    outcomes = []
     for sql, args in _stream(random.Random(SEED)):
         try:
             outcome = db.execute(sql, args)
@@ -128,6 +136,7 @@ def _run(name: str) -> dict:
             outcome = (type(error).__name__, str(error))
             errors += 1
         statements += 1
+        outcomes.append(outcome)
         cache = [(pno, entry.dirty) for pno, entry in db.pager._cache.items()]
         step = [
             sql,
@@ -138,13 +147,14 @@ def _run(name: str) -> dict:
             stack.clock.now_us,
         ]
         digest.update(json.dumps(step, default=repr).encode())
-    return {
+    row = {
         "statements": statements,
         "errors": errors,
         "spilled_pages": stack.obs.registry.counter_value("sqlite.spilled_pages"),
         "device": stack.device.counters.as_dict(),
         "sha256": digest.hexdigest(),
     }
+    return row, outcomes
 
 
 def test_every_mode_is_pinned() -> None:
@@ -153,14 +163,26 @@ def test_every_mode_is_pinned() -> None:
 
 @pytest.mark.parametrize("name", sorted(MODES))
 def test_access_order_matches_recorded_baseline(name: str) -> None:
-    row = _run(name)
+    row, _outcomes = _run(name)
     assert row["spilled_pages"] > 0  # the stream does evict and spill
     assert row == json.loads(BASELINE_PATH.read_text())[name]
+
+
+def test_modes_agree_statement_by_statement() -> None:
+    reference = _run("rbj")[1]
+    for name in sorted(MODES):
+        outcomes = _run(name)[1]
+        differ = [i for i, (ours, theirs) in enumerate(zip(outcomes, reference)) if ours != theirs]
+        assert not differ, (
+            f"{name} differs from rbj on {len(differ)} statements, first at statement"
+            f" {differ[0]}: {outcomes[differ[0]]!r} against {reference[differ[0]]!r}"
+        )
+        assert len(outcomes) == len(reference)
 
 
 if __name__ == "__main__":
     if "--record" not in sys.argv:
         sys.exit("usage: PYTHONPATH=src python tests/test_sql_access_order.py --record")
-    recorded = {name: _run(name) for name in sorted(MODES)}
+    recorded = {name: _run(name)[0] for name in sorted(MODES)}
     BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} access-order baselines to {BASELINE_PATH}")
