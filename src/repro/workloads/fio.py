@@ -97,11 +97,7 @@ class FioBenchmark:
             # allocation must not pollute the measured write path.
             handle = fs.create("fio.dat")
             handle.fallocate(self.file_pages)
-            if stack.fs.mode.value == "xftl":
-                layout_txn = fs.txn_manager.begin()
-                fs.fsync(handle, txn=layout_txn)
-            else:
-                fs.fsync(handle)
+            fs.fsync(handle, txn=fs.txn_manager.begin() if fs.transactional else None)
 
         clock = stack.clock
         start = clock.now_s
@@ -122,7 +118,7 @@ class FioBenchmark:
                 scheduler.timeline(f"fio.thread{index}") for index in range(threads)
             ]
         timeline = None
-        txn = fs.txn_manager.begin() if stack.fs.mode.value == "xftl" else None
+        txn = fs.txn_manager.begin() if fs.transactional else None
         while clock.now_s < deadline:
             if thread_timelines is not None:
                 timeline = thread_timelines[(writes + reads) % threads]

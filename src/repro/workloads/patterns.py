@@ -174,8 +174,7 @@ class PatternWorkload:
         else:
             handle = namespace.create(filename)
             handle.fallocate(self.file_pages)
-        transactional = fs.mode.value == "xftl"
-        txn = fs.txn_manager.begin() if transactional else None
+        txn = fs.txn_manager.begin() if fs.transactional else None
         started_s = stack.clock.now_s
         fsyncs = 0
         written = 0
