@@ -327,9 +327,18 @@ def _drain(sessions: list) -> None:
             pass
 
 
-def _one_connection(stack) -> SqlLanes:
-    db = _new_table(stack.open_database("verify.db"))
+def _one_connection(stack, **options) -> SqlLanes:
+    db = _new_table(stack.open_database("verify.db", **options))
     return SqlLanes([Lane(None, "", "verify.db", db)], _drain, lambda db: None)
+
+
+def _wal_connection(stack) -> SqlLanes:
+    """A one-page pager cache and a checkpoint every eighth frame, over a
+    settled machine: the table checkpointed home, the ext4 journal too."""
+    lanes = _one_connection(stack, cache_pages=1, checkpoint_interval=8)
+    lanes.lanes[0].db.pager.checkpoint()
+    stack.fs.journal.checkpoint()
+    return lanes
 
 
 def _two_sessions(stack) -> SqlLanes:
@@ -583,6 +592,13 @@ class Layer:
     unwritten: range = range(0)  # keys nothing writes: must still read None
 
 
+def _sql_row(name, components, doc, stream, mode, open_lanes=_one_connection) -> Layer:
+    """SQL transactions on the lanes ``open_lanes`` opens on a ``mode`` stack."""
+    seed = partial(_seed_tables, open_lanes=open_lanes)
+    build = partial(_sqlite_stack, mode)
+    return Layer(name, components, doc, stream, build, _sql_txns, seed, reader=_read_tables)
+
+
 _XFTL_STACK = ("flash", "ftl.pagemap", "ftl.xftl")
 # The GC rows: a static tail beyond the hot set, six churn rounds, then a
 # coin flip per commit between a group of 2-3 and a single transaction.
@@ -719,30 +735,36 @@ LAYERS: dict[str, Layer] = {
             reader=_read_file,
             hot=12,
         ),
-        Layer(
+        _sql_row(
             "sqlite.xftl",
             _XFTL_STACK + ("fs.ext4",),
             "SQL transactions on the full paper stack (SQLite OFF mode on"
             " ext4-XFTL on X-FTL)",
-            stream="verify.sqlite.X-FTL",
-            build=partial(_sqlite_stack, Mode.XFTL),
-            workload=_sql_txns,
-            seed=partial(_seed_tables, open_lanes=_one_connection),
-            reader=_read_tables,
+            "verify.sqlite.X-FTL",
+            Mode.XFTL,
         ),
-        Layer(
+        _sql_row(
             "sqlite.rbj",
             ("flash", "ftl.pagemap", "fs.ext4", "sqlite.pager"),
             "the same SQL workload on the unmodified stack (rollback journal on"
             " ordered ext4 on the stock FTL), the only row where"
             " sqlite.commit.mid is reachable",
-            stream="verify.sqlite.RBJ",
-            build=partial(_sqlite_stack, Mode.RBJ),
-            workload=_sql_txns,
-            seed=partial(_seed_tables, open_lanes=_one_connection),
-            reader=_read_tables,
+            "verify.sqlite.RBJ",
+            Mode.RBJ,
         ),
-        Layer(
+        _sql_row(
+            "sqlite.wal",
+            ("flash", "ftl.pagemap", "fs.ext4"),
+            "the same SQL workload in WAL mode on ordered ext4 on the stock FTL,"
+            " through a one-page pager cache: every UPDATE spills its leaf as an"
+            " uncommitted frame and the next one reads it back, and every"
+            " eighth frame committed triggers a checkpoint, so crashes land"
+            " with uncommitted frames in the log and mid-checkpoint",
+            "verify.sqlite.WAL",
+            Mode.WAL,
+            _wal_connection,
+        ),
+        _sql_row(
             "sqlite.concurrent",
             _XFTL_STACK + ("fs.ext4",),
             "two sessions, each with its own OFF-mode database, interleaved"
@@ -750,24 +772,20 @@ LAYERS: dict[str, Layer] = {
             " commits on one X-FTL device, so crashes land between staged"
             " transactions, during the group's X-L2P flush and at the publish"
             " point, with both databases held to all-or-nothing at once",
-            stream="verify.sqlite.concurrent",
-            build=partial(_sqlite_stack, Mode.XFTL),
-            workload=_sql_txns,
-            seed=partial(_seed_tables, open_lanes=_two_sessions),
-            reader=_read_tables,
+            "verify.sqlite.concurrent",
+            Mode.XFTL,
+            _two_sessions,
         ),
-        Layer(
+        _sql_row(
             "stack.tenant",
             _XFTL_STACK + ("fs.ext4",),
             "two tenants (three sessions) share one X-FTL device through the"
             " TenantScheduler: a crash landing mid-commit of tenant A's"
             " transaction must leave tenant B's namespace transactionally"
             " intact, and vice versa",
-            stream="verify.stack.tenant",
-            build=partial(_sqlite_stack, Mode.XFTL),
-            workload=_sql_txns,
-            seed=partial(_seed_tables, open_lanes=_two_tenants),
-            reader=_read_tables,
+            "verify.stack.tenant",
+            Mode.XFTL,
+            _two_tenants,
         ),
         Layer(
             "ftl.mvcc",
