@@ -52,9 +52,5 @@ class DeviceCounters:
             **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
         )
 
-    def diff(self, earlier: "DeviceCounters") -> "DeviceCounters":
-        """Alias of :meth:`delta`, kept for existing callers."""
-        return self.delta(earlier)
-
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

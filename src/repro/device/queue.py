@@ -105,7 +105,7 @@ class CommandQueue:
         self._next_id = 0
         self._shares: dict[int, int] | None = None
         self._live_by_tenant: dict[int, int] = {}
-        self.share_stalls = 0  # plain counter; obs may be disabled
+        self.share_stalls = 0
         # Epoch bookkeeping (barrier-enabled devices only): every dispatched
         # command is tagged with the current epoch, and an order barrier
         # closes the epoch instead of draining.  Dispatch never reorders
@@ -114,12 +114,13 @@ class CommandQueue:
         self.epochs_enabled = epochs
         self._epoch = 0
         self._epoch_bounds: dict[int, tuple[float, float]] = {}  # epoch -> (min, max) end
-        self.epochs_closed = 0  # plain counter; obs may be disabled
+        self.epochs_closed = 0
+        obs.registry.bind(
+            self, {"dev.queue.share_stalls": "share_stalls", "dev.queue.epochs": "epochs_closed"}
+        )
         self._obs_depth = obs.gauge("dev.queue.depth")
         self._obs_dispatch_depth = obs.histogram("dev.queue.dispatch_depth")
         self._obs_admit_stalls = obs.counter("dev.queue.admit_stalls")
-        self._obs_share_stalls = obs.counter("dev.queue.share_stalls")
-        self._obs_epochs = obs.counter("dev.queue.epochs")
 
     def set_shares(self, shares: dict[int, int] | None) -> None:
         """Install (or clear) per-tenant in-flight caps.
@@ -178,7 +179,6 @@ class CommandQueue:
                 # One stall per capped admit, however many completions it
                 # takes to free a slot (the loop must not re-count).
                 self.share_stalls += 1
-                self._obs_share_stalls.inc()
                 while live.get(tenant_id, 0) >= cap:
                     # Wait on the stalled tenant's *own* earliest in-flight
                     # completion: a foreign command finishing can never
@@ -242,7 +242,6 @@ class CommandQueue:
             return
         self._epoch += 1
         self.epochs_closed += 1
-        self._obs_epochs.inc()
 
     def drain(self) -> None:
         """Barrier: the host waits for every in-flight command to complete."""

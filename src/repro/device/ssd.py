@@ -27,6 +27,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Callable
 
 from repro.errors import DeviceError
@@ -86,10 +87,9 @@ class StorageDevice:
             if queue_depth > 1
             else None
         )
-        # Barrier accounting, plain attributes first (obs may be disabled):
-        # stalls the order-only path avoided vs. what a drain would have
-        # waited, and the symmetric drain-mode measurement for the rival
-        # comparison (`barrier` bench experiment).
+        # Barrier accounting: stalls the order-only path avoided vs. what a
+        # drain would have waited, and the symmetric drain-mode measurement
+        # for the rival comparison (`barrier` bench experiment).
         self.stalls_avoided = 0
         self.stall_avoided_us = 0.0
         self.barrier_stalls = 0
@@ -99,19 +99,15 @@ class StorageDevice:
         # nothing (the double-barrier bug in the directory-fsync path).
         self._mutated_since_flush = False
         obs = self.obs
-        self._obs_reads = obs.counter("dev.reads")
-        self._obs_writes = obs.counter("dev.writes")
-        self._obs_trims = obs.counter("dev.trims")
-        self._obs_flushes = obs.counter("dev.flushes")
-        self._obs_tagged_reads = obs.counter("dev.tagged_reads")
-        self._obs_tagged_writes = obs.counter("dev.tagged_writes")
-        self._obs_commits = obs.counter("dev.commits")
-        self._obs_aborts = obs.counter("dev.aborts")
-        self._obs_barrier_writes = obs.counter("dev.barrier_writes")
-        self._obs_barriers = obs.counter("dev.barriers")
-        self._obs_stalls_avoided = obs.counter("dev.queue.stalls_avoided")
+        obs.registry.bind(self.counters, {f"dev.{f.name}": f.name for f in fields(DeviceCounters)})
+        obs.registry.bind(
+            self,
+            {
+                "dev.queue.stalls_avoided": "stalls_avoided",
+                "dev.queue.barrier_stalls": "barrier_stalls",
+            },
+        )
         self._obs_stall_avoided_us = obs.histogram("dev.queue.stall_avoided_us")
-        self._obs_barrier_stalls = obs.counter("dev.queue.barrier_stalls")
         self._obs_barrier_stall_us = obs.histogram("dev.queue.barrier_stall_us")
         self._obs_flush_us = obs.histogram("dev.flush.latency_us")
         self._obs_commit_us = obs.histogram("dev.commit.latency_us")
@@ -211,7 +207,6 @@ class StorageDevice:
                 # symmetric numbers.
                 self.barrier_stalls += 1
                 self.barrier_stall_us += stalled
-                self._obs_barrier_stalls.inc()
                 self._obs_barrier_stall_us.observe(stalled)
 
     def _order_barrier(self) -> None:
@@ -231,7 +226,6 @@ class StorageDevice:
                 if avoided > 0.0:
                     self.stalls_avoided += 1
                     self.stall_avoided_us += avoided
-                    self._obs_stalls_avoided.inc()
                     self._obs_stall_avoided_us.observe(avoided)
             queue.close_epoch()
         self.chip.order_barrier()
@@ -248,7 +242,6 @@ class StorageDevice:
     def read(self, lpn: int) -> Any:
         self._check_on()
         self.counters.reads += 1
-        self._obs_reads.inc()
         self._charge(transfers=1)
         if self.queue is None:
             return self.ftl.read(lpn)
@@ -260,7 +253,6 @@ class StorageDevice:
 
     def _write(self, lpn: int, data: Any) -> None:
         self.counters.writes += 1
-        self._obs_writes.inc()
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
@@ -274,7 +266,6 @@ class StorageDevice:
     def trim(self, lpn: int) -> None:
         self._check_on()
         self.counters.trims += 1
-        self._obs_trims.inc()
         self._mutated_since_flush = True
         self._charge()
         self.ftl.trim(lpn)
@@ -286,7 +277,6 @@ class StorageDevice:
 
     def _flush(self) -> None:
         self.counters.flushes += 1
-        self._obs_flushes.inc()
         if self.tenants.enabled:
             self.tenants.note_flush()
         start_us = self.clock.now_us
@@ -312,7 +302,6 @@ class StorageDevice:
             self._flush()
             return
         self.counters.barriers += 1
-        self._obs_barriers.inc()
         if self.tenants.enabled:
             self.tenants.note_flush()
         with self.obs.tracer.span("barrier", "dev"):
@@ -336,7 +325,6 @@ class StorageDevice:
             self._flush()
             return
         self.counters.barrier_writes += 1
-        self._obs_barrier_writes.inc()
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
@@ -361,7 +349,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.tagged_reads += 1
-        self._obs_tagged_reads.inc()
         self._charge(transfers=1)
         if self.queue is None:
             return ftl.read_tx(tid, lpn)
@@ -375,7 +362,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.tagged_reads += 1
-        self._obs_tagged_reads.inc()
         self._charge(transfers=1)
         if self.queue is None:
             return ftl.read_as_of(lpn, snapshot_seq)
@@ -396,7 +382,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.tagged_writes += 1
-        self._obs_tagged_writes.inc()
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
@@ -428,7 +413,6 @@ class StorageDevice:
         if not tids:
             return
         self.counters.commits += len(tids)
-        self._obs_commits.inc(len(tids))
         tracer = self.obs.tracer
         if len(tids) == 1:
             span = tracer.span("commit", "dev", tid=tids[0])
@@ -447,7 +431,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.aborts += 1
-        self._obs_aborts.inc()
         self._charge()
         self._barrier_point()
         ftl.abort(tid)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from repro.errors import FlashError
 from repro.flash.chip import FlashChip, OverlapRegion
 from repro.flash.geometry import FlashGeometry
-from repro.flash.stats import FlashStats
 from repro.obs import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import CrashPlan
@@ -73,12 +72,9 @@ class FlashArray(FlashChip):
         clock: SimClock | None = None,
         profile: LatencyProfile = OPENSSD_PROFILE,
         crash_plan: CrashPlan | None = None,
-        stats: FlashStats | None = None,
         obs: Observability = NULL_OBS,
     ) -> None:
-        super().__init__(
-            geometry, clock=clock, profile=profile, crash_plan=crash_plan, stats=stats, obs=obs
-        )
+        super().__init__(geometry, clock=clock, profile=profile, crash_plan=crash_plan, obs=obs)
         geo = self.geometry
         self._num_channels = geo.channels
         self.scheduler = EventScheduler(self.clock)

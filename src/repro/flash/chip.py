@@ -117,22 +117,20 @@ class FlashChip:
         clock: SimClock | None = None,
         profile: LatencyProfile = OPENSSD_PROFILE,
         crash_plan: CrashPlan | None = None,
-        stats: FlashStats | None = None,
         obs: Observability = NULL_OBS,
     ) -> None:
         self.geometry = geometry or FlashGeometry()
         self.clock = clock or SimClock()
         self.profile = profile
         self.crash_plan = crash_plan if crash_plan is not None else NO_CRASH
-        self.stats = stats or FlashStats()
+        # The chip and every FTL above it count into this one record.
+        self.stats = FlashStats()
         # The obs handle rides on the chip (like clock and crash plan) and
         # every higher layer picks it up from the layer below.
         self.obs = obs
+        obs.registry.bind(self.stats, FlashStats.OBS_NAMES)
         # So does the tenant registry; inert until a tenant registers.
         self.tenants = TenantRegistry(obs)
-        self._obs_programs = obs.counter("flash.page_programs")
-        self._obs_reads = obs.counter("flash.page_reads")
-        self._obs_erases = obs.counter("flash.block_erases")
         self._obs_torn = obs.counter("flash.torn_programs")
         self._tracer = obs.tracer
 
@@ -261,7 +259,6 @@ class FlashChip:
                 self._oob[ppn] = None
                 write_points[block] = index + 1
                 self.stats.page_programs += 1
-                self._obs_programs.inc()
                 self._obs_torn.inc()
                 raise PowerFailure(f"power lost mid-program of ppn={ppn} (page torn)")
             if fired is not None:
@@ -272,7 +269,6 @@ class FlashChip:
         st.page_states[ppn] = PAGE_PROGRAMMED
         write_points[block] = index + 1
         self.stats.page_programs += 1
-        self._obs_programs.inc()
         tracer = self._tracer
         if tracer.enabled:
             with tracer.span("program", "flash"):
@@ -292,7 +288,6 @@ class FlashChip:
                 raise CorruptionError(f"read of torn page ppn={ppn}")
             raise FlashError(f"read of erased page ppn={ppn}")
         self.stats.page_reads += 1
-        self._obs_reads.inc()
         self._charge_flash(self.profile.page_read_us, ppn // self._pages_per_block)
         return self._data[ppn]
 
@@ -322,8 +317,6 @@ class FlashChip:
         stats = self.stats
         stats.page_reads += count
         stats.page_programs += count
-        self._obs_reads.inc(count)
-        self._obs_programs.inc(count)
         self._charge_run(srcs[0] // per, block, count)
 
     def _is_plain_run(self, srcs: list[int], dst: int, count: int) -> bool:
@@ -378,7 +371,6 @@ class FlashChip:
         self._oob[start:end] = self._none_block
         self.state.erase_block(block)
         self.stats.block_erases += 1
-        self._obs_erases.inc()
         tracer = self._tracer
         if tracer.enabled:
             with tracer.span("erase", "flash"):

@@ -3,17 +3,21 @@
 The paper's Table 1 and Figure 6 report FTL-side counters (page writes and
 reads including internal copybacks, garbage-collection invocations, block
 erases).  :class:`FlashStats` is the single accumulator both the raw chip and
-the FTL write into, so a benchmark can snapshot/diff it around a workload.
+the FTL write into, so a benchmark can snapshot/delta it around a workload.
+It is also the only store of these counts: the chip binds it to the obs
+registry under :attr:`FlashStats.OBS_NAMES`, which reads the fields when
+asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 
 @dataclass
 class FlashStats:
-    """Counters across the flash stack.
+    """Counters across the flash stack, one field per event.
 
     Chip-level (raw NAND operations):
         page_reads, page_programs, block_erases
@@ -72,6 +76,33 @@ class FlashStats:
     cmt_writebacks: int = 0
     gc_translation_collections: int = 0
 
+    #: obs counter name -> field, one name per field.
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "flash.page_reads": "page_reads",
+        "flash.page_programs": "page_programs",
+        "flash.block_erases": "block_erases",
+        "ftl.host_page_writes": "host_page_writes",
+        "ftl.host_page_reads": "host_page_reads",
+        "ftl.gc.copyback_reads": "gc_copyback_reads",
+        "ftl.gc.copyback_writes": "gc_copyback_writes",
+        "ftl.gc.invocations": "gc_invocations",
+        "ftl.map_page_writes": "map_page_writes",
+        "ftl.xl2p.page_writes": "xl2p_page_writes",
+        "ftl.barriers": "barriers",
+        "ftl.commits": "commits",
+        "ftl.aborts": "aborts",
+        "ftl.xl2p.flushes": "xl2p_flushes",
+        "ftl.group_commits": "group_commits",
+        "ftl.gc.urgent_collections": "gc_urgent_collections",
+        "ftl.gc.wear_migrations": "gc_wear_migrations",
+        "ftl.cmt.hits": "cmt_hits",
+        "ftl.cmt.misses": "cmt_misses",
+        "ftl.cmt.fetch_reads": "cmt_fetch_reads",
+        "ftl.cmt.evictions": "cmt_evictions",
+        "ftl.cmt.writebacks": "cmt_writebacks",
+        "ftl.gc.translation_collections": "gc_translation_collections",
+    }
+
     def snapshot(self) -> "FlashStats":
         """Return an independent copy of the current counters."""
         return FlashStats(**{f.name: getattr(self, f.name) for f in fields(self)})
@@ -88,10 +119,6 @@ class FlashStats:
         return FlashStats(
             **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
         )
-
-    def diff(self, earlier: "FlashStats") -> "FlashStats":
-        """Alias of :meth:`delta`, kept for existing callers."""
-        return self.delta(earlier)
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view, handy for report tables."""

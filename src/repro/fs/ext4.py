@@ -91,10 +91,6 @@ class FsStats:
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
         return FsStats(**{k: v - getattr(earlier, k) for k, v in vars(self).items()})
 
-    def diff(self, earlier: "FsStats") -> "FsStats":
-        """Alias of :meth:`delta`, kept for existing callers."""
-        return self.delta(earlier)
-
 
 @dataclass
 class Inode:

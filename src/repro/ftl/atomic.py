@@ -50,14 +50,12 @@ class AtomicWriteFTL(PageMappingFTL):
             ppn = self.gc.host_program(data, OOB_DATA, lpn, ("group", group))
             staged.append((lpn, ppn))
             self.stats.host_page_writes += 1
-            self._obs_host_writes.inc()
         # Commit record makes the group durable/atomic.
         record = ("commit-record", group, lpns)
         record_ppn = self.gc.host_program(record, OOB_COMMIT_RECORD, group, None)
         self._own(record_ppn, OWNER_COMMIT_RECORD, group)
         self._live_commit_records[group] = record_ppn
         self.stats.map_page_writes += 1
-        self._obs_map_writes.inc()
         # Publish mappings now that the record is durable.
         self._publish_mappings(staged)
 

@@ -76,11 +76,6 @@ class FtlConfig:
             into the free pool (``0`` disables wear leveling).
         gc_wear_check_interval: Background steps between wear-spread
             checks.
-        detect_write_conflicts: If set, X-FTL rejects a tagged write to a
-            logical page another active transaction has already written —
-            the isolation guarantee TxFlash offers (§3.3).  Off by default:
-            the paper's X-FTL leaves isolation to the host (SQLite locks at
-            file granularity, so conflicts cannot arise in its deployment).
         cmt_pages: Cached-mapping-table capacity, in translation pages
             (DFTL-style demand paging; Dayan & Bonnet's flash-resident
             page-mapping design).  ``0`` — the default — keeps the whole
@@ -123,7 +118,6 @@ class FtlConfig:
     gc_hot_write_threshold: int = 4
     gc_wear_spread_threshold: int = 16
     gc_wear_check_interval: int = 32
-    detect_write_conflicts: bool = False
     map_entries_per_page: int = 256
     barrier_meta_pages: int = 2
     xl2p_capacity: int = 1000
@@ -144,18 +138,8 @@ class Ftl(abc.ABC):
         self.chip = chip
         self.config = config or FtlConfig()
         self.stats: FlashStats = chip.stats
-        # Observability rides on the chip; instruments are acquired once
-        # here so hot paths pay only an attribute access + no-op call.
+        # Observability rides on the chip, which binds the stats above.
         self.obs = chip.obs
-        obs = chip.obs
-        self._obs_host_writes = obs.counter("ftl.host_page_writes")
-        self._obs_host_reads = obs.counter("ftl.host_page_reads")
-        self._obs_barriers = obs.counter("ftl.barriers")
-        self._obs_map_writes = obs.counter("ftl.map_page_writes")
-        self._obs_gc_invocations = obs.counter("ftl.gc.invocations")
-        self._obs_gc_reads = obs.counter("ftl.gc.copyback_reads")
-        self._obs_gc_writes = obs.counter("ftl.gc.copyback_writes")
-        self._obs_gc_fifo_fallbacks = obs.counter("ftl.gc.fifo_fallbacks")
 
     @property
     @abc.abstractmethod

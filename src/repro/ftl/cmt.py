@@ -73,12 +73,6 @@ class CachedMappingTable:
         self.dirty_batch = dirty_batch
         # segment -> None; insertion order is LRU order (last = most recent).
         self._resident: "OrderedDict[int, None]" = OrderedDict()
-        obs = ftl.chip.obs
-        self._obs_hits = obs.counter("ftl.cmt.hits")
-        self._obs_misses = obs.counter("ftl.cmt.misses")
-        self._obs_fetch_reads = obs.counter("ftl.cmt.fetch_reads")
-        self._obs_evictions = obs.counter("ftl.cmt.evictions")
-        self._obs_writebacks = obs.counter("ftl.cmt.writebacks")
 
     # ------------------------------------------------------------ lookups
 
@@ -88,10 +82,8 @@ class CachedMappingTable:
         if segment in resident:
             resident.move_to_end(segment)
             self.ftl.stats.cmt_hits += 1
-            self._obs_hits.inc()
             return
         self.ftl.stats.cmt_misses += 1
-        self._obs_misses.inc()
         self._fetch(segment)
         resident[segment] = None
         self._shrink()
@@ -131,14 +123,12 @@ class CachedMappingTable:
             return
         self.ftl.chip.read(ppn)
         self.ftl.stats.cmt_fetch_reads += 1
-        self._obs_fetch_reads.inc()
 
     def _shrink(self) -> None:
         ftl = self.ftl
         while len(self._resident) > self.capacity:
             victim, _ = self._resident.popitem(last=False)
             ftl.stats.cmt_evictions += 1
-            self._obs_evictions.inc()
             if victim not in ftl._dirty_segments:
                 continue
             ftl.chip.crash_plan.hit(CP_CMT_EVICT)
@@ -165,9 +155,8 @@ class CachedMappingTable:
         self.note_writeback()
 
     def note_writeback(self) -> None:
-        """Count one out-of-barrier translation-page program (stats + obs)."""
+        """Count one out-of-barrier translation-page program."""
         self.ftl.stats.cmt_writebacks += 1
-        self._obs_writebacks.inc()
 
     # ------------------------------------------------------------ lifecycle
 

@@ -203,12 +203,8 @@ class Collector:
         self.victims_collected = 0
         self.rebuild()  # a fresh chip: every block free
         obs = chip.obs
-        self._obs_invocations = ftl._obs_gc_invocations
-        self._obs_reads = ftl._obs_gc_reads
-        self._obs_writes = ftl._obs_gc_writes
-        self._obs_fifo_fallbacks = ftl._obs_gc_fifo_fallbacks
+        self._obs_fifo_fallbacks = obs.counter("ftl.gc.fifo_fallbacks")
         self._obs_victim_valid = obs.histogram("ftl.gc.victim_valid_pages", DEFAULT_SIZE_BOUNDS)
-        self._obs_trans = obs.counter("ftl.gc.translation_collections")
         self._obs_pause_us = obs.histogram("ftl.gc.pause_us")
         self._obs_copyback_pages = obs.histogram("ftl.gc.copyback_pages", DEFAULT_SIZE_BOUNDS)
         self._obs_erase_spread = obs.histogram("ftl.gc.erase_spread", DEFAULT_SIZE_BOUNDS)
@@ -216,8 +212,6 @@ class Collector:
             state: obs.counter(f"ftl.gc.transitions_to_{state.value}") for state in GcState
         }
         self._obs_background = obs.counter("ftl.gc.background_collections")
-        self._obs_urgent = obs.counter("ftl.gc.urgent_collections")
-        self._obs_wear = obs.counter("ftl.gc.wear_migrations")
         self._obs_hot_writes = obs.counter("ftl.gc.hot_stream_writes")
         self._obs_cold_writes = obs.counter("ftl.gc.cold_stream_writes")
         self._obs_trans_writes = obs.counter("ftl.gc.trans_stream_writes")
@@ -517,7 +511,6 @@ class Collector:
                 self._run_job(channel, job)
             if not self._inline:
                 collected = True
-                self._obs_urgent.inc()
                 self._stats.gc_urgent_collections += 1
         if collected:
             self._obs_pause_us.observe(self._chip.clock.now_us - start_us)
@@ -530,10 +523,8 @@ class Collector:
         job = GcJob(victim=victim, cursor=start, end=start + self._write_points[victim], wear=wear)
         self._jobs[channel] = job
         self._stats.gc_invocations += 1
-        self._obs_invocations.inc()
         if victim in self._trans_blocks:
             self._stats.gc_translation_collections += 1
-            self._obs_trans.inc()
         valid = self._valid_counts[victim]
         self._valid_ratio_sum += valid / per
         self.victims_collected += 1
@@ -619,13 +610,8 @@ class Collector:
                 job.cursor = srcs[-1] + 1
         finally:
             job.moved += moved
-            reads = stats.page_reads - reads_before
-            if reads:
-                stats.gc_copyback_reads += reads
-                self._obs_reads.inc(reads)
-            if moved:
-                stats.gc_copyback_writes += moved
-                self._obs_writes.inc(moved)
+            stats.gc_copyback_reads += stats.page_reads - reads_before
+            stats.gc_copyback_writes += moved
         if preempted:
             return False
         if crash_plan._points:
@@ -789,7 +775,6 @@ class Collector:
             return False
         job = self._open_job(channel, victim, wear=True)
         self._stats.gc_wear_migrations += 1
-        self._obs_wear.inc()
         with self._chip.overlap():
             self._run_job(channel, job, max_pages=self._pages_per_step)
         return True

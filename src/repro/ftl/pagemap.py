@@ -239,7 +239,6 @@ class PageMappingFTL(Ftl):
         if ppn == UNMAPPED:
             return None  # unwritten logical page reads as zeros
         self.stats.host_page_reads += 1
-        self._obs_host_reads.inc()
         return self.chip.read(ppn)
 
     def write(self, lpn: int, data: Any) -> None:
@@ -253,7 +252,6 @@ class PageMappingFTL(Ftl):
             self._cmt.access(lpn // self._map_entries_per_page)
         self._map(lpn, self.gc.host_program(data, OOB_DATA, lpn, None))
         self.stats.host_page_writes += 1
-        self._obs_host_writes.inc()
 
     def trim(self, lpn: int) -> None:
         self._check_power()
@@ -282,7 +280,6 @@ class PageMappingFTL(Ftl):
         """
         self._check_power()
         self.stats.barriers += 1
-        self._obs_barriers.inc()
         clock = self.chip.clock
         start_us = clock._now_us
         with self.obs.tracer.span("barrier", "ftl"):
@@ -700,7 +697,6 @@ class PageMappingFTL(Ftl):
         finally:
             if written:
                 self.stats.map_page_writes += written
-                self._obs_map_writes.inc(written)
 
     def _publish_root(self, seq: int) -> None:
         """Atomically update the meta block (assumed atomic, §5.3).

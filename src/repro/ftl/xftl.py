@@ -99,7 +99,6 @@ class XFTL(PageMappingFTL):
         self._committed_tids: set[int] = set()
         self._aborted_tids: set[int] = set()
         self._started_tids: set[int] = set()  # tids with >= 1 write_tx this mount
-        self._writers_by_lpn: dict[int, int] = {}  # conflict detection only
         self.last_xl2p_recovery_us = 0.0
         # Multi-version X-L2P (FtlConfig.retain_versions).  ``None`` — the
         # retain_versions=1 default — keeps every code path bit-identical to
@@ -118,15 +117,10 @@ class XFTL(PageMappingFTL):
         # (snapshots pin its value).  Stays 0 on the single-version stack.
         self._commit_counter = 0
         obs = chip.obs
-        self._obs_commits = obs.counter("ftl.commits")
-        self._obs_aborts = obs.counter("ftl.aborts")
-        self._obs_xl2p_writes = obs.counter("ftl.xl2p.page_writes")
         self._obs_xl2p_flush_pages = obs.histogram(
             "ftl.xl2p.flush_pages", DEFAULT_SIZE_BOUNDS
         )
         self._obs_commit_us = obs.histogram("ftl.commit.latency_us")
-        self._obs_xl2p_flushes = obs.counter("ftl.xl2p.flushes")
-        self._obs_group_commits = obs.counter("ftl.group_commits")
         self._obs_group_size = obs.histogram("ftl.group_commit.size", DEFAULT_SIZE_BOUNDS)
         self._obs_version_publishes = obs.counter("ftl.mvcc.version_publishes")
         self._obs_version_releases = obs.counter("ftl.mvcc.version_releases")
@@ -140,13 +134,6 @@ class XFTL(PageMappingFTL):
             raise TransactionError("write_tx requires a transaction id")
         self._check_power()
         self._check_lpn(lpn)
-        if self.config.detect_write_conflicts:
-            holder = self._writers_by_lpn.get(lpn)
-            if holder is not None and holder != tid:
-                raise TransactionError(
-                    f"write-write conflict on lpn {lpn}: held by tid {holder}"
-                )
-            self._writers_by_lpn[lpn] = tid
         ppn = self.gc.host_program(data, OOB_DATA, lpn, tid)
         self._started_tids.add(tid)
         previous = self.xl2p.put(tid, lpn, ppn)
@@ -155,7 +142,6 @@ class XFTL(PageMappingFTL):
             self._disown(previous.new_ppn)
         self._own(ppn, OWNER_XL2P_DATA, (tid, lpn))
         self.stats.host_page_writes += 1
-        self._obs_host_writes.inc()
 
     def read_tx(self, tid: int, lpn: int) -> Any:
         """Tagged read: the transaction sees its own writes, else committed."""
@@ -165,7 +151,6 @@ class XFTL(PageMappingFTL):
         if entry is None:
             return self.read(lpn)
         self.stats.host_page_reads += 1
-        self._obs_host_reads.inc()
         return self.chip.read(entry.new_ppn)
 
     # ------------------------------------------------- multi-version X-L2P
@@ -205,7 +190,6 @@ class XFTL(PageMappingFTL):
             ppn = versions.resolve(lpn, snap)
             if ppn is not None:
                 self.stats.host_page_reads += 1
-                self._obs_host_reads.inc()
                 self._obs_asof_reads.inc()
                 return self.chip.read(ppn)
             self._obs_asof_reads.inc()
@@ -284,9 +268,8 @@ class XFTL(PageMappingFTL):
         transaction, so on a multi-channel array the flush fans out
         across channels exactly once.
 
-        Order within ``tids`` is the commit order for L2P folding (the
-        callers' transactions are conflict-free, so the order is
-        unobservable unless conflict detection is disabled).
+        Order within ``tids`` is the commit order for L2P folding: when two
+        members wrote the same page, the later one wins.
         """
         self._commit_members(list(dict.fromkeys(tids)))
 
@@ -311,10 +294,8 @@ class XFTL(PageMappingFTL):
                 raise TransactionError(f"tid {tid} is already committed")
             if tid in self._aborted_tids:
                 raise TransactionError(f"tid {tid} was aborted; cannot commit")
-            self._release_write_locks(tid)
             self._started_tids.discard(tid)
             self.stats.commits += 1  # the host command succeeded; just free
-            self._obs_commits.inc()
         if not live:
             return
         tracer = self.obs.tracer
@@ -359,14 +340,10 @@ class XFTL(PageMappingFTL):
             if self._cmt is not None:
                 per = self._map_entries_per_page
                 self._settle_commit_segments({e.lpn // per for e in entries})
-        for tid in live:
-            self._release_write_locks(tid)
-            self._started_tids.discard(tid)
+        self._started_tids.difference_update(live)
         self.stats.commits += len(live)
-        self._obs_commits.inc(len(live))
         if len(live) > 1:
             self.stats.group_commits += 1
-            self._obs_group_commits.inc()
             self._obs_group_size.observe(float(len(live)))
         self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
         self._commits_since_checkpoint += len(live)
@@ -385,7 +362,6 @@ class XFTL(PageMappingFTL):
         if not entries:
             if tid in self._committed_tids:
                 raise TransactionError(f"tid {tid} is already committed; cannot abort")
-            self._release_write_locks(tid)
             self._started_tids.discard(tid)
             return
         self.xl2p.set_status(tid, TxStatus.ABORTED)
@@ -393,20 +369,12 @@ class XFTL(PageMappingFTL):
         self._started_tids.discard(tid)
         for entry in self.xl2p.remove_tid(tid):
             self._disown(entry.new_ppn)
-        self._release_write_locks(tid)
         self.stats.aborts += 1
-        self._obs_aborts.inc()
 
     # ------------------------------------------------------------ internals
 
     def _new_xl2p(self) -> XL2PTable:
         return XL2PTable(capacity=self.config.xl2p_capacity)
-
-    def _release_write_locks(self, tid: int) -> None:
-        """Forget conflict-detection holds of a finished transaction."""
-        if self.config.detect_write_conflicts:
-            for lpn in [l for l, t in self._writers_by_lpn.items() if t == tid]:
-                del self._writers_by_lpn[lpn]
 
     def _flush_xl2p(self, members: list[int], pin_entries: list | None = None) -> None:
         """Write the whole X-L2P table copy-on-write and republish the root.
@@ -434,14 +402,12 @@ class XFTL(PageMappingFTL):
                 self._own(ppn, OWNER_XL2P_TABLE, index)
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1
-                self._obs_xl2p_writes.inc()
             if pin_entries:
                 self._pin_translation_pages(pin_entries)
         self.chip.drain()
         if pin_entries:
             self.chip.crash_plan.hit(CP_CMT_COMMIT_PUBLISH)
         self.stats.xl2p_flushes += 1
-        self._obs_xl2p_flushes.inc()
         self._obs_xl2p_flush_pages.observe(float(len(images)))
         for index, old in enumerate(self._xl2p_page_ppns):
             if self._owner[old] != DEAD:
@@ -570,7 +536,6 @@ class XFTL(PageMappingFTL):
         self._aborted_tids = set()
         self._started_tids = set()
         self._commits_since_checkpoint = 0
-        self._writers_by_lpn = {}
         self._commit_counter = 0
         if self._versions is not None:
             self._versions.clear()

@@ -13,7 +13,11 @@ plan, and every higher layer picks it up from the layer below).  It bundles:
 
 Layers instrument themselves unconditionally; a disabled handle (the
 default — see :data:`NULL_OBS`) hands out shared null instruments so the
-hot write path does no extra allocation and no dict lookups.
+hot write path does no extra allocation and no dict lookups.  A layer
+that already counts an event in a record of its own (``FlashStats``,
+``DeviceCounters``, a queue's or tenant's counts) binds that record to
+the registry instead of bumping a second counter: the record is the only
+store, and the registry reads it by name when asked.
 
 Usage::
 
@@ -45,7 +49,6 @@ from repro.obs.tracing import NULL_SPAN, Span, Tracer
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BOUNDS_US",
-    "FLASH_STATS_OBS_PAIRS",
     "DEFAULT_SIZE_BOUNDS",
     "Gauge",
     "Histogram",
@@ -63,37 +66,6 @@ __all__ = [
     "install_default_hub",
     "uninstall_default_hub",
 ]
-
-#: obs counter name -> :class:`~repro.flash.stats.FlashStats` field.  Each
-#: pair is incremented at the same instrumentation site, so the two views
-#: must agree exactly; :meth:`Observability.verify_flash_stats` enforces it
-#: and tests/test_stats_fields.py checks the mapping covers every field.
-FLASH_STATS_OBS_PAIRS = {
-    "flash.page_reads": "page_reads",
-    "flash.page_programs": "page_programs",
-    "flash.block_erases": "block_erases",
-    "ftl.host_page_writes": "host_page_writes",
-    "ftl.host_page_reads": "host_page_reads",
-    "ftl.gc.copyback_reads": "gc_copyback_reads",
-    "ftl.gc.copyback_writes": "gc_copyback_writes",
-    "ftl.gc.invocations": "gc_invocations",
-    "ftl.map_page_writes": "map_page_writes",
-    "ftl.xl2p.page_writes": "xl2p_page_writes",
-    "ftl.barriers": "barriers",
-    "ftl.commits": "commits",
-    "ftl.aborts": "aborts",
-    "ftl.xl2p.flushes": "xl2p_flushes",
-    "ftl.group_commits": "group_commits",
-    "ftl.gc.urgent_collections": "gc_urgent_collections",
-    "ftl.gc.wear_migrations": "gc_wear_migrations",
-    "ftl.gc.translation_collections": "gc_translation_collections",
-    "ftl.cmt.hits": "cmt_hits",
-    "ftl.cmt.misses": "cmt_misses",
-    "ftl.cmt.fetch_reads": "cmt_fetch_reads",
-    "ftl.cmt.evictions": "cmt_evictions",
-    "ftl.cmt.writebacks": "cmt_writebacks",
-}
-
 
 class Observability:
     """Metrics + tracing for one simulated stack.
@@ -115,9 +87,6 @@ class Observability:
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled and trace)
         self.meta: dict[str, Any] = {}
-        # Back-reference to the stack's FlashStats, set by build_stack();
-        # lets exports cross-check obs counters against the legacy totals.
-        self.flash_stats = None
 
     # ------------------------------------------------------------- plumbing
 
@@ -156,28 +125,6 @@ class Observability:
         if self.meta:
             lines.append("  meta: " + ", ".join(f"{k}={v}" for k, v in sorted(self.meta.items())))
         return "\n".join(lines)
-
-    # --------------------------------------------------------- cross-check
-
-    def verify_flash_stats(self) -> list[str]:
-        """Check obs counters against the stack's :class:`FlashStats`.
-
-        Returns a list of mismatch descriptions (empty when consistent).
-        Every obs counter below is incremented at the same site as the
-        corresponding ``FlashStats`` field, so any divergence is a bug in
-        the instrumentation, not a measurement artifact.
-        """
-        if self.flash_stats is None or not self.enabled:
-            return []
-        mismatches = []
-        for obs_name, stats_field in FLASH_STATS_OBS_PAIRS.items():
-            expected = getattr(self.flash_stats, stats_field)
-            got = self.registry.counter_value(obs_name)
-            if got != expected:
-                mismatches.append(
-                    f"{obs_name}={got} != FlashStats.{stats_field}={expected}"
-                )
-        return mismatches
 
 
 #: Shared disabled handle — the default for every stack.  Hot paths touch

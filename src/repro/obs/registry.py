@@ -6,9 +6,13 @@ layer of the reproduction reports into one :class:`MetricsRegistry`.
 
 Design rules:
 
-- **Cheap acquisition.**  A layer calls ``registry.counter("flash.page_programs")``
+- **Cheap acquisition.**  A layer calls ``registry.counter("sqlite.txn_commits")``
   once (usually in its constructor) and keeps the handle; the hot path is a
-  plain attribute access plus one method call.
+  plain attribute access plus one method call.  A layer that already keeps
+  a count in a record of its own (``FlashStats``, ``DeviceCounters``, ...)
+  binds it instead: ``registry.bind(record, {"flash.page_programs":
+  "page_programs"})`` exports the attribute under the obs name, read when
+  asked, so every event is counted once.
 - **Free when disabled.**  A disabled registry hands out shared null
   singletons whose ``inc``/``observe`` are no-ops; the hot write path incurs
   zero allocations (guarded by a tracemalloc micro-benchmark in the tests).
@@ -213,6 +217,8 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
+        # Bound counters: name -> (record, attribute), read when asked.
+        self._bound: dict[str, tuple[object, str]] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, Gauge] = {}
 
@@ -224,8 +230,24 @@ class MetricsRegistry:
             return NULL_COUNTER  # type: ignore[return-value]
         counter = self._counters.get(name)
         if counter is None:
+            if name in self._bound:
+                raise ValueError(f"counter {name!r} is bound to a layer's record")
             counter = self._counters[name] = Counter(name)
         return counter
+
+    def bind(self, record: object, names: dict[str, str]) -> None:
+        """Export ``record``'s counts: ``names`` maps obs name -> attribute.
+
+        The record stays the only store; every query reads the attribute.
+        A disabled registry ignores the call (the shared ``NULL_OBS`` must
+        not keep every record ever built alive).
+        """
+        if not self.enabled:
+            return
+        for name, attribute in names.items():
+            if name in self._counters or name in self._bound:
+                raise ValueError(f"counter {name!r} already exists")
+            self._bound[name] = (record, attribute)
 
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_US
@@ -250,13 +272,17 @@ class MetricsRegistry:
     # ------------------------------------------------------------- query
 
     def counter_value(self, name: str) -> int:
-        """Current value of a counter (0 if never created)."""
+        """Current value of a counter, plain or bound (0 if neither)."""
         counter = self._counters.get(name)
-        return counter.value if counter is not None else 0
+        if counter is not None:
+            return counter.value
+        bound = self._bound.get(name)
+        return getattr(*bound) if bound is not None else 0
 
     def counters(self) -> dict[str, int]:
-        """All counter values, sorted by name."""
-        return {name: self._counters[name].value for name in sorted(self._counters)}
+        """All counter values, plain and bound, sorted by name."""
+        names = sorted(self._counters.keys() | self._bound.keys())
+        return {name: self.counter_value(name) for name in names}
 
     def histograms(self) -> dict[str, Histogram]:
         return {name: self._histograms[name] for name in sorted(self._histograms)}
@@ -267,7 +293,8 @@ class MetricsRegistry:
     def layers(self) -> list[str]:
         """Layer prefixes (text before the first dot) present in the registry."""
         seen: dict[str, None] = {}
-        for name in sorted(set(self._counters) | set(self._histograms) | set(self._gauges)):
+        names = self._counters.keys() | self._bound.keys()
+        for name in sorted(names | self._histograms.keys() | self._gauges.keys()):
             seen.setdefault(name.split(".", 1)[0], None)
         return list(seen)
 

@@ -123,11 +123,10 @@ class StackConfig:
     num_blocks: int = 1024
     pages_per_block: int = 128
     page_size: int = 8192
-    # Device parallelism: flash channels (ops overlap across them), dies
-    # per channel, and the NCQ command-queue depth.  The defaults (1/1/1)
-    # reproduce the seed's strictly serial device bit for bit.
+    # Device parallelism: flash channels (ops overlap across them) and the
+    # NCQ command-queue depth.  The defaults (1/1) reproduce the seed's
+    # strictly serial device bit for bit.
     channels: int = 1
-    dies_per_channel: int = 1
     queue_depth: int = 1
     # Barrier-enabled device ("Barrier Enabled IO Stack for Flash
     # Storage"): True makes the device's ordering commands order-only
@@ -140,13 +139,10 @@ class StackConfig:
     fs_cache_pages: int = 8192
     max_inodes: int = 128
     # Observability: ``metrics`` enables the counter registry, ``trace``
-    # additionally records cross-layer spans.  An explicit ``obs`` handle
-    # overrides both (and an installed ObservabilityHub overrides neither —
-    # the hub only applies when ``obs`` is None and metrics are not forced
-    # off; see build_stack).
+    # additionally records cross-layer spans.  An installed
+    # ObservabilityHub overrides both: each stack gets a session of its own.
     metrics: bool = False
     trace: bool = False
-    obs: Observability | None = None
 
 
 @dataclass
@@ -225,8 +221,6 @@ class BenchStack:
 
 
 def _resolve_obs(config: StackConfig) -> Observability:
-    if config.obs is not None:
-        return config.obs
     hub = default_hub()
     if hub is not None:
         return hub.session(label=config.mode.value)
@@ -251,7 +245,6 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         pages_per_block=config.pages_per_block,
         num_blocks=config.num_blocks,
         channels=config.channels,
-        dies_per_channel=config.dies_per_channel,
     )
     # Always a FlashArray: with channels=1 it performs the identical float
     # arithmetic as the serial FlashChip (locked by the channel-equivalence
@@ -276,7 +269,6 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         max_inodes=config.max_inodes,
     )
     if obs.enabled:
-        obs.flash_stats = chip.stats
         obs.annotate("mode", config.mode.value)
         obs.annotate("fs_journal_mode", config.mode.fs_journal_mode().value)
         if config.mode.is_database_mode:

@@ -42,6 +42,9 @@ UNATTRIBUTED = 0
 class TenantAccount:
     """Attribution counters for one tenant (or the shared lane, id 0)."""
 
+    #: Fields exported to the obs registry as ``tenant.<name>.<field>``.
+    OBS_FIELDS = ("writes", "flushes", "commits", "gc_copybacks", "gc_cross_collisions")
+
     __slots__ = (
         "id",
         "name",
@@ -55,11 +58,6 @@ class TenantAccount:
         "cold_stream_writes",
         "commit_latency_sum_us",
         "commit_latency_max_us",
-        "_obs_writes",
-        "_obs_flushes",
-        "_obs_commits",
-        "_obs_copybacks",
-        "_obs_collisions",
         "_obs_commit_us",
     )
 
@@ -79,11 +77,7 @@ class TenantAccount:
         self.commit_latency_sum_us = 0.0
         self.commit_latency_max_us = 0.0
         prefix = f"tenant.{name}"
-        self._obs_writes = obs.counter(f"{prefix}.writes")
-        self._obs_flushes = obs.counter(f"{prefix}.flushes")
-        self._obs_commits = obs.counter(f"{prefix}.commits")
-        self._obs_copybacks = obs.counter(f"{prefix}.gc_copybacks")
-        self._obs_collisions = obs.counter(f"{prefix}.gc_cross_collisions")
+        obs.registry.bind(self, {f"{prefix}.{field}": field for field in self.OBS_FIELDS})
         self._obs_commit_us = obs.histogram(f"{prefix}.commit_latency_us")
 
     @property
@@ -176,19 +170,14 @@ class TenantRegistry:
         if lpn >= len(owners):
             owners.extend([UNATTRIBUTED] * (lpn + 1 - len(owners)))
         owners[lpn] = current
-        account = self.accounts[current]
-        account.writes += 1
-        account._obs_writes.inc()
+        self.accounts[current].writes += 1
 
     def note_flush(self) -> None:
-        account = self.accounts[self.current]
-        account.flushes += 1
-        account._obs_flushes.inc()
+        self.accounts[self.current].flushes += 1
 
     def note_commit(self, tenant_id: int, latency_us: float | None = None) -> None:
         account = self.accounts[tenant_id]
         account.commits += 1
-        account._obs_commits.inc()
         if latency_us is not None:
             account.commit_latency_sum_us += latency_us
             if latency_us > account.commit_latency_max_us:
@@ -197,9 +186,7 @@ class TenantRegistry:
 
     def note_copyback(self, lpn: int) -> None:
         """Attribute one GC copyback to the tenant owning ``lpn``."""
-        account = self.accounts[self.owner_of(lpn)]
-        account.gc_copybacks += 1
-        account._obs_copybacks.inc()
+        self.accounts[self.owner_of(lpn)].gc_copybacks += 1
 
     def note_stream_write(self, hot: bool) -> None:
         account = self.accounts[self.current]
@@ -221,9 +208,7 @@ class TenantRegistry:
             return
         self.cross_collisions += 1
         for tenant_id in involved:
-            account = self.accounts[tenant_id]
-            account.gc_cross_collisions += 1
-            account._obs_collisions.inc()
+            self.accounts[tenant_id].gc_cross_collisions += 1
 
     # ------------------------------------------------------------ fairness
 

@@ -57,7 +57,7 @@ class TestPaperLifespanClaim:
             age_device(stack, 0.5)
             snap = stack.ftl.stats.snapshot()
             workload.run(transactions=100, updates_per_txn=5)
-            delta = stack.ftl.stats.diff(snap)
+            delta = stack.ftl.stats.delta(snap)
             erases[mode] = delta
             waf[mode] = write_amplification(delta).waf
         ratio = lifespan_ratio(erases[Mode.WAL], erases[Mode.XFTL])

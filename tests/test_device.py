@@ -53,7 +53,7 @@ class TestCommands:
         before = device.counters.snapshot()
         device.write(1, b"y")
         device.write(2, b"z")
-        assert device.counters.diff(before).writes == 2
+        assert device.counters.delta(before).writes == 2
 
     def test_counters_as_dict(self):
         counters = DeviceCounters(reads=2)

@@ -64,7 +64,6 @@ def reference_write_translation_page(ftl, segment, overlay=None) -> None:
     ftl._unpublished_segments[segment] = None
     ftl._own(ppn, OWNER_MAP, segment)
     ftl.stats.map_page_writes += 1
-    ftl._obs_map_writes.inc()
 
 
 def reference_flush_pages(ftl, segments, meta_slots=0, mid_point=None, overlay=None) -> None:
@@ -82,7 +81,6 @@ def reference_flush_pages(ftl, segments, meta_slots=0, mid_point=None, overlay=N
         ftl._meta_dir[slot] = ppn
         ftl._own(ppn, OWNER_META, slot)
         ftl.stats.map_page_writes += 1
-        ftl._obs_map_writes.inc()
 
 
 def reference_release_retired(ftl) -> None:

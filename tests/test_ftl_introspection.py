@@ -77,7 +77,7 @@ class TestStatsPlumbing:
         ftl.write(0, b"x")
         snap = ftl.stats.snapshot()
         ftl.write(1, b"y")
-        diff = ftl.stats.diff(snap)
+        diff = ftl.stats.delta(snap)
         assert diff.host_page_writes == 1
         assert snap.host_page_writes == 1  # snapshot unchanged
 

@@ -1,0 +1,189 @@
+"""One counter per event: the registry reads the layers' own records by name.
+
+Every count a layer keeps in a record of its own (``FlashStats``,
+``DeviceCounters``, the device's and queue's stall counts, a tenant's
+account) is exported through ``MetricsRegistry.bind``; nothing increments
+an obs twin.  These tests pin that the bound names read the records, on a
+bare stack and through ``build_stack``, across merged sessions, and that a
+disabled handle binds nothing.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import fields
+
+import pytest
+
+from repro.device.commands import DeviceCounters
+from repro.device.ssd import StorageDevice
+from repro.flash.array import FlashArray
+from repro.flash.geometry import FlashGeometry
+from repro.flash.stats import FlashStats
+from repro.ftl.base import FtlConfig
+from repro.ftl.pagemap import PageMappingFTL
+from repro.obs import NULL_OBS, Observability, install_default_hub, uninstall_default_hub
+from repro.stack import Mode, StackConfig, TenantScheduler, build_stack
+from repro.tenancy import TenantAccount
+
+_SMALL = dict(num_blocks=128, pages_per_block=64)
+
+
+def _expected(chip, device) -> dict[str, int]:
+    """Every bound name of a chip + device, read straight from the records."""
+    expected = {name: getattr(chip.stats, field) for name, field in FlashStats.OBS_NAMES.items()}
+    expected.update(
+        {f"dev.{f.name}": getattr(device.counters, f.name) for f in fields(DeviceCounters)}
+    )
+    expected["dev.queue.barrier_stalls"] = device.barrier_stalls
+    expected["dev.queue.stalls_avoided"] = device.stalls_avoided
+    if device.queue is not None:
+        expected["dev.queue.share_stalls"] = device.queue.share_stalls
+        expected["dev.queue.epochs"] = device.queue.epochs_closed
+    for account in chip.tenants.accounts:
+        for field in TenantAccount.OBS_FIELDS:
+            expected[f"tenant.{account.name}.{field}"] = getattr(account, field)
+    return expected
+
+
+def _bound_values(registry, names) -> dict[str, int]:
+    return {name: registry.counter_value(name) for name in names}
+
+
+def test_ftl_gc_shaped_bare_stack_reads_every_record():
+    """No build_stack: the chip, device and queue bind themselves."""
+    obs = Observability(enabled=True, label="bare")
+    chip = FlashArray(
+        FlashGeometry(page_size=512, pages_per_block=16, num_blocks=64, channels=8), obs=obs
+    )
+    ftl = PageMappingFTL(
+        chip,
+        FtlConfig(
+            gc_mode="background",
+            gc_policy="cost-benefit",
+            gc_background_watermark=4,
+            gc_copyback_pages_per_step=4,
+            gc_hot_write_threshold=4,
+            gc_wear_spread_threshold=16,
+            gc_wear_check_interval=32,
+        ),
+    )
+    device = StorageDevice(ftl, queue_depth=8)
+    fill = int(ftl.exported_pages * 0.85)
+    rng = random.Random(7)
+    for lpn in range(fill):
+        device.write(lpn, ("fill", lpn))
+    device.flush()
+    for seq in range(4 * fill):
+        device.write(rng.randrange(fill // 5) if rng.random() < 0.8 else rng.randrange(fill), seq)
+        if seq % 64 == 0:
+            device.read(rng.randrange(fill))
+    device.flush()
+    assert chip.stats.gc_invocations > 0
+    assert chip.stats.gc_copyback_writes > 0
+    expected = _expected(chip, device)
+    assert set(obs.registry._bound) == set(expected)
+    assert _bound_values(obs.registry, expected) == expected
+    assert obs.registry.counters().items() >= expected.items()
+
+
+def test_merged_registry_sums_bound_counts():
+    hub = install_default_hub()
+    try:
+        stacks = [build_stack(StackConfig(mode=Mode.XFTL, **_SMALL)) for _ in range(2)]
+    finally:
+        uninstall_default_hub()
+    for count, stack in zip((5, 9), stacks):
+        for lpn in range(count):
+            stack.device.write(lpn, b"x")
+        stack.device.flush()
+    merged = hub.merged_registry()
+    for name, field in FlashStats.OBS_NAMES.items():
+        total = sum(getattr(stack.chip.stats, field) for stack in stacks)
+        assert merged.counter_value(name) == total, name
+    total_writes = sum(stack.device.counters.writes for stack in stacks)
+    assert merged.counter_value("dev.writes") == total_writes > 0
+
+
+def _run_sql(db, rows: int = 40) -> None:
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+    for start in range(0, rows, 10):
+        db.execute("BEGIN")
+        for i in range(start, start + 10):
+            db.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
+        db.execute("COMMIT")
+    db.execute("BEGIN")
+    db.execute("UPDATE t SET v = 'gone' WHERE id = 1")
+    db.execute("ROLLBACK")
+
+
+def _single_stacks():
+    yield build_stack(StackConfig(mode=Mode.RBJ, metrics=True, **_SMALL))
+    yield build_stack(StackConfig(mode=Mode.WAL, metrics=True, **_SMALL))
+    yield build_stack(
+        StackConfig(mode=Mode.XFTL, metrics=True, ftl=FtlConfig(cmt_pages=2), **_SMALL)
+    )
+
+
+def _tenant_stack():
+    stack = build_stack(
+        StackConfig(
+            mode=Mode.XFTL,
+            metrics=True,
+            barrier_mode=True,
+            channels=4,
+            queue_depth=4,
+            **_SMALL,
+        )
+    )
+    scheduler = TenantScheduler(stack, fairness="deficit")
+    for name in ("alice", "bob"):
+        tenant = stack.open_tenant(name)
+        db = tenant.open_database("app.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+
+        def task(db=db, name=name):
+            for i in range(6):
+                db.execute("BEGIN")
+                db.execute("INSERT INTO t VALUES (?, ?)", (i, f"{name}-{i}"))
+                db.execute("COMMIT")
+                yield None
+
+        scheduler.add(tenant, [task()])
+    scheduler.run()
+    return stack
+
+
+def test_no_plain_counter_carries_a_bound_name():
+    stacks = []
+    for stack in _single_stacks():
+        _run_sql(stack.open_database("t.db"))
+        stacks.append(stack)
+    stacks.append(_tenant_stack())
+    for stack in stacks:
+        registry = stack.obs.registry
+        assert not set(registry._counters) & set(registry._bound), stack.config.mode
+        expected = _expected(stack.chip, stack.device)
+        assert _bound_values(registry, expected) == expected
+    tenants = stacks[-1].obs.registry
+    assert tenants.counter_value("tenant.alice.commits") >= 6
+    assert tenants.counter_value("dev.queue.epochs") > 0
+
+
+def test_bind_and_counter_refuse_each_others_names():
+    obs = Observability(enabled=True)
+    obs.counter("x.plain")
+    with pytest.raises(ValueError):
+        obs.registry.bind(FlashStats(), {"x.plain": "page_reads"})
+    obs.registry.bind(FlashStats(), {"x.bound": "page_reads"})
+    with pytest.raises(ValueError):
+        obs.counter("x.bound")
+
+
+def test_metrics_off_binds_nothing_on_the_shared_null_handle():
+    for mode in (Mode.RBJ, Mode.WAL, Mode.XFTL):
+        stack = build_stack(StackConfig(mode=mode, **_SMALL))
+        assert stack.obs is NULL_OBS
+        stack.device.write(0, b"x")
+    assert NULL_OBS.registry.counters() == {}
+    assert NULL_OBS.registry._bound == {}

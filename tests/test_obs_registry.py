@@ -10,6 +10,7 @@ import os
 import tracemalloc
 
 import repro.obs
+from repro.flash.stats import FlashStats
 from repro.obs import (
     DEFAULT_SIZE_BOUNDS,
     NULL_COUNTER,
@@ -28,6 +29,19 @@ class TestEnabledRegistry:
         counter.inc(4)
         assert registry.counter_value("flash.page_programs") == 5
         assert registry.counter("flash.page_programs") is counter
+
+    def test_bound_record_is_read_when_asked(self):
+        registry = MetricsRegistry(enabled=True)
+        stats = FlashStats()
+        registry.bind(stats, {"flash.page_programs": "page_programs"})
+        stats.page_programs = 7
+        registry.counter("flash.torn_programs").inc()
+        assert registry.counter_value("flash.page_programs") == 7
+        assert registry.counters() == {"flash.page_programs": 7, "flash.torn_programs": 1}
+        assert registry.layers() == ["flash"]
+        assert "counter,flash.page_programs,value,7" in registry.to_csv()
+        merged = MetricsRegistry(enabled=True).merge_from([registry, registry])
+        assert merged.counter_value("flash.page_programs") == 14
 
     def test_histogram_buckets_and_stats(self):
         registry = MetricsRegistry(enabled=True)
@@ -97,7 +111,8 @@ class TestDisabledRegistry:
         obs = Observability(enabled=False)
         obs.annotate("mode", "X-FTL")
         assert obs.meta == {}
-        assert obs.verify_flash_stats() == []
+        obs.registry.bind(FlashStats(page_reads=3), {"flash.page_reads": "page_reads"})
+        assert obs.registry.counters() == {}
 
     def test_disabled_obs_zero_tracked_allocations_on_hot_write_path(self):
         """The acceptance-criterion micro-benchmark: with metrics off, the

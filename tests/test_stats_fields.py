@@ -4,15 +4,20 @@
 added later (a hand-maintained field list).  Both are now driven by
 ``dataclasses.fields()``; these tests pin that property by exercising
 *every* field with a distinct value, so reintroducing an explicit list
-that misses one field fails immediately.  The obs cross-check mapping is
-held to the same standard: every FlashStats field must be paired with an
-obs counter.
+that misses one field fails immediately.  The obs export is held to the
+same standard: every FlashStats and DeviceCounters field is read by the
+registry under exactly one name.
 """
 
 from dataclasses import fields
 
+from repro.device.ssd import StorageDevice
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import FlashGeometry
 from repro.flash.stats import FlashStats
-from repro.obs import FLASH_STATS_OBS_PAIRS
+from repro.ftl.base import FtlConfig
+from repro.ftl.pagemap import PageMappingFTL
+from repro.obs import Observability
 
 # Distinct nonzero primes per field position: any copied/diffed field that
 # is dropped or crossed with another shows up as an exact-value mismatch.
@@ -60,12 +65,6 @@ def test_delta_covers_every_field():
         assert getattr(diff, f.name) == 10 * (i + 1), f.name
 
 
-def test_diff_is_delta_alias():
-    earlier = FlashStats()
-    later = _distinct()
-    assert later.diff(earlier) == later.delta(earlier)
-
-
 def test_as_dict_covers_every_field():
     stats = _distinct()
     as_dict = stats.as_dict()
@@ -74,8 +73,20 @@ def test_as_dict_covers_every_field():
         assert as_dict[f.name] == getattr(stats, f.name)
 
 
-def test_obs_cross_check_covers_every_field():
-    """Adding a FlashStats counter requires pairing it with an obs counter."""
-    paired = set(FLASH_STATS_OBS_PAIRS.values())
-    all_fields = {f.name for f in fields(FlashStats)}
-    assert paired == all_fields
+def test_every_field_has_one_obs_name():
+    """Adding a FlashStats or DeviceCounters field exports it under exactly
+    one obs name, and ``counters()`` reports the field's live value."""
+    assert sorted(FlashStats.OBS_NAMES.values()) == sorted(f.name for f in fields(FlashStats))
+    obs = Observability(enabled=True)
+    chip = FlashChip(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=32), obs=obs)
+    device = StorageDevice(PageMappingFTL(chip, FtlConfig(overprovision=0.25)))
+    for offset in (0, 1000):  # the second pass proves the values are read live
+        values = {}
+        for record, base in ((chip.stats, offset), (device.counters, offset + 500)):
+            for i, f in enumerate(fields(record)):
+                setattr(record, f.name, base + _PRIMES[i])
+                values[(type(record).__name__, f.name)] = base + _PRIMES[i]
+        counters = obs.registry.counters()
+        for key, value in values.items():
+            names = [name for name, got in counters.items() if got == value]
+            assert len(names) == 1, (key, names)
