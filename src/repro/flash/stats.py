@@ -45,8 +45,8 @@ class FlashStats:
             (a miss on a never-persisted page costs no read)
         cmt_evictions: resident translation pages evicted to make room
         cmt_writebacks: translation pages programmed outside barriers —
-            dirty evictions, dirty-batch companions and commit pinning
-            (each also counts into map_page_writes / page_programs)
+            dirty evictions and their dirty-batch companions (each also
+            counts into map_page_writes / page_programs)
         gc_translation_collections: GC victims that were translation-stream
             blocks (Dayan & Bonnet's translation-block victim accounting)
     """

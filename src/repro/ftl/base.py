@@ -63,10 +63,6 @@ class FtlConfig:
         gc_copyback_pages_per_step: Upper bound on pages relocated per
             background GC step; the gap between steps is where foreground
             writes preempt a collection in flight.
-        gc_idle_backlog_us: A channel is considered idle for background GC
-            when its reserved-but-unelapsed work is at most this long.
-            Negative values mean no window ever qualifies: paced collection
-            is disabled and all reclamation runs urgent/foreground.
         gc_hot_write_threshold: Cumulative write count at which an LPN's
             writes are steered to the channel's hot active block (``0``
             disables hot/cold separation).  Map/meta/X-L2P table pages are
@@ -85,9 +81,9 @@ class FtlConfig:
             evicting a dirty page writes it back through the reserved
             translation-block stream.  A capacity large enough to hold
             every translation page of the exported space degenerates to
-            the in-RAM mapping (never misses, never needs commit pinning),
-            so the demand-paged machinery switches off wholesale — pinned
-            by ``tests/test_cmt_equivalence.py``.
+            the in-RAM mapping (it could never miss), so the demand-paged
+            machinery switches off wholesale — checked by
+            ``tests/test_ftl_cmt.py::TestConstruction``.
         cmt_dirty_batch: Dirty-batching width for CMT evictions: when a
             dirty translation page is evicted, up to this many *additional*
             LRU-most dirty resident pages are written back in the same
@@ -114,7 +110,6 @@ class FtlConfig:
     gc_mode: str = "inline"
     gc_background_watermark: int = 4
     gc_copyback_pages_per_step: int = 4
-    gc_idle_backlog_us: float = 0.0
     gc_hot_write_threshold: int = 4
     gc_wear_spread_threshold: int = 16
     gc_wear_check_interval: int = 32

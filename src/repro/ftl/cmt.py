@@ -10,6 +10,9 @@ bounded working set of them is *resident* at a time.
 The simulator keeps ``_l2p`` in host RAM as the oracle either way — what
 the CMT models is the *I/O* of residency:
 
+- every L2P lookup or update makes its segment resident first: a host
+  read, write or trim, and X-FTL's commit fold (X-L2P entry -> L2P), which
+  runs after the commit is published like any other mapping update;
 - a lookup outside the cache demand-fetches the translation page with a
   real ``chip.read`` (latency + ``page_reads``), evicting the LRU resident
   page to make room;
@@ -36,16 +39,6 @@ CP_CMT_EVICT = register_crash_point(
 )
 CP_CMT_WRITEBACK = register_crash_point(
     "ftl.cmt.writeback", "ftl.cmt", "between translation-page writebacks of a dirty batch"
-)
-CP_CMT_COMMIT_FLUSH = register_crash_point(
-    "ftl.cmt.commit.flush",
-    "ftl.cmt",
-    "between translation-page programs pinned by a transaction commit",
-)
-CP_CMT_COMMIT_PUBLISH = register_crash_point(
-    "ftl.cmt.commit.publish",
-    "ftl.cmt",
-    "commit's data + translation pages drained, root publish pending",
 )
 
 
@@ -85,20 +78,6 @@ class CachedMappingTable:
             return
         self.ftl.stats.cmt_misses += 1
         self._fetch(segment)
-        resident[segment] = None
-        self._shrink()
-
-    def insert_resident(self, segment: int) -> None:
-        """Pin ``segment`` resident without miss/fetch accounting.
-
-        Used by the commit path: the commit is about to *write* the
-        translation page with overlaid content, so the flash copy need not
-        be read first.
-        """
-        resident = self._resident
-        if segment in resident:
-            resident.move_to_end(segment)
-            return
         resident[segment] = None
         self._shrink()
 
@@ -152,10 +131,6 @@ class CachedMappingTable:
         then be stale), and that re-dirtying must survive this writeback.
         """
         self.ftl._flush_pages((segment,))
-        self.note_writeback()
-
-    def note_writeback(self) -> None:
-        """Count one out-of-barrier translation-page program."""
         self.ftl.stats.cmt_writebacks += 1
 
     # ------------------------------------------------------------ lifecycle

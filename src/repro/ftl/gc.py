@@ -41,9 +41,9 @@ selection / copyback mechanism):
     same headroom floor and collects synchronously until it is restored,
     observing the stall into ``ftl.gc.pause_us``.
     *Paced jobs*: each step relocates at most ``gc_copyback_pages_per_step``
-    pages inside a ``chip.overlap()`` region and only when the channel's
-    reserved backlog is within ``gc_idle_backlog_us``, so foreground writes
-    preempt a collection in flight.
+    pages inside a ``chip.overlap()`` region and only when the channel has
+    no reserved backlog, so foreground writes preempt a collection in
+    flight.
     *Hot/cold streams*: data writes whose LPN has accumulated
     ``gc_hot_write_threshold`` writes — plus all map/meta/X-L2P table pages —
     go to a second, *hot* active block; copybacks and everything else append
@@ -188,7 +188,6 @@ class Collector:
         # config object never mutates after construction).
         self._hot_threshold = config.gc_hot_write_threshold
         self._background_watermark = config.gc_background_watermark
-        self._idle_backlog_us = config.gc_idle_backlog_us
         self._pages_per_step = config.gc_copyback_pages_per_step
         self._wear_spread_threshold = config.gc_wear_spread_threshold
         self._wear_check_interval = config.gc_wear_check_interval
@@ -437,11 +436,11 @@ class Collector:
             # would be declined, so none is scored — except FIFO's, which
             # counts its fallbacks.
             affordable = headroom - floor
-            # chip.channel_backlog_us(channel), inline: how far busy-until
-            # leads now, clamped at 0 (a serial chip never has a backlog).
+            # The channel has no backlog: busy-until does not lead now (a
+            # serial chip never has one).
             timelines = self._timelines
             backlog = timelines[channel].busy_until_us - self._clock._now_us if timelines else 0.0
-            if (backlog if backlog > 0.0 else 0.0) <= self._idle_backlog_us and (
+            if backlog <= 0.0 and (
                 jobs[channel] is not None
                 or self._policy == "fifo"
                 or self._has_block_within(channel, affordable)

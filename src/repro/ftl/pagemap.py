@@ -199,8 +199,8 @@ class PageMappingFTL(Ftl):
         # Demand-paged mapping (DFTL-style CMT, repro.ftl.cmt).  A capacity
         # of zero — or one covering every translation page of the exported
         # space — degenerates to the all-in-DRAM map: the cache can never
-        # miss, so the machinery switches off wholesale and the seed path
-        # stays bit-identical (tests/test_cmt_equivalence.py).
+        # miss, so the machinery switches off wholesale (``_cmt`` is None;
+        # tests/test_ftl_cmt.py::TestConstruction).
         if self.config.cmt_pages < 0:
             raise FtlError(f"cmt_pages must be >= 0, got {self.config.cmt_pages}")
         if self._map_entries_per_page < 1:
@@ -593,20 +593,11 @@ class PageMappingFTL(Ftl):
 
     # -------- map persistence ------------------------------------------
 
-    def _segment_image(self, segment: int, overlay: dict[int, int] | None = None) -> tuple:
-        """The image a translation-page flush of ``segment`` would program.
-
-        ``overlay`` maps lpns of the segment to ppns that replace the live
-        entries in the image only (the commit path programs post-fold
-        content before folding).
-        """
+    def _segment_image(self, segment: int) -> tuple:
+        """The image a translation-page flush of ``segment`` would program."""
         lo = segment * self._map_entries_per_page
         hi = lo + self._map_entries_per_page
-        ppns = self._l2p[lo:hi]
-        if overlay:
-            for lpn, ppn in overlay.items():
-                ppns[lpn - lo] = ppn
-        return (ppns, self._segment_chains(lo, hi))
+        return (self._l2p[lo:hi], self._segment_chains(lo, hi))
 
     def _segment_chains(self, lo: int, hi: int) -> tuple:
         """Chain part of the image covering lpns ``lo..hi-1`` (XFTL overrides)."""
@@ -639,13 +630,11 @@ class PageMappingFTL(Ftl):
         segments: Iterable[int],
         meta_slots: int = 0,
         mid_point: str | None = None,
-        overlay: dict[int, int] | None = None,
     ) -> None:
         """Program the translation page of each of ``segments``, then
         ``meta_slots`` firmware metadata pages (write points, erase counts...).
 
-        A barrier is one call; a CMT writeback and commit pinning (the only
-        caller with an ``overlay``, see _segment_image) flush one segment.
+        A barrier is one call; a CMT eviction writeback flushes one segment.
         Per page: drop the dirty marker (a GC pass inside the program may
         re-dirty it, and that must survive), build the image, program it,
         retire the old copy, claim the new one.  ``mid_point`` is hit before
@@ -671,7 +660,7 @@ class PageMappingFTL(Ftl):
                         if mid_point is not None and crash_plan._points:
                             crash_plan.hit(mid_point)
                         dirty.discard(key)
-                        ppn = host_program(self._segment_image(key, overlay), OOB_MAP, key, None)
+                        ppn = host_program(self._segment_image(key), OOB_MAP, key, None)
                         unpublished[key] = None
                     else:
                         ppn = host_program(("meta", key), OOB_META, key, None)

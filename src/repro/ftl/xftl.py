@@ -41,7 +41,6 @@ from repro.errors import TransactionError
 from repro.flash.chip import FlashChip
 from repro.flash.state import PAGE_PROGRAMMED
 from repro.ftl.base import FtlConfig
-from repro.ftl.cmt import CP_CMT_COMMIT_FLUSH, CP_CMT_COMMIT_PUBLISH
 from repro.ftl.pagemap import (
     DEAD,
     OOB_DATA,
@@ -322,24 +321,25 @@ class XFTL(PageMappingFTL):
                 for tid in live:
                     self._commit_counter += 1
                     commit_seqs[tid] = self._commit_counter
-            # Step 2+3: CoW-flush the X-L2P table, atomically repoint the
-            # root.  In demand-paged (CMT) mode the flush also pins the
-            # members' translation pages under the same drain barrier:
-            # later members' folds overlay earlier ones, matching the fold
-            # order.
-            entries = [e for tid in live for e in self.xl2p.entries_of(tid)]
-            self._flush_xl2p(live, pin_entries=entries if self._cmt is not None else None)
+            # Step 2+3: CoW-flush the X-L2P table, atomically repoint the root.
+            self._flush_xl2p(live)
             self.chip.crash_plan.hit(cp_after)
             # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent):
-            # each page passes from its X-L2P entry to the L2P.
+            # each page passes from its X-L2P entry to the L2P.  Under a
+            # demand-paged map this is an L2P update like any write, so the
+            # translation page is made resident first.  The commit is already
+            # published: an eviction here is ordinary out-of-barrier traffic,
+            # and GC under its writeback may relocate the entry's page
+            # (update_ppn repoints the entry), so new_ppn is read after.
+            cmt = self._cmt
+            per = self._map_entries_per_page
             for tid in live:
                 for entry in self.xl2p.entries_of(tid):
+                    if cmt is not None:
+                        cmt.access(entry.lpn // per)
                     self._disown(entry.new_ppn)
                     self._map(entry.lpn, entry.new_ppn, commit_seqs.get(tid))
                 self.xl2p.remove_tid(tid)
-            if self._cmt is not None:
-                per = self._map_entries_per_page
-                self._settle_commit_segments({e.lpn // per for e in entries})
         self._started_tids.difference_update(live)
         self.stats.commits += len(live)
         if len(live) > 1:
@@ -376,7 +376,7 @@ class XFTL(PageMappingFTL):
     def _new_xl2p(self) -> XL2PTable:
         return XL2PTable(capacity=self.config.xl2p_capacity)
 
-    def _flush_xl2p(self, members: list[int], pin_entries: list | None = None) -> None:
+    def _flush_xl2p(self, members: list[int]) -> None:
         """Write the whole X-L2P table copy-on-write and republish the root.
 
         The republish is what commits ``members``: it stamps each with the
@@ -387,12 +387,6 @@ class XFTL(PageMappingFTL):
         the cross-channel barrier that makes every page durable *before*
         the root repoints at them, preserving the commit ordering of
         Figure 4 step 3.
-
-        ``pin_entries`` (CMT mode only) are the committing transaction(s)'
-        X-L2P entries: their translation pages are programmed in the same
-        overlap region, so data, X-L2P table and translation pages all
-        become durable under the one drain barrier and are published by
-        the one atomic root update below.
         """
         images = self.xl2p.serialize(self.chip.geometry.page_size)
         new_ppns: list[int] = []
@@ -402,11 +396,7 @@ class XFTL(PageMappingFTL):
                 self._own(ppn, OWNER_XL2P_TABLE, index)
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1
-            if pin_entries:
-                self._pin_translation_pages(pin_entries)
         self.chip.drain()
-        if pin_entries:
-            self.chip.crash_plan.hit(CP_CMT_COMMIT_PUBLISH)
         self.stats.xl2p_flushes += 1
         self._obs_xl2p_flush_pages.observe(float(len(images)))
         for index, old in enumerate(self._xl2p_page_ppns):
@@ -425,47 +415,11 @@ class XFTL(PageMappingFTL):
         self._root.commit_seq = self._commit_counter
         if self._cmt is not None:
             # Demand-paged mode repoints translation pages outside barriers
-            # (CMT writebacks, commit pinning); retired old copies become
+            # (CMT eviction writebacks); retired old copies become
             # collectable below, so the root must follow the directory in
             # the same atomic update.
             self._publish_map_dir()
         self._release_retired()
-
-    def _pin_translation_pages(self, entries: list) -> None:
-        """Write the committing transaction(s)' translation pages (CMT mode).
-
-        With a demand-paged map the X-L2P fold alone is not durable enough:
-        the translation pages covering the transaction's LPNs may already
-        have flushed copies that predate the commit, and root.seq does not
-        advance at commit.  The commit therefore programs those pages with
-        the *post-fold content overlaid* — the fold into DRAM happens after
-        the root publish, exactly as before.
-        """
-        per = self._map_entries_per_page
-        folds: dict[int, dict[int, int]] = {}
-        for entry in entries:
-            folds.setdefault(entry.lpn // per, {})[entry.lpn] = entry.new_ppn
-        for segment in sorted(folds):
-            self._cmt.insert_resident(segment)
-            self.chip.crash_plan.hit(CP_CMT_COMMIT_FLUSH)
-            self._flush_pages((segment,), overlay=folds[segment])
-            self._cmt.note_writeback()
-
-    def _settle_commit_segments(self, segments: set[int]) -> None:
-        """Mark a commit's translation segments clean when flash is current.
-
-        The pinned pages carry overlaid post-fold content, so the fold's
-        dirty marks are normally redundant.  But a GC pass triggered by the
-        pinning programs themselves can relocate pages *after* a segment's
-        image was captured; the side-effect-free ``chip.peek`` compare
-        catches that and leaves such a segment dirty for the next flush.
-        """
-        for segment in segments:
-            ppn = self._map_dir.get(segment)
-            if ppn is None:
-                continue
-            if self.chip.peek(ppn) == self._segment_image(segment):
-                self._dirty_segments.discard(segment)
 
     def _checkpoint_map(self) -> None:
         """Lazy L2P checkpoint: bounds OOB replay and prunes committed tids."""
@@ -478,9 +432,9 @@ class XFTL(PageMappingFTL):
         # Multi-version mode persists each segment's version chains beside
         # its mappings so retained versions survive power loss; chain
         # durability rides the existing flush points (barriers, CMT
-        # writebacks, commit pinning) — a crash can cost retention depth,
-        # never integrity (recovery validates every restored entry against
-        # its page's OOB identity).
+        # writebacks) — a crash can cost retention depth, never integrity
+        # (recovery validates every restored entry against its page's OOB
+        # identity).
         return self._versions.chains_in(lo, hi) if self._versions is not None else ()
 
     # ------------------------------------------------- GC integration hooks

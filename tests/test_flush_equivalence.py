@@ -6,8 +6,8 @@ and claims and retires pages inline.  The reference below is the flush it
 replaced, a page per call: a map pass that discards a segment's dirty
 marker and writes its page through the shared ``_own`` / ``_retire`` /
 ``_disown`` verbs with per-page counters, then a meta pass that always
-retires the old slot page; a CMT writeback or commit pinning was the map
-pass over one segment.  The root's retired pages are released through
+retires the old slot page; a CMT eviction writeback was the map pass over
+one segment.  The root's retired pages are released through
 ``_disown`` one at a time.
 
 Two FTLs run the same operation stream, one with the reference patched in,
@@ -52,8 +52,8 @@ CONFIGS = {
 }
 
 
-def reference_write_translation_page(ftl, segment, overlay=None) -> None:
-    ppn = ftl.gc.host_program(ftl._segment_image(segment, overlay), OOB_MAP, segment, None)
+def reference_write_translation_page(ftl, segment) -> None:
+    ppn = ftl.gc.host_program(ftl._segment_image(segment), OOB_MAP, segment, None)
     old = ftl._map_dir.get(segment)
     if old is not None and ftl._owner[old] != DEAD:
         if ftl._root.map_dir.get(segment) == old:
@@ -66,13 +66,13 @@ def reference_write_translation_page(ftl, segment, overlay=None) -> None:
     ftl.stats.map_page_writes += 1
 
 
-def reference_flush_pages(ftl, segments, meta_slots=0, mid_point=None, overlay=None) -> None:
+def reference_flush_pages(ftl, segments, meta_slots=0, mid_point=None) -> None:
     crash_plan = ftl.chip.crash_plan
     for segment in segments:
         if mid_point is not None and crash_plan._points:
             crash_plan.hit(mid_point)
         ftl._dirty_segments.discard(segment)
-        reference_write_translation_page(ftl, segment, overlay)
+        reference_write_translation_page(ftl, segment)
     for slot in range(meta_slots):
         ppn = ftl.gc.host_program(("meta", slot), OOB_META, slot, None)
         old = ftl._meta_dir.get(slot)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashChip, FlashGeometry
-from repro.ftl import FtlConfig, PageMappingFTL
+from repro.ftl import XFTL, FtlConfig, PageMappingFTL
 from repro.ftl.cmt import CachedMappingTable
 from repro.ftl.pagemap import UNMAPPED
 from repro.sim.crash import CrashPlan
@@ -13,7 +13,9 @@ from repro.sim.rng import make_rng
 SEG = 16  # map_entries_per_page below; segment(lpn) == lpn // SEG
 
 
-def make_ftl(num_blocks=24, pages_per_block=8, crash_plan=None, **cfg) -> PageMappingFTL:
+def make_ftl(
+    num_blocks=24, pages_per_block=8, crash_plan=None, cls=PageMappingFTL, **cfg
+) -> PageMappingFTL:
     geo = FlashGeometry(page_size=512, pages_per_block=pages_per_block, num_blocks=num_blocks)
     defaults = dict(
         overprovision=0.25,
@@ -23,7 +25,11 @@ def make_ftl(num_blocks=24, pages_per_block=8, crash_plan=None, **cfg) -> PageMa
         cmt_dirty_batch=1,
     )
     defaults.update(cfg)
-    return PageMappingFTL(FlashChip(geo, crash_plan=crash_plan), FtlConfig(**defaults))
+    return cls(FlashChip(geo, crash_plan=crash_plan), FtlConfig(**defaults))
+
+
+def make_xftl(**kwargs) -> XFTL:
+    return make_ftl(cls=XFTL, **kwargs)
 
 
 def total_segments(ftl: PageMappingFTL) -> int:
@@ -219,3 +225,65 @@ class TestUnderPressure:
         ftl._l2p[0] = UNMAPPED
         with pytest.raises(FtlError, match="clean translation page .* is stale"):
             ftl._cmt.check_invariants()
+
+
+def test_active_cache_preserves_data_semantics() -> None:
+    """A cache under real eviction pressure changes I/O, never contents."""
+
+    def run(cmt_pages: int) -> tuple[dict, int]:
+        ftl = make_ftl(cmt_pages=cmt_pages, cmt_dirty_batch=2)
+        rng = make_rng(0xAB, "test.cmt_equivalence", "semantics")
+        latest: dict[int, bytes] = {}
+        for i in range(500):
+            lpn = rng.randrange(ftl.exported_pages)
+            data = b"v%d" % i
+            ftl.write(lpn, data)
+            latest[lpn] = data
+            if (i + 1) % 64 == 0:
+                ftl.barrier()
+        ftl.barrier()
+        ftl.check_invariants()
+        contents = {lpn: ftl.read(lpn) for lpn in latest}
+        return contents, ftl.stats.cmt_evictions
+
+    cached_contents, evictions = run(2)
+    plain_contents, _ = run(0)
+    assert evictions > 0  # the cache was genuinely under pressure
+    assert cached_contents == plain_contents
+
+
+class TestCommitFold:
+    """X-FTL's commit fold (X-L2P entry -> L2P) is an L2P update like any write."""
+
+    def test_fold_is_durable_through_recovery_alone(self):
+        ftl = make_xftl()
+        for seg in range(4):
+            ftl.write(seg * SEG, b"old%d" % seg)
+        ftl.barrier()
+        flushed = ftl._map_dir[0]
+        ftl.write_tx(7, 0, b"new0")
+        ftl.write_tx(7, 3 * SEG, b"new3")
+        ftl.commit(7)
+        # The commit programs no translation page: the flushed copies of
+        # segments 0 and 3 predate it and stay stale until a writeback or
+        # barrier, so only committed-tid replay can bring the fold back.
+        assert {0, 3} <= ftl._dirty_segments
+        assert ftl._map_dir[0] == flushed
+        ftl.power_fail()
+        ftl.remount()
+        assert ftl.read(0) == b"new0"
+        assert ftl.read(3 * SEG) == b"new3"
+        ftl.check_invariants()
+
+    def test_fold_goes_through_the_cache(self):
+        ftl = make_xftl(cmt_pages=2)
+        for seg in range(3):
+            ftl.write_tx(1, seg * SEG, b"t%d" % seg)
+        misses, evictions = ftl.stats.cmt_misses, ftl.stats.cmt_evictions
+        ftl.commit(1)
+        assert ftl.stats.cmt_misses > misses
+        assert ftl.stats.cmt_evictions > evictions
+        assert len(ftl._cmt.resident_segments()) <= ftl._cmt.capacity
+        for seg in range(3):
+            assert ftl.read(seg * SEG) == b"t%d" % seg
+        ftl.check_invariants()

@@ -115,9 +115,9 @@ class TestWatermarkStateMachine:
             assert ftl.read(lpn) == ("r", 7, lpn)
 
     def test_urgent_collections_counted(self):
-        # A negative idle-backlog threshold forbids paced background work,
-        # so every collection must go through the urgent/foreground path.
-        ftl = make_bg_ftl(gc_idle_backlog_us=-1.0)
+        # A zero watermark never engages paced background work, so every
+        # collection must go through the urgent/foreground path.
+        ftl = make_bg_ftl(gc_background_watermark=0)
         lpns = range(min(ftl.exported_pages, 100))
         churn(ftl, lpns, rounds=8)
         assert ftl.stats.gc_urgent_collections > 0

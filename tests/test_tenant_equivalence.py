@@ -9,8 +9,7 @@ be *bit-identical* to the same workload run through bare sessions:
 identical FlashStats, device counters, elapsed simulated time and
 BlockStateView digests.
 
-Like tests/test_cmt_equivalence.py, both sides are computed in the same
-run — no baseline file to go stale.
+Both sides are computed in the same run — no baseline file to go stale.
 """
 
 from __future__ import annotations
