@@ -11,7 +11,13 @@ write-amplification regime the figure varies.
 
 Filler occupies the *top* of the exported logical space, far above the
 file system's allocation frontier, and shares one payload object so aging a
-device-scale chip costs no real memory.
+device-scale chip costs no real memory.  Each filler block is written with
+one :meth:`~repro.ftl.pagemap.PageMappingFTL.write_run` — defined as the
+per-page ``write`` loop, and on the paper's one-channel inline device a
+handful of bulk programs — and the survivors are the pages its own
+``rng.sample`` draws left alone, so every draw, sequence number, placement,
+clock tick and counter is what writing the filler page by page gives
+(``tests/test_aging_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -56,34 +62,26 @@ def age_device(
     rng = make_rng(seed, "aging", validity)
     top = ftl.exported_pages
     first_lpn = top - aged_blocks * pages_per_block
-    surviving = 0
     doomed_per_block = int(pages_per_block * (1.0 - validity))
+    survivors: list[int] = []
     for block_index in range(aged_blocks):
-        chunk = list(
-            range(
-                first_lpn + block_index * pages_per_block,
-                first_lpn + (block_index + 1) * pages_per_block,
-            )
-        )
-        for lpn in chunk:
-            ftl.write(lpn, _FILLER_PAYLOAD)
-        for lpn in rng.sample(chunk, doomed_per_block):
+        start = first_lpn + block_index * pages_per_block
+        chunk = range(start, start + pages_per_block)
+        ftl.write_run(start, pages_per_block, _FILLER_PAYLOAD)
+        doomed = rng.sample(chunk, doomed_per_block)
+        for lpn in doomed:
             ftl.trim(lpn)
-        surviving += pages_per_block - doomed_per_block
+        trimmed = set(doomed)
+        survivors += [lpn for lpn in chunk if lpn not in trimmed]
 
     # Drain the physical overprovision pool: rewrite surviving filler in
     # place until the free pool sits just above the GC threshold, so the
     # measured workload runs in steady-state garbage collection from its
     # first write (utilization and validity are unchanged by rewrites).
-    survivors = [
-        lpn
-        for lpn in range(first_lpn, first_lpn + aged_blocks * pages_per_block)
-        if ftl.mapped_ppn(lpn) is not None
-    ]
     floor = ftl.config.gc_free_block_threshold + headroom_blocks
     guard = ftl.exported_pages * 4
     while ftl.free_block_count() > floor and survivors and guard > 0:
         ftl.write(rng.choice(survivors), _FILLER_PAYLOAD)
         guard -= 1
     ftl.barrier()
-    return surviving
+    return len(survivors)

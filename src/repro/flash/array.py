@@ -145,18 +145,13 @@ class FlashArray(FlashChip):
             if end > now:
                 clock._now_us = end
 
-    def _charge_run(self, src_block: int, dst_block: int, count: int) -> None:
-        """:meth:`_charge_flash` for each read and program of a plain run.
+    def _charge_run(self, block: int, durations: tuple[float, ...]) -> None:
+        """:meth:`_charge_flash` for each operation of a plain run.
 
-        A GC relocation stays on one channel and nothing runs between its
-        operations, so the timeline and the clock are carried in locals; a
-        run across channels is charged op by op.
+        A plain run stays on one channel and nothing runs between its
+        operations, so the timeline and the clock are carried in locals.
         """
-        channels = self._num_channels
-        channel = dst_block % channels
-        if src_block % channels != channel:
-            self._charge_run_by_op(src_block, dst_block, count)
-            return
+        channel = block % self._num_channels
         clock = self.clock
         regions = self._regions
         timeline = self._channel_timelines[channel]
@@ -165,7 +160,7 @@ class FlashArray(FlashChip):
         busy = timeline.busy_until_us
         busy_us = timeline.busy_us
         observe = self._obs_channel_busy[channel].observe if self.obs.enabled else None
-        for duration_us in (self.profile.page_read_us, self.profile.page_program_us) * count:
+        for duration_us in durations:
             start = busy if busy > now else now
             if floor > start:
                 start = floor
@@ -180,7 +175,7 @@ class FlashArray(FlashChip):
                 now = busy
         timeline.busy_until_us = busy
         timeline.busy_us = busy_us
-        timeline.reservations += 2 * count
+        timeline.reservations += len(durations)
         if regions:
             for region in regions:
                 if busy > region.end_us:
