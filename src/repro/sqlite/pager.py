@@ -357,9 +357,15 @@ class RollbackPager(Pager):
         return pno
 
     def _spill(self, pno: int, image: tuple) -> None:
-        # The original must be durable in the journal before the db file
-        # is overwritten with uncommitted data.
-        self.fs.fbarrier(self._journal)
+        # The journal must be hot before the db file holds uncommitted data:
+        # ext4 may steal the page home before COMMIT, and recovery treats a
+        # headerless journal as cold.  So the originals, then a header
+        # naming them, are made durable first (SQLite syncs the journal
+        # header before any cache spill).
+        journal = self._journal
+        self.fs.fbarrier(journal)
+        journal.write_page(0, ("jhdr", self._journal_pages_written, self._txn_counter + 1))
+        self.fs.fbarrier(journal)
         self.file.write_page(pno, image)
 
     def _open_journal(self) -> None:

@@ -281,6 +281,49 @@ class TestStealSpill:
             assert pager.get(pno).cells[0][0] == b"v%d" % i
 
 
+class TestRollbackSpillUnderHotJournal:
+    """A rollback-journal spill makes the journal hot before the page leaves.
+
+    The spilled page sits in the file system's cache, and ext4 may steal it
+    home at any time before COMMIT.  A power cut then finds uncommitted data
+    in the database file; only a journal whose header names the originals
+    lets recovery put them back (SQLite syncs the journal header before any
+    cache spill).
+    """
+
+    def test_a_stolen_spill_rolls_back_after_power_loss(self):
+        geometry = FlashGeometry(page_size=2048, pages_per_block=32, num_blocks=128)
+        device = StorageDevice(XFTL(FlashChip(geometry), FtlConfig(overprovision=0.15)))
+        fs = Ext4.mkfs(device, JournalMode.ORDERED, journal_pages=32, cache_capacity=2)
+        pager = make_pager(SqliteJournalMode.ROLLBACK, fs, cache_pages=1)
+        pager.begin()
+        pnos = []
+        for i in range(6):
+            pno = pager.allocate()
+            pager.put_new(pno, leaf(((i,), b"base%d" % i)))
+            pnos.append(pno)
+        pager.commit()
+        pager.begin()
+        for i, pno in enumerate(pnos):
+            page = pager.get(pno)
+            page.cells[0] = (b"doomed%d" % i, None, 7)
+            pager.mark_dirty(pno, page)
+        # The fs cache stole spilled pages home: uncommitted data is on flash.
+        on_flash = [
+            page_from_image(device.ftl.read(fs._lookup_block(pager.file.inode, pno)))
+            for pno in pnos
+        ]
+        assert any(page.cells[0][0].startswith(b"doomed") for page in on_flash)
+        device.power_off()
+        device.power_on()
+        fs = Ext4.mount(device, JournalMode.ORDERED, journal_pages=32, cache_capacity=2)
+        recovered = make_pager(SqliteJournalMode.ROLLBACK, fs, cache_pages=1)
+        assert [recovered.get(pno).cells[0][0] for pno in pnos] == [
+            b"base%d" % i for i in range(6)
+        ]
+        assert not fs.exists("p.db-journal")
+
+
 class TestSpilledPagesReadBack:
     """A transaction that spills a page and reads it again sees its own write.
 
