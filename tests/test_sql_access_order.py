@@ -22,8 +22,10 @@ text bound.
 
 Recorded at the commit before access paths were bound at plan time; the
 ``wal`` row alone was re-recorded when a WAL transaction began reading back
-its own spilled frames (84 errors → 53, as ``rbj`` and ``off`` record).
-Re-record only with a deliberate, explained bump::
+its own spilled frames (84 errors → 53, as ``rbj`` and ``off`` record), and
+the ``rbj`` row alone when a rollback-journal spill began writing and
+barriering the journal header before the page (device writes 4,562 → 4,868,
+flushes 1,493 → 1,737; outcomes and spills unchanged).  Re-record only with a deliberate, explained bump::
 
     PYTHONPATH=src python tests/test_sql_access_order.py --record
 """
