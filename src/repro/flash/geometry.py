@@ -99,10 +99,6 @@ class FlashGeometry:
         self.check_block(block)
         return block % self.channels
 
-    def channel_of_ppn(self, ppn: int) -> int:
-        """Channel owning physical page ``ppn``."""
-        return self.channel_of_block(self.block_of(ppn))
-
     def die_of_block(self, block: int) -> int:
         """Die index (within its channel) owning ``block``."""
         self.check_block(block)

@@ -324,11 +324,6 @@ class Connection:
         self._commit_internal()
         return []
 
-    def executemany(self, sql: str, param_rows: Sequence[Sequence[SqlValue]]) -> None:
-        """Execute one statement repeatedly with different parameters."""
-        for params in param_rows:
-            self.execute(sql, params)
-
     def close(self) -> None:
         """Close the connection, rolling back any open transaction."""
         if self._explicit_txn:

@@ -148,10 +148,6 @@ class TenantRegistry:
     def by_name(self, name: str) -> TenantAccount:
         return self.accounts[self._by_name[name]]
 
-    @property
-    def tenant_count(self) -> int:
-        return len(self.accounts) - 1
-
     def activate(self, tenant_id: int) -> int:
         """Set the current tenant; returns the previous one (for restore)."""
         previous = self.current

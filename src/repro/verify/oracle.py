@@ -103,10 +103,6 @@ class TransactionOracle:
         self._committed: list[tuple[int, dict[Hashable, Any]]] = []
         self._aborted: set[int] = set()
 
-    def note_baseline(self, key: Hashable, value: Any) -> None:
-        """Pre-workload committed contents."""
-        self._baseline[key] = value
-
     def note_tx_write(self, tid: int, key: Hashable, value: Any) -> None:
         self._active.setdefault(tid, {})[key] = value
 

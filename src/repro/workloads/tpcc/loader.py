@@ -29,17 +29,6 @@ class TpccConfig:
     initial_orders_per_district: int = 20
     seed: int = 7
 
-    def spec_scale(self) -> "TpccConfig":  # pragma: no cover - heavy
-        """The DBT-2 cardinalities the paper used (10 warehouses)."""
-        return TpccConfig(
-            warehouses=10,
-            districts_per_warehouse=10,
-            customers_per_district=3000,
-            items=100_000,
-            initial_orders_per_district=3000,
-            seed=self.seed,
-        )
-
 
 class TpccLoader:
     """Creates the schema and loads the initial database state."""
