@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.bench.aging import age_device
 from repro.bench.reporting import format_table
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
@@ -715,7 +715,7 @@ def gc_comparison(
         )
 
     def _run(ftl_config: FtlConfig, fill_fraction: float) -> dict[str, Any]:
-        chip = FlashArray(geometry, profile=OPENSSD_PROFILE)
+        chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
         ftl = PageMappingFTL(chip, ftl_config)
         fill = int(ftl.exported_pages * fill_fraction)
         hot_span = max(1, fill // 5)
@@ -851,7 +851,7 @@ def mapping_locality(
 
     def _run(hot_fraction: float, pages: int) -> dict[str, Any]:
         nonlocal total_segments
-        chip = FlashArray(geometry, profile=OPENSSD_PROFILE)
+        chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
         ftl = PageMappingFTL(
             chip,
             FtlConfig(
@@ -984,7 +984,7 @@ def throughput(
         num_blocks=num_blocks,
         channels=channels,
     )
-    chip = FlashArray(geometry, profile=OPENSSD_PROFILE)
+    chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
     ftl = PageMappingFTL(
         chip,
         FtlConfig(
@@ -1144,7 +1144,7 @@ def mvcc_retention(
     )
 
     def _run(retain: int) -> dict[str, Any]:
-        chip = FlashArray(geometry, profile=OPENSSD_PROFILE)
+        chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
         ftl = XFTL(
             chip,
             FtlConfig(

@@ -56,11 +56,6 @@ class StorageDevice:
         self.obs = ftl.chip.obs
         if queue_depth < 1:
             raise DeviceError(f"queue depth must be >= 1, got {queue_depth}")
-        if queue_depth > 1 and not self.chip.supports_overlap:
-            raise DeviceError(
-                "queue_depth > 1 requires a flash array with overlap support "
-                "(FlashArray); the serial FlashChip cannot overlap commands"
-            )
         self.queue_depth = queue_depth
         if not isinstance(barrier_mode, bool):
             # A string such as "drain" is truthy; refuse it rather than guess.

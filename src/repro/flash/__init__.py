@@ -1,4 +1,4 @@
-"""NAND flash simulation: geometry, chip/array operations, state, statistics."""
+"""NAND flash simulation: geometry, the flash chip (a multi-channel array), state, statistics."""
 
 from repro.flash.geometry import FlashGeometry
 from repro.flash.state import (
@@ -9,7 +9,7 @@ from repro.flash.state import (
     BlockStateView,
 )
 from repro.flash.chip import FlashChip, OverlapRegion
-from repro.flash.array import FlashArray, FlashDie
+from repro.flash.array import FlashArray
 from repro.flash.stats import FlashStats
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "PAGE_STATE_NAMES",
     "FlashChip",
     "FlashArray",
-    "FlashDie",
     "OverlapRegion",
     "FlashStats",
 ]

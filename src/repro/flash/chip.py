@@ -11,10 +11,28 @@ Every page carries a small out-of-band (OOB) area, used by FTLs to store the
 logical page number and other recovery metadata, mirroring how real FTLs
 rebuild mapping state after power loss.
 
-Latency for each operation is charged to the shared simulation clock, and a
-:class:`~repro.sim.crash.CrashPlan` can cut power before/after a program or
-erase — optionally leaving the in-flight page *torn* (detectable garbage),
-which models the non-atomic sector write SQLite worries about (§2.1).
+The chip is the whole flash array behind one physical page space, the way
+the OpenSSD controller in the paper (and the Samsung S830 of §6.3.4) gets
+its speed from channel parallelism: blocks stripe round-robin over
+``geometry.channels`` channels, and each operation's time is reserved on
+its channel's :class:`~repro.sim.events.ResourceTimeline`.  Operations on
+different channels overlap; operations within one channel serialize, like
+a real channel bus.  Outside an overlap region the host joins every
+completion, so with one channel the chip is the serial chip — the float
+arithmetic ``tests/test_channel_equivalence.py`` pins.  Inside a
+``with chip.overlap():`` region reservations accumulate without blocking
+the clock (the FTL brackets its fan-out sections this way, the device's
+NCQ queue every queued command), and :meth:`FlashChip.drain` is the
+cross-channel barrier.  Page content and write points still change in
+program order at issue time: data effects are immediate (so FTL logic stays
+simple and crash injection precise) and only time effects overlap; across
+channels only DRAM-sourced writes are ever issued concurrently, so no
+modelled data dependency is violated.
+
+A :class:`~repro.sim.crash.CrashPlan` can cut power before/after a program
+or erase — optionally leaving the in-flight page *torn* (detectable
+garbage), which models the non-atomic sector write SQLite worries about
+(§2.1).
 
 Page/block state lives in the chip's :class:`~repro.flash.state.BlockStateView`
 (``chip.state``) — flat arrays of page lifecycle, write points and erase
@@ -42,6 +60,7 @@ from repro.flash.stats import FlashStats
 from repro.obs import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import NO_CRASH, CrashPlan, register_crash_point
+from repro.sim.events import EventScheduler, ResourceTimeline
 from repro.sim.latency import OPENSSD_PROFILE, LatencyProfile
 from repro.tenancy import TenantRegistry
 
@@ -67,49 +86,47 @@ CP_ERASE_BEFORE = register_crash_point(
 class OverlapRegion:
     """Handle for one ``chip.overlap()`` region.
 
-    While the region is active, flash operations on a
-    :class:`~repro.flash.array.FlashArray` reserve channel time without
-    blocking the clock; :attr:`end_us` tracks the latest completion of any
-    reservation made inside the region (the command's finish time).  On the
-    serial base chip the region is inert and ``end_us`` just mirrors the
-    clock.  Regions nest: an inner region's reservations also extend every
+    While the region is active, flash operations reserve channel time
+    without blocking the clock; :attr:`end_us` tracks the latest completion
+    of any reservation made inside the region (the command's finish time).
+    Regions nest: an inner region's reservations also extend every
     enclosing region's horizon.
     """
 
-    __slots__ = ("_array", "end_us")
+    __slots__ = ("_chip", "end_us")
 
-    def __init__(self, array) -> None:
-        self._array = array
+    def __init__(self, chip: "FlashChip") -> None:
+        self._chip = chip
         self.end_us = 0.0
 
     def __enter__(self) -> "OverlapRegion":
-        array = self._array
-        if array is not None:
-            self.end_us = array.clock._now_us
-            array._regions.append(self)
-        else:
-            self.end_us = 0.0
+        chip = self._chip
+        self.end_us = chip.clock._now_us
+        chip._regions.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        array = self._array
-        if array is not None:
-            # Regions unwind LIFO, but a PowerFailure may skip inner exits:
-            # pop down to this region.
-            regions = array._regions
-            while regions:
-                if regions.pop() is self:
-                    break
+        # Regions unwind LIFO, but a PowerFailure may skip inner exits:
+        # pop down to this region.
+        regions = self._chip._regions
+        while regions:
+            if regions.pop() is self:
+                break
 
 
 class FlashChip:
-    """One simulated NAND chip.
+    """One simulated NAND flash array: per-channel timelines over one page space.
 
     Content is stored per physical page as ``bytes`` (or any immutable
     object; FTL metadata pages store tuples).  The chip knows nothing about
     logical addresses, liveness or mapping — that is the FTL's job, and its
     state (the L2P and the ppn-indexed owner table).
     """
+
+    #: When True, :meth:`drain` degrades to :meth:`order_barrier` — the
+    #: barrier-enabled device sets this so FTL-internal drains keep their
+    #: ordering meaning without stalling the host clock.
+    order_only_drains = False
 
     def __init__(
         self,
@@ -141,73 +158,147 @@ class FlashChip:
         # Hot-path constants (avoid geometry attribute chains per op).
         self._total_pages = total
         self._pages_per_block = self.geometry.pages_per_block
+        self._num_channels = channels = self.geometry.channels
         # Reusable erase images (slice-assigned per erase, copied by the
         # slice assignment itself, so sharing them is safe).
         self._none_block: list[Any] = [None] * self._pages_per_block
 
+        self.scheduler = EventScheduler(self.clock)
+        self._channel_timelines: list[ResourceTimeline] = [
+            self.scheduler.timeline(f"flash.ch{channel}") for channel in range(channels)
+        ]
+        self._regions: list[OverlapRegion] = []
+        # Order-barrier floor: no reservation may start before this time.
+        # Stays 0.0 (inert, bit-identical arithmetic) until a barrier-enabled
+        # device issues order barriers.
+        self.dispatch_floor_us = 0.0
+        # Per-channel busy-time histograms: one observation per operation,
+        # so ``total`` is the channel's accumulated busy time and ``count``
+        # its operation count.
+        self._obs_channel_busy = [
+            obs.histogram(f"flash.ch{channel}.busy_us") for channel in range(channels)
+        ]
+
     # ----------------------------------------------------------- parallelism
-    #
-    # The base chip is strictly serial: every operation advances the global
-    # clock by its full latency, and the overlap/drain hooks are no-ops.
-    # :class:`~repro.flash.array.FlashArray` overrides these to reserve time
-    # on per-channel resource timelines instead.
-
-    #: Whether deferred (overlapping) charging is meaningful on this chip.
-    supports_overlap = False
-
-    #: When True, :meth:`drain` degrades to :meth:`order_barrier` — the
-    #: barrier-enabled device sets this so FTL-internal drains keep their
-    #: ordering meaning without stalling the host clock.
-    order_only_drains = False
-
-    #: Earliest start time for new reservations (an order barrier raises it
-    #: to the current horizon).  Class attribute so power-loss resets can
-    #: assign it unconditionally; :class:`FlashArray` shadows it per device.
-    dispatch_floor_us = 0.0
 
     @property
     def num_channels(self) -> int:
         """Channels this chip can overlap across (1: strictly serial)."""
-        return 1
+        return self._num_channels
+
+    def channel_timeline(self, channel: int) -> ResourceTimeline:
+        return self._channel_timelines[channel]
 
     def _charge_flash(self, duration_us: float, block: int) -> None:
-        """Charge one flash-array operation's time.  Serial: advance the clock."""
-        self.clock.advance(duration_us)
+        """Reserve the op on its channel; block the clock unless in a region.
 
-    def _charge_run(self, block: int, durations: tuple[float, ...]) -> None:
-        """Charge a plain run's operations, in order, on ``block``'s channel.
-
-        Must leave every clock and timeline exactly where one
-        :meth:`_charge_flash` call per duration would.
+        Inlines ``ResourceTimeline.reserve`` (same float arithmetic — the
+        channels=1 pinning depends on it) to keep the per-page cost down.
         """
+        channel = block % self._num_channels
+        timeline = self._channel_timelines[channel]
         clock = self.clock
         now = clock._now_us
-        for duration_us in durations:
-            now += duration_us
-        clock._now_us = now
+        busy = timeline.busy_until_us
+        start = busy if busy > now else now
+        floor = self.dispatch_floor_us
+        if floor > start:  # order barrier pending: start after it
+            start = floor
+        end = start + duration_us
+        timeline.busy_until_us = end
+        timeline.busy_us += duration_us
+        timeline.reservations += 1
+        self._obs_channel_busy[channel].observe(duration_us)
+        regions = self._regions
+        if regions:
+            for region in regions:
+                if end > region.end_us:
+                    region.end_us = end
+        else:
+            # clock.wait_until(end), inlined.
+            if end > now:
+                clock._now_us = end
 
-    def overlap(self) -> "OverlapRegion":
-        """Context manager for a region whose flash ops may overlap.
+    def _charge_run(self, block: int, durations: tuple[float, ...]) -> None:
+        """:meth:`_charge_flash` for each operation of a plain run.
 
-        On the serial base chip this is inert — operations inside still
-        advance the clock one after another — so FTL code can bracket its
-        fan-out sections unconditionally.
+        A plain run stays on one channel and nothing runs between its
+        operations, so the timeline and the clock are carried in locals.
         """
-        return OverlapRegion(None)
+        channel = block % self._num_channels
+        clock = self.clock
+        regions = self._regions
+        timeline = self._channel_timelines[channel]
+        now = clock._now_us
+        floor = self.dispatch_floor_us
+        busy = timeline.busy_until_us
+        busy_us = timeline.busy_us
+        observe = self._obs_channel_busy[channel].observe if self.obs.enabled else None
+        for duration_us in durations:
+            start = busy if busy > now else now
+            if floor > start:
+                start = floor
+            busy = start + duration_us
+            busy_us += duration_us
+            if observe is not None:
+                observe(duration_us)
+            if busy > now:
+                # A synchronous host joins each completion.  (Inside a
+                # region the clock stands still, but there ``now`` only
+                # feeds the next start, which ``busy`` already dominates.)
+                now = busy
+        timeline.busy_until_us = busy
+        timeline.busy_us = busy_us
+        timeline.reservations += len(durations)
+        if regions:
+            for region in regions:
+                if busy > region.end_us:
+                    region.end_us = busy
+        else:
+            clock._now_us = now
+
+    def overlap(self) -> OverlapRegion:
+        """Open a region whose flash operations overlap across channels."""
+        return OverlapRegion(self)
 
     def drain(self) -> None:
-        """Cross-channel barrier: wait until all channels are idle (no-op here)."""
+        """Cross-channel barrier: the clock joins every channel's horizon.
+
+        This is the device-level meaning of flush/commit ordering: nothing
+        after the barrier may be considered started until everything before
+        it has finished on every channel.  A barrier-enabled device sets
+        ``order_only_drains`` so the same call sites keep the ordering
+        guarantee without the host stall (the barrier-enabled IO stack's
+        whole point).
+        """
+        if self.order_only_drains:
+            self.order_barrier()
+            return
+        self.clock.wait_until(self.scheduler.horizon_us())
 
     def order_barrier(self) -> None:
-        """Order-only barrier: later operations may not start (or complete)
-        before anything already issued.  The serial chip executes strictly
-        in issue order, so ordering is free — no clock effect.
+        """Order-only cross-channel barrier: raise the dispatch floor.
+
+        Every reservation made after this call starts at or after the
+        current horizon — nothing issued later can complete before anything
+        issued earlier, on any channel — but the clock does not join the
+        horizon, so the host keeps running.
         """
+        horizon = self.scheduler.horizon_us()
+        if horizon > self.dispatch_floor_us:
+            self.dispatch_floor_us = horizon
+
+    def busy_horizon_us(self) -> float:
+        """Latest completion time currently reserved on any channel."""
+        return self.scheduler.horizon_us()
+
+    def channel_busy_us(self) -> list[float]:
+        """Accumulated busy time per channel (utilization numerator)."""
+        return [timeline.busy_us for timeline in self._channel_timelines]
 
     def channel_backlog_us(self, channel: int = 0) -> float:
-        """Reserved-but-unelapsed work on ``channel``: none on the serial chip,
-        which charges every operation to the clock immediately."""
-        return 0.0
+        """Reserved-but-unelapsed work on ``channel`` (0.0 = idle window)."""
+        return self._channel_timelines[channel].backlog_us()
 
     # ------------------------------------------------------------------ ops
 

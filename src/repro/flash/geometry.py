@@ -6,11 +6,10 @@ of blocks is configurable so tests can use tiny chips and benchmarks can use
 device-scale ones.
 
 Geometry also describes the controller's parallelism: ``channels`` flash
-channels with ``dies_per_channel`` dies each.  Blocks are striped across
-channels round-robin (block ``b`` lives on channel ``b % channels``), the
-classic superblock layout, so any contiguous block range spreads over all
-channels.  The defaults (1 channel, 1 die) describe exactly the seed's
-single serial chip.
+channels.  Blocks are striped across channels round-robin (block ``b`` lives
+on channel ``b % channels``), the classic superblock layout, so any
+contiguous block range spreads over all channels.  The default (1 channel)
+makes the chip strictly serial.
 """
 
 from __future__ import annotations
@@ -32,27 +31,22 @@ class FlashGeometry:
         channels: Independent flash channels; operations on different
             channels can overlap in time, operations within one channel
             serialize.
-        dies_per_channel: Dies sharing each channel bus.  Dies subdivide a
-            channel's blocks for layout/wear purposes; timing-wise the
-            channel is the serialization unit (the paper's controller
-            interleaves at channel granularity).
     """
 
     page_size: int = 8192
     pages_per_block: int = 128
     num_blocks: int = 256
     channels: int = 1
-    dies_per_channel: int = 1
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.pages_per_block <= 0 or self.num_blocks <= 0:
             raise FlashGeometryError(f"non-positive geometry: {self}")
-        if self.channels <= 0 or self.dies_per_channel <= 0:
+        if self.channels <= 0:
             raise FlashGeometryError(f"non-positive parallelism: {self}")
-        if self.num_blocks % (self.channels * self.dies_per_channel):
+        if self.num_blocks % self.channels:
             raise FlashGeometryError(
                 f"num_blocks ({self.num_blocks}) must divide evenly over "
-                f"{self.channels} channel(s) x {self.dies_per_channel} die(s)"
+                f"{self.channels} channel(s)"
             )
 
     @property
@@ -86,23 +80,10 @@ class FlashGeometry:
     def blocks_per_channel(self) -> int:
         return self.num_blocks // self.channels
 
-    @property
-    def blocks_per_die(self) -> int:
-        return self.num_blocks // (self.channels * self.dies_per_channel)
-
-    @property
-    def total_dies(self) -> int:
-        return self.channels * self.dies_per_channel
-
     def channel_of_block(self, block: int) -> int:
         """Channel owning ``block`` (round-robin superblock striping)."""
         self.check_block(block)
         return block % self.channels
-
-    def die_of_block(self, block: int) -> int:
-        """Die index (within its channel) owning ``block``."""
-        self.check_block(block)
-        return (block // self.channels) % self.dies_per_channel
 
     def channel_blocks(self, channel: int) -> range:
         """All blocks striped onto ``channel``, in ascending order."""

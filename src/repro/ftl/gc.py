@@ -193,9 +193,7 @@ class Collector:
         self._wear_spread_threshold = config.gc_wear_spread_threshold
         self._wear_check_interval = config.gc_wear_check_interval
         self._clock = chip.clock  # the background gate reads busy-until itself
-        self._timelines = None
-        if chip.supports_overlap:
-            self._timelines = [chip.channel_timeline(c) for c in range(self._channels)]
+        self._timelines = [chip.channel_timeline(c) for c in range(self._channels)]
         self._tick = 0  # host programs seen (background): cost-benefit's clock
         # Victim valid-ratio running aggregate (bounded state: per-victim
         # samples live in the ftl.gc.victim_valid_pages histogram).
@@ -486,10 +484,8 @@ class Collector:
             # would be declined, so none is scored — except FIFO's, which
             # counts its fallbacks.
             affordable = headroom - floor
-            # The channel has no backlog: busy-until does not lead now (a
-            # serial chip never has one).
-            timelines = self._timelines
-            backlog = timelines[channel].busy_until_us - self._clock._now_us if timelines else 0.0
+            # The channel has no backlog: busy-until does not lead now.
+            backlog = self._timelines[channel].busy_until_us - self._clock._now_us
             if backlog <= 0.0 and (
                 jobs[channel] is not None
                 or self._policy == "fifo"

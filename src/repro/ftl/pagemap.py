@@ -8,9 +8,9 @@ This models the OpenSSD board's stock firmware (§5.3, §6.1):
 - space management — free pools, active blocks, victim selection, copyback
   and erase — belongs to the FTL's :class:`~repro.ftl.gc.Collector`: when a
   channel's free pool runs low it picks a victim block, copies its valid
-  pages into the active block and erases it.  On a multi-channel chip
-  (:class:`~repro.flash.array.FlashArray`) host writes round-robin across
-  channels so consecutive appends land on different channels and overlap;
+  pages into the active block and erases it.  On a chip with more than one
+  channel host writes round-robin across channels so consecutive appends
+  land on different channels and overlap;
 - a *write barrier* (the device-level effect of a host fsync / FUA) persists
   all dirty mapping-table chunks plus a fixed set of firmware metadata pages
   to flash, in one pass (:meth:`PageMappingFTL._flush_pages`).  This is the

@@ -19,7 +19,7 @@ Two concrete profiles are provided:
     *effective* per-page costs **derived** from the OpenSSD NAND numbers by
     :func:`effective_channel_profile` rather than hand-copied, so the legacy
     serial shortcut and the real multi-channel model (a
-    :class:`~repro.flash.array.FlashArray` with ``channels > 1``) cannot
+    :class:`~repro.flash.chip.FlashChip` with ``channels > 1``) cannot
     drift apart.
 
 Absolute values are calibrated to the magnitude of the paper's numbers (the
@@ -119,7 +119,7 @@ def effective_channel_profile(
     saturated n-channel device would.  Host-side costs (syscalls, fsync
     wakeups, SQL CPU) are unaffected by device parallelism and stay as-is.
 
-    The real model — a :class:`~repro.flash.array.FlashArray` with
+    The real model — a :class:`~repro.flash.chip.FlashChip` with
     ``channels > 1`` and a queued device — uses the **base** profile and
     gets its speedup from actual overlap; this derivation only exists so
     single-clock experiments (Figure 9's S830 rows) share one calibration

@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.device.ssd import StorageDevice
-from repro.flash.array import FlashArray
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.fs.ext4 import Ext4, JournalMode
@@ -246,10 +245,10 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         num_blocks=config.num_blocks,
         channels=config.channels,
     )
-    # Always a FlashArray: with channels=1 it performs the identical float
-    # arithmetic as the serial FlashChip (locked by the channel-equivalence
-    # regression test) and with channels>1 operations overlap for real.
-    chip: FlashChip = FlashArray(
+    # With channels=1 the chip is strictly serial (the arithmetic the
+    # channel-equivalence baseline pins); with channels>1 operations on
+    # different channels overlap for real.
+    chip = FlashChip(
         geometry, clock=clock, profile=config.profile, crash_plan=crash_plan, obs=obs
     )
     # X-FTL firmware is a strict superset of the stock FTL; non-XFTL modes

@@ -30,7 +30,6 @@ from typing import Any, Callable, Hashable, NamedTuple
 from repro.stack import Mode, SessionScheduler, StackConfig, TenantScheduler, build_stack
 from repro.device.ssd import StorageDevice
 from repro.errors import PowerFailure, ReproError
-from repro.flash.array import FlashArray
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.base import FtlConfig
@@ -148,19 +147,17 @@ class Machine:
     probe: Callable[[], list[str]] | None = None  # extra check while running
 
 
-def _bare(
-    ftl_cls, chip_cls=FlashChip, geometry=_FTL_GEOMETRY, config=_FTL_CONFIG
-) -> Machine:
+def _bare(ftl_cls, geometry=_FTL_GEOMETRY, config=_FTL_CONFIG) -> Machine:
     """An FTL driven directly: ``barrier`` is the durability point."""
     plan = CrashPlan()
-    ftl = ftl_cls(chip_cls(geometry, crash_plan=plan), config)
+    ftl = ftl_cls(FlashChip(geometry, crash_plan=plan), config)
     return Machine(plan, ftl, ftl, ftl.write, ftl.barrier, ftl.power_fail, ftl.remount)
 
 
 def _queued(ftl_cls, barrier_mode: bool = False) -> Machine:
-    """The same FTL behind an NCQ device over a two-channel array."""
+    """The same FTL behind an NCQ device over a two-channel chip."""
     plan = CrashPlan()
-    ftl = ftl_cls(FlashArray(_ARRAY_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
+    ftl = ftl_cls(FlashChip(_ARRAY_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
     device = StorageDevice(ftl, queue_depth=_QUEUE_DEPTH, barrier_mode=barrier_mode)
 
     def epoch_order() -> list[str]:
@@ -645,7 +642,7 @@ LAYERS: dict[str, Layer] = {
             " uncommitted write or lose a committed one (the X-L2P live-union"
             " invariant), however many pages the job had already relocated",
             stream="verify.ftl.gc",
-            build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _GC_CONFIG),
+            build=partial(_bare, XFTL, _ARRAY_GEOMETRY, _GC_CONFIG),
             workload=partial(_block_txns, shapes=_GC_MIX),
             seed=_GC_SEED,
         ),
@@ -656,7 +653,7 @@ LAYERS: dict[str, Layer] = {
             " collector): crashes after victim selection, between the copybacks"
             " and before the erase of a run-to-completion collection",
             stream="verify.ftl.gc",
-            build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _GC_INLINE_CONFIG),
+            build=partial(_bare, XFTL, _ARRAY_GEOMETRY, _GC_INLINE_CONFIG),
             workload=partial(_block_txns, shapes=_GC_MIX),
             seed=_GC_SEED,
         ),
@@ -798,7 +795,7 @@ LAYERS: dict[str, Layer] = {
             " matches owner records against chain membership) — a crash may"
             " shrink retention depth, never snapshot integrity",
             stream="verify.ftl.mvcc",
-            build=partial(_bare, XFTL, FlashArray, _ARRAY_GEOMETRY, _MVCC_CONFIG),
+            build=partial(_bare, XFTL, _ARRAY_GEOMETRY, _MVCC_CONFIG),
             workload=partial(
                 _block_txns,
                 shapes=(Commit(group=(4, 4), writes=(1, 2), abort_p=0.15),),

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.aging import _FILLER_PAYLOAD, age_device
 from repro.flash import FlashGeometry
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
 from repro.sim.rng import make_rng
 from repro.stack import Mode, StackConfig, build_stack
@@ -81,11 +81,10 @@ def state(ftl) -> dict:
         "free": [list(free) for free in gc._free_by_channel],
         "alloc_order": [list(order) for order in gc._alloc_order],
         "active": (gc.active_blocks(), gc.hot_active_blocks(), list(gc._trans_active)),
-    }
-    if isinstance(chip, FlashArray):
-        seen["timelines"] = [
+        "timelines": [
             (t.busy_until_us, t.busy_us, t.reservations) for t in chip.scheduler.timelines()
-        ]
+        ],
+    }
     versions = getattr(ftl, "_versions", None)
     if versions is not None:
         seen["chains"] = [(lpn, list(chain)) for lpn, chain in versions.chains()]
@@ -158,7 +157,7 @@ FTLS = {
 
 def _small_ftl(name: str):
     cls, fields = FTLS[name]
-    chip = FlashArray(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=48, channels=1))
+    chip = FlashChip(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=48, channels=1))
     return cls(chip, FtlConfig(overprovision=0.25, map_entries_per_page=16, **fields))
 
 

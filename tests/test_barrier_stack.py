@@ -19,7 +19,7 @@ import pytest
 
 from repro.device.ssd import StorageDevice
 from repro.errors import DeviceError
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
@@ -42,7 +42,7 @@ def make_device(
     geo = FlashGeometry(
         page_size=512, pages_per_block=8, num_blocks=num_blocks, channels=channels
     )
-    chip = FlashArray(geo)
+    chip = FlashChip(geo)
     ftl = XFTL(chip, FTL_CONFIG) if xftl else PageMappingFTL(chip, FTL_CONFIG)
     return StorageDevice(ftl, queue_depth=queue_depth, barrier_mode=barrier_mode)
 

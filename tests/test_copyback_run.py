@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, FlashError, PowerFailure
-from repro.flash.array import FlashArray
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.state import PAGE_TORN
@@ -28,12 +27,11 @@ from repro.sim.crash import CrashPlan
 PER = 8
 BLOCKS = 16
 
-#: (class, channels): the serial chip, its one-channel array twin, and a
-#: device where a block's channel matters.
+#: channels: the serial (one-channel) chip, and a device where a block's
+#: channel matters.
 KINDS = {
-    "chip": (FlashChip, 1),
-    "array-1ch": (FlashArray, 1),
-    "array-8ch": (FlashArray, 8),
+    "chip": 1,
+    "array-8ch": 8,
 }
 
 FAULTS = (
@@ -116,13 +114,13 @@ def run_cases(draw):
 
 def _build(kind: str, case: dict):
     """A chip in the case's starting state."""
-    cls, channels = KINDS[kind]
+    channels = KINDS[kind]
     geometry = FlashGeometry(
         page_size=64, pages_per_block=PER, num_blocks=BLOCKS, channels=channels
     )
     plan = CrashPlan()
-    chip = cls(geometry, crash_plan=plan, obs=Observability(enabled=case["metrics"]))
-    # Written inside a region so an array starts with backlog on its channels.
+    chip = FlashChip(geometry, crash_plan=plan, obs=Observability(enabled=case["metrics"]))
+    # Written inside a region so the chip starts with backlog on its channels.
     with chip.overlap():
         for index in range(case["programmed"]):
             chip.program(case["src_block"] * PER + index, ("src", index), ("old", index))
@@ -147,7 +145,7 @@ def _drive(chip, case: dict, copy) -> dict:
             copy(chip, case["srcs"], case["dst"], case["oobs"])
         except (FlashError, CorruptionError, PowerFailure, IndexError) as exc:
             raised = (type(exc), str(exc))
-    seen = {
+    return {
         "raised": raised,
         "data": list(chip._data),
         "oob": list(chip._oob),
@@ -157,13 +155,11 @@ def _drive(chip, case: dict, copy) -> dict:
         "now_us": chip.clock.now_us,
         "region_end_us": [region.end_us for region in regions],
         "obs": chip.obs.registry.as_dict(),
-    }
-    if isinstance(chip, FlashArray):
-        seen["timelines"] = [
+        "timelines": [
             (timeline.busy_until_us, timeline.busy_us, timeline.reservations)
             for timeline in chip.scheduler.timelines()
-        ]
-    return seen
+        ],
+    }
 
 
 def _as_a_run(chip, srcs, dst, oobs) -> None:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.device.queue import CommandQueue
 from repro.device.ssd import StorageDevice
 from repro.errors import DeviceError, PowerFailure
-from repro.flash.array import FlashArray
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.base import FtlConfig
@@ -113,7 +112,7 @@ class TestDeviceWiring:
         geo = FlashGeometry(
             page_size=512, pages_per_block=8, num_blocks=24, channels=channels
         )
-        chip = FlashArray(geo, crash_plan=plan)
+        chip = FlashChip(geo, crash_plan=plan)
         ftl = XFTL(chip, FTL_CONFIG) if xftl else PageMappingFTL(chip, FTL_CONFIG)
         return StorageDevice(ftl, queue_depth=queue_depth)
 
@@ -125,11 +124,18 @@ class TestDeviceWiring:
         with pytest.raises(DeviceError):
             self._device(queue_depth=0)
 
-    def test_serial_chip_rejects_queue(self):
-        geo = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24)
-        ftl = PageMappingFTL(FlashChip(geo), FTL_CONFIG)
-        with pytest.raises(DeviceError):
-            StorageDevice(ftl, queue_depth=4)
+    def test_bare_chip_overlaps_queued_writes(self):
+        geo = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24, channels=2)
+        device = StorageDevice(PageMappingFTL(FlashChip(geo), FTL_CONFIG), queue_depth=4)
+        device.write(0, ("v", 0))  # host writes round-robin: channel 0,
+        device.write(1, ("v", 1))  # then channel 1
+        assert device.queue.in_flight == 2
+        busy = device.chip.channel_busy_us()
+        assert busy[0] > 0.0 and busy[1] > 0.0
+        # Both commands finish within one program of each other: overlapped.
+        assert device.chip.busy_horizon_us() < sum(busy)
+        device.flush()
+        assert device.ftl.read(0) == ("v", 0) and device.ftl.read(1) == ("v", 1)
 
     def test_writes_leave_commands_in_flight(self):
         device = self._device()
@@ -187,7 +193,7 @@ class TestQueueCrashInjection:
         geo = FlashGeometry(
             page_size=512, pages_per_block=8, num_blocks=24, channels=2
         )
-        chip = FlashArray(geo, crash_plan=plan)
+        chip = FlashChip(geo, crash_plan=plan)
         ftl = XFTL(chip, FTL_CONFIG) if xftl else PageMappingFTL(chip, FTL_CONFIG)
         device = StorageDevice(ftl, queue_depth=4)
         return plan, ftl, device
@@ -295,7 +301,7 @@ class TestInFlightBatchPowerLoss:
 
     def _crash_stack(self):
         plan = CrashPlan()
-        chip = FlashArray(GEOMETRY, crash_plan=plan)
+        chip = FlashChip(GEOMETRY, crash_plan=plan)
         ftl = PageMappingFTL(chip, FTL_CONFIG)
         return plan, ftl, StorageDevice(ftl, queue_depth=4)
 

@@ -1,9 +1,8 @@
-"""Unit tests for the multi-channel flash array and striped geometry."""
+"""Unit tests for the flash chip's channels and the striped geometry."""
 
 import pytest
 
-from repro.errors import FlashError, FlashGeometryError
-from repro.flash.array import FlashArray
+from repro.errors import FlashGeometryError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.sim.latency import OPENSSD_PROFILE
@@ -20,21 +19,12 @@ class TestGeometryStriping:
     def test_channel_blocks_ascending(self):
         assert list(GEO2.channel_blocks(0)) == [0, 2, 4, 6]
         assert list(GEO2.channel_blocks(1)) == [1, 3, 5, 7]
+        assert GEO2.blocks_per_channel == 4
 
     def test_single_channel_owns_everything(self):
         geo = FlashGeometry(page_size=64, pages_per_block=4, num_blocks=8)
         assert list(geo.channel_blocks(0)) == list(range(8))
         assert geo.channels == 1
-
-    def test_dies_subdivide_channels(self):
-        geo = FlashGeometry(
-            page_size=64, pages_per_block=4, num_blocks=8, channels=2, dies_per_channel=2
-        )
-        assert geo.blocks_per_channel == 4
-        assert geo.blocks_per_die == 2
-        assert geo.total_dies == 4
-        assert geo.die_of_block(0) == 0
-        assert geo.die_of_block(2) == 1
 
     def test_uneven_striping_rejected(self):
         with pytest.raises(FlashGeometryError):
@@ -46,27 +36,15 @@ class TestGeometryStriping:
 
 
 class TestFlashArray:
-    def test_serial_chip_has_no_overlap(self):
-        chip = FlashChip(FlashGeometry(page_size=64, pages_per_block=4, num_blocks=8))
-        assert chip.supports_overlap is False
-        assert chip.num_channels == 1
-        with chip.overlap() as region:
-            chip.program(0, b"a")
-        chip.drain()  # no-op
-        assert region.end_us == 0.0
-
     def test_array_reports_channels(self):
-        array = FlashArray(GEO2)
-        assert array.supports_overlap is True
+        array = FlashChip(GEO2)
         assert array.num_channels == 2
-        assert len(array.dies) == 2
-        assert array.dies[0].blocks == (0, 2, 4, 6)
-        assert array.die_of(3).channel == 1
+        assert len(array.channel_busy_us()) == 2
 
     def test_sync_ops_serialize_like_the_chip(self):
-        # Outside overlap regions the host joins every completion: the
-        # array performs the same arithmetic as the serial chip.
-        array = FlashArray(GEO2)
+        # Outside overlap regions the host joins every completion: two
+        # channels perform the same arithmetic as one.
+        array = FlashChip(GEO2)
         serial = FlashChip(FlashGeometry(page_size=64, pages_per_block=4, num_blocks=8))
         for chip in (array, serial):
             chip.program(GEO2.ppn_of(0, 0), b"a")
@@ -74,7 +52,7 @@ class TestFlashArray:
         assert array.clock.now_us == serial.clock.now_us  # exact
 
     def test_overlap_across_channels(self):
-        array = FlashArray(GEO2)
+        array = FlashChip(GEO2)
         with array.overlap() as region:
             array.program(GEO2.ppn_of(0, 0), b"a")  # channel 0
             array.program(GEO2.ppn_of(1, 0), b"b")  # channel 1
@@ -84,7 +62,7 @@ class TestFlashArray:
         assert array.clock.now_us == pytest.approx(PROGRAM)  # max, not sum
 
     def test_same_channel_serializes_inside_region(self):
-        array = FlashArray(GEO2)
+        array = FlashChip(GEO2)
         with array.overlap():
             array.program(GEO2.ppn_of(0, 0), b"a")  # channel 0
             array.program(GEO2.ppn_of(0, 1), b"b")  # channel 0 again
@@ -92,7 +70,7 @@ class TestFlashArray:
         assert array.clock.now_us == pytest.approx(2 * PROGRAM)
 
     def test_nested_regions_note_inner_work(self):
-        array = FlashArray(GEO2)
+        array = FlashChip(GEO2)
         with array.overlap() as outer:
             with array.overlap() as inner:
                 array.program(GEO2.ppn_of(0, 0), b"a")
@@ -101,7 +79,7 @@ class TestFlashArray:
         assert outer.end_us == pytest.approx(PROGRAM)
 
     def test_read_dependency_chains_on_channel(self):
-        array = FlashArray(GEO2)
+        array = FlashChip(GEO2)
         array.program(GEO2.ppn_of(0, 0), b"a")
         t0 = array.clock.now_us
         with array.overlap():
@@ -111,7 +89,7 @@ class TestFlashArray:
         assert array.clock.now_us == pytest.approx(t0 + READ + PROGRAM)
 
     def test_busy_accounting_and_utilization(self):
-        array = FlashArray(GEO2)
+        array = FlashChip(GEO2)
         with array.overlap():
             array.program(GEO2.ppn_of(0, 0), b"a")
             array.program(GEO2.ppn_of(1, 0), b"b")
@@ -120,18 +98,9 @@ class TestFlashArray:
         busy = array.channel_busy_us()
         assert busy[0] == pytest.approx(PROGRAM)
         assert busy[1] == pytest.approx(2 * PROGRAM)
-        util = array.channel_utilization()
-        assert util[0] == pytest.approx(0.5)
-        assert util[1] == pytest.approx(1.0)
-
-    def test_require_channels(self):
-        array = FlashArray(GEO2)
-        array.require_channels(2)
-        with pytest.raises(FlashError):
-            array.require_channels(4)
 
     def test_drain_is_idempotent(self):
-        array = FlashArray(GEO2)
+        array = FlashChip(GEO2)
         with array.overlap():
             array.program(GEO2.ppn_of(0, 0), b"a")
         array.drain()

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash import FlashGeometry
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
 from repro.ftl.pagemap import DEAD, OOB_MAP, OOB_META, OWNER_MAP, OWNER_META
 from repro.sim.rng import make_rng
@@ -91,7 +91,7 @@ def reference_release_retired(ftl) -> None:
 
 def build(name: str, reference: bool):
     cls, channels, blocks, _fill, config = CONFIGS[name]
-    chip = FlashArray(
+    chip = FlashChip(
         FlashGeometry(
             page_size=512, pages_per_block=8, num_blocks=blocks * channels, channels=channels
         )

@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import PowerFailure, TransactionError
 from repro.flash import FlashChip, FlashGeometry
-from repro.flash.array import FlashArray
 from repro.ftl import AtomicWriteFTL, FtlConfig, TxFlashFTL
 from repro.obs import Observability
 from repro.sim import CrashPlan
@@ -176,7 +175,7 @@ class TestTxFlashFTL:
     def test_group_survives_relocation_of_one_member(self):
         geometry = FlashGeometry(page_size=512, pages_per_block=PER, num_blocks=24, channels=2)
         ftl = TxFlashFTL(
-            FlashArray(geometry), FtlConfig(overprovision=0.25, map_entries_per_page=16)
+            FlashChip(geometry), FtlConfig(overprovision=0.25, map_entries_per_page=16)
         )
         for lpn in range(8):
             ftl.write(lpn, b"base")

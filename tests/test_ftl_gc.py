@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashGeometry
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.ftl import Collector, FtlConfig, GcState, PageMappingFTL, XFTL
 from repro.obs import Observability
 from repro.sim import CrashPlan
@@ -45,7 +45,7 @@ def bg_config(**cfg) -> FtlConfig:
 def make_bg_ftl(
     num_blocks=32, pages_per_block=8, channels=2, obs=None, crash_plan=None, **cfg
 ) -> PageMappingFTL:
-    chip = FlashArray(
+    chip = FlashChip(
         make_geo(num_blocks, pages_per_block, channels),
         crash_plan=crash_plan,
         **({"obs": obs} if obs is not None else {}),
@@ -56,7 +56,7 @@ def make_bg_ftl(
 def make_bg_xftl(
     num_blocks=32, pages_per_block=8, channels=2, obs=None, crash_plan=None, **cfg
 ) -> XFTL:
-    chip = FlashArray(
+    chip = FlashChip(
         make_geo(num_blocks, pages_per_block, channels),
         crash_plan=crash_plan,
         **({"obs": obs} if obs is not None else {}),

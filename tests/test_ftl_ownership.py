@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import FtlError, TransactionError
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl import XFTL
 from repro.ftl.base import FtlConfig
@@ -177,7 +177,7 @@ TRIM_VARIANTS = ["pagemap", "xftl-retain2", "cmt"]
 
 def _trim_ftl(variant: str) -> PageMappingFTL:
     """Inline greedy GC on 2 channels x 20 blocks x 8 pages, 80 % filled."""
-    chip = FlashArray(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=40, channels=2))
+    chip = FlashChip(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=40, channels=2))
     config = dict(
         overprovision=0.25,
         map_entries_per_page=16,

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.device import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
-from repro.flash.array import FlashArray
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
 from repro.ftl.pagemap import DEAD
 from repro.obs import Observability
@@ -83,7 +82,7 @@ def _churned(cls, schedule: str, per_page: bool):
     plan = CrashPlan()
     if per_page:
         plan.arm("flash.program.before", after=10**9)
-    chip = FlashArray(
+    chip = FlashChip(
         FlashGeometry(page_size=512, pages_per_block=8, num_blocks=48, channels=2),
         crash_plan=plan,
         obs=Observability(enabled=True),
@@ -218,7 +217,7 @@ class TestFifoFallbackTrap:
 
     def _ftl(self):
         obs = Observability(enabled=True)
-        chip = FlashArray(
+        chip = FlashChip(
             FlashGeometry(page_size=512, pages_per_block=8, num_blocks=32, channels=2), obs=obs
         )
         ftl = PageMappingFTL(
@@ -279,7 +278,7 @@ class TestCountGuards:
     STREAM_BLOCK_CALLS_PER_HOST_PROGRAM_CEILING = 0.95
 
     def test_host_work_per_flash_op(self):
-        chip = FlashArray(
+        chip = FlashChip(
             FlashGeometry(page_size=512, pages_per_block=32, num_blocks=64, channels=8)
         )
         config = dict(BACKGROUND, gc_wear_spread_threshold=16, gc_wear_check_interval=32)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.device import StorageDevice
 from repro.flash import FlashGeometry
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.ftl import FtlConfig, PageMappingFTL
 from repro.ftl.gc import GC_POLICIES, GcState
 from repro.obs import Observability
@@ -52,7 +52,7 @@ BACKGROUND = dict(
 
 def _ftl_gc_shaped(obs: Observability) -> PageMappingFTL:
     """8 channels, queue depth 8, background cost-benefit GC, wear levelling."""
-    chip = FlashArray(
+    chip = FlashChip(
         FlashGeometry(page_size=512, pages_per_block=32, num_blocks=64, channels=8), obs=obs
     )
     ftl = PageMappingFTL(
@@ -81,7 +81,7 @@ def _ftl_gc_shaped(obs: Observability) -> PageMappingFTL:
 
 
 def _small(obs: Observability, channels: int, config: dict, label: str) -> PageMappingFTL:
-    chip = FlashArray(
+    chip = FlashChip(
         FlashGeometry(page_size=512, pages_per_block=8, num_blocks=48, channels=channels), obs=obs
     )
     ftl = PageMappingFTL(
@@ -194,7 +194,7 @@ OPS = st.lists(
 def test_gate_is_its_definition_and_every_step_is_settled(schedule, channels, cmt, ops) -> None:
     gc_mode, gc_policy = schedule
     blocks = BLOCKS_PER_CHANNEL[channels] * channels
-    chip = FlashArray(
+    chip = FlashChip(
         FlashGeometry(page_size=512, pages_per_block=8, num_blocks=blocks, channels=channels)
     )
     config = dict(

@@ -17,7 +17,7 @@ import pytest
 
 from repro.device.commands import DeviceCounters
 from repro.device.ssd import StorageDevice
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.stats import FlashStats
 from repro.ftl.base import FtlConfig
@@ -53,7 +53,7 @@ def _bound_values(registry, names) -> dict[str, int]:
 def test_ftl_gc_shaped_bare_stack_reads_every_record():
     """No build_stack: the chip, device and queue bind themselves."""
     obs = Observability(enabled=True, label="bare")
-    chip = FlashArray(
+    chip = FlashChip(
         FlashGeometry(page_size=512, pages_per_block=16, num_blocks=64, channels=8), obs=obs
     )
     ftl = PageMappingFTL(

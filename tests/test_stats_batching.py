@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PowerFailure
-from repro.flash.array import FlashArray
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
@@ -31,7 +31,7 @@ CONFIG = dict(
 
 
 def _build(crash_plan: CrashPlan | None = None):
-    chip = FlashArray(FlashGeometry(**GEO), crash_plan=crash_plan)
+    chip = FlashChip(FlashGeometry(**GEO), crash_plan=crash_plan)
     return chip, PageMappingFTL(chip, FtlConfig(**CONFIG))
 
 
