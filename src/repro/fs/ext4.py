@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
 
 from repro.device.ssd import StorageDevice
@@ -74,7 +74,10 @@ class JournalMode(enum.Enum):
 
 @dataclass
 class FsStats:
-    """File-system-side I/O accounting (the 'File System' column of Table 1)."""
+    """File-system-side I/O accounting (the 'File System' column of Table 1).
+
+    The only store of these counts, bound as obs ``fs.<field>``; one per mount.
+    """
 
     data_page_writes: int = 0
     meta_page_writes: int = 0
@@ -82,7 +85,6 @@ class FsStats:
     fsync_calls: int = 0
     file_creates: int = 0
     file_deletes: int = 0
-    checkpoints: int = 0
 
     def snapshot(self) -> "FsStats":
         return FsStats(**vars(self))
@@ -139,13 +141,7 @@ class Ext4:
         self.max_inodes = max_inodes
         self.obs = device.obs
         obs = device.obs
-        self._obs_data_writes = obs.counter("fs.data_page_writes")
-        self._obs_meta_writes = obs.counter("fs.meta_page_writes")
-        self._obs_journal_writes = obs.counter("fs.journal_page_writes")
-        self._obs_fsyncs = obs.counter("fs.fsync_calls")
-        self._obs_creates = obs.counter("fs.file_creates")
-        self._obs_deletes = obs.counter("fs.file_deletes")
-        self._obs_steal_writes = obs.counter("fs.steal_writes")
+        obs.registry.bind(self.stats, {f"fs.{f.name}": f.name for f in fields(FsStats)})
         self._obs_fsync_us = obs.histogram("fs.fsync.latency_us")
 
         # ---- layout ----------------------------------------------------
@@ -300,7 +296,6 @@ class Ext4:
         self._dirty_meta.add(self.dir_lpn)
         self._dirty_meta.add(self.sb_lpn)
         self.stats.file_creates += 1
-        self._obs_creates.inc()
         return FileHandle(self, inode)
 
     def open(self, name: str, owner: str | None = None) -> "FileHandle":
@@ -331,7 +326,6 @@ class Ext4:
         self._dirty_meta.add(self.dir_lpn)
         self._free_inos.append(ino)
         self.stats.file_deletes += 1
-        self._obs_deletes.inc()
 
     def listdir(self) -> list[str]:
         return sorted(self._by_name)
@@ -368,7 +362,7 @@ class Ext4:
         return tid
 
     @staticmethod
-    def _check_txn(txn) -> None:
+    def check_txn(txn) -> None:
         """Reject a raw integer tid at the front door.
 
         Transactions are :class:`TransactionContext` objects minted by
@@ -468,9 +462,8 @@ class Ext4:
         ``commit=False`` stops an XFTL sync short of ``commit(t)``
         (``stage_tx``).
         """
-        self._check_txn(txn)
+        self.check_txn(txn)
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         start_us = self._clock.now_us
         with self.obs.tracer.span(name, "fs", tid=None if txn is None else txn.tid):
             self._clock.advance(self._profile.host_fsync_us)
@@ -497,7 +490,7 @@ class Ext4:
         if not txns:
             return
         for txn in txns:
-            self._check_txn(txn)
+            self.check_txn(txn)
         self.device.commit_group([txn.tid for txn in txns])
         for txn in txns:
             # The staged cache pages' data is the committed copy now: untag
@@ -516,7 +509,7 @@ class Ext4:
         """
         if txn is None:
             raise FsError("ioctl_abort requires a transaction")
-        self._check_txn(txn)
+        self.check_txn(txn)
         self._charge_syscall()
         for lpn in self.cache.drop_txn(txn):
             self._dirty_data.pop(lpn, None)
@@ -593,7 +586,6 @@ class Ext4:
         if records:
             assert self.journal is not None
             self.journal.commit(records)
-            self.stats.journal_page_writes += len(records) + 2
         elif self.device.dirty_since_flush:
             # Nothing to journal, but writes landed since the last flush
             # (data sent home just now, say): still a durability point for
@@ -631,7 +623,6 @@ class Ext4:
 
     def _device_write_data(self, lpn: int, data: Any, tid: int | None = None) -> None:
         self.stats.data_page_writes += 1
-        self._obs_data_writes.inc()
         if tid is not None:
             self.device.write_tx(tid, lpn, data)
         else:
@@ -639,7 +630,6 @@ class Ext4:
 
     def _device_write_meta_raw(self, lpn: int, image: Any, tid: int | None = None) -> None:
         self.stats.meta_page_writes += 1
-        self._obs_meta_writes.inc()
         if tid is not None:
             self.device.write_tx(tid, lpn, image)
         else:
@@ -647,20 +637,17 @@ class Ext4:
 
     def _device_write_journal(self, lpn: int, image: Any) -> None:
         self.stats.journal_page_writes += 1
-        self._obs_journal_writes.inc()
         self.device.write(lpn, image)
 
     def _device_write_journal_ordered(self, lpn: int, image: Any) -> None:
         """Journal commit page / superblock: one ordered write."""
         self.stats.journal_page_writes += 1
-        self._obs_journal_writes.inc()
         self.device.write_barrier(lpn, image)
 
     def _journal_write_home(self, lpn: int, image: Any) -> None:
         """Checkpoint write-back: journaled image to its home location."""
         if self.data_start <= lpn:
-            self.stats.data_page_writes += 1
-            self.device.write(lpn, image)
+            self._device_write_data(lpn, image)
         else:
             self._device_write_meta_raw(lpn, image)
 
@@ -827,7 +814,7 @@ class Ext4:
         pages; untagged dirty pages (non-XFTL modes, plain writes) are
         shared as before.
         """
-        self._check_txn(txn)
+        self.check_txn(txn)
         page = self.cache.get(lpn)
         if page is not None:
             owner = page.txn
@@ -863,7 +850,7 @@ class Ext4:
 
     def write_lpn(self, lpn: int, data: Any, ino: int, txn) -> None:
         """Buffer one file data page write in the cache (dirty, txn-tagged)."""
-        self._check_txn(txn)
+        self.check_txn(txn)
         self._charge_syscall()
         self.cache.put(lpn, data, dirty=True, txn=txn)
         self._dirty_data[lpn] = ino
@@ -871,7 +858,6 @@ class Ext4:
     def _evict_writeback(self, lpn: int, data: Any, txn) -> None:
         """Steal path: a dirty page leaves the cache before any fsync."""
         self._dirty_data.pop(lpn, None)
-        self._obs_steal_writes.inc()
         self._steal(lpn, data, txn)
 
     def _steal_home(self, lpn: int, data: Any, txn) -> None:
@@ -879,7 +865,6 @@ class Ext4:
 
     def _steal_journaled(self, lpn: int, data: Any, txn) -> None:
         self.journal.commit([(lpn, data)])
-        self.stats.journal_page_writes += 3
 
     def _steal_tagged(self, lpn: int, data: Any, txn) -> None:
         if txn is None:
@@ -942,7 +927,7 @@ class FileHandle:
         must keep seeing the committed copy.
         """
         fs = self.fs
-        fs._check_txn(txn)
+        fs.check_txn(txn)
         lpn = fs._lookup_block(self.inode, index)
         if lpn is None:
             return None

@@ -60,8 +60,6 @@ class Jbd2Journal:
         self._write_ordered = write_ordered
         self._write_home = write_home
         self._obs = obs
-        self._obs_commits = obs.counter("fs.journal.commits")
-        self._obs_checkpoints = obs.counter("fs.journal.checkpoints")
         self._obs_frame_pages = obs.histogram("fs.journal.frame_pages", DEFAULT_SIZE_BOUNDS)
 
         self._log_start = region_start + JSB_SLOTS
@@ -74,6 +72,13 @@ class Jbd2Journal:
         self._pending: "OrderedDict[int, Any]" = OrderedDict()
         self.transactions_committed = 0
         self.checkpoints = 0
+        obs.registry.bind(
+            self,
+            {
+                "fs.journal.commits": "transactions_committed",
+                "fs.journal.checkpoints": "checkpoints",
+            },
+        )
 
     # ----------------------------------------------------------------- API
 
@@ -112,7 +117,6 @@ class Jbd2Journal:
             self._pending.pop(lpn, None)
             self._pending[lpn] = image
         self.transactions_committed += 1
-        self._obs_commits.inc()
         self._obs_frame_pages.observe(float(frame_pages))
         return txid
 
@@ -125,7 +129,6 @@ class Jbd2Journal:
         self._head = 0
         self._write_jsb()
         self.checkpoints += 1
-        self._obs_checkpoints.inc()
 
     def restore_position(self, retired_txid: int, max_txid: int) -> None:
         """Resume txid numbering after a mount-time replay."""

@@ -36,6 +36,9 @@ class PageCache:
     page is evicted (the *steal* path).  Clean pages are evicted silently.
     """
 
+    #: Fields exported to the obs registry as ``fs.cache.<field>``.
+    OBS_FIELDS = ("hits", "misses", "evictions", "dirty_evictions")
+
     def __init__(
         self,
         capacity: int,
@@ -51,10 +54,7 @@ class PageCache:
         self.misses = 0
         self.evictions = 0
         self.dirty_evictions = 0
-        self._obs_hits = obs.counter("fs.cache.hits")
-        self._obs_misses = obs.counter("fs.cache.misses")
-        self._obs_evictions = obs.counter("fs.cache.evictions")
-        self._obs_steals = obs.counter("fs.cache.dirty_evictions")
+        obs.registry.bind(self, {f"fs.cache.{field}": field for field in self.OBS_FIELDS})
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -67,11 +67,9 @@ class PageCache:
         page = self._pages.get(lpn)
         if page is None:
             self.misses += 1
-            self._obs_misses.inc()
             return None
         self._pages.move_to_end(lpn)
         self.hits += 1
-        self._obs_hits.inc()
         return page
 
     def peek(self, lpn: int) -> CachedPage | None:
@@ -169,10 +167,8 @@ class PageCache:
             victim_lpn = self._pick_eviction_victim()
             page = self._pages.pop(victim_lpn)
             self.evictions += 1
-            self._obs_evictions.inc()
             if page.dirty:
                 self.dirty_evictions += 1
-                self._obs_steals.inc()
                 self._writeback(page.lpn, page.data, page.txn)
 
     def _pick_eviction_victim(self) -> int:

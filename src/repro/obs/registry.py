@@ -12,7 +12,8 @@ Design rules:
   a count in a record of its own (``FlashStats``, ``DeviceCounters``, ...)
   binds it instead: ``registry.bind(record, {"flash.page_programs":
   "page_programs"})`` exports the attribute under the obs name, read when
-  asked, so every event is counted once.
+  asked, so every event is counted once.  A layer rebuilt in place (ext4
+  on a remount) binds its fresh record over the one it replaces.
 - **Free when disabled.**  A disabled registry hands out shared null
   singletons whose ``inc``/``observe`` are no-ops; the hot write path incurs
   zero allocations (guarded by a tracemalloc micro-benchmark in the tests).
@@ -239,13 +240,17 @@ class MetricsRegistry:
         """Export ``record``'s counts: ``names`` maps obs name -> attribute.
 
         The record stays the only store; every query reads the attribute.
-        A disabled registry ignores the call (the shared ``NULL_OBS`` must
-        not keep every record ever built alive).
+        A name already bound to a record of the same class is re-pointed:
+        the new record replaces the old one (a remounted layer replaces the
+        layer before it).  A name held by a plain counter or by a record of
+        another class raises.  A disabled registry ignores the call (the
+        shared ``NULL_OBS`` must not keep every record ever built alive).
         """
         if not self.enabled:
             return
         for name, attribute in names.items():
-            if name in self._counters or name in self._bound:
+            held = self._bound.get(name)
+            if name in self._counters or (held is not None and type(held[0]) is not type(record)):
                 raise ValueError(f"counter {name!r} already exists")
             self._bound[name] = (record, attribute)
 

@@ -142,7 +142,6 @@ class Connection:
         self.defer_commits = False
         self._staged_txn = None
         self._commit_started_us = 0.0
-        self.statements_executed = 0
         self._prepared: OrderedDict[str, _Plan] = OrderedDict()
         self._profile = fs.device.profile
         self._clock = fs.device.clock
@@ -209,8 +208,10 @@ class Connection:
     def begin_with_txn(self, txn) -> None:
         """Join a shared device transaction (multi-file commit, §4.3).
 
-        ``txn`` is a :class:`~repro.stack.txn.TransactionContext` (or a raw
-        int tid from legacy callers — the pager adopts it).
+        ``txn`` is the :class:`~repro.stack.txn.TransactionContext` minted
+        by ``fs.txn_manager.begin()``.  Only OFF mode takes one; there a raw
+        integer tid raises :class:`~repro.errors.TransactionError` here,
+        before any statement runs under it.
         """
         if self._explicit_txn:
             raise DatabaseError("cannot start a transaction within a transaction")
@@ -299,7 +300,6 @@ class Connection:
         plan = prepared.get(sql)
         if plan is None:
             plan = self._prepare(sql)  # raises with nothing cached and nothing done
-        self.statements_executed += 1
         self._obs_statements.inc()
         self._clock.advance(self._profile.host_cpu_statement_us)
         plan.params.bind(params)

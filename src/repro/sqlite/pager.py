@@ -607,6 +607,7 @@ class OffPager(Pager):
 
     def _begin(self, txn) -> None:
         """Without ``txn``, mint a fresh context attributed to this pager's session."""
+        self.fs.check_txn(txn)
         self._txn = txn if txn is not None else self.fs.txn_manager.begin(session=self.session)
         self._txn_wrote = False
 

@@ -68,10 +68,10 @@ _ALLOWED_TRANSITIONS: dict[TxnState, frozenset[TxnState]] = {
 class TransactionContext:
     """One host transaction: tid, state machine, owning session.
 
-    Instances are minted by :meth:`TxnManager.begin` (or adopted from a
-    raw int tid by :meth:`TxnManager.adopt` for legacy callers).  The
-    integer ``tid`` is what goes over the device wire; ``int(ctx)``
-    returns it for convenience.
+    Instances are minted by :meth:`TxnManager.begin`; the file system and
+    ``Connection.begin_with_txn`` reject a raw int tid with a
+    :class:`~repro.errors.TransactionError`.  The integer ``tid`` is what
+    goes over the device wire; ``int(ctx)`` returns it for convenience.
     """
 
     __slots__ = ("tid", "session", "manager", "state", "start_us")

@@ -17,25 +17,48 @@ def make_stack(mode=Mode.XFTL, **kwargs):
     return build_stack(StackConfig(mode=mode, **kwargs))
 
 
-class TestCrossLayerAccounting:
-    @pytest.mark.parametrize("mode", [Mode.RBJ, Mode.WAL, Mode.XFTL])
-    def test_every_host_write_reaches_the_chip(self, mode):
-        stack = make_stack(mode)
+def _drive_small_cache(stack):
+    """Writes that overflow a 4-page fs cache (steals) and a 12-page journal
+    (checkpoints)."""
+    if stack.config.mode.is_database_mode:
         db = stack.open_database("x.db")
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        for txn in range(6):
+            db.execute("BEGIN")
+            for i in range(60):
+                db.execute("INSERT INTO t VALUES (?, ?)", (txn * 100 + i, "v" * 200))
+            db.execute("COMMIT")
+    else:
+        handle = stack.fs.create("data.bin")
+        for rnd in range(10):
+            for index in range(rnd * 3, rnd * 3 + 6):  # the file grows: fresh metadata
+                handle.write_page(index, (rnd, index))
+            handle.fsync()
+
+
+class TestCrossLayerAccounting:
+    @pytest.mark.parametrize(
+        "mode", [Mode.RBJ, Mode.WAL, Mode.XFTL, Mode.FS_ORDERED, Mode.FS_FULL]
+    )
+    def test_every_host_write_reaches_the_chip(self, mode):
+        stack = make_stack(mode, fs_cache_pages=4, journal_pages=12)
+        fs, device = stack.fs, stack.device
         chip_before = stack.ftl.stats.snapshot()
-        fs_before = stack.fs.stats.snapshot()
-        db.execute("BEGIN")
-        for i in range(30):
-            db.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
-        db.execute("COMMIT")
-        fs_delta = stack.fs.stats.delta(fs_before)
+        fs_before = fs.stats.snapshot()
+        dev_before = device.counters.snapshot()
+        _drive_small_cache(stack)
+        assert fs.cache.dirty_evictions > 0  # the steal path ran
+        if fs.journal is not None:
+            assert fs.journal.checkpoints > 0
+        fs_delta = fs.stats.delta(fs_before)
         fs_writes = (
             fs_delta.data_page_writes + fs_delta.meta_page_writes + fs_delta.journal_page_writes
         )
-        chip_programs = stack.ftl.stats.delta(chip_before).page_programs
-        # Every fs-level write lands on the chip, plus map/X-L2P overhead.
-        assert chip_programs >= fs_writes > 0
+        dev = device.counters.delta(dev_before)
+        # One count per page the file system sends: each is one write command.
+        assert fs_writes == dev.writes + dev.tagged_writes + dev.barrier_writes > 0
+        # Every command lands on the chip, plus map/X-L2P overhead.
+        assert stack.ftl.stats.delta(chip_before).page_programs >= fs_writes
 
     def test_xftl_commit_count_matches_transactions(self):
         stack = make_stack(Mode.XFTL)

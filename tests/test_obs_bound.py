@@ -2,10 +2,12 @@
 
 Every count a layer keeps in a record of its own (``FlashStats``,
 ``DeviceCounters``, the device's and queue's stall counts, a tenant's
-account) is exported through ``MetricsRegistry.bind``; nothing increments
-an obs twin.  These tests pin that the bound names read the records, on a
-bare stack and through ``build_stack``, across merged sessions, and that a
-disabled handle binds nothing.
+account, ext4's ``FsStats``, its page cache's and its journal's counts) is
+exported through ``MetricsRegistry.bind``; nothing increments an obs twin.
+These tests pin that the bound names read the records, on a bare stack and
+through ``build_stack``, across merged sessions and across a remount (the
+fresh mount's records replace the old ones), and that a disabled handle
+binds nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.device.ssd import StorageDevice
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.stats import FlashStats
+from repro.fs.ext4 import FsStats
+from repro.fs.pagecache import PageCache
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
 from repro.obs import NULL_OBS, Observability, install_default_hub, uninstall_default_hub
@@ -29,8 +33,8 @@ from repro.tenancy import TenantAccount
 _SMALL = dict(num_blocks=128, pages_per_block=64)
 
 
-def _expected(chip, device) -> dict[str, int]:
-    """Every bound name of a chip + device, read straight from the records."""
+def _expected(chip, device, fs=None) -> dict[str, int]:
+    """Every bound name of a chip + device (+ fs), read straight from the records."""
     expected = {name: getattr(chip.stats, field) for name, field in FlashStats.OBS_NAMES.items()}
     expected.update(
         {f"dev.{f.name}": getattr(device.counters, f.name) for f in fields(DeviceCounters)}
@@ -43,6 +47,13 @@ def _expected(chip, device) -> dict[str, int]:
     for account in chip.tenants.accounts:
         for field in TenantAccount.OBS_FIELDS:
             expected[f"tenant.{account.name}.{field}"] = getattr(account, field)
+    if fs is not None:
+        expected.update({f"fs.{f.name}": getattr(fs.stats, f.name) for f in fields(FsStats)})
+        for field in PageCache.OBS_FIELDS:
+            expected[f"fs.cache.{field}"] = getattr(fs.cache, field)
+        if fs.journal is not None:
+            expected["fs.journal.commits"] = fs.journal.transactions_committed
+            expected["fs.journal.checkpoints"] = fs.journal.checkpoints
     return expected
 
 
@@ -163,11 +174,36 @@ def test_no_plain_counter_carries_a_bound_name():
     for stack in stacks:
         registry = stack.obs.registry
         assert not set(registry._counters) & set(registry._bound), stack.config.mode
-        expected = _expected(stack.chip, stack.device)
+        expected = _expected(stack.chip, stack.device, stack.fs)
+        assert set(registry._bound) == set(expected), stack.config.mode
         assert _bound_values(registry, expected) == expected
     tenants = stacks[-1].obs.registry
     assert tenants.counter_value("tenant.alice.commits") >= 6
     assert tenants.counter_value("dev.queue.epochs") > 0
+
+
+def test_remount_rebinds_fs_records_to_the_new_mount():
+    """Counts are per mount: after a power cycle obs ``fs.*`` reads the fresh
+    ``FsStats``, cache and journal, not a sum over mounts."""
+    stack = build_stack(StackConfig(mode=Mode.RBJ, metrics=True, **_SMALL))
+    _run_sql(stack.open_database("t.db"))
+    old = stack.fs
+    stack.remount_after_crash()
+    registry = stack.obs.registry
+    fresh = registry.counter_value("fs.journal_page_writes")
+    assert fresh == stack.fs.stats.journal_page_writes < old.stats.journal_page_writes
+    db = stack.open_database("t.db")
+    assert db.execute("SELECT COUNT(*) FROM t") == [(40,)]
+    db.execute("INSERT INTO t VALUES (100, 'after')")
+    expected = _expected(stack.chip, stack.device, stack.fs)
+    assert stack.fs.stats.fsync_calls > 0
+    assert set(registry._bound) == set(expected)
+    assert _bound_values(registry, expected) == expected
+    # Re-pointing is for a record of the same class only.
+    with pytest.raises(ValueError):
+        registry.bind(FlashStats(), {"fs.data_page_writes": "page_programs"})
+    with pytest.raises(ValueError):
+        registry.bind(FsStats(), {"sqlite.statements": "fsync_calls"})
 
 
 def test_bind_and_counter_refuse_each_others_names():

@@ -113,6 +113,19 @@ class TestPagerErrorPaths:
         with pytest.raises(DatabaseError, match="only supported in OFF mode"):
             db.begin_with_txn(999)
 
+    def test_raw_tid_rejected_at_begin_with_txn(self):
+        """An int tid fails at the front door, not as an AttributeError at COMMIT."""
+        stack = _xftl_stack()
+        db = stack.open_database("t.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        with pytest.raises(TransactionError, match="raw integer tid"):
+            db.begin_with_txn(5)
+        assert not db.in_transaction
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute("COMMIT")
+        assert db.execute("SELECT id FROM t") == [(1,)]
+
     def test_commit_without_begin_raises(self):
         stack = _xftl_stack()
         db = stack.open_database("t.db")
