@@ -31,6 +31,10 @@ class OutOfSpaceError(FtlError):
     """The device has no free flash blocks left, even after garbage collection."""
 
 
+class AgingError(ReproError):
+    """Device aging (``repro.bench.aging``) could not reach its free-pool floor."""
+
+
 class TransactionError(ReproError):
     """Misuse of the transactional command set (unknown tid, double commit, ...)."""
 

@@ -7,7 +7,8 @@ erase-and-return-to-pool, and the power-fail reset / remount rebuild of that
 state.  :class:`~repro.ftl.pagemap.PageMappingFTL` always constructs one and
 keeps mapping, page ownership, map persistence and recovery; it talks to the
 collector through five calls (:meth:`Collector.host_program` and its run
-form :meth:`~Collector.host_program_run`, :meth:`~Collector.reset`,
+form :meth:`~Collector.host_program_run`, whose length
+:meth:`~Collector.run_room` bounds, :meth:`~Collector.reset`,
 :meth:`~Collector.rebuild`, :meth:`~Collector.check_invariants`).  The
 collector reads the FTL's reverse map — the ppn-indexed owner table says
 which pages of a victim are live and what kind of page each is, its
@@ -82,7 +83,7 @@ import enum
 import weakref
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import FtlError, OutOfSpaceError
 from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP
@@ -332,47 +333,51 @@ class Collector:
             if filled[channel] == block:
                 filled[channel] = None
 
-    def host_program_run(self, data: Any, first_key: int, count: int) -> range:
-        """``host_program(data, OOB_DATA, first_key + i, None)`` for each ``i``
-        that needs no decision; returns the programmed ppns.
+    def run_room(self) -> int:
+        """How many host pages :meth:`host_program_run` appends next with no
+        decision (0: the next page must go through :meth:`host_program`).
 
         Only the inline schedule on one channel appends consecutive host
         pages to one block, and there a page decides something only when it
         must open a block or finds the channel at the headroom floor — which,
-        inside an open block, is exactly when the free pool is empty.  The
-        run stops before the first such page (or at once, when a crash point
-        is armed), and the caller programs it with :meth:`host_program`; an
-        empty range means exactly that.
+        inside an open block, is exactly when the free pool is empty.  Under
+        a demand-paged map a host write may first evict a translation page,
+        and an armed crash point must see every program: no room then.
+        Inside the room no block is opened or reclaimed, so the free pool
+        keeps its size.
         """
-        chip = self._chip
         block = self._active_blocks[0]
         if (
             not self._inline
             or self._channels != 1
+            or self._trans_stream
             or block is None
             or not self._free_by_channel[0]
-            or chip.crash_plan._points
+            or self._chip.crash_plan._points
         ):
-            return range(0)
-        per = self._per
-        write_points = self._write_points
-        used = write_points[block]
-        count = min(count, per - used)
+            return 0
+        return self._per - self._write_points[block]
+
+    def host_program_run(self, data: Any, keys: Sequence[int]) -> range:
+        """``host_program(data, OOB_DATA, key, None)`` for the leading
+        ``keys`` that fit the :meth:`run_room`; returns the programmed ppns.
+
+        The run stops before the first page that needs a decision, and the
+        caller programs it with :meth:`host_program`; an empty range means
+        exactly that.
+        """
+        count = min(len(keys), self.run_room())
         if count <= 0:
             return range(0)
+        block = self._active_blocks[0]
+        per = self._per
+        write_points = self._write_points
         ftl = self.ftl
         seq = ftl._seq
         ftl._seq = seq + count
-        dst = block * per + used
-        oobs = list(
-            zip(
-                repeat(OOB_DATA),
-                range(first_key, first_key + count),
-                range(seq + 1, seq + count + 1),
-                repeat(None),
-            )
-        )
-        chip.program_run(dst, [data] * count, oobs)
+        dst = block * per + write_points[block]
+        oobs = list(zip(repeat(OOB_DATA), keys, range(seq + 1, seq + count + 1), repeat(None)))
+        self._chip.program_run(dst, [data] * count, oobs)
         if write_points[block] >= per:
             self._release_filled(0, block)
         return range(dst, dst + count)

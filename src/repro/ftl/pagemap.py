@@ -96,7 +96,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import CorruptionError, FlashError, FtlError
 from repro.flash.chip import FlashChip
@@ -254,44 +254,37 @@ class PageMappingFTL(Ftl):
         self._map(lpn, self.gc.host_program(data, OOB_DATA, lpn, None))
         self.stats.host_page_writes += 1
 
-    def write_run(self, first_lpn: int, count: int, data: Any) -> None:
-        """``write(first_lpn + i, data)`` for each ``i`` in ``range(count)``.
+    def write_run(self, lpns: Sequence[int], data: Any) -> None:
+        """``write(lpn, data)`` for each ``lpn`` of ``lpns``, in order.
 
         That loop is the definition.  Where the collector appends a run
         without a decision (:meth:`Collector.host_program_run
-        <repro.ftl.gc.Collector.host_program_run>`), the run is mapped by
-        slice after its old copies are superseded page by page in lpn
-        order; every other page goes through :meth:`write`.  Under a
-        demand-paged map each page is a residency decision, so every page
-        goes through :meth:`write`.
+        <repro.ftl.gc.Collector.host_program_run>`), the run's pages are
+        mapped in list order: by slice when the lpns are consecutive,
+        through :meth:`_map` otherwise, so a repeated lpn supersedes its own
+        copy of the same run as the loop does.  Every other page goes
+        through :meth:`write`, and so does every page when an lpn lies
+        outside the exported space (the loop raises there).
         """
-        lpn = first_lpn
-        end = first_lpn + count
-        if self._cmt is None and self._powered and 0 <= lpn and end <= self._exported_pages:
+        done = 0
+        count = len(lpns)
+        if count and self._powered and 0 <= min(lpns) and max(lpns) < self._exported_pages:
             host_program_run = self.gc.host_program_run
-            l2p = self._l2p
-            owner = self._owner
-            while lpn < end:
-                ppns = host_program_run(data, lpn, end - lpn)
+            while done < count:
+                ppns = host_program_run(data, lpns[done:])
                 if not ppns:
-                    self.write(lpn, data)
-                    lpn += 1
+                    self.write(lpns[done], data)
+                    done += 1
                     continue
-                stop = lpn + len(ppns)
-                dst = ppns.start
-                if owner[dst : ppns.stop].count(DEAD) != len(ppns):
-                    raise FtlError(f"ppns {dst}..{ppns.stop - 1} already owned")
-                for page, old in enumerate(l2p[lpn:stop], lpn):
-                    if old != UNMAPPED:
-                        self._supersede(page, old, None)
-                l2p[lpn:stop] = array("q", ppns)
-                owner[dst : ppns.stop] = range(lpn, stop)
-                self._valid_count[dst // self._pages_per_block] += len(ppns)
-                entries = self._map_entries_per_page
-                self._dirty_segments.update(range(lpn // entries, (stop - 1) // entries + 1))
+                run = lpns[done : done + len(ppns)]
+                if isinstance(run, range) and run.step == 1:
+                    self._map_slice(run, ppns)
+                else:
+                    for lpn, ppn in zip(run, ppns):
+                        self._map(lpn, ppn)
                 self.stats.host_page_writes += len(ppns)
-                lpn = stop
-        for lpn in range(lpn, end):
+                done += len(ppns)
+        for lpn in lpns[done:]:
             self.write(lpn, data)
 
     def trim(self, lpn: int) -> None:
@@ -304,6 +297,37 @@ class PageMappingFTL(Ftl):
             self._l2p[lpn] = UNMAPPED
             self._disown(old)
             self._mark_dirty(lpn)
+
+    def trim_run(self, lpns: Iterable[int]) -> None:
+        """``trim(lpn)`` for each ``lpn`` of ``lpns``, in order.
+
+        That loop is the definition, and it runs as written under a
+        demand-paged map, where each trim is a residency decision.
+        Otherwise it runs inline: a trim only unmaps the lpn and disowns its
+        page (the L2P's page, owned by its lpn), and an lpn outside the
+        exported space raises the same ``FtlError`` after the trims before
+        it, as the loop does.
+        """
+        if self._cmt is not None or not self._powered:
+            for lpn in lpns:
+                self.trim(lpn)
+            return
+        l2p = self._l2p
+        owner = self._owner
+        valid = self._valid_count
+        dirty = self._dirty_segments
+        per = self._pages_per_block
+        entries = self._map_entries_per_page
+        top = self._exported_pages
+        for lpn in lpns:
+            if not 0 <= lpn < top:
+                self._check_lpn(lpn)
+            old = l2p[lpn]
+            if old != UNMAPPED:
+                l2p[lpn] = UNMAPPED
+                owner[old] = DEAD
+                valid[old // per] -= 1
+                dirty.add(lpn // entries)
 
     def barrier(self) -> None:
         """Persist dirty map chunks + firmware metadata (fsync cost center).
@@ -535,6 +559,27 @@ class PageMappingFTL(Ftl):
         owner[ppn] = lpn
         self._valid_count[ppn // self._pages_per_block] += 1
         self._dirty_segments.add(lpn // self._map_entries_per_page)
+
+    def _map_slice(self, lpns: range, ppns: range) -> None:
+        """``_map(lpns[i], ppns[i])`` for each ``i``, for consecutive lpns:
+        the old copies are superseded in lpn order, then the run is mapped
+        and owned by slice."""
+        l2p = self._l2p
+        owner = self._owner
+        start, stop = lpns.start, lpns.stop
+        dst = ppns.start
+        if owner[dst : ppns.stop].count(DEAD) != len(ppns):
+            raise FtlError(f"ppns {dst}..{ppns.stop - 1} already owned")
+        olds = l2p[start:stop]
+        if olds.count(UNMAPPED) != len(olds):
+            for lpn, old in enumerate(olds, start):
+                if old != UNMAPPED:
+                    self._supersede(lpn, old, None)
+        l2p[start:stop] = array("q", ppns)
+        owner[dst : ppns.stop] = lpns
+        self._valid_count[dst // self._pages_per_block] += len(ppns)
+        entries = self._map_entries_per_page
+        self._dirty_segments.update(range(start // entries, (stop - 1) // entries + 1))
 
     def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
         """The committed copy of ``lpn`` at ``old_ppn`` was just replaced."""

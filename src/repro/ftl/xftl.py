@@ -175,6 +175,14 @@ class XFTL(PageMappingFTL):
             for ppn in self._versions.release_lpn(lpn):
                 self._release_version_page(lpn, ppn)
 
+    def trim_run(self, lpns: Iterable[int]) -> None:
+        """The ``trim`` loop; inline only when no version chain is kept."""
+        if self._versions is None:
+            super().trim_run(lpns)
+            return
+        for lpn in lpns:
+            self.trim(lpn)
+
     def read_as_of(self, lpn: int, snap: int) -> Any:
         """Committed content of ``lpn`` as of commit sequence ``snap``.
 
