@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="with --metrics: also record cross-layer spans (memory-heavy)",
+        help="record cross-layer spans as well as metrics (implies --metrics; memory-heavy)",
     )
     parser.add_argument(
         "--profile",
@@ -106,29 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="NCQ command-queue depth for every stack built "
         "(sets REPRO_QUEUE_DEPTH; default 1, needs --channels > 1 to matter)",
-    )
-    parser.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max concurrent sessions for the concurrency experiment "
-        "(sets REPRO_SESSIONS; default 4)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tenant count for the tenants experiment (sets REPRO_TENANTS; default 4)",
-    )
-    parser.add_argument(
-        "--barrier-mode",
-        choices=("drain", "barrier"),
-        default=None,
-        help="durability-point style for every stack built "
-        "(sets REPRO_BARRIER_MODE; default drain; the barrier experiment "
-        "sweeps both itself)",
     )
     return parser
 
@@ -157,12 +134,6 @@ def _device_env(args: argparse.Namespace):
         overrides["REPRO_CHANNELS"] = str(args.channels)
     if args.queue_depth is not None:
         overrides["REPRO_QUEUE_DEPTH"] = str(args.queue_depth)
-    if args.sessions is not None:
-        overrides["REPRO_SESSIONS"] = str(args.sessions)
-    if args.tenants is not None:
-        overrides["REPRO_TENANTS"] = str(args.tenants)
-    if args.barrier_mode is not None:
-        overrides["REPRO_BARRIER_MODE"] = args.barrier_mode
     saved = {name: os.environ.get(name) for name in overrides}
     os.environ.update(overrides)
     try:
@@ -191,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     with _device_env(args):
         for name in names:
             started = time.time()
-            hub = install_default_hub(trace=args.trace) if args.metrics else None
+            hub = install_default_hub(trace=args.trace) if args.metrics or args.trace else None
             try:
                 if args.profile is not None:
                     import cProfile

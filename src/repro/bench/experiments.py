@@ -55,34 +55,9 @@ def _queue_depth() -> int:
     return int(os.environ.get("REPRO_QUEUE_DEPTH", "1"))
 
 
-def _sessions() -> int:
-    """Max session count for the concurrency experiment (``--sessions``)."""
-    return int(os.environ.get("REPRO_SESSIONS", "4"))
-
-
-def _tenants() -> int:
-    """Tenant count for the multi-tenant experiment (``--tenants``)."""
-    return int(os.environ.get("REPRO_TENANTS", "4"))
-
-
+# Every experiment runs on a drain device; :func:`barrier_comparison`
+# sweeps both durability-point styles itself.
 _BARRIER_MODES = {"drain": False, "barrier": True}
-
-
-def _barrier_mode() -> bool:
-    """Whether every stack gets a barrier-enabled device (``--barrier-mode``).
-
-    ``drain`` (the default) keeps the classic flush-and-wait device; the
-    ``barrier`` setting re-runs any experiment on a device whose ordering
-    commands are order-only epoch barriers (commit pages on BARRIER_WRITE).
-    :func:`barrier_comparison` sweeps both explicitly.  The name is outside
-    input: it is checked and mapped to ``StackConfig.barrier_mode`` here.
-    """
-    name = os.environ.get("REPRO_BARRIER_MODE", "drain")
-    if name not in _BARRIER_MODES:
-        raise ValueError(
-            f"REPRO_BARRIER_MODE={name!r}: expected one of {sorted(_BARRIER_MODES)}"
-        )
-    return _BARRIER_MODES[name]
 
 
 @dataclass
@@ -116,7 +91,6 @@ def _sqlite_stack(mode: Mode, num_blocks: int = 512) -> BenchStack:
             channels=_channels(),
             queue_depth=_queue_depth(),
             ftl=FtlConfig(gc_policy="fifo"),
-            barrier_mode=_barrier_mode(),
         )
     )
 
@@ -402,7 +376,6 @@ def _fio_stack(
             queue_depth=queue_depth if queue_depth is not None else _queue_depth(),
             profile=profile,
             journal_pages=512,
-            barrier_mode=_barrier_mode(),
         )
     )
 
@@ -562,7 +535,7 @@ def channel_scaling(
 
 
 def concurrency_scaling(
-    session_counts: tuple[int, ...] | None = None,
+    session_counts: tuple[int, ...] = (1, 2, 4),
     transactions_per_terminal: int | None = None,
     mix: str = "write-intensive",
 ) -> ExperimentResult:
@@ -582,11 +555,6 @@ def concurrency_scaling(
     """
     from repro.workloads.tpcc import MultiTerminalTpccDriver
 
-    max_sessions = _sessions()
-    if session_counts is None:
-        session_counts = tuple(n for n in (1, 2, 4, 8) if n <= max_sessions)
-        if max_sessions not in session_counts:
-            session_counts = session_counts + (max_sessions,)
     transactions_per_terminal = transactions_per_terminal or int(25 * _scale())
     config = TpccConfig(
         warehouses=1, districts_per_warehouse=2, customers_per_district=10,
@@ -1321,7 +1289,7 @@ def table5_recovery(
 
 
 def tenant_fairness(
-    tenants: int | None = None,
+    tenants: int = 4,
     transactions: int | None = None,
     hot_sessions: int = 4,
     hot_updates_per_txn: int = 8,
@@ -1346,7 +1314,6 @@ def tenant_fairness(
     device attribution (writes, GC copybacks, cross-tenant GC collisions)
     comes from the device's tenant registry.
     """
-    tenants = tenants or _tenants()
     if tenants < 2:
         raise ValueError("tenant_fairness needs at least 2 tenants")
     transactions = transactions or int(12 * _scale())

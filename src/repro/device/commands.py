@@ -1,31 +1,15 @@
-"""Device command vocabulary and counters.
+"""Device command counters.
 
 The paper extends the SATA command set (§4.2): read/write gain a transaction
 id, and ``commit``/``abort`` are added by extending the parameter set of the
-trim command (§5.2).  :class:`CommandKind` enumerates the full vocabulary;
-:class:`DeviceCounters` tallies commands processed by a device, which the
-benchmark harness reports alongside FTL-side statistics.
+trim command (§5.2).  :class:`DeviceCounters` tallies each command kind a
+device processes, which the benchmark harness reports alongside FTL-side
+statistics.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields
-
-
-class CommandKind(enum.Enum):
-    """Every command the simulated device understands."""
-
-    READ = "read"
-    WRITE = "write"
-    TRIM = "trim"
-    FLUSH = "flush"  # write barrier / FUA
-    READ_TX = "read(t,p)"  # extended: tagged read
-    WRITE_TX = "write(t,p)"  # extended: tagged write
-    COMMIT = "commit(t)"  # extended: via trim parameter set
-    ABORT = "abort(t)"  # extended: via trim parameter set
-    BARRIER_WRITE = "barrier-write"  # barrier-enabled stack: ordered, no drain
-    BARRIER = "barrier"  # barrier-enabled stack: order-only durability point
 
 
 @dataclass

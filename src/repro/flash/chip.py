@@ -296,10 +296,6 @@ class FlashChip:
         """Accumulated busy time per channel (utilization numerator)."""
         return [timeline.busy_us for timeline in self._channel_timelines]
 
-    def channel_backlog_us(self, channel: int = 0) -> float:
-        """Reserved-but-unelapsed work on ``channel`` (0.0 = idle window)."""
-        return self._channel_timelines[channel].backlog_us()
-
     # ------------------------------------------------------------------ ops
 
     def program(self, ppn: int, data: Any, oob: Any = None) -> None:

@@ -54,32 +54,6 @@ class FlashGeometry:
         """Total physical pages on the chip."""
         return self.pages_per_block * self.num_blocks
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Raw capacity in bytes."""
-        return self.total_pages * self.page_size
-
-    def ppn_of(self, block: int, page: int) -> int:
-        """Physical page number of ``page`` within ``block``."""
-        self.check_block(block)
-        if not 0 <= page < self.pages_per_block:
-            raise FlashGeometryError(f"page {page} outside block (0..{self.pages_per_block - 1})")
-        return block * self.pages_per_block + page
-
-    def block_of(self, ppn: int) -> int:
-        """Erase block containing physical page ``ppn``."""
-        self.check_ppn(ppn)
-        return ppn // self.pages_per_block
-
-    def page_index_of(self, ppn: int) -> int:
-        """Index of ``ppn`` within its block."""
-        self.check_ppn(ppn)
-        return ppn % self.pages_per_block
-
-    @property
-    def blocks_per_channel(self) -> int:
-        return self.num_blocks // self.channels
-
     def channel_of_block(self, block: int) -> int:
         """Channel owning ``block`` (round-robin superblock striping)."""
         self.check_block(block)

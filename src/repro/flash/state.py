@@ -57,19 +57,6 @@ class BlockStateView:
         self.write_points[block] = 0
         self.erase_counts[block] += 1
 
-    def is_programmed(self, ppn: int) -> bool:
-        return self.page_states[ppn] == PAGE_PROGRAMMED
-
-    def is_torn(self, ppn: int) -> bool:
-        return self.page_states[ppn] == PAGE_TORN
-
-    def block_is_full(self, block: int) -> bool:
-        return self.write_points[block] >= self.geometry.pages_per_block
-
-    def free_blocks(self) -> list[int]:
-        """Blocks with nothing programmed (write point at zero)."""
-        return [block for block, wp in enumerate(self.write_points) if wp == 0]
-
     def wear_spread(self) -> int:
         """Max minus min erase count across blocks (wear-leveling signal)."""
         counts = self.erase_counts

@@ -142,26 +142,6 @@ class PageCache:
             del self._pages[lpn]
         return doomed
 
-    def dirty_pages(self, lpns: set[int] | None = None) -> list[CachedPage]:
-        """Dirty pages, optionally restricted to a set of lpns, in LRU order."""
-        return [
-            page
-            for page in self._pages.values()
-            if page.dirty and (lpns is None or page.lpn in lpns)
-        ]
-
-    def flush_page(self, lpn: int) -> None:
-        """Force write-back of one dirty page (stays cached, now clean)."""
-        page = self._pages.get(lpn)
-        if page is not None and page.dirty:
-            self._writeback(page.lpn, page.data, page.txn)
-            page.dirty = False
-            page.txn = None
-
-    def invalidate_all(self) -> None:
-        """Drop everything (crash simulation: cache contents are volatile)."""
-        self._pages.clear()
-
     def _evict_to_capacity(self) -> None:
         while len(self._pages) > self.capacity:
             victim_lpn = self._pick_eviction_victim()

@@ -81,9 +81,6 @@ class CachedMappingTable:
         resident[segment] = None
         self._shrink()
 
-    def is_resident(self, segment: int) -> bool:
-        return segment in self._resident
-
     def resident_segments(self) -> list[int]:
         """LRU -> MRU order, for tests."""
         return list(self._resident)

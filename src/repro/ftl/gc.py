@@ -853,16 +853,6 @@ class Collector:
 
     # --------------------------------------------------------- inspection
 
-    def state_of(self, channel: int) -> GcState:
-        return self._states[channel]
-
-    def active_blocks(self) -> list[int | None]:
-        """Each channel's cold-stream block (host appends and copybacks)."""
-        return list(self._active_blocks)
-
-    def hot_active_blocks(self) -> list[int | None]:
-        return list(self._hot_active)
-
     def free_block_counts(self) -> list[int]:
         return [len(free) for free in self._free_by_channel]
 

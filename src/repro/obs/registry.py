@@ -28,7 +28,6 @@ that prefix.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 # Histogram bucket upper bounds in simulated microseconds.  Covers the
@@ -98,24 +97,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile (0 < q <= 1) from the bucket boundaries.
-
-        Returns the upper bound of the bucket containing the q-th
-        observation — an over-estimate by at most one bucket width, which
-        is what a fixed-bucket histogram can honestly answer.  The
-        overflow bucket reports the exact tracked maximum.
-        """
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                return bound
-        return self.max if self.max is not None else self.bounds[-1]
 
     def as_dict(self) -> dict:
         return {
@@ -322,9 +303,6 @@ class MetricsRegistry:
                 for name, gauge in self.gauges().items()
             },
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def to_csv(self) -> str:
         """Flat ``kind,name,field,value`` rows — trivially diffable/joinable."""

@@ -173,20 +173,6 @@ class Tracer:
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    def descendants_of(self, span: Span) -> list[Span]:
-        """Transitive children of ``span`` (the whole sub-tree, any order)."""
-        by_parent: dict[int | None, list[Span]] = {}
-        for s in self.spans:
-            by_parent.setdefault(s.parent_id, []).append(s)
-        out: list[Span] = []
-        frontier = [span.span_id]
-        while frontier:
-            parent_id = frontier.pop()
-            for child in by_parent.get(parent_id, ()):
-                out.append(child)
-                frontier.append(child.span_id)
-        return out
-
     def roots(self) -> list[Span]:
         finished_ids = {span.span_id for span in self.spans}
         return [

@@ -6,7 +6,6 @@ from repro.sim.crash import (
     CrashPlan,
     CrashPoint,
     CrashPointSpec,
-    crash_point_spec,
     register_crash_point,
     registered_crash_points,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "CrashPlan",
     "CrashPoint",
     "CrashPointSpec",
-    "crash_point_spec",
     "register_crash_point",
     "registered_crash_points",
     "LatencyProfile",

@@ -56,22 +56,6 @@ class SimClock:
         self._now_us += delta_us
         return self._now_us
 
-    def advance_to(self, when_us: float) -> float:
-        """Advance the clock to an absolute time **in the future**.
-
-        Past times are rejected: an ``advance_to`` into the past used to
-        no-op silently, which made scheduling bugs indistinguishable from
-        intentional joins.  Callers that legitimately join a completion
-        time that may already have passed (overlapping work finishing
-        "behind" the clock) should use :meth:`wait_until` instead.
-        """
-        if when_us < self._now_us:
-            raise ValueError(
-                f"advance_to({when_us}) is in the past (now={self._now_us}); "
-                "use wait_until() to join a completion that may already be done"
-            )
-        return self.wait_until(when_us)
-
     def wait_until(self, when_us: float) -> float:
         """Join an absolute completion time: advance if it is in the future.
 
@@ -84,10 +68,6 @@ class SimClock:
         if when_us > self._now_us:
             self._now_us = when_us
         return self._now_us
-
-    def elapsed_since(self, t0_us: float) -> float:
-        """Microseconds elapsed since an earlier reading of this clock."""
-        return self._now_us - t0_us
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now_us={self._now_us:.3f})"

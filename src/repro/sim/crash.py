@@ -101,11 +101,6 @@ def registered_crash_points(component: str | None = None) -> tuple[CrashPointSpe
     )
 
 
-def crash_point_spec(name: str) -> CrashPointSpec | None:
-    """The spec registered under ``name``, if any."""
-    return _REGISTRY.get(name)
-
-
 # ------------------------------------------------------------------- plan
 
 
@@ -156,10 +151,6 @@ class CrashPlan:
 
     def disarm_all(self) -> None:
         self._points.clear()
-
-    @property
-    def armed(self) -> bool:
-        return bool(self._points)
 
     def subscribe(self, callback) -> None:
         """Register a power-loss callback, invoked once when the plan fires.

@@ -70,13 +70,6 @@ class ResourceTimeline:
         self.reservations += 1
         return start, end
 
-    def backlog_us(self) -> float:
-        """Reserved-but-unelapsed work: how far ``busy_until`` leads ``now``
-        (zero when idle) — the idle window background GC gates paced
-        copyback on (``Collector._step`` reads it off ``busy_until_us``)."""
-        backlog = self.busy_until_us - self.clock.now_us
-        return backlog if backlog > 0.0 else 0.0
-
     @property
     def idle(self) -> bool:
         return self.busy_until_us <= self.clock.now_us

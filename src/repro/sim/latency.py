@@ -69,14 +69,6 @@ class LatencyProfile:
     host_cpu_statement_us: float = 40.0
     host_cpu_row_us: float = 4.0
 
-    def copyback_us(self) -> float:
-        """Cost of moving one valid page during garbage collection.
-
-        OpenSSD-class controllers implement copyback as an internal
-        read + program without crossing the host bus.
-        """
-        return self.page_read_us + self.page_program_us
-
 
 OPENSSD_PROFILE = LatencyProfile(
     name="OpenSSD (Barefoot, MLC NAND, SATA 2.0)",

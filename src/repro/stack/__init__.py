@@ -138,7 +138,7 @@ class StackConfig:
     fs_cache_pages: int = 8192
     max_inodes: int = 128
     # Observability: ``metrics`` enables the counter registry, ``trace``
-    # additionally records cross-layer spans.  An installed
+    # records cross-layer spans as well (and so implies ``metrics``).  An installed
     # ObservabilityHub overrides both: each stack gets a session of its own.
     metrics: bool = False
     trace: bool = False
@@ -223,7 +223,7 @@ def _resolve_obs(config: StackConfig) -> Observability:
     hub = default_hub()
     if hub is not None:
         return hub.session(label=config.mode.value)
-    if config.metrics:
+    if config.metrics or config.trace:
         return Observability(enabled=True, trace=config.trace, label=config.mode.value)
     return NULL_OBS
 

@@ -52,10 +52,6 @@ class TxnState(enum.Enum):
     COMMITTED = "committed"
     ABORTED = "aborted"
 
-    @property
-    def is_terminal(self) -> bool:
-        return self in (TxnState.COMMITTED, TxnState.ABORTED)
-
 
 _ALLOWED_TRANSITIONS: dict[TxnState, frozenset[TxnState]] = {
     TxnState.ACTIVE: frozenset({TxnState.COMMITTING, TxnState.ABORTED}),

@@ -145,9 +145,6 @@ class TenantRegistry:
     def account(self, tenant_id: int) -> TenantAccount:
         return self.accounts[tenant_id]
 
-    def by_name(self, name: str) -> TenantAccount:
-        return self.accounts[self._by_name[name]]
-
     def activate(self, tenant_id: int) -> int:
         """Set the current tenant; returns the previous one (for restore)."""
         previous = self.current

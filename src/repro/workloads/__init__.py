@@ -1,4 +1,4 @@
-"""Workload generators: synthetic partsupply, Android traces, TPC-C, FIO, patterns."""
+"""Workload generators: synthetic partsupply, Android traces, TPC-C, FIO."""
 
 from repro.workloads.synthetic import SyntheticWorkload, SyntheticResult
 from repro.workloads.fio import FioBenchmark, FioResult
@@ -6,15 +6,6 @@ from repro.workloads.android import (
     ALL_PROFILES,
     AndroidTraceGenerator,
     TraceReplayer,
-)
-from repro.workloads.patterns import (
-    PATTERNS,
-    HotColdPattern,
-    PatternWorkload,
-    RandomPattern,
-    SequentialPattern,
-    StridePattern,
-    make_pattern,
 )
 from repro.workloads.tpcc import MIXES, TpccConfig, TpccDriver, TpccLoader
 
@@ -26,13 +17,6 @@ __all__ = [
     "ALL_PROFILES",
     "AndroidTraceGenerator",
     "TraceReplayer",
-    "PATTERNS",
-    "HotColdPattern",
-    "PatternWorkload",
-    "RandomPattern",
-    "SequentialPattern",
-    "StridePattern",
-    "make_pattern",
     "MIXES",
     "TpccConfig",
     "TpccDriver",

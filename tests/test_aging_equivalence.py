@@ -84,7 +84,7 @@ def state(ftl) -> dict:
         "now": chip.clock.now_us,
         "free": [list(free) for free in gc._free_by_channel],
         "alloc_order": [list(order) for order in gc._alloc_order],
-        "active": (gc.active_blocks(), gc.hot_active_blocks(), list(gc._trans_active)),
+        "active": (list(gc._active_blocks), list(gc._hot_active), list(gc._trans_active)),
         "timelines": [
             (t.busy_until_us, t.busy_us, t.reservations) for t in chip.scheduler.timelines()
         ],

@@ -16,7 +16,7 @@ from repro.device import StorageDevice
 from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFTL, XFTL
-from repro.sim import CrashPlan, crash_point_spec, registered_crash_points
+from repro.sim import CrashPlan, registered_crash_points
 
 GEO = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=16)
 CFG = FtlConfig(overprovision=0.25, map_entries_per_page=64, barrier_meta_pages=1)
@@ -120,8 +120,9 @@ class TestCrashPointRegistry:
         assert registered_crash_points("ftl") != registered_crash_points()
 
     def test_tearable_flag(self):
-        assert crash_point_spec("flash.program.mid").tearable
-        assert not crash_point_spec("flash.program.after").tearable
+        specs = {spec.name: spec for spec in registered_crash_points("flash")}
+        assert specs["flash.program.mid"].tearable
+        assert not specs["flash.program.after"].tearable
 
     def test_specs_carry_docs(self):
         for spec in registered_crash_points():

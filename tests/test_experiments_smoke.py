@@ -196,6 +196,12 @@ class TestCli:
         assert "Table 2" in out
         assert (tmp_path / "table2.txt").exists()
 
+    def test_cli_trace_implies_metrics(self, capsys):
+        from repro.bench.cli import main
+
+        assert main(["table2", "--trace"]) == 0
+        assert "[table2: " in capsys.readouterr().out  # the per-session report
+
     def test_cli_rejects_unknown(self):
         from repro.bench.cli import main
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, FlashError, FlashGeometryError, PowerFailure
-from repro.flash import PAGE_ERASED, FlashChip, FlashGeometry
+from repro.flash import PAGE_ERASED, PAGE_TORN, FlashChip, FlashGeometry
 from repro.sim import CrashPlan, SimClock
 from repro.sim.latency import OPENSSD_PROFILE
 
@@ -14,18 +14,6 @@ class TestGeometry:
     def test_total_pages(self):
         geo = FlashGeometry(page_size=8192, pages_per_block=128, num_blocks=10)
         assert geo.total_pages == 1280
-
-    def test_capacity_bytes(self):
-        geo = FlashGeometry(page_size=8192, pages_per_block=128, num_blocks=10)
-        assert geo.capacity_bytes == 8192 * 1280
-
-    def test_ppn_round_trip(self):
-        geo = FlashGeometry(page_size=512, pages_per_block=4, num_blocks=8)
-        for block in range(8):
-            for page in range(4):
-                ppn = geo.ppn_of(block, page)
-                assert geo.block_of(ppn) == block
-                assert geo.page_index_of(ppn) == page
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(FlashGeometryError):
@@ -76,7 +64,7 @@ class TestProgramReadErase:
         chip = make_chip()
         for page in range(4):
             chip.program(page, b"x")
-        assert chip.state.block_is_full(0)
+        assert chip.state.write_points[0] == 4  # full
         chip.erase(0)
         assert chip.state.write_points[0] == 0
         assert chip.state.page_states[0] == PAGE_ERASED
@@ -129,7 +117,7 @@ class TestTornPages:
         chip = make_chip(crash_plan=plan)
         with pytest.raises(PowerFailure):
             chip.program(0, b"doomed")
-        assert chip.state.is_torn(0)
+        assert chip.state.page_states[0] == PAGE_TORN
 
     def test_torn_page_read_raises_corruption(self):
         plan = CrashPlan()
@@ -179,7 +167,7 @@ class TestFlashProperties:
         chip = make_chip()
         expected: dict[int, bytes] = {}
         for block, payload in ops:
-            if chip.state.block_is_full(block):
+            if chip.state.write_points[block] == 4:  # full
                 chip.erase(block)
                 for ppn in list(expected):
                     if ppn // 4 == block:
@@ -214,7 +202,5 @@ class TestRemovedStateShims:
         chip.program(0, b"x")
         chip.erase(3)
         assert chip.state.page_states[0] == 1  # PAGE_PROGRAMMED
-        assert not chip.state.is_torn(0)
         assert chip.state.write_points[0] == 1
-        assert not chip.state.block_is_full(0)
         assert chip.state.erase_counts[3] == 1

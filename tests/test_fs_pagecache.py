@@ -113,24 +113,3 @@ class TestTransactionSupport:
         cache.mark_clean(1)
         page = cache.peek(1)
         assert not page.dirty and page.txn is None
-
-    def test_flush_page_writes_back_once(self):
-        cache, written = make_cache()
-        cache.put(1, "a", dirty=True, txn=5)
-        cache.flush_page(1)
-        cache.flush_page(1)  # now clean: no second write
-        assert written == [(1, "a", 5)]
-
-    def test_dirty_pages_filtered_by_lpns(self):
-        cache, _ = make_cache(capacity=8)
-        cache.put(1, "a", dirty=True)
-        cache.put(2, "b", dirty=True)
-        cache.put(3, "c")
-        pages = cache.dirty_pages({1, 3})
-        assert [p.lpn for p in pages] == [1]
-
-    def test_invalidate_all(self):
-        cache, _ = make_cache()
-        cache.put(1, "a", dirty=True)
-        cache.invalidate_all()
-        assert len(cache) == 0

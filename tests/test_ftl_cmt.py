@@ -100,7 +100,7 @@ class TestResidency:
         ftl.barrier()  # persists segment 0's translation page
         ftl.read(1 * SEG)
         ftl.read(2 * SEG)  # evicts segment 0 (clean: no writeback)
-        assert not ftl._cmt.is_resident(0)
+        assert 0 not in ftl._cmt.resident_segments()
         reads_before = ftl.stats.page_reads
         ftl.read(0)
         assert ftl.stats.cmt_fetch_reads == 1

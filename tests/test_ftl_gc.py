@@ -100,7 +100,7 @@ class TestWatermarkStateMachine:
     def test_fresh_device_is_idle(self):
         ftl = make_bg_ftl()
         for channel in range(ftl.chip.geometry.channels):
-            assert ftl.gc.state_of(channel) is GcState.IDLE
+            assert ftl.gc._states[channel] is GcState.IDLE
 
     def test_churn_drives_collection_and_stays_readable(self):
         obs = Observability(enabled=True)
@@ -149,9 +149,9 @@ class TestHotColdStreams:
         cold_writes = obs.registry.counter("ftl.gc.cold_stream_writes")
         assert hot_writes.value > 0
         assert cold_writes.value > 0  # the first writes land cold
-        hot_blocks = ftl.gc.hot_active_blocks()
+        hot_blocks = ftl.gc._hot_active
         assert any(block is not None for block in hot_blocks)
-        for hot, cold in zip(hot_blocks, ftl.gc.active_blocks()):
+        for hot, cold in zip(hot_blocks, ftl.gc._active_blocks):
             if hot is not None:
                 assert hot != cold
 
@@ -161,7 +161,7 @@ class TestHotColdStreams:
         for round_num in range(6):
             ftl.write(0, ("hot", round_num))
         assert obs.registry.counter("ftl.gc.hot_stream_writes").value == 0
-        assert all(block is None for block in ftl.gc.hot_active_blocks())
+        assert all(block is None for block in ftl.gc._hot_active)
 
     def test_hot_stream_degrades_under_pressure_instead_of_wedging(self):
         # Tiny free margin: the hot stream must fall back to the cold block

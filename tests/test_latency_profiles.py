@@ -1,6 +1,6 @@
 """Sanity tests for the latency profiles and their calibration relations."""
 
-from repro.sim.latency import OPENSSD_PROFILE, S830_PROFILE, LatencyProfile
+from repro.sim.latency import OPENSSD_PROFILE, S830_PROFILE
 
 
 class TestProfiles:
@@ -30,14 +30,6 @@ class TestProfiles:
         assert OPENSSD_PROFILE.host_syscall_us == S830_PROFILE.host_syscall_us
         assert OPENSSD_PROFILE.host_fsync_us == S830_PROFILE.host_fsync_us
         assert OPENSSD_PROFILE.host_cpu_statement_us == S830_PROFILE.host_cpu_statement_us
-
-    def test_copyback_is_read_plus_program(self):
-        profile = LatencyProfile(
-            name="t", page_read_us=10, page_program_us=20, block_erase_us=30,
-            bus_transfer_us=1, command_overhead_us=1, barrier_overhead_us=1,
-            host_syscall_us=1, host_fsync_us=1,
-        )
-        assert profile.copyback_us() == 30
 
     def test_profiles_are_frozen(self):
         import dataclasses

@@ -75,7 +75,7 @@ class TestEnabledRegistry:
         csv = registry.to_csv()
         assert csv.splitlines()[0] == "kind,name,field,value"
         assert "counter,a.one,value,1" in csv
-        assert "a.one" in registry.to_json()
+        assert registry.as_dict()["counters"] == {"a.one": 1, "b.two": 2}
         assert "[a]" in registry.report()
 
     def test_merge_from_sums_counters_and_histograms(self):
@@ -161,5 +161,5 @@ class TestSessionExportDeterminism:
     def test_same_seed_runs_dump_identical_metrics(self):
         first = self._run()
         second = self._run()
-        assert first.registry.to_json() == second.registry.to_json()
+        assert first.registry.as_dict() == second.registry.as_dict()
         assert first.registry.to_csv() == second.registry.to_csv()

@@ -32,6 +32,16 @@ def _run_commit(stack):
     return db
 
 
+def _descendants(tracer, span):
+    """The whole finished sub-tree below ``span``."""
+    out, frontier = [], [span.span_id]
+    while frontier:
+        children = [s for s in tracer.spans if s.parent_id in frontier]
+        out += children
+        frontier = [s.span_id for s in children]
+    return out
+
+
 class TestTracerUnit:
     def test_nesting_and_queries(self):
         tracer = Tracer(enabled=True)
@@ -69,7 +79,7 @@ class TestCrossLayerCommitSpan:
         commits = [s for s in tracer.find("commit") if s.layer == "sqlite"]
         assert commits, "no sqlite commit span recorded"
         span = commits[-1]  # the explicit COMMIT (earlier ones are autocommits)
-        below = tracer.descendants_of(span)
+        below = _descendants(tracer, span)
         layers_below = {s.layer for s in below}
         names_below = {(s.layer, s.name) for s in below}
 
@@ -115,7 +125,7 @@ class TestDeterminismAndCrossCheck:
         _run_commit(first)
         second = _traced_stack()
         _run_commit(second)
-        assert first.obs.registry.to_json() == second.obs.registry.to_json()
+        assert first.obs.registry.as_dict() == second.obs.registry.as_dict()
         assert json.dumps(first.obs.tracer.as_dicts()) == json.dumps(
             second.obs.tracer.as_dicts()
         )

@@ -37,19 +37,6 @@ class TestSimClock:
         assert clock.now_ms == pytest.approx(2_500.0)
         assert clock.now_s == pytest.approx(2.5)
 
-    def test_advance_to_future(self):
-        clock = SimClock()
-        clock.advance_to(100.0)
-        assert clock.now_us == 100.0
-
-    def test_advance_to_past_rejected(self):
-        # advance_to used to no-op silently on past times, hiding
-        # scheduling bugs; joins of possibly-past times use wait_until.
-        clock = SimClock()
-        clock.advance(50.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(10.0)
-
     def test_wait_until_future_advances(self):
         clock = SimClock()
         clock.wait_until(30.0)
@@ -60,12 +47,6 @@ class TestSimClock:
         clock.advance(50.0)
         clock.wait_until(10.0)
         assert clock.now_us == 50.0
-
-    def test_elapsed_since(self):
-        clock = SimClock()
-        t0 = clock.now_us
-        clock.advance(7.0)
-        assert clock.elapsed_since(t0) == pytest.approx(7.0)
 
 
 class TestResourceTimeline:

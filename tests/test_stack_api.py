@@ -47,6 +47,15 @@ class TestOpenStack:
         assert stack.obs.enabled
         assert stack.obs.meta["mode"] == "RBJ"
 
+    def test_trace_implies_metrics(self):
+        stack = open_stack("X-FTL", trace=True, num_blocks=64, pages_per_block=32)
+        assert stack.obs.enabled
+        db = stack.open_database("t.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        db.execute("INSERT INTO t VALUES (1, 'a')")
+        assert [s for s in stack.obs.tracer.find("commit") if s.layer == "sqlite"]
+        assert stack.obs.registry.counters_of_layer("flash")
+
     def test_config_and_overrides_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
             build_stack(StackConfig(), num_blocks=64)

@@ -47,7 +47,6 @@ class TestTransactionContext:
         assert txn.state is TxnState.COMMITTING
         txn.mark_committed()
         assert txn.state is TxnState.COMMITTED
-        assert txn.state.is_terminal
 
     def test_illegal_transition_rejected(self):
         stack = _xftl_stack()
