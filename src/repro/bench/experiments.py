@@ -41,6 +41,11 @@ def _scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "1.0"))
 
 
+def _scaled(count: int) -> int:
+    """``count`` at ``REPRO_SCALE``, never below one."""
+    return max(1, int(count * _scale()))
+
+
 def _channels() -> int:
     """Flash channels for every stack the experiments build (default serial).
 
@@ -117,8 +122,8 @@ def fig5_synthetic_elapsed(
     rows: int | None = None,
 ) -> ExperimentResult:
     """Figure 5: synthetic workload elapsed time vs. updated pages per txn."""
-    transactions = transactions or int(100 * _scale())
-    rows = rows or int(12_000 * _scale())
+    transactions = transactions or _scaled(100)
+    rows = rows or _scaled(12_000)
     result_rows = []
     series: dict[tuple[float, str], list[float]] = {}
     for validity in validities:
@@ -168,8 +173,8 @@ def table1_io_counts(
     pages_per_txn: int = 5,
 ) -> ExperimentResult:
     """Table 1: host-side and FTL-side I/O counts (5 pages/txn, 50% validity)."""
-    transactions = transactions or int(300 * _scale())
-    rows = rows or int(12_000 * _scale())
+    transactions = transactions or _scaled(300)
+    rows = rows or _scaled(12_000)
     result_rows = []
     for mode in SQLITE_MODES:
         stack, workload = _loaded_synthetic(mode, rows, validity)
@@ -222,8 +227,8 @@ def fig6_ftl_activity(
     pages_per_txn: int = 5,
 ) -> ExperimentResult:
     """Figure 6: FTL page writes and GC counts vs. GC validity ratio."""
-    transactions = transactions or int(150 * _scale())
-    rows = rows or int(12_000 * _scale())
+    transactions = transactions or _scaled(150)
+    rows = rows or _scaled(12_000)
     result_rows = []
     for validity in validities:
         for mode in SQLITE_MODES:
@@ -314,7 +319,7 @@ def fig7_smartphone(trace_scale: float | None = None) -> ExperimentResult:
 
 def table4_tpcc(transactions: int | None = None) -> ExperimentResult:
     """Tables 3+4: TPC-C mixes and their throughput (tpmC), WAL vs X-FTL."""
-    transactions = transactions or int(150 * _scale())
+    transactions = transactions or _scaled(150)
     mix_rows = [
         [name] + [f"{weights.get(t, 0)}%" for t in
                   ("delivery", "order_status", "payment", "stock_level", "new_order",
@@ -459,8 +464,8 @@ def channel_scaling(
     artifact of a serial device).
     """
     runtime_s = runtime_s or 15.0 * _scale()
-    transactions = transactions or int(60 * _scale())
-    rows = rows or int(6_000 * _scale())
+    transactions = transactions or _scaled(60)
+    rows = rows or _scaled(6_000)
     result_rows = []
     extras: dict[str, Any] = {"fio_iops": {}, "synthetic_elapsed_s": {}}
     for mode in FS_MODES:
@@ -555,7 +560,7 @@ def concurrency_scaling(
     """
     from repro.workloads.tpcc import MultiTerminalTpccDriver
 
-    transactions_per_terminal = transactions_per_terminal or int(25 * _scale())
+    transactions_per_terminal = transactions_per_terminal or _scaled(25)
     config = TpccConfig(
         warehouses=1, districts_per_warehouse=2, customers_per_district=10,
         items=50, initial_orders_per_district=5,
@@ -663,7 +668,7 @@ def gc_comparison(
     hot/cold stream separation and wear leveling; erase-count spread is
     reported before and after the steady-state phase.
     """
-    writes = writes or int(4_000 * _scale())
+    writes = writes or _scaled(4_000)
     geometry = FlashGeometry(
         page_size=512,
         pages_per_block=pages_per_block,
@@ -811,7 +816,7 @@ def mapping_locality(
     while the demand-paged map adds eviction writebacks that grow as
     locality degrades.
     """
-    operations = operations or int(6_000 * _scale())
+    operations = operations or _scaled(6_000)
     geometry = FlashGeometry(
         page_size=512, pages_per_block=pages_per_block, num_blocks=num_blocks
     )
@@ -945,7 +950,7 @@ def throughput(
     measurement recorded when this bench landed) is preserved across
     regenerations.
     """
-    writes = writes or int(20_000 * _scale())
+    writes = writes or _scaled(20_000)
     geometry = FlashGeometry(
         page_size=512,
         pages_per_block=pages_per_block,
@@ -1103,7 +1108,7 @@ def mvcc_retention(
     commit sequence to one published version; the ``ftl.mvcc`` verify
     layer covers grouped commits.
     """
-    transactions = transactions or int(600 * _scale())
+    transactions = transactions or _scaled(600)
     geometry = FlashGeometry(
         page_size=512,
         pages_per_block=pages_per_block,
@@ -1246,8 +1251,8 @@ def table5_recovery(
     transactions: int | None = None, rows: int | None = None
 ) -> ExperimentResult:
     """Table 5: SQLite restart time after a mid-workload power failure."""
-    transactions = transactions or int(60 * _scale())
-    rows = rows or int(6_000 * _scale())
+    transactions = transactions or _scaled(60)
+    rows = rows or _scaled(6_000)
     from repro.errors import PowerFailure
     from repro.fs.ext4 import Ext4
 
@@ -1316,7 +1321,7 @@ def tenant_fairness(
     """
     if tenants < 2:
         raise ValueError("tenant_fairness needs at least 2 tenants")
-    transactions = transactions or int(12 * _scale())
+    transactions = transactions or _scaled(12)
     cold_transactions = transactions * 2  # enough samples for a pooled p99
 
     def _txn_task(db, rng, count, updates, latencies, clock):
@@ -1475,8 +1480,8 @@ def barrier_comparison(
     """
     channels = channels or max(4, _channels())
     queue_depth = queue_depth or max(4, _queue_depth())
-    transactions = transactions or int(50 * _scale())
-    rows = rows or int(2_000 * _scale())
+    transactions = transactions or _scaled(50)
+    rows = rows or _scaled(2_000)
 
     def _run(mode: Mode, barrier_mode: bool) -> dict[str, Any]:
         stack = build_stack(

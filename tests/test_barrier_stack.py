@@ -11,8 +11,6 @@ stack's is ``channel_baseline.json``).
 
 from __future__ import annotations
 
-import json
-import pathlib
 import random
 
 import pytest
@@ -27,9 +25,8 @@ from repro.ftl.xftl import XFTL
 from repro.stack import Mode, StackConfig, build_stack
 from repro.workloads.synthetic import SyntheticWorkload
 
-from tests.test_channel_equivalence import _capture, _run_fio, _run_synthetic
-
-BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "barrier_baseline.json"
+from tests.pins import DATA, Pin
+from tests.test_channel_equivalence import SCENARIOS, _FIO_STACK, _SQLITE_STACK, _capture
 
 FTL_CONFIG = FtlConfig(
     overprovision=0.25, map_entries_per_page=32, barrier_meta_pages=1, xl2p_capacity=64
@@ -215,14 +212,7 @@ class TestEpochOrderProperty:
 class TestFlushDedupe:
     """Satellite: the directory-fsync path must not flush a clean device."""
 
-    _STACK = dict(
-        num_blocks=96,
-        pages_per_block=16,
-        page_size=1024,
-        journal_pages=32,
-        fs_cache_pages=64,
-        max_inodes=8,
-    )
+    _STACK = _FIO_STACK
 
     def _fs_stack(self):
         return build_stack(StackConfig(mode=Mode.FS_ORDERED, **self._STACK))
@@ -373,16 +363,7 @@ class TestStackKnob:
 class TestBarrierSqlite:
     """The pager's commit path on a barrier device: works, and stalls less."""
 
-    _STACK = dict(
-        num_blocks=160,
-        pages_per_block=32,
-        page_size=4096,
-        journal_pages=64,
-        fs_cache_pages=256,
-        max_inodes=16,
-        channels=4,
-        queue_depth=4,
-    )
+    _STACK = dict(_SQLITE_STACK, channels=4, queue_depth=4)
 
     def _run(self, mode: Mode, barrier_mode):
         stack = build_stack(
@@ -423,12 +404,7 @@ def _capture_barrier(stack) -> dict:
 
 
 # The channel baseline's legs, on a barrier device, serial and NCQ.
-_BARRIER_LEGS = {
-    "synthetic.rbj": (_run_synthetic, Mode.RBJ),
-    "synthetic.wal": (_run_synthetic, Mode.WAL),
-    "synthetic.xftl": (_run_synthetic, Mode.XFTL),
-    "fio.fs_full": (_run_fio, Mode.FS_FULL),
-}
+_BARRIER_LEGS = ("synthetic.rbj", "synthetic.wal", "synthetic.xftl", "fio.fs_full")
 _BARRIER_SHAPES = {
     "serial": dict(channels=1, queue_depth=1),
     "ncq": dict(channels=2, queue_depth=4),
@@ -437,11 +413,13 @@ _BARRIER_SHAPES = {
 
 def _run_barrier_scenario(name: str) -> dict:
     leg, _, shape = name.rpartition(".")
-    run, mode = _BARRIER_LEGS[leg]
+    run, mode = SCENARIOS[leg]
     return run(mode, capture=_capture_barrier, barrier_mode=True, **_BARRIER_SHAPES[shape])
 
 
 BARRIER_SCENARIOS = [f"{leg}.{shape}" for leg in _BARRIER_LEGS for shape in _BARRIER_SHAPES]
+
+PIN = Pin("barrier", DATA / "barrier_baseline.json", BARRIER_SCENARIOS, _run_barrier_scenario)
 
 
 @pytest.mark.parametrize("name", sorted(BARRIER_SCENARIOS))
@@ -454,16 +432,6 @@ def test_barrier_stack_matches_recorded_baseline(name: str) -> None:
     the ordering mechanism moved into the device; re-record only with a
     deliberate, explained bump::
 
-        PYTHONPATH=src:. python tests/test_barrier_stack.py --record
+        PYTHONPATH=src:. python -m tests.pins --record barrier [SCENARIO ...]
     """
-    assert _run_barrier_scenario(name) == json.loads(BASELINE_PATH.read_text())[name]
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--record" not in sys.argv:
-        sys.exit("usage: PYTHONPATH=src:. python tests/test_barrier_stack.py --record")
-    recorded = {name: _run_barrier_scenario(name) for name in BARRIER_SCENARIOS}
-    BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} barrier baselines to {BASELINE_PATH}")
+    PIN.check(name)

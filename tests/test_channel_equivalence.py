@@ -7,18 +7,17 @@ channel and a queue depth of one, every FlashStats counter, every device
 counter and the simulated elapsed time must be *bit-identical* to what the
 seed's strictly serial model produced.
 
-``tests/data/channel_baseline.json`` was recorded by running this module's
-workloads against the seed code (before the refactor); re-record only with
-a deliberate, explained baseline bump::
+``tests/data/channel_baseline.json`` (the ``channel`` pin, ``tests/pins.py``)
+was recorded by running this module's workloads against the seed code
+(before the refactor); re-record only with a deliberate, explained baseline
+bump::
 
-    PYTHONPATH=src python tests/test_channel_equivalence.py --record
+    PYTHONPATH=src:. python -m tests.pins --record channel [SCENARIO ...]
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import pathlib
 
 import pytest
 
@@ -28,7 +27,7 @@ from repro.stack import Mode, StackConfig, build_stack
 from repro.workloads.fio import FioBenchmark
 from repro.workloads.synthetic import SyntheticWorkload
 
-BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "channel_baseline.json"
+from tests.pins import DATA, Pin
 
 _FIO_STACK = dict(
     num_blocks=96,
@@ -110,54 +109,32 @@ def _run_synthetic(mode: Mode, capture=_capture, **device_shape) -> dict:
 
 
 SCENARIOS = {
-    "fio.fs_ordered": lambda: _run_fio(Mode.FS_ORDERED),
-    "fio.fs_full": lambda: _run_fio(Mode.FS_FULL),
-    "fio.xftl": lambda: _run_fio(Mode.XFTL),
-    "synthetic.rbj": lambda: _run_synthetic(Mode.RBJ),
-    "synthetic.wal": lambda: _run_synthetic(Mode.WAL),
-    "synthetic.xftl": lambda: _run_synthetic(Mode.XFTL),
+    "fio.fs_ordered": (_run_fio, Mode.FS_ORDERED),
+    "fio.fs_full": (_run_fio, Mode.FS_FULL),
+    "fio.xftl": (_run_fio, Mode.XFTL),
+    "synthetic.rbj": (_run_synthetic, Mode.RBJ),
+    "synthetic.wal": (_run_synthetic, Mode.WAL),
+    "synthetic.xftl": (_run_synthetic, Mode.XFTL),
 }
 
 
-def record() -> dict:
-    return {name: run() for name, run in SCENARIOS.items()}
+def _drain_row(name: str) -> dict:
+    """A scenario's capture without the barrier-path counters: the seed
+    model predates them and a drain device never issues them (the drain
+    tests in ``tests/test_barrier_stack.py`` hold them at zero)."""
+    run, mode = SCENARIOS[name]
+    row = run(mode)
+    for counter in ("barriers", "barrier_writes"):
+        del row["device_counters"][counter]
+    return row
 
 
-@pytest.fixture(scope="module")
-def baseline() -> dict:
-    if not BASELINE_PATH.exists():  # pragma: no cover - setup error
-        pytest.fail(f"baseline file missing: {BASELINE_PATH}")
-    return json.loads(BASELINE_PATH.read_text())
+PIN = Pin("channel", DATA / "channel_baseline.json", list(SCENARIOS), _drain_row)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_serial_config_matches_seed_baseline(name: str, baseline: dict) -> None:
-    expected = baseline[name]
-    actual = SCENARIOS[name]()
-    # Compare over the baseline's keys: FlashStats and DeviceCounters may
-    # gain *new* fields (e.g. group-commit or barrier counters) without a
-    # baseline bump, but every counter the seed recorded must stay
-    # bit-identical.
-    actual_stats = actual["flash_stats"]
-    expected_stats = expected["flash_stats"]
-    assert {k: actual_stats[k] for k in expected_stats} == expected_stats, name
-    actual_dev = actual["device_counters"]
-    expected_dev = expected["device_counters"]
-    assert {k: actual_dev[k] for k in expected_dev} == expected_dev, name
-    # Exact float equality on purpose: the degenerate single-channel path
-    # must perform the *same arithmetic* as the seed's serial clock.
-    assert actual["elapsed_us"] == expected["elapsed_us"], name
-    # Baselines recorded since the bitmap state view also pin the final
-    # page-state/validity arrays (older baselines simply lack the key).
-    if "state_digest" in expected:
-        assert actual["state_digest"] == expected["state_digest"], name
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--record" not in sys.argv:
-        sys.exit("usage: PYTHONPATH=src python tests/test_channel_equivalence.py --record")
-    BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-    BASELINE_PATH.write_text(json.dumps(record(), indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(SCENARIOS)} scenario baselines to {BASELINE_PATH}")
+def test_serial_config_matches_seed_baseline(name: str) -> None:
+    # Exact float equality on ``elapsed_us`` on purpose: the degenerate
+    # single-channel path must perform the *same arithmetic* as the seed's
+    # serial clock.
+    PIN.check(name)

@@ -17,25 +17,8 @@ import pytest
 
 from repro.stack import Mode, StackConfig, build_stack
 from repro.workloads.fio import FioBenchmark
-from repro.workloads.synthetic import SyntheticWorkload
 
-_FIO_STACK = dict(
-    num_blocks=96,
-    pages_per_block=16,
-    page_size=1024,
-    journal_pages=32,
-    fs_cache_pages=64,
-    max_inodes=8,
-)
-
-_SQLITE_STACK = dict(
-    num_blocks=160,
-    pages_per_block=32,
-    page_size=4096,
-    journal_pages=64,
-    fs_cache_pages=256,
-    max_inodes=16,
-)
+from tests.test_channel_equivalence import _FIO_STACK, _run_synthetic
 
 
 def _fio_run(mode: Mode, channels: int, queue_depth: int):
@@ -48,14 +31,9 @@ def _fio_run(mode: Mode, channels: int, queue_depth: int):
 
 
 def _synthetic_elapsed(mode: Mode, channels: int, queue_depth: int) -> float:
-    stack = build_stack(
-        StackConfig(mode=mode, channels=channels, queue_depth=queue_depth, **_SQLITE_STACK)
+    return _run_synthetic(
+        mode, lambda stack: stack.clock.now_us, channels=channels, queue_depth=queue_depth
     )
-    db = stack.open_database("test.db")
-    workload = SyntheticWorkload(db, rows=400)
-    workload.load()
-    workload.run(transactions=15, updates_per_txn=5)
-    return stack.clock.now_us
 
 
 class TestFioScaling:

@@ -6,8 +6,7 @@ Two kinds of check:
   it cannot see a changed state transition.  Three devices run with metrics
   on and the schedule's own counters — watermark transitions, collections by
   path, stream writes, the pause and copyback histograms — must equal the
-  values recorded at the parent commit of the one-decision-per-page
-  collector;
+  ``gc_schedule`` pin (``tests/pins.py``);
 - *the gate and the settle* (hypothesis): at every background decision the
   lazy ``_has_block_within`` equals its brute-force definition, and after
   every step the channel's state is what an unconditional re-settle would
@@ -27,6 +26,8 @@ from repro.ftl import FtlConfig, PageMappingFTL
 from repro.ftl.gc import GC_POLICIES, GcState
 from repro.obs import Observability
 from repro.sim.rng import make_rng
+
+from tests.pins import DATA, Pin
 
 COUNTERS = (
     "ftl.gc.transitions_to_idle",
@@ -126,49 +127,15 @@ def schedule_decisions(device: str) -> dict:
     return decisions
 
 
-#: Recorded at the parent commit (three ``headroom_pages`` and two
-#: ``_set_state`` calls per background step, the gate inside
-#: ``_background_step``).
-EXPECTED = {
-    "ftl_gc": {
-        "ftl.gc.transitions_to_idle": 0,
-        "ftl.gc.transitions_to_background": 61,
-        "ftl.gc.transitions_to_urgent": 53,
-        "ftl.gc.background_collections": 976,
-        "ftl.gc.urgent_collections": 53,
-        "ftl.gc.fifo_fallbacks": 0,
-        "ftl.gc.wear_migrations": 4,
-        "ftl.gc.hot_stream_writes": 6329,
-        "ftl.gc.cold_stream_writes": 2172,
-        "ftl.gc.trans_stream_writes": 0,
-        "ftl.gc.pause_us": (53, 0.0),
-        "ftl.gc.copyback_pages": (1029, 25785.0),
-    },
-    "background-greedy-cmt": {
-        "ftl.gc.transitions_to_idle": 50,
-        "ftl.gc.transitions_to_background": 66,
-        "ftl.gc.transitions_to_urgent": 14,
-        "ftl.gc.background_collections": 2229,
-        "ftl.gc.urgent_collections": 14,
-        "ftl.gc.fifo_fallbacks": 0,
-        "ftl.gc.wear_migrations": 42,
-        "ftl.gc.hot_stream_writes": 2615,
-        "ftl.gc.cold_stream_writes": 688,
-        "ftl.gc.trans_stream_writes": 3260,
-        "ftl.gc.pause_us": (14, 31880.0),
-        "ftl.gc.copyback_pages": (2243, 11709.0),
-    },
-    "inline-fifo": {
-        **{name: 0 for name in COUNTERS},
-        "ftl.gc.pause_us": (0, 0.0),
-        "ftl.gc.copyback_pages": (1433, 6280.0),
-    },
-}
+#: Recorded at the parent commit of the one-decision-per-page collector
+#: (three ``headroom_pages`` and two ``_set_state`` calls per background
+#: step, the gate inside ``_background_step``).
+PIN = Pin("gc_schedule", DATA / "gc_schedule_baseline.json", list(DEVICES), schedule_decisions)
 
 
 @pytest.mark.parametrize("device", DEVICES)
 def test_schedule_decisions_are_unchanged(device: str) -> None:
-    assert schedule_decisions(device) == EXPECTED[device]
+    PIN.check(device)
 
 
 #: Large enough that no schedule wedges at 80 % fill with a translation stream.

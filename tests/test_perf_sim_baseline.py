@@ -17,26 +17,18 @@ Recorded at the commit before the B-tree's running byte count; re-record
 only with a deliberate, explained bump (all workloads, or only the named
 ones)::
 
-    PYTHONPATH=src:. python tests/test_perf_sim_baseline.py --record [WORKLOAD ...]
+    PYTHONPATH=src:. python -m tests.pins --record perf_sim [WORKLOAD ...]
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-for entry in (str(ROOT / "src"), str(ROOT)):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+from benchmarks.perf import measure, spec, workloads
+from benchmarks.perf.reference import ReferenceLoop
 
-from benchmarks.perf import measure, spec, workloads  # noqa: E402
-from benchmarks.perf.reference import ReferenceLoop  # noqa: E402
+from tests.pins import DATA, Pin
 
-BASELINE_PATH = Path(__file__).parent / "data" / "perf_sim_baseline.json"
 SEED = 7
 
 
@@ -53,30 +45,10 @@ def _window_row(name: str) -> dict:
     }
 
 
-def test_every_workload_is_pinned() -> None:
-    assert sorted(json.loads(BASELINE_PATH.read_text())) == sorted(spec.WORKLOAD_NAMES)
+PIN = Pin("perf_sim", DATA / "perf_sim_baseline.json", spec.WORKLOAD_NAMES, _window_row)
 
 
 @pytest.mark.parametrize("name", spec.WORKLOAD_NAMES)
 def test_window_matches_recorded_baseline(name: str) -> None:
-    row = _window_row(name)
+    row = PIN.check(name)
     assert row["verify"] == [] and row["failed"] == 0
-    assert row == json.loads(BASELINE_PATH.read_text())[name]
-
-
-if __name__ == "__main__":
-    if "--record" not in sys.argv:
-        sys.exit(
-            "usage: PYTHONPATH=src:. python tests/test_perf_sim_baseline.py"
-            " --record [WORKLOAD ...]"
-        )
-    only = set(sys.argv[sys.argv.index("--record") + 1 :])
-    unknown = only - set(spec.WORKLOAD_NAMES)
-    if unknown:
-        sys.exit(f"not benchmark workloads: {sorted(unknown)}")
-    recorded = json.loads(BASELINE_PATH.read_text()) if only else {}
-    for name in spec.WORKLOAD_NAMES:
-        if not only or name in only:
-            recorded[name] = _window_row(name)
-    BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(only) or len(recorded)} perf sim baselines to {BASELINE_PATH}")

@@ -25,9 +25,10 @@ Recorded at the commit before access paths were bound at plan time; the
 its own spilled frames (84 errors → 53, as ``rbj`` and ``off`` record), and
 the ``rbj`` row alone when a rollback-journal spill began writing and
 barriering the journal header before the page (device writes 4,562 → 4,868,
-flushes 1,493 → 1,737; outcomes and spills unchanged).  Re-record only with a deliberate, explained bump::
+flushes 1,493 → 1,737; outcomes and spills unchanged).  Re-record only with
+a deliberate, explained bump (all modes, or only the named ones)::
 
-    PYTHONPATH=src python tests/test_sql_access_order.py --record
+    PYTHONPATH=src:. python -m tests.pins --record access_order [MODE ...]
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ import functools
 import hashlib
 import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.stack import Mode, StackConfig, build_stack
 
-BASELINE_PATH = Path(__file__).parent / "data" / "access_order_baseline.json"
+from tests.pins import DATA, Pin
+
 MODES = {"rbj": Mode.RBJ, "wal": Mode.WAL, "off": Mode.XFTL}
 SEED = 11
 STATEMENTS = 600
@@ -159,15 +159,13 @@ def _run(name: str) -> tuple[dict, list]:
     return row, outcomes
 
 
-def test_every_mode_is_pinned() -> None:
-    assert sorted(json.loads(BASELINE_PATH.read_text())) == sorted(MODES)
+PIN = Pin("access_order", DATA / "access_order_baseline.json", list(MODES), lambda m: _run(m)[0])
 
 
 @pytest.mark.parametrize("name", sorted(MODES))
 def test_access_order_matches_recorded_baseline(name: str) -> None:
-    row, _outcomes = _run(name)
+    row = PIN.check(name)
     assert row["spilled_pages"] > 0  # the stream does evict and spill
-    assert row == json.loads(BASELINE_PATH.read_text())[name]
 
 
 def test_modes_agree_statement_by_statement() -> None:
@@ -180,11 +178,3 @@ def test_modes_agree_statement_by_statement() -> None:
             f" {differ[0]}: {outcomes[differ[0]]!r} against {reference[differ[0]]!r}"
         )
         assert len(outcomes) == len(reference)
-
-
-if __name__ == "__main__":
-    if "--record" not in sys.argv:
-        sys.exit("usage: PYTHONPATH=src python tests/test_sql_access_order.py --record")
-    recorded = {name: _run(name)[0] for name in sorted(MODES)}
-    BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} access-order baselines to {BASELINE_PATH}")

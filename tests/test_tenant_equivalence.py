@@ -25,29 +25,11 @@ from repro.stack import (
     build_stack,
 )
 
-from tests.test_channel_equivalence import state_digest
-
-_STACK = dict(
-    num_blocks=160,
-    pages_per_block=32,
-    page_size=4096,
-    journal_pages=64,
-    fs_cache_pages=256,
-    max_inodes=16,
-)
+from tests.test_channel_equivalence import _SQLITE_STACK, _capture
 
 _N_ROWS = 8
 _N_SESSIONS = 2
 _CACHE_PAGES = 512
-
-
-def _capture(stack) -> dict:
-    return {
-        "flash_stats": stack.chip.stats.as_dict(),
-        "device_counters": stack.device.counters.as_dict(),
-        "elapsed_us": stack.clock.now_us,
-        "state_digest": state_digest(stack.ftl),
-    }
 
 
 def _terminal(db, scheduler, index: int):
@@ -83,7 +65,7 @@ def _run(mode: Mode, variant: str, queue_depth: int = 1, channels: int = 1) -> d
     same ``t0/`` prefix) so even directory metadata matches.
     """
     stack = build_stack(
-        StackConfig(mode=mode, queue_depth=queue_depth, channels=channels, **_STACK)
+        StackConfig(mode=mode, queue_depth=queue_depth, channels=channels, **_SQLITE_STACK)
     )
     if variant == "baseline":
         scheduler = SessionScheduler(stack)
@@ -129,7 +111,7 @@ def test_single_tenant_bit_identical_with_ncq(policy: str) -> None:
 
 def test_tenant_run_attributes_work() -> None:
     """Sanity: the equivalence run did attribute work to the tenant."""
-    stack = build_stack(StackConfig(mode=Mode.XFTL, **_STACK))
+    stack = build_stack(StackConfig(mode=Mode.XFTL, **_SQLITE_STACK))
     scheduler = TenantScheduler(stack, fairness="deficit")
     tenant = stack.open_tenant("t0")
     session = tenant.open_session()

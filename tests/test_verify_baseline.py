@@ -17,40 +17,36 @@ Recorded at the commit before ``verify/drivers.py`` became table-driven;
 re-record only with a deliberate, explained bump (all rows, or only the
 named ones)::
 
-    PYTHONPATH=src:. python tests/test_verify_baseline.py --record [ROW@seedN ...]
+    PYTHONPATH=src:. python -m tests.pins --record verify [ROW@seedN ...]
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 
 import pytest
 
 from repro.verify import LAYERS, sweep
 
-BASELINE_PATH = pathlib.Path(__file__).parent / "data" / "verify_baseline.json"
+from tests.pins import DATA, Pin
 
 _EXHAUSTIVE = 100_000  # above any row's surface: the streams dry up first
 _STACK_BUDGET = 150
 _STACK_PREFIXES = ("fs.", "sqlite.", "stack.")
 _ALSO_AT_SEED_1 = ("ftl.gc", "ftl.gc.inline", "ftl.cmt")
 
-PINNED = [(layer, 0) for layer in LAYERS] + [(layer, 1) for layer in _ALSO_AT_SEED_1]
+PINNED = [f"{layer}@seed0" for layer in LAYERS] + [f"{layer}@seed1" for layer in _ALSO_AT_SEED_1]
 
 
-def _key(layer: str, seed: int) -> str:
-    return f"{layer}@seed{seed}"
-
-
-def _sweep_row(layer: str, seed: int) -> dict:
+def _sweep_row(key: str) -> dict:
+    layer, _, seed = key.rpartition("@seed")
     budget = _STACK_BUDGET if layer.startswith(_STACK_PREFIXES) else _EXHAUSTIVE
     outcomes = []
     report = sweep(
         layers=[layer],
         budget=budget,
-        seed=seed,
+        seed=int(seed),
         shrink_failures=False,
         progress=lambda scenario, result: outcomes.append(
             [
@@ -71,31 +67,9 @@ def _sweep_row(layer: str, seed: int) -> dict:
     }
 
 
-def test_every_layer_is_pinned() -> None:
-    recorded = json.loads(BASELINE_PATH.read_text())
-    assert sorted(recorded) == sorted(_key(layer, seed) for layer, seed in PINNED)
+PIN = Pin("verify", DATA / "verify_baseline.json", PINNED, _sweep_row)
 
 
-@pytest.mark.parametrize("layer,seed", PINNED, ids=[_key(*row) for row in PINNED])
-def test_sweep_matches_recorded_baseline(layer: str, seed: int) -> None:
-    assert _sweep_row(layer, seed) == json.loads(BASELINE_PATH.read_text())[_key(layer, seed)]
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--record" not in sys.argv:
-        sys.exit(
-            "usage: PYTHONPATH=src:. python tests/test_verify_baseline.py"
-            " --record [ROW@seedN ...]"
-        )
-    only = set(sys.argv[sys.argv.index("--record") + 1 :])
-    unknown = only - {_key(*row) for row in PINNED}
-    if unknown:
-        sys.exit(f"not pinned rows: {sorted(unknown)}")
-    recorded = json.loads(BASELINE_PATH.read_text()) if only else {}
-    for layer, seed in PINNED:
-        if not only or _key(layer, seed) in only:
-            recorded[_key(layer, seed)] = _sweep_row(layer, seed)
-    BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(only) or len(recorded)} verify baselines to {BASELINE_PATH}")
+@pytest.mark.parametrize("key", PINNED)
+def test_sweep_matches_recorded_baseline(key: str) -> None:
+    PIN.check(key)
