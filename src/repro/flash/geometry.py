@@ -48,6 +48,11 @@ class FlashGeometry:
                 f"num_blocks ({self.num_blocks}) must divide evenly over "
                 f"{self.channels} channel(s)"
             )
+        if self.total_pages > 2**31 - 1:
+            # A ppn is one 4-byte entry of the FTL's L2P array.
+            raise FlashGeometryError(
+                f"{self.total_pages} pages exceed the 4-byte ppn range (2**31 - 1)"
+            )
 
     @property
     def total_pages(self) -> int:

@@ -165,7 +165,9 @@ class Ext4:
         # ---- volatile state ---------------------------------------------
         self._inodes: dict[int, Inode] = {}
         self._by_name: dict[str, int] = {}
-        self._free_data: set[int] = set(range(self.data_start, total))
+        # Block bitmap over the data region: byte ``lpn - data_start`` is 1
+        # while ``lpn`` is free.
+        self._free_map = bytearray(b"\x01") * self.data_pages
         self._alloc_cursor = self.data_start  # next-fit allocation pointer
         self._indirect: dict[int, list[int | None]] = {}
         self._next_ino = 1
@@ -321,6 +323,7 @@ class Ext4:
             self._release_block(lpn)
         for ind_lpn in inode.indirect:
             self._indirect.pop(ind_lpn, None)
+            self._dirty_meta.discard(ind_lpn)  # no image left to render
             self._release_block(ind_lpn)
         self._mark_meta_dirty_for_inode(ino)
         self._dirty_meta.add(self.dir_lpn)
@@ -331,13 +334,16 @@ class Ext4:
         return sorted(self._by_name)
 
     def allocation_frontier(self) -> int:
-        """Lowest lpn above every block this file system has ever allocated.
+        """Lowest lpn above every block in use and every block this mount
+        has allocated.
 
         Device-aging utilities place cold filler above this point so they
         never clobber live file contents; the file system is still free to
-        grow into (and overwrite) the filler region later.
+        grow into (and overwrite) the filler region later.  A fresh mount
+        starts its next-fit cursor at ``data_start``, so the blocks its
+        files already hold come from the bitmap (its highest used byte).
         """
-        return max(self._alloc_cursor, self.data_start)
+        return max(self._alloc_cursor, self.data_start + self._free_map.rfind(0) + 1)
 
     # ---------------------------------------------------------- txn / sync
 
@@ -699,25 +705,23 @@ class Ext4:
         return lpn
 
     def _allocate_block(self) -> int:
-        """Next-fit block allocation (O(1) amortized over the data region)."""
-        if not self._free_data:
-            raise FsError("file system out of space")
-        total = self.device.exported_pages
-        span = total - self.data_start
-        cursor = self._alloc_cursor
-        for _ in range(span):
-            if cursor >= total:
-                cursor = self.data_start
-            if cursor in self._free_data:
-                self._free_data.remove(cursor)
-                self._alloc_cursor = cursor + 1
-                self._dirty_meta.add(self._bitmap_lpn_for(cursor))
-                return cursor
-            cursor += 1
-        raise FsError("file system out of space")  # pragma: no cover - guarded above
+        """Next-fit block allocation: the first free block at or above the
+        cursor, else the first free block of the data region."""
+        free = self._free_map
+        base = self.data_start
+        index = free.find(1, self._alloc_cursor - base)
+        if index < 0:
+            index = free.find(1)
+            if index < 0:
+                raise FsError("file system out of space")
+        free[index] = 0
+        lpn = base + index
+        self._alloc_cursor = lpn + 1
+        self._dirty_meta.add(self._bitmap_lpn_for(lpn))
+        return lpn
 
     def _release_block(self, lpn: int) -> None:
-        self._free_data.add(lpn)
+        self._free_map[lpn - self.data_start] = 1
         self._dirty_meta.add(self._bitmap_lpn_for(lpn))
         self._dirty_data.pop(lpn, None)
         self._stolen.pop(lpn, None)
@@ -785,9 +789,11 @@ class Ext4:
         live = set(self._by_name.values())
         self._inodes = {ino: inode for ino, inode in self._inodes.items() if ino in live}
         self._free_inos = [ino for ino in range(1, self._next_ino) if ino not in live]
-        # Indirect blocks.
+        # Indirect blocks, then the bitmap: every block a live inode holds
+        # is cleared in a fresh all-free map.
         self._indirect = {}
-        used: set[int] = set()
+        free = self._free_map = bytearray(b"\x01") * self.data_pages
+        base = self.data_start
         for inode in self._inodes.values():
             for ind_lpn in inode.indirect:
                 image = self.device.read(ind_lpn)
@@ -795,11 +801,10 @@ class Ext4:
                     self._indirect[ind_lpn] = list(image[2])
                 else:
                     self._indirect[ind_lpn] = [None] * self.ptrs_per_page
-                used.add(ind_lpn)
+                free[ind_lpn - base] = 0
         for inode in self._inodes.values():
-            used.update(self._block_lpns(inode))
-        total = self.device.exported_pages
-        self._free_data = set(range(self.data_start, total)) - used
+            for lpn in self._block_lpns(inode):
+                free[lpn - base] = 0
 
     # ------------------------------------------------------------ data path
 

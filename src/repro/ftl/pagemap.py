@@ -50,13 +50,16 @@ One decision orders everything found on flash, taken in this module alone:
   the old committed copy of a page the transaction rewrote, and a stamp
   drawn earlier would rank below that relocation.
 
-The L2P table is one flat ``array('q')`` of physical page numbers indexed
+The L2P table is one flat ``array('i')`` of physical page numbers indexed
 by lpn (``UNMAPPED`` = -1; :meth:`~PageMappingFTL.mapped_ppn` still answers
-``None``), the controller-DRAM table of §5.3.  A translation (map) page image
-is ``(ppns, chains)``: ``ppns`` is the array slice covering the segment's
-whole lpn range (one copy when built, one buffer freed when its block is
-erased), ``chains`` the retained version chains of the same range (empty
-unless the multi-version XFTL adds them).  The format is decided here alone —
+``None``), the controller-DRAM table of §5.3: four bytes per entry, which
+:class:`~repro.flash.geometry.FlashGeometry` guarantees by refusing a chip
+of more than ``2**31 - 1`` pages.  A translation (map) page image is
+``(ppns, chains)``: ``ppns`` is the array slice covering the segment's whole
+lpn range (one copy when built, one buffer freed when its block is erased;
+four bytes per entry, like the table), ``chains`` the retained version
+chains of the same range (empty unless the multi-version XFTL adds them).
+The format is decided here alone —
 :meth:`PageMappingFTL._segment_image` builds an image and
 :meth:`PageMappingFTL._load_segment_image` loads one.
 
@@ -176,7 +179,7 @@ class PageMappingFTL(Ftl):
         # Volatile (DRAM) state: the L2P and its reverse map (module
         # docstring), with the owner table's per-block population beside it
         # (reset in place — the collector aliases the list).
-        self._l2p = array("q", [UNMAPPED]) * self._exported_pages
+        self._l2p = array("i", [UNMAPPED]) * self._exported_pages
         self._owner = [DEAD] * geo.total_pages
         self._owner_detail: dict[int, Any] = {}
         self._valid_count: list[int] = [0] * geo.num_blocks
@@ -375,7 +378,7 @@ class PageMappingFTL(Ftl):
     def power_fail(self) -> None:
         """Drop all DRAM state.  The chip (and the root record) persist."""
         self._powered = False
-        self._l2p = array("q", [UNMAPPED]) * self._exported_pages
+        self._l2p = array("i", [UNMAPPED]) * self._exported_pages
         self._reset_ownership()
         self._dirty_segments = set()
         self._map_dir = {}
@@ -406,7 +409,7 @@ class PageMappingFTL(Ftl):
         # 1. Load the persisted map pages.  Their chain parts are handed to
         # _finish_remount, which runs after OOB replay settles the current
         # mapping.
-        self._l2p = array("q", [UNMAPPED]) * self._exported_pages
+        self._l2p = array("i", [UNMAPPED]) * self._exported_pages
         self._reset_ownership()
         chains: list = []
         for segment, ppn in self._map_dir.items():
@@ -575,7 +578,7 @@ class PageMappingFTL(Ftl):
             for lpn, old in enumerate(olds, start):
                 if old != UNMAPPED:
                     self._supersede(lpn, old, None)
-        l2p[start:stop] = array("q", ppns)
+        l2p[start:stop] = array("i", ppns)
         owner[dst : ppns.stop] = lpns
         self._valid_count[dst // self._pages_per_block] += len(ppns)
         entries = self._map_entries_per_page

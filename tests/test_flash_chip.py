@@ -21,6 +21,16 @@ class TestGeometry:
         with pytest.raises(FlashGeometryError):
             FlashGeometry(num_blocks=-1)
 
+    def test_ppns_must_fit_a_four_byte_l2p_entry(self):
+        """The geometry is a dataclass: a chip too big for ``array('i')``
+        is refused before anything is allocated for it."""
+        largest = FlashGeometry(pages_per_block=1, num_blocks=2**31 - 1)
+        assert largest.total_pages == 2**31 - 1
+        with pytest.raises(FlashGeometryError, match="4-byte"):
+            FlashGeometry(pages_per_block=2, num_blocks=2**30)
+        with pytest.raises(FlashGeometryError, match="4-byte"):
+            FlashGeometry(pages_per_block=128, num_blocks=2**24, channels=8)
+
     def test_out_of_range_ppn(self):
         geo = FlashGeometry(page_size=512, pages_per_block=4, num_blocks=2)
         with pytest.raises(FlashGeometryError):

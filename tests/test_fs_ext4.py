@@ -92,10 +92,10 @@ class TestFileOperations:
         for index in range(20):
             handle.write_page(index, ("x", index))
         handle.fsync()
-        free_before = len(fs._free_data)
+        free_before = fs._free_map.count(1)
         handle.truncate(5)
         assert handle.n_pages == 5
-        assert len(fs._free_data) > free_before
+        assert fs._free_map.count(1) > free_before
         assert handle.read_page(10) is None
         assert handle.read_page(4) == ("x", 4)
 
@@ -105,9 +105,21 @@ class TestFileOperations:
         for index in range(30):
             handle.write_page(index, ("x",))
         handle.fsync()
-        free_before = len(fs._free_data)
+        free_before = fs._free_map.count(1)
         fs.unlink("a")
-        assert len(fs._free_data) >= free_before + 30
+        assert fs._free_map.count(1) >= free_before + 30
+
+    def test_unlink_before_sync_drops_a_dirty_indirect_block(self):
+        """An unlinked file's indirect block has no image left to render:
+        the next metadata sync must not try to write it."""
+        _dev, fs = make_fs()
+        handle = fs.create("a")
+        for index in range(20):  # past the direct pointers: one indirect block
+            handle.write_page(index, ("x", index))
+        (ind_lpn,) = handle.inode.indirect
+        fs.unlink("a")
+        fs.sync_metadata()
+        assert fs._free_map[ind_lpn - fs.data_start] == 1
 
     def test_inode_numbers_reused_after_unlink(self):
         """Create/delete churn (SQLite journals) must not exhaust inodes."""

@@ -288,7 +288,7 @@ class TestTranslationPageImages:
         ftl.write(last - 1, b"tail-1")
         ftl.barrier()
         ppns, chains = ftl.chip.peek(ftl._map_dir[last // 10])
-        assert isinstance(ppns, array) and ppns.typecode == "q"
+        assert isinstance(ppns, array) and ppns.typecode == "i"
         assert len(ppns) == ftl.exported_pages % 10
         assert list(ppns[-2:]) == [ftl.mapped_ppn(last - 1), ftl.mapped_ppn(last)]
         assert chains == ()
