@@ -6,9 +6,7 @@ Not paper figures — these isolate individual mechanisms:
   changes the per-commit flush cost;
 - mapping-chunk granularity changes the stock FTL's barrier cost (the
   quantity X-FTL avoids paying);
-- GC victim policy (greedy vs FIFO rotation) under an aged device;
-- per-call atomic-write FTLs (Park et al., TxFlash SCC) vs X-FTL: group
-  atomicity throughput at the device level (§3.3).
+- GC victim policy (greedy vs FIFO rotation) under an aged device.
 """
 
 from conftest import report
@@ -16,8 +14,7 @@ from conftest import report
 from repro.bench.aging import age_device
 from repro.bench.reporting import format_table
 from repro.stack import Mode, StackConfig, build_stack
-from repro.flash import FlashChip, FlashGeometry
-from repro.ftl import AtomicWriteFTL, FtlConfig, TxFlashFTL, XFTL
+from repro.ftl import FtlConfig
 from repro.workloads.synthetic import SyntheticWorkload
 
 
@@ -112,50 +109,3 @@ def test_ablation_gc_policy(benchmark):
     # Greedy cherry-picks empty blocks (cheaper); FIFO carries the aged
     # validity ratio — the behaviour the paper's aging knob controls.
     assert float(by_policy["greedy"][1]) <= float(by_policy["fifo"][1])
-
-
-def _group_commit_throughput(kind: str, groups: int = 200, pages: int = 5) -> float:
-    geometry = FlashGeometry(page_size=8192, pages_per_block=128, num_blocks=256)
-    chip = FlashChip(geometry)
-    config = FtlConfig()
-    if kind == "xftl":
-        ftl = XFTL(chip, config)
-    elif kind == "atomic-write":
-        ftl = AtomicWriteFTL(chip, config)
-    else:
-        ftl = TxFlashFTL(chip, config)
-    t0 = chip.clock.now_us
-    for group in range(groups):
-        batch = [((group * pages + i) % 10_000, ("payload",)) for i in range(pages)]
-        if kind == "xftl":
-            tid = group + 1
-            for lpn, data in batch:
-                ftl.write_tx(tid, lpn, data)
-            ftl.commit(tid)
-        elif kind == "atomic-write":
-            ftl.write_atomic(batch)
-        else:
-            ftl.write_group(batch)
-    elapsed_s = (chip.clock.now_us - t0) / 1e6
-    return groups / elapsed_s
-
-
-def test_ablation_transactional_ftl_baselines(benchmark):
-    def run():
-        return [
-            [kind, round(_group_commit_throughput(kind), 1)]
-            for kind in ("xftl", "atomic-write", "txflash")
-        ]
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    text = format_table(
-        ["FTL", "atomic 5-page groups / s"],
-        rows,
-        title="Ablation: X-FTL vs per-call atomic-write FTL baselines (§3.3)",
-    )
-    report("ablation_ftl_baselines", text)
-    by_kind = {row[0]: row[1] for row in rows}
-    # TxFlash's SCC needs no commit record, so it beats the commit-record
-    # FTL; X-FTL pays the X-L2P flush but is the only one that also supports
-    # steal (pages written at any time) — shown functionally in the tests.
-    assert by_kind["txflash"] >= by_kind["atomic-write"]

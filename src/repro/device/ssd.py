@@ -38,7 +38,7 @@ from repro.device.queue import (
     CP_QUEUE_EPOCH,
     CommandQueue,
 )
-from repro.ftl.base import Ftl
+from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
 
 
@@ -46,7 +46,7 @@ class StorageDevice:
     """A SATA-attached SSD built from a flash chip and an FTL."""
 
     def __init__(
-        self, ftl: Ftl, queue_depth: int = 1, barrier_mode: bool = False
+        self, ftl: PageMappingFTL, queue_depth: int = 1, barrier_mode: bool = False
     ) -> None:
         self.ftl = ftl
         self.chip = ftl.chip

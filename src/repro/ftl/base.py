@@ -1,13 +1,8 @@
-"""FTL interface and shared configuration."""
+"""Configuration shared by the page-mapped FTL and X-FTL."""
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Any
-
-from repro.flash.chip import FlashChip
-from repro.flash.stats import FlashStats
 
 
 @dataclass(frozen=True)
@@ -120,47 +115,3 @@ class FtlConfig:
     cmt_dirty_batch: int = 2
     retain_versions: int = 1
 
-
-class Ftl(abc.ABC):
-    """Abstract flash translation layer.
-
-    All FTLs expose a logical page space of :attr:`exported_pages` pages and
-    translate host reads/writes into chip operations.  Implementations share
-    the chip's :class:`~repro.flash.stats.FlashStats` accumulator.
-    """
-
-    def __init__(self, chip: FlashChip, config: FtlConfig | None = None) -> None:
-        self.chip = chip
-        self.config = config or FtlConfig()
-        self.stats: FlashStats = chip.stats
-        # Observability rides on the chip, which binds the stats above.
-        self.obs = chip.obs
-
-    @property
-    @abc.abstractmethod
-    def exported_pages(self) -> int:
-        """Logical pages visible to the host."""
-
-    @abc.abstractmethod
-    def read(self, lpn: int) -> Any:
-        """Read the committed content of logical page ``lpn``."""
-
-    @abc.abstractmethod
-    def write(self, lpn: int, data: Any) -> None:
-        """Write logical page ``lpn`` (non-transactional)."""
-
-    @abc.abstractmethod
-    def trim(self, lpn: int) -> None:
-        """Discard logical page ``lpn`` (its physical copy becomes invalid)."""
-
-    @abc.abstractmethod
-    def barrier(self) -> None:
-        """Write barrier / flush: make all acknowledged state durable."""
-
-    @abc.abstractmethod
-    def power_fail(self) -> None:
-        """Drop all volatile (DRAM) state, as if power was cut."""
-
-    @abc.abstractmethod
-    def remount(self) -> None:
-        """Rebuild volatile state from flash after :meth:`power_fail`."""

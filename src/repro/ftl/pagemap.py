@@ -39,12 +39,12 @@ One decision orders everything found on flash, taken in this module alone:
 - *Recovery applies every page at the sequence where it took effect*
   (``remount`` step 2: the window above ``root.seq``, ordered by effect then
   write sequence).  An untagged write took effect at its own sequence; a
-  tagged page when its commit became durable, the one question a subclass
-  answers (:meth:`PageMappingFTL._effect_sequences`): X-FTL's root maps each
-  committed tid to ``_seq`` as of the publish that committed it, the
-  atomic-write baseline uses its commit record's sequence, TxFlash the
-  highest sequence of a complete cycle.  A page whose commit is not on flash
-  has no effect sequence and is never applied: that is the rollback.
+  tagged page when its commit became durable, the one question
+  :class:`~repro.ftl.xftl.XFTL` answers
+  (:meth:`PageMappingFTL._effect_sequences`): its root maps each committed
+  tid to ``_seq`` as of the publish that committed it.  A page whose commit
+  is not on flash has no effect sequence and is never applied: that is the
+  rollback.
 - *The commit stamp is taken at the publish, not before the flush*: the
   programs of the commit's own X-L2P flush can make the collector relocate
   the old committed copy of a page the transaction rewrote, and a stamp
@@ -104,7 +104,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from repro.errors import CorruptionError, FlashError, FtlError
 from repro.flash.chip import FlashChip
 from repro.flash.state import PAGE_PROGRAMMED
-from repro.ftl.base import Ftl, FtlConfig
+from repro.ftl.base import FtlConfig
 from repro.ftl.cmt import CachedMappingTable
 from repro.sim.crash import register_crash_point
 
@@ -123,7 +123,6 @@ OWNER_RETIRED = -4  # superseded page still pinned by the durable root; key: (co
 OWNER_XL2P_DATA = -5  # uncommitted transactional data (XFTL); key: (tid, lpn)
 OWNER_XL2P_TABLE = -6  # persisted X-L2P table page (XFTL); key: page index
 OWNER_VERSION = -7  # committed page retained in a version chain (XFTL); key: lpn
-OWNER_COMMIT_RECORD = -8  # commit record (AtomicWriteFTL); key: group
 
 # OOB tid sentinel for GC-relocated retained versions: a relocated version
 # keeps its *original* sequence number (the identity its chain entry stores)
@@ -161,11 +160,19 @@ class RootRecord:
     commit_seq: int = 0
 
 
-class PageMappingFTL(Ftl):
-    """Stock page-mapped FTL (see module docstring)."""
+class PageMappingFTL:
+    """Stock page-mapped FTL (see module docstring).
+
+    The host sees a logical page space of :attr:`exported_pages` pages.  The
+    FTL counts into the chip's :class:`~repro.flash.stats.FlashStats` and
+    reports through the chip's observability registry.
+    """
 
     def __init__(self, chip: FlashChip, config: FtlConfig | None = None) -> None:
-        super().__init__(chip, config)
+        self.chip = chip
+        self.config = config or FtlConfig()
+        self.stats = chip.stats
+        self.obs = chip.obs
         geo = chip.geometry
         reserve = max(2, int(geo.num_blocks * self.config.overprovision))
         if geo.num_blocks - reserve < 1:
@@ -228,6 +235,7 @@ class PageMappingFTL(Ftl):
 
     @property
     def exported_pages(self) -> int:
+        """Logical pages visible to the host."""
         return self._exported_pages
 
     @property
@@ -235,6 +243,7 @@ class PageMappingFTL(Ftl):
         return self._powered
 
     def read(self, lpn: int) -> Any:
+        """The committed content of ``lpn`` (``None`` if it holds none)."""
         self._check_power()
         self._check_lpn(lpn)
         if self._cmt is not None:
@@ -246,6 +255,7 @@ class PageMappingFTL(Ftl):
         return self.chip.read(ppn)
 
     def write(self, lpn: int, data: Any) -> None:
+        """Write ``lpn`` outside any transaction: it takes effect at once."""
         if not self._powered:
             raise FtlError("FTL is powered off")
         if not 0 <= lpn < self._exported_pages:
@@ -291,6 +301,7 @@ class PageMappingFTL(Ftl):
             self.write(lpn, data)
 
     def trim(self, lpn: int) -> None:
+        """Discard ``lpn``: its page dies, and the drop is durable at the next barrier."""
         self._check_power()
         self._check_lpn(lpn)
         if self._cmt is not None:
@@ -434,12 +445,15 @@ class PageMappingFTL(Ftl):
             # lpn the OOB replay below carries the fresher mapping; a
             # *trimmed* lpn has none, and reads as zeros again.
             if self._owner[ppn] == DEAD and self._page_states[ppn] == PAGE_PROGRAMMED:
-                # Kind-agnostic identity check: every data OOB layout in the
-                # FTL family (OOB_DATA, SCC, WAL, ...) carries the lpn in
-                # slot 1, so a programmed page whose OOB names this lpn is a
-                # genuine copy of it.
+                # Keep the entry only if the page is still a data page of
+                # this lpn written at or below root.seq.  A page programmed
+                # after the image was built carries a later sequence,
+                # whatever lpn its OOB names (a translation page whose
+                # segment number equals it, or its own uncommitted
+                # transactional copy); one above root.seq that took effect
+                # is replayed in step 2 anyway.
                 oob = self.chip.read_oob(ppn)
-                if oob is not None and len(oob) >= 2 and oob[1] == lpn:
+                if oob and oob[0] == OOB_DATA and oob[1] == lpn and oob[2] <= root.seq:
                     self._own_for_recovery(ppn, lpn)
                     continue
             stale.append(lpn)
@@ -508,11 +522,6 @@ class PageMappingFTL(Ftl):
 
     def _mark_dirty(self, lpn: int) -> None:
         self._dirty_segments.add(lpn // self._map_entries_per_page)
-
-    def _publish_mappings(self, staged: Iterable[tuple[int, int]]) -> None:
-        """Point each ``(lpn, ppn)`` at its new copy; the old copy dies."""
-        for lpn, ppn in staged:
-            self._map(lpn, ppn)
 
     # -------- ownership (see the module docstring) ----------------------
 

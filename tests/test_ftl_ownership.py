@@ -18,7 +18,7 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl import XFTL
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import DEAD, OWNER_VERSION, OWNER_XL2P_DATA, PageMappingFTL
+from repro.ftl.pagemap import DEAD, OWNER_MAP, OWNER_VERSION, OWNER_XL2P_DATA, PageMappingFTL
 from repro.sim.rng import make_rng
 
 from tests.test_ftl_gc import make_bg_ftl, make_bg_xftl
@@ -64,16 +64,20 @@ def test_owner_table_tracks_every_mapping_change(kind, schedule):
     check_reverse_map(ftl)
     open_tids: dict[int, set[int]] = {}
     next_tid = 1
-    # A trim leaves nothing in OOB: it is durable at the next barrier.
-    trimmed_since_barrier: set[int] = set()
+    # A trim leaves nothing in OOB: it is durable at the next barrier, and
+    # until then a power cut may bring back what the lpn held before it.
+    trimmed_since_barrier: dict[int, list] = {}
     for step in range(400):
         roll = rng.random()
         if roll < 0.40 or (roll < 0.86 and not transactional):
             ftl.write(rng.randrange(span), ("w", step))
         elif roll < 0.46:
             lpn = rng.randrange(span)
+            ppn = ftl.mapped_ppn(lpn)
+            trimmed_since_barrier.setdefault(lpn, []).append(
+                None if ppn is None else ftl.chip.peek(ppn)
+            )
             ftl.trim(lpn)
-            trimmed_since_barrier.add(lpn)
         elif roll < 0.70:
             if open_tids and (len(open_tids) == 2 or rng.random() < 0.7):
                 tid = rng.choice(sorted(open_tids))
@@ -100,11 +104,18 @@ def test_owner_table_tracks_every_mapping_change(kind, schedule):
             assert not any(ftl._valid_count)
             ftl.remount()
             open_tids.clear()
-            # Nothing was in flight, so the power cycle changes no read.
+            # Nothing was in flight, so the power cycle changes no read but
+            # may undo a trim: a trimmed lpn reads nothing, what it read
+            # before the cycle, or what it held before one of its trims.
+            after = [ftl.read(lpn) for lpn in range(span)]
             changed = {
-                lpn: (was, ftl.read(lpn))
-                for lpn, was in enumerate(before)
-                if lpn not in trimmed_since_barrier and ftl.read(lpn) != was
+                lpn: (was, now)
+                for lpn, (was, now) in enumerate(zip(before, after))
+                if now != was
+                and not (
+                    lpn in trimmed_since_barrier
+                    and (now is None or now in trimmed_since_barrier[lpn])
+                )
             }
             assert not changed, f"step {step}: power cycle changed {changed}"
             trimmed_since_barrier.clear()
@@ -185,8 +196,8 @@ def _trim_ftl(variant: str) -> PageMappingFTL:
         gc_mode="inline",
         gc_policy="greedy",
     )
-    if variant == "xftl-retain2":
-        ftl = XFTL(chip, FtlConfig(**config, retain_versions=2))
+    if variant.startswith("xftl"):
+        ftl = XFTL(chip, FtlConfig(**config, retain_versions=2 if variant == "xftl-retain2" else 1))
     else:
         ftl = PageMappingFTL(chip, FtlConfig(**config, cmt_pages=2 if variant == "cmt" else 0))
     for lpn in range(int(ftl.exported_pages * 0.8)):
@@ -216,34 +227,75 @@ def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
         assert data is None or data[1] == lpn, f"lpn {lpn} reads {data}"
 
 
-@pytest.mark.parametrize("barrier_after_trim", [True, False], ids=["trim-barrier", "trim"])
-@pytest.mark.parametrize("variant", TRIM_VARIANTS)
-def test_trimmed_page_reused_by_another_lpn_then_power_cycle(variant, barrier_after_trim):
+#: Who takes the trimmed lpn's page: another lpn, which keeps it; or, while
+#: the trim is not durable and the root's map still names the page for the
+#: trimmed lpn, an owner whose OOB names that lpn too: the CMT writeback of
+#: the translation page whose segment number equals it, or its own
+#: uncommitted transactional write.
+REUSE_CASES = [
+    pytest.param(
+        variant, barrier, "another-lpn", id=f"{variant}-{'trim-barrier' if barrier else 'trim'}"
+    )
+    for barrier in (True, False)
+    for variant in TRIM_VARIANTS
+] + [
+    pytest.param("cmt", False, "its-segment-map", id="cmt-trim-reused-as-map"),
+    pytest.param("xftl", False, "its-own-tx", id="xftl-trim-reused-as-own-tx"),
+]
+
+
+@pytest.mark.parametrize("variant,barrier_after_trim,reused_as", REUSE_CASES)
+def test_trimmed_page_reused_by_another_lpn_then_power_cycle(
+    variant, barrier_after_trim, reused_as
+):
     """Trim an lpn (then barrier, or not), let GC erase its block and hand
-    its page to another lpn, then power-cycle: the trimmed lpn reads nothing
-    and the page belongs to its new lpn alone."""
+    its page to a new owner (REUSE_CASES), then power-cycle: the trimmed
+    lpn reads nothing, and a page another lpn took belongs to it alone."""
     ftl = _trim_ftl(variant)
     fill = int(ftl.exported_pages * 0.8)
+    entries = ftl.config.map_entries_per_page
     ftl.barrier()  # the root names the page the trim is about to free
     trimmed, page = 0, ftl.mapped_ppn(0)
     ftl.trim(trimmed)
     if barrier_after_trim:
         ftl.barrier()
+    taken = {
+        "another-lpn": lambda: ftl._owner[page] >= 0,
+        "its-segment-map": lambda: (
+            ftl._owner[page] == OWNER_MAP and ftl._owner_detail[page] == trimmed
+        ),
+        "its-own-tx": lambda: ftl._owner[page] == OWNER_XL2P_DATA,
+    }[reused_as]
     rng = make_rng(1, "test.ftl_ownership", "trim_reuse", variant)
     for step in range(4000):
-        if ftl._owner[page] >= 0:
+        if taken():
             break
-        lpn = rng.randrange(1, fill)
+        if reused_as != "its-segment-map":
+            lpn = rng.randrange(1, fill)
+        elif step % 2:
+            # Every other write lands in the trimmed lpn's segment, so the
+            # two-page CMT keeps evicting it dirty.
+            lpn = rng.randrange(1, entries)
+        else:
+            lpn = rng.randrange(entries, fill)
         ftl.write(lpn, ("w", lpn, step))
+        if reused_as == "its-own-tx" and step % 2:
+            # Every other step only: after every write, the two would take
+            # turns on the two channels, and one channel would fill up.
+            ftl.write_tx(1, trimmed, ("tx", trimmed, step))
     else:
-        pytest.fail("GC never handed the trimmed lpn's page to another lpn")
-    reused_by = ftl._owner[page]
-    assert reused_by != trimmed and ftl.chip.read_oob(page)[1] == reused_by
+        pytest.fail(f"GC never handed the trimmed lpn's page over ({reused_as})")
+    owner = ftl._owner[page]
+    if reused_as == "another-lpn":
+        assert owner != trimmed and ftl.chip.read_oob(page)[1] == owner
+    else:
+        assert ftl.chip.read_oob(page)[1] == trimmed
     ftl.power_fail()
     ftl.remount()
     ftl.check_invariants()
     assert ftl.mapped_ppn(trimmed) is None and ftl.read(trimmed) is None
-    assert ftl.mapped_ppn(reused_by) == page and ftl.read(reused_by)[1] == reused_by
+    if reused_as == "another-lpn":
+        assert ftl.mapped_ppn(owner) == page and ftl.read(owner)[1] == owner
 
 
 class TestConverseInvariant:

@@ -272,6 +272,20 @@ class TestCrashRecovery:
         assert ftl.read(0) == b"base"
         ftl.check_invariants()
 
+    def test_transaction_spans_arbitrary_calls(self):
+        """The §3.3 contrast with per-call atomic writes: a transaction's
+        pages arrive in separate calls, with other traffic between them (a
+        steal buffer pool), and still roll back together."""
+        ftl = make_xftl()
+        ftl.write_tx(1, 0, b"early")
+        ftl.write(5, b"unrelated traffic in between")
+        ftl.write_tx(1, 1, b"late")
+        ftl.power_fail()  # crash before commit
+        ftl.remount()
+        assert ftl.read(0) is None
+        assert ftl.read(1) is None
+        assert ftl.read(5) == b"unrelated traffic in between"
+
     def test_crash_before_xl2p_flush_rolls_back(self):
         plan = CrashPlan()
         plan.arm("xftl.commit.before-flush")

@@ -59,9 +59,6 @@ ALLOWED: dict[str, str] = {
     "repro.sim.clock.SimClock.now_ms": "examples/quickstart.py prints it",
     "repro.workloads.android.TraceReplayer.replay_task": "examples/smartphone_apps.py",
     "repro.sqlite.multifile.MultiFileTransaction": "examples/multifile_atomicity.py",
-    # -- the section 3.3 ablation FTLs (benchmarks/test_bench_ablations.py)
-    "repro.ftl.atomic.AtomicWriteFTL": "the atomic-write ablation row of section 3.3",
-    "repro.ftl.txflash.TxFlashFTL": "the TxFlash ablation row of section 3.3",
     # -- test accessors: the invariant their tests hold, without private state
     "repro.ftl.pagemap.PageMappingFTL.mapped_ppn": (
         "the committed L2P view: a write moves an lpn, an abort or a power cut "
