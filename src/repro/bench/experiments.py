@@ -23,6 +23,7 @@ from typing import Any
 
 from repro.bench.aging import age_device
 from repro.bench.reporting import format_table
+from repro.errors import PowerFailure
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.pagemap import PageMappingFTL
@@ -60,20 +61,20 @@ def _queue_depth() -> int:
     return int(os.environ.get("REPRO_QUEUE_DEPTH", "1"))
 
 
-# Every experiment runs on a drain device; :func:`barrier_comparison`
-# sweeps both durability-point styles itself.
-_BARRIER_MODES = {"drain": False, "barrier": True}
-
-
 @dataclass
 class ExperimentResult:
-    """Formatted result of one experiment."""
+    """Formatted result of one experiment.
+
+    ``rows`` is the printed table.  Where the rows round or format what
+    was measured, ``runs`` keeps each run's raw measurements once, keyed
+    by its row label, for the notes and the shape checks to read.
+    """
 
     name: str
     headers: list[str]
     rows: list[list[Any]]
     notes: str = ""
-    extras: dict[str, Any] = field(default_factory=dict)
+    runs: dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:
         text = format_table(self.headers, self.rows, title=self.name)
@@ -85,25 +86,31 @@ class ExperimentResult:
 # --------------------------------------------------------------- shared setup
 
 SQLITE_MODES = (Mode.RBJ, Mode.WAL, Mode.XFTL)
+GC_VALIDITIES = (0.3, 0.5, 0.7)
 
 
-def _sqlite_stack(mode: Mode, num_blocks: int = 512) -> BenchStack:
-    return build_stack(
-        StackConfig(
-            mode=mode,
-            num_blocks=num_blocks,
-            pages_per_block=128,
-            channels=_channels(),
-            queue_depth=_queue_depth(),
-            ftl=FtlConfig(gc_policy="fifo"),
-        )
+def _sqlite_stack(mode: Mode, **overrides: Any) -> BenchStack:
+    """Build one stack: the paper's SQLite device unless ``overrides`` say.
+
+    512 blocks of 128 8-KB pages, inline FIFO GC (so aging sets the
+    carried-over validity), drain device, and the ``REPRO_CHANNELS`` /
+    ``REPRO_QUEUE_DEPTH`` parallelism.  Every experiment stack is built here.
+    """
+    config = dict(
+        num_blocks=512,
+        pages_per_block=128,
+        channels=_channels(),
+        queue_depth=_queue_depth(),
+        ftl=FtlConfig(gc_policy="fifo"),
     )
+    config.update(overrides)
+    return build_stack(StackConfig(mode=mode, **config))
 
 
 def _loaded_synthetic(
-    mode: Mode, rows: int, validity: float | None
+    mode: Mode, rows: int, validity: float | None = None, **overrides: Any
 ) -> tuple[BenchStack, SyntheticWorkload]:
-    stack = _sqlite_stack(mode)
+    stack = _sqlite_stack(mode, **overrides)
     db = stack.open_database("test.db")
     workload = SyntheticWorkload(db, rows=rows)
     workload.load()
@@ -112,55 +119,80 @@ def _loaded_synthetic(
     return stack, workload
 
 
+def _filled_ftl(
+    config: FtlConfig,
+    fill_fraction: float,
+    num_blocks: int,
+    pages_per_block: int,
+    channels: int = 1,
+    ftl_class: type[PageMappingFTL] = PageMappingFTL,
+) -> tuple[PageMappingFTL, int]:
+    """A bare FTL on a 512-byte-page chip, its first ``fill`` lpns written.
+
+    The fill ends in a barrier and a drain, so the steady stream that
+    follows starts from a persisted map and an idle device.  Returns the
+    FTL and ``fill``.
+    """
+    geometry = FlashGeometry(
+        page_size=512,
+        pages_per_block=pages_per_block,
+        num_blocks=num_blocks,
+        channels=channels,
+    )
+    ftl = ftl_class(FlashChip(geometry, profile=OPENSSD_PROFILE), config)
+    fill = int(ftl.exported_pages * fill_fraction)
+    for lpn in range(fill):
+        ftl.write(lpn, ("fill", lpn))
+    ftl.barrier()
+    ftl.chip.drain()
+    return ftl, fill
+
+
+def _skewed_lpn(rng, hot_span: int, fill: int) -> int:
+    """One draw of the 80/20 stream: 80% of accesses hit the first ``hot_span`` lpns.
+
+    The FTL experiments seed one stream per experiment and replay it
+    against every collector or cache they compare, so rows differ only in
+    the configuration (Dayan & Bonnet's method).
+    """
+    return rng.randrange(hot_span if rng.random() < 0.8 else fill)
+
+
 # ------------------------------------------------------------------- Figure 5
 
 
-def fig5_synthetic_elapsed(
-    validities: tuple[float, ...] = (0.3, 0.5, 0.7),
-    pages_per_txn: tuple[int, ...] = (1, 5, 10, 20),
-    transactions: int | None = None,
-    rows: int | None = None,
-) -> ExperimentResult:
+def fig5_synthetic_elapsed() -> ExperimentResult:
     """Figure 5: synthetic workload elapsed time vs. updated pages per txn."""
-    transactions = transactions or _scaled(100)
-    rows = rows or _scaled(12_000)
+    transactions = _scaled(100)
+    rows = _scaled(12_000)
     result_rows = []
-    series: dict[tuple[float, str], list[float]] = {}
-    for validity in validities:
+    runs: dict[str, Any] = {}
+    for validity in GC_VALIDITIES:
         for mode in SQLITE_MODES:
-            for pages in pages_per_txn:
+            for pages in (1, 5, 10, 20):
                 stack, workload = _loaded_synthetic(mode, rows, validity)
                 run = workload.run(transactions=transactions, updates_per_txn=pages)
                 measured_validity = stack.ftl.gc_mean_valid_ratio()
+                runs[f"{validity:.0%}/{mode.value}/{pages}"] = {
+                    "elapsed_s": run.elapsed_s,
+                    "gc_validity": measured_validity,
+                }
                 result_rows.append(
                     [f"{validity:.0%}", mode.value, pages, round(run.elapsed_s, 2),
                      f"{measured_validity:.0%}"]
                 )
-                series.setdefault((validity, mode.value), []).append(run.elapsed_s)
-    notes = _fig5_ratio_notes(series, validities, pages_per_txn)
+    rbj, wal, xftl = (runs[f"50%/{mode.value}/5"]["elapsed_s"] for mode in SQLITE_MODES)
     return ExperimentResult(
         name=f"Figure 5: synthetic workload ({transactions:,} txns, {rows:,} rows)",
         headers=["GC validity", "mode", "pages/txn", "elapsed (s)", "measured GC validity"],
         rows=result_rows,
-        notes=notes,
-        extras={"series": {f"{v}/{m}": e for (v, m), e in series.items()}},
-    )
-
-
-def _fig5_ratio_notes(series, validities, pages) -> str:
-    try:
-        index = pages.index(5)
-        middle = validities[len(validities) // 2]
-        rbj = series[(middle, Mode.RBJ.value)][index]
-        wal = series[(middle, Mode.WAL.value)][index]
-        xftl = series[(middle, Mode.XFTL.value)][index]
-        return (
-            f"At 5 pages/txn, {middle:.0%} validity: X-FTL is {wal / xftl:.1f}x faster "
+        notes=(
+            f"At 5 pages/txn, 50% validity: X-FTL is {wal / xftl:.1f}x faster "
             f"than WAL and {rbj / xftl:.1f}x faster than RBJ "
             "(paper: 3.5x and 11.7x)."
-        )
-    except (ValueError, KeyError, ZeroDivisionError):
-        return ""
+        ),
+        runs=runs,
+    )
 
 
 # ------------------------------------------------------------------- Table 1
@@ -169,30 +201,25 @@ def _fig5_ratio_notes(series, validities, pages) -> str:
 def table1_io_counts(
     transactions: int | None = None,
     rows: int | None = None,
-    validity: float = 0.5,
-    pages_per_txn: int = 5,
 ) -> ExperimentResult:
     """Table 1: host-side and FTL-side I/O counts (5 pages/txn, 50% validity)."""
     transactions = transactions or _scaled(300)
     rows = rows or _scaled(12_000)
     result_rows = []
     for mode in SQLITE_MODES:
-        stack, workload = _loaded_synthetic(mode, rows, validity)
+        stack, workload = _loaded_synthetic(mode, rows, 0.5)
         ftl0 = stack.ftl.stats.snapshot()
         fs0 = stack.fs.stats.snapshot()
-        workload.run(transactions=transactions, updates_per_txn=pages_per_txn)
+        workload.run(transactions=transactions, updates_per_txn=5)
         ftl = stack.ftl.stats.delta(ftl0)
         fs = stack.fs.stats.delta(fs0)
-        db_writes = fs.data_page_writes
-        journal_writes = fs.journal_page_writes
-        meta_writes = fs.meta_page_writes
         result_rows.append(
             [
                 mode.value,
-                db_writes,
-                journal_writes,
-                meta_writes,
-                db_writes + journal_writes + meta_writes,
+                fs.data_page_writes,
+                fs.journal_page_writes,
+                fs.meta_page_writes,
+                fs.data_page_writes + fs.journal_page_writes + fs.meta_page_writes,
                 fs.fsync_calls,
                 ftl.page_programs,
                 ftl.page_reads,
@@ -202,8 +229,8 @@ def table1_io_counts(
         )
     return ExperimentResult(
         name=(
-            f"Table 1: I/O counts ({transactions:,} txns, {pages_per_txn} pages/txn, "
-            f"{validity:.0%} GC validity)"
+            f"Table 1: I/O counts ({transactions:,} txns, 5 pages/txn, "
+            "50% GC validity)"
         ),
         headers=[
             "mode", "SQLite data", "journal/WAL", "fs metadata", "total host",
@@ -220,27 +247,22 @@ def table1_io_counts(
 # ------------------------------------------------------------------- Figure 6
 
 
-def fig6_ftl_activity(
-    validities: tuple[float, ...] = (0.3, 0.5, 0.7),
-    transactions: int | None = None,
-    rows: int | None = None,
-    pages_per_txn: int = 5,
-) -> ExperimentResult:
+def fig6_ftl_activity() -> ExperimentResult:
     """Figure 6: FTL page writes and GC counts vs. GC validity ratio."""
-    transactions = transactions or _scaled(150)
-    rows = rows or _scaled(12_000)
+    transactions = _scaled(150)
+    rows = _scaled(12_000)
     result_rows = []
-    for validity in validities:
+    for validity in GC_VALIDITIES:
         for mode in SQLITE_MODES:
             stack, workload = _loaded_synthetic(mode, rows, validity)
             ftl0 = stack.ftl.stats.snapshot()
-            workload.run(transactions=transactions, updates_per_txn=pages_per_txn)
+            workload.run(transactions=transactions, updates_per_txn=5)
             ftl = stack.ftl.stats.delta(ftl0)
             result_rows.append(
                 [f"{validity:.0%}", mode.value, ftl.page_programs, ftl.gc_invocations]
             )
     return ExperimentResult(
-        name=f"Figure 6: I/O activity inside the SSD ({pages_per_txn} pages/txn)",
+        name="Figure 6: I/O activity inside the SSD (5 pages/txn)",
         headers=["GC validity", "mode", "page writes", "GC count"],
         rows=result_rows,
         notes="Both metrics grow with validity; X-FTL stays far below WAL and RBJ.",
@@ -285,18 +307,17 @@ def table2_trace_characteristics(trace_scale: float | None = None) -> Experiment
 # ------------------------------------------------------------------- Figure 7
 
 
-def fig7_smartphone(trace_scale: float | None = None) -> ExperimentResult:
+def fig7_smartphone() -> ExperimentResult:
     """Figure 7: smartphone workload elapsed time, WAL vs X-FTL."""
-    trace_scale = trace_scale if trace_scale is not None else 0.03 * _scale()
+    trace_scale = 0.03 * _scale()
     result_rows = []
     for profile in ALL_PROFILES:
+        # One generated trace per profile, replayed on both modes.
+        ops, _stats = AndroidTraceGenerator(profile, scale=trace_scale).generate()
         elapsed: dict[str, float] = {}
         for mode in (Mode.WAL, Mode.XFTL):
             stack = _sqlite_stack(mode)
-            generator = AndroidTraceGenerator(profile, scale=trace_scale)
-            ops, _stats = generator.generate()
-            replayer = TraceReplayer(stack)
-            elapsed[mode.value] = replayer.replay(ops)
+            elapsed[mode.value] = TraceReplayer(stack).replay(ops)
         speedup = elapsed[Mode.WAL.value] / max(elapsed[Mode.XFTL.value], 1e-9)
         result_rows.append(
             [
@@ -317,9 +338,9 @@ def fig7_smartphone(trace_scale: float | None = None) -> ExperimentResult:
 # --------------------------------------------------------------- Tables 3 & 4
 
 
-def table4_tpcc(transactions: int | None = None) -> ExperimentResult:
+def table4_tpcc() -> ExperimentResult:
     """Tables 3+4: TPC-C mixes and their throughput (tpmC), WAL vs X-FTL."""
-    transactions = transactions or _scaled(150)
+    transactions = _scaled(150)
     mix_rows = [
         [name] + [f"{weights.get(t, 0)}%" for t in
                   ("delivery", "order_status", "payment", "stock_level", "new_order",
@@ -362,46 +383,28 @@ def table4_tpcc(transactions: int | None = None) -> ExperimentResult:
 # --------------------------------------------------------------- Figures 8 & 9
 
 
-FS_MODES = (Mode.FS_ORDERED, Mode.FS_FULL, Mode.XFTL)
+FS_LABELS = {
+    Mode.FS_ORDERED: "ext4 ordered journaling",
+    Mode.FS_FULL: "ext4 full journaling",
+    Mode.XFTL: "X-FTL (journaling off)",
+}
+FSYNC_INTERVALS = (1, 5, 10, 15, 20)
 
 
-def _fio_stack(
-    mode: Mode,
-    profile=OPENSSD_PROFILE,
-    num_blocks: int = 768,
-    channels: int | None = None,
-    queue_depth: int | None = None,
-) -> BenchStack:
-    return build_stack(
-        StackConfig(
-            mode=mode,
-            num_blocks=num_blocks,
-            pages_per_block=128,
-            channels=channels if channels is not None else _channels(),
-            queue_depth=queue_depth if queue_depth is not None else _queue_depth(),
-            profile=profile,
-            journal_pages=512,
-        )
-    )
+def _fio_run(mode: Mode, runtime_s: float, interval: int, threads: int, **overrides: Any):
+    """One FIO 8 KB random-write run on a fresh 768-block stack (stock GC)."""
+    stack = _sqlite_stack(mode, num_blocks=768, journal_pages=512, ftl=FtlConfig(), **overrides)
+    fio = FioBenchmark(stack, file_pages=32_768)
+    return fio.run(runtime_s=runtime_s, fsync_interval=interval, threads=threads)
 
 
-def fig8_fio_single_thread(
-    intervals: tuple[int, ...] = (1, 5, 10, 15, 20),
-    runtime_s: float | None = None,
-) -> ExperimentResult:
+def fig8_fio_single_thread() -> ExperimentResult:
     """Figure 8: FIO random-write IOPS vs fsync interval, one thread."""
-    runtime_s = runtime_s or 30.0 * _scale()
+    runtime_s = 30.0 * _scale()
     result_rows = []
-    for mode in FS_MODES:
-        label = {
-            Mode.FS_ORDERED: "ext4 ordered journaling",
-            Mode.FS_FULL: "ext4 full journaling",
-            Mode.XFTL: "X-FTL (journaling off)",
-        }[mode]
-        for interval in intervals:
-            stack = _fio_stack(mode)
-            fio = FioBenchmark(stack, file_pages=32_768)
-            run = fio.run(runtime_s=runtime_s, fsync_interval=interval, threads=1)
+    for mode, label in FS_LABELS.items():
+        for interval in FSYNC_INTERVALS:
+            run = _fio_run(mode, runtime_s, interval, threads=1)
             result_rows.append([label, interval, round(run.iops, 1), run.writes])
     return ExperimentResult(
         name=f"Figure 8: FIO single-thread 8KB random-write IOPS ({runtime_s:.0f}s runs)",
@@ -414,12 +417,9 @@ def fig8_fio_single_thread(
     )
 
 
-def fig9_fio_s830(
-    intervals: tuple[int, ...] = (1, 5, 10, 15, 20),
-    runtime_s: float | None = None,
-) -> ExperimentResult:
+def fig9_fio_s830() -> ExperimentResult:
     """Figure 9: 16-thread FIO — S830 journaling modes vs X-FTL on OpenSSD."""
-    runtime_s = runtime_s or 30.0 * _scale()
+    runtime_s = 30.0 * _scale()
     configs = [
         ("S830 ordered journaling", Mode.FS_ORDERED, S830_PROFILE),
         ("OpenSSD with X-FTL", Mode.XFTL, OPENSSD_PROFILE),
@@ -427,10 +427,8 @@ def fig9_fio_s830(
     ]
     result_rows = []
     for label, mode, profile in configs:
-        for interval in intervals:
-            stack = _fio_stack(mode, profile=profile)
-            fio = FioBenchmark(stack, file_pages=32_768)
-            run = fio.run(runtime_s=runtime_s, fsync_interval=interval, threads=16)
+        for interval in FSYNC_INTERVALS:
+            run = _fio_run(mode, runtime_s, interval, threads=16, profile=profile)
             result_rows.append([label, interval, round(run.iops, 1)])
     return ExperimentResult(
         name=f"Figure 9: FIO 16-thread IOPS, X-FTL vs Samsung S830 ({runtime_s:.0f}s runs)",
@@ -467,21 +465,14 @@ def channel_scaling(
     transactions = transactions or _scaled(60)
     rows = rows or _scaled(6_000)
     result_rows = []
-    extras: dict[str, Any] = {"fio_iops": {}, "synthetic_elapsed_s": {}}
-    for mode in FS_MODES:
-        label = {
-            Mode.FS_ORDERED: "ext4 ordered journaling",
-            Mode.FS_FULL: "ext4 full journaling",
-            Mode.XFTL: "X-FTL (journaling off)",
-        }[mode]
-        base_iops = None
+    runs: dict[str, Any] = {}
+    for mode, label in FS_LABELS.items():
         for channels in channel_counts:
-            stack = _fio_stack(mode, channels=channels, queue_depth=queue_depth)
-            fio = FioBenchmark(stack, file_pages=32_768)
-            run = fio.run(runtime_s=runtime_s, fsync_interval=10, threads=1)
-            if base_iops is None:
-                base_iops = run.iops
-            extras["fio_iops"][f"{mode.value}/{channels}"] = run.iops
+            run = _fio_run(
+                mode, runtime_s, 10, threads=1, channels=channels, queue_depth=queue_depth
+            )
+            runs[f"fio/{mode.value}/{channels}"] = {"iops": run.iops}
+            base_iops = runs[f"fio/{mode.value}/{channel_counts[0]}"]["iops"]
             result_rows.append(
                 [
                     "FIO randwrite",
@@ -492,33 +483,22 @@ def channel_scaling(
                 ]
             )
     for channels in channel_counts:
-        elapsed: dict[str, float] = {}
-        for mode in SQLITE_MODES:
-            stack = build_stack(
-                StackConfig(
-                    mode=mode,
-                    num_blocks=512,
-                    pages_per_block=128,
-                    channels=channels,
-                    queue_depth=queue_depth,
-                    ftl=FtlConfig(gc_policy="fifo"),
-                )
+        for mode in SQLITE_MODES:  # RBJ first: the X-FTL row compares with it
+            _stack, workload = _loaded_synthetic(
+                mode, rows, channels=channels, queue_depth=queue_depth
             )
-            db = stack.open_database("test.db")
-            workload = SyntheticWorkload(db, rows=rows)
-            workload.load()
             run = workload.run(transactions=transactions, updates_per_txn=5)
-            elapsed[mode.value] = run.elapsed_s
-            extras["synthetic_elapsed_s"][f"{mode.value}/{channels}"] = run.elapsed_s
-        ratio = elapsed[Mode.RBJ.value] / max(elapsed[Mode.XFTL.value], 1e-9)
-        for mode in SQLITE_MODES:
+            runs[f"synthetic/{mode.value}/{channels}"] = {"elapsed_s": run.elapsed_s}
+            rbj_s = runs[f"synthetic/RBJ/{channels}"]["elapsed_s"]
             result_rows.append(
                 [
                     "synthetic 5 pages/txn",
                     mode.value,
                     channels,
-                    round(elapsed[mode.value], 2),
-                    f"{ratio:.1f}x RBJ/X-FTL" if mode is Mode.XFTL else "",
+                    round(run.elapsed_s, 2),
+                    f"{rbj_s / max(run.elapsed_s, 1e-9):.1f}x RBJ/X-FTL"
+                    if mode is Mode.XFTL
+                    else "",
                 ]
             )
     return ExperimentResult(
@@ -532,18 +512,14 @@ def channel_scaling(
             "Expected shape: FIO IOPS grow monotonically with channels "
             "(>=2x at 8); X-FTL stays fastest at every channel count."
         ),
-        extras=extras,
+        runs=runs,
     )
 
 
 # ---------------------------------------------------- concurrent sessions
 
 
-def concurrency_scaling(
-    session_counts: tuple[int, ...] = (1, 2, 4),
-    transactions_per_terminal: int | None = None,
-    mix: str = "write-intensive",
-) -> ExperimentResult:
+def concurrency_scaling() -> ExperimentResult:
     """Concurrent sessions: commits/sec and X-L2P flushes per commit vs N.
 
     Not a paper figure — it measures what the Session/TxnManager layer
@@ -556,11 +532,12 @@ def concurrency_scaling(
     A paired X-FTL run with group commit disabled checks that grouping
     changes only the commit protocol: the data page programs
     (``host_page_writes``) must be identical, since the terminals execute
-    the same statement stream either way.
+    the same statement stream either way; a mismatch raises.
     """
     from repro.workloads.tpcc import MultiTerminalTpccDriver
 
-    transactions_per_terminal = transactions_per_terminal or _scaled(25)
+    transactions_per_terminal = _scaled(25)
+    mix = "write-intensive"
     config = TpccConfig(
         warehouses=1, districts_per_warehouse=2, customers_per_district=10,
         items=50, initial_orders_per_district=5,
@@ -578,42 +555,40 @@ def concurrency_scaling(
         return result, stats
 
     result_rows = []
-    extras: dict[str, Any] = {"commits_per_s": {}, "flushes_per_commit": {}}
+    runs: dict[str, Any] = {}
     identity_notes = []
     for mode in SQLITE_MODES:
-        for sessions in session_counts:
+        for sessions in (1, 2, 4):
             run, stats = _run(mode, sessions, group_commit=True)
             commits = sum(run.per_terminal_commits)
-            commits_per_s = commits / max(run.elapsed_s, 1e-9)
+            record = runs[f"{mode.value}/{sessions}"] = {
+                "commits": commits,
+                "commits_per_s": commits / max(run.elapsed_s, 1e-9),
+            }
+            flush_cell = group_cell = "-"
             if mode is Mode.XFTL:
-                flushes_per_commit = stats.xl2p_flushes / max(commits, 1)
-                flush_cell = f"{flushes_per_commit:.2f}"
+                record["flushes_per_commit"] = stats.xl2p_flushes / max(commits, 1)
+                flush_cell = f"{record['flushes_per_commit']:.2f}"
                 group_cell = f"{run.mean_group_size:.1f}"
-                extras["flushes_per_commit"][sessions] = flushes_per_commit
                 # Paired ungrouped run: same statements, no commit batching.
-                solo, solo_stats = _run(mode, sessions, group_commit=False)
-                if solo_stats.host_page_writes == stats.host_page_writes:
-                    identity_notes.append(
-                        f"{sessions} sessions: grouped and serial commits "
-                        f"programmed identical data pages "
-                        f"({stats.host_page_writes})."
+                _solo, solo_stats = _run(mode, sessions, group_commit=False)
+                if solo_stats.host_page_writes != stats.host_page_writes:
+                    raise RuntimeError(
+                        f"{sessions} sessions: grouped commits programmed "
+                        f"{stats.host_page_writes} data pages, serial commits "
+                        f"{solo_stats.host_page_writes}"
                     )
-                else:
-                    identity_notes.append(
-                        f"{sessions} sessions: DATA PROGRAM MISMATCH "
-                        f"grouped={stats.host_page_writes} "
-                        f"serial={solo_stats.host_page_writes}!"
-                    )
-            else:
-                flush_cell = "-"
-                group_cell = "-"
-            extras["commits_per_s"][f"{mode.value}/{sessions}"] = commits_per_s
+                identity_notes.append(
+                    f"{sessions} sessions: grouped and serial commits "
+                    f"programmed identical data pages "
+                    f"({stats.host_page_writes})."
+                )
             result_rows.append(
                 [
                     mode.value,
                     sessions,
                     commits,
-                    round(commits_per_s, 1),
+                    round(record["commits_per_s"], 1),
                     flush_cell,
                     group_cell,
                 ]
@@ -634,7 +609,7 @@ def concurrency_scaling(
             "at one journal protocol per transaction.\n"
             + "\n".join(identity_notes)
         ),
-        extras=extras,
+        runs=runs,
     )
 
 
@@ -648,33 +623,23 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def gc_comparison(
-    utilization: float = 0.92,
-    writes: int | None = None,
-    num_blocks: int = 96,
-    pages_per_block: int = 32,
-    channels: int = 4,
-) -> ExperimentResult:
+def gc_comparison(writes: int | None = None) -> ExperimentResult:
     """Inline vs background GC: foreground write latency at high utilization.
 
     Not a paper figure — it isolates what ``FtlConfig.gc_mode="background"``
     buys.  Both FTLs run the identical skewed overwrite stream (80% of
-    writes to 20% of the space) on a device filled to ``utilization`` of
-    its exported capacity, where every few foreground writes force a
-    reclamation.  The inline collector performs whole stop-the-world block
-    collections under unlucky host writes; the background collector paces
-    copybacks into channel idle windows, so its foreground tail (p99/max)
-    must come in far below inline's.  The background row also exercises
-    hot/cold stream separation and wear leveling; erase-count spread is
-    reported before and after the steady-state phase.
+    writes to 20% of the space) on a device filled to 92% of its exported
+    capacity, where every few foreground writes force a reclamation.  The
+    inline collector performs whole stop-the-world block collections under
+    unlucky host writes; the background collector paces copybacks into
+    channel idle windows, so its foreground tail (p99/max) must come in far
+    below inline's.  The background row also exercises hot/cold stream
+    separation and wear leveling; erase-count spread is reported before
+    and after the steady-state phase.
     """
     writes = writes or _scaled(4_000)
-    geometry = FlashGeometry(
-        page_size=512,
-        pages_per_block=pages_per_block,
-        num_blocks=num_blocks,
-        channels=channels,
-    )
+    utilization = 0.92
+    channels = 4
 
     def _background_config(wear_threshold: int) -> FtlConfig:
         return FtlConfig(
@@ -688,26 +653,17 @@ def gc_comparison(
         )
 
     def _run(ftl_config: FtlConfig, fill_fraction: float) -> dict[str, Any]:
-        chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
-        ftl = PageMappingFTL(chip, ftl_config)
-        fill = int(ftl.exported_pages * fill_fraction)
+        ftl, fill = _filled_ftl(
+            ftl_config, fill_fraction, num_blocks=96, pages_per_block=32, channels=channels
+        )
+        chip = ftl.chip
         hot_span = max(1, fill // 5)
-        for lpn in range(fill):
-            ftl.write(lpn, ("fill", lpn))
-        ftl.barrier()
-        chip.drain()
-        spread_before = max(chip.state.erase_counts) - min(chip.state.erase_counts)
+        spread_before = chip.state.wear_spread()
         stats0 = ftl.stats.snapshot()
-        # Identical write stream for every row at a given fill fraction —
-        # the stream is re-derived per run from the same label path, so
-        # rows differ only in the collector.
         rng = make_rng(0x5EED6C, "bench.gc_comparison", "steady-stream")
         latencies: list[float] = []
         for seq in range(writes):
-            if rng.random() < 0.8:
-                lpn = rng.randrange(hot_span)
-            else:
-                lpn = rng.randrange(fill)
+            lpn = _skewed_lpn(rng, hot_span, fill)
             start_us = chip.clock.now_us
             ftl.write(lpn, ("steady", seq))
             latencies.append(chip.clock.now_us - start_us)
@@ -715,6 +671,7 @@ def gc_comparison(
         stats = ftl.stats.delta(stats0)
         latencies.sort()
         return {
+            "fill": fill_fraction,
             "p50_us": _percentile(latencies, 0.50),
             "p99_us": _percentile(latencies, 0.99),
             "max_us": latencies[-1] if latencies else 0.0,
@@ -722,48 +679,33 @@ def gc_comparison(
             "gc_urgent": stats.gc_urgent_collections,
             "wear_migrations": stats.gc_wear_migrations,
             "spread_before": spread_before,
-            "spread_after": max(chip.state.erase_counts) - min(chip.state.erase_counts),
+            "spread_after": chip.state.wear_spread(),
         }
 
     # Wear leveling needs headroom to take on fully-valid victims, so it is
     # demonstrated at moderate fill; the latency comparison runs at the
-    # requested (high) utilization where GC pressure is constant.
+    # high utilization where GC pressure is constant.
     wear_fill = min(utilization, 0.72)
-    runs = [
-        ("inline", FtlConfig(gc_mode="inline", gc_policy="greedy"), utilization),
-        ("background", _background_config(8), utilization),
-        ("background, wear off", _background_config(0), wear_fill),
-        ("background, wear on", _background_config(4), wear_fill),
-    ]
-    result_rows = []
-    extras: dict[str, Any] = {
-        "p50_us": {},
-        "p99_us": {},
-        "max_us": {},
-        "wear_spread": {},
+    runs = {
+        "inline": _run(FtlConfig(gc_mode="inline", gc_policy="greedy"), utilization),
+        "background": _run(_background_config(8), utilization),
+        "background, wear off": _run(_background_config(0), wear_fill),
+        "background, wear on": _run(_background_config(4), wear_fill),
     }
-    for label, ftl_config, fill_fraction in runs:
-        metrics = _run(ftl_config, fill_fraction)
-        extras["p50_us"][label] = metrics["p50_us"]
-        extras["p99_us"][label] = metrics["p99_us"]
-        extras["max_us"][label] = metrics["max_us"]
-        extras["wear_spread"][label] = {
-            "before": metrics["spread_before"],
-            "after": metrics["spread_after"],
-        }
-        result_rows.append(
-            [
-                label,
-                f"{fill_fraction:.0%}",
-                round(metrics["p50_us"], 1),
-                round(metrics["p99_us"], 1),
-                round(metrics["max_us"], 1),
-                metrics["gc_invocations"],
-                metrics["gc_urgent"],
-                metrics["wear_migrations"],
-                f"{metrics['spread_before']} -> {metrics['spread_after']}",
-            ]
-        )
+    result_rows = [
+        [
+            label,
+            f"{run['fill']:.0%}",
+            round(run["p50_us"], 1),
+            round(run["p99_us"], 1),
+            round(run["max_us"], 1),
+            run["gc_invocations"],
+            run["gc_urgent"],
+            run["wear_migrations"],
+            f"{run['spread_before']} -> {run['spread_after']}",
+        ]
+        for label, run in runs.items()
+    ]
     return ExperimentResult(
         name=(
             f"GC: inline vs background foreground write latency "
@@ -786,7 +728,7 @@ def gc_comparison(
             "test in tests/test_ftl_gc.py drives a longer skewed workload "
             "where the gap is pronounced)."
         ),
-        extras=extras,
+        runs=runs,
     )
 
 
@@ -794,11 +736,9 @@ def gc_comparison(
 
 
 def mapping_locality(
-    hot_fractions: tuple[float, ...] = (0.05, 0.2, 1.0),
     operations: int | None = None,
     num_blocks: int = 128,
     pages_per_block: int = 64,
-    map_entries_per_page: int = 64,
     cmt_pages: int = 16,
 ) -> ExperimentResult:
     """Demand-paged mapping: CMT hit ratio and map-write cost vs. locality.
@@ -817,34 +757,18 @@ def mapping_locality(
     locality degrades.
     """
     operations = operations or _scaled(6_000)
-    geometry = FlashGeometry(
-        page_size=512, pages_per_block=pages_per_block, num_blocks=num_blocks
-    )
-    total_segments: int | None = None
+    map_entries_per_page = 64
 
     def _run(hot_fraction: float, pages: int) -> dict[str, Any]:
-        nonlocal total_segments
-        chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
-        ftl = PageMappingFTL(
-            chip,
-            FtlConfig(
-                map_entries_per_page=map_entries_per_page,
-                cmt_pages=pages,
-                cmt_dirty_batch=4,
-            ),
+        config = FtlConfig(
+            map_entries_per_page=map_entries_per_page, cmt_pages=pages, cmt_dirty_batch=4
         )
-        total_segments = -(-ftl.exported_pages // map_entries_per_page)
-        fill = int(ftl.exported_pages * 0.6)
+        ftl, fill = _filled_ftl(config, 0.6, num_blocks, pages_per_block)
         hot_span = max(1, int(fill * hot_fraction))
-        for lpn in range(fill):
-            ftl.write(lpn, ("fill", lpn))
-        ftl.barrier()
         stats0 = ftl.stats.snapshot()
-        # Identical operation stream for every row: re-derived from the
-        # same label path, so rows differ only in locality and cache size.
         rng = make_rng(0x5EED6C, "bench.mapping", "steady-stream")
         for seq in range(operations):
-            lpn = rng.randrange(hot_span if rng.random() < 0.8 else fill)
+            lpn = _skewed_lpn(rng, hot_span, fill)
             if rng.random() < 0.3:
                 ftl.read(lpn)
             else:
@@ -855,6 +779,7 @@ def mapping_locality(
         stats = ftl.stats.delta(stats0)
         accesses = stats.cmt_hits + stats.cmt_misses
         return {
+            "translation_pages": -(-ftl.exported_pages // map_entries_per_page),
             "hit_ratio": stats.cmt_hits / accesses if accesses else None,
             "fetch_reads": stats.cmt_fetch_reads,
             "evictions": stats.cmt_evictions,
@@ -865,30 +790,28 @@ def mapping_locality(
         }
 
     result_rows = []
-    extras: dict[str, Any] = {"hit_ratio": {}, "translation_wa": {}}
-    for hot_fraction in hot_fractions:
+    runs: dict[str, Any] = {}
+    for hot_fraction in (0.05, 0.2, 1.0):
         locality = f"{hot_fraction:.0%} hot span"
         for label, pages in (("demand-paged", cmt_pages), ("in-RAM map", 0)):
-            metrics = _run(hot_fraction, pages)
-            ratio = metrics["hit_ratio"]
-            extras["hit_ratio"][f"{label}/{hot_fraction}"] = ratio
-            extras["translation_wa"][f"{label}/{hot_fraction}"] = metrics["translation_wa"]
+            run = runs[f"{locality}/{label}"] = _run(hot_fraction, pages)
+            ratio = run["hit_ratio"]
             result_rows.append(
                 [
                     locality,
                     label,
                     f"{ratio:.1%}" if ratio is not None else "-",
-                    metrics["fetch_reads"],
-                    metrics["evictions"],
-                    metrics["writebacks"],
-                    metrics["map_page_writes"],
-                    f"{metrics['translation_wa']:.3f}",
+                    run["fetch_reads"],
+                    run["evictions"],
+                    run["writebacks"],
+                    run["map_page_writes"],
+                    f"{run['translation_wa']:.3f}",
                 ]
             )
     return ExperimentResult(
         name=(
             f"Mapping: CMT hit ratio vs. locality ({operations:,} ops, "
-            f"{cmt_pages} cached of ~{total_segments} translation pages)"
+            f"{cmt_pages} cached of ~{run['translation_pages']} translation pages)"
         ),
         headers=[
             "locality", "mapping", "CMT hit ratio", "fetch reads",
@@ -901,7 +824,7 @@ def mapping_locality(
             "for the demand-paged map exceeds the in-RAM map's "
             "barrier-only flushes and grows as locality degrades."
         ),
-        extras=extras,
+        runs=runs,
     )
 
 
@@ -919,8 +842,6 @@ def throughput(
     num_blocks: int = 1024,
     pages_per_block: int = 64,
     channels: int = 8,
-    fill_fraction: float = 0.85,
-    barrier_interval: int = 8,
     json_path: str | None = None,
 ) -> ExperimentResult:
     """Hot-path throughput: wall-clock host writes/sec on an aged device.
@@ -931,15 +852,11 @@ def throughput(
     ``json_path``, else ``$REPRO_BENCH_JSON``, else a git-ignored scratch
     file; only an explicit path overwrites the committed baseline.  The
     workload is the write/GC hot path at its most demanding, shaped like
-    the paper's SQLite use case: the device is aged to ``fill_fraction`` of
-    its exported space,
-    then a skewed 80/20 overwrite stream runs with a barrier (the FTL-level
-    fsync) every ``barrier_interval`` writes — the commit cadence of small
+    the paper's SQLite use case: the device is aged to 85% of its exported
+    space, then a skewed 80/20 overwrite stream runs with a barrier (the
+    FTL-level fsync) every 8 writes — the commit cadence of small
     transactions — on ``channels`` channels with background cost-benefit GC
-    and wear leveling on.  Every layer of the redesigned state API is on
-    this path: ``BlockStateView`` arrays and the flat owner table under
-    FTL/GC bookkeeping, batched stats counters, cached channel timelines, and translation flushes
-    that persist one slice of the flat L2P list per dirty segment.
+    and wear leveling on.
 
     Wall seconds are machine-dependent; the simulated counters are not.
     The JSON therefore records both: ``wall.ops_per_sec`` for the smoke
@@ -951,41 +868,27 @@ def throughput(
     regenerations.
     """
     writes = writes or _scaled(20_000)
-    geometry = FlashGeometry(
-        page_size=512,
-        pages_per_block=pages_per_block,
-        num_blocks=num_blocks,
-        channels=channels,
+    fill_fraction = 0.85
+    barrier_interval = 8
+    config = FtlConfig(
+        gc_mode="background",
+        gc_policy="cost-benefit",
+        gc_background_watermark=4,
+        gc_copyback_pages_per_step=4,
+        gc_hot_write_threshold=4,
+        gc_wear_spread_threshold=16,
+        gc_wear_check_interval=32,
     )
-    chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
-    ftl = PageMappingFTL(
-        chip,
-        FtlConfig(
-            gc_mode="background",
-            gc_policy="cost-benefit",
-            gc_background_watermark=4,
-            gc_copyback_pages_per_step=4,
-            gc_hot_write_threshold=4,
-            gc_wear_spread_threshold=16,
-            gc_wear_check_interval=32,
-        ),
-    )
-    fill = int(ftl.exported_pages * fill_fraction)
-    hot_span = max(1, fill // 5)
     fill_t0 = time.perf_counter()
-    for lpn in range(fill):
-        ftl.write(lpn, ("fill", lpn))
-    ftl.barrier()
-    chip.drain()
+    ftl, fill = _filled_ftl(config, fill_fraction, num_blocks, pages_per_block, channels)
     fill_s = time.perf_counter() - fill_t0
+    chip = ftl.chip
+    hot_span = max(1, fill // 5)
     stats0 = ftl.stats.snapshot()
-    # The steady stream is re-derived from a fixed label path, so the sim
-    # counters below are bit-identical on every machine and every run.
     rng = make_rng(0x5EED6C, "bench.throughput", "steady")
     steady_t0 = time.perf_counter()
     for seq in range(writes):
-        lpn = rng.randrange(hot_span) if rng.random() < 0.8 else rng.randrange(fill)
-        ftl.write(lpn, ("steady", seq))
+        ftl.write(_skewed_lpn(rng, hot_span, fill), ("steady", seq))
         if (seq + 1) % barrier_interval == 0:
             ftl.barrier()
     chip.drain()
@@ -1070,7 +973,7 @@ def throughput(
             "counters are deterministic and must match run-to-run exactly."
             + baseline_note
         ),
-        extras={"report": report},
+        runs={"throughput": report},
     )
 
 
@@ -1080,9 +983,6 @@ def throughput(
 def mvcc_retention(
     retain_values: tuple[int, ...] = (1, 2, 4, 8),
     transactions: int | None = None,
-    num_blocks: int = 96,
-    pages_per_block: int = 32,
-    channels: int = 2,
     probe_ages: tuple[int, ...] = (2, 8, 32, 128),
 ) -> ExperimentResult:
     """Multi-version X-L2P: reader staleness vs. the GC cost of retention.
@@ -1109,47 +1009,34 @@ def mvcc_retention(
     layer covers grouped commits.
     """
     transactions = transactions or _scaled(600)
-    geometry = FlashGeometry(
-        page_size=512,
-        pages_per_block=pages_per_block,
-        num_blocks=num_blocks,
-        channels=channels,
-    )
 
     def _run(retain: int) -> dict[str, Any]:
-        chip = FlashChip(geometry, profile=OPENSSD_PROFILE)
-        ftl = XFTL(
-            chip,
-            FtlConfig(
-                gc_mode="background",
-                gc_policy="cost-benefit",
-                gc_background_watermark=4,
-                gc_copyback_pages_per_step=2,
-                gc_hot_write_threshold=4,
-                retain_versions=retain,
-            ),
+        config = FtlConfig(
+            gc_mode="background",
+            gc_policy="cost-benefit",
+            gc_background_watermark=4,
+            gc_copyback_pages_per_step=2,
+            gc_hot_write_threshold=4,
+            retain_versions=retain,
         )
         # High fill keeps GC active (so retention's copyback cost shows);
         # the narrow hot span concentrates overwrites so probed snapshots
         # age past the chain bound within the probe window.  Retained
         # chains are live pages, so the deepest sweep must still fit.
-        fill = int(ftl.exported_pages * 0.7)
+        ftl, fill = _filled_ftl(
+            config, 0.7, num_blocks=96, pages_per_block=32, channels=2, ftl_class=XFTL
+        )
         hot_span = 48
-        for lpn in range(fill):
-            ftl.write(lpn, ("fill", lpn))
-        ftl.barrier()
-        chip.drain()
         stats0 = ftl.stats.snapshot()
         # History oracle: per-lpn (commit_seq, value), appended at commit.
         history: dict[int, list[tuple[int, Any]]] = {}
         fresh: dict[int, int] = {age: 0 for age in probe_ages}
         stale: dict[int, int] = {age: 0 for age in probe_ages}
-        # Identical stream per row: re-derived from a fixed label path.
         rng = make_rng(0x5EED6C, "bench.mvcc", "steady-stream")
         for tid in range(1, transactions + 1):
             written: dict[int, Any] = {}
             for _ in range(rng.randrange(1, 3)):
-                lpn = rng.randrange(hot_span if rng.random() < 0.8 else fill)
+                lpn = _skewed_lpn(rng, hot_span, fill)
                 value = ("txn", tid, lpn)
                 ftl.write_tx(tid, lpn, value)
                 written[lpn] = value  # last write per lpn wins at commit
@@ -1175,22 +1062,22 @@ def mvcc_retention(
                     if not candidates:
                         continue
                     lpn = candidates[rng.randrange(len(candidates))]
-                    expected = None
-                    for s, val in history[lpn]:
-                        if s <= snap:
-                            expected = val
-                        else:
-                            break
-                    got = ftl.read_as_of(lpn, snap)
-                    if got == expected:
+                    # history is in commit order: the last entry at or
+                    # before the snapshot is what it saw.
+                    expected = [val for s, val in history[lpn] if s <= snap][-1]
+                    if ftl.read_as_of(lpn, snap) == expected:
                         fresh[age] += 1
                     else:
                         stale[age] += 1
-        chip.drain()
+        ftl.chip.drain()
         stats = ftl.stats.delta(stats0)
         return {
-            "fresh": fresh,
-            "stale": stale,
+            "fresh_ratio": {
+                age: fresh[age] / (fresh[age] + stale[age])
+                if fresh[age] + stale[age]
+                else None
+                for age in probe_ages
+            },
             "write_amp": stats.page_programs / max(stats.host_page_writes, 1),
             "copyback_writes": stats.gc_copyback_writes,
             "gc_invocations": stats.gc_invocations,
@@ -1199,25 +1086,21 @@ def mvcc_retention(
         }
 
     result_rows = []
-    extras: dict[str, Any] = {"fresh_ratio": {}, "write_amp": {}}
+    runs: dict[str, Any] = {}
     for retain in retain_values:
-        metrics = _run(retain)
-        cells = []
-        for age in probe_ages:
-            total = metrics["fresh"][age] + metrics["stale"][age]
-            ratio = metrics["fresh"][age] / total if total else None
-            extras["fresh_ratio"][f"{retain}/{age}"] = ratio
-            cells.append(f"{ratio:.0%}" if ratio is not None else "-")
-        extras["write_amp"][retain] = metrics["write_amp"]
+        run = runs[str(retain)] = _run(retain)
         result_rows.append(
             [retain]
-            + cells
             + [
-                f"{metrics['write_amp']:.2f}",
-                metrics["copyback_writes"],
-                metrics["gc_invocations"],
-                metrics["block_erases"],
-                metrics["retained_pages"],
+                f"{ratio:.0%}" if ratio is not None else "-"
+                for ratio in run["fresh_ratio"].values()
+            ]
+            + [
+                f"{run['write_amp']:.2f}",
+                run["copyback_writes"],
+                run["gc_invocations"],
+                run["block_erases"],
+                run["retained_pages"],
             ]
         )
     return ExperimentResult(
@@ -1240,7 +1123,7 @@ def mvcc_retention(
             "since the snapshot.  The price is GC: retained versions are "
             "live pages, so copyback traffic grows with depth."
         ),
-        extras=extras,
+        runs=runs,
     )
 
 
@@ -1253,12 +1136,9 @@ def table5_recovery(
     """Table 5: SQLite restart time after a mid-workload power failure."""
     transactions = transactions or _scaled(60)
     rows = rows or _scaled(6_000)
-    from repro.errors import PowerFailure
-    from repro.fs.ext4 import Ext4
-
     result_rows = []
     for mode in SQLITE_MODES:
-        stack, workload = _loaded_synthetic(mode, rows, validity=None)
+        stack, workload = _loaded_synthetic(mode, rows)
         # For WAL, accumulate committed frames first (the paper's WAL file
         # is sized to its 1000-frame checkpoint threshold at crash time).
         workload.run(transactions=transactions, updates_per_txn=5)
@@ -1293,18 +1173,12 @@ def table5_recovery(
 # ------------------------------------------------------------- multi-tenancy
 
 
-def tenant_fairness(
-    tenants: int = 4,
-    transactions: int | None = None,
-    hot_sessions: int = 4,
-    hot_updates_per_txn: int = 8,
-    rows: int = 64,
-) -> ExperimentResult:
+def tenant_fairness(tenants: int = 4, transactions: int | None = None) -> ExperimentResult:
     """Noisy neighbour: one hot tenant vs N-1 cold tenants, RR vs deficit.
 
     Not a paper figure — it measures what the tenant-aware scheduler buys
     on the paper's §6.3 shape (many small SQLite clients on one X-FTL
-    device).  One *hot* tenant runs ``hot_sessions`` sessions of large
+    device).  One *hot* tenant runs four sessions of eight-update
     inline-commit transactions; the remaining *cold* tenants run one
     session of single-update transactions each.  Under plain round-robin
     every session gets a turn per round, so the hot tenant's extra
@@ -1323,6 +1197,9 @@ def tenant_fairness(
         raise ValueError("tenant_fairness needs at least 2 tenants")
     transactions = transactions or _scaled(12)
     cold_transactions = transactions * 2  # enough samples for a pooled p99
+    hot_sessions = 4
+    hot_updates_per_txn = 8
+    rows = 64
 
     def _txn_task(db, rng, count, updates, latencies, clock):
         for _ in range(count):
@@ -1346,15 +1223,12 @@ def tenant_fairness(
         db.execute("COMMIT")
 
     def _run(policy: str) -> dict[str, Any]:
-        stack = build_stack(
-            StackConfig(
-                mode=Mode.XFTL,
-                num_blocks=256,
-                pages_per_block=64,
-                channels=max(2, _channels()),
-                queue_depth=max(4, _queue_depth()),
-                ftl=FtlConfig(gc_policy="fifo"),
-            )
+        stack = _sqlite_stack(
+            Mode.XFTL,
+            num_blocks=256,
+            pages_per_block=64,
+            channels=max(2, _channels()),
+            queue_depth=max(4, _queue_depth()),
         )
         scheduler = TenantScheduler(stack, fairness=policy, group_commit=False)
         clock = stack.clock
@@ -1407,30 +1281,23 @@ def tenant_fairness(
             "cold_commits": len(cold_pool),
             "elapsed_s": clock.now_s,
             "registry": stack.chip.tenants.as_dict(),
-            "share_stalls": (
-                stack.device.queue.share_stalls
-                if stack.device.queue is not None
-                else 0
-            ),
+            "share_stalls": stack.device.queue.share_stalls,
         }
 
-    result_rows = []
-    extras: dict[str, Any] = {"policies": {}}
-    for policy in ("round-robin", "deficit"):
-        run = _run(policy)
-        extras["policies"][policy] = run
-        for lane in ("hot", "cold"):
-            result_rows.append(
-                [
-                    policy,
-                    lane,
-                    run[f"{lane}_commits"],
-                    round(run[f"{lane}_p50_us"], 1),
-                    round(run[f"{lane}_p99_us"], 1),
-                ]
-            )
-    rr = extras["policies"]["round-robin"]
-    drr = extras["policies"]["deficit"]
+    runs = {policy: _run(policy) for policy in ("round-robin", "deficit")}
+    result_rows = [
+        [
+            policy,
+            lane,
+            run[f"{lane}_commits"],
+            round(run[f"{lane}_p50_us"], 1),
+            round(run[f"{lane}_p99_us"], 1),
+        ]
+        for policy, run in runs.items()
+        for lane in ("hot", "cold")
+    ]
+    rr = runs["round-robin"]
+    drr = runs["deficit"]
     ratio = rr["cold_p99_us"] / max(drr["cold_p99_us"], 1e-9)
     return ExperimentResult(
         name=(
@@ -1445,7 +1312,7 @@ def tenant_fairness(
             f"it.  Cold p99 round-robin/deficit = {ratio:.1f}x "
             f"(NCQ share stalls under deficit: {drr['share_stalls']})."
         ),
-        extras=extras,
+        runs=runs,
     )
 
 
@@ -1453,21 +1320,19 @@ def tenant_fairness(
 
 
 def barrier_comparison(
-    channels: int | None = None,
-    queue_depth: int | None = None,
     transactions: int | None = None,
     rows: int | None = None,
 ) -> ExperimentResult:
     """Rival design: drain-and-wait vs barrier-enabled durability points.
 
     Not a paper figure — it runs the "Barrier Enabled IO Stack" rival
-    (ROADMAP open item 3) head to head against the drain-based stack.
-    Every SQLite journaling mode executes the identical commit-heavy
-    synthetic workload twice on a parallel device (channels>=4 behind an
-    NCQ queue): once on a drain device, where each ordering point on the
-    commit path (``fbarrier``, the journal's ordered commit page) costs
-    flushes, and once on a barrier-enabled device, where the same calls
-    cost order-only epoch closes and BARRIER_WRITE commands.
+    head to head against the drain-based stack.  Every SQLite journaling
+    mode executes the identical commit-heavy synthetic workload twice on a
+    parallel device (channels>=4 behind an NCQ queue): once on a drain
+    device, where each ordering point on the commit path (``fbarrier``,
+    the journal's ordered commit page) costs flushes, and once on a
+    barrier-enabled device, where the same calls cost order-only epoch
+    closes and BARRIER_WRITE commands.
 
     The drain runs count the commit-path stalls they actually waited out
     (``barrier_stalls``/``barrier_stall_us``: queue still busy when the
@@ -1478,32 +1343,19 @@ def barrier_comparison(
     barrier runs convert all of those into order-only epoch closes
     (zero drain stalls) and finish no slower.
     """
-    channels = channels or max(4, _channels())
-    queue_depth = queue_depth or max(4, _queue_depth())
+    channels = max(4, _channels())
+    queue_depth = max(4, _queue_depth())
     transactions = transactions or _scaled(50)
     rows = rows or _scaled(2_000)
 
     def _run(mode: Mode, barrier_mode: bool) -> dict[str, Any]:
-        stack = build_stack(
-            StackConfig(
-                mode=mode,
-                num_blocks=512,
-                pages_per_block=128,
-                channels=channels,
-                queue_depth=queue_depth,
-                ftl=FtlConfig(gc_policy="fifo"),
-                barrier_mode=barrier_mode,
-            )
+        stack, workload = _loaded_synthetic(
+            mode, rows, channels=channels, queue_depth=queue_depth, barrier_mode=barrier_mode
         )
-        db = stack.open_database("test.db")
-        workload = SyntheticWorkload(db, rows=rows)
-        workload.load()
         run = workload.run(transactions=transactions, updates_per_txn=2)
         device = stack.device
-        queue = device.queue
         return {
             "elapsed_s": run.elapsed_s,
-            "commits": transactions,
             "flushes": device.counters.flushes,
             "barriers": device.counters.barriers,
             "barrier_writes": device.counters.barrier_writes,
@@ -1511,21 +1363,16 @@ def barrier_comparison(
             "drain_stall_us": device.barrier_stall_us,
             "stalls_avoided": device.stalls_avoided,
             "stall_avoided_us": device.stall_avoided_us,
-            "epochs_closed": queue.epochs_closed if queue is not None else 0,
+            "epochs_closed": device.queue.epochs_closed,
         }
 
     result_rows = []
-    extras: dict[str, Any] = {
-        "channels": channels,
-        "queue_depth": queue_depth,
-        "runs": {},
-    }
+    runs: dict[str, Any] = {}
     stall_notes = []
     for mode in SQLITE_MODES:
-        runs = {}
-        for durability, barrier_mode in _BARRIER_MODES.items():
-            run = runs[durability] = _run(mode, barrier_mode)
-            extras["runs"][f"{mode.value}/{durability}"] = run
+        drain = runs[f"{mode.value}/drain"] = _run(mode, barrier_mode=False)
+        barrier = runs[f"{mode.value}/barrier"] = _run(mode, barrier_mode=True)
+        for durability, run in (("drain", drain), ("barrier", barrier)):
             result_rows.append(
                 [
                     mode.value,
@@ -1538,7 +1385,6 @@ def barrier_comparison(
                     run["epochs_closed"],
                 ]
             )
-        drain, barrier = runs["drain"], runs["barrier"]
         stall_notes.append(
             f"{mode.value}: drain stalled {drain['drain_stalls']}x "
             f"({drain['drain_stall_us'] / 1e3:.1f} ms); barrier stalled "
@@ -1561,7 +1407,7 @@ def barrier_comparison(
             "stall into an order-only epoch close (zero drain stalls) "
             "and commits no slower.\n" + "\n".join(stall_notes)
         ),
-        extras=extras,
+        runs=runs,
     )
 
 

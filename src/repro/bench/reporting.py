@@ -25,6 +25,8 @@ def format_table(
 
 
 def _fmt(value: Any) -> str:
+    if isinstance(value, bool):  # a bool is an int: print True, not 1
+        return str(value)
     if isinstance(value, float):
         if value == 0:
             return "0"

@@ -113,7 +113,8 @@ class TestReporting:
         assert len(lines) == 5
 
     def test_number_formatting(self):
-        text = format_table(["n"], [[1234567], [3.14159], [12.5], [0.0]])
+        text = format_table(["n"], [[1234567], [3.14159], [12.5], [0.0], [True]])
         assert "1,234,567" in text
         assert "3.142" in text
         assert "12.5" in text
+        assert "True" in text  # a bool, not the int 1

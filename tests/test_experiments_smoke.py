@@ -83,16 +83,18 @@ class TestExperimentFunctions:
         )
         # 3 FIO modes x 2 counts + 3 SQLite modes x 2 counts.
         assert len(result.rows) == 12
-        iops = result.extras["fio_iops"]
-        assert iops["ordered-journal/4"] > iops["ordered-journal/1"]
-        elapsed = result.extras["synthetic_elapsed_s"]
+        runs = result.runs
+        assert runs["fio/ordered-journal/4"]["iops"] > runs["fio/ordered-journal/1"]["iops"]
         for channels in (1, 4):
-            assert elapsed[f"X-FTL/{channels}"] < elapsed[f"RBJ/{channels}"]
+            assert (
+                runs[f"synthetic/X-FTL/{channels}"]["elapsed_s"]
+                < runs[f"synthetic/RBJ/{channels}"]["elapsed_s"]
+            )
 
     def test_barrier_structure(self):
         result = experiments.barrier_comparison(transactions=8, rows=200)
         assert len(result.rows) == 6  # 3 SQLite modes x (drain, barrier)
-        runs = result.extras["runs"]
+        runs = result.runs
         for mode in ("RBJ", "WAL", "X-FTL"):
             drain = runs[f"{mode}/drain"]
             barrier = runs[f"{mode}/barrier"]
@@ -107,13 +109,12 @@ class TestExperimentFunctions:
     def test_gc_comparison_structure(self):
         result = experiments.gc_comparison(writes=600)
         assert len(result.rows) == 4
-        p99 = result.extras["p99_us"]
+        runs = result.runs
         # The tentpole claim: background GC takes the stop-the-world pauses
         # off the foreground write path at high utilization.
-        assert p99["background"] < p99["inline"]
-        spread = result.extras["wear_spread"]
-        assert spread["background, wear on"]["after"] <= (
-            spread["background, wear off"]["after"]
+        assert runs["background"]["p99_us"] < runs["inline"]["p99_us"]
+        assert runs["background, wear on"]["spread_after"] <= (
+            runs["background, wear off"]["spread_after"]
         )
 
     def test_mapping_structure(self):
@@ -121,26 +122,33 @@ class TestExperimentFunctions:
             operations=800, num_blocks=48, pages_per_block=32, cmt_pages=4
         )
         assert len(result.rows) == 6  # 3 localities x (demand-paged, in-RAM)
-        ratios = result.extras["hit_ratio"]
+        runs = result.runs
+        spans = ("5% hot span", "20% hot span", "100% hot span")
         # Locality is the whole game: the tight hot span must beat uniform.
-        assert ratios["demand-paged/0.05"] > ratios["demand-paged/1.0"]
+        assert (
+            runs["5% hot span/demand-paged"]["hit_ratio"]
+            > runs["100% hot span/demand-paged"]["hit_ratio"]
+        )
         # The in-RAM rows never touch the cache.
-        assert all(ratios[f"in-RAM map/{f}"] is None for f in (0.05, 0.2, 1.0))
-        wa = result.extras["translation_wa"]
-        for fraction in (0.05, 0.2, 1.0):
-            assert wa[f"demand-paged/{fraction}"] > wa[f"in-RAM map/{fraction}"]
+        assert all(runs[f"{span}/in-RAM map"]["hit_ratio"] is None for span in spans)
+        for span in spans:
+            assert (
+                runs[f"{span}/demand-paged"]["translation_wa"]
+                > runs[f"{span}/in-RAM map"]["translation_wa"]
+            )
 
     def test_mvcc_structure(self):
         result = experiments.mvcc_retention(
             retain_values=(1, 3), transactions=200, probe_ages=(2, 16)
         )
         assert len(result.rows) == 2  # one per retention depth
-        ratios = result.extras["fresh_ratio"]
+        shallow = result.runs["1"]["fresh_ratio"]
+        deep = result.runs["3"]["fresh_ratio"]
         # retain=1 has no commit epochs: probes never run.
-        assert ratios["1/2"] is None and ratios["1/16"] is None
+        assert shallow[2] is None and shallow[16] is None
         # With retention, young snapshots must be at least as fresh as old.
-        assert ratios["3/2"] >= ratios["3/16"]
-        assert ratios["3/2"] > 0.5
+        assert deep[2] >= deep[16]
+        assert deep[2] > 0.5
         # Retained versions are live pages the deeper run must report.
         assert result.rows[1][-1] > 0
 
@@ -157,7 +165,7 @@ class TestExperimentFunctions:
         assert report["workload"]["writes"] == 300
         assert report["wall"]["ops_per_sec"] > 0
         assert report["sim"]["host_page_writes"] == 300
-        assert result.extras["report"]["wall"] == report["wall"]
+        assert result.runs["throughput"]["wall"] == report["wall"]
         # Identical runs must agree on every deterministic sim counter, and
         # the regression checker must accept them...
         from repro.bench.regression import compare

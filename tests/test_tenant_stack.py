@@ -303,9 +303,8 @@ class TestFairness:
         from repro.bench.experiments import tenant_fairness
 
         result = tenant_fairness(tenants=3, transactions=5)
-        policies = result.extras["policies"]
-        rr = policies["round-robin"]
-        drr = policies["deficit"]
+        rr = result.runs["round-robin"]
+        drr = result.runs["deficit"]
         # Identical statement streams either way...
         assert rr["hot_commits"] == drr["hot_commits"]
         assert rr["cold_commits"] == drr["cold_commits"]

@@ -29,6 +29,12 @@ class TestSyntheticWorkload:
         workload.load()
         assert db.execute("SELECT COUNT(*) FROM partsupply") == [(500,)]
 
+    def test_load_above_one_xl2p_of_rows_commits_in_parts(self):
+        """In one transaction, ~17,200 rows fill X-FTL's 1,000-entry X-L2P."""
+        db = make_stack().open_database("s.db")
+        SyntheticWorkload(db, rows=17_400).load()
+        assert db.execute("SELECT COUNT(*) FROM partsupply") == [(17_400,)]
+
     def test_tuples_are_about_220_bytes(self):
         from repro.sqlite.records import encode_record
 
