@@ -9,7 +9,14 @@ Enforces the physical rules that make copy-on-write FTLs necessary:
 
 Every page carries a small out-of-band (OOB) area, used by FTLs to store the
 logical page number and other recovery metadata, mirroring how real FTLs
-rebuild mapping state after power loss.
+rebuild mapping state after power loss.  The chip keeps that area as four
+packed columns allocated once, about 25 bytes a page: a kind byte (0: no
+record), an int64 key, an int64 sequence number and a tag (mostly ``None``).
+:meth:`FlashChip.program` takes the four fields, the run primitives take
+them as columns ``(kinds, keys, seqs, tags)``, and
+:meth:`FlashChip.read_oob` returns one page's ``(kind, key, seq, tag)``.
+A field that does not fit its column raises :class:`FlashError` before the
+page changes.
 
 The chip is the whole flash array behind one physical page space, the way
 the OpenSSD controller in the paper (and the Samsung S830 of §6.3.4) gets
@@ -45,7 +52,8 @@ ride-on-the-chip placement as the clock, crash plan and obs handle.
 
 from __future__ import annotations
 
-from typing import Any
+from array import array
+from typing import Any, Sequence
 
 from repro.errors import CorruptionError, FlashError, PowerFailure
 from repro.flash.geometry import FlashGeometry
@@ -154,7 +162,11 @@ class FlashChip:
         self.state = BlockStateView(self.geometry)
         total = self.geometry.total_pages
         self._data: list[Any] = [None] * total
-        self._oob: list[Any] = [None] * total
+        # The OOB area, one column per field (kind 0: no record).
+        self._oob_kind = bytearray(total)
+        self._oob_key = array("q", [0]) * total
+        self._oob_seq = array("q", [0]) * total
+        self._oob_tag: list[Any] = [None] * total
         # Hot-path constants (avoid geometry attribute chains per op).
         self._total_pages = total
         self._pages_per_block = self.geometry.pages_per_block
@@ -162,6 +174,7 @@ class FlashChip:
         # Reusable erase images (slice-assigned per erase, copied by the
         # slice assignment itself, so sharing them is safe).
         self._none_block: list[Any] = [None] * self._pages_per_block
+        self._zero_block = bytes(self._pages_per_block)
 
         self.scheduler = EventScheduler(self.clock)
         self._channel_timelines: list[ResourceTimeline] = [
@@ -298,13 +311,17 @@ class FlashChip:
 
     # ------------------------------------------------------------------ ops
 
-    def program(self, ppn: int, data: Any, oob: Any = None) -> None:
-        """Program one page.
+    def program(
+        self, ppn: int, data: Any, kind: int = 0, key: int = 0, seq: int = 0, tag: Any = None
+    ) -> None:
+        """Program one page, its OOB area holding ``(kind, key, seq, tag)``.
 
-        Raises :class:`FlashError` if the page is not erased or violates the
-        in-block sequential-program rule.  Charges program latency.  If the
-        crash plan fires *during* the program with ``tear_page`` set, the
-        page is left in ``TORN`` state.
+        Raises :class:`FlashError` if the page is not erased, violates the
+        in-block sequential-program rule, or an OOB field does not fit its
+        column (a kind outside 0–255, a key or sequence number that is not
+        an int64); the page is unchanged then.  Charges program latency.  If
+        the crash plan fires *during* the program with ``tear_page`` set,
+        the page is left in ``TORN`` state.
         """
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
@@ -331,8 +348,6 @@ class FlashChip:
             if fired is not None and fired.tear_page:
                 # Power fails mid-program: the page is neither erased nor valid.
                 st.page_states[ppn] = PAGE_TORN
-                self._data[ppn] = None
-                self._oob[ppn] = None
                 write_points[block] = index + 1
                 self.stats.page_programs += 1
                 self._obs_torn.inc()
@@ -340,8 +355,15 @@ class FlashChip:
             if fired is not None:
                 raise PowerFailure(f"power lost before program of ppn={ppn}")
 
+        try:
+            self._oob_kind[ppn] = kind
+            self._oob_key[ppn] = key
+            self._oob_seq[ppn] = seq
+        except (TypeError, ValueError, OverflowError) as exc:
+            self._oob_kind[ppn] = 0
+            raise FlashError(f"bad OOB for ppn={ppn}: {exc}") from None
+        self._oob_tag[ppn] = tag
         self._data[ppn] = data
-        self._oob[ppn] = oob
         st.page_states[ppn] = PAGE_PROGRAMMED
         write_points[block] = index + 1
         self.stats.page_programs += 1
@@ -367,34 +389,46 @@ class FlashChip:
         self._charge_flash(self.profile.page_read_us, ppn // self._pages_per_block)
         return self._data[ppn]
 
-    def program_run(self, dst: int, data: list[Any], oobs: list[Any]) -> None:
-        """Program a run of pages: ``program(dst + i, data[i], oobs[i])`` for each ``i``.
+    def program_run(self, dst: int, data: list[Any], oobs: Sequence[Sequence[Any]]) -> None:
+        """Program a run of pages: ``program(dst + i, data[i], kinds[i],
+        keys[i], seqs[i], tags[i])`` for each ``i``, where ``oobs`` is the
+        run's OOB area as columns ``(kinds, keys, seqs, tags)``.
 
         That loop is the definition, and what runs whenever the destination
-        is not *plain* (:meth:`_is_plain_destination`); a plain run is
+        is not *plain* (:meth:`_is_plain_destination`) or a column is not
+        slice-assignable (:func:`_oob_columns`); a plain run is
         slice-assigned and charged by :meth:`_charge_run`, as in
         :meth:`copyback_run`.
         """
         count = len(data)
-        if len(oobs) != count or not self._is_plain_destination(dst, count):
+        columns = _oob_columns(oobs, count) if self._is_plain_destination(dst, count) else None
+        if columns is None:
+            kinds, keys, seqs, tags = oobs
             for index, page in enumerate(data):
-                self.program(dst + index, page, oobs[index])
+                self.program(dst + index, page, kinds[index], keys[index], seqs[index], tags[index])
             return
-        self._program_plain(dst, data, oobs, (self.profile.page_program_us,) * count)
+        self._program_plain(dst, data, columns, (self.profile.page_program_us,) * count)
 
-    def copyback_run(self, srcs: list[int], dst: int, oobs: list[Any]) -> None:
-        """Copy a run of pages: ``program(dst + i, read(srcs[i]), oobs[i])`` for each ``i``.
+    def copyback_run(self, srcs: list[int], dst: int, oobs: Sequence[Sequence[Any]]) -> None:
+        """Copy a run of pages: ``program(dst + i, read(srcs[i]), kinds[i],
+        keys[i], seqs[i], tags[i])`` for each ``i``, where ``oobs`` is the
+        run's OOB area as columns ``(kinds, keys, seqs, tags)``.
 
         That loop is the definition, and what runs whenever the run is not
-        *plain* (:meth:`_is_plain_run`).  A plain run can raise nothing and
-        fire nothing between its pages, so its data effects are
-        slice-assigned, its counters batched, and its time charged by
-        :meth:`_charge_run` with the same arithmetic in the same order.
+        *plain* (:meth:`_is_plain_run`) or a column is not slice-assignable
+        (:func:`_oob_columns`).  A plain run can raise nothing and fire
+        nothing between its pages, so its data effects are slice-assigned,
+        its counters batched, and its time charged by :meth:`_charge_run`
+        with the same arithmetic in the same order.
         """
         count = len(srcs)
-        if len(oobs) != count or not self._is_plain_run(srcs, dst, count):
+        columns = _oob_columns(oobs, count) if self._is_plain_run(srcs, dst, count) else None
+        if columns is None:
+            kinds, keys, seqs, tags = oobs
             for index, src in enumerate(srcs):
-                self.program(dst + index, self.read(src), oobs[index])
+                self.program(
+                    dst + index, self.read(src), kinds[index], keys[index], seqs[index], tags[index]
+                )
             return
         data = self._data
         profile = self.profile
@@ -402,20 +436,24 @@ class FlashChip:
         self._program_plain(
             dst,
             [data[src] for src in srcs],
-            oobs,
+            columns,
             (profile.page_read_us, profile.page_program_us) * count,
         )
 
     def _program_plain(
-        self, dst: int, data: list[Any], oobs: list[Any], durations: tuple[float, ...]
+        self, dst: int, data: list[Any], columns: tuple, durations: tuple[float, ...]
     ) -> None:
         """A plain run's data effects in bulk, then its operations' time."""
         count = len(data)
         end = dst + count
         block = dst // self._pages_per_block
         st = self.state
+        kinds, keys, seqs, tags = columns
+        self._oob_kind[dst:end] = kinds
+        self._oob_key[dst:end] = keys
+        self._oob_seq[dst:end] = seqs
+        self._oob_tag[dst:end] = tags
         self._data[dst:end] = data
-        self._oob[dst:end] = oobs
         st.page_states[dst:end] = _PROGRAMMED_PAGE * count
         st.write_points[block] += count
         self.stats.page_programs += count
@@ -462,13 +500,18 @@ class FlashChip:
                 return False
         return True
 
-    def read_oob(self, ppn: int) -> Any:
-        """Read one page's out-of-band area (no extra latency: piggybacked)."""
+    def read_oob(self, ppn: int) -> tuple[int, int, int, Any] | None:
+        """Read one page's out-of-band area as ``(kind, key, seq, tag)`` (no
+        extra latency: piggybacked); ``None`` for a page that is not
+        programmed or holds no OOB record (kind 0)."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
         if self.state.page_states[ppn] != PAGE_PROGRAMMED:
             return None
-        return self._oob[ppn]
+        kind = self._oob_kind[ppn]
+        if not kind:
+            return None
+        return kind, self._oob_key[ppn], self._oob_seq[ppn], self._oob_tag[ppn]
 
     def erase(self, block: int) -> None:
         """Erase one block, resetting all its pages and its write point."""
@@ -480,7 +523,8 @@ class FlashChip:
         start = block * per
         end = start + per
         self._data[start:end] = self._none_block
-        self._oob[start:end] = self._none_block
+        self._oob_kind[start:end] = self._zero_block
+        self._oob_tag[start:end] = self._none_block
         self.state.erase_block(block)
         self.stats.block_erases += 1
         tracer = self._tracer
@@ -500,3 +544,19 @@ class FlashChip:
         """
         self.geometry.check_ppn(ppn)
         return self._data[ppn]
+
+
+def _oob_columns(oobs: Sequence[Sequence[Any]], count: int) -> tuple | None:
+    """A run's OOB columns ``(kinds, keys, seqs, tags)`` in the chip's
+    column types, or ``None`` when a column is not ``count`` long or a field
+    does not fit its column: that run goes page by page, where
+    :meth:`FlashChip.program` raises at the first page that does not fit."""
+    kinds, keys, seqs, tags = oobs
+    if not len(kinds) == len(keys) == len(seqs) == len(tags) == count:
+        return None
+    try:
+        # From a list: the array constructor's fast path (a range or any
+        # other iterable is appended item by item, twice as slow).
+        return bytes(kinds), array("q", list(keys)), array("q", list(seqs)), tags
+    except (TypeError, ValueError, OverflowError):
+        return None

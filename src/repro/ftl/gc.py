@@ -82,7 +82,6 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Sequence
 
 from repro.errors import FtlError, OutOfSpaceError
@@ -260,7 +259,7 @@ class Collector:
 
     # ------------------------------------------------------------ programs
 
-    def host_program(self, data: Any, kind: str, key: int, tag: Any) -> int:
+    def host_program(self, data: Any, kind: int, key: int, tag: Any) -> int:
         """Append one host-originated page on the next round-robin channel.
 
         Runs this schedule's reclamation first.  Both keep at least one
@@ -312,7 +311,7 @@ class Collector:
         ppn = block * per + write_points[block]
         ftl = self.ftl
         ftl._seq += 1
-        self._chip.program(ppn, data, (kind, key, ftl._seq, tag))
+        self._chip.program(ppn, data, kind, key, ftl._seq, tag)
         if not self._inline:
             if trans:
                 self._obs_trans_writes.inc()
@@ -376,7 +375,12 @@ class Collector:
         seq = ftl._seq
         ftl._seq = seq + count
         dst = block * per + write_points[block]
-        oobs = list(zip(repeat(OOB_DATA), keys, range(seq + 1, seq + count + 1), repeat(None)))
+        oobs = (
+            bytes((OOB_DATA,)) * count,
+            keys[:count],
+            range(seq + 1, seq + count + 1),
+            (None,) * count,
+        )
         self._chip.program_run(dst, [data] * count, oobs)
         if write_points[block] >= per:
             self._release_filled(0, block)

@@ -98,7 +98,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import CorruptionError, FlashError, FtlError
@@ -131,11 +130,11 @@ OWNER_VERSION = -7  # committed page retained in a version chain (XFTL); key: lp
 # persisted chains, never through replay.
 VERSION_TID = -1
 
-# OOB kinds.
-OOB_DATA = "data"
-OOB_MAP = "map"
-OOB_META = "meta"
-OOB_XL2P_TABLE = "xl2p-table"
+# OOB kinds: the chip's one-byte kind column (0 means "no OOB record").
+OOB_DATA = 1
+OOB_MAP = 2
+OOB_META = 3
+OOB_XL2P_TABLE = 4
 _OOB_KINDS = {OWNER_MAP: OOB_MAP, OWNER_META: OOB_META, OWNER_XL2P_TABLE: OOB_XL2P_TABLE}
 
 
@@ -608,18 +607,21 @@ class PageMappingFTL:
 
     # -------- space management (see repro.ftl.gc) ----------------------
 
-    def _gc_oobs(self, owners: list[int], srcs: list[int]) -> list[tuple]:
-        """OOB metadata for a GC-relocated run: page ``i`` is ``srcs[i]``,
-        owned by ``owners[i]``.  One sequence draw per page, in page order."""
-        seqs = range(self._seq + 1, self._seq + len(owners) + 1)
-        self._seq += len(owners)
+    def _gc_oobs(self, owners: list[int], srcs: list[int]) -> tuple:
+        """OOB columns ``(kinds, keys, seqs, tags)`` for a GC-relocated run:
+        page ``i`` is ``srcs[i]``, owned by ``owners[i]``.  One sequence draw
+        per page, in page order."""
+        count = len(owners)
+        seqs = range(self._seq + 1, self._seq + count + 1)
+        self._seq += count
         if min(owners) >= 0:  # all committed data, replayable by anyone (tid=None)
-            return list(zip(repeat(OOB_DATA), owners, seqs, repeat(None)))
+            return bytes((OOB_DATA,)) * count, owners, seqs, (None,) * count
         detail = self._owner_detail
-        return [
+        pages = [
             self._gc_oob(owner, detail.get(ppn), ppn, seq)
             for owner, ppn, seq in zip(owners, srcs, seqs)
         ]
+        return tuple(zip(*pages))
 
     def _gc_oob(self, owner: int, detail: Any, old_ppn: int, seq: int) -> tuple:
         """OOB metadata for one GC-relocated page, drawing sequence ``seq``."""
@@ -631,7 +633,7 @@ class PageMappingFTL:
             # keep its page index) or recovery misclassifies it as firmware
             # metadata.
             kind, key = detail
-            return (_OOB_KINDS.get(kind, OOB_META), key if isinstance(key, int) else 0, seq, None)
+            return (_OOB_KINDS.get(kind, OOB_META), key, seq, None)
         if owner in _OOB_KINDS:
             return (_OOB_KINDS[owner], detail, seq, None)
         raise FtlError(f"unknown page owner {owner} ({detail!r})")
@@ -818,7 +820,7 @@ class PageMappingFTL:
 
     # -------- recovery helpers ------------------------------------------
 
-    def _scan_oob(self) -> Iterator[tuple[int, str, int, Any, int]]:
+    def _scan_oob(self) -> Iterator[tuple[int, int, int, Any, int]]:
         """Yield ``(seq, kind, key, tag, ppn)`` for every programmed page.
 
         ``_seq`` resumes above the highest sequence seen: a sequence number

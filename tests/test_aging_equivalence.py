@@ -26,6 +26,8 @@ from repro.flash.chip import FlashChip
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
 from repro.sim.rng import make_rng
 from repro.stack import Mode, StackConfig, build_stack
+from tests.chip_image import chip_image
+from tests.test_copyback_run import counted_programs
 
 
 def reference_age_device(stack, validity, seed=7, headroom_blocks=6, fs_headroom_pages=512):
@@ -66,28 +68,18 @@ def reference_age_device(stack, validity, seed=7, headroom_blocks=6, fs_headroom
 
 
 def state(ftl) -> dict:
-    chip = ftl.chip
     gc = ftl.gc
     seen = {
+        **chip_image(ftl.chip),
         "l2p": list(ftl._l2p),
         "owner": list(ftl._owner),
         "detail": list(ftl._owner_detail.items()),
         "valid": list(ftl._valid_count),
         "seq": ftl._seq,
         "dirty": sorted(ftl._dirty_segments),
-        "data": list(chip._data),
-        "oobs": list(chip._oob),
-        "page_states": bytes(chip.state.page_states),
-        "write_points": list(chip.state.write_points),
-        "erase_counts": list(chip.state.erase_counts),
-        "stats": chip.stats.as_dict(),
-        "now": chip.clock.now_us,
         "free": [list(free) for free in gc._free_by_channel],
         "alloc_order": [list(order) for order in gc._alloc_order],
         "active": (list(gc._active_blocks), list(gc._hot_active), list(gc._trans_active)),
-        "timelines": [
-            (t.busy_until_us, t.busy_us, t.reservations) for t in chip.scheduler.timelines()
-        ],
     }
     if ftl._cmt is not None:
         seen["cmt"] = ftl._cmt.resident_segments()
@@ -178,6 +170,7 @@ def test_aging_takes_the_run_path(monkeypatch):
         program_run(dst, data, oobs)
 
     monkeypatch.setattr(stack.chip, "program_run", counted_program_run)
+    programs = counted_programs(stack.chip, monkeypatch)
     writes = ftl.stats.host_page_writes
     age_device(stack, 0.5)
     written = ftl.stats.host_page_writes - writes
@@ -187,6 +180,7 @@ def test_aging_takes_the_run_path(monkeypatch):
     assert drained > 1_000
     assert len(calls["drain_runs"]) < drained / 100  # a block's worth per run
     assert calls["write"] < written / 100  # the page that opens each block
+    assert len(programs) < written / 50  # a run's pages are slice-assigned
 
 
 #: name -> (FTL class, FtlConfig fields) for write_run against the write loop.

@@ -1,10 +1,10 @@
 """``copyback_run`` is defined by equivalence: prove the equivalence.
 
-``chip.copyback_run(srcs, dst, oobs)`` must be *exactly*
-``program(dst + i, read(srcs[i]), oobs[i])`` for each ``i`` — the same page
-content, OOB, page states, write points, counters, clock, channel timelines
-(floats compared with ``==``), overlap-region horizons and, when a page
-fails, the same exception at the same page with the earlier pages done.
+``chip.copyback_run(srcs, dst, (kinds, keys, seqs, tags))`` must be
+*exactly* ``program(dst + i, read(srcs[i]), kinds[i], keys[i], seqs[i],
+tags[i])`` for each ``i`` — the same chip image (``tests/chip_image.py``),
+overlap-region horizons and, when a page fails (a bad OOB field included),
+the same exception at the same page with the earlier pages done.
 Twin chips are built by one deterministic set-up; one is driven
 through ``copyback_run``, the other through the loop that defines it.
 """
@@ -23,6 +23,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.state import PAGE_TORN
 from repro.obs import Observability
 from repro.sim.crash import CrashPlan
+from tests.chip_image import chip_image
 
 PER = 8
 BLOCKS = 16
@@ -43,8 +44,47 @@ FAULTS = (
     "destination-ahead-of-write-point",
     "run-crosses-block-end",
     "short-oobs",
+    "bad-oob",
     "crash",
 )
+
+#: A field that does not fit each OOB column (the tag column takes anything).
+BAD_FIELDS = {0: 256, 1: "key", 2: 2**63}
+CRASH_POINTS = ["flash.program.before", "flash.program.mid", "flash.program.after"]
+
+
+def run_oobs(count: int) -> tuple[list, ...]:
+    """OOB columns ``(kinds, keys, seqs, tags)`` for a run of ``count`` pages."""
+    positions = range(count)
+    return (
+        [3] * count,
+        list(positions),
+        [100 + position for position in positions],
+        [position if position % 2 else None for position in positions],
+    )
+
+
+def finish_case(draw, fault: str, count: int, **case) -> dict:
+    """``case`` plus its run's OOB columns (one short, or one bad field, for
+    those faults), crash, overlap regions, dispatch floor and metrics."""
+    oobs = run_oobs(count)
+    crash = None
+    if fault == "short-oobs" and count:
+        oobs[draw(st.integers(0, 3))].pop()
+    elif fault == "bad-oob" and count:
+        column = draw(st.sampled_from(sorted(BAD_FIELDS)))
+        oobs[column][draw(st.integers(0, count - 1))] = BAD_FIELDS[column]
+    elif fault == "crash":
+        point = draw(st.sampled_from(CRASH_POINTS))
+        crash = (point, draw(st.integers(1, max(1, count))), draw(st.booleans()))
+    return {
+        **case,
+        "oobs": oobs,
+        "crash": crash,
+        "regions": draw(st.integers(0, 2)),
+        "floor_us": draw(st.sampled_from([0.0, 0.0, 1234.5, 1e7])),
+        "metrics": draw(st.booleans()),
+    }
 
 
 @st.composite
@@ -65,16 +105,12 @@ def run_cases(draw):
     dst = dst_block * PER + dst_used
     fault = draw(st.sampled_from(FAULTS))
     torn = None
-    crash = None
-    oob_count = len(srcs)
     if fault == "torn-source" and srcs:
         torn = draw(st.sampled_from(srcs))
     elif fault == "erased-source" and programmed < PER:
         srcs.insert(draw(st.integers(0, len(srcs))), src_block * PER + programmed)
-        oob_count = len(srcs)
     elif fault == "source-in-another-block":
         srcs.insert(draw(st.integers(0, len(srcs))), other_block * PER)
-        oob_count = len(srcs)
     elif fault == "destination-behind-write-point" and dst_used:
         dst -= 1
     elif fault == "destination-ahead-of-write-point" and dst_used < PER - 1:
@@ -82,39 +118,24 @@ def run_cases(draw):
     elif fault == "run-crosses-block-end":
         srcs = (srcs or [src_block * PER]) * PER
         srcs = srcs[: PER - dst_used + draw(st.integers(1, 3))]
-        oob_count = len(srcs)
-    elif fault == "short-oobs" and srcs:
-        oob_count = len(srcs) - 1
-    elif fault == "crash":
-        crash = (
-            draw(
-                st.sampled_from(
-                    ["flash.program.before", "flash.program.mid", "flash.program.after"]
-                )
-            ),
-            draw(st.integers(1, max(1, len(srcs)))),
-            draw(st.booleans()),
-        )
-    return {
-        "src_block": src_block,
-        "dst_block": dst_block,
-        "other_block": other_block,
-        "programmed": programmed,
-        "dst_used": dst_used,
-        "srcs": srcs,
-        "dst": dst,
-        "oobs": [("oob", position) for position in range(oob_count)],
-        "torn": torn,
-        "crash": crash,
-        "regions": draw(st.integers(0, 2)),
-        "floor_us": draw(st.sampled_from([0.0, 0.0, 1234.5, 1e7])),
-        "metrics": draw(st.booleans()),
-    }
+    return finish_case(
+        draw,
+        fault,
+        len(srcs),
+        src_block=src_block,
+        dst_block=dst_block,
+        other_block=other_block,
+        programmed=programmed,
+        dst_used=dst_used,
+        srcs=srcs,
+        dst=dst,
+        torn=torn,
+    )
 
 
-def _build(kind: str, case: dict):
-    """A chip in the case's starting state."""
-    channels = KINDS[kind]
+def build_chip(channels: int, case: dict) -> FlashChip:
+    """A chip in the case's starting state (a case without a source block
+    programs none)."""
     geometry = FlashGeometry(
         page_size=64, pages_per_block=PER, num_blocks=BLOCKS, channels=channels
     )
@@ -122,11 +143,11 @@ def _build(kind: str, case: dict):
     chip = FlashChip(geometry, crash_plan=plan, obs=Observability(enabled=case["metrics"]))
     # Written inside a region so the chip starts with backlog on its channels.
     with chip.overlap():
-        for index in range(case["programmed"]):
-            chip.program(case["src_block"] * PER + index, ("src", index), ("old", index))
+        for index in range(case.get("programmed", 0)):
+            chip.program(case["src_block"] * PER + index, ("src", index), 1, index, index, None)
         for index in range(case["dst_used"]):
             chip.program(case["dst_block"] * PER + index, ("filler", index))
-        chip.program(case["other_block"] * PER, ("other", 0), ("old-other", 0))
+        chip.program(case["other_block"] * PER, ("other", 0), 2, 0, 0, -1)
     if case["torn"] is not None:
         chip.state.page_states[case["torn"]] = PAGE_TORN
     chip.dispatch_floor_us = case["floor_us"]
@@ -136,47 +157,48 @@ def _build(kind: str, case: dict):
     return chip
 
 
-def _drive(chip, case: dict, copy) -> dict:
-    """Run ``copy`` inside the case's regions; everything observable afterwards."""
+def drive(chip, case: dict, run) -> dict:
+    """``run(chip, case)`` inside the case's regions; everything observable afterwards."""
     raised = None
     with contextlib.ExitStack() as stack:
         regions = [stack.enter_context(chip.overlap()) for _ in range(case["regions"])]
         try:
-            copy(chip, case["srcs"], case["dst"], case["oobs"])
+            run(chip, case)
         except (FlashError, CorruptionError, PowerFailure, IndexError) as exc:
             raised = (type(exc), str(exc))
     return {
         "raised": raised,
-        "data": list(chip._data),
-        "oob": list(chip._oob),
-        "page_states": bytes(chip.state.page_states),
-        "write_points": list(chip.state.write_points),
-        "stats": chip.stats.as_dict(),
-        "now_us": chip.clock.now_us,
         "region_end_us": [region.end_us for region in regions],
-        "obs": chip.obs.registry.as_dict(),
-        "timelines": [
-            (timeline.busy_until_us, timeline.busy_us, timeline.reservations)
-            for timeline in chip.scheduler.timelines()
-        ],
+        **chip_image(chip),
     }
 
 
-def _as_a_run(chip, srcs, dst, oobs) -> None:
-    chip.copyback_run(srcs, dst, oobs)
+def counted_programs(chip, monkeypatch) -> list[int]:
+    """The ppns ``chip.program`` is called with from now on."""
+    programs: list[int] = []
+    program = chip.program
+    monkeypatch.setattr(
+        chip, "program", lambda ppn, *args: (programs.append(ppn), program(ppn, *args))
+    )
+    return programs
 
 
-def _page_by_page(chip, srcs, dst, oobs) -> None:
-    for index, src in enumerate(srcs):
-        chip.program(dst + index, chip.read(src), oobs[index])
+def _as_a_run(chip, case: dict) -> None:
+    chip.copyback_run(case["srcs"], case["dst"], case["oobs"])
+
+
+def _page_by_page(chip, case: dict) -> None:
+    for index, src in enumerate(case["srcs"]):
+        fields = (column[index] for column in case["oobs"])
+        chip.program(case["dst"] + index, chip.read(src), *fields)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=150, deadline=None)
 @given(case=run_cases())
 def test_a_run_is_the_page_by_page_loop(kind: str, case: dict) -> None:
-    as_a_run = _drive(_build(kind, case), case, _as_a_run)
-    page_by_page = _drive(_build(kind, case), case, _page_by_page)
+    as_a_run = drive(build_chip(KINDS[kind], case), case, _as_a_run)
+    page_by_page = drive(build_chip(KINDS[kind], case), case, _page_by_page)
     assert as_a_run == page_by_page
 
 
@@ -188,7 +210,7 @@ PLAIN = {
     "dst_used": 2,
     "srcs": [PER + 1, PER + 3, PER + 4, PER + 7],
     "dst": 9 * PER + 2,
-    "oobs": [("oob", position) for position in range(4)],
+    "oobs": run_oobs(4),
     "torn": None,
     "crash": None,
     "regions": 1,
@@ -200,7 +222,7 @@ PLAIN = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_plain_run_takes_neither_read_nor_program(kind: str, monkeypatch) -> None:
     """The property above would also hold if the fast path were never taken."""
-    chip = _build(kind, PLAIN)
+    chip = build_chip(KINDS[kind], PLAIN)
 
     def unreachable(*_args, **_kwargs):
         raise AssertionError("a plain run went page by page")
@@ -227,13 +249,9 @@ def test_a_plain_run_takes_neither_read_nor_program(kind: str, monkeypatch) -> N
 )
 def test_anything_else_goes_page_by_page(kind: str, change: dict, monkeypatch) -> None:
     case = {**PLAIN, **change}
-    case["oobs"] = case["oobs"][: len(case["srcs"])]
-    chip = _build(kind, case)
-    programs = []
-    program = chip.program
-    monkeypatch.setattr(
-        chip, "program", lambda ppn, data, oob=None: (programs.append(ppn), program(ppn, data, oob))
-    )
+    case["oobs"] = run_oobs(len(case["srcs"]))
+    chip = build_chip(KINDS[kind], case)
+    programs = counted_programs(chip, monkeypatch)
     with contextlib.suppress(FlashError, CorruptionError):
         chip.copyback_run(case["srcs"], case["dst"], case["oobs"])
     assert programs  # at least the first page went through program()

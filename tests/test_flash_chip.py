@@ -47,9 +47,25 @@ def make_chip(**kwargs) -> FlashChip:
 class TestProgramReadErase:
     def test_program_then_read(self):
         chip = make_chip()
-        chip.program(0, b"hello", oob=("data", 0, 1, None))
+        chip.program(0, b"hello", 1, 0, 1, None)
+        chip.program(1, b"no oob")
         assert chip.read(0) == b"hello"
-        assert chip.read_oob(0) == ("data", 0, 1, None)
+        assert chip.read_oob(0) == (1, 0, 1, None)
+        assert chip.read_oob(1) is None  # kind 0: no OOB record
+
+    @pytest.mark.parametrize(
+        "fields", [(256, 0, 1), ("data", 0, 1), (1, "lpn", 1), (1, 2**63, 1), (1, 0, -(2**63) - 1)]
+    )
+    def test_bad_oob_fields_leave_the_page_erased(self, fields):
+        chip = make_chip()
+        chip.program(0, b"a", 1, 0, 1, None)
+        with pytest.raises(FlashError, match="bad OOB for ppn=1"):
+            chip.program(1, b"b", *fields, "tag")
+        assert chip.state.page_states[1] == PAGE_ERASED
+        assert chip.state.write_points[0] == 1 and chip.stats.page_programs == 1
+        assert chip.read_oob(1) is None and chip.peek(1) is None
+        chip.program(1, b"b", 2, 7, 2, None)
+        assert chip.read(1) == b"b" and chip.read_oob(1) == (2, 7, 2, None)
 
     def test_read_erased_page_fails(self):
         chip = make_chip()
@@ -143,7 +159,7 @@ class TestTornPages:
         plan.arm("flash.program.mid", tear_page=True)
         chip = make_chip(crash_plan=plan)
         with pytest.raises(PowerFailure):
-            chip.program(0, b"doomed", oob=("data", 9, 9, None))
+            chip.program(0, b"doomed", 1, 9, 9, None)
         assert chip.read_oob(0) is None
 
     def test_erase_clears_torn_page(self):

@@ -13,8 +13,9 @@ one segment.  The root's retired pages are released through
 Two FTLs run the same operation stream, one with the reference patched in,
 and must agree on every piece of state a flush touches: the owner table and
 its details, the L2P, the live and durable directories, the pages pending
-release, the dirty and unpublished segments, every page's data and OOB, the
-sequence counter, the counters, the clock and the channel timelines.  Each
+release, the dirty and unpublished segments, the sequence counter and the
+chip image (``tests/chip_image.py``: every page's data and OOB, the
+counters, the clock, the channel timelines, ...).  Each
 configuration is small and full enough that collection runs inside the
 flush's own programs.
 """
@@ -30,6 +31,7 @@ from repro.flash.chip import FlashChip
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
 from repro.ftl.pagemap import DEAD, OOB_MAP, OOB_META, OWNER_MAP, OWNER_META
 from repro.sim.rng import make_rng
+from tests.chip_image import chip_image
 
 SMALL = dict(overprovision=0.25, map_entries_per_page=16, barrier_meta_pages=2)
 BACKGROUND = dict(
@@ -104,9 +106,9 @@ def build(name: str, reference: bool):
 
 
 def state(ftl) -> dict:
-    chip = ftl.chip
     root = ftl._root
     return {
+        **chip_image(ftl.chip),
         "owner": list(ftl._owner),
         "detail": dict(ftl._owner_detail),
         "valid": list(ftl._valid_count),
@@ -124,15 +126,7 @@ def state(ftl) -> dict:
         "pending": set(ftl._pending_retired),
         "dirty": set(ftl._dirty_segments),
         "unpublished": list(ftl._unpublished_segments),
-        "data": list(chip._data),
-        "oobs": list(chip._oob),
-        "page_states": bytes(chip.state.page_states),
         "seq": ftl._seq,
-        "stats": chip.stats.snapshot(),
-        "now": chip.clock.now_us,
-        "timelines": [
-            (t.busy_until_us, t.busy_us, t.reservations) for t in chip.scheduler.timelines()
-        ],
     }
 
 

@@ -34,6 +34,7 @@ from repro.ftl.pagemap import DEAD
 from repro.obs import Observability
 from repro.sim import CrashPlan
 from repro.sim.rng import make_rng
+from tests.chip_image import chip_image
 
 BACKGROUND = dict(
     gc_mode="background",
@@ -52,20 +53,9 @@ SCHEDULES = {
 
 
 def _everything(ftl) -> dict:
-    chip = ftl.chip
     root = ftl._root
     return {
-        "data": list(chip._data),
-        "oob": list(chip._oob),
-        "page_states": bytes(chip.state.page_states),
-        "write_points": list(chip.state.write_points),
-        "erase_counts": list(chip.state.erase_counts),
-        "stats": chip.stats.as_dict(),
-        "now_us": chip.clock.now_us,
-        "timelines": [
-            (timeline.busy_until_us, timeline.busy_us, timeline.reservations)
-            for timeline in chip.scheduler.timelines()
-        ],
+        **chip_image(ftl.chip),
         "l2p": list(ftl._l2p),
         "owner": list(ftl._owner),
         "owner_detail": sorted(ftl._owner_detail.items()),
@@ -74,7 +64,6 @@ def _everything(ftl) -> dict:
         "dirty": sorted(ftl._dirty_segments),
         "root": (list(root.map_dir.items()), list(root.meta_dir.items()), root.seq),
         "free": [list(free) for free in ftl.gc._free_by_channel],
-        "obs": chip.obs.registry.as_dict(),
     }
 
 
@@ -204,7 +193,7 @@ def test_the_all_l2p_slice_path_leaves_what_the_per_page_path_leaves(seed, data)
                 "l2p": list(twin._l2p),
                 "dirty": sorted(twin._dirty_segments),
                 "valid_count": list(twin._valid_count),
-                "oob": list(twin.chip._oob),
+                "oob": chip_image(twin.chip)["oob"],
                 "seq": twin._seq,
             }
         )
