@@ -74,6 +74,18 @@ from repro.tenancy import TenantRegistry
 
 _PROGRAMMED_PAGE = bytes((PAGE_PROGRAMMED,))
 
+
+class _Discarded:
+    """The payload slot of a page whose payload was released (:meth:`FlashChip.discard`)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<discarded>"
+
+
+_DISCARDED = _Discarded()
+
 CP_PROGRAM_BEFORE = register_crash_point(
     "flash.program.before", "flash.chip", "before a NAND page program starts"
 )
@@ -126,9 +138,10 @@ class FlashChip:
     """One simulated NAND flash array: per-channel timelines over one page space.
 
     Content is stored per physical page as ``bytes`` (or any immutable
-    object; FTL metadata pages store tuples).  The chip knows nothing about
-    logical addresses, liveness or mapping — that is the FTL's job, and its
-    state (the L2P and the ppn-indexed owner table).
+    object; FTL metadata pages store tuples) from its program until its
+    block is erased or the FTL discards it (:meth:`discard`).  The chip
+    knows nothing about logical addresses, liveness or mapping — that is
+    the FTL's job, and its state (the L2P and the ppn-indexed owner table).
     """
 
     #: When True, :meth:`drain` degrades to :meth:`order_barrier` — the
@@ -385,9 +398,12 @@ class FlashChip:
             if state == PAGE_TORN:
                 raise CorruptionError(f"read of torn page ppn={ppn}")
             raise FlashError(f"read of erased page ppn={ppn}")
+        data = self._data[ppn]
+        if data is _DISCARDED:
+            raise FlashError(f"read of discarded page ppn={ppn}")
         self.stats.page_reads += 1
         self._charge_flash(self.profile.page_read_us, ppn // self._pages_per_block)
-        return self._data[ppn]
+        return data
 
     def program_run(self, dst: int, data: list[Any], oobs: Sequence[Sequence[Any]]) -> None:
         """Program a run of pages: ``program(dst + i, data[i], kinds[i],
@@ -483,7 +499,8 @@ class FlashChip:
         """Whether no page of a copyback run can fail, tear, or be traced.
 
         A plain destination (:meth:`_is_plain_destination`), and every
-        source a programmed page of one block on the destination's channel.
+        source a programmed, undiscarded page of one block on the
+        destination's channel.
         """
         if not self._is_plain_destination(dst, count):
             return False
@@ -494,9 +511,14 @@ class FlashChip:
         if (first // per - dst // per) % self.num_channels:
             return False
         page_states = self.state.page_states
+        data = self._data
         last = first + per
         for src in srcs:
-            if not first <= src < last or page_states[src] != PAGE_PROGRAMMED:
+            if (
+                not first <= src < last
+                or page_states[src] != PAGE_PROGRAMMED
+                or data[src] is _DISCARDED
+            ):
                 return False
         return True
 
@@ -512,6 +534,23 @@ class FlashChip:
         if not kind:
             return None
         return kind, self._oob_key[ppn], self._oob_seq[ppn], self._oob_tag[ppn]
+
+    def discard(self, ppn: int) -> None:
+        """Release a programmed page's payload: host memory only.
+
+        Not a flash operation: page state, OOB area, write point, counters,
+        clock and channel timelines stay as they are.  The FTL calls it
+        once nothing durable can name the page any more; from then until
+        the block's erase, :meth:`read` and :meth:`peek` of the page raise
+        :class:`FlashError` rather than hand back a payload nobody should
+        see.
+        """
+        if not 0 <= ppn < self._total_pages:
+            self.geometry.check_ppn(ppn)
+        if self.state.page_states[ppn] != PAGE_PROGRAMMED:
+            state = PAGE_STATE_NAMES[self.state.page_states[ppn]]
+            raise FlashError(f"discard of a page that is not programmed ppn={ppn} ({state})")
+        self._data[ppn] = _DISCARDED
 
     def erase(self, block: int) -> None:
         """Erase one block, resetting all its pages and its write point."""
@@ -541,9 +580,13 @@ class FlashChip:
 
         Recovery-time full-device scans use :meth:`read`/:meth:`read_oob`;
         ``peek`` exists so assertions in tests do not perturb counters.
+        A discarded page raises :class:`FlashError`, as in :meth:`read`.
         """
         self.geometry.check_ppn(ppn)
-        return self._data[ppn]
+        data = self._data[ppn]
+        if data is _DISCARDED:
+            raise FlashError(f"peek of discarded page ppn={ppn}")
+        return data
 
 
 def _oob_columns(oobs: Sequence[Sequence[Any]], count: int) -> tuple | None:

@@ -56,8 +56,10 @@ by lpn (``UNMAPPED`` = -1; :meth:`~PageMappingFTL.mapped_ppn` still answers
 :class:`~repro.flash.geometry.FlashGeometry` guarantees by refusing a chip
 of more than ``2**31 - 1`` pages.  A translation (map) page image is
 ``(ppns, chains)``: ``ppns`` is the array slice covering the segment's whole
-lpn range (one copy when built, one buffer freed when its block is erased;
-four bytes per entry, like the table), ``chains`` the retained version
+lpn range (one copy when built, freed by the publish that stops the root
+naming it — :meth:`FlashChip.discard <repro.flash.chip.FlashChip.discard>` —
+or else by its block's erase; four bytes per entry, like the table),
+``chains`` the retained version
 chains of the same range (empty unless the multi-version XFTL adds them).
 The format is decided here alone —
 :meth:`PageMappingFTL._segment_image` builds an image and
@@ -378,6 +380,10 @@ class PageMappingFTL:
                 self._flush_pages(
                     sorted(self._dirty_segments), self.config.barrier_meta_pages, CP_BARRIER_MID
                 )
+            if not self._dirty_segments:
+                # The flush's per-key discards never shrink the set's
+                # table; clear() does, and every later barrier sorts it.
+                self._dirty_segments.clear()
             self.chip.drain()
             self._publish_root(seq_snapshot)
             self._release_retired()
@@ -797,7 +803,12 @@ class PageMappingFTL:
         root = self._root
         self._publish_map_dir()
         # Every barrier rewrites every meta slot: all of them changed.
-        root.meta_dir.update(self._meta_dir)
+        root_dir = root.meta_dir
+        for slot, ppn in self._meta_dir.items():
+            old = root_dir.get(slot)
+            root_dir[slot] = ppn
+            if old is not None:
+                self.chip.discard(old)
         root.seq = seq
         root.commit_seq = self._commit_seq_for_root()
 
@@ -806,12 +817,17 @@ class PageMappingFTL:
 
         Only translation-page writes leave the two apart (a relocation
         edits both in place), so the segments written since the last
-        publish are all there is to copy.
+        publish are all there is to copy.  The page the root named before
+        is unreachable from then on: its payload is discarded.
         """
         map_dir = self._map_dir
         root_dir = self._root.map_dir
+        discard = self.chip.discard
         for segment in self._unpublished_segments:
+            old = root_dir.get(segment)
             root_dir[segment] = map_dir[segment]
+            if old is not None:
+                discard(old)
         self._unpublished_segments.clear()
 
     def _commit_seq_for_root(self) -> int:

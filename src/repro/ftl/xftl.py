@@ -397,7 +397,10 @@ class XFTL(PageMappingFTL):
         Figure 4 step 3.
         """
         images = self.xl2p.serialize(self.chip.geometry.page_size)
-        new_ppns: list[int] = []
+        # The live list names each new page from its program on, so a GC
+        # pass later in this flush that moves it repoints the list
+        # (_repoint_owner); a moved old page is repointed in the root.
+        self._xl2p_page_ppns = new_ppns = []
         with self.chip.overlap():
             for index, image in enumerate(images):
                 ppn = self.gc.host_program(image, OOB_XL2P_TABLE, index, None)
@@ -407,18 +410,19 @@ class XFTL(PageMappingFTL):
         self.chip.drain()
         self.stats.xl2p_flushes += 1
         self._obs_xl2p_flush_pages.observe(float(len(images)))
-        for index, old in enumerate(self._xl2p_page_ppns):
-            if self._owner[old] != DEAD:
-                # Retire with the real page index so a GC relocation keeps
-                # the page labelled OOB_XL2P_TABLE (not misfiled as meta).
-                self._retire(old, OWNER_XL2P_TABLE, index)
-        self._xl2p_page_ppns = new_ppns
+        old_ppns = self._root.xl2p_ppns
+        for index, old in enumerate(old_ppns):
+            # Retire with the real page index so a GC relocation keeps
+            # the page labelled OOB_XL2P_TABLE (not misfiled as meta).
+            self._retire(old, OWNER_XL2P_TABLE, index)
         # Atomic meta-block update: new X-L2P location + the members'
         # commit stamp (+ the commit sequence counter; constant 0 when
         # retain_versions=1).  The stamp is _seq as of *now*, not before the
         # flush: its programs may have made GC relocate the old committed
         # copy of a page a member rewrote, which the member must outrank.
         self._root.xl2p_ppns = tuple(new_ppns)
+        for old in old_ppns:
+            self.chip.discard(old)  # no root names it any more
         self._root.committed_tids.update(dict.fromkeys(members, self._seq))
         self._root.commit_seq = self._commit_counter
         if self._cmt is not None:

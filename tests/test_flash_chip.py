@@ -8,6 +8,7 @@ from repro.errors import CorruptionError, FlashError, FlashGeometryError, PowerF
 from repro.flash import PAGE_ERASED, PAGE_TORN, FlashChip, FlashGeometry
 from repro.sim import CrashPlan, SimClock
 from repro.sim.latency import OPENSSD_PROFILE
+from tests.chip_image import chip_image
 
 
 class TestGeometry:
@@ -134,6 +135,56 @@ class TestProgramReadErase:
         reads_before = chip.stats.page_reads
         assert chip.peek(0) == b"x"
         assert chip.stats.page_reads == reads_before
+
+
+class TestDiscard:
+    """``discard`` releases a page's payload and nothing else."""
+
+    def test_read_and_peek_of_a_discarded_page_raise(self):
+        chip = make_chip()
+        chip.program(0, b"old", 2, 5, 1, None)
+        chip.program(1, b"kept")
+        chip.discard(0)
+        with pytest.raises(FlashError, match="discarded page ppn=0"):
+            chip.read(0)
+        with pytest.raises(FlashError, match="discarded page ppn=0"):
+            chip.peek(0)
+        assert chip.stats.page_reads == 0
+        assert chip.read(1) == b"kept" and chip.peek(1) == b"kept"
+
+    def test_a_copyback_of_a_discarded_page_raises(self):
+        chip = make_chip()
+        chip.program(0, b"a", 1, 0, 1, None)
+        chip.program(1, b"b", 1, 1, 2, None)
+        chip.discard(1)
+        with pytest.raises(FlashError, match="discarded page ppn=1"):
+            chip.copyback_run([0, 1], 4, ((1, 1), (0, 1), (3, 4), (None, None)))
+
+    def test_discard_changes_nothing_but_the_payload(self):
+        chip = make_chip(clock=SimClock())
+        chip.program_run(0, [b"a", b"b", b"c"], ((1, 3, 1), (0, 9, 2), (1, 2, 3), (None, "t", None)))
+        chip.read(2)
+        before = chip_image(chip)
+        chip.discard(1)
+        after = chip_image(chip)
+        assert after.pop("data") != before.pop("data")
+        assert after == before
+
+    def test_only_a_programmed_page_can_be_discarded(self):
+        chip = make_chip()
+        with pytest.raises(FlashError, match="not programmed ppn=0"):
+            chip.discard(0)
+        with pytest.raises(FlashGeometryError):
+            chip.discard(32)
+
+    def test_erase_clears_the_marker(self):
+        chip = make_chip()
+        chip.program(0, b"old")
+        chip.discard(0)
+        chip.erase(0)
+        assert chip.peek(0) is None
+        chip.program(0, b"new")
+        assert chip.read(0) == b"new"
 
 
 class TestTornPages:

@@ -5,7 +5,9 @@ structures are held to a byte budget with ``tracemalloc``: ext4's free space
 (a block bitmap, one byte per data page), the FTL's translation images
 (four bytes per mapping, like the L2P they are sliced from) and what a
 programmed page leaves in the chip and the collector (its OOB record goes
-into the chip's preallocated columns).
+into the chip's preallocated columns).  A barrier releases the payloads of
+the map and meta pages the durable root stops naming, so what map images
+hold does not grow with the number of barriers.
 """
 
 import sys
@@ -93,3 +95,39 @@ def test_programs_leave_at_most_four_bytes_a_page_in_chip_and_collector(path):
     assert programmed >= 100_000
     held = used["flash/chip.py"] + used["ftl/gc.py"]
     assert held <= HELD_BYTES_PER_PROGRAMMED_PAGE * programmed
+
+
+def test_barriers_keep_one_map_image_per_named_segment():
+    """Barrier after barrier rewriting the same segments: what stays
+    allocated in ftl/pagemap.py is one image per segment the root names or
+    a pending publish pins (and as much again for the tables that index
+    them), not one image per barrier."""
+    segments, barriers = 8, 200
+    chip = FlashChip(FlashGeometry(page_size=8192, pages_per_block=64, num_blocks=256))
+    ftl = PageMappingFTL(chip, FtlConfig())
+    entries = ftl._map_entries_per_page
+    ftl.write_run(range(segments * entries), b"page")
+    ftl.barrier()
+    with traced("ftl/pagemap.py") as used:
+        for barrier in range(barriers):
+            for segment in range(segments):
+                ftl.write(segment * entries + barrier % entries, b"x")
+            ftl.barrier()
+    assert chip.stats.block_erases == 0  # no erase freed an image here
+    image = ftl._segment_image(0)
+    image_bytes = sys.getsizeof(image) + sys.getsizeof(image[0])
+    named = len(ftl._root.map_dir) + len(ftl._pending_retired)
+    assert named == segments
+    assert used["ftl/pagemap.py"] <= 2 * named * image_bytes
+
+
+def test_a_barrier_that_cleans_every_segment_leaves_a_small_dirty_set():
+    """Each barrier sorts the dirty set, and iterating a set costs its
+    table's size, which per-key removals never shrink."""
+    chip = FlashChip(FlashGeometry(page_size=8192, pages_per_block=64, num_blocks=256))
+    ftl = PageMappingFTL(chip, FtlConfig(map_entries_per_page=16))
+    ftl.write_run(range(0, 512 * 16, 16), b"page")
+    assert len(ftl._dirty_segments) == 512
+    ftl.barrier()
+    assert not ftl._dirty_segments
+    assert sys.getsizeof(ftl._dirty_segments) == sys.getsizeof(set())
