@@ -139,7 +139,8 @@ class FlashChip:
 
     Content is stored per physical page as ``bytes`` (or any immutable
     object; FTL metadata pages store tuples) from its program until its
-    block is erased or the FTL discards it (:meth:`discard`).  The chip
+    block is erased or the FTL discards it (:meth:`discard`,
+    :meth:`discard_unerased`).  The chip
     knows nothing about logical addresses, liveness or mapping — that is
     the FTL's job, and its state (the L2P and the ppn-indexed owner table).
     """
@@ -540,10 +541,12 @@ class FlashChip:
 
         Not a flash operation: page state, OOB area, write point, counters,
         clock and channel timelines stay as they are.  The FTL calls it
-        once nothing durable can name the page any more; from then until
-        the block's erase, :meth:`read` and :meth:`peek` of the page raise
-        :class:`FlashError` rather than hand back a payload nobody should
-        see.
+        once nothing durable can name the page any more — a metadata page
+        at the publish that stops the root naming it, a dead data page at
+        the barrier after its death (:meth:`discard_unerased`) — and from
+        then until the block's erase, :meth:`read` and :meth:`peek` of the
+        page raise :class:`FlashError` rather than hand back a payload
+        nobody should see.
         """
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
@@ -551,6 +554,32 @@ class FlashChip:
             state = PAGE_STATE_NAMES[self.state.page_states[ppn]]
             raise FlashError(f"discard of a page that is not programmed ppn={ppn} ({state})")
         self._data[ppn] = _DISCARDED
+
+    def discard_unerased(self, pages: Sequence[int]) -> None:
+        """``discard(ppn)`` for each ``(ppn, erase count)`` pair of the flat
+        ``pages`` whose block's erase count still equals the one given.
+
+        That loop is the definition: an equal count proves the block was
+        not erased since the pair was recorded, so the page still holds the
+        program it held then.  It runs inline, one pass and no call per
+        page, and raises as :meth:`discard` does at the first page of an
+        unerased block that is not programmed (the pages before it are
+        discarded).
+        """
+        data = self._data
+        page_states = self.state.page_states
+        counts = self.state.erase_counts
+        per = self._pages_per_block
+        pairs = iter(pages)
+        for ppn, count in zip(pairs, pairs):
+            if counts[ppn // per] == count:
+                if page_states[ppn] != PAGE_PROGRAMMED:
+                    self.discard(ppn)  # raises
+                data[ppn] = _DISCARDED
+
+    def discarded_pages(self) -> list[int]:
+        """Every page whose payload is discarded, in ppn order."""
+        return [ppn for ppn, data in enumerate(self._data) if data is _DISCARDED]
 
     def erase(self, block: int) -> None:
         """Erase one block, resetting all its pages and its write point."""

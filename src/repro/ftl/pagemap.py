@@ -50,6 +50,29 @@ One decision orders everything found on flash, taken in this module alone:
   the old committed copy of a page the transaction rewrote, and a stamp
   drawn earlier would rank below that relocation.
 
+*Payload lifetime.*  The chip keeps a page's payload until its block's
+erase, unless the FTL releases it earlier with
+:meth:`FlashChip.discard <repro.flash.chip.FlashChip.discard>`, once
+nothing remount could map names the page (``check_invariants`` holds that
+rule).  A translation, meta or X-L2P table page is released by the publish
+that stops the root naming it.  A data page that dies — superseded on the
+single-version path (``_supersede``), trimmed, or written by an aborted
+transaction — is released by the first barrier that *begins* after its
+death: its sequence is then at or below the published ``root.seq``, so
+replay never yields it, and its segment was dirty (or written back by the
+CMT) when the barrier began, so the images the new root names were built
+after it died.  Each death is recorded as a (ppn, erase count of its
+block) pair in one flat ``array('i')``; the barrier swaps the record out
+before its flush and releases its pages right after the publish
+(:meth:`FlashChip.discard_unerased
+<repro.flash.chip.FlashChip.discard_unerased>`), skipping any whose block
+was erased since, and a power cut drops it.  Everything else keeps its
+payload until the erase: a GC relocation's source, a transaction's own
+rewritten uncommitted copy (its tid can still commit, and replay then
+yields it), a released retained version (the map images carry its chain),
+and whatever a crash leaves behind before the first barrier after
+remount.
+
 The L2P table is one flat ``array('i')`` of physical page numbers indexed
 by lpn (``UNMAPPED`` = -1; :meth:`~PageMappingFTL.mapped_ppn` still answers
 ``None``), the controller-DRAM table of §5.3: four bytes per entry, which
@@ -85,8 +108,9 @@ flush loop :meth:`~PageMappingFTL._flush_pages` (check included; it also
 retires inline), ``_retire`` (one write) and the collector's run pass
 :meth:`~PageMappingFTL._apply_relocations` (block counts settled once).  "This
 lpn now lives at that ppn" is :meth:`~PageMappingFTL._map` and nothing
-else: it hands the old copy to the ``_supersede`` hook (here: disown; the
-multi-version XFTL pushes it onto the lpn's version chain), points the L2P
+else: it hands the old copy to the ``_supersede`` hook (here: ``_bury``,
+which disowns it and records its death; the multi-version XFTL pushes it
+onto the lpn's version chain), points the L2P
 at the new one, owns it and dirties its translation segment.  A live page
 is exactly one the L2P or any other mapping structure references (§5), so
 the collector moves what the table says is owned, a run at a time: one slice
@@ -207,6 +231,11 @@ class PageMappingFTL:
         self._root = RootRecord()
         self._unpublished_segments: dict[int, None] = {}
         self._pending_retired: set[int] = set()
+        # The data pages that died since the last barrier began, as flat
+        # (ppn, erase count of its block at death) pairs: the next barrier
+        # releases their payloads (module docstring, "Payload lifetime").
+        self._deaths = array("i")
+        self._erase_counts = chip.state.erase_counts
         self._obs_barrier_us = chip.obs.histogram("ftl.barrier.latency_us")
         # Demand-paged mapping (DFTL-style CMT, repro.ftl.cmt).  A capacity
         # of zero — or one covering every translation page of the exported
@@ -310,7 +339,7 @@ class PageMappingFTL:
         old = self._l2p[lpn]
         if old != UNMAPPED:
             self._l2p[lpn] = UNMAPPED
-            self._disown(old)
+            self._bury(old)
             self._mark_dirty(lpn)
 
     def trim_run(self, lpns: Iterable[int]) -> None:
@@ -318,7 +347,7 @@ class PageMappingFTL:
 
         That loop is the definition, and it runs as written under a
         demand-paged map, where each trim is a residency decision.
-        Otherwise it runs inline: a trim only unmaps the lpn and disowns its
+        Otherwise it runs inline: a trim only unmaps the lpn and buries its
         page (the L2P's page, owned by its lpn), and an lpn outside the
         exported space raises the same ``FtlError`` after the trims before
         it, as the loop does.
@@ -331,6 +360,8 @@ class PageMappingFTL:
         owner = self._owner
         valid = self._valid_count
         dirty = self._dirty_segments
+        record = self._deaths.append
+        counts = self._erase_counts
         per = self._pages_per_block
         entries = self._map_entries_per_page
         top = self._exported_pages
@@ -341,7 +372,10 @@ class PageMappingFTL:
             if old != UNMAPPED:
                 l2p[lpn] = UNMAPPED
                 owner[old] = DEAD
-                valid[old // per] -= 1
+                block = old // per
+                valid[block] -= 1
+                record(old)
+                record(counts[block])
                 dirty.add(lpn // entries)
 
     def barrier(self) -> None:
@@ -357,8 +391,13 @@ class PageMappingFTL:
         one overlap region, and the root is published only after
         ``chip.drain()`` — the cross-channel ordering point that preserves
         barrier durability semantics.
+
+        The publish makes every data page that died before the barrier
+        began unreachable, so their payloads are released right after it
+        (module docstring, "Payload lifetime").
         """
         self._check_power()
+        deaths, self._deaths = self._deaths, array("i")
         self.stats.barriers += 1
         clock = self.chip.clock
         start_us = clock._now_us
@@ -386,6 +425,7 @@ class PageMappingFTL:
                 self._dirty_segments.clear()
             self.chip.drain()
             self._publish_root(seq_snapshot)
+            self.chip.discard_unerased(deaths)
             self._release_retired()
         self._obs_barrier_us.observe(clock._now_us - start_us)
 
@@ -401,6 +441,7 @@ class PageMappingFTL:
         self._meta_dir = {}
         self._unpublished_segments = {}
         self._pending_retired = set()
+        self._deaths = array("i")
         self._seq = 0
         if self._cmt is not None:
             self._cmt.reset()
@@ -600,7 +641,18 @@ class PageMappingFTL:
 
     def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
         """The committed copy of ``lpn`` at ``old_ppn`` was just replaced."""
-        self._disown(old_ppn)
+        self._bury(old_ppn)
+
+    def _bury(self, ppn: int) -> None:
+        """The owned data page ``ppn`` died: disown it (``_disown``, inline)
+        and record the death, so the next barrier releases its payload."""
+        owner = self._owner
+        if owner[ppn] < DEAD:
+            del self._owner_detail[ppn]
+        owner[ppn] = DEAD
+        block = ppn // self._pages_per_block
+        self._valid_count[block] -= 1
+        self._deaths.extend((ppn, self._erase_counts[block]))
 
     def _release_retired(self) -> None:
         """The root was republished: pages only the old root pinned die
@@ -931,6 +983,50 @@ class PageMappingFTL:
                     f"root map directory is behind on segments "
                     f"{sorted(behind - self._unpublished_segments.keys())} no publish would apply"
                 )
+        self._check_discarded()
         if self._cmt is not None:
             self._cmt.check_invariants()
         self.gc.check_invariants()
+
+    def _check_discarded(self) -> None:
+        """No page remount could map holds a discarded payload.
+
+        Those are the owned pages, the pages the root names, every entry of
+        the root's map images that remount keeps (an L2P entry naming an
+        ``OOB_DATA`` page of its lpn at or below ``root.seq``, a chain entry
+        naming the page its OOB identity matches) and every data page the
+        OOB replay applies (an effect sequence above ``root.seq``).
+        """
+        discarded = set(self.chip.discarded_pages())
+        if not discarded:
+            return
+        owned = [ppn for ppn in discarded if self._owner[ppn] != DEAD]
+        if owned:
+            raise FtlError(f"owned pages {sorted(owned)} hold discarded payloads")
+        root = self._root
+        named = discarded & {*root.map_dir.values(), *root.meta_dir.values(), *root.xl2p_ppns}
+        if named:
+            raise FtlError(f"pages {sorted(named)} the root names hold discarded payloads")
+        read_oob = self.chip.read_oob
+        kept = []
+        for segment, map_ppn in root.map_dir.items():
+            ppns, chains = self.chip.peek(map_ppn)
+            for lpn, ppn in enumerate(ppns, segment * self._map_entries_per_page):
+                if ppn in discarded:
+                    oob = read_oob(ppn)
+                    if oob and oob[0] == OOB_DATA and oob[1] == lpn and oob[2] <= root.seq:
+                        kept.append(ppn)
+            for lpn, chain in chains:
+                for ppn, _sup_seq, oob_seq in chain:
+                    oob = read_oob(ppn) if ppn in discarded else None
+                    if oob and oob[:3] == (OOB_DATA, lpn, oob_seq):
+                        kept.append(ppn)
+        scanned = []
+        for ppn in sorted(discarded):
+            oob = read_oob(ppn)
+            if oob:
+                kind, key, seq, tag = oob
+                scanned.append((seq, kind, key, tag, ppn))
+        kept += [page[3] for page in self._effect_sequences(scanned) if page[0] > root.seq]
+        if kept:
+            raise FtlError(f"pages {sorted(kept)} remount would map hold discarded payloads")

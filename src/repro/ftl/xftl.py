@@ -137,7 +137,9 @@ class XFTL(PageMappingFTL):
         self._started_tids.add(tid)
         previous = self.xl2p.put(tid, lpn, ppn)
         if previous is not None:
-            # The transaction rewrote its own uncommitted copy.
+            # The transaction rewrote its own uncommitted copy.  Its death
+            # is not recorded: the tid can still commit, and replay then
+            # yields this copy too (the payload goes with its block's erase).
             self._disown(previous.new_ppn)
         self._own(ppn, OWNER_XL2P_DATA, (tid, lpn))
         self.stats.host_page_writes += 1
@@ -157,7 +159,7 @@ class XFTL(PageMappingFTL):
     def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
         """Retain the superseded committed copy on the lpn's version chain."""
         if self._versions is None:
-            self._disown(old_ppn)
+            self._bury(old_ppn)
             return
         if commit_seq is None:
             # A plain overwrite is its own one-page commit: it ticks the
@@ -376,7 +378,7 @@ class XFTL(PageMappingFTL):
         self._aborted_tids.add(tid)
         self._started_tids.discard(tid)
         for entry in self.xl2p.remove_tid(tid):
-            self._disown(entry.new_ppn)
+            self._bury(entry.new_ppn)
         self.stats.aborts += 1
 
     # ------------------------------------------------------------ internals

@@ -11,8 +11,11 @@ the owner table and its details, the per-block valid counts, the sequence
 counter, the dirty segments, every page's data and OOB, the page states and
 write points, the counters, the clock, the channel timelines and the
 collector's pools.  ``write_run`` (consecutive or scattered lpns) and
-``trim_run`` must also equal their loops on every FTL below, version chains
-and the demand-paged map's residency included.
+``trim_run`` must also equal their loops on every FTL below, version chains,
+the demand-paged map's residency and the record of dead pages included.  The
+aging ends in a barrier, which discards the payloads of the pages that died
+before it, so the twins' page images also show the runs recording the same
+deaths as their loops.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ def state(ftl) -> dict:
         "valid": list(ftl._valid_count),
         "seq": ftl._seq,
         "dirty": sorted(ftl._dirty_segments),
+        "deaths": list(ftl._deaths),
         "free": [list(free) for free in gc._free_by_channel],
         "alloc_order": [list(order) for order in gc._alloc_order],
         "active": (list(gc._active_blocks), list(gc._hot_active), list(gc._trans_active)),
@@ -127,6 +131,7 @@ def test_aging_in_runs_matches_the_page_loop(mode, validity, channels):
     surviving = age_device(aged, validity)
     assert surviving == reference_age_device(reference, validity)
     assert state(aged.ftl) == state(reference.ftl)
+    assert aged.chip.discarded_pages()  # the aging barrier discarded dead pages
     aged.ftl.check_invariants()
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the NAND chip model."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +187,27 @@ class TestDiscard:
         assert chip.peek(0) is None
         chip.program(0, b"new")
         assert chip.read(0) == b"new"
+        assert chip.discarded_pages() == []
+
+    def test_discard_unerased_is_the_discard_loop_of_unerased_blocks(self):
+        """Pairs of (ppn, erase count): a page whose block was erased since
+        its pair was taken keeps whatever it holds now."""
+        chip = make_chip()
+        for ppn in (0, 1, 4, 5):
+            chip.program(ppn, ("first", ppn))
+        pairs = array("i", [0, 0, 4, 0, 5, 0])
+        chip.erase(1)
+        chip.program(4, ("second", 4))
+        before = chip_image(chip)
+        chip.discard_unerased(pairs)
+        assert chip.discarded_pages() == [0]
+        assert [chip.peek(ppn) for ppn in (1, 4, 5)] == [("first", 1), ("second", 4), None]
+        after = chip_image(chip)
+        after.pop("data"), before.pop("data")
+        assert after == before
+        with pytest.raises(FlashError, match="not programmed ppn=2"):
+            chip.discard_unerased(array("i", [1, 0, 2, 0, 5, 0]))
+        assert chip.discarded_pages() == [0, 1]
 
 
 class TestTornPages:

@@ -1,20 +1,27 @@
-"""The FTL releases a metadata page's payload when the durable root stops naming it.
+"""The FTL releases a page's payload once nothing durable can name it.
 
 Translation, firmware-metadata and X-L2P table pages are written copy-on-write
 and made durable by one root update.  The page the root named before that
 update is unreachable from then on (GC moves only owned pages, remount reads
 only what the root names), so the publish hands it to ``chip.discard``: a
 later read of it raises instead of returning a stale image.
+
+A data page that dies (overwritten, trimmed, or written by an aborted
+transaction) stays nameable until the next barrier: the root's map images and
+the OOB replay can still make it current.  That barrier's publish is the
+first point where neither can, so it releases the payload of every data page
+that died before it began, unless the page's block was erased since.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.errors import FlashError, PowerFailure
+from repro.errors import FlashError, FtlError, PowerFailure
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import FtlConfig, PageMappingFTL, XFTL
 from repro.ftl.pagemap import CP_BARRIER_MID, OOB_XL2P_TABLE, OWNER_XL2P_TABLE
+from repro.ftl.xftl import MAP_CHECKPOINT_INTERVAL
 from repro.sim import CrashPlan
 
 GEO = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=32)
@@ -47,6 +54,17 @@ def fill(ftl, tag: bytes) -> None:
 def assert_reads(ftl, tag: bytes) -> None:
     for lpn in range(SEGMENTS * CFG.map_entries_per_page):
         assert ftl.read(lpn) == tag + bytes([lpn])
+
+
+def mapped(ftl) -> list[int]:
+    return [ftl.mapped_ppn(lpn) for lpn in range(SEGMENTS * CFG.map_entries_per_page)]
+
+
+def power_cycle(ftl) -> None:
+    ftl.check_invariants()
+    ftl.power_fail()
+    ftl.remount()
+    ftl.check_invariants()
 
 
 class TestBarrier:
@@ -163,3 +181,132 @@ def test_cmt_writebacks_publish_and_discard_under_xftl():
     ftl.check_invariants()
     for lpn in range(0, SEGMENTS * CFG.map_entries_per_page, 5):
         assert ftl.read(lpn) == b"v2"
+
+
+class TestDeadDataPages:
+    def test_a_barrier_discards_the_copies_overwritten_before_it(self):
+        ftl = make_ftl()
+        fill(ftl, b"a")
+        ftl.barrier()
+        old = mapped(ftl)
+        fill(ftl, b"b")
+        assert ftl.chip.peek(old[5]) == b"a\x05"  # a power cut could still need it
+        ftl.barrier()
+        assert ftl.stats.block_erases == 0
+        assert_discarded(ftl, old)
+        assert not ftl._deaths
+        power_cycle(ftl)
+        assert_reads(ftl, b"b")
+
+    def test_a_trim_is_discarded_only_once_a_barrier_makes_it_durable(self):
+        ftl = make_ftl()
+        fill(ftl, b"a")
+        ftl.barrier()
+        old = mapped(ftl)
+        ftl.trim(5)
+        ftl.trim_run([6, 7])
+        assert ftl.read(5) is None
+        assert [ftl.chip.peek(ppn) for ppn in old[5:8]] == [b"a\x05", b"a\x06", b"a\x07"]
+        power_cycle(ftl)  # before the next barrier: the trims were not durable
+        assert_reads(ftl, b"a")
+        assert ftl.mapped_ppn(5) == old[5]
+        ftl.trim(5)
+        ftl.trim_run([6, 7])
+        ftl.barrier()
+        assert_discarded(ftl, old[5:8])
+        power_cycle(ftl)
+        assert [ftl.read(lpn) for lpn in (4, 5, 6, 7, 8)] == [b"a\x04", None, None, None, b"a\x08"]
+
+    def test_a_page_whose_block_was_erased_and_reprogrammed_keeps_the_new_payload(self):
+        ftl = make_ftl()
+        per = GEO.pages_per_block
+        for lpn in range(per):
+            ftl.write(lpn, ("first", lpn))
+        (block,) = {ftl.mapped_ppn(lpn) // per for lpn in range(per)}
+        for lpn in range(per):
+            ftl.write(lpn, ("second", lpn))  # the whole block dies
+        ftl.gc._run_job(0, ftl.gc._open_job(0, block))  # nothing to move: erased
+        assert ftl.stats.block_erases == 1
+        lpn = per
+        while ftl.mapped_ppn(lpn - 1) // per != block:  # the block comes back
+            ftl.write(lpn, ("third", lpn))
+            lpn += 1
+        reprogrammed = range(block * per, block * per + ftl.chip.state.write_points[block])
+        ftl.barrier()
+        assert ftl.stats.block_erases == 1
+        for ppn in reprogrammed:
+            assert ftl.chip.peek(ppn) is not None
+        power_cycle(ftl)
+        for lpn in range(per):
+            assert ftl.read(lpn) == ("second", lpn)
+        for ppn in reprogrammed:
+            owner = ftl._owner[ppn]
+            if owner >= 0:
+                assert ftl.read(owner) == ("third", owner)
+
+
+class TestXftlAbort:
+    def test_an_abort_is_discarded_at_the_next_checkpoint_but_not_a_rewritten_copy(self):
+        ftl = make_ftl(XFTL)
+        ftl.write_tx(1, 0, b"one")
+        ftl.commit(1)
+        ftl.write_tx(2, 0, b"first")
+        rewritten = ftl.xl2p.get(2, 0).new_ppn
+        ftl.write_tx(2, 0, b"second")  # the transaction rewrites its own copy
+        ftl.write_tx(2, 1, b"two")
+        aborted = [ftl.xl2p.get(2, lpn).new_ppn for lpn in (0, 1)]
+        ftl.abort(2)
+        assert [ftl.chip.peek(ppn) for ppn in aborted] == [b"second", b"two"]
+        for tid in range(3, 3 + MAP_CHECKPOINT_INTERVAL - 1):  # the last one checkpoints
+            ftl.write_tx(tid, 2, tid)
+            ftl.commit(tid)
+        assert ftl.stats.barriers == 1 and ftl.stats.block_erases == 0
+        assert_discarded(ftl, aborted)
+        assert ftl.chip.peek(rewritten) == b"first"
+        power_cycle(ftl)
+        assert (ftl.read(0), ftl.read(1), ftl.read(2)) == (b"one", None, MAP_CHECKPOINT_INTERVAL + 1)
+
+
+class TestInvariant:
+    """``check_invariants`` fails on a discarded page that remount could map."""
+
+    def discarded_by_hand(self, ftl, ppn) -> None:
+        ftl.check_invariants()
+        ftl.chip.discard(ppn)
+        with pytest.raises(FtlError, match="discarded payloads"):
+            ftl.check_invariants()
+        ftl.power_fail()  # the rule holds whatever the DRAM state
+        with pytest.raises(FtlError, match="discarded payloads"):
+            ftl.check_invariants()
+
+    def test_an_owned_page(self):
+        ftl = make_ftl()
+        fill(ftl, b"a")
+        ftl.chip.discard(ftl.mapped_ppn(3))
+        with pytest.raises(FtlError, match=r"owned pages \[\d+\]"):
+            ftl.check_invariants()
+
+    def test_a_dead_page_the_root_still_maps(self):
+        ftl = make_ftl()
+        fill(ftl, b"a")
+        ftl.barrier()
+        old = ftl.mapped_ppn(3)
+        ftl.trim(3)
+        self.discarded_by_hand(ftl, old)
+
+    def test_a_dead_page_the_replay_applies(self):
+        ftl = make_ftl()
+        fill(ftl, b"a")
+        ftl.barrier()
+        ftl.write(3, b"b")
+        replayed = ftl.mapped_ppn(3)
+        ftl.write(3, b"c")
+        self.discarded_by_hand(ftl, replayed)
+
+    def test_a_committed_transactions_rewritten_copy(self):
+        ftl = make_ftl(XFTL)
+        ftl.write_tx(1, 0, b"first")
+        rewritten = ftl.xl2p.get(1, 0).new_ppn
+        ftl.write_tx(1, 0, b"second")
+        ftl.commit(1)
+        self.discarded_by_hand(ftl, rewritten)

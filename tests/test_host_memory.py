@@ -7,7 +7,9 @@ structures are held to a byte budget with ``tracemalloc``: ext4's free space
 programmed page leaves in the chip and the collector (its OOB record goes
 into the chip's preallocated columns).  A barrier releases the payloads of
 the map and meta pages the durable root stops naming, so what map images
-hold does not grow with the number of barriers.
+hold does not grow with the number of barriers, and the payloads of the data
+pages that died before it began, so what superseded data holds does not
+grow with the number of overwrites.
 """
 
 import sys
@@ -131,3 +133,25 @@ def test_a_barrier_that_cleans_every_segment_leaves_a_small_dirty_set():
     ftl.barrier()
     assert not ftl._dirty_segments
     assert sys.getsizeof(ftl._dirty_segments) == sys.getsizeof(set())
+
+
+def test_barriers_release_the_payloads_of_dead_data_pages():
+    """Unique payloads overwritten barrier after barrier, with no erase to
+    free any: the payloads still held are the live pages' plus at most one
+    barrier interval's deaths, and each barrier empties the death record."""
+    live, per_interval, barriers = 256, 64, 100
+    chip = FlashChip(FlashGeometry(page_size=8192, pages_per_block=64, num_blocks=512))
+    ftl = PageMappingFTL(chip, FtlConfig())
+    payload_bytes = sys.getsizeof(b"%08d" % 0 * 32)
+    with traced("test_host_memory.py") as used:  # the payloads are allocated here
+        for lpn in range(live):
+            ftl.write(lpn, b"%08d" % lpn * 32)
+        for barrier in range(barriers):
+            ftl.barrier()
+            assert not ftl._deaths
+            for write in range(per_interval):
+                number = live + barrier * per_interval + write
+                ftl.write(number % live, b"%08d" % number * 32)
+    assert chip.stats.block_erases == 0  # no erase freed a payload here
+    # (plus a little for the loop's own locals)
+    assert used["test_host_memory.py"] <= (live + per_interval) * payload_bytes + 1024
