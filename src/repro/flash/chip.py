@@ -14,8 +14,10 @@ packed columns allocated once, about 25 bytes a page: a kind byte (0: no
 record), an int64 key, an int64 sequence number and a tag (mostly ``None``).
 :meth:`FlashChip.program` takes the four fields, the run primitives take
 them as columns ``(kinds, keys, seqs, tags)``, and
-:meth:`FlashChip.read_oob` returns one page's ``(kind, key, seq, tag)``.
-A field that does not fit its column raises :class:`FlashError` before the
+:meth:`FlashChip.read_oob` returns one page's ``(kind, key, seq, tag)``;
+:attr:`FlashChip.oob_keys` is a read-only view of the key column, where the
+FTL reads the lpn of each data page (its reverse map keeps no copy).  A
+field that does not fit its column raises :class:`FlashError` before the
 page changes.
 
 The chip is the whole flash array behind one physical page space, the way
@@ -181,6 +183,10 @@ class FlashChip:
         self._oob_key = array("q", [0]) * total
         self._oob_seq = array("q", [0]) * total
         self._oob_tag: list[Any] = [None] * total
+        # The key column, read-only: ``oob_keys[ppn]`` is the key the page
+        # was last programmed with (meaningful while ``read_oob`` names a
+        # record), a run's keys one index each -- no tuple built per page.
+        self.oob_keys = memoryview(self._oob_key).toreadonly()
         # Hot-path constants (avoid geometry attribute chains per op).
         self._total_pages = total
         self._pages_per_block = self.geometry.pages_per_block

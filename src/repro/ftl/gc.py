@@ -82,10 +82,11 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Sequence
 
 from repro.errors import FtlError, OutOfSpaceError
-from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP
+from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP, OWNER_DATA
 from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
@@ -588,8 +589,12 @@ class Collector:
             # Cross-tenant collision accounting: a victim whose valid
             # pages belong to several tenants makes each pay copyback for
             # the others' heat.
+            owners = self.ftl._owner
+            keys = self._chip.oob_keys
             tenants.note_gc_victim(
-                tenants.owner_of(lpn) for lpn in self.ftl._owner[job.cursor : job.end] if lpn >= 0
+                tenants.owner_of(keys[ppn])
+                for ppn in range(job.cursor, job.end)
+                if owners[ppn] == OWNER_DATA
             )
         self._chip.crash_plan.hit(CP_GC_VICTIM)
         return job
@@ -616,20 +621,22 @@ class Collector:
         crash_plan = chip.crash_plan
         crash_point = CP_GC_WEAR if job.wear else CP_GC_COPYBACK
         owners = ftl._owner
+        oob_keys = chip.oob_keys
         tenants = chip.tenants
         per = self._per
         write_points = self._write_points
         cold = self._active_blocks
         # Nothing but this call's own relocations changes who owns the
-        # victim's pages, so what is live now is what there is to move.
-        live = [
-            ppn
-            for ppn, owner in enumerate(owners[job.cursor : job.end], job.cursor)
-            if owner != DEAD
-        ]
+        # victim's pages, so what is live now is what there is to move
+        # (a dead page's code, DEAD, is the one zero byte), each page with
+        # the code and the OOB key (a data page's lpn) it has now, read once.
+        codes = owners[job.cursor : job.end]
+        live = list(compress(range(job.cursor, job.end), codes))
+        live_owners = list(compress(codes, codes))
         preempted = max_pages is not None and len(live) > max_pages
         if preempted:
             del live[max_pages:]
+        live_keys = [oob_keys[ppn] for ppn in live]
         stats = self._stats
         # Copyback counters batch across the slice; the try/finally keeps
         # them exact when a crash point fires mid-copyback (a read that
@@ -649,17 +656,19 @@ class Collector:
                         raise OutOfSpaceError("GC ran out of headroom blocks")
                     active = self._open_block(channel, cold)
                 used = write_points[active]
-                srcs = live[moved : moved + min(length, per - used)]
-                run_owners = [owners[ppn] for ppn in srcs]
+                end = moved + min(length, per - used)
+                srcs = live[moved:end]
+                run_owners = live_owners[moved:end]
+                keys = live_keys[moved:end]  # the copyback writes them again
                 dst = active * per + used
-                chip.copyback_run(srcs, dst, ftl._gc_oobs(run_owners, srcs))
+                chip.copyback_run(srcs, dst, ftl._gc_oobs(run_owners, keys, srcs))
                 if write_points[active] >= per:
                     cold[channel] = None
                 if tenants.enabled:
-                    for lpn in run_owners:
-                        if lpn >= 0:
+                    for owner, lpn in zip(run_owners, keys):
+                        if owner == OWNER_DATA:
                             tenants.note_copyback(lpn)
-                ftl._apply_relocations(run_owners, srcs, dst)
+                ftl._apply_relocations(run_owners, keys, srcs, dst)
                 moved += len(srcs)
                 job.cursor = srcs[-1] + 1
         finally:

@@ -90,15 +90,21 @@ The format is decided here alone —
 
 Ownership
 ---------
-The reverse map mirrors the L2P: ``_owner`` is one flat list indexed by ppn,
-one integer per physical page naming the structure that keeps the page
-alive (a list, not an array: CPython reads and writes list items about
-twice as fast, and this table is touched page by page on every path).  A
-page the L2P maps holds its lpn (>= 0), a dead page holds ``DEAD``, and
-every other page holds one of the negative ``OWNER_*`` codes below; only
-those pages have an entry in the one side table
-``_owner_detail`` (ppn -> the code's key: a segment, a slot, a ``(tid,
-lpn)``...).  The table is the only liveness state — ``_valid_count`` is its
+The reverse map mirrors the L2P: ``_owner`` is one ``bytearray`` indexed by
+ppn, one byte per physical page holding the code of the structure that
+keeps the page alive.  A dead page holds ``DEAD`` (0), a page the L2P maps
+holds ``OWNER_DATA`` and every other page one of the ``OWNER_*`` codes
+below.  A data page's lpn is not copied here: it is the key of the page's
+OOB record (``chip.oob_keys[ppn]``).  Every data program and copyback
+writes the lpn there, remount claims a page only for the lpn its OOB names,
+and a commit fold maps a page under the lpn it was written for;
+``check_invariants`` holds every ``OWNER_DATA`` page's key to an L2P entry
+that maps the page.  Only the pages of the other codes have an
+entry in the one side table ``_owner_detail`` (ppn -> the code's key: a
+segment, a slot, a ``(tid, lpn)``...).  Reading a byte costs what reading a
+list item does (CPython hands back a cached small int), without an
+eight-byte pointer, or an ``int`` object, per page.  The table is the only
+liveness state — ``_valid_count`` is its
 per-block population, kept in step by the three verbs that are the only
 writers of either: :meth:`PageMappingFTL._own` (checked: an owned page may
 never be claimed twice), :meth:`~PageMappingFTL._own_for_recovery` (remount
@@ -113,11 +119,13 @@ which disowns it and records its death; the multi-version XFTL pushes it
 onto the lpn's version chain), points the L2P
 at the new one, owns it and dirties its translation segment.  A live page
 is exactly one the L2P or any other mapping structure references (§5), so
-the collector moves what the table says is owned, a run at a time: one slice
-assignment hands the destinations their owners and one update dirties the
-run's translation segments.  An all-L2P run, the common case, also draws its
-OOBs in one pass over its sequence range; a page of any other owner
-dispatches on its code (``_gc_oob``, ``_repoint_owner``).
+the collector moves what the table says is owned, a run at a time: it reads
+the victim's owner codes and OOB keys once and hands each run's share to
+``_gc_oobs`` and ``_apply_relocations``, where one slice assignment hands
+the destinations their owners and one update dirties the run's translation
+segments.  An all-L2P run, the common case, takes its keys as its lpns and
+draws its OOBs in one pass over its sequence range; a page of any other
+owner dispatches on its code (``_gc_oob``, ``_repoint_owner``).
 """
 
 from __future__ import annotations
@@ -138,16 +146,18 @@ CP_BARRIER_MID = register_crash_point(
 )
 
 UNMAPPED = -1  # an L2P entry naming no physical page
-DEAD = -1  # an owner-table entry naming no owner
 
-# Owner codes of the pages the L2P does not map (an L2P-owned page holds its
-# lpn), each with the key ``_owner_detail`` keeps for the page.
-OWNER_MAP = -2  # translation page; key: segment
-OWNER_META = -3  # firmware metadata page; key: slot
-OWNER_RETIRED = -4  # superseded page still pinned by the durable root; key: (code, key)
-OWNER_XL2P_DATA = -5  # uncommitted transactional data (XFTL); key: (tid, lpn)
-OWNER_XL2P_TABLE = -6  # persisted X-L2P table page (XFTL); key: page index
-OWNER_VERSION = -7  # committed page retained in a version chain (XFTL); key: lpn
+# Owner codes, one byte each in the owner table.
+DEAD = 0  # no owner
+OWNER_DATA = 1  # the L2P maps the page; its lpn is the page's OOB key
+# The codes of the pages the L2P does not map, each with the key
+# ``_owner_detail`` keeps for the page.
+OWNER_MAP = 2  # translation page; key: segment
+OWNER_META = 3  # firmware metadata page; key: slot
+OWNER_RETIRED = 4  # superseded page still pinned by the durable root; key: (code, key)
+OWNER_XL2P_DATA = 5  # uncommitted transactional data (XFTL); key: (tid, lpn)
+OWNER_XL2P_TABLE = 6  # persisted X-L2P table page (XFTL); key: page index
+OWNER_VERSION = 7  # committed page retained in a version chain (XFTL); key: lpn
 
 # OOB tid sentinel for GC-relocated retained versions: a relocated version
 # keeps its *original* sequence number (the identity its chain entry stores)
@@ -212,7 +222,8 @@ class PageMappingFTL:
         # docstring), with the owner table's per-block population beside it
         # (reset in place — the collector aliases the list).
         self._l2p = array("i", [UNMAPPED]) * self._exported_pages
-        self._owner = [DEAD] * geo.total_pages
+        self._owner = bytearray(geo.total_pages)  # DEAD everywhere
+        self._oob_keys = chip.oob_keys  # an OWNER_DATA page's lpn
         self._owner_detail: dict[int, Any] = {}
         self._valid_count: list[int] = [0] * geo.num_blocks
         # Page lifecycle state lives on the chip's BlockStateView, which
@@ -500,7 +511,7 @@ class PageMappingFTL:
                 # is replayed in step 2 anyway.
                 oob = self.chip.read_oob(ppn)
                 if oob and oob[0] == OOB_DATA and oob[1] == lpn and oob[2] <= root.seq:
-                    self._own_for_recovery(ppn, lpn)
+                    self._own_for_recovery(ppn, OWNER_DATA)
                     continue
             stale.append(lpn)
         for lpn in stale:
@@ -531,10 +542,15 @@ class PageMappingFTL:
         to this lpn.
         """
         old = self._l2p[lpn]
-        if old != UNMAPPED and old != ppn and self._owner[old] == lpn:
+        if (
+            old != UNMAPPED
+            and old != ppn
+            and self._owner[old] == OWNER_DATA
+            and self._oob_keys[old] == lpn
+        ):
             self._disown(old)
         self._l2p[lpn] = ppn
-        self._own_for_recovery(ppn, lpn)
+        self._own_for_recovery(ppn, OWNER_DATA)
         # The recovered mapping exists only in OOB + DRAM; dirty it so the
         # next barrier persists it (see remount).
         self._mark_dirty(lpn)
@@ -573,17 +589,17 @@ class PageMappingFTL:
 
     def _reset_ownership(self) -> None:
         """Every page dead (power loss, and the blank slate remount fills)."""
-        self._owner = [DEAD] * len(self._owner)
+        self._owner = bytearray(len(self._owner))
         self._owner_detail = {}
         self._valid_count[:] = [0] * len(self._valid_count)
 
     def _own(self, ppn: int, owner: int, detail: Any = None) -> None:
-        """``owner`` (an lpn, or a code with its ``detail``) takes the dead
-        page ``ppn``; claiming a live one is a bug."""
+        """``owner`` (``OWNER_DATA``, or another code with its ``detail``)
+        takes the dead page ``ppn``; claiming a live one is a bug."""
         if self._owner[ppn] != DEAD:
             raise FtlError(f"ppn {ppn} already owned by {self._owner[ppn]}")
         self._owner[ppn] = owner
-        if owner < DEAD:
+        if owner > OWNER_DATA:
             self._owner_detail[ppn] = detail
         self._valid_count[ppn // self._pages_per_block] += 1
 
@@ -596,7 +612,7 @@ class PageMappingFTL:
         """Nothing references ``ppn`` any more (a no-op on a dead page)."""
         owner = self._owner[ppn]
         if owner != DEAD:
-            if owner < DEAD:
+            if owner > OWNER_DATA:
                 del self._owner_detail[ppn]
             self._owner[ppn] = DEAD
             self._valid_count[ppn // self._pages_per_block] -= 1
@@ -614,7 +630,7 @@ class PageMappingFTL:
         owner = self._owner  # _own, inline: the per-host-page path
         if owner[ppn] != DEAD:
             raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
-        owner[ppn] = lpn
+        owner[ppn] = OWNER_DATA
         self._valid_count[ppn // self._pages_per_block] += 1
         self._dirty_segments.add(lpn // self._map_entries_per_page)
 
@@ -634,7 +650,7 @@ class PageMappingFTL:
                 if old != UNMAPPED:
                     self._supersede(lpn, old, None)
         l2p[start:stop] = array("i", ppns)
-        owner[dst : ppns.stop] = lpns
+        owner[dst : ppns.stop] = bytes((OWNER_DATA,)) * len(ppns)
         self._valid_count[dst // self._pages_per_block] += len(ppns)
         entries = self._map_entries_per_page
         self._dirty_segments.update(range(start // entries, (stop - 1) // entries + 1))
@@ -647,7 +663,7 @@ class PageMappingFTL:
         """The owned data page ``ppn`` died: disown it (``_disown``, inline)
         and record the death, so the next barrier releases its payload."""
         owner = self._owner
-        if owner[ppn] < DEAD:
+        if owner[ppn] > OWNER_DATA:
             del self._owner_detail[ppn]
         owner[ppn] = DEAD
         block = ppn // self._pages_per_block
@@ -665,26 +681,30 @@ class PageMappingFTL:
 
     # -------- space management (see repro.ftl.gc) ----------------------
 
-    def _gc_oobs(self, owners: list[int], srcs: list[int]) -> tuple:
+    def _gc_oobs(self, owners: list[int], keys: list[int], srcs: list[int]) -> tuple:
         """OOB columns ``(kinds, keys, seqs, tags)`` for a GC-relocated run:
-        page ``i`` is ``srcs[i]``, owned by ``owners[i]``.  One sequence draw
-        per page, in page order."""
+        page ``i`` is ``srcs[i]``, owned by ``owners[i]``, its OOB key
+        ``keys[i]``.  One sequence draw per page, in page order."""
         count = len(owners)
         seqs = range(self._seq + 1, self._seq + count + 1)
         self._seq += count
-        if min(owners) >= 0:  # all committed data, replayable by anyone (tid=None)
-            return bytes((OOB_DATA,)) * count, owners, seqs, (None,) * count
+        if owners.count(OWNER_DATA) == count:
+            # All committed data, replayable by anyone (tid=None); a data
+            # page's key is its lpn.
+            return bytes((OOB_DATA,)) * count, keys, seqs, (None,) * count
         detail = self._owner_detail
         pages = [
-            self._gc_oob(owner, detail.get(ppn), ppn, seq)
-            for owner, ppn, seq in zip(owners, srcs, seqs)
+            self._gc_oob(owner, detail.get(ppn, lpn), ppn, seq)
+            for owner, lpn, ppn, seq in zip(owners, keys, srcs, seqs)
         ]
         return tuple(zip(*pages))
 
     def _gc_oob(self, owner: int, detail: Any, old_ppn: int, seq: int) -> tuple:
-        """OOB metadata for one GC-relocated page, drawing sequence ``seq``."""
-        if owner >= 0:
-            return (OOB_DATA, owner, seq, None)
+        """OOB metadata for one GC-relocated page, drawing sequence ``seq``;
+        ``detail`` is the page's ``_owner_detail`` key (a data page's: its
+        lpn)."""
+        if owner == OWNER_DATA:
+            return (OOB_DATA, detail, seq, None)
         if owner == OWNER_RETIRED:
             # Keep the retired page's real identity: a relocated retired
             # X-L2P table page must stay recognisable as OOB_XL2P_TABLE (and
@@ -696,24 +716,26 @@ class PageMappingFTL:
             return (_OOB_KINDS[owner], detail, seq, None)
         raise FtlError(f"unknown page owner {owner} ({detail!r})")
 
-    def _apply_relocations(self, owners: list[int], srcs: list[int], dst: int) -> None:
+    def _apply_relocations(
+        self, owners: list[int], keys: list[int], srcs: list[int], dst: int
+    ) -> None:
         """Ownership follows a GC-relocated run, then each owning structure.
 
-        Page ``i`` of the run, owned by ``owners[i]``, moved from
-        ``srcs[i]`` to ``dst + i``; the sources share one block and so do
-        the destinations.
+        Page ``i`` of the run, owned by ``owners[i]`` with OOB key
+        ``keys[i]``, moved from ``srcs[i]`` to ``dst + i``; the sources
+        share one block and so do the destinations.
         """
         owner_table = self._owner
         l2p = self._l2p
-        detail = self._owner_detail
         n = len(srcs)
         if owner_table[dst : dst + n].count(DEAD) != n:
             raise FtlError(f"ppns {dst}..{dst + n - 1} already owned")
         owner_table[dst : dst + n] = owners
-        for owner, old_ppn, new_ppn in zip(owners, srcs, range(dst, dst + n)):
+        detail = self._owner_detail
+        for owner, lpn, old_ppn, new_ppn in zip(owners, keys, srcs, range(dst, dst + n)):
             owner_table[old_ppn] = DEAD
-            if owner >= 0:
-                l2p[owner] = new_ppn
+            if owner == OWNER_DATA:  # a data page's key is its lpn
+                l2p[lpn] = new_ppn
             else:
                 key = detail[new_ppn] = detail.pop(old_ppn)
                 self._repoint_owner(owner, key, old_ppn, new_ppn)
@@ -722,7 +744,9 @@ class PageMappingFTL:
         # so OOB replay would skip them — without the dirty markers a crash
         # after the next barrier reads the stale flushed mappings.
         entries = self._map_entries_per_page
-        self._dirty_segments.update([lpn // entries for lpn in owners if lpn >= 0])
+        self._dirty_segments.update(
+            [lpn // entries for owner, lpn in zip(owners, keys) if owner == OWNER_DATA]
+        )
         per = self._pages_per_block
         self._valid_count[srcs[0] // per] -= n
         self._valid_count[dst // per] += n
@@ -943,11 +967,19 @@ class PageMappingFTL:
     def _check_owner_referenced(self, ppn: int, owner: int) -> None:
         """The converse of "referenced implies owned" (XFTL adds the X-L2P's).
 
-        A stale L2P-owned page would be relocated by GC over the current
-        mapping.
+        An L2P-owned page's OOB names the lpn whose entry maps it: the
+        collector relocates the page over the mapping its key names, so a
+        stale page would overwrite the current mapping, and a key that is no
+        such lpn would corrupt another.
         """
-        if owner >= 0 and self._l2p[owner] != ppn:
-            raise FtlError(f"ppn {ppn} owned by l2p[{owner}], which maps to {self._l2p[owner]}")
+        if owner != OWNER_DATA:
+            return
+        oob = self.chip.read_oob(ppn)
+        if not oob or oob[0] != OOB_DATA or not 0 <= oob[1] < self._exported_pages:
+            raise FtlError(f"ppn {ppn} owned by the l2p holds no data OOB of an lpn: {oob!r}")
+        lpn = oob[1]
+        if self._l2p[lpn] != ppn:
+            raise FtlError(f"ppn {ppn} owned by l2p[{lpn}], which maps to {self._l2p[lpn]}")
 
     def check_invariants(self) -> None:
         """Internal consistency checks used by tests (not by benchmarks)."""
@@ -961,14 +993,15 @@ class PageMappingFTL:
             self._check_owner_referenced(ppn, owner)
         if counts != self._valid_count:
             raise FtlError("valid-count accounting out of sync")
-        coded = {ppn for ppn, owner in enumerate(self._owner) if owner < DEAD}
+        coded = {ppn for ppn, owner in enumerate(self._owner) if owner > OWNER_DATA}
         if coded != self._owner_detail.keys():
             raise FtlError("owner details out of sync with the owner codes")
         if any(self._owner[ppn] != OWNER_RETIRED for ppn in self._pending_retired):
             raise FtlError("a page pending release is not owned as retired")
+        keys = self._oob_keys
         for lpn, ppn in enumerate(self._l2p):
-            if ppn != UNMAPPED and self._owner[ppn] != lpn:
-                raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p")
+            if ppn != UNMAPPED and (self._owner[ppn] != OWNER_DATA or keys[ppn] != lpn):
+                raise FtlError(f"l2p[{lpn}]={ppn} not owned by l2p as lpn {lpn}")
         if self._powered:
             root = self._root
             if root.meta_dir != self._meta_dir:

@@ -51,7 +51,7 @@ from repro.ftl.pagemap import (
     VERSION_TID,
     PageMappingFTL,
 )
-from repro.ftl.xl2p import TxStatus, VersionedL2P, XL2PTable
+from repro.ftl.xl2p import TxStatus, VersionedL2P, XL2PEntry, XL2PTable
 from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
@@ -290,10 +290,13 @@ class XFTL(PageMappingFTL):
         group-commit accounting.
         """
         self._check_power()
-        live: list[int] = []
+        # Each member's entries are taken once, in lpn order: the fold below
+        # walks the same list, after GC may have repointed an entry's page.
+        members: dict[int, list[XL2PEntry]] = {}
         for tid in tids:
-            if self.xl2p.entries_of(tid):
-                live.append(tid)
+            entries = self.xl2p.entries_of(tid)
+            if entries:
+                members[tid] = entries
                 continue
             # A tid with nothing to commit: either a stale handle (already
             # committed/aborted — a host protocol error) or a transaction
@@ -305,8 +308,9 @@ class XFTL(PageMappingFTL):
                 raise TransactionError(f"tid {tid} was aborted; cannot commit")
             self._started_tids.discard(tid)
             self.stats.commits += 1  # the host command succeeded; just free
-        if not live:
+        if not members:
             return
+        live = list(members)
         tracer = self.obs.tracer
         if len(live) == 1:
             cp_before, cp_after = CP_COMMIT_BEFORE_FLUSH, CP_COMMIT_AFTER_FLUSH
@@ -317,8 +321,9 @@ class XFTL(PageMappingFTL):
         start_us = self.chip.clock.now_us
         with span:
             # Step 1: status active -> committed (DRAM).
-            for tid in live:
-                self.xl2p.set_status(tid, TxStatus.COMMITTED)
+            for entries in members.values():
+                for entry in entries:
+                    entry.status = TxStatus.COMMITTED
             self.chip.crash_plan.hit(cp_before)
             self._committed_tids.update(live)
             # One commit sequence per member, assigned in fold order and
@@ -343,8 +348,8 @@ class XFTL(PageMappingFTL):
             # (update_ppn repoints the entry), so new_ppn is read after.
             cmt = self._cmt
             per = self._map_entries_per_page
-            for tid in live:
-                for entry in self.xl2p.entries_of(tid):
+            for tid, entries in members.items():
+                for entry in entries:
                     if cmt is not None:
                         cmt.access(entry.lpn // per)
                     self._disown(entry.new_ppn)
@@ -374,10 +379,12 @@ class XFTL(PageMappingFTL):
                 raise TransactionError(f"tid {tid} is already committed; cannot abort")
             self._started_tids.discard(tid)
             return
-        self.xl2p.set_status(tid, TxStatus.ABORTED)
+        for entry in entries:
+            entry.status = TxStatus.ABORTED
         self._aborted_tids.add(tid)
         self._started_tids.discard(tid)
-        for entry in self.xl2p.remove_tid(tid):
+        self.xl2p.remove_tid(tid)
+        for entry in entries:
             self._bury(entry.new_ppn)
         self.stats.aborts += 1
 

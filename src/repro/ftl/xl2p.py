@@ -39,6 +39,10 @@ class TxStatus(enum.Enum):
     ABORTED = "aborted"
 
 
+# A status as a flushed record stores it (``.value`` is a property lookup).
+_STATUS_VALUES = {status: status.value for status in TxStatus}
+
+
 @dataclass
 class XL2PEntry:
     """One X-L2P row: transaction ``tid`` rewrote ``lpn`` at ``new_ppn``."""
@@ -47,10 +51,6 @@ class XL2PEntry:
     lpn: int
     new_ppn: int
     status: TxStatus = TxStatus.ACTIVE
-
-    def as_record(self) -> tuple[int, int, int, str]:
-        """Serialized row as stored in a flushed X-L2P flash page."""
-        return (self.tid, self.lpn, self.new_ppn, self.status.value)
 
     @classmethod
     def from_record(cls, record: tuple[int, int, int, str]) -> "XL2PEntry":
@@ -103,18 +103,17 @@ class XL2PTable:
         return previous
 
     def entries_of(self, tid: int) -> list[XL2PEntry]:
-        """All entries belonging to transaction ``tid`` (possibly empty)."""
+        """All entries belonging to transaction ``tid``, in lpn order
+        (possibly empty).  A commit or an abort takes them once and sets
+        each entry's ``status`` itself."""
         lpns = self._by_tid.get(tid, set())
         return [self._entries[(tid, lpn)] for lpn in sorted(lpns)]
 
-    def set_status(self, tid: int, status: TxStatus) -> None:
-        for entry in self.entries_of(tid):
-            entry.status = status
-
-    def remove_tid(self, tid: int) -> list[XL2PEntry]:
-        """Drop and return all of ``tid``'s entries (post commit/abort)."""
-        lpns = self._by_tid.pop(tid, set())
-        return [self._entries.pop((tid, lpn)) for lpn in sorted(lpns)]
+    def remove_tid(self, tid: int) -> None:
+        """Drop all of ``tid``'s entries (post commit/abort)."""
+        entries = self._entries
+        for lpn in self._by_tid.pop(tid, ()):
+            del entries[(tid, lpn)]
 
     def active_tids(self) -> set[int]:
         return set(self._by_tid)
@@ -138,7 +137,11 @@ class XL2PTable:
 
     def serialize(self, page_size: int) -> list[tuple]:
         """Split the table's rows across ``flush_page_count`` page images."""
-        records = [entry.as_record() for entry in self._entries.values()]
+        values = _STATUS_VALUES
+        records = [
+            (entry.tid, entry.lpn, entry.new_ppn, values[entry.status])
+            for entry in self._entries.values()
+        ]
         pages = self.flush_page_count(page_size)
         per_page = max(1, math.ceil(len(records) / pages)) if records else 1
         images: list[tuple] = []

@@ -44,7 +44,7 @@ from typing import Any, Iterator
 
 from repro.errors import DatabaseError
 from repro.sqlite.pager import Pager
-from repro.sqlite.records import key_size_bytes, key_sort_tuple
+from repro.sqlite.records import forget_record, key_size_bytes, key_sort_tuple
 
 PAGE_HEADER_BYTES = 64
 CELL_OVERHEAD = 16
@@ -274,7 +274,8 @@ class BTree:
     # ------------------------------------------------------------- updates
 
     def insert(self, key: tuple, payload: bytes, replace: bool = False) -> None:
-        """Insert ``key`` -> ``payload``; duplicate keys require ``replace``."""
+        """Insert ``key`` -> ``payload``; duplicate keys require ``replace``,
+        whose superseded payload leaves the row memo (``forget_record``)."""
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
         index = self._find_in_leaf(leaf, sort_key)
@@ -284,10 +285,12 @@ class BTree:
         if not replace:
             raise DatabaseError(f"duplicate key {key!r}")
         old_local = leaf.cells[index][0]
-        self._free_overflow(leaf.cells[index][1])
+        old_payload = self._free_cell(leaf.cells[index])
         cell = leaf.cells[index] = self._make_cell(payload)
         leaf.adjust(len(cell[0]) - len(old_local))
         self.pager.mark_dirty(path[-1][0], leaf)
+        if old_payload != payload:
+            forget_record(old_payload)  # the superseded row version
 
     def insert_absent(self, key: tuple, payload: bytes) -> bool:
         """``contains(key)``, then ``insert(key, payload)`` if it was absent, in one
@@ -312,13 +315,14 @@ class BTree:
         return True
 
     def delete(self, key: tuple) -> bool:
-        """Remove ``key``; returns whether it existed."""
+        """Remove ``key`` (its payload leaves the row memo); returns whether
+        it existed."""
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
         index = self._find_in_leaf(leaf, sort_key)
         if index is None:
             return False
-        self._free_overflow(leaf.cells[index][1])
+        forget_record(self._free_cell(leaf.cells[index]))
         leaf.adjust(-_cell_bytes(leaf.keys[index], leaf.cells[index]))
         del leaf.keys[index]
         del leaf.sort_keys[index]
@@ -339,7 +343,7 @@ class BTree:
                 self._drop_subtree(child)
         else:
             for cell in page.cells:
-                self._free_overflow(cell[1])
+                self._free_cell(cell)
         self.pager.free(pno)
 
     # ----------------------------------------------------------- internals
@@ -441,13 +445,20 @@ class BTree:
             raise DatabaseError("overflow chain length mismatch")
         return payload
 
-    def _free_overflow(self, overflow_pno: int | None) -> None:
-        pno = overflow_pno
+    def _free_cell(self, cell: tuple[bytes, int | None, int]) -> bytes:
+        """Free ``cell``'s overflow chain; returns the cell's whole payload
+        (the row memo's key), its chunks read as the chain is walked."""
+        local, pno, _total = cell
+        if pno is None:
+            return local
+        parts = [local]
         while pno is not None:
             page = self.pager.get(pno)
+            parts.append(page.chunk)
             next_pno = page.next_pno
             self.pager.free(pno)
             pno = next_pno
+        return b"".join(parts)
 
     # -------- structural changes -----------------------------------------
 

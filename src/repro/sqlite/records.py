@@ -26,9 +26,14 @@ tuple of the same types, so the tuple itself is stored.  A ``bool``, an enum
 or a ``str`` subclass never fills it, because it would not decode to itself.
 A hit cannot change a result — decoding is a pure function of the bytes, the
 row is an immutable tuple of immutable values, and a damaged payload raises
-before it is stored, so it raises again on every call.  The memo holds at
-most ``ROW_MEMO_ENTRIES`` rows and is emptied all at once when full; what it
-costs in memory is that many payloads and rows.
+before it is stored, so it raises again on every call.  The B-tree drops a
+payload with :func:`forget_record` when an UPDATE replaces it or a DELETE
+removes it (the whole payload: a row that overflows its leaf cell is put
+back together from the chain being freed), so the memo holds the rows that
+can still be read, not every version an UPDATE left behind (a row that
+comes back — a rollback, an equal row elsewhere — is decoded once more).
+It holds at most ``ROW_MEMO_ENTRIES`` rows and is emptied all at once when
+full; what it costs in memory is that many payloads and rows.
 
 Key sizes, the B-tree's byte budget, are computed by arithmetic
 (:func:`key_size_bytes`), without encoding the key.
@@ -205,6 +210,11 @@ def decode_record(data: bytes) -> tuple[SqlValue, ...]:
         row = _decode_uncached(data)
         _remember(data, row)
     return row
+
+
+def forget_record(payload: bytes) -> None:
+    """Drop ``payload``'s row from the memo (a no-op if it holds none)."""
+    _rows.pop(payload, None)
 
 
 def _remember(payload: bytes, row: tuple) -> None:

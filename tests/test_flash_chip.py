@@ -70,6 +70,17 @@ class TestProgramReadErase:
         chip.program(1, b"b", 2, 7, 2, None)
         assert chip.read(1) == b"b" and chip.read_oob(1) == (2, 7, 2, None)
 
+    def test_oob_keys_is_a_read_only_view_of_the_key_column(self):
+        chip = make_chip()
+        chip.program(0, b"a", 1, 7, 1, None)
+        chip.program_run(1, [b"b", b"c"], (bytes((1, 1)), [11, 12], [2, 3], [None, None]))
+        chip.copyback_run([0], 4, (bytes((1,)), [13], [4], [None]))
+        assert [chip.oob_keys[ppn] for ppn in (0, 1, 2, 4)] == [7, 11, 12, 13]
+        assert chip.oob_keys[:3].tolist() == [chip.read_oob(ppn)[1] for ppn in range(3)]
+        with pytest.raises(TypeError):
+            chip.oob_keys[0] = 8
+        assert chip.read_oob(0)[1] == 7
+
     def test_read_erased_page_fails(self):
         chip = make_chip()
         with pytest.raises(FlashError):

@@ -23,6 +23,7 @@ from repro.ftl import FtlConfig, PageMappingFTL, XFTL
 from repro.ftl.pagemap import CP_BARRIER_MID, OOB_XL2P_TABLE, OWNER_XL2P_TABLE
 from repro.ftl.xftl import MAP_CHECKPOINT_INTERVAL
 from repro.sim import CrashPlan
+from tests.test_ftl_ownership import page_lpn
 
 GEO = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=32)
 CFG = FtlConfig(
@@ -240,9 +241,9 @@ class TestDeadDataPages:
         for lpn in range(per):
             assert ftl.read(lpn) == ("second", lpn)
         for ppn in reprogrammed:
-            owner = ftl._owner[ppn]
-            if owner >= 0:
-                assert ftl.read(owner) == ("third", owner)
+            lpn = page_lpn(ftl, ppn)
+            if lpn is not None:
+                assert ftl.read(lpn) == ("third", lpn)
 
 
 class TestXftlAbort:

@@ -1,7 +1,8 @@
 """The reverse map: ``PageMappingFTL._owner`` and its per-block counts.
 
-The ppn-indexed owner table (one integer per page: an lpn, ``DEAD``, or a
-negative code whose key sits in ``_owner_detail``) is the FTL's only
+The ppn-indexed owner table (one byte per page: ``DEAD``, ``OWNER_DATA`` for
+a page the L2P maps, whose lpn is its OOB key, or another code whose key
+sits in ``_owner_detail``) is the FTL's only
 liveness state (a page is live iff the L2P or another mapping structure
 references it), so it is checked here the way the L2P is: a randomized
 property over every FTL kind and collection schedule, direct tests of the
@@ -16,9 +17,17 @@ import pytest
 from repro.errors import FtlError, TransactionError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl import XFTL
+from repro.ftl import XFTL, pagemap
 from repro.ftl.base import FtlConfig
-from repro.ftl.pagemap import DEAD, OWNER_MAP, OWNER_VERSION, OWNER_XL2P_DATA, PageMappingFTL
+from repro.ftl.pagemap import (
+    DEAD,
+    OWNER_DATA,
+    OWNER_MAP,
+    OWNER_META,
+    OWNER_VERSION,
+    OWNER_XL2P_DATA,
+    PageMappingFTL,
+)
 from repro.sim.rng import make_rng
 
 from tests.test_ftl_gc import make_bg_ftl, make_bg_xftl
@@ -33,18 +42,34 @@ KINDS = {
         0.3, lambda **cfg: make_bg_xftl(num_blocks=24, retain_versions=3, **cfg)
     ),
 }
+#: Every owner code the table may hold.
+OWNER_CODES = {DEAD} | {code for name, code in vars(pagemap).items() if name.startswith("OWNER_")}
 SCHEDULES = {
     "inline": dict(gc_mode="inline", gc_policy="greedy"),
     "background": dict(gc_mode="background", gc_policy="cost-benefit"),
 }
 
 
+def page_lpn(ftl, ppn: int) -> int | None:
+    """The lpn whose L2P entry owns ``ppn``, or ``None`` when another
+    structure owns it or nothing does.  The owner table keeps only the code;
+    the lpn is the page's OOB key."""
+    if ftl._owner[ppn] != OWNER_DATA:
+        return None
+    return ftl.chip.oob_keys[ppn]
+
+
 def check_reverse_map(ftl) -> None:
     ftl.check_invariants()
     per = ftl.chip.geometry.pages_per_block
     owners = ftl._owner
-    assert type(owners) is list and all(type(owner) is int for owner in owners)
+    assert type(owners) is bytearray
     assert len(owners) == ftl.chip.geometry.total_pages
+    assert set(owners) <= OWNER_CODES
+    for ppn in range(len(owners)):
+        lpn = page_lpn(ftl, ppn)
+        if lpn is not None:
+            assert ftl.mapped_ppn(lpn) == ppn, f"ppn {ppn}"
     live = [owner != DEAD for owner in owners]
     for block, count in enumerate(ftl._valid_count):
         assert count == sum(live[block * per : (block + 1) * per]), f"block {block}"
@@ -129,8 +154,8 @@ class TestVerbs:
         ftl.write(0, b"x")
         ppn = ftl.mapped_ppn(0)
         with pytest.raises(FtlError, match=f"ppn {ppn} already owned"):
-            ftl._own(ppn, 1)
-        assert ftl._owner[ppn] == 0
+            ftl._own(ppn, OWNER_META, 1)
+        assert page_lpn(ftl, ppn) == 0 and ppn not in ftl._owner_detail
         ftl.check_invariants()
 
     def test_recovery_claim_overwrites_without_double_counting(self):
@@ -138,8 +163,8 @@ class TestVerbs:
         ftl.write(0, b"x")
         ppn = ftl.mapped_ppn(0)
         before = list(ftl._valid_count)
-        ftl._own_for_recovery(ppn, 0)
-        assert ftl._valid_count == before
+        ftl._own_for_recovery(ppn, OWNER_DATA)
+        assert ftl._valid_count == before and page_lpn(ftl, ppn) == 0
 
     def test_disown_is_idempotent(self):
         ftl = make_bg_ftl()
@@ -260,7 +285,7 @@ def test_trimmed_page_reused_by_another_lpn_then_power_cycle(
     if barrier_after_trim:
         ftl.barrier()
     taken = {
-        "another-lpn": lambda: ftl._owner[page] >= 0,
+        "another-lpn": lambda: page_lpn(ftl, page) is not None,
         "its-segment-map": lambda: (
             ftl._owner[page] == OWNER_MAP and ftl._owner_detail[page] == trimmed
         ),
@@ -285,9 +310,9 @@ def test_trimmed_page_reused_by_another_lpn_then_power_cycle(
             ftl.write_tx(1, trimmed, ("tx", trimmed, step))
     else:
         pytest.fail(f"GC never handed the trimmed lpn's page over ({reused_as})")
-    owner = ftl._owner[page]
+    owner = page_lpn(ftl, page)
     if reused_as == "another-lpn":
-        assert owner != trimmed and ftl.chip.read_oob(page)[1] == owner
+        assert owner is not None and owner != trimmed and ftl.mapped_ppn(owner) == page
     else:
         assert ftl.chip.read_oob(page)[1] == trimmed
     ftl.power_fail()
@@ -308,8 +333,30 @@ class TestConverseInvariant:
         ftl.write(0, b"new")
         # Resurrect the superseded copy's owner behind the FTL's back: GC
         # relocating it would overwrite l2p[0] with the old data.
-        ftl._own(stale, 0)
+        ftl._own(stale, OWNER_DATA)
         with pytest.raises(FtlError, match=rf"ppn {stale} owned by l2p\[0\], which maps to"):
+            ftl.check_invariants()
+
+    def test_l2p_owned_page_whose_oob_is_no_data_page_detected(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"x")
+        ftl.barrier()
+        (map_page,) = ftl._map_dir.values()
+        # A translation page claimed as data: its OOB key is a segment.
+        ftl._disown(map_page)
+        ftl._own(map_page, OWNER_DATA)
+        with pytest.raises(FtlError, match=rf"ppn {map_page} owned by the l2p holds no data OOB"):
+            ftl.check_invariants()
+
+    def test_l2p_entry_naming_another_lpns_page_detected(self):
+        ftl = make_bg_ftl()
+        ftl.write(0, b"zero")
+        ftl.write(1, b"one")
+        # l2p[1] names lpn 0's page, which is owned as data, but keyed 0
+        # (lpn 1's own page is let go, so only this direction can fail).
+        ftl._disown(ftl.mapped_ppn(1))
+        ftl._l2p[1] = ftl.mapped_ppn(0)
+        with pytest.raises(FtlError, match=r"l2p\[1\]=\d+ not owned by l2p as lpn 1"):
             ftl.check_invariants()
 
     def test_stale_xl2p_owner_detected(self):

@@ -35,6 +35,7 @@ from repro.obs import Observability
 from repro.sim import CrashPlan
 from repro.sim.rng import make_rng
 from tests.chip_image import chip_image
+from tests.test_ftl_ownership import page_lpn
 
 BACKGROUND = dict(
     gc_mode="background",
@@ -147,8 +148,9 @@ def _owners_everywhere(seed: int) -> XFTL:
 def _relocate(ftl, srcs: list[int], dst: int) -> None:
     """What the collector's ``_run_job`` does with one run."""
     owners = [ftl._owner[ppn] for ppn in srcs]
-    ftl.chip.copyback_run(srcs, dst, ftl._gc_oobs(owners, srcs))
-    ftl._apply_relocations(owners, srcs, dst)
+    keys = [ftl.chip.oob_keys[ppn] for ppn in srcs]
+    ftl.chip.copyback_run(srcs, dst, ftl._gc_oobs(owners, keys, srcs))
+    ftl._apply_relocations(owners, keys, srcs, dst)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,14 +165,13 @@ def test_the_all_l2p_slice_path_leaves_what_the_per_page_path_leaves(seed, data)
     mixed = {}
     for block in range(ftl.chip.geometry.num_blocks):
         live = [ppn for ppn in range(block * per, (block + 1) * per) if ftl._owner[ppn] != DEAD]
-        owners = [ftl._owner[ppn] for ppn in live]
-        if owners and min(owners) < 0 <= max(owners):
+        if {page_lpn(ftl, ppn) is None for ppn in live} == {True, False}:
             mixed[block] = live
     assume(mixed)
     live = mixed[data.draw(st.sampled_from(sorted(mixed)))]
     keep = data.draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live)))
     srcs = [ppn for ppn, kept in zip(live, keep) if kept]
-    kinds = {ftl._owner[ppn] >= 0 for ppn in srcs}
+    kinds = {page_lpn(ftl, ppn) is None for ppn in srcs}
     assume(kinds == {True, False})
     seen = []
     for index, twin in enumerate(twins):
@@ -180,8 +181,8 @@ def test_the_all_l2p_slice_path_leaves_what_the_per_page_path_leaves(seed, data)
         else:
             start = 0
             for end in range(1, len(srcs) + 1):
-                if end == len(srcs) or (twin._owner[srcs[end]] >= 0) != (
-                    twin._owner[srcs[start]] >= 0
+                if end == len(srcs) or (page_lpn(twin, srcs[end]) is None) != (
+                    page_lpn(twin, srcs[start]) is None
                 ):
                     _relocate(twin, srcs[start:end], dst + start)
                     start = end

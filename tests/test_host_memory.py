@@ -5,11 +5,16 @@ structures are held to a byte budget with ``tracemalloc``: ext4's free space
 (a block bitmap, one byte per data page), the FTL's translation images
 (four bytes per mapping, like the L2P they are sliced from) and what a
 programmed page leaves in the chip and the collector (its OOB record goes
-into the chip's preallocated columns).  A barrier releases the payloads of
+into the chip's preallocated columns).  The FTL's reverse map is one byte
+per physical page, an owner code: a data page's lpn is read from its OOB
+key, so no ``int`` object per live page outlives the program that mapped it.
+A barrier releases the payloads of
 the map and meta pages the durable root stops naming, so what map images
 hold does not grow with the number of barriers, and the payloads of the data
 pages that died before it began, so what superseded data holds does not
-grow with the number of overwrites.
+grow with the number of overwrites.  Above the device, the SQLite row memo
+holds the rows that can still be read: UPDATEs of the same rows do not pile
+up the versions they replaced.
 """
 
 import sys
@@ -19,13 +24,17 @@ from contextlib import contextmanager
 import pytest
 
 from repro import open_stack
+from repro.bench.aging import age_device
 from repro.device import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
 from repro.ftl import FtlConfig, PageMappingFTL
+from repro.sqlite import records
+from repro.stack import Mode, StackConfig, build_stack
 
 FS_BYTES_PER_DATA_PAGE = 2
 HELD_BYTES_PER_PROGRAMMED_PAGE = 4
+REVERSE_MAP_BYTES_PER_PAGE = 1
 
 
 @contextmanager
@@ -155,3 +164,53 @@ def test_barriers_release_the_payloads_of_dead_data_pages():
     assert chip.stats.block_erases == 0  # no erase freed a payload here
     # (plus a little for the loop's own locals)
     assert used["test_host_memory.py"] <= (live + per_interval) * payload_bytes + 1024
+
+
+def test_aging_leaves_one_byte_per_page_in_the_reverse_map_and_no_int_per_page():
+    """Aging maps about half the device to filler.  The owner table stays
+    one byte per physical page, and what aging leaves allocated is a few
+    hundred blocks (map images, the collector's pools), not one ``int`` per
+    live page: a table that kept each page's lpn held ~14,000 here."""
+    stack = build_stack(StackConfig(mode=Mode.RBJ, num_blocks=512, pages_per_block=64))
+    tracemalloc.start()
+    try:
+        age_device(stack, 0.5)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ftl = stack.ftl
+    total_pages = stack.chip.geometry.total_pages
+    live_pages = sum(ftl._valid_count)
+    assert live_pages > 10_000
+    owners = ftl._owner
+    # (a bytearray adds one trailing NUL to its items)
+    assert sys.getsizeof(owners) - sys.getsizeof(bytearray()) <= (
+        REVERSE_MAP_BYTES_PER_PAGE * total_pages + 1
+    )
+    held_blocks = sum(stat.count for stat in snapshot.statistics("filename"))
+    assert held_blocks <= live_pages // 16
+
+
+@pytest.mark.parametrize("text_bytes", [8, 2500], ids=["local", "overflow"])
+def test_updates_of_the_same_rows_leave_one_memo_entry_a_row(text_bytes):
+    """Twenty rounds of UPDATEs over the same K rows: the row memo holds
+    the K current rows plus a few (the catalog's), not every version an
+    UPDATE replaced (20 x K without eviction).  A 2,500-byte text spills
+    each row into overflow pages, whose memo key is the whole payload, not
+    the part the leaf cell keeps."""
+    rows, rounds = 50, 20
+    stack = open_stack("X-FTL", num_blocks=128, pages_per_block=64)
+    db = stack.open_database("memo.db")
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT, n INTEGER)")
+    db.execute("BEGIN")
+    for row in range(rows):
+        db.execute("INSERT INTO t VALUES (?, ?, ?)", (row, f"{row:08d}".ljust(text_bytes, "v"), 0))
+    db.execute("COMMIT")
+    records._rows.clear()
+    for round_ in range(1, rounds + 1):
+        db.execute("BEGIN")
+        for row in range(rows):
+            db.execute("UPDATE t SET n = ? WHERE id = ?", (round_, row))
+        db.execute("COMMIT")
+    assert db.execute("SELECT SUM(n) FROM t") == [(rows * rounds,)]
+    assert len(records._rows) <= rows + 8
