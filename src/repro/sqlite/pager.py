@@ -706,7 +706,7 @@ class OffPager(Pager):
         ``None`` when the transaction was read-only (in which case it has
         already fully committed locally — there is nothing to make
         durable).  A group coordinator later calls
-        ``TxnManager.commit_group`` and then :meth:`finish_commit`.
+        ``Ext4.commit_tx_group`` and then :meth:`finish_commit`.
         """
         if not self.in_txn:
             raise DatabaseError("no active transaction")

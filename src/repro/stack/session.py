@@ -1,4 +1,4 @@
-"""Sessions and the interleaving scheduler with group commit.
+"""Sessions and the session scheduler with group commit.
 
 A :class:`Session` is one logical client of a shared stack — a TPC-C
 terminal, one smartphone app in the paper's §6.3 scenario.  Each session
@@ -6,15 +6,15 @@ opens its own SQLite connections; all sessions share the one simulated
 device, so their transactions contend for (and amortize) the same X-FTL
 firmware.
 
-:class:`SessionScheduler` interleaves session tasks (generators) with
-the deterministic round-robin interleaver from :mod:`repro.sim` and
-implements **group commit** on X-FTL stacks: when several sessions reach
-their commit point together, their staged transactions are committed by
-one ``TxnManager.commit_group`` call — a single X-L2P CoW flush and a
-single drain barrier serve the whole batch, instead of one flush per
-transaction.  On non-transactional stacks (RBJ/WAL) commits simply run
-inline at the same yield points, so cross-mode comparisons see identical
-statement streams.
+:class:`SessionScheduler` runs session tasks (generators) as one lane of
+the deficit-round-robin loop in :mod:`repro.sim.interleave` — strict
+round-robin — and implements **group commit** on X-FTL stacks: when
+several sessions reach their commit point together, their staged
+transactions are committed by one ``Ext4.commit_tx_group`` call — a
+single X-L2P CoW flush and a single drain barrier serve the whole batch,
+instead of one flush per transaction.  On non-transactional stacks
+(RBJ/WAL) commits simply run inline at the same yield points, so
+cross-mode comparisons see identical statement streams.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import DatabaseError
-from repro.sim.interleave import Park, RoundRobinInterleaver
+from repro.sim.interleave import Park, interleave
 from repro.sqlite.database import Connection
 from repro.sqlite.pager import SqliteJournalMode
 
@@ -73,26 +73,6 @@ class Session:
         self.rollbacks += 1
         self._obs_rollbacks.inc()
 
-    # ------------------------------------------------------------ snapshots
-
-    def snapshot_seq(self) -> int:
-        """The device's current commit sequence — the pin a snapshot takes."""
-        return self.stack.device.snapshot_seq()
-
-    def read_as_of(self, connection: Connection, snapshot_seq: int):
-        """Open an AS-OF read block on one of this session's connections::
-
-            with session.read_as_of(conn, seq):
-                rows = conn.execute("SELECT ...")
-
-        The snapshot's pin registers with the shared TxnManager, so the
-        oldest pin across *all* sessions drives the FTL's version-
-        reclamation floor while writers keep group-committing.
-        """
-        if connection not in self.connections:
-            raise DatabaseError("connection does not belong to this session")
-        return connection.read_as_of(snapshot_seq)
-
 
 class SessionScheduler:
     """Interleave session tasks and coalesce their commits.
@@ -110,22 +90,13 @@ class SessionScheduler:
     flag is inert and commits run eagerly at the same program points).
     """
 
-    def __init__(
-        self,
-        stack: "BenchStack",
-        group_commit: bool = True,
-        max_group: int | None = None,
-    ) -> None:
+    def __init__(self, stack: "BenchStack", group_commit: bool = True) -> None:
         self.stack = stack
         # Group commit needs a device that understands transactions
         # (X-FTL); on stock firmware commits are plain fsyncs already.
         self.group_commit = group_commit and stack.device.supports_transactions
-        self.max_group = max_group
         self.groups_committed = 0
         self.transactions_grouped = 0
-        self._interleaver = RoundRobinInterleaver(
-            self._commit_batch, max_batch=max_group
-        )
 
     # ------------------------------------------------------- task protocol
 
@@ -149,7 +120,7 @@ class SessionScheduler:
 
     def run(self, tasks: Iterable) -> None:
         """Interleave ``tasks`` round-robin until all are exhausted."""
-        self._interleaver.run(list(tasks))
+        interleave([(1, tasks)], self._commit_batch, self.stack.clock)
 
     # ------------------------------------------------------------ batching
 
@@ -162,7 +133,7 @@ class SessionScheduler:
                     "park on scheduler.commit_token(conn)"
                 )
             txns.append(conn.staged_txn)
-        self.stack.fs.txn_manager.commit_group(txns)
+        self.stack.fs.commit_tx_group(txns)
         for conn in connections:
             conn.finish_commit()
         self.groups_committed += 1

@@ -18,32 +18,32 @@ A :class:`Tenant` carves one logical slice out of a shared
   attributes device writes, NCQ slots, GC copybacks and commit latency
   back to the tenant.
 
-:class:`TenantScheduler` extends :class:`~repro.stack.SessionScheduler`
-with a pluggable fairness policy across tenants:
+:class:`TenantScheduler` groups tenants' tasks into lanes of the one
+deficit-round-robin loop (:mod:`repro.sim.interleave`) under a fairness
+policy:
 
 - ``"round-robin"`` — the baseline: every task of every tenant joins one
-  global round-robin ring, so a tenant with many sessions gets
+  lane, a global round-robin ring, so a tenant with many sessions gets
   proportionally many turns (the noisy-neighbour failure mode);
-- ``"deficit"`` — weighted deficit round-robin *between tenants*: each
-  tenant banks ``quantum_us x weight`` of simulated time per round and
-  its tasks only run while the bank is positive, so a hot tenant's extra
-  sessions share the hot tenant's quantum instead of multiplying it.
-  When the stack has an NCQ queue, the registry's weighted shares are
-  installed as per-tenant in-flight caps.
+- ``"deficit"`` — one lane per tenant, weighted by the tenant's weight:
+  each tenant banks ``QUANTUM_US x weight`` of simulated time per round
+  and its tasks only run while the bank is positive, so a hot tenant's
+  extra sessions share the hot tenant's quantum instead of multiplying
+  it.  When the stack has an NCQ queue, the registry's weighted shares
+  are installed as per-tenant in-flight caps.
 
-With a single tenant both policies degenerate to the plain round-robin
-interleaver — same task order, same group-commit batches — which keeps
-tenants=1 bit-identical to the historical single-stack path
-(``tests/test_tenant_equivalence.py``).
+With a single tenant both policies run one lane, which is what a
+:class:`~repro.stack.SessionScheduler` runs — same task order, same
+group-commit batches — so tenants=1 is bit-identical to the
+single-stack path (``tests/test_tenant_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.sim.interleave import Park
+from repro.sim.interleave import interleave
 from repro.sim.rng import make_rng
 from repro.stack.session import Session, SessionScheduler
 
@@ -192,8 +192,8 @@ class TenantScheduler(SessionScheduler):
         scheduler.run()
 
     Group commit works across tenants: parked commits from any mix of
-    tenants batch into one ``TxnManager.commit_group`` call, exactly as
-    the session scheduler batches them within one tenant.
+    tenants batch into one ``Ext4.commit_tx_group`` call, exactly as the
+    session scheduler batches them within one tenant.
     """
 
     def __init__(
@@ -201,27 +201,20 @@ class TenantScheduler(SessionScheduler):
         stack: "BenchStack",
         fairness: str = "round-robin",
         group_commit: bool = True,
-        max_group: int | None = None,
-        quantum_us: float = 200.0,
     ) -> None:
-        super().__init__(stack, group_commit=group_commit, max_group=max_group)
+        super().__init__(stack, group_commit=group_commit)
         if fairness not in FAIRNESS_POLICIES:
             raise ValueError(
                 f"unknown fairness policy {fairness!r}; "
                 f"expected one of {FAIRNESS_POLICIES}"
             )
-        if quantum_us <= 0:
-            raise ValueError("quantum_us must be positive")
         self.fairness = fairness
-        self.quantum_us = quantum_us
         self._registry = stack.chip.tenants
-        self._assignments: list[tuple[Tenant, list]] = []
-
-    # ---------------------------------------------------------- assignment
+        self._tasks: dict[int, list] = {}  # tenant id -> tasks, first-assigned first
 
     def add(self, tenant: Tenant, tasks: Iterable) -> None:
         """Assign ``tasks`` (session generators) to ``tenant``."""
-        self._assignments.append((tenant, list(tasks)))
+        self._tasks.setdefault(tenant.id, []).extend(tasks)
 
     def _tagged(self, tenant_id: int, task):
         """Wrap a task so each step runs with the tenant active.
@@ -240,101 +233,25 @@ class TenantScheduler(SessionScheduler):
                 registry.current = previous
             yield item
 
-    # --------------------------------------------------------------- run
-
-    def run(self, tasks: Iterable | None = None) -> None:
-        """Run all assigned tenant tasks under the fairness policy.
-
-        ``run(tasks)`` (with an explicit task list) keeps the plain
-        :class:`SessionScheduler` behaviour for drop-in compatibility.
-        """
-        if tasks is not None:
-            super().run(tasks)
-            return
+    def run(self) -> None:
+        """Run all assigned tenant tasks under the fairness policy."""
+        deficit = self.fairness == "deficit"
+        lanes = [
+            (
+                self._registry.account(tenant_id).weight,
+                [self._tagged(tenant_id, task) for task in tasks],
+            )
+            for tenant_id, tasks in self._tasks.items()
+        ]
+        if not deficit:
+            lanes = [(1, [task for _weight, tasks in lanes for task in tasks])]
         queue = self.stack.device.queue
         if queue is not None:
             # NCQ shares: cap each tenant's in-flight commands by weight
             # under the deficit policy; the baseline shares nothing.
-            if self.fairness == "deficit":
-                queue.set_shares(
-                    self._registry.queue_shares(self.stack.config.queue_depth)
-                )
-            else:
-                queue.set_shares(None)
-        if self.fairness == "round-robin":
-            flat = [
-                self._tagged(tenant.id, task)
-                for tenant, tasks_ in self._assignments
-                for task in tasks_
-            ]
-            self._interleaver.run(flat)
-            return
-        self._run_deficit()
-
-    def _run_deficit(self) -> None:
-        """Weighted deficit round-robin between tenants.
-
-        Classic DRR, with simulated time as the byte counter: each round
-        a tenant banks ``quantum_us x weight`` and steps its tasks
-        round-robin while the bank is positive, paying each step's
-        simulated-time cost.  A tenant with no runnable tasks forfeits
-        its bank (no credit hoarding).  Parked commits batch exactly like
-        the base interleaver: service fires when every runnable task is
-        parked or ``max_group`` parks accumulate.
-        """
-        clock = self.stack.clock
-        quantum = self.quantum_us
-        lanes = [
-            {
-                "queue": deque(self._tagged(tenant.id, task) for task in tasks_),
-                "weight": float(tenant.weight),
-                "deficit": 0.0,
-            }
-            for tenant, tasks_ in self._assignments
-        ]
-        parked_tasks: list[tuple[dict, object]] = []  # (lane, task) in park order
-        parked_tokens: list[object] = []
-        max_batch = self.max_group
-
-        while True:
-            runnable = any(lane["queue"] for lane in lanes)
-            batch_full = max_batch is not None and len(parked_tokens) >= max_batch
-            if parked_tokens and (not runnable or batch_full):
-                self._commit_batch(parked_tokens)
-                for lane, task in parked_tasks:
-                    lane["queue"].append(task)
-                parked_tasks, parked_tokens = [], []
-                continue
-            if not runnable:
-                break
-            for lane in lanes:
-                queue = lane["queue"]
-                if not queue:
-                    lane["deficit"] = 0.0
-                    continue
-                lane["deficit"] += quantum * lane["weight"]
-                while queue and lane["deficit"] > 0.0:
-                    task = queue.popleft()
-                    started = clock.now_us
-                    try:
-                        item = next(task)
-                    except StopIteration:
-                        continue
-                    finally:
-                        cost = clock.now_us - started
-                        # Zero-cost steps (pure host work) still pay a
-                        # token so a busy-looping task cannot monopolize
-                        # its tenant's round forever.
-                        lane["deficit"] -= cost if cost > 0.0 else 1.0
-                    if isinstance(item, Park):
-                        parked_tasks.append((lane, task))
-                        parked_tokens.append(item.token)
-                        if max_batch is not None and len(parked_tokens) >= max_batch:
-                            break
-                    else:
-                        queue.append(task)
-                else:
-                    if not queue:
-                        lane["deficit"] = 0.0
-                    continue
-                break  # batch went full mid-lane; service before continuing
+            queue.set_shares(
+                self._registry.queue_shares(self.stack.config.queue_depth)
+                if deficit
+                else None
+            )
+        interleave(lanes, self._commit_batch, self.stack.clock)

@@ -35,7 +35,7 @@ nesting.  Instead the manager records zero-duration ``txn.begin`` /
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import TransactionError
 
@@ -199,20 +199,6 @@ class TxnManager:
 
     def _push_snapshot_floor(self) -> None:
         self.fs.device.set_snapshot_floor(self.oldest_snapshot())
-
-    # ------------------------------------------------------- group commit
-
-    def commit_group(self, txns: Iterable[TransactionContext | None]) -> int:
-        """Commit several staged transactions under one X-L2P flush.
-
-        Every context must already be staged (COMMITTING) by
-        ``fs.stage_tx``.  Returns the number of transactions committed.
-        """
-        group = [txn for txn in txns if txn is not None]
-        if not group:
-            return 0
-        self.fs.commit_tx_group(group)
-        return len(group)
 
     # ------------------------------------------------------------ helpers
 

@@ -130,9 +130,20 @@ class TenantRegistry:
     # ------------------------------------------------------------ identity
 
     def register(self, name: str, weight: int = 1) -> int:
-        """Register a tenant; returns its id.  Re-registering is idempotent."""
+        """Register a tenant; returns its id.
+
+        Re-registering a name with its weight is idempotent; with another
+        weight it raises ``ValueError``, since the weight sets both the
+        tenant's deficit-round-robin lane and its NCQ share.
+        """
         existing = self._by_name.get(name)
         if existing is not None:
+            registered = self.accounts[existing].weight
+            if weight != registered:
+                raise ValueError(
+                    f"tenant {name!r} is registered with weight {registered}, "
+                    f"not {weight}"
+                )
             return existing
         if weight < 1:
             raise ValueError(f"tenant weight must be >= 1, got {weight}")
@@ -208,18 +219,20 @@ class TenantRegistry:
     def queue_shares(self, depth: int) -> dict[int, int]:
         """Split an NCQ depth into per-tenant in-flight caps by weight.
 
-        Every tenant gets at least one slot; remainders go to the
-        heaviest tenants first (deterministic: ties break by id).
+        Each tenant gets ``depth x weight // total_weight`` slots, but at
+        least one.  The floor's remainder is not handed out, so the caps
+        can sum to less than ``depth`` (three equal tenants at depth 8
+        get 2 + 2 + 2), and the minimum can push them above it (three
+        equal tenants at depth 2 get 1 + 1 + 1).
         """
         tenants = self.accounts[1:]
         if not tenants or depth <= 0:
             return {}
         total = sum(account.weight for account in tenants)
-        shares = {
+        return {
             account.id: max(1, (depth * account.weight) // total)
             for account in tenants
         }
-        return shares
 
     # ------------------------------------------------------------- export
 

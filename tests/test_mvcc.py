@@ -287,7 +287,7 @@ class TestSqlSnapshots:
         a pinned reader's view must not move while four writer sessions
         group-commit updates over it."""
         stack = _stack()
-        scheduler = SessionScheduler(stack, max_group=4)
+        scheduler = SessionScheduler(stack)
         writers = []
         for index in range(4):
             session = stack.open_session(name=f"w{index}")

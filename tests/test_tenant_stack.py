@@ -109,6 +109,22 @@ class TestAttribution:
         with pytest.raises(ValueError):
             stack.open_tenant("bad", weight=0)
 
+    def test_reregistering_with_the_same_weight_is_idempotent(self):
+        stack = _stack()
+        first = stack.open_tenant("a", weight=3)
+        again = stack.open_tenant("a", weight=3)
+        assert again.id == first.id
+        assert stack.chip.tenants.account(first.id).weight == 3
+
+    def test_reregistering_with_another_weight_raises(self):
+        """The weight sets both the DRR lane and the NCQ share; a second
+        weight for one name would make the two disagree."""
+        stack = _stack()
+        tenant = stack.open_tenant("a", weight=1)
+        with pytest.raises(ValueError, match="weight 1, not 3"):
+            stack.open_tenant("a", weight=3)
+        assert stack.chip.tenants.account(tenant.id).weight == 1
+
     def test_owner_map_is_array_backed_and_compact(self):
         """The per-lpn owner map is a flat typed array, not a dict.
 
@@ -152,6 +168,14 @@ class TestQueueShares:
         assert shares[light] == 2
         # Everyone gets at least one slot however small the depth.
         assert registry.queue_shares(1) == {heavy: 1, light: 1}
+
+    def test_share_floor_remainder_is_not_handed_out(self):
+        """Floor with a minimum of one: equal tenants leave the remainder
+        unused at depth 8 and overshoot a depth smaller than their count."""
+        registry = TenantRegistry()
+        ids = [registry.register(name) for name in ("a", "b", "c")]
+        assert registry.queue_shares(8) == dict.fromkeys(ids, 2)
+        assert registry.queue_shares(2) == dict.fromkeys(ids, 1)
 
     def test_share_cap_blocks_until_completion(self):
         clock = SimClock()
@@ -310,3 +334,24 @@ class TestFairness:
         assert rr["cold_commits"] == drr["cold_commits"]
         # ...but the cold tenants' tail is strictly better under deficit.
         assert drr["cold_p99_us"] < rr["cold_p99_us"]
+
+    def test_a_tenant_assigned_twice_runs_as_one_lane(self):
+        """Tasks added in two calls, or through a re-opened tenant, share
+        the tenant's one deficit lane instead of doubling its quantum."""
+        from repro.sim.interleave import QUANTUM_US
+
+        stack = _stack()
+        scheduler = TenantScheduler(stack, fairness="deficit")
+        log = []
+
+        def task(name):
+            for _ in range(3):
+                log.append(name)
+                stack.clock.advance(QUANTUM_US)
+                yield None
+
+        scheduler.add(stack.open_tenant("a"), [task("a1")])
+        scheduler.add(stack.open_tenant("b"), [task("b")])
+        scheduler.add(stack.open_tenant("a"), [task("a2")])
+        scheduler.run()
+        assert log == ["a1", "b", "a2", "b", "a1", "b", "a2", "a1", "a2"]
