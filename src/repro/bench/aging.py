@@ -30,6 +30,8 @@ page gives (``tests/test_aging_equivalence.py``).
 
 from __future__ import annotations
 
+from array import array
+
 from repro.errors import AgingError
 from repro.stack import BenchStack
 from repro.sim.rng import make_rng
@@ -77,14 +79,14 @@ def age_device(
     top = ftl.exported_pages
     first_lpn = top - aged_blocks * pages_per_block
     doomed_per_block = int(pages_per_block * (1.0 - validity))
-    survivors: list[int] = []
+    survivors = array("i")  # unboxed: ~115,000 lpns on the 2,048-block perf legs
     for block_index in range(aged_blocks):
         start = first_lpn + block_index * pages_per_block
         chunk = range(start, start + pages_per_block)
         ftl.write_run(chunk, _FILLER_PAYLOAD)
         doomed = rng.sample(chunk, doomed_per_block)
         ftl.trim_run(doomed)
-        survivors += sorted(set(chunk).difference(doomed))
+        survivors.extend(sorted(set(chunk).difference(doomed)))
 
     # Drain the physical overprovision pool: rewrite surviving filler in
     # place until the free pool sits just above the GC threshold, so the

@@ -335,14 +335,17 @@ class StorageDevice:
 
     # ---------------------------------------------------- extended commands
 
-    def _require_tx(self) -> XFTL:
-        if not isinstance(self.ftl, XFTL):
+    def _tx_ftl(self) -> XFTL:
+        """The FTL of an extended command: the device must be on and its FTL an XFTL."""
+        if not self._on:
+            raise DeviceError("device is powered off")
+        ftl = self.ftl
+        if not isinstance(ftl, XFTL):
             raise DeviceError("device FTL does not support the extended command set")
-        return self.ftl
+        return ftl
 
     def read_tx(self, tid: int, lpn: int) -> Any:
-        self._check_on()
-        ftl = self._require_tx()
+        ftl = self._tx_ftl()
         self.counters.tagged_reads += 1
         self._charge(transfers=1)
         if self.queue is None:
@@ -354,8 +357,7 @@ class StorageDevice:
         ``snapshot_seq`` observes (multi-version X-L2P, retain_versions > 1).
         Falls back to the current committed copy when no retained version
         qualifies — including the whole retain_versions == 1 regime."""
-        self._check_on()
-        ftl = self._require_tx()
+        ftl = self._tx_ftl()
         self.counters.tagged_reads += 1
         self._charge(transfers=1)
         if self.queue is None:
@@ -364,18 +366,15 @@ class StorageDevice:
 
     def snapshot_seq(self) -> int:
         """Current commit sequence number — the pin for a new snapshot."""
-        self._check_on()
-        return self._require_tx().snapshot_seq()
+        return self._tx_ftl().snapshot_seq()
 
     def set_snapshot_floor(self, floor: int | None) -> None:
         """Publish the oldest active snapshot so the FTL can reclaim
         versions no snapshot can still resolve through."""
-        self._check_on()
-        self._require_tx().set_snapshot_floor(floor)
+        self._tx_ftl().set_snapshot_floor(floor)
 
     def write_tx(self, tid: int, lpn: int, data: Any) -> None:
-        self._check_on()
-        ftl = self._require_tx()
+        ftl = self._tx_ftl()
         self.counters.tagged_writes += 1
         self._mutated_since_flush = True
         if self.tenants.enabled:
@@ -403,8 +402,7 @@ class StorageDevice:
 
     def _commit_members(self, tids: list[int]) -> None:
         """The commit body; a single commit is the one-member group."""
-        self._check_on()
-        ftl = self._require_tx()
+        ftl = self._tx_ftl()
         if not tids:
             return
         self.counters.commits += len(tids)
@@ -423,8 +421,7 @@ class StorageDevice:
 
     def abort(self, tid: int) -> None:
         """abort(t), carried over the trim command's parameter set (§5.2)."""
-        self._check_on()
-        ftl = self._require_tx()
+        ftl = self._tx_ftl()
         self.counters.aborts += 1
         self._charge()
         self._barrier_point()

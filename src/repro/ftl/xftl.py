@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import TransactionError
+from repro.errors import FtlError, TransactionError
 from repro.flash.chip import FlashChip
 from repro.flash.state import PAGE_PROGRAMMED
 from repro.ftl.base import FtlConfig
@@ -45,9 +45,11 @@ from repro.ftl.pagemap import (
     DEAD,
     OOB_DATA,
     OOB_XL2P_TABLE,
+    OWNER_DATA,
     OWNER_VERSION,
     OWNER_XL2P_DATA,
     OWNER_XL2P_TABLE,
+    UNMAPPED,
     VERSION_TID,
     PageMappingFTL,
 )
@@ -131,8 +133,10 @@ class XFTL(PageMappingFTL):
         """Tagged write: new copy goes to X-L2P, committed copy untouched."""
         if tid is None:
             raise TransactionError("write_tx requires a transaction id")
-        self._check_power()
-        self._check_lpn(lpn)
+        if not self._powered:
+            raise FtlError("FTL is powered off")
+        if not 0 <= lpn < self._exported_pages:
+            raise FtlError(f"lpn {lpn} outside exported space (0..{self._exported_pages - 1})")
         ppn = self.gc.host_program(data, OOB_DATA, lpn, tid)
         self._started_tids.add(tid)
         previous = self.xl2p.put(tid, lpn, ppn)
@@ -140,8 +144,13 @@ class XFTL(PageMappingFTL):
             # The transaction rewrote its own uncommitted copy.  Its death
             # is not recorded: the tid can still commit, and replay then
             # yields this copy too (the payload goes with its block's erase).
-            self._disown(previous.new_ppn)
-        self._own(ppn, OWNER_XL2P_DATA, (tid, lpn))
+            self._disown(previous)
+        owner = self._owner  # _own(ppn, OWNER_XL2P_DATA, (tid, lpn)), inline
+        if owner[ppn] != DEAD:
+            raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
+        owner[ppn] = OWNER_XL2P_DATA
+        self._owner_detail[ppn] = (tid, lpn)
+        self._valid_count[ppn // self._pages_per_block] += 1
         self.stats.host_page_writes += 1
 
     def read_tx(self, tid: int, lpn: int) -> Any:
@@ -346,14 +355,28 @@ class XFTL(PageMappingFTL):
             # published: an eviction here is ordinary out-of-barrier traffic,
             # and GC under its writeback may relocate the entry's page
             # (update_ppn repoints the entry), so new_ppn is read after.
+            # Per entry this is _disown(new_ppn) then _map(lpn, new_ppn,
+            # seq), inline: the page stays live on its block and only
+            # changes owner, so its valid count does not move.
             cmt = self._cmt
             per = self._map_entries_per_page
+            l2p, owner, detail = self._l2p, self._owner, self._owner_detail
+            dirty = self._dirty_segments
+            supersede = self._supersede
             for tid, entries in members.items():
+                seq = commit_seqs.get(tid)
                 for entry in entries:
+                    lpn = entry.lpn
                     if cmt is not None:
-                        cmt.access(entry.lpn // per)
-                    self._disown(entry.new_ppn)
-                    self._map(entry.lpn, entry.new_ppn, commit_seqs.get(tid))
+                        cmt.access(lpn // per)
+                    ppn = entry.new_ppn
+                    del detail[ppn]
+                    owner[ppn] = OWNER_DATA
+                    old = l2p[lpn]
+                    if old != UNMAPPED:
+                        supersede(lpn, old, seq)
+                    l2p[lpn] = ppn
+                    dirty.add(lpn // per)
                 self.xl2p.remove_tid(tid)
         self._started_tids.difference_update(live)
         self.stats.commits += len(live)
@@ -419,18 +442,17 @@ class XFTL(PageMappingFTL):
         self.chip.drain()
         self.stats.xl2p_flushes += 1
         self._obs_xl2p_flush_pages.observe(float(len(images)))
-        old_ppns = self._root.xl2p_ppns
-        for index, old in enumerate(old_ppns):
-            # Retire with the real page index so a GC relocation keeps
-            # the page labelled OOB_XL2P_TABLE (not misfiled as meta).
-            self._retire(old, OWNER_XL2P_TABLE, index)
         # Atomic meta-block update: new X-L2P location + the members'
         # commit stamp (+ the commit sequence counter; constant 0 when
         # retain_versions=1).  The stamp is _seq as of *now*, not before the
         # flush: its programs may have made GC relocate the old committed
         # copy of a page a member rewrote, which the member must outrank.
+        # No program runs from the drain to the end of the publish, so the
+        # old table pages die here, with no retirement in between.
+        old_ppns = self._root.xl2p_ppns
         self._root.xl2p_ppns = tuple(new_ppns)
         for old in old_ppns:
+            self._disown(old)
             self.chip.discard(old)  # no root names it any more
         self._root.committed_tids.update(dict.fromkeys(members, self._seq))
         self._root.commit_seq = self._commit_counter

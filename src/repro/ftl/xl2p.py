@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from repro.errors import TransactionError
 
@@ -43,14 +42,23 @@ class TxStatus(enum.Enum):
 _STATUS_VALUES = {status: status.value for status in TxStatus}
 
 
-@dataclass
 class XL2PEntry:
-    """One X-L2P row: transaction ``tid`` rewrote ``lpn`` at ``new_ppn``."""
+    """One X-L2P row: transaction ``tid`` rewrote ``lpn`` at ``new_ppn``.
 
-    tid: int
-    lpn: int
-    new_ppn: int
-    status: TxStatus = TxStatus.ACTIVE
+    ``order`` is the table's count of first writes when this one was made:
+    a flush lists entries in that order.
+    """
+
+    __slots__ = ("tid", "lpn", "new_ppn", "status", "order")
+
+    def __init__(
+        self, tid: int, lpn: int, new_ppn: int, status: TxStatus = TxStatus.ACTIVE, order: int = 0
+    ) -> None:
+        self.tid = tid
+        self.lpn = lpn
+        self.new_ppn = new_ppn
+        self.status = status
+        self.order = order
 
     @classmethod
     def from_record(cls, record: tuple[int, int, int, str]) -> "XL2PEntry":
@@ -58,13 +66,18 @@ class XL2PEntry:
         return cls(tid=tid, lpn=lpn, new_ppn=new_ppn, status=TxStatus(status))
 
 
+def _order(entry: XL2PEntry) -> int:
+    return entry.order
+
+
 class XL2PTable:
     """In-DRAM X-L2P table with capacity accounting.
 
-    The table is indexed by ``(tid, lpn)``; a transaction updating the same
-    page twice reuses its entry (only the newest uncommitted copy matters,
-    §5.3).  Physical sizing (how many flash pages a flush takes) follows the
-    configured entry size and capacity.
+    One insertion-ordered map ``lpn -> entry`` per transaction; a
+    transaction updating the same page twice reuses its entry (only the
+    newest uncommitted copy matters, §5.3).  Physical sizing (how many
+    flash pages a flush takes) follows the configured entry size and
+    capacity.
     """
 
     def __init__(self, capacity: int = 1000, entry_bytes: int = XL2P_ENTRY_BYTES) -> None:
@@ -72,55 +85,63 @@ class XL2PTable:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.entry_bytes = entry_bytes
-        self._entries: dict[tuple[int, int], XL2PEntry] = {}
-        self._by_tid: dict[int, set[int]] = {}
+        self._by_tid: dict[int, dict[int, XL2PEntry]] = {}
+        self._size = 0  # entries over all transactions
+        self._puts = 0  # first writes so far: the next entry's order
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._entries
+        return self._size
 
     def get(self, tid: int, lpn: int) -> XL2PEntry | None:
-        return self._entries.get((tid, lpn))
+        entries = self._by_tid.get(tid)
+        return None if entries is None else entries.get(lpn)
 
-    def put(self, tid: int, lpn: int, new_ppn: int) -> XL2PEntry | None:
-        """Insert or update the entry for ``(tid, lpn)``.
+    def put(self, tid: int, lpn: int, new_ppn: int) -> int | None:
+        """Point ``(tid, lpn)``'s entry at ``new_ppn``, adding it on a first write.
 
-        Returns the *previous* entry (so the caller can invalidate the
-        superseded uncommitted physical page), or ``None`` for a first write.
+        Returns the physical page a rewrite supersedes (so the caller can
+        invalidate that uncommitted copy), or ``None`` for a first write.
         Raises :class:`TransactionError` when the table is full.
         """
-        key = (tid, lpn)
-        previous = self._entries.get(key)
-        if previous is None and len(self._entries) >= self.capacity:
+        entries = self._by_tid.get(tid)
+        if entries is not None:
+            entry = entries.get(lpn)
+            if entry is not None:
+                previous = entry.new_ppn
+                entry.new_ppn = new_ppn
+                return previous
+        if self._size >= self.capacity:
             raise TransactionError(
                 f"X-L2P table full ({self.capacity} entries); commit or abort first"
             )
-        entry = XL2PEntry(tid=tid, lpn=lpn, new_ppn=new_ppn)
-        self._entries[key] = entry
-        self._by_tid.setdefault(tid, set()).add(lpn)
-        return previous
+        if entries is None:
+            entries = self._by_tid[tid] = {}
+        entries[lpn] = XL2PEntry(tid, lpn, new_ppn, TxStatus.ACTIVE, self._puts)
+        self._puts += 1
+        self._size += 1
+        return None
 
     def entries_of(self, tid: int) -> list[XL2PEntry]:
         """All entries belonging to transaction ``tid``, in lpn order
         (possibly empty).  A commit or an abort takes them once and sets
         each entry's ``status`` itself."""
-        lpns = self._by_tid.get(tid, set())
-        return [self._entries[(tid, lpn)] for lpn in sorted(lpns)]
+        entries = self._by_tid.get(tid)
+        if not entries:
+            return []
+        return [entries[lpn] for lpn in sorted(entries)]
 
     def remove_tid(self, tid: int) -> None:
         """Drop all of ``tid``'s entries (post commit/abort)."""
-        entries = self._entries
-        for lpn in self._by_tid.pop(tid, ()):
-            del entries[(tid, lpn)]
+        entries = self._by_tid.pop(tid, None)
+        if entries:
+            self._size -= len(entries)
 
     def active_tids(self) -> set[int]:
         return set(self._by_tid)
 
     def update_ppn(self, tid: int, lpn: int, new_ppn: int) -> None:
         """Repoint an entry after garbage collection relocated its page."""
-        entry = self._entries.get((tid, lpn))
+        entry = self.get(tid, lpn)
         if entry is None:
             raise TransactionError(f"no X-L2P entry for tid={tid} lpn={lpn}")
         entry.new_ppn = new_ppn
@@ -136,19 +157,22 @@ class XL2PTable:
         return max(1, math.ceil(self.capacity * self.entry_bytes / page_size))
 
     def serialize(self, page_size: int) -> list[tuple]:
-        """Split the table's rows across ``flush_page_count`` page images."""
+        """Split the table's rows, in the order they were first written,
+        across ``flush_page_count`` page images."""
+        by_tid = self._by_tid
+        entries = [entry for tid_entries in by_tid.values() for entry in tid_entries.values()]
+        if len(by_tid) > 1:
+            entries.sort(key=_order)  # each map is in order; interleave them
         values = _STATUS_VALUES
         records = [
-            (entry.tid, entry.lpn, entry.new_ppn, values[entry.status])
-            for entry in self._entries.values()
+            (entry.tid, entry.lpn, entry.new_ppn, values[entry.status]) for entry in entries
         ]
         pages = self.flush_page_count(page_size)
-        per_page = max(1, math.ceil(len(records) / pages)) if records else 1
-        images: list[tuple] = []
-        for index in range(pages):
-            chunk = records[index * per_page : (index + 1) * per_page]
-            images.append(("xl2p", index, tuple(chunk)))
-        return images
+        per_page = -(-len(records) // pages) or 1
+        return [
+            ("xl2p", index, tuple(records[index * per_page : (index + 1) * per_page]))
+            for index in range(pages)
+        ]
 
     @classmethod
     def deserialize(
@@ -162,8 +186,10 @@ class XL2PTable:
                 raise TransactionError(f"not an X-L2P page image: {tag!r}")
             for record in records:
                 entry = XL2PEntry.from_record(record)
-                table._entries[(entry.tid, entry.lpn)] = entry
-                table._by_tid.setdefault(entry.tid, set()).add(entry.lpn)
+                entry.order = table._puts
+                table._puts += 1
+                table._by_tid.setdefault(entry.tid, {})[entry.lpn] = entry
+                table._size += 1
         return table
 
 

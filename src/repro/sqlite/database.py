@@ -300,13 +300,14 @@ class Connection:
         plan = prepared.get(sql)
         if plan is None:
             plan = self._prepare(sql)  # raises with nothing cached and nothing done
+            prepared[sql] = plan
+            if len(prepared) > PREPARED_STATEMENTS:
+                prepared.popitem(last=False)
+        else:
+            prepared.move_to_end(sql)
         self._obs_statements.inc()
         self._clock.advance(self._profile.host_cpu_statement_us)
         plan.params.bind(params)
-        prepared[sql] = plan
-        prepared.move_to_end(sql)
-        if len(prepared) > PREPARED_STATEMENTS:
-            prepared.popitem(last=False)
         if not plan.writes:
             return plan.run()
 
@@ -550,17 +551,22 @@ class Connection:
             (table.column_index(column), compiler.compile(expr))
             for column, expr in statement.assignments
         ]
-        run = partial(self._run_update, scan, assignments)
+        # Only an index over an assigned column can change: the rest are
+        # left alone row by row.
+        indexes = scan.store.indexes_over([position for position, _ in assignments])
+        run = partial(self._run_update, scan, assignments, indexes)
         return _Plan(run, compiler.params, writes=True, scans=[scan])
 
-    def _run_update(self, scan: _Scan, assignments: list[tuple[int, Callable]]) -> None:
+    def _run_update(
+        self, scan: _Scan, assignments: list[tuple[int, Callable]], indexes: list
+    ) -> None:
         store, binding = scan.store, scan.binding
         for rowid, values in self._match_rows(scan):
             env: Env = {binding: (rowid, values)}
             new_values = list(values)
             for position, compute in assignments:
                 new_values[position] = compute(env)
-            store.update_row(rowid, values, tuple(new_values))
+            store.update_row(rowid, values, tuple(new_values), indexes)
 
     def _plan_delete(self, statement: ast.Delete) -> _Plan:
         _table, compiler, scan = self._plan_match(statement.table, statement.where)

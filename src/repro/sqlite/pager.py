@@ -40,12 +40,6 @@ class SqliteJournalMode(enum.Enum):
 
 
 @dataclass
-class _Entry:
-    page: Any
-    dirty: bool = False
-
-
-@dataclass
 class DbHeader:
     """Page 0 of the database file."""
 
@@ -110,7 +104,12 @@ class Pager:
         self._obs_checkpoints = obs.counter("sqlite.wal_checkpoints")
         self._obs_commit_us = obs.histogram("sqlite.commit.latency_us")
 
-        self._cache: OrderedDict[int, _Entry] = OrderedDict()
+        # The cache maps pno -> page object, least recently used first; the
+        # open transaction's dirty pages are tracked as they are dirtied, so
+        # a commit or rollback costs what the transaction touched, not the
+        # cache size (:meth:`_dirty_pages`).
+        self._cache: OrderedDict[int, Any] = OrderedDict()
+        self._dirty: set[int] = set()
         self.in_txn = False
         created = not fs.exists(name)
         self.file: FileHandle = fs.create(name) if created else fs.open(name)
@@ -171,7 +170,7 @@ class Pager:
         """Commit: force dirty pages out per the journal mode's protocol."""
         if not self.in_txn:
             raise DatabaseError("no active transaction")
-        dirty = [(pno, entry) for pno, entry in self._cache.items() if entry.dirty]
+        dirty = self._dirty_pages()
         start_us = self.fs.device.clock.now_us
         with self.obs.tracer.span(
             "commit", "sqlite", tid=None if self._txn is None else self._txn.tid
@@ -180,8 +179,7 @@ class Pager:
         self._obs_commits.inc()
         self._obs_page_writes.inc(len(dirty))
         self._obs_commit_us.observe(self.fs.device.clock.now_us - start_us)
-        for _pno, entry in dirty:
-            entry.dirty = False
+        self._dirty.clear()
         self._end_txn()
 
     def rollback(self) -> None:
@@ -190,8 +188,10 @@ class Pager:
             raise DatabaseError("no active transaction")
         self._obs_rollbacks.inc()
         # Drop all uncommitted in-memory changes.
-        for pno in [pno for pno, entry in self._cache.items() if entry.dirty]:
-            del self._cache[pno]
+        cache = self._cache
+        for pno, _page in self._dirty_pages():
+            del cache[pno]
+        self._dirty.clear()
         self._rollback()
         self.header = self._read_header_from_disk()
         self._end_txn()
@@ -199,19 +199,40 @@ class Pager:
     def _end_txn(self) -> None:
         self.in_txn = False
 
+    def _dirty_pages(self) -> list[tuple[int, Any]]:
+        """``(pno, page)`` of every dirty page, in the cache's LRU order.
+
+        The order is what commit writes in, so it is simulated state.  The
+        walk starts at the MRU end, where a transaction's pages are, and
+        stops once every tracked page is found.
+        """
+        dirty = self._dirty
+        left = len(dirty)
+        if not left:
+            return []
+        found = []
+        for pno, page in reversed(self._cache.items()):
+            if pno in dirty:
+                found.append((pno, page))
+                left -= 1
+                if not left:
+                    break
+        found.reverse()
+        return found
+
     # --------------------------------------------------------- page access
 
     def get(self, pno: int) -> Any:
         """Fetch a page object (deserializing from storage on miss)."""
-        entry = self._cache.get(pno)
-        if entry is not None:
-            self._cache.move_to_end(pno)
-            return entry.page
+        cache = self._cache
+        page = cache.get(pno)
+        if page is not None:
+            cache.move_to_end(pno)
+            return page
         image = self._read_page_image(pno)
         if image is None:
             raise DatabaseError(f"page {pno} does not exist in {self.name!r}")
-        page = self._decode(image)
-        self._cache[pno] = _Entry(page=page, dirty=False)
+        page = cache[pno] = self._decode(image)
         self._enforce_capacity()
         return page
 
@@ -221,7 +242,6 @@ class Pager:
 
     def put_new(self, pno: int, page: Any) -> None:
         """Install a freshly allocated page object."""
-        self._cache[pno] = _Entry(page=page, dirty=False)
         self.mark_dirty(pno, page)
 
     def mark_dirty(self, pno: int, page: Any) -> None:
@@ -229,13 +249,10 @@ class Pager:
         if not self.in_txn:
             raise DatabaseError("page modified outside a transaction")
         self._before_write(pno)
-        entry = self._cache.get(pno)
-        if entry is None:
-            entry = _Entry(page=page)
-            self._cache[pno] = entry
-        entry.page = page
-        entry.dirty = True
-        self._cache.move_to_end(pno)
+        cache = self._cache
+        cache[pno] = page
+        cache.move_to_end(pno)
+        self._dirty.add(pno)
         self._enforce_capacity()
 
     def _before_write(self, pno: int) -> None:
@@ -255,18 +272,15 @@ class Pager:
         self.mark_dirty_header()
         self.header.freelist.append(pno)
         self._cache.pop(pno, None)
+        self._dirty.discard(pno)
 
     def mark_dirty_header(self) -> None:
         """Declare the database header (page 0) modified by this txn."""
         if not self.in_txn:
             raise DatabaseError("page modified outside a transaction")
         self._before_write(0)
-        entry = self._cache.get(0)
-        if entry is None:
-            self._cache[0] = _Entry(page=self.header, dirty=True)
-        else:
-            entry.page = self.header
-            entry.dirty = True
+        self._cache[0] = self.header  # an update keeps page 0 where it is in the LRU
+        self._dirty.add(0)
 
     @property
     def page_count(self) -> int:
@@ -295,25 +309,27 @@ class Pager:
         abort).  The object stays cached so in-flight operations never see
         stale copies; it becomes evictable once clean.
         """
-        while len(self._cache) > self.cache_pages:
+        cache, dirty = self._cache, self._dirty
+        while len(cache) > self.cache_pages:
             victim = None
-            for pno, entry in self._cache.items():
-                if not entry.dirty and pno != 0:
+            for pno in cache:
+                if pno not in dirty and pno != 0:
                     victim = pno
                     break
             if victim is not None:
-                del self._cache[victim]
+                del cache[victim]
                 continue
             stolen = self._steal_one()
             if not stolen:
                 return  # everything pinned: allow temporary over-capacity
 
     def _steal_one(self) -> bool:
-        for pno, entry in self._cache.items():
-            if entry.dirty and pno != 0:
+        dirty = self._dirty
+        for pno, page in self._cache.items():
+            if pno in dirty and pno != 0:
                 self._obs_spills.inc()
-                self._spill(pno, entry.page.to_image())
-                entry.dirty = False
+                self._spill(pno, page.to_image())
+                dirty.discard(pno)
                 return True
         return False
 
@@ -387,7 +403,7 @@ class RollbackPager(Pager):
         self._journal_pages_written += 1
         self._journal.write_page(self._journal_pages_written, ("jorig", pno, original))
 
-    def _commit(self, dirty: list[tuple[int, _Entry]]) -> None:
+    def _commit(self, dirty: list[tuple[int, Any]]) -> None:
         journal = self._journal
         if journal is not None:
             # 1. Journal data pages durable (ordered before the header).
@@ -404,8 +420,8 @@ class RollbackPager(Pager):
             return  # read-only: no journal, nothing to force
         # 3. Force dirty pages into the database file, one more fsync (with
         #    no journal only brand-new pages were written: nothing to protect).
-        for pno, entry in dirty:
-            self.file.write_page(pno, entry.page.to_image())
+        for pno, page in dirty:
+            self.file.write_page(pno, page.to_image())
         self.fs.fbarrier(self.file)
         if journal is not None:
             # 4. Transaction complete: delete the journal (atomic, §2.1).
@@ -515,8 +531,8 @@ class WalPager(Pager):
         self._wal_frames += 1
         return slot
 
-    def _commit(self, dirty: list[tuple[int, _Entry]]) -> None:
-        images = [(pno, entry.page.to_image()) for pno, entry in dirty]
+    def _commit(self, dirty: list[tuple[int, Any]]) -> None:
+        images = [(pno, page.to_image()) for pno, page in dirty]
         if not images:
             if not self._txn_frames:
                 return  # read-only transaction: nothing to log
@@ -682,13 +698,13 @@ class OffPager(Pager):
     def _spill(self, pno: int, image: tuple) -> None:
         self.file.write_page(pno, image, txn=self._txn)
 
-    def _commit(self, dirty: list[tuple[int, _Entry]]) -> None:
+    def _commit(self, dirty: list[tuple[int, Any]]) -> None:
         if self._txn is None:
             raise DatabaseError("OFF-mode transaction lost its context before commit")
         if not dirty and not self._txn_wrote:
             return  # read-only transaction: no fsync, no device commit
-        for pno, entry in dirty:
-            self.file.write_page(pno, entry.page.to_image(), txn=self._txn)
+        for pno, page in dirty:
+            self.file.write_page(pno, page.to_image(), txn=self._txn)
         self.fs.fsync(self.file, txn=self._txn)
 
     def _rollback(self) -> None:
@@ -713,7 +729,7 @@ class OffPager(Pager):
         txn = self._txn
         if txn is None:
             raise DatabaseError("OFF-mode transaction lost its context before commit")
-        dirty = [(pno, entry) for pno, entry in self._cache.items() if entry.dirty]
+        dirty = self._dirty_pages()
         if not dirty and not self._txn_wrote:
             # Read-only: same as _commit's early return — count the commit
             # and close out locally, no device work to defer.
@@ -722,12 +738,11 @@ class OffPager(Pager):
             return None
         self._stage_start_us = self.fs.device.clock.now_us
         with self.obs.tracer.span("commit_stage", "sqlite", tid=txn.tid):
-            for pno, entry in dirty:
-                self.file.write_page(pno, entry.page.to_image(), txn=txn)
+            for pno, page in dirty:
+                self.file.write_page(pno, page.to_image(), txn=txn)
             self.fs.stage_tx(self.file, txn)
         self._obs_page_writes.inc(len(dirty))
-        for _pno, entry in dirty:
-            entry.dirty = False
+        self._dirty.clear()
         return txn
 
     def finish_commit(self) -> None:
@@ -756,10 +771,9 @@ class OffPager(Pager):
             raise DatabaseError("no active transaction")
         if self._txn is None:
             raise DatabaseError("OFF-mode transaction lost its context before commit")
-        for pno, entry in self._cache.items():
-            if entry.dirty:
-                self.file.write_page(pno, entry.page.to_image(), txn=self._txn)
-                entry.dirty = False
+        for pno, page in self._dirty_pages():
+            self.file.write_page(pno, page.to_image(), txn=self._txn)
+        self._dirty.clear()
 
     def finish_group_commit(self) -> None:
         """Multi-file commit, phase 2: close the local transaction state."""

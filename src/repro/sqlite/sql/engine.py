@@ -538,7 +538,8 @@ def _index_eq_rows(store: TableStore, index: Index, eq: Callable[[Env], SqlValue
         value = eq(env)
         if value is None or value != value:  # NULL (or NaN) never matches an equality
             return _NOTHING
-        return index_rows(index, (value,), (value,))
+        key = (value,)
+        return index_rows(index, key, key)
 
     return rows
 

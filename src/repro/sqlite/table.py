@@ -13,12 +13,13 @@ runs between the two descents.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 from repro.errors import IntegrityError
 from repro.sqlite.btree import BTree
 from repro.sqlite.pager import Pager
-from repro.sqlite.records import SqlValue, decode_record, encode_record
+from repro.sqlite.records import SqlValue, decode_record, encode_record, key_sort_tuple
 from repro.sqlite.schema import Index, Table
 
 
@@ -94,16 +95,30 @@ class TableStore:
             tree.delete(tuple([values[p] for p in positions]) + (rowid,))
         self.tree.delete((rowid,))
 
+    def indexes_over(self, positions: list[int]) -> list[tuple[BTree, list[int]]]:
+        """The indexes (tree, column positions) over any column at ``positions``,
+        in catalog order: all that a write to those columns can change."""
+        written = set(positions)
+        return [index for index in self._indexes if written.intersection(index[1])]
+
     def update_row(
-        self, rowid: int, old_values: tuple[SqlValue, ...], new_values: tuple[SqlValue, ...]
+        self,
+        rowid: int,
+        old_values: tuple[SqlValue, ...],
+        new_values: tuple[SqlValue, ...],
+        indexes: list[tuple[BTree, list[int]]],
     ) -> None:
-        """Replace the row the caller matched as ``old_values``, keeping every index in sync."""
+        """Replace the row the caller matched as ``old_values``, keeping
+        ``indexes`` in sync: :meth:`indexes_over` the columns the new values
+        may differ in (no other index can change)."""
         alias = self.table.rowid_alias
         if alias is not None and new_values[alias] != rowid:
             raise IntegrityError("updating an INTEGER PRIMARY KEY is not supported")
         if self._unique:
+            # Every unique index is probed, written columns or not: the probe
+            # is page access, which the pager's LRU order records.
             self._check_unique(new_values, rowid)
-        for tree, positions in self._indexes:
+        for tree, positions in indexes:
             old = tuple([old_values[p] for p in positions])
             new = tuple([new_values[p] for p in positions])
             if old != new:
@@ -142,12 +157,42 @@ class TableStore:
         hi_open: bool = False,
     ) -> Iterator[tuple[int, tuple[SqlValue, ...]]]:
         """Yield (rowid, values) of the rows whose index key falls in the range,
-        in index order, each row fetched as its index entry is reached."""
-        get_row = self.get_row
-        for rowid in self._index_rowids(self._index_trees[index.name], lo, hi, lo_open, hi_open):
-            row = get_row(rowid)
-            if row is not None:
-                yield rowid, row
+        in index order, each row fetched as its index entry is reached.
+
+        One loop: it is ``get_row`` over :meth:`_index_rowids`, flattened, and
+        touches the pages that pair touches in the same order -- the index
+        descent, each entry's table lookup as the entry is reached, and, when
+        the entries run to the end of a leaf, the re-descent past it that
+        :meth:`BTree.scan` makes (the index payload is empty, so reading it
+        touches nothing).
+        """
+        tree = self._index_trees[index.name]
+        descend = tree._descend
+        get = self.tree.get
+        cursor, hi_sort = _index_bounds(lo, hi, lo_open, hi_open)
+        after = False
+        while True:
+            leaf, path = descend(cursor, after)
+            sort_keys = leaf.sort_keys
+            if not sort_keys:
+                return
+            start = bisect_right(sort_keys, cursor) if after else bisect_left(sort_keys, cursor)
+            keys = leaf.keys
+            for position in range(start, len(keys)):
+                if hi_sort is not None and sort_keys[position] > hi_sort:
+                    return
+                rowid = keys[position][-1]
+                payload = get((rowid,))
+                if payload is not None:
+                    yield rowid, decode_record(payload)
+            if start < len(keys):
+                cursor = sort_keys[-1]
+            else:
+                # Nothing at or past the cursor here (see BTree.scan).
+                cursor = tree._upper_bound(path)
+                if cursor is None:
+                    return
+            after = True
 
     def count(self) -> int:
         """Number of rows in the table (full scan)."""
@@ -198,3 +243,21 @@ class TableStore:
 # blob above, so these pad a value prefix past all of that prefix's rowids.
 _BELOW_ROWIDS = None
 _ABOVE_ROWIDS = b""
+_SORT_BELOW_ROWIDS = key_sort_tuple((_BELOW_ROWIDS,))
+_SORT_ABOVE_ROWIDS = key_sort_tuple((_ABOVE_ROWIDS,))
+
+
+def _index_bounds(
+    lo: tuple | None, hi: tuple | None, lo_open: bool, hi_open: bool
+) -> tuple[tuple, tuple | None]:
+    """Sort keys of the inclusive index range a value-prefix range covers:
+    each prefix padded as :meth:`TableStore._index_rowids` pads it (``()``
+    sorts below every key, ``None`` is no upper bound).  An equality probe
+    passes one tuple as both bounds, and it is sorted once."""
+    lo_sort, hi_sort = (), None
+    if lo is not None:
+        lo_sort = key_sort_tuple(lo) + (_SORT_ABOVE_ROWIDS if lo_open else _SORT_BELOW_ROWIDS)
+    if hi is not None:
+        prefix = lo_sort[:-1] if hi is lo else key_sort_tuple(hi)
+        hi_sort = prefix + (_SORT_BELOW_ROWIDS if hi_open else _SORT_ABOVE_ROWIDS)
+    return lo_sort, hi_sort

@@ -190,14 +190,24 @@ class BenchStack:
 
         Tenants share the device, FTL and file system but own a
         namespace, their sessions and a deterministic RNG lane; see
-        :mod:`repro.stack.tenant`.
+        :mod:`repro.stack.tenant`.  Opening an open name again with the
+        same settings returns the open tenant; with other settings it
+        raises ``ValueError``.
         """
         if name is None:
             name = f"t{len(self.tenants)}"
-        tenant = Tenant(
-            self,
-            TenantConfig(name=name, weight=weight, seed=seed, cache_pages=cache_pages),
-        )
+        config = TenantConfig(name=name, weight=weight, seed=seed, cache_pages=cache_pages)
+        for tenant in self.tenants:
+            if tenant.name == name:
+                if tenant.config != config:
+                    differ = [
+                        f"{key} {getattr(tenant.config, key)}, not {getattr(config, key)}"
+                        for key in ("weight", "seed", "cache_pages")
+                        if getattr(tenant.config, key) != getattr(config, key)
+                    ]
+                    raise ValueError(f"tenant {name!r} is open with {'; '.join(differ)}")
+                return tenant
+        tenant = Tenant(self, config)
         self.tenants.append(tenant)
         return tenant
 

@@ -31,8 +31,7 @@ class TestXL2PTable:
     def test_put_same_page_twice_returns_previous(self):
         table = XL2PTable(capacity=4)
         assert table.put(1, 10, 100) is None
-        previous = table.put(1, 10, 200)
-        assert previous.new_ppn == 100
+        assert table.put(1, 10, 200) == 100  # the superseded ppn
         assert table.get(1, 10).new_ppn == 200
         assert len(table) == 1
 
@@ -85,6 +84,23 @@ class TestXL2PTable:
         assert restored.get(1, 0).status is TxStatus.COMMITTED
         assert restored.get(2, 7).status is TxStatus.ACTIVE
         assert len(restored) == 3
+
+
+    def test_serialize_lists_entries_in_first_write_order_across_transactions(self):
+        table = XL2PTable(capacity=64)
+        for tid, lpn, ppn in ((2, 9, 29), (1, 3, 13), (2, 4, 24), (1, 0, 10), (2, 9, 30)):
+            table.put(tid, lpn, ppn)  # the last is a rewrite: it keeps its place
+        table.remove_tid(3)  # a tid with no entries changes nothing
+        records = [record for image in table.serialize(page_size=512) for record in image[2]]
+        assert records == [
+            (2, 9, 30, "active"),
+            (1, 3, 13, "active"),
+            (2, 4, 24, "active"),
+            (1, 0, 10, "active"),
+        ]
+        table.remove_tid(1)
+        assert len(table) == 2
+        assert [entry.lpn for entry in table.entries_of(2)] == [4, 9]  # lpn order
 
 
 class TestTransactionalReadsWrites:

@@ -139,7 +139,7 @@ def _run(name: str) -> tuple[dict, list]:
             errors += 1
         statements += 1
         outcomes.append(outcome)
-        cache = [(pno, entry.dirty) for pno, entry in db.pager._cache.items()]
+        cache = [(pno, pno in db.pager._dirty) for pno in db.pager._cache]
         step = [
             sql,
             outcome,

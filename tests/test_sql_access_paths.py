@@ -233,6 +233,58 @@ class TestDescentCounts:
         assert loaded.execute("SELECT a, b FROM plain WHERE id = 5") == [(5, 5)]
 
 
+class TestIndexRowsIsGetRowOverTheIndexScan:
+    """``TableStore.index_rows`` is one flat loop; it yields what ``get_row``
+    over ``_index_rowids`` (a ``BTree.scan`` of the index) yields, and makes
+    the same page accesses in the same order, re-descents past a leaf end
+    and past a deleted leaf's separator included."""
+
+    def test_same_rows_and_same_page_accesses(self):
+        db = make_db()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, pad TEXT)")
+        db.execute("CREATE INDEX t_v ON t (v)")
+        db.execute("BEGIN")
+        for i in range(1, 601):
+            db.execute("INSERT INTO t VALUES (?, ?, ?)", (i, i % 23, "p" * 40))
+        db.execute("COMMIT")
+        db.execute("SELECT * FROM t WHERE v = 1")  # plan it
+        store = db._prepared["SELECT * FROM t WHERE v = 1"].scans[0].store
+        index = store.table.indexes[0]
+        tree = store._index_trees[index.name]
+        pager = db.pager
+        # Delete the value that ends the first leaf: the separator above
+        # the leaf stays, so a probe for it lands in the gap below the
+        # separator and goes on past it.
+        root = pager.get(tree.root_pno)
+        first_leaf = pager.get(root.children[0])
+        gap = first_leaf.keys[-1][0]
+        db.execute("DELETE FROM t WHERE v = ? OR (v = 12 AND id > 100)", (gap,))
+        assert first_leaf.keys and first_leaf.keys[-1] < root.keys[0]
+        touched = []
+        original = pager.get
+
+        def recording(pno):
+            touched.append(pno)
+            return original(pno)
+
+        pager.get = recording
+        bounds = [((v,), (v,), False, False) for v in (0, gap, gap + 1, 12, 22, 23)]
+        bounds += [((3,), (9,), True, False), ((11,), (13,), False, True), (None, (2,), False, False)]
+        bounds += [((20,), None, True, False), (None, None, False, False)]
+        for lo, hi, lo_open, hi_open in bounds:
+            del touched[:]
+            got = list(store.index_rows(index, lo, hi, lo_open, hi_open))
+            flat = touched[:]
+            del touched[:]
+            reference = []
+            for rowid in store._index_rowids(tree, lo, hi, lo_open, hi_open):
+                row = store.get_row(rowid)
+                if row is not None:
+                    reference.append((rowid, row))
+            assert got == reference, (lo, hi, lo_open, hi_open)
+            assert flat == touched, (lo, hi, lo_open, hi_open)
+
+
 class TestRowidEqualityRunsNoGenerator:
     def test_row_function_returns_a_tuple_without_a_generator_frame(self, loaded):
         select = "SELECT c FROM plain WHERE id = ?"

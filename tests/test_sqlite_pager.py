@@ -1,6 +1,9 @@
 """Unit tests for the pager's journal-mode machinery."""
 
+import ast
+import inspect
 import sqlite3
+import textwrap
 
 import pytest
 
@@ -8,9 +11,17 @@ from repro.device import StorageDevice
 from repro.errors import DatabaseError
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
+from repro.fs.ext4 import FileHandle
 from repro.ftl import FtlConfig, XFTL
 from repro.sqlite.btree import LeafPage, page_from_image
-from repro.sqlite.pager import DbHeader, Pager, SqliteJournalMode
+from repro.sqlite.pager import (
+    DbHeader,
+    OffPager,
+    Pager,
+    RollbackPager,
+    SqliteJournalMode,
+    WalPager,
+)
 from repro.stack import Mode, StackConfig, build_stack
 
 FS_FOR_MODE = {
@@ -244,6 +255,106 @@ class TestOffMode:
         pager.put_new(pno, leaf(((1,), b"v")))
         pager.commit()
         assert fs.listdir() == ["p.db"]
+
+
+class TestCommitOrder:
+    """Commit writes the dirty pages in the cache's LRU order among them,
+    which is neither the order they were first dirtied in nor set order;
+    rollback drops exactly the dirty pages.
+
+    The transaction re-touches a dirty page, lets the 5-page cache steal
+    two, frees one and dirties page 0 (the header) where it sits, at the
+    LRU end, without touching it.
+    """
+
+    @staticmethod
+    def _transaction(pager):
+        pager.begin()
+        for _ in range(5):  # pages 1..5, committed and clean
+            pno = pager.allocate()
+            pager.put_new(pno, leaf(((pno,), b"a")))
+        pager.commit()
+        assert list(pager._cache) == [0, 2, 3, 4, 5]
+        pager.begin()
+        for pno in (4, 2, 5):
+            pager.mark_dirty(pno, pager.get(pno))
+        pager.get(4)  # re-touch: 4 is dirtied first but is now the newest
+        pager.mark_dirty(3, pager.get(3))  # every cached page but 0 is dirty
+        pager.mark_dirty(1, pager.get(1))  # steals 2
+        new = pager.allocate()  # dirties page 0 in place
+        pager.put_new(new, leaf(((new,), b"n")))  # steals 5
+        pager.free(3)
+        pager.get(2)  # the stolen page comes back clean
+        assert list(pager._cache) == [0, 4, 1, 6, 2]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_commit_writes_dirty_pages_in_lru_order(self, mode, monkeypatch):
+        pager = make_pager(mode, cache_pages=5)
+        self._transaction(pager)
+        written = []
+        original = FileHandle.write_page
+
+        def recording(handle, pno, image, *args, **kwargs):
+            if handle.name == "p.db-wal":
+                written.append(image[1])  # the frame's page number
+            elif handle.name == "p.db":
+                written.append(pno)
+            return original(handle, pno, image, *args, **kwargs)
+
+        monkeypatch.setattr(FileHandle, "write_page", recording)
+        pager.commit()
+        # First dirtied: 4, 1, 0, 6; set order: 0, 1, 4, 6.
+        assert written == [0, 4, 1, 6]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_rollback_drops_exactly_the_dirty_pages(self, mode):
+        pager = make_pager(mode, cache_pages=5)
+        self._transaction(pager)
+        pager.rollback()
+        assert list(pager._cache) == [2]
+        assert pager.header.page_count == 6 and pager.header.freelist == []
+
+
+COMMIT_PATHS = ("commit", "rollback", "stage_commit", "stage_for_group_commit")
+
+
+class TestOneDirtyPageHelper:
+    """Commit, rollback and both staged commits reach the transaction's
+    dirty pages through ``Pager._dirty_pages`` alone: none of them scans
+    the cache, so each costs what the transaction touched."""
+
+    @staticmethod
+    def _definitions():
+        for cls in (Pager, RollbackPager, WalPager, OffPager):
+            for name in COMMIT_PATHS:
+                if name in vars(cls):
+                    source = textwrap.dedent(inspect.getsource(vars(cls)[name]))
+                    yield f"{cls.__name__}.{name}", ast.parse(source)
+
+    def test_no_commit_path_iterates_the_cache_or_the_dirty_set(self):
+        for label, tree in self._definitions():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.For, ast.comprehension)):
+                    attrs = {a.attr for a in ast.walk(node.iter) if isinstance(a, ast.Attribute)}
+                    assert not attrs & {"_cache", "_dirty", "dirty"}, (label, ast.unparse(node.iter))
+
+    def test_each_path_that_writes_or_drops_pages_uses_the_helper_once(self):
+        helpers = {}
+        for label, tree in self._definitions():
+            helpers[label] = sum(
+                isinstance(node, ast.Attribute) and node.attr == "_dirty_pages"
+                for node in ast.walk(tree)
+            )
+        assert helpers == {
+            "Pager.commit": 1,
+            "Pager.rollback": 1,
+            "Pager.stage_commit": 0,  # raises: OFF mode only
+            "Pager.stage_for_group_commit": 0,
+            "OffPager.commit": 0,  # snapshot end, else Pager.commit
+            "OffPager.rollback": 0,
+            "OffPager.stage_commit": 1,
+            "OffPager.stage_for_group_commit": 1,
+        }
 
 
 class TestStealSpill:

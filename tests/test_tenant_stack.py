@@ -116,6 +116,27 @@ class TestAttribution:
         assert again.id == first.id
         assert stack.chip.tenants.account(first.id).weight == 3
 
+    def test_reopening_an_open_tenant_returns_it(self):
+        stack = _stack()
+        first = stack.open_tenant("a", weight=2, seed=11, cache_pages=64)
+        again = stack.open_tenant("a", weight=2, seed=11, cache_pages=64)
+        assert again is first
+        assert len(stack.tenants) == 1
+        assert first.open_session().name == "a.s0"
+        assert again.open_session().name == "a.s1"  # one tenant, one session count
+
+    @pytest.mark.parametrize(
+        "changed, message",
+        [({"seed": 12}, "seed 11, not 12"), ({"cache_pages": 32}, "cache_pages 64, not 32")],
+    )
+    def test_reopening_with_other_settings_raises(self, changed, message):
+        stack = _stack()
+        settings = dict(weight=2, seed=11, cache_pages=64)
+        tenant = stack.open_tenant("a", **settings)
+        with pytest.raises(ValueError, match=message):
+            stack.open_tenant("a", **{**settings, **changed})
+        assert stack.tenants == [tenant]
+
     def test_reregistering_with_another_weight_raises(self):
         """The weight sets both the DRR lane and the NCQ share; a second
         weight for one name would make the two disagree."""
