@@ -135,13 +135,13 @@ class Connection:
         self.obs = fs.obs
         self._obs_statements = fs.obs.counter("sqlite.statements")
         self._explicit_txn = False
-        # Group commit: when True (and in OFF mode), COMMIT stages the
-        # transaction via Pager.stage_commit instead of committing inline;
-        # a SessionScheduler later commits the batch and calls
-        # finish_commit().  Inert in every other mode.
+        # Staged commits (OFF mode): with defer_commits set, COMMIT stages
+        # the transaction for a SessionScheduler's group commit (inert in
+        # every other mode); begin_with_txn joins a MultiFileTransaction.
+        # Either coordinator settles it on the device, then finish_commit().
         self.defer_commits = False
-        self._staged_txn = None
-        self._commit_started_us = 0.0
+        self.staged_txn = None  # the context a deferred COMMIT staged
+        self._joined = False  # only the multi-file coordinator settles
         self._prepared: OrderedDict[str, _Plan] = OrderedDict()
         self._profile = fs.device.profile
         self._clock = fs.device.clock
@@ -211,75 +211,78 @@ class Connection:
         ``txn`` is the :class:`~repro.stack.txn.TransactionContext` minted
         by ``fs.txn_manager.begin()``.  Only OFF mode takes one; there a raw
         integer tid raises :class:`~repro.errors.TransactionError` here,
-        before any statement runs under it.
+        before any statement runs under it.  From then on only the
+        coordinator settles the transaction: this connection's own COMMIT
+        and ROLLBACK raise.
         """
         if self._explicit_txn:
             raise DatabaseError("cannot start a transaction within a transaction")
         self.pager.begin(txn=txn)
         self._explicit_txn = True
-
-    def end_external_txn(self) -> None:
-        """Close the explicit-transaction flag after a coordinator commit."""
-        self._explicit_txn = False
+        self._joined = True
 
     @property
     def pending_commit(self) -> bool:
         """Whether a deferred COMMIT is staged, awaiting its group."""
-        return self._staged_txn is not None
+        return self.staged_txn is not None
 
-    @property
-    def staged_txn(self):
-        """The staged transaction context (None unless pending_commit)."""
-        return self._staged_txn
+    def _check_settle(self, verb: str) -> None:
+        """Raise unless this connection may settle its transaction itself."""
+        if not self._explicit_txn:
+            raise DatabaseError("no transaction is active")
+        if self._joined:
+            raise DatabaseError(
+                f"the transaction on {self.name!r} belongs to a MultiFileTransaction: "
+                f"{verb} it through the coordinator"
+            )
+        if self.staged_txn is not None:
+            raise DatabaseError(f"cannot {verb} a staged commit")
 
     def commit(self) -> None:
         """Commit the explicit transaction.
 
         With :attr:`defer_commits` set (OFF mode), the transaction is
-        *staged* instead: its pages land on the device tagged, but the
-        device commit is left for the session scheduler's group sweep.
+        *staged* instead: its pages land on the device tagged
+        (``Ext4.stage_tx``), and the session scheduler's group sweep
+        commits the batch and calls :meth:`finish_commit`.
         """
-        if not self._explicit_txn:
-            raise DatabaseError("no transaction is active")
-        if self._staged_txn is not None:
-            raise DatabaseError("a staged commit is already pending")
-        # Commit latency (stage -> durable for deferred commits) feeds the
-        # per-tenant p99 accounting; reading the clock costs nothing.
-        commit_started_us = self._clock.now_us
+        self._check_settle("commit")
         if self.defer_commits and self.journal_mode is SqliteJournalMode.OFF:
-            staged = self.pager.stage_commit()
-            if staged is None:
-                # Read-only transaction: already fully committed locally.
-                self._explicit_txn = False
-                if self.session is not None:
-                    self.session.note_commit(self._clock.now_us - commit_started_us)
+            txn = self.pager.stage_commit()
+            if txn is None:
+                self.finish_commit()  # read-only: nothing for the device to settle
             else:
-                self._staged_txn = staged
-                self._commit_started_us = commit_started_us
+                self.fs.stage_tx(self.pager.file, txn)
+                self.staged_txn = txn
             return
+        # Commit latency feeds the per-tenant p99 accounting; reading the
+        # clock costs nothing.
+        commit_started_us = self._clock.now_us
         self.pager.commit()
         self._explicit_txn = False
         if self.session is not None:
             self.session.note_commit(self._clock.now_us - commit_started_us)
 
     def finish_commit(self) -> None:
-        """Complete a deferred COMMIT after its group became durable."""
-        if self._staged_txn is None:
-            raise DatabaseError("no staged commit to finish")
+        """Close a staged transaction once its coordinator's device step made
+        it durable: the finishing step of group and multi-file commits."""
         self.pager.finish_commit()
-        self._staged_txn = None
+        self.staged_txn = None
         self._explicit_txn = False
-        if self.session is not None:
-            self.session.note_commit(self._clock.now_us - self._commit_started_us)
+        self._joined = False
 
     def rollback(self) -> None:
         """Roll back the explicit transaction (DDL included)."""
-        if not self._explicit_txn:
-            raise DatabaseError("no transaction is active")
-        if self._staged_txn is not None:
-            raise DatabaseError("cannot roll back a staged commit")
+        self._check_settle("roll back")
+        self.finish_rollback()
+
+    def finish_rollback(self) -> None:
+        """Drop the transaction's changes and close it: :meth:`rollback`'s
+        step, which a multi-file coordinator takes after its one device
+        abort (the pager then issues none)."""
         self.pager.rollback()
         self._explicit_txn = False
+        self._joined = False
         if self.session is not None:
             self.session.note_rollback()
         self._load_schema()  # DDL in the aborted txn must be forgotten

@@ -16,6 +16,11 @@ XFTL-mode file system::
     db_a.execute("INSERT ...")
     db_b.execute("UPDATE ...")
     txn.commit()      # one commit(t) covers both databases
+
+It drives the session scheduler's staged commit: every pager stages, one
+``Ext4.fsync_group`` (or one ``ioctl_abort``) settles them all, and every
+connection finishes, counted like any other commit.  A participant's own
+COMMIT or ROLLBACK raises.
 """
 
 from __future__ import annotations
@@ -41,17 +46,11 @@ class MultiFileTransaction:
                 raise DatabaseError("all databases must share one file system")
         self.connections = connections
         self.fs = fs
-        self.txn = None
-        self._active = False
-
-    @property
-    def active(self) -> bool:
-        """Whether the shared transaction is currently open."""
-        return self._active
+        self.txn = None  # the shared context while the transaction is open
 
     def begin(self) -> None:
         """Open the shared transaction on every participating database."""
-        if self._active:
+        if self.txn is not None:
             raise DatabaseError("multi-file transaction already active")
         self.txn = self.fs.txn_manager.begin()
         started = []
@@ -62,31 +61,31 @@ class MultiFileTransaction:
         except PowerFailure:
             raise  # machine is down: no in-process rollback is possible
         except BaseException:
-            for connection in started:
-                connection.rollback()
+            self._abort(started)
             raise
-        self._active = True
 
     def commit(self) -> None:
-        """Two-phase local flush, then one atomic device commit."""
-        if not self._active:
-            raise DatabaseError("no multi-file transaction active")
-        assert self.txn is not None
+        """Stage every database, one ``fsync_group`` (one ``commit(t)``),
+        then finish each."""
+        self._check_active()
         for connection in self.connections:
-            connection.pager.stage_for_group_commit()
-        handles = [connection.pager.file for connection in self.connections]
-        self.fs.fsync_group(handles, self.txn)
+            connection.pager.stage_commit()
+        self.fs.fsync_group([connection.pager.file for connection in self.connections], self.txn)
         for connection in self.connections:
-            connection.pager.finish_group_commit()
-            connection.end_external_txn()
-        self._active = False
+            connection.finish_commit()
         self.txn = None
 
     def rollback(self) -> None:
         """Abort the shared transaction everywhere (one device abort)."""
-        if not self._active:
+        self._check_active()
+        self._abort(self.connections)
+
+    def _check_active(self) -> None:
+        if self.txn is None:
             raise DatabaseError("no multi-file transaction active")
-        for connection in self.connections:
-            connection.rollback()
-        self._active = False
+
+    def _abort(self, connections) -> None:
+        self.fs.ioctl_abort(self.txn)
+        for connection in connections:
+            connection.finish_rollback()
         self.txn = None

@@ -163,9 +163,6 @@ class Pager:
     def stage_commit(self):
         raise DatabaseError("staged commits require OFF mode")
 
-    def stage_for_group_commit(self) -> None:
-        raise DatabaseError("group commit requires OFF mode")
-
     def commit(self) -> None:
         """Commit: force dirty pages out per the journal mode's protocol."""
         if not self.in_txn:
@@ -204,19 +201,29 @@ class Pager:
 
         The order is what commit writes in, so it is simulated state.  The
         walk starts at the MRU end, where a transaction's pages are, and
-        stops once every tracked page is found.
+        stops once every tracked page is found.  The header is never
+        evicted or stolen and an update leaves it where it sits, often near
+        the LRU end: once the walk has found every other dirty page without
+        meeting it, it is the least recently used of them, so it goes first
+        without being walked to.
         """
         dirty = self._dirty
         left = len(dirty)
         if not left:
             return []
+        header = 1 if 0 in dirty else 0  # 1 until the walk meets page 0
         found = []
-        for pno, page in reversed(self._cache.items()):
-            if pno in dirty:
-                found.append((pno, page))
-                left -= 1
-                if not left:
-                    break
+        if left > header:
+            for pno, page in reversed(self._cache.items()):
+                if pno in dirty:
+                    found.append((pno, page))
+                    left -= 1
+                    if not pno:
+                        header = 0
+                    if left == header:
+                        break
+        if header:
+            found.append((0, self._cache[0]))
         found.reverse()
         return found
 
@@ -608,7 +615,9 @@ class OffPager(Pager):
     multi-file coordinator handed in); commit is a single fsync (which the
     fs turns into ``commit(t)``); rollback is the abort ioctl (§5.1).  Only
     this mode has snapshot (AS-OF) transactions, which resolve every page
-    through the device's version chains, and staged group commits.
+    through the device's version chains, and staged commits: one staging
+    step and one finishing step, between which a coordinator issues the
+    device step for all the transactions it settles.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -618,7 +627,7 @@ class OffPager(Pager):
         # no snapshot open), its TxnManager pin token ``_snapshot_token``.
         self.snapshot_seq = None
         self._snapshot_token: int | None = None
-        self._stage_start_us = 0.0  # commit latency anchor for staged commits
+        self._stage_start_us: float | None = None  # set while a staged commit waits
         super().__init__(*args, **kwargs)
 
     def _begin(self, txn) -> None:
@@ -678,6 +687,7 @@ class OffPager(Pager):
             # this catches read-only transactions that never reached the fs.
             self.fs.txn_manager.release(self._txn)
         self._txn = None
+        self._stage_start_us = None
         super()._end_txn()
 
     def _before_write(self, pno: int) -> None:
@@ -708,77 +718,49 @@ class OffPager(Pager):
         self.fs.fsync(self.file, txn=self._txn)
 
     def _rollback(self) -> None:
-        if self._txn is None:
+        txn = self._txn
+        if txn is None:
             raise DatabaseError("OFF-mode transaction lost its context before rollback")
-        self.fs.ioctl_abort(self._txn)
+        # A multi-file coordinator aborts its shared context once, for every
+        # file, before its participants roll back: then it is no longer live.
+        if self.fs.txn_manager.get(txn.tid) is txn:
+            self.fs.ioctl_abort(txn)
 
     def stage_commit(self):
-        """Group commit, phase 1: stage this transaction's pages on the device
-        without committing it.
+        """Staged commit, step 1: write the dirty pages into the file under
+        the transaction's context, in :meth:`_dirty_pages` order.
 
-        Dirty pages are force-written tagged and ``fs.stage_tx`` pushes
-        them (plus metadata) to the device, leaving the transaction
-        COMMITTING.  Returns the staged :class:`TransactionContext`, or
-        ``None`` when the transaction was read-only (in which case it has
-        already fully committed locally — there is nothing to make
-        durable).  A group coordinator later calls
-        ``Ext4.commit_tx_group`` and then :meth:`finish_commit`.
+        Returns the context, or ``None`` when the transaction is read-only.
+        A coordinator's device step (``stage_tx`` + ``commit_tx_group``, or
+        ``fsync_group``) makes it durable; then :meth:`finish_commit`.
         """
         if not self.in_txn:
             raise DatabaseError("no active transaction")
         txn = self._txn
         if txn is None:
             raise DatabaseError("OFF-mode transaction lost its context before commit")
+        self._stage_start_us = self.fs.device.clock.now_us
         dirty = self._dirty_pages()
         if not dirty and not self._txn_wrote:
-            # Read-only: same as _commit's early return — count the commit
-            # and close out locally, no device work to defer.
-            self._obs_commits.inc()
-            self._end_txn()
             return None
-        self._stage_start_us = self.fs.device.clock.now_us
         with self.obs.tracer.span("commit_stage", "sqlite", tid=txn.tid):
             for pno, page in dirty:
                 self.file.write_page(pno, page.to_image(), txn=txn)
-            self.fs.stage_tx(self.file, txn)
         self._obs_page_writes.inc(len(dirty))
-        self._dirty.clear()
-        return txn
+        return txn  # the pages stay dirty: a failed device step rolls them back
 
     def finish_commit(self) -> None:
-        """Group commit, phase 2: account and close the local transaction.
-
-        Called after the group coordinator's commit sweep made the staged
-        transaction durable.  The commit latency histogram spans staging
-        through the group's device commit, so the queueing delay a
-        transaction spends waiting for its group is visible.
-        """
-        if not self.in_txn:
-            raise DatabaseError("no active transaction")
+        """Staged commit, step 2: count the commit, note the session's and
+        close the transaction.  The latency spans staging through the
+        device step, so the wait for the group is visible."""
+        if self._stage_start_us is None:
+            raise DatabaseError("no staged commit to finish")
+        latency_us = self.fs.device.clock.now_us - self._stage_start_us
         self._obs_commits.inc()
-        self._obs_commit_us.observe(self.fs.device.clock.now_us - self._stage_start_us)
-        self._end_txn()
-
-    def stage_for_group_commit(self) -> None:
-        """Multi-file commit, phase 1: push this database's dirty pages into
-        the file-system cache tagged with the shared context.
-
-        The coordinator then issues one ``fsync_group``/``commit(t)`` for
-        all participating databases, and each pager finishes locally with
-        :meth:`finish_group_commit`.
-        """
-        if not self.in_txn:
-            raise DatabaseError("no active transaction")
-        if self._txn is None:
-            raise DatabaseError("OFF-mode transaction lost its context before commit")
-        for pno, page in self._dirty_pages():
-            self.file.write_page(pno, page.to_image(), txn=self._txn)
+        self._obs_commit_us.observe(latency_us)
+        if self.session is not None:
+            self.session.note_commit(latency_us)
         self._dirty.clear()
-
-    def finish_group_commit(self) -> None:
-        """Multi-file commit, phase 2: close the local transaction state."""
-        if not self.in_txn:
-            raise DatabaseError("no active transaction")
         self._end_txn()
 
 

@@ -12,9 +12,11 @@ round-robin — and implements **group commit** on X-FTL stacks: when
 several sessions reach their commit point together, their staged
 transactions are committed by one ``Ext4.commit_tx_group`` call — a
 single X-L2P CoW flush and a single drain barrier serve the whole batch,
-instead of one flush per transaction.  On non-transactional stacks
-(RBJ/WAL) commits simply run inline at the same yield points, so
-cross-mode comparisons see identical statement streams.
+instead of one flush per transaction.  A COMMIT stages (``Ext4.stage_tx``)
+and ``Connection.finish_commit`` closes it: the staged commit of
+:mod:`repro.sqlite.multifile`, with another device step.  On
+non-transactional stacks (RBJ/WAL) commits simply run inline at the same
+yield points, so cross-mode comparisons see identical statement streams.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class Session:
         self.connections.append(conn)
         return conn
 
-    # Called by Connection at transaction boundaries.  ``latency_us`` is
-    # the commit's end-to-end simulated latency (stage -> durable for
-    # deferred commits, the COMMIT call itself otherwise); it feeds the
-    # owning tenant's p99 accounting and costs nothing to measure.
+    # Called at transaction boundaries: by Connection, and by the pager
+    # when it finishes a staged commit.  ``latency_us`` is the commit's
+    # end-to-end simulated latency (stage -> durable for staged commits,
+    # the COMMIT call itself otherwise); it feeds the owning tenant's p99
+    # accounting and costs nothing to measure.
     def note_commit(self, latency_us: float | None = None) -> None:
         self.commits += 1
         self._obs_commits.inc()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.stack import Mode, StackConfig, build_stack
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, FsError
 from repro.sqlite.multifile import MultiFileTransaction
 
 
@@ -60,6 +60,69 @@ class TestCommit:
         assert db_a.execute("SELECT COUNT(*) FROM ta") == [(2,)]
 
 
+class TestCounted:
+    """A multi-file commit is counted like any other commit, once per
+    database file: the commit counter, the latency histogram and the
+    owning session's (and so its tenant's) commit count."""
+
+    def test_commit_counts_reach_obs_session_and_tenant(self):
+        stack = build_stack(
+            StackConfig(mode=Mode.XFTL, num_blocks=256, pages_per_block=32, metrics=True)
+        )
+        tenant = stack.open_tenant("t")
+        session = tenant.open_session()
+        dbs = [session.open_database(name) for name in ("a.db", "b.db")]
+        for db in dbs:
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+            db.execute("INSERT INTO t VALUES (1, 'base')")
+        registry = stack.obs.registry
+        account = stack.chip.tenants.accounts[tenant.id]
+        commits0 = registry.counter_value("sqlite.txn_commits")
+        latencies0 = registry.histograms()["sqlite.commit.latency_us"].count
+        session0, tenant0 = session.commits, account.commits
+        txn = MultiFileTransaction(*dbs)
+        txn.begin()
+        for db in dbs:
+            db.execute("UPDATE t SET v = 'new' WHERE id = 1")
+        txn.commit()
+        assert registry.counter_value("sqlite.txn_commits") - commits0 == 2
+        assert registry.histograms()["sqlite.commit.latency_us"].count - latencies0 == 2
+        assert session.commits - session0 == 2
+        assert account.commits - tenant0 == 2
+
+
+class TestParticipantCannotSettleAlone:
+    """Only the coordinator settles the shared transaction."""
+
+    def test_participant_commit_raises_and_the_group_stays_atomic(self, pair):
+        stack, db_a, db_b = pair
+        txn = MultiFileTransaction(db_a, db_b)
+        txn.begin()
+        db_a.execute("UPDATE ta SET v = 'new' WHERE id = 1")
+        db_b.execute("UPDATE tb SET v = 'new' WHERE id = 1")
+        with pytest.raises(DatabaseError, match="MultiFileTransaction"):
+            db_a.execute("COMMIT")
+        txn.rollback()
+        stack.remount_after_crash()
+        assert stack.open_database("a.db").execute("SELECT v FROM ta") == [("base-a",)]
+        assert stack.open_database("b.db").execute("SELECT v FROM tb") == [("base-b",)]
+
+    def test_participant_rollback_raises_and_the_group_commits(self, pair):
+        stack, db_a, db_b = pair
+        txn = MultiFileTransaction(db_a, db_b)
+        txn.begin()
+        db_a.execute("UPDATE ta SET v = 'new' WHERE id = 1")
+        db_b.execute("UPDATE tb SET v = 'new' WHERE id = 1")
+        with pytest.raises(DatabaseError, match="MultiFileTransaction"):
+            db_a.rollback()
+        assert db_b.execute("SELECT v FROM tb") == [("new",)]
+        txn.commit()
+        assert db_a.execute("SELECT v FROM ta") == [("new",)]
+        stack.remount_after_crash()
+        assert stack.open_database("a.db").execute("SELECT v FROM ta") == [("new",)]
+        assert stack.open_database("b.db").execute("SELECT v FROM tb") == [("new",)]
+
+
 class TestRollback:
     def test_rollback_spans_both_files(self, pair):
         _stack, db_a, db_b = pair
@@ -70,6 +133,46 @@ class TestRollback:
         txn.rollback()
         assert db_a.execute("SELECT v FROM ta WHERE id = 1") == [("base-a",)]
         assert db_b.execute("SELECT v FROM tb WHERE id = 1") == [("base-b",)]
+
+    def test_rollback_after_a_failed_device_step_drops_the_staged_pages(
+        self, pair, monkeypatch
+    ):
+        stack, db_a, db_b = pair
+        txn = MultiFileTransaction(db_a, db_b)
+        txn.begin()
+        db_a.execute("UPDATE ta SET v = 'doomed-a' WHERE id = 1")
+        db_b.execute("UPDATE tb SET v = 'doomed-b' WHERE id = 1")
+
+        def failing(handles, txn):
+            raise FsError("device step failed")
+
+        monkeypatch.setattr(stack.fs, "fsync_group", failing)
+        with pytest.raises(FsError):
+            txn.commit()
+        monkeypatch.undo()
+        txn.rollback()
+        assert db_a.execute("SELECT v FROM ta") == [("base-a",)]
+        assert db_b.execute("SELECT v FROM tb") == [("base-b",)]
+
+    def test_three_file_rollback_is_one_device_abort(self, pair):
+        stack, db_a, db_b = pair
+        db_c = stack.open_database("c.db")
+        db_c.execute("CREATE TABLE tc (id INTEGER PRIMARY KEY, v TEXT)")
+        db_c.execute("INSERT INTO tc VALUES (1, 'base-c')")
+        aborts0 = stack.device.counters.aborts
+        txn = MultiFileTransaction(db_a, db_b, db_c)
+        txn.begin()
+        for db, table in ((db_a, "ta"), (db_b, "tb"), (db_c, "tc")):
+            db.execute(f"UPDATE {table} SET v = 'doomed' WHERE id = 1")
+        txn.rollback()
+        assert stack.device.counters.aborts - aborts0 == 1
+        expected = {"a.db": ("ta", "base-a"), "b.db": ("tb", "base-b"), "c.db": ("tc", "base-c")}
+        for db in (db_a, db_b, db_c):
+            table, value = expected[db.name]
+            assert db.execute(f"SELECT v FROM {table}") == [(value,)]
+        stack.remount_after_crash()
+        for name, (table, value) in expected.items():
+            assert stack.open_database(name).execute(f"SELECT v FROM {table}") == [(value,)]
 
 
 class TestCrashAtomicity:
@@ -249,6 +352,16 @@ class TestValidation:
         with pytest.raises(DatabaseError):
             txn.begin()
         txn.rollback()
+
+    def test_failed_begin_releases_the_shared_context(self, pair):
+        stack, db_a, db_b = pair
+        live0 = stack.fs.txn_manager.live_count
+        db_b.begin()  # b cannot join: the coordinator's begin fails on it first
+        with pytest.raises(DatabaseError, match="within a transaction"):
+            MultiFileTransaction(db_b, db_a).begin()
+        assert not db_a.in_transaction
+        db_b.rollback()
+        assert stack.fs.txn_manager.live_count == live0
 
     def test_commit_without_begin_rejected(self, pair):
         _stack, db_a, db_b = pair

@@ -4,6 +4,7 @@ import ast
 import inspect
 import sqlite3
 import textwrap
+from collections import OrderedDict
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.fs import Ext4, JournalMode
 from repro.fs.ext4 import FileHandle
 from repro.ftl import FtlConfig, XFTL
 from repro.sqlite.btree import LeafPage, page_from_image
+from repro.sqlite.database import Connection
+from repro.sqlite.multifile import MultiFileTransaction
 from repro.sqlite.pager import (
     DbHeader,
     OffPager,
@@ -22,7 +25,7 @@ from repro.sqlite.pager import (
     SqliteJournalMode,
     WalPager,
 )
-from repro.stack import Mode, StackConfig, build_stack
+from repro.stack import Mode, SessionScheduler, StackConfig, build_stack
 
 FS_FOR_MODE = {
     SqliteJournalMode.ROLLBACK: JournalMode.ORDERED,
@@ -315,11 +318,93 @@ class TestCommitOrder:
         assert pager.header.page_count == 6 and pager.header.freelist == []
 
 
-COMMIT_PATHS = ("commit", "rollback", "stage_commit", "stage_for_group_commit")
+class _CountingCache(OrderedDict):
+    """A pager cache that counts the entries a walk over ``items()`` visits."""
+
+    visited = 0
+
+    def items(self):
+        return _CountingItems(self)
+
+
+class _CountingItems:
+    def __init__(self, cache: _CountingCache) -> None:
+        self.cache = cache
+
+    def __iter__(self):
+        for item in OrderedDict.items(self.cache):
+            self.cache.visited += 1
+            yield item
+
+    def __reversed__(self):
+        for item in reversed(OrderedDict.items(self.cache)):
+            self.cache.visited += 1
+            yield item
+
+
+class TestDirtyPagesWalk:
+    """``_dirty_pages`` visits only the entries it needs, page 0 included:
+    the header sits where it was first cached, often at the LRU end, and
+    once every other dirty page is found it goes first unvisited."""
+
+    @staticmethod
+    def _committed(mode, pages=300):
+        pager = make_pager(mode, cache_pages=1000)
+        pager.begin()
+        for _ in range(pages):
+            pno = pager.allocate()
+            pager.put_new(pno, leaf(((pno,), b"a")))
+        pager.commit()
+        pager._cache = _CountingCache(pager._cache)
+        return pager
+
+    @staticmethod
+    def _lru_dirty(pager):
+        return [pno for pno in OrderedDict.keys(pager._cache) if pno in pager._dirty]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_three_pages_and_the_header_visit_three_entries(self, mode):
+        pager = self._committed(mode)
+        assert next(iter(pager._cache)) == 0
+        pager.begin()
+        for pno in (200, 100, 250):
+            pager.mark_dirty(pno, pager.get(pno))
+        pager.mark_dirty_header()
+        pager._cache.visited = 0
+        found = pager._dirty_pages()
+        assert [pno for pno, _page in found] == self._lru_dirty(pager) == [0, 200, 100, 250]
+        assert found[0][1] is pager.header
+        assert pager._cache.visited == 3
+        pager.commit()
+
+    def test_a_header_met_on_the_way_keeps_its_place(self):
+        pager = self._committed(SqliteJournalMode.OFF)
+        pager.begin()
+        pager.mark_dirty_header()
+        pager.rollback()  # drops page 0: it is cached again at the MRU end
+        pager.begin()
+        pager.mark_dirty(10, pager.get(10))
+        pager.mark_dirty_header()
+        pager.mark_dirty(20, pager.get(20))
+        pager._cache.visited = 0
+        found = [pno for pno, _page in pager._dirty_pages()]
+        assert found == self._lru_dirty(pager) == [10, 0, 20]
+        assert pager._cache.visited == 3
+
+    def test_the_header_alone_visits_nothing(self):
+        pager = self._committed(SqliteJournalMode.OFF)
+        pager.begin()
+        pager.mark_dirty_header()
+        pager._cache.visited = 0
+        assert pager._dirty_pages() == [(0, pager.header)]
+        assert pager._cache.visited == 0
+
+
+COMMIT_PATHS = ("commit", "rollback", "stage_commit")
 
 
 class TestOneDirtyPageHelper:
-    """Commit, rollback and both staged commits reach the transaction's
+    """Commit, rollback and the staged commit reach the transaction's
     dirty pages through ``Pager._dirty_pages`` alone: none of them scans
     the cache, so each costs what the transaction touched."""
 
@@ -349,12 +434,44 @@ class TestOneDirtyPageHelper:
             "Pager.commit": 1,
             "Pager.rollback": 1,
             "Pager.stage_commit": 0,  # raises: OFF mode only
-            "Pager.stage_for_group_commit": 0,
             "OffPager.commit": 0,  # snapshot end, else Pager.commit
             "OffPager.rollback": 0,
             "OffPager.stage_commit": 1,
-            "OffPager.stage_for_group_commit": 1,
         }
+
+
+class TestOneStagedCommit:
+    """OFF mode has one staged commit: one staging and one finishing step
+    on the pager, and the session scheduler and the multi-file coordinator
+    finish their participants through one ``Connection`` method.  The
+    multi-file coordinator's second copy stays deleted."""
+
+    def test_the_second_copy_stays_deleted(self):
+        for cls, name in (
+            (Pager, "stage_for_group_commit"),
+            (OffPager, "stage_for_group_commit"),
+            (OffPager, "finish_group_commit"),
+            (Connection, "end_external_txn"),
+        ):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+    def test_off_pager_has_one_staging_and_one_finishing_step(self):
+        steps = {name for name in vars(OffPager) if name.startswith(("stage", "finish"))}
+        assert steps == {"stage_commit", "finish_commit"}
+
+    def test_both_coordinators_finish_through_one_connection_method(self):
+        def connection_calls(function):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+            return {
+                node.func.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and callable(vars(Connection).get(node.func.attr))
+            }
+
+        assert connection_calls(SessionScheduler._commit_batch) == {"finish_commit"}
+        assert connection_calls(MultiFileTransaction.commit) == {"finish_commit"}
 
 
 class TestStealSpill:

@@ -58,7 +58,6 @@ ALLOWED: dict[str, str] = {
     # -- examples
     "repro.sim.clock.SimClock.now_ms": "examples/quickstart.py prints it",
     "repro.workloads.android.TraceReplayer.replay_task": "examples/smartphone_apps.py",
-    "repro.sqlite.multifile.MultiFileTransaction": "examples/multifile_atomicity.py",
     # -- test accessors: the invariant their tests hold, without private state
     "repro.ftl.pagemap.PageMappingFTL.mapped_ppn": (
         "the committed L2P view: a write moves an lpn, an abort or a power cut "
