@@ -1,14 +1,23 @@
 """B-trees on pager pages: tables and indexes.
 
-Each tree maps tuple keys to byte payloads.  Tables are keyed by
-``(rowid,)`` with the encoded row as payload; indexes are keyed by
-``(value..., rowid)`` with an empty payload (presence is the information).
+Each tree maps tuple keys to payloads.  Tables are keyed by ``(rowid,)``
+with the row as payload; indexes are keyed by ``(value..., rowid)`` with an
+empty ``bytes`` payload (presence is the information).
 
 Page layout follows SQLite's spirit: pages have a byte budget (page size
-minus a header allowance), cells carry encoded keys and local payloads, and
-payloads above a threshold spill into a chain of overflow pages (how SQLite
-stores Facebook's thumbnail blobs, §6.3.2).  A split keeps the root's page
-number stable, so the catalog never needs updating when a tree grows.
+minus a header allowance), cells carry keys and local payloads, and payloads
+above a threshold, ``max_local``, spill into a chain of overflow pages (how
+SQLite stores Facebook's thumbnail blobs, §6.3.2).  A split keeps the root's
+page number stable, so the catalog never needs updating when a tree grows.
+
+Cell layout.  A leaf cell is ``(local, overflow pno, size)``, and only
+``BTree._make_cell`` decides its form.  A ``tuple`` row of exact SQL types
+whose record fits ``max_local`` is kept as it is, ``(row, None,
+record_size(row))``: nothing encodes it on a write or decodes it on a read,
+and page images hold the (immutable) row.  Any other row is stored as its
+record (a ``bool`` or a ``str`` subclass would not decode to itself), as bytes
+are: whole when it fits, else its first ``max_local`` bytes and an overflow
+chain holding the rest.
 
 Range scans re-descend from the root to cross leaf boundaries instead of
 maintaining sibling links; this keeps deletion simple (empty pages are
@@ -17,12 +26,14 @@ leaf transition.  A delete leaves the separators above its leaf alone, so a
 separator bounds its leaf's keys without having to be one of them.
 
 Byte accounting.  What a page uses of its budget is a sum over its entries —
-leaf: ``key_size_bytes(key) + len(local payload) + CELL_OVERHEAD`` per cell;
+leaf: ``key_size_bytes(key) + local size + CELL_OVERHEAD`` per cell (the
+local size is ``size``, or ``max_local`` for a cell with an overflow chain);
 interior: ``key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD`` per separator —
 and it decides when the page splits, hence how many pages a transaction
-dirties.  A key is sized without being encoded: ``key_size_bytes`` is the
-record length by arithmetic.  Each leaf and interior page carries that sum as
-a running count (``used_bytes()``) instead of re-sizing every key on every
+dirties.  Keys and rows are sized without being encoded: ``key_size_bytes``
+and ``record_size`` are the record length by arithmetic, so a row takes the
+same bytes in either cell form.  Each leaf and interior page carries that sum
+as a running count (``used_bytes()``) instead of re-sizing every key on every
 insert.  The count changes in exactly eight places, all in this module: leaf
 insert (the new cell), leaf replace (the *local* length delta: ``_make_cell``
 may move a payload across ``max_local``), leaf delete, the leaf split and the
@@ -44,16 +55,24 @@ from typing import Any, Iterator
 
 from repro.errors import DatabaseError
 from repro.sqlite.pager import Pager
-from repro.sqlite.records import forget_record, key_size_bytes, key_sort_tuple
+from repro.sqlite.records import encode_record, key_size_bytes, key_sort_tuple, record_size
 
 PAGE_HEADER_BYTES = 64
 CELL_OVERHEAD = 16
 INTERIOR_ENTRY_OVERHEAD = 12
 
 
-def _cell_bytes(key: tuple, cell: tuple[bytes, int | None, int]) -> int:
+Cell = tuple[Any, int | None, int]  # (row or local bytes, overflow pno, size)
+
+
+def _local_size(cell: Cell) -> int:
+    """What a leaf cell's local part takes of its page (see "Cell layout")."""
+    return cell[2] if cell[1] is None else len(cell[0])
+
+
+def _cell_bytes(key: tuple, cell: Cell) -> int:
     """What one leaf cell takes of its page's byte budget."""
-    return key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
+    return key_size_bytes(key) + _local_size(cell) + CELL_OVERHEAD
 
 
 def _separator_bytes(key: tuple) -> int:
@@ -91,7 +110,7 @@ class _AccountedPage:
 
 
 class LeafPage(_AccountedPage):
-    """Leaf: sorted cells of (key, local payload, overflow pointer, size)."""
+    """Leaf: sorted keys and their cells (see "Cell layout")."""
 
     TAG = "leaf"
 
@@ -99,7 +118,7 @@ class LeafPage(_AccountedPage):
         super().__init__()
         self.keys: list[tuple] = []
         self.sort_keys: list[tuple] = []
-        self.cells: list[tuple[bytes, int | None, int]] = []  # (local, ovfl, total)
+        self.cells: list[Cell] = []
 
     def to_image(self) -> tuple:
         return (self.TAG, tuple(self.keys), tuple(self.cells))
@@ -193,7 +212,7 @@ class BTree:
 
     # ------------------------------------------------------------ lookups
 
-    def get(self, key: tuple) -> bytes | None:
+    def get(self, key: tuple) -> tuple | bytes | None:
         """Payload for ``key`` or None."""
         sort_key = key_sort_tuple(key)
         leaf, _path = self._descend(sort_key)
@@ -214,7 +233,7 @@ class BTree:
         hi: tuple | None = None,
         lo_open: bool = False,
         hi_open: bool = False,
-    ) -> Iterator[tuple[tuple, bytes]]:
+    ) -> Iterator[tuple[tuple, tuple | bytes]]:
         """Yield (key, payload) in key order within [lo, hi].
 
         ``lo_open``/``hi_open`` exclude the endpoints.  The tree must not be
@@ -273,26 +292,25 @@ class BTree:
 
     # ------------------------------------------------------------- updates
 
-    def insert(self, key: tuple, payload: bytes, replace: bool = False) -> None:
-        """Insert ``key`` -> ``payload``; duplicate keys require ``replace``,
-        whose superseded payload leaves the row memo (``forget_record``)."""
+    def insert(self, key: tuple, payload: tuple | bytes, replace: bool = False) -> None:
+        """Insert ``key`` -> ``payload`` (a row or bytes); duplicate keys
+        require ``replace``."""
+        cell = self._make_cell(payload)
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
         index = self._find_in_leaf(leaf, sort_key)
         if index is None:
-            self._add_cell(key, sort_key, payload, leaf, path)
+            self._add_cell(key, sort_key, cell, leaf, path)
             return
         if not replace:
             raise DatabaseError(f"duplicate key {key!r}")
-        old_local = leaf.cells[index][0]
-        old_payload = self._free_cell(leaf.cells[index])
-        cell = leaf.cells[index] = self._make_cell(payload)
-        leaf.adjust(len(cell[0]) - len(old_local))
+        old = leaf.cells[index]
+        self._free_cell(old)
+        cell = leaf.cells[index] = self._spill(cell)
+        leaf.adjust(_local_size(cell) - _local_size(old))
         self.pager.mark_dirty(path[-1][0], leaf)
-        if old_payload != payload:
-            forget_record(old_payload)  # the superseded row version
 
-    def insert_absent(self, key: tuple, payload: bytes) -> bool:
+    def insert_absent(self, key: tuple, payload: tuple | bytes) -> bool:
         """``contains(key)``, then ``insert(key, payload)`` if it was absent, in one
         descent; returns whether it inserted.
 
@@ -302,6 +320,7 @@ class BTree:
         evicted an earlier one (a cache full of dirty pages); then the pages
         are fetched again, as the pair fetched them.
         """
+        cell = self._make_cell(payload)
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
         if self._find_in_leaf(leaf, sort_key) is not None:
@@ -311,18 +330,17 @@ class BTree:
             if not held(pno):
                 leaf, path = self._descend(sort_key)
                 break
-        self._add_cell(key, sort_key, payload, leaf, path)
+        self._add_cell(key, sort_key, cell, leaf, path)
         return True
 
     def delete(self, key: tuple) -> bool:
-        """Remove ``key`` (its payload leaves the row memo); returns whether
-        it existed."""
+        """Remove ``key``; returns whether it existed."""
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
         index = self._find_in_leaf(leaf, sort_key)
         if index is None:
             return False
-        forget_record(self._free_cell(leaf.cells[index]))
+        self._free_cell(leaf.cells[index])
         leaf.adjust(-_cell_bytes(leaf.keys[index], leaf.cells[index]))
         del leaf.keys[index]
         del leaf.sort_keys[index]
@@ -392,15 +410,15 @@ class BTree:
         self,
         key: tuple,
         sort_key: tuple,
-        payload: bytes,
+        cell: Cell,
         leaf: LeafPage,
         path: list[tuple[int, Any, int]],
     ) -> None:
         """Put a new cell into the leaf ``path`` ends at, splitting it if it overflows."""
+        cell = self._spill(cell)
         position = bisect.bisect_left(leaf.sort_keys, sort_key)
         leaf.keys.insert(position, key)
         leaf.sort_keys.insert(position, sort_key)
-        cell = self._make_cell(payload)
         leaf.cells.insert(position, cell)
         leaf.adjust(_cell_bytes(key, cell))
         self.pager.mark_dirty(path[-1][0], leaf)
@@ -409,9 +427,24 @@ class BTree:
 
     # -------- cell / overflow handling ----------------------------------
 
-    def _make_cell(self, payload: bytes) -> tuple[bytes, int | None, int]:
-        if len(payload) <= self.max_local:
-            return (payload, None, len(payload))
+    def _make_cell(self, payload: tuple | bytes) -> Cell:
+        """The cell of ``payload`` (see "Cell layout"), before any overflow
+        chain: it touches no page, so a row that cannot be stored raises
+        before the descent.  :meth:`_spill` gives a long payload its chain
+        once the cell's place is known."""
+        if type(payload) is tuple:
+            size = record_size(payload)
+            if size is not None and size <= self.max_local:
+                return (payload, None, size)
+            payload = encode_record(payload)
+        return (payload, None, len(payload))
+
+    def _spill(self, cell: Cell) -> Cell:
+        """``cell`` as a leaf stores it: a payload over ``max_local`` keeps its
+        first ``max_local`` bytes, the rest goes to a new overflow chain."""
+        payload, _pno, total = cell
+        if total <= self.max_local:
+            return cell
         local = payload[: self.max_local]
         rest = payload[self.max_local :]
         first_pno: int | None = None
@@ -428,9 +461,9 @@ class BTree:
                 prev.next_pno = pno
                 self.pager.mark_dirty(prev_pno, prev)
             prev, prev_pno = page, pno
-        return (local, first_pno, len(payload))
+        return (local, first_pno, total)
 
-    def _load_payload(self, cell: tuple[bytes, int | None, int]) -> bytes:
+    def _load_payload(self, cell: Cell) -> tuple | bytes:
         local, overflow_pno, total = cell
         if overflow_pno is None:
             return local
@@ -445,20 +478,13 @@ class BTree:
             raise DatabaseError("overflow chain length mismatch")
         return payload
 
-    def _free_cell(self, cell: tuple[bytes, int | None, int]) -> bytes:
-        """Free ``cell``'s overflow chain; returns the cell's whole payload
-        (the row memo's key), its chunks read as the chain is walked."""
-        local, pno, _total = cell
-        if pno is None:
-            return local
-        parts = [local]
+    def _free_cell(self, cell: Cell) -> None:
+        """Free ``cell``'s overflow chain, if it has one."""
+        pno = cell[1]
         while pno is not None:
-            page = self.pager.get(pno)
-            parts.append(page.chunk)
-            next_pno = page.next_pno
+            next_pno = self.pager.get(pno).next_pno
             self.pager.free(pno)
             pno = next_pno
-        return b"".join(parts)
 
     # -------- structural changes -----------------------------------------
 

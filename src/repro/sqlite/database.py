@@ -313,6 +313,8 @@ class Connection:
         plan.params.bind(params)
         if not plan.writes:
             return plan.run()
+        if self.staged_txn is not None:  # its pages are already on the device
+            raise DatabaseError("cannot write while a commit is staged")
 
         # Writes: run inside the explicit txn or an autocommit txn.
         self._begin_internal()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.errors import SchemaError
 from repro.sqlite.btree import BTree
 from repro.sqlite.pager import Pager
-from repro.sqlite.records import decode_record, encode_record
+from repro.sqlite.records import row_of
 
 CATALOG_ROOT_PNO = 1
 VALID_TYPES = {"INTEGER", "REAL", "TEXT", "BLOB"}
@@ -120,21 +120,21 @@ class Catalog:
         """Append a catalog row (kind is 'table' or 'index')."""
         rowid = self._next_catalog_rowid
         self._next_catalog_rowid += 1
-        self.tree.insert((rowid,), encode_record((kind, name, tbl_name, root, sql)))
+        self.tree.insert((rowid,), (kind, name, tbl_name, root, sql))
 
     def remove_entries(self, names: set[str]) -> None:
         """Delete the catalog rows for the named objects."""
         doomed = [
             key
             for key, payload in self.tree.scan()
-            if decode_record(payload)[1] in names
+            if row_of(payload)[1] in names
         ]
         for key in doomed:
             self.tree.delete(key)
 
     def entries(self) -> list[tuple]:
-        """All catalog rows as decoded tuples (kind, name, tbl, root, sql)."""
-        return [decode_record(payload) for _key, payload in self.tree.scan()]
+        """All catalog rows as tuples (kind, name, tbl, root, sql)."""
+        return [row_of(payload) for _key, payload in self.tree.scan()]
 
     def register_table(self, table: Table) -> None:
         """Add a table to the in-memory schema (not persisted here)."""

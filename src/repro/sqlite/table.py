@@ -19,17 +19,18 @@ from typing import Iterator
 from repro.errors import IntegrityError
 from repro.sqlite.btree import BTree
 from repro.sqlite.pager import Pager
-from repro.sqlite.records import SqlValue, decode_record, encode_record, key_sort_tuple
+from repro.sqlite.records import SqlValue, key_sort_tuple, row_of
 from repro.sqlite.schema import Index, Table
 
 
 class TableStore:
     """Rows of one table plus maintenance of all its indexes.
 
-    The table B-tree maps ``(rowid,)`` to the encoded row.  Each index maps
-    ``(value, ..., rowid)`` to an empty payload.  An INTEGER PRIMARY KEY
-    column aliases the rowid (SQLite semantics); other primary keys are
-    enforced through a unique index created with the table.
+    The table B-tree maps ``(rowid,)`` to the row (``repro.sqlite.btree``,
+    "Cell layout").  Each index maps ``(value, ..., rowid)`` to an empty
+    payload.  An INTEGER PRIMARY KEY column aliases the rowid (SQLite
+    semantics); other primary keys are enforced through a unique index
+    created with the table.
 
     A store is part of a statement's plan and lives as long as the plan does:
     it holds handles (tree roots, index column positions) and no page, so
@@ -82,8 +83,8 @@ class TableStore:
             if self.tree.contains(key):
                 raise self._duplicate(rowid)
             self._check_unique(values, rowid)
-            self.tree.insert(key, encode_record(values))
-        elif not self.tree.insert_absent(key, encode_record(values)):
+            self.tree.insert(key, values)
+        elif not self.tree.insert_absent(key, values):
             raise self._duplicate(rowid)
         for tree, positions in self._indexes:
             tree.insert(tuple([values[p] for p in positions]) + key, b"")
@@ -124,7 +125,7 @@ class TableStore:
             if old != new:
                 tree.delete(old + (rowid,))
                 tree.insert(new + (rowid,), b"")
-        self.tree.insert((rowid,), encode_record(new_values), replace=True)
+        self.tree.insert((rowid,), new_values, replace=True)
 
     # ------------------------------------------------------------- reads
 
@@ -133,7 +134,7 @@ class TableStore:
         payload = self.tree.get((rowid,))
         if payload is None:
             return None
-        return decode_record(payload)
+        return row_of(payload)
 
     def scan_rows(
         self,
@@ -146,7 +147,7 @@ class TableStore:
         lo_key = (lo,) if lo is not None else None
         hi_key = (hi,) if hi is not None else None
         for key, payload in self.tree.scan(lo_key, hi_key, lo_open, hi_open):
-            yield key[0], decode_record(payload)
+            yield key[0], row_of(payload)
 
     def index_rows(
         self,
@@ -184,7 +185,7 @@ class TableStore:
                 rowid = keys[position][-1]
                 payload = get((rowid,))
                 if payload is not None:
-                    yield rowid, decode_record(payload)
+                    yield rowid, row_of(payload)
             if start < len(keys):
                 cursor = sort_keys[-1]
             else:

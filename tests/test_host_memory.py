@@ -12,9 +12,9 @@ A barrier releases the payloads of
 the map and meta pages the durable root stops naming, so what map images
 hold does not grow with the number of barriers, and the payloads of the data
 pages that died before it began, so what superseded data holds does not
-grow with the number of overwrites.  Above the device, the SQLite row memo
-holds the rows that can still be read: UPDATEs of the same rows do not pile
-up the versions they replaced.
+grow with the number of overwrites.  Above the device, a B-tree leaf cell
+holds its row, and the record codec keeps no row and no payload: UPDATEs and
+reads of the same rows leave nothing behind in it.
 """
 
 import sys
@@ -29,7 +29,6 @@ from repro.device import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
 from repro.ftl import FtlConfig, PageMappingFTL
-from repro.sqlite import records
 from repro.stack import Mode, StackConfig, build_stack
 
 FS_BYTES_PER_DATA_PAGE = 2
@@ -192,25 +191,27 @@ def test_aging_leaves_one_byte_per_page_in_the_reverse_map_and_no_int_per_page()
 
 
 @pytest.mark.parametrize("text_bytes", [8, 2500], ids=["local", "overflow"])
-def test_updates_of_the_same_rows_leave_one_memo_entry_a_row(text_bytes):
-    """Twenty rounds of UPDATEs over the same K rows: the row memo holds
-    the K current rows plus a few (the catalog's), not every version an
-    UPDATE replaced (20 x K without eviction).  A 2,500-byte text spills
-    each row into overflow pages, whose memo key is the whole payload, not
-    the part the leaf cell keeps."""
+def test_updates_of_the_same_rows_leave_nothing_in_the_codec(text_bytes):
+    """Twenty rounds of UPDATEs over the same K rows: what allocations made
+    in the record codec still hold afterwards is at most a few hundred bytes
+    (a freed tuple may wait in CPython's free list).  A row memo held K rows
+    and payloads here (20 x K without eviction).  An 8-byte text keeps each
+    row in its leaf cell as a tuple; a 2,500-byte text spills each row into
+    overflow pages, so each UPDATE decodes the row it matched and encodes the
+    new one, and neither result stays in the codec."""
     rows, rounds = 50, 20
     stack = open_stack("X-FTL", num_blocks=128, pages_per_block=64)
-    db = stack.open_database("memo.db")
+    db = stack.open_database("rows.db")
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT, n INTEGER)")
     db.execute("BEGIN")
     for row in range(rows):
         db.execute("INSERT INTO t VALUES (?, ?, ?)", (row, f"{row:08d}".ljust(text_bytes, "v"), 0))
     db.execute("COMMIT")
-    records._rows.clear()
-    for round_ in range(1, rounds + 1):
-        db.execute("BEGIN")
-        for row in range(rows):
-            db.execute("UPDATE t SET n = ? WHERE id = ?", (round_, row))
-        db.execute("COMMIT")
+    with traced("sqlite/records.py") as used:
+        for round_ in range(1, rounds + 1):
+            db.execute("BEGIN")
+            for row in range(rows):
+                db.execute("UPDATE t SET n = ? WHERE id = ?", (round_, row))
+            db.execute("COMMIT")
+    assert used["sqlite/records.py"] <= 512
     assert db.execute("SELECT SUM(n) FROM t") == [(rows * rounds,)]
-    assert len(records._rows) <= rows + 8

@@ -1,16 +1,18 @@
 """Unit and property tests for record/key serialization."""
 
+import ast
 import enum
+import inspect
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import open_stack
 from repro.errors import CorruptionError, DatabaseError
-from repro.sqlite import records
+from repro.sqlite import records, table
 from repro.sqlite.records import (
-    ROW_MEMO_ENTRIES,
     _decode_varint,
     _encode_varint,
     decode_record,
@@ -19,6 +21,7 @@ from repro.sqlite.records import (
     encode_value,
     key_size_bytes,
     key_sort_tuple,
+    record_size,
 )
 
 sql_values = st.one_of(
@@ -177,32 +180,17 @@ class TestSinglePassCodecMatchesReference:
         encoded = encode_record(values)
         assert encoded == reference_encode_record(values)
         assert key_size_bytes(tuple(values)) == len(encoded)
-        expected = outcome(reference_decode_record, encoded)
-        # Memo hit: a tuple of exact SQL types seeds the memo as it is encoded;
-        # a bool, an enum or a str subclass must not.
-        records._rows.clear()
         assert encode_record(tuple(values)) == encoded
-        exact = all(type(value) in (int, str, float, bytes, type(None)) for value in values)
-        assert (encoded in records._rows) == exact
-        assert outcome(decode_record, encoded) == expected
-        # Memo miss: a real decode, then the hit it leaves behind.
-        records._rows.clear()
-        assert outcome(decode_record, encoded) == expected
-        assert outcome(decode_record, encoded) == expected
+        assert outcome(decode_record, encoded) == outcome(reference_decode_record, encoded)
 
     def test_wide_record_and_unsupported_value(self):
         wide = tuple(range(200))  # a two-byte value count
         assert encode_record(wide) == reference_encode_record(wide)
         assert decode_record(encode_record(wide)) == wide
         assert outcome(encode_record, (object(),)) == outcome(reference_encode_record, (object(),))
-        assert key_size_bytes(wide) == len(reference_encode_record(wide))
+        assert key_size_bytes(wide) == record_size(wide) == len(reference_encode_record(wide))
 
-    def test_memo_stays_bounded_and_never_keeps_a_damaged_payload(self):
-        records._rows.clear()
-        for i in range(ROW_MEMO_ENTRIES + 100):
-            payload = reference_encode_record((i, "row"))
-            assert decode_record(payload) == (i, "row")
-            assert len(records._rows) <= ROW_MEMO_ENTRIES
+    def test_a_damaged_payload_always_raises(self):
         damaged = reference_encode_record((1, "text"))[:-1]
         expected = outcome(reference_decode_record, damaged)
         assert expected[0] == "CorruptionError"
@@ -227,6 +215,118 @@ class TestSinglePassCodecMatchesReference:
                 encoded[position] ^= 1 << data.draw(st.integers(0, 7))
         damaged = bytes(encoded)
         assert outcome(decode_record, damaged) == outcome(reference_decode_record, damaged)
+
+
+_EXACT_TYPES = (int, str, float, bytes, type(None))
+
+# Exact-type values at every length boundary record_size computes.
+_exact_edge_values = st.one_of(
+    sql_values,
+    st.integers(),
+    st.sampled_from(
+        [0, -1, 127, 128, -128, -129, 2**63, -(2**63), 2**64, -(2**64), 2**1014, 2**1015]
+    ),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([126, 127, 128, 129, 300]).map(lambda size: "x" * size),
+    st.sampled_from([42, 63, 64, 127, 128]).map(lambda size: "é" * size),
+    st.text(),
+    st.sampled_from([0, 127, 128, 300]).map(lambda size: b"y" * size),
+)
+
+
+class TestRecordSize:
+    """``record_size`` is what a leaf cell that keeps its row charges its page,
+    so it must equal the record's length exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_exact_edge_values, max_size=10))
+    def test_equals_the_encoded_length(self, values):
+        row = tuple(values)
+        assert record_size(row) == len(encode_record(row)) == key_size_bytes(row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_edge_values, min_size=1, max_size=6))
+    def test_a_value_of_another_type_takes_the_encoded_path(self, values):
+        """A bool, an enum or a str subclass would not come back from the
+        record as itself: such a row gets no size, so it is stored encoded."""
+        row = tuple(values)
+        exact = all(type(value) in _EXACT_TYPES for value in row)
+        assert (record_size(row) is not None) == exact
+        assert key_size_bytes(row) == len(encode_record(row))
+
+
+class TestStoredRowsRoundTrip:
+    """What a table gives back is what its record decodes to, whichever form
+    the leaf cell holds: a row kept as it is, a row with a ``bool`` or a
+    ``str`` subclass (stored encoded), and a row that spills into overflow
+    pages, inserted and updated, before and after a power cycle."""
+
+    ROWS = [
+        (1, 0, 0.0, "", b""),
+        (2, 2**64, -0.0, "x" * 127, b"y" * 128),
+        (3, -(2**63), float("nan"), "x" * 128, None),
+        (4, 255, float("inf"), "üñïçødé", b"\x00\xff"),
+        (5, True, 1.5, _Text("sub"), b"b"),
+        (6, 7, _Level.HIGH, "spill " * 600, b"z" * 900),
+    ]
+    COLUMNS = ("id", "i", "r", "s", "b")
+    UPDATES = [  # (rowid, {column: new value})
+        (1, {"i": -1, "s": "y" * 128}),
+        (2, {"s": "now it spills " * 300}),
+        (6, {"s": "small again", "b": None}),
+        (4, {"i": False}),
+    ]
+
+    @staticmethod
+    def _read(db):
+        return repr(db.execute("SELECT id, i, r, s, b FROM t ORDER BY id"))
+
+    @pytest.mark.parametrize("mode", ["RBJ", "WAL", "X-FTL"])
+    def test_rows_read_back_as_their_records_decode(self, mode):
+        stack = open_stack(mode, num_blocks=128, pages_per_block=64)
+        db = stack.open_database("rows.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, i INTEGER, r REAL, s TEXT, b BLOB)")
+        db.execute("CREATE INDEX t_i ON t (i)")
+        written = {}
+        for row in self.ROWS:
+            db.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", row)
+            written[row[0]] = row
+
+        def expected():
+            return repr([decode_record(encode_record(written[key])) for key in sorted(written)])
+
+        assert self._read(db) == expected()
+        for rowid, changes in self.UPDATES:
+            assignments = ", ".join(f"{column} = ?" for column in changes)
+            db.execute(f"UPDATE t SET {assignments} WHERE id = ?", (*changes.values(), rowid))
+            row = list(written[rowid])
+            for column, value in changes.items():
+                row[self.COLUMNS.index(column)] = value
+            written[rowid] = tuple(row)
+        assert self._read(db) == expected()
+        assert repr(db.execute("SELECT id, s FROM t WHERE i = ?", (-1,))) == repr([(1, "y" * 128)])
+        stack.remount_after_crash()
+        assert self._read(stack.open_database("rows.db")) == expected()
+
+
+class TestRowMemoStaysDeleted:
+    """A leaf cell holds its row, so nothing maps payloads back to rows: the
+    payload -> row memo and its upkeep stay deleted, and the row store hands
+    the B-tree rows, not records (structural checks, not text patterns)."""
+
+    def test_records_keeps_no_memo(self):
+        for name in ("_rows", "ROW_MEMO_ENTRIES", "_remember", "forget_record", "_decode_uncached"):
+            assert not hasattr(records, name), name
+
+    def test_table_store_never_encodes(self):
+        assert not hasattr(table, "encode_record")
+        tree = ast.parse(inspect.getsource(table.TableStore))
+        called = {
+            node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "encode_record" not in called
 
 
 class TestKeyOrdering:

@@ -288,6 +288,29 @@ class TestGroupCommit:
         assert not db.pending_commit
         assert db.execute("SELECT COUNT(*) FROM t") == [(1,)]
 
+    def test_a_write_while_staged_raises_before_it_dirties_a_page(self):
+        """The staged pages are already on the device, so the group's commit
+        would never write a page this INSERT dirtied: the row would show in
+        the cache and be gone after a power cycle."""
+        stack = _sessions_stack()
+        scheduler = SessionScheduler(stack)
+        session = stack.open_session()
+        db = session.open_database("w.db")
+        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
+        scheduler.prepare(db)
+        db.begin()
+        db.execute("INSERT INTO t VALUES (1)")
+        db.commit()
+        staged_pages = set(db.pager._dirty)
+        with pytest.raises(DatabaseError, match="staged"):
+            db.execute("INSERT INTO t VALUES (2)")
+        assert set(db.pager._dirty) == staged_pages
+        stack.fs.commit_tx_group([db.staged_txn])
+        db.finish_commit()
+        assert db.execute("SELECT a FROM t") == [(1,)]
+        stack.remount_after_crash()
+        assert stack.open_database("w.db").execute("SELECT a FROM t") == [(1,)]
+
     def test_group_commit_inert_on_non_transactional_stack(self):
         stack = build_stack(
             StackConfig(mode=Mode.WAL, num_blocks=256, pages_per_block=64)
