@@ -19,7 +19,7 @@ from repro.sqlite.btree import (
     page_from_image,
 )
 from repro.sqlite.pager import Pager, SqliteJournalMode
-from repro.sqlite.records import key_size_bytes
+from repro.sqlite.records import encode_record, key_size_bytes, row_of
 from repro.stack import Mode, StackConfig, build_stack
 
 
@@ -31,13 +31,24 @@ def make_pager(page_size=2048, num_blocks=192):
     return pager
 
 
+def local_size(cell) -> int:
+    """A leaf cell's local part measured from scratch: a row kept as it is by
+    its encoded length, a record by its bytes (a spilled one by its prefix)."""
+    local, overflow_pno, size = cell
+    if type(local) is tuple:
+        assert overflow_pno is None and size == len(encode_record(local))
+        return size
+    assert overflow_pno is not None or size == len(local)
+    return len(local)
+
+
 def recount(page) -> int:
     """A page's byte footprint summed from scratch: what ``used_bytes()``
     computed on every insert before pages kept a running count, and the
     reference that count is checked against."""
     if isinstance(page, LeafPage):
         return sum(
-            key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
+            key_size_bytes(key) + local_size(cell) + CELL_OVERHEAD
             for key, cell in zip(page.keys, page.cells)
         )
     return sum(key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD for key in page.keys)
@@ -280,17 +291,34 @@ class TestOverflow:
 
 # What the running byte count has to survive, on a 512-byte page (448-byte
 # budget, max_local 112, overflow chunks of 416): payloads on both sides of
-# the max_local line and long enough for a three-link overflow chain, keys with
+# the max_local line and long enough for a three-link overflow chain, in both
+# cell forms (bytes, and rows whose record is 104 to 123 bytes, across the line,
+# or holding a bool, which are stored as records), keys with
 # composite / text / NULL parts from a pool small enough that inserts often
 # replace an existing key (the long text parts make separators big enough for
 # interior pages to split too), and transaction boundaries (a rollback drops
 # the dirty page objects, so their counts are re-derived from decoded images).
 _KEYS = st.tuples(st.sampled_from([None, 7, "a", "k" * 100, "m" * 100]), st.integers(0, 11))
-_PAYLOADS = st.builds(
-    lambda size, byte: bytes([byte]) * size,
-    st.sampled_from([0, 1, 30, 111, 112, 113, 300, 1000]),
-    st.integers(0, 255),
+_PAYLOADS = st.one_of(
+    st.builds(
+        lambda size, byte: bytes([byte]) * size,
+        st.sampled_from([0, 1, 30, 111, 112, 113, 300, 1000]),
+        st.integers(0, 255),
+    ),
+    st.builds(
+        lambda length, value: ("t" * length, value),
+        st.sampled_from([0, 30, 100, 101, 106, 107, 108, 109, 300]),
+        st.sampled_from([None, 7, 2.5, True, -(1 << 70)]),
+    ),
 )
+
+
+def stored(tree, reference) -> dict:
+    """The tree's contents, a row read back as a row (a record decoded)."""
+    return {
+        key: row_of(payload) if type(reference.get(key)) is tuple else payload
+        for key, payload in tree.scan()
+    }
 _OPS = st.sampled_from(["insert"] * 11 + ["delete"] * 6 + ["commit"] + ["rollback"] * 2)
 
 
@@ -319,9 +347,9 @@ class TestBtreeProperties:
                     pager.rollback()
                     reference = dict(committed)
                 pager.begin()
-                assert dict(tree.scan()) == reference
+                assert stored(tree, reference) == reference
                 assert_counts_match_recount(tree)
-        assert dict(tree.scan()) == reference
+        assert stored(tree, reference) == reference
         assert tree.count() == len(reference)
         assert_counts_match_recount(tree)
         pager.commit()
