@@ -11,13 +11,14 @@ SQLite stores Facebook's thumbnail blobs, §6.3.2).  A split keeps the root's
 page number stable, so the catalog never needs updating when a tree grows.
 
 Cell layout.  A leaf cell is ``(local, overflow pno, size)``, and only
-``BTree._make_cell`` decides its form.  A ``tuple`` row of exact SQL types
-whose record fits ``max_local`` is kept as it is, ``(row, None,
-record_size(row))``: nothing encodes it on a write or decodes it on a read,
-and page images hold the (immutable) row.  Any other row is stored as its
-record (a ``bool`` or a ``str`` subclass would not decode to itself), as bytes
-are: whole when it fits, else its first ``max_local`` bytes and an overflow
-chain holding the rest.
+``BTree._make_cell`` decides its form, by one rule.  A ``tuple`` row whose
+record fits ``max_local`` is kept as it is, ``(row, None, record_size(row))``:
+nothing encodes it on a write or decodes it on a read, and page images hold
+the (immutable) row; its values are exact SQL types (made so at bind), so it
+reads back as its record would decode.  Any other row is its record, spilled:
+its first ``max_local`` bytes and an overflow chain holding the rest.  A
+``bytes`` payload (an index entry's, which is empty) is stored whole when it
+fits and spills the same way when it does not.
 
 Range scans re-descend from the root to cross leaf boundaries instead of
 maintaining sibling links; this keeps deletion simple (empty pages are
@@ -434,7 +435,7 @@ class BTree:
         once the cell's place is known."""
         if type(payload) is tuple:
             size = record_size(payload)
-            if size is not None and size <= self.max_local:
+            if size <= self.max_local:
                 return (payload, None, size)
             payload = encode_record(payload)
         return (payload, None, len(payload))

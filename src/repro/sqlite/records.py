@@ -1,28 +1,26 @@
 """Record and key serialization.
 
-Rows are tuples of SQL values (None, int, float, str, bytes).  Their record
-is compact bytes, a type tag and a varint length per value — close in spirit
-to SQLite's record format, which is what gives tuples their on-page byte
-footprint (and therefore drives page splits and pages-touched-per-transaction,
-the quantity the paper's workload tables report).
+Rows are tuples of SQL values of exact types (``None``, ``int``, ``float``,
+``str``, ``bytes``).  A value enters the engine as a statement argument, which
+``Parameters.bind`` (``repro.sqlite.sql.engine``) makes exact with
+:func:`sql_values`, as SQLite types a value when it is bound; nothing below
+the connection sees another type.
 
-For that reason the encoding is pinned byte for byte: a value that encoded one
-byte longer would move splits, and with them every recorded sim counter and
-state digest.  The codec may get faster; its output, and the error it raises
-for each malformed input, may not change (``tests/test_sqlite_records.py``
-holds golden bytes, a truncation at every value, and the one-value-at-a-time
-codec this one replaced as the reference it must match on random and damaged
-records).  Speed comes from taking the common case first — exact ``int`` /
-``str`` / ``float`` before the ``isinstance`` ladder, a one-byte length, a
-whole payload — and leaving everything else to the general path.
+A row's record is compact bytes, a type tag and a varint length per value —
+close in spirit to SQLite's record format, which is what gives tuples their
+on-page byte footprint (and therefore drives page splits and
+pages-touched-per-transaction, the quantity the paper's workload tables
+report).  For that reason the encoding is pinned byte for byte: a value that
+encoded one byte longer would move splits, and with them every recorded sim
+counter and state digest (``tests/test_sqlite_records.py`` holds golden
+bytes, a truncation at every value, and a reference codec the codec must
+match on random and damaged records).
 
-A B-tree leaf cell keeps a row of exact SQL types as the tuple it is
-(``repro.sqlite.btree``, cell layout), so the codec runs only where bytes are
-stored: a row that spills into overflow pages, and a row holding a value of
-another type (a ``bool``, an enum, a ``str`` subclass would not decode to
-itself).  Either way a row takes its record's length of its page's budget;
-:func:`record_size` computes it by arithmetic, and :func:`key_size_bytes`
-sizes keys the same way.
+A B-tree leaf cell keeps a row whose record fits ``max_local`` as the tuple it
+is (``repro.sqlite.btree``, cell layout), so the codec runs only for a row
+that spills into overflow pages.  Either way a row takes its record's length
+of its page's budget; :func:`record_size` computes it by arithmetic, and a key
+is sized the same way.
 """
 
 from __future__ import annotations
@@ -32,13 +30,37 @@ from typing import Any, Sequence
 
 from repro.errors import CorruptionError, DatabaseError
 
-_TAG_NULL = 0
-_TAG_INT = 1
-_TAG_FLOAT = 2
-_TAG_TEXT = 3
-_TAG_BLOB = 4
+_TAG_NULL, _TAG_INT, _TAG_FLOAT, _TAG_TEXT, _TAG_BLOB = range(5)
 
 SqlValue = None | int | float | str | bytes
+
+_EXACT_TYPES = frozenset((type(None), int, float, str, bytes))
+# A subclass of an SQL type becomes its base type's value, by the base type's
+# own method: ``str()`` would call what a ``(str, Enum)`` overrides.
+_AS_EXACT = (
+    (int, int.__index__), (float, float.__float__), (str, str.__str__), (bytes, bytes.__bytes__)
+)
+
+
+def sql_value(value: Any) -> SqlValue:
+    """``value`` as the exact SQL value its record decodes to; a value of no
+    SQL type raises :class:`DatabaseError`, as ``sqlite3`` does at bind."""
+    if type(value) in _EXACT_TYPES:
+        return value
+    for base, exact in _AS_EXACT:
+        if isinstance(value, base):
+            return exact(value)
+    raise DatabaseError(f"unsupported SQL value type: {type(value).__name__}")
+
+
+def sql_values(values: Sequence[Any]) -> Sequence[SqlValue]:
+    """``values`` as exact SQL values: ``values`` itself when every one
+    already is (one type check each, no copy), else a tuple of
+    :func:`sql_value` of each."""
+    for value in values:
+        if type(value) not in _EXACT_TYPES:
+            return tuple(map(sql_value, values))
+    return values
 
 
 def _encode_varint(value: int) -> bytes:
@@ -70,42 +92,23 @@ def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-_BYTE = [bytes((i,)) for i in range(256)]
-_NULL, _INT, _FLOAT, _TEXT, _BLOB = (_BYTE[tag] for tag in range(5))
-_INT_HEAD = [_INT + _BYTE[length] for length in range(0x80)]  # tag + one-byte length
-_TEXT_HEAD = [_TEXT + _BYTE[length] for length in range(0x80)]
-_pack_double = struct.Struct(">d").pack
-
-
-def _tagged(tag: bytes, payload: bytes) -> bytes:
-    """tag + varint(len(payload)) + payload; lengths under 128 are one byte."""
-    length = len(payload)
-    if length < 0x80:
-        return tag + _BYTE[length] + payload
-    return tag + _encode_varint(length) + payload
+def _tagged(tag: int, payload: bytes) -> bytes:
+    """tag + varint(len(payload)) + payload."""
+    return bytes((tag,)) + _encode_varint(len(payload)) + payload
 
 
 def encode_value(value: SqlValue) -> bytes:
     """Encode one SQL value as tag + payload."""
-    kind = type(value)  # exact types first; subclasses (bool, enums) below
-    if kind is int:
-        return _tagged(_INT, value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True))
-    if kind is str:
-        return _tagged(_TEXT, value.encode("utf-8"))
-    if kind is float:
-        return _FLOAT + _pack_double(value)
     if value is None:
-        return _NULL
-    if kind is bytes:
-        return _tagged(_BLOB, value)
+        return bytes((_TAG_NULL,))
     if isinstance(value, int):  # SQLite stores booleans as integers
-        return encode_value(int(value))
+        return _tagged(_TAG_INT, value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True))
     if isinstance(value, float):
-        return _FLOAT + _pack_double(value)
+        return bytes((_TAG_FLOAT,)) + struct.pack(">d", value)
     if isinstance(value, str):
-        return _tagged(_TEXT, value.encode("utf-8"))
+        return _tagged(_TAG_TEXT, value.encode("utf-8"))
     if isinstance(value, bytes):
-        return _tagged(_BLOB, value)
+        return _tagged(_TAG_BLOB, value)
     raise DatabaseError(f"unsupported SQL value type: {type(value).__name__}")
 
 
@@ -143,70 +146,18 @@ def decode_value(data: bytes, offset: int) -> tuple[SqlValue, int]:
 
 
 def encode_record(values: Sequence[SqlValue]) -> bytes:
-    """Encode a row: value count, then each value.
-
-    One pass: an exact ``int`` whose length fits one byte, an exact ``str``,
-    a ``float`` and ``None`` are encoded in the loop; any other value goes
-    through :func:`encode_value`.
-    """
-    count = len(values)
-    parts = [_BYTE[count] if count < 0x80 else _encode_varint(count)]
-    append = parts.append
-    for value in values:
-        kind = type(value)
-        if kind is int:
-            size = (value.bit_length() + 8) >> 3
-            if size < 0x80:
-                append(_INT_HEAD[size])
-                append(value.to_bytes(size, "big", signed=True))
-                continue
-        elif kind is str:
-            payload = value.encode("utf-8")
-            length = len(payload)
-            append(_TEXT_HEAD[length] if length < 0x80 else _TEXT + _encode_varint(length))
-            append(payload)
-            continue
-        elif kind is float:
-            append(_FLOAT)
-            append(_pack_double(value))
-            continue
-        elif value is None:
-            append(_NULL)
-            continue
-        append(encode_value(value))
-    return b"".join(parts)
+    """Encode a row: value count, then each value."""
+    return _encode_varint(len(values)) + b"".join(map(encode_value, values))
 
 
 def decode_record(data: bytes) -> tuple[SqlValue, ...]:
-    """Decode a row produced by :func:`encode_record`.
-
-    One pass: an INT or TEXT whose length fits one byte and whose payload is
-    all there (nearly every value of every row) is decoded in the loop; any
-    other value, and every malformed input, goes through :func:`decode_value`,
-    so each damaged record raises what it always raised.
-    """
+    """Decode a row produced by :func:`encode_record`."""
     count, offset = _decode_varint(data, 0)
-    end = len(data)
     values = []
-    append = values.append
-    from_bytes = int.from_bytes
     for _ in range(count):
-        if offset + 1 < end:
-            length = data[offset + 1]
-            stop = offset + 2 + length
-            if length < 0x80 and stop <= end:
-                tag = data[offset]
-                if tag == _TAG_INT:
-                    append(from_bytes(data[offset + 2 : stop], "big", signed=True))
-                    offset = stop
-                    continue
-                if tag == _TAG_TEXT:
-                    append(data[offset + 2 : stop].decode("utf-8"))
-                    offset = stop
-                    continue
         value, offset = decode_value(data, offset)
-        append(value)
-    if offset != end:
+        values.append(value)
+    if offset != len(data):
         raise CorruptionError("trailing bytes after record")
     return tuple(values)
 
@@ -216,10 +167,10 @@ def row_of(payload: tuple | bytes) -> tuple[SqlValue, ...]:
     return payload if type(payload) is tuple else decode_record(payload)
 
 
-def record_size(row: Sequence[SqlValue]) -> int | None:
-    """``encode_record(row)``'s length by arithmetic (an ``int`` sized from its
-    ``bit_length``, ASCII text by its ``len``), or None if a value's type is
-    not an exact SQL type (``int``, ``str``, ``float``, ``None``, ``bytes``)."""
+def record_size(row: Sequence[SqlValue]) -> int:
+    """The length of ``encode_record(row)``, by arithmetic (an ``int`` sized
+    from its ``bit_length``, ASCII text by its ``len``); a value that is not
+    of an exact SQL type raises :class:`DatabaseError`."""
     count = len(row)
     size = 1 if count < 0x80 else len(_encode_varint(count))
     for value in row:
@@ -237,12 +188,15 @@ def record_size(row: Sequence[SqlValue]) -> int | None:
         elif kind is bytes:
             length = len(value)
         else:
-            return None
+            raise DatabaseError(f"unsupported SQL value type: {kind.__name__}")
         size += (2 if length < 0x80 else 1 + len(_encode_varint(length))) + length
     return size
 
 
 # --------------------------------------------------------------------- keys
+
+# A key takes its record's length of its page's budget.
+key_size_bytes = record_size
 
 _KEY_ORDER = {type(None): 0, int: 1, float: 1, str: 2, bytes: 3}
 
@@ -257,19 +211,6 @@ def key_sort_tuple(key: tuple) -> tuple:
     for value in key:
         type_class = _KEY_ORDER.get(type(value))
         if type_class is None:
-            if isinstance(value, bool):
-                type_class = 1
-                value = int(value)
-            else:
-                raise DatabaseError(f"unorderable key element: {type(value).__name__}")
+            raise DatabaseError(f"unorderable key element: {type(value).__name__}")
         out.append((type_class, value if type_class != 0 else 0))
     return tuple(out)
-
-
-def key_size_bytes(key: tuple) -> int:
-    """Encoded size of a key tuple (used for page byte budgets), by
-    :func:`record_size` or, for a value of a non-exact type, :func:`encode_value`."""
-    size = record_size(key)
-    if size is None:
-        size = len(_encode_varint(len(key))) + sum(len(encode_value(value)) for value in key)
-    return size

@@ -16,7 +16,7 @@ import re
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import SqlError
-from repro.sqlite.records import SqlValue, key_sort_tuple
+from repro.sqlite.records import SqlValue, key_sort_tuple, sql_values
 from repro.sqlite.schema import Index, Table
 from repro.sqlite.sql import ast
 from repro.sqlite.table import TableStore
@@ -75,6 +75,9 @@ class Parameters:
     one set of closures serves every execution of the SQL text.  Compiling
     raises ``arity`` to the highest ``?`` index + 1; :meth:`bind` checks it, so
     a statement given too few arguments fails before it has touched a row.
+    Bind is where a value enters the engine: it is made an exact SQL type
+    there (``repro.sqlite.records.sql_values``), and a value of no SQL type
+    fails there, so nothing below the connection dispatches on another type.
     """
 
     __slots__ = ("values", "arity")
@@ -84,12 +87,13 @@ class Parameters:
         self.arity = 0
 
     def bind(self, values: Sequence[SqlValue]) -> None:
-        """Set the arguments of the next run; surplus ones are ignored."""
+        """Set the arguments of the next run, as exact SQL values; surplus ones
+        are ignored."""
         if len(values) < self.arity:
             raise SqlError(
                 f"statement requires at least {self.arity} parameters, got {len(values)}"
             )
-        self.values = values
+        self.values = sql_values(values)
 
 
 class ExprCompiler:
@@ -469,9 +473,7 @@ def _rowid_eq_rows(store: TableStore, eq: Callable[[Env], SqlValue]) -> RowFunct
     def rows(env: Env) -> tuple[tuple[int, Row], ...]:
         rowid = eq(env)
         if type(rowid) is not int:
-            if isinstance(rowid, int):  # bool
-                rowid = int(rowid)
-            elif isinstance(rowid, float) and rowid.is_integer():
+            if isinstance(rowid, float) and rowid.is_integer():
                 rowid = int(rowid)
             else:
                 return _NOTHING

@@ -232,9 +232,8 @@ class TableStore:
             prefix = tuple([values[p] for p in positions])
             for other_rowid in self._index_rowids(tree, prefix, prefix):
                 if other_rowid != rowid:
-                    raise IntegrityError(
-                        f"UNIQUE constraint failed: {index.table_name}.{index.columns}"
-                    )
+                    columns = ", ".join(f"{index.table_name}.{c}" for c in index.columns)
+                    raise IntegrityError(f"UNIQUE constraint failed: {columns}")
 
     def _duplicate(self, rowid: int) -> IntegrityError:
         return IntegrityError(f"duplicate rowid {rowid} in {self.table.name!r}")

@@ -25,7 +25,11 @@ Recorded at the commit before access paths were bound at plan time; the
 its own spilled frames (84 errors → 53, as ``rbj`` and ``off`` record), and
 the ``rbj`` row alone when a rollback-journal spill began writing and
 barriering the journal header before the page (device writes 4,562 → 4,868,
-flushes 1,493 → 1,737; outcomes and spills unchanged).  Re-record only with
+flushes 1,493 → 1,737; outcomes and spills unchanged).  All three rows were
+re-recorded when a ``UNIQUE`` violation began naming its columns as
+``sqlite3`` does (``t.a, t.b``, not a list's repr): the error text is part of
+each outcome, so only ``sha256`` moved, and with the old text the old digests
+come back.  Re-record only with
 a deliberate, explained bump (all modes, or only the named ones)::
 
     PYTHONPATH=src:. python -m tests.pins --record access_order [MODE ...]

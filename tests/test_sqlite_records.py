@@ -1,8 +1,6 @@
 """Unit and property tests for record/key serialization."""
 
-import ast
 import enum
-import inspect
 import struct
 
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import open_stack
 from repro.errors import CorruptionError, DatabaseError
-from repro.sqlite import records, table
 from repro.sqlite.records import (
     _decode_varint,
     _encode_varint,
@@ -23,6 +20,7 @@ from repro.sqlite.records import (
     key_sort_tuple,
     record_size,
 )
+from repro.sqlite.sql.engine import Parameters
 
 sql_values = st.one_of(
     st.none(),
@@ -100,9 +98,10 @@ class TestRecordCodec:
         assert decode_record(encode_record(row)) == row
 
 
-# The codec as it was before it became single-pass: one isinstance ladder per
-# value, one decode_value call per value.  Kept as the reference the fast codec
-# is held to, byte for byte and error for error.
+# A reference codec written apart from ``records``: one isinstance ladder per
+# value, one decode_value call per value.  The codec is held to it byte for
+# byte and error for error, on every value it accepts (a bool, an enum and a
+# str subclass included, although bind makes them exact before a row is built).
 
 
 def reference_encode_value(value):
@@ -159,8 +158,15 @@ class _Text(str):
     pass
 
 
-# Lengths on both sides of the one-byte varint, and subclasses of every type
-# the exact-type dispatch tests for first.
+class _Color(str, enum.Enum):
+    RED = "red"
+
+    def __str__(self):
+        return "Color.RED"  # what str() would store; the record stores "red"
+
+
+# Lengths on both sides of the one-byte varint, and subclasses of the SQL
+# types, which bind makes exact.
 _edge_values = st.one_of(
     sql_values,
     st.booleans(),
@@ -168,6 +174,7 @@ _edge_values = st.one_of(
     st.sampled_from([126, 127, 128, 129, 300]).map(lambda size: "x" * size),
     st.sampled_from([126, 127, 128, 129, 300]).map(lambda size: b"y" * size),
     st.text(max_size=8).map(_Text),
+    st.just(_Color.RED),
     st.sampled_from([127, 128, -128, -129, 2**63, -(2**63), 2**1030]),
     st.sampled_from([float("inf"), float("nan"), -0.0]),
 )
@@ -179,7 +186,11 @@ class TestSinglePassCodecMatchesReference:
     def test_same_bytes(self, values):
         encoded = encode_record(values)
         assert encoded == reference_encode_record(values)
-        assert key_size_bytes(tuple(values)) == len(encoded)
+        if all(type(value) in _EXACT_TYPES for value in values):
+            assert key_size_bytes(tuple(values)) == len(encoded)
+        else:
+            with pytest.raises(DatabaseError, match="unsupported SQL value type"):
+                key_size_bytes(tuple(values))
         assert encode_record(tuple(values)) == encoded
         assert outcome(decode_record, encoded) == outcome(reference_decode_record, encoded)
 
@@ -217,6 +228,33 @@ class TestSinglePassCodecMatchesReference:
         assert outcome(decode_record, damaged) == outcome(reference_decode_record, damaged)
 
 
+class TestBindGivesWhatTheRecordStores:
+    """``Parameters.bind`` makes each argument the exact value its record
+    decodes to, type included, so a row a leaf cell keeps reads back as a
+    stored one would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_edge_values, max_size=6))
+    def test_bound_value_is_the_decoded_value(self, values):
+        params = Parameters()
+        params.bind(values)
+        stored = [decode_value(encode_value(value), 0)[0] for value in values]
+        # repr: NaN equals itself, True is not 1; types: repr does not tell _Text from str.
+        assert repr(list(params.values)) == repr(stored)
+        assert [type(value) for value in params.values] == [type(value) for value in stored]
+
+    def test_exact_arguments_pass_uncopied(self):
+        values = [1, 2.5, "text", b"blob", None]
+        params = Parameters()
+        params.bind(values)
+        assert params.values is values
+
+    @pytest.mark.parametrize("value", [[1], object(), 1j])
+    def test_a_value_of_no_sql_type_is_refused(self, value):
+        with pytest.raises(DatabaseError, match="unsupported SQL value type"):
+            Parameters().bind((1, value))
+
+
 _EXACT_TYPES = (int, str, float, bytes, type(None))
 
 # Exact-type values at every length boundary record_size computes.
@@ -247,12 +285,15 @@ class TestRecordSize:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_edge_values, min_size=1, max_size=6))
     def test_a_value_of_another_type_takes_the_encoded_path(self, values):
-        """A bool, an enum or a str subclass would not come back from the
-        record as itself: such a row gets no size, so it is stored encoded."""
+        """A bool, an enum or a str subclass has no path of its own below bind,
+        which makes it exact: ``record_size`` (so a leaf cell and a key's
+        share of its page) rejects such a row, and sizes any other exactly."""
         row = tuple(values)
-        exact = all(type(value) in _EXACT_TYPES for value in row)
-        assert (record_size(row) is not None) == exact
-        assert key_size_bytes(row) == len(encode_record(row))
+        if all(type(value) in _EXACT_TYPES for value in row):
+            assert record_size(row) == key_size_bytes(row) == len(encode_record(row))
+        else:
+            with pytest.raises(DatabaseError, match="unsupported SQL value type"):
+                record_size(row)
 
 
 class TestStoredRowsRoundTrip:
@@ -307,26 +348,6 @@ class TestStoredRowsRoundTrip:
         assert repr(db.execute("SELECT id, s FROM t WHERE i = ?", (-1,))) == repr([(1, "y" * 128)])
         stack.remount_after_crash()
         assert self._read(stack.open_database("rows.db")) == expected()
-
-
-class TestRowMemoStaysDeleted:
-    """A leaf cell holds its row, so nothing maps payloads back to rows: the
-    payload -> row memo and its upkeep stay deleted, and the row store hands
-    the B-tree rows, not records (structural checks, not text patterns)."""
-
-    def test_records_keeps_no_memo(self):
-        for name in ("_rows", "ROW_MEMO_ENTRIES", "_remember", "forget_record", "_decode_uncached"):
-            assert not hasattr(records, name), name
-
-    def test_table_store_never_encodes(self):
-        assert not hasattr(table, "encode_record")
-        tree = ast.parse(inspect.getsource(table.TableStore))
-        called = {
-            node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-        }
-        assert "encode_record" not in called
 
 
 class TestKeyOrdering:
