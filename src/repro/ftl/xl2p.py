@@ -76,15 +76,14 @@ class XL2PTable:
     One insertion-ordered map ``lpn -> entry`` per transaction; a
     transaction updating the same page twice reuses its entry (only the
     newest uncommitted copy matters, §5.3).  Physical sizing (how many
-    flash pages a flush takes) follows the configured entry size and
-    capacity.
+    flash pages a flush takes) follows the capacity, at
+    ``XL2P_ENTRY_BYTES`` an entry.
     """
 
-    def __init__(self, capacity: int = 1000, entry_bytes: int = XL2P_ENTRY_BYTES) -> None:
+    def __init__(self, capacity: int = 1000) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.entry_bytes = entry_bytes
         self._by_tid: dict[int, dict[int, XL2PEntry]] = {}
         self._size = 0  # entries over all transactions
         self._puts = 0  # first writes so far: the next entry's order
@@ -154,7 +153,7 @@ class XL2PTable:
         The paper flushes the *entire configured table* (8 or 16 KB) at each
         commit, not just the occupied prefix, so sizing follows capacity.
         """
-        return max(1, math.ceil(self.capacity * self.entry_bytes / page_size))
+        return max(1, math.ceil(self.capacity * XL2P_ENTRY_BYTES / page_size))
 
     def serialize(self, page_size: int) -> list[tuple]:
         """Split the table's rows, in the order they were first written,
@@ -175,11 +174,9 @@ class XL2PTable:
         ]
 
     @classmethod
-    def deserialize(
-        cls, images: list[tuple], capacity: int, entry_bytes: int = XL2P_ENTRY_BYTES
-    ) -> "XL2PTable":
+    def deserialize(cls, images: list[tuple], capacity: int) -> "XL2PTable":
         """Rebuild a table from flushed page images (recovery path)."""
-        table = cls(capacity=capacity, entry_bytes=entry_bytes)
+        table = cls(capacity=capacity)
         for image in images:
             tag, _index, records = image
             if tag != "xl2p":

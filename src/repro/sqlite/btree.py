@@ -287,10 +287,6 @@ class BTree:
             return None
         return page.keys[-1]
 
-    def count(self) -> int:
-        """Number of entries (full scan)."""
-        return sum(1 for _ in self.scan())
-
     # ------------------------------------------------------------- updates
 
     def insert(self, key: tuple, payload: tuple | bytes, replace: bool = False) -> None:

@@ -23,8 +23,8 @@ misses is prepared and then runs through the same code as one that hits.
 arguments in the plan's parameter cell, which the closures read when they
 run.  It comes before any effect, so a statement given too few arguments
 raises with no row touched, and a statement that fails to prepare or bind is
-not cached.  *Run* executes the closures; it never parses, resolves a name
-or compiles.
+not cached, counted in ``sqlite.statements`` or charged host time.  *Run*
+executes the closures; it never parses, resolves a name or compiles.
 
 A plan is valid for exactly the catalog it was built against: it holds
 ``Table`` objects and tree roots.  So every plan is dropped whenever the
@@ -302,15 +302,16 @@ class Connection:
         prepared = self._prepared
         plan = prepared.get(sql)
         if plan is None:
-            plan = self._prepare(sql)  # raises with nothing cached and nothing done
-            prepared[sql] = plan
-            if len(prepared) > PREPARED_STATEMENTS:
-                prepared.popitem(last=False)
-        else:
-            prepared.move_to_end(sql)
+            plan = self._prepare(sql)
+        # Prepare and bind come before the cache, the count and the clock: a
+        # statement that fails either changes none of them.
+        plan.params.bind(params)
+        prepared[sql] = plan
+        prepared.move_to_end(sql)
+        if len(prepared) > PREPARED_STATEMENTS:
+            prepared.popitem(last=False)
         self._obs_statements.inc()
         self._clock.advance(self._profile.host_cpu_statement_us)
-        plan.params.bind(params)
         if not plan.writes:
             return plan.run()
         if self.staged_txn is not None:  # its pages are already on the device

@@ -195,10 +195,6 @@ class TableStore:
                     return
             after = True
 
-    def count(self) -> int:
-        """Number of rows in the table (full scan)."""
-        return self.tree.count()
-
     # ----------------------------------------------------------- internals
 
     @staticmethod

@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.flash import FlashChip, FlashGeometry
-from repro.ftl import FtlConfig, PageMappingFTL, XFTL
-from repro.device import StorageDevice
+from repro.ftl import FtlConfig, XFTL
 from repro.sim import CrashPlan, SimClock
 
 
 SMALL_GEOMETRY = FlashGeometry(page_size=8192, pages_per_block=16, num_blocks=64)
-TINY_GEOMETRY = FlashGeometry(page_size=512, pages_per_block=4, num_blocks=16)
 
 
 @pytest.fixture
@@ -25,18 +23,8 @@ def chip(clock: SimClock) -> FlashChip:
 
 
 @pytest.fixture
-def tiny_chip(clock: SimClock) -> FlashChip:
-    return FlashChip(TINY_GEOMETRY, clock=clock)
-
-
-@pytest.fixture
 def ftl_config() -> FtlConfig:
     return FtlConfig(overprovision=0.2, map_entries_per_page=64, barrier_meta_pages=1)
-
-
-@pytest.fixture
-def pagemap_ftl(chip: FlashChip, ftl_config: FtlConfig) -> PageMappingFTL:
-    return PageMappingFTL(chip, ftl_config)
 
 
 @pytest.fixture
@@ -45,27 +33,6 @@ def xftl(chip: FlashChip, ftl_config: FtlConfig) -> XFTL:
 
 
 @pytest.fixture
-def xdevice(xftl: XFTL) -> StorageDevice:
-    return StorageDevice(xftl)
-
-
-@pytest.fixture
 def crash_plan() -> CrashPlan:
     return CrashPlan()
 
-
-def make_xdevice(
-    num_blocks: int = 64,
-    pages_per_block: int = 16,
-    page_size: int = 8192,
-    crash_plan: CrashPlan | None = None,
-    **config_kwargs,
-) -> StorageDevice:
-    """Build a transactional device with a small geometry for tests."""
-    geometry = FlashGeometry(
-        page_size=page_size, pages_per_block=pages_per_block, num_blocks=num_blocks
-    )
-    chip = FlashChip(geometry, crash_plan=crash_plan)
-    defaults = dict(overprovision=0.2, map_entries_per_page=64, barrier_meta_pages=1)
-    defaults.update(config_kwargs)
-    return StorageDevice(XFTL(chip, FtlConfig(**defaults)))

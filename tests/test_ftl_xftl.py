@@ -68,9 +68,9 @@ class TestXL2PTable:
 
     def test_flush_page_count_matches_paper_sizes(self):
         # 500 entries x 16 bytes = 8 KB -> one 8 KB page
-        assert XL2PTable(capacity=500, entry_bytes=16).flush_page_count(8192) == 1
+        assert XL2PTable(capacity=500).flush_page_count(8192) == 1
         # 1000 entries x 16 bytes = 16 KB -> two 8 KB pages
-        assert XL2PTable(capacity=1000, entry_bytes=16).flush_page_count(8192) == 2
+        assert XL2PTable(capacity=1000).flush_page_count(8192) == 2
 
     def test_serialize_round_trip(self):
         table = XL2PTable(capacity=64)
@@ -80,7 +80,7 @@ class TestXL2PTable:
         for entry in table.entries_of(1):
             entry.status = TxStatus.COMMITTED
         images = table.serialize(page_size=512)
-        restored = XL2PTable.deserialize(images, capacity=64, entry_bytes=16)
+        restored = XL2PTable.deserialize(images, capacity=64)
         assert restored.get(1, 0).status is TxStatus.COMMITTED
         assert restored.get(2, 7).status is TxStatus.ACTIVE
         assert len(restored) == 3

@@ -8,13 +8,9 @@ fake clock in place of the simulator's.
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
-import repro.sim.interleave as interleave_module
 from repro.sim.interleave import QUANTUM_US, Park, interleave
-from repro.stack import Session, SessionScheduler, TenantScheduler, TxnManager
 
 
 class FakeClock:
@@ -148,34 +144,3 @@ class TestErrors:
 
         with pytest.raises(RuntimeError, match="commit failed"):
             interleave([(1, [parker()]), (2, [parker()])], service, FakeClock())
-
-
-class TestOneLoopStaysOne:
-    """Sessions and tenants share this loop; the second loop, its batch
-    cap and its quantum knob stay deleted."""
-
-    def test_the_module_holds_park_and_one_loop(self):
-        module = interleave_module.__name__
-        defined = {
-            name
-            for name, value in vars(interleave_module).items()
-            if not name.startswith("_") and getattr(value, "__module__", module) == module
-        }
-        assert defined == {"Park", "interleave", "QUANTUM_US"}
-        assert not hasattr(interleave_module, "RoundRobinInterleaver")
-
-    def test_schedulers_take_no_batch_cap_or_quantum(self):
-        def params(function):
-            return list(inspect.signature(function).parameters)[1:]
-
-        assert params(SessionScheduler.__init__) == ["stack", "group_commit"]
-        assert params(TenantScheduler.__init__) == ["stack", "fairness", "group_commit"]
-        assert params(SessionScheduler.run) == ["tasks"]
-        assert params(TenantScheduler.run) == []
-        for name in ("_interleaver", "_run_deficit", "max_group", "quantum_us"):
-            assert not hasattr(TenantScheduler, name), name
-
-    def test_forwarders_without_callers_stay_deleted(self):
-        assert not hasattr(TxnManager, "commit_group")
-        assert not hasattr(Session, "snapshot_seq")
-        assert not hasattr(Session, "read_as_of")

@@ -9,7 +9,8 @@ the standard library's ``sqlite3`` (test-only):
   index the rows their exact values would, in an indexed column, a filter on
   an unindexed one, a rowid equality and an ``UPDATE ... SET``;
 - ``list``, ``Decimal`` and ``object()`` arguments raise at bind, with no page
-  dirtied;
+  dirtied, and a statement that fails at bind is not cached, counted or
+  charged;
 - a ``UNIQUE`` violation names its columns as ``sqlite3`` does;
 - a failed statement inside an explicit transaction is not undone (a known
   model limit, pinned as a strict xfail).
@@ -23,7 +24,7 @@ from decimal import Decimal
 
 import pytest
 
-from repro.errors import DatabaseError, IntegrityError
+from repro.errors import DatabaseError, IntegrityError, SqlError
 from repro.stack import Mode, StackConfig, build_stack
 
 MODES = [Mode.RBJ, Mode.WAL, Mode.XFTL]
@@ -142,6 +143,29 @@ class TestUnsupportedArgumentsFailAtBind:
         assert db.execute("SELECT id, k, v FROM t") == [(1, 1, 1)]
         with pytest.raises(sqlite3.Error):  # sqlite3 refuses them at bind too
             sqlite3.connect(":memory:").execute("SELECT ?", (value,))
+
+
+class TestBindFailureLeavesNoTrace:
+    """A statement that fails at bind is not cached, counted or charged, as
+    one that fails to prepare is not."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_not_cached_counted_or_charged(self, mode):
+        stack = build_stack(
+            StackConfig(mode=mode, num_blocks=256, pages_per_block=32, metrics=True)
+        )
+        db = stack.open_database("t.db")
+        db.execute("CREATE TABLE t (v)")
+        sql = "INSERT INTO t VALUES (?)"
+        statements = stack.obs.registry.counter_value("sqlite.statements")
+        now_us = stack.clock.now_us
+        with pytest.raises(SqlError, match="requires at least 1 parameters"):
+            db.execute(sql, ())
+        with pytest.raises(DatabaseError, match="unsupported SQL value type"):
+            db.execute(sql, (object(),))
+        assert sql not in db._prepared
+        assert stack.obs.registry.counter_value("sqlite.statements") == statements
+        assert stack.clock.now_us == now_us
 
 
 class TestUniqueErrorText:

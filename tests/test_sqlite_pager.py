@@ -15,8 +15,6 @@ from repro.fs import Ext4, JournalMode
 from repro.fs.ext4 import FileHandle
 from repro.ftl import FtlConfig, XFTL
 from repro.sqlite.btree import LeafPage, page_from_image
-from repro.sqlite.database import Connection
-from repro.sqlite.multifile import MultiFileTransaction
 from repro.sqlite.pager import (
     DbHeader,
     OffPager,
@@ -25,7 +23,7 @@ from repro.sqlite.pager import (
     SqliteJournalMode,
     WalPager,
 )
-from repro.stack import Mode, SessionScheduler, StackConfig, build_stack
+from repro.stack import Mode, StackConfig, build_stack
 
 FS_FOR_MODE = {
     SqliteJournalMode.ROLLBACK: JournalMode.ORDERED,
@@ -438,40 +436,6 @@ class TestOneDirtyPageHelper:
             "OffPager.rollback": 0,
             "OffPager.stage_commit": 1,
         }
-
-
-class TestOneStagedCommit:
-    """OFF mode has one staged commit: one staging and one finishing step
-    on the pager, and the session scheduler and the multi-file coordinator
-    finish their participants through one ``Connection`` method.  The
-    multi-file coordinator's second copy stays deleted."""
-
-    def test_the_second_copy_stays_deleted(self):
-        for cls, name in (
-            (Pager, "stage_for_group_commit"),
-            (OffPager, "stage_for_group_commit"),
-            (OffPager, "finish_group_commit"),
-            (Connection, "end_external_txn"),
-        ):
-            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
-
-    def test_off_pager_has_one_staging_and_one_finishing_step(self):
-        steps = {name for name in vars(OffPager) if name.startswith(("stage", "finish"))}
-        assert steps == {"stage_commit", "finish_commit"}
-
-    def test_both_coordinators_finish_through_one_connection_method(self):
-        def connection_calls(function):
-            tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
-            return {
-                node.func.attr
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and callable(vars(Connection).get(node.func.attr))
-            }
-
-        assert connection_calls(SessionScheduler._commit_batch) == {"finish_commit"}
-        assert connection_calls(MultiFileTransaction.commit) == {"finish_commit"}
 
 
 class TestStealSpill:

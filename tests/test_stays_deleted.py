@@ -3,9 +3,9 @@
 Each row names a thing that was merged away or deleted, why, and one check
 that fails if it comes back: a text pattern over the source files it covers,
 or, where a rename could dodge a pattern, a structural check on the live
-module (its attributes, or an ``ast`` walk of one function).  A pattern row
-carries a planted line, a reintroduction the pattern must match, so a
-pattern that can no longer fire fails here too.
+objects (their attributes and types, or an ``ast`` walk).  A pattern row
+carries a planted line, a reintroduction the pattern must match, and names
+files that exist, so a pattern that can no longer fire fails here too.
 """
 
 from __future__ import annotations
@@ -14,35 +14,55 @@ import ast
 import inspect
 import re
 import textwrap
+from array import array
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
+import repro.sim.interleave as interleave_module
+from repro.flash import FlashChip, FlashGeometry
+from repro.flash.stats import FlashStats
+from repro.ftl import XFTL, pagemap
 from repro.sqlite import records, table
+from repro.sqlite.database import Connection
+from repro.sqlite.multifile import MultiFileTransaction
+from repro.sqlite.pager import OffPager
 from repro.sqlite.sql import engine
+from repro.stack import Session, SessionScheduler, TenantScheduler, TxnManager
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _files(path: str) -> list[Path]:
+    """The ``.py`` files a path from the repository root names (a file, a
+    directory or a glob); this file, which holds the patterns, is left out."""
+    found = []
+    for match in sorted(ROOT.glob(path)):
+        found += sorted(match.rglob("*.py")) if match.is_dir() else [match]
+    return [file for file in found if file.suffix == ".py" and file != Path(__file__).resolve()]
+
+
+def _grep(regex: str, paths: tuple[str, ...]) -> list[str]:
+    return [
+        f"{file.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in paths
+        for file in _files(path)
+        for number, line in enumerate(file.read_text().splitlines(), 1)
+        if re.search(regex, line)
+    ]
 
 
 class Pattern(NamedTuple):
-    """No line of a ``.py`` file under ``paths`` (relative to ``src/``) matches."""
+    """No line of a ``.py`` file that ``paths`` name (see ``_files``) matches ``regex``."""
 
     name: str
     why: str
     regex: str
-    paths: tuple[str, ...]
     planted: str  # a reintroduction the regex must match
-
-    def violations(self) -> list[str]:
-        assert re.search(self.regex, self.planted), "the pattern no longer fires"
-        found = []
-        for root in self.paths:
-            for path in sorted((SRC / root).rglob("*.py")):
-                for number, line in enumerate(path.read_text().splitlines(), 1):
-                    if re.search(self.regex, line):
-                        found.append(f"{path.relative_to(SRC)}:{number}: {line.strip()}")
-        return found
+    paths: tuple[str, ...] = ("src",)
 
 
 class Structure(NamedTuple):
@@ -52,25 +72,22 @@ class Structure(NamedTuple):
     why: str
     check: Callable[[], list[str]]
 
-    def violations(self) -> list[str]:
-        return self.check()
-
 
 def _tree(function) -> ast.AST:
     return ast.parse(textwrap.dedent(inspect.getsource(function)))
 
 
-def _called(node: ast.AST) -> set[str]:
-    """The names of what ``node`` calls (``f(...)`` or ``x.f(...)``)."""
-    return {
+def _called(node: ast.AST) -> list[str]:
+    """The names of what ``node`` calls (``f(...)`` or ``x.f(...)``), once per call."""
+    return [
         call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
         for call in ast.walk(node)
         if isinstance(call, ast.Call)
-    }
+    ]
 
 
-def _absent(module, *names: str) -> list[str]:
-    return [f"{module.__name__}.{name}" for name in names if hasattr(module, name)]
+def _absent(owner, *names: str) -> list[str]:
+    return [f"{owner.__name__}.{name}" for name in names if hasattr(owner, name)]
 
 
 def _record_size_returns_none() -> list[str]:
@@ -130,66 +147,194 @@ def _table_store_encodes() -> list[str]:
     return found
 
 
+def _ftl() -> XFTL:
+    return XFTL(FlashChip(FlashGeometry(page_size=512, pages_per_block=8, num_blocks=16)))
+
+
+def _holds(owner, prefix: str, **wanted: str) -> list[str]:
+    """``owner``'s ``prefix`` attributes, by type or array typecode, are exactly ``wanted``."""
+    held = {name: getattr(value, "typecode", type(value).__name__)
+            for name, value in vars(owner).items() if name.startswith(prefix)}
+    return [] if held == wanted else [f"{type(owner).__name__} holds {held}"]
+
+
+def _byte_codes(*prefixes: str) -> list[str]:
+    """Every ``pagemap`` constant named with a prefix is an int that fits a byte."""
+    return [f"pagemap.{name} = {value!r}" for name, value in vars(pagemap).items()
+            if name.startswith(prefixes) and not (type(value) is int and 0 <= value < 256)]
+
+
+def _reads_l2p(node: ast.AST) -> bool:
+    return any(getattr(n, "id", getattr(n, "attr", "")) in ("l2p", "_l2p") for n in ast.walk(node))
+
+
+def _l2p_tested_none() -> list[str]:
+    """No value read from an L2P (by index, slice or loop) is tested ``is None``."""
+    found = set()
+    for file in _files("src"):
+        functions = ast.walk(ast.parse(file.read_text()))
+        for function in (node for node in functions if isinstance(node, ast.FunctionDef)):
+            reads = set()  # the names this function binds from an L2P
+            for node in ast.walk(function):
+                source = node.value if isinstance(node, ast.Assign) else getattr(node, "iter", None)
+                if source is not None and _reads_l2p(source):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    reads |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            found |= {
+                f"{file.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(function)
+                if isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and getattr(node.comparators[0], "value", 0) is None
+                and (getattr(node.left, "id", None) in reads or _reads_l2p(node.left))
+            }
+    return sorted(found)
+
+
+def _one_builder_each() -> list[str]:
+    """The bench experiments call ``build_stack`` once and ``FlashChip`` once."""
+    calls = Counter(_called(ast.parse((ROOT / "src/repro/bench/experiments.py").read_text())))
+    found = [f"{calls[c]} x {c}(" for c in ("build_stack", "FlashChip") if calls[c] != 1]
+    return found + _grep("extras", ("src/repro/bench/experiments.py",))
+
+
+def _interleave_module() -> list[str]:
+    """The module holds ``Park``, ``QUANTUM_US`` and one loop, and no second loop."""
+    module = interleave_module.__name__
+    defined = {name for name, value in vars(interleave_module).items()
+               if not name.startswith("_") and getattr(value, "__module__", module) == module}
+    found = sorted(defined ^ {"Park", "interleave", "QUANTUM_US"})
+    return found + _absent(interleave_module, "RoundRobinInterleaver")
+
+
+def _scheduler_knobs() -> list[str]:
+    """Neither scheduler takes a batch cap or a quantum, or keeps a loop of its own."""
+    found = [
+        f"{function.__qualname__}{params}"
+        for function, wanted in (
+            (SessionScheduler.__init__, ["stack", "group_commit"]),
+            (TenantScheduler.__init__, ["stack", "fairness", "group_commit"]),
+            (SessionScheduler.run, ["tasks"]),
+            (TenantScheduler.run, []),
+        )
+        if (params := list(inspect.signature(function).parameters)[1:]) != wanted
+    ]
+    knobs = ("_interleaver", "_run_deficit", "max_group", "quantum_us")
+    return found + _absent(TenantScheduler, *knobs)
+
+
+def _one_finish_method() -> list[str]:
+    """Both commit coordinators finish a participant through one ``Connection`` method."""
+    methods = {name for name, value in vars(Connection).items() if callable(value)}
+    return [
+        f"{function.__qualname__} calls Connection.{sorted(calls)}"
+        for function in (SessionScheduler._commit_batch, MultiFileTransaction.commit)
+        if (calls := methods.intersection(_called(_tree(function)))) != {"finish_commit"}
+    ]
+
+
 ROWS = [
-    Pattern(
-        "statement-lifecycle",
-        "One statement lifecycle: no second statement cache, no compile-time "
-        "parameter capture (a plan reads its parameter cell when it runs).",
-        r"_parse_cache|self\.params\[",
-        ("repro/sqlite",),
-        "        value = self.params[index]",
-    ),
-    Pattern(
-        "row-function-per-path",
-        "One row function per access path, bound at plan time: the per-call "
-        "kind dispatch stays deleted (path.kind is a label only).",
-        r"path\.kind ==|def iterate_access_path",
-        ("repro/sqlite",),
-        '        if path.kind == "rowid-eq":',
-    ),
-    Pattern(
-        "key-sizing-encodes",
-        "One way to size a key: by arithmetic (records.record_size); key "
-        "sizing never encodes.",
-        r"len\(encode_record\(",
-        ("repro",),
-        "    return len(encode_record(key))",
-    ),
-    Structure(
-        "record-size-none",
-        "A row of another type has no sizeless path: values are exact from "
-        "bind on, so record_size sizes every row or raises.",
-        _record_size_returns_none,
-    ),
-    Structure(
-        "bool-branches",
-        "No type fallback below the connection: bind makes a bool or an enum "
-        "an int, so key ordering and the rowid path test exact types only.",
-        _subclass_branches,
-    ),
-    Structure(
-        "codec-fast-paths",
-        "The codec is off every benchmark path, so it keeps its reference "
-        "form: the single-pass fast paths and their lookup tables stay deleted.",
-        _codec_fast_paths,
-    ),
-    Structure(
-        "row-memo",
-        "A leaf cell holds its row, so nothing maps payloads back to rows: the "
-        "payload -> row memo and its upkeep stay deleted.",
-        lambda: _absent(
-            records, "_rows", "ROW_MEMO_ENTRIES", "_remember", "forget_record", "_decode_uncached"
-        ),
-    ),
-    Structure(
-        "table-store-encodes",
-        "The row store hands the B-tree rows; only the B-tree encodes, for a "
-        "row that spills.",
-        _table_store_encodes,
-    ),
+    # -- the SQL layer
+    Pattern("statement-lifecycle", "One statement cache; a plan reads its parameters as it runs.",
+            r"_parse_cache|self\.params\[", "v = self.params[i]", ("src/repro/sqlite",)),
+    Pattern("row-function-per-path", "A path's row function is bound when it is planned.",
+            r"path\.kind ==|def iterate_access_path", 'if path.kind == "scan":',
+            ("src/repro/sqlite",)),
+    Pattern("key-sizing-encodes", "A key is sized by arithmetic (record_size), not encoded.",
+            r"len\(encode_record\(", "return len(encode_record(key))"),
+    Structure("record-size-none", "record_size sizes every exact row.", _record_size_returns_none),
+    Structure("bool-branches", "No type fallback below bind.", _subclass_branches),
+    Structure("codec-fast-paths", "The codec keeps its reference form.", _codec_fast_paths),
+    Structure("row-memo", "A leaf cell holds its row: no payload -> row memo.",
+              lambda: _absent(records, "_rows", "ROW_MEMO_ENTRIES", "_remember",
+                              "forget_record", "_decode_uncached")),
+    Structure("table-store-encodes", "The row store hands the B-tree rows.", _table_store_encodes),
+    Pattern("mode-tests", "One commit protocol per journal mode, chosen at construction.",
+            r"\.mode (is|in|==)|_journals_originals|mode\.value ==", "if self.mode is WAL:",
+            ("src/repro/sqlite/pager.py", "src/repro/fs/ext4.py", "src/repro/workloads")),
+    Structure("staged-commit-second-copy", "OFF mode has one staged commit: no second copy.",
+              lambda: _absent(OffPager, "stage_for_group_commit", "finish_group_commit")
+              + _absent(Connection, "end_external_txn")),
+    Structure("off-pager-steps", "OffPager has one staging step and one finishing step.",
+              lambda: sorted({name for name in vars(OffPager) if name.startswith(("stage",
+                              "finish"))} ^ {"stage_commit", "finish_commit"})),
+    Structure("one-finish-method", "Coordinators finish through one method.", _one_finish_method),
+    # -- sessions, tenants and the bench
+    Structure("one-interleave-loop", "Sessions and tenants share one loop.", _interleave_module),
+    Structure("scheduler-knobs", "No batch cap or quantum knob on a scheduler.", _scheduler_knobs),
+    Structure("session-forwarders", "Forwarders without callers stay deleted.",
+              lambda: _absent(TxnManager, "commit_group")
+              + _absent(Session, "snapshot_seq", "read_as_of")),
+    Structure("one-builder-each", "One stack and one FTL builder in the bench.", _one_builder_each),
+    Pattern("bench-settings-constants", "A setting that only took its default is a constant.",
+            r"REPRO_(SESSIONS|TENANTS|BARRIER_MODE)|--(sessions|tenants|barrier-mode)\b"
+            r"|def _(sessions|tenants|barrier_mode)\(", 'os.environ.get("REPRO_TENANTS")'),
+    Pattern("aging-runs", "Aging makes no per-page FTL call: trims and the drain take runs.",
+            r"ftl\.(trim|write)\(", "ftl.trim(lpn)", ("src/repro/bench/aging.py",)),
+    Pattern("one-pin-recorder", "One pin recorder, tests/pins.py: no per-file recorder.",
+            r'"--record"', 'parser.add_argument("--record")', ("tests/test_*.py",)),
+    Pattern("one-counter-per-event", "Layers bind their records: no obs twin, no cross-check.",
+            r"verify_flash_stats|FLASH_STATS_OBS_PAIRS|\.flash_stats\b|detect_write_conflicts"
+            r'|_writers_by_lpn|obs\.counter\("fs\.(data_page_writes|meta_page_writes'
+            r"|journal_page_writes|fsync_calls|file_creates|file_deletes|steal_writes|cache\."
+            r"|journal\.(commits|checkpoints))|statements_executed|journal_page_writes \+= (len|3)",
+            'obs.counter("fs.fsync_calls")'),
+    Structure("flash-stats-counts", "FlashStats is the one store of flash counts: all ints.",
+              lambda: [f.name for f in fields(FlashStats) if f.type not in (int, "int")]),
+    # -- the FTL
+    Structure("l2p-four-bytes", "4 bytes per mapping.", lambda: _holds(_ftl(), "_l2p", _l2p="i")),
+    Pattern("free-lpn-set", "One byte per free block: no free-lpn set in ext4.",
+            r"_free_data", "self._free_data = set()"),
+    Pattern("one-l2p", "One L2P: no dict plus buckets.",
+            r"SegmentedL2P|segment_items|_l2p\.(get|pop|items)\(", "self._l2p.get(lpn)"),
+    Structure("l2p-none", 'One integer per L2P entry: "no page" is UNMAPPED.', _l2p_tested_none),
+    Structure("oob-columns", "Four OOB columns: no per-page OOB tuple, no string kinds.",
+              lambda: _byte_codes("OOB_") + _holds(_ftl().chip, "_oob", _oob_kind="bytearray",
+                                                   _oob_key="q", _oob_seq="q", _oob_tag="list")),
+    Pattern("oob-run-tuples", "A run's OOB is columns: no tuple per page built for it.",
+            r"zip\(repeat\(OOB_DATA\)", "zip(repeat(OOB_DATA), lpns, seqs)"),
+    Pattern("one-reverse-map", "One reverse map: no liveness bitmap, no dict or tuple owners.",
+            r"_valid_bitmap|_owner\.(get|pop|items|values)\(|_invalidate\(|\(OWNER_\w+, [^,()]+\)",
+            "self._invalidate(ppn)"),
+    Structure("owner-bytes", "One byte per physical page: no string, tuple or list owners.",
+              lambda: _byte_codes("OWNER_", "DEAD")
+              + _holds(_ftl(), "_owner", _owner="bytearray", _owner_detail="dict")),
+    Pattern("seq-draws-in-pagemap", "Sequence draws and recovery order live in pagemap.py.",
+            r"_replay_applies|_reflect_committed|min_seq|def remount|self\._seq \+= 1",
+            "self._seq += 1", ("src/repro/ftl/xftl.py",)),
+    Pattern("one-host-program-entry", "Host pages enter through Collector.host_program alone.",
+            r"def _program\b|\._program\(", "self._program(lpn, data)", ("src/repro/ftl",)),
+    Pattern("one-flush-loop", "One flush loop per barrier, no closure per queued write.",
+            r"def _flush_map|def _flush_meta|_dispatch\(lambda: self\.ftl\.write\(",
+            "def _flush_map(self):"),
+    Pattern("one-mapping-update-path", "Commits fold through the CMT: no commit pinning.",
+            r"_pin_translation_pages|_settle_commit_segments|insert_resident|note_writeback"
+            r"|cmt\.commit\.|pin_entries|overlay|gc_idle_backlog_us", "cmt.insert_resident(s)"),
+    Pattern("one-transactional-ftl", "PageMappingFTL and XFTL: no atomic-write baseline, no ABC.",
+            r"AtomicWriteFTL|TxFlashFTL|OWNER_COMMIT_RECORD|def write_(atomic|group)\b"
+            r"|class Ftl\b", "class Ftl(abc.ABC):"),
+    # -- flash and the device
+    Pattern("one-copyback-path", "A victim moves as runs: no per-page copyback.",
+            r"program_copyback", "chip.program_copyback(src, dst)"),
+    Pattern("one-flash-timing-path", "One flash class: no serial chip, no dies, no FlashArray.",
+            r"supports_overlap|dies_per_channel|FlashDie|def (die_of|require_channels"
+            r"|channel_utilization)\b|(?<!class )FlashArray\(", "chip = FlashArray(geometry)"),
+    Pattern("queue-polls", "The command queue polls; the clock fires no events.",
+            r"schedule_at|schedule_many|post_many|_fire_due|_live_ids|_complete\(",
+            "clock.schedule_at(t, self._complete)"),
 ]
+
+
+def test_every_row_can_fire():
+    """A row that cannot fail passes forever: unique names, live patterns, existing files."""
+    assert [name for name, rows in Counter(row.name for row in ROWS).items() if rows > 1] == []
+    for row in ROWS:
+        if isinstance(row, Pattern):
+            assert re.search(row.regex, row.planted), f"{row.name}: the pattern no longer fires"
+            assert [path for path in row.paths if not _files(path)] == [], row.name
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 def test_stays_deleted(row):
-    assert row.violations() == [], row.why
+    found = row.check() if isinstance(row, Structure) else _grep(row.regex, row.paths)
+    assert found == [], row.why

@@ -15,6 +15,10 @@ What counts as a reference:
 - every word inside a string literal, so ``getattr(obj, "delivery")``
   keeps ``delivery`` live.
 
+So a method named like a method of a builtin type is live wherever that
+name is called: ``BTree.count`` and ``TableStore.count`` had no caller, yet
+passed, because ``src/`` calls ``.count(`` on a ``bytearray``.
+
 What does not: comments, docstrings, import statements and ``__all__``.
 A reference from inside a dead definition does not count either, so a
 dead module is flagged whole, not just its entry point.
