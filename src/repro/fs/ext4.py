@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
 
@@ -59,6 +60,7 @@ CP_FSYNC_MID = register_crash_point(
 )
 
 DIRECT_PTRS = 12
+NO_BLOCK = -1  # an indirect block's entry for a file page with no block
 INODES_PER_PAGE = 32
 TID_MOUNT_GAP = 10_000  # tid headroom reserved across remounts
 
@@ -169,7 +171,9 @@ class Ext4:
         # while ``lpn`` is free.
         self._free_map = bytearray(b"\x01") * self.data_pages
         self._alloc_cursor = self.data_start  # next-fit allocation pointer
-        self._indirect: dict[int, list[int | None]] = {}
+        # Indirect blocks: ind lpn -> its pointers, one C int each
+        # (``NO_BLOCK`` for a hole); an "ind" image is a copy of the array.
+        self._indirect: dict[int, array] = {}
         self._next_ino = 1
         self._free_inos: list[int] = []  # reusable inode numbers (unlinked)
         self._next_tid = 1
@@ -667,8 +671,8 @@ class Ext4:
             if lpn is not None:
                 yield lpn
         for ind_lpn in inode.indirect:
-            for lpn in self._indirect.get(ind_lpn, []):
-                if lpn is not None:
+            for lpn in self._indirect.get(ind_lpn, ()):
+                if lpn != NO_BLOCK:
                     yield lpn
 
     def _lookup_block(self, inode: Inode, index: int) -> int | None:
@@ -678,8 +682,8 @@ class Ext4:
         ind_slot, offset = divmod(index, self.ptrs_per_page)
         if ind_slot >= len(inode.indirect):
             return None
-        ptrs = self._indirect[inode.indirect[ind_slot]]
-        return ptrs[offset]
+        lpn = self._indirect[inode.indirect[ind_slot]][offset]
+        return None if lpn == NO_BLOCK else lpn
 
     def _ensure_block(self, inode: Inode, index: int) -> int:
         """Return the lpn for file page ``index``, allocating if needed."""
@@ -695,7 +699,7 @@ class Ext4:
             while ind_slot >= len(inode.indirect):
                 ind_lpn = self._allocate_block()
                 inode.indirect.append(ind_lpn)
-                self._indirect[ind_lpn] = [None] * self.ptrs_per_page
+                self._indirect[ind_lpn] = array("i", (NO_BLOCK,)) * self.ptrs_per_page
             ind_lpn = inode.indirect[ind_slot]
             self._indirect[ind_lpn][offset] = lpn
             self._dirty_meta.add(ind_lpn)
@@ -760,7 +764,7 @@ class Ext4:
         if lpn == self.dir_lpn:
             return ("dir", tuple(sorted(self._by_name.items())))
         if lpn in self._indirect:
-            return ("ind", lpn, tuple(self._indirect[lpn]))
+            return ("ind", lpn, self._indirect[lpn][:])
         raise FsError(f"lpn {lpn} is not a metadata page")
 
     def _render_dirty_meta(self) -> list[tuple[int, Any]]:
@@ -798,9 +802,9 @@ class Ext4:
             for ind_lpn in inode.indirect:
                 image = self.device.read(ind_lpn)
                 if image and image[0] == "ind":
-                    self._indirect[ind_lpn] = list(image[2])
+                    self._indirect[ind_lpn] = image[2][:]
                 else:
-                    self._indirect[ind_lpn] = [None] * self.ptrs_per_page
+                    self._indirect[ind_lpn] = array("i", (NO_BLOCK,)) * self.ptrs_per_page
                 free[ind_lpn - base] = 0
         for inode in self._inodes.values():
             for lpn in self._block_lpns(inode):
@@ -976,7 +980,7 @@ class FileHandle:
             else:
                 rel = index - DIRECT_PTRS
                 ind_slot, offset = divmod(rel, fs.ptrs_per_page)
-                fs._indirect[inode.indirect[ind_slot]][offset] = None
+                fs._indirect[inode.indirect[ind_slot]][offset] = NO_BLOCK
                 fs._dirty_meta.add(inode.indirect[ind_slot])
             fs._release_block(lpn)
         inode.size_bytes = min(inode.size_bytes, n_pages * fs.device.page_size)

@@ -19,7 +19,7 @@ from typing import Any, Callable
 from repro.obs import NULL_OBS, Observability
 
 
-@dataclass
+@dataclass(slots=True)
 class CachedPage:
     """One page-cache slot, keyed by device lpn."""
 

@@ -17,8 +17,11 @@ nothing encodes it on a write or decodes it on a read, and page images hold
 the (immutable) row; its values are exact SQL types (made so at bind), so it
 reads back as its record would decode.  Any other row is its record, spilled:
 its first ``max_local`` bytes and an overflow chain holding the rest.  A
-``bytes`` payload (an index entry's, which is empty) is stored whole when it
-fits and spills the same way when it does not.
+``bytes`` payload is stored whole when it fits and spills the same way when
+it does not.  Every index entry's payload is empty, and every index cell is
+one shared constant, ``INDEX_CELL`` = ``(b"", None, 0)`` (a cell is an
+immutable tuple, and a replace puts a new one in the list), so an index leaf
+holds one reference per entry and no cell tuple of its own.
 
 Range scans re-descend from the root to cross leaf boundaries instead of
 maintaining sibling links; this keeps deletion simple (empty pages are
@@ -65,6 +68,9 @@ INTERIOR_ENTRY_OVERHEAD = 12
 
 Cell = tuple[Any, int | None, int]  # (row or local bytes, overflow pno, size)
 
+# The one cell of every empty payload: each index entry's (see "Cell layout").
+INDEX_CELL: Cell = (b"", None, 0)
+
 
 def _local_size(cell: Cell) -> int:
     """What a leaf cell's local part takes of its page (see "Cell layout")."""
@@ -83,6 +89,8 @@ def _separator_bytes(key: tuple) -> int:
 
 class _AccountedPage:
     """The running byte count of a keyed page (see "Byte accounting" above)."""
+
+    __slots__ = ("_used",)
 
     def __init__(self) -> None:
         self._used: int | None = 0  # None: decoded or freshly split, not measured yet
@@ -114,6 +122,7 @@ class LeafPage(_AccountedPage):
     """Leaf: sorted keys and their cells (see "Cell layout")."""
 
     TAG = "leaf"
+    __slots__ = ("keys", "sort_keys", "cells")
 
     def __init__(self) -> None:
         super().__init__()
@@ -141,6 +150,7 @@ class InteriorPage(_AccountedPage):
     """Interior: separator keys and child page numbers (len+1 children)."""
 
     TAG = "interior"
+    __slots__ = ("keys", "sort_keys", "children")
 
     def __init__(self) -> None:
         super().__init__()
@@ -168,6 +178,7 @@ class OverflowPage:
     """One link of an overflow chain holding a payload chunk."""
 
     TAG = "overflow"
+    __slots__ = ("chunk", "next_pno")
 
     def __init__(self, chunk: bytes = b"", next_pno: int | None = None) -> None:
         self.chunk = chunk
@@ -434,6 +445,8 @@ class BTree:
             if size <= self.max_local:
                 return (payload, None, size)
             payload = encode_record(payload)
+        elif not payload:
+            return INDEX_CELL
         return (payload, None, len(payload))
 
     def _spill(self, cell: Cell) -> Cell:

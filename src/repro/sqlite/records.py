@@ -205,12 +205,16 @@ def key_sort_tuple(key: tuple) -> tuple:
     """A tuple that sorts keys with SQLite's cross-type ordering.
 
     NULL < numbers < text < blob; numbers compare numerically across
-    int/float.  Each element becomes ``(type_class, value)``.
+    int/float.  The tuple is flat, two items per element: ``(c0, v0, c1,
+    v1, ...)``, ``c`` the element's type class and ``v`` its value (``0``
+    for NULL).  Tuples compare item by item, so it orders keys as a tuple of
+    ``(c, v)`` pairs would, at one container per key; a prefix of ``n``
+    elements is ``[: 2 * n]``.
     """
     out = []
     for value in key:
         type_class = _KEY_ORDER.get(type(value))
         if type_class is None:
             raise DatabaseError(f"unorderable key element: {type(value).__name__}")
-        out.append((type_class, value if type_class != 0 else 0))
+        out += (type_class, value if type_class != 0 else 0)
     return tuple(out)

@@ -249,11 +249,12 @@ def _index_bounds(
     """Sort keys of the inclusive index range a value-prefix range covers:
     each prefix padded as :meth:`TableStore._index_rowids` pads it (``()``
     sorts below every key, ``None`` is no upper bound).  An equality probe
-    passes one tuple as both bounds, and it is sorted once."""
+    passes one tuple as both bounds, and it is sorted once (a pad is one
+    element of the flat sort key, two items, so ``[:-2]`` drops it)."""
     lo_sort, hi_sort = (), None
     if lo is not None:
         lo_sort = key_sort_tuple(lo) + (_SORT_ABOVE_ROWIDS if lo_open else _SORT_BELOW_ROWIDS)
     if hi is not None:
-        prefix = lo_sort[:-1] if hi is lo else key_sort_tuple(hi)
+        prefix = lo_sort[:-2] if hi is lo else key_sort_tuple(hi)
         hi_sort = prefix + (_SORT_BELOW_ROWIDS if hi_open else _SORT_ABOVE_ROWIDS)
     return lo_sort, hi_sort

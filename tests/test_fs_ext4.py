@@ -1,5 +1,7 @@
 """Unit and integration tests for the ext4 model."""
 
+from array import array
+
 import pytest
 
 from repro.device import StorageDevice
@@ -12,8 +14,10 @@ from repro.errors import (
 )
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
+from repro.fs.ext4 import DIRECT_PTRS, NO_BLOCK
 from repro.ftl import FtlConfig, XFTL
 from repro.sim import CrashPlan
+from repro.stack import Mode, StackConfig, build_stack
 
 
 def make_device(num_blocks=128, pages_per_block=32, crash_plan=None):
@@ -130,6 +134,69 @@ class TestFileOperations:
             fs.fsync(handle)
             fs.unlink("journal")
             fs.sync_metadata()
+
+
+class TestIndirectBlocks:
+    """An indirect block is an ``array('i')`` with ``NO_BLOCK`` for a hole;
+    its ``"ind"`` image is a copy, and mount copies it back."""
+
+    @staticmethod
+    def _stack(mode=Mode.FS_ORDERED):
+        # 512-byte pages: 64 pointers per indirect block.
+        return build_stack(
+            StackConfig(mode=mode, page_size=512, num_blocks=128, pages_per_block=64)
+        )
+
+    @staticmethod
+    def _seen(fs, pages):
+        handle = fs.open("big")
+        lookups = [fs._lookup_block(handle.inode, index) for index in range(pages)]
+        return handle.n_pages, lookups, [handle.read_page(index) for index in range(pages)]
+
+    @pytest.mark.parametrize("mode", [Mode.FS_ORDERED, Mode.FS_FULL])
+    def test_truncate_into_the_indirect_range_survives_remount(self, mode):
+        stack = self._stack(mode)
+        fs = stack.fs
+        per = fs.ptrs_per_page
+        pages = DIRECT_PTRS + per + per // 2  # half way into a second indirect block
+        handle = fs.create("big")
+        for index in range(pages):
+            handle.write_page(index, ("page", index))
+        handle.fsync()
+        assert len(handle.inode.indirect) == 2
+        keep = DIRECT_PTRS + per // 2  # back inside the first indirect block
+        handle.truncate(keep)
+        handle.fsync()
+        before = self._seen(fs, pages)
+        assert before[0] == keep
+        assert None not in before[1][:keep] and before[1][keep:] == [None] * (pages - keep)
+        assert before[2] == [("page", index) for index in range(keep)] + [None] * (pages - keep)
+        first, second = handle.inode.indirect
+        assert fs._indirect[first][per // 2 :].tolist() == [NO_BLOCK] * (per - per // 2)
+        assert fs._indirect[second].tolist() == [NO_BLOCK] * per
+        free = bytes(fs._free_map)
+        stack.remount_after_crash()
+        assert self._seen(stack.fs, pages) == before
+        assert bytes(stack.fs._free_map) == free
+
+    def test_ind_image_is_an_array_snapshot(self):
+        stack = self._stack(Mode.FS_NONE)  # no journal: a sync writes the image home
+        fs = stack.fs
+        handle = fs.create("big")
+        for index in range(DIRECT_PTRS + 2):
+            handle.write_page(index, ("page", index))
+        handle.fsync()
+        (ind_lpn,) = handle.inode.indirect
+        image = stack.device.read(ind_lpn)
+        assert image[0] == "ind" and type(image[2]) is array and image[2].typecode == "i"
+        held = image[2].tolist()
+        assert held[:2] != [NO_BLOCK] * 2 and held[2:] == [NO_BLOCK] * (fs.ptrs_per_page - 2)
+        handle.write_page(DIRECT_PTRS + 2, ("page", DIRECT_PTRS + 2))  # a pointer in that block
+        assert fs._indirect[ind_lpn][2] != NO_BLOCK
+        assert image[2].tolist() == held
+        assert stack.device.read(ind_lpn)[2].tolist() == held
+        handle.fsync()
+        assert stack.device.read(ind_lpn)[2].tolist() == fs._indirect[ind_lpn].tolist() != held
 
 
 class TestFsyncAccounting:

@@ -273,10 +273,6 @@ class TestVictimPickerTable:
 
 
 class TestBoundedValidRatioState:
-    def test_no_unbounded_ratio_list(self):
-        ftl = make_bg_ftl(gc_mode="inline", gc_policy="greedy", channels=1)
-        assert not hasattr(ftl, "_gc_valid_ratios")
-
     def test_ratio_accounting_tracks_invocations(self):
         ftl = make_bg_ftl(gc_mode="inline", gc_policy="greedy", channels=1)
         churn(ftl, range(min(ftl.exported_pages, 100)), rounds=10)

@@ -26,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, SqlError
-from repro.sqlite.btree import BTree
+from repro.sqlite.btree import BTree, InteriorPage
 from repro.stack import Mode, StackConfig, build_stack
+from tests.test_sqlite_records import nested_sort_key
 
 
 def make_db():
@@ -231,6 +232,62 @@ class TestDescentCounts:
         assert descents["n"] == 1
         loaded.execute("COMMIT")
         assert loaded.execute("SELECT a, b FROM plain WHERE id = 5") == [(5, 5)]
+
+
+class TestIndexRangesOverMixedTypes:
+    """``TableStore.index_rows`` over an index holding NULL, int, float and
+    text values yields what a filter over every row yields, in index order,
+    for equality probes and for open, closed and one-sided ranges."""
+
+    VALUES = [None, -(2**64), -3, -0.0, 0, 0.0, 0.5, 1, 1.0, 2, 2**63, float("inf"), "", "a",
+              "ab", "b", b"", b"z"]
+    PROBES = [-(2**64), 0, -0.0, 0.5, 1, 1.5, 2**63, float("inf"), "", "ab", "c", b"z"]
+
+    def test_probes_match_a_filter_over_every_row(self):
+        # Small pages: the index spans many leaves.
+        stack = build_stack(
+            StackConfig(mode=Mode.XFTL, num_blocks=256, pages_per_block=32, page_size=512)
+        )
+        db = stack.open_database("t.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v, pad TEXT)")
+        db.execute("CREATE INDEX t_v ON t (v)")
+        db.execute("BEGIN")
+        rows = []
+        for rowid in range(1, 241):  # each value many times
+            row = (rowid, self.VALUES[rowid * 7 % len(self.VALUES)], "p" * 30)
+            db.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+            rows.append(row)
+        db.execute("COMMIT")
+        db.execute("SELECT * FROM t WHERE v = 1")
+        store = db._prepared["SELECT * FROM t WHERE v = 1"].scans[0].store
+        index = store.table.indexes[0]
+        root = db.pager.get(store._index_trees[index.name].root_pno)
+        assert isinstance(root, InteriorPage) and len(root.children) >= 10
+        # The reference: every row with its value's sort key, in index order.
+        ordered = sorted(((nested_sort_key((row[1],)), row[0], row) for row in rows))
+
+        def brute(lo, hi, lo_open, hi_open):
+            low = nested_sort_key(lo) if lo is not None else None
+            high = nested_sort_key(hi) if hi is not None else None
+            return [
+                (rowid, row)
+                for key, rowid, row in ordered
+                if (low is None or (key > low if lo_open else key >= low))
+                and (high is None or (key < high if hi_open else key <= high))
+            ]
+
+        for value in [None] + self.PROBES:
+            key = (value,)
+            want = brute(key, key, False, False)
+            assert list(store.index_rows(index, key, key)) == want, value  # one tuple, both bounds
+            assert list(store.index_rows(index, key, (value,))) == want, value
+        bounds = [None] + [(value,) for value in self.PROBES]
+        for lo in bounds:
+            for hi in bounds:
+                for lo_open in (False, True):
+                    for hi_open in (False, True):
+                        got = list(store.index_rows(index, lo, hi, lo_open, hi_open))
+                        assert got == brute(lo, hi, lo_open, hi_open), (lo, hi, lo_open, hi_open)
 
 
 class TestIndexRowsIsGetRowOverTheIndexScan:

@@ -1,9 +1,6 @@
 """Unit tests for the pager's journal-mode machinery."""
 
-import ast
-import inspect
 import sqlite3
-import textwrap
 from collections import OrderedDict
 
 import pytest
@@ -15,14 +12,7 @@ from repro.fs import Ext4, JournalMode
 from repro.fs.ext4 import FileHandle
 from repro.ftl import FtlConfig, XFTL
 from repro.sqlite.btree import LeafPage, page_from_image
-from repro.sqlite.pager import (
-    DbHeader,
-    OffPager,
-    Pager,
-    RollbackPager,
-    SqliteJournalMode,
-    WalPager,
-)
+from repro.sqlite.pager import DbHeader, Pager, SqliteJournalMode
 from repro.stack import Mode, StackConfig, build_stack
 
 FS_FOR_MODE = {
@@ -396,46 +386,6 @@ class TestDirtyPagesWalk:
         pager._cache.visited = 0
         assert pager._dirty_pages() == [(0, pager.header)]
         assert pager._cache.visited == 0
-
-
-COMMIT_PATHS = ("commit", "rollback", "stage_commit")
-
-
-class TestOneDirtyPageHelper:
-    """Commit, rollback and the staged commit reach the transaction's
-    dirty pages through ``Pager._dirty_pages`` alone: none of them scans
-    the cache, so each costs what the transaction touched."""
-
-    @staticmethod
-    def _definitions():
-        for cls in (Pager, RollbackPager, WalPager, OffPager):
-            for name in COMMIT_PATHS:
-                if name in vars(cls):
-                    source = textwrap.dedent(inspect.getsource(vars(cls)[name]))
-                    yield f"{cls.__name__}.{name}", ast.parse(source)
-
-    def test_no_commit_path_iterates_the_cache_or_the_dirty_set(self):
-        for label, tree in self._definitions():
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.For, ast.comprehension)):
-                    attrs = {a.attr for a in ast.walk(node.iter) if isinstance(a, ast.Attribute)}
-                    assert not attrs & {"_cache", "_dirty", "dirty"}, (label, ast.unparse(node.iter))
-
-    def test_each_path_that_writes_or_drops_pages_uses_the_helper_once(self):
-        helpers = {}
-        for label, tree in self._definitions():
-            helpers[label] = sum(
-                isinstance(node, ast.Attribute) and node.attr == "_dirty_pages"
-                for node in ast.walk(tree)
-            )
-        assert helpers == {
-            "Pager.commit": 1,
-            "Pager.rollback": 1,
-            "Pager.stage_commit": 0,  # raises: OFF mode only
-            "OffPager.commit": 0,  # snapshot end, else Pager.commit
-            "OffPager.rollback": 0,
-            "OffPager.stage_commit": 1,
-        }
 
 
 class TestStealSpill:

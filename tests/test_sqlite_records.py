@@ -350,7 +350,45 @@ class TestStoredRowsRoundTrip:
         assert self._read(stack.open_database("rows.db")) == expected()
 
 
+# One element of a key as ``key_sort_tuple`` orders it: past the int64 range,
+# signed zeros and infinities included.
+key_elements = st.one_of(
+    st.none(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), 2.0**63, 0.5]),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+)
+
+
+def nested_sort_key(key: tuple) -> tuple:
+    """The reference order: one ``(type class, value)`` pair per element
+    (NULL < numbers < text < blob, numbers by value)."""
+    classes = {type(None): 0, int: 1, float: 1, str: 2, bytes: 3}
+    return tuple((classes[type(value)], 0 if value is None else value) for value in key)
+
+
 class TestKeyOrdering:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(key_elements, min_size=1, max_size=4).map(tuple), min_size=2,
+                    max_size=12))
+    def test_flat_key_orders_as_the_nested_pairs(self, keys):
+        """Sorting by the flat key and by the nested reference gives the same
+        order (both sorts are stable, so ties keep their places too), and
+        every pair compares the same way under both."""
+        flat = [key_sort_tuple(key) for key in keys]
+        nested = [nested_sort_key(key) for key in keys]
+        positions = range(len(keys))
+        assert sorted(positions, key=flat.__getitem__) == sorted(positions, key=nested.__getitem__)
+        for i in positions:
+            assert len(flat[i]) == 2 * len(keys[i])
+            for j in positions:
+                assert (flat[i] < flat[j], flat[i] == flat[j]) == (
+                    nested[i] < nested[j],
+                    nested[i] == nested[j],
+                )
+
     def test_null_sorts_first(self):
         assert key_sort_tuple((None,)) < key_sort_tuple((-(2**70),))
 

@@ -26,12 +26,21 @@ import repro.sim.interleave as interleave_module
 from repro.flash import FlashChip, FlashGeometry
 from repro.flash.stats import FlashStats
 from repro.ftl import XFTL, pagemap
-from repro.sqlite import records, table
+from repro.fs.pagecache import CachedPage
+from repro.sqlite import btree, records, table
 from repro.sqlite.database import Connection
 from repro.sqlite.multifile import MultiFileTransaction
-from repro.sqlite.pager import OffPager
+from repro.sqlite.pager import OffPager, Pager, RollbackPager, WalPager
 from repro.sqlite.sql import engine
-from repro.stack import Session, SessionScheduler, TenantScheduler, TxnManager
+from repro.stack import (
+    Mode,
+    Session,
+    SessionScheduler,
+    StackConfig,
+    TenantScheduler,
+    TxnManager,
+    build_stack,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,7 +96,8 @@ def _called(node: ast.AST) -> list[str]:
 
 
 def _absent(owner, *names: str) -> list[str]:
-    return [f"{owner.__name__}.{name}" for name in names if hasattr(owner, name)]
+    label = getattr(owner, "__name__", type(owner).__name__)
+    return [f"{label}.{name}" for name in names if hasattr(owner, name)]
 
 
 def _record_size_returns_none() -> list[str]:
@@ -137,6 +147,97 @@ def _codec_fast_paths() -> list[str]:
             if "decode_value" not in _called(loop):
                 found.append("decode_record: the loop does not call decode_value")
     return found
+
+
+def _commit_paths():
+    """(label, ast) of each pager class's own commit, rollback and staged commit."""
+    for cls in (Pager, RollbackPager, WalPager, OffPager):
+        for name in ("commit", "rollback", "stage_commit"):
+            if name in vars(cls):
+                yield f"{cls.__name__}.{name}", _tree(vars(cls)[name])
+
+
+def _commit_cache_scans() -> list[str]:
+    """No commit path loops over the pager cache or the dirty set: each costs
+    what the transaction touched."""
+    return [
+        f"{label}: for ... in {ast.unparse(node.iter)}"
+        for label, tree in _commit_paths()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and {a.attr for a in ast.walk(node.iter) if isinstance(a, ast.Attribute)}
+        & {"_cache", "_dirty", "dirty"}
+    ]
+
+
+def _one_dirty_page_helper() -> list[str]:
+    """Each path that writes or drops the dirty pages reaches them through
+    ``Pager._dirty_pages`` once, and no other path names it."""
+    uses = {
+        label: sum(isinstance(node, ast.Attribute) and node.attr == "_dirty_pages"
+                   for node in ast.walk(tree))
+        for label, tree in _commit_paths()
+    }
+    wanted = {
+        "Pager.commit": 1,
+        "Pager.rollback": 1,
+        "Pager.stage_commit": 0,  # raises: OFF mode only
+        "OffPager.commit": 0,  # snapshot end, else Pager.commit
+        "OffPager.rollback": 0,
+        "OffPager.stage_commit": 1,
+    }
+    return [] if uses == wanted else [f"_dirty_pages uses {uses}"]
+
+
+def _flat_sort_keys() -> list[str]:
+    """A sort key is one flat tuple of scalars, two items per element."""
+    key = records.key_sort_tuple((1, "a", None))
+    return [] if key == (1, 1, 2, "a", 0, 0) else [f"key_sort_tuple((1, 'a', None)) = {key!r}"]
+
+
+def _indexed_db():
+    """A committed table with an index past one leaf and one spilled row, and
+    the table's store."""
+    stack = build_stack(StackConfig(mode=Mode.XFTL, num_blocks=256, pages_per_block=32))
+    db = stack.open_database("guard.db")
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, pad TEXT)")
+    db.execute("CREATE INDEX t_v ON t (v)")
+    db.execute("BEGIN")
+    for i in range(1, 401):
+        db.execute("INSERT INTO t VALUES (?, ?, ?)", (i, i % 7, "p" * 40))
+    db.execute("INSERT INTO t VALUES (?, ?, ?)", (401, 0, "s" * 3 * stack.device.page_size))
+    db.execute("COMMIT")
+    db.execute("SELECT * FROM t WHERE v = 1")
+    return stack, db, db._prepared["SELECT * FROM t WHERE v = 1"].scans[0].store
+
+
+def _leaves(pager, pno: int):
+    page = pager.get(pno)
+    if isinstance(page, btree.InteriorPage):
+        for child in page.children:
+            yield from _leaves(pager, child)
+    else:
+        yield page
+
+
+def _shared_index_cell() -> list[str]:
+    """Every cell of an index leaf is ``btree.INDEX_CELL`` itself."""
+    _stack, db, store = _indexed_db()
+    (tree,) = store._index_trees.values()
+    leaves = list(_leaves(db.pager, tree.root_pno))
+    own = sum(cell is not btree.INDEX_CELL for leaf in leaves for cell in leaf.cells)
+    return [f"{own} index cells are not INDEX_CELL"] if own or len(leaves) < 2 else []
+
+
+def _slotted_pages() -> list[str]:
+    """No B-tree page object and no fs page-cache slot carries a ``__dict__``."""
+    stack, db, _store = _indexed_db()
+    kinds = (btree.LeafPage, btree.InteriorPage, btree.OverflowPage, CachedPage)
+    pages = [page for page in db.pager._cache.values() if isinstance(page, kinds)]
+    pages += stack.fs.cache._pages.values()
+    seen = {type(page) for page in pages}
+    missing = [f"no {kind.__name__} seen" for kind in kinds if kind not in seen]
+    return missing + sorted({type(page).__name__ for page in pages if hasattr(page, "__dict__")})
 
 
 def _table_store_encodes() -> list[str]:
@@ -249,6 +350,15 @@ ROWS = [
               lambda: _absent(records, "_rows", "ROW_MEMO_ENTRIES", "_remember",
                               "forget_record", "_decode_uncached")),
     Structure("table-store-encodes", "The row store hands the B-tree rows.", _table_store_encodes),
+    Structure("flat-sort-keys", "A sort key is one flat tuple, not a tuple of pairs.",
+              _flat_sort_keys),
+    Structure("shared-index-cell", "Every index entry shares one cell.", _shared_index_cell),
+    Structure("slotted-pages", "Page objects and fs cache slots have no __dict__.",
+              _slotted_pages),
+    Structure("commit-cache-scans", "Commit, rollback and staging scan no cache or dirty set.",
+              _commit_cache_scans),
+    Structure("one-dirty-page-helper", "Dirty pages are reached through Pager._dirty_pages.",
+              _one_dirty_page_helper),
     Pattern("mode-tests", "One commit protocol per journal mode, chosen at construction.",
             r"\.mode (is|in|==)|_journals_originals|mode\.value ==", "if self.mode is WAL:",
             ("src/repro/sqlite/pager.py", "src/repro/fs/ext4.py", "src/repro/workloads")),
@@ -285,6 +395,11 @@ ROWS = [
     Structure("l2p-four-bytes", "4 bytes per mapping.", lambda: _holds(_ftl(), "_l2p", _l2p="i")),
     Pattern("free-lpn-set", "One byte per free block: no free-lpn set in ext4.",
             r"_free_data", "self._free_data = set()"),
+    Pattern("indirect-arrays", "An indirect block is an array('i'); its image is a copy.",
+            r"\[None\] \* self\.ptrs_per_page|tuple\(self\._indirect",
+            "self._indirect[ind_lpn] = [None] * self.ptrs_per_page", ("src/repro/fs/ext4.py",)),
+    Structure("valid-ratio-list", "GC keeps a running valid ratio, not a list of ratios.",
+              lambda: _absent(_ftl(), "_gc_valid_ratios") + _absent(_ftl().gc, "_gc_valid_ratios")),
     Pattern("one-l2p", "One L2P: no dict plus buckets.",
             r"SegmentedL2P|segment_items|_l2p\.(get|pop|items)\(", "self._l2p.get(lpn)"),
     Structure("l2p-none", 'One integer per L2P entry: "no page" is UNMAPPED.', _l2p_tested_none),
