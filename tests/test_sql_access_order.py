@@ -27,9 +27,10 @@ the ``rbj`` row alone when a rollback-journal spill began writing and
 barriering the journal header before the page (device writes 4,562 → 4,868,
 flushes 1,493 → 1,737; outcomes and spills unchanged).  All three rows were
 re-recorded when a ``UNIQUE`` violation began naming its columns as
-``sqlite3`` does (``t.a, t.b``, not a list's repr): the error text is part of
-each outcome, so only ``sha256`` moved, and with the old text the old digests
-come back.  Re-record only with
+``sqlite3`` does (``t.a, t.b``, not a list's repr), and again when the digest
+stopped folding error text: a failed statement folds its error's type only,
+so wording never moves the pin (the modes still have to agree on the whole
+outcome, text included).  Re-record only with
 a deliberate, explained bump (all modes, or only the named ones)::
 
     PYTHONPATH=src:. python -m tests.pins --record access_order [MODE ...]
@@ -137,16 +138,17 @@ def _run(name: str) -> tuple[dict, list]:
     outcomes = []
     for sql, args in _stream(random.Random(SEED)):
         try:
-            outcome = db.execute(sql, args)
-        except Exception as error:  # the outcome is part of the pin
+            outcome = folded = db.execute(sql, args)
+        except Exception as error:  # the outcome is part of the pin: its type
             outcome = (type(error).__name__, str(error))
+            folded = type(error).__name__
             errors += 1
         statements += 1
         outcomes.append(outcome)
         cache = [(pno, pno in db.pager._dirty) for pno in db.pager._cache]
         step = [
             sql,
-            outcome,
+            folded,
             cache,
             stack.obs.registry.counter_value("sqlite.spilled_pages"),
             stack.device.counters.as_dict(),
