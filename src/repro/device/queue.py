@@ -115,12 +115,20 @@ class CommandQueue:
         self._epoch = 0
         self._epoch_bounds: dict[int, tuple[float, float]] = {}  # epoch -> (min, max) end
         self.epochs_closed = 0
+        self.admit_stalls = 0
+        # The most commands ever in the heap at once (retired ones leave at
+        # each poll): the ``dev.queue.depth`` gauge's high-water mark.
+        self.peak_depth = 0
         obs.registry.bind(
-            self, {"dev.queue.share_stalls": "share_stalls", "dev.queue.epochs": "epochs_closed"}
+            self,
+            {
+                "dev.queue.share_stalls": "share_stalls",
+                "dev.queue.epochs": "epochs_closed",
+                "dev.queue.admit_stalls": "admit_stalls",
+            },
         )
-        self._obs_depth = obs.gauge("dev.queue.depth")
-        self._obs_dispatch_depth = obs.histogram("dev.queue.dispatch_depth")
-        self._obs_admit_stalls = obs.counter("dev.queue.admit_stalls")
+        obs.registry.bind_gauge(self, "dev.queue.depth", "polled_depth", "peak_depth")
+        obs.instrument(self, clock)
 
     def set_shares(self, shares: dict[int, int] | None) -> None:
         """Install (or clear) per-tenant in-flight caps.
@@ -138,6 +146,11 @@ class CommandQueue:
     def in_flight(self) -> int:
         """Commands dispatched but not yet completed (at current sim time)."""
         self._retire_due()
+        return len(self._in_flight)
+
+    @property
+    def polled_depth(self) -> int:
+        """Commands in flight as of the last poll (reading it retires nothing)."""
         return len(self._in_flight)
 
     @property
@@ -166,7 +179,7 @@ class CommandQueue:
         self._retire_due()
         heap = self._in_flight
         if len(heap) >= self.depth:
-            self._obs_admit_stalls.inc()
+            self.admit_stalls += 1
             while len(heap) >= self.depth:
                 self.clock.wait_until(heap[0][0])
                 self._retire_due()
@@ -195,9 +208,7 @@ class CommandQueue:
                         break
                     self.clock.wait_until(own_earliest)
                     self._retire_due()
-        in_flight = len(heap)
-        self._obs_dispatch_depth.observe(float(in_flight))
-        return in_flight
+        return len(heap)
 
     def push(self, end_us: float) -> None:
         """Record a dispatched command completing at ``end_us``.
@@ -215,7 +226,7 @@ class CommandQueue:
             else:
                 lo, hi = bounds
                 self._epoch_bounds[self._epoch] = (min(lo, end_us), max(hi, end_us))
-        # Retire first: the gauge's high-water mark counts live commands only.
+        # Retire first: the high-water mark counts live commands only.
         self._retire_due()
         if end_us <= self.clock.now_us:
             return
@@ -225,8 +236,10 @@ class CommandQueue:
             tenant_id = tenants.current
             self._live_by_tenant[tenant_id] = self._live_by_tenant.get(tenant_id, 0) + 1
         self._next_id += 1
-        heapq.heappush(self._in_flight, (end_us, self._next_id, tenant_id))
-        self._obs_depth.set(float(len(self._in_flight)))
+        heap = self._in_flight
+        heapq.heappush(heap, (end_us, self._next_id, tenant_id))
+        if len(heap) > self.peak_depth:
+            self.peak_depth = len(heap)
 
     def close_epoch(self) -> None:
         """Seal the current epoch: later dispatches are ordered after it.
@@ -261,12 +274,11 @@ class CommandQueue:
         self._live_by_tenant.clear()
         self._epoch = 0
         self._epoch_bounds.clear()
-        self._obs_depth.set(0.0)
 
     # ------------------------------------------------------------ internals
 
     def _retire_due(self) -> None:
-        """Retire every command the clock has passed; keep the gauge current."""
+        """Retire every command the clock has passed."""
         heap = self._in_flight
         now = self.clock._now_us  # per-command hot path: skip the property
         if not heap or heap[0][0] > now:
@@ -276,4 +288,3 @@ class CommandQueue:
             tenant_id = heapq.heappop(heap)[2]
             if tenant_id is not None:
                 live[tenant_id] -= 1
-        self._obs_depth.set(float(len(heap)))

@@ -102,10 +102,7 @@ class StorageDevice:
                 "dev.queue.barrier_stalls": "barrier_stalls",
             },
         )
-        self._obs_stall_avoided_us = obs.histogram("dev.queue.stall_avoided_us")
-        self._obs_barrier_stall_us = obs.histogram("dev.queue.barrier_stall_us")
-        self._obs_flush_us = obs.histogram("dev.flush.latency_us")
-        self._obs_commit_us = obs.histogram("dev.commit.latency_us")
+        obs.instrument(self, self.clock)
         self._on = True
         # When an armed crash point fires the whole machine loses power:
         # mark the device off so recovery is a plain power_on() and any
@@ -197,12 +194,14 @@ class StorageDevice:
             queue.drain()
             stalled = self.clock.now_us - before_us
             if stalled > 0.0:
-                # The transfer-and-flush overhead the barrier-enabled rival
-                # eliminates; measured here so drain vs. barrier runs report
-                # symmetric numbers.
-                self.barrier_stalls += 1
-                self.barrier_stall_us += stalled
-                self._obs_barrier_stall_us.observe(stalled)
+                self._count_drain_stall(stalled)
+
+    def _count_drain_stall(self, stalled: float) -> None:
+        """Count one drain that stalled the host for ``stalled`` us: the
+        transfer-and-flush overhead the barrier-enabled rival eliminates,
+        measured here so drain vs. barrier runs report symmetric numbers."""
+        self.barrier_stalls += 1
+        self.barrier_stall_us += stalled
 
     def _order_barrier(self) -> None:
         """Order-only ordering point: close the epoch, raise the floor.
@@ -219,11 +218,14 @@ class StorageDevice:
                 self.chip.crash_plan.hit(CP_QUEUE_EPOCH)
                 avoided = self.chip.busy_horizon_us() - self.clock.now_us
                 if avoided > 0.0:
-                    self.stalls_avoided += 1
-                    self.stall_avoided_us += avoided
-                    self._obs_stall_avoided_us.observe(avoided)
+                    self._count_avoided_stall(avoided)
             queue.close_epoch()
         self.chip.order_barrier()
+
+    def _count_avoided_stall(self, avoided: float) -> None:
+        """Count one ordering point that did not wait ``avoided`` us."""
+        self.stalls_avoided += 1
+        self.stall_avoided_us += avoided
 
     def _barrier_point(self) -> None:
         """The pre-durability ordering point flush/commit/abort go through."""
@@ -251,12 +253,11 @@ class StorageDevice:
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
-        with self.obs.tracer.span("write", "dev", lpn=lpn):
-            self._charge(transfers=1)
-            if self.queue is None:
-                self.ftl.write(lpn, data)
-            else:
-                self._dispatch(self.ftl.write, lpn, data)
+        self._charge(transfers=1)
+        if self.queue is None:
+            self.ftl.write(lpn, data)
+        else:
+            self._dispatch(self.ftl.write, lpn, data)
 
     def trim(self, lpn: int) -> None:
         self._check_on()
@@ -274,13 +275,10 @@ class StorageDevice:
         self.counters.flushes += 1
         if self.tenants.enabled:
             self.tenants.note_flush()
-        start_us = self.clock.now_us
-        with self.obs.tracer.span("flush", "dev"):
-            self._charge()
-            self._barrier_point()
-            self.ftl.barrier()
+        self._charge()
+        self._barrier_point()
+        self.ftl.barrier()
         self._mutated_since_flush = False
-        self._obs_flush_us.observe(self.clock.now_us - start_us)
 
     def barrier(self) -> None:
         """Order-only durability point (the barrier-enabled ``fdatabarrier``).
@@ -296,12 +294,14 @@ class StorageDevice:
         if not self.barrier_mode:
             self._flush()
             return
+        self._epoch_barrier()
+
+    def _epoch_barrier(self) -> None:
         self.counters.barriers += 1
         if self.tenants.enabled:
             self.tenants.note_flush()
-        with self.obs.tracer.span("barrier", "dev"):
-            self._charge()
-            self._order_barrier()
+        self._charge()
+        self._order_barrier()
 
     def write_barrier(self, lpn: int, data: Any) -> None:
         """BARRIER_WRITE: one ordered write — every earlier write completes
@@ -319,19 +319,21 @@ class StorageDevice:
             self._write(lpn, data)
             self._flush()
             return
+        self._ordered_write(lpn, data)
+
+    def _ordered_write(self, lpn: int, data: Any) -> None:
         self.counters.barrier_writes += 1
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
-        with self.obs.tracer.span("write_barrier", "dev", lpn=lpn):
-            self._charge(transfers=1)
-            if self.queue is None:
-                self.ftl.write(lpn, data)
-                self.chip.order_barrier()
-            else:
-                self._order_barrier()
-                self._dispatch(self.ftl.write, lpn, data)
-                self._order_barrier()
+        self._charge(transfers=1)
+        if self.queue is None:
+            self.ftl.write(lpn, data)
+            self.chip.order_barrier()
+        else:
+            self._order_barrier()
+            self._dispatch(self.ftl.write, lpn, data)
+            self._order_barrier()
 
     # ---------------------------------------------------- extended commands
 
@@ -374,17 +376,18 @@ class StorageDevice:
         self._tx_ftl().set_snapshot_floor(floor)
 
     def write_tx(self, tid: int, lpn: int, data: Any) -> None:
-        ftl = self._tx_ftl()
+        self._write_tx(self._tx_ftl(), tid, lpn, data)
+
+    def _write_tx(self, ftl: XFTL, tid: int, lpn: int, data: Any) -> None:
         self.counters.tagged_writes += 1
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
-        with self.obs.tracer.span("write_tx", "dev", lpn=lpn, tid=tid):
-            self._charge(transfers=1)
-            if self.queue is None:
-                ftl.write_tx(tid, lpn, data)
-            else:
-                self._dispatch(ftl.write_tx, tid, lpn, data)
+        self._charge(transfers=1)
+        if self.queue is None:
+            ftl.write_tx(tid, lpn, data)
+        else:
+            self._dispatch(ftl.write_tx, tid, lpn, data)
 
     def commit(self, tid: int) -> None:
         """commit(t), carried over the trim command's parameter set (§5.2)."""
@@ -406,18 +409,13 @@ class StorageDevice:
         if not tids:
             return
         self.counters.commits += len(tids)
-        tracer = self.obs.tracer
-        if len(tids) == 1:
-            span = tracer.span("commit", "dev", tid=tids[0])
-        else:
-            span = tracer.span("commit_group", "dev")
-        start_us = self.clock.now_us
-        with span:
-            for _ in tids:
-                self._charge()
-            self._barrier_point()
-            ftl.commit_group(tids)
-        self._obs_commit_us.observe(self.clock.now_us - start_us)
+        self._commit_tids(ftl, tids)
+
+    def _commit_tids(self, ftl: XFTL, tids: list[int]) -> None:
+        for _ in tids:
+            self._charge()
+        self._barrier_point()
+        ftl.commit_group(tids)
 
     def abort(self, tid: int) -> None:
         """abort(t), carried over the trim command's parameter set (§5.2)."""

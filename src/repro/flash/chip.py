@@ -172,7 +172,8 @@ class FlashChip:
         obs.registry.bind(self.stats, FlashStats.OBS_NAMES)
         # So does the tenant registry; inert until a tenant registers.
         self.tenants = TenantRegistry(obs)
-        self._obs_torn = obs.counter("flash.torn_programs")
+        self.torn_programs = 0
+        obs.registry.bind(self, {"flash.torn_programs": "torn_programs"})
         self._tracer = obs.tracer
 
         self.state = BlockStateView(self.geometry)
@@ -205,12 +206,7 @@ class FlashChip:
         # Stays 0.0 (inert, bit-identical arithmetic) until a barrier-enabled
         # device issues order barriers.
         self.dispatch_floor_us = 0.0
-        # Per-channel busy-time histograms: one observation per operation,
-        # so ``total`` is the channel's accumulated busy time and ``count``
-        # its operation count.
-        self._obs_channel_busy = [
-            obs.histogram(f"flash.ch{channel}.busy_us") for channel in range(channels)
-        ]
+        obs.instrument(self, self.clock)
 
     # ----------------------------------------------------------- parallelism
 
@@ -222,13 +218,12 @@ class FlashChip:
     def channel_timeline(self, channel: int) -> ResourceTimeline:
         return self._channel_timelines[channel]
 
-    def _charge_flash(self, duration_us: float, block: int) -> None:
-        """Reserve the op on its channel; block the clock unless in a region.
+    def _charge_flash(self, duration_us: float, channel: int) -> None:
+        """Reserve the op on ``channel``; block the clock unless in a region.
 
         Inlines ``ResourceTimeline.reserve`` (same float arithmetic — the
         channels=1 pinning depends on it) to keep the per-page cost down.
         """
-        channel = block % self._num_channels
         timeline = self._channel_timelines[channel]
         clock = self.clock
         now = clock._now_us
@@ -241,7 +236,6 @@ class FlashChip:
         timeline.busy_until_us = end
         timeline.busy_us += duration_us
         timeline.reservations += 1
-        self._obs_channel_busy[channel].observe(duration_us)
         regions = self._regions
         if regions:
             for region in regions:
@@ -252,13 +246,12 @@ class FlashChip:
             if end > now:
                 clock._now_us = end
 
-    def _charge_run(self, block: int, durations: tuple[float, ...]) -> None:
+    def _charge_run(self, channel: int, durations: tuple[float, ...]) -> None:
         """:meth:`_charge_flash` for each operation of a plain run.
 
         A plain run stays on one channel and nothing runs between its
         operations, so the timeline and the clock are carried in locals.
         """
-        channel = block % self._num_channels
         clock = self.clock
         regions = self._regions
         timeline = self._channel_timelines[channel]
@@ -266,15 +259,12 @@ class FlashChip:
         floor = self.dispatch_floor_us
         busy = timeline.busy_until_us
         busy_us = timeline.busy_us
-        observe = self._obs_channel_busy[channel].observe if self.obs.enabled else None
         for duration_us in durations:
             start = busy if busy > now else now
             if floor > start:
                 start = floor
             busy = start + duration_us
             busy_us += duration_us
-            if observe is not None:
-                observe(duration_us)
             if busy > now:
                 # A synchronous host joins each completion.  (Inside a
                 # region the clock stands still, but there ``now`` only
@@ -370,7 +360,7 @@ class FlashChip:
                 st.page_states[ppn] = PAGE_TORN
                 write_points[block] = index + 1
                 self.stats.page_programs += 1
-                self._obs_torn.inc()
+                self.torn_programs += 1
                 raise PowerFailure(f"power lost mid-program of ppn={ppn} (page torn)")
             if fired is not None:
                 raise PowerFailure(f"power lost before program of ppn={ppn}")
@@ -387,12 +377,7 @@ class FlashChip:
         st.page_states[ppn] = PAGE_PROGRAMMED
         write_points[block] = index + 1
         self.stats.page_programs += 1
-        tracer = self._tracer
-        if tracer.enabled:
-            with tracer.span("program", "flash"):
-                self._charge_flash(self.profile.page_program_us, block)
-        else:
-            self._charge_flash(self.profile.page_program_us, block)
+        self._charge_program(block % self._num_channels)
         if crash_plan._points:
             crash_plan.hit(CP_PROGRAM_AFTER)
 
@@ -409,8 +394,16 @@ class FlashChip:
         if data is _DISCARDED:
             raise FlashError(f"read of discarded page ppn={ppn}")
         self.stats.page_reads += 1
-        self._charge_flash(self.profile.page_read_us, ppn // self._pages_per_block)
+        self._charge_flash(
+            self.profile.page_read_us, ppn // self._pages_per_block % self._num_channels
+        )
         return data
+
+    def _charge_program(self, channel: int) -> None:
+        self._charge_flash(self.profile.page_program_us, channel)
+
+    def _charge_erase(self, channel: int) -> None:
+        self._charge_flash(self.profile.block_erase_us, channel)
 
     def program_run(self, dst: int, data: list[Any], oobs: Sequence[Sequence[Any]]) -> None:
         """Program a run of pages: ``program(dst + i, data[i], kinds[i],
@@ -480,7 +473,7 @@ class FlashChip:
         st.page_states[dst:end] = _PROGRAMMED_PAGE * count
         st.write_points[block] += count
         self.stats.page_programs += count
-        self._charge_run(block, durations)
+        self._charge_run(block % self._num_channels, durations)
 
     def _is_plain_destination(self, dst: int, count: int) -> bool:
         """Whether ``count`` programs from ``dst`` can neither fail, tear, nor be traced.
@@ -601,12 +594,7 @@ class FlashChip:
         self._oob_tag[start:end] = self._none_block
         self.state.erase_block(block)
         self.stats.block_erases += 1
-        tracer = self._tracer
-        if tracer.enabled:
-            with tracer.span("erase", "flash"):
-                self._charge_flash(self.profile.block_erase_us, block)
-        else:
-            self._charge_flash(self.profile.block_erase_us, block)
+        self._charge_erase(block % self._num_channels)
 
     # ---------------------------------------------------------- inspection
 

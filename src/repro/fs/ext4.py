@@ -144,7 +144,7 @@ class Ext4:
         self.obs = device.obs
         obs = device.obs
         obs.registry.bind(self.stats, {f"fs.{f.name}": f.name for f in fields(FsStats)})
-        self._obs_fsync_us = obs.histogram("fs.fsync.latency_us")
+        obs.instrument(self, self._clock)
 
         # ---- layout ----------------------------------------------------
         total = device.exported_pages
@@ -474,18 +474,27 @@ class Ext4:
         """
         self.check_txn(txn)
         self.stats.fsync_calls += 1
-        start_us = self._clock.now_us
-        with self.obs.tracer.span(name, "fs", tid=None if txn is None else txn.tid):
-            self._clock.advance(self._profile.host_fsync_us)
-            dirty: list[tuple[int, Any]] = []
-            for handle in handles:
-                dirty.extend(self._drain_dirty_data(handle.inode.ino, staged=not commit))
-            if data_only:
-                self._write_data_home(dirty)
-                self.device.barrier()
-            else:
-                self._sync_body(dirty, handles, txn, order_only, commit)
-        self._obs_fsync_us.observe(self._clock.now_us - start_us)
+        self._sync_frame(name, handles, txn, order_only, data_only, commit)
+
+    def _sync_frame(
+        self,
+        name: str,
+        handles: list["FileHandle"],
+        txn,
+        order_only: bool,
+        data_only: bool,
+        commit: bool,
+    ) -> None:
+        """The part of :meth:`_sync` that takes time: entry point ``name``'s span."""
+        self._clock.advance(self._profile.host_fsync_us)
+        dirty: list[tuple[int, Any]] = []
+        for handle in handles:
+            dirty.extend(self._drain_dirty_data(handle.inode.ino, staged=not commit))
+        if data_only:
+            self._write_data_home(dirty)
+            self.device.barrier()
+        else:
+            self._sync_body(dirty, handles, txn, order_only, commit)
 
     def commit_tx_group(self, txns) -> None:
         """Group commit, phase 2: one commit sweep for all staged ``txns``.

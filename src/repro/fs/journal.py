@@ -25,7 +25,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.errors import CorruptionError, FsError
-from repro.obs import DEFAULT_SIZE_BOUNDS, NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability
 
 JSB_SLOTS = 2  # ping-pong journal superblocks at region offsets 0 and 1
 
@@ -59,8 +59,6 @@ class Jbd2Journal:
         self._read_page = read_page
         self._write_ordered = write_ordered
         self._write_home = write_home
-        self._obs = obs
-        self._obs_frame_pages = obs.histogram("fs.journal.frame_pages", DEFAULT_SIZE_BOUNDS)
 
         self._log_start = region_start + JSB_SLOTS
         self._log_pages = region_pages - JSB_SLOTS
@@ -79,6 +77,7 @@ class Jbd2Journal:
                 "fs.journal.checkpoints": "checkpoints",
             },
         )
+        obs.instrument(self)
 
     # ----------------------------------------------------------------- API
 
@@ -107,18 +106,21 @@ class Jbd2Journal:
 
         txid = self._next_txid
         self._next_txid += 1
-        with self._obs.tracer.span("journal_commit", "fs", tid=txid):
-            targets = tuple(lpn for lpn, _image in records)
-            self._append(self._write_page, ("jdesc", txid, targets))
-            for lpn, image in records:
-                self._append(self._write_page, ("jblock", txid, lpn, image))
-            self._append(self._write_ordered, ("jcommit", txid))
+        self._append_frame(txid, records)
+        return txid
+
+    def _append_frame(self, txid: int, records: list[tuple[int, Any]]) -> int:
+        """Append transaction ``txid``'s frame; returns its pages."""
+        targets = tuple(lpn for lpn, _image in records)
+        self._append(self._write_page, ("jdesc", txid, targets))
+        for lpn, image in records:
+            self._append(self._write_page, ("jblock", txid, lpn, image))
+        self._append(self._write_ordered, ("jcommit", txid))
         for lpn, image in records:
             self._pending.pop(lpn, None)
             self._pending[lpn] = image
         self.transactions_committed += 1
-        self._obs_frame_pages.observe(float(frame_pages))
-        return txid
+        return len(records) + 2
 
     def checkpoint(self) -> None:
         """Write pending images home, retire all transactions, reset the log."""

@@ -87,7 +87,6 @@ from typing import Any, Sequence
 
 from repro.errors import FtlError, OutOfSpaceError
 from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP, OWNER_DATA
-from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
 CP_GC_VICTIM = register_crash_point(
@@ -148,6 +147,18 @@ class Collector:
     three only through the FTL's relocation hooks.
     """
 
+    #: Counts of the schedule's own decisions, bound as ``ftl.gc.<field>``.
+    OBS_FIELDS = (
+        "fifo_fallbacks",
+        "transitions_to_idle",
+        "transitions_to_background",
+        "transitions_to_urgent",
+        "background_collections",
+        "hot_stream_writes",
+        "cold_stream_writes",
+        "trans_stream_writes",
+    )
+
     def __init__(self, ftl) -> None:
         config = ftl.config
         policies = GC_POLICIES.get(config.gc_mode)
@@ -201,19 +212,16 @@ class Collector:
         self._valid_ratio_sum = 0.0
         self.victims_collected = 0
         self.rebuild()  # a fresh chip: every block free
-        obs = chip.obs
-        self._obs_fifo_fallbacks = obs.counter("ftl.gc.fifo_fallbacks")
-        self._obs_victim_valid = obs.histogram("ftl.gc.victim_valid_pages", DEFAULT_SIZE_BOUNDS)
-        self._obs_pause_us = obs.histogram("ftl.gc.pause_us")
-        self._obs_copyback_pages = obs.histogram("ftl.gc.copyback_pages", DEFAULT_SIZE_BOUNDS)
-        self._obs_erase_spread = obs.histogram("ftl.gc.erase_spread", DEFAULT_SIZE_BOUNDS)
-        self._obs_transitions = {
-            state: obs.counter(f"ftl.gc.transitions_to_{state.value}") for state in GcState
-        }
-        self._obs_background = obs.counter("ftl.gc.background_collections")
-        self._obs_hot_writes = obs.counter("ftl.gc.hot_stream_writes")
-        self._obs_cold_writes = obs.counter("ftl.gc.cold_stream_writes")
-        self._obs_trans_writes = obs.counter("ftl.gc.trans_stream_writes")
+        self.fifo_fallbacks = 0
+        self.transitions_to_idle = 0
+        self.transitions_to_background = 0
+        self.transitions_to_urgent = 0
+        self.background_collections = 0
+        self.hot_stream_writes = 0
+        self.cold_stream_writes = 0
+        self.trans_stream_writes = 0
+        chip.obs.registry.bind(self, {f"ftl.gc.{field}": field for field in self.OBS_FIELDS})
+        chip.obs.instrument(self, chip.clock)
 
     # ------------------------------------------------------------- power
 
@@ -315,9 +323,12 @@ class Collector:
         self._chip.program(ppn, data, kind, key, ftl._seq, tag)
         if not self._inline:
             if trans:
-                self._obs_trans_writes.inc()
+                self.trans_stream_writes += 1
             else:
-                (self._obs_hot_writes if hot else self._obs_cold_writes).inc()
+                if hot:
+                    self.hot_stream_writes += 1
+                else:
+                    self.cold_stream_writes += 1
                 tenants = self._chip.tenants
                 if tenants.enabled:
                     tenants.note_stream_write(hot)
@@ -460,7 +471,12 @@ class Collector:
 
     def _set_state(self, channel: int, state: GcState) -> None:
         self._states[channel] = state
-        self._obs_transitions[state].inc()
+        if state is _URGENT:
+            self.transitions_to_urgent += 1
+        elif state is _BACKGROUND:
+            self.transitions_to_background += 1
+        else:
+            self.transitions_to_idle += 1
 
     def _step(self, channel: int, headroom: int) -> None:
         """One decision per host page, taken before every background host program.
@@ -527,10 +543,10 @@ class Collector:
         with self._chip.overlap():
             done = self._run_job(channel, job, max_pages=self._pages_per_step)
         if done:
-            self._obs_background.inc()
+            self.background_collections += 1
         return True
 
-    def _reclaim(self, channel: int, target_blocks: int) -> None:
+    def _reclaim(self, channel: int, target_blocks: int) -> float | None:
         """Synchronous collection: the inline pass and background's urgent path.
 
         Collects — finishing the channel's open job first — while the free
@@ -540,7 +556,8 @@ class Collector:
         pages; ``target_blocks=0`` is the floor-only pass).  Bails out when
         nothing is reclaimable but some headroom remains, and raises
         :class:`OutOfSpaceError` only when truly wedged.  Under the
-        background schedule the stall is the foreground GC pause.
+        background schedule the stall is the foreground GC pause: returns
+        its simulated us when a collection ran, else ``None``.
         """
         geo = self._geo
         free = self._free_by_channel[channel]
@@ -562,13 +579,15 @@ class Collector:
                         break  # nothing reclaimable; live with what we have
                     raise OutOfSpaceError("no GC victim and no free blocks")
                 job = self._open_job(channel, victim)
-            with self._chip.obs.tracer.span("gc_collect", "ftl"):
-                self._run_job(channel, job)
+            self._collect(channel, job)
             if not self._inline:
                 collected = True
                 self._stats.gc_urgent_collections += 1
-        if collected:
-            self._obs_pause_us.observe(self._chip.clock.now_us - start_us)
+        return self._chip.clock.now_us - start_us if collected else None
+
+    def _collect(self, channel: int, job: GcJob) -> None:
+        """Run ``job`` to completion (a synchronous collection)."""
+        self._run_job(channel, job)
 
     # ------------------------------------------------------------- jobs
 
@@ -577,13 +596,7 @@ class Collector:
         start = victim * per
         job = GcJob(victim=victim, cursor=start, end=start + self._write_points[victim], wear=wear)
         self._jobs[channel] = job
-        self._stats.gc_invocations += 1
-        if victim in self._trans_blocks:
-            self._stats.gc_translation_collections += 1
-        valid = self._valid_counts[victim]
-        self._valid_ratio_sum += valid / per
-        self.victims_collected += 1
-        self._obs_victim_valid.observe(float(valid))
+        self._count_victim(victim)
         tenants = self._chip.tenants
         if tenants.enabled:
             # Cross-tenant collision accounting: a victim whose valid
@@ -598,6 +611,16 @@ class Collector:
             )
         self._chip.crash_plan.hit(CP_GC_VICTIM)
         return job
+
+    def _count_victim(self, victim: int) -> int:
+        """Count one victim in the GC stats; returns its valid pages."""
+        self._stats.gc_invocations += 1
+        if victim in self._trans_blocks:
+            self._stats.gc_translation_collections += 1
+        valid = self._valid_counts[victim]
+        self._valid_ratio_sum += valid / self._per
+        self.victims_collected += 1
+        return valid
 
     def _run_job(self, channel: int, job: GcJob, max_pages: int | None = None) -> bool:
         """Advance ``job``; returns True when the victim has been erased.
@@ -677,8 +700,14 @@ class Collector:
             stats.gc_copyback_writes += moved
         if preempted:
             return False
-        if crash_plan._points:
-            crash_plan.hit(CP_GC_ERASE)
+        self._finish_job(channel, job)
+        return True
+
+    def _finish_job(self, channel: int, job: GcJob) -> None:
+        """Erase ``job``'s victim, every live page moved, into the free pool."""
+        chip = self._chip
+        if chip.crash_plan._points:
+            chip.crash_plan.hit(CP_GC_ERASE)
         chip.erase(job.victim)
         self._trans_blocks.discard(job.victim)
         free = self._free_by_channel[channel]
@@ -697,8 +726,6 @@ class Collector:
             pass
         self._alloc_tick.pop(job.victim, None)
         self._jobs[channel] = None
-        self._obs_copyback_pages.observe(float(job.moved))
-        return True
 
     # --------------------------------------------------- victim selection
 
@@ -745,7 +772,7 @@ class Collector:
             # reclaimable block in allocation-age order, so the greedy pick
             # keeps GC live.  Counted so aged-state results produced under
             # fallback are never silently mislabeled as pure FIFO.
-            self._obs_fifo_fallbacks.inc()
+            self.fifo_fallbacks += 1
         return self._pick_greedy(channel)
 
     def _pick_greedy(self, channel: int) -> int | None:
@@ -822,14 +849,12 @@ class Collector:
 
     def _maybe_wear_level(self, channel: int) -> bool:
         """Sample the erase-count spread; True when it ran a wear job."""
-        counts = self._erase_counts
-        spread = max(counts) - min(counts)
-        self._obs_erase_spread.observe(float(spread))
+        spread = self._erase_spread()
         if spread < self._wear_spread_threshold:
             return False
         if self._jobs[channel] is not None:
             return False  # one job at a time per channel
-        victim = self._pick_wear_victim(channel, min(counts))
+        victim = self._pick_wear_victim(channel, min(self._erase_counts))
         if victim is None:
             return False
         # Wear victims may be fully valid: require a whole extra block of
@@ -841,6 +866,11 @@ class Collector:
         with self._chip.overlap():
             self._run_job(channel, job, max_pages=self._pages_per_step)
         return True
+
+    def _erase_spread(self) -> int:
+        """Most erases of any block minus fewest."""
+        counts = self._erase_counts
+        return max(counts) - min(counts)
 
     def _pick_wear_victim(self, channel: int, global_min: int) -> int | None:
         """Least-worn written block on ``channel`` — where cold data sits.

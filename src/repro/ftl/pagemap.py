@@ -247,7 +247,6 @@ class PageMappingFTL:
         # releases their payloads (module docstring, "Payload lifetime").
         self._deaths = array("i")
         self._erase_counts = chip.state.erase_counts
-        self._obs_barrier_us = chip.obs.histogram("ftl.barrier.latency_us")
         # Demand-paged mapping (DFTL-style CMT, repro.ftl.cmt).  A capacity
         # of zero — or one covering every translation page of the exported
         # space — degenerates to the all-in-DRAM map: the cache can never
@@ -271,6 +270,7 @@ class PageMappingFTL:
         from repro.ftl.gc import Collector  # deferred: gc imports this module
 
         self.gc = Collector(self)
+        self.obs.instrument(self, chip.clock)
 
     # ------------------------------------------------------------ interface
 
@@ -408,37 +408,36 @@ class PageMappingFTL:
         (module docstring, "Payload lifetime").
         """
         self._check_power()
+        self._barrier()
+
+    def _barrier(self) -> None:
         deaths, self._deaths = self._deaths, array("i")
         self.stats.barriers += 1
-        clock = self.chip.clock
-        start_us = clock._now_us
-        with self.obs.tracer.span("barrier", "ftl"):
-            clock.advance(self.chip.profile.barrier_overhead_us)
-            # Publish the sequence number as of *before* the flush programs:
-            # a GC pass triggered by one of them may relocate data pages,
-            # and relocations carry fresh sequence numbers, so a snapshot
-            # root.seq keeps them inside the OOB replay window.  (Publishing
-            # the post-flush seq would instead require every re-dirtied
-            # segment to be rewritten before the publish — an unbounded
-            # flush/GC feedback loop on small, GC-pressured devices.)
-            seq_snapshot = self._seq
-            with self.chip.overlap():
-                # The segments dirty *now*.  A GC pass inside one of these
-                # programs can re-dirty a segment; such markers survive into
-                # the next barrier — the relocation's sequence sits above the
-                # snapshot root.seq, so OOB replay covers the gap meanwhile.
-                self._flush_pages(
-                    sorted(self._dirty_segments), self.config.barrier_meta_pages, CP_BARRIER_MID
-                )
-            if not self._dirty_segments:
-                # The flush's per-key discards never shrink the set's
-                # table; clear() does, and every later barrier sorts it.
-                self._dirty_segments.clear()
-            self.chip.drain()
-            self._publish_root(seq_snapshot)
-            self.chip.discard_unerased(deaths)
-            self._release_retired()
-        self._obs_barrier_us.observe(clock._now_us - start_us)
+        self.chip.clock.advance(self.chip.profile.barrier_overhead_us)
+        # Publish the sequence number as of *before* the flush programs:
+        # a GC pass triggered by one of them may relocate data pages,
+        # and relocations carry fresh sequence numbers, so a snapshot
+        # root.seq keeps them inside the OOB replay window.  (Publishing
+        # the post-flush seq would instead require every re-dirtied
+        # segment to be rewritten before the publish — an unbounded
+        # flush/GC feedback loop on small, GC-pressured devices.)
+        seq_snapshot = self._seq
+        with self.chip.overlap():
+            # The segments dirty *now*.  A GC pass inside one of these
+            # programs can re-dirty a segment; such markers survive into
+            # the next barrier — the relocation's sequence sits above the
+            # snapshot root.seq, so OOB replay covers the gap meanwhile.
+            self._flush_pages(
+                sorted(self._dirty_segments), self.config.barrier_meta_pages, CP_BARRIER_MID
+            )
+        if not self._dirty_segments:
+            # The flush's per-key discards never shrink the set's
+            # table; clear() does, and every later barrier sorts it.
+            self._dirty_segments.clear()
+        self.chip.drain()
+        self._publish_root(seq_snapshot)
+        self.chip.discard_unerased(deaths)
+        self._release_retired()
 
     # ------------------------------------------------------------- power
 

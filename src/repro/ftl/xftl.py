@@ -54,7 +54,6 @@ from repro.ftl.pagemap import (
     PageMappingFTL,
 )
 from repro.ftl.xl2p import TxStatus, VersionedL2P, XL2PEntry, XL2PTable
-from repro.obs import DEFAULT_SIZE_BOUNDS
 from repro.sim.crash import register_crash_point
 
 CP_COMMIT_BEFORE_FLUSH = register_crash_point(
@@ -117,15 +116,17 @@ class XFTL(PageMappingFTL):
         # Commit sequence counter: ticks once per committed transaction
         # (snapshots pin its value).  Stays 0 on the single-version stack.
         self._commit_counter = 0
-        obs = chip.obs
-        self._obs_xl2p_flush_pages = obs.histogram(
-            "ftl.xl2p.flush_pages", DEFAULT_SIZE_BOUNDS
+        self.version_publishes = 0
+        self.version_releases = 0
+        self.asof_reads = 0
+        chip.obs.registry.bind(
+            self,
+            {
+                "ftl.mvcc.version_publishes": "version_publishes",
+                "ftl.mvcc.version_releases": "version_releases",
+                "ftl.mvcc.asof_reads": "asof_reads",
+            },
         )
-        self._obs_commit_us = obs.histogram("ftl.commit.latency_us")
-        self._obs_group_size = obs.histogram("ftl.group_commit.size", DEFAULT_SIZE_BOUNDS)
-        self._obs_version_publishes = obs.counter("ftl.mvcc.version_publishes")
-        self._obs_version_releases = obs.counter("ftl.mvcc.version_releases")
-        self._obs_asof_reads = obs.counter("ftl.mvcc.asof_reads")
 
     # ------------------------------------------------------ transactional IO
 
@@ -208,9 +209,9 @@ class XFTL(PageMappingFTL):
             ppn = versions.resolve(lpn, snap)
             if ppn is not None:
                 self.stats.host_page_reads += 1
-                self._obs_asof_reads.inc()
+                self.asof_reads += 1
                 return self.chip.read(ppn)
-            self._obs_asof_reads.inc()
+            self.asof_reads += 1
         return self.read(lpn)
 
     def snapshot_seq(self) -> int:
@@ -256,7 +257,7 @@ class XFTL(PageMappingFTL):
         self._disown(old_ppn)
         self._own(old_ppn, OWNER_VERSION, lpn)
         self.chip.crash_plan.hit(CP_VERSION_PUBLISH)
-        self._obs_version_publishes.inc()
+        self.version_publishes += 1
         for released in self._versions.push(lpn, old_ppn, sup_seq, oob_seq):
             self._release_version_page(lpn, released)
 
@@ -266,7 +267,7 @@ class XFTL(PageMappingFTL):
         publish)."""
         self.chip.crash_plan.hit(CP_VERSION_RELEASE)
         self._retire(ppn, OWNER_VERSION, lpn)
-        self._obs_version_releases.inc()
+        self.version_releases += 1
         # The chain shrank, so the segment's durable image is stale.
         self._mark_dirty(lpn)
 
@@ -295,8 +296,8 @@ class XFTL(PageMappingFTL):
         """The commit body; a single commit is the one-member group.
 
         The member count picks only the crash-point pair
-        (``xftl.commit.*`` vs ``xftl.group.*``), the span name and the
-        group-commit accounting.
+        (``xftl.commit.*`` vs ``xftl.group.*``), the group-commit
+        accounting and, in the instrumentation table, the span name.
         """
         self._check_power()
         # Each member's entries are taken once, in lpn order: the fold below
@@ -320,73 +321,70 @@ class XFTL(PageMappingFTL):
         if not members:
             return
         live = list(members)
-        tracer = self.obs.tracer
-        if len(live) == 1:
-            cp_before, cp_after = CP_COMMIT_BEFORE_FLUSH, CP_COMMIT_AFTER_FLUSH
-            span = tracer.span("xftl_commit", "ftl", tid=live[0])
-        else:
-            cp_before, cp_after = CP_GROUP_FLUSH, CP_GROUP_PUBLISH
-            span = tracer.span("xftl_commit_group", "ftl")
-        start_us = self.chip.clock.now_us
-        with span:
-            # Step 1: status active -> committed (DRAM).
-            for entries in members.values():
-                for entry in entries:
-                    entry.status = TxStatus.COMMITTED
-            self.chip.crash_plan.hit(cp_before)
-            self._committed_tids.update(live)
-            # One commit sequence per member, assigned in fold order and
-            # ticked before the flush so the published root carries the
-            # post-commit counter atomically with the committed-tid set (a
-            # post-crash snapshot must never pin a sequence below a durably
-            # committed transaction's).
-            commit_seqs: dict[int, int] = {}
-            if self._versions is not None:
-                for tid in live:
-                    self._commit_counter += 1
-                    commit_seqs[tid] = self._commit_counter
-            # Step 2+3: CoW-flush the X-L2P table, atomically repoint the root.
-            self._flush_xl2p(live)
-            self.chip.crash_plan.hit(cp_after)
-            # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent):
-            # each page passes from its X-L2P entry to the L2P.  Under a
-            # demand-paged map this is an L2P update like any write, so the
-            # translation page is made resident first.  The commit is already
-            # published: an eviction here is ordinary out-of-barrier traffic,
-            # and GC under its writeback may relocate the entry's page
-            # (update_ppn repoints the entry), so new_ppn is read after.
-            # Per entry this is _disown(new_ppn) then _map(lpn, new_ppn,
-            # seq), inline: the page stays live on its block and only
-            # changes owner, so its valid count does not move.
-            cmt = self._cmt
-            per = self._map_entries_per_page
-            l2p, owner, detail = self._l2p, self._owner, self._owner_detail
-            dirty = self._dirty_segments
-            supersede = self._supersede
-            for tid, entries in members.items():
-                seq = commit_seqs.get(tid)
-                for entry in entries:
-                    lpn = entry.lpn
-                    if cmt is not None:
-                        cmt.access(lpn // per)
-                    ppn = entry.new_ppn
-                    del detail[ppn]
-                    owner[ppn] = OWNER_DATA
-                    old = l2p[lpn]
-                    if old != UNMAPPED:
-                        supersede(lpn, old, seq)
-                    l2p[lpn] = ppn
-                    dirty.add(lpn // per)
-                self.xl2p.remove_tid(tid)
-        self._started_tids.difference_update(live)
-        self.stats.commits += len(live)
-        if len(live) > 1:
-            self.stats.group_commits += 1
-            self._obs_group_size.observe(float(len(live)))
-        self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
+        self._commit_tids(live, members)
         self._commits_since_checkpoint += len(live)
         if self._commits_since_checkpoint >= MAP_CHECKPOINT_INTERVAL:
             self._checkpoint_map()
+
+    def _commit_tids(self, tids: list[int], members: dict[int, list[XL2PEntry]]) -> None:
+        """Commit the members ``tids`` (``members``' keys, each with entries)."""
+        if len(tids) == 1:
+            cp_before, cp_after = CP_COMMIT_BEFORE_FLUSH, CP_COMMIT_AFTER_FLUSH
+        else:
+            cp_before, cp_after = CP_GROUP_FLUSH, CP_GROUP_PUBLISH
+        # Step 1: status active -> committed (DRAM).
+        for entries in members.values():
+            for entry in entries:
+                entry.status = TxStatus.COMMITTED
+        self.chip.crash_plan.hit(cp_before)
+        self._committed_tids.update(tids)
+        # One commit sequence per member, assigned in fold order and
+        # ticked before the flush so the published root carries the
+        # post-commit counter atomically with the committed-tid set (a
+        # post-crash snapshot must never pin a sequence below a durably
+        # committed transaction's).
+        commit_seqs: dict[int, int] = {}
+        if self._versions is not None:
+            for tid in tids:
+                self._commit_counter += 1
+                commit_seqs[tid] = self._commit_counter
+        # Step 2+3: CoW-flush the X-L2P table, atomically repoint the root.
+        self._flush_xl2p(tids)
+        self.chip.crash_plan.hit(cp_after)
+        # Step 4: remap the LPNs in the main L2P table (DRAM; idempotent):
+        # each page passes from its X-L2P entry to the L2P.  Under a
+        # demand-paged map this is an L2P update like any write, so the
+        # translation page is made resident first.  The commit is already
+        # published: an eviction here is ordinary out-of-barrier traffic,
+        # and GC under its writeback may relocate the entry's page
+        # (update_ppn repoints the entry), so new_ppn is read after.
+        # Per entry this is _disown(new_ppn) then _map(lpn, new_ppn,
+        # seq), inline: the page stays live on its block and only
+        # changes owner, so its valid count does not move.
+        cmt = self._cmt
+        per = self._map_entries_per_page
+        l2p, owner, detail = self._l2p, self._owner, self._owner_detail
+        dirty = self._dirty_segments
+        supersede = self._supersede
+        for tid, entries in members.items():
+            seq = commit_seqs.get(tid)
+            for entry in entries:
+                lpn = entry.lpn
+                if cmt is not None:
+                    cmt.access(lpn // per)
+                ppn = entry.new_ppn
+                del detail[ppn]
+                owner[ppn] = OWNER_DATA
+                old = l2p[lpn]
+                if old != UNMAPPED:
+                    supersede(lpn, old, seq)
+                l2p[lpn] = ppn
+                dirty.add(lpn // per)
+            self.xl2p.remove_tid(tid)
+        self._started_tids.difference_update(tids)
+        self.stats.commits += len(tids)
+        if len(tids) > 1:
+            self.stats.group_commits += 1
 
     def abort(self, tid: int) -> None:
         """Roll back ``tid``: drop its entries, invalidate its new pages.
@@ -428,20 +426,7 @@ class XFTL(PageMappingFTL):
         the root repoints at them, preserving the commit ordering of
         Figure 4 step 3.
         """
-        images = self.xl2p.serialize(self.chip.geometry.page_size)
-        # The live list names each new page from its program on, so a GC
-        # pass later in this flush that moves it repoints the list
-        # (_repoint_owner); a moved old page is repointed in the root.
-        self._xl2p_page_ppns = new_ppns = []
-        with self.chip.overlap():
-            for index, image in enumerate(images):
-                ppn = self.gc.host_program(image, OOB_XL2P_TABLE, index, None)
-                self._own(ppn, OWNER_XL2P_TABLE, index)
-                new_ppns.append(ppn)
-                self.stats.xl2p_page_writes += 1
-        self.chip.drain()
-        self.stats.xl2p_flushes += 1
-        self._obs_xl2p_flush_pages.observe(float(len(images)))
+        self._write_xl2p(self.xl2p.serialize(self.chip.geometry.page_size))
         # Atomic meta-block update: new X-L2P location + the members'
         # commit stamp (+ the commit sequence counter; constant 0 when
         # retain_versions=1).  The stamp is _seq as of *now*, not before the
@@ -450,7 +435,7 @@ class XFTL(PageMappingFTL):
         # No program runs from the drain to the end of the publish, so the
         # old table pages die here, with no retirement in between.
         old_ppns = self._root.xl2p_ppns
-        self._root.xl2p_ppns = tuple(new_ppns)
+        self._root.xl2p_ppns = tuple(self._xl2p_page_ppns)
         for old in old_ppns:
             self._disown(old)
             self.chip.discard(old)  # no root names it any more
@@ -463,6 +448,21 @@ class XFTL(PageMappingFTL):
             # the same atomic update.
             self._publish_map_dir()
         self._release_retired()
+
+    def _write_xl2p(self, images: list) -> None:
+        """Program the table ``images`` across the channels, then drain."""
+        # The live list names each new page from its program on, so a GC
+        # pass later in this flush that moves it repoints the list
+        # (_repoint_owner); a moved old page is repointed in the root.
+        self._xl2p_page_ppns = new_ppns = []
+        with self.chip.overlap():
+            for index, image in enumerate(images):
+                ppn = self.gc.host_program(image, OOB_XL2P_TABLE, index, None)
+                self._own(ppn, OWNER_XL2P_TABLE, index)
+                new_ppns.append(ppn)
+                self.stats.xl2p_page_writes += 1
+        self.chip.drain()
+        self.stats.xl2p_flushes += 1
 
     def _checkpoint_map(self) -> None:
         """Lazy L2P checkpoint: bounds OOB replay and prunes committed tids."""

@@ -11,13 +11,18 @@ plan, and every higher layer picks it up from the layer below).  It bundles:
   ``COMMIT`` nests the pager writes, the ext4 fsync, the device commands
   and the NAND programs it caused.
 
-Layers instrument themselves unconditionally; a disabled handle (the
-default — see :data:`NULL_OBS`) hands out shared null instruments so the
-hot write path does no extra allocation and no dict lookups.  A layer
-that already counts an event in a record of its own (``FlashStats``,
-``DeviceCounters``, a queue's or tenant's counts) binds that record to
-the registry instead of bumping a second counter: the record is the only
-store, and the registry reads it by name when asked.
+Instrumentation is a table, :data:`repro.obs.instrument.INSTRUMENTS`: the
+one place that lists what is recorded — each row names a class, a method
+and the span, latency histogram or value histogram to record around it.
+Each instrumented layer's constructor calls :meth:`Observability.instrument`,
+which attaches the rows to that instance only when the handle is enabled;
+a disabled handle (the default — see :data:`NULL_OBS`) attaches nothing,
+so a metrics-off stack runs no observability code at all.  Counts are
+never instruments: a layer keeps each event's count in an int field of a
+record of its own (``FlashStats``, ``DeviceCounters``, a queue's, pager's
+or tenant's counts) and binds that record to the registry, which reads it
+by name when asked.  Records that several instances of one layer count
+into (every pager and connection of a stack) are :meth:`Observability.shared`.
 
 Usage::
 
@@ -44,6 +49,7 @@ from repro.obs.registry import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
 )
+from repro.obs.instrument import install
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
@@ -87,6 +93,7 @@ class Observability:
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled and trace)
         self.meta: dict[str, Any] = {}
+        self._shared: dict[type, Any] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -112,6 +119,30 @@ class Observability:
     def span(self, name: str, layer: str, lpn: int | None = None, tid: int | None = None):
         return self.tracer.span(name, layer, lpn=lpn, tid=tid)
 
+    # ----------------------------------------------------------- layers
+
+    def instrument(self, obj: Any, clock=None) -> None:
+        """Attach the instrumentation table's rows for ``obj``'s class to
+        ``obj`` (latencies read ``clock``); nothing when disabled."""
+        if self.enabled:
+            install(obj, self, clock)
+
+    def shared(self, record_type: type) -> Any:
+        """The one ``record_type()`` every instance of a layer counts into.
+
+        Enabled, the first call builds it and binds its ``OBS_NAMES``; later
+        calls return it, so counts add up across the instances (and the
+        remounts) of this stack.  Disabled, each call gets a fresh record
+        nothing reads.
+        """
+        if not self.enabled:
+            return record_type()
+        record = self._shared.get(record_type)
+        if record is None:
+            record = self._shared[record_type] = record_type()
+            self.registry.bind(record, record_type.OBS_NAMES)
+        return record
+
     # -------------------------------------------------------------- export
 
     def as_dict(self) -> dict:
@@ -127,8 +158,8 @@ class Observability:
         return "\n".join(lines)
 
 
-#: Shared disabled handle — the default for every stack.  Hot paths touch
-#: only null instruments acquired through it.
+#: Shared disabled handle — the default for every stack.  It instruments
+#: nothing and binds nothing.
 NULL_OBS = Observability(enabled=False, label="<disabled>")
 
 

@@ -6,17 +6,22 @@ layer of the reproduction reports into one :class:`MetricsRegistry`.
 
 Design rules:
 
-- **Cheap acquisition.**  A layer calls ``registry.counter("sqlite.txn_commits")``
-  once (usually in its constructor) and keeps the handle; the hot path is a
-  plain attribute access plus one method call.  A layer that already keeps
-  a count in a record of its own (``FlashStats``, ``DeviceCounters``, ...)
-  binds it instead: ``registry.bind(record, {"flash.page_programs":
-  "page_programs"})`` exports the attribute under the obs name, read when
-  asked, so every event is counted once.  A layer rebuilt in place (ext4
-  on a remount) binds its fresh record over the one it replaces.
-- **Free when disabled.**  A disabled registry hands out shared null
-  singletons whose ``inc``/``observe`` are no-ops; the hot write path incurs
-  zero allocations (guarded by a tracemalloc micro-benchmark in the tests).
+- **One count per event, kept by the layer.**  A layer counts an event in
+  an int field of a record of its own (``FlashStats``, ``DeviceCounters``,
+  a pager's counts, ...) and binds it: ``registry.bind(record,
+  {"flash.page_programs": "page_programs"})`` exports the attribute under
+  the obs name, read when asked, so the hot path is one integer add.
+  ``registry.counter(name)`` remains for callers outside the storage
+  layers; it hands out a handle kept by the registry.  A layer rebuilt in place (ext4
+  on a remount) binds its fresh record over the one it replaces.  A gauge
+  kept by a layer binds the same way (``bind_gauge``: its current value
+  and its high-water mark).
+- **Free when disabled.**  Histograms and spans are attached by
+  :mod:`repro.obs.instrument` only when the stack's obs handle is on, and
+  counts are the layers' own int fields, so a metrics-off stack calls into
+  no instrument at all.  A disabled registry still hands out shared null
+  singletons whose ``inc``/``observe`` are no-ops to callers outside the
+  stack's layers.
 - **Deterministic exports.**  All values derive from counters and the
   simulated clock, never wall time, so two same-seed runs dump identical
   metrics.
@@ -139,6 +144,27 @@ class Gauge:
         return f"Gauge({self.name}={self.value}, max={self.max_value})"
 
 
+class BoundGauge:
+    """A gauge a layer keeps in a record of its own (``bind_gauge``), read
+    live: ``value`` and ``max_value`` read the record's attributes."""
+
+    __slots__ = ("name", "_record", "_value", "_peak")
+
+    def __init__(self, name: str, record: object, value: str, peak: str) -> None:
+        self.name = name
+        self._record = record
+        self._value = value
+        self._peak = peak
+
+    @property
+    def value(self) -> float:
+        return float(getattr(self._record, self._value))
+
+    @property
+    def max_value(self) -> float:
+        return float(getattr(self._record, self._peak))
+
+
 class _NullCounter:
     """Shared no-op counter handed out by disabled registries."""
 
@@ -192,8 +218,7 @@ class MetricsRegistry:
     """Registry of named counters and histograms for one simulated machine.
 
     When ``enabled`` is false every acquisition returns a shared null
-    instrument: layers instrument unconditionally and pay nothing until a
-    benchmark or CLI opts in with ``--metrics``.
+    instrument and every bind is ignored.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -203,6 +228,8 @@ class MetricsRegistry:
         self._bound: dict[str, tuple[object, str]] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, Gauge] = {}
+        # Bound gauges: name -> (record, value attribute, high-water attribute).
+        self._bound_gauges: dict[str, tuple[object, str, str]] = {}
 
     # ------------------------------------------------------------ acquire
 
@@ -235,6 +262,21 @@ class MetricsRegistry:
                 raise ValueError(f"counter {name!r} already exists")
             self._bound[name] = (record, attribute)
 
+    def bind_gauge(self, record: object, name: str, value: str, peak: str) -> None:
+        """Export a gauge ``record`` keeps: ``value`` and ``peak`` name the
+        attributes holding its current value and its high-water mark.
+
+        The same rule as :meth:`bind`: a record of the same class replaces
+        the one bound before, any other holder of the name raises, and a
+        disabled registry ignores the call.
+        """
+        if not self.enabled:
+            return
+        held = self._bound_gauges.get(name)
+        if name in self._gauges or (held is not None and type(held[0]) is not type(record)):
+            raise ValueError(f"gauge {name!r} already exists")
+        self._bound_gauges[name] = (record, value, peak)
+
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_US
     ) -> Histogram:
@@ -247,9 +289,13 @@ class MetricsRegistry:
         return histogram
 
     def gauge(self, name: str) -> Gauge:
-        """Get-or-create the gauge called ``name``."""
+        """Get-or-create the gauge called ``name``; a bound one is a
+        read-only view of its record."""
         if not self.enabled:
             return NULL_GAUGE  # type: ignore[return-value]
+        bound = self._bound_gauges.get(name)
+        if bound is not None:
+            return BoundGauge(name, *bound)  # type: ignore[return-value]
         gauge = self._gauges.get(name)
         if gauge is None:
             gauge = self._gauges[name] = Gauge(name)
@@ -274,12 +320,16 @@ class MetricsRegistry:
         return {name: self._histograms[name] for name in sorted(self._histograms)}
 
     def gauges(self) -> dict[str, Gauge]:
-        return {name: self._gauges[name] for name in sorted(self._gauges)}
+        """All gauges, plain and bound, sorted by name."""
+        out: dict[str, Gauge | BoundGauge] = dict(self._gauges)
+        for name, bound in self._bound_gauges.items():
+            out[name] = BoundGauge(name, *bound)
+        return {name: out[name] for name in sorted(out)}  # type: ignore[misc]
 
     def layers(self) -> list[str]:
         """Layer prefixes (text before the first dot) present in the registry."""
         seen: dict[str, None] = {}
-        names = self._counters.keys() | self._bound.keys()
+        names = self._counters.keys() | self._bound.keys() | self._bound_gauges.keys()
         for name in sorted(names | self._histograms.keys() | self._gauges.keys()):
             seen.setdefault(name.split(".", 1)[0], None)
         return list(seen)

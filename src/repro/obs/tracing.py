@@ -6,9 +6,10 @@ programs those turned into — all correlated by span id and timestamped on
 the shared :class:`SimClock`.
 
 The simulation is single-threaded, so span context is a simple stack: a
-span opened while another is active becomes its child.  A disabled tracer
-hands out one shared null span whose enter/exit are no-ops, so
-instrumented hot paths allocate nothing when tracing is off.
+span opened while another is active becomes its child.  Which spans the
+stack records is the instrumentation table's business
+(:mod:`repro.obs.instrument`); a disabled tracer hands out one shared null
+span whose enter/exit are no-ops to any other caller.
 """
 
 from __future__ import annotations
@@ -121,9 +122,14 @@ class Tracer:
     def span(self, name: str, layer: str, lpn: int | None = None, tid: int | None = None):
         """Open a span; use as ``with tracer.span(...):``.
 
-        Fixed ``lpn``/``tid`` parameters instead of ``**attrs`` keep the
-        disabled path allocation-free; rich attributes can be added on the
-        returned span object when tracing is on.
+        The storage layers never call this themselves: the spans they
+        record are rows of :data:`repro.obs.instrument.INSTRUMENTS`, the
+        one place that lists what is recorded, attached only to the layers
+        of an enabled handle, so a metrics-off stack's commands never reach
+        it.  Fixed ``lpn``/``tid`` parameters instead of ``**attrs`` keep
+        the disabled path allocation-free for other callers; rich
+        attributes can be added on the returned span object when tracing
+        is on.
         """
         if not self.enabled:
             return NULL_SPAN

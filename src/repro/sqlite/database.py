@@ -43,8 +43,9 @@ the same order with nothing in between (``repro.sqlite.table``);
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.errors import DatabaseError, PowerFailure, SchemaError, SqlError
 from repro.fs.ext4 import Ext4
@@ -105,6 +106,15 @@ class _Plan:
         self.scans = scans  # the nested-loop levels, outermost first
 
 
+@dataclass
+class StatementCounts:
+    """Statements every connection of one stack ran (``obs.shared``)."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {"sqlite.statements": "statements"}
+
+    statements: int = 0
+
+
 class Connection:
     """One connection to one database file (SQLite is serverless, §2.1)."""
 
@@ -133,7 +143,7 @@ class Connection:
         )
         self.last_recovery_us = self.pager.last_recovery_us
         self.obs = fs.obs
-        self._obs_statements = fs.obs.counter("sqlite.statements")
+        self.counts: StatementCounts = fs.obs.shared(StatementCounts)
         self._explicit_txn = False
         # Staged commits (OFF mode): with defer_commits set, COMMIT stages
         # the transaction for a SessionScheduler's group commit (inert in
@@ -310,7 +320,7 @@ class Connection:
         prepared.move_to_end(sql)
         if len(prepared) > PREPARED_STATEMENTS:
             prepared.popitem(last=False)
-        self._obs_statements.inc()
+        self.counts.statements += 1
         self._clock.advance(self._profile.host_cpu_statement_us)
         if not plan.writes:
             return plan.run()

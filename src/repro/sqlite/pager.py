@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.errors import CorruptionError, DatabaseError
 from repro.fs.ext4 import Ext4, FileHandle
@@ -60,6 +60,25 @@ class DbHeader:
         return cls(page_count=page_count, freelist=list(freelist), schema_cookie=cookie)
 
 
+@dataclass
+class PagerCounts:
+    """What every pager of one stack counts (``obs.shared``)."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "sqlite.txn_commits": "txn_commits",
+        "sqlite.txn_rollbacks": "txn_rollbacks",
+        "sqlite.page_writes": "page_writes",
+        "sqlite.spilled_pages": "spilled_pages",
+        "sqlite.wal_checkpoints": "wal_checkpoints",
+    }
+
+    txn_commits: int = 0
+    txn_rollbacks: int = 0
+    page_writes: int = 0
+    spilled_pages: int = 0
+    wal_checkpoints: int = 0
+
+
 class Pager:
     """Buffer pool + journal machinery over one database file.
 
@@ -97,12 +116,8 @@ class Pager:
         self.obs = fs.obs
         obs = fs.obs
         obs.annotate(f"sqlite.{name}.journal_mode", mode.value)
-        self._obs_commits = obs.counter("sqlite.txn_commits")
-        self._obs_rollbacks = obs.counter("sqlite.txn_rollbacks")
-        self._obs_page_writes = obs.counter("sqlite.page_writes")
-        self._obs_spills = obs.counter("sqlite.spilled_pages")
-        self._obs_checkpoints = obs.counter("sqlite.wal_checkpoints")
-        self._obs_commit_us = obs.histogram("sqlite.commit.latency_us")
+        self.counts: PagerCounts = obs.shared(PagerCounts)
+        obs.instrument(self, fs.device.clock)
 
         # The cache maps pno -> page object, least recently used first; the
         # open transaction's dirty pages are tracked as they are dirtied, so
@@ -168,14 +183,10 @@ class Pager:
         if not self.in_txn:
             raise DatabaseError("no active transaction")
         dirty = self._dirty_pages()
-        start_us = self.fs.device.clock.now_us
-        with self.obs.tracer.span(
-            "commit", "sqlite", tid=None if self._txn is None else self._txn.tid
-        ):
-            self._commit(dirty)
-        self._obs_commits.inc()
-        self._obs_page_writes.inc(len(dirty))
-        self._obs_commit_us.observe(self.fs.device.clock.now_us - start_us)
+        self._commit(dirty)
+        counts = self.counts
+        counts.txn_commits += 1
+        counts.page_writes += len(dirty)
         self._dirty.clear()
         self._end_txn()
 
@@ -183,7 +194,7 @@ class Pager:
         """Abort: drop cached changes and undo stolen writes."""
         if not self.in_txn:
             raise DatabaseError("no active transaction")
-        self._obs_rollbacks.inc()
+        self.counts.txn_rollbacks += 1
         # Drop all uncommitted in-memory changes.
         cache = self._cache
         for pno, _page in self._dirty_pages():
@@ -334,7 +345,7 @@ class Pager:
         dirty = self._dirty
         for pno, page in self._cache.items():
             if pno in dirty and pno != 0:
-                self._obs_spills.inc()
+                self.counts.spilled_pages += 1
                 self._spill(pno, page.to_image())
                 dirty.discard(pno)
                 return True
@@ -564,7 +575,7 @@ class WalPager(Pager):
         """Copy committed WAL content into the database file; reset the WAL."""
         if not self._wal_index:
             return
-        self._obs_checkpoints.inc()
+        self.counts.wal_checkpoints += 1
         assert self._wal is not None
         for pno, slot in sorted(self._wal_index.items()):
             frame = self._wal.read_page(slot)
@@ -666,13 +677,13 @@ class OffPager(Pager):
             return super().commit()
         # Snapshot transactions are read-only: ending one is pure host-side
         # bookkeeping (release the pin, drop the epoch cache).
-        self._obs_commits.inc()
+        self.counts.txn_commits += 1
         self._end_txn()
 
     def rollback(self) -> None:
         if self.snapshot_seq is None:
             return super().rollback()
-        self._obs_rollbacks.inc()
+        self.counts.txn_rollbacks += 1
         self._end_txn()
 
     def _end_txn(self) -> None:
@@ -707,6 +718,10 @@ class OffPager(Pager):
 
     def _spill(self, pno: int, image: tuple) -> None:
         self.file.write_page(pno, image, txn=self._txn)
+
+    def _count_commit(self, latency_us: float) -> None:
+        """Count a staged commit that took ``latency_us``, staging included."""
+        self.counts.txn_commits += 1
 
     def _commit(self, dirty: list[tuple[int, Any]]) -> None:
         if self._txn is None:
@@ -743,11 +758,13 @@ class OffPager(Pager):
         dirty = self._dirty_pages()
         if not dirty and not self._txn_wrote:
             return None
-        with self.obs.tracer.span("commit_stage", "sqlite", tid=txn.tid):
-            for pno, page in dirty:
-                self.file.write_page(pno, page.to_image(), txn=txn)
-        self._obs_page_writes.inc(len(dirty))
+        self._stage_pages(txn, dirty)
+        self.counts.page_writes += len(dirty)
         return txn  # the pages stay dirty: a failed device step rolls them back
+
+    def _stage_pages(self, txn, dirty: list[tuple[int, Any]]) -> None:
+        for pno, page in dirty:
+            self.file.write_page(pno, page.to_image(), txn=txn)
 
     def finish_commit(self) -> None:
         """Staged commit, step 2: count the commit, note the session's and
@@ -756,8 +773,7 @@ class OffPager(Pager):
         if self._stage_start_us is None:
             raise DatabaseError("no staged commit to finish")
         latency_us = self.fs.device.clock.now_us - self._stage_start_us
-        self._obs_commits.inc()
-        self._obs_commit_us.observe(latency_us)
+        self._count_commit(latency_us)
         if self.session is not None:
             self.session.note_commit(latency_us)
         self._dirty.clear()

@@ -35,7 +35,8 @@ nesting.  Instead the manager records zero-duration ``txn.begin`` /
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import TransactionError
 
@@ -115,6 +116,21 @@ class TransactionContext:
         self._transition(TxnState.ABORTED)
 
 
+@dataclass
+class TxnCounts:
+    """What the transaction managers of one stack count (``obs.shared``)."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "txn.begins": "begins",
+        "txn.releases": "releases",
+        "txn.snapshot_pins": "snapshot_pins",
+    }
+
+    begins: int = 0
+    releases: int = 0
+    snapshot_pins: int = 0
+
+
 class TxnManager:
     """Mints and tracks :class:`TransactionContext`\\ s for one file system.
 
@@ -134,10 +150,8 @@ class TxnManager:
         # version some snapshot reader could still resolve through.
         self._snapshots: dict[int, int] = {}
         self._next_snapshot_token = 1
-        self._obs_begins = self.obs.counter("txn.begins")
-        self._obs_releases = self.obs.counter("txn.releases")
-        self._obs_lifetime_us = self.obs.histogram("txn.lifetime_us")
-        self._obs_snapshot_pins = self.obs.counter("txn.snapshot_pins")
+        self.counts: TxnCounts = self.obs.shared(TxnCounts)
+        self.obs.instrument(self)
 
     # ---------------------------------------------------------- lifecycle
 
@@ -148,7 +162,7 @@ class TxnManager:
             tid, session=session, manager=self, start_us=self._now_us()
         )
         self._live[tid] = ctx
-        self._obs_begins.inc()
+        self.counts.begins += 1
         self.obs.tracer.event("txn.begin", "stack", tid=tid)
         return ctx
 
@@ -163,9 +177,12 @@ class TxnManager:
         context is simply abandoned, still ACTIVE).
         """
         if self._live.pop(ctx.tid, None) is not None:
-            self._obs_releases.inc()
-            self._obs_lifetime_us.observe(self._now_us() - ctx.start_us)
-            self.obs.tracer.event("txn.end", "stack", tid=ctx.tid)
+            self._count_release(ctx.tid, self._now_us() - ctx.start_us)
+
+    def _count_release(self, tid: int, lifetime_us: float) -> None:
+        """Count the end of transaction ``tid``, live for ``lifetime_us``."""
+        self.counts.releases += 1
+        self.obs.tracer.event("txn.end", "stack", tid=tid)
 
     # ---------------------------------------------------------- snapshots
 
@@ -182,7 +199,7 @@ class TxnManager:
         token = self._next_snapshot_token
         self._next_snapshot_token += 1
         self._snapshots[token] = snapshot_seq
-        self._obs_snapshot_pins.inc()
+        self.counts.snapshot_pins += 1
         self.obs.tracer.event("txn.snapshot.pin", "stack", tid=snapshot_seq)
         self._push_snapshot_floor()
         return token, snapshot_seq

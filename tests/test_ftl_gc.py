@@ -108,8 +108,7 @@ class TestWatermarkStateMachine:
         lpns = range(min(ftl.exported_pages, 100))
         churn(ftl, lpns, rounds=8)
         assert ftl.stats.gc_invocations > 0
-        transitions = obs.registry.counter("ftl.gc.transitions_to_background")
-        assert transitions.value > 0
+        assert obs.registry.counter_value("ftl.gc.transitions_to_background") > 0
         ftl.check_invariants()
         for lpn in lpns:
             assert ftl.read(lpn) == ("r", 7, lpn)
@@ -145,10 +144,9 @@ class TestHotColdStreams:
         for round_num in range(6):
             ftl.write(0, ("hot", round_num))
             ftl.write(1, ("hot", round_num))
-        hot_writes = obs.registry.counter("ftl.gc.hot_stream_writes")
-        cold_writes = obs.registry.counter("ftl.gc.cold_stream_writes")
-        assert hot_writes.value > 0
-        assert cold_writes.value > 0  # the first writes land cold
+        assert obs.registry.counter_value("ftl.gc.hot_stream_writes") > 0
+        # The first writes land cold.
+        assert obs.registry.counter_value("ftl.gc.cold_stream_writes") > 0
         hot_blocks = ftl.gc._hot_active
         assert any(block is not None for block in hot_blocks)
         for hot, cold in zip(hot_blocks, ftl.gc._active_blocks):
@@ -160,7 +158,7 @@ class TestHotColdStreams:
         ftl = make_bg_ftl(num_blocks=64, obs=obs, gc_hot_write_threshold=0)
         for round_num in range(6):
             ftl.write(0, ("hot", round_num))
-        assert obs.registry.counter("ftl.gc.hot_stream_writes").value == 0
+        assert obs.registry.counter_value("ftl.gc.hot_stream_writes") == 0
         assert all(block is None for block in ftl.gc._hot_active)
 
     def test_hot_stream_degrades_under_pressure_instead_of_wedging(self):
@@ -193,13 +191,13 @@ class TestVictimPolicies:
         ftl = make_bg_ftl(obs=obs, gc_policy="fifo")
         # Nothing written: FIFO finds no reclaimable block and falls back.
         assert ftl.gc.pick_victim(0) is None
-        assert obs.registry.counter("ftl.gc.fifo_fallbacks").value == 1
+        assert obs.registry.counter_value("ftl.gc.fifo_fallbacks") == 1
 
     def test_fifo_fallback_is_counted_inline(self):
         obs = Observability(enabled=True)
         ftl = make_bg_ftl(obs=obs, gc_mode="inline", gc_policy="fifo")
         assert ftl.gc.pick_victim(0) is None
-        assert obs.registry.counter("ftl.gc.fifo_fallbacks").value == 1
+        assert obs.registry.counter_value("ftl.gc.fifo_fallbacks") == 1
 
     def test_fifo_policy_collects_under_churn(self):
         ftl = make_bg_ftl(gc_policy="fifo")
@@ -267,9 +265,8 @@ class TestVictimPickerTable:
         obs = Observability(enabled=True)
         gc = self._collector(schedule, policy, PICKER_BLOCKS, obs=obs)
         gc._alloc_order[0] = [0, 1]  # age order lost track of every reclaimable block
-        fallbacks = obs.registry.counter("ftl.gc.fifo_fallbacks")
         assert gc.pick_victim(0) == PICK_ORDER["greedy" if policy == "fifo" else policy][0]
-        assert fallbacks.value == (1 if policy == "fifo" else 0)
+        assert obs.registry.counter_value("ftl.gc.fifo_fallbacks") == (1 if policy == "fifo" else 0)
 
 
 class TestBoundedValidRatioState:

@@ -224,7 +224,7 @@ class TestFifoFallbackTrap:
                 gc_wear_spread_threshold=0,
             ),
         )
-        return ftl, obs.registry.counter("ftl.gc.fifo_fallbacks")
+        return ftl, lambda: obs.registry.counter_value("ftl.gc.fifo_fallbacks")
 
     def test_nothing_reclaimable_still_counts_every_fallback(self):
         ftl, fallbacks = self._ftl()
@@ -235,14 +235,14 @@ class TestFifoFallbackTrap:
             ftl.write(lpn, ("a", lpn))
         assert ftl.stats.gc_invocations == 0
         assert ftl.gc.free_block_counts() == [1, 1]
-        assert fallbacks.value == 218
+        assert fallbacks() == 218
         # Overwrites make blocks reclaimable: FIFO mostly finds them itself.
         for round_number in range(4):
             for lpn in range(0, 236, 3):
                 ftl.write(lpn, ("b", round_number, lpn))
         assert ftl.stats.gc_invocations == 229
         assert ftl.stats.gc_copyback_writes == 1519
-        assert fallbacks.value == 232
+        assert fallbacks() == 232
 
 
 class TestCountGuards:

@@ -1,9 +1,12 @@
 """One counter per event: the registry reads the layers' own records by name.
 
 Every count a layer keeps in a record of its own (``FlashStats``,
-``DeviceCounters``, the device's and queue's stall counts, a tenant's
-account, ext4's ``FsStats``, its page cache's and its journal's counts) is
-exported through ``MetricsRegistry.bind``; nothing increments an obs twin.
+``DeviceCounters``, the chip's torn programs, the device's and queue's
+stall counts, the collector's schedule counts, X-FTL's version counts, a
+tenant's account, ext4's ``FsStats``, its page cache's and its journal's
+counts, and the records every pager, connection and transaction manager
+of a stack shares) is exported through ``MetricsRegistry.bind``; nothing
+increments an obs twin.
 These tests pin that the bound names read the records, on a bare stack and
 through ``build_stack``, across merged sessions and across a remount (the
 fresh mount's records replace the old ones), and that a disabled handle
@@ -25,7 +28,9 @@ from repro.flash.stats import FlashStats
 from repro.fs.ext4 import FsStats
 from repro.fs.pagecache import PageCache
 from repro.ftl.base import FtlConfig
+from repro.ftl.gc import Collector
 from repro.ftl.pagemap import PageMappingFTL
+from repro.ftl.xftl import XFTL
 from repro.obs import NULL_OBS, Observability, install_default_hub, uninstall_default_hub
 from repro.stack import Mode, StackConfig, TenantScheduler, build_stack
 from repro.tenancy import TenantAccount
@@ -36,6 +41,13 @@ _SMALL = dict(num_blocks=128, pages_per_block=64)
 def _expected(chip, device, fs=None) -> dict[str, int]:
     """Every bound name of a chip + device (+ fs), read straight from the records."""
     expected = {name: getattr(chip.stats, field) for name, field in FlashStats.OBS_NAMES.items()}
+    expected["flash.torn_programs"] = chip.torn_programs
+    collector = device.ftl.gc
+    for field in Collector.OBS_FIELDS:
+        expected[f"ftl.gc.{field}"] = getattr(collector, field)
+    if isinstance(device.ftl, XFTL):
+        for field in ("version_publishes", "version_releases", "asof_reads"):
+            expected[f"ftl.mvcc.{field}"] = getattr(device.ftl, field)
     expected.update(
         {f"dev.{f.name}": getattr(device.counters, f.name) for f in fields(DeviceCounters)}
     )
@@ -44,6 +56,11 @@ def _expected(chip, device, fs=None) -> dict[str, int]:
     if device.queue is not None:
         expected["dev.queue.share_stalls"] = device.queue.share_stalls
         expected["dev.queue.epochs"] = device.queue.epochs_closed
+        expected["dev.queue.admit_stalls"] = device.queue.admit_stalls
+    # The records every pager, connection and transaction manager shares.
+    for record in chip.obs._shared.values():
+        for name, field in record.OBS_NAMES.items():
+            expected[name] = getattr(record, field)
     for account in chip.tenants.accounts:
         for field in TenantAccount.OBS_FIELDS:
             expected[f"tenant.{account.name}.{field}"] = getattr(account, field)

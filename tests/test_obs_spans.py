@@ -4,7 +4,8 @@ The tentpole property of the tracing side of ``repro.obs``: a single
 SQLite transaction commit on an X-FTL stack produces one ``sqlite``-layer
 span whose sub-tree contains the file-system fsync, the device's tagged
 writes and commit command, and the NAND programs they caused — all
-correlated on the simulated clock.
+correlated on the simulated clock.  RBJ (the sync prologue) and WAL (the
+frame append's ``fbarrier``) are held to the same tree.
 """
 
 import json
@@ -14,11 +15,9 @@ from repro.obs.tracing import Tracer
 from repro.stack import Mode, StackConfig, build_stack
 
 
-def _traced_stack():
+def _traced_stack(mode=Mode.XFTL):
     return build_stack(
-        StackConfig(
-            mode=Mode.XFTL, num_blocks=128, pages_per_block=64, metrics=True, trace=True
-        )
+        StackConfig(mode=mode, num_blocks=128, pages_per_block=64, metrics=True, trace=True)
     )
 
 
@@ -117,6 +116,41 @@ class TestCrossLayerCommitSpan:
                 layers.add(parent.layer)
                 parent_id = parent.parent_id
             assert "dev" in layers or "ftl" in layers
+
+
+class TestWalCommitSpan:
+    """A WAL COMMIT appends its frames with one ``fbarrier``: the frames are
+    device writes, and the ext4 journal commit under it flushes the device,
+    whose FTL barrier programs the map pages."""
+
+    def test_commit_nests_fbarrier_writes_flushes_and_programs(self):
+        stack = _traced_stack(Mode.WAL)
+        _run_commit(stack)
+        tracer = stack.obs.tracer
+
+        def named(spans, layer, name):
+            return [s for s in spans if (s.layer, s.name) == (layer, name)]
+
+        span = named(tracer.spans, "sqlite", "commit")[-1]  # the explicit COMMIT
+        (fbarrier,) = named(_descendants(tracer, span), "fs", "fbarrier")
+        below = _descendants(tracer, fbarrier)
+        assert named(below, "dev", "write")
+        flushes = named(below, "dev", "flush")
+        assert flushes
+        barriers = [
+            s for flush in flushes for s in named(tracer.children_of(flush), "ftl", "barrier")
+        ]
+        assert len(barriers) == len(flushes)
+        assert any(named(tracer.children_of(barrier), "flash", "program") for barrier in barriers)
+        for child in below:
+            assert fbarrier.start_us <= child.start_us <= child.end_us <= fbarrier.end_us
+
+    def test_same_seed_runs_identical_dumps(self):
+        first, second = _traced_stack(Mode.WAL), _traced_stack(Mode.WAL)
+        _run_commit(first)
+        _run_commit(second)
+        assert first.obs.registry.as_dict() == second.obs.registry.as_dict()
+        assert json.dumps(first.obs.tracer.as_dicts()) == json.dumps(second.obs.tracer.as_dicts())
 
 
 class TestDeterminismAndCrossCheck:

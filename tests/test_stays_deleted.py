@@ -334,6 +334,9 @@ def _one_finish_method() -> list[str]:
     ]
 
 
+#: The layers under the SQL connection, where every command runs.
+_LAYERS = tuple(f"src/repro/{layer}" for layer in ("device", "flash", "fs", "ftl", "sqlite"))
+
 ROWS = [
     # -- the SQL layer
     Pattern("statement-lifecycle", "One statement cache; a plan reads its parameters as it runs.",
@@ -389,6 +392,12 @@ ROWS = [
             r"|journal_page_writes|fsync_calls|file_creates|file_deletes|steal_writes|cache\."
             r"|journal\.(commits|checkpoints))|statements_executed|journal_page_writes \+= (len|3)",
             'obs.counter("fs.fsync_calls")'),
+    Pattern("no-inline-spans", "Spans are rows of repro.obs.instrument.INSTRUMENTS.",
+            r"\.span\(", 'with self.obs.tracer.span("write", "dev", lpn=lpn):', _LAYERS),
+    Pattern("no-inline-instruments",
+            "Histograms are rows of the instrumentation table; counts are bound int fields.",
+            r"\.(observe|inc|set|histogram|counter|gauge)\(",
+            "self._obs_flush_us.observe(self.clock.now_us - start_us)", _LAYERS),
     Structure("flash-stats-counts", "FlashStats is the one store of flash counts: all ints.",
               lambda: [f.name for f in fields(FlashStats) if f.type not in (int, "int")]),
     # -- the FTL
