@@ -142,7 +142,6 @@ class Connection:
             session=session,
         )
         self.last_recovery_us = self.pager.last_recovery_us
-        self.obs = fs.obs
         self.counts: StatementCounts = fs.obs.shared(StatementCounts)
         self._explicit_txn = False
         # Staged commits (OFF mode): with defer_commits set, COMMIT stages

@@ -113,7 +113,6 @@ class Pager:
         self._decode = page_decoder
         self.cache_pages = cache_pages
         self.session = session  # owning Session, if any (concurrency runs)
-        self.obs = fs.obs
         obs = fs.obs
         obs.annotate(f"sqlite.{name}.journal_mode", mode.value)
         self.counts: PagerCounts = obs.shared(PagerCounts)
