@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from array import array
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
@@ -185,18 +186,23 @@ class Ext4:
         # label.  Volatile, like the rest of the mount state; the stack
         # re-registers namespaces after a remount.
         self._namespaces: dict[str, str] = {}
-        self.cache = PageCache(cache_capacity, writeback=self._evict_writeback, obs=obs)
+        # The cache and the journal call back into this mount through a weak
+        # proxy, and the protocol below is kept as plain functions: a bound
+        # method of the mount held by one of its own parts would make the
+        # mount a reference cycle, which refcounting never frees.
+        fs = weakref.proxy(self)
+        self.cache = PageCache(
+            cache_capacity,
+            writeback=lambda lpn, data, txn: fs._evict_writeback(lpn, data, txn),
+            obs=obs,
+        )
         self.journal: Jbd2Journal | None = None
         if mode in (JournalMode.ORDERED, JournalMode.FULL):
             self.journal = self._make_journal()
         # The durability protocol: the body behind every sync entry point, and
         # the write a dirty page evicted before its fsync (a steal) gets.
-        self._sync_body, self._steal = {
-            JournalMode.ORDERED: (self._sync_ordered, self._steal_home),
-            JournalMode.FULL: (self._sync_full, self._steal_journaled),
-            JournalMode.XFTL: (self._sync_xftl, self._steal_tagged),
-            JournalMode.NONE: (self._sync_unjournaled, self._steal_home),
-        }[mode]
+        # Both are called with the mount as their first argument.
+        self._sync_body, self._steal = _PROTOCOLS[mode]
 
     # ------------------------------------------------------------- factory
 
@@ -231,13 +237,14 @@ class Ext4:
         return fs
 
     def _make_journal(self) -> Jbd2Journal:
+        fs = weakref.proxy(self)  # no cycle through the journal (see __init__)
         return Jbd2Journal(
             region_start=self.journal_start,
             region_pages=self.journal_pages,
-            write_page=self._device_write_journal,
+            write_page=lambda lpn, image: fs._device_write_journal(lpn, image),
             read_page=self.device.read,
-            write_ordered=self._device_write_journal_ordered,
-            write_home=self._journal_write_home,
+            write_ordered=lambda lpn, image: fs._device_write_journal_ordered(lpn, image),
+            write_home=lambda lpn, image: fs._journal_write_home(lpn, image),
             obs=self.obs,
         )
 
@@ -494,7 +501,7 @@ class Ext4:
             self._write_data_home(dirty)
             self.device.barrier()
         else:
-            self._sync_body(dirty, handles, txn, order_only, commit)
+            self._sync_body(self, dirty, handles, txn, order_only, commit)
 
     def commit_tx_group(self, txns) -> None:
         """Group commit, phase 2: one commit sweep for all staged ``txns``.
@@ -876,7 +883,7 @@ class Ext4:
     def _evict_writeback(self, lpn: int, data: Any, txn) -> None:
         """Steal path: a dirty page leaves the cache before any fsync."""
         self._dirty_data.pop(lpn, None)
-        self._steal(lpn, data, txn)
+        self._steal(self, lpn, data, txn)
 
     def _steal_home(self, lpn: int, data: Any, txn) -> None:
         self._device_write_data(lpn, data)
@@ -890,6 +897,14 @@ class Ext4:
         else:
             self._device_write_data(lpn, data, tid=txn.tid)
             self._stolen[lpn] = txn.tid
+
+
+_PROTOCOLS = {
+    JournalMode.ORDERED: (Ext4._sync_ordered, Ext4._steal_home),
+    JournalMode.FULL: (Ext4._sync_full, Ext4._steal_journaled),
+    JournalMode.XFTL: (Ext4._sync_xftl, Ext4._steal_tagged),
+    JournalMode.NONE: (Ext4._sync_unjournaled, Ext4._steal_home),
+}
 
 
 class FileHandle:

@@ -29,6 +29,7 @@ the ``ftl.cmt`` verify layer.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 from repro.errors import FtlError
@@ -61,7 +62,8 @@ class CachedMappingTable:
             raise FtlError(f"CMT capacity must be positive, got {capacity}")
         if dirty_batch < 0:
             raise FtlError(f"cmt_dirty_batch must be >= 0, got {dirty_batch}")
-        self.ftl = ftl
+        # Weak, as the collector's: the FTL owns its CMT.
+        self.ftl = weakref.proxy(ftl)
         self.capacity = capacity
         self.dirty_batch = dirty_batch
         # segment -> None; insertion order is LRU order (last = most recent).

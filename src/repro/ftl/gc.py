@@ -51,8 +51,10 @@ selection / copyback mechanism):
     to the cold one.
     *Wear leveling*: every ``gc_wear_check_interval`` steps the erase-count
     spread is sampled; beyond ``gc_wear_spread_threshold`` the least-worn
-    written block is migrated into the cold stream and erased, and the free
-    pool is kept sorted so the least-worn free block is handed out first.
+    written block is migrated into the cold stream and erased (only with two
+    blocks of headroom beyond the victim's valid pages: below two blocks no
+    victim is scored at all), and the free pool is kept sorted so the
+    least-worn free block is handed out first.
     *One decision per host page*: ``host_program`` appends to its stream's
     open block itself (``_stream_block`` only opens one or falls back to the
     cold block); the step takes the headroom it computed, writes the state
@@ -183,6 +185,7 @@ class Collector:
         geo = self._geo = chip.geometry
         self._channels = geo.channels
         self._per = geo.pages_per_block
+        self._channel_blocks = [geo.channel_blocks(c) for c in range(self._channels)]
         # Block state lives on the chip's BlockStateView and live-page
         # counts beside the FTL's owner table; all are mutated in place, so
         # aliasing them is safe across power cycles.
@@ -256,10 +259,8 @@ class Collector:
         partially-written block.
         """
         self.reset()
-        geo = self._geo
         write_points = self._write_points
-        for channel in range(geo.channels):
-            blocks = geo.channel_blocks(channel)
+        for channel, blocks in enumerate(self._channel_blocks):
             self._free_by_channel[channel] = [b for b in blocks if write_points[b] == 0]
             self._alloc_order[channel] = [b for b in blocks if write_points[b] > 0]
             partials = [b for b in blocks if 0 < write_points[b] < self._per]
@@ -746,7 +747,7 @@ class Collector:
         write_points = self._write_points
         valid_counts = self._valid_counts
         excluded = None  # built only once some block passes the count test
-        for block in self._geo.channel_blocks(channel):
+        for block in self._channel_blocks[channel]:
             if valid_counts[block] <= pages and write_points[block]:
                 if excluded is None:
                     excluded = self._excluded(channel)
@@ -782,7 +783,7 @@ class Collector:
         valid_counts = self._valid_counts
         excluded = self._excluded(channel)
         best, best_valid = None, None
-        for block in self._geo.channel_blocks(channel):
+        for block in self._channel_blocks[channel]:
             if block in excluded:
                 continue
             used = write_points[block]
@@ -826,7 +827,7 @@ class Collector:
         tick = self._tick
         excluded = self._excluded(channel)
         best, best_score = None, None
-        for block in self._geo.channel_blocks(channel):
+        for block in self._channel_blocks[channel]:
             if block in excluded:
                 continue
             used = write_points[block]
@@ -854,12 +855,14 @@ class Collector:
             return False
         if self._jobs[channel] is not None:
             return False  # one job at a time per channel
-        victim = self._pick_wear_victim(channel, min(self._erase_counts))
-        if victim is None:
-            return False
         # Wear victims may be fully valid: require a whole extra block of
-        # slack beyond the urgent floor before taking one on.
-        if self._valid_counts[victim] > self.headroom_pages(channel) - 2 * self._per:
+        # slack beyond the urgent floor before taking one on.  Below that no
+        # victim fits, so none is scored.
+        affordable = self.headroom_pages(channel) - 2 * self._per
+        if affordable < 0:
+            return False
+        victim = self._pick_wear_victim(channel, min(self._erase_counts))
+        if victim is None or self._valid_counts[victim] > affordable:
             return False
         job = self._open_job(channel, victim, wear=True)
         self._stats.gc_wear_migrations += 1
@@ -883,7 +886,7 @@ class Collector:
         counts = self._erase_counts
         write_points = self._write_points
         best, best_count = None, None
-        for block in self._geo.channel_blocks(channel):
+        for block in self._channel_blocks[channel]:
             if block in excluded:
                 continue
             if write_points[block] == 0:

@@ -123,9 +123,10 @@ the collector moves what the table says is owned, a run at a time: it reads
 the victim's owner codes and OOB keys once and hands each run's share to
 ``_gc_oobs`` and ``_apply_relocations``, where one slice assignment hands
 the destinations their owners and one update dirties the run's translation
-segments.  An all-L2P run, the common case, takes its keys as its lpns and
-draws its OOBs in one pass over its sequence range; a page of any other
-owner dispatches on its code (``_gc_oob``, ``_repoint_owner``).
+segments.  An all-L2P run, the common case, takes its keys as its lpns,
+draws its OOBs in one pass over its sequence range and is relocated with no
+owner test per page; a page of any other owner dispatches on its code
+(``_gc_oob``, ``_repoint_owner``).
 """
 
 from __future__ import annotations
@@ -730,22 +731,29 @@ class PageMappingFTL:
         if owner_table[dst : dst + n].count(DEAD) != n:
             raise FtlError(f"ppns {dst}..{dst + n - 1} already owned")
         owner_table[dst : dst + n] = owners
-        detail = self._owner_detail
-        for owner, lpn, old_ppn, new_ppn in zip(owners, keys, srcs, range(dst, dst + n)):
-            owner_table[old_ppn] = DEAD
-            if owner == OWNER_DATA:  # a data page's key is its lpn
+        entries = self._map_entries_per_page
+        if owners.count(OWNER_DATA) == n:
+            # All L2P pages, the common case: every key is an lpn.
+            for old_ppn in srcs:
+                owner_table[old_ppn] = DEAD
+            for lpn, new_ppn in zip(keys, range(dst, dst + n)):
                 l2p[lpn] = new_ppn
-            else:
-                key = detail[new_ppn] = detail.pop(old_ppn)
-                self._repoint_owner(owner, key, old_ppn, new_ppn)
+            segments = [lpn // entries for lpn in keys]
+        else:
+            detail = self._owner_detail
+            for owner, lpn, old_ppn, new_ppn in zip(owners, keys, srcs, range(dst, dst + n)):
+                owner_table[old_ppn] = DEAD
+                if owner == OWNER_DATA:  # a data page's key is its lpn
+                    l2p[lpn] = new_ppn
+                else:
+                    key = detail[new_ppn] = detail.pop(old_ppn)
+                    self._repoint_owner(owner, key, old_ppn, new_ppn)
+            segments = [lpn // entries for owner, lpn in zip(owners, keys) if owner == OWNER_DATA]
         # The relocated mappings must reach flash at the next flush: the
         # published root.seq will cover the relocations' sequence numbers,
         # so OOB replay would skip them — without the dirty markers a crash
         # after the next barrier reads the stale flushed mappings.
-        entries = self._map_entries_per_page
-        self._dirty_segments.update(
-            [lpn // entries for owner, lpn in zip(owners, keys) if owner == OWNER_DATA]
-        )
+        self._dirty_segments.update(segments)
         per = self._pages_per_block
         self._valid_count[srcs[0] // per] -= n
         self._valid_count[dst // per] += n

@@ -24,7 +24,10 @@ arguments in the plan's parameter cell, which the closures read when they
 run.  It comes before any effect, so a statement given too few arguments
 raises with no row touched, and a statement that fails to prepare or bind is
 not cached, counted in ``sqlite.statements`` or charged host time.  *Run*
-executes the closures; it never parses, resolves a name or compiles.
+executes the closures; it never parses, resolves a name or compiles.  A plan
+holds no reference to its connection: its ``run`` is handed the connection
+per call, so the statement cache is no reference cycle and a dropped
+connection is freed by refcounting.
 
 A plan is valid for exactly the catalog it was built against: it holds
 ``Table`` objects and tree roots.  So every plan is dropped whenever the
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 from repro.errors import DatabaseError, PowerFailure, SchemaError, SqlError
@@ -95,7 +97,8 @@ class _Plan:
 
     def __init__(
         self,
-        run: Callable[[], list[Row] | None],  # rows for SELECT and transaction control
+        # run(connection): rows for SELECT and transaction control
+        run: Callable[[Connection], list[Row] | None],
         params: Parameters | None = None,
         writes: bool = False,
         scans: Sequence[_Scan] = (),
@@ -322,14 +325,14 @@ class Connection:
         self.counts.statements += 1
         self._clock.advance(self._profile.host_cpu_statement_us)
         if not plan.writes:
-            return plan.run()
+            return plan.run(self)
         if self.staged_txn is not None:  # its pages are already on the device
             raise DatabaseError("cannot write while a commit is staged")
 
         # Writes: run inside the explicit txn or an autocommit txn.
         self._begin_internal()
         try:
-            plan.run()
+            plan.run(self)
         except PowerFailure:
             raise  # machine is down: no in-process rollback is possible
         except BaseException:
@@ -480,32 +483,36 @@ class Connection:
         if isinstance(statement, ast.Delete):
             return self._plan_delete(statement)
         if isinstance(statement, ast.Begin):
-            return self._plan_txn(self.begin_snapshot if statement.snapshot else self.begin)
+            return self._plan_txn(
+                Connection.begin_snapshot if statement.snapshot else Connection.begin
+            )
         if isinstance(statement, ast.Commit):
-            return self._plan_txn(self.commit)
+            return self._plan_txn(Connection.commit)
         if isinstance(statement, ast.Rollback):
-            return self._plan_txn(self.rollback)
+            return self._plan_txn(Connection.rollback)
         for node, runner in (
-            (ast.CreateTable, self._run_create_table),
-            (ast.CreateIndex, self._run_create_index),
-            (ast.DropTable, self._run_drop_table),
-            (ast.DropIndex, self._run_drop_index),
+            (ast.CreateTable, Connection._run_create_table),
+            (ast.CreateIndex, Connection._run_create_index),
+            (ast.DropTable, Connection._run_drop_table),
+            (ast.DropIndex, Connection._run_drop_index),
         ):
             if isinstance(statement, node):
-                return _Plan(partial(self._run_ddl, runner, statement), writes=True)
+                return _Plan(lambda connection: connection._run_ddl(runner, statement), writes=True)
         raise SqlError(f"unsupported statement type {type(statement).__name__}")
 
     @staticmethod
-    def _plan_txn(action: Callable[[], object]) -> _Plan:
-        def run() -> list[Row]:
-            action()
+    def _plan_txn(action: Callable[[Connection], object]) -> _Plan:
+        def run(connection: Connection) -> list[Row]:
+            action(connection)
             return []
 
         return _Plan(run)
 
-    def _run_ddl(self, runner: Callable[[ast.Statement], None], statement: ast.Statement) -> None:
+    def _run_ddl(
+        self, runner: Callable[[Connection, ast.Statement], None], statement: ast.Statement
+    ) -> None:
         self._drop_plans()
-        runner(statement)
+        runner(self, statement)
 
     def _plan_scan(
         self,
@@ -540,8 +547,10 @@ class Connection:
                 [(position, compiler.compile(expr)) for position, expr in zip(positions, row_exprs)]
             )
         store = TableStore(table, self.pager)
-        run = partial(self._run_insert, store, len(table.columns), rows)
-        return _Plan(run, params, writes=True)
+        width = len(table.columns)
+        return _Plan(
+            lambda _connection: Connection._run_insert(store, width, rows), params, writes=True
+        )
 
     @staticmethod
     def _run_insert(store: TableStore, width: int, rows: list[list[tuple[int, Callable]]]) -> None:
@@ -569,8 +578,12 @@ class Connection:
         # Only an index over an assigned column can change: the rest are
         # left alone row by row.
         indexes = scan.store.indexes_over([position for position, _ in assignments])
-        run = partial(self._run_update, scan, assignments, indexes)
-        return _Plan(run, compiler.params, writes=True, scans=[scan])
+        return _Plan(
+            lambda connection: connection._run_update(scan, assignments, indexes),
+            compiler.params,
+            writes=True,
+            scans=[scan],
+        )
 
     def _run_update(
         self, scan: _Scan, assignments: list[tuple[int, Callable]], indexes: list
@@ -585,7 +598,12 @@ class Connection:
 
     def _plan_delete(self, statement: ast.Delete) -> _Plan:
         _table, compiler, scan = self._plan_match(statement.table, statement.where)
-        return _Plan(partial(self._run_delete, scan), compiler.params, writes=True, scans=[scan])
+        return _Plan(
+            lambda connection: connection._run_delete(scan),
+            compiler.params,
+            writes=True,
+            scans=[scan],
+        )
 
     def _run_delete(self, scan: _Scan) -> None:
         store = scan.store
@@ -618,7 +636,7 @@ class Connection:
             # Expression-only SELECT (e.g. SELECT 1+1).
             compiler = ExprCompiler([], params)
             items = [compiler.compile(item.expr) for item in statement.items if item.expr]
-            return _Plan(lambda: [tuple(item(_NO_ROW) for item in items)], params)
+            return _Plan(lambda _connection: [tuple(item(_NO_ROW) for item in items)], params)
 
         refs = [statement.source] + [join.table for join in statement.joins]
         bindings = [(ref.binding, self.catalog.get_table(ref.name)) for ref in refs]
@@ -663,16 +681,13 @@ class Connection:
         constants = ExprCompiler([], params)  # LIMIT / OFFSET see no column
         offset = constants.compile(statement.offset) if statement.offset else None
         limit = constants.compile(statement.limit) if statement.limit else None
-        run = partial(
-            self._run_select,
-            scans,
-            aggregates,
-            projectors,
-            order_by,
-            statement.distinct,
-            offset,
-            limit,
-        )
+        distinct = statement.distinct
+
+        def run(connection: Connection) -> list[Row]:
+            return connection._run_select(
+                scans, aggregates, projectors, order_by, distinct, offset, limit
+            )
+
         return _Plan(run, params, scans=scans)
 
     def _run_select(

@@ -35,6 +35,7 @@ nesting.  Instead the manager records zero-duration ``txn.begin`` /
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
@@ -141,7 +142,9 @@ class TxnManager:
     """
 
     def __init__(self, fs: "Ext4") -> None:
-        self.fs = fs
+        # Weak: the file system owns its manager, and a strong
+        # back-reference would make every mount a reference cycle.
+        self.fs = weakref.proxy(fs)
         self.obs = fs.obs
         self._live: dict[int, TransactionContext] = {}
         # Active snapshot pins (multi-version X-L2P): token -> pinned commit

@@ -23,6 +23,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.state import PAGE_TORN
 from repro.obs import Observability
 from repro.sim.crash import CrashPlan
+from repro.sim.rng import make_rng
 from tests.chip_image import chip_image
 
 PER = 8
@@ -255,3 +256,52 @@ def test_anything_else_goes_page_by_page(kind: str, change: dict, monkeypatch) -
     with contextlib.suppress(FlashError, CorruptionError):
         chip.copyback_run(case["srcs"], case["dst"], case["oobs"])
     assert programs  # at least the first page went through program()
+
+
+def _timeline_state(chip: FlashChip, channel: int, regions: list) -> tuple:
+    timeline = chip.channel_timeline(channel)
+    return (
+        chip.clock._now_us,
+        timeline.busy_until_us,
+        timeline.busy_us,
+        timeline.reservations,
+        [region.end_us for region in regions],
+    )
+
+
+@pytest.mark.parametrize("regions", [0, 1, 2])
+@pytest.mark.parametrize("floor", ["below-now", "above-now"])
+def test_charge_run_is_charge_flash_per_operation(regions: int, floor: str) -> None:
+    """``_charge_run`` leaves exactly what one ``_charge_flash`` per
+    operation leaves: clock, busy-until, busy time, reservation count and
+    every open region's horizon, compared with ``==``.  The durations mix a
+    read and a program time that do not add exactly in binary, so a sum
+    taken in any other order than the per-operation one shows."""
+    read_us, program_us = 220.1, 1300.3
+    rng = make_rng(7, "test.copyback_run", f"charge_run.{regions}.{floor}")
+    for length in [*range(1, 41), *range(41, 301, 13), 300]:
+        durations = tuple(rng.choice((read_us, program_us)) for _ in range(length))
+        now = rng.uniform(0.0, 1e6)
+        busy = now + rng.uniform(-1e4, 1e4)
+        dispatch_floor = now + (rng.uniform(1.0, 1e4) if floor == "above-now" else -1.0)
+        states = []
+        for charge in ("run", "per-operation"):
+            geometry = FlashGeometry(
+                page_size=64, pages_per_block=PER, num_blocks=BLOCKS, channels=2
+            )
+            chip = FlashChip(geometry)
+            chip.clock._now_us = now
+            timeline = chip.channel_timeline(1)
+            timeline.busy_until_us = busy
+            timeline.busy_us = 1234.567
+            timeline.reservations = 3
+            chip.dispatch_floor_us = dispatch_floor
+            with contextlib.ExitStack() as stack:
+                opened = [stack.enter_context(chip.overlap()) for _ in range(regions)]
+                if charge == "run":
+                    chip._charge_run(1, durations)
+                else:
+                    for duration_us in durations:
+                        chip._charge_flash(duration_us, 1)
+            states.append(_timeline_state(chip, 1, opened))
+        assert states[0] == states[1], (length, durations)

@@ -12,6 +12,7 @@ from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashGeometry
 from repro.flash.chip import FlashChip
 from repro.ftl import Collector, FtlConfig, GcState, PageMappingFTL, XFTL
+from repro.ftl.pagemap import OOB_DATA
 from repro.obs import Observability
 from repro.sim import CrashPlan
 
@@ -311,6 +312,41 @@ class TestWearLeveling:
         assert ftl_off.stats.gc_wear_migrations == 0
         assert ftl_on.stats.gc_wear_migrations > 0
         assert spread_on < spread_off
+
+    def test_a_check_under_two_blocks_of_headroom_scores_no_victim(self, monkeypatch):
+        """No victim fits then, so none is scored; the erase spread is
+        still sampled once per check.  The collector's own host programs
+        drive it: fresh keys stay cold and own no page, and a watermark of
+        0 keeps the schedule idle above the urgent floor."""
+        obs = Observability(enabled=True)
+        ftl = make_bg_ftl(
+            num_blocks=16,
+            channels=1,
+            obs=obs,
+            gc_policy="greedy",
+            gc_background_watermark=0,
+            gc_wear_spread_threshold=1,
+            gc_wear_check_interval=1,
+        )
+        gc = ftl.gc
+        # 113 pages fill 14 blocks and open a 15th: one free block is left,
+        # so the next seven programs see 15 down to 9 pages of headroom.
+        for key in range(113):
+            gc.host_program(("cold", key), OOB_DATA, key, None)
+        (free,) = gc._free_by_channel[0]
+        gc._erase_counts[free] = 5  # a spread every check sees
+
+        def no_scan(channel, global_min):
+            raise AssertionError(f"a victim was scored at {gc.headroom_pages(channel)} pages")
+
+        monkeypatch.setattr(gc, "_pick_wear_victim", no_scan)
+        spread = obs.registry.histograms()["ftl.gc.erase_spread"]
+        checks = spread.count
+        for key in range(113, 120):
+            assert 8 < gc.headroom_pages(0) < 16
+            gc.host_program(("cold", key), OOB_DATA, key, None)
+        assert spread.count - checks == 7
+        assert ftl.stats.gc_wear_migrations == 0
 
 
 class TestXl2pSurvivesCollection:

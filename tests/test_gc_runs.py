@@ -249,17 +249,20 @@ class TestCountGuards:
     """``ftl_gc`` in small: 8 channels, queue depth 8, 85 % full, 80/20 skew,
     background cost-benefit collection with wear levelling."""
 
-    #: Python-level calls per flash operation.  3.492 when recorded (CPython
-    #: 3.11; 4.126 while the barrier flushed a page per call through
-    #: ``_write_translation_page``, released retired pages through
-    #: ``_disown`` and every host program called ``_stream_block``; 4.11
-    #: while runs were relocated page by page over tuple owners, 4.79 while
-    #: every queued command also registered a clock completion event, 5.94
-    #: with three headroom computations and up to two state writes per
+    #: Python-level calls per flash operation.  2.675 when recorded (CPython
+    #: 3.11; 2.775 while every wear check scored a victim it could not
+    #: afford and every block scan called ``geometry.channel_blocks``;
+    #: 3.492 when first recorded; 4.126 while the barrier flushed a page per
+    #: call through ``_write_translation_page``, released retired pages
+    #: through ``_disown`` and every host program called ``_stream_block``;
+    #: 4.11 while runs were relocated page by page over tuple owners, 4.79
+    #: while every queued command also registered a clock completion event,
+    #: 5.94 with three headroom computations and up to two state writes per
     #: background step, 12.20 before copyback moved as runs).
-    CALLS_PER_FLASH_OP_CEILING = 3.50
-    #: ``headroom_pages`` + ``_set_state`` calls per host program: 1.07 when
-    #: recorded, 6.27 before the step computed headroom once.
+    CALLS_PER_FLASH_OP_CEILING = 2.70
+    #: ``headroom_pages`` + ``_set_state`` calls per host program: 1.10 when
+    #: recorded (1.07 before every wear check read the headroom first),
+    #: 6.27 before the step computed headroom once.
     DECISION_CALLS_PER_HOST_PROGRAM_CEILING = 1.2
     #: ``_stream_block`` calls per host program: 0.928 when recorded, 1.0
     #: while every host program went through it.  At 85 % fill the hot
@@ -336,6 +339,9 @@ class TestCountGuards:
         # (e) The background gate never builds the exclusion set: only the
         # victim pickers do (1,430 + 248 when recorded).
         assert calls["_excluded"] == calls["pick_victim"] + calls["_pick_wear_victim"]
+        # A wear check without two blocks of headroom scores no victim: at
+        # 85 % fill that is every one (248 checks, 248 scans before).
+        assert calls["_maybe_wear_level"] > 200 and calls["_pick_wear_victim"] == 0
         # (f) A paced slice is entered only to open or advance a job (at 85 %
         # fill the gate declines every one: 6,448 calls that all declined
         # before the gate moved into the step, 0 now).

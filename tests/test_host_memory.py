@@ -14,11 +14,15 @@ hold does not grow with the number of barriers, and the payloads of the data
 pages that died before it began, so what superseded data holds does not
 grow with the number of overwrites.  Above the device, a B-tree leaf cell
 holds its row, and the record codec keeps no row and no payload: UPDATEs and
-reads of the same rows leave nothing behind in it.
+reads of the same rows leave nothing behind in it.  And a dropped stack is
+freed by refcounting: no reference cycle keeps one alive until the cyclic
+collector runs.
 """
 
+import gc
 import sys
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -215,3 +219,38 @@ def test_updates_of_the_same_rows_leave_nothing_in_the_codec(text_bytes):
             db.execute("COMMIT")
     assert used["sqlite/records.py"] <= 512
     assert db.execute("SELECT SUM(n) FROM t") == [(rows * rounds,)]
+
+
+@pytest.mark.parametrize(
+    "mode,ftl",
+    [
+        (Mode.RBJ, FtlConfig()),
+        (Mode.WAL, FtlConfig()),
+        (Mode.XFTL, FtlConfig()),
+        (Mode.RBJ, FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_pages=8)),
+        (Mode.XFTL, FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_pages=8)),
+    ],
+    ids=["rbj", "wal", "xftl", "rbj-cmt", "xftl-cmt"],
+)
+def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl):
+    """No reference cycle runs through a stack: with the cyclic collector
+    off, dropping the last reference to a stack that committed a
+    transaction frees its chip at once.  A part that calls back into its
+    owner (the fs cache and journal, the transaction manager, the collector,
+    the CMT, a prepared statement) holds it weakly or is handed it per
+    call."""
+    gc.collect()
+    gc.disable()
+    try:
+        stack = build_stack(mode=mode, num_blocks=256, channels=2, ftl=ftl)
+        db = stack.open_database()
+        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT)")
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t VALUES (?, ?)", (1, "one"))
+        db.execute("COMMIT")
+        assert db.execute("SELECT b FROM t") == [("one",)]
+        chip = weakref.ref(stack.chip)
+        del db, stack
+        assert chip() is None
+    finally:
+        gc.enable()

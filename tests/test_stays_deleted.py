@@ -337,6 +337,17 @@ def _one_finish_method() -> list[str]:
 #: The layers under the SQL connection, where every command runs.
 _LAYERS = tuple(f"src/repro/{layer}" for layer in ("device", "flash", "fs", "ftl", "sqlite"))
 
+def _charge_run_loops() -> list[str]:
+    """``FlashChip._charge_run`` folds a run's durations: its one loop walks
+    the open overlap regions, none steps through the operations."""
+    return [
+        f"_charge_run: {type(node).__name__} at line {node.lineno}"
+        for node in ast.walk(_tree(FlashChip._charge_run))
+        if isinstance(node, (ast.While, ast.comprehension))
+        or (isinstance(node, ast.For) and ast.unparse(node.iter) != "regions")
+    ]
+
+
 ROWS = [
     # -- the SQL layer
     Pattern("statement-lifecycle", "One statement cache; a plan reads its parameters as it runs.",
@@ -440,6 +451,8 @@ ROWS = [
     # -- flash and the device
     Pattern("one-copyback-path", "A victim moves as runs: no per-page copyback.",
             r"program_copyback", "chip.program_copyback(src, dst)"),
+    Structure("charge-run-folds", "A plain run's time is two folds, not a step per operation.",
+              _charge_run_loops),
     Pattern("one-flash-timing-path", "One flash class: no serial chip, no dies, no FlashArray.",
             r"supports_overlap|dies_per_channel|FlashDie|def (die_of|require_channels"
             r"|channel_utilization)\b|(?<!class )FlashArray\(", "chip = FlashArray(geometry)"),
