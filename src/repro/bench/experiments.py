@@ -28,8 +28,9 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
-from repro.stack import BenchStack, Mode, StackConfig, TenantScheduler, build_stack
+from repro.stack import BenchStack, Mode, StackConfig, TenantScheduler, build_stack, resolve_obs
 from repro.ftl.base import FtlConfig
+from repro.sim.clock import SimClock
 from repro.sim.latency import OPENSSD_PROFILE, S830_PROFILE
 from repro.sim.rng import make_rng
 from repro.workloads.android import ALL_PROFILES, AndroidTraceGenerator, TraceReplayer
@@ -131,7 +132,8 @@ def _filled_ftl(
 
     The fill ends in a barrier and a drain, so the steady stream that
     follows starts from a persisted map and an idle device.  Returns the
-    FTL and ``fill``.
+    FTL and ``fill``.  Under an installed hub the chip records into a
+    session of its own, labeled with the FTL class, as a stack would.
     """
     geometry = FlashGeometry(
         page_size=512,
@@ -139,7 +141,9 @@ def _filled_ftl(
         num_blocks=num_blocks,
         channels=channels,
     )
-    ftl = ftl_class(FlashChip(geometry, profile=OPENSSD_PROFILE), config)
+    clock = SimClock()
+    obs = resolve_obs(ftl_class.__name__, clock)
+    ftl = ftl_class(FlashChip(geometry, clock, OPENSSD_PROFILE, obs=obs), config)
     fill = int(ftl.exported_pages * fill_fraction)
     for lpn in range(fill):
         ftl.write(lpn, ("fill", lpn))
@@ -1281,7 +1285,7 @@ def tenant_fairness(tenants: int = 4, transactions: int | None = None) -> Experi
             "cold_commits": len(cold_pool),
             "elapsed_s": clock.now_s,
             "registry": stack.chip.tenants.as_dict(),
-            "share_stalls": stack.device.queue.share_stalls,
+            "share_stalls": stack.device.queue.counts.share_stalls,
         }
 
     runs = {policy: _run(policy) for policy in ("round-robin", "deficit")}
@@ -1354,16 +1358,17 @@ def barrier_comparison(
         )
         run = workload.run(transactions=transactions, updates_per_txn=2)
         device = stack.device
+        stalls = device.stalls
         return {
             "elapsed_s": run.elapsed_s,
             "flushes": device.counters.flushes,
             "barriers": device.counters.barriers,
             "barrier_writes": device.counters.barrier_writes,
-            "drain_stalls": device.barrier_stalls,
-            "drain_stall_us": device.barrier_stall_us,
-            "stalls_avoided": device.stalls_avoided,
-            "stall_avoided_us": device.stall_avoided_us,
-            "epochs_closed": device.queue.epochs_closed,
+            "drain_stalls": stalls.barrier_stalls,
+            "drain_stall_us": stalls.barrier_stall_us,
+            "stalls_avoided": stalls.stalls_avoided,
+            "stall_avoided_us": stalls.stall_avoided_us,
+            "epochs_closed": device.queue.counts.epochs_closed,
         }
 
     result_rows = []

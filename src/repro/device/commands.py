@@ -10,6 +10,7 @@ statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 
 @dataclass
@@ -38,3 +39,20 @@ class DeviceCounters:
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(slots=True)
+class StallCounts:
+    """The ordering points that waited on in-flight commands (drain mode)
+    and those that did not need to (barrier mode), with the simulated time
+    each kind waited or saved."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "dev.queue.stalls_avoided": "stalls_avoided",
+        "dev.queue.barrier_stalls": "barrier_stalls",
+    }
+
+    stalls_avoided: int = 0
+    stall_avoided_us: float = 0.0
+    barrier_stalls: int = 0
+    barrier_stall_us: float = 0.0

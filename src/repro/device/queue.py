@@ -49,6 +49,8 @@ tests and the crash sweep can check exactly that.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.obs import Observability
 from repro.sim.clock import SimClock
@@ -69,6 +71,24 @@ CP_QUEUE_EPOCH = register_crash_point(
     "device.queue",
     "order-only barrier (epoch close) issued with commands still in flight",
 )
+
+
+@dataclass(slots=True)
+class QueueCounts:
+    """What a command queue counts, and its depth gauge: the commands in
+    flight as of the last poll and the most there ever were at once."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "dev.queue.share_stalls": "share_stalls",
+        "dev.queue.epochs": "epochs_closed",
+        "dev.queue.admit_stalls": "admit_stalls",
+    }
+
+    share_stalls: int = 0
+    epochs_closed: int = 0
+    admit_stalls: int = 0
+    depth: int = 0
+    peak_depth: int = 0
 
 
 class CommandQueue:
@@ -105,7 +125,7 @@ class CommandQueue:
         self._next_id = 0
         self._shares: dict[int, int] | None = None
         self._live_by_tenant: dict[int, int] = {}
-        self.share_stalls = 0
+        self.counts = QueueCounts()
         # Epoch bookkeeping (barrier-enabled devices only): every dispatched
         # command is tagged with the current epoch, and an order barrier
         # closes the epoch instead of draining.  Dispatch never reorders
@@ -114,20 +134,8 @@ class CommandQueue:
         self.epochs_enabled = epochs
         self._epoch = 0
         self._epoch_bounds: dict[int, tuple[float, float]] = {}  # epoch -> (min, max) end
-        self.epochs_closed = 0
-        self.admit_stalls = 0
-        # The most commands ever in the heap at once (retired ones leave at
-        # each poll): the ``dev.queue.depth`` gauge's high-water mark.
-        self.peak_depth = 0
-        obs.registry.bind(
-            self,
-            {
-                "dev.queue.share_stalls": "share_stalls",
-                "dev.queue.epochs": "epochs_closed",
-                "dev.queue.admit_stalls": "admit_stalls",
-            },
-        )
-        obs.registry.bind_gauge(self, "dev.queue.depth", "polled_depth", "peak_depth")
+        obs.registry.bind(self.counts, QueueCounts.OBS_NAMES)
+        obs.registry.bind_gauge(self.counts, "dev.queue.depth", "depth", "peak_depth")
         obs.instrument(self, clock)
 
     def set_shares(self, shares: dict[int, int] | None) -> None:
@@ -146,11 +154,6 @@ class CommandQueue:
     def in_flight(self) -> int:
         """Commands dispatched but not yet completed (at current sim time)."""
         self._retire_due()
-        return len(self._in_flight)
-
-    @property
-    def polled_depth(self) -> int:
-        """Commands in flight as of the last poll (reading it retires nothing)."""
         return len(self._in_flight)
 
     @property
@@ -179,7 +182,7 @@ class CommandQueue:
         self._retire_due()
         heap = self._in_flight
         if len(heap) >= self.depth:
-            self.admit_stalls += 1
+            self.counts.admit_stalls += 1
             while len(heap) >= self.depth:
                 self.clock.wait_until(heap[0][0])
                 self._retire_due()
@@ -191,7 +194,7 @@ class CommandQueue:
             if cap is not None and live.get(tenant_id, 0) >= cap:
                 # One stall per capped admit, however many completions it
                 # takes to free a slot (the loop must not re-count).
-                self.share_stalls += 1
+                self.counts.share_stalls += 1
                 while live.get(tenant_id, 0) >= cap:
                     # Wait on the stalled tenant's *own* earliest in-flight
                     # completion: a foreign command finishing can never
@@ -238,8 +241,10 @@ class CommandQueue:
         self._next_id += 1
         heap = self._in_flight
         heapq.heappush(heap, (end_us, self._next_id, tenant_id))
-        if len(heap) > self.peak_depth:
-            self.peak_depth = len(heap)
+        counts = self.counts
+        counts.depth = depth = len(heap)
+        if depth > counts.peak_depth:
+            counts.peak_depth = depth
 
     def close_epoch(self) -> None:
         """Seal the current epoch: later dispatches are ordered after it.
@@ -254,7 +259,7 @@ class CommandQueue:
         if self._epoch not in self._epoch_bounds:
             return
         self._epoch += 1
-        self.epochs_closed += 1
+        self.counts.epochs_closed += 1
 
     def drain(self) -> None:
         """Barrier: the host waits for every in-flight command to complete."""
@@ -271,6 +276,7 @@ class CommandQueue:
         command is simply no longer in the heap the queue polls.
         """
         self._in_flight.clear()
+        self.counts.depth = 0
         self._live_by_tenant.clear()
         self._epoch = 0
         self._epoch_bounds.clear()
@@ -288,3 +294,4 @@ class CommandQueue:
             tenant_id = heapq.heappop(heap)[2]
             if tenant_id is not None:
                 live[tenant_id] -= 1
+        self.counts.depth = len(heap)

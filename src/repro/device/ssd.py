@@ -31,7 +31,7 @@ from dataclasses import fields
 from typing import Any, Callable
 
 from repro.errors import DeviceError
-from repro.device.commands import DeviceCounters
+from repro.device.commands import DeviceCounters, StallCounts
 from repro.device.queue import (
     CP_QUEUE_BARRIER,
     CP_QUEUE_DISPATCH,
@@ -85,23 +85,14 @@ class StorageDevice:
         # Barrier accounting: stalls the order-only path avoided vs. what a
         # drain would have waited, and the symmetric drain-mode measurement
         # for the rival comparison (`barrier` bench experiment).
-        self.stalls_avoided = 0
-        self.stall_avoided_us = 0.0
-        self.barrier_stalls = 0
-        self.barrier_stall_us = 0.0
+        self.stalls = StallCounts()
         # Whether anything was written/trimmed since the last full flush —
         # lets the file system skip a durability point that would order
         # nothing (the double-barrier bug in the directory-fsync path).
         self._mutated_since_flush = False
         obs = self.obs
         obs.registry.bind(self.counters, {f"dev.{f.name}": f.name for f in fields(DeviceCounters)})
-        obs.registry.bind(
-            self,
-            {
-                "dev.queue.stalls_avoided": "stalls_avoided",
-                "dev.queue.barrier_stalls": "barrier_stalls",
-            },
-        )
+        obs.registry.bind(self.stalls, StallCounts.OBS_NAMES)
         obs.instrument(self, self.clock)
         self._on = True
         # When an armed crash point fires the whole machine loses power:
@@ -145,6 +136,15 @@ class StorageDevice:
         host ever wrote — a flush issued now would be pure overhead.
         """
         return self._mutated_since_flush
+
+    # Read by benchmarks/perf/measure.py, which predates ``stalls``.
+    @property
+    def barrier_stalls(self) -> int:
+        return self.stalls.barrier_stalls
+
+    @property
+    def barrier_stall_us(self) -> float:
+        return self.stalls.barrier_stall_us
 
     def power_off(self) -> None:
         """Cut power: all device DRAM state is lost (in-flight queue included)."""
@@ -200,8 +200,8 @@ class StorageDevice:
         """Count one drain that stalled the host for ``stalled`` us: the
         transfer-and-flush overhead the barrier-enabled rival eliminates,
         measured here so drain vs. barrier runs report symmetric numbers."""
-        self.barrier_stalls += 1
-        self.barrier_stall_us += stalled
+        self.stalls.barrier_stalls += 1
+        self.stalls.barrier_stall_us += stalled
 
     def _order_barrier(self) -> None:
         """Order-only ordering point: close the epoch, raise the floor.
@@ -224,8 +224,8 @@ class StorageDevice:
 
     def _count_avoided_stall(self, avoided: float) -> None:
         """Count one ordering point that did not wait ``avoided`` us."""
-        self.stalls_avoided += 1
-        self.stall_avoided_us += avoided
+        self.stalls.stalls_avoided += 1
+        self.stalls.stall_avoided_us += avoided
 
     def _barrier_point(self) -> None:
         """The pre-durability ordering point flush/commit/abort go through."""

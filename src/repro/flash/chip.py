@@ -69,7 +69,7 @@ from repro.flash.state import (
     PAGE_TORN,
     BlockStateView,
 )
-from repro.flash.stats import FlashStats
+from repro.flash.stats import ChipCounts, FlashStats
 from repro.obs import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import NO_CRASH, CrashPlan, register_crash_point
@@ -180,8 +180,8 @@ class FlashChip:
         obs.registry.bind(self.stats, FlashStats.OBS_NAMES)
         # So does the tenant registry; inert until a tenant registers.
         self.tenants = TenantRegistry(obs)
-        self.torn_programs = 0
-        obs.registry.bind(self, {"flash.torn_programs": "torn_programs"})
+        self.counts = ChipCounts()
+        obs.registry.bind(self.counts, ChipCounts.OBS_NAMES)
         self._tracer = obs.tracer
 
         self.state = BlockStateView(self.geometry)
@@ -362,7 +362,7 @@ class FlashChip:
                 st.page_states[ppn] = PAGE_TORN
                 write_points[block] = index + 1
                 self.stats.page_programs += 1
-                self.torn_programs += 1
+                self.counts.torn_programs += 1
                 raise PowerFailure(f"power lost mid-program of ppn={ppn} (page torn)")
             if fired is not None:
                 raise PowerFailure(f"power lost before program of ppn={ppn}")

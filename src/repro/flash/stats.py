@@ -123,3 +123,14 @@ class FlashStats:
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view, handy for report tables."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(slots=True)
+class ChipCounts:
+    """What the chip counts that no FTL-level table reports: programs a
+    power failure tore (kept out of :class:`FlashStats`, whose fields the
+    benchmark tables and baselines list in full)."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {"flash.torn_programs": "torn_programs"}
+
+    torn_programs: int = 0

@@ -22,12 +22,26 @@ journal-superblock write can never lose both copies.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar
 
 from repro.errors import CorruptionError, FsError
 from repro.obs import NULL_OBS, Observability
 
 JSB_SLOTS = 2  # ping-pong journal superblocks at region offsets 0 and 1
+
+
+@dataclass(slots=True)
+class JournalCounts:
+    """What a journal counts: its committed transactions and checkpoints."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "fs.journal.commits": "transactions_committed",
+        "fs.journal.checkpoints": "checkpoints",
+    }
+
+    transactions_committed: int = 0
+    checkpoints: int = 0
 
 
 class Jbd2Journal:
@@ -68,15 +82,8 @@ class Jbd2Journal:
         self._jsb_version = 0
         # Home-location images awaiting checkpoint (latest image wins).
         self._pending: "OrderedDict[int, Any]" = OrderedDict()
-        self.transactions_committed = 0
-        self.checkpoints = 0
-        obs.registry.bind(
-            self,
-            {
-                "fs.journal.commits": "transactions_committed",
-                "fs.journal.checkpoints": "checkpoints",
-            },
-        )
+        self.counts = JournalCounts()
+        obs.registry.bind(self.counts, JournalCounts.OBS_NAMES)
         obs.instrument(self)
 
     # ----------------------------------------------------------------- API
@@ -119,7 +126,7 @@ class Jbd2Journal:
         for lpn, image in records:
             self._pending.pop(lpn, None)
             self._pending[lpn] = image
-        self.transactions_committed += 1
+        self.counts.transactions_committed += 1
         return len(records) + 2
 
     def checkpoint(self) -> None:
@@ -130,7 +137,7 @@ class Jbd2Journal:
         self._retired_txid = self._next_txid - 1
         self._head = 0
         self._write_jsb()
-        self.checkpoints += 1
+        self.counts.checkpoints += 1
 
     def restore_position(self, retired_txid: int, max_txid: int) -> None:
         """Resume txid numbering after a mount-time replay."""

@@ -85,7 +85,7 @@ import enum
 import weakref
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 from repro.errors import FtlError, OutOfSpaceError
 from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP, OWNER_DATA
@@ -125,6 +125,31 @@ class GcState(enum.Enum):
 _IDLE, _BACKGROUND, _URGENT = GcState.IDLE, GcState.BACKGROUND, GcState.URGENT
 
 
+@dataclass(slots=True)
+class GcCounts:
+    """Counts of the collector's own schedule decisions."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "ftl.gc.fifo_fallbacks": "fifo_fallbacks",
+        "ftl.gc.transitions_to_idle": "transitions_to_idle",
+        "ftl.gc.transitions_to_background": "transitions_to_background",
+        "ftl.gc.transitions_to_urgent": "transitions_to_urgent",
+        "ftl.gc.background_collections": "background_collections",
+        "ftl.gc.hot_stream_writes": "hot_stream_writes",
+        "ftl.gc.cold_stream_writes": "cold_stream_writes",
+        "ftl.gc.trans_stream_writes": "trans_stream_writes",
+    }
+
+    fifo_fallbacks: int = 0
+    transitions_to_idle: int = 0
+    transitions_to_background: int = 0
+    transitions_to_urgent: int = 0
+    background_collections: int = 0
+    hot_stream_writes: int = 0
+    cold_stream_writes: int = 0
+    trans_stream_writes: int = 0
+
+
 @dataclass
 class GcJob:
     """One victim block being reclaimed.
@@ -148,18 +173,6 @@ class Collector:
     L2P stay in the FTL; the collector reads the first two and changes all
     three only through the FTL's relocation hooks.
     """
-
-    #: Counts of the schedule's own decisions, bound as ``ftl.gc.<field>``.
-    OBS_FIELDS = (
-        "fifo_fallbacks",
-        "transitions_to_idle",
-        "transitions_to_background",
-        "transitions_to_urgent",
-        "background_collections",
-        "hot_stream_writes",
-        "cold_stream_writes",
-        "trans_stream_writes",
-    )
 
     def __init__(self, ftl) -> None:
         config = ftl.config
@@ -215,15 +228,8 @@ class Collector:
         self._valid_ratio_sum = 0.0
         self.victims_collected = 0
         self.rebuild()  # a fresh chip: every block free
-        self.fifo_fallbacks = 0
-        self.transitions_to_idle = 0
-        self.transitions_to_background = 0
-        self.transitions_to_urgent = 0
-        self.background_collections = 0
-        self.hot_stream_writes = 0
-        self.cold_stream_writes = 0
-        self.trans_stream_writes = 0
-        chip.obs.registry.bind(self, {f"ftl.gc.{field}": field for field in self.OBS_FIELDS})
+        self.counts = GcCounts()
+        chip.obs.registry.bind(self.counts, GcCounts.OBS_NAMES)
         chip.obs.instrument(self, chip.clock)
 
     # ------------------------------------------------------------- power
@@ -324,12 +330,12 @@ class Collector:
         self._chip.program(ppn, data, kind, key, ftl._seq, tag)
         if not self._inline:
             if trans:
-                self.trans_stream_writes += 1
+                self.counts.trans_stream_writes += 1
             else:
                 if hot:
-                    self.hot_stream_writes += 1
+                    self.counts.hot_stream_writes += 1
                 else:
-                    self.cold_stream_writes += 1
+                    self.counts.cold_stream_writes += 1
                 tenants = self._chip.tenants
                 if tenants.enabled:
                     tenants.note_stream_write(hot)
@@ -473,11 +479,11 @@ class Collector:
     def _set_state(self, channel: int, state: GcState) -> None:
         self._states[channel] = state
         if state is _URGENT:
-            self.transitions_to_urgent += 1
+            self.counts.transitions_to_urgent += 1
         elif state is _BACKGROUND:
-            self.transitions_to_background += 1
+            self.counts.transitions_to_background += 1
         else:
-            self.transitions_to_idle += 1
+            self.counts.transitions_to_idle += 1
 
     def _step(self, channel: int, headroom: int) -> None:
         """One decision per host page, taken before every background host program.
@@ -544,7 +550,7 @@ class Collector:
         with self._chip.overlap():
             done = self._run_job(channel, job, max_pages=self._pages_per_step)
         if done:
-            self.background_collections += 1
+            self.counts.background_collections += 1
         return True
 
     def _reclaim(self, channel: int, target_blocks: int) -> float | None:
@@ -773,7 +779,7 @@ class Collector:
             # reclaimable block in allocation-age order, so the greedy pick
             # keeps GC live.  Counted so aged-state results produced under
             # fallback are never silently mislabeled as pure FIFO.
-            self.fifo_fallbacks += 1
+            self.counts.fifo_fallbacks += 1
         return self._pick_greedy(channel)
 
     def _pick_greedy(self, channel: int) -> int | None:

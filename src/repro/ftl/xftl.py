@@ -35,7 +35,8 @@ pages are then read back, validated and re-owned.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any, ClassVar, Iterable
 
 from repro.errors import FtlError, TransactionError
 from repro.flash.chip import FlashChip
@@ -88,6 +89,21 @@ CP_VERSION_RELEASE = register_crash_point(
 MAP_CHECKPOINT_INTERVAL = 64
 
 
+@dataclass(slots=True)
+class MvccCounts:
+    """What the multi-version X-L2P counts."""
+
+    OBS_NAMES: ClassVar[dict[str, str]] = {
+        "ftl.mvcc.version_publishes": "version_publishes",
+        "ftl.mvcc.version_releases": "version_releases",
+        "ftl.mvcc.asof_reads": "asof_reads",
+    }
+
+    version_publishes: int = 0
+    version_releases: int = 0
+    asof_reads: int = 0
+
+
 class XFTL(PageMappingFTL):
     """Transactional FTL over a page-mapped base (see module docstring)."""
 
@@ -116,17 +132,8 @@ class XFTL(PageMappingFTL):
         # Commit sequence counter: ticks once per committed transaction
         # (snapshots pin its value).  Stays 0 on the single-version stack.
         self._commit_counter = 0
-        self.version_publishes = 0
-        self.version_releases = 0
-        self.asof_reads = 0
-        chip.obs.registry.bind(
-            self,
-            {
-                "ftl.mvcc.version_publishes": "version_publishes",
-                "ftl.mvcc.version_releases": "version_releases",
-                "ftl.mvcc.asof_reads": "asof_reads",
-            },
-        )
+        self.mvcc = MvccCounts()
+        chip.obs.registry.bind(self.mvcc, MvccCounts.OBS_NAMES)
 
     # ------------------------------------------------------ transactional IO
 
@@ -209,9 +216,9 @@ class XFTL(PageMappingFTL):
             ppn = versions.resolve(lpn, snap)
             if ppn is not None:
                 self.stats.host_page_reads += 1
-                self.asof_reads += 1
+                self.mvcc.asof_reads += 1
                 return self.chip.read(ppn)
-            self.asof_reads += 1
+            self.mvcc.asof_reads += 1
         return self.read(lpn)
 
     def snapshot_seq(self) -> int:
@@ -257,7 +264,7 @@ class XFTL(PageMappingFTL):
         self._disown(old_ppn)
         self._own(old_ppn, OWNER_VERSION, lpn)
         self.chip.crash_plan.hit(CP_VERSION_PUBLISH)
-        self.version_publishes += 1
+        self.mvcc.version_publishes += 1
         for released in self._versions.push(lpn, old_ppn, sup_seq, oob_seq):
             self._release_version_page(lpn, released)
 
@@ -267,7 +274,7 @@ class XFTL(PageMappingFTL):
         publish)."""
         self.chip.crash_plan.hit(CP_VERSION_RELEASE)
         self._retire(ppn, OWNER_VERSION, lpn)
-        self.version_releases += 1
+        self.mvcc.version_releases += 1
         # The chain shrank, so the segment's durable image is stale.
         self._mark_dirty(lpn)
 

@@ -4,8 +4,8 @@ One :class:`Observability` handle travels with a simulated stack (it lives
 on the :class:`~repro.flash.chip.FlashChip`, like the clock and the crash
 plan, and every higher layer picks it up from the layer below).  It bundles:
 
-- :class:`~repro.obs.registry.MetricsRegistry` — named counters and
-  simulated-time histograms (``flash.page_programs``, ``fs.cache.hits``,
+- :class:`~repro.obs.registry.MetricsRegistry` — counts, histograms and
+  gauges by name (``flash.page_programs``, ``fs.cache.hits``,
   ``sqlite.commit.latency_us``, ...),
 - :class:`~repro.obs.tracing.Tracer` — cross-layer spans, so one SQLite
   ``COMMIT`` nests the pager writes, the ext4 fsync, the device commands
@@ -19,9 +19,11 @@ which attaches the rows to that instance only when the handle is enabled;
 a disabled handle (the default — see :data:`NULL_OBS`) attaches nothing,
 so a metrics-off stack runs no observability code at all.  Counts are
 never instruments: a layer keeps each event's count in an int field of a
-record of its own (``FlashStats``, ``DeviceCounters``, a queue's, pager's
-or tenant's counts) and binds that record to the registry, which reads it
-by name when asked.  Records that several instances of one layer count
+record of its own (``FlashStats``, ``DeviceCounters``, a queue's, pager's,
+session's or tenant's counts) and binds that record to the registry, which
+reads it by name when asked.  A bound record holds counts only — no layer,
+no obs handle, no payload — so a hub that keeps every session's registry
+keeps no machine alive.  Records that several instances of one layer count
 into (every pager and connection of a stack) are :meth:`Observability.shared`.
 
 Usage::
@@ -41,29 +43,18 @@ from typing import Any
 from repro.obs.registry import (
     DEFAULT_LATENCY_BOUNDS_US,
     DEFAULT_SIZE_BOUNDS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
 )
 from repro.obs.instrument import install
-from repro.obs.tracing import NULL_SPAN, Span, Tracer
+from repro.obs.tracing import Span, Tracer
 
 __all__ = [
-    "Counter",
     "DEFAULT_LATENCY_BOUNDS_US",
     "DEFAULT_SIZE_BOUNDS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "NULL_OBS",
-    "NULL_SPAN",
     "Observability",
     "ObservabilityHub",
     "Span",
@@ -104,20 +95,6 @@ class Observability:
         """Attach session metadata (journal mode, geometry, seed, ...)."""
         if self.enabled:
             self.meta[key] = value
-
-    # ----------------------------------------------------------- shortcuts
-
-    def counter(self, name: str) -> Counter:
-        return self.registry.counter(name)
-
-    def histogram(self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_US):
-        return self.registry.histogram(name, bounds)
-
-    def gauge(self, name: str) -> Gauge:
-        return self.registry.gauge(name)
-
-    def span(self, name: str, layer: str, lpn: int | None = None, tid: int | None = None):
-        return self.tracer.span(name, layer, lpn=lpn, tid=tid)
 
     # ----------------------------------------------------------- layers
 

@@ -115,7 +115,12 @@ INSTRUMENTS: tuple[Row, ...] = (
     Row(_PAGER, "_commit", Latency("sqlite.commit.latency_us")),
     Row(_OFF_PAGER, "_stage_pages", Span("commit_stage", "sqlite", tid=Arg("txn.tid"))),
     Row(_OFF_PAGER, "_count_commit", Value("sqlite.commit.latency_us", Arg("latency_us"))),
+    # The transaction manager's points: zero-length spans.
+    Row(_TXNS, "_count_begin", Span("txn.begin", "stack", tid=_TID)),
+    Row(_TXNS, "_count_release", Span("txn.end", "stack", tid=_TID)),
     Row(_TXNS, "_count_release", Value("txn.lifetime_us", Arg("lifetime_us"))),
+    Row(_TXNS, "_count_pin", Span("txn.snapshot.pin", "stack", tid=Arg("snapshot_seq"))),
+    Row(_TXNS, "_released", Span("txn.snapshot.release", "stack")),
     # ext4 and its JBD2-style journal.
     Row(_FS, "_sync_frame", Span(Arg("name"), "fs", tid=Arg("txn.tid"))),
     Row(_FS, "_sync_frame", Latency("fs.fsync.latency_us")),

@@ -8,20 +8,23 @@ Design rules:
 
 - **One count per event, kept by the layer.**  A layer counts an event in
   an int field of a record of its own (``FlashStats``, ``DeviceCounters``,
-  a pager's counts, ...) and binds it: ``registry.bind(record,
-  {"flash.page_programs": "page_programs"})`` exports the attribute under
-  the obs name, read when asked, so the hot path is one integer add.
-  ``registry.counter(name)`` remains for callers outside the storage
-  layers; it hands out a handle kept by the registry.  A layer rebuilt in place (ext4
-  on a remount) binds its fresh record over the one it replaces.  A gauge
-  kept by a layer binds the same way (``bind_gauge``: its current value
-  and its high-water mark).
+  a queue's, pager's or session's counts, ...) and binds it:
+  ``registry.bind(record, {"flash.page_programs": "page_programs"})``
+  exports the attribute under the obs name, read when asked, so the hot
+  path is one integer add.  A layer rebuilt in place (ext4 on a remount)
+  binds its fresh record over the one it replaces.  A gauge kept by a
+  layer binds the same way (``bind_gauge``: its current value and its
+  high-water mark), and so does a histogram a layer keeps whatever the
+  metrics setting (``bind_histogram``: a tenant's commit latencies).
+- **A bound record holds counts only.**  No layer, no obs handle, no
+  payload: the registry of a finished session (a hub keeps every one)
+  keeps numbers alive, never a machine, and a dropped stack is freed by
+  refcounting alone.
 - **Free when disabled.**  Histograms and spans are attached by
   :mod:`repro.obs.instrument` only when the stack's obs handle is on, and
-  counts are the layers' own int fields, so a metrics-off stack calls into
-  no instrument at all.  A disabled registry still hands out shared null
-  singletons whose ``inc``/``observe`` are no-ops to callers outside the
-  stack's layers.
+  counts are the layers' own int fields, so once built a metrics-off
+  stack runs no code of :mod:`repro.obs` (a tenant's latency histogram
+  aside); a disabled registry binds nothing.
 - **Deterministic exports.**  All values derive from counters and the
   simulated clock, never wall time, so two same-seed runs dump identical
   metrics.
@@ -49,22 +52,6 @@ DEFAULT_LATENCY_BOUNDS_US: tuple[float, ...] = (
 DEFAULT_SIZE_BOUNDS: tuple[float, ...] = (
     0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0,
 )
-
-
-class Counter:
-    """One monotonically increasing named counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
 
 
 class Histogram:
@@ -117,33 +104,6 @@ class Histogram:
         }
 
 
-class Gauge:
-    """A current-value instrument (queue depth, pool occupancy).
-
-    Tracks the latest value plus the high-water mark; unlike a counter it
-    may go up and down.  ``set`` takes the absolute value, ``add`` moves it
-    relatively (convenient for enter/exit style call sites).
-    """
-
-    __slots__ = ("name", "value", "max_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.max_value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value}, max={self.max_value})"
-
-
 class BoundGauge:
     """A gauge a layer keeps in a record of its own (``bind_gauge``), read
     live: ``value`` and ``max_value`` read the record's attributes."""
@@ -165,84 +125,33 @@ class BoundGauge:
         return float(getattr(self._record, self._peak))
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by disabled registries."""
+class _MergedGauge:
+    """What :meth:`MetricsRegistry.merge_from` folded in for one gauge."""
 
-    __slots__ = ()
-    name = "<disabled>"
-    value = 0
+    __slots__ = ("value", "max_value")
 
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullHistogram:
-    """Shared no-op histogram handed out by disabled registries."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def as_dict(self) -> dict:
-        return {"count": 0, "total": 0.0, "min": None, "max": None, "mean": 0.0, "buckets": {}}
-
-
-class _NullGauge:
-    """Shared no-op gauge handed out by disabled registries."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    value = 0.0
-    max_value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-NULL_COUNTER = _NullCounter()
-NULL_HISTOGRAM = _NullHistogram()
-NULL_GAUGE = _NullGauge()
+    def __init__(self) -> None:
+        self.value = 0.0
+        self.max_value = 0.0
 
 
 class MetricsRegistry:
-    """Registry of named counters and histograms for one simulated machine.
+    """The counts, histograms and gauges of one simulated machine, by name.
 
-    When ``enabled`` is false every acquisition returns a shared null
-    instrument and every bind is ignored.
+    A disabled registry binds nothing.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._counters: dict[str, Counter] = {}
-        # Bound counters: name -> (record, attribute), read when asked.
+        # Bound counts: name -> (record, attribute), read when asked.
         self._bound: dict[str, tuple[object, str]] = {}
+        # What merge_from summed: name -> value.
+        self._sums: dict[str, int] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._gauges: dict[str, Gauge] = {}
         # Bound gauges: name -> (record, value attribute, high-water attribute).
         self._bound_gauges: dict[str, tuple[object, str, str]] = {}
 
-    # ------------------------------------------------------------ acquire
-
-    def counter(self, name: str) -> Counter:
-        """Get-or-create the counter called ``name``."""
-        if not self.enabled:
-            return NULL_COUNTER  # type: ignore[return-value]
-        counter = self._counters.get(name)
-        if counter is None:
-            if name in self._bound:
-                raise ValueError(f"counter {name!r} is bound to a layer's record")
-            counter = self._counters[name] = Counter(name)
-        return counter
+    # --------------------------------------------------------------- bind
 
     def bind(self, record: object, names: dict[str, str]) -> None:
         """Export ``record``'s counts: ``names`` maps obs name -> attribute.
@@ -250,15 +159,15 @@ class MetricsRegistry:
         The record stays the only store; every query reads the attribute.
         A name already bound to a record of the same class is re-pointed:
         the new record replaces the old one (a remounted layer replaces the
-        layer before it).  A name held by a plain counter or by a record of
-        another class raises.  A disabled registry ignores the call (the
-        shared ``NULL_OBS`` must not keep every record ever built alive).
+        layer before it).  A name bound to a record of another class
+        raises.  A disabled registry ignores the call (the shared
+        ``NULL_OBS`` must not keep every record ever built alive).
         """
         if not self.enabled:
             return
         for name, attribute in names.items():
             held = self._bound.get(name)
-            if name in self._counters or (held is not None and type(held[0]) is not type(record)):
+            if held is not None and type(held[0]) is not type(record):
                 raise ValueError(f"counter {name!r} already exists")
             self._bound[name] = (record, attribute)
 
@@ -267,70 +176,59 @@ class MetricsRegistry:
         attributes holding its current value and its high-water mark.
 
         The same rule as :meth:`bind`: a record of the same class replaces
-        the one bound before, any other holder of the name raises, and a
+        the one bound before, a record of another class raises, and a
         disabled registry ignores the call.
         """
         if not self.enabled:
             return
         held = self._bound_gauges.get(name)
-        if name in self._gauges or (held is not None and type(held[0]) is not type(record)):
+        if held is not None and type(held[0]) is not type(record):
             raise ValueError(f"gauge {name!r} already exists")
         self._bound_gauges[name] = (record, value, peak)
+
+    def bind_histogram(self, histogram: Histogram) -> None:
+        """Export a histogram a layer keeps, under its own name; a disabled
+        registry ignores the call."""
+        if self.enabled:
+            self._histograms[histogram.name] = histogram
 
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_US
     ) -> Histogram:
         """Get-or-create the histogram called ``name``."""
-        if not self.enabled:
-            return NULL_HISTOGRAM  # type: ignore[return-value]
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(name, bounds)
         return histogram
 
-    def gauge(self, name: str) -> Gauge:
-        """Get-or-create the gauge called ``name``; a bound one is a
-        read-only view of its record."""
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
-        bound = self._bound_gauges.get(name)
-        if bound is not None:
-            return BoundGauge(name, *bound)  # type: ignore[return-value]
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
+    def gauge(self, name: str) -> BoundGauge:
+        """A live, read-only view of the gauge bound as ``name``."""
+        return BoundGauge(name, *self._bound_gauges[name])
 
     # ------------------------------------------------------------- query
 
     def counter_value(self, name: str) -> int:
-        """Current value of a counter, plain or bound (0 if neither)."""
-        counter = self._counters.get(name)
-        if counter is not None:
-            return counter.value
+        """Current value of a count, bound or merged (0 if neither)."""
         bound = self._bound.get(name)
-        return getattr(*bound) if bound is not None else 0
+        return getattr(*bound) if bound is not None else self._sums.get(name, 0)
 
     def counters(self) -> dict[str, int]:
-        """All counter values, plain and bound, sorted by name."""
-        names = sorted(self._counters.keys() | self._bound.keys())
+        """All count values, sorted by name."""
+        names = sorted(self._sums.keys() | self._bound.keys())
         return {name: self.counter_value(name) for name in names}
 
     def histograms(self) -> dict[str, Histogram]:
         return {name: self._histograms[name] for name in sorted(self._histograms)}
 
-    def gauges(self) -> dict[str, Gauge]:
-        """All gauges, plain and bound, sorted by name."""
-        out: dict[str, Gauge | BoundGauge] = dict(self._gauges)
-        for name, bound in self._bound_gauges.items():
-            out[name] = BoundGauge(name, *bound)
-        return {name: out[name] for name in sorted(out)}  # type: ignore[misc]
+    def gauges(self) -> dict[str, BoundGauge]:
+        """All gauges, sorted by name."""
+        return {name: self.gauge(name) for name in sorted(self._bound_gauges)}
 
     def layers(self) -> list[str]:
         """Layer prefixes (text before the first dot) present in the registry."""
         seen: dict[str, None] = {}
-        names = self._counters.keys() | self._bound.keys() | self._bound_gauges.keys()
-        for name in sorted(names | self._histograms.keys() | self._gauges.keys()):
+        names = self._sums.keys() | self._bound.keys() | self._bound_gauges.keys()
+        for name in sorted(names | self._histograms.keys()):
             seen.setdefault(name.split(".", 1)[0], None)
         return list(seen)
 
@@ -396,10 +294,12 @@ class MetricsRegistry:
     # -------------------------------------------------------------- merge
 
     def merge_from(self, others: "Iterable[MetricsRegistry]") -> "MetricsRegistry":
-        """Fold other registries' instruments into this one (sweep summaries)."""
+        """Fold other registries into this one (sweep summaries): counts
+        add up, histograms pool, a gauge keeps the highest high-water mark
+        and the last value."""
         for other in others:
             for name, value in other.counters().items():
-                self.counter(name).inc(value)
+                self._sums[name] = self._sums.get(name, 0) + value
             for name, histogram in other.histograms().items():
                 mine = self.histogram(name, histogram.bounds)
                 if mine.bounds == histogram.bounds:
@@ -412,7 +312,10 @@ class MetricsRegistry:
                 if histogram.max is not None and (mine.max is None or histogram.max > mine.max):
                     mine.max = histogram.max
             for name, gauge in other.gauges().items():
-                mine_gauge = self.gauge(name)
-                mine_gauge.set(max(mine_gauge.max_value, gauge.max_value))
-                mine_gauge.value = gauge.value
+                held = self._bound_gauges.get(name)
+                if held is None:
+                    held = self._bound_gauges[name] = (_MergedGauge(), "value", "max_value")
+                merged = held[0]
+                merged.max_value = max(merged.max_value, gauge.max_value)
+                merged.value = gauge.value
         return self

@@ -8,8 +8,8 @@ the shared :class:`SimClock`.
 The simulation is single-threaded, so span context is a simple stack: a
 span opened while another is active becomes its child.  Which spans the
 stack records is the instrumentation table's business
-(:mod:`repro.obs.instrument`); a disabled tracer hands out one shared null
-span whose enter/exit are no-ops to any other caller.
+(:mod:`repro.obs.instrument`), which asks a tracer for spans only when it
+is enabled.
 """
 
 from __future__ import annotations
@@ -79,22 +79,6 @@ class _SpanHandle:
         self._tracer._finish(self.span)
 
 
-class _NullSpanHandle:
-    """Shared no-op handle returned by disabled tracers."""
-
-    __slots__ = ()
-    span = None
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpanHandle()
-
-
 class Tracer:
     """Span recorder over one simulated machine's clock.
 
@@ -122,17 +106,12 @@ class Tracer:
     def span(self, name: str, layer: str, lpn: int | None = None, tid: int | None = None):
         """Open a span; use as ``with tracer.span(...):``.
 
-        The storage layers never call this themselves: the spans they
-        record are rows of :data:`repro.obs.instrument.INSTRUMENTS`, the
+        The storage layers never call this themselves: every span the stack
+        records is a row of :data:`repro.obs.instrument.INSTRUMENTS`, the
         one place that lists what is recorded, attached only to the layers
-        of an enabled handle, so a metrics-off stack's commands never reach
-        it.  Fixed ``lpn``/``tid`` parameters instead of ``**attrs`` keep
-        the disabled path allocation-free for other callers; rich
-        attributes can be added on the returned span object when tracing
-        is on.
+        of a handle whose tracer is on, so a disabled tracer is never
+        asked.  Rich attributes can be added on the returned span object.
         """
-        if not self.enabled:
-            return NULL_SPAN
         now = self._clock.now_us if self._clock is not None else 0.0
         span = Span(
             span_id=self._next_id,
@@ -146,13 +125,6 @@ class Tracer:
         self._next_id += 1
         self._stack.append(span)
         return _SpanHandle(self, span)
-
-    def event(self, name: str, layer: str, lpn: int | None = None, tid: int | None = None) -> None:
-        """Record a zero-duration point event under the current span."""
-        if not self.enabled:
-            return
-        with self.span(name, layer, lpn=lpn, tid=tid):
-            pass
 
     def _finish(self, span: Span) -> None:
         span.end_us = self._clock.now_us if self._clock is not None else span.start_us

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import count
 
 from repro.device.ssd import StorageDevice
 from repro.flash.chip import FlashChip
@@ -48,6 +49,7 @@ __all__ = [
     "TxnState",
     "build_stack",
     "open_stack",
+    "resolve_obs",
 ]
 
 
@@ -157,6 +159,7 @@ class BenchStack:
     crash_plan: CrashPlan
     obs: Observability = NULL_OBS
     _session_seq: int = 0
+    _session_names: set = field(default_factory=set)
     tenants: list = field(default_factory=list)
 
     def open_database(
@@ -173,10 +176,18 @@ class BenchStack:
     def open_session(
         self, name: str | None = None, tenant: "Tenant | None" = None
     ) -> "Session":
-        """Open a named :class:`Session` — one logical client of this stack."""
+        """Open a named :class:`Session` — one logical client of this stack.
+
+        Names are unique on a stack: an open name raises ``ValueError``,
+        and a generated name (``s<n>``) skips the names already taken.
+        """
+        taken = self._session_names
         if name is None:
-            name = f"s{self._session_seq}"
+            name = next(f"s{n}" for n in count(self._session_seq) if f"s{n}" not in taken)
+        elif name in taken:
+            raise ValueError(f"session {name!r} is already open on this stack")
         self._session_seq += 1
+        taken.add(name)
         return Session(self, name, tenant=tenant)
 
     def open_tenant(
@@ -229,13 +240,21 @@ class BenchStack:
         return self
 
 
-def _resolve_obs(config: StackConfig) -> Observability:
+def resolve_obs(
+    label: str, clock: SimClock, metrics: bool = False, trace: bool = False
+) -> Observability:
+    """The obs handle of a machine built now, its spans timed on ``clock``:
+    a session of the installed hub, else a handle of its own when
+    ``metrics`` or ``trace`` asks for one, else :data:`NULL_OBS`."""
     hub = default_hub()
     if hub is not None:
-        return hub.session(label=config.mode.value)
-    if config.metrics or config.trace:
-        return Observability(enabled=True, trace=config.trace, label=config.mode.value)
-    return NULL_OBS
+        obs = hub.session(label=label)
+    elif metrics or trace:
+        obs = Observability(enabled=True, trace=trace, label=label)
+    else:
+        return NULL_OBS
+    obs.bind_clock(clock)
+    return obs
 
 
 def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
@@ -247,8 +266,7 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
 
     clock = SimClock()
     crash_plan = CrashPlan()
-    obs = _resolve_obs(config)
-    obs.bind_clock(clock)
+    obs = resolve_obs(config.mode.value, clock, config.metrics, config.trace)
     geometry = FlashGeometry(
         page_size=config.page_size,
         pages_per_block=config.pages_per_block,

@@ -21,6 +21,7 @@ yield points, so cross-mode comparisons see identical statement streams.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import DatabaseError
@@ -32,12 +33,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack import BenchStack
 
 
+@dataclass(slots=True)
+class SessionCounts:
+    """What one session counts, bound as ``session.<name>.<field>``."""
+
+    commits: int = 0
+    rollbacks: int = 0
+
+
 class Session:
     """One logical client (terminal / app) of a shared stack.
 
-    Owns its connections and a small per-session metrics namespace
-    (``session.<name>.commits`` etc.) so concurrency experiments can
-    attribute work to individual terminals.
+    Owns its connections and its counts (``session.<name>.commits`` and
+    ``.rollbacks``), so concurrency experiments can attribute work to
+    individual terminals.  Its name is unique on the stack.
     """
 
     def __init__(self, stack: "BenchStack", name: str, tenant=None) -> None:
@@ -45,11 +54,10 @@ class Session:
         self.name = name
         self.tenant = tenant  # owning repro.stack.tenant.Tenant, if any
         self.connections: list[Connection] = []
-        self.commits = 0
-        self.rollbacks = 0
-        obs = stack.obs
-        self._obs_commits = obs.counter(f"session.{name}.commits")
-        self._obs_rollbacks = obs.counter(f"session.{name}.rollbacks")
+        self.counts = SessionCounts()
+        stack.obs.registry.bind(
+            self.counts, {f"session.{name}.{field}": field for field in ("commits", "rollbacks")}
+        )
         self._tenant_registry = stack.chip.tenants
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -66,15 +74,13 @@ class Session:
     # end-to-end simulated latency (stage -> durable for staged commits,
     # the COMMIT call itself otherwise); it feeds the owning tenant's p99
     # accounting and costs nothing to measure.
-    def note_commit(self, latency_us: float | None = None) -> None:
-        self.commits += 1
-        self._obs_commits.inc()
+    def note_commit(self, latency_us: float) -> None:
+        self.counts.commits += 1
         if self.tenant is not None:
             self._tenant_registry.note_commit(self.tenant.id, latency_us)
 
     def note_rollback(self) -> None:
-        self.rollbacks += 1
-        self._obs_rollbacks.inc()
+        self.counts.rollbacks += 1
 
 
 class SessionScheduler:

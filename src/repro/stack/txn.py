@@ -145,7 +145,6 @@ class TxnManager:
         # Weak: the file system owns its manager, and a strong
         # back-reference would make every mount a reference cycle.
         self.fs = weakref.proxy(fs)
-        self.obs = fs.obs
         self._live: dict[int, TransactionContext] = {}
         # Active snapshot pins (multi-version X-L2P): token -> pinned commit
         # sequence.  The *oldest* pinned sequence is the reclamation floor
@@ -153,8 +152,8 @@ class TxnManager:
         # version some snapshot reader could still resolve through.
         self._snapshots: dict[int, int] = {}
         self._next_snapshot_token = 1
-        self.counts: TxnCounts = self.obs.shared(TxnCounts)
-        self.obs.instrument(self)
+        self.counts: TxnCounts = fs.obs.shared(TxnCounts)
+        fs.obs.instrument(self)
 
     # ---------------------------------------------------------- lifecycle
 
@@ -165,9 +164,12 @@ class TxnManager:
             tid, session=session, manager=self, start_us=self._now_us()
         )
         self._live[tid] = ctx
-        self.counts.begins += 1
-        self.obs.tracer.event("txn.begin", "stack", tid=tid)
+        self._count_begin(tid)
         return ctx
+
+    def _count_begin(self, tid: int) -> None:
+        """Count the start of transaction ``tid``."""
+        self.counts.begins += 1
 
     def get(self, tid: int) -> TransactionContext | None:
         return self._live.get(tid)
@@ -185,7 +187,6 @@ class TxnManager:
     def _count_release(self, tid: int, lifetime_us: float) -> None:
         """Count the end of transaction ``tid``, live for ``lifetime_us``."""
         self.counts.releases += 1
-        self.obs.tracer.event("txn.end", "stack", tid=tid)
 
     # ---------------------------------------------------------- snapshots
 
@@ -202,16 +203,22 @@ class TxnManager:
         token = self._next_snapshot_token
         self._next_snapshot_token += 1
         self._snapshots[token] = snapshot_seq
-        self.counts.snapshot_pins += 1
-        self.obs.tracer.event("txn.snapshot.pin", "stack", tid=snapshot_seq)
+        self._count_pin(snapshot_seq)
         self._push_snapshot_floor()
         return token, snapshot_seq
+
+    def _count_pin(self, snapshot_seq: int) -> None:
+        """Count one pin of commit sequence ``snapshot_seq``."""
+        self.counts.snapshot_pins += 1
 
     def release_snapshot(self, token: int) -> None:
         """Release a pin (idempotent); may advance the reclamation floor."""
         if self._snapshots.pop(token, None) is not None:
-            self.obs.tracer.event("txn.snapshot.release", "stack")
+            self._released()
             self._push_snapshot_floor()
+
+    def _released(self) -> None:
+        """The point a pin is released at: nothing to count, a point to trace."""
 
     def oldest_snapshot(self) -> int | None:
         """The oldest pinned commit sequence, or None with no active pins."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Histogram, Observability
 
 __all__ = ["TenantAccount", "TenantRegistry", "UNATTRIBUTED"]
 
@@ -40,7 +40,8 @@ UNATTRIBUTED = 0
 
 
 class TenantAccount:
-    """Attribution counters for one tenant (or the shared lane, id 0)."""
+    """Attribution counters for one tenant (or the shared lane, id 0), and
+    the simulated latency of each of its commits."""
 
     #: Fields exported to the obs registry as ``tenant.<name>.<field>``.
     OBS_FIELDS = ("writes", "flushes", "commits", "gc_copybacks", "gc_cross_collisions")
@@ -56,9 +57,7 @@ class TenantAccount:
         "gc_cross_collisions",
         "hot_stream_writes",
         "cold_stream_writes",
-        "commit_latency_sum_us",
-        "commit_latency_max_us",
-        "_obs_commit_us",
+        "commit_latency",
     )
 
     def __init__(
@@ -74,17 +73,13 @@ class TenantAccount:
         self.gc_cross_collisions = 0
         self.hot_stream_writes = 0
         self.cold_stream_writes = 0
-        self.commit_latency_sum_us = 0.0
-        self.commit_latency_max_us = 0.0
         prefix = f"tenant.{name}"
+        self.commit_latency = Histogram(f"{prefix}.commit_latency_us")
         obs.registry.bind(self, {f"{prefix}.{field}": field for field in self.OBS_FIELDS})
-        self._obs_commit_us = obs.histogram(f"{prefix}.commit_latency_us")
-
-    @property
-    def mean_commit_latency_us(self) -> float:
-        return self.commit_latency_sum_us / self.commits if self.commits else 0.0
+        obs.registry.bind_histogram(self.commit_latency)
 
     def as_dict(self) -> dict:
+        latency = self.commit_latency
         return {
             "name": self.name,
             "weight": self.weight,
@@ -95,8 +90,8 @@ class TenantAccount:
             "gc_cross_collisions": self.gc_cross_collisions,
             "hot_stream_writes": self.hot_stream_writes,
             "cold_stream_writes": self.cold_stream_writes,
-            "commit_latency_mean_us": self.mean_commit_latency_us,
-            "commit_latency_max_us": self.commit_latency_max_us,
+            "commit_latency_mean_us": latency.mean,
+            "commit_latency_max_us": latency.max or 0.0,
         }
 
 
@@ -179,14 +174,10 @@ class TenantRegistry:
     def note_flush(self) -> None:
         self.accounts[self.current].flushes += 1
 
-    def note_commit(self, tenant_id: int, latency_us: float | None = None) -> None:
+    def note_commit(self, tenant_id: int, latency_us: float) -> None:
         account = self.accounts[tenant_id]
         account.commits += 1
-        if latency_us is not None:
-            account.commit_latency_sum_us += latency_us
-            if latency_us > account.commit_latency_max_us:
-                account.commit_latency_max_us = latency_us
-            account._obs_commit_us.observe(latency_us)
+        account.commit_latency.observe(latency_us)
 
     def note_copyback(self, lpn: int) -> None:
         """Attribute one GC copyback to the tenant owning ``lpn``."""

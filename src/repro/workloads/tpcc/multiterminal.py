@@ -104,7 +104,7 @@ class MultiTerminalTpccDriver:
         scheduler = self.scheduler
         groups0 = scheduler.groups_committed
         grouped0 = scheduler.transactions_grouped
-        commits0 = [session.commits for session in self.sessions]
+        commits0 = [session.counts.commits for session in self.sessions]
 
         def terminal(index: int):
             rng = make_rng(self.seed, "tpcc-mix", index)
@@ -130,7 +130,7 @@ class MultiTerminalTpccDriver:
             groups_committed=scheduler.groups_committed - groups0,
             transactions_grouped=scheduler.transactions_grouped - grouped0,
             per_terminal_commits=[
-                session.commits - before
+                session.counts.commits - before
                 for session, before in zip(self.sessions, commits0)
             ],
         )

@@ -77,7 +77,7 @@ class TestBarrierDevice:
         assert device.queue.in_flight > 0
         assert device.clock.now_us < device.chip.busy_horizon_us()
         assert device.counters.barriers == 1
-        assert device.queue.epochs_closed == 1
+        assert device.queue.counts.epochs_closed == 1
 
     def test_barrier_does_not_clear_dirty_state(self):
         # A later *real* fsync must not be deduped away because an
@@ -111,7 +111,7 @@ class TestBarrierDevice:
         # writes complete before the page, later writes after it.
         assert device.counters.barrier_writes == 1
         assert device.queue.current_epoch == 2
-        assert device.queue.epochs_closed == 2
+        assert device.queue.counts.epochs_closed == 2
         device.flush()
         for lpn, want in ((0, ("v", 0)), (1, ("commit", 1)), (2, ("v", 2))):
             assert device.read(lpn) == want
@@ -130,9 +130,9 @@ class TestBarrierDevice:
             results[barrier_mode] = device
         drain, barrier = results[False], results[True]
         assert drain.barrier_stalls > 0
-        assert drain.stalls_avoided == 0
+        assert drain.stalls.stalls_avoided == 0
         assert barrier.barrier_stalls == 0
-        assert barrier.stalls_avoided > 0
+        assert barrier.stalls.stalls_avoided > 0
         # Order-only durability points commit strictly faster.
         assert barrier.clock.now_us < drain.clock.now_us
 
@@ -386,8 +386,8 @@ class TestBarrierSqlite:
         assert drain_db.execute(query) == barrier_db.execute(query)
         # The barrier run never paid a drain stall on the commit path.
         assert barrier_stack.device.barrier_stalls == 0
-        assert barrier_stack.device.stalls_avoided > 0
-        assert drain_stack.device.stalls_avoided == 0
+        assert barrier_stack.device.stalls.stalls_avoided > 0
+        assert drain_stack.device.stalls.stalls_avoided == 0
         assert barrier_stack.clock.now_us <= drain_stack.clock.now_us
 
 
@@ -398,8 +398,8 @@ def _capture_barrier(stack) -> dict:
     """The channel-baseline capture plus the order-path accounting."""
     captured = _capture(stack)
     captured["fs_stats"] = vars(stack.fs.stats).copy()
-    captured["stalls_avoided"] = stack.device.stalls_avoided
-    captured["stall_avoided_us"] = stack.device.stall_avoided_us
+    captured["stalls_avoided"] = stack.device.stalls.stalls_avoided
+    captured["stall_avoided_us"] = stack.device.stalls.stall_avoided_us
     return captured
 
 

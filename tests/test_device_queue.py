@@ -102,7 +102,7 @@ class TestCommandQueue:
         for end in (100.0, 200.0, 300.0):
             queue.push(end)
         queue.drain()
-        gauge = obs.gauge("dev.queue.depth")
+        gauge = obs.registry.gauge("dev.queue.depth")
         assert gauge.value == 0.0
         assert gauge.max_value == 3.0
 
@@ -372,7 +372,7 @@ class TestInFlightBatchPowerLoss:
         queue.admit()  # both slots free again: no stall, no waiting
         assert clock.now_us == 0.0
         assert obs.registry.counter_value("dev.queue.admit_stalls") == stalls_before
-        assert obs.gauge("dev.queue.depth").value == 0.0
+        assert obs.registry.gauge("dev.queue.depth").value == 0.0
 
 
 class EventDrivenQueue:
@@ -464,7 +464,7 @@ def test_polling_reads_what_per_completion_events_read(depth, tenancy, steps):
     shares = registry.queue_shares(depth) if tenancy == "shares" else None
     queue.set_shares(shares)
     reference = EventDrivenQueue(depth, shares)
-    gauge = obs.gauge("dev.queue.depth")
+    gauge = obs.registry.gauge("dev.queue.depth")
     for step, read in steps:
         if step[0] in ("push", "admit") and registry is not None:
             registry.current = step[1]
@@ -483,7 +483,7 @@ def test_polling_reads_what_per_completion_events_read(depth, tenancy, steps):
             getattr(reference, step[0])()
         assert clock.now_us == reference.now
         assert obs.registry.counter_value("dev.queue.admit_stalls") == reference.admit_stalls
-        assert queue.share_stalls == reference.share_stalls
+        assert queue.counts.share_stalls == reference.share_stalls
         assert gauge.max_value == reference.gauge_max
         if read:
             assert queue.in_flight == len(reference.heap)

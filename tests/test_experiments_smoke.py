@@ -212,6 +212,23 @@ class TestCli:
         assert main(["table2", "--trace"]) == 0
         assert "[table2: " in capsys.readouterr().out  # the per-session report
 
+    def test_cli_gc_metrics_records_the_bare_ftls(self, capsys, tmp_path):
+        """``gc`` builds bare FTLs, not stacks: under ``--metrics`` each
+        still records into a session of its own."""
+        from repro.bench.cli import main
+
+        with mock.patch.dict(os.environ, REPRO_SCALE="0.05"):
+            code = main(["gc", "--metrics", "--metrics-format", "json",
+                         "--metrics-dir", str(tmp_path), "--results-dir", str(tmp_path)])
+        assert code == 0
+        assert "[gc: 4 metrics session(s)]" in capsys.readouterr().out
+        counters = [json.loads(path.read_text())["counters"]
+                    for path in sorted((tmp_path / "gc").glob("*.json"))]
+        assert len(counters) == 4
+        assert all(any(name.startswith("ftl.gc.") and n for name, n in c.items())
+                   for c in counters)
+        assert sum(c["ftl.gc.invocations"] for c in counters) > 0
+
     def test_cli_rejects_unknown(self):
         from repro.bench.cli import main
 

@@ -50,7 +50,7 @@ class TestCommit:
         journal.commit([(5, "img5"), (6, "img6")])
         # desc + 2 blocks + commit = 4 journal pages
         assert store.journal_writes == 4
-        assert journal.transactions_committed == 1
+        assert journal.counts.transactions_committed == 1
 
     def test_commit_uses_two_barriers(self):
         """§6.3.4 end to end: on a real drain device the ordered commit
@@ -96,7 +96,7 @@ class TestCommit:
         journal.commit([(1, "a"), (2, "b")])  # 4 pages
         journal.commit([(3, "c"), (4, "d")])  # 4 pages -> 8 used
         journal.commit([(5, "e"), (6, "f")])  # needs 4 > 2 free: checkpoint
-        assert journal.checkpoints == 1
+        assert journal.counts.checkpoints == 1
         assert store.home[1] == "a"
 
     def test_region_too_small_rejected(self):

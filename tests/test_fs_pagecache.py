@@ -72,7 +72,7 @@ class TestEviction:
         cache.put(2, "b", dirty=True, txn=8)
         cache.put(3, "c", dirty=True, txn=9)
         assert written == [(1, "a", 7)]
-        assert cache.dirty_evictions == 1
+        assert cache.counts.dirty_evictions == 1
 
     def test_clean_preferred_over_dirty(self):
         cache, written = make_cache(capacity=2)

@@ -16,13 +16,15 @@ grow with the number of overwrites.  Above the device, a B-tree leaf cell
 holds its row, and the record codec keeps no row and no payload: UPDATEs and
 reads of the same rows leave nothing behind in it.  And a dropped stack is
 freed by refcounting: no reference cycle keeps one alive until the cyclic
-collector runs.
+collector runs, with metrics off or on, and a metrics hub, which keeps every
+session's registry, keeps no machine alive.
 """
 
 import gc
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -32,8 +34,11 @@ from repro.bench.aging import age_device
 from repro.device import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
+from repro.fs.pagecache import PageCache
 from repro.ftl import FtlConfig, PageMappingFTL
+from repro.obs import install_default_hub, uninstall_default_hub
 from repro.stack import Mode, StackConfig, build_stack
+from repro.verify.runner import sweep
 
 FS_BYTES_PER_DATA_PAGE = 2
 HELD_BYTES_PER_PROGRAMMED_PAGE = 4
@@ -221,36 +226,85 @@ def test_updates_of_the_same_rows_leave_nothing_in_the_codec(text_bytes):
     assert db.execute("SELECT SUM(n) FROM t") == [(rows * rounds,)]
 
 
+_BACKGROUND_CMT = FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_pages=8)
+
+
 @pytest.mark.parametrize(
-    "mode,ftl",
+    "mode,ftl,obs",
     [
-        (Mode.RBJ, FtlConfig()),
-        (Mode.WAL, FtlConfig()),
-        (Mode.XFTL, FtlConfig()),
-        (Mode.RBJ, FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_pages=8)),
-        (Mode.XFTL, FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_pages=8)),
+        (Mode.RBJ, FtlConfig(), "off"),
+        (Mode.WAL, FtlConfig(), "off"),
+        (Mode.XFTL, FtlConfig(), "off"),
+        (Mode.RBJ, _BACKGROUND_CMT, "off"),
+        (Mode.XFTL, _BACKGROUND_CMT, "off"),
+        (Mode.RBJ, _BACKGROUND_CMT, "metrics"),
+        (Mode.XFTL, _BACKGROUND_CMT, "hub-trace"),
     ],
-    ids=["rbj", "wal", "xftl", "rbj-cmt", "xftl-cmt"],
+    ids=["rbj", "wal", "xftl", "rbj-cmt", "xftl-cmt", "rbj-cmt-metrics", "xftl-cmt-hub-trace"],
 )
-def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl):
+def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl, obs):
     """No reference cycle runs through a stack: with the cyclic collector
     off, dropping the last reference to a stack that committed a
     transaction frees its chip at once.  A part that calls back into its
     owner (the fs cache and journal, the transaction manager, the collector,
     the CMT, a prepared statement) holds it weakly or is handed it per
-    call."""
+    call.  With metrics on (a handle of its own, or a session of a hub),
+    the registry that outlives the stack binds count records only, and
+    still reads what they counted."""
     gc.collect()
     gc.disable()
+    hub = install_default_hub(trace=True) if obs == "hub-trace" else None
     try:
-        stack = build_stack(mode=mode, num_blocks=256, channels=2, ftl=ftl)
+        stack = build_stack(
+            mode=mode, num_blocks=256, channels=2, ftl=ftl, metrics=obs == "metrics"
+        )
+        if hub is not None:
+            uninstall_default_hub()
         db = stack.open_database()
         db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT)")
         db.execute("BEGIN")
         db.execute("INSERT INTO t VALUES (?, ?)", (1, "one"))
         db.execute("COMMIT")
         assert db.execute("SELECT b FROM t") == [("one",)]
+        session = stack.obs if hub is None else hub.sessions[0]
+        counted = session.registry.counters()
         chip = weakref.ref(stack.chip)
         del db, stack
         assert chip() is None
+        assert session.registry.counters() == counted
+        if obs != "off":
+            assert counted["sqlite.txn_commits"] > 0 and counted["flash.page_programs"] > 0
+        if hub is not None:
+            assert session.tracer.find("commit")
     finally:
+        uninstall_default_hub()
         gc.enable()
+
+
+_SQL_LAYERS = ("sqlite.rbj", "sqlite.wal", "sqlite.xftl", "sqlite.concurrent", "stack.tenant")
+
+
+def _machines() -> Counter:
+    """Live chips, devices and page caches, by class."""
+    gc.collect()
+    # ``type`` rather than ``isinstance``: a dead weak proxy raises on the latter.
+    return Counter(
+        kind.__name__
+        for obj in gc.get_objects()
+        for kind in (FlashChip, PageCache, StorageDevice)
+        if issubclass(type(obj), kind)
+    )
+
+
+def test_a_hub_holds_no_machine():
+    """A crash sweep under a hub leaves no chip, device or page cache alive:
+    each session's registry keeps counts, not the layers that made them."""
+    before = _machines()
+    hub = install_default_hub()
+    try:
+        report = sweep(layers=_SQL_LAYERS, budget=10, seed=0)
+    finally:
+        uninstall_default_hub()
+    assert len(hub.sessions) == report.scenarios_run > 0
+    assert _machines() == before
+    assert hub.merged_registry().counter_value("flash.page_programs") > 0

@@ -47,9 +47,9 @@ class TestCrossLayerAccounting:
         fs_before = fs.stats.snapshot()
         dev_before = device.counters.snapshot()
         _drive_small_cache(stack)
-        assert fs.cache.dirty_evictions > 0  # the steal path ran
+        assert fs.cache.counts.dirty_evictions > 0  # the steal path ran
         if fs.journal is not None:
-            assert fs.journal.checkpoints > 0
+            assert fs.journal.counts.checkpoints > 0
         fs_delta = fs.stats.delta(fs_before)
         fs_writes = (
             fs_delta.data_page_writes + fs_delta.meta_page_writes + fs_delta.journal_page_writes

@@ -6,7 +6,7 @@ stall counts, the collector's schedule counts, X-FTL's version counts, a
 tenant's account, ext4's ``FsStats``, its page cache's and its journal's
 counts, and the records every pager, connection and transaction manager
 of a stack shares) is exported through ``MetricsRegistry.bind``; nothing
-increments an obs twin.
+increments an obs twin, and no bound record is a layer.
 These tests pin that the bound names read the records, on a bare stack and
 through ``build_stack``, across merged sessions and across a remount (the
 fresh mount's records replace the old ones), and that a disabled handle
@@ -26,9 +26,7 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.stats import FlashStats
 from repro.fs.ext4 import FsStats
-from repro.fs.pagecache import PageCache
 from repro.ftl.base import FtlConfig
-from repro.ftl.gc import Collector
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
 from repro.obs import NULL_OBS, Observability, install_default_hub, uninstall_default_hub
@@ -38,39 +36,37 @@ from repro.tenancy import TenantAccount
 _SMALL = dict(num_blocks=128, pages_per_block=64)
 
 
-def _expected(chip, device, fs=None) -> dict[str, int]:
-    """Every bound name of a chip + device (+ fs), read straight from the records."""
-    expected = {name: getattr(chip.stats, field) for name, field in FlashStats.OBS_NAMES.items()}
-    expected["flash.torn_programs"] = chip.torn_programs
-    collector = device.ftl.gc
-    for field in Collector.OBS_FIELDS:
-        expected[f"ftl.gc.{field}"] = getattr(collector, field)
+def _names(record) -> dict[str, int]:
+    """What ``record``'s ``OBS_NAMES`` read."""
+    return {name: getattr(record, field) for name, field in record.OBS_NAMES.items()}
+
+
+def _expected(chip, device, fs=None, sessions=()) -> dict[str, int]:
+    """Every bound name of a chip + device (+ fs, + sessions), read straight
+    from the records."""
+    expected = {**_names(chip.stats), **_names(chip.counts), **_names(device.ftl.gc.counts)}
     if isinstance(device.ftl, XFTL):
-        for field in ("version_publishes", "version_releases", "asof_reads"):
-            expected[f"ftl.mvcc.{field}"] = getattr(device.ftl, field)
+        expected.update(_names(device.ftl.mvcc))
     expected.update(
         {f"dev.{f.name}": getattr(device.counters, f.name) for f in fields(DeviceCounters)}
     )
-    expected["dev.queue.barrier_stalls"] = device.barrier_stalls
-    expected["dev.queue.stalls_avoided"] = device.stalls_avoided
+    expected.update(_names(device.stalls))
     if device.queue is not None:
-        expected["dev.queue.share_stalls"] = device.queue.share_stalls
-        expected["dev.queue.epochs"] = device.queue.epochs_closed
-        expected["dev.queue.admit_stalls"] = device.queue.admit_stalls
+        expected.update(_names(device.queue.counts))
     # The records every pager, connection and transaction manager shares.
     for record in chip.obs._shared.values():
-        for name, field in record.OBS_NAMES.items():
-            expected[name] = getattr(record, field)
+        expected.update(_names(record))
     for account in chip.tenants.accounts:
         for field in TenantAccount.OBS_FIELDS:
             expected[f"tenant.{account.name}.{field}"] = getattr(account, field)
     if fs is not None:
         expected.update({f"fs.{f.name}": getattr(fs.stats, f.name) for f in fields(FsStats)})
-        for field in PageCache.OBS_FIELDS:
-            expected[f"fs.cache.{field}"] = getattr(fs.cache, field)
+        expected.update(_names(fs.cache.counts))
         if fs.journal is not None:
-            expected["fs.journal.commits"] = fs.journal.transactions_committed
-            expected["fs.journal.checkpoints"] = fs.journal.checkpoints
+            expected.update(_names(fs.journal.counts))
+    for session in sessions:
+        expected[f"session.{session.name}.commits"] = session.counts.commits
+        expected[f"session.{session.name}.rollbacks"] = session.counts.rollbacks
     return expected
 
 
@@ -190,8 +186,8 @@ def test_no_plain_counter_carries_a_bound_name():
     stacks.append(_tenant_stack())
     for stack in stacks:
         registry = stack.obs.registry
-        assert not set(registry._counters) & set(registry._bound), stack.config.mode
-        expected = _expected(stack.chip, stack.device, stack.fs)
+        sessions = [session for tenant in stack.tenants for session in tenant.sessions]
+        expected = _expected(stack.chip, stack.device, stack.fs, sessions)
         assert set(registry._bound) == set(expected), stack.config.mode
         assert _bound_values(registry, expected) == expected
     tenants = stacks[-1].obs.registry
@@ -221,16 +217,6 @@ def test_remount_rebinds_fs_records_to_the_new_mount():
         registry.bind(FlashStats(), {"fs.data_page_writes": "page_programs"})
     with pytest.raises(ValueError):
         registry.bind(FsStats(), {"sqlite.statements": "fsync_calls"})
-
-
-def test_bind_and_counter_refuse_each_others_names():
-    obs = Observability(enabled=True)
-    obs.counter("x.plain")
-    with pytest.raises(ValueError):
-        obs.registry.bind(FlashStats(), {"x.plain": "page_reads"})
-    obs.registry.bind(FlashStats(), {"x.bound": "page_reads"})
-    with pytest.raises(ValueError):
-        obs.counter("x.bound")
 
 
 def test_metrics_off_binds_nothing_on_the_shared_null_handle():

@@ -3,10 +3,9 @@
 ``repro.obs.instrument.INSTRUMENTS`` is the one place that lists every span
 and histogram the stack records.  These tests hold the table to the code
 (every row names a live class, method and argument), hold a metrics-off
-stack to making no call into the shared null instruments on any benchmark
-leg, and pin how an attached wrapper behaves: it calls through the class
-attribute at call time, and an exception closes its span and skips its
-observations.
+stack to making no call into ``repro.obs`` on any benchmark leg, and pin
+how an attached wrapper behaves: it calls through the class attribute at
+call time, and an exception closes its span and skips its observations.
 """
 
 from __future__ import annotations
@@ -14,7 +13,9 @@ from __future__ import annotations
 import importlib
 import inspect
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,8 @@ from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
-from repro.obs import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_OBS, NULL_SPAN, Observability
+import repro.obs
+from repro.obs import NULL_OBS, Observability
 from repro.obs.instrument import INSTRUMENTS, Arg, Span, Value
 from repro.stack import Mode, StackConfig, build_stack
 
@@ -56,47 +58,47 @@ def test_every_row_names_a_live_method_and_its_arguments(row):
 # ------------------------------------------------------- metrics off: no calls
 
 
+_OBS_DIR = str(Path(repro.obs.__file__).parent)
+
+
 @pytest.fixture
-def null_calls(monkeypatch):
-    """Every call into one of the four shared null instruments, by method."""
+def obs_calls():
+    """Every call into a function defined under ``repro/obs/`` while the
+    test runs, by file and name (a ``sys.setprofile`` hook; ``clear()``
+    starts the window)."""
     calls: Counter[str] = Counter()
-    for instrument, methods in (
-        (NULL_SPAN, ("__enter__", "__exit__")),
-        (NULL_HISTOGRAM, ("observe",)),
-        (NULL_COUNTER, ("inc",)),
-        (NULL_GAUGE, ("set", "add")),
-    ):
-        cls = type(instrument)
-        for method in methods:
-            original = getattr(cls, method)
 
-            def counted(*args, _original=original, _name=f"{cls.__name__}.{method}"):
-                calls[_name] += 1
-                return _original(*args)
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and Path(code.co_filename).parent == Path(_OBS_DIR):
+            calls[f"{Path(code.co_filename).name}:{code.co_qualname}"] += 1
 
-            monkeypatch.setattr(cls, method, counted)
-    return calls
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
 
 
 @pytest.mark.parametrize("mode", [Mode.RBJ, Mode.WAL, Mode.XFTL])
-def test_metrics_off_sql_transaction_calls_no_null_instrument(mode, null_calls):
+def test_metrics_off_sql_transaction_calls_no_null_instrument(mode, obs_calls):
     stack = build_stack(StackConfig(mode=mode, num_blocks=128, pages_per_block=64))
     assert stack.obs is NULL_OBS
     db = stack.open_database("t.db")
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
     for i in range(40):
         db.execute("INSERT INTO t VALUES (?, ?)", (i, f"v{i}"))
-    null_calls.clear()
+    obs_calls.clear()
     programs = stack.chip.stats.page_programs
     db.execute("BEGIN")
     for i in range(0, 40, 8):
         db.execute("UPDATE t SET v = ? WHERE id = ?", (f"w{i}", i))
     db.execute("COMMIT")
     assert stack.chip.stats.page_programs > programs
-    assert dict(null_calls) == {}
+    assert dict(obs_calls) == {}
 
 
-def test_metrics_off_ftl_gc_shaped_device_calls_no_null_instrument(null_calls):
+def test_metrics_off_ftl_gc_shaped_device_calls_no_null_instrument(obs_calls):
     chip = FlashChip(FlashGeometry(page_size=512, pages_per_block=16, num_blocks=64, channels=8))
     ftl = PageMappingFTL(
         chip,
@@ -125,14 +127,14 @@ def test_metrics_off_ftl_gc_shaped_device_calls_no_null_instrument(null_calls):
     device.flush()
     for seq in range(2 * fill):
         op(seq)
-    null_calls.clear()
+    obs_calls.clear()
     before = chip.stats.snapshot()
     for seq in range(50):
         op(seq)
     used = chip.stats.delta(before)
     assert used.gc_invocations > 0 and used.gc_copyback_writes > 0 and used.block_erases > 0
-    assert device.queue.peak_depth > 1
-    assert dict(null_calls) == {}
+    assert device.queue.counts.peak_depth > 1
+    assert dict(obs_calls) == {}
 
 
 # ------------------------------------------------------------ the wrappers

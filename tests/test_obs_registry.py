@@ -1,41 +1,31 @@
 """Unit tests for the ``repro.obs`` metrics registry.
 
-Covers the enabled path (counters and histograms accumulate, exports are
-deterministic), the disabled path (shared null singletons, and — the
-acceptance-critical property — zero tracked allocations on the hot write
-path), and merging across sessions.
+Covers the enabled path (bound records are read by name, histograms
+accumulate, exports are deterministic), the disabled path (nothing is
+bound, and — the acceptance-critical property — zero tracked allocations
+on the hot write path), and merging across sessions.
 """
 
 import os
 import tracemalloc
 
 import repro.obs
-from repro.flash.stats import FlashStats
-from repro.obs import (
-    DEFAULT_SIZE_BOUNDS,
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-    MetricsRegistry,
-    Observability,
-)
+from repro.device.queue import QueueCounts
+from repro.flash.stats import ChipCounts, FlashStats
+from repro.fs.ext4 import FsStats
+from repro.fs.pagecache import CacheCounts
+from repro.obs import DEFAULT_SIZE_BOUNDS, Histogram, MetricsRegistry, Observability
 from repro.stack import Mode, StackConfig, build_stack
 
 
 class TestEnabledRegistry:
-    def test_counter_accumulates_and_is_shared_by_name(self):
-        registry = MetricsRegistry(enabled=True)
-        counter = registry.counter("flash.page_programs")
-        counter.inc()
-        counter.inc(4)
-        assert registry.counter_value("flash.page_programs") == 5
-        assert registry.counter("flash.page_programs") is counter
-
     def test_bound_record_is_read_when_asked(self):
         registry = MetricsRegistry(enabled=True)
-        stats = FlashStats()
+        stats, chip = FlashStats(), ChipCounts()
         registry.bind(stats, {"flash.page_programs": "page_programs"})
+        registry.bind(chip, ChipCounts.OBS_NAMES)
         stats.page_programs = 7
-        registry.counter("flash.torn_programs").inc()
+        chip.torn_programs = 1
         assert registry.counter_value("flash.page_programs") == 7
         assert registry.counters() == {"flash.page_programs": 7, "flash.torn_programs": 1}
         assert registry.layers() == ["flash"]
@@ -58,9 +48,9 @@ class TestEnabledRegistry:
 
     def test_layers_and_prefix_query(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("flash.page_programs").inc()
-        registry.counter("fs.fsync_calls").inc(2)
-        registry.counter("fs.cache.hits").inc(3)
+        registry.bind(FlashStats(page_programs=1), {"flash.page_programs": "page_programs"})
+        registry.bind(FsStats(fsync_calls=2), {"fs.fsync_calls": "fsync_calls"})
+        registry.bind(CacheCounts(hits=3), {"fs.cache.hits": "hits"})
         assert registry.layers() == ["flash", "fs"]
         assert registry.counters_of_layer("fs") == {
             "fs.cache.hits": 3,
@@ -69,8 +59,8 @@ class TestEnabledRegistry:
 
     def test_exports_are_sorted_and_parseable(self):
         registry = MetricsRegistry(enabled=True)
-        registry.counter("b.two").inc(2)
-        registry.counter("a.one").inc(1)
+        stats = FlashStats(page_reads=2, page_programs=1)
+        registry.bind(stats, {"b.two": "page_reads", "a.one": "page_programs"})
         assert list(registry.counters()) == ["a.one", "b.two"]
         csv = registry.to_csv()
         assert csv.splitlines()[0] == "kind,name,field,value"
@@ -81,30 +71,40 @@ class TestEnabledRegistry:
     def test_merge_from_sums_counters_and_histograms(self):
         first = MetricsRegistry(enabled=True)
         second = MetricsRegistry(enabled=True)
-        first.counter("ftl.barriers").inc(2)
-        second.counter("ftl.barriers").inc(3)
+        first.bind(FlashStats(barriers=2), {"ftl.barriers": "barriers"})
+        second.bind(FlashStats(barriers=3), {"ftl.barriers": "barriers"})
         first.histogram("fs.fsync.latency_us").observe(100.0)
         second.histogram("fs.fsync.latency_us").observe(300.0)
+        for registry, depth, peak in ((first, 1, 4), (second, 2, 3)):
+            counts = QueueCounts(depth=depth, peak_depth=peak)
+            registry.bind_gauge(counts, "dev.queue.depth", "depth", "peak_depth")
         merged = MetricsRegistry(enabled=True).merge_from([first, second])
         assert merged.counter_value("ftl.barriers") == 5
         histogram = merged.histograms()["fs.fsync.latency_us"]
         assert histogram.count == 2
         assert histogram.min == 100.0
         assert histogram.max == 300.0
+        gauge = merged.gauge("dev.queue.depth")
+        assert (gauge.value, gauge.max_value) == (2.0, 4.0)
+
+    def test_a_bound_histogram_is_exported_by_its_name(self):
+        registry = MetricsRegistry(enabled=True)
+        latency = Histogram("tenant.a.commit_latency_us")
+        registry.bind_histogram(latency)
+        latency.observe(7.0)
+        assert registry.histograms() == {"tenant.a.commit_latency_us": latency}
+        assert registry.as_dict()["histograms"]["tenant.a.commit_latency_us"]["count"] == 1
 
 
 class TestDisabledRegistry:
-    def test_hands_out_shared_null_singletons(self):
+    def test_disabled_registry_records_nothing(self):
         registry = MetricsRegistry(enabled=False)
-        assert registry.counter("flash.page_programs") is NULL_COUNTER
-        assert registry.histogram("fs.fsync.latency_us") is NULL_HISTOGRAM
-
-    def test_null_instruments_record_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("x.y").inc(10)
-        registry.histogram("x.z").observe(1.0)
-        assert registry.counter_value("x.y") == 0
+        registry.bind(FlashStats(page_reads=3), {"flash.page_reads": "page_reads"})
+        registry.bind_gauge(QueueCounts(depth=1), "dev.queue.depth", "depth", "peak_depth")
+        registry.bind_histogram(Histogram("x.z"))
+        assert registry.counter_value("flash.page_reads") == 0
         assert registry.counters() == {}
+        assert registry.gauges() == {} and registry.histograms() == {}
         assert "(no metrics recorded)" in registry.report()
 
     def test_disabled_observability_skips_meta_and_verify(self):

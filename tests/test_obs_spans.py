@@ -55,10 +55,14 @@ class TestTracerUnit:
         assert "outer" in tracer.render_tree()
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("x", "fs"):
-            pass
-        assert tracer.spans == []
+        """Metrics on, trace off: no layer asks the tracer for a span."""
+        stack = build_stack(
+            StackConfig(mode=Mode.XFTL, num_blocks=128, pages_per_block=64, metrics=True)
+        )
+        _run_commit(stack)
+        assert not stack.obs.tracer.enabled
+        assert stack.obs.tracer.spans == [] and stack.obs.tracer._next_id == 1
+        assert stack.obs.registry.counter_value("sqlite.txn_commits") > 0
 
     def test_capacity_drops_instead_of_growing(self):
         tracer = Tracer(enabled=True, capacity=2)

@@ -79,7 +79,7 @@ class TestCounted:
         account = stack.chip.tenants.accounts[tenant.id]
         commits0 = registry.counter_value("sqlite.txn_commits")
         latencies0 = registry.histograms()["sqlite.commit.latency_us"].count
-        session0, tenant0 = session.commits, account.commits
+        session0, tenant0 = session.counts.commits, account.commits
         txn = MultiFileTransaction(*dbs)
         txn.begin()
         for db in dbs:
@@ -87,7 +87,7 @@ class TestCounted:
         txn.commit()
         assert registry.counter_value("sqlite.txn_commits") - commits0 == 2
         assert registry.histograms()["sqlite.commit.latency_us"].count - latencies0 == 2
-        assert session.commits - session0 == 2
+        assert session.counts.commits - session0 == 2
         assert account.commits - tenant0 == 2
 
 

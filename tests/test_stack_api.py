@@ -61,6 +61,34 @@ class TestOpenStack:
             build_stack(StackConfig(), num_blocks=64)
 
 
+class TestSessionNames:
+    def test_an_open_name_raises_and_generated_names_skip_taken_ones(self):
+        stack = build_stack(mode=Mode.XFTL, num_blocks=128, pages_per_block=64, metrics=True)
+        stack.open_session("s1")
+        with pytest.raises(ValueError, match="'s1' is already open"):
+            stack.open_session("s1")
+        assert [stack.open_session().name for _ in range(3)] == ["s2", "s3", "s4"]
+        stack.open_session("s6")
+        assert [stack.open_session().name for _ in range(2)] == ["s5", "s7"]
+
+    def test_each_session_counts_into_its_own_names(self):
+        stack = build_stack(mode=Mode.XFTL, num_blocks=128, pages_per_block=64, metrics=True)
+        sessions = [stack.open_session(), stack.open_session()]
+        for commits, session in zip((1, 2), sessions):
+            db = session.open_database(f"{session.name}.db")
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            for i in range(commits):
+                db.execute("BEGIN")
+                db.execute("INSERT INTO t VALUES (?)", (i,))
+                db.execute("COMMIT")
+        registry = stack.obs.registry
+        for session in sessions:
+            assert registry.counter_value(f"session.{session.name}.commits") == (
+                session.counts.commits
+            )
+        assert [session.counts.commits for session in sessions] == [1, 2]
+
+
 class TestModeSingleSourceOfTruth:
     @pytest.mark.parametrize(
         ("mode", "expected"),

@@ -23,24 +23,35 @@ from typing import Callable, NamedTuple
 import pytest
 
 import repro.sim.interleave as interleave_module
+from repro.device.queue import CommandQueue
+from repro.device.ssd import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
 from repro.flash.stats import FlashStats
+from repro.fs.ext4 import Ext4
+from repro.fs.journal import Jbd2Journal
+from repro.fs.pagecache import CachedPage, PageCache
 from repro.ftl import XFTL, pagemap
-from repro.fs.pagecache import CachedPage
+from repro.ftl.base import FtlConfig
+from repro.ftl.cmt import CachedMappingTable
+from repro.ftl.gc import Collector
+from repro.ftl.pagemap import PageMappingFTL
 from repro.sqlite import btree, records, table
 from repro.sqlite.database import Connection
 from repro.sqlite.multifile import MultiFileTransaction
 from repro.sqlite.pager import OffPager, Pager, RollbackPager, WalPager
 from repro.sqlite.sql import engine
 from repro.stack import (
+    BenchStack,
     Mode,
     Session,
     SessionScheduler,
     StackConfig,
+    Tenant,
     TenantScheduler,
     TxnManager,
     build_stack,
 )
+from repro.tenancy import TenantRegistry
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -336,6 +347,51 @@ def _one_finish_method() -> list[str]:
 
 #: The layers under the SQL connection, where every command runs.
 _LAYERS = tuple(f"src/repro/{layer}" for layer in ("device", "flash", "fs", "ftl", "sqlite"))
+#: ... and the sessions, tenants and transaction managers above them.
+_STACK = (*_LAYERS, "src/repro/stack", "src/repro/tenancy.py")
+
+#: Classes of the machine a registry must never keep alive.
+_LAYER_CLASSES = (
+    FlashChip, TenantRegistry, PageMappingFTL, Collector, CachedMappingTable, StorageDevice,
+    CommandQueue, Ext4, Jbd2Journal, PageCache, Pager, Connection, TxnManager, Session, Tenant,
+    BenchStack,
+)
+
+
+def _bound_layers() -> list[str]:
+    """Every record a metrics-on registry binds holds counts only: no layer
+    and no obs handle (a hub keeps each session's registry after its
+    machine is dropped)."""
+    found = []
+    for mode in (Mode.RBJ, Mode.XFTL):
+        stack = build_stack(
+            StackConfig(
+                mode=mode,
+                metrics=True,
+                num_blocks=256,
+                pages_per_block=32,
+                channels=2,
+                queue_depth=4,
+                ftl=FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_pages=8),
+            )
+        )
+        db = stack.open_tenant("alice").open_database("guard.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        db.execute("INSERT INTO t VALUES (1, 'one')")
+        registry = stack.obs.registry
+        records = {
+            name: held[0]
+            for table in (registry._bound, registry._bound_gauges)
+            for name, held in table.items()
+        }
+        if not any(name.startswith("session.") for name in records):
+            found.append(f"{mode.value}: no session bound")
+        found += [
+            f"{mode.value}: {name} is bound to a {type(record).__name__}"
+            for name, record in records.items()
+            if isinstance(record, _LAYER_CLASSES) or hasattr(record, "obs")
+        ]
+    return found
 
 def _charge_run_loops() -> list[str]:
     """``FlashChip._charge_run`` folds a run's durations: its one loop walks
@@ -404,11 +460,20 @@ ROWS = [
             r"|journal\.(commits|checkpoints))|statements_executed|journal_page_writes \+= (len|3)",
             'obs.counter("fs.fsync_calls")'),
     Pattern("no-inline-spans", "Spans are rows of repro.obs.instrument.INSTRUMENTS.",
-            r"\.span\(", 'with self.obs.tracer.span("write", "dev", lpn=lpn):', _LAYERS),
+            r"\.span\(", 'with self.obs.tracer.span("write", "dev", lpn=lpn):', _STACK),
     Pattern("no-inline-instruments",
-            "Histograms are rows of the instrumentation table; counts are bound int fields.",
-            r"\.(observe|inc|set|histogram|counter|gauge)\(",
-            "self._obs_flush_us.observe(self.clock.now_us - start_us)", _LAYERS),
+            "Histograms are rows of the instrumentation table; counts are bound int fields "
+            "(a tenant's commit_latency is its account's own histogram, kept with metrics off).",
+            r"(?<!\.commit_latency)\.(observe|inc|set|histogram|counter|gauge)\(",
+            "self._obs_flush_us.observe(self.clock.now_us - start_us)", _STACK),
+    Pattern("no-trace-events", "A point the stack traces is a span row over a method of its own.",
+            r"tracer\.event\(", 'self.obs.tracer.event("txn.begin", "stack", tid=tid)'),
+    Pattern("no-null-instruments", "A disabled handle attaches nothing: no null instrument class.",
+            r"class _Null", "class _NullCounter:"),
+    Pattern("no-null-singletons", "No shared no-op instrument for a metrics-off caller.",
+            r"NULL_(COUNTER|GAUGE|HISTOGRAM|SPAN)\b", "return NULL_HISTOGRAM"),
+    Structure("bound-records-hold-counts", "A registry binds count records, never a layer.",
+              _bound_layers),
     Structure("flash-stats-counts", "FlashStats is the one store of flash counts: all ints.",
               lambda: [f.name for f in fields(FlashStats) if f.type not in (int, "int")]),
     # -- the FTL

@@ -215,7 +215,7 @@ class TestQueueShares:
         before = clock.now_us
         queue.admit()
         assert clock.now_us >= before + 100.0
-        assert queue.share_stalls == 1
+        assert queue.counts.share_stalls == 1
 
     def test_no_shares_no_stalls(self):
         clock = SimClock()
@@ -227,7 +227,7 @@ class TestQueueShares:
             queue.admit()
             queue.push(clock.now_us + offset)
         assert clock.now_us == 0.0
-        assert queue.share_stalls == 0
+        assert queue.counts.share_stalls == 0
 
     def _capped_queue(self, depth=8):
         clock = SimClock()
@@ -255,7 +255,7 @@ class TestQueueShares:
         queue.push(300.0)
         queue.admit()  # hot share (1) exhausted
         assert clock.now_us == 300.0
-        assert queue.share_stalls == 1
+        assert queue.counts.share_stalls == 1
 
     def test_empty_share_does_not_wedge(self):
         """A cap the tenant cannot satisfy must bail out, not spin forever.
@@ -269,7 +269,7 @@ class TestQueueShares:
         registry.current = hot
         queue.admit()  # capped at 0 with nothing in flight: returns
         assert clock.now_us == 0.0
-        assert queue.share_stalls == 1
+        assert queue.counts.share_stalls == 1
 
     def test_reset_clears_tenant_bookkeeping(self):
         """Power loss forgets per-tenant live counts along with the heap.
@@ -289,7 +289,7 @@ class TestQueueShares:
         assert queue.in_flight == 0
         queue.admit()  # share is free again: no wait, no stall
         assert clock.now_us == 0.0
-        assert queue.share_stalls == 0
+        assert queue.counts.share_stalls == 0
         queue.push(clock.now_us + 50.0)
         assert queue.in_flight == 1
 

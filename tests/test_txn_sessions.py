@@ -215,7 +215,7 @@ class TestGroupCommit:
         stack = _sessions_stack()
         flushes0 = stack.ftl.stats.xl2p_flushes
         scheduler, sessions, dbs = _run_interleaved(stack, 4, 6)
-        commits = sum(session.commits for session in sessions)
+        commits = sum(session.counts.commits for session in sessions)
         flushes = stack.ftl.stats.xl2p_flushes - flushes0
         assert commits == 24
         assert flushes / commits < 1.0
@@ -269,7 +269,7 @@ class TestGroupCommit:
         db.commit()  # nothing dirty: completes inline, nothing staged
         assert not db.pending_commit
         assert scheduler.commit_token(db) is None
-        assert session.commits == 1
+        assert session.counts.commits == 1
 
     def test_staged_commit_blocks_new_work_until_finished(self):
         stack = _sessions_stack()
@@ -325,7 +325,7 @@ class TestGroupCommit:
         db.execute("INSERT INTO t VALUES (1)")
         db.commit()  # commits inline: deferral never arms outside OFF mode
         assert not db.pending_commit
-        assert session.commits == 1
+        assert session.counts.commits == 1
 
 
 # -------------------------------------------------------- crash consistency
