@@ -41,6 +41,8 @@ from repro.device.queue import (
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
 
+_POWERED_OFF = "device is powered off"
+
 
 class StorageDevice:
     """A SATA-attached SSD built from a flash chip and an FTL."""
@@ -51,7 +53,11 @@ class StorageDevice:
         self.ftl = ftl
         self.chip = ftl.chip
         self.clock = ftl.chip.clock
-        self.profile = ftl.chip.profile
+        self.profile = profile = ftl.chip.profile
+        # Fixed command time, charged by one clock.advance per command: a
+        # command alone, and a command that moves one page over the bus.
+        self._command_us = profile.command_overhead_us
+        self._page_command_us = profile.command_overhead_us + profile.bus_transfer_us
         self.counters = DeviceCounters()
         self.obs = ftl.chip.obs
         if queue_depth < 1:
@@ -158,15 +164,6 @@ class StorageDevice:
             self.ftl.remount()
             self._on = True
 
-    def _check_on(self) -> None:
-        if not self._on:
-            raise DeviceError("device is powered off")
-
-    def _charge(self, transfers: int = 0) -> None:
-        self.clock.advance(
-            self.profile.command_overhead_us + transfers * self.profile.bus_transfer_us
-        )
-
     def _dispatch(self, op: Callable[..., Any], *args: Any) -> Any:
         """Issue one queued command, ``op(*args)``: admit, run with deferred flash time.
 
@@ -237,15 +234,17 @@ class StorageDevice:
     # ---------------------------------------------------- standard commands
 
     def read(self, lpn: int) -> Any:
-        self._check_on()
+        if not self._on:
+            raise DeviceError(_POWERED_OFF)
         self.counters.reads += 1
-        self._charge(transfers=1)
+        self.clock.advance(self._page_command_us)
         if self.queue is None:
             return self.ftl.read(lpn)
         return self._dispatch(self.ftl.read, lpn)
 
     def write(self, lpn: int, data: Any) -> None:
-        self._check_on()
+        if not self._on:
+            raise DeviceError(_POWERED_OFF)
         self._write(lpn, data)
 
     def _write(self, lpn: int, data: Any) -> None:
@@ -253,29 +252,31 @@ class StorageDevice:
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
-        self._charge(transfers=1)
+        self.clock.advance(self._page_command_us)
         if self.queue is None:
             self.ftl.write(lpn, data)
         else:
             self._dispatch(self.ftl.write, lpn, data)
 
     def trim(self, lpn: int) -> None:
-        self._check_on()
+        if not self._on:
+            raise DeviceError(_POWERED_OFF)
         self.counters.trims += 1
         self._mutated_since_flush = True
-        self._charge()
+        self.clock.advance(self._command_us)
         self.ftl.trim(lpn)
 
     def flush(self) -> None:
         """Write barrier: all acknowledged writes + mapping state durable."""
-        self._check_on()
+        if not self._on:
+            raise DeviceError(_POWERED_OFF)
         self._flush()
 
     def _flush(self) -> None:
         self.counters.flushes += 1
         if self.tenants.enabled:
             self.tenants.note_flush()
-        self._charge()
+        self.clock.advance(self._command_us)
         self._barrier_point()
         self.ftl.barrier()
         self._mutated_since_flush = False
@@ -290,7 +291,8 @@ class StorageDevice:
         acknowledged-but-unflushed writes always have.  On a drain device
         the only ordering primitive is a full flush, so order costs one.
         """
-        self._check_on()
+        if not self._on:
+            raise DeviceError(_POWERED_OFF)
         if not self.barrier_mode:
             self._flush()
             return
@@ -300,7 +302,7 @@ class StorageDevice:
         self.counters.barriers += 1
         if self.tenants.enabled:
             self.tenants.note_flush()
-        self._charge()
+        self.clock.advance(self._command_us)
         self._order_barrier()
 
     def write_barrier(self, lpn: int, data: Any) -> None:
@@ -313,7 +315,8 @@ class StorageDevice:
         Drain device: the same order costs flush - write - flush, the two
         barriers per ordered-journal commit of §6.3.4.
         """
-        self._check_on()
+        if not self._on:
+            raise DeviceError(_POWERED_OFF)
         if not self.barrier_mode:
             self._flush()
             self._write(lpn, data)
@@ -326,7 +329,7 @@ class StorageDevice:
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
-        self._charge(transfers=1)
+        self.clock.advance(self._page_command_us)
         if self.queue is None:
             self.ftl.write(lpn, data)
             self.chip.order_barrier()
@@ -340,7 +343,7 @@ class StorageDevice:
     def _tx_ftl(self) -> XFTL:
         """The FTL of an extended command: the device must be on and its FTL an XFTL."""
         if not self._on:
-            raise DeviceError("device is powered off")
+            raise DeviceError(_POWERED_OFF)
         ftl = self.ftl
         if not isinstance(ftl, XFTL):
             raise DeviceError("device FTL does not support the extended command set")
@@ -349,7 +352,7 @@ class StorageDevice:
     def read_tx(self, tid: int, lpn: int) -> Any:
         ftl = self._tx_ftl()
         self.counters.tagged_reads += 1
-        self._charge(transfers=1)
+        self.clock.advance(self._page_command_us)
         if self.queue is None:
             return ftl.read_tx(tid, lpn)
         return self._dispatch(ftl.read_tx, tid, lpn)
@@ -361,7 +364,7 @@ class StorageDevice:
         qualifies — including the whole retain_versions == 1 regime."""
         ftl = self._tx_ftl()
         self.counters.tagged_reads += 1
-        self._charge(transfers=1)
+        self.clock.advance(self._page_command_us)
         if self.queue is None:
             return ftl.read_as_of(lpn, snapshot_seq)
         return self._dispatch(ftl.read_as_of, lpn, snapshot_seq)
@@ -383,7 +386,7 @@ class StorageDevice:
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
-        self._charge(transfers=1)
+        self.clock.advance(self._page_command_us)
         if self.queue is None:
             ftl.write_tx(tid, lpn, data)
         else:
@@ -413,7 +416,7 @@ class StorageDevice:
 
     def _commit_tids(self, ftl: XFTL, tids: list[int]) -> None:
         for _ in tids:
-            self._charge()
+            self.clock.advance(self._command_us)
         self._barrier_point()
         ftl.commit_group(tids)
 
@@ -421,6 +424,6 @@ class StorageDevice:
         """abort(t), carried over the trim command's parameter set (§5.2)."""
         ftl = self._tx_ftl()
         self.counters.aborts += 1
-        self._charge()
+        self.clock.advance(self._command_us)
         self._barrier_point()
         ftl.abort(tid)

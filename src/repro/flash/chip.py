@@ -185,6 +185,10 @@ class FlashChip:
         self._tracer = obs.tracer
 
         self.state = BlockStateView(self.geometry)
+        # The view's arrays change in place and are never rebound: the
+        # program path reads them through these aliases.
+        self._page_states = self.state.page_states
+        self._write_points = self.state.write_points
         total = self.geometry.total_pages
         self._data: list[Any] = [None] * total
         # The OOB area, one column per field (kind 0: no record).
@@ -231,6 +235,8 @@ class FlashChip:
 
         Inlines ``ResourceTimeline.reserve`` (same float arithmetic — the
         channels=1 pinning depends on it) to keep the per-page cost down.
+        Reads and erases charge here; a page program charges the same
+        arithmetic inline in :meth:`_charge_program`.
         """
         timeline = self._channel_timelines[channel]
         clock = self.clock
@@ -337,8 +343,8 @@ class FlashChip:
         """
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)
-        st = self.state
-        state = st.page_states[ppn]
+        page_states = self._page_states
+        state = page_states[ppn]
         if state != PAGE_ERASED:
             raise FlashError(
                 f"program of non-erased page ppn={ppn} ({PAGE_STATE_NAMES[state]})"
@@ -346,7 +352,7 @@ class FlashChip:
         per = self._pages_per_block
         block = ppn // per
         index = ppn - block * per
-        write_points = st.write_points
+        write_points = self._write_points
         if index != write_points[block]:
             raise FlashError(
                 f"out-of-order program in block {block}: page index {index}, "
@@ -359,7 +365,7 @@ class FlashChip:
             fired = crash_plan.countdown(CP_PROGRAM_MID)
             if fired is not None and fired.tear_page:
                 # Power fails mid-program: the page is neither erased nor valid.
-                st.page_states[ppn] = PAGE_TORN
+                page_states[ppn] = PAGE_TORN
                 write_points[block] = index + 1
                 self.stats.page_programs += 1
                 self.counts.torn_programs += 1
@@ -376,7 +382,7 @@ class FlashChip:
             raise FlashError(f"bad OOB for ppn={ppn}: {exc}") from None
         self._oob_tag[ppn] = tag
         self._data[ppn] = data
-        st.page_states[ppn] = PAGE_PROGRAMMED
+        page_states[ppn] = PAGE_PROGRAMMED
         write_points[block] = index + 1
         self.stats.page_programs += 1
         self._charge_program(block % self._num_channels)
@@ -402,7 +408,29 @@ class FlashChip:
         return data
 
     def _charge_program(self, channel: int) -> None:
-        self._charge_flash(self.profile.page_program_us, channel)
+        """:meth:`_charge_flash` of one page program, its arithmetic inline:
+        the host program path's one timing frame (the busy histogram's
+        program row sits on this method, not on ``_charge_flash``)."""
+        duration_us = self.profile.page_program_us
+        timeline = self._channel_timelines[channel]
+        clock = self.clock
+        now = clock._now_us
+        busy = timeline.busy_until_us
+        start = busy if busy > now else now
+        floor = self.dispatch_floor_us
+        if floor > start:
+            start = floor
+        end = start + duration_us
+        timeline.busy_until_us = end
+        timeline.busy_us += duration_us
+        timeline.reservations += 1
+        regions = self._regions
+        if regions:
+            for region in regions:
+                if end > region.end_us:
+                    region.end_us = end
+        elif end > now:
+            clock._now_us = end
 
     def _charge_erase(self, channel: int) -> None:
         self._charge_flash(self.profile.block_erase_us, channel)
@@ -558,6 +586,18 @@ class FlashChip:
             state = PAGE_STATE_NAMES[self.state.page_states[ppn]]
             raise FlashError(f"discard of a page that is not programmed ppn={ppn} ({state})")
         self._data[ppn] = _DISCARDED
+
+    def discard_pages(self, ppns: Sequence[int]) -> None:
+        """``discard(ppn)`` for each of ``ppns``, in one pass: each page gets
+        :meth:`discard`'s checks, and the first that fails them raises as
+        :meth:`discard` does (the pages before it are discarded)."""
+        data = self._data
+        page_states = self.state.page_states
+        total = self._total_pages
+        for ppn in ppns:
+            if not 0 <= ppn < total or page_states[ppn] != PAGE_PROGRAMMED:
+                self.discard(ppn)  # raises
+            data[ppn] = _DISCARDED
 
     def discard_unerased(self, pages: Sequence[int]) -> None:
         """``discard(ppn)`` for each ``(ppn, erase count)`` pair of the flat

@@ -10,6 +10,10 @@ collector through five calls (:meth:`Collector.host_program` and its run
 form :meth:`~Collector.host_program_run`, whose length
 :meth:`~Collector.run_room` bounds, :meth:`~Collector.reset`,
 :meth:`~Collector.rebuild`, :meth:`~Collector.check_invariants`).  The
+schedule picks the body of the first once, when the collector is built:
+``Collector(ftl)`` is an :class:`InlineCollector` under the inline
+schedule, whose ``host_program`` reads none of the background state, and a
+plain :class:`Collector` under the background one.  The
 collector reads the FTL's reverse map — the ppn-indexed owner table says
 which pages of a victim are live and what kind of page each is, its
 per-block population ranks the victims — and writes neither.
@@ -33,7 +37,10 @@ selection / copyback mechanism):
     victims run to completion — until the pool holds
     ``gc_free_block_threshold + 1`` blocks and the floor is restored.  No
     heat map, no hot stream, no pacing, no wear leveling; freed blocks are
-    reused LIFO.
+    reused LIFO.  A host page takes one frame here:
+    :meth:`InlineCollector.host_program` tests the floor, appends to the
+    cold (or translation) block and programs, with no tick, heat, stream
+    count or tenant branch.
 
 ``"background"``
     *Watermark state machine*, per channel ``idle -> background -> urgent``:
@@ -55,12 +62,13 @@ selection / copyback mechanism):
     blocks of headroom beyond the victim's valid pages: below two blocks no
     victim is scored at all), and the free pool is kept sorted so the
     least-worn free block is handed out first.
-    *One decision per host page*: ``host_program`` appends to its stream's
-    open block itself (``_stream_block`` only opens one or falls back to the
-    cold block); the step takes the headroom it computed, writes the state
-    only when it changes, reads the channel's backlog off its busy-until,
-    enters a paced slice only with a job open or a block affordable, and
-    re-settles only after work — a step that did none changed nothing.
+    *One decision per host page*: background's ``host_program`` appends to
+    its stream's open block itself (``_stream_block`` only opens one or
+    falls back to the cold block); the step takes the headroom it
+    computed, writes the state only when it changes, reads the channel's
+    backlog off its busy-until, enters a paced slice only with a job open
+    or a block affordable, and re-settles only after work — a step that
+    did none changed nothing.
 
 Under either schedule, with a demand-paged map (``cmt_pages``) translation
 pages get their own active block per channel (Dayan & Bonnet's translation
@@ -172,7 +180,16 @@ class Collector:
     Owns no mapping state: the owner table, its per-block counts and the
     L2P stay in the FTL; the collector reads the first two and changes all
     three only through the FTL's relocation hooks.
+
+    ``Collector(ftl)`` builds the class of the schedule ``gc_mode`` names:
+    this one for ``"background"``, :class:`InlineCollector` for
+    ``"inline"``, which differs only in its :meth:`host_program` body.
     """
+
+    def __new__(cls, ftl):
+        if cls is Collector and ftl.config.gc_mode == "inline":
+            cls = InlineCollector
+        return super().__new__(cls)
 
     def __init__(self, ftl) -> None:
         config = ftl.config
@@ -278,7 +295,9 @@ class Collector:
     def host_program(self, data: Any, kind: int, key: int, tag: Any) -> int:
         """Append one host-originated page on the next round-robin channel.
 
-        Runs this schedule's reclamation first.  Both keep at least one
+        Runs this schedule's reclamation first (the background body: one
+        :meth:`_step` per page, heat, streams, counts; the inline one is
+        :meth:`InlineCollector.host_program`).  Both keep at least one
         block's worth of erased pages per channel at all times: any victim
         has at most ``pages_per_block - 1`` valid pages, so with a full
         block of headroom *before* each host program GC can always relocate
@@ -300,23 +319,19 @@ class Collector:
         active = cold[channel]  # headroom_pages(channel), inline
         headroom = len(self._free_by_channel[channel]) * per
         headroom += 0 if active is None else per - write_points[active]
-        if self._inline:
-            if headroom <= per:
-                self._reclaim(channel, 0)
-        else:
-            self._tick += 1
-            threshold = self._hot_threshold
-            if threshold > 0 and not trans:
-                if kind != OOB_DATA:
-                    # Map/meta/X-L2P table pages are rewritten on every
-                    # flush: the hottest data on the device by construction.
-                    hot = True
-                else:
-                    heat = self._heat
-                    count = heat.get(key, 0) + 1
-                    heat[key] = count
-                    hot = count >= threshold
-            self._step(channel, headroom)
+        self._tick += 1
+        threshold = self._hot_threshold
+        if threshold > 0 and not trans:
+            if kind != OOB_DATA:
+                # Map/meta/X-L2P table pages are rewritten on every
+                # flush: the hottest data on the device by construction.
+                hot = True
+            else:
+                heat = self._heat
+                count = heat.get(key, 0) + 1
+                heat[key] = count
+                hot = count >= threshold
+        self._step(channel, headroom)
         if trans:
             store = self._trans_active
         else:
@@ -328,17 +343,16 @@ class Collector:
         ftl = self.ftl
         ftl._seq += 1
         self._chip.program(ppn, data, kind, key, ftl._seq, tag)
-        if not self._inline:
-            if trans:
-                self.counts.trans_stream_writes += 1
+        if trans:
+            self.counts.trans_stream_writes += 1
+        else:
+            if hot:
+                self.counts.hot_stream_writes += 1
             else:
-                if hot:
-                    self.counts.hot_stream_writes += 1
-                else:
-                    self.counts.cold_stream_writes += 1
-                tenants = self._chip.tenants
-                if tenants.enabled:
-                    tenants.note_stream_write(hot)
+                self.counts.cold_stream_writes += 1
+            tenants = self._chip.tenants
+            if tenants.enabled:
+                tenants.note_stream_write(hot)
         if write_points[block] >= per:
             self._release_filled(channel, block)
         return ppn
@@ -954,3 +968,35 @@ class Collector:
                             f"GC job on block {job.victim} left owned page {ppn} "
                             f"behind its cursor"
                         )
+
+
+class InlineCollector(Collector):
+    """The inline schedule's collector: :class:`Collector` with a host
+    program body of its own (the stock firmware's per-page path)."""
+
+    def host_program(self, data: Any, kind: int, key: int, tag: Any) -> int:
+        """:meth:`Collector.host_program` under the inline schedule: reclaim
+        synchronously at the headroom floor, then append to the cold block
+        (or, under a demand-paged map, a translation page to its own)."""
+        channel = self._write_channel
+        self._write_channel = (channel + 1) % self._channels
+        per = self._per
+        write_points = self._write_points
+        cold = self._active_blocks
+        free = len(self._free_by_channel[channel])
+        if free < 2:  # else headroom_pages(channel) > per
+            active = cold[channel]
+            if free * per + (0 if active is None else per - write_points[active]) <= per:
+                self._reclaim(channel, 0)
+        store = self._trans_active if self._trans_stream and kind == OOB_MAP else cold
+        block = store[channel]
+        if block is None or write_points[block] >= per:
+            block = self._stream_block(channel, store)
+        ppn = block * per + write_points[block]
+        ftl = self.ftl
+        seq = ftl._seq + 1
+        ftl._seq = seq
+        self._chip.program(ppn, data, kind, key, seq, tag)
+        if write_points[block] >= per:
+            self._release_filled(channel, block)
+        return ppn

@@ -117,7 +117,9 @@ lpn now lives at that ppn" is :meth:`~PageMappingFTL._map` and nothing
 else: it hands the old copy to the ``_supersede`` hook (here: ``_bury``,
 which disowns it and records its death; the multi-version XFTL pushes it
 onto the lpn's version chain), points the L2P
-at the new one, owns it and dirties its translation segment.  A live page
+at the new one, owns it and dirties its translation segment.  A plain
+:meth:`~PageMappingFTL.write` runs ``_map`` and ``_bury`` inline, in its
+own body, while its class keeps the stock ``_supersede``.  A live page
 is exactly one the L2P or any other mapping structure references (§5), so
 the collector moves what the table says is owned, a run at a time: it reads
 the victim's owner codes and OOB keys once and hands each run's share to
@@ -271,6 +273,9 @@ class PageMappingFTL:
         from repro.ftl.gc import Collector  # deferred: gc imports this module
 
         self.gc = Collector(self)
+        # A plain write maps its page inline unless a subclass keeps more
+        # than the stock FTL when a copy is superseded (XFTL's versions).
+        self._stock_supersede = type(self)._supersede is PageMappingFTL._supersede
         self.obs.instrument(self, chip.clock)
 
     # ------------------------------------------------------------ interface
@@ -306,7 +311,30 @@ class PageMappingFTL:
             # Updating the mapping is a read-modify of its translation
             # page, so residency comes first (may evict/write back).
             self._cmt.access(lpn // self._map_entries_per_page)
-        self._map(lpn, self.gc.host_program(data, OOB_DATA, lpn, None))
+        ppn = self.gc.host_program(data, OOB_DATA, lpn, None)
+        if not self._stock_supersede:
+            self._map(lpn, ppn)
+            self.stats.host_page_writes += 1
+            return
+        # _map(lpn, ppn) with the stock _supersede, i.e. _bury, inline.
+        l2p = self._l2p
+        owner = self._owner
+        valid = self._valid_count
+        per = self._pages_per_block
+        old = l2p[lpn]
+        if old != UNMAPPED:
+            if owner[old] > OWNER_DATA:
+                del self._owner_detail[old]
+            owner[old] = DEAD
+            block = old // per
+            valid[block] -= 1
+            self._deaths.extend((old, self._erase_counts[block]))
+        l2p[lpn] = ppn
+        if owner[ppn] != DEAD:
+            raise FtlError(f"ppn {ppn} already owned by {owner[ppn]}")
+        owner[ppn] = OWNER_DATA
+        valid[ppn // per] += 1
+        self._dirty_segments.add(lpn // self._map_entries_per_page)
         self.stats.host_page_writes += 1
 
     def write_run(self, lpns: Sequence[int], data: Any) -> None:
@@ -408,7 +436,8 @@ class PageMappingFTL:
         began unreachable, so their payloads are released right after it
         (module docstring, "Payload lifetime").
         """
-        self._check_power()
+        if not self._powered:
+            raise FtlError("FTL is powered off")
         self._barrier()
 
     def _barrier(self) -> None:
@@ -884,34 +913,37 @@ class PageMappingFTL:
         performed *during* the flush stay replayable.
         """
         root = self._root
-        self._publish_map_dir()
+        unnamed = self._publish_map_dir()
         # Every barrier rewrites every meta slot: all of them changed.
         root_dir = root.meta_dir
         for slot, ppn in self._meta_dir.items():
             old = root_dir.get(slot)
             root_dir[slot] = ppn
             if old is not None:
-                self.chip.discard(old)
+                unnamed.append(old)
+        self.chip.discard_pages(unnamed)
         root.seq = seq
         root.commit_seq = self._commit_seq_for_root()
 
-    def _publish_map_dir(self) -> None:
+    def _publish_map_dir(self) -> list[int]:
         """The root's map directory catches up with the live one.
 
         Only translation-page writes leave the two apart (a relocation
         edits both in place), so the segments written since the last
-        publish are all there is to copy.  The page the root named before
-        is unreachable from then on: its payload is discarded.
+        publish are all there is to copy.  Returns the pages the root named
+        before: they are unreachable from then on, and the caller discards
+        their payloads.
         """
         map_dir = self._map_dir
         root_dir = self._root.map_dir
-        discard = self.chip.discard
+        unnamed = []
         for segment in self._unpublished_segments:
             old = root_dir.get(segment)
             root_dir[segment] = map_dir[segment]
             if old is not None:
-                discard(old)
+                unnamed.append(old)
         self._unpublished_segments.clear()
+        return unnamed
 
     def _commit_seq_for_root(self) -> int:
         """Commit sequence counter published with the root (XFTL overrides)."""

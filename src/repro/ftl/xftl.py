@@ -453,7 +453,7 @@ class XFTL(PageMappingFTL):
             # (CMT eviction writebacks); retired old copies become
             # collectable below, so the root must follow the directory in
             # the same atomic update.
-            self._publish_map_dir()
+            self.chip.discard_pages(self._publish_map_dir())
         self._release_retired()
 
     def _write_xl2p(self, images: list) -> None:

@@ -157,6 +157,8 @@ INSTRUMENTS: tuple[Row, ...] = (
     Row(_GC, "_erase_spread", Value("ftl.gc.erase_spread", RESULT, DEFAULT_SIZE_BOUNDS)),
     # Flash: NAND operations and per-channel busy time.
     Row(_CHIP, "_charge_program", Span("program", "flash")),
+    Row(_CHIP, "_charge_program", Value(_BUSY, Arg("self.profile.page_program_us"),
+                                        index=Arg("channel"), count="num_channels")),
     Row(_CHIP, "_charge_erase", Span("erase", "flash")),
     Row(_CHIP, "_charge_flash", Value(_BUSY, Arg("duration_us"), index=Arg("channel"),
                                       count="num_channels")),

@@ -305,3 +305,36 @@ def test_charge_run_is_charge_flash_per_operation(regions: int, floor: str) -> N
                         chip._charge_flash(duration_us, 1)
             states.append(_timeline_state(chip, 1, opened))
         assert states[0] == states[1], (length, durations)
+
+
+@pytest.mark.parametrize("regions", [0, 1, 2])
+@pytest.mark.parametrize("floor", ["below-now", "above-now"])
+def test_charge_program_is_charge_flash_of_a_program(regions: int, floor: str) -> None:
+    """``_charge_program``, the program path's inline charge, leaves exactly
+    what ``_charge_flash(profile.page_program_us, channel)`` leaves, with
+    the channel busy before, at and after now."""
+    rng = make_rng(7, "test.copyback_run", f"charge_program.{regions}.{floor}")
+    for _ in range(200):
+        now = rng.uniform(0.0, 1e6)
+        busy = now + rng.choice((-1.0, 0.0, 1.0)) * rng.uniform(0.0, 1e4)
+        dispatch_floor = now + (rng.uniform(1.0, 1e4) if floor == "above-now" else -1.0)
+        states = []
+        for charge in ("program", "flash"):
+            chip = FlashChip(
+                FlashGeometry(page_size=64, pages_per_block=PER, num_blocks=BLOCKS, channels=2)
+            )
+            chip.clock._now_us = now
+            timeline = chip.channel_timeline(1)
+            timeline.busy_until_us = busy
+            timeline.busy_us = 1234.567
+            timeline.reservations = 3
+            chip.dispatch_floor_us = dispatch_floor
+            with contextlib.ExitStack() as stack:
+                opened = [stack.enter_context(chip.overlap()) for _ in range(regions)]
+                for _ in range(3):
+                    if charge == "program":
+                        chip._charge_program(1)
+                    else:
+                        chip._charge_flash(chip.profile.page_program_us, 1)
+            states.append(_timeline_state(chip, 1, opened))
+        assert states[0] == states[1]

@@ -220,6 +220,26 @@ class TestDiscard:
             chip.discard_unerased(array("i", [1, 0, 2, 0, 5, 0]))
         assert chip.discarded_pages() == [0, 1]
 
+    def test_discard_pages_is_the_discard_loop(self):
+        """Each page gets ``discard``'s checks; the first that fails them
+        raises ``discard``'s error, the pages before it discarded."""
+        chip = make_chip()
+        for ppn in (0, 1, 2):
+            chip.program(ppn, ("page", ppn))
+        before = chip_image(chip)
+        chip.discard_pages([2, 0])
+        assert chip.discarded_pages() == [0, 2]
+        after = chip_image(chip)
+        after.pop("data"), before.pop("data")
+        assert after == before
+        with pytest.raises(FlashError, match="not programmed ppn=3"):
+            chip.discard_pages([1, 3, 0])
+        assert chip.discarded_pages() == [0, 1, 2]
+        with pytest.raises(FlashGeometryError):
+            chip.discard_pages([-1])
+        with pytest.raises(FlashGeometryError):
+            chip.discard_pages([32])
+
 
 class TestTornPages:
     def test_crash_mid_program_leaves_torn_page(self):

@@ -15,7 +15,8 @@ Four kinds of check:
   is pinned to the values the parent commit produced;
 - *count guards*: host work per flash operation on an ``ftl_gc``-shaped device
   is exact, so it is asserted as counts (``sys.setprofile``), not timed —
-  including the collector's one decision per host page.
+  including the collector's one decision per host page — and so is the SQL
+  stack's program path, one frame per layer.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.aging import age_device
 from repro.device import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
 from repro.ftl import XFTL, FtlConfig, PageMappingFTL
+from repro.ftl.gc import InlineCollector
 from repro.ftl.pagemap import DEAD
 from repro.obs import Observability
 from repro.sim import CrashPlan
 from repro.sim.rng import make_rng
+from repro.stack import Mode, StackConfig, build_stack
 from tests.chip_image import chip_image
 from tests.test_ftl_ownership import page_lpn
 
@@ -63,6 +67,7 @@ def _everything(ftl) -> dict:
         "valid_count": list(ftl._valid_count),
         "seq": ftl._seq,
         "dirty": sorted(ftl._dirty_segments),
+        "deaths": list(ftl._deaths),
         "root": (list(root.map_dir.items()), list(root.meta_dir.items()), root.seq),
         "free": [list(free) for free in ftl.gc._free_by_channel],
     }
@@ -113,6 +118,24 @@ def test_runs_leave_what_the_per_page_loop_leaves(cls, schedule: str) -> None:
     by_page = _churned(cls, schedule, per_page=True)
     assert by_run.stats.gc_copyback_writes > 200  # GC really ran
     assert _everything(by_run) == _everything(by_page)
+
+
+class _SupersedingFTL(PageMappingFTL):
+    """The stock FTL with a ``_supersede`` of its own that does what the
+    stock one does: its plain writes map through ``_map``."""
+
+    def _supersede(self, lpn: int, old_ppn: int, commit_seq: int | None) -> None:
+        super()._supersede(lpn, old_ppn, commit_seq)
+
+
+@pytest.mark.parametrize("schedule", ["inline-fifo", "background-cmt"])
+def test_a_plain_write_maps_as_map_does(schedule: str) -> None:
+    """``PageMappingFTL.write`` maps and buries inline while its class keeps
+    the stock ``_supersede``; ``_map`` is the reference it must match."""
+    inline = _churned(PageMappingFTL, schedule, per_page=False)
+    mapped = _churned(_SupersedingFTL, schedule, per_page=False)
+    assert inline._stock_supersede and not mapped._stock_supersede
+    assert _everything(inline) == _everything(mapped)
 
 
 def _owners_everywhere(seed: int) -> XFTL:
@@ -346,3 +369,75 @@ class TestCountGuards:
         # fill the gate declines every one: 6,448 calls that all declined
         # before the gate moved into the step, 0 now).
         assert all(background_slices) and len(background_slices) == calls["_background_step"]
+
+
+class TestSqlProgramPath:
+    """``update_rbj`` in small: an aged RBJ stack on one channel with inline
+    FIFO collection, driven by five-row UPDATE transactions.  A plain data
+    page crosses each layer below ext4 in one frame (the chip in two, the
+    second its timing row's ``_charge_program``)."""
+
+    #: Python calls per host-originated flash program: 19.58 when recorded
+    #: (CPython 3.11); 23.47 before, when a plain data page passed through
+    #: 13 frames below ext4 and a publish discarded its pages one call each.
+    CALLS_PER_PROGRAM_CEILING = 20.0
+    #: What a plain data page's frames no longer call.
+    HELPERS = frozenset(
+        ("_map", "_supersede", "_bury", "_charge_flash", "_check_on", "_charge")
+    )
+
+    def test_a_data_page_crosses_each_layer_in_one_frame(self):
+        stack = build_stack(
+            StackConfig(
+                mode=Mode.RBJ, num_blocks=96, pages_per_block=32, ftl=FtlConfig(gc_policy="fifo")
+            )
+        )
+        assert type(stack.ftl.gc) is InlineCollector
+        db = stack.open_database("guard.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("BEGIN")
+        for key in range(400):
+            db.execute("INSERT INTO t VALUES (?, ?)", (key, 0))
+        db.execute("COMMIT")
+        age_device(stack, 0.5, seed=7)
+        rng = make_rng(7, "test.gc_runs", "sql_program_path")
+
+        def update(transactions: int) -> None:
+            for step in range(transactions):
+                db.execute("BEGIN")
+                for _ in range(5):
+                    db.execute("UPDATE t SET v = ? WHERE id = ?", (step, rng.randrange(400)))
+                db.execute("COMMIT")
+
+        update(50)
+        path = {
+            function.__code__
+            for function in (
+                StorageDevice.write,
+                StorageDevice._write,
+                PageMappingFTL.write,
+                InlineCollector.host_program,
+                FlashChip.program,
+                FlashChip._charge_program,
+            )
+        }
+        calls = collections.Counter()
+        helpers: collections.Counter[str] = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+                if frame.f_code.co_name in self.HELPERS and frame.f_back.f_code in path:
+                    helpers[f"{frame.f_back.f_code.co_name} -> {frame.f_code.co_name}"] += 1
+
+        before = stack.chip.stats.snapshot()
+        sys.setprofile(profile)
+        try:
+            update(300)
+        finally:
+            sys.setprofile(None)
+        used = stack.chip.stats.delta(before)
+        assert used.gc_invocations > 0 and calls["write"] > 1000
+        assert helpers == {}
+        programs = used.page_programs - used.gc_copyback_writes
+        assert sum(calls.values()) / programs <= self.CALLS_PER_PROGRAM_CEILING

@@ -65,12 +65,28 @@ def _files(path: str) -> list[Path]:
     return [file for file in found if file.suffix == ".py" and file != Path(__file__).resolve()]
 
 
-def _grep(regex: str, paths: tuple[str, ...]) -> list[str]:
+def _lines(file: Path, within: str = "") -> list[tuple[int, str]]:
+    """``file``'s numbered lines; with ``within`` (``"Class.method"``), only
+    that method's (none when the file defines no such method)."""
+    text = file.read_text()
+    numbered = list(enumerate(text.splitlines(), 1))
+    if not within:
+        return numbered
+    cls, method = within.split(".")
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return numbered[item.lineno - 1 : item.end_lineno]
+    return []
+
+
+def _grep(regex: str, paths: tuple[str, ...], within: str = "") -> list[str]:
     return [
         f"{file.relative_to(ROOT)}:{number}: {line.strip()}"
         for path in paths
         for file in _files(path)
-        for number, line in enumerate(file.read_text().splitlines(), 1)
+        for number, line in _lines(file, within)
         if re.search(regex, line)
     ]
 
@@ -83,6 +99,7 @@ class Pattern(NamedTuple):
     regex: str
     planted: str  # a reintroduction the regex must match
     paths: tuple[str, ...] = ("src",)
+    within: str = ""  # "Class.method": scan that method's lines alone
 
 
 class Structure(NamedTuple):
@@ -504,6 +521,9 @@ ROWS = [
             "self._seq += 1", ("src/repro/ftl/xftl.py",)),
     Pattern("one-host-program-entry", "Host pages enter through Collector.host_program alone.",
             r"def _program\b|\._program\(", "self._program(lpn, data)", ("src/repro/ftl",)),
+    Pattern("inline-host-program", "The inline schedule's host program reads no background state.",
+            r"\b(_step|_heat|_hot_active|_tick|tenants)\b", "self._tick += 1",
+            ("src/repro/ftl/gc.py",), "InlineCollector.host_program"),
     Pattern("one-flush-loop", "One flush loop per barrier, no closure per queued write.",
             r"def _flush_map|def _flush_meta|_dispatch\(lambda: self\.ftl\.write\(",
             "def _flush_map(self):"),
@@ -534,9 +554,12 @@ def test_every_row_can_fire():
         if isinstance(row, Pattern):
             assert re.search(row.regex, row.planted), f"{row.name}: the pattern no longer fires"
             assert [path for path in row.paths if not _files(path)] == [], row.name
+            if row.within:
+                scanned = [_lines(file, row.within) for path in row.paths for file in _files(path)]
+                assert any(scanned), f"{row.name}: no {row.within} to scan"
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 def test_stays_deleted(row):
-    found = row.check() if isinstance(row, Structure) else _grep(row.regex, row.paths)
+    found = row.check() if isinstance(row, Structure) else _grep(row.regex, row.paths, row.within)
     assert found == [], row.why
