@@ -7,13 +7,11 @@ Run any of the paper's experiments directly::
     python -m repro.bench all
     REPRO_SCALE=5 python -m repro.bench fig7
     python -m repro.bench channels --channels 8 --queue-depth 8
-    python -m repro.bench throughput --profile 20
 
-``--profile [N]`` wraps each experiment in :mod:`cProfile` and prints the
-top ``N`` functions by internal time — the loop for hot-path work: run
-``throughput --profile``, attack the leaders, re-run, compare against the
-committed ``BENCH_throughput.json`` (``python -m repro.bench.regression``
-is the CI smoke check).
+Host speed is measured by ``benchmarks/perf`` alone; to see where one
+experiment spends its wall time, run it under the standard profiler::
+
+    python -m cProfile -s tottime -m repro.bench gc
 
 ``--metrics`` installs an :class:`~repro.obs.ObservabilityHub` around each
 experiment, so every stack the experiment builds gets its own labeled
@@ -81,16 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="record cross-layer spans as well as metrics (implies --metrics; memory-heavy)",
-    )
-    parser.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=25,
-        default=None,
-        metavar="N",
-        help="run each experiment under cProfile and print the top N "
-        "functions by internal time (default N=25)",
     )
     parser.add_argument(
         "--channels",
@@ -164,21 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             started = time.time()
             hub = install_default_hub(trace=args.trace) if args.metrics or args.trace else None
             try:
-                if args.profile is not None:
-                    import cProfile
-                    import pstats
-
-                    profiler = cProfile.Profile()
-                    profiler.enable()
-                    try:
-                        result = ALL_EXPERIMENTS[name]()
-                    finally:
-                        profiler.disable()
-                        pstats.Stats(profiler).sort_stats("tottime").print_stats(
-                            args.profile
-                        )
-                else:
-                    result = ALL_EXPERIMENTS[name]()
+                result = ALL_EXPERIMENTS[name]()
             finally:
                 if hub is not None:
                     uninstall_default_hub()

@@ -14,10 +14,7 @@ runtimes and can be raised with the ``REPRO_SCALE`` environment variable
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -832,155 +829,6 @@ def mapping_locality(
     )
 
 
-# -------------------------------------------------------- hot-path throughput
-
-
-#: Default output path: a git-ignored scratch file, so a local run never
-#: dirties the committed baseline.  Re-record that one on purpose with
-#: ``REPRO_BENCH_JSON=BENCH_throughput.json python -m repro.bench throughput``.
-BENCH_JSON_DEFAULT = ".bench_build/BENCH_throughput.json"
-
-
-def throughput(
-    writes: int | None = None,
-    num_blocks: int = 1024,
-    pages_per_block: int = 64,
-    channels: int = 8,
-    json_path: str | None = None,
-) -> ExperimentResult:
-    """Hot-path throughput: wall-clock host writes/sec on an aged device.
-
-    Not a paper figure — it is the simulator's own speedometer, committed as
-    ``BENCH_throughput.json`` so every PR is measured against the last one
-    (the bench-smoke CI step fails on >30% regression).  A run writes to
-    ``json_path``, else ``$REPRO_BENCH_JSON``, else a git-ignored scratch
-    file; only an explicit path overwrites the committed baseline.  The
-    workload is the write/GC hot path at its most demanding, shaped like
-    the paper's SQLite use case: the device is aged to 85% of its exported
-    space, then a skewed 80/20 overwrite stream runs with a barrier (the
-    FTL-level fsync) every 8 writes — the commit cadence of small
-    transactions — on ``channels`` channels with background cost-benefit GC
-    and wear leveling on.
-
-    Wall seconds are machine-dependent; the simulated counters are not.
-    The JSON therefore records both: ``wall.ops_per_sec`` for the smoke
-    check, and the deterministic ``sim`` block (programs, erases, copyback
-    traffic, simulated elapsed time), which must be *identical* run-to-run
-    on any machine — drift there means FTL behaviour changed, not speed.
-    An existing ``baseline`` section in the output file (the pre-change
-    measurement recorded when this bench landed) is preserved across
-    regenerations.
-    """
-    writes = writes or _scaled(20_000)
-    fill_fraction = 0.85
-    barrier_interval = 8
-    config = FtlConfig(
-        gc_mode="background",
-        gc_policy="cost-benefit",
-        gc_background_watermark=4,
-        gc_copyback_pages_per_step=4,
-        gc_hot_write_threshold=4,
-        gc_wear_spread_threshold=16,
-        gc_wear_check_interval=32,
-    )
-    fill_t0 = time.perf_counter()
-    ftl, fill = _filled_ftl(config, fill_fraction, num_blocks, pages_per_block, channels)
-    fill_s = time.perf_counter() - fill_t0
-    chip = ftl.chip
-    hot_span = max(1, fill // 5)
-    stats0 = ftl.stats.snapshot()
-    rng = make_rng(0x5EED6C, "bench.throughput", "steady")
-    steady_t0 = time.perf_counter()
-    for seq in range(writes):
-        ftl.write(_skewed_lpn(rng, hot_span, fill), ("steady", seq))
-        if (seq + 1) % barrier_interval == 0:
-            ftl.barrier()
-    chip.drain()
-    steady_s = time.perf_counter() - steady_t0
-    stats = ftl.stats.delta(stats0)
-    ops_per_sec = writes / steady_s
-    sim_counters = {
-        "host_page_writes": stats.host_page_writes,
-        "page_programs": stats.page_programs,
-        "page_reads": stats.page_reads,
-        "block_erases": stats.block_erases,
-        "gc_copyback_reads": stats.gc_copyback_reads,
-        "gc_copyback_writes": stats.gc_copyback_writes,
-        "gc_invocations": stats.gc_invocations,
-        "gc_urgent_collections": stats.gc_urgent_collections,
-        "gc_wear_migrations": stats.gc_wear_migrations,
-        "map_page_writes": stats.map_page_writes,
-        "barriers": stats.barriers,
-        "sim_elapsed_us": chip.clock.now_us,
-    }
-    report = {
-        "experiment": "throughput",
-        "workload": {
-            "writes": writes,
-            "num_blocks": num_blocks,
-            "pages_per_block": pages_per_block,
-            "channels": channels,
-            "fill_fraction": fill_fraction,
-            "barrier_interval": barrier_interval,
-            "gc": "background/cost-benefit",
-        },
-        "wall": {
-            "ops_per_sec": round(ops_per_sec, 1),
-            "steady_s": round(steady_s, 3),
-            "fill_s": round(fill_s, 3),
-        },
-        "sim": sim_counters,
-    }
-    path = pathlib.Path(
-        json_path
-        if json_path is not None
-        else os.environ.get("REPRO_BENCH_JSON", BENCH_JSON_DEFAULT)
-    )
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        if isinstance(previous, dict) and "baseline" in previous:
-            report["baseline"] = previous["baseline"]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    waf = stats.page_programs / max(stats.host_page_writes, 1)
-    result_rows = [
-        ["host writes/sec (wall)", f"{ops_per_sec:,.0f}"],
-        ["steady phase (wall s)", f"{steady_s:.3f}"],
-        ["aging fill (wall s)", f"{fill_s:.3f}"],
-        ["host page writes", f"{stats.host_page_writes:,}"],
-        ["total page programs", f"{stats.page_programs:,}"],
-        ["write amplification", f"{waf:.2f}"],
-        ["GC copyback writes", f"{stats.gc_copyback_writes:,}"],
-        ["block erases", f"{stats.block_erases:,}"],
-        ["simulated elapsed (s)", f"{chip.clock.now_s:.1f}"],
-    ]
-    baseline_note = ""
-    baseline = report.get("baseline")
-    if isinstance(baseline, dict) and baseline.get("ops_per_sec"):
-        baseline_note = (
-            f"\nPre-change baseline: {baseline['ops_per_sec']:,.0f} writes/sec "
-            f"({baseline.get('provenance', 'recorded in BENCH_throughput.json')}) "
-            f"-> {ops_per_sec / baseline['ops_per_sec']:.1f}x."
-        )
-    return ExperimentResult(
-        name=(
-            f"Throughput: {writes:,} skewed overwrites at {fill_fraction:.0%} fill, "
-            f"barrier every {barrier_interval} ({channels} channels, background GC)"
-        ),
-        headers=["metric", "value"],
-        rows=result_rows,
-        notes=(
-            f"Wrote {path}.  Wall numbers are machine-dependent; the sim "
-            "counters are deterministic and must match run-to-run exactly."
-            + baseline_note
-        ),
-        runs={"throughput": report},
-    )
-
-
 # ---------------------------------------------------------------------- MVCC
 
 
@@ -1433,5 +1281,4 @@ ALL_EXPERIMENTS = {
     "mapping": mapping_locality,
     "mvcc": mvcc_retention,
     "tenants": tenant_fairness,
-    "throughput": throughput,
 }

@@ -165,9 +165,6 @@ class ObservabilityHub:
         self.sessions.append(obs)
         return obs
 
-    def merged_registry(self) -> MetricsRegistry:
-        return MetricsRegistry(enabled=True).merge_from(s.registry for s in self.sessions)
-
 
 _default_hub: ObservabilityHub | None = None
 

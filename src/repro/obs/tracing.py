@@ -14,7 +14,7 @@ is enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 
@@ -30,7 +30,6 @@ class Span:
     end_us: float | None = None
     lpn: int | None = None
     tid: int | None = None
-    attrs: dict[str, Any] = field(default_factory=dict)
 
     @property
     def duration_us(self) -> float:
@@ -50,8 +49,6 @@ class Span:
             out["lpn"] = self.lpn
         if self.tid is not None:
             out["tid"] = self.tid
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
         return out
 
     def __str__(self) -> str:
@@ -110,7 +107,7 @@ class Tracer:
         records is a row of :data:`repro.obs.instrument.INSTRUMENTS`, the
         one place that lists what is recorded, attached only to the layers
         of a handle whose tracer is on, so a disabled tracer is never
-        asked.  Rich attributes can be added on the returned span object.
+        asked.
         """
         now = self._clock.now_us if self._clock is not None else 0.0
         span = Span(

@@ -10,8 +10,8 @@ minimal machinery for overlap:
   at ``max(now, busy_until)`` and pushes ``busy_until`` forward, so work on
   one resource serializes while work on different resources overlaps.
 - :class:`EventScheduler` — a named collection of timelines sharing one
-  clock, with a cross-resource ``barrier()`` (wait for every timeline) used
-  to model flush/commit ordering points.
+  clock, whose ``horizon_us()`` is the time every timeline is idle (the
+  flash chip's ``drain`` waits for it at flush/commit ordering points).
 
 The degenerate case is exact: one timeline, with the host joining every
 reservation end immediately (``clock.wait_until(end)``), performs the same
@@ -70,10 +70,6 @@ class ResourceTimeline:
         self.reservations += 1
         return start, end
 
-    @property
-    def idle(self) -> bool:
-        return self.busy_until_us <= self.clock.now_us
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResourceTimeline({self.name}, busy_until={self.busy_until_us:.1f})"
 
@@ -83,7 +79,7 @@ class EventScheduler:
 
     Keeps the per-resource bookkeeping in one place so a component (the
     flash array, the FIO thread model) can ask for timelines by name and
-    issue cross-resource barriers.
+    for the time every one of them is idle.
     """
 
     def __init__(self, clock: SimClock) -> None:
@@ -107,22 +103,3 @@ class EventScheduler:
             if timeline.busy_until_us > horizon:
                 horizon = timeline.busy_until_us
         return horizon
-
-    def barrier(self) -> float:
-        """Cross-resource ordering point: wait until every resource drains.
-
-        Returns the new clock time.  With a single resource that the host
-        joins after every reservation this is a no-op — the degenerate
-        serial case.
-        """
-        return self.clock.wait_until(self.horizon_us())
-
-    def utilization(self, elapsed_us: float | None = None) -> dict[str, float]:
-        """Busy fraction per resource over ``elapsed_us`` (default: now)."""
-        window = elapsed_us if elapsed_us is not None else self.clock.now_us
-        if window <= 0:
-            return {name: 0.0 for name in self._timelines}
-        return {
-            name: min(timeline.busy_us / window, 1.0)
-            for name, timeline in self._timelines.items()
-        }

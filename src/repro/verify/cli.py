@@ -121,18 +121,32 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no registered crash point matches {args.points!r}", file=sys.stderr)
         return 2
 
-    def progress(scenario, result):
-        status = "FAIL" if not result.ok else ("fired" if result.fired else "no-fire")
-        print(
-            f"  [{status}] {scenario.layer} @ {scenario.point}"
-            f" x{scenario.after} tear={scenario.tear}"
-        )
-
-    hub = None
+    hub = merged = None
+    sessions = 0
     if args.metrics:
-        from repro.obs import install_default_hub, uninstall_default_hub
+        from repro.obs import MetricsRegistry, install_default_hub, uninstall_default_hub
 
         hub = install_default_hub()
+        merged = MetricsRegistry(enabled=True)
+
+    def fold() -> None:
+        # Finished stacks are folded as the sweep goes, so the hub never
+        # holds more than one scenario's sessions.
+        nonlocal sessions
+        sessions += len(hub.sessions)
+        merged.merge_from(session.registry for session in hub.sessions)
+        hub.sessions.clear()
+
+    def progress(scenario, result):
+        if args.verbose:
+            status = "FAIL" if not result.ok else ("fired" if result.fired else "no-fire")
+            print(
+                f"  [{status}] {scenario.layer} @ {scenario.point}"
+                f" x{scenario.after} tear={scenario.tear}"
+            )
+        if hub is not None:
+            fold()
+
     try:
         report = sweep(
             layers=layers,
@@ -140,17 +154,16 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             seed=args.seed,
             ops_limit=args.ops,
-            progress=progress if args.verbose else None,
+            progress=progress if args.verbose or hub is not None else None,
         )
     finally:
         if hub is not None:
             uninstall_default_hub()
     print(report.summary())
     if hub is not None:
-        merged = hub.merged_registry()
-        title = f"metrics merged across {len(hub.sessions)} crash-sweep stacks"
+        fold()
         print()
-        print(merged.report(title=title))
+        print(merged.report(title=f"metrics merged across {sessions} crash-sweep stacks"))
     return 0 if report.ok else 1
 
 

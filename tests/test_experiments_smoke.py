@@ -1,10 +1,9 @@
-"""The 17 bench tables, pinned, and the experiment harness's shape claims.
+"""The 16 bench tables, pinned, and the experiment harness's shape claims.
 
 The ``bench`` pin (``tests/pins.py``) holds one row per ``ALL_EXPERIMENTS``
 entry: the title, headers, rows and notes of the table that
 ``REPRO_SCALE=0.05 python -m repro.bench NAME`` prints on the default serial
-device, less ``throughput``'s wall-clock rows and its notes (which name its
-scratch file).  A change that moves a table says why and re-records it::
+device.  A change that moves a table says why and re-records it::
 
     PYTHONPATH=src:. python -m tests.pins --record bench [EXPERIMENT ...]
 
@@ -14,7 +13,6 @@ The tests below hold the shape claims: one number's relation to another.
 import functools
 import json
 import os
-import tempfile
 from unittest import mock
 
 import pytest
@@ -26,16 +24,11 @@ from tests.pins import DATA, Pin
 
 @functools.cache
 def _bench_row(name: str) -> dict:
-    with mock.patch.dict(os.environ, REPRO_SCALE="0.05"), tempfile.TemporaryDirectory() as tmp:
-        for var in ("REPRO_CHANNELS", "REPRO_QUEUE_DEPTH", "REPRO_BENCH_JSON"):
+    with mock.patch.dict(os.environ, REPRO_SCALE="0.05"):
+        for var in ("REPRO_CHANNELS", "REPRO_QUEUE_DEPTH"):
             os.environ.pop(var, None)
-        kwargs = {"json_path": os.path.join(tmp, "bench.json")} if name == "throughput" else {}
-        result = experiments.ALL_EXPERIMENTS[name](**kwargs)
-    row = dict(title=result.name, headers=result.headers, rows=result.rows, notes=result.notes)
-    if name == "throughput":
-        del row["notes"]
-        row["rows"] = [line for line in result.rows if "(wall" not in line[0]]
-    return row
+        result = experiments.ALL_EXPERIMENTS[name]()
+    return dict(title=result.name, headers=result.headers, rows=result.rows, notes=result.notes)
 
 
 PIN = Pin("bench", DATA / "bench_baseline.json", list(experiments.ALL_EXPERIMENTS), _bench_row)
@@ -151,49 +144,6 @@ class TestExperimentFunctions:
         assert deep[2] > 0.5
         # Retained versions are live pages the deeper run must report.
         assert result.rows[1][-1] > 0
-
-    def test_throughput_structure(self, tmp_path):
-        path = tmp_path / "bench.json"
-        result = experiments.throughput(
-            writes=300,
-            num_blocks=48,
-            pages_per_block=16,
-            channels=2,
-            json_path=str(path),
-        )
-        report = json.loads(path.read_text())
-        assert report["workload"]["writes"] == 300
-        assert report["wall"]["ops_per_sec"] > 0
-        assert report["sim"]["host_page_writes"] == 300
-        assert result.runs["throughput"]["wall"] == report["wall"]
-        # Identical runs must agree on every deterministic sim counter, and
-        # the regression checker must accept them...
-        from repro.bench.regression import compare
-
-        experiments.throughput(
-            writes=300,
-            num_blocks=48,
-            pages_per_block=16,
-            channels=2,
-            json_path=str(tmp_path / "again.json"),
-        )
-        again = json.loads((tmp_path / "again.json").read_text())
-        assert again["sim"] == report["sim"]
-        assert compare(again, report, tolerance=0.99) == []
-        # ...and reject any counter drift regardless of wall tolerance.
-        again["sim"]["block_erases"] += 1
-        assert compare(again, report, tolerance=0.99)
-
-    def test_throughput_preserves_baseline_section(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"baseline": {"ops_per_sec": 1.0}}))
-        experiments.throughput(
-            writes=100, num_blocks=48, pages_per_block=16, channels=2,
-            json_path=str(path),
-        )
-        report = json.loads(path.read_text())
-        assert report["baseline"] == {"ops_per_sec": 1.0}
-        assert report["sim"]["host_page_writes"] == 100
 
 
 class TestCli:

@@ -270,7 +270,9 @@ class TestFifoFallbackTrap:
 
 class TestCountGuards:
     """``ftl_gc`` in small: 8 channels, queue depth 8, 85 % full, 80/20 skew,
-    background cost-benefit collection with wear levelling."""
+    background cost-benefit collection with wear levelling, at two operating
+    points: 64 blocks, where every collection is urgent, and 256 blocks,
+    where background slices do all of it."""
 
     #: Python-level calls per flash operation.  2.675 when recorded (CPython
     #: 3.11; 2.775 while every wear check scored a victim it could not
@@ -283,6 +285,10 @@ class TestCountGuards:
     #: 5.94 with three headroom computations and up to two state writes per
     #: background step, 12.20 before copyback moved as runs).
     CALLS_PER_FLASH_OP_CEILING = 2.70
+    #: The same at 256 blocks: 4.791 when recorded (CPython 3.11; 301,036
+    #: calls over 62,831 flash operations and 6,667 background steps, so
+    #: one more call per step would read 4.897).
+    BACKGROUND_CALLS_PER_FLASH_OP_CEILING = 4.85
     #: ``headroom_pages`` + ``_set_state`` calls per host program: 1.10 when
     #: recorded (1.07 before every wear check read the headroom first),
     #: 6.27 before the step computed headroom once.
@@ -293,9 +299,11 @@ class TestCountGuards:
     #: still calls it to fall back to the cold block; a cold page does not.
     STREAM_BLOCK_CALLS_PER_HOST_PROGRAM_CEILING = 0.95
 
-    def test_host_work_per_flash_op(self):
+    def _profile(self, num_blocks: int):
+        """2,000 warm-up overwrites, then 4,000 under ``sys.setprofile``:
+        the flash counts they used and the profiler's observations."""
         chip = FlashChip(
-            FlashGeometry(page_size=512, pages_per_block=32, num_blocks=64, channels=8)
+            FlashGeometry(page_size=512, pages_per_block=32, num_blocks=num_blocks, channels=8)
         )
         config = dict(BACKGROUND, gc_wear_spread_threshold=16, gc_wear_check_interval=32)
         ftl = PageMappingFTL(chip, FtlConfig(**config))
@@ -336,7 +344,10 @@ class TestCountGuards:
             overwrite(4000)
         finally:
             sys.setprofile(None)
-        used = chip.stats.delta(before)
+        return chip.stats.delta(before), calls, picked, background_slices
+
+    def _check_both_regimes(self, used, calls, picked, background_slices, ceiling):
+        """The checks that hold whichever path collects: (a)-(d) and (f)."""
         opened = calls.pop("destination blocks opened")
         assert used.gc_invocations > 1000 and used.gc_copyback_writes > 20 * used.gc_invocations
 
@@ -345,7 +356,7 @@ class TestCountGuards:
         assert calls["pick_victim"] == jobs_from_picks + picked.count(None)
         # (b) Host work per flash operation.
         flash_ops = used.page_reads + used.page_programs + used.block_erases
-        assert sum(calls.values()) / flash_ops <= self.CALLS_PER_FLASH_OP_CEILING
+        assert sum(calls.values()) / flash_ops <= ceiling
         # (c) A slice of a job is one run, plus one per destination block it fills.
         assert 0 < calls["copyback_run"] <= calls["_run_job"] + opened
         assert calls["read"] == 0 and calls["program"] == used.page_programs - used.gc_copyback_writes
@@ -359,16 +370,33 @@ class TestCountGuards:
         streams = calls["_stream_block"] / calls["host_program"]
         assert streams <= self.STREAM_BLOCK_CALLS_PER_HOST_PROGRAM_CEILING
         assert calls["channel_backlog_us"] == calls["backlog_us"] == 0
+        # (f) A paced slice is entered only to open or advance a job (at 64
+        # blocks the gate declines every one: 6,448 calls that all declined
+        # before the gate moved into the step, 0 now; at 256 blocks all
+        # 6,667 slices open or advance one).
+        assert all(background_slices) and len(background_slices) == calls["_background_step"]
+
+    def test_host_work_per_flash_op(self):
+        used, calls, picked, background_slices = self._profile(64)
+        self._check_both_regimes(
+            used, calls, picked, background_slices, self.CALLS_PER_FLASH_OP_CEILING
+        )
         # (e) The background gate never builds the exclusion set: only the
         # victim pickers do (1,430 + 248 when recorded).
         assert calls["_excluded"] == calls["pick_victim"] + calls["_pick_wear_victim"]
         # A wear check without two blocks of headroom scores no victim: at
         # 85 % fill that is every one (248 checks, 248 scans before).
         assert calls["_maybe_wear_level"] > 200 and calls["_pick_wear_victim"] == 0
-        # (f) A paced slice is entered only to open or advance a job (at 85 %
-        # fill the gate declines every one: 6,448 calls that all declined
-        # before the gate moved into the step, 0 now).
-        assert all(background_slices) and len(background_slices) == calls["_background_step"]
+
+    def test_host_work_per_flash_op_in_the_background(self):
+        """The background regime itself is asserted, so a model change
+        cannot move this row out of it unnoticed: 1,139 victims, none
+        urgent, when recorded."""
+        used, calls, picked, background_slices = self._profile(256)
+        assert used.gc_urgent_collections == 0 and used.gc_invocations > 1000
+        self._check_both_regimes(
+            used, calls, picked, background_slices, self.BACKGROUND_CALLS_PER_FLASH_OP_CEILING
+        )
 
 
 class TestSqlProgramPath:

@@ -36,7 +36,7 @@ from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
 from repro.fs.pagecache import PageCache
 from repro.ftl import FtlConfig, PageMappingFTL
-from repro.obs import install_default_hub, uninstall_default_hub
+from repro.obs import MetricsRegistry, install_default_hub, uninstall_default_hub
 from repro.stack import Mode, StackConfig, build_stack
 from repro.verify.runner import sweep
 
@@ -307,4 +307,5 @@ def test_a_hub_holds_no_machine():
         uninstall_default_hub()
     assert len(hub.sessions) == report.scenarios_run > 0
     assert _machines() == before
-    assert hub.merged_registry().counter_value("flash.page_programs") > 0
+    merged = MetricsRegistry(enabled=True).merge_from(s.registry for s in hub.sessions)
+    assert merged.counter_value("flash.page_programs") > 0

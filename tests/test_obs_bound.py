@@ -29,7 +29,13 @@ from repro.fs.ext4 import FsStats
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
-from repro.obs import NULL_OBS, Observability, install_default_hub, uninstall_default_hub
+from repro.obs import (
+    NULL_OBS,
+    MetricsRegistry,
+    Observability,
+    install_default_hub,
+    uninstall_default_hub,
+)
 from repro.stack import Mode, StackConfig, TenantScheduler, build_stack
 from repro.tenancy import TenantAccount
 
@@ -121,7 +127,7 @@ def test_merged_registry_sums_bound_counts():
         for lpn in range(count):
             stack.device.write(lpn, b"x")
         stack.device.flush()
-    merged = hub.merged_registry()
+    merged = MetricsRegistry(enabled=True).merge_from(s.registry for s in hub.sessions)
     for name, field in FlashStats.OBS_NAMES.items():
         total = sum(getattr(stack.chip.stats, field) for stack in stacks)
         assert merged.counter_value(name) == total, name

@@ -466,6 +466,19 @@ ROWS = [
     Pattern("bench-settings-constants", "A setting that only took its default is a constant.",
             r"REPRO_(SESSIONS|TENANTS|BARRIER_MODE)|--(sessions|tenants|barrier-mode)\b"
             r"|def _(sessions|tenants|barrier_mode)\(", 'os.environ.get("REPRO_TENANTS")'),
+    Pattern("one-perf-harness", "Host speed has one harness, benchmarks/perf: no throughput bench.",
+            r"def throughput\b", "def throughput(writes=None):", ("src/repro/bench",)),
+    Pattern("no-wall-regression-check", "No wall-clock check against another machine's number.",
+            r"repro\.bench\.regression|from repro\.bench import regression",
+            "from repro.bench.regression import compare", ("src", "tests")),
+    Pattern("no-throughput-json", "No committed wall-clock report, no scratch directory for it.",
+            r"BENCH_throughput|\.bench_build", '".bench_build/BENCH_throughput.json"',
+            ("src", "tests")),
+    Pattern("no-bench-json-variable", "No environment variable picks a report path.",
+            r"REPRO_BENCH_JSON", 'os.environ.get("REPRO_BENCH_JSON")', ("src", "tests")),
+    Pattern("no-bench-profiler", "The stdlib cProfile profiles a bench run: no option of ours.",
+            r"\bimport (cProfile|pstats)\b|cProfile\.Profile|\"--profile\"",
+            "import cProfile", ("src/repro/bench",)),
     Pattern("aging-runs", "Aging makes no per-page FTL call: trims and the drain take runs.",
             r"ftl\.(trim|write)\(", "ftl.trim(lpn)", ("src/repro/bench/aging.py",)),
     Pattern("one-pin-recorder", "One pin recorder, tests/pins.py: no per-file recorder.",

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import FtlError
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
+from repro.obs import MetricsRegistry, ObservabilityHub
 from repro.sim.crash import CrashPlan
 from repro.verify import LAYERS, Scenario, run_scenario, shrink, sweep
 from repro.verify.runner import applicable_points
@@ -243,3 +244,24 @@ class TestCli:
 
     def test_bad_point_filter_is_usage_error(self):
         assert main(["--points", "definitely.not.a.point", "--budget", "1"]) == 2
+
+    def test_metrics_fold_each_scenario_as_it_finishes(self, capsys, monkeypatch):
+        """``--metrics`` holds no finished scenario's session: the hub is
+        empty whenever a stack opens one, yet the report is the merge of
+        every session, in order, and counts as many as before the fold."""
+        every = []
+        held = []
+        open_session = ObservabilityHub.session
+
+        def session(hub, label):
+            held.append(len(hub.sessions))
+            every.append(open_session(hub, label))
+            return every[-1]
+
+        monkeypatch.setattr(ObservabilityHub, "session", session)
+        assert main(["--budget", "100", "--seed", "0", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert held == [0] * 17  # one per SQL-stack scenario of the 100
+        title = "metrics merged across 17 crash-sweep stacks"
+        merged = MetricsRegistry(enabled=True).merge_from(s.registry for s in every)
+        assert out.endswith("\n" + merged.report(title=title) + "\n")
