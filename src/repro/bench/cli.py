@@ -4,7 +4,7 @@ Run any of the paper's experiments directly::
 
     python -m repro.bench --figure table1 --metrics
     python -m repro.bench fig5 table1 table5
-    python -m repro.bench all
+    python -m repro.bench all --results-dir benchmarks/results  # every committed table
     REPRO_SCALE=5 python -m repro.bench fig7
     python -m repro.bench channels --channels 8 --queue-depth 8
 

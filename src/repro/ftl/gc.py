@@ -760,19 +760,19 @@ class Collector:
         }
 
     def _has_block_within(self, channel: int, pages: int) -> bool:
-        """Whether a written block outside the streams and the job holds at
-        most ``pages`` valid pages (a superset of every policy's candidates)."""
+        """Whether a written block outside the open streams holds at most
+        ``pages`` valid pages (a superset of every policy's candidates); run
+        with no job open, so the picker alone builds the exclusion set."""
         if pages < 0:
             return False
         write_points = self._write_points
         valid_counts = self._valid_counts
-        excluded = None  # built only once some block passes the count test
+        streams = (
+            self._active_blocks[channel], self._hot_active[channel], self._trans_active[channel]
+        )
         for block in self._channel_blocks[channel]:
-            if valid_counts[block] <= pages and write_points[block]:
-                if excluded is None:
-                    excluded = self._excluded(channel)
-                if block not in excluded:
-                    return True
+            if valid_counts[block] <= pages and write_points[block] and block not in streams:
+                return True
         return False
 
     def pick_victim(self, channel: int) -> int | None:

@@ -316,15 +316,15 @@ class PageMappingFTL:
             self._map(lpn, ppn)
             self.stats.host_page_writes += 1
             return
-        # _map(lpn, ppn) with the stock _supersede, i.e. _bury, inline.
+        # _map(lpn, ppn) with the stock _supersede, i.e. _bury, inline.  An
+        # L2P-mapped page is owned as OWNER_DATA (check_invariants), so it
+        # has no side-table entry to drop.
         l2p = self._l2p
         owner = self._owner
         valid = self._valid_count
         per = self._pages_per_block
         old = l2p[lpn]
         if old != UNMAPPED:
-            if owner[old] > OWNER_DATA:
-                del self._owner_detail[old]
             owner[old] = DEAD
             block = old // per
             valid[block] -= 1

@@ -479,6 +479,10 @@ ROWS = [
     Pattern("no-bench-profiler", "The stdlib cProfile profiles a bench run: no option of ours.",
             r"\bimport (cProfile|pstats)\b|cProfile\.Profile|\"--profile\"",
             "import cProfile", ("src/repro/bench",)),
+    Pattern("no-pytest-benchmark", "python -m repro.bench writes every table: no pytest wrapper.",
+            r"benchmark\.pedantic|pytest[-_]benchmark|--benchmark-only",
+            "result = benchmark.pedantic(fig5_synthetic_elapsed, rounds=1, iterations=1)",
+            ("src", "tests", "benchmarks", "examples", "setup.py")),
     Pattern("aging-runs", "Aging makes no per-page FTL call: trims and the drain take runs.",
             r"ftl\.(trim|write)\(", "ftl.trim(lpn)", ("src/repro/bench/aging.py",)),
     Pattern("one-pin-recorder", "One pin recorder, tests/pins.py: no per-file recorder.",
