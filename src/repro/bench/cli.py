@@ -2,11 +2,13 @@
 
 Run any of the paper's experiments directly::
 
-    python -m repro.bench --figure table1 --metrics
+    python -m repro.bench table1 --metrics
     python -m repro.bench fig5 table1 table5
     python -m repro.bench all --results-dir benchmarks/results  # every committed table
     REPRO_SCALE=5 python -m repro.bench fig7
-    python -m repro.bench channels --channels 8 --queue-depth 8
+
+An experiment is its name and ``REPRO_SCALE``: each one runs on the
+device its table names (``channels`` sweeps channel counts itself).
 
 Host speed is measured by ``benchmarks/perf`` alone; to see where one
 experiment spends its wall time, run it under the standard profiler::
@@ -17,7 +19,9 @@ experiment spends its wall time, run it under the standard profiler::
 experiment, so every stack the experiment builds gets its own labeled
 metrics session.  After the experiment the per-session reports are
 printed; the flash and FTL counters in them are the stack's
-:class:`~repro.flash.stats.FlashStats` fields, read by name.
+:class:`~repro.flash.stats.FlashStats` fields, read by name.  Spans are
+recorded by ``open_stack(..., trace=True)`` and ``python -m repro.obs
+--trace``.
 
 Results are printed and can be written to ``--results-dir`` /
 ``--metrics-dir``.
@@ -26,8 +30,6 @@ Results are printed and can be written to ``--results-dir`` /
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import pathlib
 import sys
 import time
@@ -44,15 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiments",
-        nargs="*",
+        nargs="+",
         help=f"experiment names ({', '.join(ALL_EXPERIMENTS)}) or 'all'",
-    )
-    parser.add_argument(
-        "--figure",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="experiment to run (repeatable; same names as the positional form)",
     )
     parser.add_argument(
         "--results-dir",
@@ -75,26 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write one metrics file per stack session to this directory",
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record cross-layer spans as well as metrics (implies --metrics; memory-heavy)",
-    )
-    parser.add_argument(
-        "--channels",
-        type=int,
-        default=None,
-        metavar="N",
-        help="flash channels for every stack built (sets REPRO_CHANNELS; default 1)",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="NCQ command-queue depth for every stack built "
-        "(sets REPRO_QUEUE_DEPTH; default 1, needs --channels > 1 to matter)",
-    )
     return parser
 
 
@@ -109,61 +84,32 @@ def _report_metrics(name: str, hub: ObservabilityHub, args: argparse.Namespace) 
         print(f"[{name}: wrote {len(paths)} metrics file(s) to {directory}]\n")
 
 
-@contextlib.contextmanager
-def _device_env(args: argparse.Namespace):
-    """Scope --channels/--queue-depth to this run via the REPRO_* env vars.
-
-    The experiment stack builders read ``REPRO_CHANNELS`` /
-    ``REPRO_QUEUE_DEPTH``; setting them only for the duration of ``main``
-    keeps in-process callers (tests, notebooks) side-effect free.
-    """
-    overrides = {}
-    if args.channels is not None:
-        overrides["REPRO_CHANNELS"] = str(args.channels)
-    if args.queue_depth is not None:
-        overrides["REPRO_QUEUE_DEPTH"] = str(args.queue_depth)
-    saved = {name: os.environ.get(name) for name in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    requested = list(args.experiments) + list(args.figure)
-    if not requested:
-        parser.error("no experiments given (positional names or --figure NAME)")
-    names = list(ALL_EXPERIMENTS) if "all" in requested else requested
+    names = list(ALL_EXPERIMENTS) if "all" in args.experiments else args.experiments
     unknown = [name for name in names if name not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     results_dir = pathlib.Path(args.results_dir) if args.results_dir else None
-    with _device_env(args):
-        for name in names:
-            started = time.time()
-            hub = install_default_hub(trace=args.trace) if args.metrics or args.trace else None
-            try:
-                result = ALL_EXPERIMENTS[name]()
-            finally:
-                if hub is not None:
-                    uninstall_default_hub()
-            text = result.render()
-            print(text)
-            print(f"[{name} finished in {time.time() - started:.1f}s wall]\n")
-            if results_dir is not None:
-                results_dir.mkdir(parents=True, exist_ok=True)
-                (results_dir / f"{name}.txt").write_text(text + "\n")
+    for name in names:
+        started = time.time()
+        hub = install_default_hub() if args.metrics else None
+        try:
+            result = ALL_EXPERIMENTS[name]()
+        finally:
             if hub is not None:
-                _report_metrics(name, hub, args)
+                uninstall_default_hub()
+        text = result.render()
+        print(text)
+        print(f"[{name} finished in {time.time() - started:.1f}s wall]\n")
+        if results_dir is not None:
+            results_dir.mkdir(parents=True, exist_ok=True)
+            (results_dir / f"{name}.txt").write_text(text + "\n")
+        if hub is not None:
+            _report_metrics(name, hub, args)
     return 0
 
 

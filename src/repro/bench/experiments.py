@@ -45,20 +45,6 @@ def _scaled(count: int) -> int:
     return max(1, int(count * _scale()))
 
 
-def _channels() -> int:
-    """Flash channels for every stack the experiments build (default serial).
-
-    ``REPRO_CHANNELS`` / ``REPRO_QUEUE_DEPTH`` (or ``--channels`` /
-    ``--queue-depth`` on ``python -m repro.bench``) re-run any experiment on
-    a parallel device; :func:`channel_scaling` sweeps counts explicitly.
-    """
-    return int(os.environ.get("REPRO_CHANNELS", "1"))
-
-
-def _queue_depth() -> int:
-    return int(os.environ.get("REPRO_QUEUE_DEPTH", "1"))
-
-
 @dataclass
 class ExperimentResult:
     """Formatted result of one experiment.
@@ -91,16 +77,10 @@ def _sqlite_stack(mode: Mode, **overrides: Any) -> BenchStack:
     """Build one stack: the paper's SQLite device unless ``overrides`` say.
 
     512 blocks of 128 8-KB pages, inline FIFO GC (so aging sets the
-    carried-over validity), drain device, and the ``REPRO_CHANNELS`` /
-    ``REPRO_QUEUE_DEPTH`` parallelism.  Every experiment stack is built here.
+    carried-over validity), a serial drain device.  Every experiment stack
+    is built here.
     """
-    config = dict(
-        num_blocks=512,
-        pages_per_block=128,
-        channels=_channels(),
-        queue_depth=_queue_depth(),
-        ftl=FtlConfig(gc_policy="fifo"),
-    )
+    config = dict(num_blocks=512, pages_per_block=128, ftl=FtlConfig(gc_policy="fifo"))
     config.update(overrides)
     return build_stack(StackConfig(mode=mode, **config))
 
@@ -199,13 +179,10 @@ def fig5_synthetic_elapsed() -> ExperimentResult:
 # ------------------------------------------------------------------- Table 1
 
 
-def table1_io_counts(
-    transactions: int | None = None,
-    rows: int | None = None,
-) -> ExperimentResult:
+def table1_io_counts() -> ExperimentResult:
     """Table 1: host-side and FTL-side I/O counts (5 pages/txn, 50% validity)."""
-    transactions = transactions or _scaled(300)
-    rows = rows or _scaled(12_000)
+    transactions = _scaled(300)
+    rows = _scaled(12_000)
     result_rows = []
     for mode in SQLITE_MODES:
         stack, workload = _loaded_synthetic(mode, rows, 0.5)
@@ -273,9 +250,9 @@ def fig6_ftl_activity() -> ExperimentResult:
 # ------------------------------------------------------------------- Table 2
 
 
-def table2_trace_characteristics(trace_scale: float | None = None) -> ExperimentResult:
+def table2_trace_characteristics() -> ExperimentResult:
     """Table 2: shape of the four Android traces (generated vs. published)."""
-    trace_scale = trace_scale if trace_scale is not None else 0.05 * _scale()
+    trace_scale = 0.05 * _scale()
     result_rows = []
     for profile in ALL_PROFILES:
         ops, stats = AndroidTraceGenerator(profile, scale=trace_scale).generate()
@@ -445,13 +422,7 @@ def fig9_fio_s830() -> ExperimentResult:
 # ------------------------------------------------------- channel scaling
 
 
-def channel_scaling(
-    channel_counts: tuple[int, ...] = (1, 2, 4, 8),
-    queue_depth: int = 8,
-    runtime_s: float | None = None,
-    transactions: int | None = None,
-    rows: int | None = None,
-) -> ExperimentResult:
+def channel_scaling() -> ExperimentResult:
     """Channel scaling: throughput vs. flash channels at a fixed queue depth.
 
     Not a paper figure — it validates the device model the §6.3.4 comparison
@@ -462,9 +433,11 @@ def channel_scaling(
     rollback journal at every channel count (the paper's win is not an
     artifact of a serial device).
     """
-    runtime_s = runtime_s or 15.0 * _scale()
-    transactions = transactions or _scaled(60)
-    rows = rows or _scaled(6_000)
+    channel_counts = (1, 2, 4, 8)
+    queue_depth = 8
+    runtime_s = 15.0 * _scale()
+    transactions = _scaled(60)
+    rows = _scaled(6_000)
     result_rows = []
     runs: dict[str, Any] = {}
     for mode, label in FS_LABELS.items():
@@ -624,7 +597,7 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def gc_comparison(writes: int | None = None) -> ExperimentResult:
+def gc_comparison() -> ExperimentResult:
     """Inline vs background GC: foreground write latency at high utilization.
 
     Not a paper figure — it isolates what ``FtlConfig.gc_mode="background"``
@@ -638,7 +611,7 @@ def gc_comparison(writes: int | None = None) -> ExperimentResult:
     separation and wear leveling; erase-count spread is reported before
     and after the steady-state phase.
     """
-    writes = writes or _scaled(4_000)
+    writes = _scaled(4_000)
     utilization = 0.92
     channels = 4
 
@@ -736,12 +709,7 @@ def gc_comparison(writes: int | None = None) -> ExperimentResult:
 # ----------------------------------------------------------- demand paging
 
 
-def mapping_locality(
-    operations: int | None = None,
-    num_blocks: int = 128,
-    pages_per_block: int = 64,
-    cmt_pages: int = 16,
-) -> ExperimentResult:
+def mapping_locality() -> ExperimentResult:
     """Demand-paged mapping: CMT hit ratio and map-write cost vs. locality.
 
     Not a paper figure — it isolates what ``FtlConfig.cmt_pages`` costs and
@@ -757,14 +725,15 @@ def mapping_locality(
     while the demand-paged map adds eviction writebacks that grow as
     locality degrades.
     """
-    operations = operations or _scaled(6_000)
+    operations = _scaled(6_000)
+    cmt_pages = 16
     map_entries_per_page = 64
 
     def _run(hot_fraction: float, pages: int) -> dict[str, Any]:
         config = FtlConfig(
             map_entries_per_page=map_entries_per_page, cmt_pages=pages, cmt_dirty_batch=4
         )
-        ftl, fill = _filled_ftl(config, 0.6, num_blocks, pages_per_block)
+        ftl, fill = _filled_ftl(config, 0.6, num_blocks=128, pages_per_block=64)
         hot_span = max(1, int(fill * hot_fraction))
         stats0 = ftl.stats.snapshot()
         rng = make_rng(0x5EED6C, "bench.mapping", "steady-stream")
@@ -832,17 +801,13 @@ def mapping_locality(
 # ---------------------------------------------------------------------- MVCC
 
 
-def mvcc_retention(
-    retain_values: tuple[int, ...] = (1, 2, 4, 8),
-    transactions: int | None = None,
-    probe_ages: tuple[int, ...] = (2, 8, 32, 128),
-) -> ExperimentResult:
+def mvcc_retention() -> ExperimentResult:
     """Multi-version X-L2P: reader staleness vs. the GC cost of retention.
 
     Not a paper figure — it measures what ``FtlConfig.retain_versions``
     buys and costs.  An identical skewed transactional overwrite stream
     runs once per retention depth; alongside it, an AS-OF reader probes
-    historical snapshots at fixed ages (``probe_ages`` commits back),
+    historical snapshots at fixed ages (2, 8, 32 and 128 commits back),
     always choosing a page that *changed* since the probed snapshot, and
     a host-side history oracle says what the correct historical value
     was.  A probe is **stale** when ``read_as_of`` had already lost the
@@ -860,7 +825,8 @@ def mvcc_retention(
     commit sequence to one published version; the ``ftl.mvcc`` verify
     layer covers grouped commits.
     """
-    transactions = transactions or _scaled(600)
+    transactions = _scaled(600)
+    probe_ages = (2, 8, 32, 128)
 
     def _run(retain: int) -> dict[str, Any]:
         config = FtlConfig(
@@ -939,7 +905,7 @@ def mvcc_retention(
 
     result_rows = []
     runs: dict[str, Any] = {}
-    for retain in retain_values:
+    for retain in (1, 2, 4, 8):
         run = runs[str(retain)] = _run(retain)
         result_rows.append(
             [retain]
@@ -982,12 +948,10 @@ def mvcc_retention(
 # ------------------------------------------------------------------- Table 5
 
 
-def table5_recovery(
-    transactions: int | None = None, rows: int | None = None
-) -> ExperimentResult:
+def table5_recovery() -> ExperimentResult:
     """Table 5: SQLite restart time after a mid-workload power failure."""
-    transactions = transactions or _scaled(60)
-    rows = rows or _scaled(6_000)
+    transactions = _scaled(60)
+    rows = _scaled(6_000)
     result_rows = []
     for mode in SQLITE_MODES:
         stack, workload = _loaded_synthetic(mode, rows)
@@ -1025,13 +989,13 @@ def table5_recovery(
 # ------------------------------------------------------------- multi-tenancy
 
 
-def tenant_fairness(tenants: int = 4, transactions: int | None = None) -> ExperimentResult:
-    """Noisy neighbour: one hot tenant vs N-1 cold tenants, RR vs deficit.
+def tenant_fairness() -> ExperimentResult:
+    """Noisy neighbour: one hot tenant vs three cold tenants, RR vs deficit.
 
     Not a paper figure — it measures what the tenant-aware scheduler buys
     on the paper's §6.3 shape (many small SQLite clients on one X-FTL
     device).  One *hot* tenant runs four sessions of eight-update
-    inline-commit transactions; the remaining *cold* tenants run one
+    inline-commit transactions; the three *cold* tenants run one
     session of single-update transactions each.  Under plain round-robin
     every session gets a turn per round, so the hot tenant's extra
     sessions multiply the simulated time injected into every cold
@@ -1045,9 +1009,8 @@ def tenant_fairness(tenants: int = 4, transactions: int | None = None) -> Experi
     device attribution (writes, GC copybacks, cross-tenant GC collisions)
     comes from the device's tenant registry.
     """
-    if tenants < 2:
-        raise ValueError("tenant_fairness needs at least 2 tenants")
-    transactions = transactions or _scaled(12)
+    tenants = 4
+    transactions = _scaled(12)
     cold_transactions = transactions * 2  # enough samples for a pooled p99
     hot_sessions = 4
     hot_updates_per_txn = 8
@@ -1079,8 +1042,8 @@ def tenant_fairness(tenants: int = 4, transactions: int | None = None) -> Experi
             Mode.XFTL,
             num_blocks=256,
             pages_per_block=64,
-            channels=max(2, _channels()),
-            queue_depth=max(4, _queue_depth()),
+            channels=2,
+            queue_depth=4,
         )
         scheduler = TenantScheduler(stack, fairness=policy, group_commit=False)
         clock = stack.clock
@@ -1171,16 +1134,13 @@ def tenant_fairness(tenants: int = 4, transactions: int | None = None) -> Experi
 # ------------------------------------------------ barrier-enabled IO stack
 
 
-def barrier_comparison(
-    transactions: int | None = None,
-    rows: int | None = None,
-) -> ExperimentResult:
+def barrier_comparison() -> ExperimentResult:
     """Rival design: drain-and-wait vs barrier-enabled durability points.
 
     Not a paper figure — it runs the "Barrier Enabled IO Stack" rival
     head to head against the drain-based stack.  Every SQLite journaling
     mode executes the identical commit-heavy synthetic workload twice on a
-    parallel device (channels>=4 behind an NCQ queue): once on a drain
+    parallel device (4 channels behind a depth-4 NCQ queue): once on a drain
     device, where each ordering point on the commit path (``fbarrier``,
     the journal's ordered commit page) costs flushes, and once on a
     barrier-enabled device, where the same calls cost order-only epoch
@@ -1190,15 +1150,15 @@ def barrier_comparison(
     (``barrier_stalls``/``barrier_stall_us``: queue still busy when the
     durability point drained it); the barrier runs count the same stalls
     *avoided* (``stalls_avoided``/``stall_avoided_us``) plus the epochs
-    their ordering points closed.  Expected shape: with channels>=4 the
+    their ordering points closed.  Expected shape: on 4 channels the
     drain runs stall on every fsync that catches in-flight commands, the
     barrier runs convert all of those into order-only epoch closes
     (zero drain stalls) and finish no slower.
     """
-    channels = max(4, _channels())
-    queue_depth = max(4, _queue_depth())
-    transactions = transactions or _scaled(50)
-    rows = rows or _scaled(2_000)
+    channels = 4
+    queue_depth = 4
+    transactions = _scaled(50)
+    rows = _scaled(2_000)
 
     def _run(mode: Mode, barrier_mode: bool) -> dict[str, Any]:
         stack, workload = _loaded_synthetic(

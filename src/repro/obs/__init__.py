@@ -147,7 +147,7 @@ class ObservabilityHub:
     before the sweep makes ``build_stack`` route each stack to its own
     labeled session, so per-mode metrics stay separate::
 
-        hub = install_default_hub(trace=False)
+        hub = install_default_hub()
         try:
             run_experiment(...)          # builds stacks internally
         finally:
@@ -156,12 +156,11 @@ class ObservabilityHub:
             print(session.report())
     """
 
-    def __init__(self, trace: bool = False) -> None:
-        self.trace = trace
+    def __init__(self) -> None:
         self.sessions: list[Observability] = []
 
     def session(self, label: str) -> Observability:
-        obs = Observability(enabled=True, trace=self.trace, label=label)
+        obs = Observability(enabled=True, label=label)
         self.sessions.append(obs)
         return obs
 
@@ -174,10 +173,10 @@ def default_hub() -> ObservabilityHub | None:
     return _default_hub
 
 
-def install_default_hub(trace: bool = False) -> ObservabilityHub:
+def install_default_hub() -> ObservabilityHub:
     """Install (and return) a hub that captures every stack built after it."""
     global _default_hub
-    _default_hub = ObservabilityHub(trace=trace)
+    _default_hub = ObservabilityHub()
     return _default_hub
 
 

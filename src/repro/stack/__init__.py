@@ -109,6 +109,8 @@ class Mode(enum.Enum):
         """Accept a :class:`Mode`, its value (``"X-FTL"``) or name (``"xftl"``)."""
         if isinstance(mode, cls):
             return mode
+        if not isinstance(mode, str):
+            raise ValueError(f"stack mode must be a Mode or its name, not {mode!r}")
         for member in cls:
             if mode == member.value or mode.upper() == member.name:
                 return member
@@ -120,7 +122,7 @@ class Mode(enum.Enum):
 class StackConfig:
     """Everything needed to build one simulated machine."""
 
-    mode: Mode = Mode.XFTL
+    mode: Mode = Mode.XFTL  # or any name Mode.coerce accepts
     num_blocks: int = 1024
     pages_per_block: int = 128
     page_size: int = 8192
@@ -141,9 +143,12 @@ class StackConfig:
     max_inodes: int = 128
     # Observability: ``metrics`` enables the counter registry, ``trace``
     # records cross-layer spans as well (and so implies ``metrics``).  An installed
-    # ObservabilityHub overrides both: each stack gets a session of its own.
+    # ObservabilityHub overrides both: each stack gets an untraced session of its own.
     metrics: bool = False
     trace: bool = False
+
+    def __post_init__(self) -> None:
+        self.mode = Mode.coerce(self.mode)
 
 
 @dataclass
@@ -338,7 +343,7 @@ def open_stack(
         stack = repro.open_stack("X-FTL", metrics=True)
         db = stack.open_database()
     """
-    config = StackConfig(mode=Mode.coerce(mode), metrics=metrics, trace=trace, **overrides)
+    config = StackConfig(mode=mode, metrics=metrics, trace=trace, **overrides)
     return build_stack(config)
 
 

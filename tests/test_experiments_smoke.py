@@ -3,8 +3,7 @@
 The ``bench`` pin (``tests/pins.py``) holds one row per ``ALL_EXPERIMENTS``
 entry (the paper's tables and figures, the non-paper experiments and the
 three ablations): the title, headers, rows and notes of the table that
-``REPRO_SCALE=0.05 python -m repro.bench NAME`` prints on the default serial
-device.  A change that moves a table says why and re-records it::
+``REPRO_SCALE=0.05 python -m repro.bench NAME`` prints.  A change that moves a table says why and re-records it::
 
     PYTHONPATH=src:. python -m tests.pins --record bench [EXPERIMENT ...]
 
@@ -29,10 +28,8 @@ PIN_SCALE = "0.05"
 
 @functools.cache
 def _run(name: str, scale: str = PIN_SCALE) -> experiments.ExperimentResult:
-    """Experiment ``name`` at ``REPRO_SCALE=scale`` on the serial device."""
+    """Experiment ``name`` at ``REPRO_SCALE=scale``."""
     with mock.patch.dict(os.environ, REPRO_SCALE=scale):
-        for var in ("REPRO_CHANNELS", "REPRO_QUEUE_DEPTH"):
-            os.environ.pop(var, None)
         return experiments.ALL_EXPERIMENTS[name]()
 
 
@@ -212,9 +209,9 @@ class TestExperimentFunctions:
             assert barrier["elapsed_s"] <= drain["elapsed_s"]
 
     def test_gc_comparison_structure(self):
-        """A run of its own: at the pin's 200 writes the two wear rows
+        """A run of its own, 600 writes: at the pin's 200 the two wear rows
         collect nothing (0 victims, spread 0 -> 0)."""
-        result = experiments.gc_comparison(writes=600)
+        result = _run("gc", "0.15")
         assert len(result.rows) == 4
         runs = result.runs
         # The tentpole claim: background GC takes the stop-the-world pauses
@@ -243,20 +240,18 @@ class TestExperimentFunctions:
             )
 
     def test_mvcc_structure(self):
-        """A run of its own: the pin's 30 transactions never reach its
+        """A run of its own, 204 transactions: the pin's 30 never reach its
         older probe ages, and its young ones all read 100 %."""
-        result = experiments.mvcc_retention(
-            retain_values=(1, 3), transactions=200, probe_ages=(2, 16)
-        )
-        assert len(result.rows) == 2  # one per retention depth
+        result = _run("mvcc", "0.34")
+        assert len(result.rows) == 4  # one per retention depth
         shallow = result.runs["1"]["fresh_ratio"]
-        deep = result.runs["3"]["fresh_ratio"]
+        deep = result.runs["4"]["fresh_ratio"]
         # retain=1 has no commit epochs: probes never run.
-        assert shallow[2] is None and shallow[16] is None
+        assert all(ratio is None for ratio in shallow.values())
         # With retention, young snapshots must be at least as fresh as old.
-        assert deep[2] >= deep[16]
+        assert deep[2] >= deep[32]
         assert deep[2] > 0.5
-        # Retained versions are live pages the deeper run must report.
+        # Retained versions are live pages the retain=2 run must report.
         assert result.rows[1][-1] > 0
 
 
@@ -269,12 +264,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table 2" in out
         assert (tmp_path / "table2.txt").exists()
-
-    def test_cli_trace_implies_metrics(self, capsys):
-        from repro.bench.cli import main
-
-        assert main(["table2", "--trace"]) == 0
-        assert "[table2: " in capsys.readouterr().out  # the per-session report
 
     def test_cli_gc_metrics_records_the_bare_ftls(self, capsys, tmp_path):
         """``gc`` builds bare FTLs, not stacks: under ``--metrics`` each
@@ -298,14 +287,3 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["nonsense"])
-
-    def test_cli_channels_flag_scoped_to_run(self, capsys):
-        import os
-
-        from repro.bench.cli import main
-
-        assert "REPRO_CHANNELS" not in os.environ
-        code = main(["table2", "--channels", "8", "--queue-depth", "8"])
-        assert code == 0
-        assert "REPRO_CHANNELS" not in os.environ  # restored after the run
-        assert "REPRO_QUEUE_DEPTH" not in os.environ

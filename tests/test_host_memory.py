@@ -238,9 +238,13 @@ _BACKGROUND_CMT = FtlConfig(gc_mode="background", gc_policy="cost-benefit", cmt_
         (Mode.RBJ, _BACKGROUND_CMT, "off"),
         (Mode.XFTL, _BACKGROUND_CMT, "off"),
         (Mode.RBJ, _BACKGROUND_CMT, "metrics"),
-        (Mode.XFTL, _BACKGROUND_CMT, "hub-trace"),
+        (Mode.XFTL, _BACKGROUND_CMT, "hub"),
+        (Mode.XFTL, _BACKGROUND_CMT, "trace"),
     ],
-    ids=["rbj", "wal", "xftl", "rbj-cmt", "xftl-cmt", "rbj-cmt-metrics", "xftl-cmt-hub-trace"],
+    ids=[
+        "rbj", "wal", "xftl", "rbj-cmt", "xftl-cmt", "rbj-cmt-metrics", "xftl-cmt-hub",
+        "xftl-cmt-trace",
+    ],
 )
 def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl, obs):
     """No reference cycle runs through a stack: with the cyclic collector
@@ -250,13 +254,14 @@ def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl, obs):
     the CMT, a prepared statement) holds it weakly or is handed it per
     call.  With metrics on (a handle of its own, or a session of a hub),
     the registry that outlives the stack binds count records only, and
-    still reads what they counted."""
+    still reads what they counted; with trace on, its spans outlive it too."""
     gc.collect()
     gc.disable()
-    hub = install_default_hub(trace=True) if obs == "hub-trace" else None
+    hub = install_default_hub() if obs == "hub" else None
     try:
         stack = build_stack(
-            mode=mode, num_blocks=256, channels=2, ftl=ftl, metrics=obs == "metrics"
+            mode=mode, num_blocks=256, channels=2, ftl=ftl,
+            metrics=obs == "metrics", trace=obs == "trace",
         )
         if hub is not None:
             uninstall_default_hub()
@@ -274,7 +279,7 @@ def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl, obs):
         assert session.registry.counters() == counted
         if obs != "off":
             assert counted["sqlite.txn_commits"] > 0 and counted["flash.page_programs"] > 0
-        if hub is not None:
+        if obs == "trace":
             assert session.tracer.find("commit")
     finally:
         uninstall_default_hub()

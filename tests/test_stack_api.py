@@ -33,6 +33,19 @@ class TestOpenStack:
         with pytest.raises(ValueError, match="unknown stack mode"):
             Mode.coerce("btrfs")
 
+    def test_build_stack_takes_a_mode_name(self):
+        stack = build_stack(mode="xftl", num_blocks=64, pages_per_block=32)
+        assert stack.config.mode is Mode.XFTL
+
+    def test_stack_config_takes_a_mode_name(self):
+        stack = build_stack(StackConfig(mode="X-FTL", num_blocks=64, pages_per_block=32))
+        assert stack.config.mode is Mode.XFTL
+
+    @pytest.mark.parametrize("spec", [3, None], ids=["int", "none"])
+    def test_a_mode_that_is_not_a_name_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match="stack mode"):
+            Mode.coerce(spec)
+
     def test_overrides_reach_the_config(self):
         stack = open_stack("wal", num_blocks=64, pages_per_block=32, journal_pages=99)
         assert stack.config.num_blocks == 64

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 import repro.sim.interleave as interleave_module
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.device.queue import CommandQueue
 from repro.device.ssd import StorageDevice
 from repro.flash import FlashChip, FlashGeometry
@@ -466,6 +467,18 @@ ROWS = [
     Pattern("bench-settings-constants", "A setting that only took its default is a constant.",
             r"REPRO_(SESSIONS|TENANTS|BARRIER_MODE)|--(sessions|tenants|barrier-mode)\b"
             r"|def _(sessions|tenants|barrier_mode)\(", 'os.environ.get("REPRO_TENANTS")'),
+    Pattern("no-device-env-vars", "An experiment runs on the device its table names.",
+            r"REPRO_CHANNELS|REPRO_QUEUE_DEPTH", 'os.environ.get("REPRO_CHANNELS", "1")',
+            ("src", "tests")),
+    Pattern("bench-cli-flags", "A bench run is experiment names: no alias, device or trace flag.",
+            r'"--(figure|channels|queue-depth|trace)"', 'parser.add_argument("--channels", type=int)',
+            ("src/repro/bench/cli.py",)),
+    Structure("experiments-take-no-arguments", "An experiment is a name and REPRO_SCALE.",
+              lambda: [name for name, run in ALL_EXPERIMENTS.items()
+                       if inspect.signature(run).parameters]),
+    Pattern("untraced-hub", "Hub sessions record counts; spans are open_stack(trace=True).",
+            r"install_default_hub\(trace|ObservabilityHub\(trace",
+            "hub = install_default_hub(trace=True)", ("src", "tests")),
     Pattern("one-perf-harness", "Host speed has one harness, benchmarks/perf: no throughput bench.",
             r"def throughput\b", "def throughput(writes=None):", ("src/repro/bench",)),
     Pattern("no-wall-regression-check", "No wall-clock check against another machine's number.",

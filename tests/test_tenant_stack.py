@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import pytest
 
 from repro.errors import FsError
@@ -399,10 +402,12 @@ class TestAndroidTenants:
 
 class TestFairness:
     def test_deficit_bounds_cold_tail(self):
-        """The tentpole claim: deficit < round-robin on cold-tenant p99."""
+        """The tentpole claim: deficit < round-robin on cold-tenant p99
+        (11,699 against 20,139 us when recorded)."""
         from repro.bench.experiments import tenant_fairness
 
-        result = tenant_fairness(tenants=3, transactions=5)
+        with mock.patch.dict(os.environ, REPRO_SCALE="0.42"):  # 5 txns per session
+            result = tenant_fairness()
         rr = result.runs["round-robin"]
         drr = result.runs["deficit"]
         # Identical statement streams either way...
