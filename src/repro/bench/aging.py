@@ -37,23 +37,23 @@ from repro.stack import BenchStack
 from repro.sim.rng import make_rng
 
 _FILLER_PAYLOAD = ("cold-filler",)
+_FS_HEADROOM_PAGES = 512
+_HEADROOM_BLOCKS = 6
 
 
 def age_device(
     stack: BenchStack,
     validity: float,
     seed: int = 7,
-    headroom_blocks: int = 6,
-    fs_headroom_pages: int = 512,
 ) -> int:
     """Age the device to a target GC validity ratio.
 
     Filler is written one block's worth at a time and immediately thinned to
     the target validity, so garbage collection triggered *during* aging
-    already finds ≈``validity``-valid victims.  ``fs_headroom_pages``
+    already finds ≈``validity``-valid victims.  ``_FS_HEADROOM_PAGES``
     logical pages above the file system's current allocation frontier are
     kept filler-free for the workload's own growth, and the drain stops
-    ``headroom_blocks`` free blocks above the GC threshold of every channel.
+    ``_HEADROOM_BLOCKS`` free blocks above the GC threshold of every channel.
 
     Returns the number of filler pages left valid.  Statistics accumulated
     during aging are *not* reset here — benchmarks snapshot/diff around the
@@ -66,11 +66,11 @@ def age_device(
     pages_per_block = stack.chip.geometry.pages_per_block
     # Each inline channel keeps its own GC threshold of free blocks, so the
     # pool cannot drain below their sum.
-    floor = ftl.config.gc_free_block_threshold * stack.chip.geometry.channels + headroom_blocks
+    floor = ftl.config.gc_free_block_threshold * stack.chip.geometry.channels + _HEADROOM_BLOCKS
 
     by_free = ftl.free_block_count() - floor
     frontier = stack.fs.allocation_frontier()
-    by_space = (ftl.exported_pages - frontier - fs_headroom_pages) // pages_per_block
+    by_space = (ftl.exported_pages - frontier - _FS_HEADROOM_PAGES) // pages_per_block
     aged_blocks = min(by_free, by_space)
     if aged_blocks <= 0:
         raise ValueError("device too small to age with the requested headroom")

@@ -73,7 +73,7 @@ from repro.flash.stats import ChipCounts, FlashStats
 from repro.obs import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import NO_CRASH, CrashPlan, register_crash_point
-from repro.sim.events import EventScheduler, ResourceTimeline
+from repro.sim.events import ResourceTimeline
 from repro.sim.latency import OPENSSD_PROFILE, LatencyProfile
 from repro.tenancy import TenantRegistry
 
@@ -209,9 +209,8 @@ class FlashChip:
         self._none_block: list[Any] = [None] * self._pages_per_block
         self._zero_block = bytes(self._pages_per_block)
 
-        self.scheduler = EventScheduler(self.clock)
         self._channel_timelines: list[ResourceTimeline] = [
-            self.scheduler.timeline(f"flash.ch{channel}") for channel in range(channels)
+            ResourceTimeline(self.clock, f"flash.ch{channel}") for channel in range(channels)
         ]
         self._regions: list[OverlapRegion] = []
         # Order-barrier floor: no reservation may start before this time.
@@ -305,7 +304,7 @@ class FlashChip:
         if self.order_only_drains:
             self.order_barrier()
             return
-        self.clock.wait_until(self.scheduler.horizon_us())
+        self.clock.wait_until(self.busy_horizon_us())
 
     def order_barrier(self) -> None:
         """Order-only cross-channel barrier: raise the dispatch floor.
@@ -315,13 +314,18 @@ class FlashChip:
         issued earlier, on any channel — but the clock does not join the
         horizon, so the host keeps running.
         """
-        horizon = self.scheduler.horizon_us()
+        horizon = self.busy_horizon_us()
         if horizon > self.dispatch_floor_us:
             self.dispatch_floor_us = horizon
 
     def busy_horizon_us(self) -> float:
-        """Latest completion time currently reserved on any channel."""
-        return self.scheduler.horizon_us()
+        """Latest completion time currently reserved on any channel (now if
+        every channel is idle)."""
+        horizon = self.clock._now_us
+        for timeline in self._channel_timelines:
+            if timeline.busy_until_us > horizon:
+                horizon = timeline.busy_until_us
+        return horizon
 
     def channel_busy_us(self) -> list[float]:
         """Accumulated busy time per channel (utilization numerator)."""

@@ -406,7 +406,7 @@ class Ext4:
         """
         self._sync("fsync", [handle], txn)
 
-    def fbarrier(self, handle: "FileHandle", txn=None) -> None:
+    def fbarrier(self, handle: "FileHandle") -> None:
         """Order-only fsync (the barrier-enabled stack's ``fbarrier``).
 
         The same writes in the same order as :meth:`fsync` — data, then
@@ -415,7 +415,7 @@ class Ext4:
         return.  A barrier-enabled device pays no drain for that; a drain
         device pays the same flushes as an fsync.
         """
-        self._sync("fbarrier", [handle], txn, order_only=True)
+        self._sync("fbarrier", [handle], None, order_only=True)
 
     def fdatabarrier(self, handle: "FileHandle") -> None:
         """Order-only data barrier (``fdatabarrier``): no metadata, no wait.
@@ -453,13 +453,13 @@ class Ext4:
             raise FsError("stage_tx requires a transaction")
         self._sync("stage_tx", [handle], txn, commit=False)
 
-    def sync_metadata(self, txn=None, order_only: bool = False) -> None:
+    def sync_metadata(self, order_only: bool = False) -> None:
         """Directory-style fsync: flush only metadata (after create/unlink).
 
         ``order_only=True`` is the ``fbarrier`` of directory syncs: the
         caller needs the metadata ordered, not durable on return.
         """
-        self._sync("sync_metadata", [], txn, order_only=order_only)
+        self._sync("sync_metadata", [], None, order_only=order_only)
 
     def _sync(
         self,
@@ -926,17 +926,17 @@ class FileHandle:
     def n_pages(self) -> int:
         return math.ceil(self.inode.size_bytes / self.fs.device.page_size)
 
-    def read_page(self, index: int, txn=None) -> Any:
+    def read_page(self, index: int) -> Any:
         """Read file page ``index``; None if unallocated (sparse read).
 
-        ``txn`` identifies the reader for snapshot isolation: without it,
-        another transaction's dirty cached pages are bypassed in favor of
-        the committed copy (see :meth:`Ext4.read_lpn`).
+        The reader has no transaction: another transaction's dirty cached
+        pages are bypassed in favor of the committed copy (see
+        :meth:`Ext4.read_lpn`; :meth:`read_page_tx` reads as a transaction).
         """
         lpn = self.fs._lookup_block(self.inode, index)
         if lpn is None:
             return None
-        return self.fs.read_lpn(lpn, txn=txn)
+        return self.fs.read_lpn(lpn)
 
     def write_page(self, index: int, data: Any, txn=None) -> None:
         """Buffer a page write; ``txn`` tags it for XFTL-mode transactions."""

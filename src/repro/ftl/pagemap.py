@@ -646,15 +646,12 @@ class PageMappingFTL:
             self._owner[ppn] = DEAD
             self._valid_count[ppn // self._pages_per_block] -= 1
 
-    def _map(self, lpn: int, ppn: int, commit_seq: int | None = None) -> None:
-        """``lpn`` now lives at the freshly programmed ``ppn``.
-
-        ``commit_seq`` is the commit superseding the old copy, for the
-        version chains of the multi-version XFTL (``None``: a plain write).
-        """
+    def _map(self, lpn: int, ppn: int) -> None:
+        """``lpn`` now lives at the freshly programmed ``ppn`` (a plain
+        write: no commit supersedes the old copy)."""
         old = self._l2p[lpn]
         if old != UNMAPPED:
-            self._supersede(lpn, old, commit_seq)
+            self._supersede(lpn, old, None)
         self._l2p[lpn] = ppn
         owner = self._owner  # _own, inline: the per-host-page path
         if owner[ppn] != DEAD:

@@ -365,9 +365,10 @@ class XFTL(PageMappingFTL):
         # published: an eviction here is ordinary out-of-barrier traffic,
         # and GC under its writeback may relocate the entry's page
         # (update_ppn repoints the entry), so new_ppn is read after.
-        # Per entry this is _disown(new_ppn) then _map(lpn, new_ppn,
-        # seq), inline: the page stays live on its block and only
-        # changes owner, so its valid count does not move.
+        # Per entry this is _disown(new_ppn) then _map(lpn, new_ppn),
+        # inline, with the commit's seq handed to _supersede: the page
+        # stays live on its block and only changes owner, so its valid
+        # count does not move.
         cmt = self._cmt
         per = self._map_entries_per_page
         l2p, owner, detail = self._l2p, self._owner, self._owner_detail

@@ -75,7 +75,11 @@ def main(argv: list[str] | None = None) -> int:
 
     stack = open_stack(mode, metrics=True, trace=args.trace)
     db = stack.open_database("obs.db")
-    workload = SyntheticWorkload(db, rows=args.rows)
+    try:
+        workload = SyntheticWorkload(db, rows=args.rows)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workload.load()
     run = workload.run(
         transactions=args.transactions, updates_per_txn=args.updates_per_txn

@@ -1,7 +1,7 @@
-"""Simulation substrate: clock, event scheduler, latency, RNG, crash points."""
+"""Simulation substrate: clock, resource timelines, latency, RNG, crash points."""
 
 from repro.sim.clock import SimClock
-from repro.sim.events import EventScheduler, ResourceTimeline
+from repro.sim.events import ResourceTimeline
 from repro.sim.crash import (
     CrashPlan,
     CrashPoint,
@@ -19,7 +19,6 @@ from repro.sim.latency import (
 
 __all__ = [
     "SimClock",
-    "EventScheduler",
     "ResourceTimeline",
     "CrashPlan",
     "CrashPoint",

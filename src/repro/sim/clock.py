@@ -28,8 +28,8 @@ class SimClock:
     time.
     """
 
-    def __init__(self, start_us: float = 0.0) -> None:
-        self._now_us = float(start_us)
+    def __init__(self) -> None:
+        self._now_us = 0.0
 
     @property
     def now_us(self) -> float:

@@ -89,16 +89,9 @@ def register_crash_point(
     return name
 
 
-def registered_crash_points(component: str | None = None) -> tuple[CrashPointSpec, ...]:
-    """All declared crash points, optionally filtered by component prefix."""
-    specs = sorted(_REGISTRY.values(), key=lambda spec: spec.name)
-    if component is None:
-        return tuple(specs)
-    return tuple(
-        spec
-        for spec in specs
-        if spec.component == component or spec.component.startswith(component + ".")
-    )
+def registered_crash_points() -> tuple[CrashPointSpec, ...]:
+    """All declared crash points, by name."""
+    return tuple(sorted(_REGISTRY.values(), key=lambda spec: spec.name))
 
 
 # ------------------------------------------------------------------- plan
@@ -136,8 +129,8 @@ class CrashPlan:
     the whole machine) before :class:`PowerFailure` is raised.
     """
 
-    def __init__(self, points: list[CrashPoint] | None = None) -> None:
-        self._points: list[CrashPoint] = list(points or [])
+    def __init__(self) -> None:
+        self._points: list[CrashPoint] = []
         self.fired: CrashPoint | None = None
         # Weak references so sharing a module-level plan (NO_CRASH) across
         # many short-lived FTL/device instances cannot accumulate garbage.

@@ -1,17 +1,15 @@
-"""A small discrete-event scheduler: per-resource busy timelines.
+"""Per-resource busy timelines.
 
 The seed simulation was strictly serial — every operation advanced the one
 global :class:`~repro.sim.clock.SimClock` — which cannot model a device
-whose speed comes from channel/way parallelism.  This module adds the
-minimal machinery for overlap:
-
-- :class:`ResourceTimeline` — one serially-used resource (a flash channel,
-  a host thread).  Work is *reserved* on the timeline: a reservation starts
-  at ``max(now, busy_until)`` and pushes ``busy_until`` forward, so work on
-  one resource serializes while work on different resources overlaps.
-- :class:`EventScheduler` — a named collection of timelines sharing one
-  clock, whose ``horizon_us()`` is the time every timeline is idle (the
-  flash chip's ``drain`` waits for it at flush/commit ordering points).
+whose speed comes from channel/way parallelism.  A
+:class:`ResourceTimeline` is one serially-used resource (a flash channel, a
+host thread).  Work is *reserved* on the timeline: a reservation starts at
+``max(now, busy_until)`` and pushes ``busy_until`` forward, so work on one
+resource serializes while work on different resources overlaps.  Each
+owner keeps its own list of timelines: the flash chip one per channel
+(whose latest ``busy_until`` is the horizon its ``drain`` waits for), the
+FIO job one per host thread.
 
 The degenerate case is exact: one timeline, with the host joining every
 reservation end immediately (``clock.wait_until(end)``), performs the same
@@ -20,15 +18,14 @@ the ``channels=1, queue_depth=1`` equivalence regression pins down.
 
 There are no completion *events*: the clock is a plain number, and the
 device command queue retires in-flight commands by polling their known
-completion times.  The public surface of this module is exactly
-``__all__`` below.
+completion times.
 """
 
 from __future__ import annotations
 
 from repro.sim.clock import SimClock
 
-__all__ = ["ResourceTimeline", "EventScheduler"]
+__all__ = ["ResourceTimeline"]
 
 
 class ResourceTimeline:
@@ -50,20 +47,17 @@ class ResourceTimeline:
         self.busy_us = 0.0
         self.reservations = 0
 
-    def reserve(self, duration_us: float, after_us: float | None = None) -> tuple[float, float]:
+    def reserve(self, duration_us: float) -> tuple[float, float]:
         """Reserve ``duration_us`` of work; returns ``(start, end)``.
 
-        The work starts when both the resource is free and any explicit
-        dependency (``after_us``, e.g. the end of a read feeding this
-        program) has completed — never before the current simulated time.
+        The work starts when the resource is free, never before the
+        current simulated time.
         """
         if duration_us < 0:
             raise ValueError(f"cannot reserve negative time: {duration_us}")
         start = self.clock.now_us
         if self.busy_until_us > start:
             start = self.busy_until_us
-        if after_us is not None and after_us > start:
-            start = after_us
         end = start + duration_us
         self.busy_until_us = end
         self.busy_us += duration_us
@@ -73,33 +67,3 @@ class ResourceTimeline:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResourceTimeline({self.name}, busy_until={self.busy_until_us:.1f})"
 
-
-class EventScheduler:
-    """Named resource timelines over one shared clock.
-
-    Keeps the per-resource bookkeeping in one place so a component (the
-    flash array, the FIO thread model) can ask for timelines by name and
-    for the time every one of them is idle.
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self._timelines: dict[str, ResourceTimeline] = {}
-
-    def timeline(self, name: str) -> ResourceTimeline:
-        """Get-or-create the timeline called ``name``."""
-        timeline = self._timelines.get(name)
-        if timeline is None:
-            timeline = self._timelines[name] = ResourceTimeline(self.clock, name)
-        return timeline
-
-    def timelines(self) -> tuple[ResourceTimeline, ...]:
-        return tuple(self._timelines.values())
-
-    def horizon_us(self) -> float:
-        """Latest ``busy_until`` across all resources (``now`` if all idle)."""
-        horizon = self.clock.now_us
-        for timeline in self._timelines.values():
-            if timeline.busy_until_us > horizon:
-                horizon = timeline.busy_until_us
-        return horizon

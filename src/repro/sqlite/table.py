@@ -64,18 +64,17 @@ class TableStore:
         last = self.tree.last_key()
         return (last[0] + 1) if last else 1
 
-    def insert_row(self, values: tuple[SqlValue, ...], rowid: int | None = None) -> int:
+    def insert_row(self, values: tuple[SqlValue, ...]) -> int:
         """Insert a row; returns the assigned rowid."""
         alias = self.table.rowid_alias
-        if rowid is None:
-            if alias is not None and values[alias] is not None:
-                rowid = values[alias]
-                if not isinstance(rowid, int):
-                    raise IntegrityError(
-                        f"INTEGER PRIMARY KEY value must be an integer, got {rowid!r}"
-                    )
-            else:
-                rowid = self.next_rowid()
+        if alias is not None and values[alias] is not None:
+            rowid = values[alias]
+            if not isinstance(rowid, int):
+                raise IntegrityError(
+                    f"INTEGER PRIMARY KEY value must be an integer, got {rowid!r}"
+                )
+        else:
+            rowid = self.next_rowid()
         if alias is not None:
             values = values[:alias] + (rowid,) + values[alias + 1 :]
         key = (rowid,)
@@ -160,8 +159,9 @@ class TableStore:
         """Yield (rowid, values) of the rows whose index key falls in the range,
         in index order, each row fetched as its index entry is reached.
 
-        One loop: it is ``get_row`` over :meth:`_index_rowids`, flattened, and
-        touches the pages that pair touches in the same order -- the index
+        One loop: it is ``get_row`` over the rowids of a :meth:`BTree.scan`
+        of the index between the padded bounds, flattened, and touches the
+        pages that pair touches in the same order -- the index
         descent, each entry's table lookup as the entry is reached, and, when
         the entries run to the end of a leaf, the re-descent past it that
         :meth:`BTree.scan` makes (the index payload is empty, so reading it
@@ -198,35 +198,17 @@ class TableStore:
     # ----------------------------------------------------------- internals
 
     @staticmethod
-    def _index_rowids(
-        tree: BTree,
-        lo: tuple | None,
-        hi: tuple | None,
-        lo_open: bool = False,
-        hi_open: bool = False,
-    ) -> Iterator[int]:
-        """Rowids whose index key falls in the range, in index order.
-
-        Bounds are *value prefixes* (without the trailing rowid).  Open and
-        closed bounds are both expressed by padding the prefix with a value
-        that sorts below / above every rowid, so the underlying B-tree scan is
-        always inclusive.
-        """
-        if lo is None:
-            lo_key = None
-        else:
-            lo_key = lo + (_ABOVE_ROWIDS,) if lo_open else lo + (_BELOW_ROWIDS,)
-        if hi is None:
-            hi_key = None
-        else:
-            hi_key = hi + (_BELOW_ROWIDS,) if hi_open else hi + (_ABOVE_ROWIDS,)
-        for key, _payload in tree.scan(lo_key, hi_key):
+    def _index_rowids(tree: BTree, prefix: tuple) -> Iterator[int]:
+        """Rowids whose index key starts with the value ``prefix``, in index
+        order: the prefix padded with a value that sorts below / above every
+        rowid bounds one inclusive B-tree scan."""
+        for key, _payload in tree.scan(prefix + (_BELOW_ROWIDS,), prefix + (_ABOVE_ROWIDS,)):
             yield key[-1]
 
     def _check_unique(self, values: tuple[SqlValue, ...], rowid: int) -> None:
         for tree, positions, index in self._unique:
             prefix = tuple([values[p] for p in positions])
-            for other_rowid in self._index_rowids(tree, prefix, prefix):
+            for other_rowid in self._index_rowids(tree, prefix):
                 if other_rowid != rowid:
                     columns = ", ".join(f"{index.table_name}.{c}" for c in index.columns)
                     raise IntegrityError(f"UNIQUE constraint failed: {columns}")
@@ -247,8 +229,10 @@ def _index_bounds(
     lo: tuple | None, hi: tuple | None, lo_open: bool, hi_open: bool
 ) -> tuple[tuple, tuple | None]:
     """Sort keys of the inclusive index range a value-prefix range covers:
-    each prefix padded as :meth:`TableStore._index_rowids` pads it (``()``
-    sorts below every key, ``None`` is no upper bound).  An equality probe
+    each prefix padded past its rowids by ``_BELOW_ROWIDS`` /
+    ``_ABOVE_ROWIDS``, below for a closed lower bound and an open upper
+    one, above otherwise (``()`` sorts below every key, ``None`` is no
+    upper bound).  An equality probe
     passes one tuple as both bounds, and it is sorted once (a pad is one
     element of the flat sort key, two items, so ``[:-2]`` drops it)."""
     lo_sort, hi_sort = (), None

@@ -195,35 +195,25 @@ class BenchStack:
         taken.add(name)
         return Session(self, name, tenant=tenant)
 
-    def open_tenant(
-        self,
-        name: str | None = None,
-        weight: int = 1,
-        seed: int = 7,
-        cache_pages: int = 4096,
-    ) -> "Tenant":
+    def open_tenant(self, name: str | None = None, weight: int = 1) -> "Tenant":
         """Open a named :class:`Tenant` — one isolated slice of this stack.
 
         Tenants share the device, FTL and file system but own a
         namespace, their sessions and a deterministic RNG lane; see
         :mod:`repro.stack.tenant`.  Opening an open name again with the
-        same settings returns the open tenant; with other settings it
+        same weight returns the open tenant; with another weight it
         raises ``ValueError``.
         """
         if name is None:
             name = f"t{len(self.tenants)}"
-        config = TenantConfig(name=name, weight=weight, seed=seed, cache_pages=cache_pages)
         for tenant in self.tenants:
             if tenant.name == name:
-                if tenant.config != config:
-                    differ = [
-                        f"{key} {getattr(tenant.config, key)}, not {getattr(config, key)}"
-                        for key in ("weight", "seed", "cache_pages")
-                        if getattr(tenant.config, key) != getattr(config, key)
-                    ]
-                    raise ValueError(f"tenant {name!r} is open with {'; '.join(differ)}")
+                if tenant.weight != weight:
+                    raise ValueError(
+                        f"tenant {name!r} is open with weight {tenant.weight}, not {weight}"
+                    )
                 return tenant
-        tenant = Tenant(self, config)
+        tenant = Tenant(self, TenantConfig(name=name, weight=weight))
         self.tenants.append(tenant)
         return tenant
 

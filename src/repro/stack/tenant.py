@@ -13,7 +13,7 @@ A :class:`Tenant` carves one logical slice out of a shared
   ``TxnManager`` tags every context with the owning session, so tenancy
   rides the existing session plumbing);
 - a deterministic **per-tenant RNG lane** via
-  :func:`repro.sim.rng.make_rng` (seed, "tenant", name, ...);
+  :func:`repro.sim.rng.make_rng` (7, "tenant", name, ...);
 - an id in the device's :class:`~repro.tenancy.TenantRegistry`, which
   attributes device writes, NCQ slots, GC copybacks and commit latency
   back to the tenant.
@@ -58,12 +58,10 @@ FAIRNESS_POLICIES = ("round-robin", "deficit")
 
 @dataclass(frozen=True)
 class TenantConfig:
-    """Identity and resource knobs for one tenant."""
+    """A tenant's identity: its name and its fairness weight."""
 
     name: str
     weight: int = 1  # fairness share under the deficit policy / NCQ split
-    seed: int = 7  # base seed of the tenant's make_rng lane
-    cache_pages: int = 4096  # default page-cache size of its connections
 
 
 class TenantFsView:
@@ -143,7 +141,7 @@ class Tenant:
 
     def make_rng(self, *labels):
         """A deterministic RNG on this tenant's seed lane."""
-        return make_rng(self.config.seed, "tenant", self.name, *labels)
+        return make_rng(7, "tenant", self.name, *labels)
 
     def open_session(self, name: str | None = None) -> Session:
         """Open a session owned by this tenant (named ``<tenant>.sN``)."""
@@ -154,27 +152,20 @@ class Tenant:
         return session
 
     def open_database(
-        self,
-        name: str = "test.db",
-        cache_pages: int | None = None,
-        session: Session | None = None,
-        **kwargs,
+        self, name: str = "test.db", session: Session | None = None, **kwargs
     ) -> "Connection":
         """Open a database inside this tenant's namespace.
 
         Without an explicit ``session`` the connection lands on the
         tenant's default session, so casual callers (trace replayers,
-        pattern workloads) still get their work attributed.
+        pattern workloads) still get their work attributed.  ``kwargs``
+        (``cache_pages``, ...) go to :meth:`BenchStack.open_database`.
         """
         if session is None:
             if self._default_session is None:
                 self._default_session = self.open_session()
             session = self._default_session
-        if cache_pages is None:
-            cache_pages = self.config.cache_pages
-        return session.open_database(
-            self.path(name), cache_pages=cache_pages, **kwargs
-        )
+        return session.open_database(self.path(name), **kwargs)
 
     def metrics(self) -> dict:
         """This tenant's attribution counters from the device registry."""

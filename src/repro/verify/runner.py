@@ -144,9 +144,9 @@ def sweep(
     seed: int = 0,
     ops_limit: int = DEFAULT_OPS_LIMIT,
     progress: Callable[[Scenario, ScenarioResult], None] | None = None,
-    shrink_failures: bool = True,
 ) -> SweepReport:
-    """Round-robin the streams until the budget runs out or they dry up."""
+    """Round-robin the streams until the budget runs out or they dry up;
+    each failure is shrunk to its shortest failing workload prefix."""
     layer_names = list(layers) if layers else list(LAYERS)
     for name in layer_names:
         if name not in LAYERS:
@@ -179,8 +179,7 @@ def sweep(
             report.not_fired += 1  # occurrence exhausted; retire the stream
         if not result.ok:
             failure = Failure(scenario=scenario, result=result)
-            if shrink_failures:
-                failure.shrunk, failure.result = shrink(scenario, result)
+            failure.shrunk, failure.result = shrink(scenario, result)
             report.failures.append(failure)
     return report
 

@@ -132,12 +132,11 @@ class AndroidTraceGenerator:
     reproduces the published trace sizes.
     """
 
-    def __init__(self, profile: TraceProfile, scale: float = 1.0, seed: int = 7) -> None:
+    def __init__(self, profile: TraceProfile, scale: float = 1.0) -> None:
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.profile = profile
         self.scale = scale
-        self.seed = seed
 
     def _scaled(self, count: int) -> int:
         return max(1, round(count * self.scale)) if count else 0
@@ -145,7 +144,7 @@ class AndroidTraceGenerator:
     def generate(self) -> tuple[list[TraceOp], TraceStats]:
         """Build the trace: DDL first, then interleaved transactions."""
         profile = self.profile
-        rng = make_rng(self.seed, "android", profile.name)
+        rng = make_rng(7, "android", profile.name)
         stats = TraceStats(files=profile.files, tables=profile.tables)
 
         files = [self._file_name(i) for i in range(profile.files)]
@@ -292,18 +291,18 @@ class TraceReplayer:
     ``stack`` may be a :class:`~repro.stack.BenchStack` or a
     :class:`~repro.stack.Tenant` — both expose ``open_database`` and
     ``clock``, and the tenant form lands every file in the tenant's
-    namespace with the tenant's attribution.
+    namespace with the tenant's attribution.  Each connection caches
+    2,048 pages.
     """
 
-    def __init__(self, stack: BenchStack, cache_pages: int = 2048) -> None:
+    def __init__(self, stack: BenchStack) -> None:
         self.stack = stack
-        self.cache_pages = cache_pages
         self.connections: dict[str, Connection] = {}
 
     def _connection(self, file_name: str) -> Connection:
         connection = self.connections.get(file_name)
         if connection is None:
-            connection = self.stack.open_database(file_name, cache_pages=self.cache_pages)
+            connection = self.stack.open_database(file_name, cache_pages=2048)
             self.connections[file_name] = connection
         return connection
 

@@ -1,26 +1,25 @@
 """FIO-style file system benchmark (§6.2, §6.3.4, Figures 8 and 9).
 
-Random 8 KB writes over one large file with an fsync every *k* writes
-(k ∈ {1, 5, 10, 15, 20} mimics the synthetic workload's transaction sizes).
-Throughput is reported in IOPS over the simulated clock.
+The paper's one job: random 8 KB writes over one large preallocated file
+with an fsync every *k* writes (k ∈ {1, 5, 10, 15, 20} mimics the
+synthetic workload's transaction sizes).  Throughput is reported in IOPS
+over the simulated clock.
 
 Multi-thread runs (Figure 9 uses 16 threads) overlap each thread's
 host-side work with the device servicing the other threads: every thread
 owns a :class:`~repro.sim.events.ResourceTimeline` carrying its
-syscall/fsync CPU cost, I/Os round-robin across threads, and a thread's
-next I/O joins its own pending host work (``clock.wait_until``) rather
+syscall/fsync CPU cost, writes round-robin across threads, and a thread's
+next write joins its own pending host work (``clock.wait_until``) rather
 than serialising the whole run behind it.  With enough threads the host
 cost disappears behind device time — the saturation the figure measures —
-while at low thread counts it shows up as real stalls.  (This replaced an
-elapsed-minus-overhead subtraction approximation; single-thread runs are
-untouched.)
+while at low thread counts it shows up as real stalls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.events import EventScheduler
+from repro.sim.events import ResourceTimeline
 from repro.stack import BenchStack
 from repro.sim.rng import make_rng
 
@@ -37,7 +36,6 @@ class FioResult:
     elapsed_s: float
     host_overhead_s: float
     threads: int
-    reads: int = 0
 
     @property
     def iops(self) -> float:
@@ -61,11 +59,9 @@ class FioBenchmark:
         self,
         stack: BenchStack,
         file_pages: int = 65_536,  # 512 MB at 8 KB pages (paper: 4 GB)
-        seed: int = 7,
     ) -> None:
         self.stack = stack
         self.file_pages = file_pages
-        self.seed = seed
 
     def run(
         self,
@@ -73,23 +69,19 @@ class FioBenchmark:
         fsync_interval: int = 1,
         threads: int = 1,
         max_writes: int | None = None,
-        pattern: str = "randwrite",
-        read_fraction: float = 0.0,
     ) -> FioResult:
-        """Issue I/O until ``runtime_s`` of simulated time has passed.
-
-        ``pattern`` selects the FIO job type: ``randwrite`` (the paper's
-        experiment), ``write`` (sequential), or ``randrw`` (interleaved
-        reads at ``read_fraction``).  Reads never trigger fsyncs.
+        """Write random pages until ``runtime_s`` of simulated time has
+        passed (or ``max_writes`` pages are written), with an fsync every
+        ``fsync_interval`` writes, on ``threads`` host threads.
         """
-        if pattern not in ("randwrite", "write", "randrw"):
-            raise ValueError(f"unknown pattern {pattern!r}")
-        if pattern == "randrw" and not 0.0 < read_fraction < 1.0:
-            raise ValueError("randrw needs 0 < read_fraction < 1")
+        if fsync_interval < 1:
+            raise ValueError(f"fsync_interval must be at least 1, got {fsync_interval}")
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         stack = self.stack
         fs = stack.fs
         profile = stack.device.profile
-        rng = make_rng(self.seed, "fio", fsync_interval, threads)
+        rng = make_rng(7, "fio", fsync_interval, threads)
         if fs.exists("fio.dat"):
             handle = fs.open("fio.dat")
         else:
@@ -105,39 +97,22 @@ class FioBenchmark:
         writes = 0
         fsyncs = 0
         host_overhead_us = 0.0
-        reads = 0
-        sequential_cursor = 0
         # Multi-thread overlap: each thread's host-side CPU cost rides its
         # own timeline; I/Os round-robin across threads, and a thread's
         # next I/O joins only its *own* pending host work, so host cost
         # hides behind the device servicing the other threads.
         thread_timelines = None
         if threads > 1:
-            scheduler = EventScheduler(clock)
             thread_timelines = [
-                scheduler.timeline(f"fio.thread{index}") for index in range(threads)
+                ResourceTimeline(clock, f"fio.thread{index}") for index in range(threads)
             ]
         timeline = None
         txn = fs.txn_manager.begin() if fs.transactional else None
         while clock.now_s < deadline:
             if thread_timelines is not None:
-                timeline = thread_timelines[(writes + reads) % threads]
+                timeline = thread_timelines[writes % threads]
                 clock.wait_until(timeline.busy_until_us)
-            if pattern == "randrw" and rng.random() < read_fraction:
-                # The reader passes its own context so snapshot isolation
-                # keeps serving its uncommitted cached writes.
-                handle.read_page(rng.randrange(self.file_pages), txn=txn)
-                host_overhead_us += profile.host_syscall_us
-                if timeline is not None:
-                    timeline.reserve(profile.host_syscall_us)
-                reads += 1
-                continue
-            if pattern == "write":
-                page = sequential_cursor % self.file_pages
-                sequential_cursor += 1
-            else:
-                page = rng.randrange(self.file_pages)
-            handle.write_page(page, _PAYLOAD, txn=txn)
+            handle.write_page(rng.randrange(self.file_pages), _PAYLOAD, txn=txn)
             host_overhead_us += profile.host_syscall_us
             if timeline is not None:
                 timeline.reserve(profile.host_syscall_us)
@@ -169,5 +144,4 @@ class FioBenchmark:
             elapsed_s=clock.now_s - start,
             host_overhead_s=host_overhead_us / 1e6,
             threads=threads,
-            reads=reads,
         )

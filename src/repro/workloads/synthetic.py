@@ -46,6 +46,8 @@ class SyntheticWorkload:
     """Loader and driver for the partsupply update workload."""
 
     def __init__(self, db: Connection, rows: int = 60_000, seed: int = 7) -> None:
+        if rows < 1:
+            raise ValueError(f"rows must be at least 1, got {rows}")
         self.db = db
         self.rows = rows
         self.seed = seed

@@ -61,14 +61,12 @@ class MultiTerminalTpccDriver:
         stack: BenchStack,
         terminals: int,
         config: TpccConfig | None = None,
-        seed: int = 7,
         group_commit: bool = True,
     ) -> None:
         if terminals < 1:
             raise ValueError(f"need at least one terminal, got {terminals}")
         self.stack = stack
         self.config = config or TpccConfig()
-        self.seed = seed
         self.scheduler = SessionScheduler(stack, group_commit=group_commit)
         self.sessions: list[Session] = []
         self._dbs = []
@@ -97,7 +95,7 @@ class MultiTerminalTpccDriver:
         for db in self._dbs:
             self.scheduler.prepare(db)
         self._txns = [
-            TpccTransactions(db, self.config, make_rng(self.seed, "tpcc-terminal", index))
+            TpccTransactions(db, self.config, make_rng(7, "tpcc-terminal", index))
             for index, db in enumerate(self._dbs)
         ]
 
@@ -107,7 +105,7 @@ class MultiTerminalTpccDriver:
         commits0 = [session.counts.commits for session in self.sessions]
 
         def terminal(index: int):
-            rng = make_rng(self.seed, "tpcc-mix", index)
+            rng = make_rng(7, "tpcc-mix", index)
             txns = self._txns[index]
             db = self._dbs[index]
             for _ in range(transactions_per_terminal):

@@ -18,7 +18,7 @@ def chip_image(chip) -> dict:
         "now_us": chip.clock.now_us,
         "timelines": [
             (timeline.busy_until_us, timeline.busy_us, timeline.reservations)
-            for timeline in chip.scheduler.timelines()
+            for timeline in map(chip.channel_timeline, range(chip.num_channels))
         ],
         "obs": chip.obs.registry.as_dict(),
     }

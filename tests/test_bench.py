@@ -82,9 +82,9 @@ class TestAging:
 
     def test_leaves_free_pool_near_threshold(self):
         stack = build_stack(StackConfig(mode=Mode.XFTL, num_blocks=256))
-        age_device(stack, 0.5, headroom_blocks=4)
+        age_device(stack, 0.5)
         threshold = stack.ftl.config.gc_free_block_threshold
-        assert stack.ftl.free_block_count() <= threshold + 4 + 2
+        assert stack.ftl.free_block_count() <= threshold + 6 + 2  # six blocks of headroom
 
     def test_invalid_validity_rejected(self):
         stack = build_stack(StackConfig(mode=Mode.XFTL, num_blocks=256))

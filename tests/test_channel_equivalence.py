@@ -94,7 +94,7 @@ def _run_fio(mode: Mode, capture=_capture, **device_shape) -> dict:
     """``device_shape`` / ``capture``: the barrier baseline
     (``tests/test_barrier_stack.py``) runs the same legs on other devices."""
     stack = build_stack(StackConfig(mode=mode, **_FIO_STACK, **device_shape))
-    fio = FioBenchmark(stack, file_pages=256, seed=7)
+    fio = FioBenchmark(stack, file_pages=256)
     fio.run(runtime_s=3600.0, fsync_interval=5, threads=1, max_writes=400)
     return capture(stack)
 

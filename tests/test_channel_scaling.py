@@ -25,7 +25,7 @@ def _fio_run(mode: Mode, channels: int, queue_depth: int):
     stack = build_stack(
         StackConfig(mode=mode, channels=channels, queue_depth=queue_depth, **_FIO_STACK)
     )
-    fio = FioBenchmark(stack, file_pages=256, seed=7)
+    fio = FioBenchmark(stack, file_pages=256)
     result = fio.run(runtime_s=3600.0, fsync_interval=8, threads=1, max_writes=400)
     return result, stack
 

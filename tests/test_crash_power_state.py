@@ -114,13 +114,16 @@ class TestCrashPointRegistry:
         assert expected <= names
 
     def test_component_filter(self):
-        flash_points = registered_crash_points("flash")
-        assert flash_points
-        assert all(spec.component.startswith("flash") for spec in flash_points)
-        assert registered_crash_points("ftl") != registered_crash_points()
+        """A verify layer reaches the points whose component its prefixes name."""
+        from repro.verify.runner import applicable_points
+
+        points = applicable_points("ftl.pagemap")
+        assert any(spec.component.startswith("flash") for spec in points)
+        assert all(spec.component.startswith(("flash", "ftl.pagemap")) for spec in points)
+        assert len(points) < len(registered_crash_points())
 
     def test_tearable_flag(self):
-        specs = {spec.name: spec for spec in registered_crash_points("flash")}
+        specs = {spec.name: spec for spec in registered_crash_points()}
         assert specs["flash.program.mid"].tearable
         assert not specs["flash.program.after"].tearable
 

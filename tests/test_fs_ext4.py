@@ -303,14 +303,11 @@ class TestRawTidRejected:
         handle = fs.create("a")
         calls = [
             lambda: handle.write_page(0, ("x",), txn=7),
-            lambda: handle.read_page(0, txn=7),
             lambda: handle.read_page_tx(0, 7),
             lambda: fs.fsync(handle, txn=7),
-            lambda: fs.fbarrier(handle, txn=7),
             lambda: fs.fsync_group([handle], 7),
             lambda: fs.stage_tx(handle, 7),
             lambda: fs.commit_tx_group([7]),
-            lambda: fs.sync_metadata(txn=7),
             lambda: fs.ioctl_abort(7),
         ]
         for call in calls:

@@ -127,8 +127,8 @@ class TestGcUnderSqlWorkload:
         for i in range(200):
             db.execute("INSERT INTO t VALUES (?, ?)", (i, "initial"))
         db.execute("COMMIT")
-        age_device(stack, 0.4, headroom_blocks=2)  # free pool at the GC edge
-        for round_number in range(100):
+        age_device(stack, 0.4)  # free pool six blocks above the GC edge
+        for round_number in range(200):  # GC first runs in round 132
             db.execute("BEGIN")
             for i in range(0, 200, 10):
                 db.execute(
@@ -138,7 +138,7 @@ class TestGcUnderSqlWorkload:
         assert stack.ftl.stats.gc_invocations > 0
         stack.ftl.check_invariants()
         assert db.execute("SELECT COUNT(*) FROM t") == [(200,)]
-        assert db.execute("SELECT v FROM t WHERE id = 0") == [("round-99",)]
+        assert db.execute("SELECT v FROM t WHERE id = 0") == [("round-199",)]
         assert db.execute("SELECT v FROM t WHERE id = 1") == [("initial",)]
 
     def test_crash_during_gc_heavy_phase(self):

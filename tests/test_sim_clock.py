@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.sim import EventScheduler, ResourceTimeline, SimClock
+from repro.sim import ResourceTimeline, SimClock
 
 
 class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now_us == 0.0
-
-    def test_custom_start(self):
-        assert SimClock(start_us=42.0).now_us == 42.0
 
     def test_advance_accumulates(self):
         clock = SimClock()
@@ -71,18 +68,10 @@ class TestResourceTimeline:
 
     def test_reservations_on_different_resources_overlap(self):
         clock = SimClock()
-        sched = EventScheduler(clock)
-        _, end_a = sched.timeline("ch0").reserve(5.0)
-        _, end_b = sched.timeline("ch1").reserve(5.0)
+        _, end_a = ResourceTimeline(clock, "ch0").reserve(5.0)
+        _, end_b = ResourceTimeline(clock, "ch1").reserve(5.0)
         assert end_a == end_b == pytest.approx(5.0)
-        assert sched.horizon_us() == pytest.approx(5.0)
-
-    def test_after_us_dependency_delays_start(self):
-        clock = SimClock()
-        timeline = ResourceTimeline(clock, "ch0")
-        start, end = timeline.reserve(3.0, after_us=7.0)
-        assert start == pytest.approx(7.0)
-        assert end == pytest.approx(10.0)
+        assert clock.now_us == 0.0
 
     def test_negative_reservation_rejected(self):
         clock = SimClock()
@@ -105,9 +94,9 @@ class TestResourceTimeline:
 
     def test_barrier_joins_all_resources(self):
         clock = SimClock()
-        sched = EventScheduler(clock)
-        sched.timeline("ch0").reserve(5.0)
-        sched.timeline("ch1").reserve(9.0)
-        clock.wait_until(sched.horizon_us())
+        timelines = [ResourceTimeline(clock, "ch0"), ResourceTimeline(clock, "ch1")]
+        timelines[0].reserve(5.0)
+        timelines[1].reserve(9.0)
+        clock.wait_until(max(t.busy_until_us for t in timelines))
         assert clock.now_us == pytest.approx(9.0)
-        assert all(t.busy_until_us <= clock.now_us for t in sched.timelines())
+        assert all(t.busy_until_us <= clock.now_us for t in timelines)

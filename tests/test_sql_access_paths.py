@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, SqlError
 from repro.sqlite.btree import BTree, InteriorPage
+from repro.sqlite.table import _ABOVE_ROWIDS, _BELOW_ROWIDS
 from repro.stack import Mode, StackConfig, build_stack
 from tests.test_sqlite_records import nested_sort_key
 
@@ -290,9 +291,19 @@ class TestIndexRangesOverMixedTypes:
                         assert got == brute(lo, hi, lo_open, hi_open), (lo, hi, lo_open, hi_open)
 
 
+def index_rowids(tree, lo, hi, lo_open, hi_open):
+    """The reference scan: the rowids of one inclusive ``BTree.scan`` of an
+    index, each value-prefix bound padded with a value that sorts below /
+    above every rowid (so an open bound excludes the prefix's entries)."""
+    lo_key = None if lo is None else lo + ((_ABOVE_ROWIDS if lo_open else _BELOW_ROWIDS),)
+    hi_key = None if hi is None else hi + ((_BELOW_ROWIDS if hi_open else _ABOVE_ROWIDS),)
+    for key, _payload in tree.scan(lo_key, hi_key):
+        yield key[-1]
+
+
 class TestIndexRowsIsGetRowOverTheIndexScan:
     """``TableStore.index_rows`` is one flat loop; it yields what ``get_row``
-    over ``_index_rowids`` (a ``BTree.scan`` of the index) yields, and makes
+    over ``index_rowids`` (a ``BTree.scan`` of the index) yields, and makes
     the same page accesses in the same order, re-descents past a leaf end
     and past a deleted leaf's separator included."""
 
@@ -334,7 +345,7 @@ class TestIndexRowsIsGetRowOverTheIndexScan:
             flat = touched[:]
             del touched[:]
             reference = []
-            for rowid in store._index_rowids(tree, lo, hi, lo_open, hi_open):
+            for rowid in index_rowids(tree, lo, hi, lo_open, hi_open):
                 row = store.get_row(rowid)
                 if row is not None:
                     reference.append((rowid, row))

@@ -151,7 +151,6 @@ class TestSnapshotReads:
         # copy belongs to the pending transaction.
         assert handle.read_page(0) == ("committed",)
         # The writer itself still sees its own uncommitted data.
-        assert handle.read_page(0, txn=pending) == ("pending",)
         assert handle.read_page_tx(0, pending) == ("pending",)
 
     def test_foreign_transaction_sees_committed(self):
@@ -165,8 +164,8 @@ class TestSnapshotReads:
         writer = fs.txn_manager.begin()
         reader = fs.txn_manager.begin()
         handle.write_page(0, ("mine",), txn=writer)
-        assert handle.read_page(0, txn=reader) == ("committed",)
-        assert handle.read_page(0, txn=writer) == ("mine",)
+        assert handle.read_page_tx(0, reader) == ("committed",)
+        assert handle.read_page_tx(0, writer) == ("mine",)
 
     def test_commit_publishes_to_plain_readers(self):
         stack = _xftl_stack()

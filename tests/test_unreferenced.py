@@ -30,9 +30,16 @@ tests hold).  An allowed definition is a root, so its callees stay live.
 An entry that no longer names an unreachable definition is stale and
 fails the test too.
 
-The scanner lives here rather than in ``src/`` because there it would
-itself be code that only tests call.  ``python tests/test_unreferenced.py``
-prints what it flags, with line counts.
+The same rule holds for *parameters*: a defaulted parameter of a ``def``
+under ``src/repro`` (or a field of a ``*Config`` dataclass) that no caller
+in ``src/``, ``benchmarks/perf/`` or ``examples/`` passes is an option only
+tests set, and is flagged too (:class:`CallScan`, below, with its own
+``PARAMETERS_ALLOWED``).
+
+The scanners live here rather than in ``src/`` because there they would
+themselves be code that only tests call.  ``python tests/test_unreferenced.py``
+prints what they flag: definitions with line counts, parameters as
+``path:line function(param)``.
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ import textwrap
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 ALLOWED: dict[str, str] = {
     # -- callers in benchmarks/perf/, which changes only with the benchmark
@@ -73,9 +82,6 @@ ALLOWED: dict[str, str] = {
     ),
     "repro.ftl.cmt.CachedMappingTable.resident_segments": (
         "the demand-paged map stays within cmt_pages, in LRU order"
-    ),
-    "repro.sim.events.EventScheduler.timelines": (
-        "the run paths charge each flash resource exactly as the per-page loops do"
     ),
     "repro.device.queue.CommandQueue.current_epoch": (
         "a barrier device opens one epoch per barrier; a drain resets it"
@@ -374,7 +380,329 @@ def test_a_name_reached_only_through_a_string_is_live(tmp_path):
     assert _flagged(root) == []
 
 
+# -- parameters that no caller passes -------------------------------------------
+
+#: Where a caller may live.  ``test_*.py`` files there are tests, not callers.
+CALLERS = (SRC, REPO / "benchmarks" / "perf", REPO / "examples")
+
+#: ``"repro.module.function(param)": reason`` for a defaulted parameter that
+#: no caller in ``CALLERS`` passes by name.  An entry the scan no longer
+#: needs fails, as for ``ALLOWED``.
+PARAMETERS_ALLOWED: dict[str, str] = {
+    "repro.bench.cli.main(argv)": "python -m repro.bench parses sys.argv; tests pass a list",
+    "repro.obs.__main__.main(argv)": "python -m repro.obs parses sys.argv; tests pass a list",
+    "repro.verify.cli.main(argv)": "python -m repro.verify parses sys.argv; tests pass a list",
+    "repro.verify.oracle.TransactionOracle.__init__(baseline)": (
+        "verify/drivers.py calls it through a field, as row.oracle(run.baseline)"
+    ),
+    "repro.workloads.fio.FioBenchmark.run(max_writes)": (
+        "the channel and barrier pins' FIO legs stop at exactly 400 writes, which "
+        "no runtime bound reproduces"
+    ),
+}
+
+_CONSTRUCTORS = ("__init__", "__new__")
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call site uses: ``f`` in ``f(...)``, ``m`` in ``x.m(...)``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _called(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+@dataclass(frozen=True)
+class Parameter:
+    qualname: str  # of its def, or of its *Config class for a field
+    name: str
+    path: Path
+    line: int
+    position: int | None  # among the positions a caller fills; None: keyword-only
+    callees: frozenset[str]  # the call names that reach it
+    field: bool = False  # a *Config field: ``replace(config, name=...)`` passes it
+
+    def __str__(self) -> str:
+        return f"{self.qualname}({self.name})"
+
+
+@dataclass(frozen=True)
+class Call:
+    filled: int  # positions filled before any ``*args``
+    spread: bool  # ``*args``: every later position too
+    keywords: frozenset[str]
+    spread_keywords: bool  # ``**kwargs``: every parameter
+
+    def passes(self, parameter: Parameter, keywords_only: bool = False) -> bool:
+        if parameter.name in self.keywords or self.spread_keywords:
+            return True
+        position = parameter.position
+        return not keywords_only and position is not None and (
+            position < self.filled or self.spread
+        )
+
+
+class CallScan:
+    """Every defaulted parameter under ``root`` and every call in ``callers``.
+
+    A call reaches a ``def`` by its name.  An ``__init__`` or ``__new__`` is
+    reached by a call of its class or of a subclass (``cls(...)`` inside a
+    class is a call of that class; a base that defines ``__new__`` may build
+    its subclasses, so its calls count for them too), and through
+    ``super().__init__(...)`` in a subclass.  ``functools.partial(f, ...)``
+    is a call of ``f``.
+    """
+
+    def __init__(self, root: Path, callers: Iterable[Path]) -> None:
+        trees = {path: ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
+        classes = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)]
+        self._subclasses: dict[str, set[str]] = {}
+        for cls in classes:
+            for base in filter(None, map(_called, cls.bases)):
+                self._subclasses.setdefault(base, set()).add(cls.name)
+        self._builders = {
+            cls.name
+            for cls in classes
+            if any(isinstance(n, ast.FunctionDef) and n.name == "__new__" for n in cls.body)
+        }
+        self.parameters: list[Parameter] = []
+        for path, tree in trees.items():
+            module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+            self._collect(tree, module, None, path)
+        self._calls: dict[str, list[Call]] = {}
+        for directory in callers:
+            for path in sorted(directory.rglob("*.py")):
+                if not path.name.startswith("test_"):
+                    self._record(ast.parse(path.read_text()), None)
+
+    def _class_names(self, cls: ast.ClassDef) -> frozenset[str]:
+        """The call names that construct ``cls``."""
+        names, todo = {cls.name}, [cls.name]
+        while todo:
+            for sub in self._subclasses.get(todo.pop(), ()):
+                if sub not in names:
+                    names.add(sub)
+                    todo.append(sub)
+        names.update(b for b in map(_called, cls.bases) if b in self._builders)
+        return frozenset(names)
+
+    def _collect(self, node: ast.AST, prefix: str, owner, path: Path) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qualname = f"{prefix}.{child.name}"
+                if child.name.endswith("Config") and _is_dataclass(child):
+                    self._fields(child, qualname, path)
+                self._collect(child, qualname, child, path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}.{child.name}"
+                self._arguments(child, qualname, owner, path)
+                self._collect(child, qualname, None, path)
+            else:
+                self._collect(child, prefix, owner, path)
+
+    def _arguments(self, func, qualname: str, owner, path: Path) -> None:
+        if owner is not None and func.name in _CONSTRUCTORS:
+            callees = self._class_names(owner)
+        elif func.name.startswith("__") and func.name.endswith("__"):
+            return  # the language calls it, not a name
+        else:
+            callees = frozenset((func.name,))
+        args = func.args
+        positional = args.posonlyargs + args.args
+        bound = owner is not None and "staticmethod" not in map(_called, func.decorator_list)
+        first_default = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first_default:], first_default):
+            self.parameters.append(
+                Parameter(qualname, arg.arg, path, arg.lineno, index - bound, callees)
+            )
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                self.parameters.append(Parameter(qualname, arg.arg, path, arg.lineno, None, callees))
+
+    def _fields(self, cls: ast.ClassDef, qualname: str, path: Path) -> None:
+        callees = self._class_names(cls)
+        position = 0
+        for stmt in cls.body:
+            if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+                continue
+            if "ClassVar" in ast.unparse(stmt.annotation):
+                continue
+            if stmt.value is not None:
+                self.parameters.append(
+                    Parameter(qualname, stmt.target.id, path, stmt.lineno, position, callees, True)
+                )
+            position += 1
+
+    def _record(self, node: ast.AST, owner) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node
+        elif isinstance(node, ast.Call):
+            self._call(node, owner)
+        for child in ast.iter_child_nodes(node):
+            self._record(child, owner)
+
+    def _call(self, call: ast.Call, owner) -> None:
+        name, args = _called(call.func), call.args
+        names = [name]
+        if name == "partial" and args:
+            names, args = [_called(args[0])], args[1:]
+        elif name in _CONSTRUCTORS and isinstance(call.func, ast.Attribute):
+            target = call.func.value
+            if isinstance(target, ast.Call) and _called(target.func) == "super":
+                names = list(map(_called, owner.bases)) if owner is not None else []
+            else:  # Base.__init__(self, ...)
+                names, args = [_called(target)], args[1:]
+        elif name == "cls" and owner is not None:
+            names = [owner.name]
+        starred = [isinstance(arg, ast.Starred) for arg in args]
+        filled = starred.index(True) if True in starred else len(args)
+        keywords = frozenset(k.arg for k in call.keywords if k.arg is not None)
+        spread_keywords = any(k.arg is None for k in call.keywords)
+        record = Call(filled, filled < len(args), keywords, spread_keywords)
+        for name in filter(None, names):
+            self._calls.setdefault(name, []).append(record)
+
+    def passed(self, parameter: Parameter) -> bool:
+        if any(
+            call.passes(parameter)
+            for callee in parameter.callees
+            for call in self._calls.get(callee, ())
+        ):
+            return True
+        return parameter.field and any(
+            call.passes(parameter, keywords_only=True) for call in self._calls.get("replace", ())
+        )
+
+    def flagged(self, allowed) -> list[Parameter]:
+        return [p for p in self.parameters if str(p) not in allowed and not self.passed(p)]
+
+    def stale(self, allowed) -> list[str]:
+        """Entries that name no parameter, or one that a caller passes."""
+        unpassed = {str(p) for p in self.parameters if not self.passed(p)}
+        return [key for key in allowed if key not in unpassed]
+
+
+def _parameter_report(flagged: list[Parameter], root: Path) -> str:
+    return "\n".join(f"  {p.path.relative_to(root.parent)}:{p.line} {p}" for p in flagged)
+
+
+@pytest.fixture(scope="module")
+def call_scan() -> CallScan:
+    return CallScan(SRC / "repro", CALLERS)
+
+
+def test_no_parameter_in_src_is_set_only_from_tests(call_scan):
+    flagged = call_scan.flagged(PARAMETERS_ALLOWED)
+    assert not flagged, (
+        "defaulted parameters that no caller outside tests/ passes (delete the option "
+        "and rewrite the tests that set it, or add a PARAMETERS_ALLOWED entry naming "
+        "the invariant its tests hold):\n" + _parameter_report(flagged, SRC / "repro")
+    )
+
+
+def test_every_parameter_allow_list_entry_is_needed(call_scan):
+    assert not call_scan.stale(PARAMETERS_ALLOWED), "stale PARAMETERS_ALLOWED entries: delete them"
+
+
+def _unpassed(root: Path, allowed=()) -> list[str]:
+    return sorted(str(p) for p in CallScan(root, [root]).flagged(allowed))
+
+
+def test_flags_a_parameter_that_only_a_test_passes(tmp_path):
+    root = _tree(
+        tmp_path,
+        main="""
+            def run(runtime, pattern="randwrite"):
+                return runtime, pattern
+
+            run(1.0)
+        """,
+        test_main="""
+            from pkg.main import run
+
+            def test_sequential():
+                assert run(1.0, pattern="write")
+        """,
+    )
+    assert _unpassed(root) == ["pkg.main.run(pattern)"]
+    # an allow-listed parameter passes, and its entry is not stale
+    scan = CallScan(root, [root])
+    assert scan.flagged(["pkg.main.run(pattern)"]) == []
+    assert scan.stale(["pkg.main.run(pattern)"]) == []
+
+
+def test_a_stale_parameter_allow_list_entry_fails(tmp_path):
+    root = _tree(
+        tmp_path,
+        main="""
+            def run(runtime, threads=1):
+                return runtime * threads
+
+            run(1.0, threads=4)
+        """,
+    )
+    assert CallScan(root, [root]).stale(["pkg.main.run(threads)", "pkg.main.run(gone)"]) == [
+        "pkg.main.run(threads)",  # a caller passes it
+        "pkg.main.run(gone)",  # names nothing
+    ]
+
+
+def test_every_way_of_passing_a_parameter_counts(tmp_path):
+    root = _tree(
+        tmp_path,
+        main="""
+            from dataclasses import dataclass, replace
+            from functools import partial
+
+            def by_keyword(a=1): ...
+            def by_position(a, b=1, *, c=2): ...
+            def by_star(a, b=1): ...
+            def by_double_star(a, *, b=1): ...
+            def by_partial(a, b=1): ...
+            def unpassed(a=1, *, b=2): ...
+
+            class Base:
+                def __init__(self, a, b=1): ...
+
+            class Child(Base):
+                def __init__(self, c=2):
+                    super().__init__(c, 3)
+
+                @classmethod
+                def make(cls):
+                    return cls(c=4)
+
+            @dataclass
+            class RunConfig:
+                a: int = 1
+                b: int = 2
+                c: int = 3
+
+            by_keyword(a=2)
+            by_position(0, 1, c=3)
+            by_star(*[0, 1])
+            by_double_star(0, **{"b": 1})
+            partial(by_partial, 0, 1)()
+            unpassed()
+            Child.make()
+            replace(RunConfig(0), b=1)
+        """,
+    )
+    assert _unpassed(root) == ["pkg.main.RunConfig(c)", "pkg.main.unpassed(a)", "pkg.main.unpassed(b)"]
+
+
 if __name__ == "__main__":
     found = Scan(SRC / "repro").flagged(ALLOWED)
     print(_report(found, SRC / "repro"))
     print(f"{len(found)} definitions, {sum(d.lines for d in found)} lines")
+    unpassed = CallScan(SRC / "repro", CALLERS).flagged(PARAMETERS_ALLOWED)
+    print(_parameter_report(unpassed, SRC / "repro"))
+    print(f"{len(unpassed)} parameters")

@@ -47,7 +47,6 @@ def _sweep_row(key: str) -> dict:
         layers=[layer],
         budget=budget,
         seed=int(seed),
-        shrink_failures=False,
         progress=lambda scenario, result: outcomes.append(
             [
                 scenario.point,

@@ -22,6 +22,12 @@ def make_stack(mode=Mode.XFTL, num_blocks=256):
 
 
 class TestSyntheticWorkload:
+    def test_zero_rows_is_a_value_error(self):
+        """An empty table loaded, and ``run`` then died in ``randrange``."""
+        db = make_stack().open_database("s.db")
+        with pytest.raises(ValueError, match="rows must be at least 1, got 0"):
+            SyntheticWorkload(db, rows=0)
+
     def test_load_populates_table(self):
         stack = make_stack()
         db = stack.open_database("s.db")
@@ -91,8 +97,8 @@ class TestAndroidTraces:
         assert blob_inserts, "Facebook stores thumbnails as blobs (§6.3.2)"
 
     def test_trace_deterministic(self):
-        first, _ = AndroidTraceGenerator(GMAIL, scale=0.02, seed=3).generate()
-        second, _ = AndroidTraceGenerator(GMAIL, scale=0.02, seed=3).generate()
+        first, _ = AndroidTraceGenerator(GMAIL, scale=0.02).generate()
+        second, _ = AndroidTraceGenerator(GMAIL, scale=0.02).generate()
         assert [(op.file, op.sql, op.params) for op in first] == [
             (op.file, op.sql, op.params) for op in second
         ]
@@ -228,3 +234,17 @@ class TestFio:
             runtime_s=1e9, fsync_interval=5, max_writes=37
         )
         assert result.writes == 37
+
+    def test_zero_fsync_interval_is_a_value_error(self):
+        """It divided by zero at the first write."""
+        stack = build_stack(StackConfig(mode=Mode.FS_NONE, num_blocks=256, journal_pages=64))
+        with pytest.raises(ValueError, match="fsync_interval must be at least 1, got 0"):
+            FioBenchmark(stack, file_pages=1024).run(runtime_s=1.0, fsync_interval=0)
+        assert not stack.fs.exists("fio.dat")
+
+    def test_zero_threads_is_a_value_error(self):
+        """It ran as one thread and reported ``threads=0``."""
+        stack = build_stack(StackConfig(mode=Mode.FS_NONE, num_blocks=256, journal_pages=64))
+        with pytest.raises(ValueError, match="threads must be at least 1, got 0"):
+            FioBenchmark(stack, file_pages=1024).run(runtime_s=1.0, threads=0)
+        assert not stack.fs.exists("fio.dat")
