@@ -4,7 +4,7 @@
 Generates statistical twins of the four Android app traces (RL Benchmark,
 Gmail, Facebook, web browser) and replays them **as four tenants sharing
 one device** — the actual smartphone shape: every app hammers the same
-flash through its own namespace.  Each mode (WAL on the stock FTL, OFF on
+flash under its own path prefix.  Each mode (WAL on the stock FTL, OFF on
 X-FTL) runs all four traces interleaved under the tenant scheduler, then
 prints per-app simulated time plus the device's per-tenant attribution
 (writes, commits, GC copybacks, p-tail commit latency).

@@ -182,10 +182,6 @@ class Ext4:
         self._dirty_data: dict[int, int] = {}  # lpn -> ino
         self._stolen: dict[int, int] = {}  # lpn -> tid (uncommitted, on device)
         self._txn_manager = None  # lazily built TxnManager (see txn_manager)
-        # Namespace ownership (multi-tenant stacks): name prefix -> owner
-        # label.  Volatile, like the rest of the mount state; the stack
-        # re-registers namespaces after a remount.
-        self._namespaces: dict[str, str] = {}
         # The cache and the journal call back into this mount through a weak
         # proxy, and the protocol below is kept as plain functions: a bound
         # method of the mount held by one of its own parts would make the
@@ -248,50 +244,10 @@ class Ext4:
             obs=self.obs,
         )
 
-    # ---------------------------------------------------------- namespaces
-
-    def register_namespace(self, prefix: str, owner: str) -> None:
-        """Claim every name under ``prefix`` for ``owner``.
-
-        Namespace ownership fences tenants sharing this file system: a
-        namespaced call (``owner=`` passed to create/open/unlink) may only
-        touch names inside its own prefix.  Calls without an owner are
-        superuser (mount-time recovery, single-tenant stacks).  Volatile
-        state — re-register after every mount; re-registering the same
-        prefix for the same owner is idempotent.
-        """
-        existing = self._namespaces.get(prefix)
-        if existing is not None and existing != owner:
-            raise FsError(
-                f"namespace {prefix!r} already owned by {existing!r}, "
-                f"cannot re-register for {owner!r}"
-            )
-        self._namespaces[prefix] = owner
-
-    def namespace_owner(self, name: str) -> str | None:
-        """The owner of the longest registered prefix covering ``name``."""
-        best = None
-        best_len = -1
-        for prefix, owner in self._namespaces.items():
-            if len(prefix) > best_len and name.startswith(prefix):
-                best, best_len = owner, len(prefix)
-        return best
-
-    def _check_namespace(self, name: str, owner: str | None) -> None:
-        if owner is None:
-            return  # superuser path (recovery, single-tenant callers)
-        ns_owner = self.namespace_owner(name)
-        if ns_owner != owner:
-            raise FsError(
-                f"tenant {owner!r} may not touch {name!r} "
-                f"(owned by {ns_owner!r})"
-            )
-
     # ------------------------------------------------------------ file API
 
-    def create(self, name: str, owner: str | None = None) -> "FileHandle":
+    def create(self, name: str) -> "FileHandle":
         """Create an empty file; metadata becomes dirty (journaled later)."""
-        self._check_namespace(name, owner)
         if name in self._by_name:
             raise FileExistsFsError(name)
         if len(self._inodes) >= self.max_inodes:
@@ -311,8 +267,7 @@ class Ext4:
         self.stats.file_creates += 1
         return FileHandle(self, inode)
 
-    def open(self, name: str, owner: str | None = None) -> "FileHandle":
-        self._check_namespace(name, owner)
+    def open(self, name: str) -> "FileHandle":
         self._charge_syscall()
         ino = self._by_name.get(name)
         if ino is None:
@@ -322,9 +277,8 @@ class Ext4:
     def exists(self, name: str) -> bool:
         return name in self._by_name
 
-    def unlink(self, name: str, owner: str | None = None) -> None:
+    def unlink(self, name: str) -> None:
         """Delete a file: free its blocks (with device trim) and its inode."""
-        self._check_namespace(name, owner)
         self._charge_syscall()
         ino = self._by_name.pop(name, None)
         if ino is None:

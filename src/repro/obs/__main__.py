@@ -77,13 +77,13 @@ def main(argv: list[str] | None = None) -> int:
     db = stack.open_database("obs.db")
     try:
         workload = SyntheticWorkload(db, rows=args.rows)
+        workload.load()
+        run = workload.run(
+            transactions=args.transactions, updates_per_txn=args.updates_per_txn
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workload.load()
-    run = workload.run(
-        transactions=args.transactions, updates_per_txn=args.updates_per_txn
-    )
     stack.obs.annotate("workload.transactions", args.transactions)
     stack.obs.annotate("workload.rows", args.rows)
     stack.obs.annotate("workload.elapsed_s", round(run.elapsed_s, 3))

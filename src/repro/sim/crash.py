@@ -113,9 +113,6 @@ class CrashPoint:
     tear_page: bool = False
     hits: int = field(default=0, init=False)
 
-    def matches(self, name: str) -> bool:
-        return self.name == name
-
 
 class CrashPlan:
     """Collects armed crash points and fires :class:`PowerFailure`.
@@ -176,13 +173,9 @@ class CrashPlan:
         """
         if not self._points or self.fired is not None:
             return
-        for point in self._points:
-            if point.matches(name):
-                point.hits += 1
-                if point.hits >= point.after:
-                    self.fired = point
-                    self._notify_power_loss()
-                    raise PowerFailure(f"crash point {name!r} fired (hit #{point.hits})")
+        point = self.countdown(name)
+        if point is not None:
+            raise PowerFailure(f"crash point {name!r} fired (hit #{point.hits})")
 
     def countdown(self, name: str) -> CrashPoint | None:
         """Count one occurrence of ``name``; return the point if it fires now.
@@ -195,7 +188,7 @@ class CrashPlan:
         if not self._points or self.fired is not None:
             return None
         for point in self._points:
-            if point.matches(name):
+            if point.name == name:
                 point.hits += 1
                 if point.hits >= point.after:
                     self.fired = point

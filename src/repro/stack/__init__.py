@@ -42,7 +42,6 @@ __all__ = [
     "SessionScheduler",
     "StackConfig",
     "Tenant",
-    "TenantConfig",
     "TenantScheduler",
     "TransactionContext",
     "TxnManager",
@@ -198,22 +197,19 @@ class BenchStack:
     def open_tenant(self, name: str | None = None, weight: int = 1) -> "Tenant":
         """Open a named :class:`Tenant` — one isolated slice of this stack.
 
-        Tenants share the device, FTL and file system but own a
-        namespace, their sessions and a deterministic RNG lane; see
+        Tenants share the device, FTL and file system but own a path
+        prefix, their sessions and a deterministic RNG lane; see
         :mod:`repro.stack.tenant`.  Opening an open name again with the
-        same weight returns the open tenant; with another weight it
-        raises ``ValueError``.
+        same weight returns the open tenant; with another weight the
+        device's tenant registry raises ``ValueError``.
         """
         if name is None:
             name = f"t{len(self.tenants)}"
+        tenant_id = self.chip.tenants.register(name, weight)
         for tenant in self.tenants:
-            if tenant.name == name:
-                if tenant.weight != weight:
-                    raise ValueError(
-                        f"tenant {name!r} is open with weight {tenant.weight}, not {weight}"
-                    )
+            if tenant.id == tenant_id:
                 return tenant
-        tenant = Tenant(self, TenantConfig(name=name, weight=weight))
+        tenant = Tenant(self, name, weight)
         self.tenants.append(tenant)
         return tenant
 
@@ -228,10 +224,6 @@ class BenchStack:
             cache_capacity=self.config.fs_cache_pages,
             max_inodes=self.config.max_inodes,
         )
-        # Namespace ownership is volatile fs state; re-claim it for every
-        # open tenant so post-crash recovery sees the same fences.
-        for tenant in self.tenants:
-            self.fs.register_namespace(tenant.namespace, tenant.name)
         return self
 
 
@@ -341,5 +333,5 @@ def open_stack(
 # and Ext4 reaches back into repro.stack.txn lazily (txn_manager property),
 # so the submodules must not be imported until this module body is built.
 from repro.stack.session import Session, SessionScheduler  # noqa: E402
-from repro.stack.tenant import Tenant, TenantConfig, TenantScheduler  # noqa: E402
+from repro.stack.tenant import Tenant, TenantScheduler  # noqa: E402
 from repro.stack.txn import TransactionContext, TxnManager, TxnState  # noqa: E402

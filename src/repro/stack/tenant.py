@@ -6,9 +6,8 @@ hammering one flash device whose X-FTL firmware absorbs their commits.
 A :class:`Tenant` carves one logical slice out of a shared
 :class:`~repro.stack.BenchStack`:
 
-- a **namespace** on the shared ext4 (``<tenant>/...`` prefix, ownership
-  registered with :meth:`~repro.fs.ext4.Ext4.register_namespace` and
-  enforced for namespace-scoped handles);
+- a **path prefix** on the shared ext4: every file the tenant opens is
+  named ``<tenant>/...`` (:meth:`Tenant.path`);
 - its own **sessions** (and through them transactions — the shared
   ``TxnManager`` tags every context with the owning session, so tenancy
   rides the existing session plumbing);
@@ -40,7 +39,6 @@ single-stack path (``tests/test_tenant_equivalence.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.sim.interleave import interleave
@@ -51,93 +49,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sqlite.database import Connection
     from repro.stack import BenchStack
 
-__all__ = ["Tenant", "TenantConfig", "TenantFsView", "TenantScheduler"]
+__all__ = ["Tenant", "TenantScheduler"]
 
 FAIRNESS_POLICIES = ("round-robin", "deficit")
-
-
-@dataclass(frozen=True)
-class TenantConfig:
-    """A tenant's identity: its name and its fairness weight."""
-
-    name: str
-    weight: int = 1  # fairness share under the deficit policy / NCQ split
-
-
-class TenantFsView:
-    """Namespace-scoped window onto the shared ext4.
-
-    Prefixes every name with the tenant's namespace and passes the tenant
-    as ``owner`` so the file system enforces namespace ownership.  Reads
-    ``tenant.stack.fs`` dynamically, so the view survives
-    ``remount_after_crash`` replacing the fs instance.
-    """
-
-    __slots__ = ("_tenant",)
-
-    def __init__(self, tenant: "Tenant") -> None:
-        self._tenant = tenant
-
-    @property
-    def _fs(self):
-        return self._tenant.stack.fs
-
-    def _path(self, name: str) -> str:
-        return self._tenant.path(name)
-
-    def create(self, name: str, **kwargs):
-        return self._fs.create(self._path(name), owner=self._tenant.name, **kwargs)
-
-    def open(self, name: str, **kwargs):
-        return self._fs.open(self._path(name), owner=self._tenant.name, **kwargs)
-
-    def exists(self, name: str) -> bool:
-        return self._fs.exists(self._path(name))
-
-    def unlink(self, name: str) -> None:
-        self._fs.unlink(self._path(name), owner=self._tenant.name)
-
-    def listdir(self) -> list[str]:
-        prefix = self._tenant.namespace
-        return [
-            name[len(prefix):]
-            for name in self._fs.listdir()
-            if name.startswith(prefix)
-        ]
 
 
 class Tenant:
     """One isolated client population of a shared stack."""
 
-    def __init__(self, stack: "BenchStack", config: TenantConfig) -> None:
+    def __init__(self, stack: "BenchStack", name: str, weight: int) -> None:
         self.stack = stack
-        self.config = config
-        self.namespace = config.name + "/"
-        self.id = stack.chip.tenants.register(config.name, config.weight)
-        stack.fs.register_namespace(self.namespace, config.name)
-        self.fs = TenantFsView(self)
+        self.name = name
+        self.weight = weight  # fairness share under the deficit policy / NCQ split
+        self.id = stack.chip.tenants.register(name, weight)
         self.sessions: list[Session] = []
         self._default_session: Session | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tenant {self.name!r} id={self.id} sessions={len(self.sessions)}>"
 
-    @property
-    def name(self) -> str:
-        return self.config.name
-
-    @property
-    def weight(self) -> int:
-        return self.config.weight
-
-    @property
-    def clock(self):
-        """The shared simulation clock (tenants duck-type as stacks)."""
-        return self.stack.clock
-
     def path(self, name: str) -> str:
-        """The shared-fs name of a file inside this tenant's namespace."""
-        return self.namespace + name
+        """The shared-fs name of this tenant's file ``name``."""
+        return f"{self.name}/{name}"
 
     def make_rng(self, *labels):
         """A deterministic RNG on this tenant's seed lane."""
@@ -154,7 +87,7 @@ class Tenant:
     def open_database(
         self, name: str = "test.db", session: Session | None = None, **kwargs
     ) -> "Connection":
-        """Open a database inside this tenant's namespace.
+        """Open a database under this tenant's path prefix.
 
         Without an explicit ``session`` the connection lands on the
         tenant's default session, so casual callers (trace replayers,

@@ -26,6 +26,13 @@ from repro.verify.drivers import LAYERS
 from repro.verify.runner import DEFAULT_OPS_LIMIT, applicable_points, sweep
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
@@ -43,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_at_least_one,
         default=500,
         help="maximum number of scenarios to run (default 500)",
     )
@@ -56,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
     parser.add_argument(
         "--ops",
-        type=int,
+        type=_at_least_one,
         default=DEFAULT_OPS_LIMIT,
         help=f"workload length per scenario (default {DEFAULT_OPS_LIMIT})",
     )

@@ -288,10 +288,11 @@ class AndroidTraceGenerator:
 class TraceReplayer:
     """Executes a trace against one connection per database file.
 
-    ``stack`` may be a :class:`~repro.stack.BenchStack` or a
-    :class:`~repro.stack.Tenant` — both expose ``open_database`` and
-    ``clock``, and the tenant form lands every file in the tenant's
-    namespace with the tenant's attribution.  Each connection caches
+    ``stack`` is a :class:`~repro.stack.BenchStack` or a
+    :class:`~repro.stack.Tenant`: both expose ``open_database``, and the
+    tenant form lands every file under the tenant's path prefix with the
+    tenant's attribution.  :meth:`replay` reads the stack's clock, so it
+    takes a :class:`~repro.stack.BenchStack`.  Each connection caches
     2,048 pages.
     """
 
@@ -307,40 +308,23 @@ class TraceReplayer:
         return connection
 
     def replay(self, ops: list[TraceOp]) -> float:
-        """Replay the trace; returns simulated elapsed seconds.
-
-        ``begins_txn``/``ends_txn`` delimit a transaction *group*; within a
-        group, each database file that gets touched is wrapped in its own
-        transaction (SQLite commits multi-file groups per file unless a
-        master journal is used, §4.3 — we reproduce the common per-file
-        case).
-        """
+        """Replay the trace (:meth:`replay_task` run to its end); returns
+        simulated elapsed seconds."""
         clock = self.stack.clock
         start = clock.now_s
-        in_group = False
-        open_txns: set[str] = set()
-        for op in ops:
-            if op.begins_txn:
-                in_group = True
-            connection = self._connection(op.file)
-            if in_group and op.file not in open_txns:
-                connection.execute("BEGIN")
-                open_txns.add(op.file)
-            connection.execute(op.sql, op.params)
-            if op.ends_txn:
-                for file_name in sorted(open_txns):
-                    self.connections[file_name].execute("COMMIT")
-                open_txns.clear()
-                in_group = False
-        for file_name in sorted(open_txns):
-            self.connections[file_name].execute("COMMIT")
+        for _ in self.replay_task(ops):
+            pass
         return clock.now_s - start
 
     def replay_task(self, ops: list[TraceOp]):
         """The replay as a scheduler task (yields after every statement).
 
-        Commits run inline (no group-commit parking) so several replayers
-        — one per tenant — interleave deterministically under any
+        ``begins_txn``/``ends_txn`` delimit a transaction *group*; within a
+        group, each database file that gets touched is wrapped in its own
+        transaction (SQLite commits multi-file groups per file unless a
+        master journal is used, §4.3 — we reproduce the common per-file
+        case).  Commits run inline (no group-commit parking) so several
+        replayers — one per tenant — interleave deterministically under any
         scheduler without coordinating their transaction groups.
         """
         in_group = False

@@ -82,6 +82,11 @@ class SyntheticWorkload:
 
     def run(self, transactions: int, updates_per_txn: int) -> SyntheticResult:
         """Run update transactions; returns the simulated elapsed time."""
+        if transactions < 1 or updates_per_txn < 1:
+            raise ValueError(
+                f"transactions and updates_per_txn must be at least 1, "
+                f"got {transactions} and {updates_per_txn}"
+            )
         rng = make_rng(self.seed, "synthetic-run", updates_per_txn)
         clock = self.db.fs.device.clock
         start = clock.now_s

@@ -464,6 +464,19 @@ ROWS = [
               lambda: _absent(TxnManager, "commit_group")
               + _absent(Session, "snapshot_seq", "read_as_of")),
     Structure("one-builder-each", "One stack and one FTL builder in the bench.", _one_builder_each),
+    Pattern("namespace-fence", "A tenant's namespace is its path prefix: ext4 keeps no owners.",
+            r"register_namespace|namespace_owner|_check_namespace",
+            "stack.fs.register_namespace(tenant.namespace, tenant.name)",
+            ("src", "tests", "examples")),
+    Pattern("tenant-fs-view", "A tenant opens files through its databases: no fs view.",
+            r"TenantFsView", "self.fs = TenantFsView(self)", ("src", "tests", "examples")),
+    Pattern("tenant-config", "A tenant's name and weight are its attributes: no config copy.",
+            r"\bTenantConfig\b", "tenant = Tenant(self, TenantConfig(name=name, weight=weight))",
+            ("src", "tests", "examples")),
+    Pattern("fs-owner-parameter", "Ext4's file API takes a name: no owner to check.",
+            r"def (create|open|unlink)\(self\b[^)]*\bowner\b",
+            'def create(self, name: str, owner: str | None = None) -> "FileHandle":',
+            ("src/repro/fs/ext4.py",)),
     Pattern("bench-settings-constants", "A setting that only took its default is a constant.",
             r"REPRO_(SESSIONS|TENANTS|BARRIER_MODE)|--(sessions|tenants|barrier-mode)\b"
             r"|def _(sessions|tenants|barrier_mode)\(", 'os.environ.get("REPRO_TENANTS")'),

@@ -1,7 +1,7 @@
 """A/B lock: a one-tenant stack must equal the historical single-stack path.
 
-The tenant plumbing (registry on the chip, namespace ownership, tagged
-scheduler steps, NCQ share bookkeeping) is all host-side accounting — it
+The tenant plumbing (registry on the chip, tagged scheduler steps, NCQ
+share bookkeeping) is all host-side accounting — it
 must never charge simulated time, draw randomness, or change a single
 flash operation.  With one tenant both fairness policies degenerate to
 the plain round-robin interleaver, so a run through the tenant API has to

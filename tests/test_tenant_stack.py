@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from unittest import mock
 
 import pytest
 
-from repro.errors import FsError
+from repro.errors import PowerFailure
 from repro.device import StorageDevice
 from repro.device.queue import CommandQueue
 from repro.flash import FlashChip, FlashGeometry
@@ -39,41 +40,14 @@ def _stack(**overrides):
 
 
 class TestNamespaces:
+    """A tenant's namespace is its ``<name>/`` path prefix."""
+
     def test_tenant_files_live_under_prefix(self):
         stack = _stack()
         alice = stack.open_tenant("alice")
-        handle = alice.fs.create("notes.db")
-        assert handle is not None
+        alice.open_database("notes.db").execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         assert stack.fs.exists("alice/notes.db")
-        assert alice.fs.exists("notes.db")
-        assert alice.fs.listdir() == ["notes.db"]
-
-    def test_cross_tenant_access_denied(self):
-        stack = _stack()
-        alice = stack.open_tenant("alice")
-        stack.open_tenant("bob")
-        alice.fs.create("secret.db")
-        with pytest.raises(FsError):
-            stack.fs.open("alice/secret.db", owner="bob")
-        with pytest.raises(FsError):
-            stack.fs.create("alice/planted.db", owner="bob")
-        with pytest.raises(FsError):
-            stack.fs.unlink("alice/secret.db", owner="bob")
-
-    def test_superuser_access_still_works(self):
-        # owner=None is the legacy/recovery path; it bypasses namespaces.
-        stack = _stack()
-        alice = stack.open_tenant("alice")
-        alice.fs.create("secret.db")
-        assert stack.fs.open("alice/secret.db") is not None
-
-    def test_namespace_conflicts_rejected(self):
-        stack = _stack()
-        stack.open_tenant("alice")
-        with pytest.raises(FsError):
-            stack.fs.register_namespace("alice/", "mallory")
-        # Re-registering the same owner is idempotent (remount path).
-        stack.fs.register_namespace("alice/", "alice")
+        assert stack.fs.listdir() == ["alice/notes.db"]
 
     def test_namespaces_survive_remount(self):
         stack = _stack()
@@ -82,9 +56,49 @@ class TestNamespaces:
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         stack.device.power_off()
         stack.remount_after_crash()
-        with pytest.raises(FsError):
-            stack.fs.open("alice/app.db", owner="bob")
-        assert alice.fs.exists("app.db")
+        assert stack.fs.exists("alice/app.db")
+        assert stack.fs.listdir() == ["alice/app.db"]
+
+    @pytest.mark.parametrize(
+        "mode, files",
+        [
+            (Mode.RBJ, {"app.db", "app.db-journal"}),
+            (Mode.WAL, {"app.db", "app.db-wal"}),
+            (Mode.XFTL, {"app.db"}),
+        ],
+        ids=["rbj", "wal", "xftl"],
+    )
+    def test_every_file_of_a_tenant_database_is_under_its_prefix(self, mode, files):
+        """Each file a tenant's database creates is named under the
+        tenant's prefix, no other tenant's, and a power cycle keeps it.
+        Alice's last commit is cut at ``sqlite.commit.mid``, which only the
+        rollback journal reaches, so the RBJ remount finds a hot journal."""
+        stack = _stack(mode=mode)
+        tenants = [stack.open_tenant(name) for name in ("alice", "bob")]
+        created = {}
+        dbs = {}
+        with mock.patch.object(stack.fs, "create", wraps=stack.fs.create) as create:
+            for tenant in tenants:
+                create.reset_mock()
+                db = dbs[tenant.name] = tenant.open_database("app.db")
+                db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+                for i in range(4):
+                    db.execute("INSERT INTO t VALUES (?, ?)", (i, tenant.name))
+                created[tenant.name] = {call.args[0] for call in create.call_args_list}
+        stack.crash_plan.arm("sqlite.commit.mid")
+        with contextlib.suppress(PowerFailure):
+            dbs["alice"].execute("UPDATE t SET v = 'cut'")
+        assert (stack.crash_plan.fired is not None) == (mode is Mode.RBJ)
+        before = stack.fs.listdir()
+        stack.remount_after_crash()
+        assert stack.fs.listdir() == before
+        held = []
+        for tenant in tenants:
+            assert created[tenant.name] == {tenant.path(name) for name in files}
+            held += [name for name in before if name.startswith(tenant.path(""))]
+        assert sorted(held) == before  # every file is under exactly one prefix
+        if mode is Mode.RBJ:
+            assert "alice/app.db-journal" in before and "bob/app.db-journal" not in before
 
 
 class TestAttribution:
@@ -377,14 +391,16 @@ class TestAndroidTenants:
         stack, tenants, capture = self._run("deficit")
         assert len(tenants) == 4
         registry = capture["registry"]
+        held = []
         for tenant in tenants:
-            # Every tenant's databases live in its own namespace...
-            files = tenant.fs.listdir()
+            # Every tenant's databases live under its own prefix...
+            files = [name for name in stack.fs.listdir() if name.startswith(tenant.path(""))]
             assert files, tenant.name
-            assert all(stack.fs.exists(tenant.path(f)) for f in files)
+            held += files
             # ...and its replay produced attributed commits and writes.
             assert registry["tenants"][tenant.name]["commits"] > 0, tenant.name
             assert registry["tenants"][tenant.name]["writes"] > 0, tenant.name
+        assert sorted(held) == stack.fs.listdir()
 
 
 class TestFairness:

@@ -70,8 +70,11 @@ ALLOWED: dict[str, str] = {
     "repro.fs.ext4.Ext4.fdatabarrier": "benchmarks/perf/trace.py times it as an fs entry point",
     # -- examples
     "repro.sim.clock.SimClock.now_ms": "examples/quickstart.py prints it",
-    "repro.workloads.android.TraceReplayer.replay_task": "examples/smartphone_apps.py",
     # -- test accessors: the invariant their tests hold, without private state
+    "repro.fs.ext4.Ext4.listdir": (
+        "a remount lists the files the last mount made durable, each tenant's "
+        "under its own prefix"
+    ),
     "repro.ftl.pagemap.PageMappingFTL.mapped_ppn": (
         "the committed L2P view: a write moves an lpn, an abort or a power cut "
         "restores the committed page"
@@ -92,9 +95,6 @@ ALLOWED: dict[str, str] = {
     ),
     "repro.stack.txn.TxnManager.live_count": (
         "every transaction context is released on commit, abort and error paths"
-    ),
-    "repro.stack.tenant.TenantFsView.listdir": (
-        "a tenant sees only the files of its own namespace"
     ),
 }
 

@@ -242,6 +242,19 @@ class TestCli:
         assert main(["--list-points", "--layer", "ftl.xftl"]) == 0
         assert "xftl.commit.before-flush" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--budget", "--ops"])
+    def test_a_sweep_that_runs_nothing_is_usage_error(self, flag, capsys):
+        """``--budget 0`` printed ``0 scenarios`` and ``--ops 0`` ran empty
+        workloads, both exiting 0."""
+        with pytest.raises(SystemExit) as raised:
+            main([flag, "0", "--layer", "ftl.pagemap"])
+        assert raised.value.code == 2
+        assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_a_budget_of_one_runs_one_scenario(self, capsys):
+        assert main(["--layer", "ftl.pagemap", "--budget", "1", "--ops", "1"]) == 0
+        assert "verify: 1 scenarios" in capsys.readouterr().out
+
     def test_bad_point_filter_is_usage_error(self):
         assert main(["--points", "definitely.not.a.point", "--budget", "1"]) == 2
 

@@ -28,6 +28,21 @@ class TestSyntheticWorkload:
         with pytest.raises(ValueError, match="rows must be at least 1, got 0"):
             SyntheticWorkload(db, rows=0)
 
+    @pytest.mark.parametrize(
+        "transactions, updates_per_txn",
+        [(0, 5), (-3, 5), (10, 0)],
+        ids=["no-txns", "negative-txns", "no-updates"],
+    )
+    def test_a_run_of_nothing_is_a_value_error(self, transactions, updates_per_txn):
+        """``run`` returned an empty result for any count below 1."""
+        stack = make_stack()
+        workload = SyntheticWorkload(stack.open_database("s.db"), rows=10)
+        workload.load()
+        now = stack.clock.now_us
+        with pytest.raises(ValueError, match="must be at least 1"):
+            workload.run(transactions=transactions, updates_per_txn=updates_per_txn)
+        assert stack.clock.now_us == now  # rejected before any statement ran
+
     def test_load_populates_table(self):
         stack = make_stack()
         db = stack.open_database("s.db")
