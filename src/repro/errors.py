@@ -35,6 +35,11 @@ class AgingError(ReproError):
     """Device aging (``repro.bench.aging``) could not reach its free-pool floor."""
 
 
+class CrashPlanError(ReproError):
+    """A crash point armed with an occurrence count below 1 (it would fire on
+    the first hit, not the one named)."""
+
+
 class TransactionError(ReproError):
     """Misuse of the transactional command set (unknown tid, double commit, ...)."""
 

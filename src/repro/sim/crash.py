@@ -46,7 +46,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from repro.errors import PowerFailure
+from repro.errors import CrashPlanError, PowerFailure
 
 
 # --------------------------------------------------------------- registry
@@ -134,7 +134,14 @@ class CrashPlan:
         self._subscribers: list[weakref.WeakMethod | weakref.ref] = []
 
     def arm(self, name: str, after: int = 1, tear_page: bool = False) -> CrashPoint:
-        """Arm a crash point; returns it so tests can inspect hit counts."""
+        """Arm a crash point; returns it so tests can inspect hit counts.
+
+        ``after`` is 1-based: a count below 1 raises :class:`CrashPlanError`.
+        """
+        if after < 1:
+            raise CrashPlanError(
+                f"crash point {name!r} armed to fire after {after} hits; must be at least 1"
+            )
         point = CrashPoint(name=name, after=after, tear_page=tear_page)
         self._points.append(point)
         return point

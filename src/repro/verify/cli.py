@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--after",
-        type=int,
+        type=_at_least_one,
         help="pin the occurrence count (single-scenario replay mode)",
     )
     parser.add_argument("--tear", action="store_true", help="tear the page mid-program")

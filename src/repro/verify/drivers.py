@@ -837,7 +837,11 @@ def run_scenario(
             fired = True
         else:
             machine.plan.disarm_all()
-            machine.power_off()  # crash-free control run: power-cycle anyway
+            # Crash-free control run: the powered state must hold too (a
+            # remount legitimately strands blocks that a live run may not),
+            # then power-cycle anyway.
+            machine.ftl.check_invariants()
+            machine.power_off()
         phase = "recovery"
         machine.power_on()
         machine.ftl.check_invariants()

@@ -6,8 +6,12 @@ the bounded GC valid-ratio accounting, X-L2P survival of uncommitted
 pages through collection, and crash/recovery at every ``gc.*`` point.
 """
 
+import math
+
 import pytest
 
+from repro.bench.aging import age_device
+from repro.bench.experiments import _filled_ftl
 from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashGeometry
 from repro.flash.chip import FlashChip
@@ -15,6 +19,8 @@ from repro.ftl import Collector, FtlConfig, GcState, PageMappingFTL, XFTL
 from repro.ftl.pagemap import OOB_DATA
 from repro.obs import Observability
 from repro.sim import CrashPlan
+from repro.sim.rng import make_rng
+from repro.stack import Mode, StackConfig, build_stack
 
 
 def make_geo(num_blocks=32, pages_per_block=8, channels=2) -> FlashGeometry:
@@ -498,3 +504,100 @@ class TestStackPlumbing:
         stack = build_stack(StackConfig(num_blocks=64, pages_per_block=16))
         assert stack.ftl.config.gc_mode == "inline"
         assert stack.ftl.gc.schedule == "inline"
+
+
+def _fifo_model_wa(alpha: float) -> float:
+    """Desnoyers's FIFO write amplification under uniform overwrites
+    (SYSTOR 2012): the victim's valid fraction ``v`` solves
+    ``v = exp(-alpha (1 - v))``, and WA = ``1 / (1 - v)``."""
+    v = 0.5
+    for _ in range(200):
+        v = math.exp(-alpha * (1.0 - v))
+    return 1.0 / (1.0 - v)
+
+
+class TestInlineCollectionMatchesTheory:
+    """The stock schedule on a bare 128 x 32 FTL, every exported page
+    filled, then uniform random overwrites: 3n to steady state and a 4n
+    window.  ``alpha`` is physical over exported pages, physical leaving
+    out the ``gc_free_block_threshold`` floor and the open block.
+
+    Read when written (seed 7): FIFO WA 2.396 against a model of 2.411 at
+    OP 0.25 (-0.6 %) and 5.828 against 5.814 at OP 0.12 (+0.3 %); greedy
+    2.280 and 5.096.  While the stream that asked for a block threw away
+    the cold block its reclaim had opened, FIFO read 2.991 (+24 %) and
+    6.637 (+14 %), greedy 2.778 and 5.596."""
+
+    TOLERANCE = 0.03
+
+    def _window_wa(self, policy: str, overprovision: float) -> tuple[float, float]:
+        config = FtlConfig(gc_policy=policy, overprovision=overprovision)
+        ftl, exported = _filled_ftl(config, 1.0, num_blocks=128, pages_per_block=32)
+        rng = make_rng(7, "test.ftl_gc", "theory", policy, overprovision)
+        ftl.write_run([rng.randrange(exported) for _ in range(3 * exported)], "warm")
+        before = ftl.chip.stats.snapshot()
+        ftl.write_run([rng.randrange(exported) for _ in range(4 * exported)], "window")
+        used = ftl.chip.stats.delta(before)
+        alpha = (128 - config.gc_free_block_threshold - 1) * 32 / exported
+        return used.page_programs / (4 * exported), _fifo_model_wa(alpha)
+
+    @pytest.mark.parametrize("overprovision", [0.25, 0.12])
+    def test_fifo_meets_the_model_and_greedy_beats_fifo(self, overprovision):
+        fifo, model = self._window_wa("fifo", overprovision)
+        assert abs(fifo / model - 1.0) <= self.TOLERANCE, (fifo, model)
+        greedy, _ = self._window_wa("greedy", overprovision)
+        assert greedy <= fifo
+
+
+class TestNoStrandedBlocks:
+    """Under the inline schedule no block is left partly written outside
+    the open streams, the open job and what a remount or a released
+    translation block strands; ``check_invariants`` holds it mid-run.
+    Before a reclaim's cold block was kept, every case here failed within
+    a few hundred operations ("block 2 left partly written (29/32)")."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [dict(gc_policy="fifo"), dict(gc_policy="greedy"), dict(gc_policy="fifo", cmt_pages=2)],
+        ids=["fifo", "greedy", "fifo-cmt"],
+    )
+    def test_a_bare_ftl(self, config):
+        ftl = PageMappingFTL(
+            FlashChip(make_geo(num_blocks=48, channels=1)),
+            FtlConfig(overprovision=0.25, map_entries_per_page=16, **config),
+        )
+        rng = make_rng(7, "test.ftl_gc", "stranded", *config.values())
+        span = ftl.exported_pages
+        for step in range(6000):
+            ftl.write(rng.randrange(span), ("w", step))
+            if step % 97 == 0:
+                ftl.check_invariants()
+            if step % 500 == 499:
+                ftl.barrier()
+            if step == 3001:  # a remount strands every partial it does not resume
+                ftl.power_fail()
+                ftl.remount()
+                ftl.check_invariants()
+        assert ftl.stats.gc_invocations > 100
+
+    @pytest.mark.parametrize("mode", [Mode.RBJ, Mode.XFTL, Mode.WAL])
+    def test_an_aged_sql_stack(self, mode):
+        stack = build_stack(
+            StackConfig(mode=mode, num_blocks=96, pages_per_block=32, ftl=FtlConfig(gc_policy="fifo"))
+        )
+        db = stack.open_database("stranded.db")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("BEGIN")
+        for key in range(400):
+            db.execute("INSERT INTO t VALUES (?, ?)", (key, 0))
+        db.execute("COMMIT")
+        age_device(stack, 0.5, seed=7)
+        rng = make_rng(7, "test.ftl_gc", "stranded", mode.value)
+        before = stack.chip.stats.snapshot()
+        for step in range(150):
+            db.execute("BEGIN")
+            for _ in range(5):
+                db.execute("UPDATE t SET v = ? WHERE id = ?", (step, rng.randrange(400)))
+            db.execute("COMMIT")
+            stack.ftl.check_invariants()
+        assert stack.chip.stats.delta(before).gc_invocations > 0

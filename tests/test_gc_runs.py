@@ -168,12 +168,27 @@ def _owners_everywhere(seed: int) -> XFTL:
     return ftl
 
 
-def _relocate(ftl, srcs: list[int], dst: int) -> None:
-    """What the collector's ``_run_job`` does with one run."""
-    owners = [ftl._owner[ppn] for ppn in srcs]
-    keys = [ftl.chip.oob_keys[ppn] for ppn in srcs]
-    ftl.chip.copyback_run(srcs, dst, ftl._gc_oobs(owners, keys, srcs))
-    ftl._apply_relocations(owners, keys, srcs, dst)
+def _relocate(ftl, srcs: list[int]) -> None:
+    """What the collector's ``_run_job`` does with one run: append it to the
+    channel's cold block, cut where that block fills, and take the next one
+    through the cold stream's own path."""
+    gc = ftl.gc
+    per = ftl.chip.geometry.pages_per_block
+    write_points = gc._write_points
+    cold = gc._active_blocks
+    while srcs:
+        block = cold[0]
+        if block is None or write_points[block] >= per:
+            block = gc._stream_block(0, cold)
+        used = write_points[block]
+        run, srcs = srcs[: per - used], srcs[per - used :]
+        owners = [ftl._owner[ppn] for ppn in run]
+        keys = [ftl.chip.oob_keys[ppn] for ppn in run]
+        dst = block * per + used
+        ftl.chip.copyback_run(run, dst, ftl._gc_oobs(owners, keys, run))
+        if write_points[block] >= per:
+            cold[0] = None
+        ftl._apply_relocations(owners, keys, run, dst)
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,12 +196,16 @@ def _relocate(ftl, srcs: list[int], dst: int) -> None:
 def test_the_all_l2p_slice_path_leaves_what_the_per_page_path_leaves(seed, data) -> None:
     """A run that holds any non-L2P owner goes page by page; the same run cut
     where the owner kind changes sends its L2P parts through the slice path.
-    Both must leave the same state."""
+    Both must leave the same state.  The runs land in the cold stream as a
+    collection's would, from a block a victim picker could choose."""
     twins = [_owners_everywhere(seed) for _ in range(2)]
     ftl = twins[0]
     per = ftl.chip.geometry.pages_per_block
+    streams = ftl.gc._excluded(0)
     mixed = {}
     for block in range(ftl.chip.geometry.num_blocks):
+        if block in streams:
+            continue
         live = [ppn for ppn in range(block * per, (block + 1) * per) if ftl._owner[ppn] != DEAD]
         if {page_lpn(ftl, ppn) is None for ppn in live} == {True, False}:
             mixed[block] = live
@@ -198,16 +217,15 @@ def test_the_all_l2p_slice_path_leaves_what_the_per_page_path_leaves(seed, data)
     assume(kinds == {True, False})
     seen = []
     for index, twin in enumerate(twins):
-        dst = twin.gc._free_by_channel[0].pop() * per
         if index == 0:
-            _relocate(twin, srcs, dst)  # one mixed run: page by page
+            _relocate(twin, srcs)  # one mixed run: page by page
         else:
             start = 0
             for end in range(1, len(srcs) + 1):
                 if end == len(srcs) or (page_lpn(twin, srcs[end]) is None) != (
                     page_lpn(twin, srcs[start]) is None
                 ):
-                    _relocate(twin, srcs[start:end], dst + start)
+                    _relocate(twin, srcs[start:end])
                     start = end
         twin.check_invariants()
         seen.append(
@@ -409,10 +427,12 @@ class TestSqlProgramPath:
     page crosses each layer below ext4 in one frame (the chip in two, the
     second its timing row's ``_charge_program``)."""
 
-    #: Python calls per host-originated flash program: 19.58 when recorded
-    #: (CPython 3.11); 23.47 before, when a plain data page passed through
+    #: Python calls per host-originated flash program: 19.33 when recorded
+    #: (CPython 3.11; 327,041 calls over 16,917 programs); 19.38 while a
+    #: reclaim's cold block was replaced by a fresh one (19.58 when the
+    #: ceiling of 20.0 was set); 23.47 when a plain data page passed through
     #: 13 frames below ext4 and a publish discarded its pages one call each.
-    CALLS_PER_PROGRAM_CEILING = 20.0
+    CALLS_PER_PROGRAM_CEILING = 19.6
     #: What a plain data page's frames no longer call.
     HELPERS = frozenset(
         ("_map", "_supersede", "_bury", "_charge_flash", "_check_on", "_charge")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PowerFailure
+from repro.errors import CrashPlanError, PowerFailure
 from repro.sim import CrashPlan
 from repro.sim.rng import derive_seed, make_rng
 
@@ -21,6 +21,16 @@ class TestCrashPlan:
             plan.hit("x.point")
         assert plan.fired is not None
         assert plan.fired.name == "x.point"
+
+    @pytest.mark.parametrize("after", [0, -5])
+    def test_an_occurrence_count_below_one_is_refused(self, after):
+        """``after`` is 1-based: 0 and below used to fire on the first hit."""
+        plan = CrashPlan()
+        with pytest.raises(CrashPlanError, match=f"after {after} hits"):
+            plan.arm("x.point", after=after)
+        assert plan._points == []
+        plan.hit("x.point")
+        assert plan.fired is None
 
     def test_fires_on_nth_hit(self):
         plan = CrashPlan()

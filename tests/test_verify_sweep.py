@@ -251,6 +251,18 @@ class TestCli:
         assert raised.value.code == 2
         assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("after", ["0", "-5"])
+    def test_a_replay_below_the_first_occurrence_is_usage_error(self, after, capsys):
+        """``--after 0`` (or ``-5``) printed ``x0``, replayed the ``x1``
+        scenario and exited 0."""
+        argv = ["--layer", "ftl.xftl", "--points", "xftl.commit.before-flush", "--ops", "20"]
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--after", after])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --after: must be at least 1, got {after}" in captured.err
+        assert captured.out == ""
+
     def test_a_budget_of_one_runs_one_scenario(self, capsys):
         assert main(["--layer", "ftl.pagemap", "--budget", "1", "--ops", "1"]) == 0
         assert "verify: 1 scenarios" in capsys.readouterr().out
