@@ -8,14 +8,11 @@ and steal-friendliness (a transaction's pages can hit flash at any time
 and still commit or roll back atomically).
 """
 
-from repro.device import StorageDevice
-from repro.flash import FlashChip, FlashGeometry
-from repro.ftl import FtlConfig, XFTL
+from repro.stack import Mode, StackConfig, build_device
 
 
 def main() -> None:
-    chip = FlashChip(FlashGeometry(page_size=8192, pages_per_block=64, num_blocks=128))
-    device = StorageDevice(XFTL(chip, FtlConfig()))
+    device = build_device(StackConfig(mode=Mode.XFTL, num_blocks=128, pages_per_block=64))
 
     # Committed base state.
     for lpn in range(4):

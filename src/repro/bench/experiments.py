@@ -15,19 +15,15 @@ runtimes and can be raised with the ``REPRO_SCALE`` environment variable
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.bench.aging import age_device
 from repro.bench.reporting import format_table
 from repro.errors import PowerFailure
-from repro.flash.chip import FlashChip
-from repro.flash.geometry import FlashGeometry
 from repro.ftl.pagemap import PageMappingFTL
-from repro.ftl.xftl import XFTL
-from repro.stack import BenchStack, Mode, StackConfig, TenantScheduler, build_stack, resolve_obs
+from repro.stack import BenchStack, Mode, StackConfig, TenantScheduler, build_ftl, build_stack
 from repro.ftl.base import FtlConfig
-from repro.sim.clock import SimClock
 from repro.sim.latency import OPENSSD_PROFILE, S830_PROFILE
 from repro.sim.rng import make_rng
 from repro.workloads.android import ALL_PROFILES, AndroidTraceGenerator, TraceReplayer
@@ -71,6 +67,7 @@ class ExperimentResult:
 
 SQLITE_MODES = (Mode.RBJ, Mode.WAL, Mode.XFTL)
 GC_VALIDITIES = (0.3, 0.5, 0.7)
+_PAPER_DEVICE = StackConfig(num_blocks=512, pages_per_block=128, ftl=FtlConfig(gc_policy="fifo"))
 
 
 def _sqlite_stack(mode: Mode, **overrides: Any) -> BenchStack:
@@ -80,9 +77,7 @@ def _sqlite_stack(mode: Mode, **overrides: Any) -> BenchStack:
     carried-over validity), a serial drain device.  Every experiment stack
     is built here.
     """
-    config = dict(num_blocks=512, pages_per_block=128, ftl=FtlConfig(gc_policy="fifo"))
-    config.update(overrides)
-    return build_stack(StackConfig(mode=mode, **config))
+    return build_stack(replace(_PAPER_DEVICE, mode=mode, **overrides))
 
 
 def _loaded_synthetic(
@@ -103,24 +98,26 @@ def _filled_ftl(
     num_blocks: int,
     pages_per_block: int,
     channels: int = 1,
-    ftl_class: type[PageMappingFTL] = PageMappingFTL,
+    mode: Mode = Mode.RBJ,
 ) -> tuple[PageMappingFTL, int]:
     """A bare FTL on a 512-byte-page chip, its first ``fill`` lpns written.
 
-    The fill ends in a barrier and a drain, so the steady stream that
-    follows starts from a persisted map and an idle device.  Returns the
-    FTL and ``fill``.  Under an installed hub the chip records into a
-    session of its own, labeled with the FTL class, as a stack would.
+    ``mode`` picks the firmware: X-FTL for ``Mode.XFTL``, else the stock
+    FTL.  The fill ends in a barrier and a drain, so the steady stream
+    that follows starts from a persisted map and an idle device.  Returns
+    the FTL and ``fill``.  Under an installed hub the chip records into a
+    session of its own, labeled with the FTL class.
     """
-    geometry = FlashGeometry(
-        page_size=512,
-        pages_per_block=pages_per_block,
-        num_blocks=num_blocks,
-        channels=channels,
+    ftl = build_ftl(
+        StackConfig(
+            mode=mode,
+            num_blocks=num_blocks,
+            pages_per_block=pages_per_block,
+            page_size=512,
+            channels=channels,
+            ftl=config,
+        )
     )
-    clock = SimClock()
-    obs = resolve_obs(ftl_class.__name__, clock)
-    ftl = ftl_class(FlashChip(geometry, clock, OPENSSD_PROFILE, obs=obs), config)
     fill = int(ftl.exported_pages * fill_fraction)
     for lpn in range(fill):
         ftl.write(lpn, ("fill", lpn))
@@ -842,7 +839,7 @@ def mvcc_retention() -> ExperimentResult:
         # age past the chain bound within the probe window.  Retained
         # chains are live pages, so the deepest sweep must still fit.
         ftl, fill = _filled_ftl(
-            config, 0.7, num_blocks=96, pages_per_block=32, channels=2, ftl_class=XFTL
+            config, 0.7, num_blocks=96, pages_per_block=32, channels=2, mode=Mode.XFTL
         )
         hot_span = 48
         stats0 = ftl.stats.snapshot()

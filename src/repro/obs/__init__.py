@@ -141,10 +141,10 @@ NULL_OBS = Observability(enabled=False, label="<disabled>")
 
 
 class ObservabilityHub:
-    """Collects one :class:`Observability` session per built stack.
+    """Collects one :class:`Observability` session per built machine.
 
     Benchmark sweeps build several stacks (one per mode); installing a hub
-    before the sweep makes ``build_stack`` route each stack to its own
+    before the sweep makes ``build_ftl`` route each machine to its own
     labeled session, so per-mode metrics stay separate::
 
         hub = install_default_hub()
@@ -169,7 +169,7 @@ _default_hub: ObservabilityHub | None = None
 
 
 def default_hub() -> ObservabilityHub | None:
-    """The installed hub, if any — consulted by ``build_stack``."""
+    """The installed hub, if any — consulted by ``build_ftl``."""
     return _default_hub
 
 

@@ -8,8 +8,9 @@ The paper compares three SQLite execution modes (§6.3):
 - ``XFTL``: modified SQLite in OFF mode on ext4 with journaling off and
   tid-passthrough enabled, over the X-FTL firmware.
 
-:func:`build_stack` wires geometry, FTL, device and file system accordingly
-so experiments only differ in the mode enum.  This module used to live in
+One :class:`StackConfig` describes every machine; :func:`build_ftl`,
+:func:`build_device` and :func:`build_stack` build it up to the FTL, the
+device or ext4, so experiments only differ in the config.  This module used to live in
 ``repro.bench.runner``; it moved here because non-bench consumers (verify
 drivers, examples, user code) should not import from ``bench``, and because
 the observability layer (:mod:`repro.obs`) hooks in at assembly time.
@@ -46,9 +47,10 @@ __all__ = [
     "TransactionContext",
     "TxnManager",
     "TxnState",
+    "build_device",
+    "build_ftl",
     "build_stack",
     "open_stack",
-    "resolve_obs",
 ]
 
 
@@ -117,9 +119,12 @@ class Mode(enum.Enum):
         raise ValueError(f"unknown stack mode {mode!r}; expected one of: {valid}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StackConfig:
-    """Everything needed to build one simulated machine."""
+    """Everything needed to build one simulated machine.
+
+    Frozen, as machines share one (a verify row's scenarios do): derive a
+    variant with :func:`dataclasses.replace`."""
 
     mode: Mode = Mode.XFTL  # or any name Mode.coerce accepts
     num_blocks: int = 1024
@@ -147,7 +152,7 @@ class StackConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        self.mode = Mode.coerce(self.mode)
+        object.__setattr__(self, "mode", Mode.coerce(self.mode))
 
 
 @dataclass
@@ -227,33 +232,24 @@ class BenchStack:
         return self
 
 
-def resolve_obs(
-    label: str, clock: SimClock, metrics: bool = False, trace: bool = False
-) -> Observability:
-    """The obs handle of a machine built now, its spans timed on ``clock``:
-    a session of the installed hub, else a handle of its own when
-    ``metrics`` or ``trace`` asks for one, else :data:`NULL_OBS`."""
+def build_ftl(config: StackConfig) -> PageMappingFTL:
+    """A fresh FTL for ``config`` on a chip, clock and crash plan of its own:
+    X-FTL for ``Mode.XFTL``, else the stock page-mapping firmware, as on the
+    paper's testbed.  Its obs handle is a hub session labeled with the FTL
+    class, else a handle of its own if ``metrics`` or ``trace`` asks, else
+    :data:`NULL_OBS`."""
+    clock = SimClock()
+    xftl = config.mode is Mode.XFTL
+    label = "XFTL" if xftl else "PageMappingFTL"
     hub = default_hub()
     if hub is not None:
         obs = hub.session(label=label)
-    elif metrics or trace:
-        obs = Observability(enabled=True, trace=trace, label=label)
+    elif config.metrics or config.trace:
+        obs = Observability(enabled=True, trace=config.trace, label=label)
     else:
-        return NULL_OBS
-    obs.bind_clock(clock)
-    return obs
-
-
-def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
-    """Build a fresh machine for ``config`` (keyword overrides accepted)."""
-    if config is None:
-        config = StackConfig(**overrides)
-    elif overrides:
-        raise ValueError("pass either a StackConfig or keyword overrides, not both")
-
-    clock = SimClock()
-    crash_plan = CrashPlan()
-    obs = resolve_obs(config.mode.value, clock, config.metrics, config.trace)
+        obs = NULL_OBS
+    if obs.enabled:
+        obs.bind_clock(clock)
     geometry = FlashGeometry(
         page_size=config.page_size,
         pages_per_block=config.pages_per_block,
@@ -264,17 +260,25 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
     # channel-equivalence baseline pins); with channels>1 operations on
     # different channels overlap for real.
     chip = FlashChip(
-        geometry, clock=clock, profile=config.profile, crash_plan=crash_plan, obs=obs
+        geometry, clock=clock, profile=config.profile, crash_plan=CrashPlan(), obs=obs
     )
-    # X-FTL firmware is a strict superset of the stock FTL; non-XFTL modes
-    # use the stock page-mapping firmware, exactly as the paper's testbed.
-    if config.mode is Mode.XFTL:
-        ftl: PageMappingFTL = XFTL(chip, config.ftl)
-    else:
-        ftl = PageMappingFTL(chip, config.ftl)
-    device = StorageDevice(
-        ftl, queue_depth=config.queue_depth, barrier_mode=config.barrier_mode
+    if xftl:
+        return XFTL(chip, config.ftl)
+    return PageMappingFTL(chip, config.ftl)
+
+
+def build_device(config: StackConfig) -> StorageDevice:
+    """:func:`build_ftl`'s FTL behind the NCQ device ``config`` describes."""
+    return StorageDevice(
+        build_ftl(config), queue_depth=config.queue_depth, barrier_mode=config.barrier_mode
     )
+
+
+def build_stack(config: StackConfig) -> BenchStack:
+    """:func:`build_device`'s device with ext4 made on it: the whole machine."""
+    device = build_device(config)
+    chip = device.chip
+    obs = chip.obs
     fs = Ext4.mkfs(
         device,
         config.mode.fs_journal_mode(),
@@ -283,6 +287,7 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         max_inodes=config.max_inodes,
     )
     if obs.enabled:
+        obs.label = config.mode.value
         obs.annotate("mode", config.mode.value)
         obs.annotate("fs_journal_mode", config.mode.fs_journal_mode().value)
         if config.mode.is_database_mode:
@@ -299,12 +304,12 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         obs.annotate("retain_versions", config.ftl.retain_versions)
     return BenchStack(
         config=config,
-        clock=clock,
+        clock=chip.clock,
         chip=chip,
-        ftl=ftl,
+        ftl=device.ftl,
         device=device,
         fs=fs,
-        crash_plan=crash_plan,
+        crash_plan=chip.crash_plan,
         obs=obs,
     )
 

@@ -27,15 +27,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Hashable, NamedTuple
 
-from repro.stack import Mode, SessionScheduler, StackConfig, TenantScheduler, build_stack
-from repro.device.ssd import StorageDevice
+from repro.stack import Mode, SessionScheduler, StackConfig, TenantScheduler
+from repro.stack import build_device, build_ftl, build_stack
 from repro.errors import PowerFailure, ReproError
-from repro.flash.chip import FlashChip
-from repro.flash.geometry import FlashGeometry
 from repro.ftl.base import FtlConfig
 from repro.ftl.pagemap import PageMappingFTL
-from repro.ftl.xftl import XFTL
-from repro.sim.crash import CrashPlan
 from repro.sim.rng import make_rng
 from repro.verify.oracle import PlainWriteOracle, TransactionOracle
 
@@ -57,48 +53,57 @@ class ScenarioResult:
         return not self.violations
 
 
-# ---------------------------------------------------------------- geometries
-
-_FTL_GEOMETRY = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24)
-# Two channels so queued commands and GC jobs genuinely overlap; small enough
-# that GC and the queue crash points interleave within the ops budget.
-_ARRAY_GEOMETRY = replace(_FTL_GEOMETRY, channels=2)
-_QUEUE_DEPTH = 4
+# ------------------------------------------------------------------ machines
 
 _FTL_CONFIG = FtlConfig(
     overprovision=0.25, map_entries_per_page=32, barrier_meta_pages=1, xl2p_capacity=64
 )
+# The bare FTL rows: 24 blocks of eight 512-byte pages, X-FTL firmware
+# (any other mode builds the stock FTL).
+_BARE_XFTL = StackConfig(
+    mode=Mode.XFTL, num_blocks=24, pages_per_block=8, page_size=512, ftl=_FTL_CONFIG
+)
+_BARE_STOCK = replace(_BARE_XFTL, mode=Mode.RBJ)
+# Two channels so queued commands and GC jobs genuinely overlap; small enough
+# that GC and the queue crash points interleave within the ops budget.
+_QUEUED = replace(_BARE_STOCK, channels=2, queue_depth=4)
 # A demand-paged map on the same tiny device: 16 entries per translation page
 # gives several times more segments than the two cache slots, so every phase
 # of the workload evicts and fetches.
-_CMT_CONFIG = replace(
-    _FTL_CONFIG, map_entries_per_page=16, cmt_pages=2, cmt_dirty_batch=1
+_CMT = replace(
+    _BARE_XFTL,
+    ftl=replace(_FTL_CONFIG, map_entries_per_page=16, cmt_pages=2, cmt_dirty_batch=1),
 )
 # Tight space, aggressive GC knobs: the seeding churn parks the free pools at
 # the background watermark so paced copyback jobs, urgent floor collections
 # and wear migrations all interleave with the armed workload.
-_GC_CONFIG = replace(
-    _FTL_CONFIG,
-    gc_mode="background",
-    gc_policy="cost-benefit",
-    gc_background_watermark=3,
-    gc_copyback_pages_per_step=2,
-    gc_hot_write_threshold=2,
-    gc_wear_spread_threshold=2,
-    gc_wear_check_interval=4,
+_GC = replace(
+    _BARE_XFTL,
+    channels=2,
+    ftl=replace(
+        _FTL_CONFIG,
+        gc_mode="background",
+        gc_policy="cost-benefit",
+        gc_background_watermark=3,
+        gc_copyback_pages_per_step=2,
+        gc_hot_write_threshold=2,
+        gc_wear_spread_threshold=2,
+        gc_wear_check_interval=4,
+    ),
 )
 # The same collector on the schedule every paper table runs.  Holding five
 # of a channel's twelve blocks free makes FIFO compact partially-valid
 # victims inside the ops budget, so the armed window crosses real copybacks
 # (at the default threshold every inline victim here is fully invalid).
-_GC_INLINE_CONFIG = replace(
-    _GC_CONFIG, gc_mode="inline", gc_policy="fifo", gc_free_block_threshold=5
+_GC_INLINE = replace(
+    _GC, ftl=replace(_GC.ftl, gc_mode="inline", gc_policy="fifo", gc_free_block_threshold=5)
 )
 # Background GC plus multi-version retention: superseded committed copies
 # stay live under version chains for GC to relocate.
-_MVCC_CONFIG = replace(_GC_CONFIG, retain_versions=3)
+_MVCC = replace(_GC, ftl=replace(_GC.ftl, retain_versions=3))
 
-_FS_STACK = dict(
+_FS_STACK = StackConfig(
+    mode=Mode.FS_ORDERED,
     num_blocks=96,
     pages_per_block=16,
     page_size=1024,
@@ -109,10 +114,8 @@ _FS_STACK = dict(
 )
 # Barrier-enabled over a queued two-channel device: ordering points become
 # order-only epoch closes and the journal's commit pages ride BARRIER_WRITE.
-_FS_BARRIER_STACK = dict(
-    _FS_STACK, channels=2, queue_depth=_QUEUE_DEPTH, barrier_mode=True
-)
-_SQLITE_STACK = dict(
+_FS_BARRIER_STACK = replace(_FS_STACK, channels=2, queue_depth=4, barrier_mode=True)
+_SQLITE_STACK = StackConfig(
     num_blocks=160,
     pages_per_block=32,
     page_size=4096,
@@ -124,8 +127,6 @@ _SQLITE_STACK = dict(
 _N_ROWS = 10
 
 
-# ------------------------------------------------------------------ machines
-
 
 @dataclass
 class Machine:
@@ -135,7 +136,6 @@ class Machine:
     plain callables; those are bound here once, by the builders below.
     """
 
-    plan: CrashPlan
     ftl: PageMappingFTL  # invariants are checked (and block rows read back) here
     target: Any  # what transactions drive: an FTL, a StorageDevice or a stack
     write: Callable[[Hashable, Any], None]  # one plain write
@@ -147,18 +147,15 @@ class Machine:
     probe: Callable[[], list[str]] | None = None  # extra check while running
 
 
-def _bare(ftl_cls, geometry=_FTL_GEOMETRY, config=_FTL_CONFIG) -> Machine:
+def _bare(config: StackConfig) -> Machine:
     """An FTL driven directly: ``barrier`` is the durability point."""
-    plan = CrashPlan()
-    ftl = ftl_cls(FlashChip(geometry, crash_plan=plan), config)
-    return Machine(plan, ftl, ftl, ftl.write, ftl.barrier, ftl.power_fail, ftl.remount)
+    ftl = build_ftl(config)
+    return Machine(ftl, ftl, ftl.write, ftl.barrier, ftl.power_fail, ftl.remount)
 
 
-def _queued(ftl_cls, barrier_mode: bool = False) -> Machine:
+def _queued(config: StackConfig) -> Machine:
     """The same FTL behind an NCQ device over a two-channel chip."""
-    plan = CrashPlan()
-    ftl = ftl_cls(FlashChip(_ARRAY_GEOMETRY, crash_plan=plan), _FTL_CONFIG)
-    device = StorageDevice(ftl, queue_depth=_QUEUE_DEPTH, barrier_mode=barrier_mode)
+    device = build_device(config)
 
     def epoch_order() -> list[str]:
         # A command of epoch N completing before the end of epoch N-1 is the
@@ -172,8 +169,7 @@ def _queued(ftl_cls, barrier_mode: bool = False) -> Machine:
         ]
 
     return Machine(
-        plan,
-        ftl,
+        device.ftl,
         device,
         device.write,
         device.flush,
@@ -181,13 +177,12 @@ def _queued(ftl_cls, barrier_mode: bool = False) -> Machine:
         device.power_on,
         order=device.barrier,
         write_ordered=device.write_barrier,
-        probe=epoch_order if barrier_mode else None,
+        probe=epoch_order if config.barrier_mode else None,
     )
 
 
 def _stack_machine(stack, write=None, sync=None, order=None) -> Machine:
     return Machine(
-        stack.crash_plan,
         stack.ftl,
         stack,
         write,
@@ -200,9 +195,7 @@ def _stack_machine(stack, write=None, sync=None, order=None) -> Machine:
 
 def _file_stack(barrier: bool = False) -> Machine:
     """Ordered-journal ext4 with one open file; keys are its page indexes."""
-    stack = build_stack(
-        StackConfig(mode=Mode.FS_ORDERED, **(_FS_BARRIER_STACK if barrier else _FS_STACK))
-    )
+    stack = build_stack(_FS_BARRIER_STACK if barrier else _FS_STACK)
     handle = stack.fs.create("data.bin")
 
     def sync() -> None:
@@ -216,7 +209,7 @@ def _file_stack(barrier: bool = False) -> Machine:
 
 
 def _sqlite_stack(mode: Mode) -> Machine:
-    return _stack_machine(build_stack(StackConfig(mode=mode, **_SQLITE_STACK)))
+    return _stack_machine(build_stack(replace(_SQLITE_STACK, mode=mode)))
 
 
 # ----------------------------------------------------------------- scenario
@@ -610,7 +603,7 @@ LAYERS: dict[str, Layer] = {
             ("flash", "ftl.pagemap"),
             "plain writes + barriers on the stock FTL",
             stream="verify.pagemap",
-            build=partial(_bare, PageMappingFTL),
+            build=partial(_bare, _BARE_STOCK),
             workload=partial(_plain_writes, durable_every=7),
             oracle=_durable_floor,
             unwritten=range(24, 28),
@@ -620,7 +613,7 @@ LAYERS: dict[str, Layer] = {
             _XFTL_STACK,
             "write_tx / commit / abort transactions on X-FTL",
             stream="verify.xftl",
-            build=partial(_bare, XFTL),
+            build=partial(_bare, _BARE_XFTL),
             workload=partial(_block_txns, shapes=_SINGLE),
         ),
         Layer(
@@ -630,7 +623,7 @@ LAYERS: dict[str, Layer] = {
             " the group's single X-L2P flush and publish step, which"
             " single-transaction commits never reach",
             stream="verify.xftl.group",
-            build=partial(_bare, XFTL),
+            build=partial(_bare, _BARE_XFTL),
             workload=partial(_block_txns, shapes=(Commit(group=(2, 3)),)),
         ),
         Layer(
@@ -642,7 +635,7 @@ LAYERS: dict[str, Layer] = {
             " uncommitted write or lose a committed one (the X-L2P live-union"
             " invariant), however many pages the job had already relocated",
             stream="verify.ftl.gc",
-            build=partial(_bare, XFTL, _ARRAY_GEOMETRY, _GC_CONFIG),
+            build=partial(_bare, _GC),
             workload=partial(_block_txns, shapes=_GC_MIX),
             seed=_GC_SEED,
         ),
@@ -653,7 +646,7 @@ LAYERS: dict[str, Layer] = {
             " collector): crashes after victim selection, between the copybacks"
             " and before the erase of a run-to-completion collection",
             stream="verify.ftl.gc",
-            build=partial(_bare, XFTL, _ARRAY_GEOMETRY, _GC_INLINE_CONFIG),
+            build=partial(_bare, _GC_INLINE),
             workload=partial(_block_txns, shapes=_GC_MIX),
             seed=_GC_SEED,
         ),
@@ -667,7 +660,7 @@ LAYERS: dict[str, Layer] = {
             " resident like any L2P update, after the commit is published;"
             " only committed-tid replay makes it durable)",
             stream="verify.ftl.cmt",
-            build=partial(_bare, XFTL, config=_CMT_CONFIG),
+            build=partial(_bare, _CMT),
             workload=partial(_block_txns, shapes=_SINGLE, between=_cache_churn),
             hot=96,
         ),
@@ -677,7 +670,7 @@ LAYERS: dict[str, Layer] = {
             "plain writes through a queued (NCQ) device over a two-channel"
             " flash array: crashes land with commands in flight",
             stream="verify.device.queue",
-            build=partial(_queued, PageMappingFTL),
+            build=partial(_queued, _QUEUED),
             workload=partial(_plain_writes, durable_every=7),
             oracle=_durable_floor,
             unwritten=range(24, 28),
@@ -688,7 +681,7 @@ LAYERS: dict[str, Layer] = {
             "the transactional command set through the same queued device:"
             " commit barriers against a non-empty queue",
             stream="verify.device.queue.xftl",
-            build=partial(_queued, XFTL),
+            build=partial(_queued, replace(_QUEUED, mode=Mode.XFTL)),
             workload=partial(_block_txns, shapes=_SINGLE),
         ),
         Layer(
@@ -700,7 +693,7 @@ LAYERS: dict[str, Layer] = {
             " flushes raise the durable floor, and the per-epoch completion"
             " envelopes are sampled for the no-reorder-across-epochs invariant",
             stream="verify.device.queue.epoch",
-            build=partial(_queued, PageMappingFTL, barrier_mode=True),
+            build=partial(_queued, replace(_QUEUED, barrier_mode=True)),
             workload=partial(
                 _plain_writes, durable_every=11, order_every=3, ordered_write_every=5
             ),
@@ -795,7 +788,7 @@ LAYERS: dict[str, Layer] = {
             " matches owner records against chain membership) — a crash may"
             " shrink retention depth, never snapshot integrity",
             stream="verify.ftl.mvcc",
-            build=partial(_bare, XFTL, _ARRAY_GEOMETRY, _MVCC_CONFIG),
+            build=partial(_bare, _MVCC),
             workload=partial(
                 _block_txns,
                 shapes=(Commit(group=(4, 4), writes=(1, 2), abort_p=0.15),),
@@ -829,14 +822,14 @@ def run_scenario(
         machine = run.machine = row.build()
         run.baseline = row.seed(run)
         run.oracle = row.oracle(run.baseline)
-        machine.plan.arm(point, after=after, tear_page=tear)
+        machine.ftl.chip.crash_plan.arm(point, after=after, tear_page=tear)
         phase = "workload"
         try:
             row.workload(run)
         except PowerFailure:
             fired = True
         else:
-            machine.plan.disarm_all()
+            machine.ftl.chip.crash_plan.disarm_all()
             # Crash-free control run: the powered state must hold too (a
             # remount legitimately strands blocks that a live run may not),
             # then power-cycle anyway.

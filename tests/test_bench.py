@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.aging import age_device
 from repro.bench.reporting import format_table
-from repro.stack import Mode, StackConfig, build_stack
+from repro.stack import Mode, StackConfig, build_stack, open_stack
 from repro.ftl import FtlConfig, XFTL, PageMappingFTL
 from repro.fs.ext4 import JournalMode
 
@@ -30,11 +30,11 @@ class TestBuildStack:
         )
 
     def test_keyword_overrides(self):
-        stack = build_stack(mode=Mode.XFTL, num_blocks=64)
+        stack = open_stack(Mode.XFTL, num_blocks=64)
         assert stack.chip.geometry.num_blocks == 64
 
     def test_config_and_overrides_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_stack(StackConfig(), num_blocks=64)
 
     def test_open_database_rejected_for_fs_modes(self):

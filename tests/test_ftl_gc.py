@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.bench.aging import age_device
-from repro.bench.experiments import _filled_ftl
+from repro.bench.experiments import _filled_ftl, _skewed_lpn
 from repro.errors import FtlError, PowerFailure
 from repro.flash import FlashGeometry
 from repro.flash.chip import FlashChip
@@ -205,6 +205,31 @@ class TestVictimPolicies:
         ftl = make_bg_ftl(obs=obs, gc_mode="inline", gc_policy="fifo")
         assert ftl.gc.pick_victim(0) is None
         assert obs.registry.counter_value("ftl.gc.fifo_fallbacks") == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a block that copybacks open (Collector._run_job -> _open_block) gets no"
+        " _alloc_tick (only _stream_block sets one), so cost-benefit ages it from tick 0",
+    )
+    def test_every_written_block_has_an_allocation_tick(self):
+        """After the ``gc`` experiment's background stream, cost-benefit can
+        age every block that holds pages (70 of 92 have no tick today)."""
+        config = FtlConfig(
+            gc_mode="background",
+            gc_policy="cost-benefit",
+            gc_background_watermark=4,
+            gc_copyback_pages_per_step=2,
+            gc_hot_write_threshold=4,
+            gc_wear_spread_threshold=8,
+            gc_wear_check_interval=16,
+        )
+        ftl, fill = _filled_ftl(config, 0.92, num_blocks=96, pages_per_block=32, channels=4)
+        rng = make_rng(0x5EED6C, "bench.gc_comparison", "steady-stream")
+        for seq in range(4_000):
+            ftl.write(_skewed_lpn(rng, fill // 5, fill), ("steady", seq))
+        write_points = ftl.chip.state.write_points
+        written = [block for block in range(96) if write_points[block]]
+        assert [block for block in written if block not in ftl.gc._alloc_tick] == []
 
     def test_fifo_policy_collects_under_churn(self):
         ftl = make_bg_ftl(gc_policy="fifo")

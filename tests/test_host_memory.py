@@ -259,9 +259,9 @@ def test_a_dropped_stack_is_freed_by_refcounting(mode, ftl, obs):
     gc.disable()
     hub = install_default_hub() if obs == "hub" else None
     try:
-        stack = build_stack(
-            mode=mode, num_blocks=256, channels=2, ftl=ftl,
-            metrics=obs == "metrics", trace=obs == "trace",
+        stack = open_stack(
+            mode, metrics=obs == "metrics", trace=obs == "trace",
+            num_blocks=256, channels=2, ftl=ftl,
         )
         if hub is not None:
             uninstall_default_hub()

@@ -10,6 +10,12 @@ import pytest
 from repro.stack import Mode, StackConfig, build_stack
 
 ROOT = pathlib.Path(__file__).parent.parent
+# Every script in examples/ runs here: these two with a check of their
+# output, the rest for their exit status alone.
+CHECKED = {"quickstart.py", "transactional_device.py"}
+RUN_ONLY = [
+    "crash_recovery.py", "multifile_atomicity.py", "smartphone_apps.py", "tpcc_benchmark.py"
+]
 
 
 def run_example(script: str) -> subprocess.CompletedProcess:
@@ -49,11 +55,15 @@ class TestExampleScripts:
         assert result.returncode == 0, result.stderr
         assert "commit cost" in result.stdout
 
-    # With quickstart.py above, these are the examples whose calls keep a
-    # definition of src/ in use: tests/test_unreferenced.py's ALLOWED names
-    # `SimClock.now_ms` and `TraceReplayer.replay_task` for them, and
-    # multifile_atomicity.py drives the multi-file coordinator.
-    @pytest.mark.parametrize("script", ["multifile_atomicity.py", "smartphone_apps.py"])
+    # Some examples' calls keep a definition of src/ in use:
+    # tests/test_unreferenced.py's ALLOWED names `SimClock.now_ms` and
+    # `TraceReplayer.replay_task` for them, and multifile_atomicity.py
+    # drives the multi-file coordinator.
+    @pytest.mark.parametrize("script", RUN_ONLY)
     def test_example_runs(self, script):
         result = run_example(script)
         assert result.returncode == 0, result.stderr
+
+    def test_every_example_has_a_test(self):
+        scripts = {path.name for path in (ROOT / "examples").glob("*.py")}
+        assert scripts == CHECKED | set(RUN_ONLY)

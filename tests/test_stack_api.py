@@ -7,14 +7,20 @@ journal modes, and the ``snapshot()``/``delta()`` protocol on the stats
 accumulators.
 """
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 import repro
 from repro.device.commands import DeviceCounters
 from repro.flash.stats import FlashStats
 from repro.fs.ext4 import FsStats, JournalMode
+from repro.ftl.pagemap import PageMappingFTL
+from repro.ftl.xftl import XFTL
+from repro.obs import install_default_hub, uninstall_default_hub
+from repro.sim.crash import NO_CRASH
 from repro.sqlite.pager import SqliteJournalMode
-from repro.stack import Mode, StackConfig, build_stack, open_stack
+from repro.stack import Mode, StackConfig, build_device, build_ftl, build_stack, open_stack
 
 
 class TestOpenStack:
@@ -34,7 +40,7 @@ class TestOpenStack:
             Mode.coerce("btrfs")
 
     def test_build_stack_takes_a_mode_name(self):
-        stack = build_stack(mode="xftl", num_blocks=64, pages_per_block=32)
+        stack = build_stack(StackConfig(mode="xftl", num_blocks=64, pages_per_block=32))
         assert stack.config.mode is Mode.XFTL
 
     def test_stack_config_takes_a_mode_name(self):
@@ -70,13 +76,14 @@ class TestOpenStack:
         assert stack.obs.registry.counters_of_layer("flash")
 
     def test_config_and_overrides_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        """``build_stack`` takes a config alone; overrides go to ``open_stack``."""
+        with pytest.raises(TypeError):
             build_stack(StackConfig(), num_blocks=64)
 
 
 class TestSessionNames:
     def test_an_open_name_raises_and_generated_names_skip_taken_ones(self):
-        stack = build_stack(mode=Mode.XFTL, num_blocks=128, pages_per_block=64, metrics=True)
+        stack = open_stack(Mode.XFTL, metrics=True, num_blocks=128, pages_per_block=64)
         stack.open_session("s1")
         with pytest.raises(ValueError, match="'s1' is already open"):
             stack.open_session("s1")
@@ -85,7 +92,7 @@ class TestSessionNames:
         assert [stack.open_session().name for _ in range(2)] == ["s5", "s7"]
 
     def test_each_session_counts_into_its_own_names(self):
-        stack = build_stack(mode=Mode.XFTL, num_blocks=128, pages_per_block=64, metrics=True)
+        stack = open_stack(Mode.XFTL, metrics=True, num_blocks=128, pages_per_block=64)
         sessions = [stack.open_session(), stack.open_session()]
         for commits, session in zip((1, 2), sessions):
             db = session.open_database(f"{session.name}.db")
@@ -137,6 +144,47 @@ class TestModeSingleSourceOfTruth:
     @pytest.mark.parametrize("mode", [Mode.RBJ, Mode.WAL, Mode.XFTL])
     def test_database_modes_flagged(self, mode):
         assert mode.is_database_mode
+
+
+class TestBuilders:
+    """One :class:`StackConfig` builds every machine, up to the layer asked for."""
+
+    SMALL = StackConfig(num_blocks=64, pages_per_block=32)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_firmware_follows_the_mode(self, mode):
+        ftl = build_ftl(replace(self.SMALL, mode=mode))
+        assert type(ftl) is (XFTL if mode is Mode.XFTL else PageMappingFTL)
+        assert ftl.chip.geometry.num_blocks == 64
+
+    def test_a_device_takes_its_queue_and_barrier_mode(self):
+        device = build_device(
+            replace(self.SMALL, channels=2, queue_depth=4, barrier_mode=True)
+        )
+        assert device.chip.geometry.channels == 2
+        assert (device.queue_depth, device.barrier_mode) == (4, True)
+
+    def test_each_machine_has_a_crash_plan_of_its_own(self):
+        plans = [build_ftl(self.SMALL).chip.crash_plan for _ in range(2)]
+        assert plans[0] is not plans[1]
+        assert NO_CRASH not in plans
+
+    def test_hub_sessions_name_the_firmware_of_a_bare_machine_and_the_mode_of_a_stack(self):
+        hub = install_default_hub()
+        try:
+            build_ftl(replace(self.SMALL, mode=Mode.RBJ))
+            build_device(self.SMALL)
+            build_stack(replace(self.SMALL, mode=Mode.WAL))
+        finally:
+            uninstall_default_hub()
+        assert [session.label for session in hub.sessions] == ["PageMappingFTL", "XFTL", "WAL"]
+
+    def test_a_config_is_frozen_and_replace_still_coerces_the_mode(self):
+        """Shared configs (every verify scenario of a row builds from one)
+        cannot leak a change into the next machine."""
+        with pytest.raises(FrozenInstanceError):
+            self.SMALL.num_blocks = 128
+        assert replace(self.SMALL, mode="wal").mode is Mode.WAL
 
 
 class TestShimRemoved:

@@ -322,9 +322,9 @@ def _l2p_tested_none() -> list[str]:
 
 
 def _one_builder_each() -> list[str]:
-    """The bench experiments call ``build_stack`` once and ``FlashChip`` once."""
+    """The bench experiments call ``build_stack`` once and ``build_ftl`` once."""
     calls = Counter(_called(ast.parse((ROOT / "src/repro/bench/experiments.py").read_text())))
-    found = [f"{calls[c]} x {c}(" for c in ("build_stack", "FlashChip") if calls[c] != 1]
+    found = [f"{calls[c]} x {c}(" for c in ("build_stack", "build_ftl") if calls[c] != 1]
     return found + _grep("extras", ("src/repro/bench/experiments.py",))
 
 
@@ -422,6 +422,16 @@ def _charge_run_loops() -> list[str]:
     ]
 
 
+# Where a machine's parts may be constructed: the builders and the layers
+# that define them.  Everything else under src/, and examples/, builds from
+# a StackConfig.
+_PART_MAKERS = ("src/repro/stack/__init__.py", "src/repro/flash", "src/repro/ftl")
+_BUILT_FROM_A_CONFIG = tuple(
+    str(path.relative_to(ROOT))
+    for path in sorted((ROOT / "src/repro").rglob("*.py"))
+    if not any(path.is_relative_to(ROOT / maker) for maker in _PART_MAKERS)
+) + ("examples",)
+
 ROWS = [
     # -- the SQL layer
     Pattern("statement-lifecycle", "One statement cache; a plan reads its parameters as it runs.",
@@ -464,6 +474,9 @@ ROWS = [
               lambda: _absent(TxnManager, "commit_group")
               + _absent(Session, "snapshot_seq", "read_as_of")),
     Structure("one-builder-each", "One stack and one FTL builder in the bench.", _one_builder_each),
+    Pattern("machines-from-a-config", "A chip, FTL or device is built from a StackConfig.",
+            r"\b(FlashChip|FlashGeometry|PageMappingFTL|XFTL|StorageDevice)\(",
+            "ftl = XFTL(FlashChip(FlashGeometry(num_blocks=24)), config)", _BUILT_FROM_A_CONFIG),
     Pattern("namespace-fence", "A tenant's namespace is its path prefix: ext4 keeps no owners.",
             r"register_namespace|namespace_owner|_check_namespace",
             "stack.fs.register_namespace(tenant.namespace, tenant.name)",

@@ -286,7 +286,7 @@ class TestCli:
         monkeypatch.setattr(ObservabilityHub, "session", session)
         assert main(["--budget", "100", "--seed", "0", "--metrics"]) == 0
         out = capsys.readouterr().out
-        assert held == [0] * 17  # one per SQL-stack scenario of the 100
-        title = "metrics merged across 17 crash-sweep stacks"
+        assert held == [0] * 100  # one per scenario: bare FTLs and devices too
+        title = "metrics merged across 100 crash-sweep stacks"
         merged = MetricsRegistry(enabled=True).merge_from(s.registry for s in every)
         assert out.endswith("\n" + merged.report(title=title) + "\n")
