@@ -6,8 +6,8 @@ Gmail, Facebook, web browser) and replays them **as four tenants sharing
 one device** — the actual smartphone shape: every app hammers the same
 flash under its own path prefix.  Each mode (WAL on the stock FTL, OFF on
 X-FTL) runs all four traces interleaved under the tenant scheduler, then
-prints per-app simulated time plus the device's per-tenant attribution
-(writes, commits, GC copybacks, p-tail commit latency).
+prints the simulated time of each mode plus the device's per-tenant counts
+(writes, commits, mean commit latency).
 """
 
 from repro.stack import Mode, StackConfig, TenantScheduler, build_stack
@@ -45,19 +45,16 @@ def main() -> None:
         f"4 app tenants, one device: WAL {elapsed[Mode.WAL]:.2f}s  "
         f"X-FTL {elapsed[Mode.XFTL]:.2f}s  ({speedup:.2f}x)"
     )
-    print("\nper-tenant attribution (X-FTL run):")
+    print("\nper-tenant counts (X-FTL run):")
     print(
-        f"{'tenant':14s} {'writes':>8s} {'commits':>8s} "
-        f"{'gc copyb':>9s} {'mean commit (us)':>17s}"
+        f"{'tenant':14s} {'writes':>8s} {'commits':>8s} {'mean commit (us)':>17s}"
     )
     for name, account in registries[Mode.XFTL]["tenants"].items():
         print(
             f"{name:14s} {account['writes']:8d} {account['commits']:8d} "
-            f"{account['gc_copybacks']:9d} {account['commit_latency_mean_us']:17.1f}"
+            f"{account['commit_latency_mean_us']:17.1f}"
         )
-    collisions = registries[Mode.XFTL]["cross_collisions"]
-    print(f"\ncross-tenant GC victim collisions: {collisions}")
-    print("(paper: X-FTL 2.4x-3.0x faster than WAL across all four traces)")
+    print("\n(paper: X-FTL 2.4x-3.0x faster than WAL across all four traces)")
 
 
 if __name__ == "__main__":

@@ -998,13 +998,12 @@ def tenant_fairness() -> ExperimentResult:
     sessions multiply the simulated time injected into every cold
     tenant's open transaction window.  Deficit round-robin banks one
     time quantum per tenant per round — the hot sessions share their
-    tenant's quantum — and (with NCQ) caps the hot tenant's in-flight
-    commands at its weighted share, so the cold tenants' p99 commit
-    latency must come in well below the round-robin run's.
+    tenant's quantum — so the cold tenants' p99 commit latency must come
+    in below the round-robin run's.
 
     Both policies execute the identical statement streams; per-tenant
-    device attribution (writes, GC copybacks, cross-tenant GC collisions)
-    comes from the device's tenant registry.
+    device counts (writes, flushes, commits) come from the device's
+    tenant registry.
     """
     tenants = 4
     transactions = _scaled(12)
@@ -1093,7 +1092,6 @@ def tenant_fairness() -> ExperimentResult:
             "cold_commits": len(cold_pool),
             "elapsed_s": clock.now_s,
             "registry": stack.chip.tenants.as_dict(),
-            "share_stalls": stack.device.queue.counts.share_stalls,
         }
 
     runs = {policy: _run(policy) for policy in ("round-robin", "deficit")}
@@ -1121,8 +1119,7 @@ def tenant_fairness() -> ExperimentResult:
         notes=(
             "Expected shape: deficit scheduling bounds the cold tenants' "
             "tail while round-robin lets the hot tenant's sessions inflate "
-            f"it.  Cold p99 round-robin/deficit = {ratio:.1f}x "
-            f"(NCQ share stalls under deficit: {drr['share_stalls']})."
+            f"it.  Cold p99 round-robin/deficit = {ratio:.1f}x."
         ),
         runs=runs,
     )

@@ -79,12 +79,10 @@ class QueueCounts:
     flight as of the last poll and the most there ever were at once."""
 
     OBS_NAMES: ClassVar[dict[str, str]] = {
-        "dev.queue.share_stalls": "share_stalls",
         "dev.queue.epochs": "epochs_closed",
         "dev.queue.admit_stalls": "admit_stalls",
     }
 
-    share_stalls: int = 0
     epochs_closed: int = 0
     admit_stalls: int = 0
     depth: int = 0
@@ -94,15 +92,8 @@ class QueueCounts:
 class CommandQueue:
     """Bounded in-flight command tracker for one device.
 
-    With a :class:`~repro.tenancy.TenantRegistry` attached and
-    :meth:`set_shares` called, the queue additionally enforces
-    **per-tenant in-flight caps**: a tenant whose share of the depth is
-    exhausted blocks at admit until one of the outstanding commands
-    completes, even while the queue as a whole has free slots — the NCQ
-    half of the fairness story (a hot tenant cannot monopolize the
-    device's outstanding-command budget).  Without shares the per-tenant
-    bookkeeping is dictionary-only (no clock effects), so tagged and
-    untagged runs stay bit-identical.
+    Every command counts against the one depth, whoever issued it: the
+    queue knows completion times only.
     """
 
     def __init__(
@@ -110,21 +101,14 @@ class CommandQueue:
         clock: SimClock,
         depth: int,
         obs: Observability,
-        tenants=None,
         epochs: bool = False,
     ) -> None:
         if depth < 1:
             raise ValueError(f"queue depth must be >= 1, got {depth}")
         self.clock = clock
         self.depth = depth
-        self.tenants = tenants  # TenantRegistry or None
-        # Min-heap of (end_us, command id, tenant id or None): exactly the
-        # commands not yet retired.  Ids are unique, so two commands sharing
-        # a completion time never compare their tenants.
-        self._in_flight: list[tuple[float, int, int | None]] = []
-        self._next_id = 0
-        self._shares: dict[int, int] | None = None
-        self._live_by_tenant: dict[int, int] = {}
+        # Min-heap of completion times: exactly the commands not yet retired.
+        self._in_flight: list[float] = []
         self.counts = QueueCounts()
         # Epoch bookkeeping (barrier-enabled devices only): every dispatched
         # command is tagged with the current epoch, and an order barrier
@@ -137,16 +121,6 @@ class CommandQueue:
         obs.registry.bind(self.counts, QueueCounts.OBS_NAMES)
         obs.registry.bind_gauge(self.counts, "dev.queue.depth", "depth", "peak_depth")
         obs.instrument(self, clock)
-
-    def set_shares(self, shares: dict[int, int] | None) -> None:
-        """Install (or clear) per-tenant in-flight caps.
-
-        ``shares`` maps tenant id -> maximum outstanding commands, as
-        produced by :meth:`~repro.tenancy.TenantRegistry.queue_shares`.
-        Tenants absent from the map (including the shared lane, id 0)
-        are capped only by the queue depth.
-        """
-        self._shares = dict(shares) if shares else None
 
     # -------------------------------------------------------------- queries
 
@@ -175,7 +149,7 @@ class CommandQueue:
     # ------------------------------------------------------------ lifecycle
 
     def admit(self) -> int:
-        """Backpressure: block until a queue slot (and tenant share) is free.
+        """Backpressure: block until a queue slot is free.
 
         Returns the number of commands still in flight once admitted.
         """
@@ -184,33 +158,8 @@ class CommandQueue:
         if len(heap) >= self.depth:
             self.counts.admit_stalls += 1
             while len(heap) >= self.depth:
-                self.clock.wait_until(heap[0][0])
+                self.clock.wait_until(heap[0])
                 self._retire_due()
-        shares = self._shares
-        if shares is not None:
-            tenant_id = self.tenants.current
-            cap = shares.get(tenant_id)
-            live = self._live_by_tenant
-            if cap is not None and live.get(tenant_id, 0) >= cap:
-                # One stall per capped admit, however many completions it
-                # takes to free a slot (the loop must not re-count).
-                self.counts.share_stalls += 1
-                while live.get(tenant_id, 0) >= cap:
-                    # Wait on the stalled tenant's *own* earliest in-flight
-                    # completion: a foreign command finishing can never
-                    # lower this tenant's live count, so waiting on the
-                    # global head would drain other tenants' work for
-                    # nothing.  No own command in flight means the count
-                    # cannot drop by waiting — bail out rather than wedge
-                    # (a cap of 0).
-                    own_earliest = min(
-                        (end_us for end_us, _, owner in heap if owner == tenant_id),
-                        default=None,
-                    )
-                    if own_earliest is None:
-                        break
-                    self.clock.wait_until(own_earliest)
-                    self._retire_due()
         return len(heap)
 
     def push(self, end_us: float) -> None:
@@ -233,14 +182,8 @@ class CommandQueue:
         self._retire_due()
         if end_us <= self.clock.now_us:
             return
-        tenant_id = None
-        tenants = self.tenants
-        if tenants is not None and tenants.enabled:
-            tenant_id = tenants.current
-            self._live_by_tenant[tenant_id] = self._live_by_tenant.get(tenant_id, 0) + 1
-        self._next_id += 1
         heap = self._in_flight
-        heapq.heappush(heap, (end_us, self._next_id, tenant_id))
+        heapq.heappush(heap, end_us)
         counts = self.counts
         counts.depth = depth = len(heap)
         if depth > counts.peak_depth:
@@ -264,20 +207,18 @@ class CommandQueue:
     def drain(self) -> None:
         """Barrier: the host waits for every in-flight command to complete."""
         if self._in_flight:
-            self.clock.wait_until(max(self._in_flight)[0])
+            self.clock.wait_until(max(self._in_flight))
             self._retire_due()
 
     def reset(self) -> None:
         """Power loss: forget all in-flight commands without waiting.
 
-        The in-flight heap and the per-tenant live counts go in one step (a
-        stale count would wedge share-capped dispatch forever), and so do
-        the epoch tags.  Nothing is left behind to fire later: a forgotten
-        command is simply no longer in the heap the queue polls.
+        The in-flight heap and the epoch tags go in one step.  Nothing is
+        left behind to fire later: a forgotten command is simply no longer
+        in the heap the queue polls.
         """
         self._in_flight.clear()
         self.counts.depth = 0
-        self._live_by_tenant.clear()
         self._epoch = 0
         self._epoch_bounds.clear()
 
@@ -287,11 +228,8 @@ class CommandQueue:
         """Retire every command the clock has passed."""
         heap = self._in_flight
         now = self.clock._now_us  # per-command hot path: skip the property
-        if not heap or heap[0][0] > now:
+        if not heap or heap[0] > now:
             return
-        live = self._live_by_tenant
-        while heap and heap[0][0] <= now:
-            tenant_id = heapq.heappop(heap)[2]
-            if tenant_id is not None:
-                live[tenant_id] -= 1
+        while heap and heap[0] <= now:
+            heapq.heappop(heap)
         self.counts.depth = len(heap)

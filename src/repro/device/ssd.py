@@ -73,7 +73,7 @@ class StorageDevice:
         if self.barrier_mode:
             self.chip.order_only_drains = True
         # Tenant attribution rides the chip's registry (inert without
-        # tenants); the queue needs it for per-tenant in-flight shares.
+        # tenants).
         self.tenants = ftl.chip.tenants
         # Depth 1 keeps the seed's synchronous command paths untouched (no
         # queue object at all), which the channel-equivalence test pins.
@@ -82,7 +82,6 @@ class StorageDevice:
                 self.clock,
                 queue_depth,
                 self.obs,
-                tenants=self.tenants,
                 epochs=self.barrier_mode,
             )
             if queue_depth > 1
@@ -251,7 +250,7 @@ class StorageDevice:
         self.counters.writes += 1
         self._mutated_since_flush = True
         if self.tenants.enabled:
-            self.tenants.note_write(lpn)
+            self.tenants.note_write()
         self.clock.advance(self._page_command_us)
         if self.queue is None:
             self.ftl.write(lpn, data)
@@ -328,7 +327,7 @@ class StorageDevice:
         self.counters.barrier_writes += 1
         self._mutated_since_flush = True
         if self.tenants.enabled:
-            self.tenants.note_write(lpn)
+            self.tenants.note_write()
         self.clock.advance(self._page_command_us)
         if self.queue is None:
             self.ftl.write(lpn, data)
@@ -385,7 +384,7 @@ class StorageDevice:
         self.counters.tagged_writes += 1
         self._mutated_since_flush = True
         if self.tenants.enabled:
-            self.tenants.note_write(lpn)
+            self.tenants.note_write()
         self.clock.advance(self._page_command_us)
         if self.queue is None:
             ftl.write_tx(tid, lpn, data)

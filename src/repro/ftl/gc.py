@@ -46,8 +46,8 @@ selection / copyback mechanism):
     pacing, no wear leveling; freed blocks are reused LIFO.  A host page
     takes one frame here:
     :meth:`InlineCollector.host_program` tests the floor, appends to the
-    cold (or translation) block and programs, with no tick, heat, stream
-    count or tenant branch.
+    cold (or translation) block and programs, with no tick, heat or stream
+    count.
 
 ``"background"``
     *Watermark state machine*, per channel ``idle -> background -> urgent``:
@@ -103,7 +103,7 @@ from itertools import compress
 from typing import Any, ClassVar, Sequence
 
 from repro.errors import FtlError, OutOfSpaceError
-from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP, OWNER_DATA
+from repro.ftl.pagemap import DEAD, OOB_DATA, OOB_MAP
 from repro.sim.crash import register_crash_point
 
 CP_GC_VICTIM = register_crash_point(
@@ -363,9 +363,6 @@ class Collector:
                 self.counts.hot_stream_writes += 1
             else:
                 self.counts.cold_stream_writes += 1
-            tenants = self._chip.tenants
-            if tenants.enabled:
-                tenants.note_stream_write(hot)
         if write_points[block] >= per:
             self._release_filled(channel, block)
         return ppn
@@ -644,18 +641,6 @@ class Collector:
         job = GcJob(victim=victim, cursor=start, end=start + self._write_points[victim], wear=wear)
         self._jobs[channel] = job
         self._count_victim(victim)
-        tenants = self._chip.tenants
-        if tenants.enabled:
-            # Cross-tenant collision accounting: a victim whose valid
-            # pages belong to several tenants makes each pay copyback for
-            # the others' heat.
-            owners = self.ftl._owner
-            keys = self._chip.oob_keys
-            tenants.note_gc_victim(
-                tenants.owner_of(keys[ppn])
-                for ppn in range(job.cursor, job.end)
-                if owners[ppn] == OWNER_DATA
-            )
         self._chip.crash_plan.hit(CP_GC_VICTIM)
         return job
 
@@ -692,7 +677,6 @@ class Collector:
         crash_point = CP_GC_WEAR if job.wear else CP_GC_COPYBACK
         owners = ftl._owner
         oob_keys = chip.oob_keys
-        tenants = chip.tenants
         per = self._per
         write_points = self._write_points
         cold = self._active_blocks
@@ -734,10 +718,6 @@ class Collector:
                 chip.copyback_run(srcs, dst, ftl._gc_oobs(run_owners, keys, srcs))
                 if write_points[active] >= per:
                     cold[channel] = None
-                if tenants.enabled:
-                    for owner, lpn in zip(run_owners, keys):
-                        if owner == OWNER_DATA:
-                            tenants.note_copyback(lpn)
                 ftl._apply_relocations(run_owners, keys, srcs, dst)
                 moved += len(srcs)
                 job.cursor = srcs[-1] + 1

@@ -214,7 +214,7 @@ class BenchStack:
         for tenant in self.tenants:
             if tenant.id == tenant_id:
                 return tenant
-        tenant = Tenant(self, name, weight)
+        tenant = Tenant(self, tenant_id, name, weight)
         self.tenants.append(tenant)
         return tenant
 

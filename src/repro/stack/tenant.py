@@ -14,8 +14,8 @@ A :class:`Tenant` carves one logical slice out of a shared
 - a deterministic **per-tenant RNG lane** via
   :func:`repro.sim.rng.make_rng` (7, "tenant", name, ...);
 - an id in the device's :class:`~repro.tenancy.TenantRegistry`, which
-  attributes device writes, NCQ slots, GC copybacks and commit latency
-  back to the tenant.
+  counts the tenant's device writes, flushes and commits and records the
+  simulated latency of each commit.
 
 :class:`TenantScheduler` groups tenants' tasks into lanes of the one
 deficit-round-robin loop (:mod:`repro.sim.interleave`) under a fairness
@@ -28,8 +28,11 @@ policy:
   each tenant banks ``QUANTUM_US x weight`` of simulated time per round
   and its tasks only run while the bank is positive, so a hot tenant's
   extra sessions share the hot tenant's quantum instead of multiplying
-  it.  When the stack has an NCQ queue, the registry's weighted shares
-  are installed as per-tenant in-flight caps.
+  it.
+
+The policy only picks the lanes: below the scheduler every tenant's
+commands share the device, its NCQ queue and its collector as one
+client's would.
 
 With a single tenant both policies run one lane, which is what a
 :class:`~repro.stack.SessionScheduler` runs — same task order, same
@@ -57,11 +60,11 @@ FAIRNESS_POLICIES = ("round-robin", "deficit")
 class Tenant:
     """One isolated client population of a shared stack."""
 
-    def __init__(self, stack: "BenchStack", name: str, weight: int) -> None:
+    def __init__(self, stack: "BenchStack", tenant_id: int, name: str, weight: int) -> None:
         self.stack = stack
+        self.id = tenant_id  # registered by BenchStack.open_tenant
         self.name = name
-        self.weight = weight  # fairness share under the deficit policy / NCQ split
-        self.id = stack.chip.tenants.register(name, weight)
+        self.weight = weight  # fairness share under the deficit policy
         self.sessions: list[Session] = []
         self._default_session: Session | None = None
 
@@ -101,7 +104,7 @@ class Tenant:
         return session.open_database(self.path(name), **kwargs)
 
     def metrics(self) -> dict:
-        """This tenant's attribution counters from the device registry."""
+        """This tenant's counts from the device registry."""
         return self.stack.chip.tenants.account(self.id).as_dict()
 
 
@@ -159,7 +162,6 @@ class TenantScheduler(SessionScheduler):
 
     def run(self) -> None:
         """Run all assigned tenant tasks under the fairness policy."""
-        deficit = self.fairness == "deficit"
         lanes = [
             (
                 self._registry.account(tenant_id).weight,
@@ -167,15 +169,6 @@ class TenantScheduler(SessionScheduler):
             )
             for tenant_id, tasks in self._tasks.items()
         ]
-        if not deficit:
+        if self.fairness != "deficit":
             lanes = [(1, [task for _weight, tasks in lanes for task in tasks])]
-        queue = self.stack.device.queue
-        if queue is not None:
-            # NCQ shares: cap each tenant's in-flight commands by weight
-            # under the deficit policy; the baseline shares nothing.
-            queue.set_shares(
-                self._registry.queue_shares(self.stack.config.queue_depth)
-                if deficit
-                else None
-            )
         interleave(lanes, self._commit_batch, self.stack.clock)

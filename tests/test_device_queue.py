@@ -25,7 +25,6 @@ from repro.ftl.xftl import XFTL
 from repro.obs import NULL_OBS, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import CrashPlan
-from repro.tenancy import TenantRegistry
 
 GEOMETRY = FlashGeometry(page_size=512, pages_per_block=8, num_blocks=24, channels=2)
 FTL_CONFIG = FtlConfig(
@@ -299,8 +298,7 @@ class TestInFlightBatchPowerLoss:
     Audit regression (ISSUE 6 satellite): a crash while a multi-command
     batch is partially dispatched must drop every queued-but-undispatched
     command in one step, and none of the drain-barrier bookkeeping
-    (in-flight heap, per-tenant live counts) may leak into the next power
-    cycle.
+    (the in-flight heap) may leak into the next power cycle.
     """
 
     def _crash_stack(self):
@@ -386,11 +384,11 @@ class EventDrivenQueue:
     commands and setting the depth gauge) before anything reads the queue.
     """
 
-    def __init__(self, depth, shares):
-        self.depth, self.shares = depth, shares
+    def __init__(self, depth):
+        self.depth = depth
         self.now = 0.0
-        self.heap = []  # (end_us, id, tenant)
-        self.next_id = self.admit_stalls = self.share_stalls = 0
+        self.heap = []  # completion times
+        self.admit_stalls = 0
         self.gauge = self.gauge_max = 0.0
 
     def set_gauge(self):
@@ -399,33 +397,24 @@ class EventDrivenQueue:
 
     def wait_until(self, when_us):
         self.now = max(self.now, when_us)
-        while self.heap and self.heap[0][0] <= self.now:
+        while self.heap and self.heap[0] <= self.now:
             heapq.heappop(self.heap)
         self.set_gauge()
 
-    def push(self, end_us, tenant):
+    def push(self, end_us):
         if end_us > self.now:
-            self.next_id += 1
-            heapq.heappush(self.heap, (end_us, self.next_id, tenant))
+            heapq.heappush(self.heap, end_us)
             self.set_gauge()
 
-    def own(self, tenant):
-        return [end_us for end_us, _, owner in self.heap if owner == tenant]
-
-    def admit(self, tenant):
+    def admit(self):
         if len(self.heap) >= self.depth:
             self.admit_stalls += 1
             while len(self.heap) >= self.depth:
-                self.wait_until(self.heap[0][0])
-        cap = self.shares.get(tenant) if self.shares else None
-        if cap is not None and len(self.own(tenant)) >= cap:
-            self.share_stalls += 1
-            while len(self.own(tenant)) >= cap:  # shares are >= 1
-                self.wait_until(min(self.own(tenant)))
+                self.wait_until(self.heap[0])
 
     def drain(self):
         if self.heap:
-            self.wait_until(max(self.heap)[0])
+            self.wait_until(max(self.heap))
 
     def reset(self):
         self.heap.clear()
@@ -435,9 +424,9 @@ class EventDrivenQueue:
 STEPS = st.lists(
     st.tuples(
         st.one_of(
-            st.tuples(st.just("push"), st.integers(0, 2), st.integers(-50, 400)),
+            st.tuples(st.just("push"), st.integers(-50, 400)),
             st.tuples(st.just("advance"), st.integers(0, 300)),
-            st.tuples(st.just("admit"), st.integers(0, 2)),
+            st.tuples(st.just("admit")),
             st.tuples(st.just("drain")),
             st.tuples(st.just("reset")),
         ),
@@ -449,45 +438,32 @@ STEPS = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(depth=st.integers(1, 5), tenancy=st.sampled_from(["none", "tagged", "shares"]), steps=STEPS)
-def test_polling_reads_what_per_completion_events_read(depth, tenancy, steps):
+@given(depth=st.integers(1, 5), steps=STEPS)
+def test_polling_reads_what_per_completion_events_read(depth, steps):
     """After every step the polled queue and the event-driven one agree.
 
-    The clock, both stall counts and the gauge's high-water mark agree
-    after every step, before anything polls.  The in-flight count and the
-    gauge's value agree whenever a reader looks, and nobody has to look
-    for the others to hold.
+    The clock, the stall count and the gauge's high-water mark agree after
+    every step, before anything polls.  The in-flight count and the gauge's
+    value agree whenever a reader looks, and nobody has to look for the
+    others to hold.
     """
     obs = Observability(enabled=True, label="queue-property")
     clock = SimClock()
-    registry = None if tenancy == "none" else TenantRegistry()
-    if registry is not None:
-        registry.register("a", weight=1)
-        registry.register("b", weight=2)
-    queue = CommandQueue(clock, depth, obs, tenants=registry)
-    shares = registry.queue_shares(depth) if tenancy == "shares" else None
-    queue.set_shares(shares)
-    reference = EventDrivenQueue(depth, shares)
+    queue = CommandQueue(clock, depth, obs)
+    reference = EventDrivenQueue(depth)
     gauge = obs.registry.gauge("dev.queue.depth")
     for step, read in steps:
-        if step[0] in ("push", "admit") and registry is not None:
-            registry.current = step[1]
-        tenant = None if registry is None else registry.current
         if step[0] == "push":
-            queue.push(clock.now_us + step[2])
-            reference.push(reference.now + step[2], tenant)
+            queue.push(clock.now_us + step[1])
+            reference.push(reference.now + step[1])
         elif step[0] == "advance":
             clock.advance(step[1])
             reference.wait_until(reference.now + step[1])
-        elif step[0] == "admit":
-            queue.admit()
-            reference.admit(tenant)
         else:
             getattr(queue, step[0])()
             getattr(reference, step[0])()
         assert clock.now_us == reference.now
         assert obs.registry.counter_value("dev.queue.admit_stalls") == reference.admit_stalls
-        assert queue.counts.share_stalls == reference.share_stalls
         assert gauge.max_value == reference.gauge_max
         if read:
             assert queue.in_flight == len(reference.heap)

@@ -486,6 +486,13 @@ ROWS = [
     Pattern("tenant-config", "A tenant's name and weight are its attributes: no config copy.",
             r"\bTenantConfig\b", "tenant = Tenant(self, TenantConfig(name=name, weight=weight))",
             ("src", "tests", "examples")),
+    Pattern("ncq-tenant-shares", "Every command counts against the one queue depth: no tenant caps.",
+            r"set_shares|queue_shares|share_stalls|_live_by_tenant",
+            "self._registry.queue_shares(self.stack.config.queue_depth)",
+            ("src", "tests", "examples")),
+    Pattern("tenant-gc-attribution", "A tenant counts its own commands: GC books no tenant.",
+            r"note_copyback|note_gc_victim|note_stream_write|owner_of|cross_collisions",
+            "tenants.note_copyback(lpn)", ("src", "tests", "examples")),
     Pattern("fs-owner-parameter", "Ext4's file API takes a name: no owner to check.",
             r"def (create|open|unlink)\(self\b[^)]*\bowner\b",
             'def create(self, name: str, owner: str | None = None) -> "FileHandle":',

@@ -1,8 +1,8 @@
 """A/B lock: a one-tenant stack must equal the historical single-stack path.
 
-The tenant plumbing (registry on the chip, tagged scheduler steps, NCQ
-share bookkeeping) is all host-side accounting — it
-must never charge simulated time, draw randomness, or change a single
+The tenant plumbing (registry on the chip, tagged scheduler steps, the
+device's per-tenant write and flush counts) is all host-side accounting —
+it must never charge simulated time, draw randomness, or change a single
 flash operation.  With one tenant both fairness policies degenerate to
 the plain round-robin interleaver, so a run through the tenant API has to
 be *bit-identical* to the same workload run through bare sessions:
@@ -104,7 +104,7 @@ def test_single_tenant_is_bit_identical(mode: Mode, policy: str) -> None:
 
 @pytest.mark.parametrize("policy", ["round-robin", "deficit"])
 def test_single_tenant_bit_identical_with_ncq(policy: str) -> None:
-    """Queue-share bookkeeping must not perturb a queued device either."""
+    """Tenant accounting must not perturb a queued device either."""
     kwargs = dict(queue_depth=4, channels=2)
     assert _run(Mode.XFTL, policy, **kwargs) == _run(Mode.XFTL, "baseline", **kwargs)
 
