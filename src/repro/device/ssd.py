@@ -72,8 +72,7 @@ class StorageDevice:
         self.barrier_mode = barrier_mode
         if self.barrier_mode:
             self.chip.order_only_drains = True
-        # Tenant attribution rides the chip's registry (inert without
-        # tenants).
+        # Per-tenant command counts ride the chip's registry (inert without tenants).
         self.tenants = ftl.chip.tenants
         # Depth 1 keeps the seed's synchronous command paths untouched (no
         # queue object at all), which the channel-equivalence test pins.

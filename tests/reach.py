@@ -12,7 +12,8 @@ total line::
 A function-body line is a line that holds bytecode of a function, method,
 lambda or comprehension, other than the ``def`` line itself; module and
 class bodies run at import and are not counted.  Work done in a subprocess
-(a CLI test, a bench worker) is not seen.  A function stops being traced
+(a CLI test, a bench worker) is not seen, nor is a thread the module
+starts (nothing under ``src/repro`` starts one).  A function stops being traced
 once every one of its lines has run, but a traced run is still several
 times slower than an untraced one.  The exit status is the module's.
 """
@@ -23,7 +24,6 @@ import inspect
 import os
 import runpy
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,7 +103,6 @@ class Reach:
         """Run ``module`` as ``__main__`` under the hook; returns its exit status."""
         sys.argv = [module, *args]
         sys.path[0] = os.getcwd()  # what ``python -m`` puts first
-        threading.settrace(self._call)
         sys.settrace(self._call)
         try:
             runpy.run_module(module, run_name="__main__", alter_sys=True)
@@ -113,7 +112,6 @@ class Reach:
             status = code if isinstance(code, int) else (0 if code is None else 1)
         finally:
             sys.settrace(None)
-            threading.settrace(None)
         return status
 
     def ran(self) -> dict[str, set[int]]:
