@@ -145,9 +145,8 @@ def _shown(path: Path) -> Path:
         return path
 
 
-def report(root: Path, ran: dict[str, set[int]], out=sys.stdout) -> tuple[int, int]:
-    """Print every unreached function-body line under ``root`` and the total;
-    returns ``(unreached, total)``."""
+def report(root: Path, ran: dict[str, set[int]]) -> None:
+    """Print every unreached function-body line under ``root``, then the total."""
     root = root.resolve()
     unreached_total = lines_total = 0
     for path in sorted(root.rglob("*.py")):
@@ -157,14 +156,12 @@ def report(root: Path, ran: dict[str, set[int]], out=sys.stdout) -> tuple[int, i
         unreached_total += len(set(owner) - reached)
         for first, last, name in _runs(owner, reached):
             span = str(first) if first == last else f"{first}-{last}"
-            print(f"{_shown(path)}:{span} {name}", file=out)
+            print(f"{_shown(path)}:{span} {name}")
     share = 100.0 * unreached_total / lines_total if lines_total else 0.0
     print(
         f"reach: {unreached_total:,} of {lines_total:,} function-body lines "
-        f"under {_shown(root)} unreached ({share:.1f} %)",
-        file=out,
+        f"under {_shown(root)} unreached ({share:.1f} %)"
     )
-    return unreached_total, lines_total
 
 
 def main(argv: list[str]) -> int:
@@ -176,7 +173,6 @@ def main(argv: list[str]) -> int:
         return 2
     reach = Reach(root)
     status = reach.run_module(argv[1], argv[2:])
-    sys.stdout.flush()
     report(root, reach.ran())
     return status
 

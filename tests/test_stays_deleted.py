@@ -486,7 +486,7 @@ ROWS = [
     Pattern("tenant-config", "A tenant's name and weight are its attributes: no config copy.",
             r"\bTenantConfig\b", "tenant = Tenant(self, TenantConfig(name=name, weight=weight))",
             ("src", "tests", "examples")),
-    Pattern("ncq-tenant-shares", "Every command counts against the one queue depth: no tenant caps.",
+    Pattern("ncq-tenant-shares", "Commands share one queue depth: no per-tenant caps.",
             r"set_shares|queue_shares|share_stalls|_live_by_tenant",
             "self._registry.queue_shares(self.stack.config.queue_depth)",
             ("src", "tests", "examples")),
