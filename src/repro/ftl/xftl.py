@@ -523,15 +523,9 @@ class XFTL(PageMappingFTL):
 
     # ------------------------------------------------------------- recovery
 
-    def _effect_sequences(self, scanned):
+    def _effect(self, seq: int, tag):
         """A tagged page took effect at the sequence the root stamped its tid with."""
-        committed = self._root.committed_tids
-        for seq, kind, lpn, tid, ppn in scanned:
-            if kind != OOB_DATA:
-                continue
-            effect = seq if tid is None else committed.get(tid)
-            if effect is not None:
-                yield effect, seq, lpn, ppn
+        return seq if tag is None else self._root.committed_tids.get(tag)
 
     def power_fail(self) -> None:
         super().power_fail()

@@ -256,22 +256,35 @@ def test_remount_never_maps_a_trimmed_lpn_to_another_lpns_page(variant):
 #: the trim is not durable and the root's map still names the page for the
 #: trimmed lpn, an owner whose OOB names that lpn too: the CMT writeback of
 #: the translation page whose segment number equals it, or its own
-#: uncommitted transactional write.
-REUSE_CASES = [
-    pytest.param(
-        variant, barrier, "another-lpn", id=f"{variant}-{'trim-barrier' if barrier else 'trim'}"
-    )
-    for barrier in (True, False)
-    for variant in TRIM_VARIANTS
-] + [
-    pytest.param("cmt", False, "its-segment-map", id="cmt-trim-reused-as-map"),
-    pytest.param("xftl", False, "its-own-tx", id="xftl-trim-reused-as-own-tx"),
-]
+#: uncommitted transactional write.  The translation-page case runs at 20
+#: stream seeds: its stream alternates a hot and a cold write in lockstep
+#: with the two channels' round-robin, so every cold write lands on one
+#: channel until that channel holds nothing but valid pages, and the host
+#: page must then go to the other (``Collector._roomier_channel``).
+REUSE_CASES = (
+    [
+        pytest.param(
+            variant,
+            barrier,
+            "another-lpn",
+            1,
+            id=f"{variant}-{'trim-barrier' if barrier else 'trim'}",
+        )
+        for barrier in (True, False)
+        for variant in TRIM_VARIANTS
+    ]
+    + [pytest.param("cmt", False, "its-segment-map", 1, id="cmt-trim-reused-as-map")]
+    + [
+        pytest.param("cmt", False, "its-segment-map", seed, id=f"cmt-trim-reused-as-map-seed{seed}")
+        for seed in range(2, 21)
+    ]
+    + [pytest.param("xftl", False, "its-own-tx", 1, id="xftl-trim-reused-as-own-tx")]
+)
 
 
-@pytest.mark.parametrize("variant,barrier_after_trim,reused_as", REUSE_CASES)
+@pytest.mark.parametrize("variant,barrier_after_trim,reused_as,seed", REUSE_CASES)
 def test_trimmed_page_reused_by_another_lpn_then_power_cycle(
-    variant, barrier_after_trim, reused_as
+    variant, barrier_after_trim, reused_as, seed
 ):
     """Trim an lpn (then barrier, or not), let GC erase its block and hand
     its page to a new owner (REUSE_CASES), then power-cycle: the trimmed
@@ -291,7 +304,7 @@ def test_trimmed_page_reused_by_another_lpn_then_power_cycle(
         ),
         "its-own-tx": lambda: ftl._owner[page] == OWNER_XL2P_DATA,
     }[reused_as]
-    rng = make_rng(1, "test.ftl_ownership", "trim_reuse", variant)
+    rng = make_rng(seed, "test.ftl_ownership", "trim_reuse", variant)
     for step in range(4000):
         if taken():
             break

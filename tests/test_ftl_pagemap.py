@@ -278,7 +278,8 @@ class TestPowerCycle:
 
 
 class TestTranslationPageImages:
-    """The persisted map-page format: ``(slice of the L2P array, chains)``."""
+    """The persisted map-page format: ``(slice of the L2P array, chains,
+    the sequence it was built at)``."""
 
     def test_short_last_segment_round_trips(self):
         ftl = make_ftl(map_entries_per_page=10)
@@ -287,8 +288,9 @@ class TestTranslationPageImages:
         ftl.write(last, b"tail")
         ftl.write(last - 1, b"tail-1")
         ftl.barrier()
-        ppns, chains = ftl.chip.peek(ftl._map_dir[last // 10])
+        ppns, chains, built = ftl.chip.peek(ftl._map_dir[last // 10])
         assert isinstance(ppns, array) and ppns.typecode == "i"
+        assert built < ftl.chip.read_oob(ftl._map_dir[last // 10])[2]
         assert len(ppns) == ftl.exported_pages % 10
         assert list(ppns[-2:]) == [ftl.mapped_ppn(last - 1), ftl.mapped_ppn(last)]
         assert chains == ()
@@ -326,8 +328,8 @@ class TestTranslationPageImages:
     def test_overlong_image_is_corruption_not_neighbour_overwrite(self):
         ftl = self._persisted()
         ppn = ftl._root.map_dir[0]
-        ppns, chains = ftl.chip.peek(ppn)
-        ftl.chip._data[ppn] = (ppns + ppns[:1], chains)
+        ppns, chains, built = ftl.chip.peek(ppn)
+        ftl.chip._data[ppn] = (ppns + ppns[:1], chains, built)
         with pytest.raises(CorruptionError):
             ftl.remount()
 
@@ -348,8 +350,12 @@ class TestTranslationPageImages:
         ids=["stock", "cmt", "background-gc"],
     )
     def test_clean_segments_match_flash_under_any_interleaving(self, cfg):
-        """Every L2P mutation re-dirties its segment, so a clean segment's
-        flash page equals the image a flush would program right now."""
+        """Every L2P mutation but a GC copyback re-dirties its segment, so a
+        clean segment's flash page equals the image a flush would program
+        right now, except at an lpn whose page a copyback moved since the
+        image was built: that page carries the lpn's OOB at a later
+        sequence, which remount replays over the image."""
+        moved = 0
         for seed in range(4):
             ftl = make_ftl(num_blocks=24, **cfg)
             rng = make_rng(seed, "test.ftl.pagemap", "images")
@@ -363,10 +369,20 @@ class TestTranslationPageImages:
                 else:
                     ftl.barrier()
                 for segment, ppn in ftl._map_dir.items():
-                    if segment not in ftl._dirty_segments:
-                        assert ftl.chip.peek(ppn) == ftl._segment_image(segment)
+                    if segment in ftl._dirty_segments:
+                        continue
+                    ppns, chains, built = ftl.chip.peek(ppn)
+                    live, live_chains, _now = ftl._segment_image(segment)
+                    assert chains == live_chains
+                    for lpn, (flushed, now) in enumerate(zip(ppns, live), segment * 16):
+                        if flushed != now:
+                            assert now != UNMAPPED
+                            _kind, key, seq, _tag = ftl.chip.read_oob(now)
+                            assert key == lpn and seq > built
+                            moved += 1
             assert ftl.stats.gc_invocations > 0
             ftl.check_invariants()
+        assert moved > 0  # copybacks left clean images behind the live map
 
 
 class TestPagemapProperties:

@@ -95,7 +95,7 @@ def test_map_images_hold_four_bytes_per_entry(remounted):
     stack, _used = remounted
     assert stack.ftl._map_dir
     for ppn in stack.ftl._map_dir.values():
-        ppns, _chains = stack.chip.peek(ppn)
+        ppns, _chains, _built = stack.chip.peek(ppn)
         assert sys.getsizeof(ppns) - sys.getsizeof(ppns[:0]) == 4 * len(ppns)
 
 
