@@ -626,3 +626,32 @@ class TestNoStrandedBlocks:
             db.execute("COMMIT")
             stack.ftl.check_invariants()
         assert stack.chip.stats.delta(before).gc_invocations > 0
+
+
+class TestRoomierChannel:
+    """A host page whose channel reclaimed nothing at its headroom floor
+    goes to a channel above its floor, under both schedules: appending
+    anyway would eat the erased pages a victim could still be copied into."""
+
+    @pytest.mark.parametrize("gc_mode", ["inline", "background"])
+    def test_a_floor_bail_out_sends_the_page_to_the_other_channel(self, gc_mode):
+        policy = "greedy" if gc_mode == "inline" else "cost-benefit"
+        ftl = make_bg_ftl(num_blocks=48, gc_mode=gc_mode, gc_policy=policy)
+        gc = ftl.gc
+        per = ftl.chip.geometry.pages_per_block
+        lpn = 0
+        # Every page distinct and valid, and all on channel 0: nothing
+        # there is reclaimable once its headroom reaches the floor.
+        while gc.headroom_pages(0) > per:
+            gc._write_channel = 0
+            ftl.write(lpn, ("fill", lpn))
+            lpn += 1
+        assert ftl.gc.pick_victim(0) is None and gc.headroom_pages(1) > per
+        floor_headroom = gc.headroom_pages(0)
+        for _ in range(3):
+            gc._write_channel = 0
+            ftl.write(lpn, ("spill", lpn))
+            assert ftl.chip.geometry.channel_of_block(ftl.mapped_ppn(lpn) // per) == 1
+            lpn += 1
+        assert gc.headroom_pages(0) == floor_headroom
+        ftl.check_invariants()
